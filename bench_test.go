@@ -23,6 +23,7 @@ import (
 	"pnet/internal/par"
 	"pnet/internal/route"
 	"pnet/internal/sim"
+	"pnet/internal/tcp"
 	"pnet/internal/topo"
 	"pnet/internal/workload"
 )
@@ -196,15 +197,18 @@ func BenchmarkAblationLowestHopPlane(b *testing.B) {
 
 // --- Hot-path benchmarks -------------------------------------------------
 //
-// These two isolate the simulator's inner loops (event dispatch and GK
-// phase work) from experiment setup, so regressions in either show up as
-// ns/op and allocs/op rather than being buried in whole-figure times.
-// `pnetstat summary -gobench` folds their output into the run report the
-// perf gate compares.
+// These isolate the simulator's inner loops (event dispatch, the packet
+// hop and GK phase work) from experiment setup, so regressions in any show
+// up as ns/op and allocs/op rather than being buried in whole-figure
+// times. `pnetstat summary -gobench` folds their output into the run
+// report the perf gate compares.
 
-// BenchmarkEngineEventLoop measures bare event dispatch: 256 concurrent
-// self-rescheduling timer chains drain exactly b.N events through the
-// heap, which is the engine pattern every packet transmission follows.
+// BenchmarkEngineEventLoop measures bare closure dispatch: 256 concurrent
+// self-rescheduling timer chains drain exactly b.N events. Closure events
+// live on the engine's timer heap, so this is that heap at depth 256 and
+// nothing else; a packet never takes this path (its tx-complete pops from
+// a heap one entry per busy link deep, its arrival from the FIFO lane).
+// BenchmarkPacketHop measures that.
 func BenchmarkEngineEventLoop(b *testing.B) {
 	const chains = 256
 	eng := sim.NewEngine()
@@ -226,6 +230,46 @@ func BenchmarkEngineEventLoop(b *testing.B) {
 	if fired := eng.EventsFired(); fired != uint64(b.N) {
 		b.Fatalf("fired %d events, want %d", fired, b.N)
 	}
+}
+
+// BenchmarkPacketHop measures the unit every packet experiment is made
+// of, one packet crossing one link: a tx-complete and an arrival through
+// the engine, the drop-tail queue, and at the last hop the TCP receiver
+// and the ACK it sends back. 64 long single-path TCP flows (a host
+// permutation) share the 16-switch Jellyfish of the benchmark's
+// bulk_mptcp workload and keep its queues full. An op is two events,
+// which is one hop but for the few timer events; ns/hop and events/hop
+// are the measured figures. allocs/op must stay 0: pools and the lane
+// are warm, and what a flow in steady state still allocates (a timer
+// event when its RTO wakeup is re-armed) is a few bytes per op.
+func BenchmarkPacketHop(b *testing.B) {
+	tp := topo.JellyfishSet(16, 4, 4, 4, 100, 1).SerialLow
+	d := workload.NewDriver(tp, sim.Config{}, tcp.Config{})
+	for _, c := range workload.PermutationCommodities(tp, 1, rng(1)) {
+		if _, err := d.StartFlow(c.Src, c.Dst, 1<<40, workload.Selection{Policy: workload.ECMP}, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	hops := func() (n int64) {
+		for l := 0; l < d.Net.G.NumLinks(); l++ {
+			n += d.Net.Stats(graph.LinkID(l)).TxPackets
+		}
+		return n
+	}
+	d.RunUntil(2 * sim.Millisecond) // past slow start; pools, queues and lane at size
+	h0, e0 := hops(), d.Eng.EventsFired()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < 2*b.N; i++ {
+		d.Step()
+	}
+	b.StopTimer()
+	crossed := float64(hops() - h0)
+	if crossed == 0 {
+		b.Fatal("no packet crossed a link")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/crossed, "ns/hop")
+	b.ReportMetric(float64(d.Eng.EventsFired()-e0)/crossed, "events/hop")
 }
 
 // BenchmarkGKSolverPhase measures one Garg–Könemann solve on a fixed

@@ -257,6 +257,11 @@ type releaseSink struct{ net *sim.Network }
 
 func (r *releaseSink) HandlePacket(p *sim.Packet) { r.net.Release(p) }
 
+// sinkFunc adapts a function to the packet handler interface.
+type sinkFunc func(p *sim.Packet)
+
+func (f sinkFunc) HandlePacket(p *sim.Packet) { f(p) }
+
 // twoPlane builds a 2-host network with one switch per plane:
 // host 0 - sw2 - host 1 on plane 0, host 0 - sw3 - host 1 on plane 1.
 func twoPlane() (*graph.Graph, []graph.LinkID, []graph.LinkID) {
@@ -431,7 +436,11 @@ func TestSamplerTerminates(t *testing.T) {
 	s := NewSampler(eng, net, sim.Microsecond)
 	s.Start()
 
-	sink := &releaseSink{net: net}
+	var delivered sim.Time
+	sink := sinkFunc(func(p *sim.Packet) {
+		delivered = eng.Now()
+		net.Release(p)
+	})
 	p := net.NewPacket()
 	p.Size = 1500
 	p.Route = p0
@@ -443,7 +452,17 @@ func TestSamplerTerminates(t *testing.T) {
 		t.Fatalf("sampler left %d events pending after %d fired", eng.HeapLen(), done)
 	}
 	if len(s.Engine) == 0 {
-		t.Error("no engine samples recorded")
+		t.Fatal("no engine samples recorded")
+	}
+	// At the 1 µs and 2 µs ticks the only other pending work is the packet
+	// on a wire (120 ns to transmit, 1 µs to propagate, twice): an arrival
+	// on the engine's lane, no heap entry. HeapLen has to count it, or the
+	// sampler stops ticking before the delivery at 2.24 µs.
+	if first := s.Engine[0]; first.HeapLen != 1 {
+		t.Errorf("HeapLen at the %v tick = %d, want 1 (the packet in flight)", first.T, first.HeapLen)
+	}
+	if last := s.Engine[len(s.Engine)-1]; delivered == 0 || last.T < delivered {
+		t.Errorf("last sample at %v, packet delivered at %v: the sampler stopped with a packet in flight", last.T, delivered)
 	}
 	for _, ls := range s.Links {
 		if ls.Util < 0 || ls.Util > 1.000001 {

@@ -9,6 +9,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 )
 
 // Time is simulated time in picoseconds. Picosecond resolution keeps
@@ -57,7 +58,7 @@ type Event struct {
 	fn       func()
 	who      actor // pooled internal events use who instead of fn
 	canceled bool
-	index    int    // heap position, -1 once popped
+	popped   bool   // left the event queue (fired, or discarded as cancelled)
 	next     *Event // freelist
 }
 
@@ -65,16 +66,31 @@ type Event struct {
 func (e *Event) Cancel() { e.canceled = true }
 
 // Pending reports whether the event is still scheduled.
-func (e *Event) Pending() bool { return e != nil && !e.canceled && e.index >= 0 }
+func (e *Event) Pending() bool { return e != nil && !e.canceled && !e.popped }
 
 // Engine is a single-threaded discrete-event scheduler. Events scheduled
 // for the same instant fire in scheduling order.
+//
+// The event queue is three sources merged by one key, (at, seq): every
+// event takes its seq when it is scheduled, whichever source holds it, so
+// the firing order is the order a single heap would give (DESIGN.md
+// "Event queue").
 type Engine struct {
-	now    Time
-	seq    uint64
-	fired  uint64
+	now   Time
+	seq   uint64
+	fired uint64
+	// events holds actor events at arbitrary times: queue tx-completes
+	// (at most one per busy link) and whatever scheduleFIFO turned away.
 	events eventHeap
-	free   *Event // pool for internal (actor) events
+	// timers holds fn (At/After) events: RTO and rtx wakeups, sampler,
+	// chaos and health ticks. Most are cancelled long before they are due;
+	// here they cost the packet path one compare per pop, not heap depth.
+	// On the host engine of a ShardSet it is the boundary timer heap.
+	timers eventHeap
+	// lane holds actor events scheduled in non-decreasing time — link
+	// arrivals, half of all events — which are already sorted.
+	lane eventRing
+	free *Event // pool for internal (actor) events
 
 	// Recorder, when set, profiles every dispatched event (kind, plane,
 	// wall time) — the event-loop flight recorder behind `pnetstat
@@ -155,22 +171,25 @@ func (e *Engine) EventsScheduled() uint64 {
 	return e.seq
 }
 
-// HeapLen reports the number of pending (possibly cancelled) events.
-// Telemetry samples it as the engine's working-set size; a periodic
-// sampler also uses it to detect that it is the only remaining work and
-// stop rescheduling itself. On the host engine of a ShardSet it
-// aggregates every shard's heap (plus the host timer heap), so the
-// sampler's "am I the last event" check stays correct under sharding.
+// HeapLen reports the number of pending (possibly cancelled) events over
+// the heap, the timer heap and the lane. Telemetry samples it as the
+// engine's working-set size; a periodic sampler also uses it to detect
+// that it is the only remaining work and stop rescheduling itself. On the
+// host engine of a ShardSet it aggregates every shard, so the sampler's
+// "am I the last event" check stays correct under sharding.
 func (e *Engine) HeapLen() int {
 	if sh := e.shard; sh != nil && sh.idx == 0 {
-		n := len(sh.timers)
+		n := 0
 		for _, s := range sh.set.engines {
-			n += len(s.events)
+			n += s.queued()
 		}
 		return n
 	}
-	return len(e.events)
+	return e.queued()
 }
+
+// queued counts this engine's own pending events over all three sources.
+func (e *Engine) queued() int { return len(e.events) + len(e.timers) + e.lane.n }
 
 // At schedules fn at absolute time t (not before the current time) and
 // returns a cancellable handle.
@@ -182,7 +201,7 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	if e.shard == nil {
 		e.seq++
 		ev.seq = e.seq
-		e.events.push(ev)
+		e.timers.push(ev)
 		return ev
 	}
 	e.shard.routeFn(e, ev)
@@ -192,10 +211,10 @@ func (e *Engine) At(t Time, fn func()) *Event {
 // After schedules fn d after the current time.
 func (e *Engine) After(d Time, fn func()) *Event { return e.At(e.now+d, fn) }
 
-// schedule enqueues an internal actor event from the pool. Pooled events
-// have no external handle, so they cannot be cancelled and are recycled
-// the moment they fire — the hot path of the simulator allocates nothing.
-func (e *Engine) schedule(at Time, who actor) {
+// pooled takes an internal actor event from the pool. Pooled events have
+// no external handle, so they cannot be cancelled and are recycled the
+// moment they fire — the hot path of the simulator allocates nothing.
+func (e *Engine) pooled(at Time, who actor) *Event {
 	ev := e.free
 	if ev != nil {
 		e.free = ev.next
@@ -207,6 +226,13 @@ func (e *Engine) schedule(at Time, who actor) {
 	ev.who = who
 	ev.fn = nil
 	ev.canceled = false
+	ev.popped = false
+	return ev
+}
+
+// schedule enqueues a pooled actor event at an arbitrary time.
+func (e *Engine) schedule(at Time, who actor) {
+	ev := e.pooled(at, who)
 	if e.shard == nil {
 		e.seq++
 		ev.seq = e.seq
@@ -214,6 +240,23 @@ func (e *Engine) schedule(at Time, who actor) {
 		return
 	}
 	e.shard.route(e, ev)
+}
+
+// scheduleFIFO is schedule for a caller whose timestamps arrive in
+// non-decreasing order (queue.act: now plus the network's one propagation
+// delay). Such events are already sorted by (at, seq), so they queue on
+// the lane and never touch a heap. A timestamp below the lane's tail goes
+// to the heap instead, which keeps the lane sorted for any delays; shard
+// members always take the heap, whose seqs the window protocol renumbers.
+func (e *Engine) scheduleFIFO(at Time, who actor) {
+	if e.shard != nil || (e.lane.n > 0 && at < e.lane.tail) {
+		e.schedule(at, who)
+		return
+	}
+	ev := e.pooled(at, who)
+	e.seq++
+	ev.seq = e.seq
+	e.lane.push(ev)
 }
 
 // fire dispatches a popped event, recycling pooled ones.
@@ -235,17 +278,51 @@ func (e *Engine) fire(ev *Event) {
 	ev.fn()
 }
 
+// pop removes and returns the earliest live event if its timestamp is at
+// most limit, nil otherwise. The lane head and the actor heap's top are
+// compared first; the timer heap is looked at only when its top is not
+// later than that candidate, which on the packet path it almost never is.
+// A cancelled timer is discarded when it surfaces as the earliest event
+// of all (whatever the limit), exactly when a single heap would drop it.
+func (e *Engine) pop(limit Time) *Event {
+	for {
+		var ev *Event
+		var heap *eventHeap // the heap whose top ev is; nil when the lane holds it
+		if e.lane.n > 0 {
+			ev = e.lane.buf[e.lane.head]
+		}
+		if len(e.events) > 0 {
+			if top := e.events[0]; ev == nil || less(top, ev) {
+				ev, heap = top, &e.events
+			}
+		}
+		if len(e.timers) > 0 {
+			if top := e.timers[0]; ev == nil || less(top, ev) {
+				if top.canceled {
+					e.timers.pop()
+					continue
+				}
+				ev, heap = top, &e.timers
+			}
+		}
+		if ev == nil || ev.at > limit {
+			return nil
+		}
+		if heap == nil {
+			return e.lane.pop()
+		}
+		return heap.pop()
+	}
+}
+
 // Step fires the next event. It returns false when no events remain.
 func (e *Engine) Step() bool {
-	for len(e.events) > 0 {
-		ev := e.events.pop()
-		if ev.canceled {
-			continue
-		}
-		e.fire(ev)
-		return true
+	ev := e.pop(math.MaxInt64)
+	if ev == nil {
+		return false
 	}
-	return false
+	e.fire(ev)
+	return true
 }
 
 // Run fires events until none remain.
@@ -258,17 +335,8 @@ func (e *Engine) Run() {
 // advances the clock to t. It returns the number of events fired.
 func (e *Engine) RunUntil(t Time) int {
 	fired := 0
-	for len(e.events) > 0 {
-		next := e.events[0]
-		if next.canceled {
-			e.events.pop()
-			continue
-		}
-		if next.at > t {
-			break
-		}
-		e.events.pop()
-		e.fire(next)
+	for ev := e.pop(t); ev != nil; ev = e.pop(t) {
+		e.fire(ev)
 		fired++
 	}
 	if e.now < t {
@@ -277,13 +345,46 @@ func (e *Engine) RunUntil(t Time) int {
 	return fired
 }
 
+// eventRing is the lane: a growable FIFO ring of events pushed in
+// non-decreasing (at, seq) order. Its length is a power of two; growth
+// doubles it, so steady state allocates nothing.
+type eventRing struct {
+	buf     []*Event
+	head, n int
+	tail    Time // timestamp of the newest entry, meaningful while n > 0
+}
+
+func (r *eventRing) push(ev *Event) {
+	if r.n == len(r.buf) {
+		grown := make([]*Event, max(2*len(r.buf), 64))
+		k := copy(grown, r.buf[r.head:])
+		copy(grown[k:], r.buf[:r.head])
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = ev
+	r.n++
+	r.tail = ev.at
+}
+
+func (r *eventRing) pop() *Event {
+	ev := r.buf[r.head]
+	ev.popped = true
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return ev
+}
+
 // eventHeap is a hand-rolled 4-ary min-heap ordered by (at, seq). A 4-ary
 // layout halves the depth of the dominant sift-down path, and avoiding
-// container/heap's interface dispatch roughly doubles event throughput —
-// the engine's hot loop is pure heap traffic.
+// container/heap's interface dispatch roughly doubles its throughput. A
+// pop costs about four unpredictable compares per level, which is why the
+// events that need no sorting (the lane) or rarely fire (timers) are kept
+// out of the heap the packet path pops from.
 type eventHeap []*Event
 
-func (h eventHeap) less(a, b *Event) bool {
+// less is the engine's one event order: time, then scheduling order.
+func less(a, b *Event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -296,21 +397,19 @@ func (h *eventHeap) push(ev *Event) {
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !s.less(ev, s[parent]) {
+		if !less(ev, s[parent]) {
 			break
 		}
 		s[i] = s[parent]
-		s[i].index = i
 		i = parent
 	}
 	s[i] = ev
-	ev.index = i
 }
 
 func (h *eventHeap) pop() *Event {
 	s := *h
 	top := s[0]
-	top.index = -1
+	top.popped = true
 	last := s[len(s)-1]
 	s[len(s)-1] = nil
 	s = s[:len(s)-1]
@@ -331,18 +430,16 @@ func (h *eventHeap) pop() *Event {
 		}
 		best := child
 		for c := child + 1; c < end; c++ {
-			if s.less(s[c], s[best]) {
+			if less(s[c], s[best]) {
 				best = c
 			}
 		}
-		if !s.less(s[best], last) {
+		if !less(s[best], last) {
 			break
 		}
 		s[i] = s[best]
-		s[i].index = i
 		i = best
 	}
 	s[i] = last
-	last.index = i
 	return top
 }

@@ -116,11 +116,13 @@ func (n *Network) Colocate(a, b graph.NodeID) {
 	// Re-home the vacated engine's pending events (in-flight packets,
 	// queue tx-completes) through the updated bindings. Seqs are true and
 	// preserved, so re-pushing reproduces the exact pop order; events for
-	// components still bound here simply land back on the same heap.
+	// components still bound here simply land back on the same heap. old
+	// is a shard member (binds exist only under a ShardSet), so its lane
+	// is empty (scheduleFIFO falls back to the heap) and fn events are on
+	// engines[0].timers, which never moves: the heap is all there is.
 	pending := old.events
 	old.events = nil
-	for len(pending) > 0 {
-		ev := pending.pop()
+	for _, ev := range pending {
 		set.engineFor(ev.who).events.push(ev)
 	}
 }

@@ -725,7 +725,7 @@ func (q *queue) act() {
 	q.bytes -= p.Size
 
 	eng := q.eng
-	eng.schedule(eng.Now()+q.prop, p)
+	eng.scheduleFIFO(eng.Now()+q.prop, p)
 
 	if len(q.buf) > 0 {
 		q.startTx()

@@ -30,33 +30,155 @@ func TestHeapFiresInOrder(t *testing.T) {
 	}
 }
 
+// probe is a pooled actor event for the property test below.
+type probe struct {
+	id   int
+	fire func(id int)
+}
+
+func (p *probe) act() { p.fire(p.id) }
+
 // TestHeapInterleavedPushPop: schedule from within events (the
-// simulator's real access pattern) and verify monotonic time.
+// simulator's real access pattern) through every door — At, After,
+// schedule and scheduleFIFO, the last with timestamps that also go
+// backwards, so both the lane and its fallback are taken — with cancels,
+// same-instant ties across the three sources, and Step interleaved with
+// RunUntil on and between timestamps. Whatever holds an event, the fired
+// sequence must be the (at, seq) sort of the events never cancelled.
 func TestHeapInterleavedPushPop(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	e := NewEngine()
-	var last Time
-	count := 0
-	var tick func()
-	tick = func() {
-		if e.Now() < last {
-			t.Fatal("time went backwards")
-		}
-		last = e.Now()
-		count++
-		if count < 5000 {
-			// Schedule 0-2 future events.
-			for i := 0; i < rng.Intn(3); i++ {
-				e.After(Time(1+rng.Intn(100)), tick)
+	type rec struct {
+		at               Time
+		ev               *Event // nil for pooled events
+		cancelled, fired bool
+	}
+	for seed := int64(1); seed <= 25; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine()
+		var recs []*rec // index = scheduling order = seq order
+		var fired []int
+		budget := 3000
+		lane, fallback := 0, 0
+
+		var onFire func(id int)
+		add := func() {
+			// Mostly multiples of 10, so ties are common.
+			at := e.Now() + Time(rng.Intn(40))
+			if r := at - at%10; r >= e.Now() {
+				at = r
+			}
+			id := len(recs)
+			r := &rec{at: at}
+			recs = append(recs, r)
+			switch rng.Intn(4) {
+			case 0:
+				r.ev = e.At(at, func() { onFire(id) })
+			case 1:
+				r.ev = e.After(at-e.Now(), func() { onFire(id) })
+			case 2:
+				e.schedule(at, &probe{id, onFire})
+			case 3:
+				before, tail := e.lane.n, e.lane.tail
+				sorted := before == 0 || at >= tail
+				e.scheduleFIFO(at, &probe{id, onFire})
+				if (e.lane.n == before+1) != sorted {
+					t.Fatalf("seed %d: scheduleFIFO(%v) with lane tail %v: lane %d → %d", seed, at, tail, before, e.lane.n)
+				}
+				if sorted {
+					lane++
+				} else {
+					fallback++
+				}
+			}
+			if r.ev != nil && !r.ev.Pending() {
+				t.Fatalf("seed %d: event %d not pending after scheduling", seed, id)
 			}
 		}
-	}
-	e.At(0, tick)
-	e.At(1, tick)
-	e.At(1, tick)
-	e.Run()
-	if count < 3 {
-		t.Fatalf("count = %d", count)
+		cancel := func() {
+			r := recs[rng.Intn(len(recs))]
+			if r.ev == nil || r.fired || r.cancelled {
+				return
+			}
+			if !r.ev.Pending() {
+				t.Fatalf("seed %d: unfired event at %v not pending", seed, r.at)
+			}
+			r.ev.Cancel()
+			r.cancelled = true
+			if r.ev.Pending() {
+				t.Fatalf("seed %d: cancelled event still pending", seed)
+			}
+		}
+		onFire = func(id int) {
+			r := recs[id]
+			if e.Now() != r.at {
+				t.Fatalf("seed %d: event %d for %v fired at %v", seed, id, r.at, e.Now())
+			}
+			if r.ev != nil && r.ev.Pending() {
+				t.Fatalf("seed %d: event %d pending while firing", seed, id)
+			}
+			r.fired = true
+			fired = append(fired, id)
+			for n := rng.Intn(3); n > 0 && budget > 0; n-- {
+				budget--
+				add()
+			}
+			if rng.Intn(4) == 0 {
+				cancel()
+			}
+		}
+
+		for i := 0; i < 50; i++ {
+			add()
+		}
+		for {
+			if rng.Intn(3) > 0 {
+				if !e.Step() {
+					break
+				}
+				continue
+			}
+			until := e.Now() + Time(rng.Intn(25))
+			before := len(fired)
+			if n := e.RunUntil(until); n != len(fired)-before {
+				t.Fatalf("seed %d: RunUntil returned %d, fired %d", seed, n, len(fired)-before)
+			}
+			if e.Now() != until {
+				t.Fatalf("seed %d: RunUntil(%v) left the clock at %v", seed, until, e.Now())
+			}
+			for id, r := range recs {
+				if !r.cancelled && r.fired != (r.at <= until) {
+					t.Fatalf("seed %d: after RunUntil(%v), event %d at %v fired=%v", seed, until, id, r.at, r.fired)
+				}
+			}
+		}
+
+		var want []int
+		for id, r := range recs {
+			if !r.cancelled {
+				want = append(want, id)
+			}
+			if r.ev.Pending() {
+				t.Errorf("seed %d: event %d pending after the run", seed, id)
+			}
+		}
+		sort.SliceStable(want, func(i, j int) bool { return recs[want[i]].at < recs[want[j]].at })
+		if len(fired) != len(want) {
+			t.Fatalf("seed %d: fired %d events, want %d", seed, len(fired), len(want))
+		}
+		for i := range want {
+			if fired[i] != want[i] {
+				t.Fatalf("seed %d: fired[%d] = event %d (at %v), want event %d (at %v)",
+					seed, i, fired[i], recs[fired[i]].at, want[i], recs[want[i]].at)
+			}
+		}
+		if e.EventsFired() != uint64(len(fired)) {
+			t.Errorf("seed %d: EventsFired = %d, fired %d", seed, e.EventsFired(), len(fired))
+		}
+		if e.HeapLen() != 0 {
+			t.Errorf("seed %d: HeapLen = %d after the run", seed, e.HeapLen())
+		}
+		if lane == 0 || fallback == 0 {
+			t.Errorf("seed %d: %d lane pushes, %d fallbacks: one path was never taken", seed, lane, fallback)
+		}
 	}
 }
 

@@ -97,11 +97,6 @@ type engineShard struct {
 	set *ShardSet
 	idx int // 0..hostShards-1 = host sub-shards, rest = plane shards
 
-	// timers holds fn (callback) events — engines[0] only. Keeping them
-	// out of the actor heap lets the window protocol treat the next timer
-	// as a boundary without scanning the heap.
-	timers eventHeap
-
 	// fnPark stages fn events scheduled by this host sub-shard inside a
 	// window: the shared timer heap cannot be pushed concurrently, so the
 	// events wait here (logged as children, so they get true seqs) and the
@@ -204,17 +199,20 @@ func NewShardSetPlaced(eng *Engine, net *Network, shards, hostShards int, lookah
 	set.mergeHeads = make([]mergeHead, len(set.engines))
 	net.bindShards(set, hostSide)
 
-	// Re-home whatever was scheduled before sharding (sampler ticks,
-	// chaos scripts, early packets); seqs are already true and preserved.
-	pending := eng.events
-	eng.events = nil
-	for len(pending) > 0 {
-		ev := pending.pop()
-		if ev.fn != nil {
-			eng.shard.timers.push(ev)
-		} else {
-			set.engineFor(ev.who).events.push(ev)
-		}
+	// Re-home the actor events scheduled before sharding (early packets:
+	// tx-completes on the heap, arrivals on the lane, which shard members
+	// never use) onto their owners' heaps. Seqs are already true and
+	// preserved, and keys are unique, so push order is immaterial. fn
+	// events (sampler ticks, chaos scripts, armed RTOs) stay where they
+	// are: eng.timers is the set's boundary timer heap from here on.
+	pending, lane := eng.events, eng.lane
+	eng.events, eng.lane = nil, eventRing{}
+	for _, ev := range pending {
+		set.engineFor(ev.who).events.push(ev)
+	}
+	for i := 0; i < lane.n; i++ {
+		ev := lane.buf[(lane.head+i)&(len(lane.buf)-1)]
+		set.engineFor(ev.who).events.push(ev)
 	}
 	return set
 }
@@ -311,7 +309,7 @@ func (sh *engineShard) routeFn(e *Engine, ev *Event) {
 	}
 	set.seq++
 	ev.seq = set.seq
-	host.shard.timers.push(ev)
+	host.timers.push(ev)
 }
 
 // peek returns the next live event without removing it, discarding
@@ -331,7 +329,7 @@ func (h *eventHeap) peek() *Event {
 // NextTimer reports the timestamp of the next host fn event — the next
 // mandatory serial point.
 func (s *ShardSet) NextTimer() (Time, bool) {
-	if ev := s.engines[0].shard.timers.peek(); ev != nil {
+	if ev := s.engines[0].timers.peek(); ev != nil {
 		return ev.at, true
 	}
 	return 0, false
@@ -587,7 +585,7 @@ func (s *ShardSet) EndWindow() int {
 	for i := 0; i < s.hostShards; i++ {
 		sh := s.engines[i].shard
 		for k, ev := range sh.fnPark {
-			host.shard.timers.push(ev)
+			host.timers.push(ev)
 			sh.fnPark[k] = nil
 		}
 		sh.fnPark = sh.fnPark[:0]
@@ -640,12 +638,12 @@ func (s *ShardSet) StepSerial() bool {
 		if ev == nil {
 			return
 		}
-		if bestEv == nil || ev.at < bestEv.at || (ev.at == bestEv.at && ev.seq < bestEv.seq) {
+		if bestEv == nil || less(ev, bestEv) {
 			bestE, bestH, bestEv = e, h, ev
 		}
 	}
 	host := s.engines[0]
-	consider(host, &host.shard.timers)
+	consider(host, &host.timers)
 	for _, e := range s.engines {
 		consider(e, &e.events)
 	}

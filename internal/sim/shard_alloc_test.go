@@ -34,9 +34,8 @@ func (b *bounceSink) HandlePacket(p *Packet) {
 // are warm, a packet round trip through the window protocol
 // (Advance / BeginWindow / RunShard / EndWindow) must not allocate —
 // with fingerprinting on, mirroring TestPacketPathZeroAllocFingerprint
-// on the serial engine. The driver loop below is pdes.Runner.RunUntil
-// inlined with the shards run serially, which is the same in-window
-// code path the gang executes (minus the dispatch).
+// on the serial engine. driveShards (shard_test.go) stands in for
+// pdes.Runner.RunUntil.
 func TestWindowPathZeroAlloc(t *testing.T) {
 	eng, net, fwd, rev := hostPair(100, Config{PropDelay: 500 * Nanosecond})
 	// Attach before sharding: NewShardSet copies the fingerprinter into
@@ -55,23 +54,7 @@ func TestWindowPathZeroAlloc(t *testing.T) {
 		p.Deliver = s
 		p.FlowID = 7
 		net.Send(p)
-		for {
-			limit, parallel, done := set.Advance(1 << 60)
-			if done {
-				break
-			}
-			if !parallel {
-				if !set.StepSerial() {
-					break
-				}
-				continue
-			}
-			set.BeginWindow(limit)
-			for i := 0; i < set.Engines(); i++ {
-				set.RunShard(i, limit)
-			}
-			set.EndWindow()
-		}
+		driveShards(set, 1<<60)
 	}
 	for i := 0; i < 64; i++ {
 		send() // warm pools, window logs, and merge scratch
