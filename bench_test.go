@@ -261,7 +261,7 @@ func BenchmarkPacketHop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < 2*b.N; i++ {
-		d.Step()
+		d.Eng.Step()
 	}
 	b.StopTimer()
 	crossed := float64(hops() - h0)
@@ -297,240 +297,6 @@ func BenchmarkGKSolverPhase(b *testing.B) {
 	b.ReportMetric(float64(phases)/float64(b.N), "phases")
 	b.ReportMetric(float64(iters)/float64(b.N), "iters")
 	b.ReportMetric(wall*1e9/float64(phases), "ns/phase")
-}
-
-// pingPong bounces a packet between its two endpoints forever, so a
-// sharded engine driven by the window protocol never drains — the
-// benchmark loop decides when to stop. Round trips keep the per-engine
-// event and packet pools balanced (a one-way stream would migrate one
-// pool entry downstream per packet), so the steady state is
-// allocation-free, like a transport exchanging data and ACKs.
-type pingPong struct {
-	net      *sim.Network
-	fwd, rev []graph.LinkID
-	back     bool
-}
-
-func (pp *pingPong) HandlePacket(p *sim.Packet) {
-	if pp.back {
-		p.Route = pp.fwd
-	} else {
-		p.Route = pp.rev
-	}
-	pp.back = !pp.back
-	pp.net.Send(p)
-}
-
-// shardPingPong builds a single-switch star of 2*pairs hosts sharded
-// into hostShards host sub-shards plus one plane shard, with one
-// ping-pong packet in flight per host pair. Hosts round-robin onto the
-// sub-shards, so every window has events on several engines — the k-way
-// merge shape EndWindow pays for.
-func shardPingPong(pairs, hostShards int) *sim.ShardSet {
-	sw := graph.NodeID(2 * pairs)
-	g := graph.New(2*pairs + 1)
-	up := make([]graph.LinkID, 2*pairs)
-	down := make([]graph.LinkID, 2*pairs)
-	for h := 0; h < 2*pairs; h++ {
-		g.SetTransit(graph.NodeID(h), false)
-		up[h], down[h] = g.AddDuplex(graph.NodeID(h), sw, 100, 0)
-	}
-	eng := sim.NewEngine()
-	net := sim.NewNetwork(eng, g, sim.Config{PropDelay: 500 * sim.Nanosecond})
-	hostSide := func(id graph.LinkID) bool { return net.G.Link(id).Src != sw }
-	set := sim.NewShardSet(eng, net, 1, hostShards, 0, hostSide)
-	for i := 0; i < pairs; i++ {
-		a, b := 2*i, 2*i+1
-		pp := &pingPong{
-			net: net,
-			fwd: []graph.LinkID{up[a], down[b]},
-			rev: []graph.LinkID{up[b], down[a]},
-		}
-		p := net.NewPacket()
-		p.Size = 1500
-		p.Route = pp.fwd
-		p.Deliver = pp
-		net.Send(p)
-	}
-	return set
-}
-
-// benchDeadline is far past any event a shard-window benchmark fires,
-// so Advance never reports done while ping-pong traffic is in flight.
-const benchDeadline = sim.Time(1) << 60
-
-// runShardWindows drives the window protocol (the pdes.Runner.RunUntil
-// loop with the shards run inline) until at least events have fired,
-// and returns the exact count.
-func runShardWindows(set *sim.ShardSet, events int) int {
-	fired := 0
-	for fired < events {
-		limit, parallel, done := set.Advance(benchDeadline)
-		if done {
-			break
-		}
-		if !parallel {
-			if !set.StepSerial() {
-				break
-			}
-			fired++
-			continue
-		}
-		set.BeginWindow(limit)
-		for i := 0; i < set.Engines(); i++ {
-			set.RunShard(i, limit)
-		}
-		fired += set.EndWindow()
-	}
-	return fired
-}
-
-// BenchmarkShardWindow measures event dispatch through the full window
-// protocol — Advance, BeginWindow, RunShard, EndWindow — on a
-// 4-sub-shard engine with ping-pong traffic on every sub-shard: the
-// sharded counterpart to BenchmarkEngineEventLoop. allocs/op must stay
-// 0 once the pools are warm (gated; see TestWindowPathZeroAlloc for
-// the per-allocation breakdown).
-func BenchmarkShardWindow(b *testing.B) {
-	set := shardPingPong(4, 4)
-	runShardWindows(set, 4096) // warm pools, window logs, merge scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	fired := runShardWindows(set, b.N)
-	b.StopTimer()
-	if fired < b.N {
-		b.Fatalf("fired %d events, want >= %d", fired, b.N)
-	}
-}
-
-// BenchmarkEndWindowMerge isolates the barrier: windows are opened and
-// run off the clock, and only EndWindow — the k-way merge, fingerprint
-// fold, seq renumbering, and commit — is timed, so merge-cost
-// regressions show up independently of the in-window event loop.
-// Reports events/window for scale.
-func BenchmarkEndWindowMerge(b *testing.B) {
-	set := shardPingPong(4, 4)
-	runShardWindows(set, 4096) // warm pools, window logs, merge scratch
-	events := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.StopTimer()
-	for w := 0; w < b.N; {
-		limit, parallel, done := set.Advance(benchDeadline)
-		if done {
-			b.Fatal("traffic drained")
-		}
-		if !parallel {
-			set.StepSerial()
-			continue
-		}
-		set.BeginWindow(limit)
-		for i := 0; i < set.Engines(); i++ {
-			set.RunShard(i, limit)
-		}
-		b.StartTimer()
-		n := set.EndWindow()
-		b.StopTimer()
-		events += n
-		w++
-	}
-	if events == 0 {
-		b.Fatal("no events committed")
-	}
-	b.ReportMetric(float64(events)/float64(b.N), "events/window")
-}
-
-// BenchmarkPlacementPlan measures the LPT placement planner on a
-// full-scale-shaped input: 512 colocation groups over 1024 hosts packed
-// onto 8 sub-shards plus 8 planes onto 4 shards — the whole cost a
-// balanced or replayed placement adds to driver materialization. The
-// planner runs once per simulation, so allocs/op is gated but the bar is
-// per-plan, not zero.
-func BenchmarkPlacementPlan(b *testing.B) {
-	const hosts, groupsN, hostShards = 1024, 512, 8
-	groups := make([][]graph.NodeID, groupsN)
-	weights := make(map[graph.NodeID]int64, hosts)
-	for h := 0; h < hosts; h++ {
-		id := graph.NodeID(h)
-		g := h % groupsN
-		groups[g] = append(groups[g], id)
-		// Deterministic skew: a few heavy hosts, a long light tail.
-		weights[id] = int64(1 + (h%7)*(h%13))
-	}
-	planeWeights := map[int32]int64{0: 100, 1: 100, 2: 400, 3: 400, 4: 25, 5: 25, 6: 900, 7: 50}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.PlanHosts(groups, weights, nil, hostShards); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sim.PlanPlanes(planeWeights, nil, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// shardPingPongPlaced is shardPingPong with a skewed explicit placement:
-// pair i sends 1+i%4 packets, and the LPT plan from those weights packs
-// the heavy pairs apart. Exercises the placed bindShards path end to end.
-func shardPingPongPlaced(pairs, hostShards int) *sim.ShardSet {
-	sw := graph.NodeID(2 * pairs)
-	g := graph.New(2*pairs + 1)
-	up := make([]graph.LinkID, 2*pairs)
-	down := make([]graph.LinkID, 2*pairs)
-	for h := 0; h < 2*pairs; h++ {
-		g.SetTransit(graph.NodeID(h), false)
-		up[h], down[h] = g.AddDuplex(graph.NodeID(h), sw, 100, 0)
-	}
-	eng := sim.NewEngine()
-	net := sim.NewNetwork(eng, g, sim.Config{PropDelay: 500 * sim.Nanosecond})
-	groups := make([][]graph.NodeID, pairs)
-	weights := map[graph.NodeID]int64{}
-	for i := 0; i < pairs; i++ {
-		a, b := graph.NodeID(2*i), graph.NodeID(2*i+1)
-		groups[i] = []graph.NodeID{a, b}
-		weights[a], weights[b] = int64(1+i%4), int64(1+i%4)
-	}
-	hostMap, err := sim.PlanHosts(groups, weights, nil, hostShards)
-	if err != nil {
-		panic(err)
-	}
-	hostSide := func(id graph.LinkID) bool { return net.G.Link(id).Src != sw }
-	set := sim.NewShardSetPlaced(eng, net, 1, hostShards, 0, hostSide, &sim.Placement{Hosts: hostMap})
-	for i := 0; i < pairs; i++ {
-		a, b := 2*i, 2*i+1
-		pp := &pingPong{
-			net: net,
-			fwd: []graph.LinkID{up[a], down[b]},
-			rev: []graph.LinkID{up[b], down[a]},
-		}
-		for n := 0; n <= i%4; n++ {
-			p := net.NewPacket()
-			p.Size = 1500
-			p.Route = pp.fwd
-			p.Deliver = pp
-			net.Send(p)
-		}
-	}
-	return set
-}
-
-// BenchmarkShardWindowBalanced is BenchmarkShardWindow through an
-// explicit LPT placement over skewed per-pair traffic: same window
-// protocol, non-default host binding. The spread against
-// BenchmarkShardWindow is the dispatch cost of placed binding (none
-// expected — the bind map is resolved before the first window).
-// allocs/op must stay 0 once the pools are warm (gated).
-func BenchmarkShardWindowBalanced(b *testing.B) {
-	set := shardPingPongPlaced(8, 4)
-	runShardWindows(set, 4096) // warm pools, window logs, merge scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	fired := runShardWindows(set, b.N)
-	b.StopTimer()
-	if fired < b.N {
-		b.Fatalf("fired %d events, want >= %d", fired, b.N)
-	}
 }
 
 // --- Parallel execution benchmarks ---------------------------------------

@@ -38,24 +38,7 @@
 // concurrently (0 = one per core, 1 = serial). Every cell owns its own
 // engine and RNG, so tables are byte-identical at any worker count; the
 // run header and footer on stderr record the effective width and total
-// wall time. See DESIGN.md "Parallel execution". -shards N additionally
-// parallelizes INSIDE each packet simulation: the event loop splits into
-// one shard per dataplane plus a host shard, advancing under conservative
-// lookahead windows (-lookahead overrides the default, the host-ToR
-// propagation delay). Output — tables, reports, fingerprints — stays
-// byte-identical at any shard count; -trace is the one exception and is
-// rejected with -shards > 1. -host-shards N further splits the host
-// boundary of a sharded run into N per-host sub-shards that fire inside
-// the same windows as the plane shards, cracking the serial host-shard
-// bottleneck; output stays byte-identical at any (shards, host-shards)
-// combination. -placement chooses how hosts and planes are packed onto
-// those shards: "rr" (the default round-robin), "balanced" (static LPT
-// bin-packing on workload weights), or a placement JSON written by
-// `pnetstat profile -emit-placement` replaying a profiled run's measured
-// occupancy as exact weights. Placement moves work between engines,
-// never the committed event order, so output stays byte-identical at
-// every placement. See DESIGN.md "Plane-sharded PDES", "Host
-// sub-sharding", and "Load-balanced shard placement".
+// wall time. See DESIGN.md "Parallel execution".
 package main
 
 import (
@@ -75,10 +58,8 @@ import (
 	"pnet/internal/exp"
 	"pnet/internal/obs"
 	"pnet/internal/par"
-	"pnet/internal/pdes"
 	"pnet/internal/report"
 	"pnet/internal/sim"
-	"pnet/internal/workload"
 )
 
 func main() {
@@ -101,24 +82,18 @@ func main() {
 		chaosF  = flag.String("chaos", "", "fault script for fault-aware experiments ('help' prints the syntax)")
 		pprof   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		workers = flag.Int("workers", 0, "max concurrent sweep cells (0 = GOMAXPROCS, 1 = serial); results are identical either way")
-		shards  = flag.Int("shards", 1, "plane shards per packet simulation (1 = serial engine); results are identical at any count")
-		hShards = flag.Int("host-shards", 1, "host sub-shards per packet simulation (1 = single host shard); requires -shards > 1; results are identical at any count")
-		lookAhd = flag.Duration("lookahead", 0, "conservative PDES window span (0 = the host-ToR propagation delay); requires -shards > 1")
-		placeF  = flag.String("placement", "rr", "shard placement: rr | balanced | path to a placement JSON (pnetstat profile -emit-placement); non-rr requires -shards > 1; results are identical at every placement")
 	)
 	flag.Parse()
 
 	// An explicit -sample must be positive; silently falling back to the
 	// default would make the printed series lie about their cadence.
-	sampleSet, fpEpochSet, lookAhdSet := false, false, false
+	sampleSet, fpEpochSet := false, false
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "sample":
 			sampleSet = true
 		case "fingerprint-epoch":
 			fpEpochSet = true
-		case "lookahead":
-			lookAhdSet = true
 		}
 	})
 	if sampleSet && *sample <= 0 {
@@ -126,15 +101,6 @@ func main() {
 		os.Exit(2)
 	}
 	if err := validateFingerprintFlags(*fprint, *fpEpoch, fpEpochSet, *fpJourn, *metrics, *reportF); err != nil {
-		fmt.Fprintf(os.Stderr, "pnetbench: %v\n", err)
-		os.Exit(2)
-	}
-	if err := validateShardFlags(*shards, *hShards, *lookAhd, lookAhdSet, *trace); err != nil {
-		fmt.Fprintf(os.Stderr, "pnetbench: %v\n", err)
-		os.Exit(2)
-	}
-	place, err := buildPlacement(*placeF, *shards)
-	if err != nil {
 		fmt.Fprintf(os.Stderr, "pnetbench: %v\n", err)
 		os.Exit(2)
 	}
@@ -169,16 +135,7 @@ func main() {
 	}
 	par.SetLimit(*workers)
 
-	params := exp.Params{
-		Seed: *seed, Chaos: chaosSpec, Workers: *workers,
-		// -shards 1 leaves Params.Shards at 1: Driver.Shard treats any
-		// value <= 1 as a no-op, so the untouched serial Engine.Run path
-		// executes — not a one-shard PDES emulation of it.
-		Shards:     *shards,
-		HostShards: *hShards,
-		Lookahead:  sim.Time(lookAhd.Nanoseconds()) * sim.Nanosecond,
-		Placement:  place,
-	}
+	params := exp.Params{Seed: *seed, Chaos: chaosSpec, Workers: *workers}
 	switch *scale {
 	case "small":
 		params.Scale = exp.ScaleSmall
@@ -272,8 +229,8 @@ func main() {
 	// bit-identical at any width, so the numbers are attribution for the
 	// wall times below, never a caveat on the tables.
 	effWorkers := par.Workers(*workers)
-	fmt.Fprintf(os.Stderr, "pnetbench: exp=%s scale=%s seed=%d workers=%d shards=%d host-shards=%d gomaxprocs=%d\n",
-		*expID, params.Scale, *seed, effWorkers, *shards, *hShards, runtime.GOMAXPROCS(0))
+	fmt.Fprintf(os.Stderr, "pnetbench: exp=%s scale=%s seed=%d workers=%d gomaxprocs=%d\n",
+		*expID, params.Scale, *seed, effWorkers, runtime.GOMAXPROCS(0))
 	if collector != nil {
 		// The effective sampling cadence, so nobody has to
 		// reverse-engineer it from the t_ps deltas in the stream.
@@ -311,40 +268,18 @@ func main() {
 	if *reportF != "" {
 		// Summarize before Close: the collector's samplers and records
 		// stay valid, and the summary does not depend on the streams.
-		// Shards stays 0 (omitted) for serial runs so reports remain
-		// byte-compatible with pre-sharding baselines.
-		shardsMeta := 0
-		if *shards > 1 {
-			shardsMeta = *shards
-		}
-		// Like Shards: omitted (0) unless the run actually sub-sharded, so
-		// reports stay byte-compatible with pre-sub-sharding baselines.
-		hostShardsMeta := 0
-		if *hShards > 1 {
-			hostShardsMeta = *hShards
-		}
-		// Omitted ("") for the default round-robin so reports stay
-		// byte-compatible with placement-unaware baselines.
-		placementMeta := ""
-		if *placeF != "" && *placeF != "rr" {
-			placementMeta = *placeF
-		}
 		summary := aggr.Summarize(collector, report.Meta{
-			Exp:         *expID,
-			Scale:       params.Scale.String(),
-			Seed:        *seed,
-			Created:     time.Now().UTC().Format(time.RFC3339),
-			Workers:     effWorkers,
-			GOMAXPROCS:  runtime.GOMAXPROCS(0),
-			Shards:      shardsMeta,
-			HostShards:  hostShardsMeta,
-			LookaheadPs: int64(params.Lookahead),
-			Placement:   placementMeta,
+			Exp:        *expID,
+			Scale:      params.Scale.String(),
+			Seed:       *seed,
+			Created:    time.Now().UTC().Format(time.RFC3339),
+			Workers:    effWorkers,
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
 		})
 		if summary.Profile != nil {
 			// Stamp the run's actual pool occupancy into the profile so
 			// `pnetstat profile` can say how much of the machine the
-			// cell-level parallelism already used.
+			// cell-level parallelism used.
 			st := par.PoolStats()
 			summary.Profile.PoolLimit = st.Limit
 			summary.Profile.PoolPeak = st.Peak
@@ -391,62 +326,6 @@ func validateFingerprintFlags(fingerprint bool, epoch int64, epochSet bool, jour
 		return fmt.Errorf("-fingerprint needs a sink for the checkpoints: add -metrics or -report")
 	}
 	return nil
-}
-
-// validateShardFlags rejects -shards/-host-shards/-lookahead combinations
-// that would silently do nothing or change observable behavior.
-// lookaheadSet says whether -lookahead appeared on the command line at
-// all (the zero default is valid and means "use the propagation delay").
-// -host-shards only means anything inside a sharded run, so it requires
-// -shards > 1. -trace is incompatible with sharding: trace events are
-// emitted from concurrent shard loops, so their interleaving in the
-// stream is unspecified even though the simulation itself stays
-// bit-identical.
-func validateShardFlags(shards, hostShards int, lookahead time.Duration, lookaheadSet bool, trace string) error {
-	if shards < 1 {
-		return fmt.Errorf("-shards must be >= 1, got %d", shards)
-	}
-	if hostShards < 1 {
-		return fmt.Errorf("-host-shards must be >= 1, got %d", hostShards)
-	}
-	if hostShards > 1 && shards <= 1 {
-		return fmt.Errorf("-host-shards requires -shards > 1")
-	}
-	if lookaheadSet && lookahead <= 0 {
-		return fmt.Errorf("-lookahead must be positive, got %v", lookahead)
-	}
-	if lookaheadSet && shards <= 1 {
-		return fmt.Errorf("-lookahead requires -shards > 1")
-	}
-	if shards > 1 && trace != "" {
-		return fmt.Errorf("-trace is not supported with -shards > 1: packet events would interleave nondeterministically in the stream")
-	}
-	return nil
-}
-
-// buildPlacement resolves the -placement flag. "rr" (or "") is the
-// default round-robin and needs no sharding; "balanced" turns on the
-// static LPT planner; anything else is read as a path to a placement
-// JSON written by `pnetstat profile -emit-placement` and strictly
-// validated up front, so a bad file fails the run before any simulation
-// starts rather than mid-experiment. Non-default placements only mean
-// anything inside a sharded run, so they require -shards > 1.
-func buildPlacement(placement string, shards int) (workload.Placement, error) {
-	switch placement {
-	case "", workload.PlaceRR:
-		return workload.Placement{}, nil
-	}
-	if shards <= 1 {
-		return workload.Placement{}, fmt.Errorf("-placement %s requires -shards > 1", placement)
-	}
-	if placement == workload.PlaceBalanced {
-		return workload.Placement{Mode: workload.PlaceBalanced}, nil
-	}
-	pf, err := pdes.LoadPlacementFile(placement)
-	if err != nil {
-		return workload.Placement{}, err
-	}
-	return workload.Placement{Mode: workload.PlaceFile, File: pf, Path: placement}, nil
 }
 
 // parseFlowIDs parses the -trace-flow comma list.

@@ -1,13 +1,8 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-	"time"
-
-	"pnet/internal/workload"
 )
 
 func TestValidateFingerprintFlags(t *testing.T) {
@@ -51,145 +46,6 @@ func TestValidateFingerprintFlags(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), c.wantErr) {
 				t.Errorf("error %q does not contain %q", err, c.wantErr)
-			}
-			if strings.Contains(err.Error(), "\n") {
-				t.Errorf("error is not one line: %q", err)
-			}
-		})
-	}
-}
-
-func TestValidateShardFlags(t *testing.T) {
-	cases := []struct {
-		name         string
-		shards       int
-		hostShards   int
-		lookahead    time.Duration
-		lookaheadSet bool
-		trace        string
-		wantErr      string // "" = valid
-	}{
-		{name: "serial default", shards: 1, hostShards: 1},
-		{name: "sharded", shards: 4, hostShards: 1},
-		{name: "sharded with lookahead", shards: 4, hostShards: 1, lookahead: 500 * time.Nanosecond, lookaheadSet: true},
-		{name: "serial with trace", shards: 1, hostShards: 1, trace: "t.jsonl"},
-		{name: "host sub-sharded", shards: 4, hostShards: 4},
-		{name: "host sub-sharded two", shards: 2, hostShards: 2},
-		{name: "zero shards", shards: 0, hostShards: 1,
-			wantErr: "-shards must be >= 1"},
-		{name: "negative shards", shards: -2, hostShards: 1,
-			wantErr: "-shards must be >= 1"},
-		{name: "zero host shards", shards: 4, hostShards: 0,
-			wantErr: "-host-shards must be >= 1"},
-		{name: "negative host shards", shards: 4, hostShards: -3,
-			wantErr: "-host-shards must be >= 1"},
-		{name: "host shards without shards", shards: 1, hostShards: 2,
-			wantErr: "-host-shards requires -shards > 1"},
-		{name: "zero lookahead", shards: 4, hostShards: 1, lookahead: 0, lookaheadSet: true,
-			wantErr: "-lookahead must be positive"},
-		{name: "negative lookahead", shards: 4, hostShards: 1, lookahead: -time.Microsecond, lookaheadSet: true,
-			wantErr: "-lookahead must be positive"},
-		{name: "lookahead without shards", shards: 1, hostShards: 1, lookahead: time.Microsecond, lookaheadSet: true,
-			wantErr: "-lookahead requires -shards > 1"},
-		{name: "trace with shards", shards: 2, hostShards: 1, trace: "t.jsonl",
-			wantErr: "-trace is not supported with -shards > 1"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			err := validateShardFlags(c.shards, c.hostShards, c.lookahead, c.lookaheadSet, c.trace)
-			if c.wantErr == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatalf("want error containing %q, got nil", c.wantErr)
-			}
-			if !strings.Contains(err.Error(), c.wantErr) {
-				t.Errorf("error %q does not contain %q", err, c.wantErr)
-			}
-			if strings.Contains(err.Error(), "\n") {
-				t.Errorf("error is not one line: %q", err)
-			}
-		})
-	}
-}
-
-// TestBuildPlacement pins -placement resolution: the rr/balanced modes,
-// the -shards > 1 requirement, and the strict placement-file validation —
-// every bad file must fail up front with a one-line error that names the
-// problem and how to remedy it.
-func TestBuildPlacement(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, content string) string {
-		t.Helper()
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	valid := write("valid.json", `{"version":1,"hosts":[{"host":0,"weight":10},{"host":1,"weight":3}]}`)
-	cases := []struct {
-		name       string
-		placement  string
-		shards     int
-		wantMode   string // mode of the resolved placement when valid
-		wantErr    string // "" = valid
-		wantRemedy string // remediation hint the error must carry
-	}{
-		{name: "rr serial", placement: "rr", shards: 1},
-		{name: "rr sharded", placement: "rr", shards: 4},
-		{name: "empty means rr", placement: "", shards: 1},
-		{name: "balanced", placement: "balanced", shards: 4, wantMode: workload.PlaceBalanced},
-		{name: "valid file", placement: valid, shards: 4, wantMode: workload.PlaceFile},
-		{name: "balanced without shards", placement: "balanced", shards: 1,
-			wantErr: "-placement balanced requires -shards > 1"},
-		{name: "file without shards", placement: valid, shards: 1,
-			wantErr: "requires -shards > 1"},
-		{name: "missing file", placement: filepath.Join(dir, "absent.json"), shards: 4,
-			wantErr: "placement file", wantRemedy: "pnetstat profile -emit-placement"},
-		{name: "bad json", placement: write("bad.json", `{"version":1,`), shards: 4,
-			wantErr: "not valid JSON", wantRemedy: "pnetstat profile -emit-placement"},
-		{name: "version mismatch", placement: write("v9.json", `{"version":9,"hosts":[{"host":0,"weight":1}]}`), shards: 4,
-			wantErr: "unsupported version 9", wantRemedy: "pnetstat profile -emit-placement"},
-		{name: "no hosts", placement: write("nohosts.json", `{"version":1,"hosts":[]}`), shards: 4,
-			wantErr: "no host entries"},
-		{name: "duplicate host", placement: write("dup.json", `{"version":1,"hosts":[{"host":3,"weight":1},{"host":3,"weight":2}]}`), shards: 4,
-			wantErr: "host 3 assigned twice", wantRemedy: "remove the duplicate entry"},
-		{name: "negative weight", placement: write("neg.json", `{"version":1,"hosts":[{"host":0,"weight":-4}]}`), shards: 4,
-			wantErr: "host 0 has negative weight -4"},
-		{name: "pin without header", placement: write("nohdr.json", `{"version":1,"hosts":[{"host":0,"weight":1,"shard":0}]}`), shards: 4,
-			wantErr: "host_shards header is unset", wantRemedy: "set host_shards"},
-		{name: "pin out of range", placement: write("range.json", `{"version":1,"host_shards":2,"hosts":[{"host":0,"weight":1,"shard":5}]}`), shards: 4,
-			wantErr: "outside [0,2)", wantRemedy: "fix the shard field"},
-		{name: "duplicate plane", placement: write("dupplane.json", `{"version":1,"hosts":[{"host":0,"weight":1}],"planes":[{"plane":1,"weight":2},{"plane":1,"weight":3}]}`), shards: 4,
-			wantErr: "plane 1 assigned twice"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			got, err := buildPlacement(c.placement, c.shards)
-			if c.wantErr == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
-				if got.Mode != c.wantMode {
-					t.Errorf("mode = %q, want %q", got.Mode, c.wantMode)
-				}
-				if c.wantMode == workload.PlaceFile && (got.File == nil || got.Path != c.placement) {
-					t.Errorf("file placement not carried: file=%v path=%q", got.File, got.Path)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatalf("want error containing %q, got nil", c.wantErr)
-			}
-			if !strings.Contains(err.Error(), c.wantErr) {
-				t.Errorf("error %q does not contain %q", err, c.wantErr)
-			}
-			if c.wantRemedy != "" && !strings.Contains(err.Error(), c.wantRemedy) {
-				t.Errorf("error %q does not carry the remedy %q", err, c.wantRemedy)
 			}
 			if strings.Contains(err.Error(), "\n") {
 				t.Errorf("error is not one line: %q", err)

@@ -26,11 +26,9 @@ func spanSummary() report.RunSummary {
 			{Kind: "hop", Plane: 0, Events: 900},
 			{Kind: "deliver", Plane: 0, Events: 100},
 		},
-		Planes:            []report.ProfilePlane{{Plane: 0, Events: 900, EventsPerSimSec: 9e4}},
-		HostEvents:        100,
-		HostFrac:          0.1,
-		SpeedupAmdahl:     1.0,
-		SpeedupEventBound: 1.0,
+		Planes:     []report.ProfilePlane{{Plane: 0, Events: 900, EventsPerSimSec: 9e4}},
+		HostEvents: 100,
+		HostFrac:   0.1,
 	}
 	return s
 }
@@ -82,7 +80,7 @@ func TestProfileCommand(t *testing.T) {
 	if code := run2(t, []string{"profile", run}, &out, &errb); code != 0 {
 		t.Fatalf("profile exited %d: %s", code, errb.String())
 	}
-	for _, want := range []string{"host boundary", "pdes speedup bound", "plane 0"} {
+	for _, want := range []string{"host boundary", "plane 0"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("profile output missing %q:\n%s", want, out.String())
 		}
@@ -98,55 +96,6 @@ func TestProfileCommand(t *testing.T) {
 	}
 	if p.Events != 1000 || p.HostEvents != 100 {
 		t.Errorf("decoded profile = %+v", p)
-	}
-}
-
-func TestProfileAchievedSpeedup(t *testing.T) {
-	dir := t.TempDir()
-	base := spanSummary()
-	base.Engine.RunWallSec = 4.0
-	cur := spanSummary()
-	cur.Engine.RunWallSec = 2.0
-	cur.Shards = 4
-	basePath := writeRun(t, dir, "serial.json", base)
-	curPath := writeRun(t, dir, "sharded.json", cur)
-
-	var out, errb bytes.Buffer
-	if code := run2(t, []string{"profile", "-serial", basePath, curPath}, &out, &errb); code != 0 {
-		t.Fatalf("profile -serial exited %d: %s", code, errb.String())
-	}
-	for _, want := range []string{"achieved speedup: 2.00x", "shards=4", "predicted"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("speedup output missing %q:\n%s", want, out.String())
-		}
-	}
-
-	// The gate passes when the achieved speedup clears the floor...
-	out.Reset()
-	errb.Reset()
-	if code := run2(t, []string{"profile", "-serial", basePath, "-min-speedup", "1.5", curPath}, &out, &errb); code != 0 {
-		t.Errorf("min-speedup 1.5 against 2.00x exited %d: %s", code, errb.String())
-	}
-	// ...and fails with exit 1 when it does not.
-	out.Reset()
-	errb.Reset()
-	if code := run2(t, []string{"profile", "-serial", basePath, "-min-speedup", "3", curPath}, &out, &errb); code != 1 {
-		t.Errorf("min-speedup 3 against 2.00x exited %d, want 1", code)
-	}
-	if !strings.Contains(errb.String(), "below required") {
-		t.Errorf("failed gate should say so on stderr: %s", errb.String())
-	}
-
-	// A baseline without run_wall_s cannot yield a ratio: usage error.
-	old := spanSummary() // RunWallSec zero, as pre-sharding runs record
-	oldPath := writeRun(t, dir, "old.json", old)
-	if code := run2(t, []string{"profile", "-serial", oldPath, curPath}, &out, &errb); code != 2 {
-		t.Errorf("missing run_wall_s exited %d, want 2", code)
-	}
-
-	// -min-speedup is meaningless without a baseline to compare against.
-	if code := run2(t, []string{"profile", "-min-speedup", "2", curPath}, &out, &errb); code != 2 {
-		t.Errorf("-min-speedup without -serial exited %d, want 2", code)
 	}
 }
 

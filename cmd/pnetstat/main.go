@@ -7,7 +7,7 @@
 //
 //	pnetstat summary [-json] [-o out.json] [-gobench bench.txt] <run>
 //	pnetstat attribution [-json] <run>
-//	pnetstat profile [-json] [-min-bound X] [-emit-placement p.json] [-serial base.json [-min-speedup X]] <run>
+//	pnetstat profile [-json] <run>
 //	pnetstat fingerprint [-json] <run>
 //	pnetstat divergence [-k 5] [-events-base j.jsonl] [-events-cur j.jsonl] <base> <cur>
 //	pnetstat export-trace [-o trace.json] <metrics.jsonl>
@@ -32,7 +32,6 @@ import (
 	"os"
 	"time"
 
-	"pnet/internal/pdes"
 	"pnet/internal/report"
 )
 
@@ -52,18 +51,10 @@ commands:
       went (queueing, serialization, propagation, RTO stalls, repath
       gaps, host waits) per plane, overall and for the p99.9 tail;
       needs a run recorded with pnetbench -spans
-  profile [-json] [-min-bound X] [-emit-placement p.json] [-serial base.json [-min-speedup X]] <run>
+  profile [-json] <run>
       print the event-loop profile: per-(kind, plane) event counts and
-      wall time, host-boundary fraction (with the per-sub-shard split
-      when the run used -host-shards), shard occupancy imbalance, and
-      the predicted PDES speedup bounds for per-plane event queues;
-      needs pnetbench -spans. -emit-placement exports the measured
-      per-host / per-plane occupancy as a placement JSON that
-      pnetbench -placement replays as exact planner weights.
-      -min-bound exits 1 when the predicted critical-path event bound
-      falls short; -serial compares a serial baseline's engine wall time
-      against this (sharded) run's and prints the ACHIEVED speedup next
-      to the predictions; -min-speedup exits 1 when it falls short
+      wall time, per-plane event rates, the host-boundary fraction and
+      the worker-pool occupancy; needs pnetbench -spans
   fingerprint [-json] <run>
       print the determinism fingerprint: the XOR-folded global, host,
       and per-plane hash chains; needs pnetbench -fingerprint
@@ -234,26 +225,13 @@ func runProfile(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("profile", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	asJSON := fs.Bool("json", false, "print the profile summary as JSON instead of text")
-	serial := fs.String("serial", "", "serial baseline run: print the sharded run's ACHIEVED speedup (baseline run_wall_s / this run's) next to the predicted bounds")
-	minSpeedup := fs.Float64("min-speedup", 0, "exit 1 if the achieved speedup falls below this (requires -serial)")
-	minBound := fs.Float64("min-bound", 0, "exit 1 if the predicted critical-path event bound falls below this")
-	emit := fs.String("emit-placement", "", "export the measured per-host / per-plane occupancy as a placement JSON for pnetbench -placement")
 	if fs.Parse(args) != nil || fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: pnetstat profile [-json] [-min-bound X] [-emit-placement p.json] [-serial base.json [-min-speedup X]] <run>")
-		return 2
-	}
-	if *minSpeedup > 0 && *serial == "" {
-		fmt.Fprintln(stderr, "pnetstat: -min-speedup requires -serial")
+		fmt.Fprintln(stderr, "usage: pnetstat profile [-json] <run>")
 		return 2
 	}
 	s, ok := loadRun(fs.Arg(0), "", stderr)
 	if !ok {
 		return 2
-	}
-	if *emit != "" {
-		if code := emitPlacement(*emit, s, stdout, stderr); code != 0 {
-			return code
-		}
 	}
 	if *asJSON {
 		b, _ := json.MarshalIndent(s.Profile, "", "  ")
@@ -261,81 +239,6 @@ func runProfile(args []string, stdout, stderr io.Writer) int {
 	} else {
 		fmt.Fprint(stdout, s.ProfileString())
 	}
-	if *minBound > 0 {
-		if s.Profile == nil || s.Profile.SpeedupEventBound <= 0 {
-			fmt.Fprintln(stderr, "pnetstat: -min-bound needs a run with profile speedup bounds (pnetbench -spans)")
-			return 2
-		}
-		if s.Profile.SpeedupEventBound < *minBound {
-			fmt.Fprintf(stderr, "pnetstat: predicted event bound %.2fx below required %.2fx\n",
-				s.Profile.SpeedupEventBound, *minBound)
-			return 1
-		}
-	}
-	if *serial == "" {
-		return 0
-	}
-
-	// Predicted-vs-achieved: the profile's Amdahl / critical-path numbers
-	// say what plane sharding COULD buy; the ratio of engine wall times
-	// between a serial baseline and this (sharded) run says what it DID.
-	base, ok := loadRun(*serial, "", stderr)
-	if !ok {
-		return 2
-	}
-	if base.Engine.RunWallSec <= 0 || s.Engine.RunWallSec <= 0 {
-		fmt.Fprintf(stderr, "pnetstat: achieved speedup needs run_wall_s in both runs (base %.3fs, run %.3fs) — engine wall is only recorded by runs of this repo version\n",
-			base.Engine.RunWallSec, s.Engine.RunWallSec)
-		return 2
-	}
-	achieved := base.Engine.RunWallSec / s.Engine.RunWallSec
-	fmt.Fprintf(stdout, "achieved speedup: %.2fx (serial %.3fs / this run %.3fs", achieved,
-		base.Engine.RunWallSec, s.Engine.RunWallSec)
-	if s.Shards > 1 {
-		fmt.Fprintf(stdout, ", shards=%d", s.Shards)
-	}
-	if s.HostShards > 1 {
-		fmt.Fprintf(stdout, ", host-shards=%d", s.HostShards)
-	}
-	fmt.Fprint(stdout, ")")
-	if p := s.Profile; p != nil && p.SpeedupEventBound > 0 {
-		fmt.Fprintf(stdout, " — predicted %.2fx amdahl, %.2fx critical-path (events)",
-			p.SpeedupAmdahl, p.SpeedupEventBound)
-	}
-	fmt.Fprintln(stdout)
-	if *minSpeedup > 0 && achieved < *minSpeedup {
-		fmt.Fprintf(stderr, "pnetstat: achieved speedup %.2fx below required %.2fx\n", achieved, *minSpeedup)
-		return 1
-	}
-	return 0
-}
-
-// emitPlacement exports a profiled run's measured occupancy as a
-// placement file: host weights from the per-host delivery counts, plane
-// weights from the per-plane event counts, and the run's partition
-// widths as headers so a replay at different widths fails loudly instead
-// of silently reusing splits measured for another partitioning.
-func emitPlacement(path string, s report.RunSummary, stdout, stderr io.Writer) int {
-	if s.Profile == nil || len(s.Profile.HostLoads) == 0 {
-		fmt.Fprintln(stderr, "pnetstat: -emit-placement needs a run with measured host loads — rerun pnetbench with -spans (host loads are only recorded by profiled runs of this repo version)")
-		return 2
-	}
-	pf := &pdes.PlacementFile{
-		Version:    pdes.PlacementVersion,
-		HostShards: s.HostShards,
-		Shards:     s.Shards,
-	}
-	for _, h := range s.Profile.HostLoads {
-		pf.Hosts = append(pf.Hosts, pdes.HostWeight{Host: h.Host, Weight: h.Events})
-	}
-	for _, p := range s.Profile.Planes {
-		pf.Planes = append(pf.Planes, pdes.PlaneWeight{Plane: p.Plane, Weight: p.Events})
-	}
-	if err := pdes.WritePlacementFile(path, pf); err != nil {
-		fmt.Fprintf(stderr, "pnetstat: %v\n", err)
-		return 2
-	}
-	fmt.Fprintf(stdout, "wrote %s (%d hosts, %d planes)\n", path, len(pf.Hosts), len(pf.Planes))
 	return 0
 }
 

@@ -74,17 +74,12 @@ type HealthMonitor struct {
 	// OnChange, when set, observes every declared transition.
 	OnChange func(PlaneEvent)
 
-	cfg     HealthConfig
-	routes  [][]graph.LinkID // per plane: host→peer→host loop
-	handler []probeHandler   // per plane, fixed Deliver targets
-	// hostNode is the probing host; echoes fire on its sub-shard under
-	// host sub-sharding, so echo() reads that engine's clock (resolved
-	// per call — the binding can move as flows colocate hosts).
-	hostNode graph.NodeID
-
-	lastEcho []sim.Time // latest fresh echo per plane
-	declDown []bool     // monitor's current verdict per plane
-	reupSeq  []int64    // echoes older than this do not count toward re-up
+	cfg      HealthConfig
+	routes   [][]graph.LinkID // per plane: host→peer→host loop
+	handler  []probeHandler   // per plane, fixed Deliver targets
+	lastEcho []sim.Time       // latest fresh echo per plane
+	declDown []bool           // monitor's current verdict per plane
+	reupSeq  []int64          // echoes older than this do not count toward re-up
 	seq      int64
 	stopped  bool
 }
@@ -112,7 +107,6 @@ func NewHealthMonitor(eng *sim.Engine, net *sim.Network, p *PNet, host, peer int
 		Net:      net,
 		P:        p,
 		cfg:      cfg,
-		hostNode: t.Hosts[host],
 		routes:   make([][]graph.LinkID, t.Planes),
 		handler:  make([]probeHandler, t.Planes),
 		lastEcho: make([]sim.Time, t.Planes),
@@ -193,21 +187,20 @@ func (m *HealthMonitor) probe(plane int) {
 }
 
 func (m *HealthMonitor) echo(plane int, p *sim.Packet) {
-	bind := m.Net.BindOf(m.hostNode)
 	seq := p.Seq
-	m.Net.ReleaseOn(p, bind.Shard())
+	m.Net.Release(p)
 	if m.stopped {
 		return
 	}
 	if m.declDown[plane] && seq < m.reupSeq[plane] {
 		return // stale echo from before the down verdict
 	}
-	m.lastEcho[plane] = bind.Eng().Now()
+	m.lastEcho[plane] = m.Eng.Now()
 	if m.declDown[plane] {
 		m.declDown[plane] = false
 		m.P.MarkPlaneUp(plane)
 		if m.OnChange != nil {
-			m.OnChange(PlaneEvent{Plane: plane, Up: true, At: bind.Eng().Now()})
+			m.OnChange(PlaneEvent{Plane: plane, Up: true, At: m.Eng.Now()})
 		}
 	}
 }

@@ -1,14 +1,12 @@
 package exp
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
 	"pnet/internal/obs"
 	"pnet/internal/par"
 	"pnet/internal/report"
-	"pnet/internal/workload"
 )
 
 // The parallel execution contract (DESIGN.md "Parallel execution"):
@@ -107,7 +105,6 @@ func TestSpansSummaryWorkerInvariant(t *testing.T) {
 		if s.Profile != nil {
 			s.Profile.WallSec = 0
 			s.Profile.HostWallSec = 0
-			s.Profile.SpeedupWallBound = 0
 			s.Profile.PoolLimit, s.Profile.PoolPeak, s.Profile.PoolTasks = 0, 0, 0
 			for i := range s.Profile.Bins {
 				s.Profile.Bins[i].WallSec = 0
@@ -161,172 +158,5 @@ func TestFingerprintWorkerInvariant(t *testing.T) {
 	}
 	if serial.Events == 0 || serial.Global == "0000000000000000" {
 		t.Fatalf("fingerprint is empty — the comparison proved nothing: %+v", serial)
-	}
-}
-
-// TestShardedFingerprintIdentical pins the plane-sharded PDES contract
-// (DESIGN.md "Plane-sharded PDES"): running the same experiment on the
-// sharded engine at any shard count reproduces the serial run byte for
-// byte — the global, host, and per-plane fingerprint chains AND the full
-// RunSummary (flows, drops, retransmits, fault timeline, everything).
-// fig6c covers steady-state traffic across planes; faults adds timer
-// cancellation, chaos injection, blackholes, and repathing mid-window.
-func TestShardedFingerprintIdentical(t *testing.T) {
-	run := func(id string, shards int) report.RunSummary {
-		c := obs.NewCollector()
-		c.Fingerprint = true
-		aggr := report.NewAggregator()
-		c.Sink = aggr
-		c.DropSamples = true
-		e, ok := ByID(id)
-		if !ok {
-			t.Fatalf("experiment %q not registered", id)
-		}
-		e.Run(Params{Seed: 1, Workers: 1, Obs: c, Shards: shards})
-		s := aggr.Summarize(c, report.Meta{Exp: id, Scale: "small", Seed: 1})
-		// Wall time is the one quantity allowed to move with sharding.
-		s.Solver.WallSec = 0
-		s.Engine.WallSec = 0
-		s.Engine.EventsPerSec = 0
-		s.Engine.RunWallSec = 0
-		return s
-	}
-	for _, id := range []string{"fig6c", "faults"} {
-		serial := run(id, 0)
-		if serial.Fingerprint == nil || serial.Fingerprint.Events == 0 ||
-			serial.Fingerprint.Global == "0000000000000000" {
-			t.Fatalf("%s: serial fingerprint is empty — the comparison proves nothing: %+v",
-				id, serial.Fingerprint)
-		}
-		for _, shards := range []int{2, 4} {
-			sharded := run(id, shards)
-			if !reflect.DeepEqual(serial.Fingerprint, sharded.Fingerprint) {
-				t.Errorf("%s: fingerprints differ between serial and shards=%d:\nserial:  %+v\nsharded: %+v",
-					id, shards, serial.Fingerprint, sharded.Fingerprint)
-			}
-			if !reflect.DeepEqual(serial, sharded) {
-				t.Errorf("%s: RunSummary differs between serial and shards=%d:\nserial:  %+v\nsharded: %+v",
-					id, shards, serial, sharded)
-			}
-		}
-	}
-}
-
-// TestHostSubShardFingerprintIdentical extends the sharded-determinism
-// contract to host sub-sharding (DESIGN.md "Host sub-sharding"): splitting
-// the host boundary into H per-host sub-shards — which moves NIC delivers,
-// TCP endpoint work, and in-window fn scheduling off the serial host shard
-// and onto concurrently-running engines — must leave every deterministic
-// output byte-identical to the serial run at any (shards, host-shards)
-// combination. Same workloads as above: fig6c for steady traffic, faults
-// for timer cancellation, chaos, blackholes, and mid-window repathing.
-func TestHostSubShardFingerprintIdentical(t *testing.T) {
-	run := func(id string, shards, hostShards int) report.RunSummary {
-		c := obs.NewCollector()
-		c.Fingerprint = true
-		aggr := report.NewAggregator()
-		c.Sink = aggr
-		c.DropSamples = true
-		e, ok := ByID(id)
-		if !ok {
-			t.Fatalf("experiment %q not registered", id)
-		}
-		e.Run(Params{Seed: 1, Workers: 1, Obs: c, Shards: shards, HostShards: hostShards})
-		s := aggr.Summarize(c, report.Meta{Exp: id, Scale: "small", Seed: 1})
-		// Wall time is the one quantity allowed to move with sharding.
-		s.Solver.WallSec = 0
-		s.Engine.WallSec = 0
-		s.Engine.EventsPerSec = 0
-		s.Engine.RunWallSec = 0
-		return s
-	}
-	for _, id := range []string{"fig6c", "faults"} {
-		serial := run(id, 0, 0)
-		if serial.Fingerprint == nil || serial.Fingerprint.Events == 0 ||
-			serial.Fingerprint.Global == "0000000000000000" {
-			t.Fatalf("%s: serial fingerprint is empty — the comparison proves nothing: %+v",
-				id, serial.Fingerprint)
-		}
-		for _, shards := range []int{2, 4} {
-			for _, hostShards := range []int{1, 2, 4} {
-				sub := run(id, shards, hostShards)
-				if !reflect.DeepEqual(serial.Fingerprint, sub.Fingerprint) {
-					t.Errorf("%s: fingerprints differ between serial and shards=%d host-shards=%d:\nserial:     %+v\nsub-sharded: %+v",
-						id, shards, hostShards, serial.Fingerprint, sub.Fingerprint)
-				}
-				if !reflect.DeepEqual(serial, sub) {
-					t.Errorf("%s: RunSummary differs between serial and shards=%d host-shards=%d:\nserial:     %+v\nsub-sharded: %+v",
-						id, shards, hostShards, serial, sub)
-				}
-			}
-		}
-	}
-}
-
-// TestPlacementInvariance is the placement-invariance property test
-// (DESIGN.md "Load-balanced shard placement"): placement decides only
-// which engine fires an event, never the committed order, so EVERY valid
-// placement — the balanced LPT plan and seeded random scatters alike —
-// must reproduce the serial run byte for byte: fingerprint chains AND
-// the full RunSummary. fig6c covers steady traffic, faults adds timer
-// cancellation, chaos, blackholes, and mid-window repathing.
-func TestPlacementInvariance(t *testing.T) {
-	run := func(id string, shards, hostShards int, place workload.Placement) report.RunSummary {
-		c := obs.NewCollector()
-		c.Fingerprint = true
-		aggr := report.NewAggregator()
-		c.Sink = aggr
-		c.DropSamples = true
-		e, ok := ByID(id)
-		if !ok {
-			t.Fatalf("experiment %q not registered", id)
-		}
-		e.Run(Params{Seed: 1, Workers: 1, Obs: c, Shards: shards, HostShards: hostShards, Placement: place})
-		s := aggr.Summarize(c, report.Meta{Exp: id, Scale: "small", Seed: 1})
-		// Wall time is the one quantity allowed to move with placement.
-		s.Solver.WallSec = 0
-		s.Engine.WallSec = 0
-		s.Engine.EventsPerSec = 0
-		s.Engine.RunWallSec = 0
-		return s
-	}
-	places := []workload.Placement{
-		{Mode: workload.PlaceBalanced},
-		{Mode: workload.PlaceSeeded, Seed: 1},
-		{Mode: workload.PlaceSeeded, Seed: 2},
-		{Mode: workload.PlaceSeeded, Seed: 3},
-	}
-	dimsList := [][2]int{{2, 2}, {4, 4}}
-	if raceEnabled {
-		// The full 2-exp × 2-dims × 4-placement matrix blows past go
-		// test's timeout under the race detector; one dim pair and two
-		// placements still exercise every concurrent placement path.
-		places = places[:2]
-		dimsList = dimsList[1:]
-	}
-	for _, id := range []string{"fig6c", "faults"} {
-		serial := run(id, 0, 0, workload.Placement{})
-		if serial.Fingerprint == nil || serial.Fingerprint.Events == 0 ||
-			serial.Fingerprint.Global == "0000000000000000" {
-			t.Fatalf("%s: serial fingerprint is empty — the comparison proves nothing: %+v",
-				id, serial.Fingerprint)
-		}
-		for _, dims := range dimsList {
-			for _, place := range places {
-				placed := run(id, dims[0], dims[1], place)
-				label := place.Mode
-				if place.Mode == workload.PlaceSeeded {
-					label = fmt.Sprintf("%s(%d)", place.Mode, place.Seed)
-				}
-				if !reflect.DeepEqual(serial.Fingerprint, placed.Fingerprint) {
-					t.Errorf("%s: fingerprints differ between serial and shards=%d host-shards=%d placement=%s:\nserial: %+v\nplaced: %+v",
-						id, dims[0], dims[1], label, serial.Fingerprint, placed.Fingerprint)
-				}
-				if !reflect.DeepEqual(serial, placed) {
-					t.Errorf("%s: RunSummary differs between serial and shards=%d host-shards=%d placement=%s:\nserial: %+v\nplaced: %+v",
-						id, dims[0], dims[1], label, serial, placed)
-				}
-			}
-		}
 	}
 }

@@ -67,22 +67,6 @@ type Params struct {
 	// RNG seed, and everything shared (the collector, per-graph caches)
 	// aggregates commutatively.
 	Workers int
-	// Shards, when > 1, runs every packet simulation on the plane-sharded
-	// PDES engine with that many plane shards (internal/pdes); Lookahead
-	// overrides the conservative window span (0 = the propagation delay).
-	// Orthogonal to Workers: shards parallelize inside one cell's engine,
-	// workers parallelize across cells. Results are bit-identical at any
-	// combination.
-	Shards int
-	// HostShards, when > 1 (and Shards > 1), additionally partitions the
-	// host boundary of every sharded simulation into that many per-host
-	// sub-shards (see sim.NewShardSet). Results stay bit-identical.
-	HostShards int
-	Lookahead  sim.Time
-	// Placement selects how sharded simulations partition hosts and
-	// planes (see workload.Placement; zero value = round-robin). Results
-	// stay bit-identical at every placement.
-	Placement workload.Placement
 }
 
 // cells fans an experiment's n independent cells out across p.Workers
@@ -99,9 +83,6 @@ func (p Params) newDriver(tp *topo.Topology, simCfg sim.Config, tcpCfg tcp.Confi
 	if p.Obs != nil {
 		d.Instrument(p.Obs)
 	}
-	// After Instrument, so shard engines inherit the fingerprinter and
-	// flight recorder; before any flow or timer exists.
-	d.ShardPlaced(p.Shards, p.HostShards, p.Lookahead, p.Placement)
 	return d
 }
 

@@ -59,10 +59,9 @@ func permutationFCT(tp *topo.Topology, sel workload.Selection, sizeBytes int64, 
 	d := p.newDriver(tp, sim.Config{}, tcp.Config{})
 	rng := rand.New(rand.NewSource(p.Seed))
 	cs := workload.PermutationCommodities(tp, 1, rng)
-	// Completions land in per-flow slots: under host sub-sharding the
-	// callbacks can fire concurrently (and in a different order), and the
-	// float sum below is order-sensitive, so append-in-completion-order
-	// would both race and change the mean's low bits.
+	// Completions land in per-flow slots: the float sum below is
+	// order-sensitive, and slots keep it in flow order rather than
+	// completion order.
 	fcts := make([]float64, len(cs))
 	for i, c := range cs {
 		i := i

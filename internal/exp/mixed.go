@@ -67,8 +67,8 @@ func runMixed(p Params) Table {
 	for _, class := range []string{"fattree", "expander"} {
 		d := mkDriver()
 		hosts := tp.Hosts
-		// Per-flow slots: completions may fire concurrently (and out of
-		// order) under host sub-sharding, and Summarize is order-sensitive.
+		// Per-flow slots: Summarize is order-sensitive, and slots keep its
+		// input in flow order rather than completion order.
 		fcts := make([]float64, len(hosts))
 		for h := range hosts {
 			h := h

@@ -327,20 +327,8 @@ func companionFig7(p Params) {
 	set := topo.JellyfishSet(sw, deg, hps, 2, 100, p.Seed)
 	tp := set.ParallelHetero
 	d := workload.NewDriver(tp, sim.Config{}, tcp.Config{})
-	p.Obs.AttachProfile(d.Eng, d.Net)
-	// The driver is deliberately not Instrumented (see above), so shard
-	// after the profile attach and time the run by hand: run_wall_s is a
-	// wall-clock field, free to record without touching gated metrics.
-	d.ShardPlaced(p.Shards, p.HostShards, p.Lookahead, p.Placement)
-	defer d.Close()
+	p.Obs.AttachProfile(d.Eng)
 	rng := rand.New(rand.NewSource(p.Seed))
-	// A matching, not a uniform derangement: each flow colocates its two
-	// endpoints onto one host sub-shard, so a derangement's giant
-	// permutation cycle (~2/3 of the hosts in one colocation group here)
-	// would pin most of the host boundary to a single sub-shard no matter
-	// the placement. Pairs keep every colocation group at two hosts —
-	// load the sub-shard split and the placement planner can actually
-	// move.
 	cs := workload.MatchingCommodities(tp, 1, rng)
 	sel := workload.Selection{Policy: workload.KSP, K: 4}
 	for _, c := range cs {
@@ -348,6 +336,9 @@ func companionFig7(p Params) {
 			return
 		}
 	}
+	// The driver is deliberately not Instrumented (see above), so time the
+	// run by hand: run_wall_s is a wall-clock field, free to record without
+	// touching gated metrics.
 	start := time.Now()
 	_ = d.MustRunUntil(10*sim.Second, int64(len(cs)))
 	p.Obs.AddRunWall(time.Since(start))

@@ -73,8 +73,7 @@ type Collector struct {
 	traceMu sync.Mutex // serializes all JSONLSinks sharing tw
 
 	// runWallNs accumulates wall time spent inside engine runs
-	// (workload.Driver.RunUntil), summed across sweep cells — the
-	// measured side of predicted-vs-achieved PDES speedup. Atomic:
+	// (workload.Driver.RunUntil), summed across sweep cells. Atomic:
 	// parallel cells add concurrently.
 	runWallNs atomic.Int64
 	mw        *MetricsWriter
@@ -103,43 +102,21 @@ type FingerprintSnapshot struct {
 	Checkpoints []sim.FingerprintCheckpoint
 }
 
-// profileEntry pairs a flight recorder with its engine, its network
-// (for the per-host delivery counts), and the engine's conservative PDES
-// lookahead (the network's propagation delay). Recorder IDs are a
-// sequence of their own, independent of network attach order, so
-// profile-only attachments never shift the NetIDs of the metrics
-// stream.
+// profileEntry pairs a flight recorder with its engine. Recorder IDs are
+// a sequence of their own, independent of network attach order, so
+// profile-only attachments never shift the NetIDs of the metrics stream.
 type profileEntry struct {
-	rec       *sim.FlightRecorder
-	eng       *sim.Engine
-	net       *sim.Network
-	lookahead sim.Time
-}
-
-// HostOccupancy is one host's measured event load within a profile
-// snapshot: the packets delivered to it over the profiled run.
-type HostOccupancy struct {
-	Host   int64
-	Events int64
+	rec *sim.FlightRecorder
+	eng *sim.Engine
 }
 
 // ProfileSnapshot is one engine's flight-recorder state: the non-empty
-// (kind, plane) bins, the engine's conservative PDES lookahead, and the
-// sim time it had reached when snapshotted (the profiled duration).
-// SubShards, present only when the engine ran host-sub-sharded
-// (host-shards > 1), is the events fired per host sub-shard — the
-// occupancy split the sub-shard speedup predictors need. PlaneShards is
-// the analogous per-plane-shard split (present when plane shards > 1).
-// Hosts is the per-host delivery count in host-ID order, covering every
-// bound host (zeros included) so `-emit-placement` files are complete.
+// (kind, plane) bins and the sim time it had reached when snapshotted
+// (the profiled duration).
 type ProfileSnapshot struct {
-	NetID       int
-	Lookahead   sim.Time
-	SimTime     sim.Time
-	Bins        []sim.ProfileBin
-	SubShards   []int64
-	PlaneShards []int64
-	Hosts       []HostOccupancy
+	NetID   int
+	SimTime sim.Time
+	Bins    []sim.ProfileBin
 }
 
 // NewCollector returns a collector with a fresh registry and no streams.
@@ -219,7 +196,7 @@ func (c *Collector) AttachNetwork(eng *sim.Engine, net *sim.Network) *Sampler {
 		net.EnableSpans()
 	}
 	if c.Profile {
-		c.AttachProfile(eng, net)
+		c.AttachProfile(eng)
 	}
 	if c.Fingerprint {
 		fp := sim.NewFingerprinter(c.FingerprintEpoch)
@@ -251,45 +228,16 @@ func (c *Collector) AttachNetwork(eng *sim.Engine, net *sim.Network) *Sampler {
 // a profiling companion can measure an otherwise-uninstrumented
 // simulation without perturbing any deterministic output of the run
 // (record streams, counters, NetID assignment all stay untouched).
-func (c *Collector) AttachProfile(eng *sim.Engine, net *sim.Network) *sim.FlightRecorder {
+func (c *Collector) AttachProfile(eng *sim.Engine) *sim.FlightRecorder {
 	if c == nil {
 		return nil
 	}
 	rec := sim.NewFlightRecorder()
 	eng.Recorder = rec
-	// Count final-hop delivers per destination while profiling — the
-	// measured host weights `-emit-placement` exports. Counting changes no
-	// event order, so the run's deterministic output is still untouched.
-	net.EnableHostLoad()
 	c.mu.Lock()
-	c.profiles = append(c.profiles, profileEntry{rec: rec, eng: eng, net: net, lookahead: net.PropDelay()})
+	c.profiles = append(c.profiles, profileEntry{rec: rec, eng: eng})
 	c.mu.Unlock()
 	return rec
-}
-
-// hostOccupancies renders a network's per-host delivery counts: every
-// bound host in node-ID order (zeros included, so exported placement
-// files are complete), or — on serial runs with no host binds — just the
-// nodes that received anything.
-func hostOccupancies(net *sim.Network) []HostOccupancy {
-	loads := net.HostLoads()
-	if loads == nil {
-		return nil
-	}
-	if bound := net.BoundHosts(); len(bound) > 0 {
-		out := make([]HostOccupancy, 0, len(bound))
-		for _, h := range bound {
-			out = append(out, HostOccupancy{Host: int64(h), Events: loads[h]})
-		}
-		return out
-	}
-	var out []HostOccupancy
-	for id, ev := range loads {
-		if ev > 0 {
-			out = append(out, HostOccupancy{Host: int64(id), Events: ev})
-		}
-	}
-	return out
 }
 
 // Profiles snapshots every attached flight recorder, in attach order.
@@ -302,11 +250,7 @@ func (c *Collector) Profiles() []ProfileSnapshot {
 	defer c.mu.Unlock()
 	out := make([]ProfileSnapshot, 0, len(c.profiles))
 	for i, e := range c.profiles {
-		out = append(out, ProfileSnapshot{
-			NetID: i, Lookahead: e.lookahead, SimTime: e.eng.Now(), Bins: e.rec.Snapshot(),
-			SubShards: e.eng.SubShardEvents(), PlaneShards: e.eng.PlaneShardEvents(),
-			Hosts: hostOccupancies(e.net),
-		})
+		out = append(out, ProfileSnapshot{NetID: i, SimTime: e.eng.Now(), Bins: e.rec.Snapshot()})
 	}
 	return out
 }
@@ -516,36 +460,8 @@ func (c *Collector) Close() error {
 		for _, snap := range c.Profiles() {
 			for _, b := range snap.Bins {
 				c.mw.write(ProfileRecord{
-					Type: KindProfile, Net: snap.NetID, Kind: b.Kind.String(),
-					Plane: b.Plane, Events: b.Events, WallNano: b.WallNs,
-					LookaheadPs: int64(snap.Lookahead), SimPs: int64(snap.SimTime),
-				})
-			}
-			// Host-sub-sharded engines additionally report the per-sub-shard
-			// occupancy split: Kind "subshard" with Plane = sub-shard index.
-			for i, ev := range snap.SubShards {
-				c.mw.write(ProfileRecord{
-					Type: KindProfile, Net: snap.NetID, Kind: KindSubShard,
-					Plane: int32(i), Events: ev,
-					LookaheadPs: int64(snap.Lookahead), SimPs: int64(snap.SimTime),
-				})
-			}
-			// ... and the per-plane-shard split: Kind "planeshard" with
-			// Plane = plane-shard index.
-			for i, ev := range snap.PlaneShards {
-				c.mw.write(ProfileRecord{
-					Type: KindProfile, Net: snap.NetID, Kind: KindPlaneShard,
-					Plane: int32(i), Events: ev,
-					LookaheadPs: int64(snap.Lookahead), SimPs: int64(snap.SimTime),
-				})
-			}
-			// Per-host delivery counts: Kind "hostload" with Plane = host
-			// node ID — the measured weights `-emit-placement` replays.
-			for _, h := range snap.Hosts {
-				c.mw.write(ProfileRecord{
-					Type: KindProfile, Net: snap.NetID, Kind: KindHostLoad,
-					Plane: int32(h.Host), Events: h.Events,
-					LookaheadPs: int64(snap.Lookahead), SimPs: int64(snap.SimTime),
+					Type: KindProfile, Net: snap.NetID, Kind: b.Kind.String(), Plane: b.Plane,
+					Events: b.Events, WallNano: b.WallNs, SimPs: int64(snap.SimTime),
 				})
 			}
 		}

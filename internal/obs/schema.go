@@ -110,38 +110,17 @@ func ValidSpanComponent(name string) bool {
 	return ok
 }
 
-// KindSubShard is the pseudo event kind of per-host-sub-shard occupancy
-// profile records: Plane carries the sub-shard index instead of a
-// dataplane, Events the events that sub-shard fired. It is not a
-// sim.EventKind — readers must branch on it before ValidEventKind.
-const KindSubShard = "subshard"
-
-// KindHostLoad is the pseudo event kind of per-host delivery-count
-// profile records: Plane carries the host node ID, Events the packets
-// delivered to that host — the measured weights `pnetstat profile
-// -emit-placement` exports. Like KindSubShard, not a sim.EventKind.
-const KindHostLoad = "hostload"
-
-// KindPlaneShard is the pseudo event kind of per-plane-shard occupancy
-// profile records: Plane carries the plane-shard index, Events the
-// events that shard fired — the plane-side imbalance telemetry. Like
-// KindSubShard, not a sim.EventKind.
-const KindPlaneShard = "planeshard"
-
 // ProfileRecord is one (engine, event-kind, plane) bin of the event-loop
 // flight recorder, written when the collector closes. Events is
 // deterministic for a fixed seed; WallNano is not (it measures this
-// run's host). LookaheadPs is the engine's conservative PDES lookahead
-// (the network's host–ToR propagation delay), repeated on each of the
-// engine's bins.
+// run's host).
 type ProfileRecord struct {
-	Type        string `json:"type"` // "profile"
-	Net         int    `json:"net"`
-	Kind        string `json:"kind"`  // hop | deliver | tx | timer | subshard | hostload | planeshard
-	Plane       int32  `json:"plane"` // -1 for timer (no plane); sub-shard index, host ID, or plane-shard index for the pseudo kinds
-	Events      int64  `json:"events"`
-	WallNano    int64  `json:"wall_ns"`
-	LookaheadPs int64  `json:"lookahead_ps,omitempty"`
+	Type     string `json:"type"` // "profile"
+	Net      int    `json:"net"`
+	Kind     string `json:"kind"`  // hop | deliver | tx | timer
+	Plane    int32  `json:"plane"` // -1 for timer (no plane)
+	Events   int64  `json:"events"`
+	WallNano int64  `json:"wall_ns"`
 	// SimPs is the engine's sim time when snapshotted — the profiled
 	// duration, repeated on each of the engine's bins.
 	SimPs int64 `json:"sim_ps,omitempty"`

@@ -3,9 +3,9 @@ package report
 // Latency attribution and event-loop profile summaries: the two sides of
 // this package's "explain the time" story. Attribution decomposes
 // simulated FCT into span components (deterministic, gateable); the
-// profile decomposes the event loop's work by kind and plane and derives
-// the PDES sizing bounds of ROADMAP item 1. Everything here except the
-// wall-second fields is bit-identical across worker counts.
+// profile decomposes the event loop's work by kind and plane. Everything
+// here except the wall-second fields is bit-identical across worker
+// counts.
 
 import (
 	"fmt"
@@ -68,16 +68,14 @@ type ProfilePlane struct {
 	Events  int64   `json:"events"`
 	WallSec float64 `json:"wall_s"`
 	// EventsPerSimSec is the plane's event rate per second of profiled
-	// sim time — how much work a per-plane PDES queue would own.
+	// sim time.
 	EventsPerSimSec float64 `json:"events_per_sim_sec,omitempty"`
 }
 
-// ProfileSummary is the event-loop flight recording reduced to the PDES
-// sizing question: how much of the event loop is per-plane work, how
-// much crosses the host boundary, and what speedup per-plane event
-// queues could therefore reach. The event-count bounds (SpeedupAmdahl,
-// SpeedupEventBound) are deterministic; the wall-based bound rides along
-// for this machine.
+// ProfileSummary is the event-loop flight recording reduced to where the
+// engine's work goes: how much of the event loop is per-plane work and
+// how much crosses the host boundary. Event counts are deterministic;
+// wall times are this machine's.
 type ProfileSummary struct {
 	Engines int     `json:"engines"`
 	Events  int64   `json:"events"`
@@ -87,84 +85,18 @@ type ProfileSummary struct {
 	Bins   []ProfileBinSummary `json:"bins"`
 	Planes []ProfilePlane      `json:"planes,omitempty"`
 
-	// SubShards is the events fired per host sub-shard (index = sub-shard)
-	// and HostShards its length, present only when some profiled engine
-	// ran host-sub-sharded (-host-shards > 1). When present, the speedup
-	// predictors model the host boundary as H concurrent sub-shards: the
-	// critical path per window is the busiest plane plus the busiest
-	// sub-shard, not the whole host boundary.
-	SubShards  []int64 `json:"sub_shards,omitempty"`
-	HostShards int     `json:"host_shards,omitempty"`
-
-	// PlaneShards is the events fired per plane shard (index = plane
-	// shard), present only when the profiled engine ran with more than
-	// one plane shard.
-	PlaneShards []int64 `json:"plane_shards,omitempty"`
-
-	// SubShardImbalance and PlaneShardImbalance are the max/mean
-	// occupancy ratios of the corresponding splits (1.0 = perfectly
-	// balanced) — the load-balance verdict placement planning targets.
-	// Present only when the split has more than one member with work.
-	SubShardImbalance   float64 `json:"sub_shard_imbalance,omitempty"`
-	PlaneShardImbalance float64 `json:"plane_shard_imbalance,omitempty"`
-
-	// HostLoads is the per-host delivery count in host-ID order — the
-	// measured weights `pnetstat profile -emit-placement` exports.
-	HostLoads []HostLoad `json:"host_loads,omitempty"`
-
 	// HostEvents counts deliver + timer events — the work that executes
-	// host-side code and serializes a per-plane partition.
+	// host-side code (transports, timers) rather than in-plane queues.
 	HostEvents  int64   `json:"host_events"`
 	HostFrac    float64 `json:"host_frac"`
 	HostWallSec float64 `json:"host_wall_s"`
 
-	// LookaheadPs is the conservative PDES lookahead (the host–ToR
-	// propagation delay); EventsPerLookahead is the mean number of events
-	// one plane fires inside one lookahead window — the batch size that
-	// must amortize synchronization for conservative PDES to win.
-	LookaheadPs        int64   `json:"lookahead_ps,omitempty"`
-	EventsPerLookahead float64 `json:"events_per_lookahead,omitempty"`
-
-	// SpeedupAmdahl treats host events as the serial fraction over P
-	// plane workers; SpeedupEventBound is the critical-path bound
-	// total/(max-plane + host). Both are event-count based and
-	// deterministic. SpeedupWallBound is the same critical path in
-	// measured wall time (informational).
-	SpeedupAmdahl     float64 `json:"speedup_amdahl,omitempty"`
-	SpeedupEventBound float64 `json:"speedup_event_bound,omitempty"`
-	SpeedupWallBound  float64 `json:"speedup_wall_bound,omitempty"`
-
 	// Worker-pool occupancy of the run that produced the profile (from
 	// internal/par), recorded by the harness: how much of the machine the
-	// current cell-level parallelism already uses.
+	// cell-level parallelism uses.
 	PoolLimit int   `json:"pool_limit,omitempty"`
 	PoolPeak  int   `json:"pool_peak,omitempty"`
 	PoolTasks int64 `json:"pool_tasks,omitempty"`
-}
-
-// HostLoad is one host's measured delivery count within a profile.
-type HostLoad struct {
-	Host   int64 `json:"host"`
-	Events int64 `json:"events"`
-}
-
-// maxMean returns the max/mean ratio of a split, or 0 when the split has
-// fewer than two members or no work at all.
-func maxMean(xs []int64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	var sum, max int64
-	for _, x := range xs {
-		sum += x
-		if x > max {
-			max = x
-		}
-	}
-	if sum <= 0 {
-		return 0
-	}
-	return float64(max) / (float64(sum) / float64(len(xs)))
 }
 
 // spanFlow retains one flow's spans for tail re-aggregation.
@@ -260,9 +192,8 @@ func (a *agg) profileSummary() *ProfileSummary {
 	})
 
 	s := &ProfileSummary{
-		Engines:     a.profEngines,
-		SimSec:      float64(a.profSimPs) / 1e12,
-		LookaheadPs: a.profLookPs,
+		Engines: a.profEngines,
+		SimSec:  float64(a.profSimPs) / 1e12,
 	}
 	var hostWallNs, totalWallNs int64
 	planeEv := map[int32]int64{}
@@ -296,68 +227,12 @@ func (a *agg) profileSummary() *ProfileSummary {
 		planes = append(planes, p)
 	}
 	sort.Slice(planes, func(i, j int) bool { return planes[i] < planes[j] })
-	var maxPlaneEv, maxPlaneWall int64
 	for _, p := range planes {
 		pp := ProfilePlane{Plane: p, Events: planeEv[p], WallSec: float64(planeWall[p]) / 1e9}
 		if s.SimSec > 0 {
 			pp.EventsPerSimSec = float64(planeEv[p]) / s.SimSec
 		}
 		s.Planes = append(s.Planes, pp)
-		if planeEv[p] > maxPlaneEv {
-			maxPlaneEv = planeEv[p]
-		}
-		if planeWall[p] > maxPlaneWall {
-			maxPlaneWall = planeWall[p]
-		}
-	}
-
-	if len(a.profSub) > 1 {
-		s.SubShards = append([]int64(nil), a.profSub...)
-		s.HostShards = len(a.profSub)
-		s.SubShardImbalance = maxMean(s.SubShards)
-	}
-	if len(a.profPlaneShards) > 1 {
-		s.PlaneShards = append([]int64(nil), a.profPlaneShards...)
-		s.PlaneShardImbalance = maxMean(s.PlaneShards)
-	}
-	if len(a.profHosts) > 0 {
-		hosts := make([]int64, 0, len(a.profHosts))
-		for h := range a.profHosts {
-			hosts = append(hosts, h)
-		}
-		sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
-		s.HostLoads = make([]HostLoad, 0, len(hosts))
-		for _, h := range hosts {
-			s.HostLoads = append(s.HostLoads, HostLoad{Host: h, Events: a.profHosts[h]})
-		}
-	}
-
-	if n := len(planes); n > 0 && s.Events > 0 {
-		// Serial residue per window: the whole host boundary on a classic
-		// single host shard, only the busiest sub-shard when the boundary
-		// is split across H concurrent sub-shards.
-		serialEv := s.HostEvents
-		if len(s.SubShards) > 1 {
-			serialEv = 0
-			for _, ev := range s.SubShards {
-				if ev > serialEv {
-					serialEv = ev
-				}
-			}
-		}
-		f := float64(serialEv) / float64(s.Events)
-		s.SpeedupAmdahl = 1 / (f + (1-f)/float64(n))
-		if denom := maxPlaneEv + serialEv; denom > 0 {
-			s.SpeedupEventBound = float64(s.Events) / float64(denom)
-		}
-		if denom := maxPlaneWall + hostWallNs; denom > 0 {
-			s.SpeedupWallBound = float64(totalWallNs) / float64(denom)
-		}
-		if s.SimSec > 0 && s.LookaheadPs > 0 {
-			inPlane := s.Events - s.HostEvents
-			perPlaneRate := float64(inPlane) / float64(n) / s.SimSec
-			s.EventsPerLookahead = perPlaneRate * float64(s.LookaheadPs) / 1e12
-		}
 	}
 	return s
 }
@@ -395,9 +270,9 @@ func writeCells(b *strings.Builder, label string, cells []AttributionCell) {
 	}
 }
 
-// ProfileString renders the event-loop profile and PDES sizing verdict —
-// the payload of `pnetstat profile`. Event counts and the *_event bounds
-// are deterministic; wall times are this machine's.
+// ProfileString renders the event-loop profile — the payload of
+// `pnetstat profile`. Event counts are deterministic; wall times are this
+// machine's.
 func (s RunSummary) ProfileString() string {
 	p := s.Profile
 	if p == nil {
@@ -421,42 +296,8 @@ func (s RunSummary) ProfileString() string {
 		}
 		b.WriteByte('\n')
 	}
-	for i, ev := range p.SubShards {
-		fmt.Fprintf(&b, "host sub-shard %d: %d events\n", i, ev)
-	}
-	if p.SubShardImbalance > 0 {
-		fmt.Fprintf(&b, "host sub-shard imbalance: max/mean %.2f\n", p.SubShardImbalance)
-	}
-	for i, ev := range p.PlaneShards {
-		fmt.Fprintf(&b, "plane shard %d: %d events\n", i, ev)
-	}
-	if p.PlaneShardImbalance > 0 {
-		fmt.Fprintf(&b, "plane shard imbalance: max/mean %.2f\n", p.PlaneShardImbalance)
-	}
-	if len(p.HostLoads) > 0 {
-		fmt.Fprintf(&b, "host loads: %d hosts measured (-emit-placement exports them)\n", len(p.HostLoads))
-	}
-	fmt.Fprintf(&b, "host boundary: %d events (%.2f%% of all), %.3fs wall",
+	fmt.Fprintf(&b, "host boundary: %d events (%.2f%% of all), %.3fs wall\n",
 		p.HostEvents, p.HostFrac*100, p.HostWallSec)
-	if p.HostShards > 1 {
-		fmt.Fprintf(&b, " (split across %d sub-shards)", p.HostShards)
-	}
-	b.WriteByte('\n')
-	if p.LookaheadPs > 0 {
-		fmt.Fprintf(&b, "lookahead: %s", sim.Time(p.LookaheadPs))
-		if p.EventsPerLookahead > 0 {
-			fmt.Fprintf(&b, " (%.4g events per plane per window)", p.EventsPerLookahead)
-		}
-		b.WriteByte('\n')
-	}
-	if p.SpeedupEventBound > 0 {
-		fmt.Fprintf(&b, "pdes speedup bound: %.2fx critical-path (events), %.2fx amdahl",
-			p.SpeedupEventBound, p.SpeedupAmdahl)
-		if p.SpeedupWallBound > 0 {
-			fmt.Fprintf(&b, ", %.2fx critical-path (wall, this host)", p.SpeedupWallBound)
-		}
-		b.WriteByte('\n')
-	}
 	if p.PoolLimit > 0 {
 		fmt.Fprintf(&b, "worker pool: limit %d, peak %d, %d tasks\n",
 			p.PoolLimit, p.PoolPeak, p.PoolTasks)

@@ -181,17 +181,6 @@ func Diff(base, cur RunSummary, t Thresholds) DiffReport {
 	if base.Profile == nil && cur.Profile != nil {
 		added("profile.events", float64(cur.Profile.Events))
 		added("profile.host_frac", cur.Profile.HostFrac)
-		added("profile.speedup_event_bound", cur.Profile.SpeedupEventBound)
-	}
-	// Occupancy imbalance gates only when the baseline measured it too
-	// (base > 0): older baselines carry no imbalance, and the base==0
-	// "appeared from nowhere" rule would fail every first placed run.
-	if base.Profile != nil && cur.Profile != nil {
-		bp, cp := base.Profile, cur.Profile
-		add("profile.sub_shard_imbalance", bp.SubShardImbalance, cp.SubShardImbalance,
-			higherWorse, bp.SubShardImbalance > 0)
-		add("profile.plane_shard_imbalance", bp.PlaneShardImbalance, cp.PlaneShardImbalance,
-			higherWorse, bp.PlaneShardImbalance > 0)
 	}
 
 	// Fault metrics compare only when both runs exercised faults — a

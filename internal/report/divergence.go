@@ -171,8 +171,8 @@ func hashAt(cps []obs.FingerprintRecord, i int) string {
 }
 
 // divergentPlanes names the per-plane chains that differ at a
-// checkpoint — the attribution that tells a PDES debugger which plane's
-// event order broke first.
+// checkpoint — the attribution that tells a debugger which plane's event
+// order broke first.
 func divergentPlanes(b, c obs.FingerprintRecord) (planes []int32, host bool) {
 	host = b.Host != c.Host
 	bp := map[int32]string{}

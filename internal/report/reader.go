@@ -184,11 +184,7 @@ func (s *Stream) decodeLine(b []byte) error {
 		if err := json.Unmarshal(b, &r); err != nil {
 			return err
 		}
-		// "subshard", "planeshard", and "hostload" are pseudo kinds
-		// (occupancy splits and per-host delivery counts), not
-		// sim.EventKinds — accept them alongside the real kinds.
-		if r.Kind != obs.KindSubShard && r.Kind != obs.KindPlaneShard &&
-			r.Kind != obs.KindHostLoad && !obs.ValidEventKind(r.Kind) {
+		if !obs.ValidEventKind(r.Kind) {
 			return fmt.Errorf("profile net %d: unknown event kind %q", r.Net, r.Kind)
 		}
 		s.Profiles = append(s.Profiles, r)

@@ -53,10 +53,9 @@ type EngineSummary struct {
 	EventsPerSec float64 `json:"events_per_sec"`
 	SimSec       float64 `json:"sim_s"` // latest sim timestamp sampled
 	// RunWallSec is wall time measured inside engine runs
-	// (workload.Driver.RunUntil), summed across sweep cells — the
-	// denominator (sharded) and numerator (serial) of achieved PDES
-	// speedup in `pnetstat profile -serial`. Absent in older baselines
-	// and in stream-path summaries; never gated (wall clock).
+	// (workload.Driver.RunUntil), summed across sweep cells. Absent in
+	// older baselines and in stream-path summaries; never gated (wall
+	// clock).
 	RunWallSec float64 `json:"run_wall_s,omitempty"`
 }
 
@@ -122,18 +121,6 @@ type RunSummary struct {
 	// results are bit-identical across worker counts.
 	Workers    int `json:"workers,omitempty"`
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
-	// Shards and LookaheadPs record the plane-sharded PDES configuration
-	// (pnetbench -shards/-lookahead; 0 = serial engine). Like Workers,
-	// they change only wall clock, never a gated metric: sharded output
-	// is bit-identical to serial. HostShards records the host sub-shard
-	// count (pnetbench -host-shards; 0/1 = single host shard).
-	Shards      int   `json:"shards,omitempty"`
-	HostShards  int   `json:"host_shards,omitempty"`
-	LookaheadPs int64 `json:"lookahead_ps,omitempty"`
-	// Placement records the shard placement mode (pnetbench -placement;
-	// "" = the default round-robin). Like Shards, it changes only wall
-	// clock, never a gated metric.
-	Placement string `json:"placement,omitempty"`
 
 	Flows       int64   `json:"flows"`
 	FlowBytes   int64   `json:"flow_bytes"`
@@ -152,7 +139,7 @@ type RunSummary struct {
 	Engine EngineSummary `json:"engine"`
 
 	// Attribution decomposes the run's FCTs into span components; Profile
-	// is the event-loop flight recording with the PDES sizing bounds.
+	// is the event-loop flight recording.
 	// Both are present only for runs that enabled them (pnetbench -spans),
 	// so baselines from span-free runs stay byte-compatible.
 	Attribution *AttributionSummary `json:"attribution,omitempty"`
@@ -180,14 +167,6 @@ type Meta struct {
 	// recorded, keeping older baselines byte-compatible).
 	Workers    int
 	GOMAXPROCS int
-	// Shards and LookaheadPs attribute the run's PDES sharding (0 = the
-	// serial engine); HostShards the host sub-shard count (0/1 = single
-	// host shard).
-	Shards      int
-	HostShards  int
-	LookaheadPs int64
-	// Placement names the shard placement mode ("" = round-robin).
-	Placement string
 }
 
 // agg accumulates telemetry into a RunSummary; both construction paths
@@ -223,16 +202,7 @@ type agg struct {
 	profBins    map[[2]int64][2]int64
 	profEngines int
 	profSimPs   int64 // profiled sim time, summed over engines
-	profLookPs  int64 // conservative PDES lookahead (max over engines)
 	profNets    map[int]bool
-	// profSub is events fired per host sub-shard (index = sub-shard),
-	// summed index-wise across host-sub-sharded engines. Empty unless some
-	// profiled engine ran with host-shards > 1. profPlaneShards is the
-	// analogous per-plane-shard split; profHosts the per-host delivery
-	// counts (keyed by host node ID) behind `-emit-placement`.
-	profSub         []int64
-	profPlaneShards []int64
-	profHosts       map[int64]int64
 
 	// Determinism fingerprints: XOR folds of each engine's final chains
 	// (commutative, so worker count cannot change them). The stream path
@@ -254,7 +224,6 @@ func newAgg() *agg {
 		spanPs:     map[[2]int64]int64{},
 		profBins:   map[[2]int64][2]int64{},
 		profNets:   map[int]bool{},
-		profHosts:  map[int64]int64{},
 		fpLast:     map[int]obs.FingerprintRecord{},
 	}
 }
@@ -336,34 +305,15 @@ func (a *agg) addFlow(f obs.FlowRecord) {
 
 // addProfileRecord folds one JSONL profile bin (the stream path).
 func (a *agg) addProfileRecord(r obs.ProfileRecord) {
-	switch r.Kind {
-	case obs.KindSubShard:
-		// Pseudo kind: Plane is the sub-shard index, Events its fired count.
-		a.addSubShard(int(r.Plane), r.Events)
-	case obs.KindPlaneShard:
-		// Pseudo kind: Plane is the plane-shard index.
-		a.addPlaneShard(int(r.Plane), r.Events)
-	case obs.KindHostLoad:
-		// Pseudo kind: Plane is the host node ID, Events its delivers.
-		a.profHosts[int64(r.Plane)] += r.Events
-	default:
-		ki, ok := sim.ParseEventKind(r.Kind)
-		if !ok {
-			return // the reader rejects these; defensive for direct callers
-		}
-		k := [2]int64{int64(ki), int64(r.Plane)}
-		b := a.profBins[k]
-		b[0] += r.Events
-		b[1] += r.WallNano
-		a.profBins[k] = b
+	ki, ok := sim.ParseEventKind(r.Kind)
+	if !ok {
+		return // the reader rejects these; defensive for direct callers
 	}
+	a.addProfileBin(ki, r.Plane, r.Events, r.WallNano)
 	if !a.profNets[r.Net] {
 		a.profNets[r.Net] = true
 		a.profEngines++
 		a.profSimPs += r.SimPs
-	}
-	if r.LookaheadPs > a.profLookPs {
-		a.profLookPs = r.LookaheadPs
 	}
 }
 
@@ -372,42 +322,17 @@ func (a *agg) addProfileRecord(r obs.ProfileRecord) {
 func (a *agg) addProfileSnapshot(snap obs.ProfileSnapshot) {
 	a.profEngines++
 	a.profSimPs += int64(snap.SimTime)
-	if int64(snap.Lookahead) > a.profLookPs {
-		a.profLookPs = int64(snap.Lookahead)
-	}
 	for _, bin := range snap.Bins {
-		k := [2]int64{int64(bin.Kind), int64(bin.Plane)}
-		b := a.profBins[k]
-		b[0] += bin.Events
-		b[1] += bin.WallNs
-		a.profBins[k] = b
-	}
-	for i, ev := range snap.SubShards {
-		a.addSubShard(i, ev)
-	}
-	for i, ev := range snap.PlaneShards {
-		a.addPlaneShard(i, ev)
-	}
-	for _, h := range snap.Hosts {
-		a.profHosts[h.Host] += h.Events
+		a.addProfileBin(bin.Kind, bin.Plane, bin.Events, bin.WallNs)
 	}
 }
 
-// addSubShard folds one host sub-shard's fired-event count, growing the
-// index-wise sum as needed.
-func (a *agg) addSubShard(idx int, events int64) {
-	for idx >= len(a.profSub) {
-		a.profSub = append(a.profSub, 0)
-	}
-	a.profSub[idx] += events
-}
-
-// addPlaneShard folds one plane shard's fired-event count.
-func (a *agg) addPlaneShard(idx int, events int64) {
-	for idx >= len(a.profPlaneShards) {
-		a.profPlaneShards = append(a.profPlaneShards, 0)
-	}
-	a.profPlaneShards[idx] += events
+func (a *agg) addProfileBin(kind sim.EventKind, plane int32, events, wallNs int64) {
+	k := [2]int64{int64(kind), int64(plane)}
+	b := a.profBins[k]
+	b[0] += events
+	b[1] += wallNs
+	a.profBins[k] = b
 }
 
 func (a *agg) addSolver(r obs.SolverRecord) {
@@ -454,10 +379,6 @@ func (a *agg) summary(m Meta) RunSummary {
 		Seed:          m.Seed,
 		Workers:       m.Workers,
 		GOMAXPROCS:    m.GOMAXPROCS,
-		Shards:        m.Shards,
-		HostShards:    m.HostShards,
-		LookaheadPs:   m.LookaheadPs,
-		Placement:     m.Placement,
 		Flows:         int64(len(a.fcts)),
 		FlowBytes:     a.bytes,
 		Retransmits:   a.retrans,
@@ -785,11 +706,8 @@ func (s RunSummary) String() string {
 		fmt.Fprintf(&b, " over %d flows (pnetstat attribution for the tables)\n", a.Flows)
 	}
 	if p := s.Profile; p != nil {
-		fmt.Fprintf(&b, "profile: %d events, host boundary %.1f%%", p.Events, p.HostFrac*100)
-		if p.SpeedupEventBound > 0 {
-			fmt.Fprintf(&b, ", pdes bound %.2fx", p.SpeedupEventBound)
-		}
-		b.WriteString(" (pnetstat profile for detail)\n")
+		fmt.Fprintf(&b, "profile: %d events, host boundary %.1f%% (pnetstat profile for detail)\n",
+			p.Events, p.HostFrac*100)
 	}
 	if fp := s.Fingerprint; fp != nil {
 		fmt.Fprintf(&b, "fingerprint: global=%s host=%s (%d events, %d engines, epoch %d)\n",

@@ -85,7 +85,6 @@ type Engine struct {
 	// timers holds fn (At/After) events: RTO and rtx wakeups, sampler,
 	// chaos and health ticks. Most are cancelled long before they are due;
 	// here they cost the packet path one compare per pop, not heap depth.
-	// On the host engine of a ShardSet it is the boundary timer heap.
 	timers eventHeap
 	// lane holds actor events scheduled in non-decreasing time — link
 	// arrivals, half of all events — which are already sorted.
@@ -101,12 +100,6 @@ type Engine struct {
 	// determinism hash chain (see fingerprint.go). Nil costs one branch
 	// per event, same as Recorder.
 	Fingerprint *Fingerprinter
-
-	// shard, when non-nil, makes this engine one member of a ShardSet
-	// (see shard.go): scheduling routes events to their owning shard and
-	// sequence numbers come from the set's shared counter. Nil — the
-	// serial engine — costs one branch per scheduled event.
-	shard *engineShard
 }
 
 // NewEngine returns an engine at time zero.
@@ -116,80 +109,17 @@ func NewEngine() *Engine { return &Engine{} }
 func (e *Engine) Now() Time { return e.now }
 
 // EventsFired returns the number of events dispatched so far — the
-// engine's work counter, sampled by telemetry to report event rates. On
-// the host engine of a ShardSet it aggregates over every shard, so
-// samplers and report gates see the same totals at any shard count.
-func (e *Engine) EventsFired() uint64 {
-	if sh := e.shard; sh != nil && sh.idx == 0 {
-		var n uint64
-		for _, s := range sh.set.engines {
-			n += s.fired
-		}
-		return n
-	}
-	return e.fired
-}
+// engine's work counter, sampled by telemetry to report event rates.
+func (e *Engine) EventsFired() uint64 { return e.fired }
 
-// SubShardEvents returns the per-host-sub-shard fired-event counts when
-// this engine heads a ShardSet with host sub-sharding on (H > 1), and
-// nil otherwise — the occupancy telemetry behind `pnetstat profile`'s
-// sub-shard breakdown. Call at a quiesced point.
-func (e *Engine) SubShardEvents() []int64 {
-	sh := e.shard
-	if sh == nil || sh.idx != 0 || sh.set.hostShards <= 1 {
-		return nil
-	}
-	out := make([]int64, sh.set.hostShards)
-	for i := range out {
-		out[i] = int64(sh.set.engines[i].fired)
-	}
-	return out
-}
-
-// PlaneShardEvents returns the per-plane-shard fired-event counts when
-// this engine heads a ShardSet with more than one plane shard, and nil
-// otherwise — the occupancy telemetry behind `pnetstat profile`'s
-// plane-shard imbalance. Call at a quiesced point.
-func (e *Engine) PlaneShardEvents() []int64 {
-	sh := e.shard
-	if sh == nil || sh.idx != 0 || len(sh.set.engines)-sh.set.hostShards <= 1 {
-		return nil
-	}
-	out := make([]int64, len(sh.set.engines)-sh.set.hostShards)
-	for i := range out {
-		out[i] = int64(sh.set.engines[sh.set.hostShards+i].fired)
-	}
-	return out
-}
-
-// EventsScheduled returns the number of events ever scheduled. On a
-// sharded engine the set's shared counter is the total.
-func (e *Engine) EventsScheduled() uint64 {
-	if sh := e.shard; sh != nil {
-		return sh.set.seq
-	}
-	return e.seq
-}
+// EventsScheduled returns the number of events ever scheduled.
+func (e *Engine) EventsScheduled() uint64 { return e.seq }
 
 // HeapLen reports the number of pending (possibly cancelled) events over
 // the heap, the timer heap and the lane. Telemetry samples it as the
 // engine's working-set size; a periodic sampler also uses it to detect
-// that it is the only remaining work and stop rescheduling itself. On the
-// host engine of a ShardSet it aggregates every shard, so the sampler's
-// "am I the last event" check stays correct under sharding.
-func (e *Engine) HeapLen() int {
-	if sh := e.shard; sh != nil && sh.idx == 0 {
-		n := 0
-		for _, s := range sh.set.engines {
-			n += s.queued()
-		}
-		return n
-	}
-	return e.queued()
-}
-
-// queued counts this engine's own pending events over all three sources.
-func (e *Engine) queued() int { return len(e.events) + len(e.timers) + e.lane.n }
+// that it is the only remaining work and stop rescheduling itself.
+func (e *Engine) HeapLen() int { return len(e.events) + len(e.timers) + e.lane.n }
 
 // At schedules fn at absolute time t (not before the current time) and
 // returns a cancellable handle.
@@ -197,14 +127,9 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling in the past: %v < %v", t, e.now))
 	}
-	ev := &Event{at: t, fn: fn}
-	if e.shard == nil {
-		e.seq++
-		ev.seq = e.seq
-		e.timers.push(ev)
-		return ev
-	}
-	e.shard.routeFn(e, ev)
+	e.seq++
+	ev := &Event{at: t, seq: e.seq, fn: fn}
+	e.timers.push(ev)
 	return ev
 }
 
@@ -233,23 +158,18 @@ func (e *Engine) pooled(at Time, who actor) *Event {
 // schedule enqueues a pooled actor event at an arbitrary time.
 func (e *Engine) schedule(at Time, who actor) {
 	ev := e.pooled(at, who)
-	if e.shard == nil {
-		e.seq++
-		ev.seq = e.seq
-		e.events.push(ev)
-		return
-	}
-	e.shard.route(e, ev)
+	e.seq++
+	ev.seq = e.seq
+	e.events.push(ev)
 }
 
 // scheduleFIFO is schedule for a caller whose timestamps arrive in
 // non-decreasing order (queue.act: now plus the network's one propagation
 // delay). Such events are already sorted by (at, seq), so they queue on
 // the lane and never touch a heap. A timestamp below the lane's tail goes
-// to the heap instead, which keeps the lane sorted for any delays; shard
-// members always take the heap, whose seqs the window protocol renumbers.
+// to the heap instead, which keeps the lane sorted for any delays.
 func (e *Engine) scheduleFIFO(at Time, who actor) {
-	if e.shard != nil || (e.lane.n > 0 && at < e.lane.tail) {
+	if e.lane.n > 0 && at < e.lane.tail {
 		e.schedule(at, who)
 		return
 	}

@@ -2,16 +2,13 @@ package sim
 
 import "time"
 
-// The event-loop flight recorder answers the PDES sizing question of
-// ROADMAP item 1 with measurements instead of guesses: per-plane event
-// rates bound how much work parallel per-plane event queues would get,
-// and the host-boundary event fraction bounds the serial residue under
-// conservative synchronization with lookahead = the host–ToR link
-// latency. Attach one per engine (Engine.Recorder); a nil recorder
-// costs one branch per event.
+// The event-loop flight recorder says where an engine's wall time goes:
+// it bins every dispatched event's count and wall time by (kind, plane),
+// which separates in-plane packet work (hops, transmissions) from the
+// host boundary (delivers into transport code, timers). Attach one per
+// engine (Engine.Recorder); a nil recorder costs one branch per event.
 
-// EventKind classifies a dispatched event by where a per-plane PDES
-// partition would have to run it.
+// EventKind classifies a dispatched event by what it runs.
 type EventKind uint8
 
 // Event kinds.
@@ -20,8 +17,7 @@ const (
 	// stays inside the link's plane.
 	EvHop EventKind = iota
 	// EvDeliver is a packet arriving at its final node: the event crosses
-	// the host boundary (transport code runs), so a per-plane partition
-	// must synchronize here.
+	// the host boundary (transport code runs).
 	EvDeliver
 	// EvTx is a queue finishing a transmission — in-plane work.
 	EvTx
@@ -53,7 +49,7 @@ func ParseEventKind(s string) (EventKind, bool) {
 }
 
 // HostBoundary reports whether events of this kind execute host-side
-// code — the work a per-plane PDES partition cannot parallelize.
+// code (transports, timers) rather than in-plane queue work.
 func (k EventKind) HostBoundary() bool { return k == EvDeliver || k == EvTimer }
 
 // ProfileBin is one (kind, plane) cell of a recorder snapshot. Plane is
@@ -108,27 +104,6 @@ func (r *FlightRecorder) Events() int64 {
 		}
 	}
 	return n
-}
-
-// MergeFrom adds src's bins into r and resets src. The sharded engine
-// gives each plane shard its own recorder (record stays single-threaded)
-// and drains them into the host recorder at quiescent points.
-func (r *FlightRecorder) MergeFrom(src *FlightRecorder) {
-	for k := range src.bins {
-		sb := &src.bins[k]
-		rb := &r.bins[k]
-		rb.none.events += sb.none.events
-		rb.none.wallNs += sb.none.wallNs
-		sb.none = planeBin{}
-		for pl := range sb.perPlane {
-			for pl >= len(rb.perPlane) {
-				rb.perPlane = append(rb.perPlane, planeBin{})
-			}
-			rb.perPlane[pl].events += sb.perPlane[pl].events
-			rb.perPlane[pl].wallNs += sb.perPlane[pl].wallNs
-			sb.perPlane[pl] = planeBin{}
-		}
-	}
 }
 
 // Snapshot returns the non-empty bins sorted by (kind, plane).

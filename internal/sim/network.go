@@ -131,46 +131,10 @@ type Network struct {
 	queues []queue
 	free   *Packet
 
-	// shardPools are per-shard packet/span freelists for the sharded
-	// engine (see shard.go): a plane shard dropping or blackholing a
-	// packet inside a window cannot touch the shared freelists, so it
-	// parks the carcass here and the barrier splices it back. Host
-	// sub-shards 1..hostShards-1 instead keep their pool permanently —
-	// their transports allocate and release on the same sub-shard (flow
-	// endpoints are colocated), so the pool is a private freelist that
-	// never needs splicing. Nil in serial runs.
-	shardPools []shardPool
-
-	// Host sub-sharding state (see hostbind.go). binds is per-node, nil
-	// except at hosts under an H>1 ShardSet (or once PrepareHostBinds ran
-	// ahead of one); hostUplinks lists each host's NIC uplink queues for
-	// rebinding on Colocate; ufParent / ufMembers are the colocation
-	// union-find (members only at roots). hostList is every bound host in
-	// node-ID order; plannedShard tracks the round-robin sub-shard each
-	// host's component would get, maintained across Colocate merges so a
-	// lazily-materialized ShardSet reproduces the eager binding exactly.
-	shardSet     *ShardSet
-	hostShards   int
-	binds        []*HostBind
-	serialBind   *HostBind
-	hostList     []graph.NodeID
-	hostUplinks  [][]graph.LinkID
-	ufParent     []graph.NodeID
-	ufMembers    [][]graph.NodeID
-	plannedShard []int
-
-	// hostLoad, when enabled (EnableHostLoad), counts final-hop packet
-	// delivers per destination node — the measured per-host occupancy
-	// behind profile-guided placement. Disabled it costs one branch per
-	// deliver. Race-free under sub-sharding: each host's delivers all fire
-	// on the one sub-shard that owns it.
-	hostLoad []int64
-
 	// Span (latency attribution) state: a pool of SpanLogs and the
 	// enable flag transports consult once per flow. See span.go.
 	spansOn   bool
 	freeSpans *SpanLog
-	prop      Time // per-link propagation delay (the PDES lookahead)
 
 	// Drops counts packets lost to full queues, by link.
 	Drops []int64
@@ -200,7 +164,6 @@ func NewNetwork(eng *Engine, g *graph.Graph, cfg Config) *Network {
 		}
 		n.queues[i] = queue{
 			net:      n,
-			eng:      eng,
 			id:       graph.LinkID(i),
 			plane:    l.Plane,
 			psPerBit: 1000 / l.Capacity, // ps per bit at `Capacity` Gb/s
@@ -210,14 +173,8 @@ func NewNetwork(eng *Engine, g *graph.Graph, cfg Config) *Network {
 			trimTo:   cfg.TrimToBytes,
 		}
 	}
-	n.prop = cfg.propDelay()
 	return n
 }
-
-// PropDelay reports the per-link propagation delay the network was built
-// with — the conservative lookahead a per-plane PDES partition would
-// have (planes only couple at hosts, one propagation delay away).
-func (n *Network) PropDelay() Time { return n.prop }
 
 // LinkStats are the per-link monitoring counters (§7 of the paper notes
 // that multi-dataplane monitoring must merge per-plane statistics; these
@@ -296,208 +253,14 @@ func (n *Network) TotalBlackholed() int64 {
 	return total
 }
 
-// blackhole counts and releases a packet lost to a down link. It runs on
-// the queue's owning shard, so the release goes through the shard-aware
-// path.
+// blackhole counts and releases a packet lost to a down link.
 func (q *queue) blackhole(p *Packet) {
 	n := q.net
 	n.Blackholed[q.id]++
 	if n.Tracer != nil {
 		n.Tracer.PacketEvent(TraceBlackhole, p, q.id)
 	}
-	n.releaseOn(p, q.shard)
-}
-
-// shardPool holds packets and spans released by one shard mid-window.
-type shardPool struct {
-	pkts  *Packet
-	spans *SpanLog
-}
-
-// releaseOn releases a packet from shard code. The host shard (and the
-// serial engine, shard 0 by default) owns the shared freelists directly;
-// a plane shard parks carcasses in its pool until the window barrier.
-func (n *Network) releaseOn(p *Packet, shard int) {
-	if shard == 0 {
-		n.Release(p)
-		return
-	}
-	sp := &n.shardPools[shard]
-	if s := p.span; s != nil {
-		p.span = nil
-		s.next = sp.spans
-		sp.spans = s
-	}
-	p.next = sp.pkts
-	sp.pkts = p
-}
-
-// prepareHostBinds builds the per-host placement cells, uplink lists, and
-// colocation union-find for an H-way host partition — every cell
-// provisionally on the serial engine, hosts round-robined over sub-shards
-// in node-ID order into plannedShard. Idempotent; bindShards later swaps
-// the cells onto real shard engines in place, which is what lets flows
-// created before the ShardSet exists cache their cells safely.
-func (n *Network) prepareHostBinds(hostShards int, hostSide func(graph.LinkID) bool) {
-	if n.binds != nil {
-		return
-	}
-	n.binds = make([]*HostBind, n.G.NumNodes())
-	n.hostUplinks = make([][]graph.LinkID, n.G.NumNodes())
-	var hosts []graph.NodeID
-	for i := range n.queues {
-		id := graph.LinkID(i)
-		if hostSide(id) {
-			src := n.G.Link(id).Src
-			if n.hostUplinks[src] == nil {
-				hosts = append(hosts, src)
-			}
-			n.hostUplinks[src] = append(n.hostUplinks[src], id)
-		}
-	}
-	// Queue order is link order, so hosts arrive sorted by first
-	// uplink, not by node ID; sort for a topology-stable assignment.
-	for i := 1; i < len(hosts); i++ {
-		for j := i; j > 0 && hosts[j] < hosts[j-1]; j-- {
-			hosts[j], hosts[j-1] = hosts[j-1], hosts[j]
-		}
-	}
-	n.hostList = hosts
-	n.ufParent = make([]graph.NodeID, n.G.NumNodes())
-	for i := range n.ufParent {
-		n.ufParent[i] = graph.NodeID(i)
-	}
-	n.ufMembers = make([][]graph.NodeID, n.G.NumNodes())
-	n.plannedShard = make([]int, n.G.NumNodes())
-	for k, h := range hosts {
-		n.binds[h] = &HostBind{eng: n.Eng, shard: 0}
-		n.ufMembers[h] = []graph.NodeID{h}
-		n.plannedShard[h] = k % hostShards
-	}
-}
-
-// PrepareHostBinds pre-creates the per-host placement cells before any
-// ShardSet exists, so transports created first cache cells that the
-// eventual bindShards rebinds in place (lazy sharding: workload.Driver
-// defers NewShardSet to the first run so placement can use accumulated
-// workload knowledge). Until materialization every cell names the serial
-// engine; Colocate meanwhile merges components and keeps plannedShard
-// consistent, so the default binding comes out identical to an eagerly
-// built set's. No-op when hostShards ≤ 1 or already prepared.
-func (n *Network) PrepareHostBinds(hostShards int, hostSide func(graph.LinkID) bool) {
-	if hostShards > 1 {
-		n.prepareHostBinds(hostShards, hostSide)
-	}
-}
-
-// BoundHosts returns every host with a placement cell, in node-ID order
-// (nil when host binds are absent). The slice is owned by the network.
-func (n *Network) BoundHosts() []graph.NodeID { return n.hostList }
-
-// EnableHostLoad starts counting final-hop delivers per destination node
-// (see hostLoad). Idempotent.
-func (n *Network) EnableHostLoad() {
-	if n.hostLoad == nil {
-		n.hostLoad = make([]int64, n.G.NumNodes())
-	}
-}
-
-// HostLoads returns the per-node deliver counts, indexed by node ID, or
-// nil when EnableHostLoad was never called. Read at a quiesced point.
-func (n *Network) HostLoads() []int64 { return n.hostLoad }
-
-// bindShards assigns every queue to its owning shard engine: host-side
-// queues (the NIC uplinks, per hostSide) to their host's sub-shard,
-// switch queues to their plane's shard. With H>1 it also builds (or
-// adopts, when PrepareHostBinds ran earlier) the per-host placement cells
-// and the colocation union-find. Hosts default to their round-robin
-// plannedShard, planes to plane mod planeShards; a ShardSet Placement
-// overrides either side per entry. Called once by NewShardSet.
-func (n *Network) bindShards(set *ShardSet, hostSide func(graph.LinkID) bool) {
-	n.shardSet = set
-	n.hostShards = set.hostShards
-	planes := len(set.engines) - set.hostShards
-	n.shardPools = make([]shardPool, len(set.engines))
-	place := set.place
-	if set.hostShards > 1 {
-		n.prepareHostBinds(set.hostShards, hostSide)
-		for _, h := range n.hostList {
-			s := n.plannedShard[h]
-			if place != nil {
-				if ps, ok := place.Hosts[h]; ok {
-					s = ps
-				}
-			}
-			hb := n.binds[h]
-			hb.eng, hb.shard = set.engines[s], s
-		}
-		// A placement must keep each colocation group whole: colocated
-		// flow endpoints share state synchronously and cannot be split
-		// across sub-shard engines.
-		if place != nil && len(place.Hosts) > 0 {
-			for _, h := range n.hostList {
-				for _, m := range n.ufMembers[h] {
-					if n.binds[m].shard != n.binds[h].shard {
-						panic(fmt.Sprintf("sim: placement splits colocated hosts %d (sub-shard %d) and %d (sub-shard %d)",
-							h, n.binds[h].shard, m, n.binds[m].shard))
-					}
-				}
-			}
-		}
-	}
-	for i := range n.queues {
-		q := &n.queues[i]
-		if hostSide(graph.LinkID(i)) {
-			if n.binds != nil {
-				if hb := n.binds[n.G.Link(graph.LinkID(i)).Src]; hb != nil {
-					q.eng, q.shard = hb.eng, hb.shard
-					continue
-				}
-			}
-			q.eng, q.shard = set.engines[0], 0
-			continue
-		}
-		if q.plane < 0 {
-			q.eng, q.shard = set.engines[0], 0
-			continue
-		}
-		ps := int(q.plane) % planes
-		if place != nil {
-			if s, ok := place.Planes[q.plane]; ok {
-				ps = s
-			}
-		}
-		s := set.hostShards + ps
-		q.eng = set.engines[s]
-		q.shard = s
-	}
-}
-
-// spliceShardPools folds the plane shards' pools back into the shared
-// freelists. Called at window barriers, with all shards quiesced. Host
-// sub-shard pools (indices 1..hostShards-1) are deliberately skipped:
-// they are permanent per-sub-shard freelists (see shardPools).
-func (n *Network) spliceShardPools() {
-	for i := range n.shardPools {
-		if i > 0 && i < n.hostShards {
-			continue
-		}
-		sp := &n.shardPools[i]
-		for p := sp.pkts; p != nil; {
-			next := p.next
-			p.next = n.free
-			n.free = p
-			p = next
-		}
-		sp.pkts = nil
-		for s := sp.spans; s != nil; {
-			next := s.next
-			s.next = n.freeSpans
-			n.freeSpans = s
-			s = next
-		}
-		sp.spans = nil
-	}
+	n.Release(p)
 }
 
 // Utilization returns a link's lifetime utilization in [0,1] at the
@@ -529,30 +292,6 @@ func (n *Network) NewPacket() *Packet {
 	}
 	return &Packet{net: n}
 }
-
-// NewPacketOn returns a zeroed packet from the freelist owned by the
-// given shard (a HostBind.Shard value). Shard 0 — serial runs, H=1, and
-// the primary host sub-shard — is the shared freelist; other host
-// sub-shards draw from their private pool, which their own releases
-// feed, so the packet path stays allocation-free inside windows without
-// any shard ever touching another's freelist.
-func (n *Network) NewPacketOn(shard int) *Packet {
-	if shard <= 0 {
-		return n.NewPacket()
-	}
-	sp := &n.shardPools[shard]
-	if p := sp.pkts; p != nil {
-		sp.pkts = p.next
-		*p = Packet{net: n}
-		return p
-	}
-	return &Packet{net: n}
-}
-
-// ReleaseOn is Release from code running on the given shard (a
-// HostBind.Shard value): shard 0 releases to the shared freelist,
-// anything else parks in that shard's pool.
-func (n *Network) ReleaseOn(p *Packet, shard int) { n.releaseOn(p, shard) }
 
 // Release returns a delivered or dropped packet to the freelist. Callers
 // must not retain the packet afterwards. A span the transport did not
@@ -594,9 +333,6 @@ func (n *Network) TotalDrops() int64 {
 // Route[Hop]: it either forwards to the next queue or delivers.
 func (n *Network) arrive(p *Packet) {
 	if int(p.Hop) == len(p.Route)-1 {
-		if n.hostLoad != nil {
-			n.hostLoad[n.G.Link(p.Route[p.Hop]).Dst]++
-		}
 		if n.Tracer != nil {
 			n.Tracer.PacketEvent(TraceDeliver, p, p.Route[p.Hop])
 		}
@@ -609,12 +345,7 @@ func (n *Network) arrive(p *Packet) {
 
 // queue is a drop-tail FIFO output queue feeding one directed link.
 type queue struct {
-	net *Network
-	// eng is the engine this queue schedules on and reads time from — the
-	// shared engine in serial runs, the owning shard's under a ShardSet.
-	// shard is that engine's index in the set (0 when serial).
-	eng      *Engine
-	shard    int
+	net      *Network
 	id       graph.LinkID
 	plane    int32
 	psPerBit float64
@@ -663,7 +394,7 @@ func (q *queue) enqueue(p *Packet) {
 			if q.net.Tracer != nil {
 				q.net.Tracer.PacketEvent(TraceDrop, p, q.id)
 			}
-			q.net.releaseOn(p, q.shard)
+			q.net.Release(p)
 			return
 		}
 	}
@@ -675,7 +406,7 @@ func (q *queue) enqueue(p *Packet) {
 		q.net.Tracer.PacketEvent(TraceEnqueue, p, q.id)
 	}
 	if p.span != nil {
-		p.span.wait = q.eng.Now()
+		p.span.wait = q.net.Eng.Now()
 	}
 	q.buf = append(q.buf, p)
 	q.bytes += p.Size
@@ -687,7 +418,7 @@ func (q *queue) enqueue(p *Packet) {
 
 func (q *queue) startTx() {
 	p := q.buf[0]
-	eng := q.eng
+	eng := q.net.Eng
 	tx := q.txTime(p.Size)
 	q.busyTime += tx
 	q.txPkts++
@@ -724,7 +455,7 @@ func (q *queue) act() {
 	q.buf = q.buf[:len(q.buf)-1]
 	q.bytes -= p.Size
 
-	eng := q.eng
+	eng := q.net.Eng
 	eng.scheduleFIFO(eng.Now()+q.prop, p)
 
 	if len(q.buf) > 0 {

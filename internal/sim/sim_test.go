@@ -89,6 +89,39 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// TestEngineCounters: HeapLen counts pending events over the lane, the
+// heap and the timer heap (cancelled timers included until they surface),
+// and every scheduled event is either fired or discarded as cancelled.
+func TestEngineCounters(t *testing.T) {
+	e := NewEngine()
+	fired := 0
+	count := func(int) { fired++ }
+	e.scheduleFIFO(10, &probe{0, count}) // lane
+	e.scheduleFIFO(20, &probe{1, count}) // lane
+	e.scheduleFIFO(15, &probe{2, count}) // below the lane's tail: heap
+	e.schedule(5, &probe{3, count})      // heap
+	e.At(12, func() { fired++ })         // timer
+	e.At(7, func() { fired++ }).Cancel() // timer, cancelled
+	if e.lane.n != 2 || len(e.events) != 2 || len(e.timers) != 2 {
+		t.Fatalf("lane/heap/timers = %d/%d/%d, want 2/2/2", e.lane.n, len(e.events), len(e.timers))
+	}
+	if got := e.HeapLen(); got != 6 {
+		t.Errorf("HeapLen = %d, want 6 (lane + heap + timers)", got)
+	}
+	e.Run()
+	const cancelled = 1
+	if fired != 5 || e.EventsFired() != 5 {
+		t.Errorf("fired %d callbacks, EventsFired = %d, want 5", fired, e.EventsFired())
+	}
+	if e.EventsScheduled() != e.EventsFired()+cancelled {
+		t.Errorf("EventsScheduled = %d, want EventsFired %d + %d cancelled",
+			e.EventsScheduled(), e.EventsFired(), cancelled)
+	}
+	if e.HeapLen() != 0 {
+		t.Errorf("HeapLen = %d after Run, want 0", e.HeapLen())
+	}
+}
+
 func TestTimeString(t *testing.T) {
 	cases := []struct {
 		t    Time

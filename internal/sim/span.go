@@ -163,42 +163,6 @@ func (n *Network) NewSpan(cause SpanCause, at Time) *SpanLog {
 	return s
 }
 
-// NewSpanOn is NewSpan drawing from the given shard's pool (a
-// HostBind.Shard value); shard 0 is the shared pool.
-func (n *Network) NewSpanOn(cause SpanCause, at Time, shard int) *SpanLog {
-	if shard <= 0 {
-		return n.NewSpan(cause, at)
-	}
-	sp := &n.shardPools[shard]
-	s := sp.spans
-	if s != nil {
-		sp.spans = s.next
-		s.next = nil
-		s.segs = s.segs[:0]
-	} else {
-		s = &SpanLog{}
-	}
-	s.SentAt = at
-	s.Cause = cause
-	s.wait = 0
-	return s
-}
-
-// FreeSpanOn is FreeSpan returning to the given shard's pool (a
-// HostBind.Shard value); shard 0 is the shared pool. Nil is a no-op.
-func (n *Network) FreeSpanOn(s *SpanLog, shard int) {
-	if s == nil {
-		return
-	}
-	if shard <= 0 {
-		n.FreeSpan(s)
-		return
-	}
-	sp := &n.shardPools[shard]
-	s.next = sp.spans
-	sp.spans = s
-}
-
 // FreeSpan returns a span log to the pool. Nil is a no-op, so callers
 // can free unconditionally on every exit path.
 func (n *Network) FreeSpan(s *SpanLog) {

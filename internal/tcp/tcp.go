@@ -84,11 +84,6 @@ func (c Config) withDefaults() Config {
 type Flow struct {
 	net *sim.Network
 	cfg Config
-	// bind is the host placement cell both endpoints share (NewFlow
-	// colocates them): the engine whose clock and timers this flow's
-	// callbacks use, and the pool its packets come from. On serial runs
-	// it names the network's engine, so every path below is uniform.
-	bind *sim.HostBind
 
 	// ID labels the flow in packet traces (sim.Packet.FlowID). Callers
 	// that want per-flow telemetry assign it before Start; the workload
@@ -155,12 +150,6 @@ func NewFlow(net *sim.Network, cfg Config, paths []graph.Path, sizeBytes int64) 
 		spanOn:   net.SpansOn(),
 	}
 	src, dst := paths[0].Src(net.G), paths[0].Dst(net.G)
-	// Sender and receiver state live in one struct and call each other
-	// synchronously, so under host sub-sharding both endpoints must fire
-	// on one sub-shard; Colocate merges their components (a no-op when
-	// sub-sharding is off or they already share one).
-	net.Colocate(src, dst)
-	f.bind = net.BindOf(src)
 	for i, p := range paths {
 		if p.Src(net.G) != src || p.Dst(net.G) != dst {
 			return nil, fmt.Errorf("tcp: path %d endpoints differ from path 0", i)
@@ -211,7 +200,7 @@ func (f *Flow) Start() {
 		panic("tcp: flow started twice")
 	}
 	f.started = true
-	f.Started = f.bind.Eng().Now()
+	f.Started = f.net.Eng.Now()
 	f.lastProgress = f.Started
 	for _, sf := range f.subs {
 		sf.trySend()
@@ -238,7 +227,7 @@ func (f *Flow) checkComplete() {
 		}
 	}
 	f.done = true
-	f.Finished = f.bind.Eng().Now()
+	f.Finished = f.net.Eng.Now()
 	for _, sf := range f.subs {
 		if sf.rtoEv != nil {
 			sf.rtoEv.Cancel()
@@ -369,21 +358,21 @@ func (sf *subflow) trySend() {
 // transmit sends one packet. fresh guards Karn's rule: only
 // first-transmission packets may be timed for RTT estimation.
 func (sf *subflow) transmit(seq int64, fresh bool) {
-	bind := sf.f.bind
-	p := sf.f.net.NewPacketOn(bind.Shard())
+	net := sf.f.net
+	p := net.NewPacket()
 	p.Size = sf.f.cfg.MTU
 	p.Route = sf.fwd
 	p.Deliver = sf.dataH
 	p.Seq = seq
 	p.FlowID = sf.f.ID
 	if sf.f.spanOn {
-		p.AttachSpan(sf.f.net.NewSpanOn(sf.spanCause, bind.Eng().Now(), bind.Shard()))
+		p.AttachSpan(net.NewSpan(sf.spanCause, net.Eng.Now()))
 	}
-	sf.f.net.Send(p)
+	net.Send(p)
 	if fresh && !sf.timing {
 		sf.timing = true
 		sf.timedSeq = seq
-		sf.timedAt = bind.Eng().Now()
+		sf.timedAt = net.Eng.Now()
 	}
 	sf.armRTO()
 }
@@ -400,7 +389,7 @@ func (sf *subflow) rto() sim.Time {
 }
 
 func (sf *subflow) armRTO() {
-	eng := sf.f.bind.Eng()
+	eng := sf.f.net.Eng
 	sf.rtoDeadline = eng.Now() + (sf.rto() << sf.backoff)
 	if sf.rtoEv == nil || !sf.rtoEv.Pending() {
 		sf.rtoEv = eng.At(sf.rtoDeadline, sf.rtoWake)
@@ -413,7 +402,7 @@ func (sf *subflow) rtoWake() {
 	if sf.f.done || sf.sndUna >= sf.sndMax {
 		return // idle; next transmission re-arms
 	}
-	eng := sf.f.bind.Eng()
+	eng := sf.f.net.Eng
 	if eng.Now() < sf.rtoDeadline {
 		sf.rtoEv = eng.At(sf.rtoDeadline, sf.rtoWake)
 		return
@@ -495,7 +484,7 @@ func (sf *subflow) onData(p *sim.Packet) {
 	// and ACK enqueue all happen at this instant, so the combined journey
 	// stays contiguous from the original send to the ACK's arrival.
 	span := p.TakeSpan()
-	sf.f.net.ReleaseOn(p, sf.f.bind.Shard())
+	sf.f.net.Release(p)
 	if seq+1 > sf.rcvMax {
 		sf.rcvMax = seq + 1
 	}
@@ -523,7 +512,7 @@ func (sf *subflow) onData(p *sim.Packet) {
 			sf.f.OnDelivered(sf.f)
 		}
 	}
-	ack := sf.f.net.NewPacketOn(sf.f.bind.Shard())
+	ack := sf.f.net.NewPacket()
 	ack.Size = sf.f.cfg.AckSize
 	ack.Route = sf.rev
 	ack.Deliver = sf.ackH
@@ -541,9 +530,9 @@ func (sf *subflow) onAck(p *sim.Packet) {
 	ackSeq := p.AckSeq
 	ece := p.ECE
 	span := p.TakeSpan()
-	sf.f.net.ReleaseOn(p, sf.f.bind.Shard())
+	sf.f.net.Release(p)
 	if sf.f.done {
-		sf.f.net.FreeSpanOn(span, sf.f.bind.Shard())
+		sf.f.net.FreeSpan(span)
 		return
 	}
 	if sf.f.cfg.DCTCP {
@@ -557,7 +546,7 @@ func (sf *subflow) onAck(p *sim.Packet) {
 		// sum to the FCT exactly.
 		sf.spanCause = sim.CauseFresh
 		if sf.f.spanOn {
-			now := sf.f.bind.Eng().Now()
+			now := sf.f.net.Eng.Now()
 			sf.f.attrib.Attribute(span, sf.f.lastProgress, now)
 			sf.f.lastProgress = now
 		}
@@ -569,7 +558,7 @@ func (sf *subflow) onAck(p *sim.Packet) {
 		sf.backoff = 0
 		sf.consecRTOs = 0
 		if sf.timing && ackSeq > sf.timedSeq {
-			sf.sampleRTT(sf.f.bind.Eng().Now() - sf.timedAt)
+			sf.sampleRTT(sf.f.net.Eng.Now() - sf.timedAt)
 			sf.timing = false
 		}
 		if sf.inRecovery {
@@ -614,7 +603,7 @@ func (sf *subflow) onAck(p *sim.Packet) {
 			sf.trySend()
 		}
 	}
-	sf.f.net.FreeSpanOn(span, sf.f.bind.Shard())
+	sf.f.net.FreeSpan(span)
 }
 
 // repairHole retransmits the next lost packet. With SACK (the default),

@@ -2,15 +2,12 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"pnet/internal/core"
 	"pnet/internal/graph"
 	"pnet/internal/obs"
-	"pnet/internal/pdes"
 	"pnet/internal/sim"
 	"pnet/internal/tcp"
 	"pnet/internal/topo"
@@ -75,13 +72,6 @@ type Driver struct {
 	// OnRepath, when set, observes every subflow path swap (see Repaths).
 	OnRepath func(f *tcp.Flow, subflow int, to graph.Path)
 
-	topo    *topo.Topology
-	runner  *pdes.Runner  // nil on serial runs; set when a pending Shard materializes
-	pending *pendingShard // sharding deferred until the first run (see ShardPlaced)
-	// loads accumulates per-endpoint flow weight between ShardPlaced and
-	// materialization — the balanced planner's host weights. Nil outside
-	// balanced mode.
-	loads   map[graph.NodeID]int64
 	hashCtr uint64
 	// Flows counts flows started; Completed counts OnComplete callbacks.
 	Flows, Completed int64
@@ -99,286 +89,18 @@ func NewDriver(t *topo.Topology, simCfg sim.Config, tcpCfg tcp.Config) *Driver {
 		Eng:  eng,
 		Net:  sim.NewNetwork(eng, t.G, simCfg),
 		TCP:  tcpCfg,
-		topo: t,
 	}
 }
 
-// Placement mode names, as spelled on the `pnetbench -placement` flag.
-const (
-	// PlaceRR is the default: round-robin host binding in node-ID order
-	// and plane p on shard p mod shards — PR-for-PR identical to the
-	// binding the engine used before placement existed.
-	PlaceRR = "rr"
-	// PlaceBalanced runs the LPT planner over the driver's own flow
-	// knowledge: host weights from the flows started before the first run
-	// (colocation groups stay whole), plane weights from link capacities.
-	PlaceBalanced = "balanced"
-	// PlaceFile replays a `pnetstat profile -emit-placement` file: the
-	// measured occupancy of a profiled run becomes exact planner weights.
-	PlaceFile = "file"
-	// PlaceSeeded assigns groups and planes uniformly at random from a
-	// seeded generator — the adversarial mode the placement-invariance
-	// property test sweeps to prove output never depends on placement.
-	PlaceSeeded = "seeded"
-)
-
-// Placement selects how a sharded run partitions hosts over sub-shards
-// and planes over plane shards. The zero value is PlaceRR.
-type Placement struct {
-	// Mode is one of the Place* constants ("" = PlaceRR).
-	Mode string
-	// Seed drives PlaceSeeded's generator.
-	Seed int64
-	// File is the loaded placement file for PlaceFile; Path labels its
-	// validation errors.
-	File *pdes.PlacementFile
-	Path string
-}
-
-// pendingShard is a Shard call waiting for its first run: the partition
-// widths, placement spec, and host predicate to materialize with.
-type pendingShard struct {
-	shards, hostShards int
-	lookahead          sim.Time
-	place              Placement
-	hostSide           func(graph.LinkID) bool
-}
-
-// Shard switches the run onto the plane-sharded PDES engine with the
-// given plane-shard count, host sub-shard count (≤ 1 keeps the classic
-// single host shard), and conservative lookahead (zero lookahead selects
-// the propagation delay, its provable maximum), under the default
-// round-robin placement. shards ≤ 1 is a no-op: the driver keeps the
-// untouched serial engine.
-func (d *Driver) Shard(shards, hostShards int, lookahead sim.Time) {
-	d.ShardPlaced(shards, hostShards, lookahead, Placement{})
-}
-
-// ShardPlaced is Shard with an explicit placement spec. The switch is
-// lazy: host placement cells are prepared immediately (so flows created
-// from here on bind through them), but the ShardSet itself materializes
-// on the first RunUntil/Step — by which point the driver has seen the
-// workload's flows and the balanced planner has real weights to pack.
-// Call after Instrument (so shard engines inherit the fingerprinter and
-// recorder). The run's output is byte-identical at every placement;
-// placement only changes how fast it is produced.
-func (d *Driver) ShardPlaced(shards, hostShards int, lookahead sim.Time, place Placement) {
-	if shards <= 1 || d.runner != nil || d.pending != nil {
-		return
-	}
-	isHost := make([]bool, d.Net.G.NumNodes())
-	for _, h := range d.topo.Hosts {
-		isHost[h] = true
-	}
-	hostSide := func(id graph.LinkID) bool {
-		return isHost[d.Net.G.Link(id).Src]
-	}
-	d.pending = &pendingShard{
-		shards: shards, hostShards: hostShards, lookahead: lookahead,
-		place: place, hostSide: hostSide,
-	}
-	d.Net.PrepareHostBinds(hostShards, hostSide)
-	if place.Mode == PlaceBalanced {
-		d.loads = make(map[graph.NodeID]int64)
-	}
-}
-
-// materialize turns a pending Shard into the live runner. Placement
-// construction failures (a placement file that does not match the
-// topology) panic with the validation error — they are configuration
-// errors, detected at the first run.
-func (d *Driver) materialize() {
-	cfg := d.pending
-	if cfg == nil {
-		return
-	}
-	place, err := d.buildPlacement(cfg)
-	if err != nil {
-		panic("workload: " + err.Error())
-	}
-	d.pending = nil
-	d.loads = nil
-	d.runner = pdes.New(d.Eng, d.Net, cfg.hostSide, pdes.Config{
-		Shards: cfg.shards, HostShards: cfg.hostShards,
-		Lookahead: cfg.lookahead, Placement: place,
-	})
-}
-
-// buildPlacement resolves a placement spec into the engine-level
-// partition. Nil means the default round-robin / plane-mod-shards.
-func (d *Driver) buildPlacement(cfg *pendingShard) (*sim.Placement, error) {
-	switch cfg.place.Mode {
-	case "", PlaceRR:
-		return nil, nil
-	case PlaceBalanced:
-		hosts, err := sim.PlanHosts(d.Net.ColocationGroups(), d.loads, nil, cfg.hostShards)
-		if err != nil {
-			return nil, err
-		}
-		planes, err := sim.PlanPlanes(sim.PlaneLoadsFromCapacity(d.Net.G), nil, cfg.shards)
-		if err != nil {
-			return nil, err
-		}
-		return &sim.Placement{Hosts: hosts, Planes: planes}, nil
-	case PlaceSeeded:
-		return d.seededPlacement(cfg), nil
-	case PlaceFile:
-		return d.filePlacement(cfg)
-	default:
-		return nil, fmt.Errorf("unknown placement mode %q (want %s, %s, %s, or %s)",
-			cfg.place.Mode, PlaceRR, PlaceBalanced, PlaceFile, PlaceSeeded)
-	}
-}
-
-// seededPlacement scatters colocation groups and planes uniformly at
-// random — valid by construction (group-granular), wildly unbalanced by
-// design.
-func (d *Driver) seededPlacement(cfg *pendingShard) *sim.Placement {
-	rng := rand.New(rand.NewSource(cfg.place.Seed))
-	hosts := map[graph.NodeID]int{}
-	for _, g := range d.Net.ColocationGroups() {
-		s := rng.Intn(cfg.hostShards)
-		for _, h := range g {
-			hosts[h] = s
-		}
-	}
-	planes := map[int32]int{}
-	for _, pl := range sortedPlanes(d.Net.G) {
-		planes[pl] = rng.Intn(cfg.shards)
-	}
-	return &sim.Placement{Hosts: hosts, Planes: planes}
-}
-
-// filePlacement replays a placement file, cross-checked against the live
-// topology: partition widths must match the file's headers, the file must
-// weigh every bound host and no others, and a plane section (optional)
-// must cover the graph's planes exactly.
-func (d *Driver) filePlacement(cfg *pendingShard) (*sim.Placement, error) {
-	f := cfg.place.File
-	if f == nil {
-		return nil, fmt.Errorf("placement mode %q without a loaded file", PlaceFile)
-	}
-	fail := func(detail, remedy string) error {
-		return &pdes.PlacementError{Path: cfg.place.Path, Detail: detail, Remedy: remedy}
-	}
-	regen := "regenerate with `pnetstat profile -emit-placement` from a profiled run of this topology"
-	if f.HostShards != 0 && f.HostShards != cfg.hostShards {
-		return nil, fail(fmt.Sprintf("generated for host_shards=%d, this run uses %d", f.HostShards, cfg.hostShards),
-			"rerun with -host-shards "+fmt.Sprint(f.HostShards)+" or "+regen)
-	}
-	if f.Shards != 0 && f.Shards != cfg.shards {
-		return nil, fail(fmt.Sprintf("generated for shards=%d, this run uses %d", f.Shards, cfg.shards),
-			"rerun with -shards "+fmt.Sprint(f.Shards)+" or "+regen)
-	}
-	hw, hpins := f.HostWeights()
-	weights := make(map[graph.NodeID]int64, len(hw))
-	pins := map[graph.NodeID]int{}
-	for _, h := range d.Net.BoundHosts() {
-		w, ok := hw[int64(h)]
-		if !ok {
-			return nil, fail(fmt.Sprintf("missing host %d, which this topology binds", h), regen)
-		}
-		weights[h] = w
-		if s, ok := hpins[int64(h)]; ok {
-			pins[h] = s
-		}
-		delete(hw, int64(h))
-	}
-	for id := range hw {
-		return nil, fail(fmt.Sprintf("host %d is not a bound host of this topology", id), regen)
-	}
-	hosts, err := sim.PlanHosts(d.Net.ColocationGroups(), weights, pins, cfg.hostShards)
-	if err != nil {
-		return nil, fail(err.Error(), regen)
-	}
-	place := &sim.Placement{Hosts: hosts}
-	if len(f.Planes) > 0 {
-		pw, ppins := f.PlaneWeights()
-		graphPlanes := sortedPlanes(d.Net.G)
-		for _, pl := range graphPlanes {
-			if _, ok := pw[pl]; !ok {
-				return nil, fail(fmt.Sprintf("missing plane %d, which this topology has", pl), regen)
-			}
-		}
-		if len(pw) != len(graphPlanes) {
-			for pl := range pw {
-				if !hasPlane(graphPlanes, pl) {
-					return nil, fail(fmt.Sprintf("plane %d is not a plane of this topology", pl), regen)
-				}
-			}
-		}
-		planes, err := sim.PlanPlanes(pw, ppins, cfg.shards)
-		if err != nil {
-			return nil, fail(err.Error(), regen)
-		}
-		place.Planes = planes
-	}
-	return place, nil
-}
-
-// sortedPlanes lists the graph's dataplanes in ascending order.
-func sortedPlanes(g *graph.Graph) []int32 {
-	caps := sim.PlaneLoadsFromCapacity(g)
-	out := make([]int32, 0, len(caps))
-	for pl := range caps {
-		out = append(out, pl)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func hasPlane(planes []int32, pl int32) bool {
-	for _, p := range planes {
-		if p == pl {
-			return true
-		}
-	}
-	return false
-}
-
-// Runner exposes the sharded-run statistics — nil on serial runs and
-// before a pending Shard materializes at the first RunUntil/Step.
-func (d *Driver) Runner() *pdes.Runner { return d.runner }
-
-// Close releases the sharded runner's worker goroutines, if any. Safe on
-// serial drivers and safe to call twice.
-func (d *Driver) Close() {
-	if d.runner != nil {
-		d.runner.Close()
-	}
-}
-
-// RunUntil fires all events up to and including the deadline — through
-// the sharded runner when Shard was called, the serial engine otherwise —
-// and accumulates the wall time spent into the collector (the measured
-// side of `pnetstat profile`'s predicted-vs-achieved speedup).
+// RunUntil fires all events up to and including the deadline and
+// accumulates the wall time spent into the collector (`run_wall_s`).
 func (d *Driver) RunUntil(deadline sim.Time) int {
-	d.materialize()
 	start := time.Now()
-	var fired int
-	if d.runner != nil {
-		fired = d.runner.RunUntil(deadline)
-	} else {
-		fired = d.Eng.RunUntil(deadline)
-	}
+	fired := d.Eng.RunUntil(deadline)
 	if d.Obs != nil {
 		d.Obs.AddRunWall(time.Since(start))
 	}
 	return fired
-}
-
-// Step fires the single next event — through the sharded runner's
-// serialized step when Shard was called, the engine's own Step otherwise.
-// Workload loops that check an exit condition between events must use this
-// rather than d.Eng.Step: under sharding the packet events live on the
-// plane shards' heaps, and stepping only the host engine would stall every
-// in-flight flow. Returns false when no events remain.
-func (d *Driver) Step() bool {
-	d.materialize()
-	if d.runner != nil {
-		return d.runner.Step()
-	}
-	return d.Eng.Step()
 }
 
 // PathsFor resolves a Selection into concrete paths for a flow.
@@ -502,13 +224,6 @@ func (d *Driver) StartFlowOnPaths(paths []graph.Path, sizeBytes int64,
 	if err != nil {
 		return nil, err
 	}
-	if d.loads != nil {
-		// Balanced placement is still collecting weights: charge both
-		// endpoints the flow's packet count (its event footprint, roughly).
-		w := sizeBytes/1500 + 1
-		d.loads[paths[0].Src(d.Net.G)] += w
-		d.loads[paths[0].Dst(d.Net.G)] += w
-	}
 	f.OnDelivered = onDelivered
 	d.Flows++
 	f.ID = d.Flows
@@ -523,11 +238,7 @@ func (d *Driver) StartFlowOnPaths(paths []graph.Path, sizeBytes int64,
 		}
 	}
 	f.OnComplete = func(fl *tcp.Flow) {
-		// Completion fires on the flow's host sub-shard, possibly inside
-		// a window concurrent with other sub-shards' completions — hence
-		// the atomic counter and the flow's own clock for the timestamp
-		// (identical to the engine clock on serial runs).
-		atomic.AddInt64(&d.Completed, 1)
+		d.Completed++
 		if d.Obs != nil {
 			d.Obs.RecordFlow(obs.FlowRecord{
 				ID:          fl.ID,
@@ -583,9 +294,9 @@ func spanShares(totals []sim.SpanTotal) []obs.SpanShare {
 // fewer than want flows completed — the signal that a workload stalled.
 func (d *Driver) MustRunUntil(deadline sim.Time, want int64) error {
 	d.RunUntil(deadline)
-	if done := atomic.LoadInt64(&d.Completed); done < want {
+	if d.Completed < want {
 		return fmt.Errorf("workload: %d of %d flows completed by %v (drops=%d)",
-			done, want, deadline, d.Net.TotalDrops())
+			d.Completed, want, deadline, d.Net.TotalDrops())
 	}
 	return nil
 }

@@ -84,7 +84,7 @@ func RunIncast(d *Driver, cfg IncastConfig) (IncastResult, error) {
 	startRound(0)
 	deadline := cfg.deadline()
 	for len(res.CompletionTimes) < cfg.Rounds && d.Eng.Now() < deadline {
-		if !d.Step() {
+		if !d.Eng.Step() {
 			break
 		}
 	}

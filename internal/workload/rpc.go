@@ -85,7 +85,7 @@ func RunRPC(d *Driver, cfg RPCConfig) ([]float64, error) {
 	// an isolation experiment's bulk tenant) may generate events forever.
 	deadline := cfg.deadline()
 	for int64(len(samples)) < expected && d.Eng.Now() < deadline {
-		if !d.Step() {
+		if !d.Eng.Step() {
 			break
 		}
 	}

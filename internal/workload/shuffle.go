@@ -165,7 +165,7 @@ func RunShuffle(d *Driver, cfg ShuffleConfig) (StageTimes, error) {
 
 	deadline := cfg.deadline()
 	for !finished && d.Eng.Now() < deadline {
-		if !d.Step() {
+		if !d.Eng.Step() {
 			break
 		}
 	}

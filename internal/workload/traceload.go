@@ -87,7 +87,7 @@ func RunTrace(d *Driver, cfg TraceConfig) (TraceResult, error) {
 	}
 	deadline := cfg.deadline()
 	for int64(len(res.FCTs)) < expected && d.Eng.Now() < deadline {
-		if !d.Step() {
+		if !d.Eng.Step() {
 			break
 		}
 	}

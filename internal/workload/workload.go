@@ -50,10 +50,8 @@ func derangement(n int, rng *rand.Rand) []int {
 // and receives exactly one. The difference is the flow graph's shape: a
 // uniform derangement's connected components are its permutation cycles
 // (typically one cycle spans most hosts), while a matching's components
-// are single pairs. Host sub-shard placement partitions hosts by
-// flow-endpoint colocation group, so component sizes bound how evenly ANY
-// placement can split the host boundary; a matching keeps that bound at
-// two hosts. With an odd host count the last host stays idle.
+// are single pairs, so no host's traffic depends on more than one other
+// host. With an odd host count the last host stays idle.
 func MatchingCommodities(t *topo.Topology, demand float64, rng *rand.Rand) []route.Commodity {
 	n := t.NumHosts()
 	p := rng.Perm(n)
