@@ -205,10 +205,9 @@ func BenchmarkAblationLowestHopPlane(b *testing.B) {
 
 // BenchmarkEngineEventLoop measures bare closure dispatch: 256 concurrent
 // self-rescheduling timer chains drain exactly b.N events. Closure events
-// live on the engine's timer heap, so this is that heap at depth 256 and
-// nothing else; a packet never takes this path (its tx-complete pops from
-// a heap one entry per busy link deep, its arrival from the FIFO lane).
-// BenchmarkPacketHop measures that.
+// live on the engine's one heap, so this is that heap at depth 256 and
+// nothing else; a packet never takes this path (its tx-complete and its
+// arrival ride the delay lanes). BenchmarkPacketHop measures that.
 func BenchmarkEngineEventLoop(b *testing.B) {
 	const chains = 256
 	eng := sim.NewEngine()
@@ -239,7 +238,7 @@ func BenchmarkEngineEventLoop(b *testing.B) {
 // permutation) share the 16-switch Jellyfish of the benchmark's
 // bulk_mptcp workload and keep its queues full. An op is two events,
 // which is one hop but for the few timer events; ns/hop and events/hop
-// are the measured figures. allocs/op must stay 0: pools and the lane
+// are the measured figures. allocs/op must stay 0: pools and the lanes
 // are warm, and what a flow in steady state still allocates (a timer
 // event when its RTO wakeup is re-armed) is a few bytes per op.
 func BenchmarkPacketHop(b *testing.B) {

@@ -9,7 +9,7 @@ type releaseSink struct{ net *Network }
 func (r *releaseSink) HandlePacket(p *Packet) { r.net.Release(p) }
 
 // TestPacketPathZeroAlloc guards the simulator's allocation-free packet
-// path: once the freelist, queue buffers, and event pool are warm,
+// path: once the freelist, queue buffers, and lane rings are warm,
 // sending a packet end to end (two hops + delivery) must not allocate.
 // Telemetry hooks (nil Tracer, FlowID stamp) ride the same path, so this
 // also proves instrumentation is free when disabled.

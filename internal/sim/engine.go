@@ -45,7 +45,7 @@ func (t Time) String() string {
 
 // actor is the allocation-free alternative to a closure callback: hot-path
 // simulation objects (queues, packets) implement act and are scheduled
-// directly, letting the engine pool their events.
+// directly, so the engine can hold their events by value.
 type actor interface {
 	act()
 }
@@ -56,40 +56,50 @@ type Event struct {
 	at       Time
 	seq      uint64
 	fn       func()
-	who      actor // pooled internal events use who instead of fn
+	who      actor // set instead of fn on an actor event the lanes turned away
 	canceled bool
-	popped   bool   // left the event queue (fired, or discarded as cancelled)
-	next     *Event // freelist
+	popped   bool // left the event queue (fired, or discarded as cancelled)
 }
 
-// Cancel prevents the event from firing.
-func (e *Event) Cancel() { e.canceled = true }
+// Cancel prevents the event from firing. It drops the callback at once: a
+// cancelled event stays queued until it surfaces, and must not keep what
+// its closure captured (a finished flow, its paths) alive until then.
+func (e *Event) Cancel() {
+	e.canceled = true
+	e.fn = nil
+}
 
 // Pending reports whether the event is still scheduled.
 func (e *Event) Pending() bool { return e != nil && !e.canceled && !e.popped }
 
+// maxLanes bounds the delay-lane table. Every network in the repo has
+// three delay classes (propagation, tx of an MTU, tx of a 64 B ACK or
+// trimmed header); a mixed-rate graph with more classes than lanes only
+// sends the overflow to the heap.
+const maxLanes = 8
+
 // Engine is a single-threaded discrete-event scheduler. Events scheduled
 // for the same instant fire in scheduling order.
 //
-// The event queue is three sources merged by one key, (at, seq): every
-// event takes its seq when it is scheduled, whichever source holds it, so
-// the firing order is the order a single heap would give (DESIGN.md
-// "Event queue").
+// The event queue is the delay lanes and one heap merged by one key,
+// (at, seq): every event takes its seq when it is scheduled, whichever
+// source holds it, so the firing order is the order a single heap would
+// give (DESIGN.md "Event queue").
 type Engine struct {
 	now   Time
 	seq   uint64
 	fired uint64
-	// events holds actor events at arbitrary times: queue tx-completes
-	// (at most one per busy link) and whatever scheduleFIFO turned away.
-	events eventHeap
-	// timers holds fn (At/After) events: RTO and rtx wakeups, sampler,
-	// chaos and health ticks. Most are cancelled long before they are due;
-	// here they cost the packet path one compare per pop, not heap depth.
-	timers eventHeap
-	// lane holds actor events scheduled in non-decreasing time — link
-	// arrivals, half of all events — which are already sorted.
-	lane eventRing
-	free *Event // pool for internal (actor) events
+	// lanes holds actor events, one FIFO per distinct delay. The clock
+	// never goes back, so events scheduled at now+d for one constant d are
+	// born sorted by (at, seq): link arrivals and tx-completes, all the
+	// packet path schedules, queue here and never touch the heap.
+	lanes  [maxLanes]eventRing
+	nlanes int
+	// heap holds everything at arbitrary times: fn (At/After) events —
+	// RTO and rtx wakeups, sampler, chaos and health ticks, most of them
+	// cancelled long before they are due — and the actor events the lanes
+	// turned away. It costs the packet path one compare per pop.
+	heap eventHeap
 
 	// Recorder, when set, profiles every dispatched event (kind, plane,
 	// wall time) — the event-loop flight recorder behind `pnetstat
@@ -116,10 +126,16 @@ func (e *Engine) EventsFired() uint64 { return e.fired }
 func (e *Engine) EventsScheduled() uint64 { return e.seq }
 
 // HeapLen reports the number of pending (possibly cancelled) events over
-// the heap, the timer heap and the lane. Telemetry samples it as the
-// engine's working-set size; a periodic sampler also uses it to detect
-// that it is the only remaining work and stop rescheduling itself.
-func (e *Engine) HeapLen() int { return len(e.events) + len(e.timers) + e.lane.n }
+// the heap and the lanes. Telemetry samples it as the engine's working-set
+// size; a periodic sampler also uses it to detect that it is the only
+// remaining work and stop rescheduling itself.
+func (e *Engine) HeapLen() int {
+	n := len(e.heap)
+	for i := range e.lanes[:e.nlanes] {
+		n += e.lanes[i].n
+	}
+	return n
+}
 
 // At schedules fn at absolute time t (not before the current time) and
 // returns a cancellable handle.
@@ -129,121 +145,107 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	}
 	e.seq++
 	ev := &Event{at: t, seq: e.seq, fn: fn}
-	e.timers.push(ev)
+	e.heap.push(ev)
 	return ev
 }
 
 // After schedules fn d after the current time.
 func (e *Engine) After(d Time, fn func()) *Event { return e.At(e.now+d, fn) }
 
-// pooled takes an internal actor event from the pool. Pooled events have
-// no external handle, so they cannot be cancelled and are recycled the
-// moment they fire — the hot path of the simulator allocates nothing.
-func (e *Engine) pooled(at Time, who actor) *Event {
-	ev := e.free
-	if ev != nil {
-		e.free = ev.next
-		ev.next = nil
-	} else {
-		ev = &Event{}
+// scheduleAfter is the one door for actor events: who acts d after the
+// current time. The event queues on the lane keyed by exactly d, claiming
+// a free one the first time d is seen; the clock never goes back, so a
+// lane's timestamps never do either. With the table full the event goes to
+// the heap instead.
+//
+// Actor events have no external handle and cannot be cancelled; a lane
+// holds them by value, so the hot path of the simulator allocates nothing.
+func (e *Engine) scheduleAfter(d Time, who actor) {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: scheduling in the past: delay %d ps", int64(d)))
 	}
-	ev.at = at
-	ev.who = who
-	ev.fn = nil
-	ev.canceled = false
-	ev.popped = false
-	return ev
-}
-
-// schedule enqueues a pooled actor event at an arbitrary time.
-func (e *Engine) schedule(at Time, who actor) {
-	ev := e.pooled(at, who)
 	e.seq++
-	ev.seq = e.seq
-	e.events.push(ev)
-}
-
-// scheduleFIFO is schedule for a caller whose timestamps arrive in
-// non-decreasing order (queue.act: now plus the network's one propagation
-// delay). Such events are already sorted by (at, seq), so they queue on
-// the lane and never touch a heap. A timestamp below the lane's tail goes
-// to the heap instead, which keeps the lane sorted for any delays.
-func (e *Engine) scheduleFIFO(at Time, who actor) {
-	if e.lane.n > 0 && at < e.lane.tail {
-		e.schedule(at, who)
+	at := e.now + d
+	if l := e.laneFor(d); l != nil {
+		l.push(laneEvent{at, e.seq, who})
 		return
 	}
-	ev := e.pooled(at, who)
-	e.seq++
-	ev.seq = e.seq
-	e.lane.push(ev)
+	e.heap.push(&Event{at: at, seq: e.seq, who: who})
 }
 
-// fire dispatches a popped event, recycling pooled ones.
-func (e *Engine) fire(ev *Event) {
+// laneFor returns the lane keyed by delay d, or nil when all are taken by
+// other delays.
+func (e *Engine) laneFor(d Time) *eventRing {
+	for i := range e.lanes[:e.nlanes] {
+		if e.lanes[i].delay == d {
+			return &e.lanes[i]
+		}
+	}
+	if e.nlanes == maxLanes {
+		return nil
+	}
+	l := &e.lanes[e.nlanes]
+	e.nlanes++
+	l.delay = d
+	return l
+}
+
+// fire dispatches an event taken off the queue.
+func (e *Engine) fire(at Time, who actor, fn func()) {
 	if e.Recorder != nil || e.Fingerprint != nil {
-		e.fireInstrumented(ev)
+		e.fireInstrumented(at, who, fn)
 		return
 	}
-	e.now = ev.at
+	e.now = at
 	e.fired++
-	if ev.who != nil {
-		who := ev.who
-		ev.who = nil
-		ev.next = e.free
-		e.free = ev
+	if who != nil {
 		who.act()
 		return
 	}
-	ev.fn()
+	fn()
 }
 
-// pop removes and returns the earliest live event if its timestamp is at
-// most limit, nil otherwise. The lane head and the actor heap's top are
-// compared first; the timer heap is looked at only when its top is not
-// later than that candidate, which on the packet path it almost never is.
-// A cancelled timer is discarded when it surfaces as the earliest event
-// of all (whatever the limit), exactly when a single heap would drop it.
-func (e *Engine) pop(limit Time) *Event {
+// step fires the earliest live event if its timestamp is at most limit and
+// reports whether it did: the earliest lane head, unless the heap's top is
+// earlier still, which on the packet path it almost never is. A cancelled
+// event is discarded when it surfaces as the earliest event of all
+// (whatever the limit), exactly when a single heap would drop it.
+func (e *Engine) step(limit Time) bool {
 	for {
-		var ev *Event
-		var heap *eventHeap // the heap whose top ev is; nil when the lane holds it
-		if e.lane.n > 0 {
-			ev = e.lane.buf[e.lane.head]
-		}
-		if len(e.events) > 0 {
-			if top := e.events[0]; ev == nil || less(top, ev) {
-				ev, heap = top, &e.events
+		var from *eventRing // the lane with the earliest head
+		var at Time
+		var seq uint64
+		for i := range e.lanes[:e.nlanes] {
+			if l := &e.lanes[i]; l.n > 0 {
+				if h := &l.buf[l.head]; from == nil || earlier(h.at, h.seq, at, seq) {
+					from, at, seq = l, h.at, h.seq
+				}
 			}
 		}
-		if len(e.timers) > 0 {
-			if top := e.timers[0]; ev == nil || less(top, ev) {
+		if len(e.heap) > 0 {
+			if top := e.heap[0]; from == nil || earlier(top.at, top.seq, at, seq) {
 				if top.canceled {
-					e.timers.pop()
+					e.heap.pop()
 					continue
 				}
-				ev, heap = top, &e.timers
+				if top.at > limit {
+					return false
+				}
+				e.heap.pop()
+				e.fire(top.at, top.who, top.fn)
+				return true
 			}
 		}
-		if ev == nil || ev.at > limit {
-			return nil
+		if from == nil || at > limit {
+			return false
 		}
-		if heap == nil {
-			return e.lane.pop()
-		}
-		return heap.pop()
+		e.fire(at, from.pop(), nil)
+		return true
 	}
 }
 
 // Step fires the next event. It returns false when no events remain.
-func (e *Engine) Step() bool {
-	ev := e.pop(math.MaxInt64)
-	if ev == nil {
-		return false
-	}
-	e.fire(ev)
-	return true
-}
+func (e *Engine) Step() bool { return e.step(math.MaxInt64) }
 
 // Run fires events until none remain.
 func (e *Engine) Run() {
@@ -255,8 +257,7 @@ func (e *Engine) Run() {
 // advances the clock to t. It returns the number of events fired.
 func (e *Engine) RunUntil(t Time) int {
 	fired := 0
-	for ev := e.pop(t); ev != nil; ev = e.pop(t) {
-		e.fire(ev)
+	for e.step(t) {
 		fired++
 	}
 	if e.now < t {
@@ -265,51 +266,56 @@ func (e *Engine) RunUntil(t Time) int {
 	return fired
 }
 
-// eventRing is the lane: a growable FIFO ring of events pushed in
+// laneEvent is an actor event as a lane holds it.
+type laneEvent struct {
+	at  Time
+	seq uint64
+	who actor
+}
+
+// eventRing is one delay lane: a growable FIFO ring of events pushed in
 // non-decreasing (at, seq) order. Its length is a power of two; growth
 // doubles it, so steady state allocates nothing.
 type eventRing struct {
-	buf     []*Event
+	delay   Time // the lane's key: every entry was scheduled this long ahead
+	buf     []laneEvent
 	head, n int
-	tail    Time // timestamp of the newest entry, meaningful while n > 0
 }
 
-func (r *eventRing) push(ev *Event) {
+func (r *eventRing) push(ev laneEvent) {
 	if r.n == len(r.buf) {
-		grown := make([]*Event, max(2*len(r.buf), 64))
+		grown := make([]laneEvent, max(2*len(r.buf), 64))
 		k := copy(grown, r.buf[r.head:])
 		copy(grown[k:], r.buf[:r.head])
 		r.buf, r.head = grown, 0
 	}
 	r.buf[(r.head+r.n)&(len(r.buf)-1)] = ev
 	r.n++
-	r.tail = ev.at
 }
 
-func (r *eventRing) pop() *Event {
-	ev := r.buf[r.head]
-	ev.popped = true
-	r.buf[r.head] = nil
+func (r *eventRing) pop() actor {
+	h := &r.buf[r.head]
+	who := h.who
+	h.who = nil
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
-	return ev
+	return who
 }
 
 // eventHeap is a hand-rolled 4-ary min-heap ordered by (at, seq). A 4-ary
 // layout halves the depth of the dominant sift-down path, and avoiding
 // container/heap's interface dispatch roughly doubles its throughput. A
 // pop costs about four unpredictable compares per level, which is why the
-// events that need no sorting (the lane) or rarely fire (timers) are kept
-// out of the heap the packet path pops from.
+// events that need no sorting ride the delay lanes and only timers, which
+// rarely fire, are left in it.
 type eventHeap []*Event
 
-// less is the engine's one event order: time, then scheduling order.
-func less(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// earlier is the engine's one event order: time, then scheduling order.
+func earlier(at Time, seq uint64, thanAt Time, thanSeq uint64) bool {
+	return at < thanAt || at == thanAt && seq < thanSeq
 }
+
+func less(a, b *Event) bool { return earlier(a.at, a.seq, b.at, b.seq) }
 
 func (h *eventHeap) push(ev *Event) {
 	*h = append(*h, ev)

@@ -193,7 +193,7 @@ type eventInfo struct {
 }
 
 // classify extracts an event's identity from its actor. It must run
-// before dispatch: pooled events are recycled the moment they fire.
+// before dispatch: acting advances or releases the packet it reads.
 func classify(who actor) eventInfo {
 	info := eventInfo{kind: EvTimer, plane: -1, link: -1}
 	switch a := who.(type) {

@@ -126,22 +126,14 @@ func (r *FlightRecorder) Snapshot() []ProfileBin {
 // dispatch, feeding the flight recorder (with wall timing) and/or the
 // fingerprinter (simulated quantities only — no clock reads, so a
 // fingerprint-only run stays cheap). It must mirror fire exactly; the
-// classification reads the actor before dispatch because pooled events
-// are recycled on firing.
-func (e *Engine) fireInstrumented(ev *Event) {
-	e.now = ev.at
+// classification reads the actor before dispatch because acting moves a
+// packet to its next hop or back to the freelist.
+func (e *Engine) fireInstrumented(at Time, who actor, fn func()) {
+	e.now = at
 	e.fired++
-	var who actor
-	fn := ev.fn
-	if ev.who != nil {
-		who = ev.who
-		ev.who = nil
-		ev.next = e.free
-		e.free = ev
-	}
 	info := classify(who)
 	if e.Fingerprint != nil {
-		e.Fingerprint.fold(ev.at, info)
+		e.Fingerprint.fold(at, info)
 	}
 	if e.Recorder == nil {
 		if who != nil {

@@ -49,7 +49,7 @@ type Packet struct {
 }
 
 // act delivers the packet at the node it has propagated to; packets are
-// scheduled as pooled actor events to keep per-hop allocations at zero.
+// scheduled as actor events to keep per-hop allocations at zero.
 func (p *Packet) act() { p.net.arrive(p) }
 
 // Config sets network-wide parameters.
@@ -430,7 +430,7 @@ func (q *queue) startTx() {
 		// discarded with it, never attributed.
 		p.span.hop(q.plane, eng.Now()-p.span.wait, tx, q.prop)
 	}
-	eng.schedule(eng.Now()+tx, q)
+	eng.scheduleAfter(tx, q)
 }
 
 // act fires when the head packet's last bit leaves the queue: the packet
@@ -455,8 +455,7 @@ func (q *queue) act() {
 	q.buf = q.buf[:len(q.buf)-1]
 	q.bytes -= p.Size
 
-	eng := q.net.Eng
-	eng.scheduleFIFO(eng.Now()+q.prop, p)
+	q.net.Eng.scheduleAfter(q.prop, p)
 
 	if len(q.buf) > 0 {
 		q.startTx()

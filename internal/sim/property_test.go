@@ -1,10 +1,14 @@
 package sim
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"pnet/internal/graph"
 )
 
 // TestHeapFiresInOrder: whatever order events are scheduled in, they must
@@ -30,7 +34,7 @@ func TestHeapFiresInOrder(t *testing.T) {
 	}
 }
 
-// probe is a pooled actor event for the property test below.
+// probe is an actor event for the property test below.
 type probe struct {
 	id   int
 	fire func(id int)
@@ -39,17 +43,23 @@ type probe struct {
 func (p *probe) act() { p.fire(p.id) }
 
 // TestHeapInterleavedPushPop: schedule from within events (the
-// simulator's real access pattern) through every door — At, After,
-// schedule and scheduleFIFO, the last with timestamps that also go
-// backwards, so both the lane and its fallback are taken — with cancels,
-// same-instant ties across the three sources, and Step interleaved with
-// RunUntil on and between timestamps. Whatever holds an event, the fired
-// sequence must be the (at, seq) sort of the events never cancelled.
+// simulator's real access pattern) through every door — At, After and
+// scheduleAfter, the last with more distinct delays than there are lanes,
+// so both the lanes and the heap fallback are taken — with cancels,
+// same-instant ties across all the sources, and Step interleaved with
+// RunUntil on and between timestamps, scheduling again from the clock
+// RunUntil jumped to. Whatever holds an event, the fired sequence must be
+// the (at, seq) sort of the events never cancelled.
 func TestHeapInterleavedPushPop(t *testing.T) {
 	type rec struct {
 		at               Time
-		ev               *Event // nil for pooled events
+		ev               *Event // nil for actor events
 		cancelled, fired bool
+	}
+	// Multiples of 10 first, so ties between sources are common.
+	delays := []Time{0, 10, 20, 30, 40, 3, 17, 25, 31, 38, 12, 5}
+	if len(delays) <= maxLanes {
+		t.Fatalf("%d delays cannot overflow %d lanes", len(delays), maxLanes)
 	}
 	for seed := int64(1); seed <= 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -57,33 +67,30 @@ func TestHeapInterleavedPushPop(t *testing.T) {
 		var recs []*rec // index = scheduling order = seq order
 		var fired []int
 		budget := 3000
+		keyed := map[Time]bool{} // delays that claimed a lane
 		lane, fallback := 0, 0
 
 		var onFire func(id int)
 		add := func() {
-			// Mostly multiples of 10, so ties are common.
-			at := e.Now() + Time(rng.Intn(40))
-			if r := at - at%10; r >= e.Now() {
-				at = r
-			}
+			d := delays[rng.Intn(len(delays))]
 			id := len(recs)
-			r := &rec{at: at}
+			r := &rec{at: e.Now() + d}
 			recs = append(recs, r)
 			switch rng.Intn(4) {
 			case 0:
-				r.ev = e.At(at, func() { onFire(id) })
+				r.ev = e.At(r.at, func() { onFire(id) })
 			case 1:
-				r.ev = e.After(at-e.Now(), func() { onFire(id) })
-			case 2:
-				e.schedule(at, &probe{id, onFire})
-			case 3:
-				before, tail := e.lane.n, e.lane.tail
-				sorted := before == 0 || at >= tail
-				e.scheduleFIFO(at, &probe{id, onFire})
-				if (e.lane.n == before+1) != sorted {
-					t.Fatalf("seed %d: scheduleFIFO(%v) with lane tail %v: lane %d → %d", seed, at, tail, before, e.lane.n)
+				r.ev = e.After(d, func() { onFire(id) })
+			default:
+				if !keyed[d] && len(keyed) < maxLanes {
+					keyed[d] = true
 				}
-				if sorted {
+				before := len(e.heap)
+				e.scheduleAfter(d, &probe{id, onFire})
+				if onHeap := len(e.heap) == before+1; onHeap == keyed[d] {
+					t.Fatalf("seed %d: scheduleAfter(%v) with %d lanes keyed: on the heap = %v", seed, d, len(keyed), onHeap)
+				}
+				if keyed[d] {
 					lane++
 				} else {
 					fallback++
@@ -149,6 +156,10 @@ func TestHeapInterleavedPushPop(t *testing.T) {
 					t.Fatalf("seed %d: after RunUntil(%v), event %d at %v fired=%v", seed, until, id, r.at, r.fired)
 				}
 			}
+			if budget > 0 && e.HeapLen() > 0 {
+				budget--
+				add() // from the clock RunUntil left, between events
+			}
 		}
 
 		var want []int
@@ -182,13 +193,13 @@ func TestHeapInterleavedPushPop(t *testing.T) {
 	}
 }
 
-// TestPooledEventsRecycled: actor events must reuse Event structs rather
-// than grow the pool indefinitely.
-func TestPooledEventsRecycled(t *testing.T) {
+// TestLaneRingsReused: actor events must reuse their lane's ring slots
+// rather than grow the rings indefinitely.
+func TestLaneRingsReused(t *testing.T) {
 	eng, net, fwd, _ := hostPair(100, Config{})
 	s := &sink{eng: eng}
 	// Send sequentially: each packet's events finish before the next is
-	// injected, so the pool should stay tiny.
+	// injected, so every ring should stay at its first size.
 	var send func(i int)
 	send = func(i int) {
 		if i == 0 {
@@ -206,18 +217,127 @@ func TestPooledEventsRecycled(t *testing.T) {
 	if len(s.times) != 100 {
 		t.Fatalf("delivered %d", len(s.times))
 	}
-	// Count pool length.
-	n := 0
-	for ev := eng.free; ev != nil; ev = ev.next {
-		n++
+	if eng.nlanes != 2 {
+		t.Errorf("%d lanes for one packet size on one link speed, want 2 (tx, prop)", eng.nlanes)
 	}
-	if n > 16 {
-		t.Errorf("event pool grew to %d for sequential traffic", n)
+	for i := range eng.lanes[:eng.nlanes] {
+		if l := &eng.lanes[i]; len(l.buf) > 64 {
+			t.Errorf("lane %v grew to %d slots for sequential traffic", l.delay, len(l.buf))
+		}
+	}
+}
+
+// packetStep is one packet event as a journalTracer saw it.
+type packetStep struct {
+	at   Time
+	ev   TraceEvent
+	seq  int64
+	link graph.LinkID
+}
+
+// journalTracer logs every packet event in the order the engine produced
+// it.
+type journalTracer struct {
+	eng *Engine
+	log []packetStep
+}
+
+func (j *journalTracer) PacketEvent(ev TraceEvent, p *Packet, link graph.LinkID) {
+	j.log = append(j.log, packetStep{j.eng.Now(), ev, p.Seq, link})
+}
+
+// mixedRatePackets is how many packets one mixedRateRun sends.
+const mixedRatePackets = 3000
+
+// mixedRateRun drives random two-size traffic through a star of six hosts
+// whose links run at six speeds — thirteen delay classes for eight lanes —
+// into queues small enough to drop. heapOnly takes every lane away first,
+// which makes the engine the single heap the lanes must be
+// indistinguishable from.
+func mixedRateRun(t *testing.T, seed int64, heapOnly bool) (journal []packetStep, delivered, dropped int64) {
+	speeds := []float64{10, 25, 40, 50, 100, 200}
+	hub := graph.NodeID(len(speeds))
+	g := graph.New(len(speeds) + 1)
+	up := make([]graph.LinkID, len(speeds))
+	down := make([]graph.LinkID, len(speeds))
+	for h, speed := range speeds {
+		g.SetTransit(graph.NodeID(h), false)
+		up[h], down[h] = g.AddDuplex(graph.NodeID(h), hub, 100, 0)
+		g.SetCapacity(up[h], speed)
+		g.SetCapacity(down[h], speed)
+	}
+	eng := NewEngine()
+	if heapOnly {
+		for i := range eng.lanes {
+			eng.lanes[i].delay = -1 // no delay matches: the table is full of nothing
+		}
+		eng.nlanes = maxLanes
+	}
+	net := NewNetwork(eng, g, Config{QueueBytes: 6000})
+	tr := &journalTracer{eng: eng}
+	net.Tracer = tr
+	s := &sink{eng: eng}
+
+	classes := map[Time]bool{net.queues[0].prop: true}
+	sizes := []int32{1500, 64}
+	for i := range net.queues {
+		for _, size := range sizes {
+			classes[net.queues[i].txTime(size)] = true
+		}
+	}
+	if len(classes) <= maxLanes {
+		t.Fatalf("%d delay classes do not overflow %d lanes", len(classes), maxLanes)
+	}
+
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < mixedRatePackets; i++ {
+		src, dst := rng.Intn(len(speeds)), rng.Intn(len(speeds)-1)
+		if dst >= src {
+			dst++
+		}
+		p := net.NewPacket()
+		p.Size = sizes[rng.Intn(len(sizes))]
+		p.Route = []graph.LinkID{up[src], down[dst]}
+		p.Deliver = s
+		p.Seq = int64(i)
+		eng.At(Time(rng.Intn(400))*Microsecond/2, func() { net.Send(p) })
+	}
+	eng.Run()
+	if eng.HeapLen() != 0 {
+		t.Errorf("seed %d: HeapLen = %d after Run", seed, eng.HeapLen())
+	}
+	if !heapOnly && eng.nlanes != maxLanes {
+		t.Errorf("seed %d: %d of %d lanes keyed by %d delay classes", seed, eng.nlanes, maxLanes, len(classes))
+	}
+	return tr.log, int64(len(s.pkts)), net.TotalDrops()
+}
+
+// TestMixedRateOrderAndConservation: on a network with more delay classes
+// than lanes, where part of the packet path falls back to the heap, events
+// still fire in the one (at, seq) order — the packet journal equals a
+// single heap's, step for step — and every packet sent is delivered or
+// dropped.
+func TestMixedRateOrderAndConservation(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		got, delivered, dropped := mixedRateRun(t, seed, false)
+		want, _, _ := mixedRateRun(t, seed, true)
+		if !slices.Equal(got, want) {
+			t.Errorf("seed %d: packet journal differs from the single-heap engine's (%d vs %d steps)", seed, len(got), len(want))
+		}
+		if !slices.IsSortedFunc(got, func(a, b packetStep) int { return cmp.Compare(a.at, b.at) }) {
+			t.Errorf("seed %d: simulated time went backwards in the packet journal", seed)
+		}
+		if dropped == 0 || delivered == 0 {
+			t.Errorf("seed %d: delivered %d, dropped %d: the test needs both", seed, delivered, dropped)
+		}
+		if mixedRatePackets != delivered+dropped {
+			t.Errorf("seed %d: sent %d != delivered %d + dropped %d", seed, mixedRatePackets, delivered, dropped)
+		}
 	}
 }
 
 func TestCancelledPooledInteraction(t *testing.T) {
-	// Cancel public events interleaved with pooled ones; both must
+	// Cancel public events interleaved with actor events; both must
 	// behave.
 	eng, net, fwd, _ := hostPair(100, Config{})
 	s := &sink{eng: eng}

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"pnet/internal/graph"
 )
@@ -89,29 +91,64 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-// TestEngineCounters: HeapLen counts pending events over the lane, the
-// heap and the timer heap (cancelled timers included until they surface),
-// and every scheduled event is either fired or discarded as cancelled.
+// armRTO schedules a timer whose closure captures a flow-sized object, as
+// a subflow's RTO does, and closes freed when that object is collected.
+func armRTO(e *Engine, at Time, freed chan struct{}) *Event {
+	flow := new([1 << 10]byte)
+	runtime.SetFinalizer(flow, func(*[1 << 10]byte) { close(freed) })
+	return e.At(at, func() { flow[0]++ })
+}
+
+// TestEngineCancelDropsClosure: a cancelled timer waits in the heap until
+// it surfaces, so Cancel must let go of the closure (and the flow it
+// captured) at once; cancelling an event that already fired is harmless.
+func TestEngineCancelDropsClosure(t *testing.T) {
+	e := NewEngine()
+	freed := make(chan struct{})
+	armRTO(e, 10*Millisecond, freed).Cancel()
+	if e.HeapLen() != 1 {
+		t.Fatalf("HeapLen = %d, want 1: the cancelled event stays queued", e.HeapLen())
+	}
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(10 * time.Second):
+		t.Error("closure of a cancelled, still-queued timer was not collected")
+	}
+
+	count := 0
+	done := e.At(15*Millisecond, func() { count++ })
+	e.Run()
+	done.Cancel() // after firing: a no-op
+	if count != 1 || done.Pending() || e.EventsFired() != 1 {
+		t.Errorf("count = %d, pending = %v, fired = %d after cancel-after-fire", count, done.Pending(), e.EventsFired())
+	}
+}
+
+// TestEngineCounters: HeapLen counts pending events over the lanes and the
+// heap (cancelled timers included until they surface), and every scheduled
+// event is either fired or discarded as cancelled.
 func TestEngineCounters(t *testing.T) {
 	e := NewEngine()
 	fired := 0
 	count := func(int) { fired++ }
-	e.scheduleFIFO(10, &probe{0, count}) // lane
-	e.scheduleFIFO(20, &probe{1, count}) // lane
-	e.scheduleFIFO(15, &probe{2, count}) // below the lane's tail: heap
-	e.schedule(5, &probe{3, count})      // heap
-	e.At(12, func() { fired++ })         // timer
-	e.At(7, func() { fired++ }).Cancel() // timer, cancelled
-	if e.lane.n != 2 || len(e.events) != 2 || len(e.timers) != 2 {
-		t.Fatalf("lane/heap/timers = %d/%d/%d, want 2/2/2", e.lane.n, len(e.events), len(e.timers))
+	for i := 1; i <= maxLanes; i++ {
+		e.scheduleAfter(Time(10*i), &probe{i, count}) // one lane each
 	}
-	if got := e.HeapLen(); got != 6 {
-		t.Errorf("HeapLen = %d, want 6 (lane + heap + timers)", got)
+	e.scheduleAfter(10, &probe{0, count}) // a keyed delay: its lane
+	e.scheduleAfter(5, &probe{0, count})  // a ninth delay, table full: heap
+	e.At(12, func() { fired++ })          // heap
+	e.At(7, func() { fired++ }).Cancel()  // heap, cancelled
+	if e.nlanes != maxLanes || len(e.heap) != 3 {
+		t.Fatalf("lanes keyed/heap = %d/%d, want %d/3", e.nlanes, len(e.heap), maxLanes)
+	}
+	if got := e.HeapLen(); got != maxLanes+1+3 {
+		t.Errorf("HeapLen = %d, want %d in the lanes + 3 on the heap", got, maxLanes+1)
 	}
 	e.Run()
 	const cancelled = 1
-	if fired != 5 || e.EventsFired() != 5 {
-		t.Errorf("fired %d callbacks, EventsFired = %d, want 5", fired, e.EventsFired())
+	if fired != maxLanes+3 || e.EventsFired() != maxLanes+3 {
+		t.Errorf("fired %d callbacks, EventsFired = %d, want %d", fired, e.EventsFired(), maxLanes+3)
 	}
 	if e.EventsScheduled() != e.EventsFired()+cancelled {
 		t.Errorf("EventsScheduled = %d, want EventsFired %d + %d cancelled",

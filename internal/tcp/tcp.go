@@ -165,7 +165,6 @@ func NewFlow(net *sim.Network, cfg Config, paths []graph.Path, sizeBytes int64) 
 			rev:      rev.Links,
 			cwnd:     cfg.InitCwnd,
 			ssthresh: math.Inf(1),
-			ooo:      make(map[int64]struct{}),
 			// DCTCP starts with α=1 (react strongly to the first marks).
 			dctcpAlpha: 1,
 		}
@@ -318,7 +317,9 @@ type subflow struct {
 	// Receiver.
 	rcvNxt int64
 	rcvMax int64 // one past the highest sequence ever received
-	ooo    map[int64]struct{}
+	// ooo holds sequences received above rcvNxt; nil until the first
+	// out-of-order arrival, which an in-order flow never has.
+	ooo map[int64]struct{}
 
 	dataH dataHandler
 	ackH  ackHandler
@@ -493,7 +494,7 @@ func (sf *subflow) onData(p *sim.Packet) {
 	case seq == sf.rcvNxt:
 		sf.rcvNxt++
 		newData = true
-		for {
+		for len(sf.ooo) > 0 {
 			if _, ok := sf.ooo[sf.rcvNxt]; !ok {
 				break
 			}
@@ -502,6 +503,9 @@ func (sf *subflow) onData(p *sim.Packet) {
 		}
 	case seq > sf.rcvNxt:
 		if _, dup := sf.ooo[seq]; !dup {
+			if sf.ooo == nil {
+				sf.ooo = make(map[int64]struct{})
+			}
 			sf.ooo[seq] = struct{}{}
 			newData = true
 		}

@@ -178,16 +178,10 @@ func (d *Driver) StartFlow(src, dst graph.NodeID, sizeBytes int64, sel Selection
 	if err != nil {
 		return nil, err
 	}
-	f, err := d.StartFlowOnPaths(paths, sizeBytes, onDelivered, onComplete)
-	if err != nil {
-		return nil, err
-	}
 	// Stalled subflows re-resolve through the same selection, which by
-	// now reflects what the health monitor has learned — the end-host
-	// failover loop of §3.4. (Setting the hook after Start is safe: it is
-	// only consulted at retransmission timeouts.)
-	f.Repath = d.repathFor(sel)
-	return f, nil
+	// then reflects what the health monitor has learned — the end-host
+	// failover loop of §3.4.
+	return d.startFlow(paths, sel, sizeBytes, onDelivered, onComplete)
 }
 
 // repathFor builds the stall-repath resolver for a selection: re-run the
@@ -216,8 +210,17 @@ func (d *Driver) Instrument(c *obs.Collector) {
 }
 
 // StartFlowOnPaths starts a flow over explicitly chosen paths (used by
-// the adaptive selector and custom policies).
+// the adaptive selector and custom policies). A stalled subflow re-resolves
+// to the current shortest path.
 func (d *Driver) StartFlowOnPaths(paths []graph.Path, sizeBytes int64,
+	onDelivered, onComplete func(*tcp.Flow)) (*tcp.Flow, error) {
+
+	return d.startFlow(paths, Selection{Policy: Shortest}, sizeBytes, onDelivered, onComplete)
+}
+
+// startFlow starts a flow on paths whose stalled subflows re-resolve
+// through repath.
+func (d *Driver) startFlow(paths []graph.Path, repath Selection, sizeBytes int64,
 	onDelivered, onComplete func(*tcp.Flow)) (*tcp.Flow, error) {
 
 	f, err := tcp.NewFlow(d.Net, d.TCP, paths, sizeBytes)
@@ -227,7 +230,7 @@ func (d *Driver) StartFlowOnPaths(paths []graph.Path, sizeBytes int64,
 	f.OnDelivered = onDelivered
 	d.Flows++
 	f.ID = d.Flows
-	f.Repath = d.repathFor(Selection{Policy: Shortest})
+	f.Repath = d.repathFor(repath)
 	f.OnRepath = func(fl *tcp.Flow, i int, to graph.Path) {
 		d.Repaths++
 		if d.Obs != nil {
