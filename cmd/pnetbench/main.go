@@ -21,7 +21,7 @@
 // events (enqueue/drop/trim/deliver), optionally narrowed to specific
 // flows with -trace-flow. Both accept a file path or "-" for stdout.
 // -report writes a RunSummary JSON (FCT percentiles, plane shares,
-// solver/engine aggregates) for pnetstat summary/diff/gate with no JSONL
+// solver/engine aggregates) for pnetstat summary/diff with no JSONL
 // round-trip. -spans turns on latency attribution (per-flow FCT
 // decomposition into queueing/serialization/propagation/stall
 // components) and the event-loop flight recorder behind `pnetstat
@@ -101,6 +101,10 @@ func main() {
 		os.Exit(2)
 	}
 	if err := validateFingerprintFlags(*fprint, *fpEpoch, fpEpochSet, *fpJourn, *metrics, *reportF); err != nil {
+		fmt.Fprintf(os.Stderr, "pnetbench: %v\n", err)
+		os.Exit(2)
+	}
+	if err := validateFormat(*format); err != nil {
 		fmt.Fprintf(os.Stderr, "pnetbench: %v\n", err)
 		os.Exit(2)
 	}
@@ -326,6 +330,16 @@ func validateFingerprintFlags(fingerprint bool, epoch int64, epochSet bool, jour
 		return fmt.Errorf("-fingerprint needs a sink for the checkpoints: add -metrics or -report")
 	}
 	return nil
+}
+
+// validateFormat rejects a -format the output switch would silently
+// print as tables.
+func validateFormat(format string) error {
+	switch format {
+	case "table", "csv", "json":
+		return nil
+	}
+	return fmt.Errorf("unknown -format %q (accepted: table, csv, json)", format)
 }
 
 // parseFlowIDs parses the -trace-flow comma list.

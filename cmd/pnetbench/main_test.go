@@ -53,3 +53,15 @@ func TestValidateFingerprintFlags(t *testing.T) {
 		})
 	}
 }
+
+func TestValidateFormat(t *testing.T) {
+	for format, ok := range map[string]bool{"table": true, "csv": true, "json": true, "xml": false, "": false, "JSON": false} {
+		err := validateFormat(format)
+		if (err == nil) != ok {
+			t.Errorf("-format %q: err = %v, want accepted = %v", format, err, ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "table, csv, json") {
+			t.Errorf("-format %q: error does not list the accepted values: %v", format, err)
+		}
+	}
+}

@@ -1,27 +1,26 @@
 // Command pnetstat turns the telemetry that pnetbench emits into
-// decisions: human-readable run summaries, cross-run diffs, and a
-// perf-regression gate against the repository's committed BENCH_*.json
-// trajectory.
+// decisions: human-readable run summaries, latency attribution,
+// determinism fingerprints and their bisection, and a cross-run diff
+// that gates the simulation-deterministic metrics.
 //
 // Usage:
 //
-//	pnetstat summary [-json] [-o out.json] [-gobench bench.txt] <run>
+//	pnetstat summary [-json] [-o out.json] <run>
 //	pnetstat attribution [-json] <run>
 //	pnetstat profile [-json] <run>
 //	pnetstat fingerprint [-json] <run>
 //	pnetstat divergence [-k 5] [-events-base j.jsonl] [-events-cur j.jsonl] <base> <cur>
 //	pnetstat export-trace [-o trace.json] <metrics.jsonl>
-//	pnetstat diff [-threshold 0.1] [-gate-wall] <base> <cur>
-//	pnetstat gate [-dir .] [-threshold 0.1] [-gobench bench.txt] <run>
-//	pnetstat baseline [-dir .] <run>
+//	pnetstat diff [-threshold 0.1] <base> <cur>
 //
 // <run>, <base>, and <cur> accept either a RunSummary JSON (written by
 // `pnetbench -report` or by `pnetstat summary -o`) or a raw metrics
-// JSONL stream (`pnetbench -metrics`), auto-detected. `gate` compares
-// the run against the newest BENCH_*.json in -dir and exits 1 when a
-// gated metric regresses beyond the threshold; `baseline` records a run
-// into the trajectory. Exit codes: 0 ok, 1 regression, 2 usage/input
-// error.
+// JSONL stream (`pnetbench -metrics`), auto-detected. `diff` exits 1
+// when a gated metric of <cur> is worse than <base> beyond the
+// threshold; wall-clock rows are printed and never gated (wall time is
+// `sh bench/run.sh` and its -compare). CI's <base> is the merge base,
+// run in the same job. Exit codes: 0 ok, 1 regression or divergence,
+// 2 usage/input error.
 package main
 
 import (
@@ -42,10 +41,9 @@ func main() {
 const usage = `usage: pnetstat <command> [flags] <file...>
 
 commands:
-  summary [-json] [-o out.json] [-gobench bench.txt] <run>
+  summary [-json] [-o out.json] <run>
       print a run summary (FCT percentiles, plane shares, solver/engine
-      stats); -o writes the summary JSON, -gobench merges go test -bench
-      results into it
+      stats); -o writes the summary JSON
   attribution [-json] <run>
       print the latency attribution tables: where every second of FCT
       went (queueing, serialization, propagation, RTO stalls, repath
@@ -68,14 +66,10 @@ commands:
       convert a metrics stream into Chrome Trace Event JSON viewable in
       Perfetto (ui.perfetto.dev): planes as processes, flows as tracks,
       span components as slices, faults and packets as instants
-  diff [-threshold 0.1] [-gate-wall] <base> <cur>
-      per-metric deltas between two runs; exit 1 if a gated metric
-      worsens beyond the threshold
-  gate [-dir .] [-threshold 0.1] [-gobench bench.txt] <run>
-      diff <run> against the newest BENCH_*.json baseline in -dir;
-      exit 1 on regression
-  baseline [-dir .] <run>
-      write <run> into the trajectory as BENCH_<stamp>.json
+  diff [-threshold 0.1] <base> <cur>
+      per-metric deltas between two runs of the same experiment, scale
+      and seed; exit 1 if a gated (simulation-deterministic) metric
+      worsens beyond the threshold, wall-clock rows are informational
 
 runs are RunSummary JSON (pnetbench -report) or metrics JSONL
 (pnetbench -metrics), auto-detected.
@@ -101,10 +95,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runExportTrace(rest, stdout, stderr)
 	case "diff":
 		return runDiff(rest, stdout, stderr)
-	case "gate":
-		return runGate(rest, stdout, stderr)
-	case "baseline":
-		return runBaseline(rest, stdout, stderr)
 	case "-h", "-help", "--help", "help":
 		fmt.Fprint(stdout, usage)
 		return 0
@@ -116,51 +106,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // loadRun reads a run file, tolerating nothing the library does not;
 // errors go to stderr with exit code 2 semantics handled by callers.
-func loadRun(path, gobench string, stderr io.Writer) (report.RunSummary, bool) {
+func loadRun(path string, stderr io.Writer) (report.RunSummary, bool) {
 	s, err := report.LoadRun(path, report.Meta{})
 	if err != nil {
 		fmt.Fprintf(stderr, "pnetstat: %v\n", err)
 		return report.RunSummary{}, false
 	}
-	if gobench != "" {
-		f, err := os.Open(gobench)
-		if err != nil {
-			fmt.Fprintf(stderr, "pnetstat: %v\n", err)
-			return report.RunSummary{}, false
-		}
-		defer f.Close()
-		gb, err := report.ParseGoBench(f)
-		if err != nil {
-			fmt.Fprintf(stderr, "pnetstat: %s: %v\n", gobench, err)
-			return report.RunSummary{}, false
-		}
-		if len(gb) == 0 {
-			fmt.Fprintf(stderr, "pnetstat: %s: no benchmark results found\n", gobench)
-			return report.RunSummary{}, false
-		}
-		s.GoBench = mergeGoBench(s.GoBench, gb)
-	}
 	return s, true
-}
-
-// mergeGoBench overlays fresh results onto existing ones by name,
-// appending names not seen before, preserving order.
-func mergeGoBench(old, fresh []report.GoBench) []report.GoBench {
-	out := append([]report.GoBench(nil), old...)
-	for _, g := range fresh {
-		replaced := false
-		for i := range out {
-			if out[i].Name == g.Name {
-				out[i] = g
-				replaced = true
-				break
-			}
-		}
-		if !replaced {
-			out = append(out, g)
-		}
-	}
-	return out
 }
 
 func runSummary(args []string, stdout, stderr io.Writer) int {
@@ -168,12 +120,11 @@ func runSummary(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	asJSON := fs.Bool("json", false, "print the summary as JSON instead of text")
 	out := fs.String("o", "", "also write the summary JSON to this file")
-	gobench := fs.String("gobench", "", "merge `go test -bench` output from this file")
 	if fs.Parse(args) != nil || fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: pnetstat summary [-json] [-o out.json] [-gobench bench.txt] <run>")
+		fmt.Fprintln(stderr, "usage: pnetstat summary [-json] [-o out.json] <run>")
 		return 2
 	}
-	s, ok := loadRun(fs.Arg(0), *gobench, stderr)
+	s, ok := loadRun(fs.Arg(0), stderr)
 	if !ok {
 		return 2
 	}
@@ -208,7 +159,7 @@ func runAttribution(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: pnetstat attribution [-json] <run>")
 		return 2
 	}
-	s, ok := loadRun(fs.Arg(0), "", stderr)
+	s, ok := loadRun(fs.Arg(0), stderr)
 	if !ok {
 		return 2
 	}
@@ -229,7 +180,7 @@ func runProfile(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: pnetstat profile [-json] <run>")
 		return 2
 	}
-	s, ok := loadRun(fs.Arg(0), "", stderr)
+	s, ok := loadRun(fs.Arg(0), stderr)
 	if !ok {
 		return 2
 	}
@@ -250,7 +201,7 @@ func runFingerprint(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: pnetstat fingerprint [-json] <run>")
 		return 2
 	}
-	s, ok := loadRun(fs.Arg(0), "", stderr)
+	s, ok := loadRun(fs.Arg(0), stderr)
 	if !ok {
 		return 2
 	}
@@ -403,28 +354,27 @@ func runExportTrace(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func diffThresholds(rel float64, gateWall bool) report.Thresholds {
-	return report.Thresholds{Rel: rel, GateWall: gateWall}
-}
-
 func runDiff(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	rel := fs.Float64("threshold", 0, "relative worsening allowed on gated metrics (default 0.10)")
-	gateWall := fs.Bool("gate-wall", false, "also gate wall-clock metrics (same-machine comparisons only)")
 	if fs.Parse(args) != nil || fs.NArg() != 2 {
-		fmt.Fprintln(stderr, "usage: pnetstat diff [-threshold 0.1] [-gate-wall] <base> <cur>")
+		fmt.Fprintln(stderr, "usage: pnetstat diff [-threshold 0.1] <base> <cur>")
 		return 2
 	}
-	base, ok := loadRun(fs.Arg(0), "", stderr)
+	base, ok := loadRun(fs.Arg(0), stderr)
 	if !ok {
 		return 2
 	}
-	cur, ok := loadRun(fs.Arg(1), "", stderr)
+	cur, ok := loadRun(fs.Arg(1), stderr)
 	if !ok {
 		return 2
 	}
-	d := report.Diff(base, cur, diffThresholds(*rel, *gateWall))
+	if why := notComparable(base, cur); why != "" {
+		fmt.Fprintf(stderr, "pnetstat: %s and %s are not comparable: %s\n", fs.Arg(0), fs.Arg(1), why)
+		return 2
+	}
+	d := report.Diff(base, cur, *rel)
 	fmt.Fprint(stdout, d.String())
 	if !d.Pass {
 		return 1
@@ -432,55 +382,20 @@ func runDiff(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func runGate(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("gate", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	dir := fs.String("dir", ".", "directory holding the BENCH_*.json trajectory")
-	rel := fs.Float64("threshold", 0, "relative worsening allowed on gated metrics (default 0.10)")
-	gateWall := fs.Bool("gate-wall", false, "also gate wall-clock metrics (same-machine comparisons only)")
-	gobench := fs.String("gobench", "", "merge `go test -bench` output from this file into the run")
-	if fs.Parse(args) != nil || fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: pnetstat gate [-dir .] [-threshold 0.1] [-gobench bench.txt] <run>")
-		return 2
+// notComparable names the first identity field on which two runs differ,
+// or returns "" when a diff between them means something. Only runs that
+// both say what they are can be refused: a metrics stream carries no
+// exp/scale/seed, so a side with none of the three is accepted as is.
+func notComparable(base, cur report.RunSummary) string {
+	anonymous := func(s report.RunSummary) bool { return s.Exp == "" && s.Scale == "" && s.Seed == 0 }
+	switch {
+	case anonymous(base) || anonymous(cur):
+	case base.Exp != cur.Exp:
+		return fmt.Sprintf("exp %q vs %q", base.Exp, cur.Exp)
+	case base.Scale != cur.Scale:
+		return fmt.Sprintf("scale %q vs %q", base.Scale, cur.Scale)
+	case base.Seed != cur.Seed:
+		return fmt.Sprintf("seed %d vs %d", base.Seed, cur.Seed)
 	}
-	cur, ok := loadRun(fs.Arg(0), *gobench, stderr)
-	if !ok {
-		return 2
-	}
-	basePath, base, err := report.LatestBench(*dir)
-	if err != nil {
-		fmt.Fprintf(stderr, "pnetstat: %v\n", err)
-		return 2
-	}
-	fmt.Fprintf(stdout, "gate: %s vs baseline %s\n", fs.Arg(0), basePath)
-	d := report.Diff(base, cur, diffThresholds(*rel, *gateWall))
-	fmt.Fprint(stdout, d.String())
-	if !d.Pass {
-		return 1
-	}
-	return 0
-}
-
-func runBaseline(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("baseline", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	dir := fs.String("dir", ".", "directory holding the BENCH_*.json trajectory")
-	if fs.Parse(args) != nil || fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: pnetstat baseline [-dir .] <run>")
-		return 2
-	}
-	s, ok := loadRun(fs.Arg(0), "", stderr)
-	if !ok {
-		return 2
-	}
-	if s.Created == "" {
-		s.Created = time.Now().UTC().Format(time.RFC3339)
-	}
-	path, err := report.WriteBench(*dir, s)
-	if err != nil {
-		fmt.Fprintf(stderr, "pnetstat: %v\n", err)
-		return 2
-	}
-	fmt.Fprintf(stdout, "wrote %s\n", path)
-	return 0
+	return ""
 }

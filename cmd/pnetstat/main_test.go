@@ -80,49 +80,6 @@ func run2(t *testing.T, args []string, stdout, stderr *bytes.Buffer) int {
 	return run(args, stdout, stderr)
 }
 
-func TestGateCommand(t *testing.T) {
-	dir := t.TempDir()
-	base := testSummary()
-	if _, err := report.WriteBench(dir, base); err != nil {
-		t.Fatal(err)
-	}
-
-	// Unchanged run passes the gate.
-	same := writeRun(t, dir, "same.json", testSummary())
-	var out, errb bytes.Buffer
-	if code := run2(t, []string{"gate", "-dir", dir, same}, &out, &errb); code != 0 {
-		t.Fatalf("gate on identical run exited %d:\n%s%s", code, out.String(), errb.String())
-	}
-	if !strings.Contains(out.String(), "PASS") {
-		t.Errorf("gate output:\n%s", out.String())
-	}
-
-	// p99 FCT inflated beyond threshold exits non-zero — the acceptance
-	// scenario.
-	bad := testSummary()
-	bad.FCT.P99 *= 1.25
-	badPath := writeRun(t, dir, "bad.json", bad)
-	out.Reset()
-	if code := run2(t, []string{"gate", "-dir", dir, badPath}, &out, &errb); code != 1 {
-		t.Fatalf("gate on inflated p99 exited %d, want 1:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "fct_s.p99") || !strings.Contains(out.String(), "FAIL") {
-		t.Errorf("gate failure output:\n%s", out.String())
-	}
-
-	// A generous threshold lets the same run through.
-	out.Reset()
-	if code := run2(t, []string{"gate", "-dir", dir, "-threshold", "0.5", badPath}, &out, &errb); code != 0 {
-		t.Fatalf("gate with 50%% threshold exited %d", code)
-	}
-
-	// No baseline at all is a usage error, not a pass.
-	empty := t.TempDir()
-	if code := run2(t, []string{"gate", "-dir", empty, same}, &out, &errb); code != 2 {
-		t.Fatalf("gate without baseline exited %d, want 2", code)
-	}
-}
-
 func TestDiffCommand(t *testing.T) {
 	dir := t.TempDir()
 	a := writeRun(t, dir, "a.json", testSummary())
@@ -141,37 +98,43 @@ func TestDiffCommand(t *testing.T) {
 	if !strings.Contains(out.String(), "goodput_bps") {
 		t.Errorf("diff output:\n%s", out.String())
 	}
-}
 
-func TestBaselineCommandAndGoBenchMerge(t *testing.T) {
-	dir := t.TempDir()
-	run := writeRun(t, dir, "r.json", testSummary())
-	benchTxt := filepath.Join(dir, "bench.txt")
-	if err := os.WriteFile(benchTxt, []byte(
-		"BenchmarkEngineEventLoop-8 1000000 120.5 ns/op 0 B/op 0 allocs/op\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	merged := filepath.Join(dir, "merged.json")
-	var out, errb bytes.Buffer
-	if code := run2(t, []string{"summary", "-gobench", benchTxt, "-o", merged, run}, &out, &errb); code != 0 {
-		t.Fatalf("summary -gobench exited %d: %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "BenchmarkEngineEventLoop") {
-		t.Errorf("merged summary output:\n%s", out.String())
-	}
-
-	tdir := t.TempDir()
+	// p99 FCT inflated past the 10% default exits 1 naming the metric; a
+	// generous threshold lets the same run through.
+	bad := testSummary()
+	bad.FCT.P99 *= 1.25
+	badPath := writeRun(t, dir, "bad.json", bad)
 	out.Reset()
-	if code := run2(t, []string{"baseline", "-dir", tdir, merged}, &out, &errb); code != 0 {
-		t.Fatalf("baseline exited %d: %s", code, errb.String())
+	if code := run2(t, []string{"diff", a, badPath}, &out, &errb); code != 1 ||
+		!strings.Contains(out.String(), "fct_s.p99") || !strings.Contains(out.String(), "FAIL") {
+		t.Fatalf("diff on inflated p99 exited %d, want 1 naming fct_s.p99:\n%s", code, out.String())
 	}
-	path, s, err := report.LatestBench(tdir)
-	if err != nil {
+	if code := run2(t, []string{"diff", "-threshold", "0.5", a, badPath}, &out, &errb); code != 0 {
+		t.Fatalf("diff with 50%% threshold exited %d", code)
+	}
+
+	// Runs of different experiments, scales or seeds are not a regression
+	// of one another: exit 2 with the mismatch named, not a table.
+	for want, mutate := range map[string]func(*report.RunSummary){
+		`exp "fig9" vs "fig6c"`:   func(s *report.RunSummary) { s.Exp = "fig6c"; s.GoodputBps *= 0.1 },
+		`scale "small" vs "full"`: func(s *report.RunSummary) { s.Scale = "full" },
+		"seed 1 vs 2":             func(s *report.RunSummary) { s.Seed = 2 },
+	} {
+		other := testSummary()
+		mutate(&other)
+		errb.Reset()
+		if code := run2(t, []string{"diff", a, writeRun(t, dir, "other.json", other)}, &out, &errb); code != 2 ||
+			!strings.Contains(errb.String(), "not comparable: "+want) {
+			t.Errorf("diff across %s exited %d, stderr %q", want, code, errb.String())
+		}
+	}
+	// A metrics stream carries no exp/scale/seed and diffs against any report.
+	stream := filepath.Join(dir, "m.jsonl")
+	if err := os.WriteFile(stream, []byte(`{"type":"flow","id":1,"bytes":100,"fct_s":0.01}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.GoBench) != 1 || s.GoBench[0].NsPerOp != 120.5 {
-		t.Errorf("baseline %s gobench = %+v", path, s.GoBench)
+	if code := run2(t, []string{"diff", "-threshold", "100", stream, a}, &out, &errb); code != 0 {
+		t.Errorf("diff of a stream against a report exited %d: %s", code, errb.String())
 	}
 }
 
@@ -188,5 +151,18 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if code := run2(t, []string{"help"}, &out, &errb); code != 0 {
 		t.Errorf("help exited %d", code)
+	}
+
+	// The retired benchmark trajectory: its subcommands are unknown
+	// commands and its flags undefined, not accepted and ignored.
+	run := writeRun(t, t.TempDir(), "r.json", testSummary())
+	for _, args := range [][]string{
+		{"gate", run}, {"baseline", run}, {"summary", "-gobench", "x", run}, {"diff", "-gate-wall", run, run},
+	} {
+		errb.Reset()
+		if code := run2(t, args, &out, &errb); code != 2 ||
+			!strings.Contains(errb.String(), "unknown command") && !strings.Contains(errb.String(), "flag provided but not defined") {
+			t.Errorf("%v exited %d, stderr %q", args, code, errb.String())
+		}
 	}
 }

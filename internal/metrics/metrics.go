@@ -54,6 +54,7 @@ type Summary struct {
 	N            int
 	Mean, Median float64
 	P90, P99     float64
+	P999         float64
 	Min, Max     float64
 }
 
@@ -74,6 +75,7 @@ func Summarize(xs []float64) Summary {
 		Median: percentileSorted(s, 50),
 		P90:    percentileSorted(s, 90),
 		P99:    percentileSorted(s, 99),
+		P999:   percentileSorted(s, 99.9),
 		Min:    s[0],
 		Max:    s[len(s)-1],
 	}
@@ -94,6 +96,7 @@ func (s Summary) Relative(base Summary) Summary {
 		Median: div(s.Median, base.Median),
 		P90:    div(s.P90, base.P90),
 		P99:    div(s.P99, base.P99),
+		P999:   div(s.P999, base.P999),
 		Min:    div(s.Min, base.Min),
 		Max:    div(s.Max, base.Max),
 	}

@@ -172,10 +172,9 @@ func TestReadStreamUnknownProfileKind(t *testing.T) {
 // surface as added entries — visible, never gating.
 func TestDiffAddedMetrics(t *testing.T) {
 	cur := loadSpanStream(t)
-	cur.GoBench = []GoBench{{Name: "New", NsPerOp: 5}}
 	base := RunSummary{Flows: 2, FlowBytes: cur.FlowBytes}
 
-	d := Diff(base, cur, Thresholds{})
+	d := Diff(base, cur, 0)
 	if !d.Pass {
 		t.Errorf("added-only diff failed the gate: %+v", d.Regressions())
 	}
@@ -188,7 +187,6 @@ func TestDiffAddedMetrics(t *testing.T) {
 		"attribution.rto_stall.plane-1.share",
 		"profile.events",
 		"profile.host_frac",
-		"gobench.New.ns_per_op",
 	} {
 		if !added[want] {
 			t.Errorf("added is missing %q; got %v", want, added)
@@ -216,7 +214,7 @@ func TestDiffAttributionGated(t *testing.T) {
 			c.Share *= 1.5
 		}
 	}
-	d := Diff(base, cur, Thresholds{})
+	d := Diff(base, cur, 0)
 	if d.Pass {
 		t.Fatal("50% more rto_stall share passed the gate")
 	}

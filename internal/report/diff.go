@@ -10,31 +10,6 @@ import (
 // quantile error while catching real regressions.
 const DefaultRelThreshold = 0.10
 
-// Thresholds configures Diff. Zero value = defaults.
-type Thresholds struct {
-	// Rel is the allowed relative worsening for gated metrics; zero
-	// selects DefaultRelThreshold.
-	Rel float64
-	// PerMetric overrides Rel for individual metric names.
-	PerMetric map[string]float64
-	// GateWall also gates the wall-clock metrics (solver/engine wall
-	// time, events/sec, go-bench ns/op). Off by default: the simulation
-	// metrics are deterministic for a fixed seed, wall time is not, and
-	// a gate that fails on a noisy CI machine teaches people to ignore
-	// it. Turn this on for like-for-like comparisons on one machine.
-	GateWall bool
-}
-
-func (t Thresholds) threshold(metric string) float64 {
-	if v, ok := t.PerMetric[metric]; ok {
-		return v
-	}
-	if t.Rel > 0 {
-		return t.Rel
-	}
-	return DefaultRelThreshold
-}
-
 // Delta is one metric's change from base to cur. Rel is signed so that
 // positive always means "worse" regardless of the metric's direction
 // (FCT up = worse, goodput down = worse).
@@ -104,18 +79,23 @@ const (
 // Diff compares cur against base metric by metric. Deterministic
 // simulation metrics (FCT percentiles, goodput, plane imbalance, drops,
 // solver phases/iterations, engine event counts) are gated: worsening
-// beyond the threshold fails the report. Wall-clock metrics ride along
-// informationally unless t.GateWall is set. Metrics absent from either
-// run (zero observations) are skipped rather than compared against zero.
-func Diff(base, cur RunSummary, t Thresholds) DiffReport {
+// beyond rel fails the report (zero selects DefaultRelThreshold).
+// Wall-clock metrics ride along informationally: they are not
+// deterministic for a fixed seed, and one run a side cannot resolve them;
+// the benchmark's -compare, with its repeated passes, judges wall time.
+// Metrics absent from either run (zero observations) are skipped rather
+// than compared against zero.
+func Diff(base, cur RunSummary, rel float64) DiffReport {
+	if rel <= 0 {
+		rel = DefaultRelThreshold
+	}
 	var d DiffReport
 	add := func(name string, b, c float64, dir direction, gated bool) {
 		if b == 0 && c == 0 {
 			return
 		}
-		rel := relWorsening(b, c, dir)
-		dl := Delta{Metric: name, Base: b, Cur: c, Rel: rel, Gated: gated}
-		dl.Exceeded = gated && rel > t.threshold(name)
+		dl := Delta{Metric: name, Base: b, Cur: c, Rel: relWorsening(b, c, dir), Gated: gated}
+		dl.Exceeded = gated && dl.Rel > rel
 		d.Deltas = append(d.Deltas, dl)
 	}
 	added := func(name string, c float64) {
@@ -150,10 +130,10 @@ func Diff(base, cur RunSummary, t Thresholds) DiffReport {
 	}
 	add("solver.phases", float64(base.Solver.Phases), float64(cur.Solver.Phases), higherWorse, true)
 	add("solver.iterations", float64(base.Solver.Iterations), float64(cur.Solver.Iterations), higherWorse, true)
-	add("solver.wall_s", base.Solver.WallSec, cur.Solver.WallSec, higherWorse, t.GateWall)
+	add("solver.wall_s", base.Solver.WallSec, cur.Solver.WallSec, higherWorse, false)
 	add("engine.events", float64(base.Engine.Events), float64(cur.Engine.Events), higherWorse, true)
-	add("engine.wall_s", base.Engine.WallSec, cur.Engine.WallSec, higherWorse, t.GateWall)
-	add("engine.events_per_sec", base.Engine.EventsPerSec, cur.Engine.EventsPerSec, lowerWorse, t.GateWall)
+	add("engine.wall_s", base.Engine.WallSec, cur.Engine.WallSec, higherWorse, false)
+	add("engine.events_per_sec", base.Engine.EventsPerSec, cur.Engine.EventsPerSec, lowerWorse, false)
 
 	// Attribution shares compare only when both runs recorded spans. The
 	// stall shares are gated: a change that shifts FCT composition toward
@@ -232,28 +212,6 @@ func Diff(base, cur RunSummary, t Thresholds) DiffReport {
 		add("fingerprint.events", float64(bf.Events), float64(cf.Events), higherWorse, true)
 	} else if cur.Fingerprint != nil {
 		added("fingerprint.events", float64(cur.Fingerprint.Events))
-	}
-
-	// Go benchmarks, matched by name; wall-clock, so gated only with
-	// GateWall. Allocations are deterministic and always gated.
-	curBench := map[string]GoBench{}
-	for _, g := range cur.GoBench {
-		curBench[g.Name] = g
-	}
-	baseBench := map[string]bool{}
-	for _, g := range base.GoBench {
-		baseBench[g.Name] = true
-		c, ok := curBench[g.Name]
-		if !ok {
-			continue
-		}
-		add("gobench."+g.Name+".ns_per_op", g.NsPerOp, c.NsPerOp, higherWorse, t.GateWall)
-		add("gobench."+g.Name+".allocs_per_op", g.AllocsPerOp, c.AllocsPerOp, higherWorse, true)
-	}
-	for _, g := range cur.GoBench {
-		if !baseBench[g.Name] {
-			added("gobench."+g.Name+".ns_per_op", g.NsPerOp)
-		}
 	}
 
 	d.Pass = len(d.Regressions()) == 0

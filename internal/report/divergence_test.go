@@ -255,14 +255,14 @@ func TestFingerprintSummaryRoundTrip(t *testing.T) {
 		t.Errorf("identical runs produced different global chains: %s vs %s",
 			mem1.Fingerprint.Global, mem2.Fingerprint.Global)
 	}
-	if d := Diff(mem1, mem2, Thresholds{}); !d.Pass {
+	if d := Diff(mem1, mem2, 0); !d.Pass {
 		t.Errorf("identical fingerprinted runs fail the diff:\n%s", d)
 	}
 	bad := mem2
 	fp := *mem2.Fingerprint
 	fp.Global = obs.FormatHash(0xdeadbeef)
 	bad.Fingerprint = &fp
-	if d := Diff(mem1, bad, Thresholds{}); d.Pass {
+	if d := Diff(mem1, bad, 0); d.Pass {
 		t.Errorf("fingerprint mismatch passed the diff:\n%s", d)
 	}
 	if !strings.Contains(mem1.String(), "fingerprint: global=") {

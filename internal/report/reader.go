@@ -1,10 +1,8 @@
 // Package report turns the telemetry of internal/obs into decisions: it
-// reads the JSONL metrics streams back (reader.go), aggregates a run
-// into a RunSummary of the quantities the paper's figures plot
-// (summary.go), compares two summaries with thresholded per-metric
-// deltas (diff.go), and maintains the repository's benchmark trajectory
-// as BENCH_<stamp>.json files (bench.go). cmd/pnetstat is the CLI over
-// all of it.
+// reads the JSONL metrics streams and RunSummary files back (reader.go),
+// aggregates a run into a RunSummary of the quantities the paper's
+// figures plot (summary.go), and compares two summaries with thresholded
+// per-metric deltas (diff.go). cmd/pnetstat is the CLI over all of it.
 package report
 
 import (
@@ -14,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 
 	"pnet/internal/obs"
 )
@@ -225,4 +224,78 @@ func (s *Stream) decodeLine(b []byte) error {
 	}
 	s.Lines++
 	return nil
+}
+
+// readSummaryJSON decodes the contents b of the summary file at path.
+func readSummaryJSON(path string, b []byte) (RunSummary, error) {
+	var s RunSummary
+	if err := json.Unmarshal(b, &s); err != nil {
+		return RunSummary{}, fmt.Errorf("report: %s: %w", path, err)
+	}
+	if s.SchemaVersion == 0 {
+		return RunSummary{}, fmt.Errorf("report: %s: not a RunSummary (no schema_version)", path)
+	}
+	if s.SchemaVersion > SchemaVersion {
+		return RunSummary{}, fmt.Errorf("report: %s: schema_version %d newer than this binary's %d",
+			path, s.SchemaVersion, SchemaVersion)
+	}
+	return s, nil
+}
+
+// LoadRun reads a run from disk in either accepted format: a RunSummary
+// JSON written by `pnetbench -report` or `pnetstat summary -o`, or a raw
+// metrics JSONL stream, auto-detected by shape. JSONL streams that end in
+// a truncated final line still load (the partial prefix is summarized);
+// the typed error is returned alongside the summary so callers can warn.
+func LoadRun(path string, m Meta) (RunSummary, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return RunSummary{}, err
+	}
+	if isSummaryJSON(b) {
+		return readSummaryJSON(path, b)
+	}
+	st, err := readStreamTolerant(path, b)
+	return FromStream(st, m), err
+}
+
+// readStreamTolerant decodes b, the contents of path, as a metrics
+// stream. A truncated final line is tolerated: a stream cut off mid-write
+// keeps its prefix.
+func readStreamTolerant(path string, b []byte) (*Stream, error) {
+	st, err := ReadStream(bytes.NewReader(b))
+	var pe *ParseError
+	if err != nil && !(errors.As(err, &pe) && pe.Truncated) {
+		return st, fmt.Errorf("%s: %w", path, err)
+	}
+	return st, nil
+}
+
+// LoadStream reads a raw metrics JSONL stream, for subcommands that
+// need record-level data (fingerprint checkpoints, journals, trace
+// export) which the aggregate RunSummary no longer carries. A summary
+// JSON is rejected with a pointer at the right input; a truncated final
+// line is tolerated like LoadRun.
+func LoadStream(path string) (*Stream, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if isSummaryJSON(b) {
+		return nil, fmt.Errorf("%s: is a RunSummary JSON; this command needs the raw metrics JSONL stream (pnetbench -metrics)", path)
+	}
+	return readStreamTolerant(path, b)
+}
+
+// isSummaryJSON distinguishes one indented RunSummary object from a
+// JSONL stream: a stream's first line is a complete object mentioning a
+// "type" discriminator, a summary starts with "schema_version".
+func isSummaryJSON(b []byte) bool {
+	var probe struct {
+		SchemaVersion int `json:"schema_version"`
+	}
+	if err := json.Unmarshal(b, &probe); err != nil {
+		return false // multiple JSONL lines fail whole-buffer unmarshal
+	}
+	return probe.SchemaVersion != 0
 }

@@ -12,7 +12,9 @@ import (
 )
 
 // SchemaVersion is bumped whenever RunSummary's JSON shape changes
-// incompatibly, so old BENCH_*.json baselines are detectable.
+// incompatibly, so a report written by a newer binary is refused rather
+// than misread. Removing a field is compatible: the decoder ignores keys
+// it does not know.
 const SchemaVersion = 1
 
 // Dist summarizes one distribution. FCT distributions are computed
@@ -94,21 +96,11 @@ type FingerprintSummary struct {
 	Planes []obs.PlaneHash `json:"planes,omitempty"`
 }
 
-// GoBench is one `go test -bench` result folded into the trajectory.
-type GoBench struct {
-	Name        string             `json:"name"`
-	Runs        int64              `json:"runs"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
-	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"` // custom b.ReportMetric units
-}
-
 // RunSummary is one run of the experiment harness reduced to the
 // quantities the paper's evaluation plots: FCT percentiles (Figs. 9-11,
 // 13, 16-20), per-plane balance (Figs. 6/8), solver convergence, and
-// engine throughput. It is the unit of the BENCH_*.json trajectory and
-// of pnetstat's diff/gate.
+// engine throughput. It is what `pnetbench -report` writes and what
+// pnetstat's summary and diff read.
 type RunSummary struct {
 	SchemaVersion int    `json:"schema_version"`
 	Created       string `json:"created,omitempty"` // RFC3339
@@ -116,8 +108,8 @@ type RunSummary struct {
 	Scale         string `json:"scale,omitempty"`
 	Seed          int64  `json:"seed,omitempty"`
 	// Workers and GOMAXPROCS record the parallelism the run executed
-	// with, so BENCH trajectories can attribute wall-clock movements to
-	// scheduling rather than code. Neither affects any gated metric:
+	// with, so a wall-clock movement between two reports can be attributed
+	// to scheduling rather than code. Neither affects any gated metric:
 	// results are bit-identical across worker counts.
 	Workers    int `json:"workers,omitempty"`
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
@@ -153,8 +145,6 @@ type RunSummary struct {
 	// Fingerprint is the run's determinism fingerprint, present only for
 	// runs that enabled it (pnetbench -fingerprint).
 	Fingerprint *FingerprintSummary `json:"fingerprint,omitempty"`
-
-	GoBench []GoBench `json:"go_bench,omitempty"`
 }
 
 // Meta carries run identity that telemetry itself does not record.
@@ -622,24 +612,20 @@ func FromStream(st *Stream, m Meta) RunSummary {
 	return a.summary(m)
 }
 
+// distFromSamples is the exact path: one sort, in metrics.Summarize.
 func distFromSamples(xs []float64) Dist {
 	if len(xs) == 0 {
 		return Dist{}
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	var sum float64
-	for _, x := range sorted {
-		sum += x
-	}
+	m := metrics.Summarize(xs)
 	return Dist{
-		Count: int64(len(sorted)),
-		Mean:  sum / float64(len(sorted)),
-		Min:   sorted[0],
-		P50:   metrics.Percentile(sorted, 50),
-		P99:   metrics.Percentile(sorted, 99),
-		P999:  metrics.Percentile(sorted, 99.9),
-		Max:   sorted[len(sorted)-1],
+		Count: int64(m.N),
+		Mean:  m.Mean,
+		Min:   m.Min,
+		P50:   m.Median,
+		P99:   m.P99,
+		P999:  m.P999,
+		Max:   m.Max,
 	}
 }
 
@@ -727,13 +713,6 @@ func (s RunSummary) String() string {
 		}
 		b.WriteByte('\n')
 	}
-	for _, g := range s.GoBench {
-		fmt.Fprintf(&b, "gobench: %s %.4g ns/op", g.Name, g.NsPerOp)
-		for _, k := range sortedKeys(g.Metrics) {
-			fmt.Fprintf(&b, " %.4g %s", g.Metrics[k], k)
-		}
-		b.WriteByte('\n')
-	}
 	return b.String()
 }
 
@@ -742,15 +721,6 @@ func orDash(s string) string {
 		return "-"
 	}
 	return s
-}
-
-func sortedKeys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // secs formats seconds with engineering-friendly precision.
