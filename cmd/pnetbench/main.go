@@ -16,8 +16,8 @@
 // and recorded results.
 //
 // Telemetry: -metrics streams JSONL samples (link queue depth and
-// utilization, per-plane bytes, engine event rate, flow and solver
-// records, final counter snapshot); -trace streams per-packet lifecycle
+// utilization, per-plane bytes, engine event rate, flow, solver and fault
+// records); -trace streams per-packet lifecycle
 // events (enqueue/drop/trim/deliver), optionally narrowed to specific
 // flows with -trace-flow. Both accept a file path or "-" for stdout.
 // -report writes a RunSummary JSON (FCT percentiles, plane shares,
@@ -43,12 +43,14 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -63,219 +65,268 @@ import (
 )
 
 func main() {
-	var (
-		expID   = flag.String("exp", "", "experiment id to run, or 'all'")
-		scale   = flag.String("scale", "small", "small | full")
-		seed    = flag.Int64("seed", 1, "random seed")
-		list    = flag.Bool("list", false, "list experiments")
-		timing  = flag.Bool("time", true, "print wall-clock time per experiment")
-		format  = flag.String("format", "table", "table | csv | json")
-		metrics = flag.String("metrics", "", "stream metric samples as JSONL to this file ('-' = stdout)")
-		trace   = flag.String("trace", "", "stream packet lifecycle events as JSONL to this file ('-' = stdout); -trace-flow narrows it to chosen flows")
-		traceFl = flag.String("trace-flow", "", "comma-separated flow IDs to trace; other flows' events are filtered at the sink (requires -trace)")
-		spans   = flag.Bool("spans", false, "record latency attribution spans and the event-loop profile (pnetstat attribution / profile)")
-		fprint  = flag.Bool("fingerprint", false, "fold every fired event into per-plane determinism hash chains (pnetstat fingerprint / divergence); needs -metrics or -report")
-		fpEpoch = flag.Int64("fingerprint-epoch", 0, "events per fingerprint checkpoint (0 = default 65536); requires -fingerprint")
-		fpJourn = flag.String("fingerprint-journal", "", "stream one JSONL record per folded event to this file ('-' = stdout) for pnetstat divergence -events-*; requires -fingerprint")
-		sample  = flag.Duration("sample", 0, "sampling interval for -metrics/-report (default 10us of sim time)")
-		reportF = flag.String("report", "", "write a RunSummary JSON for pnetstat to this file")
-		chaosF  = flag.String("chaos", "", "fault script for fault-aware experiments ('help' prints the syntax)")
-		pprof   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		workers = flag.Int("workers", 0, "max concurrent sweep cells (0 = GOMAXPROCS, 1 = serial); results are identical either way")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	// An explicit -sample must be positive; silently falling back to the
-	// default would make the printed series lie about their cadence.
-	sampleSet, fpEpochSet := false, false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "sample":
-			sampleSet = true
-		case "fingerprint-epoch":
-			fpEpochSet = true
+// options is the command line: the flag values as given, and what
+// validate resolved from them.
+type options struct {
+	expID, scale, format, chaos, traceFlow, pprof string
+	metrics, trace, report, journal               string
+	seed, fpEpoch                                 int64
+	workers                                       int
+	sample                                        time.Duration
+	list, timing, spans, fingerprint              bool
+
+	// Resolved by validate.
+	toRun      []exp.Experiment // nil when no -exp was given
+	params     exp.Params
+	traceFlows []int64
+}
+
+// validate checks every flag and flag combination and resolves -exp,
+// -scale, -chaos and -trace-flow, all before run creates a file or starts
+// a server: a rejected command line leaves nothing behind. set holds the
+// flags that appeared on the command line (a zero -sample or
+// -fingerprint-epoch is an error only when given explicitly).
+func (o *options) validate(set map[string]bool) error {
+	if set["sample"] && o.sample <= 0 {
+		// Silently falling back to the default would make the printed series
+		// lie about their cadence.
+		return fmt.Errorf("-sample must be positive, got %v", o.sample)
+	}
+	if set["fingerprint-epoch"] && o.fpEpoch <= 0 {
+		return fmt.Errorf("-fingerprint-epoch must be positive, got %d", o.fpEpoch)
+	}
+	if set["fingerprint-epoch"] && !o.fingerprint {
+		return errors.New("-fingerprint-epoch requires -fingerprint")
+	}
+	if o.journal != "" && !o.fingerprint {
+		return errors.New("-fingerprint-journal requires -fingerprint")
+	}
+	if o.fingerprint && o.metrics == "" && o.report == "" {
+		return errors.New("-fingerprint needs a sink for the checkpoints: add -metrics or -report")
+	}
+	switch o.format {
+	case "table", "csv", "json":
+	default:
+		return fmt.Errorf("unknown -format %q (accepted: table, csv, json)", o.format)
+	}
+	if o.workers < 0 {
+		return fmt.Errorf("-workers must be >= 0, got %d", o.workers)
+	}
+	o.params = exp.Params{Seed: o.seed, Workers: o.workers}
+	switch o.scale {
+	case "small":
+		o.params.Scale = exp.ScaleSmall
+	case "full":
+		o.params.Scale = exp.ScaleFull
+	default:
+		return fmt.Errorf("unknown scale %q", o.scale)
+	}
+	if o.chaos != "help" {
+		spec, err := chaos.ParseSpec(o.chaos)
+		if err != nil {
+			return err
 		}
-	})
-	if sampleSet && *sample <= 0 {
-		fmt.Fprintf(os.Stderr, "pnetbench: -sample must be positive, got %v\n", *sample)
-		os.Exit(2)
+		o.params.Chaos = spec
 	}
-	if err := validateFingerprintFlags(*fprint, *fpEpoch, fpEpochSet, *fpJourn, *metrics, *reportF); err != nil {
-		fmt.Fprintf(os.Stderr, "pnetbench: %v\n", err)
-		os.Exit(2)
+	if o.traceFlow != "" {
+		if o.trace == "" {
+			return errors.New("-trace-flow requires -trace")
+		}
+		ids, err := parseFlowIDs(o.traceFlow)
+		if err != nil {
+			return fmt.Errorf("-trace-flow: %v", err)
+		}
+		o.traceFlows = ids
 	}
-	if err := validateFormat(*format); err != nil {
-		fmt.Fprintf(os.Stderr, "pnetbench: %v\n", err)
-		os.Exit(2)
+	// Each output is opened on its own, so two flags naming one file (or
+	// two streams on stdout) would silently overwrite or interleave.
+	outputs := []struct{ flag, path string }{
+		{"-metrics", o.metrics}, {"-trace", o.trace}, {"-report", o.report}, {"-fingerprint-journal", o.journal},
+	}
+	for i, a := range outputs {
+		for _, b := range outputs[i+1:] {
+			if a.path != "" && b.path != "" && filepath.Clean(a.path) == filepath.Clean(b.path) {
+				return fmt.Errorf("%s and %s both write to %q: give each its own file", a.flag, b.flag, a.path)
+			}
+		}
+	}
+	switch o.expID {
+	case "":
+	case "all":
+		o.toRun = exp.All()
+	default:
+		e, ok := exp.ByID(o.expID)
+		if !ok {
+			return fmt.Errorf("unknown experiment %q (use -list)", o.expID)
+		}
+		o.toRun = []exp.Experiment{e}
+	}
+	return nil
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	fs := flag.NewFlagSet("pnetbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.expID, "exp", "", "experiment id to run, or 'all'")
+	fs.StringVar(&o.scale, "scale", "small", "small | full")
+	fs.Int64Var(&o.seed, "seed", 1, "random seed")
+	fs.BoolVar(&o.list, "list", false, "list experiments")
+	fs.BoolVar(&o.timing, "time", true, "print wall-clock time per experiment")
+	fs.StringVar(&o.format, "format", "table", "table | csv | json")
+	fs.StringVar(&o.metrics, "metrics", "", "stream metric samples as JSONL to this file ('-' = stdout)")
+	fs.StringVar(&o.trace, "trace", "", "stream packet lifecycle events as JSONL to this file ('-' = stdout); -trace-flow narrows it to chosen flows")
+	fs.StringVar(&o.traceFlow, "trace-flow", "", "comma-separated flow IDs to trace; other flows' events are filtered at the sink (requires -trace)")
+	fs.BoolVar(&o.spans, "spans", false, "record latency attribution spans and the event-loop profile (pnetstat attribution / profile)")
+	fs.BoolVar(&o.fingerprint, "fingerprint", false, "fold every fired event into per-plane determinism hash chains (pnetstat fingerprint / divergence); needs -metrics or -report")
+	fs.Int64Var(&o.fpEpoch, "fingerprint-epoch", 0, "events per fingerprint checkpoint (0 = default 65536); requires -fingerprint")
+	fs.StringVar(&o.journal, "fingerprint-journal", "", "stream one JSONL record per folded event to this file ('-' = stdout) for pnetstat divergence -events-*; requires -fingerprint")
+	fs.DurationVar(&o.sample, "sample", 0, "sampling interval for -metrics/-report (default 10us of sim time)")
+	fs.StringVar(&o.report, "report", "", "write a RunSummary JSON for pnetstat to this file")
+	fs.StringVar(&o.chaos, "chaos", "", "fault script for fault-aware experiments ('help' prints the syntax)")
+	fs.StringVar(&o.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	fs.IntVar(&o.workers, "workers", 0, "max concurrent sweep cells (0 = GOMAXPROCS, 1 = serial); results are identical either way")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := o.validate(set); err != nil {
+		fmt.Fprintf(stderr, "pnetbench: %v\n", err)
+		return 2
 	}
 
 	// Before the -list/empty-exp early return, so a bare
 	// `pnetbench -chaos help` prints the syntax, not the experiment list.
-	if *chaosF == "help" {
-		fmt.Println(chaos.SpecSyntax)
-		return
+	if o.chaos == "help" {
+		fmt.Fprintln(stdout, chaos.SpecSyntax)
+		return 0
 	}
-
-	if *list || *expID == "" {
-		fmt.Println("experiments:")
+	if o.list || o.toRun == nil {
+		fmt.Fprintln(stdout, "experiments:")
 		for _, e := range exp.All() {
-			fmt.Printf("  %-8s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "  %-8s %s\n", e.ID, e.Title)
 		}
-		if *expID == "" && !*list {
-			fmt.Println("\nrun one with -exp <id>, or -exp all")
+		if !o.list {
+			fmt.Fprintln(stdout, "\nrun one with -exp <id>, or -exp all")
 		}
-		return
+		return 0
 	}
 
-	chaosSpec, err := chaos.ParseSpec(*chaosF)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pnetbench: %v\n", err)
-		os.Exit(2)
-	}
-
-	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "pnetbench: -workers must be >= 0, got %d\n", *workers)
-		os.Exit(2)
-	}
-	par.SetLimit(*workers)
-
-	params := exp.Params{Seed: *seed, Chaos: chaosSpec, Workers: *workers}
-	switch *scale {
-	case "small":
-		params.Scale = exp.ScaleSmall
-	case "full":
-		params.Scale = exp.ScaleFull
-	default:
-		fmt.Fprintf(os.Stderr, "pnetbench: unknown scale %q\n", *scale)
-		os.Exit(2)
-	}
-
-	if *pprof != "" {
+	par.SetLimit(o.workers)
+	if o.pprof != "" {
 		go func() {
-			if err := http.ListenAndServe(*pprof, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "pnetbench: pprof server: %v\n", err)
+			if err := http.ListenAndServe(o.pprof, nil); err != nil {
+				fmt.Fprintf(stderr, "pnetbench: pprof server: %v\n", err)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "pnetbench: pprof on http://%s/debug/pprof/\n", *pprof)
+		fmt.Fprintf(stderr, "pnetbench: pprof on http://%s/debug/pprof/\n", o.pprof)
 	}
 
 	var collector *obs.Collector
 	var aggr *report.Aggregator
 	var closers []io.Closer
-	if *traceFl != "" && *trace == "" {
-		fmt.Fprintf(os.Stderr, "pnetbench: -trace-flow requires -trace\n")
-		os.Exit(2)
-	}
-	if *metrics != "" || *trace != "" || *reportF != "" || *spans || *fprint {
+	defer func() {
+		// For the early returns; the success path has checked each Close.
+		for _, c := range closers {
+			c.Close()
+		}
+	}()
+	if o.metrics != "" || o.trace != "" || o.report != "" || o.spans || o.fingerprint {
 		collector = obs.NewCollector()
-		if *sample > 0 {
-			collector.Interval = sim.Time(sample.Nanoseconds()) * sim.Nanosecond
+		if o.sample > 0 {
+			collector.Interval = sim.Time(o.sample.Nanoseconds()) * sim.Nanosecond
 		}
-		if *spans {
-			collector.Spans = true
-			collector.Profile = true
-		}
-		if *fprint {
-			collector.Fingerprint = true
-			collector.FingerprintEpoch = *fpEpoch
-			// The journal stream must be wired before any network
-			// attaches, which happens inside the experiments' Run.
-			if w, c := openSink(*fpJourn); w != nil {
-				collector.StreamFingerprintJournal(w)
-				if c != nil {
-					closers = append(closers, c)
-				}
-			}
-		}
-		if *traceFl != "" {
-			ids, err := parseFlowIDs(*traceFl)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "pnetbench: -trace-flow: %v\n", err)
-				os.Exit(2)
-			}
-			collector.TraceFlows = ids
-		}
-		if *reportF != "" {
-			// Samples reduce into the summary as they are taken; the
-			// samplers retain nothing, so -exp all stays memory-bounded.
+		collector.Spans = o.spans
+		collector.Profile = o.spans
+		collector.Fingerprint = o.fingerprint
+		collector.FingerprintEpoch = o.fpEpoch
+		collector.TraceFlows = o.traceFlows
+		if o.report != "" {
+			// Samples reduce into the summary as they are taken, so -exp all
+			// stays memory-bounded.
 			aggr = report.NewAggregator()
 			collector.Sink = aggr
-			collector.DropSamples = true
 		}
-		if w, c := openSink(*metrics); w != nil {
-			collector.StreamMetrics(w)
-			if c != nil {
-				closers = append(closers, c)
+		// Streams must be wired before any network attaches, which happens
+		// inside the experiments' Run. "-" is stdout, anything else a file
+		// created here and closed at the end.
+		for _, out := range []struct {
+			path   string
+			stream func(io.Writer)
+		}{
+			{o.journal, collector.StreamFingerprintJournal},
+			{o.metrics, collector.StreamMetrics},
+			{o.trace, collector.StreamTrace},
+		} {
+			switch out.path {
+			case "":
+			case "-":
+				out.stream(stdout)
+			default:
+				f, err := os.Create(out.path)
+				if err != nil {
+					fmt.Fprintf(stderr, "pnetbench: %v\n", err)
+					return 1
+				}
+				closers = append(closers, f)
+				out.stream(f)
 			}
 		}
-		if w, c := openSink(*trace); w != nil {
-			collector.StreamTrace(w)
-			if c != nil {
-				closers = append(closers, c)
-			}
-		}
-		params.Obs = collector
-	}
-
-	var toRun []exp.Experiment
-	if *expID == "all" {
-		toRun = exp.All()
-	} else {
-		e, ok := exp.ByID(*expID)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "pnetbench: unknown experiment %q (use -list)\n", *expID)
-			os.Exit(2)
-		}
-		toRun = []exp.Experiment{e}
+		o.params.Obs = collector
 	}
 
 	// Run header: how wide this run may fan out. Cell results are
 	// bit-identical at any width, so the numbers are attribution for the
 	// wall times below, never a caveat on the tables.
-	effWorkers := par.Workers(*workers)
-	fmt.Fprintf(os.Stderr, "pnetbench: exp=%s scale=%s seed=%d workers=%d gomaxprocs=%d\n",
-		*expID, params.Scale, *seed, effWorkers, runtime.GOMAXPROCS(0))
+	effWorkers := par.Workers(o.workers)
+	fmt.Fprintf(stderr, "pnetbench: exp=%s scale=%s seed=%d workers=%d gomaxprocs=%d\n",
+		o.expID, o.params.Scale, o.seed, effWorkers, runtime.GOMAXPROCS(0))
 	if collector != nil {
 		// The effective sampling cadence, so nobody has to
 		// reverse-engineer it from the t_ps deltas in the stream.
-		fmt.Fprintf(os.Stderr, "pnetbench: telemetry sampling every %v of sim time (doubles every 4096 ticks)\n",
+		fmt.Fprintf(stderr, "pnetbench: telemetry sampling every %v of sim time (doubles every 4096 ticks)\n",
 			collector.EffectiveInterval())
 	}
 
 	runStart := time.Now()
-	for _, e := range toRun {
+	for _, e := range o.toRun {
 		start := time.Now()
-		table := e.Run(params)
+		table := e.Run(o.params)
 		elapsed := time.Since(start)
-		switch *format {
+		switch o.format {
 		case "csv":
-			fmt.Printf("# %s: %s\n%s", table.ID, table.Title, table.CSV())
-			if *timing {
+			fmt.Fprintf(stdout, "# %s: %s\n%s", table.ID, table.Title, table.CSV())
+			if o.timing {
 				// Trailing comment row keeps the CSV parseable while
 				// preserving the timing line.
-				fmt.Printf("# %s in %v at scale %s\n", e.ID, elapsed.Round(time.Millisecond), params.Scale)
+				fmt.Fprintf(stdout, "# %s in %v at scale %s\n", e.ID, elapsed.Round(time.Millisecond), o.params.Scale)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		case "json":
-			fmt.Println(table.JSON(elapsed.Seconds()))
+			fmt.Fprintln(stdout, table.JSON(elapsed.Seconds()))
 		default:
-			fmt.Println(table.String())
-			if *timing {
-				fmt.Printf("(%s in %v at scale %s)\n\n", e.ID, elapsed.Round(time.Millisecond), params.Scale)
+			fmt.Fprintln(stdout, table.String())
+			if o.timing {
+				fmt.Fprintf(stdout, "(%s in %v at scale %s)\n\n", e.ID, elapsed.Round(time.Millisecond), o.params.Scale)
 			}
 		}
 	}
 
-	fmt.Fprintf(os.Stderr, "pnetbench: total wall time %v (workers=%d gomaxprocs=%d)\n",
+	fmt.Fprintf(stderr, "pnetbench: total wall time %v (workers=%d gomaxprocs=%d)\n",
 		time.Since(runStart).Round(time.Millisecond), effWorkers, runtime.GOMAXPROCS(0))
 
-	if *reportF != "" {
-		// Summarize before Close: the collector's samplers and records
-		// stay valid, and the summary does not depend on the streams.
+	if aggr != nil {
 		summary := aggr.Summarize(collector, report.Meta{
-			Exp:        *expID,
-			Scale:      params.Scale.String(),
-			Seed:       *seed,
+			Exp:        o.expID,
+			Scale:      o.params.Scale.String(),
+			Seed:       o.seed,
 			Created:    time.Now().UTC().Format(time.RFC3339),
 			Workers:    effWorkers,
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -291,55 +342,26 @@ func main() {
 		}
 		b, err := json.MarshalIndent(summary, "", "  ")
 		if err == nil {
-			err = os.WriteFile(*reportF, append(b, '\n'), 0o644)
+			err = os.WriteFile(o.report, append(b, '\n'), 0o644)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pnetbench: report: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "pnetbench: report: %v\n", err)
+			return 1
 		}
 	}
 	if collector != nil {
 		if err := collector.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "pnetbench: telemetry: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "pnetbench: telemetry: %v\n", err)
+			return 1
 		}
 	}
 	for _, c := range closers {
 		if err := c.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "pnetbench: telemetry: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "pnetbench: telemetry: %v\n", err)
+			return 1
 		}
 	}
-}
-
-// validateFingerprintFlags rejects -fingerprint combinations that would
-// silently do nothing or lie about cadence. epochSet says whether
-// -fingerprint-epoch appeared on the command line at all (the zero
-// default is valid and means "use the built-in cadence").
-func validateFingerprintFlags(fingerprint bool, epoch int64, epochSet bool, journal, metrics, reportF string) error {
-	if epochSet && epoch <= 0 {
-		return fmt.Errorf("-fingerprint-epoch must be positive, got %d", epoch)
-	}
-	if epochSet && !fingerprint {
-		return fmt.Errorf("-fingerprint-epoch requires -fingerprint")
-	}
-	if journal != "" && !fingerprint {
-		return fmt.Errorf("-fingerprint-journal requires -fingerprint")
-	}
-	if fingerprint && metrics == "" && reportF == "" {
-		return fmt.Errorf("-fingerprint needs a sink for the checkpoints: add -metrics or -report")
-	}
-	return nil
-}
-
-// validateFormat rejects a -format the output switch would silently
-// print as tables.
-func validateFormat(format string) error {
-	switch format {
-	case "table", "csv", "json":
-		return nil
-	}
-	return fmt.Errorf("unknown -format %q (accepted: table, csv, json)", format)
+	return 0
 }
 
 // parseFlowIDs parses the -trace-flow comma list.
@@ -360,21 +382,4 @@ func parseFlowIDs(s string) ([]int64, error) {
 		return nil, fmt.Errorf("no flow ids in %q", s)
 	}
 	return out, nil
-}
-
-// openSink resolves a -metrics/-trace destination: "" = off, "-" =
-// stdout (not closed), anything else = created file (returned as closer).
-func openSink(path string) (io.Writer, io.Closer) {
-	switch path {
-	case "":
-		return nil, nil
-	case "-":
-		return os.Stdout, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pnetbench: %v\n", err)
-		os.Exit(1)
-	}
-	return f, f
 }

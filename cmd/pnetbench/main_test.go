@@ -1,67 +1,115 @@
 package main
 
 import (
+	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
 
-func TestValidateFingerprintFlags(t *testing.T) {
-	cases := []struct {
-		name        string
-		fingerprint bool
-		epoch       int64
-		epochSet    bool
-		journal     string
-		metrics     string
-		report      string
-		wantErr     string // "" = valid
-	}{
-		{name: "off by default"},
-		{name: "fingerprint with metrics", fingerprint: true, metrics: "m.jsonl"},
-		{name: "fingerprint with report", fingerprint: true, report: "r.json"},
-		{name: "explicit epoch", fingerprint: true, epoch: 1024, epochSet: true, metrics: "m.jsonl"},
-		{name: "journal with fingerprint", fingerprint: true, journal: "j.jsonl", metrics: "m.jsonl"},
-		{name: "zero epoch", fingerprint: true, epoch: 0, epochSet: true, metrics: "m.jsonl",
-			wantErr: "-fingerprint-epoch must be positive"},
-		{name: "negative epoch", fingerprint: true, epoch: -5, epochSet: true, metrics: "m.jsonl",
-			wantErr: "-fingerprint-epoch must be positive"},
-		{name: "epoch without fingerprint", epoch: 1024, epochSet: true, metrics: "m.jsonl",
-			wantErr: "-fingerprint-epoch requires -fingerprint"},
-		{name: "journal without fingerprint", journal: "j.jsonl",
-			wantErr: "-fingerprint-journal requires -fingerprint"},
-		{name: "fingerprint without sink", fingerprint: true,
-			wantErr: "-fingerprint needs a sink"},
-	}
-	for _, c := range cases {
+// commandLine is one row of the tables below: arguments for run, and the
+// stderr text a rejection must carry ("" = the line is accepted). Every
+// occurrence of DIR in args is replaced by the case's scratch directory.
+type commandLine struct {
+	name    string
+	args    string
+	wantErr string
+}
+
+// checkCommandLines drives each line through run, the function main
+// calls. Accepted lines name no experiment, so they validate, list and
+// exit 0; rejected lines must exit 2 with a one-line message and, the
+// point of validating first, leave no file behind.
+func checkCommandLines(t *testing.T, lines []commandLine) {
+	for _, c := range lines {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateFingerprintFlags(c.fingerprint, c.epoch, c.epochSet, c.journal, c.metrics, c.report)
+			dir := t.TempDir()
+			args := strings.Fields(strings.ReplaceAll(c.args, "DIR", dir))
+			var stdout, stderr bytes.Buffer
+			code := run(args, &stdout, &stderr)
+			left, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(left) != 0 {
+				t.Errorf("%d file(s) created, first %q: nothing may be opened before the run starts", len(left), left[0].Name())
+			}
 			if c.wantErr == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
+				if code != 0 || !strings.Contains(stdout.String(), "experiments:") {
+					t.Fatalf("exit %d, stderr %q: want the line accepted", code, stderr.String())
 				}
 				return
 			}
-			if err == nil {
-				t.Fatalf("want error containing %q, got nil", c.wantErr)
+			msg := stderr.String()
+			if code != 2 {
+				t.Fatalf("exit %d, stderr %q: want exit 2", code, msg)
 			}
-			if !strings.Contains(err.Error(), c.wantErr) {
-				t.Errorf("error %q does not contain %q", err, c.wantErr)
+			if !strings.Contains(msg, c.wantErr) {
+				t.Errorf("stderr %q does not contain %q", msg, c.wantErr)
 			}
-			if strings.Contains(err.Error(), "\n") {
-				t.Errorf("error is not one line: %q", err)
+			if !strings.HasPrefix(msg, "pnetbench: ") || strings.Count(msg, "\n") != 1 {
+				t.Errorf("message is not one pnetbench: line: %q", msg)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("rejected line wrote to stdout: %q", stdout.String())
 			}
 		})
 	}
 }
 
+func TestValidateFingerprintFlags(t *testing.T) {
+	checkCommandLines(t, []commandLine{
+		{name: "off by default"},
+		{name: "fingerprint with metrics", args: "-fingerprint -metrics DIR/m.jsonl"},
+		{name: "fingerprint with report", args: "-fingerprint -report DIR/r.json"},
+		{name: "explicit epoch", args: "-fingerprint -fingerprint-epoch 1024 -metrics DIR/m.jsonl"},
+		{name: "journal with fingerprint", args: "-fingerprint -fingerprint-journal DIR/j.jsonl -metrics DIR/m.jsonl"},
+		{name: "zero epoch", args: "-exp table1 -fingerprint -fingerprint-epoch 0 -metrics DIR/m.jsonl",
+			wantErr: "-fingerprint-epoch must be positive"},
+		{name: "negative epoch", args: "-exp table1 -fingerprint -fingerprint-epoch -5 -metrics DIR/m.jsonl",
+			wantErr: "-fingerprint-epoch must be positive"},
+		{name: "epoch without fingerprint", args: "-exp table1 -fingerprint-epoch 1024 -metrics DIR/m.jsonl",
+			wantErr: "-fingerprint-epoch requires -fingerprint"},
+		{name: "journal without fingerprint", args: "-exp table1 -fingerprint-journal DIR/j.jsonl",
+			wantErr: "-fingerprint-journal requires -fingerprint"},
+		{name: "fingerprint without sink", args: "-exp table1 -fingerprint",
+			wantErr: "-fingerprint needs a sink"},
+	})
+}
+
 func TestValidateFormat(t *testing.T) {
-	for format, ok := range map[string]bool{"table": true, "csv": true, "json": true, "xml": false, "": false, "JSON": false} {
-		err := validateFormat(format)
-		if (err == nil) != ok {
-			t.Errorf("-format %q: err = %v, want accepted = %v", format, err, ok)
-		}
-		if err != nil && !strings.Contains(err.Error(), "table, csv, json") {
-			t.Errorf("-format %q: error does not list the accepted values: %v", format, err)
-		}
-	}
+	const accepted = "table, csv, json"
+	checkCommandLines(t, []commandLine{
+		{name: "table", args: "-format table"},
+		{name: "csv", args: "-format csv"},
+		{name: "json", args: "-format json"},
+		{name: "xml", args: "-exp table1 -format xml -metrics DIR/m.jsonl", wantErr: accepted},
+		{name: "upper case", args: "-exp table1 -format JSON -metrics DIR/m.jsonl", wantErr: accepted},
+		{name: "empty", args: "-exp table1 -metrics DIR/m.jsonl -format=", wantErr: accepted},
+	})
+}
+
+// TestValidateBeforeSideEffects: the rejections that used to come after
+// the output files were created (or never came at all).
+func TestValidateBeforeSideEffects(t *testing.T) {
+	const outputs = " -metrics DIR/m.jsonl -trace DIR/t.jsonl -fingerprint -fingerprint-journal DIR/j.jsonl"
+	checkCommandLines(t, []commandLine{
+		{name: "unknown experiment", args: "-exp nosuch" + outputs, wantErr: `unknown experiment "nosuch"`},
+		{name: "unknown scale", args: "-exp table1 -scale huge" + outputs, wantErr: `unknown scale "huge"`},
+		{name: "negative workers", args: "-exp table1 -workers -1" + outputs, wantErr: "-workers must be >= 0"},
+		{name: "bad trace-flow", args: "-exp table1 -trace-flow 1,x" + outputs, wantErr: `-trace-flow: bad flow id "x"`},
+		{name: "empty trace-flow list", args: "-exp table1 -trace-flow ,," + outputs, wantErr: "-trace-flow: no flow ids"},
+		{name: "trace-flow without trace", args: "-exp table1 -trace-flow 1 -metrics DIR/m.jsonl", wantErr: "-trace-flow requires -trace"},
+		{name: "zero sample", args: "-exp table1 -sample 0s" + outputs, wantErr: "-sample must be positive"},
+		{name: "bad chaos script", args: "-exp table1 -chaos nonsense" + outputs, wantErr: "chaos"},
+		{name: "metrics and trace share a file", args: "-exp table1 -metrics DIR/x.jsonl -trace DIR/x.jsonl",
+			wantErr: "-metrics and -trace both write to"},
+		{name: "metrics and report share a file", args: "-exp table1 -metrics DIR/x -report DIR/./x",
+			wantErr: "-metrics and -report both write to"},
+		{name: "trace and journal share a file", args: "-exp table1 -fingerprint -report DIR/r.json -trace DIR/x -fingerprint-journal DIR/x",
+			wantErr: "-trace and -fingerprint-journal both write to"},
+		{name: "two streams on stdout", args: "-exp table1 -metrics - -trace -",
+			wantErr: `-metrics and -trace both write to "-"`},
+		{name: "unknown experiment with -list", args: "-list -exp nosuch", wantErr: "unknown experiment"},
+	})
 }

@@ -181,9 +181,6 @@ func TestInjectorRecordsFaults(t *testing.T) {
 	if col.Faults[1].Event != "clear" || col.Faults[1].TPs != int64(20*sim.Microsecond) {
 		t.Errorf("clear record = %+v", col.Faults[1])
 	}
-	if got := col.Reg.Counter("faults.injected").Value(); got != 1 {
-		t.Errorf("faults.injected = %d", got)
-	}
 	if len(seen) != 2 {
 		t.Errorf("OnEvent saw %d events, want 2", len(seen))
 	}

@@ -58,7 +58,6 @@ func TestSummaryWorkerInvariant(t *testing.T) {
 		c := obs.NewCollector()
 		aggr := report.NewAggregator()
 		c.Sink = aggr
-		c.DropSamples = true
 		e, _ := ByID("fig6c")
 		e.Run(Params{Seed: 1, Workers: n, Obs: c})
 		s := aggr.Summarize(c, report.Meta{Exp: "fig6c", Scale: "small", Seed: 1})
@@ -94,7 +93,6 @@ func TestSpansSummaryWorkerInvariant(t *testing.T) {
 		c.Profile = true
 		aggr := report.NewAggregator()
 		c.Sink = aggr
-		c.DropSamples = true
 		e, _ := ByID("fig6c")
 		e.Run(Params{Seed: 1, Workers: n, Obs: c})
 		s := aggr.Summarize(c, report.Meta{Exp: "fig6c", Scale: "small", Seed: 1})
@@ -142,7 +140,6 @@ func TestFingerprintWorkerInvariant(t *testing.T) {
 		c.Fingerprint = true
 		aggr := report.NewAggregator()
 		c.Sink = aggr
-		c.DropSamples = true
 		e, _ := ByID("fig6c")
 		e.Run(Params{Seed: 1, Workers: n, Obs: c})
 		s := aggr.Summarize(c, report.Meta{Exp: "fig6c", Scale: "small", Seed: 1})

@@ -14,34 +14,30 @@ import (
 // FlowRecord and SolverRecord (the in-memory record types accumulated
 // here) are defined with the rest of the JSONL schema in schema.go.
 
-// Collector bundles the telemetry of one harness run: a metric registry,
-// optional JSONL streams, and per-network samplers/tracers. Every method
-// is nil-safe so instrumented code needs no guards of its own.
+// Collector bundles the telemetry of one harness run: optional JSONL
+// streams, in-memory flow/solver/fault records, and per-network
+// samplers, tracers, flight recorders and fingerprinters. Every method is
+// nil-safe so instrumented code needs no guards of its own.
+//
+// Each sampler hands its records to the one sink AttachNetwork chose
+// (SampleSink); flow, solver and fault records go to the metrics stream
+// as they arrive and stay in the slices below for whoever summarizes the
+// run.
 //
 // A Collector is safe for concurrent producers: parallel experiment
 // cells attach networks and record flows/solver calls/faults against one
 // shared instance. Record slices then accumulate in completion order —
-// nondeterministic under workers > 1 — but every consumer (the registry,
-// report summarization) aggregates commutatively, so derived results do
-// not depend on worker count. The exported Flows/Solver/Faults fields
-// must only be read directly after all producers have finished.
+// nondeterministic under workers > 1 — but report summarization
+// aggregates commutatively, so derived results do not depend on worker
+// count. The exported Flows/Solver/Faults fields must only be read
+// directly after all producers have finished.
 type Collector struct {
-	// Reg aggregates counters and histograms across everything the
-	// collector sees (flows, solver calls, attach events).
-	Reg *Registry
 	// Interval is the sampling period in sim time; zero selects 10 µs.
 	Interval sim.Time
-	// AlwaysSample starts a sampler on every attached network even when
-	// no metrics stream is set, so samples accumulate for post-run
-	// summarization (internal/report) without the JSONL round-trip.
-	AlwaysSample bool
-	// Sink, when non-nil, receives every sample as it is taken — the
-	// streaming aggregation path. Must be set before AttachNetwork.
+	// Sink, when non-nil, receives every sample as it is taken (the live
+	// aggregation path, internal/report's Aggregator). Must be set before
+	// AttachNetwork.
 	Sink SampleSink
-	// DropSamples stops samplers from retaining their in-memory series;
-	// set it alongside Sink to keep memory bounded on long runs whose
-	// consumer aggregates on the fly.
-	DropSamples bool
 	// Spans enables latency-attribution span recording on every attached
 	// network; completed flows then carry their FCT decomposition
 	// (FlowRecord.Spans). Must be set before AttachNetwork.
@@ -119,11 +115,11 @@ type ProfileSnapshot struct {
 	Bins    []sim.ProfileBin
 }
 
-// NewCollector returns a collector with a fresh registry and no streams.
-func NewCollector() *Collector { return &Collector{Reg: NewRegistry()} }
+// NewCollector returns a collector with no streams.
+func NewCollector() *Collector { return &Collector{} }
 
-// StreamMetrics mirrors samples, flow/solver records, and the final
-// metric snapshot to w as JSONL.
+// StreamMetrics streams samples, flow/solver/fault records and, at Close,
+// profile bins and fingerprint checkpoints to w as JSONL.
 func (c *Collector) StreamMetrics(w io.Writer) { c.mw = NewMetricsWriter(w) }
 
 // StreamTrace streams packet lifecycle events of every attached network
@@ -139,29 +135,6 @@ func (c *Collector) StreamTrace(w io.Writer) { c.tw = bufio.NewWriterSize(w, 1<<
 // AttachNetwork, and only with Fingerprint set.
 func (c *Collector) StreamFingerprintJournal(w io.Writer) { c.jw = NewMetricsWriter(w) }
 
-// MetricsLines returns the number of metric records written so far.
-func (c *Collector) MetricsLines() int64 {
-	if c == nil || c.mw == nil {
-		return 0
-	}
-	return c.mw.Count()
-}
-
-// TraceEvents returns the number of trace lines written so far.
-func (c *Collector) TraceEvents() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	sinks := c.sinks
-	c.mu.Unlock()
-	var n int64
-	for _, s := range sinks {
-		n += s.EventCount()
-	}
-	return n
-}
-
 func (c *Collector) interval() sim.Time {
 	if c.Interval > 0 {
 		return c.Interval
@@ -169,10 +142,22 @@ func (c *Collector) interval() sim.Time {
 	return 10 * sim.Microsecond
 }
 
+// sampleSink picks the one destination of every sample: the metrics
+// stream, Sink, both through a tee, or nil when neither is set.
+func (c *Collector) sampleSink() SampleSink {
+	switch {
+	case c.mw != nil && c.Sink != nil:
+		return tee{c.mw, c.Sink}
+	case c.mw != nil:
+		return c.mw
+	}
+	return c.Sink
+}
+
 // AttachNetwork instruments one simulation: the network's tracer is
 // pointed at the trace stream (if any) and a sampler is started on the
-// engine (if a metrics stream is set). Safe to call on a nil collector.
-// It returns the sampler, or nil if none was started.
+// engine (if a metrics stream or Sink is set). Safe to call on a nil
+// collector. It returns the sampler, or nil if none was started.
 func (c *Collector) AttachNetwork(eng *sim.Engine, net *sim.Network) *Sampler {
 	if c == nil {
 		return nil
@@ -188,7 +173,6 @@ func (c *Collector) AttachNetwork(eng *sim.Engine, net *sim.Network) *Sampler {
 		c.sinks = append(c.sinks, sink)
 	}
 	c.mu.Unlock()
-	c.Reg.Counter("networks.attached").Inc()
 	if sink != nil {
 		net.Tracer = sink
 	}
@@ -209,12 +193,9 @@ func (c *Collector) AttachNetwork(eng *sim.Engine, net *sim.Network) *Sampler {
 		c.mu.Unlock()
 	}
 	var sampler *Sampler
-	if c.mw != nil || c.AlwaysSample || c.Sink != nil {
-		sampler = NewSampler(eng, net, c.interval())
+	if to := c.sampleSink(); to != nil {
+		sampler = NewSampler(eng, net, c.interval(), to)
 		sampler.NetID = id
-		sampler.stream = c.mw
-		sampler.sink = c.Sink
-		sampler.retain = !c.DropSamples
 		sampler.Start()
 		c.mu.Lock()
 		c.samplers = append(c.samplers, sampler)
@@ -224,10 +205,10 @@ func (c *Collector) AttachNetwork(eng *sim.Engine, net *sim.Network) *Sampler {
 }
 
 // AttachProfile hooks an event-loop flight recorder onto one engine and
-// nothing else: no sampler, no tracer, no registry traffic. It exists so
-// a profiling companion can measure an otherwise-uninstrumented
-// simulation without perturbing any deterministic output of the run
-// (record streams, counters, NetID assignment all stay untouched).
+// nothing else: no sampler, no tracer. It exists so a profiling
+// companion can measure an otherwise-uninstrumented simulation without
+// perturbing any deterministic output of the run (record streams and
+// NetID assignment stay untouched).
 func (c *Collector) AttachProfile(eng *sim.Engine) *sim.FlightRecorder {
 	if c == nil {
 		return nil
@@ -317,12 +298,6 @@ func (c *Collector) RecordFlow(r FlowRecord) {
 	c.mu.Lock()
 	c.Flows = append(c.Flows, r)
 	c.mu.Unlock()
-	c.Reg.Counter("flows.completed").Inc()
-	c.Reg.Counter("flows.bytes").Add(r.Bytes)
-	c.Reg.Counter("flows.retransmits").Add(r.Retransmits)
-	if r.FCT > 0 {
-		c.Reg.Histogram("flow.fct_s").Observe(r.FCT)
-	}
 	if c.mw != nil {
 		c.mw.write(r)
 	}
@@ -337,12 +312,6 @@ func (c *Collector) RecordSolver(r SolverRecord) {
 	c.mu.Lock()
 	c.Solver = append(c.Solver, r)
 	c.mu.Unlock()
-	c.Reg.Counter("solver.calls").Inc()
-	c.Reg.Counter("solver.phases").Add(int64(r.Phases))
-	c.Reg.Counter("solver.iterations").Add(r.Iterations)
-	if r.WallSec > 0 {
-		c.Reg.Histogram("solver.wall_s").Observe(r.WallSec)
-	}
 	if c.mw != nil {
 		c.mw.write(r)
 	}
@@ -358,80 +327,9 @@ func (c *Collector) RecordFault(r FaultRecord) {
 	c.mu.Lock()
 	c.Faults = append(c.Faults, r)
 	c.mu.Unlock()
-	switch r.Event {
-	case "inject":
-		c.Reg.Counter("faults.injected").Inc()
-	case "clear":
-		c.Reg.Counter("faults.cleared").Inc()
-	case "detect":
-		c.Reg.Counter("faults.detected").Inc()
-		if r.LatencySec > 0 {
-			c.Reg.Histogram("fault.detect_latency_s").Observe(r.LatencySec)
-		}
-	case "failover":
-		if r.LatencySec > 0 {
-			c.Reg.Histogram("fault.failover_latency_s").Observe(r.LatencySec)
-		}
-	case "recover":
-		if r.LatencySec > 0 {
-			c.Reg.Histogram("fault.recovery_s").Observe(r.LatencySec)
-		}
-		if r.DipFrac > 0 {
-			c.Reg.Histogram("fault.dip_frac").Observe(r.DipFrac)
-		}
-	}
 	if c.mw != nil {
 		c.mw.write(r)
 	}
-}
-
-// FCTs returns the recorded flow completion times in seconds.
-func (c *Collector) FCTs() []float64 {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]float64, 0, len(c.Flows))
-	for _, f := range c.Flows {
-		out = append(out, f.FCT)
-	}
-	return out
-}
-
-// Merge folds src into c: in-memory records are appended and registries
-// merged. It is the fan-in step for runs that give each parallel cell a
-// private collector (for deterministic per-cell record order) and
-// combine them afterwards; merging in cell-index order makes even the
-// merged record order deterministic. Streams and samplers are not
-// carried over — merge before Close, and only into a collector whose
-// producers are quiescent.
-func (c *Collector) Merge(src *Collector) {
-	if c == nil || src == nil || c == src {
-		return
-	}
-	src.mu.Lock()
-	flows := append([]FlowRecord(nil), src.Flows...)
-	solver := append([]SolverRecord(nil), src.Solver...)
-	faults := append([]FaultRecord(nil), src.Faults...)
-	profiles := append([]profileEntry(nil), src.profiles...)
-	fps := append([]fingerprintEntry(nil), src.fps...)
-	src.mu.Unlock()
-	c.mu.Lock()
-	c.Flows = append(c.Flows, flows...)
-	c.Solver = append(c.Solver, solver...)
-	c.Faults = append(c.Faults, faults...)
-	c.profiles = append(c.profiles, profiles...)
-	for _, e := range fps {
-		// Re-key under this collector's NetID sequence: per-cell collectors
-		// each start at zero, so carried IDs would collide.
-		e.net = c.nets
-		c.nets++
-		c.fps = append(c.fps, e)
-	}
-	c.mu.Unlock()
-	c.runWallNs.Add(src.runWallNs.Load())
-	c.Reg.Merge(src.Reg)
 }
 
 // AddRunWall accumulates wall time spent inside an engine run. Safe from
@@ -441,9 +339,9 @@ func (c *Collector) AddRunWall(d time.Duration) { c.runWallNs.Add(int64(d)) }
 // RunWallNs reports the accumulated engine-run wall time in nanoseconds.
 func (c *Collector) RunWallNs() int64 { return c.runWallNs.Load() }
 
-// Close stops samplers, dumps the registry snapshot to the metrics
-// stream, and flushes both streams. It returns the first error any
-// stream hit.
+// Close stops samplers, writes the profile bins and fingerprint
+// checkpoints to the metrics stream, and flushes every stream. It
+// returns the first error any stream hit.
 func (c *Collector) Close() error {
 	if c == nil {
 		return nil
@@ -477,9 +375,6 @@ func (c *Collector) Close() error {
 				}
 				c.mw.write(r)
 			}
-		}
-		for _, m := range c.Reg.Snapshot() {
-			c.mw.write(m)
 		}
 		if err := c.mw.Flush(); err != nil && first == nil {
 			first = err

@@ -125,21 +125,19 @@ func (s *JSONLSink) Flush() error {
 	return s.err
 }
 
-// MetricsWriter streams metric records — samples, flow records, solver
-// records, metric snapshots — as JSONL. Unlike the packet sink this is
-// not a hot path, so records go through encoding/json, and an internal
-// mutex makes it safe for the samplers of concurrently-running networks
-// to share one stream (individual lines never interleave; line order
-// across producers is arrival order).
+// MetricsWriter streams metric records — samples, flow, solver and fault
+// records, profile bins, fingerprint checkpoints — as JSONL. Unlike the
+// packet sink this is not a hot path, so records go through
+// encoding/json, and an internal mutex makes it safe for the samplers of
+// concurrently-running networks to share one stream (individual lines
+// never interleave; line order across producers is arrival order). The
+// record shapes live in schema.go; every line carries "type", so a stream
+// mixing kinds stays self-describing.
 type MetricsWriter struct {
 	mu  sync.Mutex
 	w   *bufio.Writer
 	enc *json.Encoder
-
-	// Lines counts records written. Use Count to read it while other
-	// goroutines may still be writing.
-	Lines int64
-	err   error
+	err error
 }
 
 // NewMetricsWriter builds a writer streaming to w.
@@ -151,22 +149,15 @@ func NewMetricsWriter(w io.Writer) *MetricsWriter {
 func (m *MetricsWriter) write(v any) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.err != nil {
-		return
+	if m.err == nil {
+		m.err = m.enc.Encode(v)
 	}
-	if err := m.enc.Encode(v); err != nil {
-		m.err = err
-		return
-	}
-	m.Lines++
 }
 
-// Count returns the number of records written so far.
-func (m *MetricsWriter) Count() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.Lines
-}
+// Link, Plane and Engine implement SampleSink: one line per record.
+func (m *MetricsWriter) Link(r LinkRecord)     { m.write(r) }
+func (m *MetricsWriter) Plane(r PlaneRecord)   { m.write(r) }
+func (m *MetricsWriter) Engine(r EngineRecord) { m.write(r) }
 
 // Flush drains the buffer and returns the first error, if any.
 func (m *MetricsWriter) Flush() error {
@@ -177,35 +168,3 @@ func (m *MetricsWriter) Flush() error {
 	}
 	return m.err
 }
-
-// The JSONL record shapes live in schema.go; every line carries "type"
-// so a stream mixing sample kinds, flow records, and solver records
-// stays self-describing.
-
-// Record converts an in-memory sample to its JSONL record shape.
-func (s LinkSample) Record(net int) LinkRecord {
-	return LinkRecord{
-		Type: KindLink, Net: net, TPs: int64(s.T), Link: int64(s.Link), Plane: s.Plane,
-		QueueBytes: s.QueueBytes, Util: s.Util, TxBytes: s.TxBytes, Drops: s.Drops,
-		Blackholed: s.Blackholed,
-	}
-}
-
-// Record converts an in-memory sample to its JSONL record shape.
-func (s PlaneSample) Record(net int) PlaneRecord {
-	return PlaneRecord{Type: KindPlane, Net: net, TPs: int64(s.T), Plane: s.Plane, TxBytes: s.TxBytes}
-}
-
-// Record converts an in-memory sample to its JSONL record shape.
-func (s EngineSample) Record(net int) EngineRecord {
-	return EngineRecord{
-		Type: KindEngine, Net: net, TPs: int64(s.T), Events: s.Events,
-		HeapLen: s.HeapLen, WallNano: s.Wall.Nanoseconds(),
-	}
-}
-
-func (m *MetricsWriter) writeLinkSample(net int, s LinkSample) { m.write(s.Record(net)) }
-
-func (m *MetricsWriter) writePlaneSample(net int, s PlaneSample) { m.write(s.Record(net)) }
-
-func (m *MetricsWriter) writeEngineSample(net int, s EngineSample) { m.write(s.Record(net)) }

@@ -1,9 +1,10 @@
-// Package obs is the simulator's telemetry layer: named counters,
-// gauges, and log-bucketed histograms (this file); a periodic Sampler
-// that snapshots per-link and per-plane state from a running simulation
-// (sampler.go); JSONL sinks for packet traces and metric streams
-// (jsonl.go); and a Collector that bundles them for the experiment
-// harness (collector.go).
+// Package obs is the simulator's telemetry layer: a periodic Sampler
+// that reads per-link, per-plane and engine state from a running
+// simulation and hands each record to one sink (sampler.go); the JSONL
+// writers for the metrics stream and the packet trace (jsonl.go); the
+// record shapes both ends share (schema.go); a Collector that bundles
+// them for the experiment harness (collector.go); and the log-bucketed
+// Histogram the summaries take link-level percentiles from (this file).
 //
 // The paper's §7 treats per-plane monitoring as a first-class concern of
 // P-Nets, and every figure in its evaluation is a time series or a
@@ -12,42 +13,17 @@
 //
 // Everything here is stdlib-only. Each sim engine remains single-threaded,
 // but the parallel sweep harness runs many engines at once against one
-// shared Collector, so every primitive in this package is safe for
-// concurrent producers: counters and gauges are atomics, histograms and
-// registries carry a mutex, and per-cell registries can be folded into a
-// shared one with Merge. All hooks are nil-safe: a nil *Collector accepts
-// records and does nothing, and an unattached network pays only the
-// existing one-branch cost of sim.Network's nil Tracer check.
+// shared Collector, so everything that is shared is safe for concurrent
+// producers: the collector's record slices, the metrics writer and the
+// histogram each carry a mutex. All hooks are nil-safe: a nil *Collector
+// accepts records and does nothing, and an unattached network pays only
+// the existing one-branch cost of sim.Network's nil Tracer check.
 package obs
 
 import (
 	"math"
-	"sort"
 	"sync"
-	"sync/atomic"
 )
-
-// Counter is a monotonically increasing integer metric. Safe for
-// concurrent use.
-type Counter struct{ v atomic.Int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a last-value-wins float metric. Safe for concurrent use.
-type Gauge struct{ v atomic.Uint64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.v.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.v.Load()) }
 
 // histBuckets spans 2^-64 .. 2^63, wide enough for picosecond times
 // expressed in seconds on one end and byte counts on the other.
@@ -97,47 +73,11 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// Merge folds every observation recorded in src into h. This is the
-// fan-in step for per-cell histograms: because buckets, count, sum, and
-// the extremes all combine commutatively, merging cells in any order
-// yields the same histogram.
-func (h *Histogram) Merge(src *Histogram) {
-	if src == nil || h == src {
-		return
-	}
-	src.mu.Lock()
-	buckets, count, sum, min, max := src.buckets, src.count, src.sum, src.min, src.max
-	src.mu.Unlock()
-	if count == 0 {
-		return
-	}
-	h.mu.Lock()
-	for i, n := range buckets {
-		h.buckets[i] += n
-	}
-	if h.count == 0 || min < h.min {
-		h.min = min
-	}
-	if h.count == 0 || max > h.max {
-		h.max = max
-	}
-	h.count += count
-	h.sum += sum
-	h.mu.Unlock()
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.count
-}
-
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
 }
 
 // Mean returns the exact mean (the sum is tracked outside the buckets).
@@ -194,123 +134,4 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 	}
 	return h.max
-}
-
-// Registry is a get-or-create namespace of metrics. Safe for concurrent
-// use: parallel experiment cells share one registry (all primitives
-// combine commutatively), or keep private registries and fold them in
-// with Merge.
-type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
-	}
-}
-
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[name]
-	if h == nil {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
-}
-
-// Merge folds every metric in src into r: counters add, histograms merge
-// bucket-wise, and gauges keep src's value (last-write-wins, matching
-// Set). Use it to combine per-cell registries after a parallel sweep;
-// counters and histograms merge commutatively, so any fold order gives
-// identical totals.
-func (r *Registry) Merge(src *Registry) {
-	if src == nil || r == src {
-		return
-	}
-	src.mu.Lock()
-	counters := make(map[string]int64, len(src.counters))
-	for name, c := range src.counters {
-		counters[name] = c.Value()
-	}
-	gauges := make(map[string]float64, len(src.gauges))
-	for name, g := range src.gauges {
-		gauges[name] = g.Value()
-	}
-	hists := make(map[string]*Histogram, len(src.hists))
-	for name, h := range src.hists {
-		hists[name] = h
-	}
-	src.mu.Unlock()
-	for name, v := range counters {
-		r.Counter(name).Add(v)
-	}
-	for name, v := range gauges {
-		r.Gauge(name).Set(v)
-	}
-	for name, h := range hists {
-		r.Histogram(name).Merge(h)
-	}
-}
-
-// Snapshot returns every metric (as MetricSnapshot records, see
-// schema.go), sorted by (kind, name) for determinism.
-func (r *Registry) Snapshot() []MetricSnapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []MetricSnapshot
-	for name, c := range r.counters {
-		out = append(out, MetricSnapshot{Type: "metric", Name: name, Kind: "counter", Value: float64(c.Value())})
-	}
-	for name, g := range r.gauges {
-		out = append(out, MetricSnapshot{Type: "metric", Name: name, Kind: "gauge", Value: g.Value()})
-	}
-	for name, h := range r.hists {
-		out = append(out, MetricSnapshot{
-			Type: "metric", Name: name, Kind: "histogram",
-			Value: h.Mean(), Count: h.Count(), Min: h.Min(),
-			P50: h.Quantile(0.50), P99: h.Quantile(0.99), P999: h.Quantile(0.999),
-			Max: h.Max(),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
 }

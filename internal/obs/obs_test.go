@@ -11,40 +11,6 @@ import (
 	"pnet/internal/sim"
 )
 
-func TestRegistryGetOrCreate(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("a")
-	c.Inc()
-	c.Add(2)
-	if r.Counter("a") != c || c.Value() != 3 {
-		t.Errorf("counter identity/value broken: %d", c.Value())
-	}
-	g := r.Gauge("b")
-	g.Set(1.5)
-	if r.Gauge("b").Value() != 1.5 {
-		t.Error("gauge identity broken")
-	}
-	h := r.Histogram("c")
-	h.Observe(1)
-	if r.Histogram("c").Count() != 1 {
-		t.Error("histogram identity broken")
-	}
-
-	snap := r.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("snapshot has %d entries", len(snap))
-	}
-	// Sorted by (kind, name): counter a, gauge b, histogram c.
-	if snap[0].Kind != "counter" || snap[1].Kind != "gauge" || snap[2].Kind != "histogram" {
-		t.Errorf("snapshot order: %+v", snap)
-	}
-	for _, m := range snap {
-		if m.Type != "metric" {
-			t.Errorf("snapshot type = %q", m.Type)
-		}
-	}
-}
-
 func TestHistogramQuantiles(t *testing.T) {
 	var h Histogram
 	// Values spanning decades, like FCTs in seconds.
@@ -75,63 +41,34 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-// TestSnapshotTailQuantiles: the snapshot must carry the p999 tail
-// (what Fig. 11 actually plots) and the exact minimum, alongside the
-// existing p50/p99/max.
-func TestSnapshotTailQuantiles(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("fct")
-	// 500 observations at 1ms, one at 1s: the outlier is the top 0.2%
-	// of the sample, so p99 stays low while p999 must reach its bucket.
-	for i := 0; i < 500; i++ {
-		h.Observe(1e-3)
-	}
-	h.Observe(1.0)
-	snap := r.Snapshot()
-	if len(snap) != 1 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	m := snap[0]
-	if m.Min != 1e-3 {
-		t.Errorf("min = %v, want 1e-3", m.Min)
-	}
-	if m.P999 < 0.5 || m.P999 > 1.0 {
-		t.Errorf("p999 = %v, want within 2x of the 1s outlier", m.P999)
-	}
-	if m.P99 > 2e-3 {
-		t.Errorf("p99 = %v, should not see the outlier", m.P99)
-	}
-	if m.P999 < m.P99 || m.Max != 1.0 {
-		t.Errorf("tail ordering broken: p99=%v p999=%v max=%v", m.P99, m.P999, m.Max)
-	}
+// sliceSink keeps every record a sampler hands it: what a test that wants
+// the series attaches, since samplers retain nothing themselves.
+type sliceSink struct {
+	links   []LinkRecord
+	planes  []PlaneRecord
+	engines []EngineRecord
 }
 
-// countingSink reduces samples on arrival, standing in for
-// internal/report's aggregator.
-type countingSink struct {
-	links, planes, engines int
-	lastNet                int
-}
+func (s *sliceSink) Link(r LinkRecord)     { s.links = append(s.links, r) }
+func (s *sliceSink) Plane(r PlaneRecord)   { s.planes = append(s.planes, r) }
+func (s *sliceSink) Engine(r EngineRecord) { s.engines = append(s.engines, r) }
 
-func (c *countingSink) LinkSample(net int, s LinkSample)     { c.links++; c.lastNet = net }
-func (c *countingSink) PlaneSample(net int, s PlaneSample)   { c.planes++ }
-func (c *countingSink) EngineSample(net int, s EngineSample) { c.engines++ }
-
-// TestSampleSinkWithDropSamples: with a sink attached and DropSamples
-// set, samples flow to the sink and the sampler retains nothing — the
-// bounded-memory path `pnetbench -report` uses.
-func TestSampleSinkWithDropSamples(t *testing.T) {
+// TestSinkOnlyCollectorSamples: a collector with a Sink and no metrics
+// stream still starts a sampler, and records reach the sink as the
+// schema writes them, Type and Net filled in: the path `pnetbench
+// -report` uses.
+func TestSinkOnlyCollectorSamples(t *testing.T) {
 	g, p0, _ := twoPlane()
 	eng := sim.NewEngine()
 	net := sim.NewNetwork(eng, g, sim.Config{})
 
-	sink := &countingSink{lastNet: -1}
+	sink := &sliceSink{}
 	c := NewCollector()
 	c.Interval = sim.Microsecond
 	c.Sink = sink
-	c.DropSamples = true
-	sampler := c.AttachNetwork(eng, net)
-	if sampler == nil {
+	idle := sim.NewEngine() // takes NetID 0, never runs
+	c.AttachNetwork(idle, sim.NewNetwork(idle, g, sim.Config{}))
+	if c.AttachNetwork(eng, net) == nil {
 		t.Fatal("no sampler started for a sink-only collector")
 	}
 
@@ -148,15 +85,12 @@ func TestSampleSinkWithDropSamples(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if sink.engines == 0 || sink.planes == 0 || sink.links == 0 {
-		t.Fatalf("sink saw %d/%d/%d link/plane/engine samples", sink.links, sink.planes, sink.engines)
+	if len(sink.engines) == 0 || len(sink.planes) == 0 || len(sink.links) == 0 {
+		t.Fatalf("sink saw %d/%d/%d link/plane/engine records", len(sink.links), len(sink.planes), len(sink.engines))
 	}
-	if sink.lastNet != 0 {
-		t.Errorf("sink net id = %d", sink.lastNet)
-	}
-	if len(sampler.Links) != 0 || len(sampler.Planes) != 0 || len(sampler.Engine) != 0 {
-		t.Errorf("DropSamples retained %d/%d/%d samples",
-			len(sampler.Links), len(sampler.Planes), len(sampler.Engine))
+	if l, p, e := sink.links[0], sink.planes[0], sink.engines[0]; l.Type != KindLink || p.Type != KindPlane ||
+		e.Type != KindEngine || l.Net != 1 || p.Net != 1 || e.Net != 1 || l.TPs <= 0 || e.Events == 0 {
+		t.Errorf("first records: %+v, %+v, %+v, want kinds filled in and net 1", l, p, e)
 	}
 }
 
@@ -244,7 +178,8 @@ func TestNilCollectorIsSafe(t *testing.T) {
 	if c.AttachNetwork(nil, nil) != nil {
 		t.Error("nil collector attached a sampler")
 	}
-	if c.FCTs() != nil || c.MetricsLines() != 0 || c.TraceEvents() != 0 {
+	c.RecordFault(FaultRecord{Event: "inject"})
+	if c.Samplers() != nil || c.Profiles() != nil || c.Fingerprints() != nil {
 		t.Error("nil collector reported state")
 	}
 	if err := c.Close(); err != nil {
@@ -278,8 +213,8 @@ func twoPlane() (*graph.Graph, []graph.LinkID, []graph.LinkID) {
 // TestCollectorEndToEnd drives packets over a two-plane network with
 // both streams attached and checks the JSONL output: every line parses,
 // trace covers enqueue and deliver with sim timestamps and plane ids,
-// and the metrics stream carries link/plane/engine samples plus the
-// final registry snapshot.
+// and the metrics stream carries link/plane/engine samples and the flow
+// and solver records, and no metric snapshot lines any more.
 func TestCollectorEndToEnd(t *testing.T) {
 	g, p0, p1 := twoPlane()
 	eng := sim.NewEngine()
@@ -315,8 +250,8 @@ func TestCollectorEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if c.TraceEvents() == 0 || c.MetricsLines() == 0 {
-		t.Fatalf("no output: %d trace events, %d metric lines", c.TraceEvents(), c.MetricsLines())
+	if tbuf.Len() == 0 || mbuf.Len() == 0 {
+		t.Fatalf("no output: %d trace bytes, %d metrics bytes", tbuf.Len(), mbuf.Len())
 	}
 
 	// Every trace line parses; enqueue and deliver both appear; both
@@ -347,8 +282,8 @@ func TestCollectorEndToEnd(t *testing.T) {
 		t.Errorf("planes seen = %v, want both", planes)
 	}
 
-	// Every metrics line parses; link, plane, engine, flow, solver, and
-	// metric records all appear; link samples carry link/plane ids.
+	// Every metrics line parses; link, plane, engine, flow and solver
+	// records all appear; link samples carry link/plane ids.
 	kinds := map[string]int{}
 	for _, line := range nonEmptyLines(mbuf.String()) {
 		var rec map[string]any
@@ -369,21 +304,21 @@ func TestCollectorEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"link", "plane", "engine", "flow", "solver", "metric"} {
+	for _, want := range []string{"link", "plane", "engine", "flow", "solver"} {
 		if kinds[want] == 0 {
 			t.Errorf("metrics stream has no %q records (got %v)", want, kinds)
 		}
+	}
+	if kinds[KindMetric] != 0 {
+		t.Errorf("metrics stream still carries %d metric lines", kinds[KindMetric])
 	}
 
 	// The collector also kept the records in memory.
 	if len(c.Flows) != 1 || len(c.Solver) != 1 {
 		t.Errorf("in-memory records: %d flows, %d solver", len(c.Flows), len(c.Solver))
 	}
-	if got := c.FCTs(); len(got) != 1 || got[0] != 1e-5 {
-		t.Errorf("FCTs = %v", got)
-	}
-	if n := c.Reg.Counter("flows.completed").Value(); n != 1 {
-		t.Errorf("flows.completed = %d", n)
+	if c.Flows[0].FCT != 1e-5 || c.Flows[0].Type != KindFlow || c.Solver[0].Type != KindSolver {
+		t.Errorf("records = %+v, %+v", c.Flows[0], c.Solver[0])
 	}
 }
 
@@ -433,7 +368,8 @@ func TestSamplerTerminates(t *testing.T) {
 	g, p0, _ := twoPlane()
 	eng := sim.NewEngine()
 	net := sim.NewNetwork(eng, g, sim.Config{})
-	s := NewSampler(eng, net, sim.Microsecond)
+	series := &sliceSink{}
+	s := NewSampler(eng, net, sim.Microsecond, series)
 	s.Start()
 
 	var delivered sim.Time
@@ -451,23 +387,61 @@ func TestSamplerTerminates(t *testing.T) {
 	if eng.HeapLen() != 0 {
 		t.Fatalf("sampler left %d events pending after %d fired", eng.HeapLen(), done)
 	}
-	if len(s.Engine) == 0 {
+	if len(series.engines) == 0 {
 		t.Fatal("no engine samples recorded")
 	}
 	// At the 1 µs and 2 µs ticks the only other pending work is the packet
 	// on a wire (120 ns to transmit, 1 µs to propagate, twice): an arrival
 	// on the engine's lane, no heap entry. HeapLen has to count it, or the
 	// sampler stops ticking before the delivery at 2.24 µs.
-	if first := s.Engine[0]; first.HeapLen != 1 {
-		t.Errorf("HeapLen at the %v tick = %d, want 1 (the packet in flight)", first.T, first.HeapLen)
+	if first := series.engines[0]; first.HeapLen != 1 {
+		t.Errorf("HeapLen at the %v tick = %d, want 1 (the packet in flight)", sim.Time(first.TPs), first.HeapLen)
 	}
-	if last := s.Engine[len(s.Engine)-1]; delivered == 0 || last.T < delivered {
-		t.Errorf("last sample at %v, packet delivered at %v: the sampler stopped with a packet in flight", last.T, delivered)
+	if last := series.engines[len(series.engines)-1]; delivered == 0 || sim.Time(last.TPs) < delivered {
+		t.Errorf("last sample at %v, packet delivered at %v: the sampler stopped with a packet in flight", sim.Time(last.TPs), delivered)
 	}
-	for _, ls := range s.Links {
+	for _, ls := range series.links {
 		if ls.Util < 0 || ls.Util > 1.000001 {
 			t.Errorf("link %d util = %v", ls.Link, ls.Util)
 		}
+	}
+	// Stop after the run adds nothing: the closing record is only for a
+	// sampler that never ticked.
+	n := len(series.engines)
+	s.Stop()
+	if len(series.engines) != n {
+		t.Errorf("Stop on a sampler that ticked emitted %d more engine records", len(series.engines)-n)
+	}
+}
+
+// TestSamplerStoppedBeforeFirstTick: an engine that runs for less than
+// one interval still reports itself once, at Stop, so a stream names
+// every sampled network.
+func TestSamplerStoppedBeforeFirstTick(t *testing.T) {
+	g, p0, _ := twoPlane()
+	eng := sim.NewEngine()
+	net := sim.NewNetwork(eng, g, sim.Config{})
+	series := &sliceSink{}
+	s := NewSampler(eng, net, sim.Millisecond, series)
+	s.NetID = 3
+	s.Start()
+	p := net.NewPacket()
+	p.Size = 1500
+	p.Route = p0
+	p.Deliver = &releaseSink{net: net}
+	net.Send(p)
+	fired := eng.RunUntil(10 * sim.Microsecond)
+	if len(series.engines) != 0 {
+		t.Fatalf("sampler ticked %d times inside 10us at a 1ms interval", len(series.engines))
+	}
+	s.Stop()
+	s.Stop()
+	if len(series.engines) != 1 || len(series.links) != 0 || len(series.planes) != 0 {
+		t.Fatalf("after Stop: %d/%d/%d engine/link/plane records, want 1/0/0",
+			len(series.engines), len(series.links), len(series.planes))
+	}
+	if r := series.engines[0]; r.Net != 3 || r.Events != uint64(fired) || fired == 0 || r.TPs != int64(eng.Now()) {
+		t.Errorf("closing record = %+v, want net 3, %d events, t = %v", r, fired, eng.Now())
 	}
 }
 

@@ -1,21 +1,38 @@
-package obs
+package obs_test
 
 import (
 	"bytes"
-	"math"
 	"sync"
 	"testing"
+
+	"pnet/internal/graph"
+	"pnet/internal/obs"
+	"pnet/internal/report"
+	"pnet/internal/sim"
 )
 
 // The parallel sweep harness points many concurrently-running experiment
-// cells at one shared Collector. These tests hammer that surface from
-// many goroutines; run with -race (CI does) they are the proof that the
+// cells at one shared Collector. This test hammers that surface from many
+// goroutines; run with -race (CI does) it is the proof that the
 // concurrent-producer contract in the package doc holds.
 
+type release struct{ net *sim.Network }
+
+func (r release) HandlePacket(p *sim.Packet) { r.net.Release(p) }
+
+// TestCollectorConcurrentStress is `pnetbench -workers 8 -metrics
+// -report` in miniature: eight cells attach a network each, tick their
+// samplers into the one stream and the one Aggregator (through the tee),
+// and record flows, solver calls and faults, all at once. Afterwards the
+// stream must parse line for line and summarize to what the Aggregator
+// saw live.
 func TestCollectorConcurrentStress(t *testing.T) {
 	var mbuf bytes.Buffer
-	c := NewCollector()
+	c := obs.NewCollector()
+	c.Interval = sim.Microsecond
 	c.StreamMetrics(&mbuf)
+	aggr := report.NewAggregator()
+	c.Sink = aggr
 
 	const producers = 8
 	const perProducer = 200
@@ -24,27 +41,35 @@ func TestCollectorConcurrentStress(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
+			g := graph.New(3)
+			g.SetTransit(0, false)
+			g.SetTransit(1, false)
+			up, _ := g.AddDuplex(0, 2, 100, 0)
+			_, down := g.AddDuplex(1, 2, 100, 0)
+			eng := sim.NewEngine()
+			net := sim.NewNetwork(eng, g, sim.Config{})
+			c.AttachNetwork(eng, net)
 			for i := 0; i < perProducer; i++ {
-				c.RecordFlow(FlowRecord{
+				pkt := net.NewPacket()
+				pkt.Size = 1500
+				pkt.Route = []graph.LinkID{up, down}
+				pkt.Deliver = release{net}
+				net.Send(pkt)
+				// One sampler tick per iteration, interleaved with the record
+				// producers below. A packet takes 2.24 us, so one is always
+				// in flight and the sampler keeps rescheduling.
+				eng.RunUntil(eng.Now() + sim.Microsecond)
+				c.RecordFlow(obs.FlowRecord{
 					ID: int64(p*perProducer + i), Transport: "tcp",
 					Bytes: 1500, FCT: float64(i+1) * 1e-6, Planes: []int32{int32(p % 4)},
 				})
-				c.RecordSolver(SolverRecord{
+				c.RecordSolver(obs.SolverRecord{
 					Exp: "stress", Solver: "gk-fixed",
 					Phases: 3, Iterations: 17, Attempts: 1, WallSec: 1e-4,
 				})
-				c.RecordFault(FaultRecord{
-					Net: p, Event: "detect", LatencySec: 1e-3,
-				})
-				// Interleave readers with the writers: these take the same
-				// locks and must never observe torn state.
-				_ = c.FCTs()
-				_ = c.MetricsLines()
-				_ = c.TraceEvents()
-				c.Reg.Counter("stress.ticks").Inc()
-				c.Reg.Gauge("stress.last").Set(float64(i))
-				c.Reg.Histogram("stress.h").Observe(float64(i + 1))
+				c.RecordFault(obs.FaultRecord{Net: p, Event: "detect", LatencySec: 1e-3})
 			}
+			eng.Run()
 		}(p)
 	}
 	wg.Wait()
@@ -53,110 +78,28 @@ func TestCollectorConcurrentStress(t *testing.T) {
 	if len(c.Flows) != total || len(c.Solver) != total || len(c.Faults) != total {
 		t.Fatalf("records = %d/%d/%d, want %d each", len(c.Flows), len(c.Solver), len(c.Faults), total)
 	}
-	if got := c.Reg.Counter("flows.completed").Value(); got != total {
-		t.Errorf("flows.completed = %d, want %d", got, total)
+	if len(c.Samplers()) != producers {
+		t.Fatalf("samplers = %d, want %d", len(c.Samplers()), producers)
 	}
-	if got := c.Reg.Counter("stress.ticks").Value(); got != total {
-		t.Errorf("stress.ticks = %d, want %d", got, total)
-	}
-	if got := c.Reg.Histogram("flow.fct_s").Count(); got != total {
-		t.Errorf("fct histogram count = %d, want %d", got, total)
-	}
+	live := aggr.Summarize(c, report.Meta{})
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestHistogramMerge checks the fan-in path gives the same histogram as
-// observing everything into one instance, regardless of split.
-func TestHistogramMerge(t *testing.T) {
-	vals := []float64{1e-6, 3e-6, 0.5, 2, 1024, 7e7}
-	var whole, a, b Histogram
-	for i, v := range vals {
-		whole.Observe(v)
-		if i%2 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
+	st, err := report.ReadStream(&mbuf)
+	if err != nil {
+		t.Fatalf("shared stream does not parse: %v", err)
 	}
-	a.Merge(&b)
-	a.Merge(nil) // no-ops must not corrupt state
-	a.Merge(&a)
-	var empty Histogram
-	a.Merge(&empty)
-
-	if a.Count() != whole.Count() || a.Sum() != whole.Sum() {
-		t.Fatalf("count/sum = %d/%g, want %d/%g", a.Count(), a.Sum(), whole.Count(), whole.Sum())
+	file := report.FromStream(st, report.Meta{})
+	if live.Flows != total || live.Solver.Calls != total || live.Faults == nil || live.Faults.Detected != total {
+		t.Errorf("live summary: %d flows, %d solver calls, faults %+v", live.Flows, live.Solver.Calls, live.Faults)
 	}
-	if a.Min() != whole.Min() || a.Max() != whole.Max() {
-		t.Errorf("min/max = %g/%g, want %g/%g", a.Min(), a.Max(), whole.Min(), whole.Max())
+	// At least one link record per iteration: the samplers really did tick
+	// alongside the record producers.
+	if live.Engine.Networks != producers || live.Engine.Events == 0 || live.LinkUtil.Count < total {
+		t.Errorf("live engine = %+v, %d link samples", live.Engine, live.LinkUtil.Count)
 	}
-	for _, q := range []float64{0.5, 0.99} {
-		if got, want := a.Quantile(q), whole.Quantile(q); got != want {
-			t.Errorf("quantile(%g) = %g, want %g", q, got, want)
-		}
-	}
-	// Merging into an empty histogram must adopt src's extremes, not
-	// keep the zero values.
-	var fresh Histogram
-	fresh.Merge(&whole)
-	if fresh.Min() != whole.Min() || fresh.Max() != whole.Max() {
-		t.Errorf("empty-dst merge min/max = %g/%g, want %g/%g", fresh.Min(), fresh.Max(), whole.Min(), whole.Max())
-	}
-}
-
-func TestRegistryMerge(t *testing.T) {
-	dst, src := NewRegistry(), NewRegistry()
-	dst.Counter("c").Add(2)
-	src.Counter("c").Add(3)
-	src.Counter("src-only").Add(7)
-	dst.Gauge("g").Set(1)
-	src.Gauge("g").Set(9)
-	dst.Histogram("h").Observe(1)
-	src.Histogram("h").Observe(4)
-
-	dst.Merge(src)
-	dst.Merge(nil)
-	dst.Merge(dst)
-
-	if got := dst.Counter("c").Value(); got != 5 {
-		t.Errorf("counter c = %d, want 5", got)
-	}
-	if got := dst.Counter("src-only").Value(); got != 7 {
-		t.Errorf("counter src-only = %d, want 7", got)
-	}
-	if got := dst.Gauge("g").Value(); got != 9 {
-		t.Errorf("gauge g = %g, want 9 (last-write-wins)", got)
-	}
-	h := dst.Histogram("h")
-	if h.Count() != 2 || math.Abs(h.Sum()-5) > 1e-12 {
-		t.Errorf("histogram h count/sum = %d/%g, want 2/5", h.Count(), h.Sum())
-	}
-}
-
-func TestCollectorMerge(t *testing.T) {
-	shared := NewCollector()
-	shared.RecordFlow(FlowRecord{ID: 1, FCT: 1e-3, Bytes: 10})
-	cell := NewCollector()
-	cell.RecordFlow(FlowRecord{ID: 2, FCT: 2e-3, Bytes: 20})
-	cell.RecordSolver(SolverRecord{Exp: "x", Phases: 1, Iterations: 5, Attempts: 1})
-	cell.RecordFault(FaultRecord{Event: "inject"})
-
-	shared.Merge(cell)
-	shared.Merge(nil)
-	shared.Merge(shared)
-
-	if len(shared.Flows) != 2 || len(shared.Solver) != 1 || len(shared.Faults) != 1 {
-		t.Fatalf("records = %d/%d/%d, want 2/1/1", len(shared.Flows), len(shared.Solver), len(shared.Faults))
-	}
-	if shared.Flows[1].ID != 2 {
-		t.Errorf("merged flow order lost: %+v", shared.Flows)
-	}
-	if got := shared.Reg.Counter("flows.completed").Value(); got != 2 {
-		t.Errorf("merged flows.completed = %d, want 2", got)
-	}
-	if got := shared.Reg.Counter("faults.injected").Value(); got != 1 {
-		t.Errorf("merged faults.injected = %d, want 1", got)
+	if file.Engine.Networks != live.Engine.Networks || file.Engine.Events != live.Engine.Events ||
+		file.LinkUtil != live.LinkUtil || file.Flows != live.Flows || file.FCT != live.FCT {
+		t.Errorf("stream and live summaries disagree:\nfile: %+v\nlive: %+v", file, live)
 	}
 }

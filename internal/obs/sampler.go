@@ -8,54 +8,39 @@ import (
 	"pnet/internal/sim"
 )
 
-// LinkSample is one link's state at one sampling instant.
-type LinkSample struct {
-	T          sim.Time
-	Link       graph.LinkID
-	Plane      int32
-	QueueBytes int32
-	// Util is the link's utilization over the sampling interval (busy
-	// transmission time divided by elapsed sim time since the last tick).
-	Util       float64
-	TxBytes    int64 // cumulative
-	Drops      int64 // cumulative
-	Blackholed int64 // cumulative, packets lost to a down link
-}
-
-// PlaneSample is one dataplane's cumulative transmitted bytes at one
-// sampling instant — the merged cross-plane view of Network.PlaneBytes.
-type PlaneSample struct {
-	T       sim.Time
-	Plane   int32
-	TxBytes int64
-}
-
-// EngineSample is the event engine's state at one sampling instant: how
-// many events fired since the last tick, how long that took in wall
-// time, and the current heap size. Together they locate where simulated
-// and wall-clock time go.
-type EngineSample struct {
-	T       sim.Time
-	Events  uint64 // fired since the previous sample
-	HeapLen int
-	Wall    time.Duration // wall time since the previous sample
-}
-
-// SampleSink receives samples as they are taken — the streaming
-// alternative to the Sampler's retained series for consumers (like
-// internal/report's aggregator) that reduce on the fly and must not
-// hold millions of samples live.
+// SampleSink is where a sampler's records go. A sampler has exactly one:
+// the metrics stream (MetricsWriter), a reducing consumer such as
+// internal/report's Aggregator, or the collector's tee of the two. The
+// records are the JSONL schema's own (schema.go), Type and Net filled in,
+// so the stream and a live consumer see the same values by construction.
+// Implementations shared by several networks must be safe for concurrent
+// use.
 type SampleSink interface {
-	LinkSample(net int, s LinkSample)
-	PlaneSample(net int, s PlaneSample)
-	EngineSample(net int, s EngineSample)
+	Link(LinkRecord)
+	Plane(PlaneRecord)
+	Engine(EngineRecord)
 }
 
-// Sampler periodically snapshots a network from inside the event loop.
-// It schedules itself on the simulation engine, so samples carry sim
-// timestamps; when its tick finds the event heap otherwise empty the
-// simulation is over and it stops rescheduling, which keeps Engine.Run
-// terminating.
+// tee hands every record to two sinks: the stream first, so the file is
+// in emission order, then the live consumer.
+type tee struct{ a, b SampleSink }
+
+func (t tee) Link(r LinkRecord)     { t.a.Link(r); t.b.Link(r) }
+func (t tee) Plane(r PlaneRecord)   { t.a.Plane(r); t.b.Plane(r) }
+func (t tee) Engine(r EngineRecord) { t.a.Engine(r); t.b.Engine(r) }
+
+// Sampler periodically reads a network's state from inside the event
+// loop and emits it to its sink. It schedules itself on the simulation
+// engine, so records carry sim timestamps; when its tick finds the event
+// heap otherwise empty the simulation is over and it stops rescheduling,
+// which keeps Engine.Run terminating. It retains nothing: a test that
+// wants the series attaches a sink that appends to slices.
+//
+// Each tick emits one engine record (events fired and wall time since
+// the previous tick, pending events now), one link record per active
+// link (nonzero queue, or traffic/drops since the last tick; idle links
+// would dominate the series without carrying information) and one plane
+// record per dataplane.
 //
 // To bound overhead on long simulations the sampler decimates itself:
 // after every decimateAfter ticks the interval doubles, so the tick
@@ -64,20 +49,10 @@ type Sampler struct {
 	Eng *sim.Engine
 	Net *sim.Network
 
-	// In-memory series, appended on every tick. Links holds only links
-	// that were active (nonzero queue, or traffic/drops since the last
-	// tick); idle links would dominate the series without carrying
-	// information.
-	Links  []LinkSample
-	Planes []PlaneSample
-	Engine []EngineSample
-
-	// NetID distinguishes multiple sampled networks in a shared stream.
+	// NetID distinguishes multiple sampled networks in a shared sink.
 	NetID int
 
-	stream *MetricsWriter // optional JSONL mirror of every sample
-	sink   SampleSink     // optional streaming consumer
-	retain bool           // keep the in-memory series (the default)
+	sink SampleSink
 
 	interval   sim.Time
 	ticks      int
@@ -94,14 +69,14 @@ type Sampler struct {
 
 const decimateAfter = 4096
 
-// NewSampler prepares a sampler at the given interval (which must be
-// positive). Call Start to begin sampling.
-func NewSampler(eng *sim.Engine, net *sim.Network, interval sim.Time) *Sampler {
+// NewSampler prepares a sampler emitting to sink at the given interval
+// (which must be positive). Call Start to begin sampling.
+func NewSampler(eng *sim.Engine, net *sim.Network, interval sim.Time, sink SampleSink) *Sampler {
 	n := net.G.NumLinks()
 	s := &Sampler{
 		Eng:       eng,
 		Net:       net,
-		retain:    true,
+		sink:      sink,
 		interval:  interval,
 		prevTx:    make([]int64, n),
 		prevDrops: make([]int64, n),
@@ -129,37 +104,43 @@ func (s *Sampler) Start() {
 	s.Eng.After(s.interval, s.tick)
 }
 
-// Stop prevents any further samples.
-func (s *Sampler) Stop() { s.stopped = true }
+// Stop ends sampling. A sampler stopped before its first tick (its
+// engine ran for less than one interval) emits its one engine record
+// here, so every sampled network appears in the sink and a summary built
+// from the stream counts the same networks as one built live. Call it
+// only once the engine has stopped.
+func (s *Sampler) Stop() {
+	if s.stopped {
+		return
+	}
+	s.stopped = true
+	if s.ticks == 0 {
+		s.sink.Engine(s.engineRecord())
+	}
+}
+
+// engineRecord reads the engine's progress since the previous record and
+// moves the baseline up to now.
+func (s *Sampler) engineRecord() EngineRecord {
+	wall, fired := time.Now(), s.Eng.EventsFired()
+	r := EngineRecord{
+		Type: KindEngine, Net: s.NetID, TPs: int64(s.Eng.Now()),
+		Events: fired - s.prevFired, HeapLen: s.Eng.HeapLen(),
+		WallNano: wall.Sub(s.prevWall).Nanoseconds(),
+	}
+	s.prevFired = fired
+	s.prevWall = wall
+	return r
+}
 
 func (s *Sampler) tick() {
 	if s.stopped {
 		return
 	}
-	now := s.Eng.Now()
-	wall := time.Now()
+	now := int64(s.Eng.Now())
+	s.sink.Engine(s.engineRecord())
 
-	// Engine sample.
-	fired := s.Eng.EventsFired()
-	es := EngineSample{
-		T:       now,
-		Events:  fired - s.prevFired,
-		HeapLen: s.Eng.HeapLen(),
-		Wall:    wall.Sub(s.prevWall),
-	}
-	if s.retain {
-		s.Engine = append(s.Engine, es)
-	}
-	s.prevFired = fired
-	s.prevWall = wall
-	if s.stream != nil {
-		s.stream.writeEngineSample(s.NetID, es)
-	}
-	if s.sink != nil {
-		s.sink.EngineSample(s.NetID, es)
-	}
-
-	// Link samples, active links only.
+	// Link records, active links only.
 	planeBytes := make(map[int32]int64, len(s.planeOrder))
 	intervalSec := s.interval.Seconds()
 	for i := range s.prevTx {
@@ -173,25 +154,11 @@ func (s *Sampler) tick() {
 			if intervalSec > 0 {
 				util = (st.Busy - s.prevBusy[i]).Seconds() / intervalSec
 			}
-			ls := LinkSample{
-				T:          now,
-				Link:       id,
-				Plane:      s.planeOf[i],
-				QueueBytes: depth,
-				Util:       util,
-				TxBytes:    st.TxBytes,
-				Drops:      st.Drops,
+			s.sink.Link(LinkRecord{
+				Type: KindLink, Net: s.NetID, TPs: now, Link: int64(id), Plane: s.planeOf[i],
+				QueueBytes: depth, Util: util, TxBytes: st.TxBytes, Drops: st.Drops,
 				Blackholed: st.Blackholed,
-			}
-			if s.retain {
-				s.Links = append(s.Links, ls)
-			}
-			if s.stream != nil {
-				s.stream.writeLinkSample(s.NetID, ls)
-			}
-			if s.sink != nil {
-				s.sink.LinkSample(s.NetID, ls)
-			}
+			})
 		}
 		s.prevTx[i] = st.TxBytes
 		s.prevDrops[i] = st.Drops
@@ -201,16 +168,7 @@ func (s *Sampler) tick() {
 
 	// Per-plane totals.
 	for _, p := range s.planeOrder {
-		ps := PlaneSample{T: now, Plane: p, TxBytes: planeBytes[p]}
-		if s.retain {
-			s.Planes = append(s.Planes, ps)
-		}
-		if s.stream != nil {
-			s.stream.writePlaneSample(s.NetID, ps)
-		}
-		if s.sink != nil {
-			s.sink.PlaneSample(s.NetID, ps)
-		}
+		s.sink.Plane(PlaneRecord{Type: KindPlane, Net: s.NetID, TPs: now, Plane: p, TxBytes: planeBytes[p]})
 	}
 
 	s.ticks++

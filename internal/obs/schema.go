@@ -23,12 +23,15 @@ const (
 	KindEngine      = "engine"
 	KindFlow        = "flow"
 	KindSolver      = "solver"
-	KindMetric      = "metric"
 	KindPacket      = "pkt"
 	KindFault       = "fault"
 	KindProfile     = "profile"
 	KindFingerprint = "fp"
 	KindFPEvent     = "fpev"
+	// KindMetric is written by no current binary: it was the close-time
+	// counter/gauge/histogram snapshot of earlier versions. The reader
+	// still recognises it, and skips the line, so their streams load.
+	KindMetric = "metric"
 )
 
 // LinkRecord is one active link's state at one sampling instant. Util is
@@ -212,22 +215,6 @@ type SolverRecord struct {
 	Iterations int64   `json:"iterations"`
 	Attempts   int     `json:"attempts"`
 	WallSec    float64 `json:"wall_s"`
-}
-
-// MetricSnapshot is one metric's exported state, written once per metric
-// when the collector closes.
-type MetricSnapshot struct {
-	Type string `json:"type"` // "metric"
-	Name string `json:"name"`
-	Kind string `json:"kind"` // counter | gauge | histogram
-	// Value is the counter/gauge value, or the histogram mean.
-	Value float64 `json:"value"`
-	Count int64   `json:"count,omitempty"` // histogram observations
-	Min   float64 `json:"min,omitempty"`
-	P50   float64 `json:"p50,omitempty"`
-	P99   float64 `json:"p99,omitempty"`
-	P999  float64 `json:"p999,omitempty"`
-	Max   float64 `json:"max,omitempty"`
 }
 
 // FaultRecord is one runtime-fault lifecycle event: "inject" and "clear"

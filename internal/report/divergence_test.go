@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"pnet/internal/graph"
 	"pnet/internal/obs"
 	"pnet/internal/sim"
 )
@@ -188,27 +187,20 @@ func TestDivergencePrefixRun(t *testing.T) {
 
 // TestFingerprintSummaryRoundTrip drives a real two-plane simulation
 // through a collector with fingerprinting on, and checks that (a) the
-// JSONL round-trip agrees with the in-memory path, (b) two identical
+// JSONL round-trip agrees with the live Aggregator, (b) two identical
 // runs produce identical summaries that Diff passes, and (c) a hash
 // flip fails the gate.
 func TestFingerprintSummaryRoundTrip(t *testing.T) {
 	run := func() (RunSummary, RunSummary) {
-		g := graph.New(4)
-		g.SetTransit(0, false)
-		g.SetTransit(1, false)
-		a0, _ := g.AddDuplex(0, 2, 100, 0)
-		_, d0 := g.AddDuplex(1, 2, 100, 0)
-		a1, _ := g.AddDuplex(0, 3, 100, 1)
-		_, d1 := g.AddDuplex(1, 3, 100, 1)
-
 		var buf bytes.Buffer
 		c := obs.NewCollector()
 		c.Interval = sim.Microsecond
 		c.Fingerprint = true
 		c.FingerprintEpoch = 16
 		c.StreamMetrics(&buf)
-		eng := sim.NewEngine()
-		net := sim.NewNetwork(eng, g, sim.Config{})
+		aggr := NewAggregator()
+		c.Sink = aggr
+		eng, net, paths := twoPlaneNet()
 		c.AttachNetwork(eng, net)
 		if eng.Fingerprint == nil {
 			t.Fatal("collector did not attach a fingerprinter")
@@ -217,18 +209,14 @@ func TestFingerprintSummaryRoundTrip(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			p := net.NewPacket()
 			p.Size = 1500
-			if i%2 == 0 {
-				p.Route = []graph.LinkID{a0, d0}
-			} else {
-				p.Route = []graph.LinkID{a1, d1}
-			}
+			p.Route = paths[i%2].Links
 			p.Deliver = sink
 			p.FlowID = int64(i%3 + 1)
 			net.Send(p)
 		}
 		eng.Run()
 		m := Meta{Exp: "fp"}
-		fromMem := FromCollector(c, m)
+		fromMem := aggr.Summarize(c, m)
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +237,7 @@ func TestFingerprintSummaryRoundTrip(t *testing.T) {
 		}
 	}
 	if *sumFP(t, mem1) != *sumFP(t, jsonl1) {
-		t.Errorf("stream path disagrees with memory path:\nmem:   %+v\njsonl: %+v", mem1.Fingerprint, jsonl1.Fingerprint)
+		t.Errorf("stream path disagrees with the live Aggregator:\nmem:   %+v\njsonl: %+v", mem1.Fingerprint, jsonl1.Fingerprint)
 	}
 	if mem1.Fingerprint.Global != mem2.Fingerprint.Global {
 		t.Errorf("identical runs produced different global chains: %s vs %s",

@@ -25,7 +25,6 @@ type Stream struct {
 	Engines  []obs.EngineRecord
 	Flows    []obs.FlowRecord
 	Solvers  []obs.SolverRecord
-	Metrics  []obs.MetricSnapshot
 	Packets  []obs.PacketRecord
 	Faults   []obs.FaultRecord
 	Profiles []obs.ProfileRecord
@@ -33,7 +32,7 @@ type Stream struct {
 	// per-event journal records from a divergence re-run.
 	Fingerprints []obs.FingerprintRecord
 	FPEvents     []obs.FingerprintEventRecord
-	// Lines counts successfully decoded records.
+	// Lines counts successfully decoded records (and skipped metric lines).
 	Lines int
 }
 
@@ -161,11 +160,7 @@ func (s *Stream) decodeLine(b []byte) error {
 		}
 		s.Solvers = append(s.Solvers, r)
 	case obs.KindMetric:
-		var r obs.MetricSnapshot
-		if err := json.Unmarshal(b, &r); err != nil {
-			return err
-		}
-		s.Metrics = append(s.Metrics, r)
+		// Written by earlier binaries only; recognised so their streams load.
 	case obs.KindPacket:
 		var r obs.PacketRecord
 		if err := json.Unmarshal(b, &r); err != nil {

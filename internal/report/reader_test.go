@@ -2,6 +2,7 @@ package report
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestReadStreamAllKinds(t *testing.T) {
 		t.Fatalf("decoded %d lines, want 7", s.Lines)
 	}
 	if len(s.Engines) != 1 || len(s.Links) != 1 || len(s.Planes) != 1 ||
-		len(s.Flows) != 1 || len(s.Solvers) != 1 || len(s.Metrics) != 1 || len(s.Packets) != 1 {
+		len(s.Flows) != 1 || len(s.Solvers) != 1 || len(s.Packets) != 1 {
 		t.Fatalf("bucket counts = %+v", s)
 	}
 	if s.Flows[0].FCT != 0.002 || s.Flows[0].Planes[1] != 1 {
@@ -37,6 +38,35 @@ func TestReadStreamAllKinds(t *testing.T) {
 	}
 	if s.Packets[0].Ev != "enqueue" || s.Packets[0].Size != 1500 {
 		t.Errorf("packet = %+v", s.Packets[0])
+	}
+}
+
+// TestReadStreamSkipsParentMetricLines: goodStream's "metric" line is
+// what binaries before the registry was deleted wrote at close. Such a
+// stream must still load, and summarize exactly as it does without the
+// line; any other kind this reader does not know stays an error.
+func TestReadStreamSkipsParentMetricLines(t *testing.T) {
+	const metricLine = `{"type":"metric","name":"flows.completed","kind":"counter","value":1}` + "\n"
+	if !strings.Contains(goodStream, metricLine) {
+		t.Fatal("fixture lost its parent-written metric line")
+	}
+	more := goodStream + `{"type":"metric","name":"flow.fct_s","kind":"histogram","value":0.002,"count":1,"min":0.002,"p50":0.002,"p99":0.002,"p999":0.002,"max":0.002}` + "\n"
+	with, err := ReadStream(strings.NewReader(more))
+	if err != nil {
+		t.Fatalf("stream with metric lines: %v", err)
+	}
+	without, err := ReadStream(strings.NewReader(strings.Replace(goodStream, metricLine, "", 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := Meta{Exp: "compat"}
+	if a, b := FromStream(with, m), FromStream(without, m); !reflect.DeepEqual(a, b) || a.Flows != 1 || a.Engine.Networks != 1 {
+		t.Errorf("metric lines changed the summary:\nwith:    %+v\nwithout: %+v", a, b)
+	}
+	_, err = ReadStream(strings.NewReader(`{"type":"gauge","name":"x","value":1}` + "\n"))
+	var uk *UnknownKindError
+	if !errors.As(err, &uk) || uk.Kind != "gauge" {
+		t.Errorf("unknown kind: err = %v, want *UnknownKindError for \"gauge\"", err)
 	}
 }
 
@@ -149,8 +179,7 @@ func TestRoundTripWriterReader(t *testing.T) {
 	if s.Solvers[0].Iterations != 77 || s.Solvers[0].WallSec != 0.25 {
 		t.Errorf("solver round-trip: %+v", s.Solvers[0])
 	}
-	// The close snapshot rides along as metric records.
-	if len(s.Metrics) == 0 {
-		t.Error("no metric snapshot records in stream")
+	if s.Lines != 2 {
+		t.Errorf("stream has %d lines, want the flow and the solver record only", s.Lines)
 	}
 }

@@ -2,17 +2,21 @@ package report
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"pnet/internal/graph"
 	"pnet/internal/metrics"
 	"pnet/internal/obs"
 	"pnet/internal/sim"
+	"pnet/internal/tcp"
 )
 
 func sampleSummary() RunSummary {
@@ -33,7 +37,6 @@ func sampleSummary() RunSummary {
 	a.addLink(obs.LinkRecord{Net: 1, TPs: 2e9, Link: 1, Plane: 0, QueueBytes: 0, Util: 0.1, Drops: 2})
 	a.addEngine(obs.EngineRecord{Net: 0, TPs: 2e9, Events: 5000, WallNano: 1e6})
 	a.addEngine(obs.EngineRecord{Net: 1, TPs: 2e9, Events: 5000, WallNano: 1e6})
-	a.engines = 2
 	return a.summary(Meta{Exp: "test", Scale: "small", Seed: 1, Created: "2026-08-05T00:00:00Z"})
 }
 
@@ -119,10 +122,9 @@ func TestDistFromSamplesExact(t *testing.T) {
 	}
 }
 
-func TestFromStreamMatchesFromCollector(t *testing.T) {
-	// Drive a tiny two-plane sim through a collector with a JSONL
-	// stream, then summarize both ways: the JSONL round-trip must agree
-	// with the in-memory path on every deterministic field.
+// twoPlaneNet builds a 2-host network with one switch per plane and
+// returns the host-to-host path on each plane.
+func twoPlaneNet() (*sim.Engine, *sim.Network, []graph.Path) {
 	g := graph.New(4)
 	g.SetTransit(0, false)
 	g.SetTransit(1, false)
@@ -130,33 +132,69 @@ func TestFromStreamMatchesFromCollector(t *testing.T) {
 	_, d0 := g.AddDuplex(1, 2, 100, 0)
 	a1, _ := g.AddDuplex(0, 3, 100, 1)
 	_, d1 := g.AddDuplex(1, 3, 100, 1)
+	eng := sim.NewEngine()
+	net := sim.NewNetwork(eng, g, sim.Config{})
+	return eng, net, []graph.Path{{Links: []graph.LinkID{a0, d0}}, {Links: []graph.LinkID{a1, d1}}}
+}
 
+// TestFromStreamMatchesAggregator is the road users take, both ways:
+// `pnetbench -spans -fingerprint -metrics m.jsonl -report r.json` builds
+// r.json live in the Aggregator, and `pnetstat summary m.jsonl` rebuilds
+// it from the file. With every observer on, the two summaries must be
+// equal in every field but the one only the live side can know. One of
+// the two networks stops before its first sampler tick: it is still an
+// engine in both.
+func TestFromStreamMatchesAggregator(t *testing.T) {
 	var buf bytes.Buffer
 	c := obs.NewCollector()
 	c.Interval = sim.Microsecond
+	c.Spans, c.Profile, c.Fingerprint = true, true, true
+	c.FingerprintEpoch = 64
 	c.StreamMetrics(&buf)
-	eng := sim.NewEngine()
-	net := sim.NewNetwork(eng, g, sim.Config{})
-	c.AttachNetwork(eng, net)
+	aggr := NewAggregator()
+	c.Sink = aggr
 
-	sink := releaseSink{net}
-	for i := 0; i < 50; i++ {
-		p := net.NewPacket()
-		p.Size = 1500
-		if i%2 == 0 {
-			p.Route = []graph.LinkID{a0, d0}
-		} else {
-			p.Route = []graph.LinkID{a1, d1}
+	// Network 0: an MPTCP flow over both planes and a single-path flow,
+	// run to completion over many sampler ticks.
+	eng, net, paths := twoPlaneNet()
+	c.AttachNetwork(eng, net)
+	for i, ps := range [][]graph.Path{paths, paths[:1]} {
+		f, err := tcp.NewFlow(net, tcp.Config{}, ps, 300_000)
+		if err != nil {
+			t.Fatal(err)
 		}
-		p.Deliver = sink
-		net.Send(p)
+		f.ID = int64(i + 1)
+		f.OnComplete = func(fl *tcp.Flow) {
+			r := obs.FlowRecord{ID: fl.ID, TPs: int64(fl.Finished), Transport: "tcp", Dst: 1,
+				Bytes: 300_000, FCT: fl.FCT().Seconds(), Retransmits: fl.Retransmits, Subflows: fl.Subflows()}
+			for _, sp := range fl.Attribution() {
+				r.Spans = append(r.Spans, obs.SpanShare{Component: sp.Comp.String(), Plane: sp.Plane, Ps: int64(sp.Dur)})
+			}
+			c.RecordFlow(r)
+		}
+		f.Start()
 	}
 	eng.Run()
-	c.RecordFlow(obs.FlowRecord{ID: 1, Bytes: 75000, FCT: 2e-5, Planes: []int32{0, 1}})
-	c.RecordSolver(obs.SolverRecord{Exp: "t", Solver: "gk-fixed", Phases: 2, Iterations: 9, WallSec: 0.01})
+
+	// Network 1: one packet, stopped half an interval in.
+	eng1, net1, paths1 := twoPlaneNet()
+	c.AttachNetwork(eng1, net1)
+	p := net1.NewPacket()
+	p.Size = 1500
+	p.Route = paths1[1].Links
+	p.Deliver = releaseSink{net1}
+	net1.Send(p)
+	if eng1.RunUntil(sim.Microsecond/2) == 0 {
+		t.Fatal("network 1 fired no events")
+	}
+
+	c.RecordSolver(obs.SolverRecord{Exp: "t", Solver: "gk-fixed", Phases: 2, Iterations: 9, Attempts: 1, WallSec: 0.01})
+	c.RecordFault(obs.FaultRecord{Net: 0, TPs: 1e6, Event: "inject", Target: "link:7", Plane: 1})
+	c.RecordFault(obs.FaultRecord{Net: 0, TPs: 2e6, Event: "detect", Target: "plane:1", Plane: 1, LatencySec: 5e-4})
+	c.AddRunWall(time.Millisecond)
 
 	m := Meta{Exp: "t", Scale: "small", Seed: 1}
-	fromMem := FromCollector(c, m)
+	live := aggr.Summarize(c, m)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -164,33 +202,31 @@ func TestFromStreamMatchesFromCollector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromJSONL := FromStream(st, m)
+	file := FromStream(st, m)
 
-	if fromMem.Flows != fromJSONL.Flows || fromMem.FCT != fromJSONL.FCT {
-		t.Errorf("flow mismatch: mem %+v jsonl %+v", fromMem.FCT, fromJSONL.FCT)
+	// The comparison has to be about something: every block present, both
+	// networks counted everywhere.
+	if live.Flows != 2 || live.LinkUtil.Count == 0 || len(live.PlaneShares) != 2 || live.Faults == nil ||
+		live.Attribution == nil || live.Profile == nil || live.Fingerprint == nil {
+		t.Fatalf("live summary is missing a block: %+v", live)
 	}
-	if fromMem.Drops != fromJSONL.Drops {
-		t.Errorf("drops: mem %d jsonl %d", fromMem.Drops, fromJSONL.Drops)
+	if live.Engine.Networks != 2 || live.Profile.Engines != 2 || live.Fingerprint.Engines != 2 {
+		t.Errorf("engines: %d sampled, %d profiled, %d fingerprinted, want 2 each",
+			live.Engine.Networks, live.Profile.Engines, live.Fingerprint.Engines)
 	}
-	if len(fromMem.PlaneShares) != len(fromJSONL.PlaneShares) {
-		t.Fatalf("plane shares: mem %+v jsonl %+v", fromMem.PlaneShares, fromJSONL.PlaneShares)
+	// Wall time measured around engine runs is not in the stream; every
+	// other wall field is, sample for sample, so it needs no zeroing.
+	if live.Engine.RunWallSec == 0 || file.Engine.RunWallSec != 0 {
+		t.Errorf("run_wall_s: live %v, file %v", live.Engine.RunWallSec, file.Engine.RunWallSec)
 	}
-	for i := range fromMem.PlaneShares {
-		if fromMem.PlaneShares[i] != fromJSONL.PlaneShares[i] {
-			t.Errorf("plane share %d: mem %+v jsonl %+v", i, fromMem.PlaneShares[i], fromJSONL.PlaneShares[i])
+	live.Engine.RunWallSec = 0
+	lv, fv := reflect.ValueOf(live), reflect.ValueOf(file)
+	for i := 0; i < lv.NumField(); i++ {
+		if l, f := lv.Field(i).Interface(), fv.Field(i).Interface(); !reflect.DeepEqual(l, f) {
+			lb, _ := json.Marshal(l)
+			fb, _ := json.Marshal(f)
+			t.Errorf("%s: Aggregator.Summarize and FromStream(ReadStream) disagree:\nlive: %s\nfile: %s", lv.Type().Field(i).Name, lb, fb)
 		}
-	}
-	if fromMem.LinkUtil != fromJSONL.LinkUtil {
-		t.Errorf("link util: mem %+v jsonl %+v", fromMem.LinkUtil, fromJSONL.LinkUtil)
-	}
-	if fromMem.Engine.Events != fromJSONL.Engine.Events || fromMem.Engine.SimSec != fromJSONL.Engine.SimSec {
-		t.Errorf("engine: mem %+v jsonl %+v", fromMem.Engine, fromJSONL.Engine)
-	}
-	if fromMem.Solver != fromJSONL.Solver {
-		t.Errorf("solver: mem %+v jsonl %+v", fromMem.Solver, fromJSONL.Solver)
-	}
-	if len(fromMem.PlaneShares) != 2 {
-		t.Errorf("expected both planes sampled: %+v", fromMem.PlaneShares)
 	}
 }
 
@@ -375,7 +411,7 @@ func TestFaultRecordsRoundTripThroughJSONL(t *testing.T) {
 	c.RecordFault(obs.FaultRecord{Net: 0, TPs: 1e9, Event: "inject", Target: "link:7", Plane: 1})
 	c.RecordFault(obs.FaultRecord{Net: 0, TPs: 2e9, Event: "detect", Target: "plane:1", Plane: 1, LatencySec: 5e-4})
 	m := Meta{Exp: "t"}
-	fromMem := FromCollector(c, m)
+	fromMem := NewAggregator().Summarize(c, m)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}

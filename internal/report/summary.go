@@ -160,7 +160,8 @@ type Meta struct {
 }
 
 // agg accumulates telemetry into a RunSummary; both construction paths
-// (in-memory collector, JSONL stream) feed the same aggregation.
+// (the live Aggregator, a JSONL stream through FromStream) feed the same
+// aggregation, record by record.
 type agg struct {
 	fcts    []float64
 	bytes   int64
@@ -172,7 +173,7 @@ type agg struct {
 	linkDrops  map[[2]int64]int64
 	linkBH     map[[2]int64]int64
 	planeBytes map[[2]int64]int64
-	engines    int
+	engineNets map[int]bool // networks with an engine record: every sampled one
 	events     uint64
 	wallNs     int64
 	runWallNs  int64
@@ -211,6 +212,7 @@ func newAgg() *agg {
 		linkDrops:  map[[2]int64]int64{},
 		linkBH:     map[[2]int64]int64{},
 		planeBytes: map[[2]int64]int64{},
+		engineNets: map[int]bool{},
 		spanPs:     map[[2]int64]int64{},
 		profBins:   map[[2]int64][2]int64{},
 		profNets:   map[int]bool{},
@@ -236,7 +238,7 @@ func (a *agg) foldFP(events int64, epoch int64, global, host uint64, planes []ui
 }
 
 // addFingerprintSnapshot folds one engine's fingerprint state (the
-// in-memory collector path). The final checkpoint carries the chains.
+// live path, Aggregator.Summarize). The final checkpoint carries the chains.
 func (a *agg) addFingerprintSnapshot(snap obs.FingerprintSnapshot) {
 	if len(snap.Checkpoints) == 0 {
 		return
@@ -285,7 +287,7 @@ func (a *agg) addFlow(f obs.FlowRecord) {
 		for _, sp := range f.Spans {
 			ci, ok := sim.ParseSpanComponent(sp.Component)
 			if !ok {
-				continue // the reader rejects these; defensive for in-memory paths
+				continue // the reader rejects these; defensive for the live path
 			}
 			a.spanPs[[2]int64{int64(ci), int64(sp.Plane)}] += sp.Ps
 		}
@@ -307,8 +309,8 @@ func (a *agg) addProfileRecord(r obs.ProfileRecord) {
 	}
 }
 
-// addProfileSnapshot folds one engine's recorder state (the in-memory
-// collector path).
+// addProfileSnapshot folds one engine's recorder state (the live path,
+// Aggregator.Summarize).
 func (a *agg) addProfileSnapshot(snap obs.ProfileSnapshot) {
 	a.profEngines++
 	a.profSimPs += int64(snap.SimTime)
@@ -353,6 +355,7 @@ func (a *agg) addPlane(r obs.PlaneRecord) {
 }
 
 func (a *agg) addEngine(r obs.EngineRecord) {
+	a.engineNets[r.Net] = true
 	a.events += r.Events
 	a.wallNs += r.WallNano
 	if r.TPs > a.simPs {
@@ -429,7 +432,7 @@ func (a *agg) summary(m Meta) RunSummary {
 	}
 
 	s.Engine = EngineSummary{
-		Networks:   a.engines,
+		Networks:   len(a.engineNets),
 		Events:     a.events,
 		WallSec:    float64(a.wallNs) / 1e9,
 		SimSec:     float64(a.simPs) / 1e12,
@@ -475,12 +478,10 @@ func (a *agg) summary(m Meta) RunSummary {
 	return s
 }
 
-// Aggregator is the streaming construction path for RunSummary: attach
-// it as the collector's SampleSink (with DropSamples set) and every
-// sample reduces on arrival instead of accumulating in sampler series —
-// bounded memory however long the run. This is what `pnetbench -report`
-// uses; `-exp all` would otherwise hold tens of millions of link
-// samples live.
+// Aggregator is the live construction path for RunSummary: set it as the
+// collector's Sink and every sample reduces on arrival, bounded memory
+// however long the run. This is what `pnetbench -report` uses; `-exp
+// all` takes tens of millions of link samples.
 //
 // An Aggregator accepts samples from concurrently-running networks:
 // every reduction it performs (sums, per-(net,key) last-value maps,
@@ -495,31 +496,36 @@ type Aggregator struct {
 // NewAggregator returns an empty aggregator.
 func NewAggregator() *Aggregator { return &Aggregator{a: newAgg()} }
 
-// LinkSample implements obs.SampleSink.
-func (x *Aggregator) LinkSample(net int, s obs.LinkSample) {
+// Link implements obs.SampleSink.
+func (x *Aggregator) Link(r obs.LinkRecord) {
 	x.mu.Lock()
-	x.a.addLink(s.Record(net))
+	x.a.addLink(r)
 	x.mu.Unlock()
 }
 
-// PlaneSample implements obs.SampleSink.
-func (x *Aggregator) PlaneSample(net int, s obs.PlaneSample) {
+// Plane implements obs.SampleSink.
+func (x *Aggregator) Plane(r obs.PlaneRecord) {
 	x.mu.Lock()
-	x.a.addPlane(s.Record(net))
+	x.a.addPlane(r)
 	x.mu.Unlock()
 }
 
-// EngineSample implements obs.SampleSink.
-func (x *Aggregator) EngineSample(net int, s obs.EngineSample) {
+// Engine implements obs.SampleSink.
+func (x *Aggregator) Engine(r obs.EngineRecord) {
 	x.mu.Lock()
-	x.a.addEngine(s.Record(net))
+	x.a.addEngine(r)
 	x.mu.Unlock()
 }
 
-// Summarize folds the collector's flow and solver records in and
-// returns the run summary. Call once, when the run is over and every
-// producer has finished.
+// Summarize stops the collector's samplers (a network that never reached
+// its first tick reports its one engine record then), folds the
+// collector's flow, solver and fault records, profiles and fingerprints
+// in, and returns the run summary. Call once, when the run is over and
+// every producer has finished; before or after Collector.Close.
 func (x *Aggregator) Summarize(c *obs.Collector, m Meta) RunSummary {
+	for _, s := range c.Samplers() {
+		s.Stop()
+	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	for _, f := range c.Flows {
@@ -537,46 +543,8 @@ func (x *Aggregator) Summarize(c *obs.Collector, m Meta) RunSummary {
 	for _, snap := range c.Fingerprints() {
 		x.a.addFingerprintSnapshot(snap)
 	}
-	x.a.engines = len(c.Samplers())
 	x.a.runWallNs = c.RunWallNs()
 	return x.a.summary(m)
-}
-
-// FromCollector summarizes a run from the collector's retained sampler
-// series — the simple path when DropSamples is off. Runs that attached
-// an Aggregator as the collector's sink should use its Summarize
-// instead.
-func FromCollector(c *obs.Collector, m Meta) RunSummary {
-	a := newAgg()
-	for _, f := range c.Flows {
-		a.addFlow(f)
-	}
-	for _, r := range c.Solver {
-		a.addSolver(r)
-	}
-	for _, r := range c.Faults {
-		a.addFault(r)
-	}
-	for _, sm := range c.Samplers() {
-		a.engines++
-		for _, ls := range sm.Links {
-			a.addLink(ls.Record(sm.NetID))
-		}
-		for _, ps := range sm.Planes {
-			a.addPlane(ps.Record(sm.NetID))
-		}
-		for _, es := range sm.Engine {
-			a.addEngine(es.Record(sm.NetID))
-		}
-	}
-	for _, snap := range c.Profiles() {
-		a.addProfileSnapshot(snap)
-	}
-	for _, snap := range c.Fingerprints() {
-		a.addFingerprintSnapshot(snap)
-	}
-	a.runWallNs = c.RunWallNs()
-	return a.summary(m)
 }
 
 // FromStream summarizes a run from a decoded JSONL metrics stream.
@@ -591,7 +559,6 @@ func FromStream(st *Stream, m Meta) RunSummary {
 	for _, r := range st.Faults {
 		a.addFault(r)
 	}
-	nets := map[int]bool{}
 	for _, r := range st.Links {
 		a.addLink(r)
 	}
@@ -599,7 +566,6 @@ func FromStream(st *Stream, m Meta) RunSummary {
 		a.addPlane(r)
 	}
 	for _, r := range st.Engines {
-		nets[r.Net] = true
 		a.addEngine(r)
 	}
 	for _, r := range st.Profiles {
@@ -608,7 +574,6 @@ func FromStream(st *Stream, m Meta) RunSummary {
 	for _, r := range st.Fingerprints {
 		a.addFingerprintRecord(r)
 	}
-	a.engines = len(nets)
 	return a.summary(m)
 }
 

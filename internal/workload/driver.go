@@ -233,9 +233,6 @@ func (d *Driver) startFlow(paths []graph.Path, repath Selection, sizeBytes int64
 	f.Repath = d.repathFor(repath)
 	f.OnRepath = func(fl *tcp.Flow, i int, to graph.Path) {
 		d.Repaths++
-		if d.Obs != nil {
-			d.Obs.Reg.Counter("flows.repaths").Inc()
-		}
 		if d.OnRepath != nil {
 			d.OnRepath(fl, i, to)
 		}
