@@ -322,14 +322,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "pnetbench: total wall time %v (workers=%d gomaxprocs=%d)\n",
 		time.Since(runStart).Round(time.Millisecond), effWorkers, runtime.GOMAXPROCS(0))
 
+	// Close before summarizing: it is what emits the closing engine
+	// records, the profile bins and the fingerprint checkpoints.
+	if err := collector.Close(); err != nil {
+		fmt.Fprintf(stderr, "pnetbench: telemetry: %v\n", err)
+		return 1
+	}
 	if aggr != nil {
-		summary := aggr.Summarize(collector, report.Meta{
+		summary := aggr.Summarize(report.Meta{
 			Exp:        o.expID,
 			Scale:      o.params.Scale.String(),
 			Seed:       o.seed,
 			Created:    time.Now().UTC().Format(time.RFC3339),
 			Workers:    effWorkers,
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			RunWallNs:  collector.RunWallNs(),
 		})
 		if summary.Profile != nil {
 			// Stamp the run's actual pool occupancy into the profile so
@@ -346,12 +353,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if err != nil {
 			fmt.Fprintf(stderr, "pnetbench: report: %v\n", err)
-			return 1
-		}
-	}
-	if collector != nil {
-		if err := collector.Close(); err != nil {
-			fmt.Fprintf(stderr, "pnetbench: telemetry: %v\n", err)
 			return 1
 		}
 	}

@@ -15,12 +15,14 @@
 //
 // <run>, <base>, and <cur> accept either a RunSummary JSON (written by
 // `pnetbench -report` or by `pnetstat summary -o`) or a raw metrics
-// JSONL stream (`pnetbench -metrics`), auto-detected. `diff` exits 1
-// when a gated metric of <cur> is worse than <base> beyond the
-// threshold; wall-clock rows are printed and never gated (wall time is
-// `sh bench/run.sh` and its -compare). CI's <base> is the merge base,
-// run in the same job. Exit codes: 0 ok, 1 regression or divergence,
-// 2 usage/input error.
+// JSONL stream (`pnetbench -metrics`), auto-detected; a stream is decoded
+// line by line into the aggregator `-report` uses, so memory does not
+// grow with it. divergence and export-trace need the records themselves
+// and hold the stream in memory. `diff` exits 1 when a gated metric of
+// <cur> is worse than <base> beyond the threshold; wall-clock rows are
+// printed and never gated (wall time is `sh bench/run.sh` and its
+// -compare). CI's <base> is the merge base, run in the same job. Exit
+// codes: 0 ok, 1 regression or divergence, 2 usage/input error.
 package main
 
 import (

@@ -13,7 +13,6 @@ import (
 
 	"pnet/internal/chaos"
 	"pnet/internal/core"
-	"pnet/internal/failure"
 	"pnet/internal/graph"
 	"pnet/internal/sim"
 	"pnet/internal/tcp"
@@ -59,12 +58,7 @@ func main() {
 	// random inter-switch cables fail.
 	fmt.Println("\naverage hop count vs random link failures (paper Fig. 14):")
 	fmt.Printf("%-26s %8s %8s %8s %8s %8s\n", "network", "0%", "10%", "20%", "30%", "40%")
-	cfg := failure.Config{
-		Fractions: []float64{0, 0.1, 0.2, 0.3, 0.4},
-		Pairs:     800,
-		Trials:    3,
-		Seed:      4,
-	}
+	fractions := []float64{0, 0.1, 0.2, 0.3, 0.4}
 	for _, n := range []struct {
 		name string
 		tp   *topo.Topology
@@ -73,7 +67,7 @@ func main() {
 		{"parallel homogeneous", set.ParallelHomo},
 		{"parallel heterogeneous", set.ParallelHetero},
 	} {
-		pts := failure.HopCountSweep(n.tp, cfg)
+		pts := topo.HopCountSweep(n.tp, fractions, 800, 3, 4)
 		fmt.Printf("%-26s", n.name)
 		for _, pt := range pts {
 			fmt.Printf(" %8.3f", pt.AvgHops)

@@ -8,7 +8,7 @@
 // notice faults themselves (core.HealthMonitor probes) before their
 // path selection reacts, which is what makes detection and failover
 // latency measurable quantities instead of zero by construction. This
-// is the runtime counterpart of internal/failure, which studies the
+// is the runtime counterpart of topo.HopCountSweep, which studies the
 // post-failure topology statically (§3.4 and Fig. 14 of the paper).
 //
 // All randomness comes from explicit seeds, and all timing from the

@@ -6,6 +6,7 @@ import (
 
 	"pnet/internal/graph"
 	"pnet/internal/obs"
+	"pnet/internal/report"
 	"pnet/internal/sim"
 )
 
@@ -165,21 +166,22 @@ func TestInjectorRecordsFaults(t *testing.T) {
 	var sched Schedule
 	sched.PlaneOutage(0, 10*sim.Microsecond, 10*sim.Microsecond)
 	inj := NewInjector(eng, net, sched)
-	col := obs.NewCollector()
+	col, rec := obs.NewCollector(), &report.Stream{}
+	col.Sink = rec
 	inj.Obs = col
 	var seen []Event
 	inj.OnEvent = func(e Event) { seen = append(seen, e) }
 	inj.Arm()
 	eng.Run()
 
-	if len(col.Faults) != 2 {
-		t.Fatalf("fault records = %d, want 2", len(col.Faults))
+	if len(rec.Faults) != 2 {
+		t.Fatalf("fault records = %d, want 2", len(rec.Faults))
 	}
-	if col.Faults[0].Event != "inject" || col.Faults[0].Target != "plane:0" || col.Faults[0].Plane != 0 {
-		t.Errorf("inject record = %+v", col.Faults[0])
+	if rec.Faults[0].Event != "inject" || rec.Faults[0].Target != "plane:0" || rec.Faults[0].Plane != 0 {
+		t.Errorf("inject record = %+v", rec.Faults[0])
 	}
-	if col.Faults[1].Event != "clear" || col.Faults[1].TPs != int64(20*sim.Microsecond) {
-		t.Errorf("clear record = %+v", col.Faults[1])
+	if rec.Faults[1].Event != "clear" || rec.Faults[1].TPs != int64(20*sim.Microsecond) {
+		t.Errorf("clear record = %+v", rec.Faults[1])
 	}
 	if len(seen) != 2 {
 		t.Errorf("OnEvent saw %d events, want 2", len(seen))
@@ -290,6 +292,8 @@ func TestParseSpecErrorStrings(t *testing.T) {
 			`chaos spec "link:1@-1ms": negative duration "-1ms"`},
 		{"link:1@1ms+0ms",
 			`chaos spec "link:1@1ms+0ms": duration must be positive, got "0ms"`},
+		{"link:1@2562047h",
+			`chaos spec "link:1@2562047h": duration "2562047h" is beyond sim time's range (about 106 days)`},
 		{"flap:1@1ms",
 			`chaos spec "flap:1@1ms": missing '*' (want flap:ID@T*N/P)`},
 		{"flap:1@1ms*2",

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -187,6 +188,11 @@ func parseSimTime(s string) (sim.Time, error) {
 	}
 	if d < 0 {
 		return 0, fmt.Errorf("negative duration %q", s)
+	}
+	// sim.Time counts picoseconds: past ~106 days the product wraps
+	// negative and the engine would refuse the event as in the past.
+	if d > time.Duration(math.MaxInt64/int64(sim.Nanosecond)) {
+		return 0, fmt.Errorf("duration %q is beyond sim time's range (about 106 days)", s)
 	}
 	return sim.Time(d.Nanoseconds()) * sim.Nanosecond, nil
 }

@@ -60,7 +60,10 @@ func TestSummaryWorkerInvariant(t *testing.T) {
 		c.Sink = aggr
 		e, _ := ByID("fig6c")
 		e.Run(Params{Seed: 1, Workers: n, Obs: c})
-		s := aggr.Summarize(c, report.Meta{Exp: "fig6c", Scale: "small", Seed: 1})
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s := aggr.Summarize(report.Meta{Exp: "fig6c", Scale: "small", Seed: 1})
 		// Wall time is the one quantity allowed to move with scheduling.
 		s.Solver.WallSec = 0
 		s.Engine.WallSec = 0
@@ -95,7 +98,10 @@ func TestSpansSummaryWorkerInvariant(t *testing.T) {
 		c.Sink = aggr
 		e, _ := ByID("fig6c")
 		e.Run(Params{Seed: 1, Workers: n, Obs: c})
-		s := aggr.Summarize(c, report.Meta{Exp: "fig6c", Scale: "small", Seed: 1})
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s := aggr.Summarize(report.Meta{Exp: "fig6c", Scale: "small", Seed: 1})
 		s.Solver.WallSec = 0
 		s.Engine.WallSec = 0
 		s.Engine.EventsPerSec = 0
@@ -142,7 +148,10 @@ func TestFingerprintWorkerInvariant(t *testing.T) {
 		c.Sink = aggr
 		e, _ := ByID("fig6c")
 		e.Run(Params{Seed: 1, Workers: n, Obs: c})
-		s := aggr.Summarize(c, report.Meta{Exp: "fig6c", Scale: "small", Seed: 1})
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s := aggr.Summarize(report.Meta{Exp: "fig6c", Scale: "small", Seed: 1})
 		if s.Fingerprint == nil {
 			t.Fatalf("workers=%d: summary has no fingerprint", n)
 		}

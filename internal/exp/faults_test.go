@@ -5,6 +5,7 @@ import (
 
 	"pnet/internal/chaos"
 	"pnet/internal/obs"
+	"pnet/internal/report"
 	"pnet/internal/sim"
 	"pnet/internal/topo"
 )
@@ -99,14 +100,15 @@ func TestFaultsChaosSpecOverride(t *testing.T) {
 }
 
 // TestFaultsRecordsTelemetry checks the experiment's fault lifecycle
-// lands in the collector: inject from the injector, detect/failover/
+// reaches the collector's sink: inject from the injector, detect/failover/
 // recover from the measurements.
 func TestFaultsRecordsTelemetry(t *testing.T) {
-	c := obs.NewCollector()
+	c, rec := obs.NewCollector(), &report.Stream{}
+	c.Sink = rec
 	tp := topo.FatTreeSet(4, 2, 40).ParallelHomo
 	runFaultsWith(Params{Seed: 1, Obs: c}, tp, faultsTestCfg())
 	events := map[string]int{}
-	for _, f := range c.Faults {
+	for _, f := range rec.Faults {
 		events[f.Event]++
 	}
 	for _, want := range []string{"inject", "detect", "failover", "recover"} {

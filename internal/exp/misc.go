@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"pnet/internal/failure"
 	"pnet/internal/topo"
 )
 
@@ -14,12 +13,7 @@ func runFig14(p Params) Table {
 		pairs, trials = 5000, 5
 	}
 	set := topo.JellyfishSet(sw, deg, hps, 4, 100, p.Seed)
-	cfg := failure.Config{
-		Fractions: []float64{0, 0.1, 0.2, 0.3, 0.4},
-		Pairs:     pairs,
-		Trials:    trials,
-		Seed:      p.Seed,
-	}
+	fractions := []float64{0, 0.1, 0.2, 0.3, 0.4}
 
 	t := Table{
 		ID:    "fig14",
@@ -37,7 +31,7 @@ func runFig14(p Params) Table {
 		{"parallel heterogeneous", set.ParallelHetero},
 	}
 	for _, n := range nets {
-		pts := failure.HopCountSweep(n.tp, cfg)
+		pts := topo.HopCountSweep(n.tp, fractions, pairs, trials, p.Seed)
 		base := pts[0].AvgHops
 		for _, pt := range pts {
 			t.Rows = append(t.Rows, []string{

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pnet/internal/obs"
+	"pnet/internal/report"
 )
 
 // TestFig6cTelemetry is the acceptance path: running fig6c with a
@@ -15,7 +16,8 @@ import (
 // streams where every line is valid JSON.
 func TestFig6cTelemetry(t *testing.T) {
 	var mbuf, tbuf bytes.Buffer
-	c := obs.NewCollector()
+	c, rec := obs.NewCollector(), &report.Stream{}
+	c.Sink = rec
 	c.StreamMetrics(&mbuf)
 	c.StreamTrace(&tbuf)
 
@@ -33,10 +35,10 @@ func TestFig6cTelemetry(t *testing.T) {
 
 	// Solver instrumentation: one record per (network, K) of the sweep,
 	// with GK phase/iteration counts and wall time.
-	if len(c.Solver) == 0 {
+	if len(rec.Solvers) == 0 {
 		t.Fatal("no solver records")
 	}
-	for _, r := range c.Solver {
+	for _, r := range rec.Solvers {
 		if r.Exp != "fig6c" || r.Solver != "gk-fixed" {
 			t.Errorf("solver record = %+v", r)
 		}
@@ -49,10 +51,10 @@ func TestFig6cTelemetry(t *testing.T) {
 	}
 
 	// Companion packet run: flows recorded with plane choices.
-	if len(c.Flows) == 0 {
+	if len(rec.Flows) == 0 {
 		t.Fatal("no flow records from the companion run")
 	}
-	for _, f := range c.Flows {
+	for _, f := range rec.Flows {
 		if f.FCT <= 0 || f.Bytes <= 0 || len(f.Planes) == 0 {
 			t.Errorf("flow record = %+v", f)
 		}
@@ -83,8 +85,8 @@ func TestFig6cTelemetry(t *testing.T) {
 			solverLines++
 		}
 	}
-	if solverLines != len(c.Solver) {
-		t.Errorf("metrics stream has %d solver lines, want %d", solverLines, len(c.Solver))
+	if solverLines != len(rec.Solvers) {
+		t.Errorf("metrics stream has %d solver lines, want %d", solverLines, len(rec.Solvers))
 	}
 }
 

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"pnet/internal/graph"
 	"pnet/internal/mcf"
@@ -308,40 +307,7 @@ func runFig7(p Params) Table {
 		t.Rows = append(t.Rows, []string{"serial high-bw", fmt.Sprintf("(%dx speed)", n), f2(high / base), f2(1.0)})
 		t.Rows = append(t.Rows, []string{"parallel heterogeneous", fmt.Sprint(n), f2(het / base), f2(het / high)})
 	}
-	companionFig7(p)
 	return t
-}
-
-// companionFig7 runs a small packet-level permutation on a 2-plane
-// Jellyfish when the run asked for event-loop profiling, so `pnetstat
-// profile` has a Jellyfish data point next to the fat-tree one — the LP
-// in runFig7 never moves a packet. It attaches ONLY the flight recorder
-// (Collector.AttachProfile): no sampler, tracer, or flow records, so
-// every deterministic metric of the run's summary is byte-identical to
-// a run without the companion.
-func companionFig7(p Params) {
-	if p.Obs == nil || !p.Obs.Profile {
-		return
-	}
-	sw, deg, hps := jfSize(ScaleSmall) // always small: a profile sample, not a result
-	set := topo.JellyfishSet(sw, deg, hps, 2, 100, p.Seed)
-	tp := set.ParallelHetero
-	d := workload.NewDriver(tp, sim.Config{}, tcp.Config{})
-	p.Obs.AttachProfile(d.Eng)
-	rng := rand.New(rand.NewSource(p.Seed))
-	cs := workload.MatchingCommodities(tp, 1, rng)
-	sel := workload.Selection{Policy: workload.KSP, K: 4}
-	for _, c := range cs {
-		if _, err := d.StartFlow(c.Src, c.Dst, 1_000_000, sel, nil, nil); err != nil {
-			return
-		}
-	}
-	// The driver is deliberately not Instrumented (see above), so time the
-	// run by hand: run_wall_s is a wall-clock field, free to record without
-	// touching gated metrics.
-	start := time.Now()
-	_ = d.MustRunUntil(10*sim.Second, int64(len(cs)))
-	p.Obs.AddRunWall(time.Since(start))
 }
 
 // spliceKSP computes host-to-host K-shortest path sets for many

@@ -3,7 +3,6 @@ package obs
 import (
 	"bufio"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,43 +10,41 @@ import (
 	"pnet/internal/sim"
 )
 
-// FlowRecord and SolverRecord (the in-memory record types accumulated
-// here) are defined with the rest of the JSONL schema in schema.go.
-
-// Collector bundles the telemetry of one harness run: optional JSONL
-// streams, in-memory flow/solver/fault records, and per-network
-// samplers, tracers, flight recorders and fingerprinters. Every method is
-// nil-safe so instrumented code needs no guards of its own.
+// Collector bundles the telemetry of one harness run: the optional JSONL
+// streams and, per attached network, a sampler, tracer, flight recorder
+// and fingerprinter. Every method is nil-safe so instrumented code needs
+// no guards of its own.
 //
-// Each sampler hands its records to the one sink AttachNetwork chose
-// (SampleSink); flow, solver and fault records go to the metrics stream
-// as they arrive and stay in the slices below for whoever summarizes the
-// run.
+// Every record the run produces takes one road: the producer hands it to
+// the collector's one sink (out: the metrics stream, Sink, or a Tee of
+// the two) and the collector keeps nothing. Samplers emit link, plane and
+// engine records as they tick; RecordFlow, RecordSolver and RecordFault
+// pass theirs on as they arrive; Close emits each engine's profile bins
+// and fingerprint checkpoints. All records of one engine carry the NetID
+// AttachNetwork gave it.
 //
 // A Collector is safe for concurrent producers: parallel experiment
 // cells attach networks and record flows/solver calls/faults against one
-// shared instance. Record slices then accumulate in completion order —
-// nondeterministic under workers > 1 — but report summarization
-// aggregates commutatively, so derived results do not depend on worker
-// count. The exported Flows/Solver/Faults fields must only be read
-// directly after all producers have finished.
+// shared instance. Records then reach the sink in completion order,
+// nondeterministic under workers > 1, but report summarization aggregates
+// commutatively, so derived results do not depend on worker count.
 type Collector struct {
 	// Interval is the sampling period in sim time; zero selects 10 µs.
 	Interval sim.Time
-	// Sink, when non-nil, receives every sample as it is taken (the live
-	// aggregation path, internal/report's Aggregator). Must be set before
-	// AttachNetwork.
-	Sink SampleSink
+	// Sink, when non-nil, receives every record as it is produced (the
+	// live aggregation path, internal/report's Aggregator). Must be set
+	// before the first record or AttachNetwork.
+	Sink Sink
 	// Spans enables latency-attribution span recording on every attached
 	// network; completed flows then carry their FCT decomposition
 	// (FlowRecord.Spans). Must be set before AttachNetwork.
 	Spans bool
 	// Profile attaches an event-loop flight recorder to every attached
-	// engine; Close writes the per-(kind, plane) bins as profile records.
+	// engine; Close emits the per-(kind, plane) bins as profile records.
 	// Must be set before AttachNetwork.
 	Profile bool
 	// Fingerprint attaches a determinism fingerprinter to every attached
-	// engine; Close writes its epoch checkpoints as fingerprint records.
+	// engine; Close emits its epoch checkpoints as fingerprint records.
 	// Must be set before AttachNetwork.
 	Fingerprint bool
 	// FingerprintEpoch overrides the checkpoint cadence in events; zero
@@ -59,13 +56,7 @@ type Collector struct {
 	// built — filtered tracing stays allocation-free.
 	TraceFlows []int64
 
-	// Flows, Solver, and Faults accumulate records in memory for
-	// programmatic use (the JSONL streams carry the same data).
-	Flows  []FlowRecord
-	Solver []SolverRecord
-	Faults []FaultRecord
-
-	mu      sync.Mutex // guards the record slices and attach bookkeeping
+	mu      sync.Mutex // guards nets and nextID
 	traceMu sync.Mutex // serializes all JSONLSinks sharing tw
 
 	// runWallNs accumulates wall time spent inside engine runs
@@ -75,44 +66,19 @@ type Collector struct {
 	mw        *MetricsWriter
 	jw        *MetricsWriter // fingerprint journal stream, if any
 	tw        *bufio.Writer  // shared by every network's JSONLSink
-	samplers  []*Sampler
-	sinks     []*JSONLSink
-	profiles  []profileEntry
-	fps       []fingerprintEntry
-	nets      int
+	nets      []attachment
+	nextID    int
 }
 
-// fingerprintEntry pairs a fingerprinter with the NetID it was attached
-// under, so checkpoint records carry the same Net as the engine's
-// samples in the metrics stream.
-type fingerprintEntry struct {
-	fp  *sim.Fingerprinter
-	net int
-}
-
-// FingerprintSnapshot is one engine's fingerprint state: its epoch
-// checkpoints (including the trailing partial one) and the cadence.
-type FingerprintSnapshot struct {
-	NetID       int
-	EpochEvents int64
-	Checkpoints []sim.FingerprintCheckpoint
-}
-
-// profileEntry pairs a flight recorder with its engine. Recorder IDs are
-// a sequence of their own, independent of network attach order, so
-// profile-only attachments never shift the NetIDs of the metrics stream.
-type profileEntry struct {
-	rec *sim.FlightRecorder
-	eng *sim.Engine
-}
-
-// ProfileSnapshot is one engine's flight-recorder state: the non-empty
-// (kind, plane) bins and the sim time it had reached when snapshotted
-// (the profiled duration).
-type ProfileSnapshot struct {
-	NetID   int
-	SimTime sim.Time
-	Bins    []sim.ProfileBin
+// attachment is what AttachNetwork hooked onto one engine, under the
+// NetID that every record of that engine carries. Unused hooks are nil.
+type attachment struct {
+	id      int
+	eng     *sim.Engine
+	sampler *Sampler
+	trace   *JSONLSink
+	rec     *sim.FlightRecorder
+	fp      *sim.Fingerprinter
 }
 
 // NewCollector returns a collector with no streams.
@@ -142,98 +108,64 @@ func (c *Collector) interval() sim.Time {
 	return 10 * sim.Microsecond
 }
 
-// sampleSink picks the one destination of every sample: the metrics
-// stream, Sink, both through a tee, or nil when neither is set.
-func (c *Collector) sampleSink() SampleSink {
+// out is the one destination of every record: the metrics stream, Sink,
+// both through a Tee (the stream first, so the file is in emission
+// order), or nil when neither is set.
+func (c *Collector) out() Sink {
 	switch {
+	case c == nil:
+		return nil
 	case c.mw != nil && c.Sink != nil:
-		return tee{c.mw, c.Sink}
+		return Tee(c.mw, c.Sink)
 	case c.mw != nil:
 		return c.mw
 	}
 	return c.Sink
 }
 
-// AttachNetwork instruments one simulation: the network's tracer is
-// pointed at the trace stream (if any) and a sampler is started on the
-// engine (if a metrics stream or Sink is set). Safe to call on a nil
-// collector. It returns the sampler, or nil if none was started.
+// AttachNetwork instruments one simulation under the next NetID: the
+// network's tracer is pointed at the trace stream (if any), spans, the
+// flight recorder and the fingerprinter are switched on as configured,
+// and a sampler is started on the engine (if a metrics stream or Sink is
+// set). Safe to call on a nil collector. It returns the sampler, or nil
+// if none was started.
 func (c *Collector) AttachNetwork(eng *sim.Engine, net *sim.Network) *Sampler {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
-	id := c.nets
-	c.nets++
-	var sink *JSONLSink
-	if c.tw != nil {
-		sink = NewJSONLSink(c.tw, eng, net.G)
-		sink.mu = &c.traceMu // every sink shares tw; writes must serialize
-		sink.only = c.TraceFlows
-		c.sinks = append(c.sinks, sink)
-	}
+	a := attachment{id: c.nextID, eng: eng}
+	c.nextID++
 	c.mu.Unlock()
-	if sink != nil {
-		net.Tracer = sink
+	if c.tw != nil {
+		a.trace = NewJSONLSink(c.tw, eng, net.G)
+		a.trace.mu = &c.traceMu // every sink shares tw; writes must serialize
+		a.trace.only = c.TraceFlows
+		net.Tracer = a.trace
 	}
 	if c.Spans {
 		net.EnableSpans()
 	}
 	if c.Profile {
-		c.AttachProfile(eng)
+		a.rec = sim.NewFlightRecorder()
+		eng.Recorder = a.rec
 	}
 	if c.Fingerprint {
-		fp := sim.NewFingerprinter(c.FingerprintEpoch)
+		a.fp = sim.NewFingerprinter(c.FingerprintEpoch)
 		if c.jw != nil {
-			fp.Journal = c.journalFunc(id)
+			a.fp.Journal = c.journalFunc(a.id)
 		}
-		eng.Fingerprint = fp
-		c.mu.Lock()
-		c.fps = append(c.fps, fingerprintEntry{fp: fp, net: id})
-		c.mu.Unlock()
+		eng.Fingerprint = a.fp
 	}
-	var sampler *Sampler
-	if to := c.sampleSink(); to != nil {
-		sampler = NewSampler(eng, net, c.interval(), to)
-		sampler.NetID = id
-		sampler.Start()
-		c.mu.Lock()
-		c.samplers = append(c.samplers, sampler)
-		c.mu.Unlock()
+	if to := c.out(); to != nil {
+		a.sampler = NewSampler(eng, net, c.interval(), to)
+		a.sampler.NetID = a.id
+		a.sampler.Start()
 	}
-	return sampler
-}
-
-// AttachProfile hooks an event-loop flight recorder onto one engine and
-// nothing else: no sampler, no tracer. It exists so a profiling
-// companion can measure an otherwise-uninstrumented simulation without
-// perturbing any deterministic output of the run (record streams and
-// NetID assignment stay untouched).
-func (c *Collector) AttachProfile(eng *sim.Engine) *sim.FlightRecorder {
-	if c == nil {
-		return nil
-	}
-	rec := sim.NewFlightRecorder()
-	eng.Recorder = rec
 	c.mu.Lock()
-	c.profiles = append(c.profiles, profileEntry{rec: rec, eng: eng})
+	c.nets = append(c.nets, a)
 	c.mu.Unlock()
-	return rec
-}
-
-// Profiles snapshots every attached flight recorder, in attach order.
-// Call it only after the profiled engines have stopped.
-func (c *Collector) Profiles() []ProfileSnapshot {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]ProfileSnapshot, 0, len(c.profiles))
-	for i, e := range c.profiles {
-		out = append(out, ProfileSnapshot{NetID: i, SimTime: e.eng.Now(), Bins: e.rec.Snapshot()})
-	}
-	return out
+	return a.sampler
 }
 
 // journalFunc builds the per-engine journal hook: each folded event
@@ -251,36 +183,6 @@ func (c *Collector) journalFunc(netID int) func(sim.FingerprintJournalEntry) {
 	}
 }
 
-// Fingerprints snapshots every attached fingerprinter. Call it only
-// after the fingerprinted engines have stopped.
-func (c *Collector) Fingerprints() []FingerprintSnapshot {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]FingerprintSnapshot, 0, len(c.fps))
-	for _, e := range c.fps {
-		out = append(out, FingerprintSnapshot{
-			NetID: e.net, EpochEvents: e.fp.EpochEvents(), Checkpoints: e.fp.Checkpoints(),
-		})
-	}
-	return out
-}
-
-// Samplers returns the samplers started so far, one per attached
-// network, in attach order (so index matches the NetID of the stream).
-func (c *Collector) Samplers() []*Sampler {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := c.samplers
-	sort.Slice(out, func(i, j int) bool { return out[i].NetID < out[j].NetID })
-	return out
-}
-
 // EffectiveInterval reports the sampling period attached networks use.
 func (c *Collector) EffectiveInterval() sim.Time {
 	if c == nil {
@@ -289,46 +191,28 @@ func (c *Collector) EffectiveInterval() sim.Time {
 	return c.interval()
 }
 
-// RecordFlow accepts one completed flow.
+// RecordFlow passes one completed flow on to the sink.
 func (c *Collector) RecordFlow(r FlowRecord) {
-	if c == nil {
-		return
-	}
-	r.Type = "flow"
-	c.mu.Lock()
-	c.Flows = append(c.Flows, r)
-	c.mu.Unlock()
-	if c.mw != nil {
-		c.mw.write(r)
+	if to := c.out(); to != nil {
+		r.Type = KindFlow
+		to.Flow(r)
 	}
 }
 
-// RecordSolver accepts one solver invocation.
+// RecordSolver passes one solver invocation on to the sink.
 func (c *Collector) RecordSolver(r SolverRecord) {
-	if c == nil {
-		return
-	}
-	r.Type = "solver"
-	c.mu.Lock()
-	c.Solver = append(c.Solver, r)
-	c.mu.Unlock()
-	if c.mw != nil {
-		c.mw.write(r)
+	if to := c.out(); to != nil {
+		r.Type = KindSolver
+		to.Solver(r)
 	}
 }
 
-// RecordFault accepts one fault lifecycle event (injection, clearance,
-// detection, failover, recovery).
+// RecordFault passes one fault lifecycle event (injection, clearance,
+// detection, failover, recovery) on to the sink.
 func (c *Collector) RecordFault(r FaultRecord) {
-	if c == nil {
-		return
-	}
-	r.Type = KindFault
-	c.mu.Lock()
-	c.Faults = append(c.Faults, r)
-	c.mu.Unlock()
-	if c.mw != nil {
-		c.mw.write(r)
+	if to := c.out(); to != nil {
+		r.Type = KindFault
+		to.Fault(r)
 	}
 }
 
@@ -339,55 +223,68 @@ func (c *Collector) AddRunWall(d time.Duration) { c.runWallNs.Add(int64(d)) }
 // RunWallNs reports the accumulated engine-run wall time in nanoseconds.
 func (c *Collector) RunWallNs() int64 { return c.runWallNs.Load() }
 
-// Close stops samplers, writes the profile bins and fingerprint
-// checkpoints to the metrics stream, and flushes every stream. It
-// returns the first error any stream hit.
+// Close ends the run: it stops the samplers (a network that never reached
+// its first tick reports its one engine record then), emits every
+// engine's profile bins and fingerprint checkpoints to the sink, and
+// flushes every stream. It returns the first error any stream hit. Call
+// it once, when every engine has stopped; a summary is complete only
+// after it.
 func (c *Collector) Close() error {
 	if c == nil {
 		return nil
 	}
-	var first error
 	c.mu.Lock()
-	samplers := c.samplers
-	sinks := c.sinks
+	nets := c.nets
 	c.mu.Unlock()
-	for _, s := range samplers {
-		s.Stop()
+	for _, n := range nets {
+		if n.sampler != nil {
+			n.sampler.Stop()
+		}
 	}
-	if c.mw != nil {
-		for _, snap := range c.Profiles() {
-			for _, b := range snap.Bins {
-				c.mw.write(ProfileRecord{
-					Type: KindProfile, Net: snap.NetID, Kind: b.Kind.String(), Plane: b.Plane,
-					Events: b.Events, WallNano: b.WallNs, SimPs: int64(snap.SimTime),
+	if to := c.out(); to != nil {
+		for _, n := range nets {
+			if n.rec == nil {
+				continue
+			}
+			for _, b := range n.rec.Snapshot() {
+				to.Profile(ProfileRecord{
+					Type: KindProfile, Net: n.id, Kind: b.Kind.String(), Plane: b.Plane,
+					Events: b.Events, WallNano: b.WallNs, SimPs: int64(n.eng.Now()),
 				})
 			}
 		}
-		for _, snap := range c.Fingerprints() {
-			for _, cp := range snap.Checkpoints {
+		for _, n := range nets {
+			if n.fp == nil {
+				continue
+			}
+			for _, cp := range n.fp.Checkpoints() {
 				r := FingerprintRecord{
-					Type: KindFingerprint, Net: snap.NetID, Epoch: cp.Epoch,
-					Events: cp.Events, TPs: int64(cp.T), EpochEvents: snap.EpochEvents,
+					Type: KindFingerprint, Net: n.id, Epoch: cp.Epoch,
+					Events: cp.Events, TPs: int64(cp.T), EpochEvents: n.fp.EpochEvents(),
 					Hash: FormatHash(cp.Global), Host: FormatHash(cp.Host), Final: cp.Partial,
 				}
 				for pl, h := range cp.Planes {
 					r.Planes = append(r.Planes, PlaneHash{Plane: int32(pl), Hash: FormatHash(h)})
 				}
-				c.mw.write(r)
+				to.Fingerprint(r)
 			}
 		}
-		if err := c.mw.Flush(); err != nil && first == nil {
+	}
+	var first error
+	keep := func(err error) {
+		if err != nil && first == nil {
 			first = err
 		}
+	}
+	if c.mw != nil {
+		keep(c.mw.Flush())
 	}
 	if c.jw != nil {
-		if err := c.jw.Flush(); err != nil && first == nil {
-			first = err
-		}
+		keep(c.jw.Flush())
 	}
-	for _, s := range sinks {
-		if err := s.Flush(); err != nil && first == nil {
-			first = err
+	for _, n := range nets {
+		if n.trace != nil {
+			keep(n.trace.Flush())
 		}
 	}
 	return first

@@ -154,10 +154,15 @@ func (m *MetricsWriter) write(v any) {
 	}
 }
 
-// Link, Plane and Engine implement SampleSink: one line per record.
-func (m *MetricsWriter) Link(r LinkRecord)     { m.write(r) }
-func (m *MetricsWriter) Plane(r PlaneRecord)   { m.write(r) }
-func (m *MetricsWriter) Engine(r EngineRecord) { m.write(r) }
+// MetricsWriter implements Sink: one line per record.
+func (m *MetricsWriter) Link(r LinkRecord)               { m.write(r) }
+func (m *MetricsWriter) Plane(r PlaneRecord)             { m.write(r) }
+func (m *MetricsWriter) Engine(r EngineRecord)           { m.write(r) }
+func (m *MetricsWriter) Flow(r FlowRecord)               { m.write(r) }
+func (m *MetricsWriter) Solver(r SolverRecord)           { m.write(r) }
+func (m *MetricsWriter) Fault(r FaultRecord)             { m.write(r) }
+func (m *MetricsWriter) Profile(r ProfileRecord)         { m.write(r) }
+func (m *MetricsWriter) Fingerprint(r FingerprintRecord) { m.write(r) }
 
 // Flush drains the buffer and returns the first error, if any.
 func (m *MetricsWriter) Flush() error {

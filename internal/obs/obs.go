@@ -1,10 +1,13 @@
-// Package obs is the simulator's telemetry layer: a periodic Sampler
-// that reads per-link, per-plane and engine state from a running
-// simulation and hands each record to one sink (sampler.go); the JSONL
-// writers for the metrics stream and the packet trace (jsonl.go); the
-// record shapes both ends share (schema.go); a Collector that bundles
-// them for the experiment harness (collector.go); and the log-bucketed
-// Histogram the summaries take link-level percentiles from (this file).
+// Package obs is the simulator's telemetry layer, the producing half:
+// Sink, one typed method per record kind, which every record of a run is
+// handed to and nothing else (sink.go); a periodic Sampler that reads
+// per-link, per-plane and engine state from a running simulation
+// (sampler.go); the JSONL writers for the metrics stream, itself a Sink,
+// and the packet trace (jsonl.go); the record shapes both ends share
+// (schema.go); a Collector that bundles them for the experiment harness
+// and retains no record (collector.go); and the log-bucketed Histogram
+// the summaries take link-level percentiles from (this file). The
+// consuming half, internal/report, decodes a file back into a Sink.
 //
 // The paper's §7 treats per-plane monitoring as a first-class concern of
 // P-Nets, and every figure in its evaluation is a time series or a
@@ -14,8 +17,8 @@
 // Everything here is stdlib-only. Each sim engine remains single-threaded,
 // but the parallel sweep harness runs many engines at once against one
 // shared Collector, so everything that is shared is safe for concurrent
-// producers: the collector's record slices, the metrics writer and the
-// histogram each carry a mutex. All hooks are nil-safe: a nil *Collector
+// producers: the collector's attach bookkeeping, the metrics writer and
+// the histogram each carry a mutex. All hooks are nil-safe: a nil *Collector
 // accepts records and does nothing, and an unattached network pays only
 // the existing one-branch cost of sim.Network's nil Tracer check.
 package obs

@@ -41,17 +41,28 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-// sliceSink keeps every record a sampler hands it: what a test that wants
-// the series attaches, since samplers retain nothing themselves.
+// sliceSink keeps every record it is handed: what a test that wants the
+// records attaches, since samplers and the collector retain nothing
+// themselves. Not locked: for tests that run one engine at a time.
 type sliceSink struct {
-	links   []LinkRecord
-	planes  []PlaneRecord
-	engines []EngineRecord
+	links    []LinkRecord
+	planes   []PlaneRecord
+	engines  []EngineRecord
+	flows    []FlowRecord
+	solvers  []SolverRecord
+	faults   []FaultRecord
+	profiles []ProfileRecord
+	fps      []FingerprintRecord
 }
 
-func (s *sliceSink) Link(r LinkRecord)     { s.links = append(s.links, r) }
-func (s *sliceSink) Plane(r PlaneRecord)   { s.planes = append(s.planes, r) }
-func (s *sliceSink) Engine(r EngineRecord) { s.engines = append(s.engines, r) }
+func (s *sliceSink) Link(r LinkRecord)               { s.links = append(s.links, r) }
+func (s *sliceSink) Plane(r PlaneRecord)             { s.planes = append(s.planes, r) }
+func (s *sliceSink) Engine(r EngineRecord)           { s.engines = append(s.engines, r) }
+func (s *sliceSink) Flow(r FlowRecord)               { s.flows = append(s.flows, r) }
+func (s *sliceSink) Solver(r SolverRecord)           { s.solvers = append(s.solvers, r) }
+func (s *sliceSink) Fault(r FaultRecord)             { s.faults = append(s.faults, r) }
+func (s *sliceSink) Profile(r ProfileRecord)         { s.profiles = append(s.profiles, r) }
+func (s *sliceSink) Fingerprint(r FingerprintRecord) { s.fps = append(s.fps, r) }
 
 // TestSinkOnlyCollectorSamples: a collector with a Sink and no metrics
 // stream still starts a sampler, and records reach the sink as the
@@ -179,9 +190,6 @@ func TestNilCollectorIsSafe(t *testing.T) {
 		t.Error("nil collector attached a sampler")
 	}
 	c.RecordFault(FaultRecord{Event: "inject"})
-	if c.Samplers() != nil || c.Profiles() != nil || c.Fingerprints() != nil {
-		t.Error("nil collector reported state")
-	}
 	if err := c.Close(); err != nil {
 		t.Error(err)
 	}
@@ -213,8 +221,9 @@ func twoPlane() (*graph.Graph, []graph.LinkID, []graph.LinkID) {
 // TestCollectorEndToEnd drives packets over a two-plane network with
 // both streams attached and checks the JSONL output: every line parses,
 // trace covers enqueue and deliver with sim timestamps and plane ids,
-// and the metrics stream carries link/plane/engine samples and the flow
-// and solver records, and no metric snapshot lines any more.
+// the metrics stream carries link/plane/engine samples and the flow and
+// solver records (and no metric snapshot lines any more), and a Sink set
+// beside the stream is handed the same flow and solver records.
 func TestCollectorEndToEnd(t *testing.T) {
 	g, p0, p1 := twoPlane()
 	eng := sim.NewEngine()
@@ -225,6 +234,8 @@ func TestCollectorEndToEnd(t *testing.T) {
 	c.Interval = sim.Microsecond
 	c.StreamMetrics(&mbuf)
 	c.StreamTrace(&tbuf)
+	live := &sliceSink{}
+	c.Sink = live
 	if c.AttachNetwork(eng, net) == nil {
 		t.Fatal("no sampler started")
 	}
@@ -313,12 +324,16 @@ func TestCollectorEndToEnd(t *testing.T) {
 		t.Errorf("metrics stream still carries %d metric lines", kinds[KindMetric])
 	}
 
-	// The collector also kept the records in memory.
-	if len(c.Flows) != 1 || len(c.Solver) != 1 {
-		t.Errorf("in-memory records: %d flows, %d solver", len(c.Flows), len(c.Solver))
+	// The Sink beside the stream saw every record the file holds.
+	if len(live.flows) != 1 || len(live.solvers) != 1 {
+		t.Fatalf("sink records: %d flows, %d solver", len(live.flows), len(live.solvers))
 	}
-	if c.Flows[0].FCT != 1e-5 || c.Flows[0].Type != KindFlow || c.Solver[0].Type != KindSolver {
-		t.Errorf("records = %+v, %+v", c.Flows[0], c.Solver[0])
+	if live.flows[0].FCT != 1e-5 || live.flows[0].Type != KindFlow || live.solvers[0].Type != KindSolver {
+		t.Errorf("records = %+v, %+v", live.flows[0], live.solvers[0])
+	}
+	if len(live.links) != kinds["link"] || len(live.planes) != kinds["plane"] || len(live.engines) != kinds["engine"] {
+		t.Errorf("sink saw %d/%d/%d link/plane/engine records, the file holds %d/%d/%d",
+			len(live.links), len(live.planes), len(live.engines), kinds["link"], kinds["plane"], kinds["engine"])
 	}
 }
 

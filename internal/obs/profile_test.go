@@ -129,36 +129,3 @@ func TestProfileRecordsOnClose(t *testing.T) {
 		t.Error("profile records carry no events")
 	}
 }
-
-// TestAttachProfileIsolation checks the profiling hook's contract: it
-// must not consume a NetID or start a sampler, so a profiling companion
-// cannot shift any deterministic output.
-func TestAttachProfileIsolation(t *testing.T) {
-	c := NewCollector()
-	var buf bytes.Buffer
-	c.StreamMetrics(&buf)
-
-	mk := func() (*sim.Engine, *sim.Network) {
-		g, _, _ := twoPlane()
-		eng := sim.NewEngine()
-		return eng, sim.NewNetwork(eng, g, sim.Config{})
-	}
-	engA, netA := mk()
-	sa := c.AttachNetwork(engA, netA)
-	engB, netB := mk()
-	if rec := c.AttachProfile(engB); rec == nil || engB.Recorder != rec {
-		t.Fatal("AttachProfile did not hook the engine")
-	}
-	engC, netC := mk()
-	sc := c.AttachNetwork(engC, netC)
-
-	if sa.NetID != 0 || sc.NetID != 1 {
-		t.Errorf("sampler NetIDs = %d, %d: AttachProfile consumed an ID", sa.NetID, sc.NetID)
-	}
-	if len(c.Samplers()) != 2 {
-		t.Errorf("samplers = %d, want 2 (profile attach must not count)", len(c.Samplers()))
-	}
-	if netB.SpansOn() {
-		t.Error("AttachProfile enabled spans on the profiled network")
-	}
-}

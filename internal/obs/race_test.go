@@ -20,6 +20,18 @@ type release struct{ net *sim.Network }
 
 func (r release) HandlePacket(p *sim.Packet) { r.net.Release(p) }
 
+// twoHosts builds a fresh engine and a network of two hosts joined by one
+// switch, and returns the host-to-host route (2.24 us for a 1500 B packet).
+func twoHosts() (*sim.Engine, *sim.Network, []graph.LinkID) {
+	g := graph.New(3)
+	g.SetTransit(0, false)
+	g.SetTransit(1, false)
+	up, _ := g.AddDuplex(0, 2, 100, 0)
+	_, down := g.AddDuplex(1, 2, 100, 0)
+	eng := sim.NewEngine()
+	return eng, sim.NewNetwork(eng, g, sim.Config{}), []graph.LinkID{up, down}
+}
+
 // TestCollectorConcurrentStress is `pnetbench -workers 8 -metrics
 // -report` in miniature: eight cells attach a network each, tick their
 // samplers into the one stream and the one Aggregator (through the tee),
@@ -41,18 +53,12 @@ func TestCollectorConcurrentStress(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			g := graph.New(3)
-			g.SetTransit(0, false)
-			g.SetTransit(1, false)
-			up, _ := g.AddDuplex(0, 2, 100, 0)
-			_, down := g.AddDuplex(1, 2, 100, 0)
-			eng := sim.NewEngine()
-			net := sim.NewNetwork(eng, g, sim.Config{})
+			eng, net, route := twoHosts()
 			c.AttachNetwork(eng, net)
 			for i := 0; i < perProducer; i++ {
 				pkt := net.NewPacket()
 				pkt.Size = 1500
-				pkt.Route = []graph.LinkID{up, down}
+				pkt.Route = route
 				pkt.Deliver = release{net}
 				net.Send(pkt)
 				// One sampler tick per iteration, interleaved with the record
@@ -75,21 +81,15 @@ func TestCollectorConcurrentStress(t *testing.T) {
 	wg.Wait()
 
 	const total = producers * perProducer
-	if len(c.Flows) != total || len(c.Solver) != total || len(c.Faults) != total {
-		t.Fatalf("records = %d/%d/%d, want %d each", len(c.Flows), len(c.Solver), len(c.Faults), total)
-	}
-	if len(c.Samplers()) != producers {
-		t.Fatalf("samplers = %d, want %d", len(c.Samplers()), producers)
-	}
-	live := aggr.Summarize(c, report.Meta{})
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := report.ReadStream(&mbuf)
-	if err != nil {
+	live := aggr.Summarize(report.Meta{})
+	fromFile := report.NewAggregator()
+	if err := report.ReadStream(&mbuf, fromFile); err != nil {
 		t.Fatalf("shared stream does not parse: %v", err)
 	}
-	file := report.FromStream(st, report.Meta{})
+	file := fromFile.Summarize(report.Meta{})
 	if live.Flows != total || live.Solver.Calls != total || live.Faults == nil || live.Faults.Detected != total {
 		t.Errorf("live summary: %d flows, %d solver calls, faults %+v", live.Flows, live.Solver.Calls, live.Faults)
 	}
@@ -101,5 +101,70 @@ func TestCollectorConcurrentStress(t *testing.T) {
 	if file.Engine.Networks != live.Engine.Networks || file.Engine.Events != live.Engine.Events ||
 		file.LinkUtil != live.LinkUtil || file.Flows != live.Flows || file.FCT != live.FCT {
 		t.Errorf("stream and live summaries disagree:\nfile: %+v\nlive: %+v", file, live)
+	}
+}
+
+// TestProfileNetIsEngineNet pins what `net` means: every record of one
+// engine carries the NetID AttachNetwork gave it, profile bins included.
+// Network 0 attaches before profiling is switched on, so a profile record
+// numbered by anything but the network's own id (a recorder sequence of
+// its own, as there once was) names the wrong engine. Each engine runs to
+// a different sim time, and a run-to-completion ends on the sampler's last
+// tick, so an engine is recognisable in both kinds: its profile bins'
+// sim_ps is its last engine record's t_ps. Serial and with the eight
+// attaches racing.
+func TestProfileNetIsEngineNet(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		rec := &report.Stream{}
+		c := obs.NewCollector()
+		c.Interval = sim.Microsecond
+		c.Sink = rec
+		run := func(i int) {
+			eng, net, route := twoHosts()
+			c.AttachNetwork(eng, net)
+			eng.After(sim.Time(i)*10*sim.Microsecond, func() {
+				pkt := net.NewPacket()
+				pkt.Size = 1500
+				pkt.Route = route
+				pkt.Deliver = release{net}
+				net.Send(pkt)
+			})
+			eng.Run()
+		}
+		run(0)
+		c.Profile = true
+		const engines = 8
+		var wg sync.WaitGroup
+		slots := make(chan struct{}, workers)
+		for i := 1; i <= engines; i++ {
+			wg.Add(1)
+			slots <- struct{}{}
+			go func(i int) {
+				defer wg.Done()
+				run(i)
+				<-slots
+			}(i)
+		}
+		wg.Wait()
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		lastTick := map[int]int64{}
+		for _, r := range rec.Engines {
+			lastTick[r.Net] = r.TPs
+		}
+		profiled := map[int]bool{}
+		for _, r := range rec.Profiles {
+			profiled[r.Net] = true
+			if at, ok := lastTick[r.Net]; !ok || r.SimPs != at {
+				t.Errorf("workers=%d: profile record net %d has sim_ps %d, but that net's engine records end at %d: %+v",
+					workers, r.Net, r.SimPs, at, r)
+			}
+		}
+		if len(lastTick) != engines+1 || len(profiled) != engines || profiled[0] {
+			t.Errorf("workers=%d: %d sampled and %d profiled networks (net 0 profiled: %v), want %d and %d, not net 0",
+				workers, len(lastTick), len(profiled), profiled[0], engines+1, engines)
+		}
 	}
 }

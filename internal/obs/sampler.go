@@ -8,27 +8,6 @@ import (
 	"pnet/internal/sim"
 )
 
-// SampleSink is where a sampler's records go. A sampler has exactly one:
-// the metrics stream (MetricsWriter), a reducing consumer such as
-// internal/report's Aggregator, or the collector's tee of the two. The
-// records are the JSONL schema's own (schema.go), Type and Net filled in,
-// so the stream and a live consumer see the same values by construction.
-// Implementations shared by several networks must be safe for concurrent
-// use.
-type SampleSink interface {
-	Link(LinkRecord)
-	Plane(PlaneRecord)
-	Engine(EngineRecord)
-}
-
-// tee hands every record to two sinks: the stream first, so the file is
-// in emission order, then the live consumer.
-type tee struct{ a, b SampleSink }
-
-func (t tee) Link(r LinkRecord)     { t.a.Link(r); t.b.Link(r) }
-func (t tee) Plane(r PlaneRecord)   { t.a.Plane(r); t.b.Plane(r) }
-func (t tee) Engine(r EngineRecord) { t.a.Engine(r); t.b.Engine(r) }
-
 // Sampler periodically reads a network's state from inside the event
 // loop and emits it to its sink. It schedules itself on the simulation
 // engine, so records carry sim timestamps; when its tick finds the event
@@ -52,7 +31,7 @@ type Sampler struct {
 	// NetID distinguishes multiple sampled networks in a shared sink.
 	NetID int
 
-	sink SampleSink
+	sink Sink
 
 	interval   sim.Time
 	ticks      int
@@ -71,7 +50,7 @@ const decimateAfter = 4096
 
 // NewSampler prepares a sampler emitting to sink at the given interval
 // (which must be positive). Call Start to begin sampling.
-func NewSampler(eng *sim.Engine, net *sim.Network, interval sim.Time, sink SampleSink) *Sampler {
+func NewSampler(eng *sim.Engine, net *sim.Network, interval sim.Time, sink Sink) *Sampler {
 	n := net.G.NumLinks()
 	s := &Sampler{
 		Eng:       eng,

@@ -107,7 +107,7 @@ type spanFlow struct {
 
 // attributionSummary reduces the accumulated span cells. thresh is the
 // tail FCT threshold in seconds (p99.9 of the run's FCTs).
-func (a *agg) attributionSummary(thresh float64) *AttributionSummary {
+func (a *Aggregator) attributionSummary(thresh float64) *AttributionSummary {
 	if len(a.spanPs) == 0 {
 		return nil
 	}
@@ -175,8 +175,9 @@ func cellsFromPs(m map[[2]int64]int64, totalPs int64) []AttributionCell {
 	return out
 }
 
-// profileSummary reduces the accumulated flight-recorder bins.
-func (a *agg) profileSummary() *ProfileSummary {
+// profileSummary reduces the accumulated flight-recorder bins of the
+// given number of engines, simPs of profiled sim time between them.
+func (a *Aggregator) profileSummary(engines int, simPs int64) *ProfileSummary {
 	if len(a.profBins) == 0 {
 		return nil
 	}
@@ -192,8 +193,8 @@ func (a *agg) profileSummary() *ProfileSummary {
 	})
 
 	s := &ProfileSummary{
-		Engines: a.profEngines,
-		SimSec:  float64(a.profSimPs) / 1e12,
+		Engines: engines,
+		SimSec:  float64(simPs) / 1e12,
 	}
 	var hostWallNs, totalWallNs int64
 	planeEv := map[int32]int64{}
@@ -222,12 +223,7 @@ func (a *agg) profileSummary() *ProfileSummary {
 		s.HostFrac = float64(s.HostEvents) / float64(s.Events)
 	}
 
-	planes := make([]int32, 0, len(planeEv))
-	for p := range planeEv {
-		planes = append(planes, p)
-	}
-	sort.Slice(planes, func(i, j int) bool { return planes[i] < planes[j] })
-	for _, p := range planes {
+	for _, p := range sortedPlanes(planeEv) {
 		pp := ProfilePlane{Plane: p, Events: planeEv[p], WallSec: float64(planeWall[p]) / 1e9}
 		if s.SimSec > 0 {
 			pp.EventsPerSimSec = float64(planeEv[p]) / s.SimSec

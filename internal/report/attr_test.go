@@ -23,11 +23,11 @@ const spanStream = `{"type":"flow","id":1,"transport":"tcp","bytes":1000000,"fct
 
 func loadSpanStream(t *testing.T) RunSummary {
 	t.Helper()
-	st, err := ReadStream(strings.NewReader(spanStream))
-	if err != nil {
+	a := NewAggregator()
+	if err := ReadStream(strings.NewReader(spanStream), a); err != nil {
 		t.Fatal(err)
 	}
-	return FromStream(st, Meta{Exp: "test"})
+	return a.Summarize(Meta{Exp: "test"})
 }
 
 func TestAttributionSummaryFromStream(t *testing.T) {
@@ -117,7 +117,8 @@ func TestProfileSummaryFromStream(t *testing.T) {
 func TestReadStreamTruncatedSpanRecord(t *testing.T) {
 	lines := strings.SplitAfter(spanStream, "\n")
 	in := lines[0] + lines[1][:len(lines[1])-40] // cut inside flow 2's spans
-	st, err := ReadStream(strings.NewReader(in))
+	st := &Stream{}
+	err := ReadStream(strings.NewReader(in), st)
 	var pe *ParseError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *ParseError", err)
@@ -134,7 +135,8 @@ func TestReadStreamTruncatedSpanRecord(t *testing.T) {
 // not define is a typed *ParseError, not a panic and not silent skew.
 func TestReadStreamUnknownSpanComponent(t *testing.T) {
 	in := `{"type":"flow","id":1,"fct_s":0.1,"spans":[{"c":"warp_drive","plane":0,"ps":1}]}` + "\n"
-	st, err := ReadStream(strings.NewReader(in))
+	st := &Stream{}
+	err := ReadStream(strings.NewReader(in), st)
 	var pe *ParseError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *ParseError", err)
@@ -154,7 +156,8 @@ func TestReadStreamUnknownSpanComponent(t *testing.T) {
 func TestReadStreamUnknownProfileKind(t *testing.T) {
 	for _, kind := range []string{"teleport", "hostload", "subshard", "planeshard"} {
 		in := `{"type":"profile","net":0,"kind":"` + kind + `","plane":3,"events":1,"wall_ns":0,"sim_ps":5}` + "\n"
-		st, err := ReadStream(strings.NewReader(in))
+		st := &Stream{}
+		err := ReadStream(strings.NewReader(in), st)
 		var pe *ParseError
 		if !errors.As(err, &pe) {
 			t.Fatalf("%s: err = %v, want *ParseError", kind, err)

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"pnet/internal/obs"
 )
 
-// FuzzStream hammers the JSONL reader with corrupted input: whatever
-// arrives, ReadStream must return a usable (possibly partial) Stream
-// and either nil or one of its typed errors — never panic, never an
-// anonymous error the CLI can't classify.
+// FuzzStream hammers the JSONL reader and both of its sinks with
+// corrupted input: whatever arrives, ReadStream must return nil or one of
+// its typed errors, never panic and never an anonymous error the CLI
+// can't classify, and the Aggregator must still summarize and render
+// whatever prefix it was handed (`pnetstat summary` on a damaged file).
 func FuzzStream(f *testing.F) {
 	seeds := []string{
 		goodStream,
@@ -28,6 +31,11 @@ func FuzzStream(f *testing.F) {
 		`{"type":"fpev","net":0,"epoch":1,"i":0,"kind":"hop","hash":"0123"}` + "\n",
 		// Mixed: valid records, then a schema the reader predates.
 		goodStream + `{"type":"fp","net":0,"epoch":0,"events":64,"epoch_events":64,"hash":"0123456789abcdef","host":"0123456789abcdef"}` + "\n" + `{"type":"from_the_future","v":2}` + "\n",
+		// Plane ids no engine would write: the fingerprint fold and the
+		// per-plane maps must take them as keys, not as slice indices.
+		`{"type":"fp","net":-3,"epoch":0,"events":64,"epoch_events":64,"hash":"0123456789abcdef","host":"0123456789abcdef","planes":[{"plane":-1,"hash":"0123456789abcdef"},{"plane":2000000000,"hash":"fedcba9876543210"}]}` + "\n" +
+			`{"type":"plane","net":-3,"t_ps":5,"plane":-7,"tx_bytes":9}` + "\n" +
+			`{"type":"profile","net":9,"kind":"hop","plane":2000000000,"events":1,"wall_ns":1,"sim_ps":5}` + "\n",
 		"\x00\x01\x02",
 		`[1,2,3]` + "\n",
 	}
@@ -35,17 +43,16 @@ func FuzzStream(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := ReadStream(bytes.NewReader(data))
-		if st == nil {
-			t.Fatal("ReadStream returned a nil stream")
+		aggr := NewAggregator()
+		for _, sink := range []obs.Sink{&Stream{}, aggr} {
+			err := ReadStream(bytes.NewReader(data), sink)
+			var pe *ParseError
+			var uk *UnknownKindError
+			if err != nil && !errors.As(err, &pe) && !errors.As(err, &uk) && !errors.Is(err, ErrEmptyStream) {
+				t.Fatalf("untyped error %T: %v", err, err)
+			}
 		}
-		if err == nil {
-			return
-		}
-		var pe *ParseError
-		var uk *UnknownKindError
-		if !errors.As(err, &pe) && !errors.As(err, &uk) && !errors.Is(err, ErrEmptyStream) {
-			t.Fatalf("untyped error %T: %v", err, err)
-		}
+		s := aggr.Summarize(Meta{})
+		_ = s.String() + s.AttributionString() + s.ProfileString()
 	})
 }

@@ -1,7 +1,10 @@
-// Package report turns the telemetry of internal/obs into decisions: it
-// reads the JSONL metrics streams and RunSummary files back (reader.go),
-// aggregates a run into a RunSummary of the quantities the paper's
-// figures plot (summary.go), and compares two summaries with thresholded
+// Package report turns the telemetry of internal/obs into decisions. Its
+// reader decodes a JSONL metrics stream line by line into an obs.Sink
+// (reader.go), the same interface the live producers write to; the
+// Aggregator is the sink that reduces a run into a RunSummary of the
+// quantities the paper's figures plot (summary.go, attr.go), and Stream
+// the one that keeps every record for the subcommands that need them
+// (divergence.go, trace.go). Diff compares two summaries with thresholded
 // per-metric deltas (diff.go). cmd/pnetstat is the CLI over all of it.
 package report
 
@@ -13,27 +16,60 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 
 	"pnet/internal/obs"
 )
 
-// Stream holds every record decoded from one metrics JSONL stream,
-// bucketed by kind in input order.
+// Stream is the retaining obs.Sink: it keeps every record it is handed,
+// bucketed by kind in arrival order. `pnetstat divergence` and
+// `export-trace` read files into one, since they need the records
+// themselves; memory is proportional to the file. It is safe for
+// concurrent producers, so a test can also set one as a collector's Sink
+// and read the fields once the run is over.
 type Stream struct {
+	mu       sync.Mutex
 	Links    []obs.LinkRecord
 	Planes   []obs.PlaneRecord
 	Engines  []obs.EngineRecord
 	Flows    []obs.FlowRecord
 	Solvers  []obs.SolverRecord
-	Packets  []obs.PacketRecord
 	Faults   []obs.FaultRecord
 	Profiles []obs.ProfileRecord
-	// Fingerprints are determinism-chain epoch checkpoints; FPEvents are
-	// per-event journal records from a divergence re-run.
+	// Fingerprints are determinism-chain epoch checkpoints.
 	Fingerprints []obs.FingerprintRecord
-	FPEvents     []obs.FingerprintEventRecord
-	// Lines counts successfully decoded records (and skipped metric lines).
-	Lines int
+	// Packets (a -trace file) and FPEvents (a -fingerprint-journal file)
+	// are the two kinds no collector sink sees: see fileSink.
+	Packets  []obs.PacketRecord
+	FPEvents []obs.FingerprintEventRecord
+}
+
+// keep appends r to one of s's buckets under its lock.
+func keep[R any](s *Stream, bucket *[]R, r R) {
+	s.mu.Lock()
+	*bucket = append(*bucket, r)
+	s.mu.Unlock()
+}
+
+func (s *Stream) Link(r obs.LinkRecord)                { keep(s, &s.Links, r) }
+func (s *Stream) Plane(r obs.PlaneRecord)              { keep(s, &s.Planes, r) }
+func (s *Stream) Engine(r obs.EngineRecord)            { keep(s, &s.Engines, r) }
+func (s *Stream) Flow(r obs.FlowRecord)                { keep(s, &s.Flows, r) }
+func (s *Stream) Solver(r obs.SolverRecord)            { keep(s, &s.Solvers, r) }
+func (s *Stream) Fault(r obs.FaultRecord)              { keep(s, &s.Faults, r) }
+func (s *Stream) Profile(r obs.ProfileRecord)          { keep(s, &s.Profiles, r) }
+func (s *Stream) Fingerprint(r obs.FingerprintRecord)  { keep(s, &s.Fingerprints, r) }
+func (s *Stream) Packet(r obs.PacketRecord)            { keep(s, &s.Packets, r) }
+func (s *Stream) FPEvent(r obs.FingerprintEventRecord) { keep(s, &s.FPEvents, r) }
+
+// fileSink is the two record kinds only files carry: the trace stream's
+// packet events and the fingerprint journal's per-event records, which
+// the collector writes straight to their own files. ReadStream hands
+// them to a sink that has these methods and only validates them for one
+// that does not (an Aggregator summarizes neither).
+type fileSink interface {
+	Packet(obs.PacketRecord)
+	FPEvent(obs.FingerprintEventRecord)
 }
 
 // ErrEmptyStream reports a stream with no records at all — usually a
@@ -71,12 +107,13 @@ func (e *UnknownKindError) Error() string {
 	return fmt.Sprintf("report: line %d: unknown record kind %q", e.Line, e.Kind)
 }
 
-// ReadStream decodes a metrics (or trace) JSONL stream line at a time.
-// On malformed input it returns everything decoded so far alongside a
-// typed error (*ParseError, *UnknownKindError, or ErrEmptyStream), so a
+// ReadStream decodes a metrics (or trace) JSONL stream a line at a time
+// and hands each record to sink, validated. On malformed input it stops
+// with a typed error (*ParseError, *UnknownKindError, or ErrEmptyStream);
+// the sink has then received every record before the bad line, so a
 // partially written stream still yields its prefix.
-func ReadStream(r io.Reader) (*Stream, error) {
-	s := &Stream{}
+func ReadStream(r io.Reader, sink obs.Sink) error {
+	files, _ := sink.(fileSink)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	line := 0
@@ -88,22 +125,22 @@ func ReadStream(r io.Reader) (*Stream, error) {
 			continue
 		}
 		sawData = true
-		if err := s.decodeLine(b); err != nil {
+		if err := decodeLine(b, sink, files); err != nil {
 			var uk *UnknownKindError
 			if errors.As(err, &uk) {
 				uk.Line = line
-				return s, uk
+				return uk
 			}
-			return s, &ParseError{Line: line, Truncated: lastLine(sc), Err: err}
+			return &ParseError{Line: line, Truncated: lastLine(sc), Err: err}
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return s, &ParseError{Line: line + 1, Err: err}
+		return &ParseError{Line: line + 1, Err: err}
 	}
 	if !sawData {
-		return s, ErrEmptyStream
+		return ErrEmptyStream
 	}
-	return s, nil
+	return nil
 }
 
 // lastLine reports whether the scanner is at input end — i.e. the
@@ -118,106 +155,107 @@ type kindHeader struct {
 	Type string `json:"type"`
 }
 
-func (s *Stream) decodeLine(b []byte) error {
+// emit decodes b as one record of kind R, checks it with valid, and hands
+// it to the sink method to. Either may be nil: nothing to check beyond
+// the JSON, or a kind this sink does not take.
+func emit[R any](b []byte, valid func(*R) error, to func(R)) error {
+	var r R
+	if err := json.Unmarshal(b, &r); err != nil {
+		return err
+	}
+	if valid != nil {
+		if err := valid(&r); err != nil {
+			return err
+		}
+	}
+	if to != nil {
+		to(r)
+	}
+	return nil
+}
+
+// decodeLine decodes and validates one line and hands the record to sink,
+// or to files (which may be nil) for the two file-only kinds.
+func decodeLine(b []byte, sink obs.Sink, files fileSink) error {
 	var h kindHeader
 	if err := json.Unmarshal(b, &h); err != nil {
 		return err
 	}
 	switch h.Type {
 	case obs.KindLink:
-		var r obs.LinkRecord
-		if err := json.Unmarshal(b, &r); err != nil {
-			return err
-		}
-		s.Links = append(s.Links, r)
+		return emit(b, nil, sink.Link)
 	case obs.KindPlane:
-		var r obs.PlaneRecord
-		if err := json.Unmarshal(b, &r); err != nil {
-			return err
-		}
-		s.Planes = append(s.Planes, r)
+		return emit(b, nil, sink.Plane)
 	case obs.KindEngine:
-		var r obs.EngineRecord
-		if err := json.Unmarshal(b, &r); err != nil {
-			return err
-		}
-		s.Engines = append(s.Engines, r)
+		return emit(b, nil, sink.Engine)
 	case obs.KindFlow:
-		var r obs.FlowRecord
-		if err := json.Unmarshal(b, &r); err != nil {
-			return err
-		}
-		for _, sp := range r.Spans {
-			if !obs.ValidSpanComponent(sp.Component) {
-				return fmt.Errorf("flow %d: unknown span component %q", r.ID, sp.Component)
-			}
-		}
-		s.Flows = append(s.Flows, r)
+		return emit(b, validFlow, sink.Flow)
 	case obs.KindSolver:
-		var r obs.SolverRecord
-		if err := json.Unmarshal(b, &r); err != nil {
-			return err
+		return emit(b, nil, sink.Solver)
+	case obs.KindFault:
+		return emit(b, nil, sink.Fault)
+	case obs.KindProfile:
+		return emit(b, validProfile, sink.Profile)
+	case obs.KindFingerprint:
+		return emit(b, validFingerprint, sink.Fingerprint)
+	case obs.KindPacket:
+		if files == nil {
+			return emit[obs.PacketRecord](b, nil, nil)
 		}
-		s.Solvers = append(s.Solvers, r)
+		return emit(b, nil, files.Packet)
+	case obs.KindFPEvent:
+		if files == nil {
+			return emit(b, validFPEvent, nil)
+		}
+		return emit(b, validFPEvent, files.FPEvent)
 	case obs.KindMetric:
 		// Written by earlier binaries only; recognised so their streams load.
-	case obs.KindPacket:
-		var r obs.PacketRecord
-		if err := json.Unmarshal(b, &r); err != nil {
-			return err
-		}
-		s.Packets = append(s.Packets, r)
-	case obs.KindFault:
-		var r obs.FaultRecord
-		if err := json.Unmarshal(b, &r); err != nil {
-			return err
-		}
-		s.Faults = append(s.Faults, r)
-	case obs.KindProfile:
-		var r obs.ProfileRecord
-		if err := json.Unmarshal(b, &r); err != nil {
-			return err
-		}
-		if !obs.ValidEventKind(r.Kind) {
-			return fmt.Errorf("profile net %d: unknown event kind %q", r.Net, r.Kind)
-		}
-		s.Profiles = append(s.Profiles, r)
-	case obs.KindFingerprint:
-		var r obs.FingerprintRecord
-		if err := json.Unmarshal(b, &r); err != nil {
-			return err
-		}
-		if _, err := obs.ParseHash(r.Hash); err != nil {
-			return fmt.Errorf("fingerprint net %d epoch %d: %v", r.Net, r.Epoch, err)
-		}
-		if _, err := obs.ParseHash(r.Host); err != nil {
-			return fmt.Errorf("fingerprint net %d epoch %d: %v", r.Net, r.Epoch, err)
-		}
-		for _, p := range r.Planes {
-			if _, err := obs.ParseHash(p.Hash); err != nil {
-				return fmt.Errorf("fingerprint net %d epoch %d plane %d: %v", r.Net, r.Epoch, p.Plane, err)
-			}
-		}
-		if r.EpochEvents <= 0 {
-			return fmt.Errorf("fingerprint net %d epoch %d: epoch_events %d, want > 0", r.Net, r.Epoch, r.EpochEvents)
-		}
-		s.Fingerprints = append(s.Fingerprints, r)
-	case obs.KindFPEvent:
-		var r obs.FingerprintEventRecord
-		if err := json.Unmarshal(b, &r); err != nil {
-			return err
-		}
-		if !obs.ValidEventKind(r.Kind) {
-			return fmt.Errorf("fpev net %d epoch %d i %d: unknown event kind %q", r.Net, r.Epoch, r.I, r.Kind)
-		}
-		if _, err := obs.ParseHash(r.Hash); err != nil {
-			return fmt.Errorf("fpev net %d epoch %d i %d: %v", r.Net, r.Epoch, r.I, err)
-		}
-		s.FPEvents = append(s.FPEvents, r)
-	default:
-		return &UnknownKindError{Kind: h.Type}
+		return nil
 	}
-	s.Lines++
+	return &UnknownKindError{Kind: h.Type}
+}
+
+func validFlow(r *obs.FlowRecord) error {
+	for _, sp := range r.Spans {
+		if !obs.ValidSpanComponent(sp.Component) {
+			return fmt.Errorf("flow %d: unknown span component %q", r.ID, sp.Component)
+		}
+	}
+	return nil
+}
+
+func validProfile(r *obs.ProfileRecord) error {
+	if !obs.ValidEventKind(r.Kind) {
+		return fmt.Errorf("profile net %d: unknown event kind %q", r.Net, r.Kind)
+	}
+	return nil
+}
+
+func validFingerprint(r *obs.FingerprintRecord) error {
+	if _, err := obs.ParseHash(r.Hash); err != nil {
+		return fmt.Errorf("fingerprint net %d epoch %d: %v", r.Net, r.Epoch, err)
+	}
+	if _, err := obs.ParseHash(r.Host); err != nil {
+		return fmt.Errorf("fingerprint net %d epoch %d: %v", r.Net, r.Epoch, err)
+	}
+	for _, p := range r.Planes {
+		if _, err := obs.ParseHash(p.Hash); err != nil {
+			return fmt.Errorf("fingerprint net %d epoch %d plane %d: %v", r.Net, r.Epoch, p.Plane, err)
+		}
+	}
+	if r.EpochEvents <= 0 {
+		return fmt.Errorf("fingerprint net %d epoch %d: epoch_events %d, want > 0", r.Net, r.Epoch, r.EpochEvents)
+	}
+	return nil
+}
+
+func validFPEvent(r *obs.FingerprintEventRecord) error {
+	if !obs.ValidEventKind(r.Kind) {
+		return fmt.Errorf("fpev net %d epoch %d i %d: unknown event kind %q", r.Net, r.Epoch, r.I, r.Kind)
+	}
+	if _, err := obs.ParseHash(r.Hash); err != nil {
+		return fmt.Errorf("fpev net %d epoch %d i %d: %v", r.Net, r.Epoch, r.I, err)
+	}
 	return nil
 }
 
@@ -237,60 +275,77 @@ func readSummaryJSON(path string, b []byte) (RunSummary, error) {
 	return s, nil
 }
 
-// LoadRun reads a run from disk in either accepted format: a RunSummary
-// JSON written by `pnetbench -report` or `pnetstat summary -o`, or a raw
-// metrics JSONL stream, auto-detected by shape. JSONL streams that end in
-// a truncated final line still load (the partial prefix is summarized);
-// the typed error is returned alongside the summary so callers can warn.
-func LoadRun(path string, m Meta) (RunSummary, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return RunSummary{}, err
+// openRun opens the run file at path and reports whether it holds a
+// RunSummary JSON rather than a JSONL stream: a summary's first JSON value
+// is the whole object and carries "schema_version"; a stream's is its
+// first line, a record with a "type". Only that first value is read, so
+// a stream of any size costs a buffer to tell apart.
+func openRun(path string) (f *os.File, isSummary bool, err error) {
+	if f, err = os.Open(path); err != nil {
+		return nil, false, err
 	}
-	if isSummaryJSON(b) {
-		return readSummaryJSON(path, b)
-	}
-	st, err := readStreamTolerant(path, b)
-	return FromStream(st, m), err
-}
-
-// readStreamTolerant decodes b, the contents of path, as a metrics
-// stream. A truncated final line is tolerated: a stream cut off mid-write
-// keeps its prefix.
-func readStreamTolerant(path string, b []byte) (*Stream, error) {
-	st, err := ReadStream(bytes.NewReader(b))
-	var pe *ParseError
-	if err != nil && !(errors.As(err, &pe) && pe.Truncated) {
-		return st, fmt.Errorf("%s: %w", path, err)
-	}
-	return st, nil
-}
-
-// LoadStream reads a raw metrics JSONL stream, for subcommands that
-// need record-level data (fingerprint checkpoints, journals, trace
-// export) which the aggregate RunSummary no longer carries. A summary
-// JSON is rejected with a pointer at the right input; a truncated final
-// line is tolerated like LoadRun.
-func LoadStream(path string) (*Stream, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if isSummaryJSON(b) {
-		return nil, fmt.Errorf("%s: is a RunSummary JSON; this command needs the raw metrics JSONL stream (pnetbench -metrics)", path)
-	}
-	return readStreamTolerant(path, b)
-}
-
-// isSummaryJSON distinguishes one indented RunSummary object from a
-// JSONL stream: a stream's first line is a complete object mentioning a
-// "type" discriminator, a summary starts with "schema_version".
-func isSummaryJSON(b []byte) bool {
 	var probe struct {
 		SchemaVersion int `json:"schema_version"`
 	}
-	if err := json.Unmarshal(b, &probe); err != nil {
-		return false // multiple JSONL lines fail whole-buffer unmarshal
+	isSummary = json.NewDecoder(f).Decode(&probe) == nil && probe.SchemaVersion != 0
+	if _, err = f.Seek(0, io.SeekStart); err != nil {
+		f.Close()
+		return nil, false, err
 	}
-	return probe.SchemaVersion != 0
+	return f, isSummary, nil
+}
+
+// readStreamFile decodes the metrics stream f, the file at path, into
+// sink. A truncated final line is tolerated: a stream cut off mid-write
+// keeps its prefix.
+func readStreamFile(path string, f *os.File, sink obs.Sink) error {
+	err := ReadStream(f, sink)
+	var pe *ParseError
+	if err != nil && !(errors.As(err, &pe) && pe.Truncated) {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
+}
+
+// LoadRun reads a run from disk in either accepted format: a RunSummary
+// JSON written by `pnetbench -report` or `pnetstat summary -o`, or a raw
+// metrics JSONL stream, auto-detected by shape. A stream is decoded
+// straight into an Aggregator, so memory does not grow with its sample
+// lines. One that ends in a truncated final line still loads; on any
+// other malformed line the typed error is returned alongside the summary
+// of the prefix.
+func LoadRun(path string, m Meta) (RunSummary, error) {
+	f, isSummary, err := openRun(path)
+	if err != nil {
+		return RunSummary{}, err
+	}
+	defer f.Close()
+	if isSummary {
+		b, err := io.ReadAll(f)
+		if err != nil {
+			return RunSummary{}, err
+		}
+		return readSummaryJSON(path, b)
+	}
+	aggr := NewAggregator()
+	err = readStreamFile(path, f, aggr)
+	return aggr.Summarize(m), err
+}
+
+// LoadStream reads a raw metrics JSONL stream and keeps every record,
+// for subcommands that need record-level data (fingerprint checkpoints,
+// journals, trace export) which the aggregate RunSummary does not carry.
+// A summary JSON is rejected with a pointer at the right input; a
+// truncated final line is tolerated like LoadRun.
+func LoadStream(path string) (*Stream, error) {
+	f, isSummary, err := openRun(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	if isSummary {
+		return nil, fmt.Errorf("%s: is a RunSummary JSON; this command needs the raw metrics JSONL stream (pnetbench -metrics)", path)
+	}
+	st := &Stream{}
+	return st, readStreamFile(path, f, st)
 }

@@ -19,12 +19,9 @@ const goodStream = `{"type":"engine","net":0,"t_ps":10000000,"events":100,"heap"
 `
 
 func TestReadStreamAllKinds(t *testing.T) {
-	s, err := ReadStream(strings.NewReader(goodStream))
-	if err != nil {
+	s := &Stream{}
+	if err := ReadStream(strings.NewReader(goodStream), s); err != nil {
 		t.Fatal(err)
-	}
-	if s.Lines != 7 {
-		t.Fatalf("decoded %d lines, want 7", s.Lines)
 	}
 	if len(s.Engines) != 1 || len(s.Links) != 1 || len(s.Planes) != 1 ||
 		len(s.Flows) != 1 || len(s.Solvers) != 1 || len(s.Packets) != 1 {
@@ -51,19 +48,18 @@ func TestReadStreamSkipsParentMetricLines(t *testing.T) {
 		t.Fatal("fixture lost its parent-written metric line")
 	}
 	more := goodStream + `{"type":"metric","name":"flow.fct_s","kind":"histogram","value":0.002,"count":1,"min":0.002,"p50":0.002,"p99":0.002,"p999":0.002,"max":0.002}` + "\n"
-	with, err := ReadStream(strings.NewReader(more))
-	if err != nil {
+	with, without := NewAggregator(), NewAggregator()
+	if err := ReadStream(strings.NewReader(more), with); err != nil {
 		t.Fatalf("stream with metric lines: %v", err)
 	}
-	without, err := ReadStream(strings.NewReader(strings.Replace(goodStream, metricLine, "", 1)))
-	if err != nil {
+	if err := ReadStream(strings.NewReader(strings.Replace(goodStream, metricLine, "", 1)), without); err != nil {
 		t.Fatal(err)
 	}
 	m := Meta{Exp: "compat"}
-	if a, b := FromStream(with, m), FromStream(without, m); !reflect.DeepEqual(a, b) || a.Flows != 1 || a.Engine.Networks != 1 {
+	if a, b := with.Summarize(m), without.Summarize(m); !reflect.DeepEqual(a, b) || a.Flows != 1 || a.Engine.Networks != 1 {
 		t.Errorf("metric lines changed the summary:\nwith:    %+v\nwithout: %+v", a, b)
 	}
-	_, err = ReadStream(strings.NewReader(`{"type":"gauge","name":"x","value":1}` + "\n"))
+	err := ReadStream(strings.NewReader(`{"type":"gauge","name":"x","value":1}`+"\n"), &Stream{})
 	var uk *UnknownKindError
 	if !errors.As(err, &uk) || uk.Kind != "gauge" {
 		t.Errorf("unknown kind: err = %v, want *UnknownKindError for \"gauge\"", err)
@@ -75,7 +71,8 @@ func TestReadStreamSkipsParentMetricLines(t *testing.T) {
 // set — not a panic, not silent loss.
 func TestReadStreamTruncatedFinalLine(t *testing.T) {
 	cut := goodStream[:len(goodStream)-30] // mid final record, no newline
-	s, err := ReadStream(strings.NewReader(cut))
+	s := &Stream{}
+	err := ReadStream(strings.NewReader(cut), s)
 	var pe *ParseError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *ParseError", err)
@@ -86,10 +83,7 @@ func TestReadStreamTruncatedFinalLine(t *testing.T) {
 	if pe.Line != 7 {
 		t.Errorf("ParseError.Line = %d, want 7", pe.Line)
 	}
-	if s.Lines != 6 {
-		t.Errorf("partial stream has %d records, want the 6 complete ones", s.Lines)
-	}
-	if len(s.Flows) != 1 || len(s.Solvers) != 1 {
+	if len(s.Flows) != 1 || len(s.Solvers) != 1 || len(s.Engines) != 1 || len(s.Links) != 1 || len(s.Planes) != 1 || len(s.Packets) != 0 {
 		t.Errorf("partial stream lost records: %+v", s)
 	}
 }
@@ -98,7 +92,8 @@ func TestReadStreamTruncatedFinalLine(t *testing.T) {
 // surface as a typed *UnknownKindError with the decoded prefix intact.
 func TestReadStreamUnknownKind(t *testing.T) {
 	in := goodStream + `{"type":"warp","coil":9}` + "\n"
-	s, err := ReadStream(strings.NewReader(in))
+	s := &Stream{}
+	err := ReadStream(strings.NewReader(in), s)
 	var uk *UnknownKindError
 	if !errors.As(err, &uk) {
 		t.Fatalf("err = %v, want *UnknownKindError", err)
@@ -106,19 +101,15 @@ func TestReadStreamUnknownKind(t *testing.T) {
 	if uk.Kind != "warp" || uk.Line != 8 {
 		t.Errorf("UnknownKindError = %+v", uk)
 	}
-	if s.Lines != 7 {
-		t.Errorf("partial stream has %d records, want 7", s.Lines)
+	if len(s.Packets) != 1 {
+		t.Errorf("partial stream lost the record before the unknown one: %+v", s)
 	}
 }
 
 func TestReadStreamEmpty(t *testing.T) {
 	for _, in := range []string{"", "\n\n  \n"} {
-		s, err := ReadStream(strings.NewReader(in))
-		if !errors.Is(err, ErrEmptyStream) {
+		if err := ReadStream(strings.NewReader(in), &Stream{}); !errors.Is(err, ErrEmptyStream) {
 			t.Fatalf("ReadStream(%q) err = %v, want ErrEmptyStream", in, err)
-		}
-		if s == nil || s.Lines != 0 {
-			t.Errorf("ReadStream(%q) stream = %+v", in, s)
 		}
 	}
 }
@@ -129,7 +120,8 @@ func TestReadStreamEmpty(t *testing.T) {
 func TestReadStreamGarbageMidFile(t *testing.T) {
 	in := `{"type":"flow","id":1,"fct_s":0.1}` + "\n" + `not json at all` + "\n" +
 		`{"type":"flow","id":2,"fct_s":0.2}` + "\n"
-	s, err := ReadStream(strings.NewReader(in))
+	s := &Stream{}
+	err := ReadStream(strings.NewReader(in), s)
 	var pe *ParseError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *ParseError", err)
@@ -162,8 +154,8 @@ func TestRoundTripWriterReader(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := ReadStream(strings.NewReader(buf.String()))
-	if err != nil {
+	s := &Stream{}
+	if err := ReadStream(strings.NewReader(buf.String()), s); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.Flows) != 1 || len(s.Solvers) != 1 {
@@ -179,7 +171,7 @@ func TestRoundTripWriterReader(t *testing.T) {
 	if s.Solvers[0].Iterations != 77 || s.Solvers[0].WallSec != 0.25 {
 		t.Errorf("solver round-trip: %+v", s.Solvers[0])
 	}
-	if s.Lines != 2 {
-		t.Errorf("stream has %d lines, want the flow and the solver record only", s.Lines)
+	if n := strings.Count(buf.String(), "\n"); n != 2 {
+		t.Errorf("stream has %d lines, want the flow and the solver record only", n)
 	}
 }

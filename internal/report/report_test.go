@@ -20,24 +20,24 @@ import (
 )
 
 func sampleSummary() RunSummary {
-	a := newAgg()
+	a := NewAggregator()
 	for i := 1; i <= 1000; i++ {
-		a.addFlow(obs.FlowRecord{Bytes: 1000, FCT: float64(i) * 1e-4})
+		a.Flow(obs.FlowRecord{Bytes: 1000, FCT: float64(i) * 1e-4})
 	}
-	a.addSolver(obs.SolverRecord{Phases: 10, Iterations: 300, Attempts: 1, WallSec: 0.5})
-	a.addSolver(obs.SolverRecord{Phases: 5, Iterations: 100, Attempts: 1, WallSec: 0.25})
+	a.Solver(obs.SolverRecord{Phases: 10, Iterations: 300, Attempts: 1, WallSec: 0.5})
+	a.Solver(obs.SolverRecord{Phases: 5, Iterations: 100, Attempts: 1, WallSec: 0.25})
 	// Two networks, cumulative plane counters: plane 0 carries 3 MB,
 	// plane 1 carries 1 MB in total.
-	a.addPlane(obs.PlaneRecord{Net: 0, TPs: 1e9, Plane: 0, TxBytes: 1_000_000})
-	a.addPlane(obs.PlaneRecord{Net: 0, TPs: 2e9, Plane: 0, TxBytes: 2_000_000})
-	a.addPlane(obs.PlaneRecord{Net: 0, TPs: 2e9, Plane: 1, TxBytes: 1_000_000})
-	a.addPlane(obs.PlaneRecord{Net: 1, TPs: 2e9, Plane: 0, TxBytes: 1_000_000})
-	a.addLink(obs.LinkRecord{Net: 0, TPs: 1e9, Link: 1, Plane: 0, QueueBytes: 1500, Util: 0.5, Drops: 1})
-	a.addLink(obs.LinkRecord{Net: 0, TPs: 2e9, Link: 1, Plane: 0, QueueBytes: 3000, Util: 0.9, Drops: 4})
-	a.addLink(obs.LinkRecord{Net: 1, TPs: 2e9, Link: 1, Plane: 0, QueueBytes: 0, Util: 0.1, Drops: 2})
-	a.addEngine(obs.EngineRecord{Net: 0, TPs: 2e9, Events: 5000, WallNano: 1e6})
-	a.addEngine(obs.EngineRecord{Net: 1, TPs: 2e9, Events: 5000, WallNano: 1e6})
-	return a.summary(Meta{Exp: "test", Scale: "small", Seed: 1, Created: "2026-08-05T00:00:00Z"})
+	a.Plane(obs.PlaneRecord{Net: 0, TPs: 1e9, Plane: 0, TxBytes: 1_000_000})
+	a.Plane(obs.PlaneRecord{Net: 0, TPs: 2e9, Plane: 0, TxBytes: 2_000_000})
+	a.Plane(obs.PlaneRecord{Net: 0, TPs: 2e9, Plane: 1, TxBytes: 1_000_000})
+	a.Plane(obs.PlaneRecord{Net: 1, TPs: 2e9, Plane: 0, TxBytes: 1_000_000})
+	a.Link(obs.LinkRecord{Net: 0, TPs: 1e9, Link: 1, Plane: 0, QueueBytes: 1500, Util: 0.5, Drops: 1})
+	a.Link(obs.LinkRecord{Net: 0, TPs: 2e9, Link: 1, Plane: 0, QueueBytes: 3000, Util: 0.9, Drops: 4})
+	a.Link(obs.LinkRecord{Net: 1, TPs: 2e9, Link: 1, Plane: 0, QueueBytes: 0, Util: 0.1, Drops: 2})
+	a.Engine(obs.EngineRecord{Net: 0, TPs: 2e9, Events: 5000, WallNano: 1e6})
+	a.Engine(obs.EngineRecord{Net: 1, TPs: 2e9, Events: 5000, WallNano: 1e6})
+	return a.Summarize(Meta{Exp: "test", Scale: "small", Seed: 1, Created: "2026-08-05T00:00:00Z"})
 }
 
 func TestRunSummaryAggregation(t *testing.T) {
@@ -137,13 +137,16 @@ func twoPlaneNet() (*sim.Engine, *sim.Network, []graph.Path) {
 	return eng, net, []graph.Path{{Links: []graph.LinkID{a0, d0}}, {Links: []graph.LinkID{a1, d1}}}
 }
 
-// TestFromStreamMatchesAggregator is the road users take, both ways:
-// `pnetbench -spans -fingerprint -metrics m.jsonl -report r.json` builds
-// r.json live in the Aggregator, and `pnetstat summary m.jsonl` rebuilds
-// it from the file. With every observer on, the two summaries must be
-// equal in every field but the one only the live side can know. One of
-// the two networks stops before its first sampler tick: it is still an
-// engine in both.
+// TestFromStreamMatchesAggregator pins the one road at both ends, on
+// `pnetbench -spans -fingerprint -metrics m.jsonl -report r.json` in
+// miniature. A recording sink tee'd beside the metrics stream must see,
+// kind by kind and value by value, exactly the records ReadStream hands
+// back from the file: all eight kinds, profile bins and fingerprint
+// checkpoints included, which only Close emits. And an Aggregator fed
+// live, beside the recorder, must summarize exactly as one fed from the
+// file does (`pnetstat summary m.jsonl`), in every field but the one only
+// the live side can know. One of the two networks stops before its first
+// sampler tick: it is still an engine in both.
 func TestFromStreamMatchesAggregator(t *testing.T) {
 	var buf bytes.Buffer
 	c := obs.NewCollector()
@@ -151,8 +154,8 @@ func TestFromStreamMatchesAggregator(t *testing.T) {
 	c.Spans, c.Profile, c.Fingerprint = true, true, true
 	c.FingerprintEpoch = 64
 	c.StreamMetrics(&buf)
-	aggr := NewAggregator()
-	c.Sink = aggr
+	recorded, aggr := &Stream{}, NewAggregator()
+	c.Sink = obs.Tee(recorded, aggr)
 
 	// Network 0: an MPTCP flow over both planes and a single-path flow,
 	// run to completion over many sampler ticks.
@@ -192,20 +195,42 @@ func TestFromStreamMatchesAggregator(t *testing.T) {
 	c.RecordFault(obs.FaultRecord{Net: 0, TPs: 1e6, Event: "inject", Target: "link:7", Plane: 1})
 	c.RecordFault(obs.FaultRecord{Net: 0, TPs: 2e6, Event: "detect", Target: "plane:1", Plane: 1, LatencySec: 5e-4})
 	c.AddRunWall(time.Millisecond)
-
-	m := Meta{Exp: "t", Scale: "small", Seed: 1}
-	live := aggr.Summarize(c, m)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := ReadStream(&buf)
-	if err != nil {
+
+	// The records: what the live sink saw is what the file gives back.
+	fromFile, fileAggr := &Stream{}, NewAggregator()
+	if err := ReadStream(bytes.NewReader(buf.Bytes()), obs.Tee(fromFile, fileAggr)); err != nil {
 		t.Fatal(err)
 	}
-	file := FromStream(st, m)
+	lv, fv := reflect.ValueOf(recorded).Elem(), reflect.ValueOf(fromFile).Elem()
+	for i := 0; i < lv.NumField(); i++ {
+		kind := lv.Type().Field(i)
+		if !kind.IsExported() {
+			continue
+		}
+		l, f := lv.Field(i), fv.Field(i)
+		fileOnly := kind.Name == "Packets" || kind.Name == "FPEvents"
+		if (l.Len() == 0) != fileOnly {
+			t.Errorf("%s: the live sink saw %d records; the scene must produce every kind a collector emits, and only those", kind.Name, l.Len())
+		}
+		if l.Len() != f.Len() {
+			t.Errorf("%s: %d records live, %d from the file", kind.Name, l.Len(), f.Len())
+			continue
+		}
+		for j := 0; j < l.Len(); j++ {
+			if !reflect.DeepEqual(l.Index(j).Interface(), f.Index(j).Interface()) {
+				t.Errorf("%s[%d]:\nlive: %+v\nfile: %+v", kind.Name, j, l.Index(j).Interface(), f.Index(j).Interface())
+			}
+		}
+	}
 
-	// The comparison has to be about something: every block present, both
-	// networks counted everywhere.
+	// The summaries: both networks counted everywhere, and equal.
+	m := Meta{Exp: "t", Scale: "small", Seed: 1}
+	file := fileAggr.Summarize(m)
+	m.RunWallNs = c.RunWallNs()
+	live := aggr.Summarize(m)
 	if live.Flows != 2 || live.LinkUtil.Count == 0 || len(live.PlaneShares) != 2 || live.Faults == nil ||
 		live.Attribution == nil || live.Profile == nil || live.Fingerprint == nil {
 		t.Fatalf("live summary is missing a block: %+v", live)
@@ -216,17 +241,14 @@ func TestFromStreamMatchesAggregator(t *testing.T) {
 	}
 	// Wall time measured around engine runs is not in the stream; every
 	// other wall field is, sample for sample, so it needs no zeroing.
-	if live.Engine.RunWallSec == 0 || file.Engine.RunWallSec != 0 {
+	if live.Engine.RunWallSec != 1e-3 || file.Engine.RunWallSec != 0 {
 		t.Errorf("run_wall_s: live %v, file %v", live.Engine.RunWallSec, file.Engine.RunWallSec)
 	}
 	live.Engine.RunWallSec = 0
-	lv, fv := reflect.ValueOf(live), reflect.ValueOf(file)
-	for i := 0; i < lv.NumField(); i++ {
-		if l, f := lv.Field(i).Interface(), fv.Field(i).Interface(); !reflect.DeepEqual(l, f) {
-			lb, _ := json.Marshal(l)
-			fb, _ := json.Marshal(f)
-			t.Errorf("%s: Aggregator.Summarize and FromStream(ReadStream) disagree:\nlive: %s\nfile: %s", lv.Type().Field(i).Name, lb, fb)
-		}
+	if !reflect.DeepEqual(live, file) {
+		lb, _ := json.MarshalIndent(live, "", " ")
+		fb, _ := json.MarshalIndent(file, "", " ")
+		t.Errorf("an Aggregator fed live and one fed from the file disagree:\nlive: %s\nfile: %s", lb, fb)
 	}
 }
 
@@ -355,18 +377,18 @@ func TestLoadRunJSONLAndTruncation(t *testing.T) {
 }
 
 func faultySummary() RunSummary {
-	a := newAgg()
-	a.addFlow(obs.FlowRecord{Bytes: 1000, FCT: 0.01})
-	a.addFault(obs.FaultRecord{Event: "inject", Target: "plane:0", Plane: 0, TPs: 1e9})
-	a.addFault(obs.FaultRecord{Event: "detect", Target: "plane:0", Plane: 0, TPs: 2e9, LatencySec: 3e-4})
-	a.addFault(obs.FaultRecord{Event: "failover", Target: "plane:0", Plane: 0, TPs: 3e9, LatencySec: 2e-2})
-	a.addFault(obs.FaultRecord{Event: "recover", Target: "plane:0", Plane: 0, TPs: 5e9, LatencySec: 4e-2, DipFrac: 0.8})
-	a.addFault(obs.FaultRecord{Event: "clear", Target: "plane:0", Plane: 0, TPs: 9e9})
+	a := NewAggregator()
+	a.Flow(obs.FlowRecord{Bytes: 1000, FCT: 0.01})
+	a.Fault(obs.FaultRecord{Event: "inject", Target: "plane:0", Plane: 0, TPs: 1e9})
+	a.Fault(obs.FaultRecord{Event: "detect", Target: "plane:0", Plane: 0, TPs: 2e9, LatencySec: 3e-4})
+	a.Fault(obs.FaultRecord{Event: "failover", Target: "plane:0", Plane: 0, TPs: 3e9, LatencySec: 2e-2})
+	a.Fault(obs.FaultRecord{Event: "recover", Target: "plane:0", Plane: 0, TPs: 5e9, LatencySec: 4e-2, DipFrac: 0.8})
+	a.Fault(obs.FaultRecord{Event: "clear", Target: "plane:0", Plane: 0, TPs: 9e9})
 	// Cumulative blackhole counters per (net, link): last value wins.
-	a.addLink(obs.LinkRecord{Net: 0, TPs: 2e9, Link: 3, Blackholed: 10})
-	a.addLink(obs.LinkRecord{Net: 0, TPs: 3e9, Link: 3, Blackholed: 25})
-	a.addLink(obs.LinkRecord{Net: 0, TPs: 3e9, Link: 4, Blackholed: 5})
-	return a.summary(Meta{Exp: "faults", Scale: "small", Seed: 1, Created: "2026-08-05T00:00:00Z"})
+	a.Link(obs.LinkRecord{Net: 0, TPs: 2e9, Link: 3, Blackholed: 10})
+	a.Link(obs.LinkRecord{Net: 0, TPs: 3e9, Link: 3, Blackholed: 25})
+	a.Link(obs.LinkRecord{Net: 0, TPs: 3e9, Link: 4, Blackholed: 5})
+	return a.Summarize(Meta{Exp: "faults", Scale: "small", Seed: 1, Created: "2026-08-05T00:00:00Z"})
 }
 
 func TestFaultSummaryAggregation(t *testing.T) {
@@ -410,24 +432,19 @@ func TestFaultRecordsRoundTripThroughJSONL(t *testing.T) {
 	c.StreamMetrics(&buf)
 	c.RecordFault(obs.FaultRecord{Net: 0, TPs: 1e9, Event: "inject", Target: "link:7", Plane: 1})
 	c.RecordFault(obs.FaultRecord{Net: 0, TPs: 2e9, Event: "detect", Target: "plane:1", Plane: 1, LatencySec: 5e-4})
-	m := Meta{Exp: "t"}
-	fromMem := NewAggregator().Summarize(c, m)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := ReadStream(&buf)
-	if err != nil {
+	st, aggr := &Stream{}, NewAggregator()
+	if err := ReadStream(&buf, obs.Tee(st, aggr)); err != nil {
 		t.Fatal(err)
 	}
 	if len(st.Faults) != 2 || st.Faults[0].Target != "link:7" || st.Faults[1].LatencySec != 5e-4 {
 		t.Fatalf("decoded faults = %+v", st.Faults)
 	}
-	fromJSONL := FromStream(st, m)
-	if fromMem.Faults == nil || fromJSONL.Faults == nil {
-		t.Fatalf("faults block missing: mem %+v jsonl %+v", fromMem.Faults, fromJSONL.Faults)
-	}
-	if *fromMem.Faults != *fromJSONL.Faults {
-		t.Errorf("fault summary mismatch: mem %+v jsonl %+v", *fromMem.Faults, *fromJSONL.Faults)
+	f := aggr.Summarize(Meta{Exp: "t"}).Faults
+	if f == nil || f.Injected != 1 || f.Detected != 1 || f.DetectLatency.Max != 5e-4 {
+		t.Errorf("fault summary from the stream = %+v", f)
 	}
 }
 

@@ -147,7 +147,8 @@ type RunSummary struct {
 	Fingerprint *FingerprintSummary `json:"fingerprint,omitempty"`
 }
 
-// Meta carries run identity that telemetry itself does not record.
+// Meta carries what telemetry itself does not record: the run's identity
+// and the one live-only measurement.
 type Meta struct {
 	Exp     string
 	Scale   string
@@ -157,213 +158,213 @@ type Meta struct {
 	// recorded, keeping older baselines byte-compatible).
 	Workers    int
 	GOMAXPROCS int
+	// RunWallNs is wall time measured around engine runs
+	// (obs.Collector.RunWallNs). It is in no stream, so only the process
+	// that ran the engines can supply it.
+	RunWallNs int64
 }
 
-// agg accumulates telemetry into a RunSummary; both construction paths
-// (the live Aggregator, a JSONL stream through FromStream) feed the same
-// aggregation, record by record.
-type agg struct {
+// Aggregator reduces a run's records into a RunSummary as they arrive,
+// in bounded memory however many samples there are (`-exp all` takes tens
+// of millions of link lines): it keeps one float per flow, the spans of
+// flows that carry them, and per network the last value of each
+// cumulative counter. It is an obs.Sink, and the only way to a summary:
+// `pnetbench -report` sets it as the collector's Sink, and LoadRun
+// decodes a metrics file into one.
+//
+// An Aggregator accepts records from concurrently-running networks:
+// every reduction it performs (sums, per-net last-value maps, histogram
+// buckets, max sim time, XOR folds) is commutative across networks, so
+// the summary is independent of arrival order and therefore of worker
+// count. Within one network records must arrive in emission order, as
+// they do from an engine and from a file.
+type Aggregator struct {
+	mu      sync.Mutex
 	fcts    []float64
 	bytes   int64
 	retrans int64
 	util    obs.Histogram
 	queue   obs.Histogram
-	// drops and tx samples are cumulative per (net, link)/(net, plane);
-	// keep the last value per key and sum at the end.
-	linkDrops  map[[2]int64]int64
-	linkBH     map[[2]int64]int64
-	planeBytes map[[2]int64]int64
-	engineNets map[int]bool // networks with an engine record: every sampled one
-	events     uint64
-	wallNs     int64
-	runWallNs  int64
-	simPs      int64
-	solver     SolverSummary
+	nets    map[int]*netState
+	events  uint64
+	wallNs  int64
+	simPs   int64
+	solver  SolverSummary
 
 	faultInjected, faultCleared, faultDetected int64
 	detectLat, failoverLat, recovery, dipFrac  []float64
 
 	// Latency attribution: exact integer-picosecond sums per (component,
-	// plane) — commutative, so worker count cannot change them — plus the
-	// per-flow spans retained for the tail re-aggregation.
+	// plane) plus the per-flow spans retained for the tail re-aggregation.
 	spanPs    map[[2]int64]int64
 	spanFlows []spanFlow
 
 	// Flight-recorder bins per (kind, plane): [events, wallNs].
-	profBins    map[[2]int64][2]int64
-	profEngines int
-	profSimPs   int64 // profiled sim time, summed over engines
-	profNets    map[int]bool
-
-	// Determinism fingerprints: XOR folds of each engine's final chains
-	// (commutative, so worker count cannot change them). The stream path
-	// keeps the last checkpoint seen per net and folds at summary time.
-	fpEngines int
-	fpEpoch   int64
-	fpEvents  int64
-	fpGlobal  uint64
-	fpHost    uint64
-	fpPlanes  []uint64
-	fpLast    map[int]obs.FingerprintRecord
+	profBins map[[2]int64][2]int64
 }
 
-func newAgg() *agg {
-	return &agg{
-		linkDrops:  map[[2]int64]int64{},
-		linkBH:     map[[2]int64]int64{},
-		planeBytes: map[[2]int64]int64{},
-		engineNets: map[int]bool{},
-		spanPs:     map[[2]int64]int64{},
-		profBins:   map[[2]int64][2]int64{},
-		profNets:   map[int]bool{},
-		fpLast:     map[int]obs.FingerprintRecord{},
+// netState is what the summary needs of one network (one engine, one
+// NetID). Link and plane samples carry counters cumulative since the
+// simulation started, so only the last value per key counts; fingerprint
+// checkpoints are cumulative too, so only the last one does.
+type netState struct {
+	drops      map[int64]int64 // by link
+	blackholed map[int64]int64 // by link
+	planeBytes map[int32]int64 // by plane
+	sampled    bool            // an engine record named this network
+	profiled   bool            // a profile record did
+	profSimPs  int64           // profiled sim time (repeated on each bin)
+	fp         *obs.FingerprintRecord
+}
+
+// NewAggregator returns an empty aggregator.
+func NewAggregator() *Aggregator {
+	return &Aggregator{
+		nets:     map[int]*netState{},
+		spanPs:   map[[2]int64]int64{},
+		profBins: map[[2]int64][2]int64{},
 	}
 }
 
-// foldFP XORs one engine's final chain state into the run-level fold.
-func (a *agg) foldFP(events int64, epoch int64, global, host uint64, planes []uint64) {
-	a.fpEngines++
-	a.fpEvents += events
-	if epoch > a.fpEpoch {
-		a.fpEpoch = epoch
+// net returns the state of network id. The caller holds x.mu.
+func (x *Aggregator) net(id int) *netState {
+	n := x.nets[id]
+	if n == nil {
+		n = &netState{drops: map[int64]int64{}, blackholed: map[int64]int64{}, planeBytes: map[int32]int64{}}
+		x.nets[id] = n
 	}
-	a.fpGlobal ^= global
-	a.fpHost ^= host
-	for pl, h := range planes {
-		for pl >= len(a.fpPlanes) {
-			a.fpPlanes = append(a.fpPlanes, 0)
-		}
-		a.fpPlanes[pl] ^= h
-	}
+	return n
 }
 
-// addFingerprintSnapshot folds one engine's fingerprint state (the
-// live path, Aggregator.Summarize). The final checkpoint carries the chains.
-func (a *agg) addFingerprintSnapshot(snap obs.FingerprintSnapshot) {
-	if len(snap.Checkpoints) == 0 {
-		return
+// Link implements obs.Sink.
+func (x *Aggregator) Link(r obs.LinkRecord) {
+	x.util.Observe(r.Util)
+	x.queue.Observe(float64(r.QueueBytes))
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	n := x.net(r.Net)
+	n.drops[r.Link] = r.Drops
+	if r.Blackholed > 0 {
+		n.blackholed[r.Link] = r.Blackholed
 	}
-	cp := snap.Checkpoints[len(snap.Checkpoints)-1]
-	a.foldFP(cp.Events, snap.EpochEvents, cp.Global, cp.Host, cp.Planes)
-}
-
-// addFingerprintRecord folds one JSONL checkpoint (the stream path):
-// checkpoints are cumulative, so only the last one per net counts.
-// Records arrive in epoch order within a net, so last-write wins.
-func (a *agg) addFingerprintRecord(r obs.FingerprintRecord) {
-	a.fpLast[r.Net] = r
-}
-
-func (a *agg) addFault(r obs.FaultRecord) {
-	switch r.Event {
-	case "inject":
-		a.faultInjected++
-	case "clear":
-		a.faultCleared++
-	case "detect":
-		a.faultDetected++
-		if r.LatencySec > 0 {
-			a.detectLat = append(a.detectLat, r.LatencySec)
-		}
-	case "failover":
-		if r.LatencySec > 0 {
-			a.failoverLat = append(a.failoverLat, r.LatencySec)
-		}
-	case "recover":
-		if r.LatencySec > 0 {
-			a.recovery = append(a.recovery, r.LatencySec)
-		}
-		if r.DipFrac > 0 {
-			a.dipFrac = append(a.dipFrac, r.DipFrac)
-		}
+	if r.TPs > x.simPs {
+		x.simPs = r.TPs
 	}
 }
 
-func (a *agg) addFlow(f obs.FlowRecord) {
-	a.fcts = append(a.fcts, f.FCT)
-	a.bytes += f.Bytes
-	a.retrans += f.Retransmits
+// Plane implements obs.Sink.
+func (x *Aggregator) Plane(r obs.PlaneRecord) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.net(r.Net).planeBytes[r.Plane] = r.TxBytes
+	if r.TPs > x.simPs {
+		x.simPs = r.TPs
+	}
+}
+
+// Engine implements obs.Sink.
+func (x *Aggregator) Engine(r obs.EngineRecord) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.net(r.Net).sampled = true
+	x.events += r.Events
+	x.wallNs += r.WallNano
+	if r.TPs > x.simPs {
+		x.simPs = r.TPs
+	}
+}
+
+// Flow implements obs.Sink.
+func (x *Aggregator) Flow(f obs.FlowRecord) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.fcts = append(x.fcts, f.FCT)
+	x.bytes += f.Bytes
+	x.retrans += f.Retransmits
 	if len(f.Spans) > 0 {
 		for _, sp := range f.Spans {
 			ci, ok := sim.ParseSpanComponent(sp.Component)
 			if !ok {
 				continue // the reader rejects these; defensive for the live path
 			}
-			a.spanPs[[2]int64{int64(ci), int64(sp.Plane)}] += sp.Ps
+			x.spanPs[[2]int64{int64(ci), int64(sp.Plane)}] += sp.Ps
 		}
-		a.spanFlows = append(a.spanFlows, spanFlow{fct: f.FCT, spans: f.Spans})
+		x.spanFlows = append(x.spanFlows, spanFlow{fct: f.FCT, spans: f.Spans})
 	}
 }
 
-// addProfileRecord folds one JSONL profile bin (the stream path).
-func (a *agg) addProfileRecord(r obs.ProfileRecord) {
+// Solver implements obs.Sink.
+func (x *Aggregator) Solver(r obs.SolverRecord) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.solver.Calls++
+	x.solver.Phases += int64(r.Phases)
+	x.solver.Iterations += r.Iterations
+	x.solver.Attempts += int64(r.Attempts)
+	x.solver.WallSec += r.WallSec
+}
+
+// Fault implements obs.Sink.
+func (x *Aggregator) Fault(r obs.FaultRecord) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	switch r.Event {
+	case "inject":
+		x.faultInjected++
+	case "clear":
+		x.faultCleared++
+	case "detect":
+		x.faultDetected++
+		if r.LatencySec > 0 {
+			x.detectLat = append(x.detectLat, r.LatencySec)
+		}
+	case "failover":
+		if r.LatencySec > 0 {
+			x.failoverLat = append(x.failoverLat, r.LatencySec)
+		}
+	case "recover":
+		if r.LatencySec > 0 {
+			x.recovery = append(x.recovery, r.LatencySec)
+		}
+		if r.DipFrac > 0 {
+			x.dipFrac = append(x.dipFrac, r.DipFrac)
+		}
+	}
+}
+
+// Profile implements obs.Sink: one (kind, plane) bin of one engine.
+func (x *Aggregator) Profile(r obs.ProfileRecord) {
 	ki, ok := sim.ParseEventKind(r.Kind)
 	if !ok {
-		return // the reader rejects these; defensive for direct callers
+		return // the reader rejects these; defensive for the live path
 	}
-	a.addProfileBin(ki, r.Plane, r.Events, r.WallNano)
-	if !a.profNets[r.Net] {
-		a.profNets[r.Net] = true
-		a.profEngines++
-		a.profSimPs += r.SimPs
-	}
-}
-
-// addProfileSnapshot folds one engine's recorder state (the live path,
-// Aggregator.Summarize).
-func (a *agg) addProfileSnapshot(snap obs.ProfileSnapshot) {
-	a.profEngines++
-	a.profSimPs += int64(snap.SimTime)
-	for _, bin := range snap.Bins {
-		a.addProfileBin(bin.Kind, bin.Plane, bin.Events, bin.WallNs)
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	k := [2]int64{int64(ki), int64(r.Plane)}
+	b := x.profBins[k]
+	b[0] += r.Events
+	b[1] += r.WallNano
+	x.profBins[k] = b
+	if n := x.net(r.Net); !n.profiled {
+		n.profiled = true
+		n.profSimPs = r.SimPs
 	}
 }
 
-func (a *agg) addProfileBin(kind sim.EventKind, plane int32, events, wallNs int64) {
-	k := [2]int64{int64(kind), int64(plane)}
-	b := a.profBins[k]
-	b[0] += events
-	b[1] += wallNs
-	a.profBins[k] = b
+// Fingerprint implements obs.Sink. Checkpoints arrive in epoch order
+// within a net, so the last one seen is the engine's final chain state.
+func (x *Aggregator) Fingerprint(r obs.FingerprintRecord) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.net(r.Net).fp = &r
 }
 
-func (a *agg) addSolver(r obs.SolverRecord) {
-	a.solver.Calls++
-	a.solver.Phases += int64(r.Phases)
-	a.solver.Iterations += r.Iterations
-	a.solver.Attempts += int64(r.Attempts)
-	a.solver.WallSec += r.WallSec
-}
-
-func (a *agg) addLink(r obs.LinkRecord) {
-	a.util.Observe(r.Util)
-	a.queue.Observe(float64(r.QueueBytes))
-	a.linkDrops[[2]int64{int64(r.Net), r.Link}] = r.Drops
-	if r.Blackholed > 0 {
-		a.linkBH[[2]int64{int64(r.Net), r.Link}] = r.Blackholed
-	}
-	if r.TPs > a.simPs {
-		a.simPs = r.TPs
-	}
-}
-
-func (a *agg) addPlane(r obs.PlaneRecord) {
-	a.planeBytes[[2]int64{int64(r.Net), int64(r.Plane)}] = r.TxBytes
-	if r.TPs > a.simPs {
-		a.simPs = r.TPs
-	}
-}
-
-func (a *agg) addEngine(r obs.EngineRecord) {
-	a.engineNets[r.Net] = true
-	a.events += r.Events
-	a.wallNs += r.WallNano
-	if r.TPs > a.simPs {
-		a.simPs = r.TPs
-	}
-}
-
-func (a *agg) summary(m Meta) RunSummary {
+// Summarize returns the summary of everything received so far. For a live
+// run call it after obs.Collector.Close, which emits the closing engine
+// records, the profile bins and the fingerprint checkpoints.
+func (x *Aggregator) Summarize(m Meta) RunSummary {
+	x.mu.Lock()
+	defer x.mu.Unlock()
 	s := RunSummary{
 		SchemaVersion: SchemaVersion,
 		Created:       m.Created,
@@ -372,48 +373,72 @@ func (a *agg) summary(m Meta) RunSummary {
 		Seed:          m.Seed,
 		Workers:       m.Workers,
 		GOMAXPROCS:    m.GOMAXPROCS,
-		Flows:         int64(len(a.fcts)),
-		FlowBytes:     a.bytes,
-		Retransmits:   a.retrans,
-		FCT:           distFromSamples(a.fcts),
-		LinkUtil:      distFromHist(&a.util),
-		QueueBytes:    distFromHist(&a.queue),
-		Solver:        a.solver,
+		Flows:         int64(len(x.fcts)),
+		FlowBytes:     x.bytes,
+		Retransmits:   x.retrans,
+		FCT:           distFromSamples(x.fcts),
+		LinkUtil:      distFromHist(&x.util),
+		QueueBytes:    distFromHist(&x.queue),
+		Solver:        x.solver,
 	}
 
-	for _, d := range a.linkDrops {
-		s.Drops += d
+	// One pass over the networks: sums of last values, XOR folds of final
+	// chains (commutative, so attach order cannot change them).
+	var blackholed, total, profSimPs, fpEvents, fpEpoch int64
+	var sampled, profiled, fingerprinted int
+	var fpGlobal, fpHost uint64
+	fpPlanes := map[int32]uint64{}
+	perPlane := map[int32]int64{}
+	for _, n := range x.nets {
+		for _, d := range n.drops {
+			s.Drops += d
+		}
+		for _, b := range n.blackholed {
+			blackholed += b
+		}
+		for p, b := range n.planeBytes {
+			perPlane[p] += b
+			total += b
+		}
+		if n.sampled {
+			sampled++
+		}
+		if n.profiled {
+			profiled++
+			profSimPs += n.profSimPs
+		}
+		if r := n.fp; r != nil {
+			fingerprinted++
+			fpEvents += r.Events
+			if r.EpochEvents > fpEpoch {
+				fpEpoch = r.EpochEvents
+			}
+			g, _ := obs.ParseHash(r.Hash) // the reader validated these
+			h, _ := obs.ParseHash(r.Host)
+			fpGlobal ^= g
+			fpHost ^= h
+			for _, p := range r.Planes {
+				v, _ := obs.ParseHash(p.Hash)
+				fpPlanes[p.Plane] ^= v
+			}
+		}
 	}
 
-	var blackholed int64
-	for _, b := range a.linkBH {
-		blackholed += b
-	}
-	if a.faultInjected > 0 || a.faultDetected > 0 || blackholed > 0 {
+	if x.faultInjected > 0 || x.faultDetected > 0 || blackholed > 0 {
 		s.Faults = &FaultSummary{
-			Injected:        a.faultInjected,
-			Cleared:         a.faultCleared,
-			Detected:        a.faultDetected,
+			Injected:        x.faultInjected,
+			Cleared:         x.faultCleared,
+			Detected:        x.faultDetected,
 			Blackholed:      blackholed,
-			DetectLatency:   distFromSamples(a.detectLat),
-			FailoverLatency: distFromSamples(a.failoverLat),
-			Recovery:        distFromSamples(a.recovery),
-			DipFrac:         distFromSamples(a.dipFrac),
+			DetectLatency:   distFromSamples(x.detectLat),
+			FailoverLatency: distFromSamples(x.failoverLat),
+			Recovery:        distFromSamples(x.recovery),
+			DipFrac:         distFromSamples(x.dipFrac),
 		}
 	}
 
 	// Per-plane byte shares, merged across networks, sorted by plane.
-	perPlane := map[int32]int64{}
-	var total int64
-	for key, b := range a.planeBytes {
-		perPlane[int32(key[1])] += b
-		total += b
-	}
-	planes := make([]int32, 0, len(perPlane))
-	for p := range perPlane {
-		planes = append(planes, p)
-	}
-	sort.Slice(planes, func(i, j int) bool { return planes[i] < planes[j] })
+	planes := sortedPlanes(perPlane)
 	var maxBytes int64
 	for _, p := range planes {
 		b := perPlane[p]
@@ -432,149 +457,46 @@ func (a *agg) summary(m Meta) RunSummary {
 	}
 
 	s.Engine = EngineSummary{
-		Networks:   len(a.engineNets),
-		Events:     a.events,
-		WallSec:    float64(a.wallNs) / 1e9,
-		SimSec:     float64(a.simPs) / 1e12,
-		RunWallSec: float64(a.runWallNs) / 1e9,
+		Networks:   sampled,
+		Events:     x.events,
+		WallSec:    float64(x.wallNs) / 1e9,
+		SimSec:     float64(x.simPs) / 1e12,
+		RunWallSec: float64(m.RunWallNs) / 1e9,
 	}
 	if s.Engine.WallSec > 0 {
-		s.Engine.EventsPerSec = float64(a.events) / s.Engine.WallSec
+		s.Engine.EventsPerSec = float64(x.events) / s.Engine.WallSec
 	}
 	if s.Engine.SimSec > 0 {
-		s.GoodputBps = float64(a.bytes) * 8 / s.Engine.SimSec
+		s.GoodputBps = float64(x.bytes) * 8 / s.Engine.SimSec
 	}
 
-	// Fold stream-path checkpoints in (XOR — order-free), then render.
-	for _, r := range a.fpLast {
-		g, _ := obs.ParseHash(r.Hash) // the reader validated these
-		h, _ := obs.ParseHash(r.Host)
-		planes := make([]uint64, 0, len(r.Planes))
-		for _, p := range r.Planes {
-			for int(p.Plane) >= len(planes) {
-				planes = append(planes, 0)
-			}
-			v, _ := obs.ParseHash(p.Hash)
-			planes[p.Plane] = v
-		}
-		a.foldFP(r.Events, r.EpochEvents, g, h, planes)
-	}
-	if a.fpEngines > 0 {
+	if fingerprinted > 0 {
 		fp := &FingerprintSummary{
-			Engines:     a.fpEngines,
-			EpochEvents: a.fpEpoch,
-			Events:      a.fpEvents,
-			Global:      obs.FormatHash(a.fpGlobal),
-			Host:        obs.FormatHash(a.fpHost),
+			Engines:     fingerprinted,
+			EpochEvents: fpEpoch,
+			Events:      fpEvents,
+			Global:      obs.FormatHash(fpGlobal),
+			Host:        obs.FormatHash(fpHost),
 		}
-		for pl, h := range a.fpPlanes {
-			fp.Planes = append(fp.Planes, obs.PlaneHash{Plane: int32(pl), Hash: obs.FormatHash(h)})
+		for _, pl := range sortedPlanes(fpPlanes) {
+			fp.Planes = append(fp.Planes, obs.PlaneHash{Plane: pl, Hash: obs.FormatHash(fpPlanes[pl])})
 		}
 		s.Fingerprint = fp
 	}
 
-	s.Attribution = a.attributionSummary(s.FCT.P999)
-	s.Profile = a.profileSummary()
+	s.Attribution = x.attributionSummary(s.FCT.P999)
+	s.Profile = x.profileSummary(profiled, profSimPs)
 	return s
 }
 
-// Aggregator is the live construction path for RunSummary: set it as the
-// collector's Sink and every sample reduces on arrival, bounded memory
-// however long the run. This is what `pnetbench -report` uses; `-exp
-// all` takes tens of millions of link samples.
-//
-// An Aggregator accepts samples from concurrently-running networks:
-// every reduction it performs (sums, per-(net,key) last-value maps,
-// histogram buckets, max sim time) is commutative, so the summary it
-// produces is independent of sample arrival order — and therefore of
-// worker count.
-type Aggregator struct {
-	mu sync.Mutex
-	a  *agg
-}
-
-// NewAggregator returns an empty aggregator.
-func NewAggregator() *Aggregator { return &Aggregator{a: newAgg()} }
-
-// Link implements obs.SampleSink.
-func (x *Aggregator) Link(r obs.LinkRecord) {
-	x.mu.Lock()
-	x.a.addLink(r)
-	x.mu.Unlock()
-}
-
-// Plane implements obs.SampleSink.
-func (x *Aggregator) Plane(r obs.PlaneRecord) {
-	x.mu.Lock()
-	x.a.addPlane(r)
-	x.mu.Unlock()
-}
-
-// Engine implements obs.SampleSink.
-func (x *Aggregator) Engine(r obs.EngineRecord) {
-	x.mu.Lock()
-	x.a.addEngine(r)
-	x.mu.Unlock()
-}
-
-// Summarize stops the collector's samplers (a network that never reached
-// its first tick reports its one engine record then), folds the
-// collector's flow, solver and fault records, profiles and fingerprints
-// in, and returns the run summary. Call once, when the run is over and
-// every producer has finished; before or after Collector.Close.
-func (x *Aggregator) Summarize(c *obs.Collector, m Meta) RunSummary {
-	for _, s := range c.Samplers() {
-		s.Stop()
+// sortedPlanes returns m's keys in ascending order.
+func sortedPlanes[V any](m map[int32]V) []int32 {
+	planes := make([]int32, 0, len(m))
+	for p := range m {
+		planes = append(planes, p)
 	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	for _, f := range c.Flows {
-		x.a.addFlow(f)
-	}
-	for _, r := range c.Solver {
-		x.a.addSolver(r)
-	}
-	for _, r := range c.Faults {
-		x.a.addFault(r)
-	}
-	for _, snap := range c.Profiles() {
-		x.a.addProfileSnapshot(snap)
-	}
-	for _, snap := range c.Fingerprints() {
-		x.a.addFingerprintSnapshot(snap)
-	}
-	x.a.runWallNs = c.RunWallNs()
-	return x.a.summary(m)
-}
-
-// FromStream summarizes a run from a decoded JSONL metrics stream.
-func FromStream(st *Stream, m Meta) RunSummary {
-	a := newAgg()
-	for _, f := range st.Flows {
-		a.addFlow(f)
-	}
-	for _, r := range st.Solvers {
-		a.addSolver(r)
-	}
-	for _, r := range st.Faults {
-		a.addFault(r)
-	}
-	for _, r := range st.Links {
-		a.addLink(r)
-	}
-	for _, r := range st.Planes {
-		a.addPlane(r)
-	}
-	for _, r := range st.Engines {
-		a.addEngine(r)
-	}
-	for _, r := range st.Profiles {
-		a.addProfileRecord(r)
-	}
-	for _, r := range st.Fingerprints {
-		a.addFingerprintRecord(r)
-	}
-	return a.summary(m)
+	sort.Slice(planes, func(i, j int) bool { return planes[i] < planes[j] })
+	return planes
 }
 
 // distFromSamples is the exact path: one sort, in metrics.Summarize.

@@ -1,20 +1,14 @@
-package failure
+package topo
 
 import (
 	"testing"
 
 	"pnet/internal/graph"
-	"pnet/internal/topo"
 )
 
 func TestHopCountSweepBaseline(t *testing.T) {
-	set := topo.ScaledJellyfish(16, 1, 100, 3)
-	pts := HopCountSweep(set.SerialLow, Config{
-		Fractions: []float64{0},
-		Pairs:     200,
-		Trials:    1,
-		Seed:      1,
-	})
+	set := ScaledJellyfish(16, 1, 100, 3)
+	pts := HopCountSweep(set.SerialLow, []float64{0}, 200, 1, 1)
 	if len(pts) != 1 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -28,13 +22,8 @@ func TestHopCountSweepBaseline(t *testing.T) {
 }
 
 func TestHopCountMonotoneDegradation(t *testing.T) {
-	set := topo.ScaledJellyfish(16, 1, 100, 3)
-	pts := HopCountSweep(set.SerialLow, Config{
-		Fractions: []float64{0, 0.2, 0.4},
-		Pairs:     200,
-		Trials:    3,
-		Seed:      1,
-	})
+	set := ScaledJellyfish(16, 1, 100, 3)
+	pts := HopCountSweep(set.SerialLow, []float64{0, 0.2, 0.4}, 200, 3, 1)
 	if pts[2].AvgHops < pts[0].AvgHops {
 		t.Errorf("hops decreased under failures: %v -> %v", pts[0].AvgHops, pts[2].AvgHops)
 	}
@@ -43,11 +32,11 @@ func TestHopCountMonotoneDegradation(t *testing.T) {
 func TestParallelDegradesLessThanSerial(t *testing.T) {
 	// The Figure 14 headline: at 40% failures, a 4-plane homogeneous
 	// P-Net loses far fewer short paths than the serial network.
-	set := topo.ScaledJellyfish(24, 4, 100, 5)
-	cfg := Config{Fractions: []float64{0, 0.4}, Pairs: 300, Trials: 3, Seed: 9}
+	set := ScaledJellyfish(24, 4, 100, 5)
+	sweep := func(tp *Topology) []HopPoint { return HopCountSweep(tp, []float64{0, 0.4}, 300, 3, 9) }
 
-	serial := HopCountSweep(set.SerialLow, cfg)
-	parallel := HopCountSweep(set.ParallelHomo, cfg)
+	serial := sweep(set.SerialLow)
+	parallel := sweep(set.ParallelHomo)
 
 	serialGrowth := serial[1].AvgHops / serial[0].AvgHops
 	parallelGrowth := parallel[1].AvgHops / parallel[0].AvgHops
@@ -62,20 +51,18 @@ func TestParallelDegradesLessThanSerial(t *testing.T) {
 
 func TestHeterogeneousStartsShorter(t *testing.T) {
 	// Heterogeneous planes offer shorter min paths at zero failures.
-	set := topo.ScaledJellyfish(24, 4, 100, 5)
-	cfg := Config{Fractions: []float64{0}, Pairs: 300, Trials: 1, Seed: 2}
-	homo := HopCountSweep(set.ParallelHomo, cfg)
-	hetero := HopCountSweep(set.ParallelHetero, cfg)
+	set := ScaledJellyfish(24, 4, 100, 5)
+	homo := HopCountSweep(set.ParallelHomo, []float64{0}, 300, 1, 2)
+	hetero := HopCountSweep(set.ParallelHetero, []float64{0}, 300, 1, 2)
 	if hetero[0].AvgHops >= homo[0].AvgHops {
 		t.Errorf("hetero avg hops %.3f >= homo %.3f", hetero[0].AvgHops, homo[0].AvgHops)
 	}
 }
 
 func TestSweepDeterministicForSeed(t *testing.T) {
-	set := topo.ScaledJellyfish(16, 2, 100, 3)
-	cfg := Config{Fractions: []float64{0.3}, Pairs: 100, Trials: 2, Seed: 42}
-	a := HopCountSweep(set.ParallelHomo, cfg)
-	b := HopCountSweep(set.ParallelHomo, cfg)
+	set := ScaledJellyfish(16, 2, 100, 3)
+	a := HopCountSweep(set.ParallelHomo, []float64{0.3}, 100, 2, 42)
+	b := HopCountSweep(set.ParallelHomo, []float64{0.3}, 100, 2, 42)
 	if a[0].AvgHops != b[0].AvgHops || a[0].Unreachable != b[0].Unreachable {
 		t.Error("sweep not deterministic for fixed seed")
 	}
@@ -86,13 +73,8 @@ func TestSweepFracZeroIsFailureFree(t *testing.T) {
 	// measures the identical pristine graph — listing the fraction twice
 	// must yield bit-identical points even though the RNG advances
 	// between them.
-	set := topo.ScaledJellyfish(16, 2, 100, 3)
-	pts := HopCountSweep(set.ParallelHomo, Config{
-		Fractions: []float64{0, 0},
-		Pairs:     200,
-		Trials:    3,
-		Seed:      7,
-	})
+	set := ScaledJellyfish(16, 2, 100, 3)
+	pts := HopCountSweep(set.ParallelHomo, []float64{0, 0}, 200, 3, 7)
 	for i, pt := range pts {
 		if pt.Unreachable != 0 {
 			t.Errorf("point %d: unreachable = %v at frac=0", i, pt.Unreachable)
@@ -107,13 +89,8 @@ func TestSweepFracOneKillsEveryCable(t *testing.T) {
 	// frac=1 downs every inter-switch cable. Host uplinks never fail, so
 	// the only survivors are same-switch pairs at exactly
 	// host->switch->host = 2 hops; everything else is unreachable.
-	set := topo.ScaledJellyfish(16, 1, 100, 3)
-	pts := HopCountSweep(set.SerialLow, Config{
-		Fractions: []float64{1},
-		Pairs:     500,
-		Trials:    2,
-		Seed:      5,
-	})
+	set := ScaledJellyfish(16, 1, 100, 3)
+	pts := HopCountSweep(set.SerialLow, []float64{1}, 500, 2, 5)
 	pt := pts[0]
 	// 4 hosts per switch: ~5% of random ordered pairs share a switch.
 	if pt.Unreachable < 0.8 || pt.Unreachable >= 1 {
@@ -125,9 +102,9 @@ func TestSweepFracOneKillsEveryCable(t *testing.T) {
 }
 
 func TestOriginalGraphUntouched(t *testing.T) {
-	set := topo.ScaledJellyfish(16, 1, 100, 3)
+	set := ScaledJellyfish(16, 1, 100, 3)
 	tp := set.SerialLow
-	HopCountSweep(tp, Config{Fractions: []float64{0.5}, Pairs: 50, Trials: 1, Seed: 1})
+	HopCountSweep(tp, []float64{0.5}, 50, 1, 1)
 	for i := 0; i < tp.G.NumLinks(); i++ {
 		if !tp.G.Link(graph.LinkID(i)).Up {
 			t.Fatal("sweep modified the original topology")

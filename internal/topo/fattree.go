@@ -2,6 +2,18 @@ package topo
 
 import "fmt"
 
+// CheckFatTree reports why FatTreeSet(k, planes, ·) cannot be built, or
+// nil. The Check functions are the one statement of each builder's
+// preconditions: a caller whose arguments come from outside the program
+// (cmd/pnettopo) checks first and reports the error; the builders call
+// them too and panic with it, a bad argument from inside being a bug.
+func CheckFatTree(k, planes int) error {
+	if k < 4 || k%2 != 0 {
+		return fmt.Errorf("topo: fat tree arity k=%d: must be even and >= 4", k)
+	}
+	return checkPlanes(planes)
+}
+
 // FatTreePlane returns the PlaneSpec of a three-tier k-ary fat tree
 // [Al-Fares et al., SIGCOMM 2008]: k pods of k/2 edge and k/2 aggregation
 // switches plus (k/2)^2 core switches, serving k^3/4 hosts. k must be even
@@ -11,8 +23,8 @@ import "fmt"
 // (p*k + 0..k/2-1) then aggregation switches (p*k + k/2..k-1); core
 // switches follow all pods.
 func FatTreePlane(k int) PlaneSpec {
-	if k < 4 || k%2 != 0 {
-		panic(fmt.Sprintf("topo: fat tree arity %d must be even and >= 4", k))
+	if err := CheckFatTree(k, 1); err != nil {
+		panic(err)
 	}
 	half := k / 2
 	numPods := k

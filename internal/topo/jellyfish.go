@@ -5,6 +5,22 @@ import (
 	"math/rand"
 )
 
+// CheckJellyfish reports why JellyfishSet(switches, netDegree,
+// hostsPerSwitch, planes, ·, ·) cannot be built, or nil (see CheckFatTree).
+func CheckJellyfish(switches, netDegree, hostsPerSwitch, planes int) error {
+	switch {
+	case switches < 2:
+		return fmt.Errorf("topo: jellyfish switches=%d: need at least 2", switches)
+	case netDegree < 1 || netDegree >= switches:
+		return fmt.Errorf("topo: jellyfish degree=%d: must be in [1, switches-1 = %d]", netDegree, switches-1)
+	case switches*netDegree%2 != 0:
+		return fmt.Errorf("topo: jellyfish switches=%d x degree=%d: must be even, every cable has two ends", switches, netDegree)
+	case hostsPerSwitch < 1:
+		return fmt.Errorf("topo: jellyfish hostsper=%d: need at least 1", hostsPerSwitch)
+	}
+	return checkPlanes(planes)
+}
+
 // JellyfishPlane returns the PlaneSpec of a Jellyfish network [Singla et
 // al., NSDI 2012]: a uniform random r-regular graph over switches, with
 // hostsPerSwitch hosts attached to every switch. The construction follows
@@ -13,11 +29,8 @@ import (
 // perform the paper's edge-swap fixup. The result is deterministic for a
 // given seed — heterogeneous P-Nets are built from different seeds.
 func JellyfishPlane(switches, netDegree, hostsPerSwitch int, seed int64) PlaneSpec {
-	if switches < 2 || netDegree < 1 || netDegree >= switches {
-		panic(fmt.Sprintf("topo: invalid jellyfish switches=%d degree=%d", switches, netDegree))
-	}
-	if switches*netDegree%2 != 0 {
-		panic("topo: switches*netDegree must be even")
+	if err := CheckJellyfish(switches, netDegree, hostsPerSwitch, 1); err != nil {
+		panic(err)
 	}
 	rng := rand.New(rand.NewSource(seed))
 

@@ -61,12 +61,21 @@ type Topology struct {
 	NumRacks int
 }
 
+// checkPlanes is the rule every P-Net shares: Assemble's, and the last
+// clause of every builder's Check.
+func checkPlanes(planes int) error {
+	if planes < 1 {
+		return fmt.Errorf("topo: planes=%d: need at least 1", planes)
+	}
+	return nil
+}
+
 // Assemble combines the given planes into one Topology. All planes must
 // serve the same number of hosts. speed is the capacity, in Gb/s, of every
 // link (host uplinks and switch-switch links alike).
 func Assemble(name string, speed float64, planes ...PlaneSpec) *Topology {
-	if len(planes) == 0 {
-		panic("topo: no planes")
+	if err := checkPlanes(len(planes)); err != nil {
+		panic(err)
 	}
 	hosts := planes[0].Hosts()
 	for i, p := range planes {

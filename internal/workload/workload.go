@@ -44,26 +44,6 @@ func derangement(n int, rng *rand.Rand) []int {
 	}
 }
 
-// MatchingCommodities returns a random perfect-matching traffic matrix:
-// hosts are paired up and each pair exchanges one flow in each direction,
-// so — like PermutationCommodities — every host sends exactly one flow
-// and receives exactly one. The difference is the flow graph's shape: a
-// uniform derangement's connected components are its permutation cycles
-// (typically one cycle spans most hosts), while a matching's components
-// are single pairs, so no host's traffic depends on more than one other
-// host. With an odd host count the last host stays idle.
-func MatchingCommodities(t *topo.Topology, demand float64, rng *rand.Rand) []route.Commodity {
-	n := t.NumHosts()
-	p := rng.Perm(n)
-	cs := make([]route.Commodity, 0, n)
-	for i := 0; i+1 < n; i += 2 {
-		a, b := t.Hosts[p[i]], t.Hosts[p[i+1]]
-		cs = append(cs, route.Commodity{Src: a, Dst: b, Demand: demand})
-		cs = append(cs, route.Commodity{Src: b, Dst: a, Demand: demand})
-	}
-	return cs
-}
-
 // AllToAllCommodities returns the dense pattern: every ordered host pair,
 // each with demand demandPerPair. For H hosts this creates H×(H-1)
 // commodities; use hostBandwidth/(H-1) as the per-pair demand to express
