@@ -102,6 +102,8 @@ func TestValidateBeforeSideEffects(t *testing.T) {
 		{name: "trace-flow without trace", args: "-exp table1 -trace-flow 1 -metrics DIR/m.jsonl", wantErr: "-trace-flow requires -trace"},
 		{name: "zero sample", args: "-exp table1 -sample 0s" + outputs, wantErr: "-sample must be positive"},
 		{name: "bad chaos script", args: "-exp table1 -chaos nonsense" + outputs, wantErr: "chaos"},
+		{name: "chaos recovery past sim time", args: "-exp faults -chaos link:0@2000h+2000h" + outputs, wantErr: "beyond sim time's range"},
+		{name: "chaos flap past sim time", args: "-exp faults -chaos flap:0@2000h*3/2000h" + outputs, wantErr: "beyond sim time's range"},
 		{name: "metrics and trace share a file", args: "-exp table1 -metrics DIR/x.jsonl -trace DIR/x.jsonl",
 			wantErr: "-metrics and -trace both write to"},
 		{name: "metrics and report share a file", args: "-exp table1 -metrics DIR/x -report DIR/./x",

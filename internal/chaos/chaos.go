@@ -166,7 +166,12 @@ func (s *Schedule) Poisson(seed int64, links []graph.LinkID, mttf, mttr, until s
 	rng := rand.New(rand.NewSource(seed))
 	exp := func(mean sim.Time) sim.Time {
 		// Inverse-CDF sampling; Float64 is in [0,1), so 1-F is in (0,1].
-		return sim.Time(math.Round(-math.Log(1-rng.Float64()) * float64(mean)))
+		// A draw can be tens of means long: saturate instead of wrapping.
+		d := math.Round(-math.Log(1-rng.Float64()) * float64(mean))
+		if d >= math.MaxInt64 {
+			return math.MaxInt64
+		}
+		return sim.Time(d)
 	}
 	for _, link := range links {
 		t := exp(mttf)
@@ -175,11 +180,16 @@ func (s *Schedule) Poisson(seed int64, links []graph.LinkID, mttf, mttr, until s
 			if down == 0 {
 				down = 1 // a zero draw would read as "permanent" to LinkFault
 			}
-			if t+down > until {
+			if down > until-t {
 				down = until - t
 			}
 			s.LinkFault(link, t, down)
-			t += down + exp(mttf)
+			t += down
+			up := exp(mttf)
+			if up >= until-t {
+				break
+			}
+			t += up
 		}
 	}
 	s.sortEvents()

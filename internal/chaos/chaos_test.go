@@ -294,6 +294,10 @@ func TestParseSpecErrorStrings(t *testing.T) {
 			`chaos spec "link:1@1ms+0ms": duration must be positive, got "0ms"`},
 		{"link:1@2562047h",
 			`chaos spec "link:1@2562047h": duration "2562047h" is beyond sim time's range (about 106 days)`},
+		{"link:0@2000h+2000h",
+			`chaos spec "link:0@2000h+2000h": duration "2000h+2000h" is beyond sim time's range (about 106 days)`},
+		{"flap:0@2000h*3/2000h",
+			`chaos spec "flap:0@2000h*3/2000h": duration "2000h*3/2000h" is beyond sim time's range (about 106 days)`},
 		{"flap:1@1ms",
 			`chaos spec "flap:1@1ms": missing '*' (want flap:ID@T*N/P)`},
 		{"flap:1@1ms*2",

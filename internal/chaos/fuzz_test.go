@@ -21,6 +21,8 @@ func FuzzParseSpec(f *testing.F) {
 		"poisson:junk", "poisson:mttf=1ms", "poisson:mttf=1ms,mttr=1ms,until=1ms,bogus=2",
 		"poisson:mttf=1ns,mttr=1ns,until=1us",
 		"link:1@2562047h", "link:1@2561h", // around sim.Time's picosecond range
+		"link:0@2000h+2000h", "flap:0@2000h*3/2000h", // each term fits, the sum does not
+		"poisson:mttf=2500h,mttr=1ns,until=1us", "poisson:mttf=1ns,mttr=2500h,until=2500h", // nor does a long draw
 	} {
 		f.Add(s)
 	}
@@ -49,10 +51,13 @@ func FuzzParseSpec(f *testing.F) {
 				return
 			}
 		}
+		// Sorted from a non-negative first event on: a sum of times that
+		// wrapped sim.Time would sit at the front, and the engine panics
+		// on an event in the past.
 		sched := spec.Build(g, 1)
-		for i := 1; i < len(sched.Events); i++ {
-			if sched.Events[i].At < sched.Events[i-1].At {
-				t.Fatalf("ParseSpec(%q).Build: events out of order at %d: %v", text, i, sched.Events)
+		for i, e := range sched.Events {
+			if e.At < 0 || (i > 0 && e.At < sched.Events[i-1].At) {
+				t.Fatalf("ParseSpec(%q).Build: event %d of %d in the past or out of order: %v", text, i, len(sched.Events), e)
 			}
 		}
 	})

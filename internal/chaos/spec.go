@@ -112,6 +112,9 @@ func parseTimed(kind, s string) (specEntry, error) {
 		if e.dur <= 0 {
 			return specEntry{}, fmt.Errorf("duration must be positive, got %q", durStr)
 		}
+		if e.dur > math.MaxInt64-e.at {
+			return specEntry{}, beyondRange(tStr) // the recovery at T+D would wrap
+		}
 	}
 	return e, nil
 }
@@ -146,6 +149,11 @@ func parseFlap(s string) (specEntry, error) {
 	}
 	if e.period <= 0 {
 		return specEntry{}, fmt.Errorf("period must be positive, got %q", pStr)
+	}
+	// The last recovery is at T + (N-1)·P + P/2 (Schedule.Flap).
+	room := math.MaxInt64 - e.at - e.period/2
+	if room < 0 || sim.Time(e.cycles-1) > room/e.period {
+		return specEntry{}, beyondRange(rest)
 	}
 	return e, nil
 }
@@ -189,12 +197,17 @@ func parseSimTime(s string) (sim.Time, error) {
 	if d < 0 {
 		return 0, fmt.Errorf("negative duration %q", s)
 	}
-	// sim.Time counts picoseconds: past ~106 days the product wraps
-	// negative and the engine would refuse the event as in the past.
+	// sim.Time counts picoseconds: past ~106 days the product wraps.
 	if d > time.Duration(math.MaxInt64/int64(sim.Nanosecond)) {
-		return 0, fmt.Errorf("duration %q is beyond sim time's range (about 106 days)", s)
+		return 0, beyondRange(s)
 	}
 	return sim.Time(d.Nanoseconds()) * sim.Nanosecond, nil
+}
+
+// beyondRange is the error for a time, or a sum of times, that sim.Time
+// cannot hold: the engine would refuse the wrapped event as in the past.
+func beyondRange(s string) error {
+	return fmt.Errorf("duration %q is beyond sim time's range (about 106 days)", s)
 }
 
 // Build materializes the spec for a concrete graph. Poisson entries draw

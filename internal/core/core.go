@@ -7,20 +7,22 @@
 //     a heterogeneous P-Net automatically lands on the plane with the
 //     fewest hops to the destination;
 //   - the "high-throughput" proxy interface: K shortest paths interleaved
-//     across planes, for MPTCP multipathing with K scaled to the number
-//     of planes (§4's N×8 rule);
+//     across planes (route.AcrossPlanes, the one implementation of that
+//     rule), for MPTCP multipathing with K scaled to the number of planes
+//     (§4's N×8 rule);
 //   - per-flow ECMP hashing over planes and equal-cost paths, the naive
 //     baseline the paper shows to under-use parallel capacity;
 //   - round-robin plane rotation, the default load-balancing of §3.4;
 //   - the flow-size policy of §5.1.2: flows up to 100 MB use a single
 //     path, flows of 1 GB and beyond go multipath;
+//   - traffic classes pinned to a subset of planes (§7): the same
+//     selectors, handed only the class's plane masks;
 //   - link-status-driven failure handling: hosts detect a failed plane
 //     and exclude it, degrading gracefully (§3.4, §5.4).
 package core
 
 import (
 	"fmt"
-	"math"
 
 	"pnet/internal/graph"
 	"pnet/internal/route"
@@ -51,7 +53,6 @@ type PNet struct {
 	// Traffic classes (see isolation.go).
 	classes    map[string][]int
 	classMasks map[string][]bool
-	planeMasks map[int][]bool
 }
 
 type kspKey struct {
@@ -149,9 +150,6 @@ func (p *PNet) NextPlane(h int) (int, bool) {
 	return 0, false
 }
 
-// UplinkFor returns host h's uplink on the given plane.
-func (p *PNet) UplinkFor(h, plane int) graph.LinkID { return p.Topo.Uplinks[h][plane] }
-
 // FailLink marks a directed link down and invalidates routing caches.
 // Hosts observe uplink failures via link status (§3.4); use MarkPlaneDown
 // for whole-plane maintenance events.
@@ -192,30 +190,3 @@ func (p *PNet) setPlane(plane int, up bool) {
 
 // PlaneUp reports whether a plane is in service.
 func (p *PNet) PlaneUp(plane int) bool { return p.planeUp[plane] }
-
-// HopAdvantage quantifies the heterogeneous P-Net's latency edge for one
-// pair: the hop difference between plane 0's shortest path and the best
-// path across all planes (0 for homogeneous networks).
-func (p *PNet) HopAdvantage(src, dst graph.NodeID) int {
-	best, ok := p.LowLatencyPath(src, dst)
-	if !ok {
-		return 0
-	}
-	// Shortest path within plane 0 only.
-	masks := planeZeroMask(p.Topo)
-	p0 := graph.KShortestPathsMasked(p.Topo.G, src, dst, 1, masks)
-	if len(p0) == 0 {
-		return math.MaxInt32
-	}
-	return p0[0].Len() - best.Len()
-}
-
-func planeZeroMask(t *topo.Topology) []bool {
-	mask := make([]bool, t.G.NumLinks())
-	for i := 0; i < t.G.NumLinks(); i++ {
-		if pl := t.G.Link(graph.LinkID(i)).Plane; pl > 0 {
-			mask[i] = true
-		}
-	}
-	return mask
-}

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"pnet/internal/graph"
 	"pnet/internal/route"
 	"pnet/internal/topo"
 )
@@ -228,33 +227,5 @@ func TestFailLinkInvalidatesCaches(t *testing.T) {
 	restored := p.HighThroughputPaths(src, dst, 4)
 	if len(restored) != 4 {
 		t.Errorf("after restore got %d paths", len(restored))
-	}
-}
-
-func TestHopAdvantage(t *testing.T) {
-	p := New(heteroPair())
-	// Plane 0 path: host-sw-sw-sw-host = 4 links; plane 1: 3 links.
-	if adv := p.HopAdvantage(0, 1); adv != 1 {
-		t.Errorf("advantage = %d, want 1", adv)
-	}
-	// Homogeneous network: no advantage.
-	set := topo.FatTreeSet(4, 2, 100)
-	hp := New(set.ParallelHomo)
-	if adv := hp.HopAdvantage(hp.Topo.Hosts[0], hp.Topo.Hosts[15]); adv != 0 {
-		t.Errorf("homogeneous advantage = %d, want 0", adv)
-	}
-}
-
-func TestUplinkFor(t *testing.T) {
-	set := topo.FatTreeSet(4, 2, 100)
-	p := New(set.ParallelHomo)
-	for h := 0; h < 4; h++ {
-		for pl := 0; pl < 2; pl++ {
-			id := p.UplinkFor(h, pl)
-			l := p.Topo.G.Link(id)
-			if l.Src != graph.NodeID(h) || l.Plane != int32(pl) {
-				t.Errorf("uplink(%d,%d) = %+v", h, pl, l)
-			}
-		}
 	}
 }

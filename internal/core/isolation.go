@@ -72,9 +72,9 @@ func (p *PNet) ClassPath(name string, src, dst graph.NodeID, flowHash uint64) (g
 	// Hash across the class's planes, then route within that plane;
 	// fall back to the other class planes if the hashed one has no path.
 	start := int(flowHash % uint64(len(planes)))
+	masks := p.Topo.G.PlaneMasks()
 	for i := 0; i < len(planes); i++ {
-		plane := planes[(start+i)%len(planes)]
-		mask := p.planeMask(plane)
+		mask := masks[planes[(start+i)%len(planes)]]
 		if ps := graph.KShortestPathsMasked(p.Topo.G, src, dst, 1, mask); len(ps) > 0 {
 			return ps[0], true
 		}
@@ -104,28 +104,10 @@ func (p *PNet) ClassPaths(name string, src, dst graph.NodeID, k int) []graph.Pat
 	if len(planes) == 0 {
 		return nil
 	}
-	var all []graph.Path
-	for _, plane := range planes {
-		all = append(all, graph.KShortestPathsMasked(p.Topo.G, src, dst, k, p.planeMask(plane))...)
+	every := p.Topo.G.PlaneMasks()
+	masks := make([][]bool, len(planes))
+	for i, plane := range planes {
+		masks[i] = every[plane]
 	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Len() < all[j].Len() })
-	all = route.InterleavePlanes(p.Topo.G, all)
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
-}
-
-// planeMask returns (and caches) the banned-links mask confining routing
-// to a single plane.
-func (p *PNet) planeMask(plane int) []bool {
-	if p.planeMasks == nil {
-		p.planeMasks = make(map[int][]bool)
-	}
-	if m, ok := p.planeMasks[plane]; ok {
-		return m
-	}
-	m := p.maskExcept([]int{plane})
-	p.planeMasks[plane] = m
-	return m
+	return route.AcrossPlanes(p.Topo.G, masks, []route.Commodity{{Src: src, Dst: dst}}, k, nil)[0]
 }

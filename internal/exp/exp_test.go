@@ -3,10 +3,6 @@ package exp
 import (
 	"strings"
 	"testing"
-
-	"pnet/internal/graph"
-	"pnet/internal/route"
-	"pnet/internal/topo"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -102,63 +98,6 @@ func TestMeanStd(t *testing.T) {
 	if m, s := meanStd(nil); m != 0 || s != 0 {
 		t.Error("empty meanStd not zero")
 	}
-}
-
-// TestSpliceKSPMatchesDirect verifies that the ToR-splicing optimization
-// produces the same path lengths (and valid paths) as the direct
-// per-commodity KSP computation.
-func TestSpliceKSPMatchesDirect(t *testing.T) {
-	set := topo.JellyfishSet(10, 3, 2, 2, 100, 5)
-	tp := set.ParallelHetero
-	sp := newSpliceKSP(tp, 6, 1)
-
-	pairs := [][2]graph.NodeID{
-		{tp.Hosts[0], tp.Hosts[19]},
-		{tp.Hosts[3], tp.Hosts[11]},
-		{tp.Hosts[0], tp.Hosts[1]}, // same rack
-	}
-	for _, pair := range pairs {
-		spliced := sp.paths(pair[0], pair[1])
-		direct := route.KSPPaths(tp.G, []route.Commodity{{Src: pair[0], Dst: pair[1], Demand: 1}}, 6)[0]
-		if len(spliced) == 0 {
-			t.Fatalf("no spliced paths for %v", pair)
-		}
-		for i, p := range spliced {
-			if !p.Valid(tp.G) {
-				t.Fatalf("spliced path %d invalid for %v", i, pair)
-			}
-			if p.Src(tp.G) != pair[0] || p.Dst(tp.G) != pair[1] {
-				t.Fatalf("spliced path %d endpoints wrong", i)
-			}
-		}
-		// Multisets of lengths must agree for the shared prefix length.
-		n := len(spliced)
-		if len(direct) < n {
-			n = len(direct)
-		}
-		sl := lengths(spliced[:n])
-		dl := lengths(direct[:n])
-		for i := range sl {
-			if sl[i] != dl[i] {
-				t.Errorf("pair %v: spliced lengths %v != direct %v", pair, sl, dl)
-				break
-			}
-		}
-	}
-}
-
-func lengths(ps []graph.Path) []int {
-	out := make([]int, len(ps))
-	for i, p := range ps {
-		out[i] = p.Len()
-	}
-	// lengths are already sorted by construction; normalize anyway
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 func TestScaleString(t *testing.T) {

@@ -170,38 +170,65 @@ func kspSweep(tp *topo.Topology, cs []route.Commodity, ks []int, eps float64, se
 	return out
 }
 
+// sweepNet is one row of a K-sweep figure (fig6c, fig8c).
+type sweepNet struct {
+	name   string
+	planes int
+	hetero bool
+}
+
+// pick returns the row's network from a set built with its plane count.
+func (n sweepNet) pick(s topo.NetworkSet) *topo.Topology {
+	switch {
+	case n.planes == 1:
+		return s.SerialLow
+	case n.hetero:
+		return s.ParallelHetero
+	}
+	return s.ParallelHomo
+}
+
+// kSweepTable lays out a K-sweep figure: one row per network, one column
+// per K, normalized to the saturated (largest K) serial low-bandwidth
+// value, with a * on the first K reaching 95% of the row's plane count.
+func kSweepTable(t Table, ks []int, nets []sweepNet, vals [][]float64) Table {
+	t.Header = []string{"network"}
+	for _, k := range ks {
+		t.Header = append(t.Header, fmt.Sprintf("K=%d", k))
+	}
+	var base float64
+	for i, net := range nets {
+		if net.planes == 1 {
+			base = vals[i][len(vals[i])-1]
+		}
+	}
+	for i, net := range nets {
+		row := []string{net.name}
+		circled := false
+		for _, v := range vals[i] {
+			norm := v / base
+			cell := f2(norm)
+			if !circled && norm >= 0.95*float64(net.planes) {
+				cell += "*"
+				circled = true
+			}
+			row = append(row, cell)
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	return t
+}
+
 func runFig6c(p Params) Table {
 	k := ftArity(p.Scale)
 	ks := []int{1, 2, 4, 8, 16, 32}
-	nets := []struct {
-		name   string
-		planes int
-		pick   func(topo.NetworkSet) *topo.Topology
-	}{
-		{"serial low-bw", 1, func(s topo.NetworkSet) *topo.Topology { return s.SerialLow }},
-		{"parallel 2x", 2, func(s topo.NetworkSet) *topo.Topology { return s.ParallelHomo }},
-		{"parallel 4x", 4, func(s topo.NetworkSet) *topo.Topology { return s.ParallelHomo }},
+	nets := []sweepNet{
+		{name: "serial low-bw", planes: 1},
+		{name: "parallel 2x", planes: 2},
+		{name: "parallel 4x", planes: 4},
 	}
 	if p.Scale == ScaleFull {
-		nets = append(nets, struct {
-			name   string
-			planes int
-			pick   func(topo.NetworkSet) *topo.Topology
-		}{"parallel 8x", 8, func(s topo.NetworkSet) *topo.Topology { return s.ParallelHomo }})
-	}
-
-	t := Table{
-		ID:    "fig6c",
-		Title: "Single-path vs multi-path permutation throughput (paper Fig. 6c)",
-		Note: fmt.Sprintf("k=%d fat tree, MPTCP+KSP; normalized to saturated serial low-bw; "+
-			"circled point = first K reaching 95%% of the plane count", k),
-		Header: append([]string{"network"}, func() []string {
-			h := make([]string, len(ks))
-			for i, kk := range ks {
-				h[i] = fmt.Sprintf("K=%d", kk)
-			}
-			return h
-		}()...),
+		nets = append(nets, sweepNet{name: "parallel 8x", planes: 8})
 	}
 
 	// The permutation RNG is shared across networks, so commodity
@@ -223,30 +250,13 @@ func runFig6c(p Params) Table {
 			p.recordSolver("fig6c", "gk-fixed", k, r)
 		})
 	})
-
-	var base float64
-	for i, net := range nets {
-		if net.planes == 1 {
-			base = allVals[i][len(allVals[i])-1] // saturated serial low-bw
-		}
-	}
-	for i, net := range nets {
-		vals := allVals[i]
-		row := []string{net.name}
-		circled := false
-		for _, v := range vals {
-			norm := v / base
-			cell := f2(norm)
-			if !circled && norm >= 0.95*float64(net.planes) {
-				cell += "*"
-				circled = true
-			}
-			row = append(row, cell)
-		}
-		t.Rows = append(t.Rows, row)
-	}
 	companionFig6c(p)
-	return t
+	return kSweepTable(Table{
+		ID:    "fig6c",
+		Title: "Single-path vs multi-path permutation throughput (paper Fig. 6c)",
+		Note: fmt.Sprintf("k=%d fat tree, MPTCP+KSP; normalized to saturated serial low-bw; "+
+			"circled point = first K reaching 95%% of the plane count", k),
+	}, ks, nets, allVals)
 }
 
 // companionFig6c runs a small packet-level permutation alongside the
@@ -310,82 +320,6 @@ func runFig7(p Params) Table {
 	return t
 }
 
-// spliceKSP computes host-to-host K-shortest path sets for many
-// commodities cheaply by running Yen between ToR pairs once per plane and
-// splicing host uplinks/downlinks on. Exact for host-level KSP because a
-// host's first and last hop are forced on every plane.
-type spliceKSP struct {
-	tp    *topo.Topology
-	k     int
-	seed  int64
-	masks [][]bool                  // shared per-graph cache, indexed by plane
-	cache map[[3]int64][]graph.Path // (torSrc, torDst, plane) -> switch paths
-}
-
-func newSpliceKSP(tp *topo.Topology, k int, seed int64) *spliceKSP {
-	return &spliceKSP{tp: tp, k: k, seed: seed, masks: tp.G.PlaneMasks(), cache: map[[3]int64][]graph.Path{}}
-}
-
-func (s *spliceKSP) torPaths(torSrc, torDst graph.NodeID, plane int32) []graph.Path {
-	key := [3]int64{int64(torSrc), int64(torDst), int64(plane)}
-	if ps, ok := s.cache[key]; ok {
-		return ps
-	}
-	var ps []graph.Path
-	if torSrc != torDst {
-		var mask []bool
-		if int(plane) < len(s.masks) {
-			mask = s.masks[plane]
-		}
-		// Overshoot so host-level tie shuffling samples from (nearly)
-		// complete equal-length groups.
-		ps = graph.KShortestPathsMasked(s.tp.G, torSrc, torDst, s.k+8, mask)
-	}
-	s.cache[key] = ps
-	return ps
-}
-
-// paths returns up to k host-level paths for (src, dst), interleaved
-// across planes by length.
-func (s *spliceKSP) paths(src, dst graph.NodeID) []graph.Path {
-	var all []graph.Path
-	hs, hd := int(src), int(dst)
-	for plane := 0; plane < s.tp.Planes; plane++ {
-		up := s.tp.Uplinks[hs][plane]
-		down := s.tp.Downlinks[hd][plane]
-		torSrc := s.tp.ToR[hs][plane]
-		torDst := s.tp.ToR[hd][plane]
-		if torSrc == torDst {
-			all = append(all, graph.Path{Links: []graph.LinkID{up, down}})
-			continue
-		}
-		for _, mid := range s.torPaths(torSrc, torDst, int32(plane)) {
-			links := make([]graph.LinkID, 0, len(mid.Links)+2)
-			links = append(links, up)
-			links = append(links, mid.Links...)
-			links = append(links, down)
-			all = append(all, graph.Path{Links: links})
-		}
-	}
-	sortPathsByLen(all)
-	rng := rand.New(rand.NewSource(s.seed + int64(src)*1_000_003 + int64(dst)))
-	route.ShuffleTies(all, rng)
-	all = route.InterleavePlanes(s.tp.G, all)
-	if len(all) > s.k {
-		all = all[:s.k]
-	}
-	return all
-}
-
-func sortPathsByLen(ps []graph.Path) {
-	// insertion sort: path lists are short and mostly ordered
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && ps[j].Len() < ps[j-1].Len(); j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
-}
-
 // runJellyfishKSP runs fig8a/fig8b: a pattern routed over 8-way KSP.
 func runJellyfishKSP(id, title string, p Params, allToAll bool) Table {
 	sw, deg, hps := jfSize(p.Scale)
@@ -401,15 +335,15 @@ func runJellyfishKSP(id, title string, p Params, allToAll bool) Table {
 			rng := rand.New(rand.NewSource(p.Seed))
 			cs = workload.PermutationCommodities(tp, 100, rng)
 		}
-		sp := newSpliceKSP(tp, kWays, p.Seed)
-		paths := make([][]graph.Path, len(cs))
-		for i, c := range cs {
-			paths[i] = sp.paths(c.Src, c.Dst)
-		}
+		// Ties are seeded per host pair, not per commodity index as
+		// route.KSPPathsSeeded does: the published fig8b cells rest on it.
+		paths := route.AcrossPlanes(tp.G, tp.G.PlaneMasks(), cs, kWays, func(i int) int64 {
+			return p.Seed + int64(cs[i].Src)*1_000_003 + int64(cs[i].Dst)
+		})
 		return mcf.FixedPaths(tp.G, cs, paths, mcf.Options{Epsilon: eps}).Lambda
 	}
 
-	// Each measure() cell builds its own RNG, splice cache, and solver
+	// Each measure() cell builds its own RNG, path sets and solver
 	// state against a read-only topology, so all networks run at once.
 	baseSet := topo.JellyfishSet(sw, deg, hps, 2, 100, p.Seed)
 	tops := []*topo.Topology{baseSet.SerialLow}
@@ -449,28 +383,11 @@ func runFig8b(p Params) Table {
 func runFig8c(p Params) Table {
 	sw, deg, hps := jfSize(p.Scale)
 	ks := []int{1, 2, 4, 8, 16, 32}
-	nets := []struct {
-		name   string
-		planes int
-		hetero bool
-	}{
-		{"serial low-bw", 1, false},
-		{"parallel homo 2x", 2, false},
-		{"parallel homo 4x", 4, false},
-		{"parallel hetero 4x", 4, true},
-	}
-
-	t := Table{
-		ID:    "fig8c",
-		Title: "Multipath performance scaling on Jellyfish (paper Fig. 8c)",
-		Note:  "permutation traffic; normalized to saturated serial low-bw; * = first K at 95% of plane count",
-		Header: append([]string{"network"}, func() []string {
-			h := make([]string, len(ks))
-			for i, kk := range ks {
-				h[i] = fmt.Sprintf("K=%d", kk)
-			}
-			return h
-		}()...),
+	nets := []sweepNet{
+		{name: "serial low-bw", planes: 1},
+		{name: "parallel homo 2x", planes: 2},
+		{name: "parallel homo 4x", planes: 4},
+		{name: "parallel hetero 4x", planes: 4, hetero: true},
 	}
 
 	// Unlike fig6c, each network cell seeds its own permutation RNG from
@@ -479,41 +396,16 @@ func runFig8c(p Params) Table {
 	allVals := make([][]float64, len(nets))
 	p.cells(len(nets), func(i int) {
 		net := nets[i]
-		set := topo.JellyfishSet(sw, deg, hps, max(net.planes, 2), 100, p.Seed)
-		tp := set.SerialLow
-		if net.planes > 1 {
-			if net.hetero {
-				tp = set.ParallelHetero
-			} else {
-				tp = set.ParallelHomo
-			}
-		}
+		tp := net.pick(topo.JellyfishSet(sw, deg, hps, max(net.planes, 2), 100, p.Seed))
 		rng := rand.New(rand.NewSource(p.Seed))
 		cs := workload.PermutationCommodities(tp, 100, rng)
 		allVals[i] = kspSweep(tp, cs, ks, 0.08, p.Seed, func(k int, r mcf.Result) {
 			p.recordSolver("fig8c", "gk-fixed", k, r)
 		})
 	})
-
-	var base float64
-	for i, net := range nets {
-		if net.planes == 1 {
-			base = allVals[i][len(allVals[i])-1]
-		}
-	}
-	for i, net := range nets {
-		row := []string{net.name}
-		circled := false
-		for _, v := range allVals[i] {
-			norm := v / base
-			cell := f2(norm)
-			if !circled && norm >= 0.95*float64(net.planes) {
-				cell += "*"
-				circled = true
-			}
-			row = append(row, cell)
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
+	return kSweepTable(Table{
+		ID:    "fig8c",
+		Title: "Multipath performance scaling on Jellyfish (paper Fig. 8c)",
+		Note:  "permutation traffic; normalized to saturated serial low-bw; * = first K at 95% of plane count",
+	}, ks, nets, allVals)
 }

@@ -8,8 +8,8 @@ import (
 	"pnet/internal/topo"
 )
 
-// The per-commodity fan-out in ECMPPaths/KSPPaths/KSPPathsSeeded and
-// the (src,dst) memoization inside KSPPaths must never change results:
+// The fan-out in ECMPPaths and AcrossPlanes (per search, then per
+// commodity) and the (first, last, plane) memo must never change results:
 // serial and 8-wide runs have to agree path-for-path.
 
 func equalPathSets(t *testing.T, what string, a, b [][]graph.Path) {
@@ -32,27 +32,25 @@ func equalPathSets(t *testing.T, what string, a, b [][]graph.Path) {
 func TestRoutingWorkerInvariant(t *testing.T) {
 	set := topo.FatTreeSet(4, 2, 100)
 	tp := set.ParallelHomo
-	// Repeated (src,dst) pairs on purpose: they hit the KSPPaths memo,
+	// Repeated (src,dst) pairs on purpose: they hit the search memo,
 	// which must fan the shared result back to every duplicate.
 	cs := commoditiesAmong(tp.Hosts, [][2]int{
 		{0, 15}, {3, 12}, {5, 9}, {0, 15}, {3, 12}, {7, 8}, {0, 15},
 	})
 
-	run := func(workers int) (ecmp, ksp, seeded, single [][]graph.Path) {
+	run := func(workers int) (ecmp, ksp, seeded [][]graph.Path) {
 		par.SetLimit(workers)
 		defer par.SetLimit(0)
 		ecmp = ECMPPaths(tp.G, cs, 7)
 		ksp = KSPPaths(tp.G, cs, 8)
 		seeded = KSPPathsSeeded(tp.G, cs, 8, 42)
-		single = SinglePath(tp.G, cs)
 		return
 	}
-	e1, k1, s1, p1 := run(1)
-	e8, k8, s8, p8 := run(8)
+	e1, k1, s1 := run(1)
+	e8, k8, s8 := run(8)
 	equalPathSets(t, "ECMPPaths", e1, e8)
 	equalPathSets(t, "KSPPaths", k1, k8)
 	equalPathSets(t, "KSPPathsSeeded", s1, s8)
-	equalPathSets(t, "SinglePath", p1, p8)
 
 	// The memo must hand duplicates the identical path set, and the
 	// results must be real paths.

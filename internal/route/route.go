@@ -1,8 +1,13 @@
 // Package route computes the path selections studied in the paper:
-// per-flow ECMP (a single hash-pinned shortest path, possibly choosing a
-// dataplane at the host) and K-shortest-paths (the bounded multipath sets
-// fed to MPTCP). Both operate on a Topology's combined multi-plane graph,
-// where plane disjointness guarantees every path stays within one plane.
+// per-flow ECMP (ECMPPaths: a single hash-pinned shortest path, possibly
+// choosing a dataplane at the host) and K shortest paths across all
+// dataplanes (AcrossPlanes: the bounded multipath sets fed to MPTCP, with
+// KSPPaths and KSPPathsSeeded as its two usual spellings). AcrossPlanes is
+// the only implementation of the cross-plane rule; core's class-confined
+// selector and the fig8a/8b experiments call it with their own masks and
+// tie seeds. Both selectors operate on a Topology's combined multi-plane
+// graph, where plane disjointness guarantees every path stays within one
+// plane.
 package route
 
 import (
@@ -56,97 +61,158 @@ func ECMPPaths(g *graph.Graph, cs []Commodity, seed uint64) [][]graph.Path {
 }
 
 // KSPPaths computes up to k shortest paths per commodity across all
-// dataplanes: Yen's algorithm runs within each plane, the per-plane lists
-// are merged in increasing length, and equal-length paths interleave
-// round-robin across planes. Interleaving matters for homogeneous P-Nets:
-// all planes offer identical path lengths, and a K-subflow MPTCP
-// connection should spread its subflows over planes rather than exhaust
-// one plane's path diversity first.
+// dataplanes, ties in Yen's deterministic order (see AcrossPlanes).
 func KSPPaths(g *graph.Graph, cs []Commodity, k int) [][]graph.Path {
-	// KSPPaths is deterministic per (src,dst): commodity lists with
-	// duplicate pairs (permutation workloads, repeated demands) would redo
-	// Yen's algorithm per duplicate. Deduplicate first, run Yen once per
-	// unique pair in parallel, then fan the shared result back out.
-	masks := g.PlaneMasks()
-	type pair struct{ src, dst graph.NodeID }
-	var uniq []pair
-	idx := map[pair]int{}
-	for _, c := range cs {
-		p := pair{c.Src, c.Dst}
-		if _, ok := idx[p]; !ok {
-			idx[p] = len(uniq)
-			uniq = append(uniq, p)
-		}
-	}
-	paths := par.Map(len(uniq), 0, func(i int) []graph.Path {
-		return kspAcrossPlanes(g, masks, uniq[i].src, uniq[i].dst, k)
-	})
-	out := make([][]graph.Path, len(cs))
-	for i, c := range cs {
-		out[i] = paths[idx[pair{c.Src, c.Dst}]]
-	}
-	return out
+	return AcrossPlanes(g, g.PlaneMasks(), cs, k, nil)
 }
 
-func kspAcrossPlanes(g *graph.Graph, masks [][]bool, src, dst graph.NodeID, k int) []graph.Path {
-	if len(masks) <= 1 {
-		return graph.KShortestPaths(g, src, dst, k)
-	}
-	var all []graph.Path
-	for _, mask := range masks {
-		all = append(all, graph.KShortestPathsMasked(g, src, dst, k, mask)...)
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Len() < all[j].Len() })
-	all = InterleavePlanes(g, all)
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
-}
-
-// KSPPathsSeeded is KSPPaths with per-commodity randomized tie-breaking:
-// within each group of equal-length candidate paths, ordering is shuffled
-// by a commodity-specific RNG before plane interleaving. Deterministic
-// Yen ordering makes every flow between nearby endpoints prefer the same
-// low-numbered switches; production multipath routing (and the paper's
-// simulator) decorrelates flows by hashing, which this reproduces.
+// KSPPathsSeeded is KSPPaths with per-commodity randomized tie-breaking.
 // Commodity i derives its randomness from seed+i, so runs are
 // reproducible.
 func KSPPathsSeeded(g *graph.Graph, cs []Commodity, k int, seed int64) [][]graph.Path {
-	masks := g.PlaneMasks()
+	return AcrossPlanes(g, g.PlaneMasks(), cs, k, func(i int) int64 { return seed + int64(i)*0x9e3779b9 })
+}
+
+// AcrossPlanes is the K-shortest-paths selector every multipath figure
+// rests on (§3.4): per commodity, up to k shortest paths over the planes
+// the masks name (one banned-link mask per plane, as graph.PlaneMasks
+// returns them; no masks means one search over the whole graph), merged
+// in increasing length with equal-length paths interleaved round-robin
+// across planes. Interleaving matters for homogeneous P-Nets: all planes
+// offer identical path lengths, and a K-subflow MPTCP connection should
+// spread its subflows over planes rather than exhaust one plane's path
+// diversity first.
+//
+// tie, when non-nil, gives commodity i the seed of an RNG that shuffles
+// each group of equal-length candidates before the interleave: Yen's
+// deterministic order makes every flow between nearby endpoints prefer
+// the same low-numbered switches, and production multipath routing (and
+// the paper's simulator) decorrelates flows by hashing.
+//
+// Within a plane a host's first and last hop are forced, so Yen's
+// algorithm runs between the first and last node with a choice, once per
+// unique (first, last, plane) across the whole commodity list, and the
+// forced links are spliced back on. This is exactly the host-to-host
+// search: the two spur nodes it skips can only fail (DESIGN.md §8).
+func AcrossPlanes(g *graph.Graph, masks [][]bool, cs []Commodity, k int, tie func(i int) int64) [][]graph.Path {
 	out := make([][]graph.Path, len(cs))
+	if k <= 0 {
+		return out
+	}
+	if len(masks) == 0 {
+		masks = [][]bool{nil}
+	}
+	perPlane := k
+	if tie != nil {
+		// Overshoot so that equal-length tie groups are (mostly) fully
+		// enumerated before sampling from them.
+		perPlane = k + 8
+	}
+
+	type search struct {
+		first, last graph.NodeID
+		plane       int
+	}
+	// leg is one commodity's share of one plane: a search result with the
+	// commodity's own forced links (-1 for none) around it.
+	type leg struct {
+		search   int
+		up, down graph.LinkID
+	}
+	fz := g.Frozen()
+	var uniq []search
+	idx := map[search]int{}
+	legs := make([][]leg, len(cs))
+	for i, c := range cs {
+		if c.Src == c.Dst {
+			continue // the forced hops alone would make host-ToR-host
+		}
+		for plane, mask := range masks {
+			first, up, ok := forcedHop(fz, c.Src, fz.OutLinks(c.Src), fz.LinkDst, mask)
+			if !ok {
+				continue
+			}
+			last, down, ok := forcedHop(fz, c.Dst, fz.InLinks(c.Dst), fz.LinkSrc, mask)
+			if !ok {
+				continue
+			}
+			s := search{first, last, plane}
+			if _, seen := idx[s]; !seen {
+				idx[s] = len(uniq)
+				uniq = append(uniq, s)
+			}
+			legs[i] = append(legs[i], leg{idx[s], up, down})
+		}
+	}
+
+	found := par.Map(len(uniq), 0, func(i int) []graph.Path {
+		s := uniq[i]
+		if s.first == s.last {
+			return []graph.Path{{}} // the forced links are the whole path
+		}
+		return graph.KShortestPathsMasked(g, s.first, s.last, perPlane, masks[s.plane])
+	})
+
 	par.Do(len(cs), 0, func(i int) {
-		c := cs[i]
-		out[i] = kspSeededOne(g, masks, c.Src, c.Dst, k, seed+int64(i)*0x9e3779b9)
+		var all []graph.Path
+		for _, lg := range legs[i] {
+			for _, mid := range found[lg.search] {
+				all = append(all, splice(lg.up, mid, lg.down))
+			}
+		}
+		sort.SliceStable(all, func(a, b int) bool { return all[a].Len() < all[b].Len() })
+		if tie != nil {
+			shuffleTies(all, rand.New(rand.NewSource(tie(i))))
+		}
+		all = interleavePlanes(g, all)
+		if len(all) > k {
+			all = all[:k]
+		}
+		out[i] = all
 	})
 	return out
 }
 
-func kspSeededOne(g *graph.Graph, masks [][]bool, src, dst graph.NodeID, k int, seed int64) []graph.Path {
-	// Overshoot so that equal-length tie groups are (mostly) fully
-	// enumerated before sampling from them.
-	overshoot := k + 8
-	var all []graph.Path
-	if len(masks) == 0 {
-		all = graph.KShortestPaths(g, src, dst, overshoot)
+// forcedHop steps over endpoint n when a search confined by mask has no
+// choice there: n does not forward and exactly one of its links (out-links
+// of a source, in-links of a destination) is usable and up, leading to a
+// node that does forward. It returns that neighbour and the link. An
+// endpoint with a choice is returned as it is with link -1, and ok is
+// false when no link is usable: the plane holds no path for n.
+func forcedHop(fz *graph.Frozen, n graph.NodeID, links []graph.LinkID, far func(graph.LinkID) graph.NodeID, mask []bool) (graph.NodeID, graph.LinkID, bool) {
+	if fz.Transit(n) {
+		return n, -1, true
 	}
-	for _, mask := range masks {
-		all = append(all, graph.KShortestPathsMasked(g, src, dst, overshoot, mask)...)
+	usable, only := 0, graph.LinkID(-1)
+	for _, id := range links {
+		if fz.LinkUp(id) && (mask == nil || !mask[id]) {
+			usable++
+			only = id
+		}
 	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Len() < all[j].Len() })
-	rng := rand.New(rand.NewSource(seed))
-	ShuffleTies(all, rng)
-	all = InterleavePlanes(g, all)
-	if len(all) > k {
-		all = all[:k]
+	if usable == 1 && fz.Transit(far(only)) {
+		return far(only), only, true
 	}
-	return all
+	return n, -1, usable > 0
 }
 
-// ShuffleTies randomly permutes paths within each run of equal lengths,
+// splice puts a commodity's forced links back around a search result.
+func splice(up graph.LinkID, mid graph.Path, down graph.LinkID) graph.Path {
+	links := make([]graph.LinkID, 0, len(mid.Links)+2)
+	if up >= 0 {
+		links = append(links, up)
+	}
+	links = append(links, mid.Links...)
+	if down >= 0 {
+		links = append(links, down)
+	}
+	return graph.Path{Links: links}
+}
+
+// shuffleTies randomly permutes paths within each run of equal lengths,
 // preserving the overall by-length ordering. Paths must be sorted by
 // length.
-func ShuffleTies(paths []graph.Path, rng *rand.Rand) {
+func shuffleTies(paths []graph.Path, rng *rand.Rand) {
 	for lo := 0; lo < len(paths); {
 		hi := lo + 1
 		for hi < len(paths) && paths[hi].Len() == paths[lo].Len() {
@@ -158,10 +224,10 @@ func ShuffleTies(paths []graph.Path, rng *rand.Rand) {
 	}
 }
 
-// InterleavePlanes stably reorders paths so that, within each group of
+// interleavePlanes stably reorders paths so that, within each group of
 // equal-length paths, planes alternate (plane 0, 1, 2, ..., 0, 1, ...).
 // Paths are assumed sorted by length, as returned by KShortestPaths.
-func InterleavePlanes(g *graph.Graph, paths []graph.Path) []graph.Path {
+func interleavePlanes(g *graph.Graph, paths []graph.Path) []graph.Path {
 	out := make([]graph.Path, 0, len(paths))
 	for lo := 0; lo < len(paths); {
 		hi := lo + 1
@@ -197,42 +263,6 @@ func interleaveGroup(g *graph.Graph, group []graph.Path) []graph.Path {
 			}
 		}
 	}
-	return out
-}
-
-// SinglePath returns one shortest path per commodity (the "low-latency"
-// interface of §3.4): in a heterogeneous P-Net this naturally picks the
-// plane with the fewest hops for each pair.
-//
-// The work is amortized by source: one full BFS tree on the CSR frozen
-// view serves every commodity sharing a source, and the per-source trees
-// fan out across cores. A BFS parent tree does not depend on where the
-// search would have stopped, so each traced path is identical to the
-// per-pair graph.ShortestPath result, at any worker count.
-func SinglePath(g *graph.Graph, cs []Commodity) [][]graph.Path {
-	fz := g.Frozen()
-	var srcs []graph.NodeID
-	idx := map[graph.NodeID]int{}
-	members := map[graph.NodeID][]int{}
-	for j, c := range cs {
-		if _, ok := idx[c.Src]; !ok {
-			idx[c.Src] = len(srcs)
-			srcs = append(srcs, c.Src)
-		}
-		members[c.Src] = append(members[c.Src], j)
-	}
-	out := make([][]graph.Path, len(cs))
-	par.Do(len(srcs), 0, func(i int) {
-		s := graph.GetScratch()
-		defer graph.PutScratch(s)
-		src := srcs[i]
-		fz.BFS(s, src, -1, nil, nil)
-		for _, j := range members[src] {
-			if d := cs[j].Dst; d != src && s.Reached(d) {
-				out[j] = []graph.Path{fz.PathTo(s, src, d)}
-			}
-		}
-	})
 	return out
 }
 

@@ -108,35 +108,6 @@ func TestKSPInterleavingAlternatesPlanes(t *testing.T) {
 	}
 }
 
-func TestSinglePathPrefersShortPlane(t *testing.T) {
-	// Heterogeneous two-plane network: plane 0 forces 2 switch hops
-	// between the hosts' ToRs, plane 1 connects them directly.
-	long := topo.PlaneSpec{
-		Switches: 3,
-		Edges:    [][2]int{{0, 1}, {1, 2}},
-		HostPort: []int{0, 2},
-		Kind:     "line",
-	}
-	short := topo.PlaneSpec{
-		Switches: 2,
-		Edges:    [][2]int{{0, 1}},
-		HostPort: []int{0, 1},
-		Kind:     "direct",
-	}
-	tp := topo.Assemble("hetero", 100, long, short)
-	cs := []Commodity{{Src: tp.Hosts[0], Dst: tp.Hosts[1], Demand: 1}}
-	paths := SinglePath(tp.G, cs)[0]
-	if len(paths) != 1 {
-		t.Fatal("no path")
-	}
-	if paths[0].Plane(tp.G) != 1 {
-		t.Errorf("single path used plane %d, want 1 (shorter)", paths[0].Plane(tp.G))
-	}
-	if paths[0].Len() != 3 { // host-sw-sw-host
-		t.Errorf("path length = %d, want 3", paths[0].Len())
-	}
-}
-
 func TestInterleavePlanesPreservesLengthOrder(t *testing.T) {
 	set := topo.JellyfishSet(12, 4, 2, 4, 100, 5)
 	tp := set.ParallelHetero

@@ -77,7 +77,7 @@ func TestShuffleTiesPreservesGroups(t *testing.T) {
 	for i, p := range paths {
 		lens[i] = p.Len()
 	}
-	ShuffleTies(paths, rand.New(rand.NewSource(2)))
+	shuffleTies(paths, rand.New(rand.NewSource(2)))
 	for i, p := range paths {
 		if p.Len() != lens[i] {
 			t.Fatalf("shuffle moved a path across length groups at %d", i)
