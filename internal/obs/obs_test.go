@@ -469,3 +469,65 @@ func nonEmptyLines(s string) []string {
 	}
 	return out
 }
+
+// countSink counts records and keeps the last plane record per plane in
+// place: a sink that cannot itself allocate.
+type countSink struct {
+	sliceSink // the five kinds a sampler never emits
+	links     int
+	engines   int
+	planes    [samplerTestPlanes]PlaneRecord
+}
+
+// More planes than the eight entries of one map bucket: up to there the
+// compiler keeps a tick-local map on the stack and a map-building tick
+// passes the guard below while still paying for the hashing.
+const samplerTestPlanes = 16
+
+func (c *countSink) Link(LinkRecord)     { c.links++ }
+func (c *countSink) Engine(EngineRecord) { c.engines++ }
+func (c *countSink) Plane(r PlaneRecord) { c.planes[r.Plane] = r }
+
+// TestSamplerTickZeroAlloc guards the sampler's tick: on a warm sampler
+// it walks every link and emits its records without allocating (it built
+// a map of per-plane bytes each tick before), and the plane records it
+// emits are the per-link TxBytes summed by plane.
+func TestSamplerTickZeroAlloc(t *testing.T) {
+	const planes = samplerTestPlanes
+	g := graph.New(2 + planes)
+	g.SetTransit(0, false)
+	g.SetTransit(1, false)
+	eng := sim.NewEngine()
+	var routes [planes][]graph.LinkID
+	for pl := int32(0); pl < planes; pl++ {
+		up, _ := g.AddDuplex(0, 2+graph.NodeID(pl), 100, pl)
+		_, down := g.AddDuplex(1, 2+graph.NodeID(pl), 100, pl)
+		routes[pl] = []graph.LinkID{up, down}
+	}
+	net := sim.NewNetwork(eng, g, sim.Config{})
+	for pl, route := range routes {
+		for i := 0; i <= pl; i++ { // a different load on every plane
+			sendPacket(net, route, int64(pl))
+		}
+	}
+	eng.Run()
+
+	sink := &countSink{}
+	s := NewSampler(eng, net, sim.Microsecond, sink)
+	s.tick() // every link reads as active against the zero baseline
+	if sink.engines != 1 || sink.links != 2*planes {
+		t.Fatalf("first tick emitted %d engine and %d link records, want 1 and %d", sink.engines, sink.links, 2*planes)
+	}
+	if avg := testing.AllocsPerRun(100, s.tick); avg != 0 {
+		t.Errorf("allocs per sampler tick = %v, want 0", avg)
+	}
+	want := make([]int64, planes)
+	for i := 0; i < g.NumLinks(); i++ {
+		want[g.Link(graph.LinkID(i)).Plane] += net.Stats(graph.LinkID(i)).TxBytes
+	}
+	for pl, r := range sink.planes {
+		if r.Plane != int32(pl) || r.TxBytes != want[pl] || r.TxBytes != int64(pl+1)*2*1500 {
+			t.Errorf("plane %d record = %+v, want %d bytes (%d packets over two links)", pl, r, want[pl], pl+1)
+		}
+	}
+}

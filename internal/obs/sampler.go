@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"pnet/internal/graph"
@@ -42,8 +42,9 @@ type Sampler struct {
 	prevBusy   []sim.Time
 	prevFired  uint64
 	prevWall   time.Time
-	planeOf    []int32
-	planeOrder []int32
+	planeOrder []int32 // the network's plane ids, ascending
+	planeIdx   []int32 // per link: its plane's position in planeOrder
+	planeBytes []int64 // per planeOrder position: tick scratch
 }
 
 const decimateAfter = 4096
@@ -61,18 +62,18 @@ func NewSampler(eng *sim.Engine, net *sim.Network, interval sim.Time, sink Sink)
 		prevDrops: make([]int64, n),
 		prevBH:    make([]int64, n),
 		prevBusy:  make([]sim.Time, n),
-		planeOf:   make([]int32, n),
+		planeIdx:  make([]int32, n),
 	}
-	seen := map[int32]bool{}
 	for i := 0; i < n; i++ {
-		p := net.G.Link(graph.LinkID(i)).Plane
-		s.planeOf[i] = p
-		if !seen[p] {
-			seen[p] = true
-			s.planeOrder = append(s.planeOrder, p)
-		}
+		s.planeOrder = append(s.planeOrder, net.G.Link(graph.LinkID(i)).Plane)
 	}
-	sort.Slice(s.planeOrder, func(i, j int) bool { return s.planeOrder[i] < s.planeOrder[j] })
+	slices.Sort(s.planeOrder)
+	s.planeOrder = slices.Compact(s.planeOrder)
+	for i := range s.planeIdx {
+		at, _ := slices.BinarySearch(s.planeOrder, net.G.Link(graph.LinkID(i)).Plane)
+		s.planeIdx[i] = int32(at)
+	}
+	s.planeBytes = make([]int64, len(s.planeOrder))
 	return s
 }
 
@@ -120,12 +121,12 @@ func (s *Sampler) tick() {
 	s.sink.Engine(s.engineRecord())
 
 	// Link records, active links only.
-	planeBytes := make(map[int32]int64, len(s.planeOrder))
+	clear(s.planeBytes)
 	intervalSec := s.interval.Seconds()
 	for i := range s.prevTx {
 		id := graph.LinkID(i)
 		st := s.Net.Stats(id)
-		planeBytes[s.planeOf[i]] += st.TxBytes
+		s.planeBytes[s.planeIdx[i]] += st.TxBytes
 		depth := s.Net.QueueDepth(id)
 		active := depth > 0 || st.TxBytes != s.prevTx[i] || st.Drops != s.prevDrops[i] || st.Blackholed != s.prevBH[i]
 		if active {
@@ -134,7 +135,7 @@ func (s *Sampler) tick() {
 				util = (st.Busy - s.prevBusy[i]).Seconds() / intervalSec
 			}
 			s.sink.Link(LinkRecord{
-				Type: KindLink, Net: s.NetID, TPs: now, Link: int64(id), Plane: s.planeOf[i],
+				Type: KindLink, Net: s.NetID, TPs: now, Link: int64(id), Plane: s.planeOrder[s.planeIdx[i]],
 				QueueBytes: depth, Util: util, TxBytes: st.TxBytes, Drops: st.Drops,
 				Blackholed: st.Blackholed,
 			})
@@ -146,8 +147,8 @@ func (s *Sampler) tick() {
 	}
 
 	// Per-plane totals.
-	for _, p := range s.planeOrder {
-		s.sink.Plane(PlaneRecord{Type: KindPlane, Net: s.NetID, TPs: now, Plane: p, TxBytes: planeBytes[p]})
+	for i, p := range s.planeOrder {
+		s.sink.Plane(PlaneRecord{Type: KindPlane, Net: s.NetID, TPs: now, Plane: p, TxBytes: s.planeBytes[i]})
 	}
 
 	s.ticks++

@@ -114,9 +114,9 @@ func ValidSpanComponent(name string) bool {
 }
 
 // ProfileRecord is one (engine, event-kind, plane) bin of the event-loop
-// flight recorder, written when the collector closes. Events is
-// deterministic for a fixed seed; WallNano is not (it measures this
-// run's host).
+// flight recorder, written when the collector closes. Events is exact
+// and deterministic for a fixed seed; WallNano is neither: it is this
+// run's host, estimated from the events the recorder timed.
 type ProfileRecord struct {
 	Type     string `json:"type"` // "profile"
 	Net      int    `json:"net"`

@@ -74,9 +74,8 @@ func Workers(n int) int {
 // concurrently) but purely observational — it never affects scheduling
 // or results.
 var (
-	poolActive atomic.Int64 // goroutines currently inside a work item
-	poolPeak   atomic.Int64 // high-water mark of poolActive
-	poolTasks  atomic.Int64 // work items completed since ResetStats
+	poolPeak  atomic.Int64 // high-water mark of held tokens + 1
+	poolTasks atomic.Int64 // work items completed since ResetStats
 )
 
 // Stats is a snapshot of worker-pool occupancy.
@@ -84,7 +83,9 @@ type Stats struct {
 	// Limit is the process-wide worker cap (see SetLimit).
 	Limit int
 	// Peak is the maximum number of goroutines observed running work
-	// items simultaneously since the last ResetStats.
+	// items simultaneously since the last ResetStats: the worker tokens
+	// held plus the one calling goroutine, however deeply its Do calls
+	// nest. Never above the Limit the tokens were taken under.
 	Peak int
 	// Tasks is the number of work items completed since ResetStats.
 	Tasks int64
@@ -105,20 +106,17 @@ func ResetStats() {
 	poolTasks.Store(0)
 }
 
-// enterItem/leaveItem bracket one work item for occupancy accounting.
-func enterItem() {
-	a := poolActive.Add(1)
+// notePeak raises the high-water mark to held tokens plus the caller. A
+// nested Do runs on a goroutine that is already counted, as the caller
+// or as a token, so only taking a token adds one.
+func notePeak(held int) {
+	n := int64(held) + 1
 	for {
 		p := poolPeak.Load()
-		if a <= p || poolPeak.CompareAndSwap(p, a) {
+		if n <= p || poolPeak.CompareAndSwap(p, n) {
 			return
 		}
 	}
-}
-
-func leaveItem() {
-	poolActive.Add(-1)
-	poolTasks.Add(1)
 }
 
 // Panic is re-raised in the Do/Map caller when a work item panicked in
@@ -156,12 +154,11 @@ func Do(n, workers int, fn func(i int)) {
 		w = n
 	}
 	if w <= 1 || n == 1 {
-		enterItem()
+		notePeak(0)
 		for i := 0; i < n; i++ {
 			fn(i)
 			poolTasks.Add(1)
 		}
-		poolActive.Add(-1)
 		return
 	}
 
@@ -181,9 +178,8 @@ func Do(n, workers int, fn func(i int)) {
 				return
 			}
 			func() {
-				enterItem()
 				defer func() {
-					leaveItem()
+					poolTasks.Add(1)
 					if r := recover(); r != nil {
 						p := &Panic{Index: i, Value: r, Stack: debug.Stack()}
 						fail.CompareAndSwap(nil, p)
@@ -198,6 +194,7 @@ func Do(n, workers int, fn func(i int)) {
 	// cannot spare is simply absorbed by the caller running more items
 	// itself. This is what makes nested Do calls safe: inner calls find
 	// the pool drained and run inline.
+	notePeak(len(pool))
 acquire:
 	for i := 0; i < w-1; i++ {
 		select {
@@ -205,6 +202,7 @@ acquire:
 		default:
 			break acquire // pool drained; the caller absorbs the rest
 		}
+		notePeak(len(pool))
 		wg.Add(1)
 		go func() {
 			defer func() {

@@ -160,6 +160,45 @@ func TestBoundedConcurrency(t *testing.T) {
 	})
 }
 
+// TestPeakCountsGoroutinesNotNesting pins what PoolStats().Peak means:
+// goroutines running items, so a Do nested in a Do adds nothing for the
+// goroutine it is already running on, and Peak cannot pass the limit. It
+// read 4 at limit 2 when every nesting level counted itself.
+func TestPeakCountsGoroutinesNotNesting(t *testing.T) {
+	for _, limit := range []int{1, 2} {
+		withLimit(t, limit, func() {
+			ResetStats()
+			Do(4, 0, func(int) {
+				Do(4, 0, func(int) { Do(2, 1, func(int) { runtime.Gosched() }) })
+			})
+			st := PoolStats()
+			if st.Peak < 1 || st.Peak > limit {
+				t.Errorf("limit %d: Peak = %d, want 1..%d", limit, st.Peak, limit)
+			}
+			if st.Tasks != 4+16+32 {
+				t.Errorf("limit %d: Tasks = %d, want 52", limit, st.Tasks)
+			}
+		})
+	}
+}
+
+// TestSerialPanicLeavesNoOccupancy checks that a panic out of the inline
+// branch, recovered by the caller, is not still counted as a goroutine
+// running an item in the next run.
+func TestSerialPanicLeavesNoOccupancy(t *testing.T) {
+	withLimit(t, 2, func() {
+		func() {
+			defer func() { _ = recover() }()
+			Do(3, 1, func(i int) { panic("boom") })
+		}()
+		ResetStats()
+		Do(3, 1, func(int) {})
+		if p := PoolStats().Peak; p != 1 {
+			t.Errorf("Peak after a recovered serial panic = %d, want 1", p)
+		}
+	})
+}
+
 func TestWorkersResolution(t *testing.T) {
 	if Workers(5) != 5 {
 		t.Error("explicit worker count not honored")

@@ -101,9 +101,9 @@ type Engine struct {
 	// turned away. It costs the packet path one compare per pop.
 	heap eventHeap
 
-	// Recorder, when set, profiles every dispatched event (kind, plane,
-	// wall time) — the event-loop flight recorder behind `pnetstat
-	// profile`. Nil costs one branch per event.
+	// Recorder, when set, counts every dispatched event by (kind, plane)
+	// and times a fixed share of them — the event-loop flight recorder
+	// behind `pnetstat profile`. Nil costs one branch per event.
 	Recorder *FlightRecorder
 
 	// Fingerprint, when set, folds every dispatched event into a rolling

@@ -1,12 +1,38 @@
 package sim
 
-import "time"
+import (
+	"math/bits"
+	"time"
+)
 
 // The event-loop flight recorder says where an engine's wall time goes:
-// it bins every dispatched event's count and wall time by (kind, plane),
-// which separates in-plane packet work (hops, transmissions) from the
-// host boundary (delivers into transport code, timers). Attach one per
-// engine (Engine.Recorder); a nil recorder costs one branch per event.
+// it bins dispatched events by (kind, plane), which separates in-plane
+// packet work (hops, transmissions) from the host boundary (delivers
+// into transport code, timers). Counts are exact; wall time is sampled.
+// Attach one per engine (Engine.Recorder); a nil recorder costs one
+// branch per event. A non-nil one costs every event its classification
+// (classify, shared with the fingerprinter) and one counter, and one
+// packet event in timedStride per bin, and every timer, two reads of
+// the monotonic clock. Timing every event cost ≈ 120 ns of clock around
+// a mean event of ≈ 90 ns (faults experiment, DESIGN.md §9.2).
+
+// timedStride is how many of a bin's hop, deliver or tx events share one
+// timed one. Packet events of one (kind, plane) run the same few code
+// paths millions of times, so one in 64 prices them to a few percent.
+// Timer events are all timed: they are rare (one event in 1500 on
+// faults, one in 100 on incast) and too unlike each other (a sampler
+// tick walking every link, an RTO wake, a chaos step) for a sample to
+// stand for the rest.
+const timedStride = 64
+
+// nanotime is the recorder's clock, monotonic nanoseconds from an
+// arbitrary origin: time.Since of a fixed instant reads the monotonic
+// clock alone, where time.Now reads the wall clock as well. It is a
+// variable so that tests can count reads and supply a fake.
+var (
+	clockOrigin = time.Now()
+	nanotime    = func() int64 { return int64(time.Since(clockOrigin)) }
+)
 
 // EventKind classifies a dispatched event by what it runs.
 type EventKind uint8
@@ -53,8 +79,9 @@ func ParseEventKind(s string) (EventKind, bool) {
 func (k EventKind) HostBoundary() bool { return k == EvDeliver || k == EvTimer }
 
 // ProfileBin is one (kind, plane) cell of a recorder snapshot. Plane is
-// -1 for timer events (no plane) and the link's plane otherwise; event
-// counts are deterministic for a fixed seed, wall time is not.
+// -1 for timer events (no plane) and the link's plane otherwise. Events
+// is exact and deterministic for a fixed seed; WallNs is neither: it is
+// the wall time of the bin's timed events scaled up to all of them.
 type ProfileBin struct {
 	Kind   EventKind
 	Plane  int32
@@ -62,14 +89,29 @@ type ProfileBin struct {
 	WallNs int64
 }
 
+// planeBin counts every event of one (kind, plane) and times some.
 type planeBin struct {
-	events int64
-	wallNs int64
+	events  int64
+	timed   int64 // events whose wall time is in timedNs
+	timedNs int64
+	skip    int32 // events to pass before the next timed one
 }
 
-// FlightRecorder bins every dispatched event's count and wall time by
-// (kind, plane). It belongs to exactly one engine (single-threaded, no
-// atomics); snapshots merge across engines in internal/report.
+// wallNs estimates the bin's wall time, timedNs × events / timed, with a
+// 128-bit product: an hour-long run's product overflows 64 bits.
+func (b *planeBin) wallNs() int64 {
+	if b.timed == 0 {
+		return 0
+	}
+	hi, lo := bits.Mul64(uint64(b.timedNs), uint64(b.events))
+	q, _ := bits.Div64(hi, lo, uint64(b.timed))
+	return int64(q)
+}
+
+// FlightRecorder counts every dispatched event by (kind, plane) and
+// times a fixed share of them (see timedStride). It belongs to exactly
+// one engine (single-threaded, no atomics); snapshots merge across
+// engines in internal/report.
 type FlightRecorder struct {
 	bins [numEventKinds]struct {
 		none     planeBin // plane -1
@@ -80,18 +122,26 @@ type FlightRecorder struct {
 // NewFlightRecorder returns an empty recorder.
 func NewFlightRecorder() *FlightRecorder { return &FlightRecorder{} }
 
-func (r *FlightRecorder) record(kind EventKind, plane int32, wallNs int64) {
-	b := &r.bins[kind]
-	if plane < 0 {
-		b.none.events++
-		b.none.wallNs += wallNs
-		return
+// count adds one event to its bin and returns the bin if this event is
+// one to time, nil if not. The pointer is good until the next count.
+func (r *FlightRecorder) count(kind EventKind, plane int32) *planeBin {
+	k := &r.bins[kind]
+	b := &k.none
+	if plane >= 0 {
+		for int(plane) >= len(k.perPlane) {
+			k.perPlane = append(k.perPlane, planeBin{})
+		}
+		b = &k.perPlane[plane]
 	}
-	for int(plane) >= len(b.perPlane) {
-		b.perPlane = append(b.perPlane, planeBin{})
+	b.events++
+	if b.skip > 0 {
+		b.skip--
+		return nil
 	}
-	b.perPlane[plane].events++
-	b.perPlane[plane].wallNs += wallNs
+	if kind != EvTimer {
+		b.skip = timedStride - 1
+	}
+	return b
 }
 
 // Events returns the total number of recorded events.
@@ -110,12 +160,12 @@ func (r *FlightRecorder) Events() int64 {
 func (r *FlightRecorder) Snapshot() []ProfileBin {
 	var out []ProfileBin
 	for k := range r.bins {
-		if b := r.bins[k].none; b.events > 0 {
-			out = append(out, ProfileBin{EventKind(k), -1, b.events, b.wallNs})
+		if b := &r.bins[k].none; b.events > 0 {
+			out = append(out, ProfileBin{EventKind(k), -1, b.events, b.wallNs()})
 		}
-		for pl, b := range r.bins[k].perPlane {
-			if b.events > 0 {
-				out = append(out, ProfileBin{EventKind(k), int32(pl), b.events, b.wallNs})
+		for pl := range r.bins[k].perPlane {
+			if b := &r.bins[k].perPlane[pl]; b.events > 0 {
+				out = append(out, ProfileBin{EventKind(k), int32(pl), b.events, b.wallNs()})
 			}
 		}
 	}
@@ -123,11 +173,11 @@ func (r *FlightRecorder) Snapshot() []ProfileBin {
 }
 
 // fireInstrumented is Engine.fire with classification around the
-// dispatch, feeding the flight recorder (with wall timing) and/or the
-// fingerprinter (simulated quantities only — no clock reads, so a
-// fingerprint-only run stays cheap). It must mirror fire exactly; the
-// classification reads the actor before dispatch because acting moves a
-// packet to its next hop or back to the freelist.
+// dispatch, feeding the flight recorder (a count, and for the events it
+// picks, wall timing) and/or the fingerprinter (simulated quantities
+// only, no clock reads). It must mirror fire exactly; the classification
+// reads the actor before dispatch because acting moves a packet to its
+// next hop or back to the freelist.
 func (e *Engine) fireInstrumented(at Time, who actor, fn func()) {
 	e.now = at
 	e.fired++
@@ -135,7 +185,11 @@ func (e *Engine) fireInstrumented(at Time, who actor, fn func()) {
 	if e.Fingerprint != nil {
 		e.Fingerprint.fold(at, info)
 	}
-	if e.Recorder == nil {
+	var bin *planeBin
+	if e.Recorder != nil {
+		bin = e.Recorder.count(info.kind, info.plane)
+	}
+	if bin == nil {
 		if who != nil {
 			who.act()
 		} else {
@@ -143,11 +197,12 @@ func (e *Engine) fireInstrumented(at Time, who actor, fn func()) {
 		}
 		return
 	}
-	start := time.Now()
+	start := nanotime()
 	if who != nil {
 		who.act()
 	} else {
 		fn()
 	}
-	e.Recorder.record(info.kind, info.plane, time.Since(start).Nanoseconds())
+	bin.timedNs += nanotime() - start
+	bin.timed++
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"pnet/internal/graph"
@@ -247,10 +248,13 @@ func TestFlightRecorderCounts(t *testing.T) {
 
 // TestFlightRecorderSameResults checks that profiling does not perturb
 // the simulation: identical workloads with and without the recorder
-// deliver at identical times and fire identical event counts.
+// deliver at identical times, fire identical event counts and, with the
+// fingerprinter riding the same instrumented dispatch, end on identical
+// chains.
 func TestFlightRecorderSameResults(t *testing.T) {
-	run := func(profile bool) ([]Time, uint64) {
+	run := func(profile bool) ([]Time, uint64, *Fingerprinter) {
 		eng, net, fwd, _ := hostPair(100, Config{PropDelay: 200 * Nanosecond})
+		eng.Fingerprint = NewFingerprinter(0)
 		if profile {
 			eng.Recorder = NewFlightRecorder()
 		}
@@ -263,10 +267,10 @@ func TestFlightRecorderSameResults(t *testing.T) {
 			net.Send(p)
 		}
 		eng.Run()
-		return s.times, eng.EventsFired()
+		return s.times, eng.EventsFired(), eng.Fingerprint
 	}
-	plainT, plainN := run(false)
-	profT, profN := run(true)
+	plainT, plainN, plainFP := run(false)
+	profT, profN, profFP := run(true)
 	if plainN != profN {
 		t.Errorf("events fired: plain %d, profiled %d", plainN, profN)
 	}
@@ -277,6 +281,12 @@ func TestFlightRecorderSameResults(t *testing.T) {
 		if plainT[i] != profT[i] {
 			t.Errorf("delivery %d at %v profiled vs %v plain", i, profT[i], plainT[i])
 		}
+	}
+	g0, h0, p0 := plainFP.Chains()
+	g1, h1, p1 := profFP.Chains()
+	if g0 != g1 || h0 != h1 || !slices.Equal(p0, p1) || plainFP.Events() != profFP.Events() {
+		t.Errorf("fingerprint chains: plain %x/%x/%x after %d events, profiled %x/%x/%x after %d",
+			g0, h0, p0, plainFP.Events(), g1, h1, p1, profFP.Events())
 	}
 }
 
