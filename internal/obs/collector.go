@@ -64,6 +64,8 @@ type Collector struct {
 	// parallel cells add concurrently.
 	runWallNs atomic.Int64
 	mw        *MetricsWriter
+	teeOnce   sync.Once
+	tee       Sink           // Tee(mw, Sink), when both are set
 	jw        *MetricsWriter // fingerprint journal stream, if any
 	tw        *bufio.Writer  // shared by every network's JSONLSink
 	nets      []attachment
@@ -110,13 +112,15 @@ func (c *Collector) interval() sim.Time {
 
 // out is the one destination of every record: the metrics stream, Sink,
 // both through a Tee (the stream first, so the file is in emission
-// order), or nil when neither is set.
+// order), or nil when neither is set. The Tee is built once, at the
+// first attach or record that needs it, not per record.
 func (c *Collector) out() Sink {
 	switch {
 	case c == nil:
 		return nil
 	case c.mw != nil && c.Sink != nil:
-		return Tee(c.mw, c.Sink)
+		c.teeOnce.Do(func() { c.tee = Tee(c.mw, c.Sink) })
+		return c.tee
 	case c.mw != nil:
 		return c.mw
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -476,6 +477,7 @@ type countSink struct {
 	sliceSink // the five kinds a sampler never emits
 	links     int
 	engines   int
+	flows     int
 	planes    [samplerTestPlanes]PlaneRecord
 }
 
@@ -487,11 +489,39 @@ const samplerTestPlanes = 16
 func (c *countSink) Link(LinkRecord)     { c.links++ }
 func (c *countSink) Engine(EngineRecord) { c.engines++ }
 func (c *countSink) Plane(r PlaneRecord) { c.planes[r.Plane] = r }
+func (c *countSink) Flow(FlowRecord)     { c.flows++ }
+
+// TestRecordFlowTeeZeroAlloc: with a metrics stream and a Sink both set, a
+// record costs what handing it to the two costs and nothing for the road
+// there. out() used to build a new Tee, one heap object, per record.
+func TestRecordFlowTeeZeroAlloc(t *testing.T) {
+	c := NewCollector()
+	c.StreamMetrics(io.Discard)
+	live := &countSink{}
+	c.Sink = live
+	r := FlowRecord{ID: 1, Transport: "tcp", Bytes: 15000, FCT: 1e-5}
+
+	stream, beside := NewMetricsWriter(io.Discard), &countSink{}
+	direct := testing.AllocsPerRun(100, func() {
+		rec := r
+		rec.Type = KindFlow
+		stream.Flow(rec)
+		beside.Flow(rec)
+	})
+	if got := testing.AllocsPerRun(100, func() { c.RecordFlow(r) }); got != direct {
+		t.Errorf("RecordFlow allocates %v a record, the two sinks called directly %v", got, direct)
+	}
+	if live.flows != 101 {
+		t.Errorf("the sink saw %d flow records, want 101", live.flows)
+	}
+}
 
 // TestSamplerTickZeroAlloc guards the sampler's tick: on a warm sampler
-// it walks every link and emits its records without allocating (it built
-// a map of per-plane bytes each tick before), and the plane records it
-// emits are the per-link TxBytes summed by plane.
+// it sorts and visits the links that moved and emits its records without
+// allocating (no map of per-plane bytes, no closure, the sort in place),
+// and the plane records it emits are the per-link TxBytes summed by
+// plane. Every measured tick has all 32 links to visit, touched in
+// descending order.
 func TestSamplerTickZeroAlloc(t *testing.T) {
 	const planes = samplerTestPlanes
 	g := graph.New(2 + planes)
@@ -505,29 +535,42 @@ func TestSamplerTickZeroAlloc(t *testing.T) {
 		routes[pl] = []graph.LinkID{up, down}
 	}
 	net := sim.NewNetwork(eng, g, sim.Config{})
+	to := &releaseSink{net: net}
 	for pl, route := range routes {
-		for i := 0; i <= pl; i++ { // a different load on every plane
-			sendPacket(net, route, int64(pl))
+		for i := 0; i < pl; i++ { // a different load on every plane
+			send(net, route, 1500, to)
 		}
 	}
 	eng.Run()
 
 	sink := &countSink{}
 	s := NewSampler(eng, net, sim.Microsecond, sink)
-	s.tick() // every link reads as active against the zero baseline
+	rounds := 0
+	round := func() {
+		for pl := planes - 1; pl >= 0; pl-- {
+			send(net, routes[pl], 1500, to)
+		}
+		eng.Run()
+		s.tick()
+		rounds++
+	}
+	round() // a sampler attached late: every link is news against the zero baseline
 	if sink.engines != 1 || sink.links != 2*planes {
 		t.Fatalf("first tick emitted %d engine and %d link records, want 1 and %d", sink.engines, sink.links, 2*planes)
 	}
-	if avg := testing.AllocsPerRun(100, s.tick); avg != 0 {
-		t.Errorf("allocs per sampler tick = %v, want 0", avg)
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Errorf("allocs per round of %d packets and a sampler tick = %v, want 0", planes, avg)
+	}
+	if sink.links != rounds*2*planes {
+		t.Errorf("%d link records over %d ticks, want %d a tick", sink.links, rounds, 2*planes)
 	}
 	want := make([]int64, planes)
 	for i := 0; i < g.NumLinks(); i++ {
 		want[g.Link(graph.LinkID(i)).Plane] += net.Stats(graph.LinkID(i)).TxBytes
 	}
 	for pl, r := range sink.planes {
-		if r.Plane != int32(pl) || r.TxBytes != want[pl] || r.TxBytes != int64(pl+1)*2*1500 {
-			t.Errorf("plane %d record = %+v, want %d bytes (%d packets over two links)", pl, r, want[pl], pl+1)
+		if r.Plane != int32(pl) || r.TxBytes != want[pl] || r.TxBytes != int64(pl+rounds)*2*1500 {
+			t.Errorf("plane %d record = %+v, want %d bytes (%d packets over two links)", pl, r, want[pl], pl+rounds)
 		}
 	}
 }

@@ -19,7 +19,12 @@ import (
 // the previous tick, pending events now), one link record per active
 // link (nonzero queue, or traffic/drops since the last tick; idle links
 // would dominate the series without carrying information) and one plane
-// record per dataplane.
+// record per dataplane. A tick visits only the links the network lists
+// as moved (sim.Network.MovedLinks: touched since the last tick, or
+// still holding bytes), in link order; every other link is idle by
+// construction and its baseline below still holds. A tick costs what
+// it emits, not the size of the network: incast emits 3.7 link records
+// a tick on networks of hundreds of links. A network has one sampler.
 //
 // To bound overhead on long simulations the sampler decimates itself:
 // after every decimateAfter ticks the interval doubles, so the tick
@@ -44,7 +49,7 @@ type Sampler struct {
 	prevWall   time.Time
 	planeOrder []int32 // the network's plane ids, ascending
 	planeIdx   []int32 // per link: its plane's position in planeOrder
-	planeBytes []int64 // per planeOrder position: tick scratch
+	planeBytes []int64 // per planeOrder position: cumulative TxBytes
 }
 
 const decimateAfter = 4096
@@ -120,31 +125,31 @@ func (s *Sampler) tick() {
 	now := int64(s.Eng.Now())
 	s.sink.Engine(s.engineRecord())
 
-	// Link records, active links only.
-	clear(s.planeBytes)
+	// Link records, active links only: a link not listed has moved no
+	// counter since its baseline was taken and holds no bytes.
 	intervalSec := s.interval.Seconds()
-	for i := range s.prevTx {
-		id := graph.LinkID(i)
+	for _, id := range s.Net.MovedLinks() {
 		st := s.Net.Stats(id)
-		s.planeBytes[s.planeIdx[i]] += st.TxBytes
+		s.planeBytes[s.planeIdx[id]] += st.TxBytes - s.prevTx[id]
 		depth := s.Net.QueueDepth(id)
-		active := depth > 0 || st.TxBytes != s.prevTx[i] || st.Drops != s.prevDrops[i] || st.Blackholed != s.prevBH[i]
+		active := depth > 0 || st.TxBytes != s.prevTx[id] || st.Drops != s.prevDrops[id] || st.Blackholed != s.prevBH[id]
 		if active {
 			util := 0.0
 			if intervalSec > 0 {
-				util = (st.Busy - s.prevBusy[i]).Seconds() / intervalSec
+				util = (st.Busy - s.prevBusy[id]).Seconds() / intervalSec
 			}
 			s.sink.Link(LinkRecord{
-				Type: KindLink, Net: s.NetID, TPs: now, Link: int64(id), Plane: s.planeOrder[s.planeIdx[i]],
+				Type: KindLink, Net: s.NetID, TPs: now, Link: int64(id), Plane: s.planeOrder[s.planeIdx[id]],
 				QueueBytes: depth, Util: util, TxBytes: st.TxBytes, Drops: st.Drops,
 				Blackholed: st.Blackholed,
 			})
 		}
-		s.prevTx[i] = st.TxBytes
-		s.prevDrops[i] = st.Drops
-		s.prevBH[i] = st.Blackholed
-		s.prevBusy[i] = st.Busy
+		s.prevTx[id] = st.TxBytes
+		s.prevDrops[id] = st.Drops
+		s.prevBH[id] = st.Blackholed
+		s.prevBusy[id] = st.Busy
 	}
+	s.Net.SettleMoved()
 
 	// Per-plane totals.
 	for i, p := range s.planeOrder {

@@ -8,7 +8,9 @@ package sim
 // the first divergent epoch (then, with a journal, the first divergent
 // event) can be found by bisection instead of by staring at report
 // diffs. Attach one per engine (Engine.Fingerprint); a nil fingerprinter
-// costs one branch per event, same as the flight recorder.
+// costs one branch per event, same as the flight recorder. A non-nil one
+// costs every event five mix64 rounds, which is the chain's definition,
+// and a countdown to the next checkpoint; nothing divides.
 //
 // The chain deliberately hashes only simulated quantities — timestamp,
 // event kind, plane, link, flow, sequence, size — never wall time or
@@ -78,6 +80,7 @@ type FingerprintJournalEntry struct {
 // plane slice is warm; checkpoints allocate once per epoch.
 type Fingerprinter struct {
 	epoch  int64 // events per checkpoint
+	left   int64 // events until the next one: a countdown, not events % epoch
 	events int64
 	global uint64
 	host   uint64
@@ -97,7 +100,7 @@ func NewFingerprinter(epochEvents int64) *Fingerprinter {
 	if epochEvents <= 0 {
 		epochEvents = DefaultFingerprintEpoch
 	}
-	return &Fingerprinter{epoch: epochEvents}
+	return &Fingerprinter{epoch: epochEvents, left: epochEvents}
 }
 
 // EpochEvents returns the checkpoint cadence.
@@ -112,41 +115,36 @@ func (f *Fingerprinter) Chains() (global, host uint64, planes []uint64) {
 	return f.global, f.host, f.planes
 }
 
-// Fold folds one event described by its simulated identity — the entry
-// point for replay and divergence tooling outside the engine (the
-// engine's dispatch path calls fold directly with its classification).
-// Plane is -1 for plane-less events, link -1 for non-packet events.
+// Fold mixes one fired event, described by its simulated identity, into
+// the chains: the engine's dispatch path calls it with its
+// classification, replay and divergence tooling with a journal's. Plane
+// is -1 for plane-less events, link -1 for non-packet events. Only
+// simulated quantities enter the hash; see the package comment for why.
 func (f *Fingerprinter) Fold(t Time, kind EventKind, plane int32, link, flow, seq int64, size int32) {
-	f.fold(t, eventInfo{kind: kind, plane: plane, link: link, flow: flow, seq: seq, size: size})
-}
-
-// fold mixes one fired event into the chains. Only simulated quantities
-// enter the hash; see the package comment for why.
-func (f *Fingerprinter) fold(t Time, info eventInfo) {
-	v := mix64(uint64(t) ^ uint64(info.kind)<<56 ^ uint64(uint32(info.plane))<<40)
-	v = mix64(v ^ uint64(info.link)<<32 ^ uint64(uint32(info.size)))
-	v = mix64(v ^ uint64(info.flow)<<16 ^ uint64(info.seq))
+	v := mix64(uint64(t) ^ uint64(kind)<<56 ^ uint64(uint32(plane))<<40)
+	v = mix64(v ^ uint64(link)<<32 ^ uint64(uint32(size)))
+	v = mix64(v ^ uint64(flow)<<16 ^ uint64(seq))
 	f.global = mix64(f.global ^ v)
-	if info.plane < 0 {
+	if plane < 0 {
 		f.host = mix64(f.host ^ v)
 	} else {
-		for int(info.plane) >= len(f.planes) {
+		for int(plane) >= len(f.planes) {
 			f.planes = append(f.planes, 0)
 		}
-		f.planes[info.plane] = mix64(f.planes[info.plane] ^ v)
+		f.planes[plane] = mix64(f.planes[plane] ^ v)
 	}
 	f.lastT = t
-	idx := f.events % f.epoch
 	f.events++
 	if f.Journal != nil {
 		f.Journal(FingerprintJournalEntry{
-			Epoch: (f.events - 1) / f.epoch, Index: idx, T: t,
-			Kind: info.kind, Plane: info.plane, Link: info.link,
-			Flow: info.flow, Seq: info.seq, Size: info.size,
+			Epoch: (f.events - 1) / f.epoch, Index: (f.events - 1) % f.epoch, T: t,
+			Kind: kind, Plane: plane, Link: link,
+			Flow: flow, Seq: seq, Size: size,
 			Hash: f.global,
 		})
 	}
-	if f.events%f.epoch == 0 {
+	if f.left--; f.left == 0 {
+		f.left = f.epoch
 		f.cps = append(f.cps, f.checkpoint(false))
 	}
 }
@@ -174,45 +172,30 @@ func (f *Fingerprinter) checkpoint(partial bool) FingerprintCheckpoint {
 // Idempotent; call after the engine has stopped.
 func (f *Fingerprinter) Checkpoints() []FingerprintCheckpoint {
 	out := append([]FingerprintCheckpoint(nil), f.cps...)
-	if f.events%f.epoch != 0 {
+	if f.left != f.epoch {
 		out = append(out, f.checkpoint(true))
 	}
 	return out
 }
 
-// eventInfo classifies one dispatched event for the flight recorder and
-// the fingerprinter: what kind of work it is, which plane owns it, and
-// the packet identity (link/flow/seq/size; -1/0 when not a packet).
-type eventInfo struct {
-	kind  EventKind
-	plane int32
-	link  int64
-	flow  int64
-	seq   int64
-	size  int32
-}
-
-// classify extracts an event's identity from its actor. It must run
-// before dispatch: acting advances or releases the packet it reads.
-func classify(who actor) eventInfo {
-	info := eventInfo{kind: EvTimer, plane: -1, link: -1}
+// classify extracts an event's identity from its actor: what kind of
+// work it is, which plane owns it, and the packet identity (link, flow,
+// seq, size; -1/0 when not a packet). It must run before dispatch:
+// acting advances or releases the packet it reads. The results are
+// scalars so that they travel in registers; as a struct they were
+// assembled on the stack with narrow stores and read back with wide
+// loads, three failed store-to-load forwards an event (DESIGN.md §9.2).
+func classify(who actor) (kind EventKind, plane int32, link, flow, seq int64, size int32) {
 	switch a := who.(type) {
 	case *Packet:
-		link := a.Route[a.Hop]
-		info.link = int64(link)
-		info.plane = a.net.queues[link].plane
-		info.flow = a.FlowID
-		info.seq = a.Seq
-		info.size = a.Size
+		l := a.Route[a.Hop]
+		kind = EvHop
 		if int(a.Hop) == len(a.Route)-1 {
-			info.kind = EvDeliver
-		} else {
-			info.kind = EvHop
+			kind = EvDeliver
 		}
+		return kind, a.net.queues[l].plane, int64(l), a.FlowID, a.Seq, a.Size
 	case *queue:
-		info.kind = EvTx
-		info.plane = a.plane
-		info.link = int64(a.id)
+		return EvTx, a.plane, int64(a.id), 0, 0, 0
 	}
-	return info
+	return EvTimer, -1, -1, 0, 0, 0
 }

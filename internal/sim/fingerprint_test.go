@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // fpRun sends n packets end to end on a warm hostPair network with the
 // given fingerprinter attached and returns its final chains.
@@ -119,12 +122,10 @@ func TestFingerprintJournal(t *testing.T) {
 func TestFingerprintOrderSensitive(t *testing.T) {
 	a := NewFingerprinter(0)
 	b := NewFingerprinter(0)
-	e1 := eventInfo{kind: EvHop, plane: 0, link: 3, flow: 1, seq: 10, size: 1500}
-	e2 := eventInfo{kind: EvHop, plane: 0, link: 3, flow: 2, seq: 10, size: 1500}
-	a.fold(100, e1)
-	a.fold(100, e2)
-	b.fold(100, e2)
-	b.fold(100, e1)
+	a.Fold(100, EvHop, 0, 3, 1, 10, 1500)
+	a.Fold(100, EvHop, 0, 3, 2, 10, 1500)
+	b.Fold(100, EvHop, 0, 3, 2, 10, 1500)
+	b.Fold(100, EvHop, 0, 3, 1, 10, 1500)
 	ag, _, _ := a.Chains()
 	bg, _, _ := b.Chains()
 	if ag == bg {
@@ -154,5 +155,85 @@ func TestPacketPathZeroAllocFingerprint(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, send); avg != 0 {
 		t.Errorf("allocs per packet with fingerprinting = %v, want 0", avg)
+	}
+}
+
+// TestFingerprintPinnedChain holds the chain's definition still across
+// commits: a scripted run on two planes (timers, hops, delivers and
+// transmissions, flows, sequence numbers and sizes all varying) must end
+// on the chains and the event count recorded when the test was written,
+// at the parent of the commit that rewrote classify and Fold. The other
+// fingerprint tests compare two runs of one binary and so pass whatever
+// the classification says, as long as it says it twice.
+func TestFingerprintPinnedChain(t *testing.T) {
+	eng, net, routes := twoPlanePair()
+	f := NewFingerprinter(0)
+	eng.Fingerprint = f
+	s := &releaseSink{net: net}
+	for burst := 0; burst < 6; burst++ {
+		eng.At(Time(burst)*3*Microsecond, func() {
+			for i := 0; i < 5+burst; i++ {
+				p := net.NewPacket()
+				p.Size = int32(64 + 359*((i+burst)%5))
+				p.Route = routes[(i+burst)%3%2]
+				p.Deliver = s
+				p.FlowID = int64(1 + i%3)
+				p.Seq = int64(burst*100 + i)
+				net.Send(p)
+			}
+		})
+	}
+	eng.Run()
+	const (
+		wantEvents = 186
+		wantGlobal = 0x4c77329163e61fb1
+		wantHost   = 0xe3aee07ed0ed8cc9
+	)
+	wantPlanes := []uint64{0xce29e285ff10c348, 0x937e16062e7b8ff3}
+	g, h, planes := f.Chains()
+	if f.Events() != wantEvents || g != wantGlobal || h != wantHost || !slices.Equal(planes, wantPlanes) {
+		t.Errorf("after %d events: global %#016x, host %#016x, planes %#016x;\nwant %d events: global %#016x, host %#016x, planes %#016x",
+			f.Events(), g, h, planes, wantEvents, uint64(wantGlobal), uint64(wantHost), wantPlanes)
+	}
+}
+
+// TestFingerprintEpochCountdown runs 100 events at a cadence of 7, once
+// through Fold and once through an engine: checkpoints fall on events 7,
+// 14, ..., 98 with one Partial after them, and the journal places event i
+// at (epoch, index) = (i/7, i%7).
+func TestFingerprintEpochCountdown(t *testing.T) {
+	producers := map[string]func(*Fingerprinter){
+		"Fold": func(f *Fingerprinter) {
+			for i := 0; i < 100; i++ {
+				f.Fold(Time(i), EventKind(i%int(numEventKinds)), int32(i%3-1), int64(i), 1, int64(i), 1500)
+			}
+		},
+		"engine": func(f *Fingerprinter) { fpRun(25, f) }, // two tx, a hop and a deliver each
+	}
+	for name, produce := range producers {
+		f := NewFingerprinter(7)
+		var journal []FingerprintJournalEntry
+		f.Journal = func(e FingerprintJournalEntry) { journal = append(journal, e) }
+		produce(f)
+		if f.Events() != 100 || len(journal) != 100 {
+			t.Fatalf("%s: %d events folded, %d journalled, want 100", name, f.Events(), len(journal))
+		}
+		for i, e := range journal {
+			if e.Epoch != int64(i/7) || e.Index != int64(i%7) {
+				t.Errorf("%s: event %d journalled at (%d, %d), want (%d, %d)", name, i, e.Epoch, e.Index, i/7, i%7)
+			}
+		}
+		cps := f.Checkpoints()
+		if len(cps) != 15 {
+			t.Fatalf("%s: %d checkpoints, want 14 full and one partial", name, len(cps))
+		}
+		for i, cp := range cps[:14] {
+			if cp.Partial || cp.Events != int64(7*(i+1)) || cp.Epoch != int64(i) || cp.Global != journal[7*(i+1)-1].Hash {
+				t.Errorf("%s: checkpoint %d = %+v, want epoch %d closed at event %d on chain %#x", name, i, cp, i, 7*(i+1), journal[7*(i+1)-1].Hash)
+			}
+		}
+		if last := cps[14]; !last.Partial || last.Events != 100 || last.Epoch != 14 || last.Global != journal[99].Hash {
+			t.Errorf("%s: trailing checkpoint = %+v, want a partial one at event 100", name, last)
+		}
 	}
 }

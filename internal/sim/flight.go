@@ -11,18 +11,19 @@ import (
 // into transport code, timers). Counts are exact; wall time is sampled.
 // Attach one per engine (Engine.Recorder); a nil recorder costs one
 // branch per event. A non-nil one costs every event its classification
-// (classify, shared with the fingerprinter) and one counter, and one
-// packet event in timedStride per bin, and every timer, two reads of
-// the monotonic clock. Timing every event cost ≈ 120 ns of clock around
-// a mean event of ≈ 90 ns (faults experiment, DESIGN.md §9.2).
+// (classify, shared with the fingerprinter, inlined into the dispatch
+// below: a few loads of the actor, the results in registers) and one
+// counter, and one packet event in timedStride per bin, and every timer,
+// two reads of the monotonic clock. Timing every event cost ≈ 120 ns of
+// clock around a mean event of ≈ 90 ns (faults experiment, DESIGN.md
+// §9.2).
 
 // timedStride is how many of a bin's hop, deliver or tx events share one
 // timed one. Packet events of one (kind, plane) run the same few code
 // paths millions of times, so one in 64 prices them to a few percent.
 // Timer events are all timed: they are rare (one event in 1500 on
 // faults, one in 100 on incast) and too unlike each other (a sampler
-// tick walking every link, an RTO wake, a chaos step) for a sample to
-// stand for the rest.
+// tick, an RTO wake, a chaos step) for a sample to stand for the rest.
 const timedStride = 64
 
 // nanotime is the recorder's clock, monotonic nanoseconds from an
@@ -181,13 +182,13 @@ func (r *FlightRecorder) Snapshot() []ProfileBin {
 func (e *Engine) fireInstrumented(at Time, who actor, fn func()) {
 	e.now = at
 	e.fired++
-	info := classify(who)
+	kind, plane, link, flow, seq, size := classify(who)
 	if e.Fingerprint != nil {
-		e.Fingerprint.fold(at, info)
+		e.Fingerprint.Fold(at, kind, plane, link, flow, seq, size)
 	}
 	var bin *planeBin
 	if e.Recorder != nil {
-		bin = e.Recorder.count(info.kind, info.plane)
+		bin = e.Recorder.count(kind, plane)
 	}
 	if bin == nil {
 		if who != nil {

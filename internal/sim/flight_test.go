@@ -6,15 +6,9 @@ import (
 	"pnet/internal/graph"
 )
 
-// fakeClockRun drives 40 timer-paced bursts of packets over a two-plane,
-// two-host network with the recorder on a fake clock. The clock stands
-// still except that the closing read of each timed event advances it by
-// that event's kind's cost; the kind comes from the fingerprint journal,
-// which sees every event just before the recorder does. It returns the
-// recorder, the number of clock reads, and the journal's own per-bin
-// event counts: what a recorder that looked at every event would hold.
-func fakeClockRun(t *testing.T, cost [numEventKinds]int64) (*FlightRecorder, int, map[[2]int32]int64) {
-	t.Helper()
+// twoPlanePair is two hosts joined through one switch per plane:
+// 0 -sw(2+pl)- 1 on plane pl, with the host 0 to host 1 route of each.
+func twoPlanePair() (*Engine, *Network, [2][]graph.LinkID) {
 	g := graph.New(4)
 	g.SetTransit(0, false)
 	g.SetTransit(1, false)
@@ -25,7 +19,19 @@ func fakeClockRun(t *testing.T, cost [numEventKinds]int64) (*FlightRecorder, int
 		routes[pl] = []graph.LinkID{up, down}
 	}
 	eng := NewEngine()
-	net := NewNetwork(eng, g, Config{})
+	return eng, NewNetwork(eng, g, Config{}), routes
+}
+
+// fakeClockRun drives 40 timer-paced bursts of packets over a two-plane,
+// two-host network with the recorder on a fake clock. The clock stands
+// still except that the closing read of each timed event advances it by
+// that event's kind's cost; the kind comes from the fingerprint journal,
+// which sees every event just before the recorder does. It returns the
+// recorder, the number of clock reads, and the journal's own per-bin
+// event counts: what a recorder that looked at every event would hold.
+func fakeClockRun(t *testing.T, cost [numEventKinds]int64) (*FlightRecorder, int, map[[2]int32]int64) {
+	t.Helper()
+	eng, net, routes := twoPlanePair()
 
 	var last EventKind
 	seen := map[[2]int32]int64{}

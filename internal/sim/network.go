@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"pnet/internal/graph"
 )
@@ -125,11 +126,18 @@ type Tracer interface {
 
 // Network instantiates queues for every link of a graph and forwards
 // source-routed packets between them.
+//
+// It also keeps the list of links whose sampled counters (TxBytes, Busy,
+// Drops, Blackholed) have moved, so that whoever samples it visits those
+// and not every link (MovedLinks, SettleMoved). The list has one
+// consumer, the network's sampler (obs.Sampler); with none it fills once,
+// at most one entry per link, and costs the packet path a flag test.
 type Network struct {
 	Eng    *Engine
 	G      *graph.Graph
 	queues []queue
 	free   *Packet
+	moved  []graph.LinkID // links with queue.moved set; cap NumLinks, never grows
 
 	// Span (latency attribution) state: a pool of SpanLogs and the
 	// enable flag transports consult once per flow. See span.go.
@@ -154,6 +162,7 @@ func NewNetwork(eng *Engine, g *graph.Graph, cfg Config) *Network {
 		Eng:        eng,
 		G:          g,
 		queues:     make([]queue, g.NumLinks()),
+		moved:      make([]graph.LinkID, 0, g.NumLinks()),
 		Drops:      make([]int64, g.NumLinks()),
 		Blackholed: make([]int64, g.NumLinks()),
 	}
@@ -203,6 +212,32 @@ func (n *Network) Stats(id graph.LinkID) LinkStats {
 		Blackholed: n.Blackholed[id],
 		Busy:       q.busyTime,
 	}
+}
+
+// MovedLinks returns, in link order, the links a transmission start, a
+// drop or a blackhole has touched since SettleMoved last let them go,
+// and the ones it kept. The slice is the network's own, good until the
+// next packet event.
+func (n *Network) MovedLinks() []graph.LinkID {
+	slices.Sort(n.moved)
+	return n.moved
+}
+
+// SettleMoved ends a sampling pass: a link whose queue is empty leaves
+// the list until it is touched again. One that still holds bytes stays,
+// because it can be worth a sample with no counter moving: a
+// transmission longer than the sampling interval, or a downed queue
+// holding its head until act reaps it.
+func (n *Network) SettleMoved() {
+	keep := n.moved[:0]
+	for _, id := range n.moved {
+		if q := &n.queues[id]; q.bytes > 0 {
+			keep = append(keep, id)
+		} else {
+			q.moved = false
+		}
+	}
+	n.moved = keep
 }
 
 // SetLinkUp changes a link's runtime state. Taking a link down blackholes
@@ -257,6 +292,7 @@ func (n *Network) TotalBlackholed() int64 {
 func (q *queue) blackhole(p *Packet) {
 	n := q.net
 	n.Blackholed[q.id]++
+	q.touch()
 	if n.Tracer != nil {
 		n.Tracer.PacketEvent(TraceBlackhole, p, q.id)
 	}
@@ -358,11 +394,30 @@ type queue struct {
 	bytes int32
 	busy  bool
 	down  bool // runtime fault state; a down queue blackholes packets
+	moved bool // on net.moved
 
 	txPkts, txBytes int64
 	marks           int64
 	trims           int64
 	busyTime        Time
+}
+
+// touch is called wherever a sampled counter moves: the first time since
+// the queue was last let go it puts it on its network's moved list.
+func (q *queue) touch() {
+	if !q.moved {
+		q.markMoved()
+	}
+}
+
+// markMoved is touch's slow path, kept out of line: with the append
+// inlined into startTx the hooks-off packet path measured slower
+// (DESIGN.md §9.2).
+//
+//go:noinline
+func (q *queue) markMoved() {
+	q.moved = true
+	q.net.moved = append(q.net.moved, q.id)
 }
 
 func (q *queue) txTime(size int32) Time {
@@ -391,6 +446,7 @@ func (q *queue) enqueue(p *Packet) {
 			}
 		} else {
 			q.net.Drops[q.id]++
+			q.touch()
 			if q.net.Tracer != nil {
 				q.net.Tracer.PacketEvent(TraceDrop, p, q.id)
 			}
@@ -423,6 +479,7 @@ func (q *queue) startTx() {
 	q.busyTime += tx
 	q.txPkts++
 	q.txBytes += int64(p.Size)
+	q.touch()
 	if p.span != nil {
 		// The hop's full cost is known here: queueing wait since enqueue,
 		// then tx, then propagation. Recording prop now is safe — if the
