@@ -104,9 +104,6 @@ type Schedule struct {
 // Add appends one event.
 func (s *Schedule) Add(e Event) { s.Events = append(s.Events, e) }
 
-// Len returns the number of scheduled events.
-func (s *Schedule) Len() int { return len(s.Events) }
-
 // sortEvents orders events by time, breaking ties by insertion order
 // (sort.SliceStable), so a schedule built deterministically applies
 // deterministically.

@@ -107,8 +107,8 @@ func TestOverlappingFaultsRefcount(t *testing.T) {
 func TestFlapSchedule(t *testing.T) {
 	var sched Schedule
 	sched.Flap(3, 10*sim.Microsecond, 4*sim.Microsecond, 3)
-	if sched.Len() != 6 {
-		t.Fatalf("flap events = %d, want 6", sched.Len())
+	if len(sched.Events) != 6 {
+		t.Fatalf("flap events = %d, want 6", len(sched.Events))
 	}
 	// Cycle i: down at 10+4i, up at 12+4i.
 	wantDown := []sim.Time{10, 14, 18}
@@ -134,7 +134,7 @@ func TestPoissonDeterministicAndPaired(t *testing.T) {
 	if !reflect.DeepEqual(a.Events, b.Events) {
 		t.Fatal("same seed produced different poisson schedules")
 	}
-	if a.Len() == 0 {
+	if len(a.Events) == 0 {
 		t.Fatal("poisson produced no events over 10 expected failures")
 	}
 	// Every down must be paired with an up (truncation at `until` keeps
@@ -215,8 +215,8 @@ func TestParseSpec(t *testing.T) {
 	_, _, g := twoPlane()
 	sched := spec.Build(g, 1)
 	// plane outage (1 event, permanent) + link fault (2) + flap 2 cycles (4).
-	if sched.Len() != 7 {
-		t.Fatalf("events = %d, want 7: %v", sched.Len(), sched.Events)
+	if len(sched.Events) != 7 {
+		t.Fatalf("events = %d, want 7: %v", len(sched.Events), sched.Events)
 	}
 	if sched.Events[0].At != sim.Millisecond || sched.Events[0].Kind != LinkDown {
 		t.Errorf("first event = %v, want flap down at 1ms", sched.Events[0])

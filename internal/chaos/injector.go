@@ -80,9 +80,6 @@ func (in *Injector) Arm() {
 	}
 }
 
-// Events returns the armed schedule's events.
-func (in *Injector) Events() []Event { return in.sched.Events }
-
 // LinksDown reports how many directed links are currently held down by
 // the injector.
 func (in *Injector) LinksDown() int {

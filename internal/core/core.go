@@ -40,7 +40,8 @@ const (
 
 // PNet is the end-host view of a parallel dataplane network. It caches
 // routing state (ECMP DAGs, K-shortest-path sets) and invalidates the
-// caches when links change state. It is not safe for concurrent use.
+// caches when a plane is marked down or up. It is not safe for concurrent
+// use.
 type PNet struct {
 	Topo *topo.Topology
 
@@ -150,20 +151,6 @@ func (p *PNet) NextPlane(h int) (int, bool) {
 	return 0, false
 }
 
-// FailLink marks a directed link down and invalidates routing caches.
-// Hosts observe uplink failures via link status (§3.4); use MarkPlaneDown
-// for whole-plane maintenance events.
-func (p *PNet) FailLink(id graph.LinkID) {
-	p.Topo.G.SetLinkUp(id, false)
-	p.resetCaches()
-}
-
-// RestoreLink marks a directed link up again.
-func (p *PNet) RestoreLink(id graph.LinkID) {
-	p.Topo.G.SetLinkUp(id, true)
-	p.resetCaches()
-}
-
 // MarkPlaneDown excludes a whole dataplane from selection (e.g. during a
 // one-plane-at-a-time upgrade, §6.1); host uplinks to it are downed so
 // path computation avoids it too.
@@ -187,6 +174,3 @@ func (p *PNet) setPlane(plane int, up bool) {
 	}
 	p.resetCaches()
 }
-
-// PlaneUp reports whether a plane is in service.
-func (p *PNet) PlaneUp(plane int) bool { return p.planeUp[plane] }

@@ -81,7 +81,6 @@ type HealthMonitor struct {
 	declDown []bool           // monitor's current verdict per plane
 	reupSeq  []int64          // echoes older than this do not count toward re-up
 	seq      int64
-	stopped  bool
 }
 
 // probeHandler routes a delivered probe back to its monitor with the
@@ -144,16 +143,7 @@ func (m *HealthMonitor) Start() {
 	m.tick()
 }
 
-// Stop prevents any further probes and verdicts.
-func (m *HealthMonitor) Stop() { m.stopped = true }
-
-// PlaneDown reports the monitor's current verdict for a plane.
-func (m *HealthMonitor) PlaneDown(plane int) bool { return m.declDown[plane] }
-
 func (m *HealthMonitor) tick() {
-	if m.stopped {
-		return
-	}
 	now := m.Eng.Now()
 	for plane := range m.routes {
 		if !m.declDown[plane] && now-m.lastEcho[plane] > m.cfg.downAfter() {
@@ -189,9 +179,6 @@ func (m *HealthMonitor) probe(plane int) {
 func (m *HealthMonitor) echo(plane int, p *sim.Packet) {
 	seq := p.Seq
 	m.Net.Release(p)
-	if m.stopped {
-		return
-	}
 	if m.declDown[plane] && seq < m.reupSeq[plane] {
 		return // stale echo from before the down verdict
 	}

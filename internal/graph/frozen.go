@@ -25,20 +25,19 @@ type Frozen struct {
 	inList   []LinkID
 
 	// Hot per-link arrays, indexed by LinkID.
-	linkSrc   []NodeID
-	linkDst   []NodeID
-	linkCap   []float64
-	linkUp    []bool
-	linkPlane []int32
+	linkSrc []NodeID
+	linkDst []NodeID
+	linkCap []float64
+	linkUp  []bool
 
 	transit []bool
 }
 
 // Frozen returns the CSR snapshot of the graph, building it on first use
 // and after any mutation (AddNode/AddLink, SetLinkUp, SetCapacity,
-// SetTransit, ScaleCapacities). Concurrent callers against an unchanged
-// graph share one snapshot; the build happens at most once per graph
-// version. The returned view must be treated as read-only.
+// SetTransit). Concurrent callers against an unchanged graph share one
+// snapshot; the build happens at most once per graph version. The
+// returned view must be treated as read-only.
 func (g *Graph) Frozen() *Frozen {
 	g.frozenMu.Lock()
 	defer g.frozenMu.Unlock()
@@ -53,17 +52,16 @@ func (g *Graph) Frozen() *Frozen {
 func (g *Graph) buildFrozen() *Frozen {
 	n, m := len(g.transit), len(g.links)
 	fz := &Frozen{
-		numNodes:  n,
-		outStart:  make([]int32, n+1),
-		outList:   make([]LinkID, 0, m),
-		inStart:   make([]int32, n+1),
-		inList:    make([]LinkID, 0, m),
-		linkSrc:   make([]NodeID, m),
-		linkDst:   make([]NodeID, m),
-		linkCap:   make([]float64, m),
-		linkUp:    make([]bool, m),
-		linkPlane: make([]int32, m),
-		transit:   append([]bool(nil), g.transit...),
+		numNodes: n,
+		outStart: make([]int32, n+1),
+		outList:  make([]LinkID, 0, m),
+		inStart:  make([]int32, n+1),
+		inList:   make([]LinkID, 0, m),
+		linkSrc:  make([]NodeID, m),
+		linkDst:  make([]NodeID, m),
+		linkCap:  make([]float64, m),
+		linkUp:   make([]bool, m),
+		transit:  append([]bool(nil), g.transit...),
 	}
 	for i := range g.links {
 		l := &g.links[i]
@@ -71,7 +69,6 @@ func (g *Graph) buildFrozen() *Frozen {
 		fz.linkDst[i] = l.Dst
 		fz.linkCap[i] = l.Capacity
 		fz.linkUp[i] = l.Up
-		fz.linkPlane[i] = l.Plane
 	}
 	for u := 0; u < n; u++ {
 		fz.outStart[u] = int32(len(fz.outList))
@@ -115,6 +112,3 @@ func (fz *Frozen) LinkCap(id LinkID) float64 { return fz.linkCap[id] }
 
 // LinkUp reports the administrative state of link id at snapshot time.
 func (fz *Frozen) LinkUp(id LinkID) bool { return fz.linkUp[id] }
-
-// LinkPlane returns the dataplane tag of link id.
-func (fz *Frozen) LinkPlane(id LinkID) int32 { return fz.linkPlane[id] }

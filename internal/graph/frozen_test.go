@@ -66,8 +66,7 @@ func TestFrozenMirrorsGraph(t *testing.T) {
 		id := LinkID(i)
 		l := g.Link(id)
 		if fz.LinkSrc(id) != l.Src || fz.LinkDst(id) != l.Dst ||
-			fz.LinkCap(id) != l.Capacity || fz.LinkUp(id) != l.Up ||
-			fz.LinkPlane(id) != l.Plane {
+			fz.LinkCap(id) != l.Capacity || fz.LinkUp(id) != l.Up {
 			t.Fatalf("link %d field mismatch", i)
 		}
 	}

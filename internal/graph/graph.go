@@ -174,14 +174,6 @@ func (g *Graph) SetCapacity(id LinkID, capacity float64) {
 	g.links[id].Capacity = capacity
 }
 
-// ScaleCapacities multiplies every link capacity by f.
-func (g *Graph) ScaleCapacities(f float64) {
-	g.version++
-	for i := range g.links {
-		g.links[i].Capacity *= f
-	}
-}
-
 // Clone returns a deep copy of the graph. Failure experiments clone a
 // topology before tearing links down.
 func (g *Graph) Clone() *Graph {

@@ -216,7 +216,7 @@ func TestECMPPathSpreads(t *testing.T) {
 
 func TestKShortestPathsDiamond(t *testing.T) {
 	g := diamond()
-	paths := KShortestPaths(g, 0, 3, 10)
+	paths := KShortestPathsMasked(g, 0, 3, 10, nil)
 	if len(paths) != 3 {
 		t.Fatalf("got %d paths, want 3", len(paths))
 	}
@@ -244,7 +244,7 @@ func TestKShortestPathsDiamond(t *testing.T) {
 
 func TestKShortestPathsOrdering(t *testing.T) {
 	g := diamond()
-	paths := KShortestPaths(g, 0, 3, 3)
+	paths := KShortestPathsMasked(g, 0, 3, 3, nil)
 	for i := 1; i < len(paths); i++ {
 		if paths[i].Len() < paths[i-1].Len() {
 			t.Errorf("paths out of order: len[%d]=%d < len[%d]=%d",
@@ -255,7 +255,7 @@ func TestKShortestPathsOrdering(t *testing.T) {
 
 func TestKShortestPathsK1MatchesShortest(t *testing.T) {
 	g := diamond()
-	paths := KShortestPaths(g, 0, 3, 1)
+	paths := KShortestPathsMasked(g, 0, 3, 1, nil)
 	if len(paths) != 1 {
 		t.Fatalf("got %d paths", len(paths))
 	}
@@ -267,7 +267,7 @@ func TestKShortestPathsK1MatchesShortest(t *testing.T) {
 
 func TestKShortestPathsUnreachable(t *testing.T) {
 	g := New(2)
-	if paths := KShortestPaths(g, 0, 1, 4); paths != nil {
+	if paths := KShortestPathsMasked(g, 0, 1, 4, nil); paths != nil {
 		t.Errorf("got %d paths in disconnected graph", len(paths))
 	}
 }
@@ -278,7 +278,7 @@ func TestKShortestPathsUnreachable(t *testing.T) {
 func TestKShortestLoopless(t *testing.T) {
 	prop := func(seed int64) bool {
 		g, src, dst := randomConnected(seed, 12, 24)
-		paths := KShortestPaths(g, src, dst, 6)
+		paths := KShortestPathsMasked(g, src, dst, 6, nil)
 		prev := 0
 		for _, p := range paths {
 			if !p.Valid(g) || p.Src(g) != src || p.Dst(g) != dst {
@@ -351,14 +351,6 @@ func TestCloneIndependence(t *testing.T) {
 	c.SetTransit(1, false)
 	if !g.Transit(1) {
 		t.Error("clone shares transit slice")
-	}
-}
-
-func TestScaleCapacities(t *testing.T) {
-	g := line(2)
-	g.ScaleCapacities(4)
-	if got := g.Link(0).Capacity; got != 400 {
-		t.Errorf("capacity = %v, want 400", got)
 	}
 }
 

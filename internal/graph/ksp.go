@@ -1,21 +1,12 @@
 package graph
 
-// KShortestPaths returns up to k loopless shortest paths from src to dst in
-// increasing hop-count order, using Yen's algorithm over unit link weights.
-// Ties between equal-length paths are broken deterministically by link
-// insertion order, so results are reproducible for a fixed topology.
-//
-// In a P-Net the planes are disjoint except at hosts and hosts never
-// forward, so every returned path is confined to a single plane; running
-// KSP on the combined multi-plane graph therefore yields exactly the
-// paper's "K shortest paths across all dataplanes".
-func KShortestPaths(g *Graph, src, dst NodeID, k int) []Path {
-	return KShortestPathsMasked(g, src, dst, k, nil)
-}
-
-// KShortestPathsMasked is KShortestPaths restricted to links where
-// banned[link] is false. banned may be nil. It is used to confine the
-// search to a single dataplane.
+// KShortestPathsMasked returns up to k loopless shortest paths from src
+// to dst over the links where banned[link] is false (banned may be nil),
+// in increasing hop-count order, using Yen's algorithm over unit link
+// weights. Ties between equal-length paths are broken deterministically
+// by link insertion order, so results are reproducible for a fixed
+// topology. route.AcrossPlanes passes one plane's mask to confine the
+// search to that dataplane.
 //
 // The spur searches — the hot loop of Yen's algorithm — run on the CSR
 // frozen view with one pooled scratch space reused across every spur, so

@@ -63,10 +63,6 @@ func (s *Scratch) Reached(n NodeID) bool { return s.reached[n] == s.epoch }
 // when Reached(n) is true.
 func (s *Scratch) Dist(n NodeID) float64 { return s.dist[n] }
 
-// Parent returns the link over which n was reached; only valid when
-// Reached(n) is true and n was not the source.
-func (s *Scratch) Parent(n NodeID) LinkID { return s.parent[n] }
-
 // spHeap is an interface-free priority queue of (dist, node) pairs that
 // replicates container/heap's binary sift-up/sift-down mechanics — and
 // with them its pop order among equal-distance entries — exactly. The

@@ -17,7 +17,6 @@
 package mcf
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -442,24 +441,4 @@ func countEmpty(paths [][]graph.Path) int {
 		}
 	}
 	return n
-}
-
-// Validate checks that a path set is usable for the given commodities:
-// endpoints match and every path is valid in g. It returns a descriptive
-// error for the first problem found.
-func Validate(g *graph.Graph, cs []route.Commodity, paths [][]graph.Path) error {
-	if len(paths) != len(cs) {
-		return fmt.Errorf("mcf: %d path sets for %d commodities", len(paths), len(cs))
-	}
-	for i, ps := range paths {
-		for pi, p := range ps {
-			if !p.Valid(g) {
-				return fmt.Errorf("mcf: commodity %d path %d invalid", i, pi)
-			}
-			if p.Src(g) != cs[i].Src || p.Dst(g) != cs[i].Dst {
-				return fmt.Errorf("mcf: commodity %d path %d endpoint mismatch", i, pi)
-			}
-		}
-	}
-	return nil
 }

@@ -71,9 +71,6 @@ func TestPinnedUnrouted(t *testing.T) {
 
 func TestFixedPathsTwoDisjoint(t *testing.T) {
 	g, cs, paths := twoPathNet()
-	if err := Validate(g, cs, paths); err != nil {
-		t.Fatal(err)
-	}
 	r := FixedPaths(g, cs, paths, Options{Epsilon: 0.03})
 	// Both 10G paths usable: λ = 2 (20G for a 10G demand).
 	almost(t, "lambda", r.Lambda, 2, 0.15)
@@ -162,22 +159,6 @@ func TestFreeNoWorseThanFixed(t *testing.T) {
 	free := Free(tp.G, cs, Options{Epsilon: 0.05})
 	if free.Lambda < fixed.Lambda*0.9 {
 		t.Errorf("free λ=%v below fixed λ=%v", free.Lambda, fixed.Lambda)
-	}
-}
-
-func TestValidateCatchesMismatch(t *testing.T) {
-	g, cs, paths := twoPathNet()
-	if err := Validate(g, cs, paths[:0]); err == nil {
-		t.Error("no error for length mismatch")
-	}
-	bad := [][]graph.Path{{{Links: []graph.LinkID{0, 0}}}}
-	if err := Validate(g, cs, bad); err == nil {
-		t.Error("no error for invalid path")
-	}
-	// Endpoint mismatch: reverse path.
-	rev := route.KSPPaths(g, []route.Commodity{{Src: 3, Dst: 0, Demand: 1}}, 1)
-	if err := Validate(g, cs, rev); err == nil {
-		t.Error("no error for endpoint mismatch")
 	}
 }
 

@@ -4,22 +4,12 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
 
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
-// interpolation between closest ranks. It panics on an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("metrics: percentile of empty slice")
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return percentileSorted(s, p)
-}
-
+// percentileSorted returns the p-th percentile (0 ≤ p ≤ 100) of the
+// sorted, non-empty s using linear interpolation between closest ranks.
 func percentileSorted(s []float64, p float64) float64 {
 	if p <= 0 {
 		return s[0]
@@ -102,11 +92,6 @@ func (s Summary) Relative(base Summary) Summary {
 	}
 }
 
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g median=%.4g p90=%.4g p99=%.4g",
-		s.N, s.Mean, s.Median, s.P90, s.P99)
-}
-
 // CDF is an empirical cumulative distribution.
 type CDF struct {
 	xs []float64 // sorted
@@ -119,16 +104,7 @@ func NewCDF(samples []float64) CDF {
 	return CDF{xs: xs}
 }
 
-// N returns the sample count.
-func (c CDF) N() int { return len(c.xs) }
-
-// At returns P(X ≤ x).
-func (c CDF) At(x float64) float64 {
-	i := sort.SearchFloat64s(c.xs, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.xs))
-}
-
-// Quantile returns the smallest sample x with At(x) ≥ p (0 < p ≤ 1).
+// Quantile returns the smallest sample x with P(X ≤ x) ≥ p (0 < p ≤ 1).
 func (c CDF) Quantile(p float64) float64 {
 	if len(c.xs) == 0 {
 		panic("metrics: quantile of empty CDF")
@@ -141,23 +117,4 @@ func (c CDF) Quantile(p float64) float64 {
 		i = len(c.xs) - 1
 	}
 	return c.xs[i]
-}
-
-// Points returns up to n evenly spaced (x, P(X≤x)) pairs for plotting.
-func (c CDF) Points(n int) [][2]float64 {
-	if len(c.xs) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(c.xs) {
-		n = len(c.xs)
-	}
-	out := make([][2]float64, 0, n)
-	for i := 0; i < n; i++ {
-		idx := (i + 1) * len(c.xs) / n
-		if idx > len(c.xs) {
-			idx = len(c.xs)
-		}
-		out = append(out, [2]float64{c.xs[idx-1], float64(idx) / float64(len(c.xs))})
-	}
-	return out
 }

@@ -13,7 +13,7 @@ func TestPercentileBasics(t *testing.T) {
 		{0, 1}, {50, 3}, {100, 5}, {25, 2}, {75, 4},
 	}
 	for _, c := range cases {
-		if got := Percentile(xs, c.p); got != c.want {
+		if got := percentileSorted(xs, c.p); got != c.want {
 			t.Errorf("P%v = %v, want %v", c.p, got, c.want)
 		}
 	}
@@ -21,14 +21,14 @@ func TestPercentileBasics(t *testing.T) {
 
 func TestPercentileInterpolates(t *testing.T) {
 	xs := []float64{0, 10}
-	if got := Percentile(xs, 50); got != 5 {
+	if got := percentileSorted(xs, 50); got != 5 {
 		t.Errorf("P50 = %v, want 5", got)
 	}
 }
 
 func TestPercentileDoesNotMutate(t *testing.T) {
 	xs := []float64{3, 1, 2}
-	Percentile(xs, 50)
+	Summarize(xs)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Errorf("input mutated: %v", xs)
 	}
@@ -40,7 +40,7 @@ func TestPercentileEmptyPanics(t *testing.T) {
 			t.Error("no panic")
 		}
 	}()
-	Percentile(nil, 50)
+	Summarize(nil)
 }
 
 func TestMean(t *testing.T) {
@@ -80,14 +80,11 @@ func TestRelative(t *testing.T) {
 
 func TestCDFAtAndQuantile(t *testing.T) {
 	c := NewCDF([]float64{1, 2, 3, 4})
-	if got := c.At(2); got != 0.5 {
-		t.Errorf("At(2) = %v", got)
+	if got := c.Quantile(0.25); got != 1 {
+		t.Errorf("Quantile(0.25) = %v", got)
 	}
-	if got := c.At(0.5); got != 0 {
-		t.Errorf("At(0.5) = %v", got)
-	}
-	if got := c.At(4); got != 1 {
-		t.Errorf("At(4) = %v", got)
+	if got := c.Quantile(0.3); got != 2 {
+		t.Errorf("Quantile(0.3) = %v", got)
 	}
 	if got := c.Quantile(0.5); got != 2 {
 		t.Errorf("Quantile(0.5) = %v", got)
@@ -106,11 +103,23 @@ func TestCDFQuantileAtInverse(t *testing.T) {
 			xs[i] = rng.NormFloat64()
 		}
 		c := NewCDF(xs)
-		// For every sample x: Quantile(At(x)) == x when x is unique-ish;
-		// weaker invariant: At(Quantile(p)) >= p for p in (0,1].
+		// Quantile(p) is the smallest sample x with P(X ≤ x) ≥ p, for p
+		// in (0,1]: at least p of the samples lie at or below it, fewer
+		// than p strictly below it.
 		for i := 0; i < 10; i++ {
 			p := (float64(i) + 1) / 10
-			if c.At(c.Quantile(p)) < p-1e-12 {
+			q := c.Quantile(p)
+			atOrBelow, below := 0, 0
+			for _, x := range xs {
+				if x <= q {
+					atOrBelow++
+				}
+				if x < q {
+					below++
+				}
+			}
+			n := float64(len(xs))
+			if float64(atOrBelow)/n < p-1e-12 || float64(below)/n >= p+1e-12 {
 				return false
 			}
 		}
@@ -118,28 +127,5 @@ func TestCDFQuantileAtInverse(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCDFPoints(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	pts := c.Points(5)
-	if len(pts) != 5 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	if pts[4][0] != 10 || pts[4][1] != 1 {
-		t.Errorf("last point = %v", pts[4])
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i][1] <= pts[i-1][1] {
-			t.Errorf("non-increasing probabilities: %v", pts)
-		}
-	}
-}
-
-func TestSummaryString(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3})
-	if str := s.String(); str == "" {
-		t.Error("empty string")
 	}
 }

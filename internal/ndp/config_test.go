@@ -41,15 +41,15 @@ func TestNDPSmallFlowSinglePacket(t *testing.T) {
 	}
 	f.Start()
 	eng.RunUntil(sim.Second)
-	if !f.Done() {
+	if !f.delivered {
 		t.Fatal("single-packet flow incomplete")
 	}
 	// One data packet, no trims, receiver-measured FCT of ~one way.
 	if f.Trims != 0 {
 		t.Errorf("trims = %d", f.Trims)
 	}
-	if f.FCT() <= 0 || f.FCT() > 10*sim.Microsecond {
-		t.Errorf("FCT = %v", f.FCT())
+	if fct := f.Finished - f.Started; fct <= 0 || fct > 10*sim.Microsecond {
+		t.Errorf("FCT = %v", fct)
 	}
 }
 

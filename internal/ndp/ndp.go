@@ -92,15 +92,6 @@ type Flow struct {
 	// Trims counts trimmed-data notifications processed (diagnostic).
 	Trims int64
 
-	// Latency attribution (see sim.SpanAttribution): NDP measures FCT at
-	// the receiver, so progress instants are first-time arrivals of
-	// untrimmed data and journeys cover send→delivery only. The charged
-	// components sum to FCT exactly.
-	spanOn       bool
-	spanCause    sim.SpanCause
-	lastProgress sim.Time
-	attrib       sim.SpanAttribution
-
 	dataH dataHandler
 	ctlH  ctlHandler
 	// Backstop timer uses the lazy-deadline pattern (see tcp.subflow):
@@ -137,7 +128,6 @@ func NewFlow(net *sim.Network, cfg Config, paths []graph.Path, sizeBytes int64) 
 		net:      net,
 		cfg:      cfg,
 		SizePkts: (sizeBytes + int64(cfg.MTU) - 1) / int64(cfg.MTU),
-		spanOn:   net.SpansOn(),
 	}
 	src, dst := paths[0].Src(net.G), paths[0].Dst(net.G)
 	for i, p := range paths {
@@ -157,24 +147,9 @@ func NewFlow(net *sim.Network, cfg Config, paths []graph.Path, sizeBytes int64) 
 	return f, nil
 }
 
-// Done reports whether the receiver holds every packet.
-func (f *Flow) Done() bool { return f.delivered }
-
-// FCT returns the (receiver-measured) flow completion time.
-func (f *Flow) FCT() sim.Time { return f.Finished - f.Started }
-
-// Attribution returns the flow's FCT decomposition, sorted by
-// (component, plane). Empty unless the network has spans enabled.
-func (f *Flow) Attribution() []sim.SpanTotal { return f.attrib.Totals() }
-
-// AttributedTime sums the attributed components; when the flow is done
-// it equals FCT exactly.
-func (f *Flow) AttributedTime() sim.Time { return f.attrib.Total() }
-
 // Start sprays the initial window.
 func (f *Flow) Start() {
 	f.Started = f.net.Eng.Now()
-	f.lastProgress = f.Started
 	w := int64(f.cfg.InitWindow)
 	if w > f.SizePkts {
 		w = f.SizePkts
@@ -210,9 +185,6 @@ func (f *Flow) sendNext() {
 	p.Deliver = f.dataH
 	p.Seq = seq
 	p.FlowID = f.ID
-	if f.spanOn {
-		p.AttachSpan(f.net.NewSpan(f.spanCause, f.net.Eng.Now()))
-	}
 	f.sprayRR = (f.sprayRR + 1) % len(f.fwd)
 	f.inflight++
 	f.net.Send(p)
@@ -232,7 +204,6 @@ func (f *Flow) set(seq int64) bool {
 func (f *Flow) onData(p *sim.Packet) {
 	seq := p.Seq
 	trimmed := p.Trimmed
-	span := p.TakeSpan()
 	f.net.Release(p)
 
 	kind := int64(ctlPull)
@@ -240,14 +211,6 @@ func (f *Flow) onData(p *sim.Packet) {
 		kind = ctlNack
 		f.Trims++
 	} else if f.set(seq) {
-		// Progress: charge [lastProgress, now] to this packet's journey
-		// before the completion check, so that at completion lastProgress
-		// has reached Finished and the attribution sums to FCT exactly.
-		if f.spanOn {
-			now := f.net.Eng.Now()
-			f.attrib.Attribute(span, f.lastProgress, now)
-			f.lastProgress = now
-		}
 		if f.gotCount == f.SizePkts && !f.delivered {
 			f.delivered = true
 			f.Finished = f.net.Eng.Now()
@@ -259,7 +222,6 @@ func (f *Flow) onData(p *sim.Packet) {
 			}
 		}
 	}
-	f.net.FreeSpan(span)
 
 	ctl := f.net.NewPacket()
 	ctl.Size = f.cfg.HeaderSize
@@ -284,10 +246,6 @@ func (f *Flow) onControl(p *sim.Packet) {
 	if kind == ctlNack {
 		f.rtxQueue = append(f.rtxQueue, seq)
 	}
-	// Credit-clocked sends (including trim-driven resends, which arrive
-	// one RTT after the loss, not after a timeout) are "fresh": any gap
-	// before them is pacing, charged to host_wait.
-	f.spanCause = sim.CauseFresh
 	f.sendNext()
 	f.armRTx()
 }
@@ -315,7 +273,6 @@ func (f *Flow) rtxWake() {
 }
 
 func (f *Flow) onRTx() {
-	f.spanCause = sim.CauseRTO
 	f.inflight = 0
 	f.rtxQueue = f.rtxQueue[:0]
 	resent := 0

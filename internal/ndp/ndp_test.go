@@ -54,12 +54,12 @@ func TestNDPSingleTransfer(t *testing.T) {
 	f.OnComplete = func(*Flow) { done = true }
 	f.Start()
 	eng.RunUntil(sim.Second)
-	if !done || !f.Done() {
+	if !done || !f.delivered {
 		t.Fatalf("flow incomplete: got %d of %d", f.gotCount, f.SizePkts)
 	}
 	// Pull-clocked line rate: 1000 packets at 120 ns plus a few RTTs.
-	if f.FCT() > 2*sim.Millisecond {
-		t.Errorf("FCT = %v, want ~120us-ish", f.FCT())
+	if fct := f.Finished - f.Started; fct > 2*sim.Millisecond {
+		t.Errorf("FCT = %v, want ~120us-ish", fct)
 	}
 }
 
@@ -75,11 +75,15 @@ func TestNDPSpraysAcrossPlanes(t *testing.T) {
 	}
 	f.Start()
 	eng.RunUntil(sim.Second)
-	if !f.Done() {
+	if !f.delivered {
 		t.Fatal("flow incomplete")
 	}
 	// Per-packet spraying must put bytes on both planes.
-	bytes := net.PlaneBytes()
+	bytes := map[int32]int64{}
+	for i := 0; i < net.G.NumLinks(); i++ {
+		id := graph.LinkID(i)
+		bytes[net.G.Link(id).Plane] += net.Stats(id).TxBytes
+	}
 	if bytes[0] == 0 || bytes[1] == 0 {
 		t.Errorf("spray imbalance: plane bytes %v", bytes)
 	}
@@ -134,8 +138,39 @@ func TestNDPSurvivesControlLoss(t *testing.T) {
 	f, _ := NewFlow(net, Config{InitWindow: 32}, []graph.Path{p}, 60_000)
 	f.Start()
 	eng.RunUntil(5 * sim.Second)
-	if !f.Done() {
+	if !f.delivered {
 		t.Fatalf("flow incomplete: %d of %d", f.gotCount, f.SizePkts)
+	}
+}
+
+func TestNDPBackstopRestartsAfterOutage(t *testing.T) {
+	// Cut the only path mid-transfer: the credit clock dies with it and
+	// only the backstop timer (4ms default) can restart the flow after
+	// the link heals at 10ms.
+	g, _ := star(2)
+	eng, net := ndpNet(g)
+	p, _ := graph.ShortestPath(g, 0, 1)
+	setPath := func(up bool) {
+		for _, id := range p.Links {
+			net.SetLinkUp(id, up)
+			if rid, ok := net.G.ReverseLink(id); ok {
+				net.SetLinkUp(rid, up)
+			}
+		}
+	}
+	f, err := NewFlow(net, Config{}, []graph.Path{p}, 1_500_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	eng.At(20*sim.Microsecond, func() { setPath(false) })
+	eng.At(10*sim.Millisecond, func() { setPath(true) })
+	eng.RunUntil(5 * sim.Second)
+	if !f.delivered {
+		t.Fatal("flow incomplete after the link healed")
+	}
+	if f.Finished <= 10*sim.Millisecond {
+		t.Errorf("finished at %v, before the path healed at 10ms", f.Finished)
 	}
 }
 
@@ -153,7 +188,7 @@ func TestNDPTrimsReported(t *testing.T) {
 	eng.RunUntil(sim.Second)
 	var trims int64
 	for _, f := range flows {
-		if !f.Done() {
+		if !f.delivered {
 			t.Fatal("flow incomplete")
 		}
 		trims += f.Trims

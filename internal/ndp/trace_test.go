@@ -47,7 +47,7 @@ func TestTracerSeesNDPTrims(t *testing.T) {
 	f.Start()
 	eng.RunUntil(sim.Second)
 
-	if !f.Done() {
+	if !f.delivered {
 		t.Fatalf("flow incomplete: got %d of %d", f.gotCount, f.SizePkts)
 	}
 	if tr.trims == 0 {

@@ -12,8 +12,8 @@ import (
 
 // Collector bundles the telemetry of one harness run: the optional JSONL
 // streams and, per attached network, a sampler, tracer, flight recorder
-// and fingerprinter. Every method is nil-safe so instrumented code needs
-// no guards of its own.
+// and fingerprinter. Every method but the Stream* setup calls is nil-safe,
+// so instrumented code needs no guards of its own.
 //
 // Every record the run produces takes one road: the producer hands it to
 // the collector's one sink (out: the metrics stream, Sink, or a Tee of
@@ -222,10 +222,19 @@ func (c *Collector) RecordFault(r FaultRecord) {
 
 // AddRunWall accumulates wall time spent inside an engine run. Safe from
 // concurrent sweep cells.
-func (c *Collector) AddRunWall(d time.Duration) { c.runWallNs.Add(int64(d)) }
+func (c *Collector) AddRunWall(d time.Duration) {
+	if c != nil {
+		c.runWallNs.Add(int64(d))
+	}
+}
 
 // RunWallNs reports the accumulated engine-run wall time in nanoseconds.
-func (c *Collector) RunWallNs() int64 { return c.runWallNs.Load() }
+func (c *Collector) RunWallNs() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.runWallNs.Load()
+}
 
 // Close ends the run: it stops the samplers (a network that never reached
 // its first tick reports its one engine record then), emits every

@@ -39,10 +39,7 @@ type JSONLSink struct {
 	// scan — the list is a handful of hand-picked flows).
 	only []int64
 
-	// Events counts lines written. Use EventCount to read it while other
-	// goroutines may still be tracing.
-	Events int64
-	err    error
+	err error
 }
 
 // NewJSONLSink builds a sink writing to w. Call Flush when the
@@ -97,20 +94,9 @@ func (s *JSONLSink) PacketEvent(ev sim.TraceEvent, p *sim.Packet, link graph.Lin
 	if _, err := s.w.Write(b); err != nil && s.err == nil {
 		s.err = err
 	}
-	s.Events++
 	if s.mu != nil {
 		s.mu.Unlock()
 	}
-}
-
-// EventCount returns the number of lines written, taking the shared
-// write lock when one is set.
-func (s *JSONLSink) EventCount() int64 {
-	if s.mu != nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
-	return s.Events
 }
 
 // Flush drains the buffer and returns the first write error, if any.

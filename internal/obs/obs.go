@@ -19,8 +19,9 @@
 // shared Collector, so everything that is shared is safe for concurrent
 // producers: the collector's attach bookkeeping, the metrics writer and
 // the histogram each carry a mutex. All hooks are nil-safe: a nil *Collector
-// accepts records and does nothing, and an unattached network pays only
-// the existing one-branch cost of sim.Network's nil Tracer check.
+// accepts records and does nothing (the Stream* setup calls aside), and an
+// unattached network pays sim.Network's nil-Tracer branch plus
+// queue.touch's moved-flag test on every transmission, drop and blackhole.
 package obs
 
 import (

@@ -75,7 +75,7 @@ func Workers(n int) int {
 // or results.
 var (
 	poolPeak  atomic.Int64 // high-water mark of held tokens + 1
-	poolTasks atomic.Int64 // work items completed since ResetStats
+	poolTasks atomic.Int64 // work items completed since process start
 )
 
 // Stats is a snapshot of worker-pool occupancy.
@@ -83,11 +83,11 @@ type Stats struct {
 	// Limit is the process-wide worker cap (see SetLimit).
 	Limit int
 	// Peak is the maximum number of goroutines observed running work
-	// items simultaneously since the last ResetStats: the worker tokens
+	// items simultaneously since process start: the worker tokens
 	// held plus the one calling goroutine, however deeply its Do calls
 	// nest. Never above the Limit the tokens were taken under.
 	Peak int
-	// Tasks is the number of work items completed since ResetStats.
+	// Tasks is the number of work items completed since process start.
 	Tasks int64
 }
 
@@ -98,12 +98,6 @@ func PoolStats() Stats {
 		Peak:  int(poolPeak.Load()),
 		Tasks: poolTasks.Load(),
 	}
-}
-
-// ResetStats zeroes the occupancy counters (not the limit).
-func ResetStats() {
-	poolPeak.Store(0)
-	poolTasks.Store(0)
 }
 
 // notePeak raises the high-water mark to held tokens plus the caller. A

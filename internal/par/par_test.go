@@ -160,6 +160,12 @@ func TestBoundedConcurrency(t *testing.T) {
 	})
 }
 
+// resetStats zeroes the occupancy counters (not the limit).
+func resetStats() {
+	poolPeak.Store(0)
+	poolTasks.Store(0)
+}
+
 // TestPeakCountsGoroutinesNotNesting pins what PoolStats().Peak means:
 // goroutines running items, so a Do nested in a Do adds nothing for the
 // goroutine it is already running on, and Peak cannot pass the limit. It
@@ -167,7 +173,7 @@ func TestBoundedConcurrency(t *testing.T) {
 func TestPeakCountsGoroutinesNotNesting(t *testing.T) {
 	for _, limit := range []int{1, 2} {
 		withLimit(t, limit, func() {
-			ResetStats()
+			resetStats()
 			Do(4, 0, func(int) {
 				Do(4, 0, func(int) { Do(2, 1, func(int) { runtime.Gosched() }) })
 			})
@@ -191,7 +197,7 @@ func TestSerialPanicLeavesNoOccupancy(t *testing.T) {
 			defer func() { _ = recover() }()
 			Do(3, 1, func(i int) { panic("boom") })
 		}()
-		ResetStats()
+		resetStats()
 		Do(3, 1, func(int) {})
 		if p := PoolStats().Peak; p != 1 {
 			t.Errorf("Peak after a recovered serial panic = %d, want 1", p)

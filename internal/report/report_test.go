@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"pnet/internal/graph"
-	"pnet/internal/metrics"
 	"pnet/internal/obs"
 	"pnet/internal/sim"
 	"pnet/internal/tcp"
@@ -100,9 +99,9 @@ func TestRunSummaryAggregation(t *testing.T) {
 }
 
 // TestDistFromSamplesExact pins Dist, bit for bit, to the computation it
-// replaced (sort a copy, sum in sorted order, metrics.Percentile per
-// quantile) on an unsorted sample with ties, small enough that p99 and
-// p99.9 both interpolate: no report byte can have moved.
+// replaced (sort a copy, sum in sorted order, interpolate between closest
+// ranks per quantile) on an unsorted sample with ties, small enough that
+// p99 and p99.9 both interpolate: no report byte can have moved.
 func TestDistFromSamplesExact(t *testing.T) {
 	xs := make([]float64, 257)
 	for i := range xs {
@@ -115,8 +114,16 @@ func TestDistFromSamplesExact(t *testing.T) {
 	for _, x := range sorted {
 		sum += x
 	}
+	pct := func(p float64) float64 {
+		rank := p / 100 * 256
+		lo := math.Floor(rank)
+		if frac := rank - lo; frac != 0 {
+			return sorted[int(lo)]*(1-frac) + sorted[int(lo)+1]*frac
+		}
+		return sorted[int(lo)]
+	}
 	want := Dist{Count: 257, Mean: sum / 257, Min: sorted[0], Max: sorted[256],
-		P50: metrics.Percentile(xs, 50), P99: metrics.Percentile(xs, 99), P999: metrics.Percentile(xs, 99.9)}
+		P50: pct(50), P99: pct(99), P999: pct(99.9)}
 	if got := distFromSamples(xs); got != want {
 		t.Errorf("distFromSamples = %+v\nwant %+v", got, want)
 	}

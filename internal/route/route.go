@@ -226,7 +226,7 @@ func shuffleTies(paths []graph.Path, rng *rand.Rand) {
 
 // interleavePlanes stably reorders paths so that, within each group of
 // equal-length paths, planes alternate (plane 0, 1, 2, ..., 0, 1, ...).
-// Paths are assumed sorted by length, as returned by KShortestPaths.
+// Paths are assumed sorted by length, as AcrossPlanes merges them.
 func interleavePlanes(g *graph.Graph, paths []graph.Path) []graph.Path {
 	out := make([]graph.Path, 0, len(paths))
 	for lo := 0; lo < len(paths); {

@@ -233,7 +233,7 @@ func TestSpliceMatchesDirect(t *testing.T) {
 		}
 		got := route.KSPPaths(g, cs, k)
 		for i, c := range cs {
-			equalPaths(t, fmt.Sprintf("%d->%d", c.Src, c.Dst), got[i], graph.KShortestPaths(g, c.Src, c.Dst, k))
+			equalPaths(t, fmt.Sprintf("%d->%d", c.Src, c.Dst), got[i], graph.KShortestPathsMasked(g, c.Src, c.Dst, k, nil))
 		}
 	})
 }

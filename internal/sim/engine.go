@@ -122,9 +122,6 @@ func (e *Engine) Now() Time { return e.now }
 // engine's work counter, sampled by telemetry to report event rates.
 func (e *Engine) EventsFired() uint64 { return e.fired }
 
-// EventsScheduled returns the number of events ever scheduled.
-func (e *Engine) EventsScheduled() uint64 { return e.seq }
-
 // HeapLen reports the number of pending (possibly cancelled) events over
 // the heap and the lanes. Telemetry samples it as the engine's working-set
 // size; a periodic sampler also uses it to detect that it is the only

@@ -106,15 +106,6 @@ func NewFingerprinter(epochEvents int64) *Fingerprinter {
 // EpochEvents returns the checkpoint cadence.
 func (f *Fingerprinter) EpochEvents() int64 { return f.epoch }
 
-// Events returns the number of events folded so far.
-func (f *Fingerprinter) Events() int64 { return f.events }
-
-// Chains returns the cumulative global chain, the host (plane-less)
-// chain, and the per-plane chains. Callers must not mutate the slice.
-func (f *Fingerprinter) Chains() (global, host uint64, planes []uint64) {
-	return f.global, f.host, f.planes
-}
-
 // Fold mixes one fired event, described by its simulated identity, into
 // the chains: the engine's dispatch path calls it with its
 // classification, replay and divergence tooling with a journal's. Plane

@@ -6,7 +6,7 @@ import (
 )
 
 // fpRun sends n packets end to end on a warm hostPair network with the
-// given fingerprinter attached and returns its final chains.
+// given fingerprinter attached and returns it.
 func fpRun(n int, f *Fingerprinter) *Fingerprinter {
 	eng, net, fwd, _ := hostPair(100, Config{})
 	eng.Fingerprint = f
@@ -24,30 +24,34 @@ func fpRun(n int, f *Fingerprinter) *Fingerprinter {
 	return f
 }
 
+// finalCheckpoint is where a run's chains ended: its last checkpoint,
+// Partial or not.
+func finalCheckpoint(f *Fingerprinter) FingerprintCheckpoint {
+	cps := f.Checkpoints()
+	return cps[len(cps)-1]
+}
+
 // TestFingerprintDeterministic: identical runs produce identical chains;
 // a run with different content diverges in every chain it touches.
 func TestFingerprintDeterministic(t *testing.T) {
-	a := fpRun(50, NewFingerprinter(16))
-	b := fpRun(50, NewFingerprinter(16))
-	ag, ah, ap := a.Chains()
-	bg, bh, bp := b.Chains()
-	if ag != bg || ah != bh {
-		t.Fatalf("identical runs diverged: global %016x vs %016x, host %016x vs %016x", ag, bg, ah, bh)
+	a := finalCheckpoint(fpRun(50, NewFingerprinter(16)))
+	b := finalCheckpoint(fpRun(50, NewFingerprinter(16)))
+	if a.Global != b.Global || a.Host != b.Host {
+		t.Fatalf("identical runs diverged: global %016x vs %016x, host %016x vs %016x", a.Global, b.Global, a.Host, b.Host)
 	}
-	if len(ap) != len(bp) {
-		t.Fatalf("plane chain counts differ: %d vs %d", len(ap), len(bp))
+	if len(a.Planes) != len(b.Planes) {
+		t.Fatalf("plane chain counts differ: %d vs %d", len(a.Planes), len(b.Planes))
 	}
-	for i := range ap {
-		if ap[i] != bp[i] {
-			t.Errorf("plane %d chains diverged: %016x vs %016x", i, ap[i], bp[i])
+	for i := range a.Planes {
+		if a.Planes[i] != b.Planes[i] {
+			t.Errorf("plane %d chains diverged: %016x vs %016x", i, a.Planes[i], b.Planes[i])
 		}
 	}
-	if a.Events() != b.Events() || a.Events() == 0 {
-		t.Fatalf("event counts %d vs %d — comparison proved nothing", a.Events(), b.Events())
+	if a.Events != b.Events || a.Events == 0 {
+		t.Fatalf("event counts %d vs %d — comparison proved nothing", a.Events, b.Events)
 	}
-	c := fpRun(51, NewFingerprinter(16))
-	if cg, _, _ := c.Chains(); cg == ag {
-		t.Errorf("runs with different event content share global chain %016x", cg)
+	if c := finalCheckpoint(fpRun(51, NewFingerprinter(16))); c.Global == a.Global {
+		t.Errorf("runs with different event content share global chain %016x", c.Global)
 	}
 }
 
@@ -60,7 +64,7 @@ func TestFingerprintCheckpoints(t *testing.T) {
 	if len(cps) == 0 {
 		t.Fatal("no checkpoints recorded")
 	}
-	total := f.Events()
+	total := f.events
 	wantFull := total / 16
 	wantPartial := total%16 != 0
 	n := int(wantFull)
@@ -85,9 +89,8 @@ func TestFingerprintCheckpoints(t *testing.T) {
 		}
 	}
 	final := cps[len(cps)-1]
-	g, h, _ := f.Chains()
-	if final.Events != total || final.Global != g || final.Host != h {
-		t.Errorf("final checkpoint %+v does not match live chains (events=%d global=%016x host=%016x)", final, total, g, h)
+	if final.Events != total || final.Global != f.global || final.Host != f.host || !slices.Equal(final.Planes, f.planes) {
+		t.Errorf("final checkpoint %+v does not match live chains (events=%d global=%016x host=%016x planes=%016x)", final, total, f.global, f.host, f.planes)
 	}
 	again := f.Checkpoints()
 	if len(again) != len(cps) {
@@ -103,17 +106,16 @@ func TestFingerprintJournal(t *testing.T) {
 	var entries []FingerprintJournalEntry
 	f.Journal = func(e FingerprintJournalEntry) { entries = append(entries, e) }
 	fpRun(20, f)
-	if int64(len(entries)) != f.Events() {
-		t.Fatalf("journal has %d entries, engine fired %d", len(entries), f.Events())
+	if int64(len(entries)) != f.events {
+		t.Fatalf("journal has %d entries, engine fired %d", len(entries), f.events)
 	}
 	for i, e := range entries {
 		if e.Epoch != int64(i)/8 || e.Index != int64(i)%8 {
 			t.Errorf("entry %d: epoch/index = %d/%d, want %d/%d", i, e.Epoch, e.Index, i/8, i%8)
 		}
 	}
-	g, _, _ := f.Chains()
-	if last := entries[len(entries)-1]; last.Hash != g {
-		t.Errorf("last journal hash %016x != global chain %016x", last.Hash, g)
+	if last := entries[len(entries)-1]; last.Hash != f.global {
+		t.Errorf("last journal hash %016x != global chain %016x", last.Hash, f.global)
 	}
 }
 
@@ -126,9 +128,7 @@ func TestFingerprintOrderSensitive(t *testing.T) {
 	a.Fold(100, EvHop, 0, 3, 2, 10, 1500)
 	b.Fold(100, EvHop, 0, 3, 2, 10, 1500)
 	b.Fold(100, EvHop, 0, 3, 1, 10, 1500)
-	ag, _, _ := a.Chains()
-	bg, _, _ := b.Chains()
-	if ag == bg {
+	if ag := finalCheckpoint(a).Global; ag == finalCheckpoint(b).Global {
 		t.Fatalf("swapping two events left global chain unchanged: %016x", ag)
 	}
 }
@@ -190,10 +190,10 @@ func TestFingerprintPinnedChain(t *testing.T) {
 		wantHost   = 0xe3aee07ed0ed8cc9
 	)
 	wantPlanes := []uint64{0xce29e285ff10c348, 0x937e16062e7b8ff3}
-	g, h, planes := f.Chains()
-	if f.Events() != wantEvents || g != wantGlobal || h != wantHost || !slices.Equal(planes, wantPlanes) {
+	cp := finalCheckpoint(f)
+	if cp.Events != wantEvents || cp.Global != wantGlobal || cp.Host != wantHost || !slices.Equal(cp.Planes, wantPlanes) {
 		t.Errorf("after %d events: global %#016x, host %#016x, planes %#016x;\nwant %d events: global %#016x, host %#016x, planes %#016x",
-			f.Events(), g, h, planes, wantEvents, uint64(wantGlobal), uint64(wantHost), wantPlanes)
+			cp.Events, cp.Global, cp.Host, cp.Planes, wantEvents, uint64(wantGlobal), uint64(wantHost), wantPlanes)
 	}
 }
 
@@ -215,8 +215,8 @@ func TestFingerprintEpochCountdown(t *testing.T) {
 		var journal []FingerprintJournalEntry
 		f.Journal = func(e FingerprintJournalEntry) { journal = append(journal, e) }
 		produce(f)
-		if f.Events() != 100 || len(journal) != 100 {
-			t.Fatalf("%s: %d events folded, %d journalled, want 100", name, f.Events(), len(journal))
+		if f.events != 100 || len(journal) != 100 {
+			t.Fatalf("%s: %d events folded, %d journalled, want 100", name, f.events, len(journal))
 		}
 		for i, e := range journal {
 			if e.Epoch != int64(i/7) || e.Index != int64(i%7) {

@@ -145,18 +145,6 @@ func (r *FlightRecorder) count(kind EventKind, plane int32) *planeBin {
 	return b
 }
 
-// Events returns the total number of recorded events.
-func (r *FlightRecorder) Events() int64 {
-	var n int64
-	for k := range r.bins {
-		n += r.bins[k].none.events
-		for _, p := range r.bins[k].perPlane {
-			n += p.events
-		}
-	}
-	return n
-}
-
 // Snapshot returns the non-empty bins sorted by (kind, plane).
 func (r *FlightRecorder) Snapshot() []ProfileBin {
 	var out []ProfileBin

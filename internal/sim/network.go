@@ -299,26 +299,6 @@ func (q *queue) blackhole(p *Packet) {
 	n.Release(p)
 }
 
-// Utilization returns a link's lifetime utilization in [0,1] at the
-// current simulated time.
-func (n *Network) Utilization(id graph.LinkID) float64 {
-	if n.Eng.Now() == 0 {
-		return 0
-	}
-	return n.queues[id].busyTime.Seconds() / n.Eng.Now().Seconds()
-}
-
-// PlaneBytes aggregates transmitted bytes per dataplane — the merged
-// cross-plane view a P-Net monitoring system needs.
-func (n *Network) PlaneBytes() map[int32]int64 {
-	out := map[int32]int64{}
-	for i := range n.queues {
-		plane := n.G.Link(graph.LinkID(i)).Plane
-		out[plane] += n.queues[i].txBytes
-	}
-	return out
-}
-
 // NewPacket returns a zeroed packet from the freelist.
 func (n *Network) NewPacket() *Packet {
 	if p := n.free; p != nil {

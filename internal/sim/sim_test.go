@@ -150,9 +150,9 @@ func TestEngineCounters(t *testing.T) {
 	if fired != maxLanes+3 || e.EventsFired() != maxLanes+3 {
 		t.Errorf("fired %d callbacks, EventsFired = %d, want %d", fired, e.EventsFired(), maxLanes+3)
 	}
-	if e.EventsScheduled() != e.EventsFired()+cancelled {
-		t.Errorf("EventsScheduled = %d, want EventsFired %d + %d cancelled",
-			e.EventsScheduled(), e.EventsFired(), cancelled)
+	if e.seq != e.EventsFired()+cancelled {
+		t.Errorf("%d events scheduled, want EventsFired %d + %d cancelled",
+			e.seq, e.EventsFired(), cancelled)
 	}
 	if e.HeapLen() != 0 {
 		t.Errorf("HeapLen = %d after Run, want 0", e.HeapLen())

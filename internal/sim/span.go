@@ -112,19 +112,6 @@ type SpanLog struct {
 	next *SpanLog // freelist
 }
 
-// Segments exposes the journey; callers must not retain it past the
-// log's release.
-func (s *SpanLog) Segments() []SpanSeg { return s.segs }
-
-// Total sums the recorded segment durations.
-func (s *SpanLog) Total() Time {
-	var t Time
-	for _, sg := range s.segs {
-		t += sg.Dur
-	}
-	return t
-}
-
 // hop appends one hop's worth of segments. Zero durations are skipped —
 // they carry no time, so sums stay exact without the clutter.
 func (s *SpanLog) hop(plane int32, wait, tx, prop Time) {

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"testing"
-
-	"pnet/internal/graph"
-)
+import "testing"
 
 func TestLinkStatsCounters(t *testing.T) {
 	eng, net, fwd, _ := hostPair(100, Config{PropDelay: 500 * Nanosecond})
@@ -26,21 +22,6 @@ func TestLinkStatsCounters(t *testing.T) {
 	}
 	if st.Drops != 0 || st.Marks != 0 {
 		t.Errorf("unexpected drops/marks: %+v", st)
-	}
-}
-
-func TestUtilization(t *testing.T) {
-	eng, net, fwd, _ := hostPair(100, Config{PropDelay: 500 * Nanosecond})
-	s := &sink{eng: eng}
-	p := net.NewPacket()
-	p.Size = 1500
-	p.Route = fwd
-	p.Deliver = s
-	net.Send(p)
-	eng.Run()
-	u := net.Utilization(fwd[0])
-	if u <= 0 || u > 1 {
-		t.Errorf("utilization = %v", u)
 	}
 }
 
@@ -79,30 +60,6 @@ func TestECNDisabledByDefault(t *testing.T) {
 	eng.Run()
 	if marked != 0 {
 		t.Errorf("%d packets marked with ECN disabled", marked)
-	}
-}
-
-func TestPlaneBytes(t *testing.T) {
-	g := graph.New(4)
-	g.SetTransit(0, false)
-	g.SetTransit(1, false)
-	g.AddDuplex(0, 2, 100, 0)
-	g.AddDuplex(2, 1, 100, 0)
-	g.AddDuplex(0, 3, 100, 1)
-	g.AddDuplex(3, 1, 100, 1)
-	eng := NewEngine()
-	net := NewNetwork(eng, g, Config{})
-	s := &sink{eng: eng}
-	p0, _ := graph.ShortestPath(g, 0, 1)
-	pkt := net.NewPacket()
-	pkt.Size = 1500
-	pkt.Route = p0.Links
-	pkt.Deliver = s
-	net.Send(pkt)
-	eng.Run()
-	bytes := net.PlaneBytes()
-	if bytes[p0.Plane(g)] != 3000 { // two hops on the same plane
-		t.Errorf("plane bytes = %v", bytes)
 	}
 }
 

@@ -67,13 +67,3 @@ func FatTreePlane(k int) PlaneSpec {
 		Kind:     "fattree",
 	}
 }
-
-// FatTreeArityForHosts returns the smallest even k such that a k-ary fat
-// tree serves at least the requested number of hosts.
-func FatTreeArityForHosts(hosts int) int {
-	for k := 4; ; k += 2 {
-		if k*k*k/4 >= hosts {
-			return k
-		}
-	}
-}

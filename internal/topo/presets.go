@@ -13,15 +13,6 @@ type NetworkSet struct {
 	SerialHigh     *Topology
 }
 
-// All returns the non-nil members, in evaluation order.
-func (s NetworkSet) All() []*Topology {
-	out := []*Topology{s.SerialLow, s.ParallelHomo}
-	if s.ParallelHetero != nil {
-		out = append(out, s.ParallelHetero)
-	}
-	return append(out, s.SerialHigh)
-}
-
 // FatTreeSet builds the four fat-tree evaluation networks: each parallel
 // plane is an identical k-ary fat tree with speed-Gb/s links; the serial
 // high-bandwidth network is the same tree with planes*speed links. There is
@@ -72,13 +63,6 @@ func JellyfishSet(switches, netDegree, hostsPerSwitch, planes int, speed float64
 		ParallelHetero: Assemble(name("parallel-hetero", planes, speed), speed, hetero...),
 		SerialHigh:     Assemble(name("serial-high", 1, float64(planes)*speed), float64(planes)*speed, base),
 	}
-}
-
-// PaperJellyfish686 returns the Jellyfish configuration used by the
-// paper's packet-level experiments: 686 hosts as 98 switches with 7 hosts
-// and 7 network ports each (14-port switches).
-func PaperJellyfish686(planes int, speed float64, seed int64) NetworkSet {
-	return JellyfishSet(98, 7, 7, planes, speed, seed)
 }
 
 // ScaledJellyfish returns a reduced-size Jellyfish set with the same

@@ -5,14 +5,17 @@ import (
 	"testing"
 )
 
+// TestNetworkSetAll checks which members each set builds: a fat-tree
+// set has no hetero member (replicated fat trees are identical), a
+// Jellyfish set has all four.
 func TestNetworkSetAll(t *testing.T) {
 	ft := FatTreeSet(4, 2, 100)
-	if got := len(ft.All()); got != 3 {
-		t.Errorf("fat tree set size = %d, want 3 (no hetero)", got)
+	if ft.SerialLow == nil || ft.ParallelHomo == nil || ft.SerialHigh == nil || ft.ParallelHetero != nil {
+		t.Errorf("fat tree set = %+v, want serial-low, parallel-homo, serial-high and no hetero", ft)
 	}
 	jf := JellyfishSet(12, 4, 2, 2, 100, 1)
-	if got := len(jf.All()); got != 4 {
-		t.Errorf("jellyfish set size = %d, want 4", got)
+	if jf.SerialLow == nil || jf.ParallelHomo == nil || jf.ParallelHetero == nil || jf.SerialHigh == nil {
+		t.Errorf("jellyfish set = %+v, want all four members", jf)
 	}
 }
 
@@ -37,7 +40,7 @@ func TestNetworkSetNames(t *testing.T) {
 func TestSetsShareHostCount(t *testing.T) {
 	set := JellyfishSet(12, 4, 2, 4, 100, 1)
 	n := set.SerialLow.NumHosts()
-	for _, tp := range set.All() {
+	for _, tp := range []*Topology{set.ParallelHomo, set.ParallelHetero, set.SerialHigh} {
 		if tp.NumHosts() != n {
 			t.Errorf("%s has %d hosts, want %d", tp.Name, tp.NumHosts(), n)
 		}

@@ -57,17 +57,6 @@ func TestFatTreePlaneInvalidArity(t *testing.T) {
 	}
 }
 
-func TestFatTreeArityForHosts(t *testing.T) {
-	cases := []struct{ hosts, k int }{
-		{16, 4}, {17, 6}, {1024, 16}, {250, 10}, {686, 14},
-	}
-	for _, c := range cases {
-		if got := FatTreeArityForHosts(c.hosts); got != c.k {
-			t.Errorf("arity(%d) = %d, want %d", c.hosts, got, c.k)
-		}
-	}
-}
-
 func TestAssembleSerialFatTreeConnectivity(t *testing.T) {
 	tp := Assemble("ft4", 100, FatTreePlane(4))
 	if tp.NumHosts() != 16 {
@@ -331,8 +320,10 @@ func TestInterSwitchLinks(t *testing.T) {
 	}
 }
 
+// TestPaperJellyfish686 builds the paper's packet-level Jellyfish: 686
+// hosts as 98 switches with 7 hosts and 7 network ports each.
 func TestPaperJellyfish686(t *testing.T) {
-	set := PaperJellyfish686(2, 100, 3)
+	set := JellyfishSet(98, 7, 7, 2, 100, 3)
 	if set.SerialLow.NumHosts() != 686 {
 		t.Errorf("hosts = %d, want 686", set.SerialLow.NumHosts())
 	}

@@ -29,8 +29,8 @@ type SizeCDF struct {
 	Points []Point
 }
 
-// validate panics if the CDF is malformed; called by the package tests on
-// every embedded distribution.
+// validate reports why the CDF is malformed, or nil; called by the
+// package tests on every embedded distribution.
 func (c SizeCDF) validate() error {
 	if len(c.Points) < 2 {
 		return fmt.Errorf("traces: %s has %d points", c.Name, len(c.Points))
@@ -157,14 +157,4 @@ var Hadoop = SizeCDF{
 // All returns the five embedded distributions in the paper's order.
 func All() []SizeCDF {
 	return []SizeCDF{WebServer, Cache, Hadoop, DataMining, WebSearch}
-}
-
-// ByName returns the named distribution, or false.
-func ByName(name string) (SizeCDF, bool) {
-	for _, c := range All() {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return SizeCDF{}, false
 }

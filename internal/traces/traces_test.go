@@ -27,16 +27,6 @@ func TestAllNamesDistinct(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	c, ok := ByName("websearch")
-	if !ok || c.Name != "websearch" {
-		t.Errorf("ByName(websearch) = %v %v", c.Name, ok)
-	}
-	if _, ok := ByName("nope"); ok {
-		t.Error("found nonexistent trace")
-	}
-}
-
 func TestQuantileMonotone(t *testing.T) {
 	for _, c := range All() {
 		prev := 0.0

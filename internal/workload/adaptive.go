@@ -12,18 +12,14 @@ import (
 // P-Nets can run per dataplane: each new flow inspects the load of its
 // candidate paths and takes the least-loaded one, instead of hashing
 // blindly. The load signal here is the simulator's per-link transmitted
-// bytes since the selector's last decay — an end-host-observable proxy
-// for path utilization.
+// bytes — an end-host-observable proxy for path utilization.
 
 // AdaptiveSelector picks, per flow, the candidate path whose most-loaded
-// link has carried the fewest bytes recently. It decays its view
-// periodically so old load does not pin decisions forever.
+// link has carried the fewest bytes.
 type AdaptiveSelector struct {
 	d *Driver
 	// K is the candidate set size (cross-plane KSP; default 8).
 	K int
-
-	baseline []int64 // per-link TxBytes at last Decay
 }
 
 // NewAdaptiveSelector builds a selector over the driver's network.
@@ -31,26 +27,12 @@ func NewAdaptiveSelector(d *Driver, k int) *AdaptiveSelector {
 	if k <= 0 {
 		k = 8
 	}
-	return &AdaptiveSelector{
-		d:        d,
-		K:        k,
-		baseline: make([]int64, d.PNet.Topo.G.NumLinks()),
-	}
+	return &AdaptiveSelector{d: d, K: k}
 }
 
-// Decay resets the load view: subsequent decisions consider only traffic
-// transmitted after this call. Callers typically decay on a timer coarser
-// than a flow lifetime.
-func (a *AdaptiveSelector) Decay() {
-	g := a.d.PNet.Topo.G
-	for i := 0; i < g.NumLinks(); i++ {
-		a.baseline[i] = a.d.Net.Stats(graph.LinkID(i)).TxBytes
-	}
-}
-
-// load returns the bytes a link has carried since the last Decay.
+// load returns the bytes a link has carried so far.
 func (a *AdaptiveSelector) load(id graph.LinkID) int64 {
-	return a.d.Net.Stats(id).TxBytes - a.baseline[id]
+	return a.d.Net.Stats(id).TxBytes
 }
 
 // Pick returns the candidate path minimizing the maximum per-link load.

@@ -45,38 +45,6 @@ func TestAdaptiveAvoidsLoadedPlane(t *testing.T) {
 	}
 }
 
-func TestAdaptiveDecayForgets(t *testing.T) {
-	set := topo.FatTreeSet(4, 2, 100)
-	tp := set.ParallelHomo
-	d := newTestDriver(t, tp)
-	sel := NewAdaptiveSelector(d, 8)
-
-	bg := planePath(t, d, 0, tp.Hosts[0], tp.Hosts[12])
-	done := false
-	if _, err := d.StartFlowOnPaths(bg, 2_000_000, nil, func(*tcp.Flow) { done = true }); err != nil {
-		t.Fatal(err)
-	}
-	d.Eng.RunUntil(sim.Second)
-	if !done {
-		t.Fatal("background flow stuck")
-	}
-	// After decay, stale load is invisible.
-	sel.Decay()
-	path, err := sel.Pick(tp.Hosts[0], tp.Hosts[12])
-	if err != nil {
-		t.Fatal(err)
-	}
-	worst := int64(0)
-	for _, l := range path.Links {
-		if ld := sel.load(l); ld > worst {
-			worst = ld
-		}
-	}
-	if worst != 0 {
-		t.Errorf("post-decay load = %d, want 0", worst)
-	}
-}
-
 func TestStartFlowAdaptiveCompletes(t *testing.T) {
 	set := topo.FatTreeSet(4, 2, 100)
 	tp := set.ParallelHomo
@@ -127,8 +95,8 @@ func TestAdaptivePickNoPath(t *testing.T) {
 	tp := set.ParallelHomo
 	d := newTestDriver(t, tp)
 	for p := 0; p < tp.Planes; p++ {
-		d.PNet.FailLink(tp.Uplinks[15][p])
-		d.PNet.FailLink(tp.Downlinks[15][p])
+		tp.G.SetLinkUp(tp.Uplinks[15][p], false)
+		tp.G.SetLinkUp(tp.Downlinks[15][p], false)
 	}
 	sel := NewAdaptiveSelector(d, 4)
 	if _, err := sel.Pick(tp.Hosts[0], tp.Hosts[15]); err == nil {

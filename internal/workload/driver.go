@@ -41,22 +41,6 @@ type Selection struct {
 	Class string
 }
 
-func (s Selection) String() string {
-	var name string
-	switch s.Policy {
-	case Shortest:
-		name = "shortest"
-	case ECMP:
-		name = "ecmp"
-	default:
-		name = fmt.Sprintf("ksp-%d", s.K)
-	}
-	if s.Class != "" {
-		name += "@" + s.Class
-	}
-	return name
-}
-
 // Driver couples a topology, its packet-level network, and the P-Net
 // end-host control plane, and starts transport flows under a Selection.
 type Driver struct {
@@ -97,9 +81,7 @@ func NewDriver(t *topo.Topology, simCfg sim.Config, tcpCfg tcp.Config) *Driver {
 func (d *Driver) RunUntil(deadline sim.Time) int {
 	start := time.Now()
 	fired := d.Eng.RunUntil(deadline)
-	if d.Obs != nil {
-		d.Obs.AddRunWall(time.Since(start))
-	}
+	d.Obs.AddRunWall(time.Since(start))
 	return fired
 }
 

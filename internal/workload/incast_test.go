@@ -89,10 +89,3 @@ func TestClassSelectionInDriver(t *testing.T) {
 		t.Error("no error for undefined class")
 	}
 }
-
-func TestSelectionStringWithClass(t *testing.T) {
-	s := Selection{Policy: ECMP, Class: "bulk"}
-	if s.String() != "ecmp@bulk" {
-		t.Errorf("string = %q", s.String())
-	}
-}

@@ -78,7 +78,7 @@ func TestStartFlowUnreachableErrors(t *testing.T) {
 	d := newTestDriver(t, set.ParallelHomo)
 	tp := set.ParallelHomo
 	for p := 0; p < tp.Planes; p++ {
-		d.PNet.FailLink(tp.Uplinks[0][p])
+		tp.G.SetLinkUp(tp.Uplinks[0][p], false)
 	}
 	_, err := d.StartFlow(tp.Hosts[0], tp.Hosts[5], 1500, Selection{Policy: Shortest}, nil, nil)
 	if err == nil {

@@ -276,16 +276,4 @@ func TestRunTraceClosedLoop(t *testing.T) {
 	}
 }
 
-func TestSelectionString(t *testing.T) {
-	if (Selection{Policy: Shortest}).String() != "shortest" {
-		t.Error("shortest string")
-	}
-	if (Selection{Policy: KSP, K: 4}).String() != "ksp-4" {
-		t.Error("ksp string")
-	}
-	if (Selection{Policy: ECMP}).String() != "ecmp" {
-		t.Error("ecmp string")
-	}
-}
-
 var _ = route.Commodity{} // keep import for doc references
