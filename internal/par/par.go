@@ -175,9 +175,12 @@ func Do(n, workers int, fn func(i int)) {
 				defer func() {
 					poolTasks.Add(1)
 					if r := recover(); r != nil {
+						// Stop handing out items first: capturing the
+						// stack is slow enough for the other workers to
+						// drain the queue meanwhile.
+						next.Store(int64(n))
 						p := &Panic{Index: i, Value: r, Stack: debug.Stack()}
 						fail.CompareAndSwap(nil, p)
-						next.Store(int64(n)) // stop handing out items
 					}
 				}()
 				fn(i)

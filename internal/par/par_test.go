@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // withLimit runs f under a temporary process-wide worker cap.
@@ -107,11 +108,21 @@ func TestPanicPropagation(t *testing.T) {
 func TestPanicStopsSchedulingNewItems(t *testing.T) {
 	withLimit(t, 2, func() {
 		var ran atomic.Int32
+		// Items after the first wait until item 0 is about to panic, so a
+		// worker descheduled between taking item 0 and running it cannot
+		// watch the other one drain the queue. Each then takes 10 µs, so
+		// one descheduled between the panic and its recover would have to
+		// stay off the CPU for 90 ms to let 9000 through.
+		started := make(chan struct{})
 		func() {
 			defer func() { recover() }()
 			Do(10_000, 2, func(i int) {
 				if i == 0 {
+					close(started)
 					panic("early")
+				}
+				<-started
+				for t0 := time.Now(); time.Since(t0) < 10*time.Microsecond; {
 				}
 				ran.Add(1)
 			})

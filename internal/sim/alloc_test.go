@@ -31,4 +31,24 @@ func TestPacketPathZeroAlloc(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, send); avg != 0 {
 		t.Errorf("allocs per packet = %v, want 0", avg)
 	}
+
+	// A deep queue costs nothing either: a 100-packet burst (the default
+	// queue's whole 150 kB) into one link.
+	burst := func() {
+		for i := 0; i < 100; i++ {
+			p := net.NewPacket()
+			p.Size = 1500
+			p.Route = fwd
+			p.Deliver = s
+			net.Send(p)
+		}
+		eng.Run()
+	}
+	burst() // warm the freelist and lane rings to the burst's depth
+	if avg := testing.AllocsPerRun(20, burst); avg != 0 {
+		t.Errorf("allocs per 100-packet burst = %v, want 0", avg)
+	}
+	if d := net.Stats(fwd[0]).Drops; d != 0 {
+		t.Errorf("burst dropped %d packets; it must fit the queue", d)
+	}
 }

@@ -42,8 +42,11 @@ type Packet struct {
 	// the loss immediately instead of inferring it from a timeout.
 	Trimmed bool
 
-	net  *Network
-	next *Packet // freelist
+	net *Network
+	// next links the packet into whichever one list holds it: the
+	// network's freelist, or the queue it waits in (head to tail). A
+	// packet in a lane or with a transport is on neither.
+	next *Packet
 	// span, when non-nil, is the packet's latency-attribution timeline
 	// (see span.go); queues record segments into it as the packet moves.
 	span *SpanLog
@@ -262,18 +265,19 @@ func (n *Network) SetLinkUp(id graph.LinkID, up bool) {
 	}
 	// Blackhole everything queued behind the packet in transmission; the
 	// head (if any) is reaped by act() when its transmission completes.
-	keep := 0
+	rest := q.head
+	q.head, q.tail = nil, nil
 	if q.busy {
-		keep = 1
+		q.head, q.tail = rest, rest
+		rest = rest.next
+		q.head.next = nil
 	}
-	for _, p := range q.buf[keep:] {
+	for rest != nil {
+		p := rest
+		rest = p.next
 		q.bytes -= p.Size
 		q.blackhole(p)
 	}
-	for i := keep; i < len(q.buf); i++ {
-		q.buf[i] = nil
-	}
-	q.buf = q.buf[:keep]
 }
 
 // LinkUp reports a link's runtime state.
@@ -370,11 +374,17 @@ type queue struct {
 	ecnMark  int32 // CE-mark threshold in bytes; 0 disables
 	trimTo   int32 // trim-to-header size in bytes; 0 disables
 
-	buf   []*Packet // FIFO; buf[0] is in transmission when busy
-	bytes int32
-	busy  bool
-	down  bool // runtime fault state; a down queue blackholes packets
-	moved bool // on net.moved
+	// head and tail bound the FIFO, linked through Packet.next; head is
+	// in transmission when busy.
+	head, tail *Packet
+	bytes      int32
+	busy       bool
+	down       bool // runtime fault state; a down queue blackholes packets
+	moved      bool // on net.moved
+
+	// txSize and txDur memoise txTime's last call.
+	txSize int32
+	txDur  Time
 
 	txPkts, txBytes int64
 	marks           int64
@@ -400,8 +410,15 @@ func (q *queue) markMoved() {
 	q.net.moved = append(q.net.moved, q.id)
 }
 
+// txTime is size's serialization time on the link. A queue sees about
+// three sizes (MTU, ACK, trimmed header), so the last result is kept: it
+// is the same expression's value, exact, and the zero memo is right for
+// size 0.
 func (q *queue) txTime(size int32) Time {
-	return Time(math.Round(float64(size) * 8 * q.psPerBit))
+	if size != q.txSize {
+		q.txSize, q.txDur = size, Time(math.Round(float64(size)*8*q.psPerBit))
+	}
+	return q.txDur
 }
 
 func (q *queue) enqueue(p *Packet) {
@@ -444,7 +461,12 @@ func (q *queue) enqueue(p *Packet) {
 	if p.span != nil {
 		p.span.wait = q.net.Eng.Now()
 	}
-	q.buf = append(q.buf, p)
+	if q.tail == nil {
+		q.head = p
+	} else {
+		q.tail.next = p
+	}
+	q.tail = p
 	q.bytes += p.Size
 	if !q.busy {
 		q.busy = true
@@ -453,7 +475,7 @@ func (q *queue) enqueue(p *Packet) {
 }
 
 func (q *queue) startTx() {
-	p := q.buf[0]
+	p := q.head
 	eng := q.net.Eng
 	tx := q.txTime(p.Size)
 	q.busyTime += tx
@@ -477,24 +499,27 @@ func (q *queue) act() {
 	if q.down {
 		// The head's last bit "left" into a dead link; it (and anything
 		// else still buffered) is lost.
-		for i, p := range q.buf {
+		for p := q.head; p != nil; {
+			next := p.next
 			q.blackhole(p)
-			q.buf[i] = nil
+			p = next
 		}
-		q.buf = q.buf[:0]
+		q.head, q.tail = nil, nil
 		q.bytes = 0
 		q.busy = false
 		return
 	}
-	p := q.buf[0]
-	copy(q.buf, q.buf[1:])
-	q.buf[len(q.buf)-1] = nil
-	q.buf = q.buf[:len(q.buf)-1]
+	p := q.head
+	q.head = p.next
+	if q.head == nil {
+		q.tail = nil
+	}
+	p.next = nil
 	q.bytes -= p.Size
 
 	q.net.Eng.scheduleAfter(q.prop, p)
 
-	if len(q.buf) > 0 {
+	if q.head != nil {
 		q.startTx()
 	} else {
 		q.busy = false

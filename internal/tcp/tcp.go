@@ -288,8 +288,7 @@ type subflow struct {
 	sndUna, sndNxt int64 // subflow packet sequence space
 	sndMax         int64
 	dupacks        int
-	inRecovery     bool
-	recover        int64
+	recover        int64 // sndMax when fast recovery (inRecovery) began
 	holeCursor     int64 // next sequence considered for SACK repair
 	srtt, rttvar   sim.Time
 
@@ -306,9 +305,12 @@ type subflow struct {
 	rtoEv       *sim.Event
 	backoff     uint
 	consecRTOs  int // timeouts since the last ACK progress; repath trigger
-	timing      bool
 	timedSeq    int64
 	timedAt     sim.Time
+	// The one-byte fields sit together: padding each to a word would
+	// take subflow past its 288-byte allocation size class.
+	inRecovery bool
+	timing     bool
 	// spanCause classifies the next transmission for latency attribution:
 	// fresh (window-clocked), RTO retransmission, or first send after a
 	// repath. Reset to fresh on ACK progress.
@@ -317,9 +319,9 @@ type subflow struct {
 	// Receiver.
 	rcvNxt int64
 	rcvMax int64 // one past the highest sequence ever received
-	// ooo holds sequences received above rcvNxt; nil until the first
+	// ooo holds sequences received above rcvNxt; empty until the first
 	// out-of-order arrival, which an in-order flow never has.
-	ooo map[int64]struct{}
+	ooo oooWindow
 
 	dataH dataHandler
 	ackH  ackHandler
@@ -477,6 +479,60 @@ func samePath(a, b []graph.LinkID) bool {
 	return true
 }
 
+// oooWindow is a receiver's out-of-order set: a bitmap of 64-sequence
+// words, word w at words[w&(len-1)] with len a power of two. Every set bit
+// is above rcvNxt and its word lies in [rcvNxt>>6, rcvNxt>>6+len), so a
+// word that slides out at the bottom as rcvNxt advances is already clear
+// when it comes back in at the top. words stays nil until the first
+// out-of-order arrival. It keeps no count of set bits: testing the one
+// word costs no more, and subflow stays in its 288-byte size class.
+type oooWindow struct {
+	words []uint64
+}
+
+// oooInitWords is the first window: 256 sequences.
+const oooInitWords = 4
+
+// has reports whether seq is held. Nothing below rcvNxt is.
+func (o *oooWindow) has(seq, rcvNxt int64) bool {
+	w := seq >> 6
+	if uint64(w-rcvNxt>>6) >= uint64(len(o.words)) {
+		return false
+	}
+	return o.words[w&int64(len(o.words)-1)]&(1<<(seq&63)) != 0
+}
+
+// add holds seq, which is above rcvNxt and not held yet, doubling the
+// window until seq's word fits in it.
+func (o *oooWindow) add(seq, rcvNxt int64) {
+	base := rcvNxt >> 6
+	if need := seq>>6 - base + 1; need > int64(len(o.words)) {
+		size := max(2*len(o.words), oooInitWords)
+		for int64(size) < need {
+			size *= 2
+		}
+		words := make([]uint64, size)
+		for w := base; w < base+int64(len(o.words)); w++ {
+			words[w&int64(size-1)] = o.words[w&int64(len(o.words)-1)]
+		}
+		o.words = words
+	}
+	o.words[(seq>>6)&int64(len(o.words)-1)] |= 1 << (seq & 63)
+}
+
+// take clears rcvNxt's bit, if set, and reports whether it was.
+func (o *oooWindow) take(rcvNxt int64) bool {
+	if len(o.words) == 0 {
+		return false
+	}
+	i, bit := (rcvNxt>>6)&int64(len(o.words)-1), uint64(1)<<(rcvNxt&63)
+	if o.words[i]&bit == 0 {
+		return false
+	}
+	o.words[i] &^= bit
+	return true
+}
+
 // onData runs at the receiver.
 func (sf *subflow) onData(p *sim.Packet) {
 	seq := p.Seq
@@ -494,19 +550,12 @@ func (sf *subflow) onData(p *sim.Packet) {
 	case seq == sf.rcvNxt:
 		sf.rcvNxt++
 		newData = true
-		for len(sf.ooo) > 0 {
-			if _, ok := sf.ooo[sf.rcvNxt]; !ok {
-				break
-			}
-			delete(sf.ooo, sf.rcvNxt)
+		for sf.ooo.take(sf.rcvNxt) {
 			sf.rcvNxt++
 		}
 	case seq > sf.rcvNxt:
-		if _, dup := sf.ooo[seq]; !dup {
-			if sf.ooo == nil {
-				sf.ooo = make(map[int64]struct{})
-			}
-			sf.ooo[seq] = struct{}{}
+		if !sf.ooo.has(seq, sf.rcvNxt) {
+			sf.ooo.add(seq, sf.rcvNxt)
 			newData = true
 		}
 	}
@@ -637,7 +686,7 @@ func (sf *subflow) repairHole() {
 		if seq < sf.rcvNxt {
 			continue // already received in order
 		}
-		if _, ok := sf.ooo[seq]; ok {
+		if sf.ooo.has(seq, sf.rcvNxt) {
 			continue // received out of order; no repair needed
 		}
 		sf.f.Retransmits++
