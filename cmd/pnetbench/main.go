@@ -27,12 +27,12 @@
 // components) and the event-loop flight recorder behind `pnetstat
 // attribution` and `pnetstat profile`. -fingerprint folds every fired
 // event into rolling per-plane determinism hash chains, checkpointed
-// every -fingerprint-epoch events into the metrics stream / report;
-// -fingerprint-journal additionally streams one record per folded event
-// for `pnetstat divergence` to localize the exact first divergent
-// event. -pprof serves net/http/pprof on the given address for live
-// profiling of long runs. See README.md "Telemetry" and "Analyzing
-// runs" for the schemas.
+// every -fingerprint-epoch events into the metrics stream / report; each
+// checkpoint names the event that closed it, so at -fingerprint-epoch 1
+// `pnetstat divergence` names the exact first divergent event. -chaos
+// scripts the faults experiment's outages. -pprof serves net/http/pprof
+// on the given address for live profiling of long runs. See README.md
+// "Telemetry" and "Analyzing runs" for the schemas.
 //
 // Parallelism: -workers N caps how many independent sweep cells run
 // concurrently (0 = one per core, 1 = serial). Every cell owns its own
@@ -72,7 +72,7 @@ func main() {
 // validate resolved from them.
 type options struct {
 	expID, scale, format, chaos, traceFlow, pprof string
-	metrics, trace, report, journal               string
+	metrics, trace, report                        string
 	seed, fpEpoch                                 int64
 	workers                                       int
 	sample                                        time.Duration
@@ -100,9 +100,6 @@ func (o *options) validate(set map[string]bool) error {
 	}
 	if set["fingerprint-epoch"] && !o.fingerprint {
 		return errors.New("-fingerprint-epoch requires -fingerprint")
-	}
-	if o.journal != "" && !o.fingerprint {
-		return errors.New("-fingerprint-journal requires -fingerprint")
 	}
 	if o.fingerprint && o.metrics == "" && o.report == "" {
 		return errors.New("-fingerprint needs a sink for the checkpoints: add -metrics or -report")
@@ -144,7 +141,7 @@ func (o *options) validate(set map[string]bool) error {
 	// Each output is opened on its own, so two flags naming one file (or
 	// two streams on stdout) would silently overwrite or interleave.
 	outputs := []struct{ flag, path string }{
-		{"-metrics", o.metrics}, {"-trace", o.trace}, {"-report", o.report}, {"-fingerprint-journal", o.journal},
+		{"-metrics", o.metrics}, {"-trace", o.trace}, {"-report", o.report},
 	}
 	for i, a := range outputs {
 		for _, b := range outputs[i+1:] {
@@ -164,6 +161,16 @@ func (o *options) validate(set map[string]bool) error {
 		}
 		o.toRun = []exp.Experiment{e}
 	}
+	if o.params.Chaos != nil {
+		// Only faults reads the script; anywhere else it would be
+		// silently ignored.
+		if o.expID != "faults" {
+			return errors.New("-chaos scripts the faults experiment: it requires -exp faults")
+		}
+		if err := exp.CheckChaos(o.params); err != nil {
+			return fmt.Errorf("-chaos: %v", err)
+		}
+	}
 	return nil
 }
 
@@ -182,11 +189,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.traceFlow, "trace-flow", "", "comma-separated flow IDs to trace; other flows' events are filtered at the sink (requires -trace)")
 	fs.BoolVar(&o.spans, "spans", false, "record latency attribution spans and the event-loop profile (pnetstat attribution / profile)")
 	fs.BoolVar(&o.fingerprint, "fingerprint", false, "fold every fired event into per-plane determinism hash chains (pnetstat fingerprint / divergence); needs -metrics or -report")
-	fs.Int64Var(&o.fpEpoch, "fingerprint-epoch", 0, "events per fingerprint checkpoint (0 = default 65536); requires -fingerprint")
-	fs.StringVar(&o.journal, "fingerprint-journal", "", "stream one JSONL record per folded event to this file ('-' = stdout) for pnetstat divergence -events-*; requires -fingerprint")
+	fs.Int64Var(&o.fpEpoch, "fingerprint-epoch", 0, "events per fingerprint checkpoint (0 = default 65536; 1 lets pnetstat divergence name the first divergent event); requires -fingerprint")
 	fs.DurationVar(&o.sample, "sample", 0, "sampling interval for -metrics/-report (default 10us of sim time)")
 	fs.StringVar(&o.report, "report", "", "write a RunSummary JSON for pnetstat to this file")
-	fs.StringVar(&o.chaos, "chaos", "", "fault script for fault-aware experiments ('help' prints the syntax)")
+	fs.StringVar(&o.chaos, "chaos", "", "fault script for -exp faults ('help' prints the syntax)")
 	fs.StringVar(&o.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	fs.IntVar(&o.workers, "workers", 0, "max concurrent sweep cells (0 = GOMAXPROCS, 1 = serial); results are identical either way")
 	if err := fs.Parse(args); err != nil {
@@ -244,7 +250,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			collector.Interval = sim.Time(o.sample.Nanoseconds()) * sim.Nanosecond
 		}
 		collector.Spans = o.spans
-		collector.Profile = o.spans
 		collector.Fingerprint = o.fingerprint
 		collector.FingerprintEpoch = o.fpEpoch
 		collector.TraceFlows = o.traceFlows
@@ -261,7 +266,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			path   string
 			stream func(io.Writer)
 		}{
-			{o.journal, collector.StreamFingerprintJournal},
 			{o.metrics, collector.StreamMetrics},
 			{o.trace, collector.StreamTrace},
 		} {
@@ -323,7 +327,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		time.Since(runStart).Round(time.Millisecond), effWorkers, runtime.GOMAXPROCS(0))
 
 	// Close before summarizing: it is what emits the closing engine
-	// records, the profile bins and the fingerprint checkpoints.
+	// records, the profile bins and the partial fingerprint checkpoints.
 	if err := collector.Close(); err != nil {
 		fmt.Fprintf(stderr, "pnetbench: telemetry: %v\n", err)
 		return 1

@@ -63,15 +63,13 @@ func TestValidateFingerprintFlags(t *testing.T) {
 		{name: "fingerprint with metrics", args: "-fingerprint -metrics DIR/m.jsonl"},
 		{name: "fingerprint with report", args: "-fingerprint -report DIR/r.json"},
 		{name: "explicit epoch", args: "-fingerprint -fingerprint-epoch 1024 -metrics DIR/m.jsonl"},
-		{name: "journal with fingerprint", args: "-fingerprint -fingerprint-journal DIR/j.jsonl -metrics DIR/m.jsonl"},
+		{name: "epoch of one event", args: "-fingerprint -fingerprint-epoch 1 -metrics DIR/m.jsonl"},
 		{name: "zero epoch", args: "-exp table1 -fingerprint -fingerprint-epoch 0 -metrics DIR/m.jsonl",
 			wantErr: "-fingerprint-epoch must be positive"},
 		{name: "negative epoch", args: "-exp table1 -fingerprint -fingerprint-epoch -5 -metrics DIR/m.jsonl",
 			wantErr: "-fingerprint-epoch must be positive"},
 		{name: "epoch without fingerprint", args: "-exp table1 -fingerprint-epoch 1024 -metrics DIR/m.jsonl",
 			wantErr: "-fingerprint-epoch requires -fingerprint"},
-		{name: "journal without fingerprint", args: "-exp table1 -fingerprint-journal DIR/j.jsonl",
-			wantErr: "-fingerprint-journal requires -fingerprint"},
 		{name: "fingerprint without sink", args: "-exp table1 -fingerprint",
 			wantErr: "-fingerprint needs a sink"},
 	})
@@ -92,7 +90,7 @@ func TestValidateFormat(t *testing.T) {
 // TestValidateBeforeSideEffects: the rejections that used to come after
 // the output files were created (or never came at all).
 func TestValidateBeforeSideEffects(t *testing.T) {
-	const outputs = " -metrics DIR/m.jsonl -trace DIR/t.jsonl -fingerprint -fingerprint-journal DIR/j.jsonl"
+	const outputs = " -metrics DIR/m.jsonl -trace DIR/t.jsonl -fingerprint -report DIR/r.json"
 	checkCommandLines(t, []commandLine{
 		{name: "unknown experiment", args: "-exp nosuch" + outputs, wantErr: `unknown experiment "nosuch"`},
 		{name: "unknown scale", args: "-exp table1 -scale huge" + outputs, wantErr: `unknown scale "huge"`},
@@ -104,12 +102,22 @@ func TestValidateBeforeSideEffects(t *testing.T) {
 		{name: "bad chaos script", args: "-exp table1 -chaos nonsense" + outputs, wantErr: "chaos"},
 		{name: "chaos recovery past sim time", args: "-exp faults -chaos link:0@2000h+2000h" + outputs, wantErr: "beyond sim time's range"},
 		{name: "chaos flap past sim time", args: "-exp faults -chaos flap:0@2000h*3/2000h" + outputs, wantErr: "beyond sim time's range"},
+		{name: "chaos outside faults", args: "-exp table1 -chaos plane:0@10ms+20ms" + outputs, wantErr: "-chaos scripts the faults experiment"},
+		{name: "chaos with every experiment", args: "-exp all -chaos plane:0@10ms+20ms" + outputs, wantErr: "requires -exp faults"},
+		{name: "chaos plane the faults networks lack", args: "-exp faults -chaos plane:9@1ms+1ms" + outputs,
+			wantErr: `faults network "serial" (`},
+		{name: "chaos switch the faults networks lack", args: "-exp faults -chaos switch:99999@1ms" + outputs,
+			wantErr: "node 99999 out of range"},
+		{name: "chaos switch only the jellyfish lacks", args: "-exp faults -scale full -chaos switch:200@1ms" + outputs,
+			wantErr: `faults network "parallel heterogeneous" (parallel-hetero jf32-4 2x100G): chaos: t=1.000ms switch:200 switch-down: node 200 out of range [0,192)`},
+		{name: "chaos link the faults networks lack", args: "-exp faults -scale full -chaos link:99999@1ms+1ms" + outputs,
+			wantErr: "link 99999 out of range"},
 		{name: "metrics and trace share a file", args: "-exp table1 -metrics DIR/x.jsonl -trace DIR/x.jsonl",
 			wantErr: "-metrics and -trace both write to"},
 		{name: "metrics and report share a file", args: "-exp table1 -metrics DIR/x -report DIR/./x",
 			wantErr: "-metrics and -report both write to"},
-		{name: "trace and journal share a file", args: "-exp table1 -fingerprint -report DIR/r.json -trace DIR/x -fingerprint-journal DIR/x",
-			wantErr: "-trace and -fingerprint-journal both write to"},
+		{name: "trace and report share a file", args: "-exp table1 -report DIR/x -trace DIR/x",
+			wantErr: "-trace and -report both write to"},
 		{name: "two streams on stdout", args: "-exp table1 -metrics - -trace -",
 			wantErr: `-metrics and -trace both write to "-"`},
 		{name: "unknown experiment with -list", args: "-list -exp nosuch", wantErr: "unknown experiment"},

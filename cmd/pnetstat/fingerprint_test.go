@@ -13,20 +13,19 @@ import (
 )
 
 // replayJSONL folds synthetic packet events through a real fingerprinter
-// and writes the resulting records as JSONL: checkpoints (and a flow so
-// the stream summarizes) to one file, the journal to another.
-func replayJSONL(t *testing.T, dir, name string, n, swapAt int, epoch int64) (metrics, journal string) {
+// and writes the resulting records as a metrics JSONL file: flows, so the
+// stream summarizes, and the checkpoints.
+func replayJSONL(t *testing.T, dir, name string, n, swapAt int, epoch int64) string {
 	t.Helper()
+	var lines []any
+	lines = append(lines, obs.FlowRecord{Type: obs.KindFlow, ID: 1, TPs: 1000 * int64(n), Transport: "tcp", Bytes: 1500, FCT: 1e-6})
+	// Flow 3 carries spans so divergence can print the guilty flow's
+	// FCT decomposition next to the localized event (synthetic events
+	// use flow = i%7+1, so the perturbed pair at i=100 touches flow 3).
+	lines = append(lines, obs.FlowRecord{Type: obs.KindFlow, ID: 3, TPs: 1000 * int64(n), Transport: "tcp", Bytes: 3000, FCT: 2e-6,
+		Spans: []obs.SpanShare{{Component: "queue", Plane: 1, Ps: 2_000_000}}})
 	f := sim.NewFingerprinter(epoch)
-	var jlines []any
-	f.Journal = func(e sim.FingerprintJournalEntry) {
-		jlines = append(jlines, obs.FingerprintEventRecord{
-			Type: obs.KindFPEvent, Net: 0, Epoch: e.Epoch, I: e.Index,
-			TPs: int64(e.T), Kind: e.Kind.String(), Plane: e.Plane,
-			Link: e.Link, Flow: e.Flow, Seq: e.Seq, Size: e.Size,
-			Hash: obs.FormatHash(e.Hash),
-		})
-	}
+	f.OnCheckpoint = func(cp sim.FingerprintCheckpoint) { lines = append(lines, obs.CheckpointRecord(0, epoch, cp)) }
 	for i := 0; i < n; i++ {
 		j := i
 		if swapAt >= 0 {
@@ -38,46 +37,28 @@ func replayJSONL(t *testing.T, dir, name string, n, swapAt int, epoch int64) (me
 		}
 		f.Fold(sim.Time(1000*(i+1)), sim.EvHop, int32(j%2), int64(j%5), int64(j%7+1), int64(j), 1500)
 	}
-	var mlines []any
-	mlines = append(mlines, obs.FlowRecord{Type: obs.KindFlow, ID: 1, TPs: 1000 * int64(n), Transport: "tcp", Bytes: 1500, FCT: 1e-6})
-	// Flow 3 carries spans so divergence can print the guilty flow's
-	// FCT decomposition next to the localized event (synthetic events
-	// use flow = i%7+1, so the perturbed pair at i=100 touches flow 3).
-	mlines = append(mlines, obs.FlowRecord{Type: obs.KindFlow, ID: 3, TPs: 1000 * int64(n), Transport: "tcp", Bytes: 3000, FCT: 2e-6,
-		Spans: []obs.SpanShare{{Component: "queue", Plane: 1, Ps: 2_000_000}}})
-	for _, cp := range f.Checkpoints() {
-		r := obs.FingerprintRecord{
-			Type: obs.KindFingerprint, Net: 0, Epoch: cp.Epoch, Events: cp.Events,
-			TPs: int64(cp.T), EpochEvents: epoch, Hash: obs.FormatHash(cp.Global),
-			Host: obs.FormatHash(cp.Host), Final: cp.Partial,
-		}
-		for pl, h := range cp.Planes {
-			r.Planes = append(r.Planes, obs.PlaneHash{Plane: int32(pl), Hash: obs.FormatHash(h)})
-		}
-		mlines = append(mlines, r)
+	if cp, ok := f.Partial(); ok {
+		lines = append(lines, obs.CheckpointRecord(0, epoch, cp))
 	}
-	write := func(suffix string, lines []any) string {
-		var b bytes.Buffer
-		for _, l := range lines {
-			raw, err := json.Marshal(l)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b.Write(raw)
-			b.WriteByte('\n')
-		}
-		path := filepath.Join(dir, name+suffix)
-		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+	var b bytes.Buffer
+	for _, l := range lines {
+		raw, err := json.Marshal(l)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return path
+		b.Write(raw)
+		b.WriteByte('\n')
 	}
-	return write(".jsonl", mlines), write(".journal.jsonl", jlines)
+	path := filepath.Join(dir, name+".jsonl")
+	if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 func TestFingerprintCommand(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := replayJSONL(t, dir, "a", 100, -1, 32)
+	m := replayJSONL(t, dir, "a", 100, -1, 32)
 	var out, errb bytes.Buffer
 	if code := run2(t, []string{"fingerprint", m}, &out, &errb); code != 0 {
 		t.Fatalf("fingerprint exited %d: %s", code, errb.String())
@@ -101,9 +82,9 @@ func TestFingerprintCommand(t *testing.T) {
 
 func TestDivergenceCommand(t *testing.T) {
 	dir := t.TempDir()
-	base, baseJ := replayJSONL(t, dir, "base", 200, -1, 32)
-	same, _ := replayJSONL(t, dir, "same", 200, -1, 32)
-	pert, pertJ := replayJSONL(t, dir, "pert", 200, 100, 32)
+	base := replayJSONL(t, dir, "base", 200, -1, 1)
+	same := replayJSONL(t, dir, "same", 200, -1, 1)
+	pert := replayJSONL(t, dir, "pert", 200, 100, 1)
 
 	var out, errb bytes.Buffer
 	if code := run2(t, []string{"divergence", base, same}, &out, &errb); code != 0 {
@@ -115,34 +96,44 @@ func TestDivergenceCommand(t *testing.T) {
 
 	out.Reset()
 	errb.Reset()
-	code := run2(t, []string{"divergence", "-k", "2", "-events-base", baseJ, "-events-cur", pertJ, base, pert}, &out, &errb)
+	code := run2(t, []string{"divergence", "-k", "2", base, pert}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("diverged runs exited %d, want 1: %s%s", code, out.String(), errb.String())
 	}
 	text := out.String()
-	// Events 100/101 land in epoch 3 at indices 4/5 with a 32-event
-	// cadence; flows are i%7+1 = 3 and 4.
-	for _, want := range []string{"DIVERGED", "epoch 3", "first divergent event: epoch 3 index 4", "flow=3", "flow=4",
-		"flow 3 (base)", "queue[p1]=2000000ps"} {
+	// At one event an epoch, events 100/101 are epochs 100/101; flows
+	// are i%7+1 = 3 and 4. The ±2 window is five checkpoints a side.
+	for _, want := range []string{"DIVERGED", "epoch 100", "first divergent event: epoch 100",
+		"base: t=101000ps hop plane=0 link=0 flow=3 seq=100", "cur:  t=101000ps hop plane=1 link=1 flow=4 seq=101",
+		"-> epoch=100", "flow 3 (base)", "queue[p1]=2000000ps"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("divergence output missing %q:\n%s", want, text)
 		}
 	}
+	for _, side := range []string{"base", "cur"} {
+		ctx := text[strings.Index(text, "context ("+side+")"):]
+		if n := strings.Count(strings.SplitN(ctx, "\n  context", 2)[0], " epoch="); n != 5 {
+			t.Errorf("context (%s) holds %d checkpoints, want 5:\n%s", side, n, text)
+		}
+	}
 
-	// Without journals the epoch is still localized, with remediation.
+	// At the default-like cadence the epoch is still localized, with the
+	// rerun that names the event.
+	base32 := replayJSONL(t, dir, "base32", 200, -1, 32)
+	pert32 := replayJSONL(t, dir, "pert32", 200, 100, 32)
 	out.Reset()
 	errb.Reset()
-	if code := run2(t, []string{"divergence", base, pert}, &out, &errb); code != 1 {
+	if code := run2(t, []string{"divergence", base32, pert32}, &out, &errb); code != 1 {
 		t.Fatalf("exited %d, want 1", code)
 	}
-	if !strings.Contains(out.String(), "-fingerprint-journal") {
-		t.Errorf("journal-free output lacks remediation:\n%s", out.String())
+	if !strings.Contains(out.String(), "epoch 3") || !strings.Contains(out.String(), "-fingerprint-epoch 1") {
+		t.Errorf("cadence-32 output lacks the epoch or the cadence-1 remediation:\n%s", out.String())
 	}
 }
 
 func TestExportTraceCommand(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := replayJSONL(t, dir, "a", 50, -1, 32)
+	m := replayJSONL(t, dir, "a", 50, -1, 32)
 	outFile := filepath.Join(dir, "trace.json")
 	var out, errb bytes.Buffer
 	if code := run2(t, []string{"export-trace", "-o", outFile, m}, &out, &errb); code != 0 {

@@ -9,7 +9,7 @@
 //	pnetstat attribution [-json] <run>
 //	pnetstat profile [-json] <run>
 //	pnetstat fingerprint [-json] <run>
-//	pnetstat divergence [-k 5] [-events-base j.jsonl] [-events-cur j.jsonl] <base> <cur>
+//	pnetstat divergence [-k 5] <base> <cur>
 //	pnetstat export-trace [-o trace.json] <metrics.jsonl>
 //	pnetstat diff [-threshold 0.1] <base> <cur>
 //
@@ -31,6 +31,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"pnet/internal/report"
@@ -58,12 +60,12 @@ commands:
   fingerprint [-json] <run>
       print the determinism fingerprint: the XOR-folded global, host,
       and per-plane hash chains; needs pnetbench -fingerprint
-  divergence [-k 5] [-events-base j.jsonl] [-events-cur j.jsonl] <base> <cur>
+  divergence [-k 5] <base> <cur>
       compare two runs' fingerprint checkpoint streams (metrics JSONL),
-      binary-search to the first divergent epoch, and — given -events-*
-      journals from -fingerprint-journal re-runs — print the first
-      divergent event with a ±k context window and per-plane
-      attribution; exit 0 match, 1 diverged, 2 error
+      binary-search to the first divergent epoch, and print the event
+      that closed it on each side with ±k checkpoints of context and
+      per-plane attribution; streams made with -fingerprint-epoch 1 name
+      the first divergent event itself; exit 0 match, 1 diverged, 2 error
   export-trace [-o trace.json] <metrics.jsonl>
       convert a metrics stream into Chrome Trace Event JSON viewable in
       Perfetto (ui.perfetto.dev): planes as processes, flows as tracks,
@@ -86,11 +88,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "summary":
 		return runSummary(rest, stdout, stderr)
 	case "attribution":
-		return runAttribution(rest, stdout, stderr)
+		return runView(cmd, rest, stdout, stderr, attributionView)
 	case "profile":
-		return runProfile(rest, stdout, stderr)
+		return runView(cmd, rest, stdout, stderr, profileView)
 	case "fingerprint":
-		return runFingerprint(rest, stdout, stderr)
+		return runView(cmd, rest, stdout, stderr, fingerprintView)
 	case "divergence":
 		return runDivergence(rest, stdout, stderr)
 	case "export-trace":
@@ -153,87 +155,63 @@ func runSummary(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func runAttribution(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("attribution", flag.ContinueOnError)
+// runView is a subcommand that prints one view of one run: its text, or
+// with -json the JSON of its part. A view that is not ok is missing from
+// the run: a usage error naming the pnetbench flag that records it.
+func runView(name string, args []string, stdout, stderr io.Writer, view func(report.RunSummary) (part any, text string, ok bool)) int {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	asJSON := fs.Bool("json", false, "print the attribution summary as JSON instead of text")
+	asJSON := fs.Bool("json", false, "print the "+name+" summary as JSON instead of text")
 	if fs.Parse(args) != nil || fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: pnetstat attribution [-json] <run>")
+		fmt.Fprintf(stderr, "usage: pnetstat %s [-json] <run>\n", name)
 		return 2
 	}
 	s, ok := loadRun(fs.Arg(0), stderr)
 	if !ok {
 		return 2
 	}
+	part, text, ok := view(s)
+	if !ok {
+		fmt.Fprintf(stderr, "pnetstat: %s has no %s records — rerun with pnetbench -%s\n", fs.Arg(0), name, name)
+		return 2
+	}
 	if *asJSON {
-		b, _ := json.MarshalIndent(s.Attribution, "", "  ")
+		b, _ := json.MarshalIndent(part, "", "  ")
 		fmt.Fprintln(stdout, string(b))
 	} else {
-		fmt.Fprint(stdout, s.AttributionString())
+		fmt.Fprint(stdout, text)
 	}
 	return 0
 }
 
-func runProfile(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("profile", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	asJSON := fs.Bool("json", false, "print the profile summary as JSON instead of text")
-	if fs.Parse(args) != nil || fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: pnetstat profile [-json] <run>")
-		return 2
-	}
-	s, ok := loadRun(fs.Arg(0), stderr)
-	if !ok {
-		return 2
-	}
-	if *asJSON {
-		b, _ := json.MarshalIndent(s.Profile, "", "  ")
-		fmt.Fprintln(stdout, string(b))
-	} else {
-		fmt.Fprint(stdout, s.ProfileString())
-	}
-	return 0
+func attributionView(s report.RunSummary) (any, string, bool) {
+	return s.Attribution, s.AttributionString(), true
 }
 
-func runFingerprint(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("fingerprint", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	asJSON := fs.Bool("json", false, "print the fingerprint summary as JSON instead of text")
-	if fs.Parse(args) != nil || fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: pnetstat fingerprint [-json] <run>")
-		return 2
-	}
-	s, ok := loadRun(fs.Arg(0), stderr)
-	if !ok {
-		return 2
-	}
-	if s.Fingerprint == nil {
-		fmt.Fprintf(stderr, "pnetstat: %s has no fingerprint records — rerun with pnetbench -fingerprint\n", fs.Arg(0))
-		return 2
-	}
-	if *asJSON {
-		b, _ := json.MarshalIndent(s.Fingerprint, "", "  ")
-		fmt.Fprintln(stdout, string(b))
-		return 0
-	}
+func profileView(s report.RunSummary) (any, string, bool) {
+	return s.Profile, s.ProfileString(), true
+}
+
+func fingerprintView(s report.RunSummary) (any, string, bool) {
 	fp := s.Fingerprint
-	fmt.Fprintf(stdout, "fingerprint: %d engine(s), %d events, epoch %d\n", fp.Engines, fp.Events, fp.EpochEvents)
-	fmt.Fprintf(stdout, "global %s\n", fp.Global)
-	fmt.Fprintf(stdout, "host   %s\n", fp.Host)
-	for _, p := range fp.Planes {
-		fmt.Fprintf(stdout, "plane %d %s\n", p.Plane, p.Hash)
+	if fp == nil {
+		return nil, "", false
 	}
-	return 0
+	var b strings.Builder
+	fmt.Fprintf(&b, "fingerprint: %d engine(s), %d events, epoch %d\n", fp.Engines, fp.Events, fp.EpochEvents)
+	fmt.Fprintf(&b, "global %s\nhost   %s\n", fp.Global, fp.Host)
+	for _, p := range fp.Planes {
+		fmt.Fprintf(&b, "plane %d %s\n", p.Plane, p.Hash)
+	}
+	return fp, b.String(), true
 }
 
 func runDivergence(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("divergence", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	k := fs.Int("k", 5, "context window: events printed either side of the divergence")
-	evBase := fs.String("events-base", "", "fingerprint journal JSONL for the base run (pnetbench -fingerprint-journal)")
-	evCur := fs.String("events-cur", "", "fingerprint journal JSONL for the current run")
+	k := fs.Int("k", 5, "context window: checkpoints printed either side of the divergence")
 	if fs.Parse(args) != nil || fs.NArg() != 2 {
-		fmt.Fprintln(stderr, "usage: pnetstat divergence [-k 5] [-events-base j.jsonl] [-events-cur j.jsonl] <base> <cur>")
+		fmt.Fprintln(stderr, "usage: pnetstat divergence [-k 5] <base> <cur>")
 		return 2
 	}
 	base, err := report.LoadStream(fs.Arg(0))
@@ -246,53 +224,33 @@ func runDivergence(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "pnetstat: %v\n", err)
 		return 2
 	}
-	// Journals may live in the metrics streams themselves or in separate
-	// files from a -fingerprint-journal re-run; fold the latter in.
-	for _, j := range []struct {
-		path string
-		st   *report.Stream
-	}{{*evBase, base}, {*evCur, cur}} {
-		if j.path == "" {
-			continue
-		}
-		js, err := report.LoadStream(j.path)
-		if err != nil {
-			fmt.Fprintf(stderr, "pnetstat: %v\n", err)
-			return 2
-		}
-		j.st.FPEvents = append(j.st.FPEvents, js.FPEvents...)
-	}
-	d, err := report.FindDivergence(base, cur)
+	d, err := report.FindDivergence(base, cur, *k)
 	if err != nil {
 		fmt.Fprintf(stderr, "pnetstat: %v\n", err)
 		return 2
 	}
-	if !d.Match && d.Note == "" && (len(base.FPEvents) > 0 || len(cur.FPEvents) > 0) {
-		if err := d.LocalizeEvents(base, cur, *k); err != nil {
-			fmt.Fprintf(stderr, "pnetstat: %v\n", err)
-		}
-	}
 	fmt.Fprint(stdout, d.String())
-	if d.Event != nil {
+	if d.Match {
+		return 0
+	}
+	if d.Note == "" {
 		divergenceContext(stdout, d, base, cur)
 	}
-	if !d.Match {
-		return 1
-	}
-	return 0
+	return 1
 }
 
 // divergenceContext prints the span and flight-recorder context around
-// a localized divergence, when the streams carry it: the divergent
-// event's flow with its FCT decomposition (a -spans run), and the
-// diverging planes' event-loop bins (the flight recorder). Both tell
-// the debugger what the guilty event was doing, not just that it moved.
+// a divergence, when the streams carry it: the flow of the event that
+// closed each side's divergent checkpoint, with its FCT decomposition (a
+// -spans run), and the diverging planes' event-loop bins (the flight
+// recorder). Both tell the debugger what the guilty event was doing, not
+// just that it moved.
 func divergenceContext(w io.Writer, d *report.Divergence, base, cur *report.Stream) {
 	sides := []struct {
 		name string
 		st   *report.Stream
 		flow int64
-	}{{"base", base, d.Event.Base.Flow}, {"cur", cur, d.Event.Cur.Flow}}
+	}{{"base", base, d.Base.Flow}, {"cur", cur, d.Cur.Flow}}
 	for _, s := range sides {
 		if s.flow <= 0 {
 			continue
@@ -309,13 +267,10 @@ func divergenceContext(w io.Writer, d *report.Divergence, base, cur *report.Stre
 			break
 		}
 	}
-	for _, s := range sides[:1] { // bins are per-run; base suffices for orientation
-		for _, p := range s.st.Profiles {
-			for _, pl := range d.Planes {
-				if p.Plane == pl {
-					fmt.Fprintf(w, "  flight recorder (%s): plane %d %s ×%d\n", s.name, p.Plane, p.Kind, p.Events)
-				}
-			}
+	// The base engine's bins suffice for orientation.
+	for _, p := range base.Profiles {
+		if p.Net == d.BaseNet && slices.Contains(d.Planes, p.Plane) {
+			fmt.Fprintf(w, "  flight recorder (base): plane %d %s ×%d\n", p.Plane, p.Kind, p.Events)
 		}
 	}
 }

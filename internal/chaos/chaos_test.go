@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"pnet/internal/graph"
@@ -204,6 +205,34 @@ func TestInjectorValidatesTargets(t *testing.T) {
 			}()
 			NewInjector(eng, net, sched)
 		}()
+	}
+}
+
+// TestScheduleCheck: every target kind a graph lacks is an error naming
+// the event and the target, and a schedule within the graph passes.
+func TestScheduleCheck(t *testing.T) {
+	_, _, g := twoPlane()
+	cases := []struct {
+		ev   Event
+		want string // "" = accepted
+	}{
+		{Event{At: 1, Kind: LinkDown, Link: 7}, ""},
+		{Event{At: 1, Kind: SwitchUp, Node: 3}, ""},
+		{Event{At: 1, Kind: PlaneDown, Plane: 1}, ""},
+		{Event{At: 1, Kind: LinkDown, Link: 8}, "link:8 link-down: link 8 out of range [0,8)"},
+		{Event{At: 1, Kind: LinkUp, Link: -1}, "link -1 out of range"},
+		{Event{At: 1, Kind: SwitchDown, Node: 99}, "switch:99 switch-down: node 99 out of range [0,4)"},
+		{Event{At: 1, Kind: PlaneDown, Plane: 9}, "plane:9 plane-down: no links in plane 9"},
+		{Event{At: 1, Kind: PlaneUp, Plane: -1}, "no links in plane -1"},
+	}
+	for _, c := range cases {
+		err := Schedule{Events: []Event{{At: 0, Kind: LinkDown, Link: 0}, c.ev}}.Check(g)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%v: %v, want accepted", c.ev, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%v: error %v, want one containing %q", c.ev, err, c.want)
+		}
 	}
 }
 

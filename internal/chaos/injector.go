@@ -33,38 +33,44 @@ type Injector struct {
 }
 
 // NewInjector builds an injector for net. Call Arm (after setting Obs /
-// OnEvent) to schedule the events.
+// OnEvent) to schedule the events. A schedule that fails Check against
+// net's graph panics here: callers check user-supplied schedules first
+// (pnetbench's -chaos, through exp.CheckChaos), so reaching it is a bug.
 func NewInjector(eng *sim.Engine, net *sim.Network, sched Schedule) *Injector {
-	in := &Injector{
+	if err := sched.Check(net.G); err != nil {
+		panic(err)
+	}
+	return &Injector{
 		Eng:       eng,
 		Net:       net,
 		sched:     sched,
 		downCount: make([]int, net.G.NumLinks()),
 	}
-	for _, e := range sched.Events {
-		in.validate(e)
-	}
-	return in
 }
 
-// validate panics early on targets the network does not have, naming the
-// event — a mistyped schedule should fail at construction, not mid-run.
-func (in *Injector) validate(e Event) {
-	g := in.Net.G
-	switch e.Kind {
-	case LinkDown, LinkUp:
-		g.Link(e.Link) // bounds-checked, panics with the offending ID
-	case SwitchDown, SwitchUp:
-		if e.Node < 0 || int(e.Node) >= g.NumNodes() {
-			panic(fmt.Sprintf("chaos: %v: node %d out of range [0,%d)", e, e.Node, g.NumNodes()))
+// Check returns an error naming the first event whose target g does not
+// have: a link or switch ID out of range, or a plane with no links. A
+// mistyped schedule should fail before the run, not mid-run.
+func (s Schedule) Check(g *graph.Graph) error {
+	for _, e := range s.Events {
+		switch e.Kind {
+		case LinkDown, LinkUp:
+			if e.Link < 0 || int(e.Link) >= g.NumLinks() {
+				return fmt.Errorf("chaos: %v: link %d out of range [0,%d)", e, e.Link, g.NumLinks())
+			}
+		case SwitchDown, SwitchUp:
+			if e.Node < 0 || int(e.Node) >= g.NumNodes() {
+				return fmt.Errorf("chaos: %v: node %d out of range [0,%d)", e, e.Node, g.NumNodes())
+			}
+		case PlaneDown, PlaneUp:
+			if len(planeLinks(g, e.Plane)) == 0 {
+				return fmt.Errorf("chaos: %v: no links in plane %d", e, e.Plane)
+			}
+		default:
+			return fmt.Errorf("chaos: unknown event kind %d", e.Kind)
 		}
-	case PlaneDown, PlaneUp:
-		if len(in.planeLinks(e.Plane)) == 0 {
-			panic(fmt.Sprintf("chaos: %v: no links in plane %d", e, e.Plane))
-		}
-	default:
-		panic(fmt.Sprintf("chaos: unknown event kind %d", e.Kind))
 	}
+	return nil
 }
 
 // Arm schedules every event of the schedule into the engine. Call once,
@@ -136,7 +142,7 @@ func (in *Injector) targetLinks(e Event) []graph.LinkID {
 		links := append([]graph.LinkID(nil), g.OutLinks(e.Node)...)
 		return append(links, g.InLinks(e.Node)...)
 	default:
-		return in.planeLinks(e.Plane)
+		return planeLinks(g, e.Plane)
 	}
 }
 
@@ -153,8 +159,7 @@ func (in *Injector) eventPlane(e Event) int32 {
 	}
 }
 
-func (in *Injector) planeLinks(plane int32) []graph.LinkID {
-	g := in.Net.G
+func planeLinks(g *graph.Graph, plane int32) []graph.LinkID {
 	var links []graph.LinkID
 	for i := 0; i < g.NumLinks(); i++ {
 		if g.Link(graph.LinkID(i)).Plane == plane {

@@ -212,8 +212,7 @@ func beyondRange(s string) error {
 
 // Build materializes the spec for a concrete graph. Poisson entries draw
 // from the given seed; everything else is literal. Target validity
-// (link/switch/plane existence) is checked later by NewInjector, which
-// knows the network.
+// (link/switch/plane existence) is the schedule's Check.
 func (s *Spec) Build(g *graph.Graph, seed int64) Schedule {
 	var sched Schedule
 	if s == nil {

@@ -93,7 +93,6 @@ func TestSpansSummaryWorkerInvariant(t *testing.T) {
 		defer par.SetLimit(0)
 		c := obs.NewCollector()
 		c.Spans = true
-		c.Profile = true
 		aggr := report.NewAggregator()
 		c.Sink = aggr
 		e, _ := ByID("fig6c")

@@ -57,13 +57,15 @@ func (m faultsMetrics) row(name string) []string {
 	}
 }
 
-// runFaults rides the paper's network types through the same mid-run
-// dataplane outage. The serial baseline has nowhere to fail over to and
-// never recovers; the parallel P-Nets detect the outage from probe
-// silence (no oracle), repath the stalled flows onto surviving planes,
-// and return to their pre-fault goodput — the §3.4 fault tolerance
-// argument made measurable.
-func runFaults(p Params) Table {
+// faultsVariant is one network faults rides through the outage.
+type faultsVariant struct {
+	name string
+	tp   *topo.Topology
+}
+
+// faultsSetup sizes the faults experiment for p's scale and builds its
+// three networks: the serial baseline and the two P-Nets.
+func faultsSetup(p Params) (faultsCfg, []faultsVariant) {
 	cfg := faultsCfg{
 		faultAt: 6 * sim.Millisecond,
 		runDur:  30 * sim.Millisecond,
@@ -82,7 +84,38 @@ func runFaults(p Params) Table {
 	}
 	ft := topo.FatTreeSet(ftK, 2, speed)
 	jf := topo.ScaledJellyfish(jfSw, 2, speed, p.Seed)
+	return cfg, []faultsVariant{
+		{"serial", ft.SerialLow},
+		{"parallel homogeneous", ft.ParallelHomo},
+		{"parallel heterogeneous", jf.ParallelHetero},
+	}
+}
 
+// CheckChaos reports, naming the network, the first -chaos target that
+// one of the faults experiment's networks at p's scale and seed lacks;
+// nil when p has no chaos script. It is what turns a mistyped script
+// into a usage error instead of a panic inside a run.
+func CheckChaos(p Params) error {
+	if p.Chaos == nil {
+		return nil
+	}
+	_, variants := faultsSetup(p)
+	for _, v := range variants {
+		if err := p.Chaos.Build(v.tp.G, p.Seed).Check(v.tp.G); err != nil {
+			return fmt.Errorf("faults network %q (%s): %v", v.name, v.tp.Name, err)
+		}
+	}
+	return nil
+}
+
+// runFaults rides the paper's network types through the same mid-run
+// dataplane outage. The serial baseline has nowhere to fail over to and
+// never recovers; the parallel P-Nets detect the outage from probe
+// silence (no oracle), repath the stalled flows onto surviving planes,
+// and return to their pre-fault goodput — the §3.4 fault tolerance
+// argument made measurable.
+func runFaults(p Params) Table {
+	cfg, variants := faultsSetup(p)
 	script := fmt.Sprintf("plane 0 dies at t=%s and stays down", secs(cfg.faultAt.Seconds()))
 	if p.Chaos != nil {
 		script = fmt.Sprintf("chaos script %q", p.Chaos)
@@ -94,14 +127,6 @@ func runFaults(p Params) Table {
 			"stall-driven repathing; goodput over %s windows",
 			script, secs(cfg.window.Seconds())),
 		Header: []string{"network", "pre Gbit/s", "dip", "detect", "failover", "recovery", "post", "blackholed"},
-	}
-	variants := []struct {
-		name string
-		tp   *topo.Topology
-	}{
-		{"serial", ft.SerialLow},
-		{"parallel homogeneous", ft.ParallelHomo},
-		{"parallel heterogeneous", jf.ParallelHetero},
 	}
 	// The variants are independent cells: each owns a distinct topology
 	// (the chaos injector mutates link state, so sharing a graph across

@@ -18,9 +18,10 @@ import (
 // Every record the run produces takes one road: the producer hands it to
 // the collector's one sink (out: the metrics stream, Sink, or a Tee of
 // the two) and the collector keeps nothing. Samplers emit link, plane and
-// engine records as they tick; RecordFlow, RecordSolver and RecordFault
-// pass theirs on as they arrive; Close emits each engine's profile bins
-// and fingerprint checkpoints. All records of one engine carry the NetID
+// engine records as they tick, fingerprinters their checkpoints as each
+// epoch closes; RecordFlow, RecordSolver and RecordFault pass theirs on
+// as they arrive; Close emits each engine's profile bins and trailing
+// partial checkpoint. All records of one engine carry the NetID
 // AttachNetwork gave it.
 //
 // A Collector is safe for concurrent producers: parallel experiment
@@ -36,16 +37,14 @@ type Collector struct {
 	// before the first record or AttachNetwork.
 	Sink Sink
 	// Spans enables latency-attribution span recording on every attached
-	// network; completed flows then carry their FCT decomposition
-	// (FlowRecord.Spans). Must be set before AttachNetwork.
+	// network, so completed flows carry their FCT decomposition
+	// (FlowRecord.Spans), and attaches an event-loop flight recorder to
+	// every attached engine, whose per-(kind, plane) bins Close emits as
+	// profile records. Must be set before AttachNetwork.
 	Spans bool
-	// Profile attaches an event-loop flight recorder to every attached
-	// engine; Close emits the per-(kind, plane) bins as profile records.
-	// Must be set before AttachNetwork.
-	Profile bool
 	// Fingerprint attaches a determinism fingerprinter to every attached
-	// engine; Close emits its epoch checkpoints as fingerprint records.
-	// Must be set before AttachNetwork.
+	// engine; each epoch checkpoint becomes a fingerprint record as the
+	// epoch closes. Must be set before AttachNetwork.
 	Fingerprint bool
 	// FingerprintEpoch overrides the checkpoint cadence in events; zero
 	// selects sim.DefaultFingerprintEpoch. Must be set before
@@ -65,9 +64,8 @@ type Collector struct {
 	runWallNs atomic.Int64
 	mw        *MetricsWriter
 	teeOnce   sync.Once
-	tee       Sink           // Tee(mw, Sink), when both are set
-	jw        *MetricsWriter // fingerprint journal stream, if any
-	tw        *bufio.Writer  // shared by every network's JSONLSink
+	tee       Sink          // Tee(mw, Sink), when both are set
+	tw        *bufio.Writer // shared by every network's JSONLSink
 	nets      []attachment
 	nextID    int
 }
@@ -86,22 +84,13 @@ type attachment struct {
 // NewCollector returns a collector with no streams.
 func NewCollector() *Collector { return &Collector{} }
 
-// StreamMetrics streams samples, flow/solver/fault records and, at Close,
-// profile bins and fingerprint checkpoints to w as JSONL.
+// StreamMetrics streams samples, flow/solver/fault records, fingerprint
+// checkpoints and, at Close, profile bins to w as JSONL.
 func (c *Collector) StreamMetrics(w io.Writer) { c.mw = NewMetricsWriter(w) }
 
 // StreamTrace streams packet lifecycle events of every attached network
 // to w as JSONL.
 func (c *Collector) StreamTrace(w io.Writer) { c.tw = bufio.NewWriterSize(w, 1<<16) }
-
-// StreamFingerprintJournal streams every folded event of every attached
-// fingerprinter to w as fpev JSONL records — the heavyweight divergence-
-// debugging mode. Lines from different engines interleave in completion
-// order, so journal runs meant for event-level comparison should use
-// workers=1 (per-engine order is deterministic either way; `pnetstat
-// divergence` groups by net before comparing). Must be called before
-// AttachNetwork, and only with Fingerprint set.
-func (c *Collector) StreamFingerprintJournal(w io.Writer) { c.jw = NewMetricsWriter(w) }
 
 func (c *Collector) interval() sim.Time {
 	if c.Interval > 0 {
@@ -130,9 +119,10 @@ func (c *Collector) out() Sink {
 // AttachNetwork instruments one simulation under the next NetID: the
 // network's tracer is pointed at the trace stream (if any), spans, the
 // flight recorder and the fingerprinter are switched on as configured,
-// and a sampler is started on the engine (if a metrics stream or Sink is
-// set). Safe to call on a nil collector. It returns the sampler, or nil
-// if none was started.
+// and, if a metrics stream or Sink is set, the fingerprinter's
+// checkpoints are pointed at it and a sampler is started on the engine.
+// Safe to call on a nil collector. It returns the sampler, or nil if none
+// was started.
 func (c *Collector) AttachNetwork(eng *sim.Engine, net *sim.Network) *Sampler {
 	if c == nil {
 		return nil
@@ -149,19 +139,21 @@ func (c *Collector) AttachNetwork(eng *sim.Engine, net *sim.Network) *Sampler {
 	}
 	if c.Spans {
 		net.EnableSpans()
-	}
-	if c.Profile {
 		a.rec = sim.NewFlightRecorder()
 		eng.Recorder = a.rec
 	}
+	to := c.out()
 	if c.Fingerprint {
 		a.fp = sim.NewFingerprinter(c.FingerprintEpoch)
-		if c.jw != nil {
-			a.fp.Journal = c.journalFunc(a.id)
+		if to != nil {
+			id, epoch := a.id, a.fp.EpochEvents()
+			a.fp.OnCheckpoint = func(cp sim.FingerprintCheckpoint) {
+				to.Fingerprint(CheckpointRecord(id, epoch, cp))
+			}
 		}
 		eng.Fingerprint = a.fp
 	}
-	if to := c.out(); to != nil {
+	if to != nil {
 		a.sampler = NewSampler(eng, net, c.interval(), to)
 		a.sampler.NetID = a.id
 		a.sampler.Start()
@@ -170,21 +162,6 @@ func (c *Collector) AttachNetwork(eng *sim.Engine, net *sim.Network) *Sampler {
 	c.nets = append(c.nets, a)
 	c.mu.Unlock()
 	return a.sampler
-}
-
-// journalFunc builds the per-engine journal hook: each folded event
-// becomes one fpev line on the journal stream. The closure allocates
-// once per engine at attach time; the per-event path allocates only what
-// encoding/json needs (journal mode is explicitly not the cheap path).
-func (c *Collector) journalFunc(netID int) func(sim.FingerprintJournalEntry) {
-	return func(e sim.FingerprintJournalEntry) {
-		c.jw.write(FingerprintEventRecord{
-			Type: KindFPEvent, Net: netID, Epoch: e.Epoch, I: e.Index,
-			TPs: int64(e.T), Kind: e.Kind.String(), Plane: e.Plane,
-			Link: e.Link, Flow: e.Flow, Seq: e.Seq, Size: e.Size,
-			Hash: FormatHash(e.Hash),
-		})
-	}
 }
 
 // EffectiveInterval reports the sampling period attached networks use.
@@ -236,12 +213,12 @@ func (c *Collector) RunWallNs() int64 {
 	return c.runWallNs.Load()
 }
 
-// Close ends the run: it stops the samplers (a network that never reached
-// its first tick reports its one engine record then), emits every
-// engine's profile bins and fingerprint checkpoints to the sink, and
-// flushes every stream. It returns the first error any stream hit. Call
-// it once, when every engine has stopped; a summary is complete only
-// after it.
+// Close ends the run: per network, it stops the sampler (a network that
+// never reached its first tick reports its one engine record then) and
+// emits the engine's profile bins and trailing partial fingerprint
+// checkpoint to the sink; then it flushes every stream. It returns the
+// first error any stream hit. Call it once, when every engine has
+// stopped; a summary is complete only after it.
 func (c *Collector) Close() error {
 	if c == nil {
 		return nil
@@ -249,16 +226,15 @@ func (c *Collector) Close() error {
 	c.mu.Lock()
 	nets := c.nets
 	c.mu.Unlock()
+	to := c.out()
 	for _, n := range nets {
 		if n.sampler != nil {
 			n.sampler.Stop()
 		}
-	}
-	if to := c.out(); to != nil {
-		for _, n := range nets {
-			if n.rec == nil {
-				continue
-			}
+		if to == nil {
+			continue
+		}
+		if n.rec != nil {
 			for _, b := range n.rec.Snapshot() {
 				to.Profile(ProfileRecord{
 					Type: KindProfile, Net: n.id, Kind: b.Kind.String(), Plane: b.Plane,
@@ -266,20 +242,9 @@ func (c *Collector) Close() error {
 				})
 			}
 		}
-		for _, n := range nets {
-			if n.fp == nil {
-				continue
-			}
-			for _, cp := range n.fp.Checkpoints() {
-				r := FingerprintRecord{
-					Type: KindFingerprint, Net: n.id, Epoch: cp.Epoch,
-					Events: cp.Events, TPs: int64(cp.T), EpochEvents: n.fp.EpochEvents(),
-					Hash: FormatHash(cp.Global), Host: FormatHash(cp.Host), Final: cp.Partial,
-				}
-				for pl, h := range cp.Planes {
-					r.Planes = append(r.Planes, PlaneHash{Plane: int32(pl), Hash: FormatHash(h)})
-				}
-				to.Fingerprint(r)
+		if n.fp != nil {
+			if cp, ok := n.fp.Partial(); ok {
+				to.Fingerprint(CheckpointRecord(n.id, n.fp.EpochEvents(), cp))
 			}
 		}
 	}
@@ -291,9 +256,6 @@ func (c *Collector) Close() error {
 	}
 	if c.mw != nil {
 		keep(c.mw.Flush())
-	}
-	if c.jw != nil {
-		keep(c.jw.Flush())
 	}
 	for _, n := range nets {
 		if n.trace != nil {

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"strings"
@@ -587,6 +588,20 @@ func TestSamplerTickZeroAlloc(t *testing.T) {
 	for pl, r := range sink.planes {
 		if r.Plane != int32(pl) || r.TxBytes != want[pl] || r.TxBytes != int64(pl+rounds)*2*1500 {
 			t.Errorf("plane %d record = %+v, want %d bytes (%d packets over two links)", pl, r, want[pl], pl+rounds)
+		}
+	}
+}
+
+// TestFormatHash: the hand-rolled rendering is %016x, and ParseHash
+// inverts it.
+func TestFormatHash(t *testing.T) {
+	for _, h := range []uint64{0, 1, 0xf, 0xdeadbeef, 1 << 63, 0x0123456789abcdef, ^uint64(0)} {
+		s := FormatHash(h)
+		if want := fmt.Sprintf("%016x", h); s != want {
+			t.Errorf("FormatHash(%#x) = %q, want %q", h, s, want)
+		}
+		if back, err := ParseHash(s); err != nil || back != h {
+			t.Errorf("ParseHash(%q) = %#x, %v, want %#x", s, back, err, h)
 		}
 	}
 }

@@ -89,7 +89,6 @@ func TestProfileRecordsOnClose(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewCollector()
 	c.Spans = true
-	c.Profile = true
 	c.StreamMetrics(&buf)
 	c.AttachNetwork(eng, net)
 	if !net.SpansOn() {

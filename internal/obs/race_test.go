@@ -132,7 +132,7 @@ func TestProfileNetIsEngineNet(t *testing.T) {
 			eng.Run()
 		}
 		run(0)
-		c.Profile = true
+		c.Spans = true
 		const engines = 8
 		var wg sync.WaitGroup
 		slots := make(chan struct{}, workers)
@@ -166,5 +166,51 @@ func TestProfileNetIsEngineNet(t *testing.T) {
 			t.Errorf("workers=%d: %d sampled and %d profiled networks (net 0 profiled: %v), want %d and %d, not net 0",
 				workers, len(lastTick), len(profiled), profiled[0], engines+1, engines)
 		}
+	}
+}
+
+// TestCheckpointsStreamBeforeClose: a fingerprinter's checkpoints reach
+// the sink as their epochs close, each naming the event that closed it,
+// so the collector holds none of them; Close adds only the engine's
+// trailing partial checkpoint.
+func TestCheckpointsStreamBeforeClose(t *testing.T) {
+	rec := &report.Stream{}
+	c := obs.NewCollector()
+	c.Interval = sim.Microsecond
+	c.Sink = rec
+	c.Fingerprint = true
+	c.FingerprintEpoch = 16
+	eng, net, route := twoHosts()
+	c.AttachNetwork(eng, net)
+	for i := 0; i < 10; i++ {
+		pkt := net.NewPacket()
+		pkt.Size = 1500
+		pkt.Route = route
+		pkt.Deliver = release{net}
+		pkt.FlowID = int64(i + 1)
+		net.Send(pkt)
+	}
+	eng.Run()
+	events := int64(eng.EventsFired())
+	full := events / 16
+	if full < 2 || events%16 == 0 {
+		t.Fatalf("%d events: the scene needs two full epochs and a partial one", events)
+	}
+	if int64(len(rec.Fingerprints)) != full {
+		t.Fatalf("%d checkpoints in the sink before Close, want the %d full epochs of %d events", len(rec.Fingerprints), full, events)
+	}
+	for i, r := range rec.Fingerprints {
+		if r.Epoch != int64(i) || r.Events != 16*int64(i+1) || r.Final || r.Kind == "" || r.EpochEvents != 16 {
+			t.Errorf("checkpoint %d before Close = %+v, want epoch %d closed by an event at %d events", i, r, i, 16*(i+1))
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(rec.Fingerprints)) != full+1 {
+		t.Fatalf("%d checkpoints after Close, want %d full and one partial", len(rec.Fingerprints), full)
+	}
+	if last := rec.Fingerprints[full]; !last.Final || last.Events != events || last.Epoch != full || last.Kind != "" {
+		t.Errorf("checkpoint Close added = %+v, want the partial epoch %d at %d events, naming no event", last, full, events)
 	}
 }

@@ -27,7 +27,6 @@ const (
 	KindFault       = "fault"
 	KindProfile     = "profile"
 	KindFingerprint = "fp"
-	KindFPEvent     = "fpev"
 	// KindMetric is written by no current binary: it was the close-time
 	// counter/gauge/histogram snapshot of earlier versions. The reader
 	// still recognises it, and skips the line, so their streams load.
@@ -137,13 +136,14 @@ func ValidEventKind(name string) bool {
 }
 
 // FingerprintRecord is one epoch checkpoint of an engine's determinism
-// hash chain (internal/sim fingerprints), written when the collector
-// closes. Hashes are rendered as 16-digit hex strings, not JSON numbers:
-// uint64 values above 2^53 would be silently rounded by any consumer
-// that parses them as float64. Net identifies the engine within this
-// stream only — attach order is nondeterministic under workers > 1, so
-// cross-run comparison pairs engines canonically by hash sequence (see
-// internal/report divergence), never by Net.
+// hash chain (internal/sim fingerprints), emitted as the epoch closes; the
+// trailing partial one is emitted when the collector closes. Hashes are
+// rendered as 16-digit hex strings, not JSON numbers: uint64 values above
+// 2^53 would be silently rounded by any consumer that parses them as
+// float64. Net identifies the engine within this stream only — attach
+// order is nondeterministic under workers > 1, so cross-run comparison
+// pairs engines canonically by hash sequence (see internal/report
+// divergence), never by Net.
 type FingerprintRecord struct {
 	Type   string `json:"type"` // "fp"
 	Net    int    `json:"net"`
@@ -159,6 +159,34 @@ type FingerprintRecord struct {
 	// Final marks the trailing partial checkpoint of an epoch still in
 	// progress when the run ended.
 	Final bool `json:"final,omitempty"`
+	// Kind, Plane, Link, Flow, Seq and Size identify the event that closed
+	// the epoch (at -fingerprint-epoch 1, the one event folded since the
+	// previous checkpoint); a Final checkpoint has none. A zero value is
+	// omitted and reads back as zero.
+	Kind  string `json:"kind,omitempty"`  // hop | deliver | tx | timer
+	Plane int32  `json:"plane,omitempty"` // -1 for timer (no plane)
+	Link  int64  `json:"link,omitempty"`  // -1 for timer
+	Flow  int64  `json:"flow,omitempty"`
+	Seq   int64  `json:"seq,omitempty"`
+	Size  int32  `json:"size,omitempty"`
+}
+
+// CheckpointRecord renders one checkpoint of engine net's fingerprinter,
+// whose cadence is epochEvents, as the record the streams carry.
+func CheckpointRecord(net int, epochEvents int64, cp sim.FingerprintCheckpoint) FingerprintRecord {
+	r := FingerprintRecord{
+		Type: KindFingerprint, Net: net, Epoch: cp.Epoch, Events: cp.Events,
+		TPs: int64(cp.T), EpochEvents: epochEvents,
+		Hash: FormatHash(cp.Global), Host: FormatHash(cp.Host), Final: cp.Partial,
+	}
+	for pl, h := range cp.Planes {
+		r.Planes = append(r.Planes, PlaneHash{Plane: int32(pl), Hash: FormatHash(h)})
+	}
+	if !cp.Partial {
+		r.Kind, r.Plane, r.Link = cp.Kind.String(), cp.Plane, cp.Link
+		r.Flow, r.Seq, r.Size = cp.Flow, cp.Seq, cp.Size
+	}
+	return r
 }
 
 // PlaneHash is one dataplane's chain value within a checkpoint.
@@ -167,28 +195,17 @@ type PlaneHash struct {
 	Hash  string `json:"hash"`
 }
 
-// FingerprintEventRecord is one folded event of a fingerprint journal —
-// the per-event stream a divergence re-run records so the first
-// divergent event can be named exactly. I is the event's 0-based index
-// within its epoch; Hash is the global chain after folding it.
-type FingerprintEventRecord struct {
-	Type  string `json:"type"` // "fpev"
-	Net   int    `json:"net"`
-	Epoch int64  `json:"epoch"`
-	I     int64  `json:"i"`
-	TPs   int64  `json:"t_ps"`
-	Kind  string `json:"kind"`  // hop | deliver | tx | timer
-	Plane int32  `json:"plane"` // -1 for timer (no plane)
-	Link  int64  `json:"link"`  // -1 for timer
-	Flow  int64  `json:"flow,omitempty"`
-	Seq   int64  `json:"seq,omitempty"`
-	Size  int32  `json:"size,omitempty"`
-	Hash  string `json:"hash"`
-}
-
 // FormatHash renders a chain value as the fixed-width hex string the
-// fingerprint records carry.
-func FormatHash(h uint64) string { return fmt.Sprintf("%016x", h) }
+// fingerprint records carry, %016x without fmt: at -fingerprint-epoch 1 it
+// runs for every chain of every event.
+func FormatHash(h uint64) string {
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = "0123456789abcdef"[h&0xf]
+		h >>= 4
+	}
+	return string(b[:])
+}
 
 // ParseHash inverts FormatHash.
 func ParseHash(s string) (uint64, error) {

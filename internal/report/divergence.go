@@ -1,7 +1,9 @@
 package report
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -11,8 +13,9 @@ import (
 // Divergence localization: given two fingerprint checkpoint streams from
 // runs that should have been identical (same experiment, same seed,
 // different worker count / branch / machine), find the first epoch where
-// their determinism chains part ways — and, when per-event journals for
-// that epoch are available, the exact first divergent event.
+// their determinism chains part ways, and name the event that closed it
+// on each side. At -fingerprint-epoch 1 every event closes an epoch, so
+// that is the exact first divergent event.
 //
 // Engine NetIDs are attach-order and therefore not comparable across
 // runs (workers > 1 attaches in completion order), so engines are paired
@@ -25,53 +28,34 @@ import (
 // The chains are cumulative, so "checkpoints match" is a prefix-closed
 // predicate over epochs; the first divergent epoch is found by binary
 // search rather than a scan — the bisection that gives the pnetstat
-// subcommand its name.
+// subcommand its name. The search runs over chain values, not event
+// identities: after a swapped pair the identities match again, but the
+// chains stay apart forever.
 
-// EngineChain is one engine's checkpoint sequence, extracted from a
-// stream and sorted by epoch.
-type EngineChain struct {
-	Net         int
-	EpochEvents int64
-	Checkpoints []obs.FingerprintRecord
-}
-
-// key is the canonical pairing key: the hash sequence itself.
-func (e EngineChain) key() string {
-	var b strings.Builder
-	for _, cp := range e.Checkpoints {
-		b.WriteString(cp.Hash)
+// ExtractChains groups a stream's fingerprint records into one chain per
+// engine, its checkpoints in epoch order, and sorts the chains by their
+// hash sequences: the canonical pairing key (hashes are fixed-width, so
+// this is the order of the sequences' concatenations). It sorts
+// st.Fingerprints in place and the chains share its records: at one
+// checkpoint an event they are most of a stream's memory.
+func ExtractChains(st *Stream) [][]obs.FingerprintRecord {
+	fps := st.Fingerprints
+	slices.SortFunc(fps, func(a, b obs.FingerprintRecord) int {
+		return cmp.Or(cmp.Compare(a.Net, b.Net), cmp.Compare(a.Epoch, b.Epoch))
+	})
+	var out [][]obs.FingerprintRecord
+	for len(fps) > 0 {
+		n := 1
+		for n < len(fps) && fps[n].Net == fps[0].Net {
+			n++
+		}
+		out = append(out, fps[:n:n])
+		fps = fps[n:]
 	}
-	return b.String()
-}
-
-// ExtractChains groups a stream's fingerprint records by engine and
-// sorts each engine's checkpoints by epoch.
-func ExtractChains(st *Stream) []EngineChain {
-	byNet := map[int][]obs.FingerprintRecord{}
-	for _, r := range st.Fingerprints {
-		byNet[r.Net] = append(byNet[r.Net], r)
-	}
-	out := make([]EngineChain, 0, len(byNet))
-	for net, cps := range byNet {
-		sort.Slice(cps, func(i, j int) bool { return cps[i].Epoch < cps[j].Epoch })
-		out = append(out, EngineChain{Net: net, EpochEvents: cps[0].EpochEvents, Checkpoints: cps})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key() < out[j].key() })
+	slices.SortStableFunc(out, func(a, b []obs.FingerprintRecord) int {
+		return slices.CompareFunc(a, b, func(x, y obs.FingerprintRecord) int { return strings.Compare(x.Hash, y.Hash) })
+	})
 	return out
-}
-
-// DivergentEvent is the event-level localization inside the divergent
-// epoch, available when both runs supplied journals.
-type DivergentEvent struct {
-	// Index is the first journal position (within the epoch) where the
-	// two runs disagree; -1 if one journal is a strict prefix of the
-	// other (the shorter run simply stopped).
-	Index int64
-	// Base and Cur are the records at that position (zero Type if absent
-	// on that side).
-	Base, Cur obs.FingerprintEventRecord
-	// ContextBase and ContextCur are the ±K windows around the event.
-	ContextBase, ContextCur []obs.FingerprintEventRecord
 }
 
 // Divergence is the verdict of comparing two fingerprint streams.
@@ -81,185 +65,118 @@ type Divergence struct {
 	Match bool
 	// Engines is the number of paired engines; Note carries structural
 	// mismatches (engine count, cadence) that preempt bisection.
-	Engines int
-	Note    string
+	Engines     int
+	Note        string
+	EpochEvents int64 // the base run's cadence, the cur run's too unless Note says otherwise
 
 	// The earliest divergence across all pairs:
-	Pair              int   // pair index (canonical order)
-	BaseNet, CurNet   int   // the pair's NetIDs in each stream
-	Epoch             int64 // first divergent epoch
-	Events            int64 // cumulative events at that checkpoint
-	BaseHash, CurHash string
+	Pair            int   // pair index (canonical order)
+	BaseNet, CurNet int   // the pair's NetIDs in each stream
+	Epoch           int64 // first divergent epoch
+	Events          int64 // cumulative events at that checkpoint
+	// Base and Cur are each side's checkpoint at that epoch; a zero Type
+	// marks a side whose run ended before it.
+	Base, Cur obs.FingerprintRecord
 	// Planes lists the planes whose chains differ at the divergent
 	// checkpoint; HostDiffers marks the plane-less (timer) chain.
 	Planes      []int32
 	HostDiffers bool
-
-	// Event is the event-level localization, set by LocalizeEvents.
-	Event *DivergentEvent
+	// ContextBase and ContextCur are each side's checkpoints within ±k
+	// epochs of the divergent one.
+	ContextBase, ContextCur []obs.FingerprintRecord
 }
 
 // FindDivergence pairs the two streams' engines canonically and binary-
 // searches each pair's checkpoints for the first divergent epoch,
-// returning the earliest divergence found (by epoch, then pair index).
-func FindDivergence(base, cur *Stream) (*Divergence, error) {
+// returning the earliest divergence found (by epoch, then pair index)
+// with k checkpoints of context either side.
+func FindDivergence(base, cur *Stream, k int) (*Divergence, error) {
 	bc := ExtractChains(base)
 	cc := ExtractChains(cur)
 	if len(bc) == 0 || len(cc) == 0 {
 		return nil, fmt.Errorf("report: no fingerprint records (base %d engines, cur %d) — were the runs made with -fingerprint?", len(bc), len(cc))
 	}
-	d := &Divergence{Engines: len(bc), Epoch: -1}
+	d := &Divergence{Engines: len(bc), EpochEvents: bc[0][0].EpochEvents}
 	if len(bc) != len(cc) {
 		d.Note = fmt.Sprintf("engine count differs: base has %d, cur has %d — the runs did not execute the same simulations", len(bc), len(cc))
 		return d, nil
 	}
-	if be, ce := bc[0].EpochEvents, cc[0].EpochEvents; be != ce {
+	if be, ce := bc[0][0].EpochEvents, cc[0][0].EpochEvents; be != ce {
 		d.Note = fmt.Sprintf("checkpoint cadence differs: base epoch=%d events, cur epoch=%d — rerun with matching -fingerprint-epoch", be, ce)
 		return d, nil
 	}
-	found := false
+	// A chain holds epochs 0, 1, ... in order, so a position is an epoch.
+	pair, at := -1, 0
 	for i := range bc {
 		b, c := bc[i], cc[i]
-		n := len(b.Checkpoints)
-		if len(c.Checkpoints) < n {
-			n = len(c.Checkpoints)
-		}
 		// Chains are cumulative: equal checkpoints stay equal until the
 		// first divergence, after which every checkpoint differs. That
-		// makes "differs at epoch i" monotone in i — binary-searchable.
-		first := sort.Search(n, func(j int) bool {
-			return b.Checkpoints[j].Hash != c.Checkpoints[j].Hash
-		})
-		if first == n {
-			if len(b.Checkpoints) == len(c.Checkpoints) {
-				continue // identical end to end
-			}
-			// One run recorded more epochs: the shared prefix matches, so
-			// the divergence is the first checkpoint only one side has.
-			longer := b.Checkpoints
-			if len(c.Checkpoints) > len(b.Checkpoints) {
-				longer = c.Checkpoints
-			}
-			cp := longer[n]
-			if !found || cp.Epoch < d.Epoch {
-				found = true
-				d.Pair, d.BaseNet, d.CurNet = i, b.Net, c.Net
-				d.Epoch, d.Events = cp.Epoch, cp.Events
-				d.BaseHash, d.CurHash = hashAt(b.Checkpoints, n), hashAt(c.Checkpoints, n)
-				d.Planes, d.HostDiffers = nil, false
-			}
-			continue
+		// makes "differs at epoch j" monotone in j — binary-searchable.
+		// When one run recorded more epochs and the shared prefix
+		// matches, the divergence is the first checkpoint only one side
+		// has.
+		first := sort.Search(min(len(b), len(c)), func(j int) bool { return b[j].Hash != c[j].Hash })
+		if first == len(b) && first == len(c) {
+			continue // identical end to end
 		}
-		bcp, ccp := b.Checkpoints[first], c.Checkpoints[first]
-		if !found || bcp.Epoch < d.Epoch {
-			found = true
-			d.Pair, d.BaseNet, d.CurNet = i, b.Net, c.Net
-			d.Epoch, d.Events = bcp.Epoch, bcp.Events
-			d.BaseHash, d.CurHash = bcp.Hash, ccp.Hash
-			d.Planes, d.HostDiffers = divergentPlanes(bcp, ccp)
+		if pair < 0 || first < at {
+			pair, at = i, first
 		}
 	}
-	d.Match = !found
+	if d.Match = pair < 0; d.Match {
+		return d, nil
+	}
+	b, c := bc[pair], cc[pair]
+	d.Pair, d.BaseNet, d.CurNet = pair, b[0].Net, c[0].Net
+	d.Base, d.Cur = recordAt(b, at), recordAt(c, at)
+	if d.Base.Type != "" && d.Cur.Type != "" {
+		d.Planes, d.HostDiffers = divergentPlanes(d.Base, d.Cur)
+	}
+	cp := d.Base
+	if cp.Type == "" {
+		cp = d.Cur
+	}
+	d.Epoch, d.Events = cp.Epoch, cp.Events
+	d.ContextBase, d.ContextCur = window(b, at, k), window(c, at, k)
 	return d, nil
 }
 
-func hashAt(cps []obs.FingerprintRecord, i int) string {
+// recordAt is cps[i], or the zero record past the end of a run.
+func recordAt(cps []obs.FingerprintRecord, i int) obs.FingerprintRecord {
 	if i < len(cps) {
-		return cps[i].Hash
+		return cps[i]
 	}
-	return "(run ended)"
+	return obs.FingerprintRecord{}
+}
+
+// window is xs[at-k : at+k+1], clipped to xs.
+func window(xs []obs.FingerprintRecord, at, k int) []obs.FingerprintRecord {
+	lo, hi := max(at-k, 0), min(at+k+1, len(xs))
+	if lo >= hi {
+		return nil
+	}
+	return xs[lo:hi]
 }
 
 // divergentPlanes names the per-plane chains that differ at a
 // checkpoint — the attribution that tells a debugger which plane's event
 // order broke first.
 func divergentPlanes(b, c obs.FingerprintRecord) (planes []int32, host bool) {
-	host = b.Host != c.Host
-	bp := map[int32]string{}
-	for _, p := range b.Planes {
-		bp[p.Plane] = p.Hash
-	}
-	seen := map[int32]bool{}
-	for _, p := range c.Planes {
-		seen[p.Plane] = true
-		if bp[p.Plane] != p.Hash {
-			planes = append(planes, p.Plane)
+	hashes := map[int32][2]string{} // by plane: base's, cur's
+	for side, r := range []obs.FingerprintRecord{b, c} {
+		for _, p := range r.Planes {
+			h := hashes[p.Plane]
+			h[side] = p.Hash
+			hashes[p.Plane] = h
 		}
 	}
-	for _, p := range b.Planes {
-		if !seen[p.Plane] {
-			planes = append(planes, p.Plane)
+	for pl, h := range hashes {
+		if h[0] != h[1] {
+			planes = append(planes, pl)
 		}
 	}
-	sort.Slice(planes, func(i, j int) bool { return planes[i] < planes[j] })
-	return planes, host
-}
-
-// LocalizeEvents refines a checkpoint-level divergence to the first
-// divergent event, given per-event journals (pnetbench
-// -fingerprint-journal) from both runs. Only the divergent (net, epoch)
-// is consulted, so journals recorded for just that epoch's re-run
-// suffice. K sets the ± context window.
-func (d *Divergence) LocalizeEvents(base, cur *Stream, k int) error {
-	if d.Match || d.Epoch < 0 {
-		return fmt.Errorf("report: no divergent epoch to localize")
-	}
-	be := journalEpoch(base, d.BaseNet, d.Epoch)
-	ce := journalEpoch(cur, d.CurNet, d.Epoch)
-	if len(be) == 0 || len(ce) == 0 {
-		return fmt.Errorf("report: no journal records for the divergent epoch (base net %d: %d, cur net %d: %d) — rerun both with -fingerprint-journal",
-			d.BaseNet, len(be), d.CurNet, len(ce))
-	}
-	n := len(be)
-	if len(ce) < n {
-		n = len(ce)
-	}
-	// Search over the cumulative chain hashes, not the event identities:
-	// after a swapped pair the identities match again, but the chains
-	// stay apart forever — the monotone predicate bisection needs.
-	first := sort.Search(n, func(i int) bool { return be[i].Hash != ce[i].Hash })
-	ev := &DivergentEvent{Index: -1}
-	if first < n {
-		ev.Index = be[first].I
-		ev.Base, ev.Cur = be[first], ce[first]
-	} else if len(be) != len(ce) {
-		first = n // one journal is a prefix of the other
-		if first < len(be) {
-			ev.Index, ev.Base = be[first].I, be[first]
-		} else {
-			ev.Index, ev.Cur = ce[first].I, ce[first]
-		}
-	} else {
-		return fmt.Errorf("report: journals for epoch %d are identical — the divergence is in another epoch or engine pairing", d.Epoch)
-	}
-	ev.ContextBase = window(be, first, k)
-	ev.ContextCur = window(ce, first, k)
-	d.Event = ev
-	return nil
-}
-
-// journalEpoch returns one engine's journal records for one epoch, in
-// index order.
-func journalEpoch(st *Stream, net int, epoch int64) []obs.FingerprintEventRecord {
-	var out []obs.FingerprintEventRecord
-	for _, r := range st.FPEvents {
-		if r.Net == net && r.Epoch == epoch {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].I < out[j].I })
-	return out
-}
-
-func window(xs []obs.FingerprintEventRecord, at, k int) []obs.FingerprintEventRecord {
-	lo, hi := at-k, at+k+1
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(xs) {
-		hi = len(xs)
-	}
-	return append([]obs.FingerprintEventRecord(nil), xs[lo:hi]...)
+	slices.Sort(planes)
+	return planes, b.Host != c.Host
 }
 
 // String renders the divergence verdict for humans — the output of
@@ -276,7 +193,7 @@ func (d *Divergence) String() string {
 	}
 	fmt.Fprintf(&b, "DIVERGED: engine pair %d (base net %d, cur net %d) at epoch %d (≤ %d events)\n",
 		d.Pair, d.BaseNet, d.CurNet, d.Epoch, d.Events)
-	fmt.Fprintf(&b, "  global chain: base %s != cur %s\n", d.BaseHash, d.CurHash)
+	fmt.Fprintf(&b, "  global chain: base %s != cur %s\n", hashOr(d.Base), hashOr(d.Cur))
 	if len(d.Planes) > 0 || d.HostDiffers {
 		b.WriteString("  diverging chains:")
 		for _, p := range d.Planes {
@@ -287,50 +204,52 @@ func (d *Divergence) String() string {
 		}
 		b.WriteByte('\n')
 	}
-	if ev := d.Event; ev != nil {
-		fmt.Fprintf(&b, "  first divergent event: epoch %d index %d\n", d.Epoch, ev.Index)
-		if ev.Base.Type != "" {
-			fmt.Fprintf(&b, "    base: %s\n", fmtEvent(ev.Base))
-		} else {
-			b.WriteString("    base: (run ended before this event)\n")
-		}
-		if ev.Cur.Type != "" {
-			fmt.Fprintf(&b, "    cur:  %s\n", fmtEvent(ev.Cur))
-		} else {
-			b.WriteString("    cur:  (run ended before this event)\n")
-		}
-		if len(ev.ContextBase) > 0 {
-			b.WriteString("  context (base):\n")
-			for _, r := range ev.ContextBase {
-				mark := "  "
-				if r.I == ev.Index {
-					mark = "->"
-				}
-				fmt.Fprintf(&b, "    %s i=%-6d %s\n", mark, r.I, fmtEvent(r))
-			}
-		}
-		if len(ev.ContextCur) > 0 {
-			b.WriteString("  context (cur):\n")
-			for _, r := range ev.ContextCur {
-				mark := "  "
-				if r.I == ev.Index {
-					mark = "->"
-				}
-				fmt.Fprintf(&b, "    %s i=%-6d %s\n", mark, r.I, fmtEvent(r))
-			}
-		}
+	if d.EpochEvents == 1 {
+		fmt.Fprintf(&b, "  first divergent event: epoch %d\n", d.Epoch)
 	} else {
-		fmt.Fprintf(&b, "  (rerun both with -fingerprint-journal and pass the journals to localize the exact event)\n")
+		fmt.Fprintf(&b, "  last event of the first divergent epoch %d (%d events an epoch):\n", d.Epoch, d.EpochEvents)
+	}
+	fmt.Fprintf(&b, "    base: %s\n", fmtEvent(d.Base))
+	fmt.Fprintf(&b, "    cur:  %s\n", fmtEvent(d.Cur))
+	for _, side := range []struct {
+		name string
+		ctx  []obs.FingerprintRecord
+	}{{"base", d.ContextBase}, {"cur", d.ContextCur}} {
+		if len(side.ctx) == 0 {
+			continue
+		}
+		fmt.Fprintf(&b, "  context (%s):\n", side.name)
+		for _, r := range side.ctx {
+			mark := "  "
+			if r.Epoch == d.Epoch {
+				mark = "->"
+			}
+			fmt.Fprintf(&b, "    %s epoch=%-6d %s\n", mark, r.Epoch, fmtEvent(r))
+		}
+	}
+	if d.EpochEvents != 1 {
+		b.WriteString("  (rerun both with -fingerprint-epoch 1 to name the first divergent event)\n")
 	}
 	return b.String()
 }
 
-func fmtEvent(r obs.FingerprintEventRecord) string {
-	switch r.Kind {
-	case "timer":
-		return fmt.Sprintf("t=%dps timer", r.TPs)
-	default:
-		return fmt.Sprintf("t=%dps %s plane=%d link=%d flow=%d seq=%d size=%d",
-			r.TPs, r.Kind, r.Plane, r.Link, r.Flow, r.Seq, r.Size)
+func hashOr(r obs.FingerprintRecord) string {
+	if r.Type == "" {
+		return "(run ended)"
 	}
+	return r.Hash
+}
+
+// fmtEvent renders the event that closed a checkpoint.
+func fmtEvent(r obs.FingerprintRecord) string {
+	switch {
+	case r.Type == "":
+		return "(run ended before this checkpoint)"
+	case r.Kind == "":
+		return fmt.Sprintf("t=%dps (partial checkpoint at the end of the run)", r.TPs)
+	case r.Kind == "timer":
+		return fmt.Sprintf("t=%dps timer", r.TPs)
+	}
+	return fmt.Sprintf("t=%dps %s plane=%d link=%d flow=%d seq=%d size=%d",
+		r.TPs, r.Kind, r.Plane, r.Link, r.Flow, r.Seq, r.Size)
 }

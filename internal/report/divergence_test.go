@@ -21,32 +21,17 @@ type fpEvent struct {
 }
 
 // replayStream folds events through a real Fingerprinter and packages
-// the result exactly as the collector writes it: checkpoint records plus
-// a full journal, all under one net.
+// the result exactly as the collector writes it: the checkpoint records
+// of one net.
 func replayStream(events []fpEvent, epoch int64, net int) *Stream {
 	f := sim.NewFingerprinter(epoch)
 	st := &Stream{}
-	f.Journal = func(e sim.FingerprintJournalEntry) {
-		st.FPEvents = append(st.FPEvents, obs.FingerprintEventRecord{
-			Type: obs.KindFPEvent, Net: net, Epoch: e.Epoch, I: e.Index,
-			TPs: int64(e.T), Kind: e.Kind.String(), Plane: e.Plane,
-			Link: e.Link, Flow: e.Flow, Seq: e.Seq, Size: e.Size,
-			Hash: obs.FormatHash(e.Hash),
-		})
-	}
+	f.OnCheckpoint = func(cp sim.FingerprintCheckpoint) { st.Fingerprint(obs.CheckpointRecord(net, epoch, cp)) }
 	for _, e := range events {
 		f.Fold(e.t, e.kind, e.plane, e.link, e.flow, e.seq, 1500)
 	}
-	for _, cp := range f.Checkpoints() {
-		r := obs.FingerprintRecord{
-			Type: obs.KindFingerprint, Net: net, Epoch: cp.Epoch,
-			Events: cp.Events, TPs: int64(cp.T), EpochEvents: epoch,
-			Hash: obs.FormatHash(cp.Global), Host: obs.FormatHash(cp.Host), Final: cp.Partial,
-		}
-		for pl, h := range cp.Planes {
-			r.Planes = append(r.Planes, obs.PlaneHash{Plane: int32(pl), Hash: obs.FormatHash(h)})
-		}
-		st.Fingerprints = append(st.Fingerprints, r)
+	if cp, ok := f.Partial(); ok {
+		st.Fingerprint(obs.CheckpointRecord(net, epoch, cp))
 	}
 	return st
 }
@@ -69,7 +54,7 @@ func TestDivergenceMatch(t *testing.T) {
 	ev := syntheticEvents(200)
 	base := replayStream(ev, 32, 0)
 	cur := replayStream(ev, 32, 3) // different NetID: pairing must not care
-	d, err := FindDivergence(base, cur)
+	d, err := FindDivergence(base, cur, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,28 +67,34 @@ func TestDivergenceMatch(t *testing.T) {
 }
 
 // TestDivergencePerturbed is the acceptance check: flip the order of two
-// adjacent events and the divergence must be localized to exactly that
-// epoch and that event index, with the right plane attribution.
+// adjacent events and, on checkpoints made every event, the divergence
+// must be localized to exactly that event, with both sides' identities,
+// the right plane attribution and a ±2 context window. At a larger
+// cadence the same swap is localized to its epoch, which names its last
+// event and points at cadence 1.
 func TestDivergencePerturbed(t *testing.T) {
-	const epoch = 32
 	ev := syntheticEvents(200)
-	base := replayStream(ev, epoch, 0)
-	// Swap events 100 and 101: epoch 3 (100/32), indices 4 and 5. Same
-	// timestamps stay monotone because the swap only reorders identity.
+	// Swap events 100 and 101. Same timestamps stay monotone because the
+	// swap only reorders identity.
 	perturbed := append([]fpEvent(nil), ev...)
 	perturbed[100], perturbed[101] = perturbed[101], perturbed[100]
 	perturbed[100].t, perturbed[101].t = ev[100].t, ev[101].t // keep times, swap identity
-	cur := replayStream(perturbed, epoch, 0)
 
-	d, err := FindDivergence(base, cur)
+	d, err := FindDivergence(replayStream(ev, 1, 0), replayStream(perturbed, 1, 0), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.Match {
 		t.Fatal("perturbed replay reported as matching")
 	}
-	if d.Epoch != 100/epoch {
-		t.Fatalf("divergent epoch = %d, want %d", d.Epoch, 100/epoch)
+	if d.Epoch != 100 || d.Events != 101 {
+		t.Fatalf("first divergent event = epoch %d (%d events), want 100 (101)", d.Epoch, d.Events)
+	}
+	if d.Base.Flow != ev[100].flow || d.Cur.Flow != ev[101].flow {
+		t.Errorf("event flows = base %d cur %d, want %d and %d", d.Base.Flow, d.Cur.Flow, ev[100].flow, ev[101].flow)
+	}
+	if d.Base.Seq != 100 || d.Cur.Seq != 101 || d.Base.Kind != "hop" {
+		t.Errorf("events = base %+v cur %+v, want seq 100 and 101, hops", d.Base, d.Cur)
 	}
 	// Both swapped events are on distinct planes (planes 0 and 1), so
 	// both plane chains diverge.
@@ -113,24 +104,32 @@ func TestDivergencePerturbed(t *testing.T) {
 	if d.HostDiffers {
 		t.Error("host chain flagged, but no timer events were perturbed")
 	}
-	if err := d.LocalizeEvents(base, cur, 2); err != nil {
-		t.Fatal(err)
-	}
-	if d.Event == nil || d.Event.Index != 100%epoch {
-		t.Fatalf("divergent event = %+v, want index %d", d.Event, 100%epoch)
-	}
-	if d.Event.Base.Flow != ev[100].flow || d.Event.Cur.Flow != ev[101].flow {
-		t.Errorf("event flows = base %d cur %d, want %d and %d",
-			d.Event.Base.Flow, d.Event.Cur.Flow, ev[100].flow, ev[101].flow)
-	}
-	if len(d.Event.ContextBase) != 5 { // ±2 around the event
-		t.Errorf("context window = %d records, want 5", len(d.Event.ContextBase))
+	if len(d.ContextBase) != 5 || len(d.ContextCur) != 5 || d.ContextBase[2].Epoch != 100 { // ±2 around the event
+		t.Errorf("context windows = %d and %d records, want 5 centred on epoch 100", len(d.ContextBase), len(d.ContextCur))
 	}
 	out := d.String()
-	for _, want := range []string{"DIVERGED", "epoch 3", "first divergent event", "->"} {
+	for _, want := range []string{"DIVERGED", "epoch 100", "first divergent event", "->", "flow=3", "flow=4"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendering missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "-fingerprint-epoch 1") {
+		t.Errorf("cadence-1 rendering asks for a cadence-1 rerun:\n%s", out)
+	}
+
+	const epoch = 32
+	d, err = FindDivergence(replayStream(ev, epoch, 0), replayStream(perturbed, epoch, 0), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Match || d.Epoch != 100/epoch {
+		t.Fatalf("divergent epoch = %d (match %v), want %d", d.Epoch, d.Match, 100/epoch)
+	}
+	if last := 4*epoch - 1; d.Base.Seq != int64(last) || d.Cur.Seq != int64(last) {
+		t.Errorf("closing events = seq %d and %d, want the epoch's last, %d", d.Base.Seq, d.Cur.Seq, last)
+	}
+	if out := d.String(); !strings.Contains(out, "-fingerprint-epoch 1") {
+		t.Errorf("cadence-%d rendering lacks the cadence-1 pointer:\n%s", epoch, out)
 	}
 }
 
@@ -141,7 +140,7 @@ func TestDivergenceStructuralMismatches(t *testing.T) {
 	two := replayStream(ev, 32, 0)
 	extra := replayStream(ev[:50], 32, 1)
 	two.Fingerprints = append(two.Fingerprints, extra.Fingerprints...)
-	d, err := FindDivergence(one, two)
+	d, err := FindDivergence(one, two, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +149,7 @@ func TestDivergenceStructuralMismatches(t *testing.T) {
 	}
 	// Cadence mismatch.
 	other := replayStream(ev, 16, 0)
-	d, err = FindDivergence(one, other)
+	d, err = FindDivergence(one, other, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,19 +157,19 @@ func TestDivergenceStructuralMismatches(t *testing.T) {
 		t.Errorf("verdict = %+v", d)
 	}
 	// No fingerprints at all.
-	if _, err := FindDivergence(&Stream{}, one); err == nil {
+	if _, err := FindDivergence(&Stream{}, one, 2); err == nil {
 		t.Error("empty base stream: want error")
 	}
 }
 
-// TestDivergencePrefixRun: a run that simply stopped early (its journal
-// and checkpoints are a strict prefix) diverges at the first checkpoint
-// only one side has.
+// TestDivergencePrefixRun: a run that simply stopped early (its
+// checkpoints are a strict prefix) diverges at the first checkpoint only
+// one side has.
 func TestDivergencePrefixRun(t *testing.T) {
 	ev := syntheticEvents(200)
 	base := replayStream(ev, 32, 0)
 	cur := replayStream(ev[:100], 32, 0)
-	d, err := FindDivergence(base, cur)
+	d, err := FindDivergence(base, cur, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,13 @@ import (
 // can't classify, and the Aggregator must still summarize and render
 // whatever prefix it was handed (`pnetstat summary` on a damaged file).
 func FuzzStream(f *testing.F) {
+	// A per-event journal line, a kind earlier binaries wrote and this
+	// reader no longer knows: it must be named, not skipped or misread.
+	const fpev = `{"type":"fpev","net":0,"epoch":1,"i":0,"kind":"hop","hash":"0123456789abcdef"}` + "\n"
+	var uk *UnknownKindError
+	if err := ReadStream(bytes.NewReader([]byte(fpev)), &Stream{}); !errors.As(err, &uk) || uk.Kind != "fpev" || uk.Line != 1 {
+		f.Fatalf("fpev line: got %v, want an UnknownKindError for kind \"fpev\" on line 1", err)
+	}
 	seeds := []string{
 		goodStream,
 		"",
@@ -28,7 +35,7 @@ func FuzzStream(f *testing.F) {
 		`{"type":"pkt","ev":"warp","t_ps":-1}` + "\n",
 		`{"type":"fp","net":0,"epoch":1,"events":32,"epoch_events":32,"hash":"zz"}` + "\n",
 		`{"type":"fp","net":0,"epoch":1,"events":32,"epoch_events":0,"hash":"0123456789abcdef","host":"0123456789abcdef"}` + "\n",
-		`{"type":"fpev","net":0,"epoch":1,"i":0,"kind":"hop","hash":"0123"}` + "\n",
+		fpev,
 		// Mixed: valid records, then a schema the reader predates.
 		goodStream + `{"type":"fp","net":0,"epoch":0,"events":64,"epoch_events":64,"hash":"0123456789abcdef","host":"0123456789abcdef"}` + "\n" + `{"type":"from_the_future","v":2}` + "\n",
 		// Plane ids no engine would write: the fingerprint fold and the

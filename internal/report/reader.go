@@ -38,10 +38,9 @@ type Stream struct {
 	Profiles []obs.ProfileRecord
 	// Fingerprints are determinism-chain epoch checkpoints.
 	Fingerprints []obs.FingerprintRecord
-	// Packets (a -trace file) and FPEvents (a -fingerprint-journal file)
-	// are the two kinds no collector sink sees: see fileSink.
-	Packets  []obs.PacketRecord
-	FPEvents []obs.FingerprintEventRecord
+	// Packets (a -trace file) are the one kind no collector sink sees:
+	// see ReadStream.
+	Packets []obs.PacketRecord
 }
 
 // keep appends r to one of s's buckets under its lock.
@@ -51,26 +50,15 @@ func keep[R any](s *Stream, bucket *[]R, r R) {
 	s.mu.Unlock()
 }
 
-func (s *Stream) Link(r obs.LinkRecord)                { keep(s, &s.Links, r) }
-func (s *Stream) Plane(r obs.PlaneRecord)              { keep(s, &s.Planes, r) }
-func (s *Stream) Engine(r obs.EngineRecord)            { keep(s, &s.Engines, r) }
-func (s *Stream) Flow(r obs.FlowRecord)                { keep(s, &s.Flows, r) }
-func (s *Stream) Solver(r obs.SolverRecord)            { keep(s, &s.Solvers, r) }
-func (s *Stream) Fault(r obs.FaultRecord)              { keep(s, &s.Faults, r) }
-func (s *Stream) Profile(r obs.ProfileRecord)          { keep(s, &s.Profiles, r) }
-func (s *Stream) Fingerprint(r obs.FingerprintRecord)  { keep(s, &s.Fingerprints, r) }
-func (s *Stream) Packet(r obs.PacketRecord)            { keep(s, &s.Packets, r) }
-func (s *Stream) FPEvent(r obs.FingerprintEventRecord) { keep(s, &s.FPEvents, r) }
-
-// fileSink is the two record kinds only files carry: the trace stream's
-// packet events and the fingerprint journal's per-event records, which
-// the collector writes straight to their own files. ReadStream hands
-// them to a sink that has these methods and only validates them for one
-// that does not (an Aggregator summarizes neither).
-type fileSink interface {
-	Packet(obs.PacketRecord)
-	FPEvent(obs.FingerprintEventRecord)
-}
+func (s *Stream) Link(r obs.LinkRecord)               { keep(s, &s.Links, r) }
+func (s *Stream) Plane(r obs.PlaneRecord)             { keep(s, &s.Planes, r) }
+func (s *Stream) Engine(r obs.EngineRecord)           { keep(s, &s.Engines, r) }
+func (s *Stream) Flow(r obs.FlowRecord)               { keep(s, &s.Flows, r) }
+func (s *Stream) Solver(r obs.SolverRecord)           { keep(s, &s.Solvers, r) }
+func (s *Stream) Fault(r obs.FaultRecord)             { keep(s, &s.Faults, r) }
+func (s *Stream) Profile(r obs.ProfileRecord)         { keep(s, &s.Profiles, r) }
+func (s *Stream) Fingerprint(r obs.FingerprintRecord) { keep(s, &s.Fingerprints, r) }
+func (s *Stream) Packet(r obs.PacketRecord)           { keep(s, &s.Packets, r) }
 
 // ErrEmptyStream reports a stream with no records at all — usually a
 // run that never attached telemetry, which callers should distinguish
@@ -111,9 +99,15 @@ func (e *UnknownKindError) Error() string {
 // and hands each record to sink, validated. On malformed input it stops
 // with a typed error (*ParseError, *UnknownKindError, or ErrEmptyStream);
 // the sink has then received every record before the bad line, so a
-// partially written stream still yields its prefix.
+// partially written stream still yields its prefix. The one kind only
+// files carry, the trace stream's packet events (the collector writes
+// them straight to their own file), goes to the sink's Packet method if it
+// has one and is only validated otherwise (an Aggregator summarizes none).
 func ReadStream(r io.Reader, sink obs.Sink) error {
-	files, _ := sink.(fileSink)
+	var packet func(obs.PacketRecord)
+	if p, ok := sink.(interface{ Packet(obs.PacketRecord) }); ok {
+		packet = p.Packet
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	line := 0
@@ -125,7 +119,7 @@ func ReadStream(r io.Reader, sink obs.Sink) error {
 			continue
 		}
 		sawData = true
-		if err := decodeLine(b, sink, files); err != nil {
+		if err := decodeLine(b, sink, packet); err != nil {
 			var uk *UnknownKindError
 			if errors.As(err, &uk) {
 				uk.Line = line
@@ -175,8 +169,8 @@ func emit[R any](b []byte, valid func(*R) error, to func(R)) error {
 }
 
 // decodeLine decodes and validates one line and hands the record to sink,
-// or to files (which may be nil) for the two file-only kinds.
-func decodeLine(b []byte, sink obs.Sink, files fileSink) error {
+// or to packet (which may be nil) for the file-only kind.
+func decodeLine(b []byte, sink obs.Sink, packet func(obs.PacketRecord)) error {
 	var h kindHeader
 	if err := json.Unmarshal(b, &h); err != nil {
 		return err
@@ -199,15 +193,7 @@ func decodeLine(b []byte, sink obs.Sink, files fileSink) error {
 	case obs.KindFingerprint:
 		return emit(b, validFingerprint, sink.Fingerprint)
 	case obs.KindPacket:
-		if files == nil {
-			return emit[obs.PacketRecord](b, nil, nil)
-		}
-		return emit(b, nil, files.Packet)
-	case obs.KindFPEvent:
-		if files == nil {
-			return emit(b, validFPEvent, nil)
-		}
-		return emit(b, validFPEvent, files.FPEvent)
+		return emit(b, nil, packet)
 	case obs.KindMetric:
 		// Written by earlier binaries only; recognised so their streams load.
 		return nil
@@ -246,15 +232,8 @@ func validFingerprint(r *obs.FingerprintRecord) error {
 	if r.EpochEvents <= 0 {
 		return fmt.Errorf("fingerprint net %d epoch %d: epoch_events %d, want > 0", r.Net, r.Epoch, r.EpochEvents)
 	}
-	return nil
-}
-
-func validFPEvent(r *obs.FingerprintEventRecord) error {
-	if !obs.ValidEventKind(r.Kind) {
-		return fmt.Errorf("fpev net %d epoch %d i %d: unknown event kind %q", r.Net, r.Epoch, r.I, r.Kind)
-	}
-	if _, err := obs.ParseHash(r.Hash); err != nil {
-		return fmt.Errorf("fpev net %d epoch %d i %d: %v", r.Net, r.Epoch, r.I, err)
+	if r.Kind != "" && !obs.ValidEventKind(r.Kind) {
+		return fmt.Errorf("fingerprint net %d epoch %d: unknown event kind %q", r.Net, r.Epoch, r.Kind)
 	}
 	return nil
 }
@@ -334,7 +313,7 @@ func LoadRun(path string, m Meta) (RunSummary, error) {
 
 // LoadStream reads a raw metrics JSONL stream and keeps every record,
 // for subcommands that need record-level data (fingerprint checkpoints,
-// journals, trace export) which the aggregate RunSummary does not carry.
+// trace export) which the aggregate RunSummary does not carry.
 // A summary JSON is rejected with a pointer at the right input; a
 // truncated final line is tolerated like LoadRun.
 func LoadStream(path string) (*Stream, error) {

@@ -148,8 +148,8 @@ func twoPlaneNet() (*sim.Engine, *sim.Network, []graph.Path) {
 // `pnetbench -spans -fingerprint -metrics m.jsonl -report r.json` in
 // miniature. A recording sink tee'd beside the metrics stream must see,
 // kind by kind and value by value, exactly the records ReadStream hands
-// back from the file: all eight kinds, profile bins and fingerprint
-// checkpoints included, which only Close emits. And an Aggregator fed
+// back from the file: all eight kinds, profile bins and the partial
+// fingerprint checkpoints included, which only Close emits. And an Aggregator fed
 // live, beside the recorder, must summarize exactly as one fed from the
 // file does (`pnetstat summary m.jsonl`), in every field but the one only
 // the live side can know. One of the two networks stops before its first
@@ -158,7 +158,7 @@ func TestFromStreamMatchesAggregator(t *testing.T) {
 	var buf bytes.Buffer
 	c := obs.NewCollector()
 	c.Interval = sim.Microsecond
-	c.Spans, c.Profile, c.Fingerprint = true, true, true
+	c.Spans, c.Fingerprint = true, true
 	c.FingerprintEpoch = 64
 	c.StreamMetrics(&buf)
 	recorded, aggr := &Stream{}, NewAggregator()
@@ -218,7 +218,7 @@ func TestFromStreamMatchesAggregator(t *testing.T) {
 			continue
 		}
 		l, f := lv.Field(i), fv.Field(i)
-		fileOnly := kind.Name == "Packets" || kind.Name == "FPEvents"
+		fileOnly := kind.Name == "Packets"
 		if (l.Len() == 0) != fileOnly {
 			t.Errorf("%s: the live sink saw %d records; the scene must produce every kind a collector emits, and only those", kind.Name, l.Len())
 		}

@@ -5,12 +5,12 @@ package sim
 // every epoch (N events). The chain is the determinism contract of
 // ROADMAP item 1 made checkable: two runs that fired the same events in
 // the same order at the same simulated times carry identical chains, and
-// the first divergent epoch (then, with a journal, the first divergent
-// event) can be found by bisection instead of by staring at report
-// diffs. Attach one per engine (Engine.Fingerprint); a nil fingerprinter
-// costs one branch per event, same as the flight recorder. A non-nil one
-// costs every event five mix64 rounds, which is the chain's definition,
-// and a countdown to the next checkpoint; nothing divides.
+// the first divergent epoch can be found by bisection instead of by
+// staring at report diffs; at a cadence of one event per epoch that is the
+// first divergent event. Attach one per engine (Engine.Fingerprint); a nil
+// fingerprinter costs one branch per event, same as the flight recorder.
+// A non-nil one costs every event five mix64 rounds, which is the chain's
+// definition, and a countdown to the next checkpoint; nothing divides.
 //
 // The chain deliberately hashes only simulated quantities — timestamp,
 // event kind, plane, link, flow, sequence, size — never wall time or
@@ -23,8 +23,8 @@ package sim
 
 // DefaultFingerprintEpoch is the checkpoint cadence when none is given:
 // one checkpoint per 65536 events keeps checkpoint streams small (a few
-// hundred lines per engine on the paper's small-scale runs) while
-// bounding the journal a divergence re-run must record to one epoch.
+// hundred lines per engine on the paper's small-scale runs). A divergence
+// re-run at a cadence of 1 names the exact event instead.
 const DefaultFingerprintEpoch = 1 << 16
 
 // mix64 is the splitmix64 finalizer: a cheap, well-dispersed 64-bit
@@ -52,32 +52,25 @@ type FingerprintCheckpoint struct {
 	Global uint64
 	Host   uint64
 	Planes []uint64
-	// Partial marks a trailing checkpoint synthesized at snapshot time
-	// for an epoch still in progress (Events is not a multiple of the
-	// cadence).
+	// Partial marks a trailing checkpoint taken at the end of a run for an
+	// epoch still in progress (Events is not a multiple of the cadence).
 	Partial bool
-}
-
-// FingerprintJournalEntry is one folded event, as seen by the optional
-// journal hook — the record a divergence re-run writes so `pnetstat
-// divergence` can name the exact event two runs first disagreed on.
-type FingerprintJournalEntry struct {
-	Epoch int64
-	Index int64 // 0-based position within the epoch
-	T     Time
+	// Kind, Plane, Link, Flow, Seq and Size identify the event that closed
+	// the epoch, as Fold received it; a Partial checkpoint has none.
 	Kind  EventKind
 	Plane int32
 	Link  int64
 	Flow  int64
 	Seq   int64
 	Size  int32
-	Hash  uint64 // global chain after folding this event
 }
 
 // Fingerprinter folds fired events into the hash chains. It belongs to
 // exactly one engine (single-threaded, no atomics); run-level folds
-// happen in internal/report. The hot path is allocation-free once the
-// plane slice is warm; checkpoints allocate once per epoch.
+// happen in internal/report. It keeps no checkpoint: each is handed to
+// OnCheckpoint as its epoch closes. The hot path is allocation-free once
+// the plane slice is warm; a checkpoint allocates its copy of the plane
+// chains.
 type Fingerprinter struct {
 	epoch  int64 // events per checkpoint
 	left   int64 // events until the next one: a countdown, not events % epoch
@@ -86,12 +79,10 @@ type Fingerprinter struct {
 	host   uint64
 	planes []uint64
 	lastT  Time
-	cps    []FingerprintCheckpoint
 
-	// Journal, when non-nil, receives every folded event. This is the
-	// heavyweight divergence-debugging mode (one record per event); leave
-	// it nil for fingerprint-only runs.
-	Journal func(FingerprintJournalEntry)
+	// OnCheckpoint, when non-nil, receives each epoch's checkpoint inside
+	// the Fold that closes it, after that event is folded.
+	OnCheckpoint func(FingerprintCheckpoint)
 }
 
 // NewFingerprinter returns a fingerprinter checkpointing every
@@ -108,9 +99,9 @@ func (f *Fingerprinter) EpochEvents() int64 { return f.epoch }
 
 // Fold mixes one fired event, described by its simulated identity, into
 // the chains: the engine's dispatch path calls it with its
-// classification, replay and divergence tooling with a journal's. Plane
-// is -1 for plane-less events, link -1 for non-packet events. Only
-// simulated quantities enter the hash; see the package comment for why.
+// classification, replay tooling with its own. Plane is -1 for plane-less
+// events, link -1 for non-packet events. Only simulated quantities enter
+// the hash; see the package comment for why.
 func (f *Fingerprinter) Fold(t Time, kind EventKind, plane int32, link, flow, seq int64, size int32) {
 	v := mix64(uint64(t) ^ uint64(kind)<<56 ^ uint64(uint32(plane))<<40)
 	v = mix64(v ^ uint64(link)<<32 ^ uint64(uint32(size)))
@@ -126,27 +117,19 @@ func (f *Fingerprinter) Fold(t Time, kind EventKind, plane int32, link, flow, se
 	}
 	f.lastT = t
 	f.events++
-	if f.Journal != nil {
-		f.Journal(FingerprintJournalEntry{
-			Epoch: (f.events - 1) / f.epoch, Index: (f.events - 1) % f.epoch, T: t,
-			Kind: kind, Plane: plane, Link: link,
-			Flow: flow, Seq: seq, Size: size,
-			Hash: f.global,
-		})
-	}
 	if f.left--; f.left == 0 {
 		f.left = f.epoch
-		f.cps = append(f.cps, f.checkpoint(false))
+		if f.OnCheckpoint != nil {
+			cp := f.checkpoint(false)
+			cp.Kind, cp.Plane, cp.Link, cp.Flow, cp.Seq, cp.Size = kind, plane, link, flow, seq, size
+			f.OnCheckpoint(cp)
+		}
 	}
 }
 
 func (f *Fingerprinter) checkpoint(partial bool) FingerprintCheckpoint {
-	epoch := (f.events - 1) / f.epoch
-	if f.events == 0 {
-		epoch = 0
-	}
 	return FingerprintCheckpoint{
-		Epoch:   epoch,
+		Epoch:   (f.events - 1) / f.epoch,
 		Events:  f.events,
 		T:       f.lastT,
 		Global:  f.global,
@@ -156,17 +139,15 @@ func (f *Fingerprinter) checkpoint(partial bool) FingerprintCheckpoint {
 	}
 }
 
-// Checkpoints returns the epoch checkpoints recorded so far plus, when
-// events have been folded past the last boundary, a trailing Partial
-// checkpoint with the current chain state — so a run whose event count
-// is not a multiple of the cadence still ends on a comparable record.
-// Idempotent; call after the engine has stopped.
-func (f *Fingerprinter) Checkpoints() []FingerprintCheckpoint {
-	out := append([]FingerprintCheckpoint(nil), f.cps...)
-	if f.left != f.epoch {
-		out = append(out, f.checkpoint(true))
+// Partial returns the trailing checkpoint of the epoch in progress, and
+// false when the last folded event closed an epoch (or none was folded):
+// a run whose event count is not a multiple of the cadence still ends on
+// a comparable record. Call it once the engine has stopped.
+func (f *Fingerprinter) Partial() (FingerprintCheckpoint, bool) {
+	if f.left == f.epoch {
+		return FingerprintCheckpoint{}, false
 	}
-	return out
+	return f.checkpoint(true), true
 }
 
 // classify extracts an event's identity from its actor: what kind of

@@ -24,11 +24,26 @@ func fpRun(n int, f *Fingerprinter) *Fingerprinter {
 	return f
 }
 
-// finalCheckpoint is where a run's chains ended: its last checkpoint,
-// Partial or not.
+// finalCheckpoint is where a run's chains ended.
 func finalCheckpoint(f *Fingerprinter) FingerprintCheckpoint {
-	cps := f.Checkpoints()
-	return cps[len(cps)-1]
+	return FingerprintCheckpoint{Events: f.events, Global: f.global, Host: f.host, Planes: f.planes}
+}
+
+// recordCheckpoints points f's checkpoints at a slice, as a collector
+// points them at its sink.
+func recordCheckpoints(f *Fingerprinter) *[]FingerprintCheckpoint {
+	var cps []FingerprintCheckpoint
+	f.OnCheckpoint = func(cp FingerprintCheckpoint) { cps = append(cps, cp) }
+	return &cps
+}
+
+// allCheckpoints is what a run streamed plus its trailing partial
+// checkpoint, if it has one.
+func allCheckpoints(f *Fingerprinter, streamed []FingerprintCheckpoint) []FingerprintCheckpoint {
+	if cp, ok := f.Partial(); ok {
+		return append(streamed, cp)
+	}
+	return streamed
 }
 
 // TestFingerprintDeterministic: identical runs produce identical chains;
@@ -57,10 +72,12 @@ func TestFingerprintDeterministic(t *testing.T) {
 
 // TestFingerprintCheckpoints pins the cadence math: one checkpoint per
 // full epoch, cumulative event counts, a trailing Partial checkpoint for
-// the in-progress epoch, and idempotent snapshots.
+// the in-progress epoch, and idempotent snapshots of it.
 func TestFingerprintCheckpoints(t *testing.T) {
-	f := fpRun(50, NewFingerprinter(16))
-	cps := f.Checkpoints()
+	f := NewFingerprinter(16)
+	streamed := recordCheckpoints(f)
+	fpRun(50, f)
+	cps := allCheckpoints(f, *streamed)
 	if len(cps) == 0 {
 		t.Fatal("no checkpoints recorded")
 	}
@@ -92,30 +109,45 @@ func TestFingerprintCheckpoints(t *testing.T) {
 	if final.Events != total || final.Global != f.global || final.Host != f.host || !slices.Equal(final.Planes, f.planes) {
 		t.Errorf("final checkpoint %+v does not match live chains (events=%d global=%016x host=%016x planes=%016x)", final, total, f.global, f.host, f.planes)
 	}
-	again := f.Checkpoints()
-	if len(again) != len(cps) {
-		t.Errorf("Checkpoints not idempotent: %d then %d", len(cps), len(again))
+	if again, ok := f.Partial(); !ok || again.Global != final.Global || again.Events != final.Events {
+		t.Errorf("Partial not idempotent: %+v then %+v", final, again)
 	}
 }
 
-// TestFingerprintJournal: the journal sees every folded event in order,
-// with epoch/index bookkeeping matching the checkpoint cadence and the
-// running hash equal to the global chain.
-func TestFingerprintJournal(t *testing.T) {
-	f := NewFingerprinter(8)
-	var entries []FingerprintJournalEntry
-	f.Journal = func(e FingerprintJournalEntry) { entries = append(entries, e) }
-	fpRun(20, f)
-	if int64(len(entries)) != f.events {
-		t.Fatalf("journal has %d entries, engine fired %d", len(entries), f.events)
+// TestFingerprintCadenceOne: at one event an epoch every folded event
+// closes a checkpoint, in order, carrying that event's identity and the
+// global chain after folding it, and no partial checkpoint is left.
+func TestFingerprintCadenceOne(t *testing.T) {
+	f := NewFingerprinter(1)
+	cps := recordCheckpoints(f)
+	type ident struct {
+		kind  EventKind
+		plane int32
+		link  int64
 	}
-	for i, e := range entries {
-		if e.Epoch != int64(i)/8 || e.Index != int64(i)%8 {
-			t.Errorf("entry %d: epoch/index = %d/%d, want %d/%d", i, e.Epoch, e.Index, i/8, i%8)
+	var want []ident
+	f.Fold(5, EvTimer, -1, -1, 0, 0, 0)
+	want = append(want, ident{EvTimer, -1, -1})
+	for i := 0; i < 20; i++ {
+		f.Fold(Time(10+i), EvHop, int32(i%2), int64(i), int64(i%3+1), int64(i), 1500)
+		want = append(want, ident{EvHop, int32(i % 2), int64(i)})
+	}
+	if len(*cps) != len(want) || int64(len(*cps)) != f.events {
+		t.Fatalf("%d checkpoints for %d events", len(*cps), f.events)
+	}
+	for i, cp := range *cps {
+		if cp.Epoch != int64(i) || cp.Events != int64(i+1) || (ident{cp.Kind, cp.Plane, cp.Link}) != want[i] || cp.Partial {
+			t.Errorf("checkpoint %d = %+v, want epoch %d closed by %+v", i, cp, i, want[i])
+		}
+		if i > 0 && (cp.Flow != int64((i-1)%3+1) || cp.Seq != int64(i-1) || cp.Size != 1500) {
+			t.Errorf("checkpoint %d carries flow %d seq %d size %d", i, cp.Flow, cp.Seq, cp.Size)
 		}
 	}
-	if last := entries[len(entries)-1]; last.Hash != f.global {
-		t.Errorf("last journal hash %016x != global chain %016x", last.Hash, f.global)
+	if last := (*cps)[len(*cps)-1]; last.Global != f.global {
+		t.Errorf("last checkpoint chain %016x != global chain %016x", last.Global, f.global)
+	}
+	if cp, ok := f.Partial(); ok {
+		t.Errorf("partial checkpoint %+v at cadence 1", cp)
 	}
 }
 
@@ -199,8 +231,9 @@ func TestFingerprintPinnedChain(t *testing.T) {
 
 // TestFingerprintEpochCountdown runs 100 events at a cadence of 7, once
 // through Fold and once through an engine: checkpoints fall on events 7,
-// 14, ..., 98 with one Partial after them, and the journal places event i
-// at (epoch, index) = (i/7, i%7).
+// 14, ..., 98, each carrying the chain and identity of the 7th event of
+// its epoch as a cadence-1 run of the same events sees them, with one
+// Partial after them.
 func TestFingerprintEpochCountdown(t *testing.T) {
 	producers := map[string]func(*Fingerprinter){
 		"Fold": func(f *Fingerprinter) {
@@ -211,29 +244,28 @@ func TestFingerprintEpochCountdown(t *testing.T) {
 		"engine": func(f *Fingerprinter) { fpRun(25, f) }, // two tx, a hop and a deliver each
 	}
 	for name, produce := range producers {
+		each := NewFingerprinter(1)
+		events := recordCheckpoints(each)
+		produce(each)
 		f := NewFingerprinter(7)
-		var journal []FingerprintJournalEntry
-		f.Journal = func(e FingerprintJournalEntry) { journal = append(journal, e) }
+		streamed := recordCheckpoints(f)
 		produce(f)
-		if f.events != 100 || len(journal) != 100 {
-			t.Fatalf("%s: %d events folded, %d journalled, want 100", name, f.events, len(journal))
+		if f.events != 100 || len(*events) != 100 {
+			t.Fatalf("%s: %d events folded, %d seen one by one, want 100", name, f.events, len(*events))
 		}
-		for i, e := range journal {
-			if e.Epoch != int64(i/7) || e.Index != int64(i%7) {
-				t.Errorf("%s: event %d journalled at (%d, %d), want (%d, %d)", name, i, e.Epoch, e.Index, i/7, i%7)
-			}
-		}
-		cps := f.Checkpoints()
+		cps := allCheckpoints(f, *streamed)
 		if len(cps) != 15 {
 			t.Fatalf("%s: %d checkpoints, want 14 full and one partial", name, len(cps))
 		}
 		for i, cp := range cps[:14] {
-			if cp.Partial || cp.Events != int64(7*(i+1)) || cp.Epoch != int64(i) || cp.Global != journal[7*(i+1)-1].Hash {
-				t.Errorf("%s: checkpoint %d = %+v, want epoch %d closed at event %d on chain %#x", name, i, cp, i, 7*(i+1), journal[7*(i+1)-1].Hash)
+			ev := (*events)[7*(i+1)-1]
+			if cp.Partial || cp.Events != int64(7*(i+1)) || cp.Epoch != int64(i) || cp.Global != ev.Global ||
+				cp.Kind != ev.Kind || cp.Plane != ev.Plane || cp.Link != ev.Link || cp.Flow != ev.Flow || cp.Seq != ev.Seq || cp.Size != ev.Size {
+				t.Errorf("%s: checkpoint %d = %+v, want epoch %d closed at event %d: %+v", name, i, cp, i, 7*(i+1), ev)
 			}
 		}
-		if last := cps[14]; !last.Partial || last.Events != 100 || last.Epoch != 14 || last.Global != journal[99].Hash {
-			t.Errorf("%s: trailing checkpoint = %+v, want a partial one at event 100", name, last)
+		if last := cps[14]; !last.Partial || last.Events != 100 || last.Epoch != 14 || last.Global != (*events)[99].Global || last.Kind != 0 || last.Link != 0 {
+			t.Errorf("%s: trailing checkpoint = %+v, want a partial one at event 100 with no event identity", name, last)
 		}
 	}
 }

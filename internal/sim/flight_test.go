@@ -25,20 +25,21 @@ func twoPlanePair() (*Engine, *Network, [2][]graph.LinkID) {
 // fakeClockRun drives 40 timer-paced bursts of packets over a two-plane,
 // two-host network with the recorder on a fake clock. The clock stands
 // still except that the closing read of each timed event advances it by
-// that event's kind's cost; the kind comes from the fingerprint journal,
-// which sees every event just before the recorder does. It returns the
-// recorder, the number of clock reads, and the journal's own per-bin
-// event counts: what a recorder that looked at every event would hold.
+// that event's kind's cost; the kind comes from a fingerprinter at a
+// cadence of one event, whose checkpoints see every event just before the
+// recorder does. It returns the recorder, the number of clock reads, and
+// the checkpoints' own per-bin event counts: what a recorder that looked
+// at every event would hold.
 func fakeClockRun(t *testing.T, cost [numEventKinds]int64) (*FlightRecorder, int, map[[2]int32]int64) {
 	t.Helper()
 	eng, net, routes := twoPlanePair()
 
 	var last EventKind
 	seen := map[[2]int32]int64{}
-	eng.Fingerprint = NewFingerprinter(0)
-	eng.Fingerprint.Journal = func(e FingerprintJournalEntry) {
-		last = e.Kind
-		seen[[2]int32{int32(e.Kind), e.Plane}]++
+	eng.Fingerprint = NewFingerprinter(1)
+	eng.Fingerprint.OnCheckpoint = func(cp FingerprintCheckpoint) {
+		last = cp.Kind
+		seen[[2]int32{int32(cp.Kind), cp.Plane}]++
 	}
 	rec := NewFlightRecorder()
 	eng.Recorder = rec
@@ -80,11 +81,11 @@ func TestFlightRecorderEstimate(t *testing.T) {
 	rec, _, seen := fakeClockRun(t, cost)
 	snap := rec.Snapshot()
 	if len(snap) != len(seen) || len(snap) != 7 {
-		t.Fatalf("%d bins in the snapshot, %d in the journal, want 7 (3 packet kinds × 2 planes + timer)", len(snap), len(seen))
+		t.Fatalf("%d bins in the snapshot, %d in the checkpoints, want 7 (3 packet kinds × 2 planes + timer)", len(snap), len(seen))
 	}
 	for _, b := range snap {
 		if want := seen[[2]int32{int32(b.Kind), b.Plane}]; b.Events != want {
-			t.Errorf("%v plane %d: %d events, the journal saw %d", b.Kind, b.Plane, b.Events, want)
+			t.Errorf("%v plane %d: %d events, the checkpoints saw %d", b.Kind, b.Plane, b.Events, want)
 		}
 		if b.Kind != EvTimer && b.Events < 4*timedStride {
 			t.Errorf("%v plane %d: %d events is too few to exercise a stride of %d", b.Kind, b.Plane, b.Events, timedStride)
