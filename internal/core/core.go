@@ -23,6 +23,8 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"pnet/internal/graph"
 	"pnet/internal/route"
@@ -48,7 +50,13 @@ type PNet struct {
 	planeUp []bool
 	rrNext  []uint32 // per-host round-robin plane cursor
 
-	dagCache map[graph.NodeID][][]graph.LinkID
+	// dags[dst] is the ECMP next-hop DAG toward dst, nil until first use.
+	dags []*graph.DAG
+	// routes interns ECMP routes walked on dags: one shared link slice
+	// per route, under its routeKey. A key is only meaningful on the DAG
+	// it was walked on, so resetCaches clears the two together.
+	routes   map[uint64][]graph.LinkID
+	walk     []graph.LinkID // ECMPPath's walk buffer
 	kspCache map[kspKey][]graph.Path
 
 	// Traffic classes (see isolation.go).
@@ -59,6 +67,16 @@ type PNet struct {
 type kspKey struct {
 	src, dst graph.NodeID
 	k        int
+}
+
+// routeKey names an ECMP route exactly, by its endpoints and its choice
+// code on dags[dst] (graph.ECMPWalk) as the digits of one number: src +
+// n·dst + n²·code for n nodes. ok is false when that overflows 64 bits.
+func (p *PNet) routeKey(src, dst graph.NodeID, code uint64) (key uint64, ok bool) {
+	n := uint64(len(p.dags))
+	hi, lo := bits.Mul64(code, n*n)
+	key, carry := bits.Add64(lo, uint64(src)+n*uint64(dst), 0)
+	return key, hi == 0 && carry == 0
 }
 
 // New wraps a topology in the end-host control plane.
@@ -76,7 +94,8 @@ func New(t *topo.Topology) *PNet {
 }
 
 func (p *PNet) resetCaches() {
-	p.dagCache = make(map[graph.NodeID][][]graph.LinkID)
+	p.dags = make([]*graph.DAG, p.Topo.G.NumNodes())
+	p.routes = make(map[uint64][]graph.LinkID)
 	p.kspCache = make(map[kspKey][]graph.Path)
 }
 
@@ -107,13 +126,32 @@ func (p *PNet) HighThroughputPaths(src, dst graph.NodeID, k int) []graph.Path {
 // ECMPPath returns the hash-pinned single path a naive ECMP deployment
 // would give the flow: every hop (including the host's choice among plane
 // uplinks) hashes among equal-cost shortest next hops.
+//
+// Routes are interned: every flow pinned to the same route gets the same
+// Links, shared with every other holder and never written, so callers must
+// only read them. Finding the route allocates nothing once it has been
+// seen; marking a plane down or up starts a fresh table.
 func (p *PNet) ECMPPath(src, dst graph.NodeID, flowHash uint64) (graph.Path, bool) {
-	dag, ok := p.dagCache[dst]
-	if !ok {
+	dag := p.dags[dst]
+	if dag == nil {
 		dag = graph.ShortestDAG(p.Topo.G, dst)
-		p.dagCache[dst] = dag
+		p.dags[dst] = dag
 	}
-	return graph.ECMPPath(p.Topo.G, dag, src, dst, flowHash)
+	links, code, exact, ok := graph.ECMPWalk(dag, src, flowHash, p.walk[:0])
+	p.walk = links
+	if !ok {
+		return graph.Path{}, false
+	}
+	key, fits := p.routeKey(src, dst, code)
+	if !exact || !fits {
+		return graph.Path{Links: slices.Clone(links)}, true
+	}
+	route, seen := p.routes[key]
+	if !seen {
+		route = slices.Clone(links)
+		p.routes[key] = route
+	}
+	return graph.Path{Links: route}, true
 }
 
 // SubflowsFor implements the paper's guidance on multipath degree: a

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"pnet/internal/graph"
 	"pnet/internal/topo"
 )
 
@@ -105,4 +107,69 @@ func TestPlanesAccessor(t *testing.T) {
 	if got := New(set.ParallelHomo).Planes(); got != 8 {
 		t.Errorf("planes = %d", got)
 	}
+}
+
+// TestECMPPathInterned: the interned routes are the routes a fresh walk on
+// a fresh DAG gives, link for link; equal routes share one backing array;
+// a plane marked down leaves every route, and marked up, brings the
+// original routes back.
+func TestECMPPathInterned(t *testing.T) {
+	p := New(topo.ScaledJellyfish(8, 2, 100, 3).ParallelHetero)
+	g, hosts := p.Topo.G, p.Topo.Hosts
+	const hashes = 64
+	hash := func(h int) uint64 { return uint64(h+1) * 0x9e3779b97f4a7c15 }
+	// each checks PNet's route against a fresh walk on a fresh DAG for
+	// every host pair and hash, then hands it to fn.
+	each := func(fn func(i, j, h int, got graph.Path)) {
+		for j, dst := range hosts {
+			dag := graph.ShortestDAG(g, dst)
+			for i, src := range hosts {
+				if i == j {
+					continue
+				}
+				for h := 0; h < hashes; h++ {
+					got, ok := p.ECMPPath(src, dst, hash(h))
+					want, wok := graph.ECMPPath(dag, src, hash(h))
+					if ok != wok || !got.Equal(want) {
+						t.Fatalf("host %d -> %d, hash %d: interned %v (%v), walked %v (%v)",
+							i, j, h, got.Links, ok, want.Links, wok)
+					}
+					fn(i, j, h, got)
+				}
+			}
+		}
+	}
+
+	n := len(hosts)
+	orig := make([]graph.Path, n*n*hashes)
+	backing := map[string]*graph.LinkID{}
+	each(func(i, j, h int, got graph.Path) {
+		orig[(i*n+j)*hashes+h] = got
+		key := fmt.Sprint(got.Links)
+		if first, ok := backing[key]; !ok {
+			backing[key] = &got.Links[0]
+		} else if first != &got.Links[0] {
+			t.Fatalf("host %d -> %d, hash %d: route %s has a second backing array", i, j, h, key)
+		}
+	})
+	if len(backing) >= len(orig)/2 {
+		t.Fatalf("%d distinct routes for %d flows: too few repeats to test sharing", len(backing), len(orig))
+	}
+
+	p.MarkPlaneDown(0)
+	each(func(i, j, h int, got graph.Path) {
+		for _, l := range got.Links {
+			if g.Link(l).Plane == 0 {
+				t.Fatalf("host %d -> %d, hash %d: route %v crosses downed plane 0", i, j, h, got.Links)
+			}
+		}
+	})
+
+	p.MarkPlaneUp(0)
+	each(func(i, j, h int, got graph.Path) {
+		if !got.Equal(orig[(i*n+j)*hashes+h]) {
+			t.Fatalf("host %d -> %d, hash %d: after plane 0 came back, route %v, was %v",
+				i, j, h, got.Links, orig[(i*n+j)*hashes+h].Links)
+		}
+	})
 }

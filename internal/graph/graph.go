@@ -236,12 +236,13 @@ func (g *Graph) PlaneMasks() [][]bool {
 
 // ReverseLink returns the link running opposite to id (same endpoints and
 // plane, reversed direction). ok is false if none exists. Topologies built
-// with AddDuplex always have one; transports call it once per hop of
-// every ACK-route build, so the twin table is precomputed: the first call
-// builds it in one O(links) pass and later calls are a single array load.
-// The cache is invalidated when links are added (twins depend only on
-// endpoints and plane tags, which never change after AddLink) and is safe
-// to build and read concurrently, like PlaneMasks.
+// with AddDuplex always have one. The twin table is precomputed: the first
+// call builds it in one O(links) pass and later calls are a lock plus an
+// array load; ReversePath, which transports call for every ACK route,
+// takes the lock once per path. The cache is invalidated when links are
+// added (twins depend only on endpoints and plane tags, which never change
+// after AddLink) and is safe to build and read concurrently, like
+// PlaneMasks.
 func (g *Graph) ReverseLink(id LinkID) (LinkID, bool) {
 	g.checkLink(id)
 	rid := g.twins()[id]
@@ -252,7 +253,8 @@ func (g *Graph) ReverseLink(id LinkID) (LinkID, bool) {
 // twin[l] is the lowest-numbered link with reversed endpoints and the
 // same plane as l, or -1 — "lowest-numbered" matches the historical
 // linear scan, which walked the out-links of l's destination in link
-// insertion order.
+// insertion order. A built table is never written again, so the returned
+// slice may be read after the lock is released.
 func (g *Graph) twins() []LinkID {
 	g.twinMu.Lock()
 	defer g.twinMu.Unlock()
@@ -288,10 +290,12 @@ func (g *Graph) twins() []LinkID {
 // ReversePath returns the hop-by-hop reverse of p. ok is false if any link
 // lacks a reverse twin.
 func ReversePath(g *Graph, p Path) (Path, bool) {
+	twin := g.twins()
 	links := make([]LinkID, len(p.Links))
 	for i, id := range p.Links {
-		rid, ok := g.ReverseLink(id)
-		if !ok {
+		g.checkLink(id)
+		rid := twin[id]
+		if rid < 0 {
 			return Path{}, false
 		}
 		links[len(p.Links)-1-i] = rid

@@ -160,13 +160,16 @@ func TestPathValidRejectsBroken(t *testing.T) {
 	}
 }
 
+// nextHops returns u's next hops in the DAG.
+func nextHops(d *DAG, u NodeID) []LinkID { return d.links[d.off[u]:d.off[u+1]] }
+
 func TestShortestDAGDiamond(t *testing.T) {
 	g := diamond()
 	dag := ShortestDAG(g, 3)
-	if len(dag[0]) != 2 {
-		t.Errorf("node 0 next hops = %d, want 2 (via 1 and 2)", len(dag[0]))
+	if len(nextHops(dag, 0)) != 2 {
+		t.Errorf("node 0 next hops = %d, want 2 (via 1 and 2)", len(nextHops(dag, 0)))
 	}
-	for _, id := range dag[0] {
+	for _, id := range nextHops(dag, 0) {
 		d := g.Link(id).Dst
 		if d != 1 && d != 2 {
 			t.Errorf("unexpected next hop %d", d)
@@ -174,16 +177,16 @@ func TestShortestDAGDiamond(t *testing.T) {
 	}
 	// Node 4 is on the long detour only; it still has a next hop toward 3
 	// (through 5), since from 4 the shortest path is 4-5-3.
-	if len(dag[4]) != 1 || g.Link(dag[4][0]).Dst != 5 {
-		t.Errorf("node 4 dag = %v", dag[4])
+	if len(nextHops(dag, 4)) != 1 || g.Link(nextHops(dag, 4)[0]).Dst != 5 {
+		t.Errorf("node 4 dag = %v", nextHops(dag, 4))
 	}
 }
 
 func TestECMPPathDeterministic(t *testing.T) {
 	g := diamond()
 	dag := ShortestDAG(g, 3)
-	p1, ok1 := ECMPPath(g, dag, 0, 3, 12345)
-	p2, ok2 := ECMPPath(g, dag, 0, 3, 12345)
+	p1, ok1 := ECMPPath(dag, 0, 12345)
+	p2, ok2 := ECMPPath(dag, 0, 12345)
 	if !ok1 || !ok2 {
 		t.Fatal("ECMP path not found")
 	}
@@ -203,7 +206,7 @@ func TestECMPPathSpreads(t *testing.T) {
 	dag := ShortestDAG(g, 3)
 	used := map[NodeID]bool{}
 	for h := uint64(0); h < 64; h++ {
-		p, ok := ECMPPath(g, dag, 0, 3, h)
+		p, ok := ECMPPath(dag, 0, h)
 		if !ok {
 			t.Fatal("no path")
 		}
@@ -391,5 +394,75 @@ func TestLinkIDBoundsChecked(t *testing.T) {
 			}()
 			g.SetLinkUp(id, false)
 		}()
+	}
+}
+
+// fanChain builds a chain of levels: level i's node fans out to fans[i]
+// parallel middle nodes that all rejoin at level i+1's node. It returns
+// the graph and the two ends; every end-to-end route is a shortest path.
+func fanChain(fans []int) (*Graph, NodeID, NodeID) {
+	g := New(1)
+	at := NodeID(0)
+	for _, n := range fans {
+		next := g.AddNode(true)
+		for j := 0; j < n; j++ {
+			mid := g.AddNode(true)
+			g.AddLink(at, mid, 1, 0)
+			g.AddLink(mid, next, 1, 0)
+		}
+		at = next
+	}
+	return g, 0, at
+}
+
+// TestECMPWalkCode: the walk picks what a modulo pick on every hop
+// would, and its choice code names the route exactly — one code per
+// route, below the product of the fan-outs — until that product
+// overflows 64 bits, which the walk reports.
+func TestECMPWalkCode(t *testing.T) {
+	g, src, dst := fanChain([]int{3, 2, 4, 1, 5})
+	dag := ShortestDAG(g, dst)
+	codes := map[uint64]string{}
+	routes := map[string]bool{}
+	var buf []LinkID
+	for h := uint64(0); h < 2048; h++ {
+		links, code, exact, ok := ECMPWalk(dag, src, h, buf[:0])
+		buf = links
+		if !ok || !exact {
+			t.Fatalf("hash %d: ok %v exact %v", h, ok, exact)
+		}
+		// The pick before power-of-two fan-outs took a mask.
+		var want []LinkID
+		for u, x := src, h; u != dst; {
+			x = splitmix64(x)
+			next := nextHops(dag, u)
+			id := next[x%uint64(len(next))]
+			want = append(want, id)
+			u = g.Link(id).Dst
+		}
+		if !(Path{Links: links}).Equal(Path{Links: want}) {
+			t.Fatalf("hash %d: walk %v, modulo pick %v", h, links, want)
+		}
+		key := Path{Links: links}.key()
+		if code >= 3*2*4*1*5 {
+			t.Fatalf("hash %d: code %d outside the %d routes", h, code, 3*2*4*5)
+		}
+		if prev, seen := codes[code]; seen && prev != key {
+			t.Fatalf("code %d names two routes", code)
+		}
+		codes[code] = key
+		routes[key] = true
+	}
+	if len(codes) != 120 || len(routes) != 120 {
+		t.Errorf("%d codes for %d routes, want 120 of each", len(codes), len(routes))
+	}
+
+	fans := make([]int, 65)
+	for i := range fans {
+		fans[i] = 2
+	}
+	g, src, dst = fanChain(fans)
+	if _, _, exact, ok := ECMPWalk(ShortestDAG(g, dst), src, 1, nil); !ok || exact {
+		t.Errorf("2^65 routes: ok %v exact %v, want a route without an exact code", ok, exact)
 	}
 }

@@ -1,5 +1,7 @@
 package graph
 
+import "math/bits"
+
 // HopDistances returns the hop count of a shortest path from src to every
 // node, or -1 where no path exists. Non-transit nodes other than src are
 // never expanded, so distances "through" a host are not reported.
@@ -50,10 +52,20 @@ func tracePath(g *Graph, parent []LinkID, src, dst NodeID) Path {
 	return Path{Links: links}
 }
 
-// ShortestDAG returns, for every node u, the out-links of u that lie on
-// some shortest path from u to dst. This is the next-hop set an ECMP
-// router would install for destination dst.
-func ShortestDAG(g *Graph, dst NodeID) [][]LinkID {
+// DAG holds, for every node u, the out-links of u that lie on some
+// shortest path from u to one destination: the next-hop set an ECMP router
+// would install for it. The sets sit in one table in node order, and to[k]
+// is the far end of links[k], so a walk toward the destination reads a few
+// contiguous lines and nothing of the graph.
+type DAG struct {
+	dst   NodeID
+	off   []int32 // u's next hops are links[off[u]:off[u+1]]
+	links []LinkID
+	to    []NodeID
+}
+
+// ShortestDAG returns the shortest-path DAG toward dst.
+func ShortestDAG(g *Graph, dst NodeID) *DAG {
 	fz := g.Frozen()
 	// BFS backwards from dst over in-links.
 	dist := make([]int, fz.NumNodes())
@@ -82,50 +94,103 @@ func ShortestDAG(g *Graph, dst NodeID) [][]LinkID {
 			}
 		}
 	}
-	dag := make([][]LinkID, fz.NumNodes())
+	onDAG := func(u int, id LinkID) bool {
+		if !fz.linkUp[id] {
+			return false
+		}
+		v := fz.linkDst[id]
+		if v != dst && !fz.transit[v] {
+			return false
+		}
+		dv := dist[v]
+		return dv >= 0 && dv == dist[u]-1
+	}
+	// Count, then fill, so that the table is allocated once at its size.
+	n := 0
 	for u := 0; u < fz.NumNodes(); u++ {
+		if dist[u] > 0 {
+			for _, id := range fz.OutLinks(NodeID(u)) {
+				if onDAG(u, id) {
+					n++
+				}
+			}
+		}
+	}
+	d := &DAG{
+		dst:   dst,
+		off:   make([]int32, fz.NumNodes()+1),
+		links: make([]LinkID, 0, n),
+		to:    make([]NodeID, 0, n),
+	}
+	for u := 0; u < fz.NumNodes(); u++ {
+		d.off[u] = int32(len(d.links))
 		if dist[u] <= 0 {
 			continue
 		}
 		for _, id := range fz.OutLinks(NodeID(u)) {
-			if !fz.linkUp[id] {
-				continue
-			}
-			v := fz.linkDst[id]
-			if v != dst && !fz.transit[v] {
-				continue
-			}
-			if d := dist[v]; d >= 0 && d == dist[u]-1 {
-				dag[u] = append(dag[u], id)
+			if onDAG(u, id) {
+				d.links = append(d.links, id)
+				d.to = append(d.to, fz.linkDst[id])
 			}
 		}
 	}
-	return dag
+	d.off[fz.NumNodes()] = int32(len(d.links))
+	return d
 }
 
-// ECMPPath walks the shortest-path DAG toward dst starting at src, at each
-// node choosing among the equal-cost next hops by the flow hash. This
-// models per-flow ECMP: a given (flow hash, dst) pair is pinned to one
-// deterministic path. ok is false when dst is unreachable from src.
-func ECMPPath(g *Graph, dag [][]LinkID, src, dst NodeID, flowHash uint64) (Path, bool) {
-	if src == dst {
+// ECMPPath walks the shortest-path DAG toward its destination starting at
+// src, at each node choosing among the equal-cost next hops by the flow
+// hash. This models per-flow ECMP: a given (flow hash, dst) pair is pinned
+// to one deterministic path. ok is false when the destination is
+// unreachable from src.
+func ECMPPath(dag *DAG, src NodeID, flowHash uint64) (Path, bool) {
+	links, _, _, ok := ECMPWalk(dag, src, flowHash, nil)
+	if !ok {
 		return Path{}, false
 	}
-	fz := g.Frozen()
-	var links []LinkID
+	return Path{Links: links}, true
+}
+
+// ECMPWalk is ECMPPath into a caller's buffer: it appends the route's links
+// to buf, and returns the grown buffer even when ok is false so that it can
+// be reused. It also names the route by its choice code: the index taken
+// among the equal-cost next hops at each hop, as a mixed-radix number
+// whose digit at each hop has that hop's fan-out as its base, least
+// significant digit first. Given the dag and src the code decodes hop by
+// hop, so two routes from src are equal exactly when their codes are,
+// provided the product of the fan-outs fits in 64 bits; exact reports that
+// it did.
+func ECMPWalk(dag *DAG, src NodeID, flowHash uint64, buf []LinkID) (links []LinkID, code uint64, exact, ok bool) {
+	links = buf
+	if src == dag.dst {
+		return links, 0, false, false
+	}
 	u := src
 	h := flowHash
-	for u != dst {
-		next := dag[u]
-		if len(next) == 0 {
-			return Path{}, false
+	weight := uint64(1) // the product of the fan-outs of the hops so far
+	exact = true
+	for u != dag.dst {
+		first := dag.off[u]
+		n := uint64(dag.off[u+1] - first)
+		if n == 0 {
+			return links, 0, false, false
 		}
 		h = splitmix64(h)
-		id := next[int(h%uint64(len(next)))]
-		links = append(links, id)
-		u = fz.linkDst[id]
+		// A power-of-two fan-out (a host's planes, a fat tree's uplinks)
+		// picks with a mask: the same index as the modulo, without a divide.
+		i := h & (n - 1)
+		if n&(n-1) != 0 {
+			i = h % n
+		}
+		k := uint64(first) + i
+		links = append(links, dag.links[k])
+		code += i * weight
+		hi, lo := bits.Mul64(weight, n)
+		exact = exact && hi == 0
+		weight = lo
+		u = dag.to[k]
 	}
-	return Path{Links: links}, true
+	return links, code, exact, true
 }
 
 // splitmix64 is the SplitMix64 mixing function, used to derive per-hop

@@ -46,14 +46,14 @@ func ECMPPaths(g *graph.Graph, cs []Commodity, seed uint64) [][]graph.Path {
 			dsts = append(dsts, c.Dst)
 		}
 	}
-	dags := par.Map(len(dsts), 0, func(i int) [][]graph.LinkID {
+	dags := par.Map(len(dsts), 0, func(i int) *graph.DAG {
 		return graph.ShortestDAG(g, dsts[i])
 	})
 	out := make([][]graph.Path, len(cs))
 	par.Do(len(cs), 0, func(i int) {
 		c := cs[i]
 		dag := dags[seen[c.Dst]]
-		if p, ok := graph.ECMPPath(g, dag, c.Src, c.Dst, seed+uint64(i)*0x9e3779b97f4a7c15); ok {
+		if p, ok := graph.ECMPPath(dag, c.Src, seed+uint64(i)*0x9e3779b97f4a7c15); ok {
 			out[i] = []graph.Path{p}
 		}
 	})

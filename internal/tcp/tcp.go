@@ -143,36 +143,54 @@ func NewFlow(net *sim.Network, cfg Config, paths []graph.Path, sizeBytes int64) 
 	if sizeBytes <= 0 {
 		return nil, fmt.Errorf("tcp: flow size %d", sizeBytes)
 	}
-	f := &Flow{
-		net:      net,
-		cfg:      cfg,
-		SizePkts: (sizeBytes + int64(cfg.MTU) - 1) / int64(cfg.MTU),
-		spanOn:   net.SpansOn(),
+	// A one-path flow, almost every flow, is one heap object: the Flow,
+	// its subflow and the subs array in one block.
+	var f *Flow
+	var one *subflow
+	if len(paths) == 1 {
+		b := new(onePathFlow)
+		f, one = &b.f, &b.sf
+		f.subs = b.subs[:0]
+	} else {
+		f = new(Flow)
+		f.subs = make([]*subflow, 0, len(paths))
 	}
+	f.net = net
+	f.cfg = cfg
+	f.SizePkts = (sizeBytes + int64(cfg.MTU) - 1) / int64(cfg.MTU)
+	f.spanOn = net.SpansOn()
 	src, dst := paths[0].Src(net.G), paths[0].Dst(net.G)
 	for i, p := range paths {
-		if p.Src(net.G) != src || p.Dst(net.G) != dst {
+		if i > 0 && (p.Src(net.G) != src || p.Dst(net.G) != dst) {
 			return nil, fmt.Errorf("tcp: path %d endpoints differ from path 0", i)
 		}
 		rev, ok := graph.ReversePath(net.G, p)
 		if !ok {
 			return nil, fmt.Errorf("tcp: path %d has no reverse", i)
 		}
-		sf := &subflow{
-			f:        f,
-			idx:      i,
-			fwd:      p.Links,
-			rev:      rev.Links,
-			cwnd:     cfg.InitCwnd,
-			ssthresh: math.Inf(1),
-			// DCTCP starts with α=1 (react strongly to the first marks).
-			dctcpAlpha: 1,
+		sf := one
+		if sf == nil {
+			sf = new(subflow)
 		}
-		sf.dataH = dataHandler{sf}
-		sf.ackH = ackHandler{sf}
+		// sf is zeroed memory: set the fields rather than copy in a
+		// subflow literal built on the stack.
+		sf.f, sf.idx = f, i
+		sf.fwd, sf.rev = p.Links, rev.Links
+		sf.cwnd, sf.ssthresh = cfg.InitCwnd, math.Inf(1)
+		sf.dctcpAlpha = 1 // DCTCP starts with α=1 (react strongly to the first marks).
 		f.subs = append(f.subs, sf)
 	}
 	return f, nil
+}
+
+// onePathFlow is the single allocation behind a one-path Flow: 232 + 272
+// + 8 bytes, exactly the 512-byte size class, so a field added to Flow or
+// subflow costs every flow the next class (576); TestOnePathFlowSize
+// holds it.
+type onePathFlow struct {
+	f    Flow
+	sf   subflow
+	subs [1]*subflow
 }
 
 // Subflows returns the number of subflows.
@@ -279,8 +297,10 @@ func (f *Flow) liaAlpha() float64 {
 
 // subflow carries one path's sender and receiver state.
 type subflow struct {
-	f        *Flow
-	idx      int
+	f   *Flow
+	idx int
+	// fwd is the caller's path, which other flows may share (the ECMP
+	// routes core.PNet interns), so it is only ever read.
 	fwd, rev []graph.LinkID
 
 	// Sender.
@@ -308,7 +328,7 @@ type subflow struct {
 	timedSeq    int64
 	timedAt     sim.Time
 	// The one-byte fields sit together: padding each to a word would
-	// take subflow past its 288-byte allocation size class.
+	// take a one-path flow past its 512-byte block (onePathFlow).
 	inRecovery bool
 	timing     bool
 	// spanCause classifies the next transmission for latency attribution:
@@ -322,11 +342,10 @@ type subflow struct {
 	// ooo holds sequences received above rcvNxt; empty until the first
 	// out-of-order arrival, which an in-order flow never has.
 	ooo oooWindow
-
-	dataH dataHandler
-	ackH  ackHandler
 }
 
+// The packet handlers are one pointer each, so a packet's Deliver holds
+// one without an allocation and subflow need not store them.
 type dataHandler struct{ sf *subflow }
 
 func (h dataHandler) HandlePacket(p *sim.Packet) { h.sf.onData(p) }
@@ -365,7 +384,7 @@ func (sf *subflow) transmit(seq int64, fresh bool) {
 	p := net.NewPacket()
 	p.Size = sf.f.cfg.MTU
 	p.Route = sf.fwd
-	p.Deliver = sf.dataH
+	p.Deliver = dataHandler{sf}
 	p.Seq = seq
 	p.FlowID = sf.f.ID
 	if sf.f.spanOn {
@@ -485,7 +504,7 @@ func samePath(a, b []graph.LinkID) bool {
 // word that slides out at the bottom as rcvNxt advances is already clear
 // when it comes back in at the top. words stays nil until the first
 // out-of-order arrival. It keeps no count of set bits: testing the one
-// word costs no more, and subflow stays in its 288-byte size class.
+// word costs no more, and a one-path flow stays in its 512-byte block.
 type oooWindow struct {
 	words []uint64
 }
@@ -568,7 +587,7 @@ func (sf *subflow) onData(p *sim.Packet) {
 	ack := sf.f.net.NewPacket()
 	ack.Size = sf.f.cfg.AckSize
 	ack.Route = sf.rev
-	ack.Deliver = sf.ackH
+	ack.Deliver = ackHandler{sf}
 	ack.AckSeq = sf.rcvNxt
 	ack.FlowID = sf.f.ID
 	ack.ECE = ce // echo the CE mark (per-packet, as DCTCP requires)

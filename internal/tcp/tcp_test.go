@@ -3,6 +3,7 @@ package tcp
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"pnet/internal/graph"
 	"pnet/internal/route"
@@ -67,6 +68,15 @@ func TestNewFlowValidation(t *testing.T) {
 	rev, _ := graph.ReversePath(net.G, p)
 	if _, err := NewFlow(net, Config{}, []graph.Path{p, rev}, 1000); err == nil {
 		t.Error("no error for mismatched endpoints")
+	}
+}
+
+// TestOnePathFlowSize: a one-path flow's one allocation fits the 512-byte
+// size class; the next class up costs every flow 64 more bytes of
+// allocation and the collector the cycles that go with them.
+func TestOnePathFlowSize(t *testing.T) {
+	if n := unsafe.Sizeof(onePathFlow{}); n > 512 {
+		t.Errorf("onePathFlow is %d bytes, over the 512-byte size class", n)
 	}
 }
 

@@ -63,17 +63,35 @@ type Driver struct {
 	// when TCP.StallRTOs enables stall-driven repathing and a fault
 	// actually pushed flows off their original routes.
 	Repaths int64
+
+	// The callbacks flows share, bound once so that starting a flow builds
+	// no closure: flowDone is d.countCompletion, flowRepathed is
+	// d.countRepath, and repaths holds one resolver per Selection seen.
+	flowDone     func(*tcp.Flow)
+	flowRepathed func(*tcp.Flow, int, graph.Path)
+	repaths      []selectionRepath
+	// one holds StartFlow's single path, which tcp.NewFlow does not keep.
+	one [1]graph.Path
+}
+
+// selectionRepath is the stall-repath resolver of one Selection.
+type selectionRepath struct {
+	sel    Selection
+	repath func(*tcp.Flow, int) (graph.Path, bool)
 }
 
 // NewDriver builds the simulation environment for a topology.
 func NewDriver(t *topo.Topology, simCfg sim.Config, tcpCfg tcp.Config) *Driver {
 	eng := sim.NewEngine()
-	return &Driver{
+	d := &Driver{
 		PNet: core.New(t),
 		Eng:  eng,
 		Net:  sim.NewNetwork(eng, t.G, simCfg),
 		TCP:  tcpCfg,
 	}
+	d.flowDone = d.countCompletion
+	d.flowRepathed = d.countRepath
+	return d
 }
 
 // RunUntil fires all events up to and including the deadline and
@@ -85,25 +103,36 @@ func (d *Driver) RunUntil(deadline sim.Time) int {
 	return fired
 }
 
-// PathsFor resolves a Selection into concrete paths for a flow.
+// PathsFor resolves a Selection into concrete paths for a flow. The paths'
+// Links may be shared with core.PNet's route caches and must only be read.
 func (d *Driver) PathsFor(src, dst graph.NodeID, sel Selection) ([]graph.Path, error) {
+	one, many, err := d.resolve(src, dst, sel)
+	if many == nil && err == nil {
+		many = []graph.Path{one}
+	}
+	return many, err
+}
+
+// resolve is PathsFor without the slice for a single path: the
+// single-path policies return one, KSP returns many.
+func (d *Driver) resolve(src, dst graph.NodeID, sel Selection) (graph.Path, []graph.Path, error) {
 	if sel.Class != "" {
-		return d.classPathsFor(src, dst, sel)
+		return d.classResolve(src, dst, sel)
 	}
 	switch sel.Policy {
 	case Shortest:
 		p, ok := d.PNet.LowLatencyPath(src, dst)
 		if !ok {
-			return nil, fmt.Errorf("workload: no path %d->%d", src, dst)
+			return graph.Path{}, nil, fmt.Errorf("workload: no path %d->%d", src, dst)
 		}
-		return []graph.Path{p}, nil
+		return p, nil, nil
 	case ECMP:
 		d.hashCtr++
 		p, ok := d.PNet.ECMPPath(src, dst, d.hashCtr*0x9e3779b97f4a7c15)
 		if !ok {
-			return nil, fmt.Errorf("workload: no ECMP path %d->%d", src, dst)
+			return graph.Path{}, nil, fmt.Errorf("workload: no ECMP path %d->%d", src, dst)
 		}
-		return []graph.Path{p}, nil
+		return p, nil, nil
 	case KSP:
 		k := sel.K
 		if k <= 0 {
@@ -111,30 +140,30 @@ func (d *Driver) PathsFor(src, dst graph.NodeID, sel Selection) ([]graph.Path, e
 		}
 		ps := d.PNet.HighThroughputPaths(src, dst, k)
 		if len(ps) == 0 {
-			return nil, fmt.Errorf("workload: no KSP paths %d->%d", src, dst)
+			return graph.Path{}, nil, fmt.Errorf("workload: no KSP paths %d->%d", src, dst)
 		}
-		return ps, nil
+		return graph.Path{}, ps, nil
 	default:
-		return nil, fmt.Errorf("workload: unknown policy %d", sel.Policy)
+		return graph.Path{}, nil, fmt.Errorf("workload: unknown policy %d", sel.Policy)
 	}
 }
 
-// classPathsFor resolves a class-confined Selection.
-func (d *Driver) classPathsFor(src, dst graph.NodeID, sel Selection) ([]graph.Path, error) {
+// classResolve resolves a class-confined Selection.
+func (d *Driver) classResolve(src, dst graph.NodeID, sel Selection) (graph.Path, []graph.Path, error) {
 	switch sel.Policy {
 	case Shortest:
 		p, ok := d.PNet.ClassLowLatencyPath(sel.Class, src, dst)
 		if !ok {
-			return nil, fmt.Errorf("workload: class %q: no path %d->%d", sel.Class, src, dst)
+			return graph.Path{}, nil, fmt.Errorf("workload: class %q: no path %d->%d", sel.Class, src, dst)
 		}
-		return []graph.Path{p}, nil
+		return p, nil, nil
 	case ECMP:
 		d.hashCtr++
 		p, ok := d.PNet.ClassPath(sel.Class, src, dst, d.hashCtr*0x9e3779b97f4a7c15)
 		if !ok {
-			return nil, fmt.Errorf("workload: class %q: no ECMP path %d->%d", sel.Class, src, dst)
+			return graph.Path{}, nil, fmt.Errorf("workload: class %q: no ECMP path %d->%d", sel.Class, src, dst)
 		}
-		return []graph.Path{p}, nil
+		return p, nil, nil
 	case KSP:
 		k := sel.K
 		if k <= 0 {
@@ -142,11 +171,11 @@ func (d *Driver) classPathsFor(src, dst graph.NodeID, sel Selection) ([]graph.Pa
 		}
 		ps := d.PNet.ClassPaths(sel.Class, src, dst, k)
 		if len(ps) == 0 {
-			return nil, fmt.Errorf("workload: class %q: no KSP paths %d->%d", sel.Class, src, dst)
+			return graph.Path{}, nil, fmt.Errorf("workload: class %q: no KSP paths %d->%d", sel.Class, src, dst)
 		}
-		return ps, nil
+		return graph.Path{}, ps, nil
 	default:
-		return nil, fmt.Errorf("workload: unknown policy %d", sel.Policy)
+		return graph.Path{}, nil, fmt.Errorf("workload: unknown policy %d", sel.Policy)
 	}
 }
 
@@ -156,9 +185,13 @@ func (d *Driver) classPathsFor(src, dst graph.NodeID, sel Selection) ([]graph.Pa
 func (d *Driver) StartFlow(src, dst graph.NodeID, sizeBytes int64, sel Selection,
 	onDelivered, onComplete func(*tcp.Flow)) (*tcp.Flow, error) {
 
-	paths, err := d.PathsFor(src, dst, sel)
+	one, paths, err := d.resolve(src, dst, sel)
 	if err != nil {
 		return nil, err
+	}
+	if paths == nil {
+		d.one[0] = one
+		paths = d.one[:]
 	}
 	// Stalled subflows re-resolve through the same selection, which by
 	// then reflects what the health monitor has learned — the end-host
@@ -166,21 +199,28 @@ func (d *Driver) StartFlow(src, dst graph.NodeID, sizeBytes int64, sel Selection
 	return d.startFlow(paths, sel, sizeBytes, onDelivered, onComplete)
 }
 
-// repathFor builds the stall-repath resolver for a selection: re-run the
-// policy against the current (post-detection) routing state and give
-// subflow i the i-th resulting path. On a serial network, or before the
-// monitor has condemned the broken plane, this naturally returns the
-// same path and the subflow stays put.
+// repathFor returns the stall-repath resolver for a selection, built the
+// first time the selection is seen: re-run the policy against the current
+// (post-detection) routing state and give subflow i the i-th resulting
+// path. On a serial network, or before the monitor has condemned the
+// broken plane, this naturally returns the same path and the subflow stays
+// put.
 func (d *Driver) repathFor(sel Selection) func(*tcp.Flow, int) (graph.Path, bool) {
-	return func(f *tcp.Flow, i int) (graph.Path, bool) {
+	for _, r := range d.repaths {
+		if r.sel == sel {
+			return r.repath
+		}
+	}
+	repath := func(f *tcp.Flow, i int) (graph.Path, bool) {
 		cur := f.SubflowPath(i)
-		src, dst := cur.Src(d.Net.G), cur.Dst(d.Net.G)
-		paths, err := d.PathsFor(src, dst, sel)
+		paths, err := d.PathsFor(cur.Src(d.Net.G), cur.Dst(d.Net.G), sel)
 		if err != nil || len(paths) == 0 {
 			return graph.Path{}, false
 		}
 		return paths[i%len(paths)], true
 	}
+	d.repaths = append(d.repaths, selectionRepath{sel, repath})
+	return repath
 }
 
 // Instrument attaches a telemetry collector: the network's tracer and
@@ -213,35 +253,59 @@ func (d *Driver) startFlow(paths []graph.Path, repath Selection, sizeBytes int64
 	d.Flows++
 	f.ID = d.Flows
 	f.Repath = d.repathFor(repath)
-	f.OnRepath = func(fl *tcp.Flow, i int, to graph.Path) {
-		d.Repaths++
-		if d.OnRepath != nil {
-			d.OnRepath(fl, i, to)
-		}
-	}
-	f.OnComplete = func(fl *tcp.Flow) {
-		d.Completed++
-		if d.Obs != nil {
-			d.Obs.RecordFlow(obs.FlowRecord{
-				ID:          fl.ID,
-				TPs:         int64(fl.Finished),
-				Transport:   "tcp",
-				Src:         int64(paths[0].Src(d.Net.G)),
-				Dst:         int64(paths[0].Dst(d.Net.G)),
-				Bytes:       sizeBytes,
-				FCT:         fl.FCT().Seconds(),
-				Retransmits: fl.Retransmits,
-				Subflows:    fl.Subflows(),
-				Planes:      planesOf(d.Net.G, paths),
-				Spans:       spanShares(fl.Attribution()),
-			})
-		}
-		if onComplete != nil {
-			onComplete(fl)
-		}
-	}
+	f.OnRepath = d.flowRepathed
+	f.OnComplete = d.completion(paths, sizeBytes, onComplete)
 	f.Start()
 	return f, nil
+}
+
+// countRepath is every flow's OnRepath.
+func (d *Driver) countRepath(f *tcp.Flow, i int, to graph.Path) {
+	d.Repaths++
+	if d.OnRepath != nil {
+		d.OnRepath(f, i, to)
+	}
+}
+
+// countCompletion is the OnComplete of a flow with nothing more to do.
+func (d *Driver) countCompletion(*tcp.Flow) { d.Completed++ }
+
+// completion builds a flow's OnComplete. Only a flow with a record to
+// write or a caller's callback to run needs a closure of its own. The
+// record names the endpoints and planes of the paths the flow started on,
+// read now because paths may be StartFlow's scratch.
+func (d *Driver) completion(paths []graph.Path, sizeBytes int64, onComplete func(*tcp.Flow)) func(*tcp.Flow) {
+	if d.Obs == nil {
+		if onComplete == nil {
+			return d.flowDone
+		}
+		return func(f *tcp.Flow) {
+			d.Completed++
+			onComplete(f)
+		}
+	}
+	g := d.Net.G
+	src, dst := int64(paths[0].Src(g)), int64(paths[0].Dst(g))
+	planes := planesOf(g, paths)
+	return func(f *tcp.Flow) {
+		d.Completed++
+		d.Obs.RecordFlow(obs.FlowRecord{
+			ID:          f.ID,
+			TPs:         int64(f.Finished),
+			Transport:   "tcp",
+			Src:         src,
+			Dst:         dst,
+			Bytes:       sizeBytes,
+			FCT:         f.FCT().Seconds(),
+			Retransmits: f.Retransmits,
+			Subflows:    f.Subflows(),
+			Planes:      planes,
+			Spans:       spanShares(f.Attribution()),
+		})
+		if onComplete != nil {
+			onComplete(f)
+		}
+	}
 }
 
 // planesOf returns the distinct dataplanes a path set touches, sorted.
