@@ -6,7 +6,7 @@
 //	pnetbench -list
 //	pnetbench -exp fig6a
 //	pnetbench -exp all -scale full -seed 7
-//	pnetbench -exp fig6c -metrics m.jsonl -trace t.jsonl
+//	pnetbench -exp fig10 -metrics m.jsonl -trace -trace-flow 3
 //	pnetbench -exp faults -chaos "plane:0@10ms+20ms; poisson:mttf=50ms,mttr=5ms,until=100ms"
 //
 // Each experiment prints the rows/series of the corresponding paper
@@ -15,16 +15,17 @@
 // hours, like the original artifact). See EXPERIMENTS.md for the mapping
 // and recorded results.
 //
-// Telemetry: -metrics streams JSONL samples (link queue depth and
+// Telemetry: -metrics streams JSONL records (link queue depth and
 // utilization, per-plane bytes, engine event rate, flow, solver and fault
-// records); -trace streams per-packet lifecycle
-// events (enqueue/drop/trim/deliver), optionally narrowed to specific
-// flows with -trace-flow. Both accept a file path or "-" for stdout.
-// -report writes a RunSummary JSON (FCT percentiles, plane shares,
-// solver/engine aggregates) for pnetstat summary/diff with no JSONL
-// round-trip. -spans turns on latency attribution (per-flow FCT
-// decomposition into queueing/serialization/propagation/stall
-// components) and the event-loop flight recorder behind `pnetstat
+// records) to a file path or "-" for stdout; every record names the
+// engine that made it. -trace adds per-packet lifecycle events
+// (enqueue/drop/trim/deliver) to that stream, optionally narrowed to
+// specific flows with -trace-flow. -report writes a RunSummary JSON (FCT
+// percentiles, plane shares, solver/engine aggregates) for pnetstat
+// summary/diff with no JSONL round-trip; it is the reduction of the
+// records -metrics would hold. -spans turns on latency attribution
+// (per-flow FCT decomposition into queueing/serialization/propagation/
+// stall components) and the event-loop flight recorder behind `pnetstat
 // attribution` and `pnetstat profile`. -fingerprint folds every fired
 // event into rolling per-plane determinism hash chains, checkpointed
 // every -fingerprint-epoch events into the metrics stream / report; each
@@ -72,11 +73,11 @@ func main() {
 // validate resolved from them.
 type options struct {
 	expID, scale, format, chaos, traceFlow, pprof string
-	metrics, trace, report                        string
+	metrics, report                               string
 	seed, fpEpoch                                 int64
 	workers                                       int
 	sample                                        time.Duration
-	list, timing, spans, fingerprint              bool
+	list, timing, spans, fingerprint, trace       bool
 
 	// Resolved by validate.
 	toRun      []exp.Experiment // nil when no -exp was given
@@ -88,8 +89,14 @@ type options struct {
 // -scale, -chaos and -trace-flow, all before run creates a file or starts
 // a server: a rejected command line leaves nothing behind. set holds the
 // flags that appeared on the command line (a zero -sample or
-// -fingerprint-epoch is an error only when given explicitly).
-func (o *options) validate(set map[string]bool) error {
+// -fingerprint-epoch is an error only when given explicitly), args what
+// followed the flags.
+func (o *options) validate(set map[string]bool, args []string) error {
+	if len(args) > 0 {
+		// Flag parsing stops at the first argument that is not a flag, so
+		// every flag after it would be silently dropped.
+		return fmt.Errorf("unexpected argument %q: pnetbench takes flags only (and -trace no file: its records go to -metrics)", args[0])
+	}
 	if set["sample"] && o.sample <= 0 {
 		// Silently falling back to the default would make the printed series
 		// lie about their cadence.
@@ -104,6 +111,9 @@ func (o *options) validate(set map[string]bool) error {
 	if o.fingerprint && o.metrics == "" && o.report == "" {
 		return errors.New("-fingerprint needs a sink for the checkpoints: add -metrics or -report")
 	}
+	if o.trace && o.metrics == "" {
+		return errors.New("-trace adds packet records to the metrics stream: add -metrics")
+	}
 	switch o.format {
 	case "table", "csv", "json":
 	default:
@@ -112,7 +122,7 @@ func (o *options) validate(set map[string]bool) error {
 	if o.workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", o.workers)
 	}
-	o.params = exp.Params{Seed: o.seed, Workers: o.workers}
+	o.params = exp.Params{Seed: o.seed}
 	switch o.scale {
 	case "small":
 		o.params.Scale = exp.ScaleSmall
@@ -129,7 +139,7 @@ func (o *options) validate(set map[string]bool) error {
 		o.params.Chaos = spec
 	}
 	if o.traceFlow != "" {
-		if o.trace == "" {
+		if !o.trace {
 			return errors.New("-trace-flow requires -trace")
 		}
 		ids, err := parseFlowIDs(o.traceFlow)
@@ -138,17 +148,10 @@ func (o *options) validate(set map[string]bool) error {
 		}
 		o.traceFlows = ids
 	}
-	// Each output is opened on its own, so two flags naming one file (or
-	// two streams on stdout) would silently overwrite or interleave.
-	outputs := []struct{ flag, path string }{
-		{"-metrics", o.metrics}, {"-trace", o.trace}, {"-report", o.report},
-	}
-	for i, a := range outputs {
-		for _, b := range outputs[i+1:] {
-			if a.path != "" && b.path != "" && filepath.Clean(a.path) == filepath.Clean(b.path) {
-				return fmt.Errorf("%s and %s both write to %q: give each its own file", a.flag, b.flag, a.path)
-			}
-		}
+	// Each output is opened on its own, so two flags naming one file would
+	// silently overwrite each other.
+	if o.metrics != "" && o.report != "" && filepath.Clean(o.metrics) == filepath.Clean(o.report) {
+		return fmt.Errorf("-metrics and -report both write to %q: give each its own file", o.metrics)
 	}
 	switch o.expID {
 	case "":
@@ -184,9 +187,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&o.list, "list", false, "list experiments")
 	fs.BoolVar(&o.timing, "time", true, "print wall-clock time per experiment")
 	fs.StringVar(&o.format, "format", "table", "table | csv | json")
-	fs.StringVar(&o.metrics, "metrics", "", "stream metric samples as JSONL to this file ('-' = stdout)")
-	fs.StringVar(&o.trace, "trace", "", "stream packet lifecycle events as JSONL to this file ('-' = stdout); -trace-flow narrows it to chosen flows")
-	fs.StringVar(&o.traceFlow, "trace-flow", "", "comma-separated flow IDs to trace; other flows' events are filtered at the sink (requires -trace)")
+	fs.StringVar(&o.metrics, "metrics", "", "stream telemetry records as JSONL to this file ('-' = stdout)")
+	fs.BoolVar(&o.trace, "trace", false, "add packet lifecycle events to the -metrics stream; -trace-flow narrows them to chosen flows")
+	fs.StringVar(&o.traceFlow, "trace-flow", "", "comma-separated flow IDs to trace; other flows' events are dropped before a record is built (requires -trace)")
 	fs.BoolVar(&o.spans, "spans", false, "record latency attribution spans and the event-loop profile (pnetstat attribution / profile)")
 	fs.BoolVar(&o.fingerprint, "fingerprint", false, "fold every fired event into per-plane determinism hash chains (pnetstat fingerprint / divergence); needs -metrics or -report")
 	fs.Int64Var(&o.fpEpoch, "fingerprint-epoch", 0, "events per fingerprint checkpoint (0 = default 65536; 1 lets pnetstat divergence name the first divergent event); requires -fingerprint")
@@ -203,7 +206,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := o.validate(set); err != nil {
+	if err := o.validate(set, fs.Args()); err != nil {
 		fmt.Fprintf(stderr, "pnetbench: %v\n", err)
 		return 2
 	}
@@ -237,14 +240,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var collector *obs.Collector
 	var aggr *report.Aggregator
-	var closers []io.Closer
+	var metricsFile *os.File
 	defer func() {
-		// For the early returns; the success path has checked each Close.
-		for _, c := range closers {
-			c.Close()
+		// For the early returns; the success path has checked its Close.
+		if metricsFile != nil {
+			metricsFile.Close()
 		}
 	}()
-	if o.metrics != "" || o.trace != "" || o.report != "" || o.spans || o.fingerprint {
+	if o.metrics != "" || o.report != "" || o.spans || o.fingerprint {
 		collector = obs.NewCollector()
 		if o.sample > 0 {
 			collector.Interval = sim.Time(o.sample.Nanoseconds()) * sim.Nanosecond
@@ -252,6 +255,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		collector.Spans = o.spans
 		collector.Fingerprint = o.fingerprint
 		collector.FingerprintEpoch = o.fpEpoch
+		collector.Trace = o.trace
 		collector.TraceFlows = o.traceFlows
 		if o.report != "" {
 			// Samples reduce into the summary as they are taken, so -exp all
@@ -259,29 +263,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 			aggr = report.NewAggregator()
 			collector.Sink = aggr
 		}
-		// Streams must be wired before any network attaches, which happens
-		// inside the experiments' Run. "-" is stdout, anything else a file
-		// created here and closed at the end.
-		for _, out := range []struct {
-			path   string
-			stream func(io.Writer)
-		}{
-			{o.metrics, collector.StreamMetrics},
-			{o.trace, collector.StreamTrace},
-		} {
-			switch out.path {
-			case "":
-			case "-":
-				out.stream(stdout)
-			default:
-				f, err := os.Create(out.path)
-				if err != nil {
-					fmt.Fprintf(stderr, "pnetbench: %v\n", err)
-					return 1
-				}
-				closers = append(closers, f)
-				out.stream(f)
+		// The stream must be wired before any network attaches, which
+		// happens inside the experiments' Run. "-" is stdout, anything else
+		// a file created here and closed at the end.
+		switch o.metrics {
+		case "":
+		case "-":
+			collector.StreamMetrics(stdout)
+		default:
+			f, err := os.Create(o.metrics)
+			if err != nil {
+				fmt.Fprintf(stderr, "pnetbench: %v\n", err)
+				return 1
 			}
+			metricsFile = f
+			collector.StreamMetrics(f)
 		}
 		o.params.Obs = collector
 	}
@@ -289,7 +285,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Run header: how wide this run may fan out. Cell results are
 	// bit-identical at any width, so the numbers are attribution for the
 	// wall times below, never a caveat on the tables.
-	effWorkers := par.Workers(o.workers)
+	effWorkers := par.Limit()
 	fmt.Fprintf(stderr, "pnetbench: exp=%s scale=%s seed=%d workers=%d gomaxprocs=%d\n",
 		o.expID, o.params.Scale, o.seed, effWorkers, runtime.GOMAXPROCS(0))
 	if collector != nil {
@@ -340,17 +336,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Created:    time.Now().UTC().Format(time.RFC3339),
 			Workers:    effWorkers,
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			RunWallNs:  collector.RunWallNs(),
 		})
-		if summary.Profile != nil {
-			// Stamp the run's actual pool occupancy into the profile so
-			// `pnetstat profile` can say how much of the machine the
-			// cell-level parallelism used.
-			st := par.PoolStats()
-			summary.Profile.PoolLimit = st.Limit
-			summary.Profile.PoolPeak = st.Peak
-			summary.Profile.PoolTasks = st.Tasks
-		}
 		b, err := json.MarshalIndent(summary, "", "  ")
 		if err == nil {
 			err = os.WriteFile(o.report, append(b, '\n'), 0o644)
@@ -360,8 +346,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	for _, c := range closers {
-		if err := c.Close(); err != nil {
+	if metricsFile != nil {
+		if err := metricsFile.Close(); err != nil {
 			fmt.Fprintf(stderr, "pnetbench: telemetry: %v\n", err)
 			return 1
 		}

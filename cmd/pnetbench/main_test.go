@@ -88,9 +88,11 @@ func TestValidateFormat(t *testing.T) {
 }
 
 // TestValidateBeforeSideEffects: the rejections that used to come after
-// the output files were created (or never came at all).
+// the output files were created (or never came at all). The three lines
+// that once gave -trace a file of its own are still rejected: -trace takes
+// no value now, so the file name is a stray argument.
 func TestValidateBeforeSideEffects(t *testing.T) {
-	const outputs = " -metrics DIR/m.jsonl -trace DIR/t.jsonl -fingerprint -report DIR/r.json"
+	const outputs = " -metrics DIR/m.jsonl -trace -fingerprint -report DIR/r.json"
 	checkCommandLines(t, []commandLine{
 		{name: "unknown experiment", args: "-exp nosuch" + outputs, wantErr: `unknown experiment "nosuch"`},
 		{name: "unknown scale", args: "-exp table1 -scale huge" + outputs, wantErr: `unknown scale "huge"`},
@@ -113,13 +115,17 @@ func TestValidateBeforeSideEffects(t *testing.T) {
 		{name: "chaos link the faults networks lack", args: "-exp faults -scale full -chaos link:99999@1ms+1ms" + outputs,
 			wantErr: "link 99999 out of range"},
 		{name: "metrics and trace share a file", args: "-exp table1 -metrics DIR/x.jsonl -trace DIR/x.jsonl",
-			wantErr: "-metrics and -trace both write to"},
+			wantErr: "unexpected argument"},
 		{name: "metrics and report share a file", args: "-exp table1 -metrics DIR/x -report DIR/./x",
 			wantErr: "-metrics and -report both write to"},
 		{name: "trace and report share a file", args: "-exp table1 -report DIR/x -trace DIR/x",
-			wantErr: "-trace and -report both write to"},
+			wantErr: "unexpected argument"},
 		{name: "two streams on stdout", args: "-exp table1 -metrics - -trace -",
-			wantErr: `-metrics and -trace both write to "-"`},
+			wantErr: `unexpected argument "-"`},
+		{name: "stray argument", args: "stray -exp table1", wantErr: `unexpected argument "stray"`},
+		{name: "trace file of old", args: "-trace DIR/t.jsonl -exp fig6c", wantErr: "-trace no file"},
+		{name: "trace without metrics", args: "-exp table1 -trace -report DIR/r.json", wantErr: "-trace adds packet records to the metrics stream"},
+		{name: "trace with metrics", args: "-trace -trace-flow 3 -metrics DIR/m.jsonl"},
 		{name: "unknown experiment with -list", args: "-list -exp nosuch", wantErr: "unknown experiment"},
 	})
 }

@@ -17,7 +17,8 @@
 // `pnetbench -report` or by `pnetstat summary -o`) or a raw metrics
 // JSONL stream (`pnetbench -metrics`), auto-detected; a stream is decoded
 // line by line into the aggregator `-report` uses, so memory does not
-// grow with it. divergence and export-trace need the records themselves
+// grow with it, and its summary is the one `-report` writes for the same
+// run, field for field, bar the run's identity. divergence and export-trace need the records themselves
 // and hold the stream in memory. `diff` exits 1 when a gated metric of
 // <cur> is worse than <base> beyond the threshold; wall-clock rows are
 // printed and never gated (wall time is `sh bench/run.sh` and its
@@ -55,8 +56,8 @@ commands:
       needs a run recorded with pnetbench -spans
   profile [-json] <run>
       print the event-loop profile: per-(kind, plane) event counts and
-      wall time, per-plane event rates, the host-boundary fraction and
-      the worker-pool occupancy; needs pnetbench -spans
+      wall time, per-plane event rates and the host-boundary fraction;
+      needs pnetbench -spans
   fingerprint [-json] <run>
       print the determinism fingerprint: the XOR-folded global, host,
       and per-plane hash chains; needs pnetbench -fingerprint
@@ -68,8 +69,9 @@ commands:
       the first divergent event itself; exit 0 match, 1 diverged, 2 error
   export-trace [-o trace.json] <metrics.jsonl>
       convert a metrics stream into Chrome Trace Event JSON viewable in
-      Perfetto (ui.perfetto.dev): planes as processes, flows as tracks,
-      span components as slices, faults and packets as instants
+      Perfetto (ui.perfetto.dev): each engine's planes as processes,
+      flows as tracks, span components as slices, faults and packets
+      (pnetbench -trace) as instants on their engine's plane
   diff [-threshold 0.1] <base> <cur>
       per-metric deltas between two runs of the same experiment, scale
       and seed; exit 1 if a gated (simulation-deterministic) metric

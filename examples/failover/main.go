@@ -86,9 +86,7 @@ func main() {
 	ft := topo.FatTreeSet(4, 2, 100).ParallelHomo
 	d := workload.NewDriver(ft, sim.Config{}, tcp.Config{StallRTOs: 2})
 
-	mon := core.NewHealthMonitor(d.Eng, d.Net, d.PNet, 0, 1, core.HealthConfig{
-		Interval: 100 * sim.Microsecond,
-	})
+	mon := core.NewHealthMonitor(d.Eng, d.Net, d.PNet, 0, 1, 0)
 	faultAt := 500 * sim.Microsecond
 	var detectedAt, failoverAt sim.Time = -1, -1
 	mon.OnChange = func(e core.PlaneEvent) {

@@ -20,7 +20,8 @@ type Injector struct {
 
 	// Obs, when set, receives an "inject"/"clear" FaultRecord per event.
 	Obs *obs.Collector
-	// NetID tags the records when several networks share a collector.
+	// NetID is the number the collector attached Net under
+	// (workload.Driver.NetID), which the records carry.
 	NetID int
 	// OnEvent, when set, observes each event just after it is applied —
 	// the hook experiments use to correlate injection times with

@@ -7,42 +7,18 @@ import (
 	"pnet/internal/sim"
 )
 
-// HealthConfig tunes the probe-based plane liveness detector.
-type HealthConfig struct {
-	// Interval between probe rounds; zero selects 100 µs.
-	Interval sim.Time
-	// DownAfter is the silence threshold: a plane with no probe echo for
-	// this long is declared down. Zero selects 3×Interval. It must
-	// comfortably exceed the probe round-trip time, or a healthy plane
-	// will be declared down while its first echo is still in flight.
-	DownAfter sim.Time
-	// ProbeSize is the probe packet size in bytes; zero selects 64.
-	ProbeSize int32
-	// Until stops probing at this sim time (0 = probe forever — only safe
-	// with Engine.RunUntil, since the monitor reschedules perpetually).
-	Until sim.Time
-}
-
-func (c HealthConfig) interval() sim.Time {
-	if c.Interval > 0 {
-		return c.Interval
-	}
-	return 100 * sim.Microsecond
-}
-
-func (c HealthConfig) downAfter() sim.Time {
-	if c.DownAfter > 0 {
-		return c.DownAfter
-	}
-	return 3 * c.interval()
-}
-
-func (c HealthConfig) probeSize() int32 {
-	if c.ProbeSize > 0 {
-		return c.ProbeSize
-	}
-	return 64
-}
+// The probe-based plane liveness detector's settings.
+const (
+	// probeInterval is the time between probe rounds.
+	probeInterval = 100 * sim.Microsecond
+	// downAfter is the silence threshold: a plane with no probe echo for
+	// this long is declared down. It must comfortably exceed the probe
+	// round-trip time, or a healthy plane will be declared down while its
+	// first echo is still in flight.
+	downAfter = 3 * probeInterval
+	// probeSize is the probe packet size in bytes.
+	probeSize = 64
+)
 
 // PlaneEvent is one observed liveness transition, stamped with the sim
 // time the monitor made the call — the host's (late) view of a physical
@@ -58,7 +34,7 @@ type PlaneEvent struct {
 // policies (MarkPlaneDown / MarkPlaneUp) from what the probes report,
 // never from the simulator's physical state. Each round it loops one
 // small probe per plane through the fabric (host → peer → host, pinned
-// inside the plane); a plane whose echoes stop for DownAfter is declared
+// inside the plane); a plane whose echoes stop for downAfter is declared
 // down, and a declared-down plane whose fresh probes come back is
 // declared up again.
 //
@@ -74,7 +50,7 @@ type HealthMonitor struct {
 	// OnChange, when set, observes every declared transition.
 	OnChange func(PlaneEvent)
 
-	cfg      HealthConfig
+	until    sim.Time
 	routes   [][]graph.LinkID // per plane: host→peer→host loop
 	handler  []probeHandler   // per plane, fixed Deliver targets
 	lastEcho []sim.Time       // latest fresh echo per plane
@@ -94,9 +70,11 @@ type probeHandler struct {
 func (h *probeHandler) HandlePacket(p *sim.Packet) { h.m.echo(h.plane, p) }
 
 // NewHealthMonitor builds a monitor probing from host (an index into the
-// topology's hosts) through peer and back, once per plane. It panics if
-// some plane has no in-plane loop between the two hosts.
-func NewHealthMonitor(eng *sim.Engine, net *sim.Network, p *PNet, host, peer int, cfg HealthConfig) *HealthMonitor {
+// topology's hosts) through peer and back, once per plane, every 100 µs
+// until the sim time until (0 = probe forever — only safe with
+// Engine.RunUntil, since the monitor reschedules perpetually). It panics
+// if some plane has no in-plane loop between the two hosts.
+func NewHealthMonitor(eng *sim.Engine, net *sim.Network, p *PNet, host, peer int, until sim.Time) *HealthMonitor {
 	if host == peer {
 		panic("core: health monitor needs two distinct hosts")
 	}
@@ -105,7 +83,7 @@ func NewHealthMonitor(eng *sim.Engine, net *sim.Network, p *PNet, host, peer int
 		Eng:      eng,
 		Net:      net,
 		P:        p,
-		cfg:      cfg,
+		until:    until,
 		routes:   make([][]graph.LinkID, t.Planes),
 		handler:  make([]probeHandler, t.Planes),
 		lastEcho: make([]sim.Time, t.Planes),
@@ -134,7 +112,7 @@ func NewHealthMonitor(eng *sim.Engine, net *sim.Network, p *PNet, host, peer int
 }
 
 // Start begins probing. Echo timers start at the current sim time, so a
-// plane that is already dead is detected DownAfter from now.
+// plane that is already dead is detected downAfter from now.
 func (m *HealthMonitor) Start() {
 	now := m.Eng.Now()
 	for plane := range m.lastEcho {
@@ -146,7 +124,7 @@ func (m *HealthMonitor) Start() {
 func (m *HealthMonitor) tick() {
 	now := m.Eng.Now()
 	for plane := range m.routes {
-		if !m.declDown[plane] && now-m.lastEcho[plane] > m.cfg.downAfter() {
+		if !m.declDown[plane] && now-m.lastEcho[plane] > downAfter {
 			m.declDown[plane] = true
 			// Echoes already in flight were sent over a plane we just
 			// condemned; only probes from here on can rehabilitate it.
@@ -158,8 +136,8 @@ func (m *HealthMonitor) tick() {
 		}
 		m.probe(plane)
 	}
-	if m.cfg.Until == 0 || now+m.cfg.interval() <= m.cfg.Until {
-		m.Eng.After(m.cfg.interval(), m.tick)
+	if m.until == 0 || now+probeInterval <= m.until {
+		m.Eng.After(probeInterval, m.tick)
 	}
 }
 
@@ -167,7 +145,7 @@ func (m *HealthMonitor) tick() {
 // being probed — that is how recovery is noticed.
 func (m *HealthMonitor) probe(plane int) {
 	p := m.Net.NewPacket()
-	p.Size = m.cfg.probeSize()
+	p.Size = probeSize
 	p.Route = m.routes[plane]
 	p.Deliver = &m.handler[plane]
 	p.Seq = m.seq

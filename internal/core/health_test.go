@@ -10,13 +10,13 @@ import (
 
 // monitoredNet builds a two-plane fat-tree with a simulated dataplane
 // and a health monitor probing host 0 ↔ host 1.
-func monitoredNet(cfg HealthConfig) (*sim.Engine, *sim.Network, *PNet, *HealthMonitor) {
+func monitoredNet(until sim.Time) (*sim.Engine, *sim.Network, *PNet, *HealthMonitor) {
 	set := topo.FatTreeSet(4, 2, 100)
 	tp := set.ParallelHomo
 	eng := sim.NewEngine()
 	net := sim.NewNetwork(eng, tp.G, sim.Config{})
 	p := New(tp)
-	m := NewHealthMonitor(eng, net, p, 0, 1, cfg)
+	m := NewHealthMonitor(eng, net, p, 0, 1, until)
 	return eng, net, p, m
 }
 
@@ -33,7 +33,7 @@ func setPlanePhysical(net *sim.Network, plane int32, up bool) {
 }
 
 func TestHealthMonitorQuietOnHealthyNet(t *testing.T) {
-	eng, _, p, m := monitoredNet(HealthConfig{})
+	eng, _, p, m := monitoredNet(0)
 	var events []PlaneEvent
 	m.OnChange = func(e PlaneEvent) { events = append(events, e) }
 	m.Start()
@@ -47,8 +47,7 @@ func TestHealthMonitorQuietOnHealthyNet(t *testing.T) {
 }
 
 func TestHealthMonitorDetectsAndRecovers(t *testing.T) {
-	cfg := HealthConfig{Interval: 100 * sim.Microsecond}
-	eng, net, p, m := monitoredNet(cfg)
+	eng, net, p, m := monitoredNet(0)
 	var events []PlaneEvent
 	m.OnChange = func(e PlaneEvent) { events = append(events, e) }
 	m.Start()
@@ -70,7 +69,7 @@ func TestHealthMonitorDetectsAndRecovers(t *testing.T) {
 	if detect <= 0 {
 		t.Errorf("detection latency %v not positive — oracle failover?", detect)
 	}
-	// The verdict needs DownAfter (3×100 µs default) of silence plus at
+	// The verdict needs downAfter (3×100 µs) of silence plus at
 	// most one probe interval and a round-trip of slack.
 	if limit := 600 * sim.Microsecond; detect > limit {
 		t.Errorf("detection latency %v too slow (limit %v)", detect, limit)
@@ -94,7 +93,7 @@ func TestHealthMonitorDetectsAndRecovers(t *testing.T) {
 }
 
 func TestHealthMonitorDrivesReroute(t *testing.T) {
-	eng, net, p, m := monitoredNet(HealthConfig{Interval: 100 * sim.Microsecond})
+	eng, net, p, m := monitoredNet(0)
 	m.Start()
 	src, dst := p.Topo.Hosts[0], p.Topo.Hosts[15]
 
@@ -116,7 +115,7 @@ func TestHealthMonitorDrivesReroute(t *testing.T) {
 }
 
 func TestHealthMonitorUntilStopsProbing(t *testing.T) {
-	eng, _, _, m := monitoredNet(HealthConfig{Interval: 100 * sim.Microsecond, Until: sim.Millisecond})
+	eng, _, _, m := monitoredNet(sim.Millisecond)
 	m.Start()
 	// With Until set, the event heap must drain on its own.
 	eng.Run()

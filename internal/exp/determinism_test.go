@@ -15,8 +15,8 @@ import (
 // contract at workers=1 (the serial fallback path, inline in par.Do)
 // versus workers=8 (real goroutine fan-out even on one core).
 
-// runAt runs one experiment with the process pool and per-run worker
-// request both set to n, restoring the default pool afterwards.
+// runAt runs one experiment with the process pool set to n, restoring
+// the default pool afterwards.
 func runAt(t *testing.T, id string, n int) Table {
 	t.Helper()
 	e, ok := ByID(id)
@@ -25,7 +25,7 @@ func runAt(t *testing.T, id string, n int) Table {
 	}
 	par.SetLimit(n)
 	defer par.SetLimit(0)
-	return e.Run(Params{Seed: 1, Workers: n})
+	return e.Run(Params{Seed: 1})
 }
 
 // TestTablesWorkerInvariant renders each (cheap) experiment's table
@@ -59,7 +59,7 @@ func TestSummaryWorkerInvariant(t *testing.T) {
 		aggr := report.NewAggregator()
 		c.Sink = aggr
 		e, _ := ByID("fig6c")
-		e.Run(Params{Seed: 1, Workers: n, Obs: c})
+		e.Run(Params{Seed: 1, Obs: c})
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,6 @@ func TestSummaryWorkerInvariant(t *testing.T) {
 		s.Solver.WallSec = 0
 		s.Engine.WallSec = 0
 		s.Engine.EventsPerSec = 0
-		s.Engine.RunWallSec = 0
 		return s
 	}
 	serial := run(1)
@@ -85,8 +84,8 @@ func TestSummaryWorkerInvariant(t *testing.T) {
 // attribution spans and the event-loop flight recorder enabled. The
 // attribution tables are integer-summed picoseconds, so they must be
 // byte-identical at any worker count; the profile's event counts are
-// deterministic too, while its wall-clock and pool-occupancy fields are
-// the only quantities allowed to move with scheduling.
+// deterministic too, while its wall-clock fields are the only quantities
+// allowed to move with scheduling.
 func TestSpansSummaryWorkerInvariant(t *testing.T) {
 	run := func(n int) report.RunSummary {
 		par.SetLimit(n)
@@ -96,7 +95,7 @@ func TestSpansSummaryWorkerInvariant(t *testing.T) {
 		aggr := report.NewAggregator()
 		c.Sink = aggr
 		e, _ := ByID("fig6c")
-		e.Run(Params{Seed: 1, Workers: n, Obs: c})
+		e.Run(Params{Seed: 1, Obs: c})
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -104,11 +103,9 @@ func TestSpansSummaryWorkerInvariant(t *testing.T) {
 		s.Solver.WallSec = 0
 		s.Engine.WallSec = 0
 		s.Engine.EventsPerSec = 0
-		s.Engine.RunWallSec = 0
 		if s.Profile != nil {
 			s.Profile.WallSec = 0
 			s.Profile.HostWallSec = 0
-			s.Profile.PoolLimit, s.Profile.PoolPeak, s.Profile.PoolTasks = 0, 0, 0
 			for i := range s.Profile.Bins {
 				s.Profile.Bins[i].WallSec = 0
 			}
@@ -146,7 +143,7 @@ func TestFingerprintWorkerInvariant(t *testing.T) {
 		aggr := report.NewAggregator()
 		c.Sink = aggr
 		e, _ := ByID("fig6c")
-		e.Run(Params{Seed: 1, Workers: n, Obs: c})
+		e.Run(Params{Seed: 1, Obs: c})
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,14 @@
 // minutes on a laptop; ScaleFull uses the paper's sizes (1024-host fat
 // trees, 686-host Jellyfish, 100 GB shuffles) and can take hours, exactly
 // like the original artifact. EXPERIMENTS.md records the mapping.
+//
+// An experiment's independent cells (one per network, trial or sweep
+// point) fan out through par.Do, as wide as the process-wide par limit
+// (pnetbench's -workers). A cell derives all state from its index: its
+// own topology or a shared read-only one, its own driver/engine/RNG, and
+// per-index result slots; everything shared (the collector, per-graph
+// caches) aggregates commutatively. Results are bit-identical at any
+// width.
 package exp
 
 import (
@@ -21,7 +29,6 @@ import (
 	"pnet/internal/chaos"
 	"pnet/internal/mcf"
 	"pnet/internal/obs"
-	"pnet/internal/par"
 	"pnet/internal/sim"
 	"pnet/internal/tcp"
 	"pnet/internal/topo"
@@ -61,19 +68,7 @@ type Params struct {
 	// against its own topology with Build. Parsed from pnetbench's
 	// -chaos flag; other experiments ignore it.
 	Chaos *chaos.Spec
-	// Workers caps how many independent sweep cells run concurrently:
-	// 0 uses every core (GOMAXPROCS), 1 forces the serial path. Results
-	// are bit-identical at any value — each cell owns its sim engine and
-	// RNG seed, and everything shared (the collector, per-graph caches)
-	// aggregates commutatively.
-	Workers int
 }
-
-// cells fans an experiment's n independent cells out across p.Workers
-// goroutines (further bounded by the process-wide par limit). A cell
-// must derive all state from its index: its own topology or a shared
-// read-only one, its own driver/engine/RNG, and per-index result slots.
-func (p Params) cells(n int, fn func(i int)) { par.Do(n, p.Workers, fn) }
 
 // newDriver builds a workload driver, instrumented when telemetry is on.
 // Experiments must create drivers through this so every network a run

@@ -7,6 +7,7 @@ import (
 	"pnet/internal/core"
 	"pnet/internal/metrics"
 	"pnet/internal/ndp"
+	"pnet/internal/par"
 	"pnet/internal/sim"
 	"pnet/internal/tcp"
 	"pnet/internal/topo"
@@ -60,7 +61,7 @@ func runIncast(p Params) Table {
 	// variants share read-only topologies, every cell owns its engine.
 	tcpRows := make([][]string, len(variants)*len(fanIns))
 	ndpRows := make([][]string, len(fanIns))
-	p.cells(len(tcpRows)+len(ndpRows), func(idx int) {
+	par.Do(len(tcpRows)+len(ndpRows), func(idx int) {
 		if idx >= len(tcpRows) {
 			fan := fanIns[idx-len(tcpRows)]
 			ndpRows[idx-len(tcpRows)] = ndpIncast(set.ParallelHomo, fan, p)
@@ -203,7 +204,7 @@ func runIsolation(p Params) Table {
 	// topology; the "vs unloaded" column needs the baseline's P99, so
 	// rows are assembled after the join.
 	scenarios := make([]metrics.Summary, 3)
-	p.cells(3, func(i int) {
+	par.Do(3, func(i int) {
 		switch i {
 		case 0: // baseline: unloaded network
 			d := p.newDriver(tp, sim.Config{}, tcp.Config{})

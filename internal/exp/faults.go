@@ -8,6 +8,7 @@ import (
 	"pnet/internal/core"
 	"pnet/internal/graph"
 	"pnet/internal/obs"
+	"pnet/internal/par"
 	"pnet/internal/sim"
 	"pnet/internal/tcp"
 	"pnet/internal/topo"
@@ -24,7 +25,6 @@ type faultsCfg struct {
 	runDur  sim.Time
 	window  sim.Time // goodput timeline bucket
 	flows   int
-	netID   int // tags fault records when several networks share a collector
 }
 
 // faultsMetrics is one network's measured ride through the outage.
@@ -131,12 +131,10 @@ func runFaults(p Params) Table {
 	// The variants are independent cells: each owns a distinct topology
 	// (the chaos injector mutates link state, so sharing a graph across
 	// concurrent cells would race), its own engine, monitor, and
-	// injector. cfg is copied per cell to carry the network ID.
+	// injector.
 	rows := make([][]string, len(variants))
-	p.cells(len(variants), func(i int) {
-		c := cfg
-		c.netID = i
-		rows[i] = runFaultsWith(p, variants[i].tp, c).row(variants[i].name)
+	par.Do(len(variants), func(i int) {
+		rows[i] = runFaultsWith(p, variants[i].tp, cfg).row(variants[i].name)
 	})
 	t.Rows = append(t.Rows, rows...)
 	return t
@@ -168,19 +166,19 @@ func runFaultsWith(p Params, tp *topo.Topology, cfg faultsCfg) faultsMetrics {
 	}
 	inj := chaos.NewInjector(d.Eng, d.Net, sched)
 	inj.Obs = p.Obs
-	inj.NetID = cfg.netID
+	inj.NetID = d.NetID
 	inj.Arm()
 
 	m := faultsMetrics{detectLat: -1, failoverLat: -1, recovery: -1}
 	var detectAt sim.Time = -1
-	mon := core.NewHealthMonitor(d.Eng, d.Net, d.PNet, 0, 1, core.HealthConfig{Until: cfg.runDur})
+	mon := core.NewHealthMonitor(d.Eng, d.Net, d.PNet, 0, 1, cfg.runDur)
 	mon.OnChange = func(e core.PlaneEvent) {
 		if !e.Up && detectAt < 0 {
 			detectAt = e.At
 			m.detectLat = e.At - faultAt
 			if p.Obs != nil {
 				p.Obs.RecordFault(obs.FaultRecord{
-					Net: cfg.netID, TPs: int64(e.At), Event: "detect",
+					Net: d.NetID, TPs: int64(e.At), Event: "detect",
 					Target:     fmt.Sprintf("plane:%d", e.Plane),
 					Plane:      int32(e.Plane),
 					LatencySec: m.detectLat.Seconds(),
@@ -201,7 +199,7 @@ func runFaultsWith(p Params, tp *topo.Topology, cfg faultsCfg) faultsMetrics {
 		}
 		if p.Obs != nil {
 			p.Obs.RecordFault(obs.FaultRecord{
-				Net: cfg.netID, TPs: int64(firstRepath), Event: "failover",
+				Net: d.NetID, TPs: int64(firstRepath), Event: "failover",
 				Target:     fmt.Sprintf("plane:%d", to.Plane(tp.G)),
 				Plane:      to.Plane(tp.G),
 				LatencySec: m.failoverLat.Seconds(),
@@ -287,7 +285,7 @@ func runFaultsWith(p Params, tp *topo.Topology, cfg faultsCfg) faultsMetrics {
 			prev = tot
 		})
 	}
-	d.RunUntil(cfg.runDur + sim.Microsecond)
+	d.Eng.RunUntil(cfg.runDur + sim.Microsecond)
 
 	// Reduce the timeline. Window indices: [0, faultIdx) are clean
 	// pre-fault windows (skip window 0, the slow-start ramp), faultIdx
@@ -331,7 +329,7 @@ func runFaultsWith(p Params, tp *topo.Topology, cfg faultsCfg) faultsMetrics {
 
 	if m.recovery >= 0 && p.Obs != nil {
 		p.Obs.RecordFault(obs.FaultRecord{
-			Net: cfg.netID, TPs: int64(faultAt + m.recovery), Event: "recover",
+			Net: d.NetID, TPs: int64(faultAt + m.recovery), Event: "recover",
 			Target:     "plane:0",
 			Plane:      0,
 			LatencySec: m.recovery.Seconds(),

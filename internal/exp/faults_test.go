@@ -5,6 +5,7 @@ import (
 
 	"pnet/internal/chaos"
 	"pnet/internal/obs"
+	"pnet/internal/par"
 	"pnet/internal/report"
 	"pnet/internal/sim"
 	"pnet/internal/topo"
@@ -114,6 +115,48 @@ func TestFaultsRecordsTelemetry(t *testing.T) {
 	for _, want := range []string{"inject", "detect", "failover", "recover"} {
 		if events[want] == 0 {
 			t.Errorf("no %q fault record; got %v", want, events)
+		}
+	}
+}
+
+// TestFaultNetIsEngineNet: a fault record names the engine it happened
+// on, by the NetID the collector attached that engine under — the number
+// every other record of the engine carries. An unrelated network attaches
+// first, as one does under `pnetbench -exp all`, so faults' engines are
+// nets 1 to 3; a record numbered by the experiment's own cell index (0 to
+// 2, as it once was) lands one on the unrelated network. Serially and with
+// the cells racing for NetIDs.
+func TestFaultNetIsEngineNet(t *testing.T) {
+	e, _ := ByID("faults")
+	for _, workers := range []int{1, 2} {
+		par.SetLimit(workers)
+		c, rec := obs.NewCollector(), &report.Stream{}
+		c.Sink = rec
+		unrelated := sim.NewEngine()
+		c.AttachNetwork(unrelated, sim.NewNetwork(unrelated, topo.FatTreeSet(4, 1, 40).SerialLow.G, sim.Config{}))
+		e.Run(Params{Seed: 1, Obs: c})
+		par.SetLimit(0)
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		own := map[int]bool{}
+		for _, r := range rec.Engines {
+			own[r.Net] = r.Net != 0
+		}
+		if len(own) != 4 {
+			t.Fatalf("workers=%d: %d engines sampled, want the unrelated one and faults' three", workers, len(own))
+		}
+		events := map[string]int{}
+		for _, r := range rec.Faults {
+			events[r.Event]++
+			if !own[r.Net] {
+				t.Errorf("workers=%d: %s record on net %d, which is not one of faults' engines: %+v", workers, r.Event, r.Net, r)
+			}
+		}
+		for _, want := range []string{"inject", "detect", "failover", "recover"} {
+			if events[want] == 0 {
+				t.Errorf("workers=%d: no %q fault record; got %v", workers, want, events)
+			}
 		}
 	}
 }

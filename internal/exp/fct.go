@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"pnet/internal/metrics"
+	"pnet/internal/par"
 	"pnet/internal/sim"
 	"pnet/internal/tcp"
 	"pnet/internal/topo"
@@ -108,7 +109,7 @@ func runFig9(p Params) Table {
 	// its own driver and RNG from p.Seed, so all cells run concurrently
 	// into per-index slots.
 	vals := make([]string, len(nets)*len(sizes))
-	p.cells(len(vals), func(idx int) {
+	par.Do(len(vals), func(idx int) {
 		n, size := nets[idx/len(sizes)], sizes[idx%len(sizes)]
 		m, err := permutationFCT(n.tp, n.sel, size, p)
 		if err != nil {
@@ -201,7 +202,7 @@ func runTraceFCT(id string, cdf traces.SizeCDF, speed float64, topoKind string, 
 	// One cell per network: each owns a driver and a trace workload
 	// seeded from p.Seed, so the four networks simulate concurrently.
 	rows := make([][]string, len(nets))
-	p.cells(len(nets), func(i int) {
+	par.Do(len(nets), func(i int) {
 		n := nets[i]
 		d := p.newDriver(n.tp, sim.Config{}, tcp.Config{})
 		res, err := workload.RunTrace(d, workload.TraceConfig{

@@ -10,16 +10,16 @@ import (
 	"pnet/internal/report"
 )
 
-// TestFig6cTelemetry is the acceptance path: running fig6c with a
-// collector must yield Garg–Könemann solver records, a packet-level
-// companion trace with enqueue and deliver events, and metric/trace
-// streams where every line is valid JSON.
+// TestFig6cTelemetry is the acceptance path: running a traced fig6c
+// with a collector must yield Garg–Könemann solver records, packet
+// events of the packet-level companion run covering enqueue and deliver,
+// and a metrics stream where every line is valid JSON.
 func TestFig6cTelemetry(t *testing.T) {
-	var mbuf, tbuf bytes.Buffer
+	var mbuf bytes.Buffer
 	c, rec := obs.NewCollector(), &report.Stream{}
 	c.Sink = rec
+	c.Trace = true
 	c.StreamMetrics(&mbuf)
-	c.StreamTrace(&tbuf)
 
 	e, ok := ByID("fig6c")
 	if !ok {
@@ -60,23 +60,16 @@ func TestFig6cTelemetry(t *testing.T) {
 		}
 	}
 
-	// Streams: every line valid JSON; trace covers enqueue and deliver.
+	// Packet events cover enqueue and deliver; the stream has every line
+	// valid JSON and one line per record the sink saw.
 	evs := map[string]int{}
-	for _, line := range splitLines(tbuf.String()) {
-		var rec struct {
-			Type string `json:"type"`
-			Ev   string `json:"ev"`
-			TPs  int64  `json:"t_ps"`
-		}
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("bad trace line %q: %v", line, err)
-		}
-		evs[rec.Ev]++
+	for _, r := range rec.Packets {
+		evs[r.Ev]++
 	}
 	if evs["enqueue"] == 0 || evs["deliver"] == 0 {
-		t.Errorf("trace events = %v, want enqueue and deliver", evs)
+		t.Errorf("packet events = %v, want enqueue and deliver", evs)
 	}
-	solverLines := 0
+	solverLines, packetLines := 0, 0
 	for _, line := range splitLines(mbuf.String()) {
 		if !json.Valid([]byte(line)) {
 			t.Fatalf("bad metrics line %q", line)
@@ -84,9 +77,13 @@ func TestFig6cTelemetry(t *testing.T) {
 		if strings.Contains(line, `"type":"solver"`) {
 			solverLines++
 		}
+		if strings.HasPrefix(line, `{"type":"pkt"`) {
+			packetLines++
+		}
 	}
-	if solverLines != len(rec.Solvers) {
-		t.Errorf("metrics stream has %d solver lines, want %d", solverLines, len(rec.Solvers))
+	if solverLines != len(rec.Solvers) || packetLines != len(rec.Packets) {
+		t.Errorf("metrics stream has %d solver and %d packet lines, want %d and %d",
+			solverLines, packetLines, len(rec.Solvers), len(rec.Packets))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pnet/internal/metrics"
+	"pnet/internal/par"
 	"pnet/internal/sim"
 	"pnet/internal/tcp"
 	"pnet/internal/workload"
@@ -33,7 +34,7 @@ func rpcNets(p Params) []netUnderTest {
 func rpcSamples(p Params, reqBytes, respBytes int64, loops, rounds int) map[string][]float64 {
 	nets := rpcNets(p)
 	all := make([][]float64, len(nets))
-	p.cells(len(nets), func(i int) {
+	par.Do(len(nets), func(i int) {
 		n := nets[i]
 		d := p.newDriver(n.tp, sim.Config{}, tcp.Config{})
 		// On error, keep what completed; the table will show the shortfall.
@@ -128,7 +129,7 @@ func runFig11(p Params) Table {
 	// driver, so the whole grid runs concurrently into per-index rows.
 	nets := rpcNets(p)
 	rows := make([][]string, len(nets)*len(concurrencies))
-	p.cells(len(rows), func(idx int) {
+	par.Do(len(rows), func(idx int) {
 		n, conc := nets[idx/len(concurrencies)], concurrencies[idx%len(concurrencies)]
 		d := p.newDriver(n.tp, sim.Config{}, tcp.Config{})
 		samples, err := workload.RunRPC(d, workload.RPCConfig{

@@ -6,6 +6,7 @@ import (
 
 	"pnet/internal/graph"
 	"pnet/internal/mcf"
+	"pnet/internal/par"
 	"pnet/internal/route"
 	"pnet/internal/sim"
 	"pnet/internal/tcp"
@@ -114,7 +115,7 @@ func runECMPFigure(id, title string, p Params, pattern func(*topo.Topology, *ran
 
 	type stat struct{ mean, std float64 }
 	stats := make([]stat, len(cells))
-	p.cells(len(cells), func(i int) {
+	par.Do(len(cells), func(i int) {
 		m, s := trials(cells[i].build())
 		stats[i] = stat{m, s}
 	})
@@ -245,7 +246,7 @@ func runFig6c(p Params) Table {
 		preps[i] = prep{tp, workload.PermutationCommodities(tp, 100, rng)}
 	}
 	allVals := make([][]float64, len(nets))
-	p.cells(len(nets), func(i int) {
+	par.Do(len(nets), func(i int) {
 		allVals[i] = kspSweep(preps[i].tp, preps[i].cs, ks, 0.08, p.Seed, func(k int, r mcf.Result) {
 			p.recordSolver("fig6c", "gk-fixed", k, r)
 		})
@@ -301,7 +302,7 @@ func runFig7(p Params) Table {
 		tops = append(tops, set.SerialHigh, set.ParallelHetero)
 	}
 	vals := make([]float64, len(tops))
-	p.cells(len(tops), func(i int) { vals[i] = ideal(tops[i]) })
+	par.Do(len(tops), func(i int) { vals[i] = ideal(tops[i]) })
 	base := vals[0]
 
 	t := Table{
@@ -353,7 +354,7 @@ func runJellyfishKSP(id, title string, p Params, allToAll bool) Table {
 	}
 	tops = append(tops, baseSet.SerialHigh)
 	vals := make([]float64, len(tops))
-	p.cells(len(tops), func(i int) { vals[i] = measure(tops[i]) })
+	par.Do(len(tops), func(i int) { vals[i] = measure(tops[i]) })
 	base := vals[0]
 
 	t := Table{
@@ -394,7 +395,7 @@ func runFig8c(p Params) Table {
 	// p.Seed, so the whole cell — topology, commodities, sweep — is
 	// self-contained and cells run concurrently.
 	allVals := make([][]float64, len(nets))
-	p.cells(len(nets), func(i int) {
+	par.Do(len(nets), func(i int) {
 		net := nets[i]
 		tp := net.pick(topo.JellyfishSet(sw, deg, hps, max(net.planes, 2), 100, p.Seed))
 		rng := rand.New(rand.NewSource(p.Seed))

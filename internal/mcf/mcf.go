@@ -227,7 +227,7 @@ func Free(g *graph.Graph, cs []route.Commodity, opts Options) Result {
 		members[c.Src] = append(members[c.Src], j)
 	}
 	unrouted := 0
-	for _, bad := range par.Map(len(srcs), 0, func(i int) int {
+	for _, bad := range par.Map(len(srcs), func(i int) int {
 		s := graph.GetScratch()
 		defer graph.PutScratch(s)
 		fz.BFS(s, srcs[i], -1, nil, nil)

@@ -45,7 +45,7 @@ func freeReference(g *graph.Graph, cs []route.Commodity, opts Options) Result {
 		return p, true
 	}
 	unrouted := 0
-	for _, ok := range par.Map(len(cs), 0, func(j int) bool {
+	for _, ok := range par.Map(len(cs), func(j int) bool {
 		_, ok := graph.ShortestPath(g, cs[j].Src, cs[j].Dst)
 		return ok
 	}) {

@@ -9,11 +9,8 @@ import (
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.MTU != 1500 || c.HeaderSize != 64 || c.InitWindow != 12 {
+	if c.MTU != 1500 || c.InitWindow != 12 {
 		t.Errorf("defaults = %+v", c)
-	}
-	if c.RTx != 4*sim.Millisecond {
-		t.Errorf("rtx default = %v", c.RTx)
 	}
 	c2 := Config{InitWindow: 3, MTU: 9000}.withDefaults()
 	if c2.InitWindow != 3 || c2.MTU != 9000 {

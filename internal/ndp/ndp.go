@@ -23,34 +23,32 @@ import (
 	"pnet/internal/sim"
 )
 
+// The NDP constants no experiment varies.
+const (
+	// headerSize is the trimmed/control packet size in bytes. The network
+	// must be built with sim.Config.TrimToBytes = 64.
+	headerSize = 64
+	// rtxTimeout is the backstop retransmission timer for lost control
+	// packets; NDP rarely needs it because trimming converts data loss
+	// into prompt NACKs.
+	rtxTimeout = 4 * sim.Millisecond
+)
+
 // Config holds NDP parameters. The zero value selects the defaults.
 type Config struct {
 	// MTU is the data packet size (default 1500).
 	MTU int32
-	// HeaderSize is the trimmed/control packet size (default 64). The
-	// network must be built with sim.Config.TrimToBytes = HeaderSize.
-	HeaderSize int32
 	// InitWindow is the unsolicited first window in packets (default 12,
 	// roughly one BDP of the paper's 100 G / few-µs fabric).
 	InitWindow int
-	// RTx is the backstop retransmission timer for lost control packets
-	// (default 4 ms; NDP rarely needs it because trimming converts data
-	// loss into prompt NACKs).
-	RTx sim.Time
 }
 
 func (c Config) withDefaults() Config {
 	if c.MTU == 0 {
 		c.MTU = 1500
 	}
-	if c.HeaderSize == 0 {
-		c.HeaderSize = 64
-	}
 	if c.InitWindow == 0 {
 		c.InitWindow = 12
-	}
-	if c.RTx == 0 {
-		c.RTx = 4 * sim.Millisecond
 	}
 	return c
 }
@@ -224,7 +222,7 @@ func (f *Flow) onData(p *sim.Packet) {
 	}
 
 	ctl := f.net.NewPacket()
-	ctl.Size = f.cfg.HeaderSize
+	ctl.Size = headerSize
 	ctl.Route = f.rev[f.returnRR]
 	ctl.Deliver = f.ctlH
 	ctl.Seq = seq
@@ -254,7 +252,7 @@ func (f *Flow) onControl(p *sim.Packet) {
 // credit clock stalls, and the timer re-sprays every missing sequence.
 func (f *Flow) armRTx() {
 	eng := f.net.Eng
-	f.rtxDeadline = eng.Now() + f.cfg.RTx
+	f.rtxDeadline = eng.Now() + rtxTimeout
 	if f.rtxEv == nil || !f.rtxEv.Pending() {
 		f.rtxEv = eng.At(f.rtxDeadline, f.rtxWake)
 	}

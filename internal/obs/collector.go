@@ -1,28 +1,27 @@
 package obs
 
 import (
-	"bufio"
 	"io"
+	"slices"
 	"sync"
-	"sync/atomic"
-	"time"
 
+	"pnet/internal/graph"
 	"pnet/internal/sim"
 )
 
 // Collector bundles the telemetry of one harness run: the optional JSONL
-// streams and, per attached network, a sampler, tracer, flight recorder
-// and fingerprinter. Every method but the Stream* setup calls is nil-safe,
-// so instrumented code needs no guards of its own.
+// metrics stream and, per attached network, a sampler, packet tracer,
+// flight recorder and fingerprinter. Every method but StreamMetrics is
+// nil-safe, so instrumented code needs no guards of its own.
 //
 // Every record the run produces takes one road: the producer hands it to
 // the collector's one sink (out: the metrics stream, Sink, or a Tee of
 // the two) and the collector keeps nothing. Samplers emit link, plane and
-// engine records as they tick, fingerprinters their checkpoints as each
-// epoch closes; RecordFlow, RecordSolver and RecordFault pass theirs on
-// as they arrive; Close emits each engine's profile bins and trailing
-// partial checkpoint. All records of one engine carry the NetID
-// AttachNetwork gave it.
+// engine records as they tick, tracers packet records as packets move,
+// fingerprinters their checkpoints as each epoch closes; RecordFlow,
+// RecordSolver and RecordFault pass theirs on as they arrive; Close emits
+// each engine's profile bins and trailing partial checkpoint. All records
+// of one engine carry the NetID AttachNetwork gave it.
 //
 // A Collector is safe for concurrent producers: parallel experiment
 // cells attach networks and record flows/solver calls/faults against one
@@ -50,24 +49,21 @@ type Collector struct {
 	// selects sim.DefaultFingerprintEpoch. Must be set before
 	// AttachNetwork.
 	FingerprintEpoch int64
-	// TraceFlows, when non-empty, restricts the packet-trace stream to
-	// the listed flow IDs. Events for other flows return before a line is
+	// Trace attaches a packet tracer to every attached network: each
+	// packet lifecycle event (enqueue, drop, trim, deliver, blackhole)
+	// becomes a packet record. Must be set before AttachNetwork.
+	Trace bool
+	// TraceFlows, when non-empty, restricts the packet records to the
+	// listed flow IDs. Events for other flows return before a record is
 	// built — filtered tracing stays allocation-free.
 	TraceFlows []int64
 
 	mu      sync.Mutex // guards nets and nextID
-	traceMu sync.Mutex // serializes all JSONLSinks sharing tw
-
-	// runWallNs accumulates wall time spent inside engine runs
-	// (workload.Driver.RunUntil), summed across sweep cells. Atomic:
-	// parallel cells add concurrently.
-	runWallNs atomic.Int64
-	mw        *MetricsWriter
-	teeOnce   sync.Once
-	tee       Sink          // Tee(mw, Sink), when both are set
-	tw        *bufio.Writer // shared by every network's JSONLSink
-	nets      []attachment
-	nextID    int
+	mw      *MetricsWriter
+	teeOnce sync.Once
+	tee     Sink // Tee(mw, Sink), when both are set
+	nets    []attachment
+	nextID  int
 }
 
 // attachment is what AttachNetwork hooked onto one engine, under the
@@ -76,7 +72,6 @@ type attachment struct {
 	id      int
 	eng     *sim.Engine
 	sampler *Sampler
-	trace   *JSONLSink
 	rec     *sim.FlightRecorder
 	fp      *sim.Fingerprinter
 }
@@ -84,13 +79,10 @@ type attachment struct {
 // NewCollector returns a collector with no streams.
 func NewCollector() *Collector { return &Collector{} }
 
-// StreamMetrics streams samples, flow/solver/fault records, fingerprint
-// checkpoints and, at Close, profile bins to w as JSONL.
+// StreamMetrics streams every record — samples, flow/solver/fault
+// records, packet events, fingerprint checkpoints and, at Close, profile
+// bins — to w as JSONL.
 func (c *Collector) StreamMetrics(w io.Writer) { c.mw = NewMetricsWriter(w) }
-
-// StreamTrace streams packet lifecycle events of every attached network
-// to w as JSONL.
-func (c *Collector) StreamTrace(w io.Writer) { c.tw = bufio.NewWriterSize(w, 1<<16) }
 
 func (c *Collector) interval() sim.Time {
 	if c.Interval > 0 {
@@ -116,33 +108,30 @@ func (c *Collector) out() Sink {
 	return c.Sink
 }
 
-// AttachNetwork instruments one simulation under the next NetID: the
-// network's tracer is pointed at the trace stream (if any), spans, the
-// flight recorder and the fingerprinter are switched on as configured,
-// and, if a metrics stream or Sink is set, the fingerprinter's
-// checkpoints are pointed at it and a sampler is started on the engine.
-// Safe to call on a nil collector. It returns the sampler, or nil if none
-// was started.
-func (c *Collector) AttachNetwork(eng *sim.Engine, net *sim.Network) *Sampler {
+// AttachNetwork instruments one simulation under the next NetID: spans
+// and the flight recorder are switched on as configured, and, if a
+// metrics stream or Sink is set, the packet tracer and the
+// fingerprinter's checkpoints are pointed at it and a sampler is started
+// on the engine. It returns the NetID, which records about this network
+// made elsewhere (faults) must carry; a nil collector attaches nothing and
+// returns -1.
+func (c *Collector) AttachNetwork(eng *sim.Engine, net *sim.Network) int {
 	if c == nil {
-		return nil
+		return -1
 	}
 	c.mu.Lock()
 	a := attachment{id: c.nextID, eng: eng}
 	c.nextID++
 	c.mu.Unlock()
-	if c.tw != nil {
-		a.trace = NewJSONLSink(c.tw, eng, net.G)
-		a.trace.mu = &c.traceMu // every sink shares tw; writes must serialize
-		a.trace.only = c.TraceFlows
-		net.Tracer = a.trace
-	}
 	if c.Spans {
 		net.EnableSpans()
 		a.rec = sim.NewFlightRecorder()
 		eng.Recorder = a.rec
 	}
 	to := c.out()
+	if c.Trace && to != nil {
+		net.Tracer = &tracer{net: a.id, eng: eng, g: net.G, only: c.TraceFlows, to: to}
+	}
 	if c.Fingerprint {
 		a.fp = sim.NewFingerprinter(c.FingerprintEpoch)
 		if to != nil {
@@ -161,7 +150,31 @@ func (c *Collector) AttachNetwork(eng *sim.Engine, net *sim.Network) *Sampler {
 	c.mu.Lock()
 	c.nets = append(c.nets, a)
 	c.mu.Unlock()
-	return a.sampler
+	return a.id
+}
+
+// tracer is the sim.Tracer of one attached network: each packet event
+// becomes a PacketRecord under the network's NetID, handed to the
+// collector's sink. Events of flows outside only return before a record
+// is built (a linear scan — the list is a handful of hand-picked flows).
+type tracer struct {
+	net  int
+	eng  *sim.Engine
+	g    *graph.Graph
+	only []int64
+	to   Sink
+}
+
+// PacketEvent implements sim.Tracer.
+func (t *tracer) PacketEvent(ev sim.TraceEvent, p *sim.Packet, link graph.LinkID) {
+	if len(t.only) > 0 && !slices.Contains(t.only, p.FlowID) {
+		return
+	}
+	t.to.Packet(PacketRecord{
+		Type: KindPacket, Net: t.net, Ev: ev.String(), TPs: int64(t.eng.Now()),
+		Link: int64(link), Plane: t.g.Link(link).Plane,
+		Flow: p.FlowID, Seq: p.Seq, Size: p.Size, Trimmed: p.Trimmed,
+	})
 }
 
 // EffectiveInterval reports the sampling period attached networks use.
@@ -197,27 +210,11 @@ func (c *Collector) RecordFault(r FaultRecord) {
 	}
 }
 
-// AddRunWall accumulates wall time spent inside an engine run. Safe from
-// concurrent sweep cells.
-func (c *Collector) AddRunWall(d time.Duration) {
-	if c != nil {
-		c.runWallNs.Add(int64(d))
-	}
-}
-
-// RunWallNs reports the accumulated engine-run wall time in nanoseconds.
-func (c *Collector) RunWallNs() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.runWallNs.Load()
-}
-
 // Close ends the run: per network, it stops the sampler (a network that
 // never reached its first tick reports its one engine record then) and
 // emits the engine's profile bins and trailing partial fingerprint
-// checkpoint to the sink; then it flushes every stream. It returns the
-// first error any stream hit. Call it once, when every engine has
+// checkpoint to the sink; then it flushes the metrics stream and returns
+// the first error it hit. Call it once, when every engine has
 // stopped; a summary is complete only after it.
 func (c *Collector) Close() error {
 	if c == nil {
@@ -248,19 +245,8 @@ func (c *Collector) Close() error {
 			}
 		}
 	}
-	var first error
-	keep := func(err error) {
-		if err != nil && first == nil {
-			first = err
-		}
-	}
 	if c.mw != nil {
-		keep(c.mw.Flush())
+		return c.mw.Flush()
 	}
-	for _, n := range nets {
-		if n.trace != nil {
-			keep(n.trace.Flush())
-		}
-	}
-	return first
+	return nil
 }

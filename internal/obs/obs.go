@@ -2,9 +2,10 @@
 // Sink, one typed method per record kind, which every record of a run is
 // handed to and nothing else (sink.go); a periodic Sampler that reads
 // per-link, per-plane and engine state from a running simulation
-// (sampler.go); the JSONL writers for the metrics stream, itself a Sink,
-// and the packet trace (jsonl.go); the record shapes both ends share
-// (schema.go); a Collector that bundles them for the experiment harness
+// (sampler.go); the JSONL metrics writer, itself a Sink and the one
+// writer of every kind, packet events included (jsonl.go); the record
+// shapes both ends share (schema.go); a Collector that bundles them for
+// the experiment harness, installs a packet tracer per network when asked
 // and retains no record (collector.go); and the log-bucketed Histogram
 // the summaries take link-level percentiles from (this file). The
 // consuming half, internal/report, decodes a file back into a Sink.
@@ -19,7 +20,7 @@
 // shared Collector, so everything that is shared is safe for concurrent
 // producers: the collector's attach bookkeeping, the metrics writer and
 // the histogram each carry a mutex. All hooks are nil-safe: a nil *Collector
-// accepts records and does nothing (the Stream* setup calls aside), and an
+// accepts records and does nothing (StreamMetrics aside), and an
 // unattached network pays sim.Network's nil-Tracer branch plus
 // queue.touch's moved-flag test on every transmission, drop and blackhole.
 package obs

@@ -7,8 +7,8 @@ import (
 	"io"
 	"math"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"pnet/internal/graph"
 	"pnet/internal/sim"
@@ -56,6 +56,7 @@ type sliceSink struct {
 	faults   []FaultRecord
 	profiles []ProfileRecord
 	fps      []FingerprintRecord
+	packets  []PacketRecord
 }
 
 func (s *sliceSink) Link(r LinkRecord)               { s.links = append(s.links, r) }
@@ -66,6 +67,7 @@ func (s *sliceSink) Solver(r SolverRecord)           { s.solvers = append(s.solv
 func (s *sliceSink) Fault(r FaultRecord)             { s.faults = append(s.faults, r) }
 func (s *sliceSink) Profile(r ProfileRecord)         { s.profiles = append(s.profiles, r) }
 func (s *sliceSink) Fingerprint(r FingerprintRecord) { s.fps = append(s.fps, r) }
+func (s *sliceSink) Packet(r PacketRecord)           { s.packets = append(s.packets, r) }
 
 // TestSinkOnlyCollectorSamples: a collector with a Sink and no metrics
 // stream still starts a sampler, and records reach the sink as the
@@ -82,8 +84,8 @@ func TestSinkOnlyCollectorSamples(t *testing.T) {
 	c.Sink = sink
 	idle := sim.NewEngine() // takes NetID 0, never runs
 	c.AttachNetwork(idle, sim.NewNetwork(idle, g, sim.Config{}))
-	if c.AttachNetwork(eng, net) == nil {
-		t.Fatal("no sampler started for a sink-only collector")
+	if id := c.AttachNetwork(eng, net); id != 1 {
+		t.Fatalf("second network attached as net %d, want 1", id)
 	}
 
 	rs := &releaseSink{net: net}
@@ -108,16 +110,21 @@ func TestSinkOnlyCollectorSamples(t *testing.T) {
 	}
 }
 
-// TestTraceLineMatchesPacketRecord pins the hand-built trace line to
-// the PacketRecord schema struct: decoding a sink line into the struct
-// and re-encoding it must agree field for field.
+// TestTraceLineMatchesPacketRecord pins the hand-built packet line of
+// MetricsWriter.Packet to the PacketRecord schema struct: decoding a line
+// into the struct and re-encoding it must agree field for field. The
+// traced network attaches second, so its records must name net 1.
 func TestTraceLineMatchesPacketRecord(t *testing.T) {
 	g, p0, _ := twoPlane()
+	var buf bytes.Buffer
+	c := NewCollector()
+	c.Trace = true
+	c.StreamMetrics(&buf)
+	idle := sim.NewEngine() // takes NetID 0, never runs
+	c.AttachNetwork(idle, sim.NewNetwork(idle, g, sim.Config{}))
 	eng := sim.NewEngine()
 	net := sim.NewNetwork(eng, g, sim.Config{})
-	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf, eng, g)
-	net.Tracer = sink
+	c.AttachNetwork(eng, net)
 
 	rs := &releaseSink{net: net}
 	p := net.NewPacket()
@@ -128,21 +135,26 @@ func TestTraceLineMatchesPacketRecord(t *testing.T) {
 	p.Seq = 7
 	net.Send(p)
 	eng.Run()
-	if err := sink.Flush(); err != nil {
+	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	lines := nonEmptyLines(buf.String())
+	var lines []string
+	for _, line := range nonEmptyLines(buf.String()) {
+		if strings.HasPrefix(line, `{"type":"pkt"`) {
+			lines = append(lines, line)
+		}
+	}
 	if len(lines) == 0 {
-		t.Fatal("no trace lines")
+		t.Fatal("no packet lines")
 	}
 	for _, line := range lines {
 		var rec PacketRecord
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("trace line does not decode into PacketRecord: %q: %v", line, err)
+			t.Fatalf("packet line does not decode into PacketRecord: %q: %v", line, err)
 		}
-		if rec.Type != KindPacket || rec.Ev == "" {
-			t.Errorf("decoded record = %+v", rec)
+		if rec.Type != KindPacket || rec.Ev == "" || rec.Net != 1 {
+			t.Errorf("decoded record = %+v, want a packet event of net 1", rec)
 		}
 		if rec.Flow != 42 || rec.Seq != 7 || rec.Size != 1500 {
 			t.Errorf("field mismatch: %+v from %q", rec, line)
@@ -186,19 +198,15 @@ func TestHistogramEdgeValues(t *testing.T) {
 }
 
 // TestNilCollectorIsSafe calls every method instrumented code calls
-// unguarded (all but the Stream* setup) on a nil collector.
+// unguarded (all but StreamMetrics) on a nil collector.
 func TestNilCollectorIsSafe(t *testing.T) {
 	var c *Collector
-	if c.AttachNetwork(nil, nil) != nil {
-		t.Error("nil collector attached a sampler")
+	if id := c.AttachNetwork(nil, nil); id != -1 {
+		t.Errorf("nil collector attached a network as net %d", id)
 	}
 	c.RecordFlow(FlowRecord{Bytes: 1})
 	c.RecordSolver(SolverRecord{Phases: 1})
 	c.RecordFault(FaultRecord{Event: "inject"})
-	c.AddRunWall(time.Millisecond)
-	if ns := c.RunWallNs(); ns != 0 {
-		t.Errorf("nil collector ran %d ns", ns)
-	}
 	if iv := c.EffectiveInterval(); iv != 0 {
 		t.Errorf("nil collector samples every %v", iv)
 	}
@@ -230,27 +238,24 @@ func twoPlane() (*graph.Graph, []graph.LinkID, []graph.LinkID) {
 	return g, []graph.LinkID{a0, d0}, []graph.LinkID{a1, d1}
 }
 
-// TestCollectorEndToEnd drives packets over a two-plane network with
-// both streams attached and checks the JSONL output: every line parses,
-// trace covers enqueue and deliver with sim timestamps and plane ids,
-// the metrics stream carries link/plane/engine samples and the flow and
-// solver records (and no metric snapshot lines any more), and a Sink set
-// beside the stream is handed the same flow and solver records.
+// TestCollectorEndToEnd drives packets over a traced two-plane network
+// and checks the JSONL stream: every line parses; packet events cover
+// enqueue and deliver with sim timestamps and plane ids; link, plane,
+// engine, flow and solver records are there too; and a Sink set beside
+// the stream is handed as many records of each kind as the file holds.
 func TestCollectorEndToEnd(t *testing.T) {
 	g, p0, p1 := twoPlane()
 	eng := sim.NewEngine()
 	net := sim.NewNetwork(eng, g, sim.Config{})
 
-	var mbuf, tbuf bytes.Buffer
+	var mbuf bytes.Buffer
 	c := NewCollector()
 	c.Interval = sim.Microsecond
+	c.Trace = true
 	c.StreamMetrics(&mbuf)
-	c.StreamTrace(&tbuf)
 	live := &sliceSink{}
 	c.Sink = live
-	if c.AttachNetwork(eng, net) == nil {
-		t.Fatal("no sampler started")
-	}
+	c.AttachNetwork(eng, net)
 
 	s := &releaseSink{net: net}
 	for i := 0; i < 10; i++ {
@@ -273,41 +278,14 @@ func TestCollectorEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if tbuf.Len() == 0 || mbuf.Len() == 0 {
-		t.Fatalf("no output: %d trace bytes, %d metrics bytes", tbuf.Len(), mbuf.Len())
-	}
-
-	// Every trace line parses; enqueue and deliver both appear; both
-	// planes appear; timestamps are sim picoseconds (monotone from 0).
+	// Every line parses; packet events cover enqueue and deliver on both
+	// planes, with timestamps in sim picoseconds (monotone from 0); link,
+	// plane, engine, flow and solver records all appear; link samples
+	// carry link/plane ids.
+	kinds := map[string]int{}
 	evs := map[string]int{}
 	planes := map[float64]bool{}
 	lastT := -1.0
-	for _, line := range nonEmptyLines(tbuf.String()) {
-		var rec map[string]any
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("bad trace line %q: %v", line, err)
-		}
-		if rec["type"] != "pkt" {
-			t.Fatalf("trace line type = %v", rec["type"])
-		}
-		evs[rec["ev"].(string)]++
-		planes[rec["plane"].(float64)] = true
-		tPs := rec["t_ps"].(float64)
-		if tPs < lastT {
-			t.Fatalf("trace timestamps not monotone: %v after %v", tPs, lastT)
-		}
-		lastT = tPs
-	}
-	if evs["enqueue"] == 0 || evs["deliver"] == 0 {
-		t.Errorf("trace events = %v, want enqueue and deliver", evs)
-	}
-	if !planes[0] || !planes[1] {
-		t.Errorf("planes seen = %v, want both", planes)
-	}
-
-	// Every metrics line parses; link, plane, engine, flow and solver
-	// records all appear; link samples carry link/plane ids.
-	kinds := map[string]int{}
 	for _, line := range nonEmptyLines(mbuf.String()) {
 		var rec map[string]any
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
@@ -315,7 +293,16 @@ func TestCollectorEndToEnd(t *testing.T) {
 		}
 		k := rec["type"].(string)
 		kinds[k]++
-		if k == "link" {
+		switch k {
+		case KindPacket:
+			evs[rec["ev"].(string)]++
+			planes[rec["plane"].(float64)] = true
+			tPs := rec["t_ps"].(float64)
+			if tPs < lastT {
+				t.Fatalf("packet timestamps not monotone: %v after %v", tPs, lastT)
+			}
+			lastT = tPs
+		case KindLink:
 			if _, ok := rec["link"]; !ok {
 				t.Fatalf("link sample without link id: %q", line)
 			}
@@ -327,13 +314,16 @@ func TestCollectorEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"link", "plane", "engine", "flow", "solver"} {
+	if evs["enqueue"] == 0 || evs["deliver"] == 0 {
+		t.Errorf("packet events = %v, want enqueue and deliver", evs)
+	}
+	if !planes[0] || !planes[1] {
+		t.Errorf("planes seen = %v, want both", planes)
+	}
+	for _, want := range []string{"pkt", "link", "plane", "engine", "flow", "solver"} {
 		if kinds[want] == 0 {
 			t.Errorf("metrics stream has no %q records (got %v)", want, kinds)
 		}
-	}
-	if kinds[KindMetric] != 0 {
-		t.Errorf("metrics stream still carries %d metric lines", kinds[KindMetric])
 	}
 
 	// The Sink beside the stream saw every record the file holds.
@@ -343,48 +333,73 @@ func TestCollectorEndToEnd(t *testing.T) {
 	if live.flows[0].FCT != 1e-5 || live.flows[0].Type != KindFlow || live.solvers[0].Type != KindSolver {
 		t.Errorf("records = %+v, %+v", live.flows[0], live.solvers[0])
 	}
-	if len(live.links) != kinds["link"] || len(live.planes) != kinds["plane"] || len(live.engines) != kinds["engine"] {
-		t.Errorf("sink saw %d/%d/%d link/plane/engine records, the file holds %d/%d/%d",
-			len(live.links), len(live.planes), len(live.engines), kinds["link"], kinds["plane"], kinds["engine"])
+	if len(live.links) != kinds["link"] || len(live.planes) != kinds["plane"] || len(live.engines) != kinds["engine"] ||
+		len(live.packets) != kinds["pkt"] {
+		t.Errorf("sink saw %d/%d/%d/%d link/plane/engine/pkt records, the file holds %d/%d/%d/%d",
+			len(live.links), len(live.planes), len(live.engines), len(live.packets),
+			kinds["link"], kinds["plane"], kinds["engine"], kinds["pkt"])
 	}
 }
 
-// TestMultiNetworkTraceStaysWellFormed attaches several networks to one
-// trace stream and pushes enough events through each to exceed any
-// single buffer: every line must still parse. (Regression: per-sink
-// buffered writers used to flush independently into the shared file,
-// interleaving lines mid-write.)
+// TestMultiNetworkTraceStaysWellFormed traces three networks into one
+// stream at once, as parallel sweep cells do, with enough events to
+// cross the writer's buffer many times. Every line must parse, every
+// packet record must name its own engine's net (each network's packets
+// carry that network's NetID as their flow ID), and time must never run
+// backwards within a net. (Regressions: per-network buffered writers
+// once interleaved lines mid-write, and packet lines once carried no net,
+// so the engines of one run read as one engine whose clock jumps back.)
 func TestMultiNetworkTraceStaysWellFormed(t *testing.T) {
-	var tbuf bytes.Buffer
+	var mbuf bytes.Buffer
 	c := NewCollector()
-	c.StreamTrace(&tbuf)
+	c.Interval = sim.Millisecond
+	c.Trace = true
+	c.StreamMetrics(&mbuf)
 
+	var wg sync.WaitGroup
 	for n := 0; n < 3; n++ {
 		g, p0, _ := twoPlane()
 		eng := sim.NewEngine()
 		net := sim.NewNetwork(eng, g, sim.Config{})
-		c.AttachNetwork(eng, net)
-		s := &releaseSink{net: net}
-		for i := 0; i < 500; i++ { // ~3 events x ~90 B each, > 64 kB total
-			p := net.NewPacket()
-			p.Size = 1500
-			p.Route = p0
-			p.Deliver = s
-			net.Send(p)
-		}
-		eng.Run()
+		id := int64(c.AttachNetwork(eng, net))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ { // ~3 events x ~100 B each, > 64 kB total
+				sendPacket(net, p0, id)
+			}
+			eng.Run()
+		}()
 	}
+	wg.Wait()
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	lines := nonEmptyLines(tbuf.String())
-	if tbuf.Len() < 2<<16 {
-		t.Fatalf("only %d trace bytes; test no longer exceeds the 64 kB sink buffer", tbuf.Len())
+	if mbuf.Len() < 2<<16 {
+		t.Fatalf("only %d stream bytes; test no longer exceeds the 64 kB writer buffer", mbuf.Len())
 	}
-	for _, line := range lines {
+	last := map[int]int64{}
+	for _, line := range nonEmptyLines(mbuf.String()) {
 		if !json.Valid([]byte(line)) {
-			t.Fatalf("malformed trace line: %q", line)
+			t.Fatalf("malformed line: %q", line)
 		}
+		if !strings.HasPrefix(line, `{"type":"pkt"`) {
+			continue
+		}
+		var r PacketRecord
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatal(err)
+		}
+		if int64(r.Net) != r.Flow {
+			t.Fatalf("a packet of net %d's engine names net %d: %q", r.Flow, r.Net, line)
+		}
+		if at, ok := last[r.Net]; ok && r.TPs < at {
+			t.Fatalf("net %d: time runs backwards, %d after %d", r.Net, r.TPs, at)
+		}
+		last[r.Net] = r.TPs
+	}
+	if len(last) != 3 {
+		t.Errorf("packet records of %d nets, want 3", len(last))
 	}
 }
 

@@ -26,8 +26,9 @@ func TestTraceFlowFilter(t *testing.T) {
 	net := sim.NewNetwork(eng, g, sim.Config{})
 	var buf bytes.Buffer
 	c := NewCollector()
+	c.Trace = true
 	c.TraceFlows = []int64{42}
-	c.StreamTrace(&buf)
+	c.StreamMetrics(&buf)
 	c.AttachNetwork(eng, net)
 
 	sendPacket(net, p0, 42)
@@ -38,9 +39,14 @@ func TestTraceFlowFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lines := nonEmptyLines(buf.String())
+	var lines []string
+	for _, line := range nonEmptyLines(buf.String()) {
+		if strings.HasPrefix(line, `{"type":"pkt"`) {
+			lines = append(lines, line)
+		}
+	}
 	if len(lines) == 0 {
-		t.Fatal("no trace lines for the selected flow")
+		t.Fatal("no packet lines for the selected flow")
 	}
 	for _, line := range lines {
 		var rec PacketRecord
@@ -53,31 +59,47 @@ func TestTraceFlowFilter(t *testing.T) {
 	}
 }
 
-// TestTraceFlowFilterZeroAlloc proves the filtered-out path is free:
-// rejecting a packet event must not allocate or write.
+// TestTraceFlowFilterZeroAlloc proves tracing is free of allocations
+// on both paths: a traced event goes from the tracer through
+// MetricsWriter.Packet into the buffered stream, and a filtered event
+// returns before a record is built, writing nothing.
 func TestTraceFlowFilterZeroAlloc(t *testing.T) {
 	g, p0, _ := twoPlane()
 	eng := sim.NewEngine()
 	net := sim.NewNetwork(eng, g, sim.Config{})
-	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf, eng, g)
-	sink.only = []int64{42}
+	var out lineCounter
+	mw := NewMetricsWriter(&out)
+	tr := &tracer{net: 2, eng: eng, g: g, only: []int64{42}, to: mw}
 
 	p := net.NewPacket()
 	p.Size = 1500
+	p.FlowID = 42
+	if avg := testing.AllocsPerRun(100, func() {
+		tr.PacketEvent(sim.TraceEnqueue, p, p0[0])
+	}); avg != 0 {
+		t.Errorf("traced PacketEvent allocates %v per call, want 0", avg)
+	}
 	p.FlowID = 7 // not traced
 	if avg := testing.AllocsPerRun(100, func() {
-		sink.PacketEvent(sim.TraceEnqueue, p, p0[0])
+		tr.PacketEvent(sim.TraceEnqueue, p, p0[0])
 	}); avg != 0 {
 		t.Errorf("filtered PacketEvent allocates %v per call, want 0", avg)
 	}
-	if err := sink.Flush(); err != nil {
+	if err := mw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() != 0 {
-		t.Error("filtered events were recorded anyway")
+	if out.lines != 101 {
+		t.Errorf("%d lines written, want the 101 traced events and none of the filtered ones", out.lines)
 	}
 	net.Release(p)
+}
+
+// lineCounter is an io.Writer that counts the lines written to it.
+type lineCounter struct{ lines int }
+
+func (c *lineCounter) Write(b []byte) (int, error) {
+	c.lines += bytes.Count(b, []byte{'\n'})
+	return len(b), nil
 }
 
 // TestProfileRecordsOnClose checks the flight recorder's bins reach the

@@ -7,7 +7,7 @@ package obs
 // a silent mis-parse.
 //
 // Every line in a metrics stream carries a "type" discriminator (one of
-// the Kind* constants); the packet-trace stream is all KindPacket lines.
+// the Kind* constants).
 
 import (
 	"fmt"
@@ -27,10 +27,6 @@ const (
 	KindFault       = "fault"
 	KindProfile     = "profile"
 	KindFingerprint = "fp"
-	// KindMetric is written by no current binary: it was the close-time
-	// counter/gauge/histogram snapshot of earlier versions. The reader
-	// still recognises it, and skips the line, so their streams load.
-	KindMetric = "metric"
 )
 
 // LinkRecord is one active link's state at one sampling instant. Util is
@@ -256,13 +252,14 @@ type FaultRecord struct {
 	DipFrac float64 `json:"dip_frac,omitempty"`
 }
 
-// PacketRecord is one packet lifecycle event of the trace stream. The
-// hot-path writer (JSONLSink) hand-builds these lines without going
-// through encoding/json; TestTraceLineMatchesPacketRecord pins the two
-// representations together.
+// PacketRecord is one packet lifecycle event of a traced engine
+// (Collector.Trace). MetricsWriter.Packet hand-builds these lines without
+// going through encoding/json; TestTraceLineMatchesPacketRecord pins the
+// two representations together.
 type PacketRecord struct {
 	Type    string `json:"type"` // "pkt"
-	Ev      string `json:"ev"`   // enqueue | drop | trim | deliver | blackhole
+	Net     int    `json:"net"`
+	Ev      string `json:"ev"` // enqueue | drop | trim | deliver | blackhole
 	TPs     int64  `json:"t_ps"`
 	Link    int64  `json:"link"`
 	Plane   int32  `json:"plane"`

@@ -40,14 +40,12 @@ var (
 func init() { SetLimit(0) }
 
 // SetLimit caps the total number of goroutines running work items
-// across all Do/Map calls, nested or concurrent. n <= 0 resets to
-// runtime.GOMAXPROCS(0). Call it from main (pnetbench's -workers flag)
-// or test setup; changing the limit does not affect calls already in
-// flight, and never changes results — only scheduling.
+// across all Do/Map calls, nested or concurrent, at Workers(n): n <= 0
+// resets to runtime.GOMAXPROCS(0). Call it from main (pnetbench's
+// -workers flag) or test setup; changing the limit does not affect calls
+// already in flight, and never changes results — only scheduling.
 func SetLimit(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
+	n = Workers(n)
 	tokensMu.Lock()
 	defer tokensMu.Unlock()
 	tokens = make(chan struct{}, n-1)
@@ -60,57 +58,13 @@ func Limit() int {
 	return cap(tokens) + 1
 }
 
-// Workers resolves a per-call worker request: n > 0 is taken as-is,
+// Workers resolves a worker-count request: n > 0 is taken as-is,
 // anything else means "use every core" (GOMAXPROCS).
 func Workers(n int) int {
 	if n > 0 {
 		return n
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// Pool occupancy counters, sampled by the event-loop profiler to report
-// how busy the execution layer actually was. Counting is atomic (Do runs
-// concurrently) but purely observational — it never affects scheduling
-// or results.
-var (
-	poolPeak  atomic.Int64 // high-water mark of held tokens + 1
-	poolTasks atomic.Int64 // work items completed since process start
-)
-
-// Stats is a snapshot of worker-pool occupancy.
-type Stats struct {
-	// Limit is the process-wide worker cap (see SetLimit).
-	Limit int
-	// Peak is the maximum number of goroutines observed running work
-	// items simultaneously since process start: the worker tokens
-	// held plus the one calling goroutine, however deeply its Do calls
-	// nest. Never above the Limit the tokens were taken under.
-	Peak int
-	// Tasks is the number of work items completed since process start.
-	Tasks int64
-}
-
-// PoolStats snapshots the pool's occupancy counters.
-func PoolStats() Stats {
-	return Stats{
-		Limit: Limit(),
-		Peak:  int(poolPeak.Load()),
-		Tasks: poolTasks.Load(),
-	}
-}
-
-// notePeak raises the high-water mark to held tokens plus the caller. A
-// nested Do runs on a goroutine that is already counted, as the caller
-// or as a token, so only taking a token adds one.
-func notePeak(held int) {
-	n := int64(held) + 1
-	for {
-		p := poolPeak.Load()
-		if n <= p || poolPeak.CompareAndSwap(p, n) {
-			return
-		}
-	}
 }
 
 // Panic is re-raised in the Do/Map caller when a work item panicked in
@@ -128,37 +82,31 @@ func (p *Panic) Error() string {
 	return fmt.Sprintf("par: work item %d panicked: %v\n%s", p.Index, p.Value, p.Stack)
 }
 
-// Do runs fn(i) for every i in [0, n) with at most `workers` of them in
-// flight at once (0 = GOMAXPROCS), further bounded by the process-wide
-// limit. fn must treat shared inputs as read-only; writes must go to
-// per-index slots. The call returns when every item has finished. If an
-// item panics, remaining unstarted items are skipped and the panic is
-// re-raised here as a *Panic once in-flight items drain.
+// Do runs fn(i) for every i in [0, n), with as many in flight at once as
+// the process-wide limit allows. fn must treat shared inputs as
+// read-only; writes must go to per-index slots. The call returns when
+// every item has finished. If an item panics, remaining unstarted items
+// are skipped and the panic is re-raised here as a *Panic once in-flight
+// items drain.
 //
-// workers == 1 (or n <= 1) runs everything inline on the calling
-// goroutine — the serial fallback path, byte-identical by construction.
-// In that mode a panic propagates unwrapped, exactly as a plain loop
-// would raise it.
-func Do(n, workers int, fn func(i int)) {
+// Under a limit of 1 (or for n == 1) everything runs inline on the
+// calling goroutine — the serial fallback path, byte-identical by
+// construction. In that mode a panic propagates unwrapped, exactly as a
+// plain loop would raise it.
+func Do(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	if w <= 1 || n == 1 {
-		notePeak(0)
-		for i := 0; i < n; i++ {
-			fn(i)
-			poolTasks.Add(1)
-		}
-		return
-	}
-
 	tokensMu.Lock()
 	pool := tokens
 	tokensMu.Unlock()
+	w := min(n, cap(pool)+1)
+	if w <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
 
 	var (
 		next atomic.Int64
@@ -173,7 +121,6 @@ func Do(n, workers int, fn func(i int)) {
 			}
 			func() {
 				defer func() {
-					poolTasks.Add(1)
 					if r := recover(); r != nil {
 						// Stop handing out items first: capturing the
 						// stack is slow enough for the other workers to
@@ -191,7 +138,6 @@ func Do(n, workers int, fn func(i int)) {
 	// cannot spare is simply absorbed by the caller running more items
 	// itself. This is what makes nested Do calls safe: inner calls find
 	// the pool drained and run inline.
-	notePeak(len(pool))
 acquire:
 	for i := 0; i < w-1; i++ {
 		select {
@@ -199,7 +145,6 @@ acquire:
 		default:
 			break acquire // pool drained; the caller absorbs the rest
 		}
-		notePeak(len(pool))
 		wg.Add(1)
 		go func() {
 			defer func() {
@@ -218,8 +163,8 @@ acquire:
 
 // Map runs fn(i) for every i in [0, n) under the same pool rules as Do
 // and returns the results in index order.
-func Map[T any](n, workers int, fn func(i int) T) []T {
+func Map[T any](n int, fn func(i int) T) []T {
 	out := make([]T, n)
-	Do(n, workers, func(i int) { out[i] = fn(i) })
+	Do(n, func(i int) { out[i] = fn(i) })
 	return out
 }

@@ -90,13 +90,6 @@ type ProfileSummary struct {
 	HostEvents  int64   `json:"host_events"`
 	HostFrac    float64 `json:"host_frac"`
 	HostWallSec float64 `json:"host_wall_s"`
-
-	// Worker-pool occupancy of the run that produced the profile (from
-	// internal/par), recorded by the harness: how much of the machine the
-	// cell-level parallelism uses.
-	PoolLimit int   `json:"pool_limit,omitempty"`
-	PoolPeak  int   `json:"pool_peak,omitempty"`
-	PoolTasks int64 `json:"pool_tasks,omitempty"`
 }
 
 // spanFlow retains one flow's spans for tail re-aggregation.
@@ -294,9 +287,5 @@ func (s RunSummary) ProfileString() string {
 	}
 	fmt.Fprintf(&b, "host boundary: %d events (%.2f%% of all), %.3fs wall\n",
 		p.HostEvents, p.HostFrac*100, p.HostWallSec)
-	if p.PoolLimit > 0 {
-		fmt.Fprintf(&b, "worker pool: limit %d, peak %d, %d tasks\n",
-			p.PoolLimit, p.PoolPeak, p.PoolTasks)
-	}
 	return b.String()
 }

@@ -14,12 +14,16 @@ import (
 // can't classify, and the Aggregator must still summarize and render
 // whatever prefix it was handed (`pnetstat summary` on a damaged file).
 func FuzzStream(f *testing.F) {
-	// A per-event journal line, a kind earlier binaries wrote and this
-	// reader no longer knows: it must be named, not skipped or misread.
+	// A per-event journal line and a close-time metric snapshot, kinds
+	// earlier binaries wrote and this reader no longer knows: each must be
+	// named, not skipped or misread.
 	const fpev = `{"type":"fpev","net":0,"epoch":1,"i":0,"kind":"hop","hash":"0123456789abcdef"}` + "\n"
-	var uk *UnknownKindError
-	if err := ReadStream(bytes.NewReader([]byte(fpev)), &Stream{}); !errors.As(err, &uk) || uk.Kind != "fpev" || uk.Line != 1 {
-		f.Fatalf("fpev line: got %v, want an UnknownKindError for kind \"fpev\" on line 1", err)
+	const metric = `{"type":"metric","name":"flows.completed","kind":"counter","value":1}` + "\n"
+	for kind, line := range map[string]string{"fpev": fpev, "metric": metric} {
+		var uk *UnknownKindError
+		if err := ReadStream(bytes.NewReader([]byte(line)), &Stream{}); !errors.As(err, &uk) || uk.Kind != kind || uk.Line != 1 {
+			f.Fatalf("%s line: got %v, want an UnknownKindError for kind %q on line 1", kind, err, kind)
+		}
 	}
 	seeds := []string{
 		goodStream,
@@ -36,6 +40,7 @@ func FuzzStream(f *testing.F) {
 		`{"type":"fp","net":0,"epoch":1,"events":32,"epoch_events":32,"hash":"zz"}` + "\n",
 		`{"type":"fp","net":0,"epoch":1,"events":32,"epoch_events":0,"hash":"0123456789abcdef","host":"0123456789abcdef"}` + "\n",
 		fpev,
+		metric,
 		// Mixed: valid records, then a schema the reader predates.
 		goodStream + `{"type":"fp","net":0,"epoch":0,"events":64,"epoch_events":64,"hash":"0123456789abcdef","host":"0123456789abcdef"}` + "\n" + `{"type":"from_the_future","v":2}` + "\n",
 		// Plane ids no engine would write: the fingerprint fold and the

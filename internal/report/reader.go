@@ -38,8 +38,7 @@ type Stream struct {
 	Profiles []obs.ProfileRecord
 	// Fingerprints are determinism-chain epoch checkpoints.
 	Fingerprints []obs.FingerprintRecord
-	// Packets (a -trace file) are the one kind no collector sink sees:
-	// see ReadStream.
+	// Packets are packet lifecycle events (a traced run).
 	Packets []obs.PacketRecord
 }
 
@@ -95,19 +94,12 @@ func (e *UnknownKindError) Error() string {
 	return fmt.Sprintf("report: line %d: unknown record kind %q", e.Line, e.Kind)
 }
 
-// ReadStream decodes a metrics (or trace) JSONL stream a line at a time
-// and hands each record to sink, validated. On malformed input it stops
-// with a typed error (*ParseError, *UnknownKindError, or ErrEmptyStream);
-// the sink has then received every record before the bad line, so a
-// partially written stream still yields its prefix. The one kind only
-// files carry, the trace stream's packet events (the collector writes
-// them straight to their own file), goes to the sink's Packet method if it
-// has one and is only validated otherwise (an Aggregator summarizes none).
+// ReadStream decodes a metrics JSONL stream a line at a time and hands
+// each record to sink, validated. On malformed input it stops with a typed
+// error (*ParseError, *UnknownKindError, or ErrEmptyStream); the sink has
+// then received every record before the bad line, so a partially written
+// stream still yields its prefix.
 func ReadStream(r io.Reader, sink obs.Sink) error {
-	var packet func(obs.PacketRecord)
-	if p, ok := sink.(interface{ Packet(obs.PacketRecord) }); ok {
-		packet = p.Packet
-	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	line := 0
@@ -119,7 +111,7 @@ func ReadStream(r io.Reader, sink obs.Sink) error {
 			continue
 		}
 		sawData = true
-		if err := decodeLine(b, sink, packet); err != nil {
+		if err := decodeLine(b, sink); err != nil {
 			var uk *UnknownKindError
 			if errors.As(err, &uk) {
 				uk.Line = line
@@ -149,9 +141,8 @@ type kindHeader struct {
 	Type string `json:"type"`
 }
 
-// emit decodes b as one record of kind R, checks it with valid, and hands
-// it to the sink method to. Either may be nil: nothing to check beyond
-// the JSON, or a kind this sink does not take.
+// emit decodes b as one record of kind R, checks it with valid (nil:
+// nothing to check beyond the JSON), and hands it to the sink method to.
 func emit[R any](b []byte, valid func(*R) error, to func(R)) error {
 	var r R
 	if err := json.Unmarshal(b, &r); err != nil {
@@ -162,15 +153,12 @@ func emit[R any](b []byte, valid func(*R) error, to func(R)) error {
 			return err
 		}
 	}
-	if to != nil {
-		to(r)
-	}
+	to(r)
 	return nil
 }
 
-// decodeLine decodes and validates one line and hands the record to sink,
-// or to packet (which may be nil) for the file-only kind.
-func decodeLine(b []byte, sink obs.Sink, packet func(obs.PacketRecord)) error {
+// decodeLine decodes and validates one line and hands the record to sink.
+func decodeLine(b []byte, sink obs.Sink) error {
 	var h kindHeader
 	if err := json.Unmarshal(b, &h); err != nil {
 		return err
@@ -193,10 +181,7 @@ func decodeLine(b []byte, sink obs.Sink, packet func(obs.PacketRecord)) error {
 	case obs.KindFingerprint:
 		return emit(b, validFingerprint, sink.Fingerprint)
 	case obs.KindPacket:
-		return emit(b, nil, packet)
-	case obs.KindMetric:
-		// Written by earlier binaries only; recognised so their streams load.
-		return nil
+		return emit(b, nil, sink.Packet)
 	}
 	return &UnknownKindError{Kind: h.Type}
 }
@@ -313,7 +298,7 @@ func LoadRun(path string, m Meta) (RunSummary, error) {
 
 // LoadStream reads a raw metrics JSONL stream and keeps every record,
 // for subcommands that need record-level data (fingerprint checkpoints,
-// trace export) which the aggregate RunSummary does not carry.
+// packet events) which the aggregate RunSummary does not carry.
 // A summary JSON is rejected with a pointer at the right input; a
 // truncated final line is tolerated like LoadRun.
 func LoadStream(path string) (*Stream, error) {

@@ -2,7 +2,6 @@ package report
 
 import (
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -14,8 +13,7 @@ const goodStream = `{"type":"engine","net":0,"t_ps":10000000,"events":100,"heap"
 {"type":"plane","net":0,"t_ps":10000000,"plane":1,"tx_bytes":150000}
 {"type":"flow","id":7,"transport":"tcp","src":1,"dst":2,"bytes":1000000,"fct_s":0.002,"retransmits":1,"subflows":4,"planes":[0,1]}
 {"type":"solver","exp":"fig6c","solver":"gk-fixed","k":8,"lambda":0.9,"phases":12,"iterations":400,"attempts":2,"wall_s":0.05}
-{"type":"metric","name":"flows.completed","kind":"counter","value":1}
-{"type":"pkt","ev":"enqueue","t_ps":1280,"link":3,"plane":0,"flow":7,"seq":41,"size":1500}
+{"type":"pkt","net":0,"ev":"enqueue","t_ps":1280,"link":3,"plane":0,"flow":7,"seq":41,"size":1500}
 `
 
 func TestReadStreamAllKinds(t *testing.T) {
@@ -38,34 +36,6 @@ func TestReadStreamAllKinds(t *testing.T) {
 	}
 }
 
-// TestReadStreamSkipsParentMetricLines: goodStream's "metric" line is
-// what binaries before the registry was deleted wrote at close. Such a
-// stream must still load, and summarize exactly as it does without the
-// line; any other kind this reader does not know stays an error.
-func TestReadStreamSkipsParentMetricLines(t *testing.T) {
-	const metricLine = `{"type":"metric","name":"flows.completed","kind":"counter","value":1}` + "\n"
-	if !strings.Contains(goodStream, metricLine) {
-		t.Fatal("fixture lost its parent-written metric line")
-	}
-	more := goodStream + `{"type":"metric","name":"flow.fct_s","kind":"histogram","value":0.002,"count":1,"min":0.002,"p50":0.002,"p99":0.002,"p999":0.002,"max":0.002}` + "\n"
-	with, without := NewAggregator(), NewAggregator()
-	if err := ReadStream(strings.NewReader(more), with); err != nil {
-		t.Fatalf("stream with metric lines: %v", err)
-	}
-	if err := ReadStream(strings.NewReader(strings.Replace(goodStream, metricLine, "", 1)), without); err != nil {
-		t.Fatal(err)
-	}
-	m := Meta{Exp: "compat"}
-	if a, b := with.Summarize(m), without.Summarize(m); !reflect.DeepEqual(a, b) || a.Flows != 1 || a.Engine.Networks != 1 {
-		t.Errorf("metric lines changed the summary:\nwith:    %+v\nwithout: %+v", a, b)
-	}
-	err := ReadStream(strings.NewReader(`{"type":"gauge","name":"x","value":1}`+"\n"), &Stream{})
-	var uk *UnknownKindError
-	if !errors.As(err, &uk) || uk.Kind != "gauge" {
-		t.Errorf("unknown kind: err = %v, want *UnknownKindError for \"gauge\"", err)
-	}
-}
-
 // TestReadStreamTruncatedFinalLine: a stream cut off mid-write must
 // yield every complete record plus a typed *ParseError with Truncated
 // set — not a panic, not silent loss.
@@ -80,8 +50,8 @@ func TestReadStreamTruncatedFinalLine(t *testing.T) {
 	if !pe.Truncated {
 		t.Errorf("ParseError.Truncated = false for cut-off final line: %v", pe)
 	}
-	if pe.Line != 7 {
-		t.Errorf("ParseError.Line = %d, want 7", pe.Line)
+	if pe.Line != 6 {
+		t.Errorf("ParseError.Line = %d, want 6", pe.Line)
 	}
 	if len(s.Flows) != 1 || len(s.Solvers) != 1 || len(s.Engines) != 1 || len(s.Links) != 1 || len(s.Planes) != 1 || len(s.Packets) != 0 {
 		t.Errorf("partial stream lost records: %+v", s)
@@ -98,7 +68,7 @@ func TestReadStreamUnknownKind(t *testing.T) {
 	if !errors.As(err, &uk) {
 		t.Fatalf("err = %v, want *UnknownKindError", err)
 	}
-	if uk.Kind != "warp" || uk.Line != 8 {
+	if uk.Kind != "warp" || uk.Line != 7 {
 		t.Errorf("UnknownKindError = %+v", uk)
 	}
 	if len(s.Packets) != 1 {

@@ -54,11 +54,6 @@ type EngineSummary struct {
 	WallSec      float64 `json:"wall_s"`
 	EventsPerSec float64 `json:"events_per_sec"`
 	SimSec       float64 `json:"sim_s"` // latest sim timestamp sampled
-	// RunWallSec is wall time measured inside engine runs
-	// (workload.Driver.RunUntil), summed across sweep cells. Absent in
-	// older baselines and in stream-path summaries; never gated (wall
-	// clock).
-	RunWallSec float64 `json:"run_wall_s,omitempty"`
 }
 
 // FaultSummary aggregates a run's runtime-fault lifecycle: what the
@@ -147,8 +142,8 @@ type RunSummary struct {
 	Fingerprint *FingerprintSummary `json:"fingerprint,omitempty"`
 }
 
-// Meta carries what telemetry itself does not record: the run's identity
-// and the one live-only measurement.
+// Meta carries what telemetry itself does not record: the run's identity.
+// Every other summary value is a reduction of the run's records.
 type Meta struct {
 	Exp     string
 	Scale   string
@@ -158,10 +153,6 @@ type Meta struct {
 	// recorded, keeping older baselines byte-compatible).
 	Workers    int
 	GOMAXPROCS int
-	// RunWallNs is wall time measured around engine runs
-	// (obs.Collector.RunWallNs). It is in no stream, so only the process
-	// that ran the engines can supply it.
-	RunWallNs int64
 }
 
 // Aggregator reduces a run's records into a RunSummary as they arrive,
@@ -359,6 +350,10 @@ func (x *Aggregator) Fingerprint(r obs.FingerprintRecord) {
 	x.net(r.Net).fp = &r
 }
 
+// Packet implements obs.Sink: no summary value is taken from packet
+// events, which the link and flow records already count.
+func (x *Aggregator) Packet(obs.PacketRecord) {}
+
 // Summarize returns the summary of everything received so far. For a live
 // run call it after obs.Collector.Close, which emits the closing engine
 // records, the profile bins and the fingerprint checkpoints.
@@ -457,11 +452,10 @@ func (x *Aggregator) Summarize(m Meta) RunSummary {
 	}
 
 	s.Engine = EngineSummary{
-		Networks:   sampled,
-		Events:     x.events,
-		WallSec:    float64(x.wallNs) / 1e9,
-		SimSec:     float64(x.simPs) / 1e12,
-		RunWallSec: float64(m.RunWallNs) / 1e9,
+		Networks: sampled,
+		Events:   x.events,
+		WallSec:  float64(x.wallNs) / 1e9,
+		SimSec:   float64(x.simPs) / 1e12,
 	}
 	if s.Engine.WallSec > 0 {
 		s.Engine.EventsPerSec = float64(x.events) / s.Engine.WallSec

@@ -91,7 +91,8 @@ func ExportTrace(st *Stream) (*ChromeTrace, error) {
 	}
 	for _, r := range st.Packets {
 		if r.Plane >= 0 {
-			planeSet[netPlane{0, r.Plane}] = true
+			planeSet[netPlane{r.Net, r.Plane}] = true
+			nets[r.Net] = true
 		}
 	}
 	for _, r := range st.Profiles {
@@ -211,13 +212,14 @@ func ExportTrace(st *Stream) (*ChromeTrace, error) {
 		})
 	}
 
-	// Packet trace events: per-packet instants on the link's plane
-	// process, one track per link. Dense, but Perfetto handles millions
-	// of events; -trace-flow keeps exports focused.
+	// Packet events: per-packet instants on the process of the link's
+	// plane in the packet's own engine, one track per link. Dense, but
+	// Perfetto handles millions of events; -trace-flow keeps exports
+	// focused.
 	for _, r := range st.Packets {
 		pid := int64(hostPID)
 		if r.Plane >= 0 {
-			if p, ok := pids[netPlane{0, r.Plane}]; ok {
+			if p, ok := pids[netPlane{r.Net, r.Plane}]; ok {
 				pid = p
 			}
 		}

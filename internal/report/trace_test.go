@@ -2,6 +2,7 @@ package report
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 
@@ -33,7 +34,7 @@ func traceStream() *Stream {
 			{Net: 0, TPs: 6_000_000, Event: "detect", Target: "plane:1", Plane: -1, LatencySec: 2e-6},
 		},
 		Packets: []obs.PacketRecord{
-			{Ev: "enqueue", TPs: 100_000, Link: 2, Plane: 1, Flow: 1, Seq: 0, Size: 1500},
+			{Net: 0, Ev: "enqueue", TPs: 100_000, Link: 2, Plane: 1, Flow: 1, Seq: 0, Size: 1500},
 		},
 		Profiles: []obs.ProfileRecord{
 			{Net: 0, Kind: "hop", Plane: 0, Events: 42, WallNano: 10, SimPs: 9_000_000},
@@ -164,5 +165,36 @@ func TestExportTraceFlows(t *testing.T) {
 func TestExportTraceEmpty(t *testing.T) {
 	if _, err := ExportTrace(&Stream{}); err == nil {
 		t.Error("empty stream: want error")
+	}
+}
+
+// TestExportTracePacketsOnTheirNet: a packet event is an instant on the
+// process of its own engine's plane. Two engines' packets on the same
+// plane number land on two processes, one per net.
+func TestExportTracePacketsOnTheirNet(t *testing.T) {
+	tr, err := ExportTrace(&Stream{Packets: []obs.PacketRecord{
+		{Type: obs.KindPacket, Net: 0, Ev: "enqueue", TPs: 100_000, Link: 2, Plane: 1, Flow: 1, Size: 1500},
+		{Type: obs.KindPacket, Net: 1, Ev: "enqueue", TPs: 100_000, Link: 2, Plane: 1, Flow: 1, Size: 1500},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[int64]string{}
+	var pids []int64
+	for _, ev := range tr.TraceEvents {
+		switch {
+		case ev.Name == "process_name":
+			names[ev.Pid] = ev.Args["name"].(string)
+		case ev.Cat == "pkt":
+			pids = append(pids, ev.Pid)
+		}
+	}
+	if len(pids) != 2 || pids[0] == pids[1] {
+		t.Fatalf("packet instants on processes %v, want two distinct ones", pids)
+	}
+	for i, pid := range pids {
+		if want := fmt.Sprintf("net %d plane 1", i); names[pid] != want {
+			t.Errorf("packet of net %d on process %d named %q, want %q", i, pid, names[pid], want)
+		}
 	}
 }

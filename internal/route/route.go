@@ -46,11 +46,11 @@ func ECMPPaths(g *graph.Graph, cs []Commodity, seed uint64) [][]graph.Path {
 			dsts = append(dsts, c.Dst)
 		}
 	}
-	dags := par.Map(len(dsts), 0, func(i int) *graph.DAG {
+	dags := par.Map(len(dsts), func(i int) *graph.DAG {
 		return graph.ShortestDAG(g, dsts[i])
 	})
 	out := make([][]graph.Path, len(cs))
-	par.Do(len(cs), 0, func(i int) {
+	par.Do(len(cs), func(i int) {
 		c := cs[i]
 		dag := dags[seen[c.Dst]]
 		if p, ok := graph.ECMPPath(dag, c.Src, seed+uint64(i)*0x9e3779b97f4a7c15); ok {
@@ -145,7 +145,7 @@ func AcrossPlanes(g *graph.Graph, masks [][]bool, cs []Commodity, k int, tie fun
 		}
 	}
 
-	found := par.Map(len(uniq), 0, func(i int) []graph.Path {
+	found := par.Map(len(uniq), func(i int) []graph.Path {
 		s := uniq[i]
 		if s.first == s.last {
 			return []graph.Path{{}} // the forced links are the whole path
@@ -153,7 +153,7 @@ func AcrossPlanes(g *graph.Graph, masks [][]bool, cs []Commodity, k int, tie fun
 		return graph.KShortestPathsMasked(g, s.first, s.last, perPlane, masks[s.plane])
 	})
 
-	par.Do(len(cs), 0, func(i int) {
+	par.Do(len(cs), func(i int) {
 		var all []graph.Path
 		for _, lg := range legs[i] {
 			for _, mid := range found[lg.search] {

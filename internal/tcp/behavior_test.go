@@ -9,14 +9,8 @@ import (
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.MTU != 1500 || c.AckSize != 64 || c.InitCwnd != 10 {
+	if c.MTU != 1500 || c.InitCwnd != 10 || c.DupAckThresh != 3 {
 		t.Errorf("defaults = %+v", c)
-	}
-	if c.RTOMin != 10*sim.Millisecond || c.DupAckThresh != 3 {
-		t.Errorf("defaults = %+v", c)
-	}
-	if c.DCTCPGain != 1.0/16 {
-		t.Errorf("dctcp gain = %v", c.DCTCPGain)
 	}
 	// Explicit values survive.
 	c2 := Config{MTU: 9000, InitCwnd: 2}.withDefaults()

@@ -19,18 +19,24 @@ import (
 	"pnet/internal/sim"
 )
 
+// The transport constants no experiment varies.
+const (
+	// ackSize is the ACK packet size in bytes.
+	ackSize = 64
+	// rtoMin floors the retransmission timeout: the paper's tuning
+	// following DCTCP.
+	rtoMin = 10 * sim.Millisecond
+	// dctcpGain is the EWMA gain g for DCTCP's marking estimate.
+	dctcpGain = 1.0 / 16
+)
+
 // Config holds transport parameters. The zero value selects the defaults
 // described in the package comment.
 type Config struct {
 	// MTU is the data packet size in bytes (default 1500).
 	MTU int32
-	// AckSize is the ACK packet size in bytes (default 64).
-	AckSize int32
 	// InitCwnd is the initial congestion window in packets (default 10).
 	InitCwnd float64
-	// RTOMin floors the retransmission timeout (default 10 ms, the
-	// paper's tuning following DCTCP).
-	RTOMin sim.Time
 	// DupAckThresh triggers fast retransmit (default 3).
 	DupAckThresh int
 	// Uncoupled disables LIA: each subflow runs an independent NewReno
@@ -49,8 +55,6 @@ type Config struct {
 	// scales cwnd by the EWMA marking fraction. Requires the network to
 	// be built with a nonzero sim.Config.ECNThresholdBytes.
 	DCTCP bool
-	// DCTCPGain is the EWMA gain g for the marking estimate (default 1/16).
-	DCTCPGain float64
 	// StallRTOs, when positive, treats that many consecutive timeouts on
 	// one subflow as a stalled path and consults Flow.Repath for a
 	// replacement — MPTCP's re-establishment of subflows on surviving
@@ -62,20 +66,11 @@ func (c Config) withDefaults() Config {
 	if c.MTU == 0 {
 		c.MTU = 1500
 	}
-	if c.AckSize == 0 {
-		c.AckSize = 64
-	}
 	if c.InitCwnd == 0 {
 		c.InitCwnd = 10
 	}
-	if c.RTOMin == 0 {
-		c.RTOMin = 10 * sim.Millisecond
-	}
 	if c.DupAckThresh == 0 {
 		c.DupAckThresh = 3
-	}
-	if c.DCTCPGain == 0 {
-		c.DCTCPGain = 1.0 / 16
 	}
 	return c
 }
@@ -183,10 +178,10 @@ func NewFlow(net *sim.Network, cfg Config, paths []graph.Path, sizeBytes int64) 
 	return f, nil
 }
 
-// onePathFlow is the single allocation behind a one-path Flow: 232 + 272
-// + 8 bytes, exactly the 512-byte size class, so a field added to Flow or
-// subflow costs every flow the next class (576); TestOnePathFlowSize
-// holds it.
+// onePathFlow is the single allocation behind a one-path Flow: 216 + 272
+// + 8 bytes, in the 512-byte size class with 16 to spare, so a field of
+// more than that added to Flow or subflow costs every flow the next class
+// (576); TestOnePathFlowSize holds it.
 type onePathFlow struct {
 	f    Flow
 	sf   subflow
@@ -401,11 +396,11 @@ func (sf *subflow) transmit(seq int64, fresh bool) {
 
 func (sf *subflow) rto() sim.Time {
 	if sf.srtt == 0 {
-		return sf.f.cfg.RTOMin
+		return rtoMin
 	}
 	rto := sf.srtt + 4*sf.rttvar
-	if rto < sf.f.cfg.RTOMin {
-		rto = sf.f.cfg.RTOMin
+	if rto < rtoMin {
+		rto = rtoMin
 	}
 	return rto
 }
@@ -585,7 +580,7 @@ func (sf *subflow) onData(p *sim.Packet) {
 		}
 	}
 	ack := sf.f.net.NewPacket()
-	ack.Size = sf.f.cfg.AckSize
+	ack.Size = ackSize
 	ack.Route = sf.rev
 	ack.Deliver = ackHandler{sf}
 	ack.AckSeq = sf.rcvNxt
@@ -725,7 +720,7 @@ func (sf *subflow) dctcpOnAck(ackSeq int64, ece bool) {
 	if ackSeq <= sf.winEnd {
 		return
 	}
-	g := sf.f.cfg.DCTCPGain
+	g := dctcpGain
 	frac := float64(sf.markedInWin) / float64(sf.ackedInWin)
 	sf.dctcpAlpha = (1-g)*sf.dctcpAlpha + g*frac
 	if sf.markedInWin > 0 {

@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"pnet/internal/core"
 	"pnet/internal/graph"
@@ -52,6 +51,9 @@ type Driver struct {
 	// Obs, when set (via Instrument), receives per-flow records and
 	// drives the network's tracer and sampler. Nil costs nothing.
 	Obs *obs.Collector
+	// NetID is the number Instrument's collector attached the network
+	// under, which every record about it must carry.
+	NetID int
 
 	// OnRepath, when set, observes every subflow path swap (see Repaths).
 	OnRepath func(f *tcp.Flow, subflow int, to graph.Path)
@@ -92,15 +94,6 @@ func NewDriver(t *topo.Topology, simCfg sim.Config, tcpCfg tcp.Config) *Driver {
 	d.flowDone = d.countCompletion
 	d.flowRepathed = d.countRepath
 	return d
-}
-
-// RunUntil fires all events up to and including the deadline and
-// accumulates the wall time spent into the collector (`run_wall_s`).
-func (d *Driver) RunUntil(deadline sim.Time) int {
-	start := time.Now()
-	fired := d.Eng.RunUntil(deadline)
-	d.Obs.AddRunWall(time.Since(start))
-	return fired
 }
 
 // PathsFor resolves a Selection into concrete paths for a flow. The paths'
@@ -228,7 +221,7 @@ func (d *Driver) repathFor(sel Selection) func(*tcp.Flow, int) (graph.Path, bool
 // collector is a no-op.
 func (d *Driver) Instrument(c *obs.Collector) {
 	d.Obs = c
-	c.AttachNetwork(d.Eng, d.Net)
+	d.NetID = c.AttachNetwork(d.Eng, d.Net)
 }
 
 // StartFlowOnPaths starts a flow over explicitly chosen paths (used by
@@ -339,7 +332,7 @@ func spanShares(totals []sim.SpanTotal) []obs.SpanShare {
 // MustRunUntil drives the engine to the deadline and returns an error if
 // fewer than want flows completed — the signal that a workload stalled.
 func (d *Driver) MustRunUntil(deadline sim.Time, want int64) error {
-	d.RunUntil(deadline)
+	d.Eng.RunUntil(deadline)
 	if d.Completed < want {
 		return fmt.Errorf("workload: %d of %d flows completed by %v (drops=%d)",
 			d.Completed, want, deadline, d.Net.TotalDrops())

@@ -20,9 +20,7 @@ func TestDriverFailsOverThroughMidRunOutage(t *testing.T) {
 	tp := set.ParallelHomo
 	d := NewDriver(tp, sim.Config{}, tcp.Config{StallRTOs: 2})
 
-	mon := core.NewHealthMonitor(d.Eng, d.Net, d.PNet, 0, 1, core.HealthConfig{
-		Interval: 100 * sim.Microsecond,
-	})
+	mon := core.NewHealthMonitor(d.Eng, d.Net, d.PNet, 0, 1, 0)
 	var detected []core.PlaneEvent
 	mon.OnChange = func(e core.PlaneEvent) { detected = append(detected, e) }
 	mon.Start()

@@ -141,6 +141,7 @@ func (*flowSink) Solver(obs.SolverRecord)           {}
 func (*flowSink) Fault(obs.FaultRecord)             {}
 func (*flowSink) Profile(obs.ProfileRecord)         {}
 func (*flowSink) Fingerprint(obs.FingerprintRecord) {}
+func (*flowSink) Packet(obs.PacketRecord)           {}
 
 // TestRPCResponseReturnsToClient: every round is a request from the
 // client to its server and a response from that server back, as the
@@ -163,7 +164,7 @@ func TestRPCResponseReturnsToClient(t *testing.T) {
 	}
 	// RunRPC returns once the last response is delivered; records are
 	// written when a flow's last ACK is back at its sender.
-	d.RunUntil(d.Eng.Now() + sim.Second)
+	d.Eng.RunUntil(d.Eng.Now() + sim.Second)
 	if d.Completed != d.Flows {
 		t.Fatalf("%d of %d flows completed", d.Completed, d.Flows)
 	}
