@@ -13,32 +13,39 @@ import (
 )
 
 // replayJSONL folds synthetic packet events through a real fingerprinter
-// and writes the resulting records as a metrics JSONL file: flows, so the
-// stream summarizes, and the checkpoints.
-func replayJSONL(t *testing.T, dir, name string, n, swapAt int, epoch int64) string {
+// per engine and writes the resulting records as a metrics JSONL file:
+// flows, so the stream summarizes, and the checkpoints. Each entry of
+// swaps is one engine, numbered by its position, whose events swapAt and
+// swapAt+1 trade places (-1: none); engines after the first run a few
+// picoseconds later, so their chains differ from the first event on.
+func replayJSONL(t *testing.T, dir, name string, n int, epoch int64, swaps ...int) string {
 	t.Helper()
 	var lines []any
-	lines = append(lines, obs.FlowRecord{Type: obs.KindFlow, ID: 1, TPs: 1000 * int64(n), Transport: "tcp", Bytes: 1500, FCT: 1e-6})
-	// Flow 3 carries spans so divergence can print the guilty flow's
-	// FCT decomposition next to the localized event (synthetic events
-	// use flow = i%7+1, so the perturbed pair at i=100 touches flow 3).
-	lines = append(lines, obs.FlowRecord{Type: obs.KindFlow, ID: 3, TPs: 1000 * int64(n), Transport: "tcp", Bytes: 3000, FCT: 2e-6,
-		Spans: []obs.SpanShare{{Component: "queue", Plane: 1, Ps: 2_000_000}}})
-	f := sim.NewFingerprinter(epoch)
-	f.OnCheckpoint = func(cp sim.FingerprintCheckpoint) { lines = append(lines, obs.CheckpointRecord(0, epoch, cp)) }
-	for i := 0; i < n; i++ {
-		j := i
-		if swapAt >= 0 {
-			if i == swapAt {
-				j = swapAt + 1
-			} else if i == swapAt+1 {
-				j = swapAt
-			}
-		}
-		f.Fold(sim.Time(1000*(i+1)), sim.EvHop, int32(j%2), int64(j%5), int64(j%7+1), int64(j), 1500)
+	for net := range swaps {
+		lines = append(lines, obs.FlowRecord{Type: obs.KindFlow, Net: net, ID: 1, TPs: 1000 * int64(n), Transport: "tcp", Bytes: 1500, FCT: 1e-6})
+		// Flow 3 carries spans so divergence can print the guilty flow's
+		// FCT decomposition next to the localized event (synthetic events
+		// use flow = i%7+1, so the perturbed pair at i=100 touches flow 3).
+		lines = append(lines, obs.FlowRecord{Type: obs.KindFlow, Net: net, ID: 3, TPs: 1000 * int64(n), Transport: "tcp",
+			Bytes: 3000 + 1000*int64(net), FCT: 2e-6, Spans: []obs.SpanShare{{Component: "queue", Plane: 1, Ps: 2_000_000}}})
 	}
-	if cp, ok := f.Partial(); ok {
-		lines = append(lines, obs.CheckpointRecord(0, epoch, cp))
+	for net, swapAt := range swaps {
+		f := sim.NewFingerprinter(epoch)
+		f.OnCheckpoint = func(cp sim.FingerprintCheckpoint) { lines = append(lines, obs.CheckpointRecord(net, epoch, cp)) }
+		for i := 0; i < n; i++ {
+			j := i
+			if swapAt >= 0 {
+				if i == swapAt {
+					j = swapAt + 1
+				} else if i == swapAt+1 {
+					j = swapAt
+				}
+			}
+			f.Fold(sim.Time(1000*(i+1)+net), sim.EvHop, int32(j%2), int64(j%5), int64(j%7+1), int64(j), 1500)
+		}
+		if cp, ok := f.Partial(); ok {
+			lines = append(lines, obs.CheckpointRecord(net, epoch, cp))
+		}
 	}
 	var b bytes.Buffer
 	for _, l := range lines {
@@ -58,7 +65,7 @@ func replayJSONL(t *testing.T, dir, name string, n, swapAt int, epoch int64) str
 
 func TestFingerprintCommand(t *testing.T) {
 	dir := t.TempDir()
-	m := replayJSONL(t, dir, "a", 100, -1, 32)
+	m := replayJSONL(t, dir, "a", 100, 32, -1)
 	var out, errb bytes.Buffer
 	if code := run2(t, []string{"fingerprint", m}, &out, &errb); code != 0 {
 		t.Fatalf("fingerprint exited %d: %s", code, errb.String())
@@ -82,9 +89,9 @@ func TestFingerprintCommand(t *testing.T) {
 
 func TestDivergenceCommand(t *testing.T) {
 	dir := t.TempDir()
-	base := replayJSONL(t, dir, "base", 200, -1, 1)
-	same := replayJSONL(t, dir, "same", 200, -1, 1)
-	pert := replayJSONL(t, dir, "pert", 200, 100, 1)
+	base := replayJSONL(t, dir, "base", 200, 1, -1)
+	same := replayJSONL(t, dir, "same", 200, 1, -1)
+	pert := replayJSONL(t, dir, "pert", 200, 1, 100)
 
 	var out, errb bytes.Buffer
 	if code := run2(t, []string{"divergence", base, same}, &out, &errb); code != 0 {
@@ -119,8 +126,8 @@ func TestDivergenceCommand(t *testing.T) {
 
 	// At the default-like cadence the epoch is still localized, with the
 	// rerun that names the event.
-	base32 := replayJSONL(t, dir, "base32", 200, -1, 32)
-	pert32 := replayJSONL(t, dir, "pert32", 200, 100, 32)
+	base32 := replayJSONL(t, dir, "base32", 200, 32, -1)
+	pert32 := replayJSONL(t, dir, "pert32", 200, 32, 100)
 	out.Reset()
 	errb.Reset()
 	if code := run2(t, []string{"divergence", base32, pert32}, &out, &errb); code != 1 {
@@ -131,9 +138,27 @@ func TestDivergenceCommand(t *testing.T) {
 	}
 }
 
+// TestDivergenceFlowOfItsEngine: both engines of a run have a flow 3, and
+// the one that diverges is net 1, so the flow printed beside the closing
+// event is net 1's, not the first flow 3 in the file.
+func TestDivergenceFlowOfItsEngine(t *testing.T) {
+	dir := t.TempDir()
+	base := replayJSONL(t, dir, "base", 200, 1, -1, -1)
+	pert := replayJSONL(t, dir, "pert", 200, 1, -1, 100)
+	var out, errb bytes.Buffer
+	if code := run2(t, []string{"divergence", "-k", "0", base, pert}, &out, &errb); code != 1 {
+		t.Fatalf("diverged runs exited %d, want 1: %s%s", code, out.String(), errb.String())
+	}
+	for _, want := range []string{"(base net 1, cur net 1) at epoch 100", "flow 3 (base): tcp 4000 bytes"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("divergence output missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
 func TestExportTraceCommand(t *testing.T) {
 	dir := t.TempDir()
-	m := replayJSONL(t, dir, "a", 50, -1, 32)
+	m := replayJSONL(t, dir, "a", 50, 32, -1)
 	outFile := filepath.Join(dir, "trace.json")
 	var out, errb bytes.Buffer
 	if code := run2(t, []string{"export-trace", "-o", outFile, m}, &out, &errb); code != 0 {
@@ -161,5 +186,51 @@ func TestExportTraceCommand(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "JSONL") {
 		t.Errorf("error lacks input guidance: %s", errb.String())
+	}
+}
+
+// TestExportTraceFlowTracks: two engines each have a flow 1 and a flow 3,
+// and each of the four flows gets a track of its own.
+func TestExportTraceFlowTracks(t *testing.T) {
+	dir := t.TempDir()
+	m := replayJSONL(t, dir, "two", 50, 32, -1, -1)
+	var out, errb bytes.Buffer
+	if code := run2(t, []string{"export-trace", m}, &out, &errb); code != 0 {
+		t.Fatalf("export-trace exited %d: %s", code, errb.String())
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Cat      string
+			Pid, Tid int64
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+		t.Fatalf("trace output is not valid JSON: %v", err)
+	}
+	tracks := map[[2]int64]int{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Cat == "flow" {
+			tracks[[2]int64{ev.Pid, ev.Tid}]++
+		}
+	}
+	if len(tracks) != 4 {
+		t.Errorf("four flows on tracks %v, want four tracks of one flow each", tracks)
+	}
+}
+
+// TestExportTraceNothingToExport: a stream with nothing to export is exit
+// 2, and with -o it leaves no file behind.
+func TestExportTraceNothingToExport(t *testing.T) {
+	dir := t.TempDir()
+	m := filepath.Join(dir, "solver.jsonl")
+	if err := os.WriteFile(m, []byte(`{"type":"solver","exp":"fig7","solver":"gk-free"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := run2(t, []string{"export-trace", "-o", filepath.Join(dir, "trace.json"), m}, &out, &errb); code != 2 {
+		t.Fatalf("export-trace of a solver-only stream exited %d, want 2", code)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*trace*")); len(left) != 0 {
+		t.Errorf("a failed export left %v behind", left)
 	}
 }

@@ -3,23 +3,17 @@
 // determinism fingerprints and their bisection, and a cross-run diff
 // that gates the simulation-deterministic metrics.
 //
-// Usage:
-//
-//	pnetstat summary [-json] [-o out.json] <run>
-//	pnetstat attribution [-json] <run>
-//	pnetstat profile [-json] <run>
-//	pnetstat fingerprint [-json] <run>
-//	pnetstat divergence [-k 5] <base> <cur>
-//	pnetstat export-trace [-o trace.json] <metrics.jsonl>
-//	pnetstat diff [-threshold 0.1] <base> <cur>
+// `pnetstat help` lists the subcommands and their flags.
 //
 // <run>, <base>, and <cur> accept either a RunSummary JSON (written by
 // `pnetbench -report` or by `pnetstat summary -o`) or a raw metrics
-// JSONL stream (`pnetbench -metrics`), auto-detected; a stream is decoded
-// line by line into the aggregator `-report` uses, so memory does not
-// grow with it, and its summary is the one `-report` writes for the same
-// run, field for field, bar the run's identity. divergence and export-trace need the records themselves
-// and hold the stream in memory. `diff` exits 1 when a gated metric of
+// JSONL stream (`pnetbench -metrics`), auto-detected. Every subcommand
+// decodes a stream line by line into a sink that keeps only what its view
+// needs, so memory does not grow with the file: the summary views into
+// the aggregator `-report` uses, whose summary is the one `-report` writes
+// for the same run, field for field, bar the run's identity; divergence
+// one hash per fingerprint checkpoint; export-trace nothing, writing each
+// record's events as it reads them. `diff` exits 1 when a gated metric of
 // <cur> is worse than <base> beyond the threshold; wall-clock rows are
 // printed and never gated (wall time is `sh bench/run.sh` and its
 // -compare). CI's <base> is the merge base, run in the same job. Exit
@@ -31,8 +25,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"slices"
 	"strings"
 	"time"
 
@@ -212,21 +206,11 @@ func runDivergence(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("divergence", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	k := fs.Int("k", 5, "context window: checkpoints printed either side of the divergence")
-	if fs.Parse(args) != nil || fs.NArg() != 2 {
-		fmt.Fprintln(stderr, "usage: pnetstat divergence [-k 5] <base> <cur>")
+	if fs.Parse(args) != nil || fs.NArg() != 2 || *k < 0 {
+		fmt.Fprintln(stderr, "usage: pnetstat divergence [-k 5] <base> <cur> (k ≥ 0)")
 		return 2
 	}
-	base, err := report.LoadStream(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintf(stderr, "pnetstat: %v\n", err)
-		return 2
-	}
-	cur, err := report.LoadStream(fs.Arg(1))
-	if err != nil {
-		fmt.Fprintf(stderr, "pnetstat: %v\n", err)
-		return 2
-	}
-	d, err := report.FindDivergence(base, cur, *k)
+	d, err := report.FindDivergence(fs.Arg(0), fs.Arg(1), *k)
 	if err != nil {
 		fmt.Fprintf(stderr, "pnetstat: %v\n", err)
 		return 2
@@ -235,46 +219,7 @@ func runDivergence(args []string, stdout, stderr io.Writer) int {
 	if d.Match {
 		return 0
 	}
-	if d.Note == "" {
-		divergenceContext(stdout, d, base, cur)
-	}
 	return 1
-}
-
-// divergenceContext prints the span and flight-recorder context around
-// a divergence, when the streams carry it: the flow of the event that
-// closed each side's divergent checkpoint, with its FCT decomposition (a
-// -spans run), and the diverging planes' event-loop bins (the flight
-// recorder). Both tell the debugger what the guilty event was doing, not
-// just that it moved.
-func divergenceContext(w io.Writer, d *report.Divergence, base, cur *report.Stream) {
-	sides := []struct {
-		name string
-		st   *report.Stream
-		flow int64
-	}{{"base", base, d.Base.Flow}, {"cur", cur, d.Cur.Flow}}
-	for _, s := range sides {
-		if s.flow <= 0 {
-			continue
-		}
-		for _, f := range s.st.Flows {
-			if f.ID != s.flow {
-				continue
-			}
-			fmt.Fprintf(w, "  flow %d (%s): %s %d bytes fct=%.3gs", f.ID, s.name, f.Transport, f.Bytes, f.FCT)
-			for _, sp := range f.Spans {
-				fmt.Fprintf(w, " %s[p%d]=%dps", sp.Component, sp.Plane, sp.Ps)
-			}
-			fmt.Fprintln(w)
-			break
-		}
-	}
-	// The base engine's bins suffice for orientation.
-	for _, p := range base.Profiles {
-		if p.Net == d.BaseNet && slices.Contains(d.Planes, p.Plane) {
-			fmt.Fprintf(w, "  flight recorder (base): plane %d %s ×%d\n", p.Plane, p.Kind, p.Events)
-		}
-	}
 }
 
 func runExportTrace(args []string, stdout, stderr io.Writer) int {
@@ -285,31 +230,28 @@ func runExportTrace(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: pnetstat export-trace [-o trace.json] <metrics.jsonl>")
 		return 2
 	}
-	st, err := report.LoadStream(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintf(stderr, "pnetstat: %v\n", err)
-		return 2
-	}
-	tr, err := report.ExportTrace(st)
-	if err != nil {
-		fmt.Fprintf(stderr, "pnetstat: %v\n", err)
-		return 2
-	}
-	b, err := json.Marshal(tr)
-	if err != nil {
-		fmt.Fprintf(stderr, "pnetstat: %v\n", err)
-		return 2
-	}
-	b = append(b, '\n')
-	if *out != "" {
-		if err := os.WriteFile(*out, b, 0o644); err != nil {
+	if *out == "" {
+		if _, err := report.ExportTrace(fs.Arg(0), stdout); err != nil {
 			fmt.Fprintf(stderr, "pnetstat: %v\n", err)
 			return 2
 		}
-		fmt.Fprintf(stdout, "wrote %s (%d events)\n", *out, len(tr.TraceEvents))
 		return 0
 	}
-	fmt.Fprint(stdout, string(b))
+	f, err := os.Create(*out)
+	if err != nil {
+		fmt.Fprintf(stderr, "pnetstat: %v\n", err)
+		return 2
+	}
+	n, err := report.ExportTrace(fs.Arg(0), f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(*out) // no partial file
+		fmt.Fprintf(stderr, "pnetstat: %v\n", err)
+		return 2
+	}
+	fmt.Fprintf(stdout, "wrote %s (%d events)\n", *out, n)
 	return 0
 }
 
@@ -317,8 +259,8 @@ func runDiff(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	rel := fs.Float64("threshold", 0, "relative worsening allowed on gated metrics (default 0.10)")
-	if fs.Parse(args) != nil || fs.NArg() != 2 {
-		fmt.Fprintln(stderr, "usage: pnetstat diff [-threshold 0.1] <base> <cur>")
+	if fs.Parse(args) != nil || fs.NArg() != 2 || math.IsNaN(*rel) || *rel < 0 {
+		fmt.Fprintln(stderr, "usage: pnetstat diff [-threshold 0.1] <base> <cur> (threshold ≥ 0; 0 selects 0.1)")
 		return 2
 	}
 	base, ok := loadRun(fs.Arg(0), stderr)

@@ -112,6 +112,10 @@ func TestDiffCommand(t *testing.T) {
 	if code := run2(t, []string{"diff", "-threshold", "0.5", a, badPath}, &out, &errb); code != 0 {
 		t.Fatalf("diff with 50%% threshold exited %d", code)
 	}
+	// 0 selects the 10 % default, as an omitted flag does.
+	if code := run2(t, []string{"diff", "-threshold", "0", a, badPath}, &out, &errb); code != 1 {
+		t.Fatalf("diff with threshold 0 on a 25%% worse p99 exited %d, want 1", code)
+	}
 
 	// Runs of different experiments, scales or seeds are not a regression
 	// of one another: exit 2 with the mismatch named, not a table.
@@ -151,6 +155,22 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if code := run2(t, []string{"help"}, &out, &errb); code != 0 {
 		t.Errorf("help exited %d", code)
+	}
+
+	// Flag values no run could mean: a NaN threshold passes every gate, a
+	// negative one would quietly become the default, a negative -k prints
+	// no context.
+	dir := t.TempDir()
+	a := writeRun(t, dir, "a.json", testSummary())
+	m := replayJSONL(t, dir, "m", 10, 1, -1)
+	for _, args := range [][]string{
+		{"diff", "-threshold", "NaN", a, a}, {"diff", "-threshold", "-0.5", a, a}, {"divergence", "-k", "-1", m, m},
+	} {
+		out.Reset()
+		errb.Reset()
+		if code := run2(t, args, &out, &errb); code != 2 || !strings.Contains(errb.String(), "usage:") {
+			t.Errorf("%v exited %d, stderr %q; want 2 and the usage line", args, code, errb.String())
+		}
 	}
 
 	// The retired benchmark trajectory: its subcommands are unknown

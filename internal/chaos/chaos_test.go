@@ -1,13 +1,14 @@
 package chaos
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
 
 	"pnet/internal/graph"
 	"pnet/internal/obs"
-	"pnet/internal/report"
 	"pnet/internal/sim"
 )
 
@@ -167,22 +168,34 @@ func TestInjectorRecordsFaults(t *testing.T) {
 	var sched Schedule
 	sched.PlaneOutage(0, 10*sim.Microsecond, 10*sim.Microsecond)
 	inj := NewInjector(eng, net, sched)
-	col, rec := obs.NewCollector(), &report.Stream{}
-	col.Sink = rec
+	var mbuf bytes.Buffer
+	col := obs.NewCollector()
+	col.StreamMetrics(&mbuf)
 	inj.Obs = col
 	var seen []Event
 	inj.OnEvent = func(e Event) { seen = append(seen, e) }
 	inj.Arm()
 	eng.Run()
+	if err := col.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	if len(rec.Faults) != 2 {
-		t.Fatalf("fault records = %d, want 2", len(rec.Faults))
+	var faults []obs.FaultRecord
+	for _, line := range strings.Split(strings.TrimSpace(mbuf.String()), "\n") {
+		var r obs.FaultRecord
+		if err := json.Unmarshal([]byte(line), &r); err != nil || r.Type != obs.KindFault {
+			t.Fatalf("metrics line %q: %v; want only fault records", line, err)
+		}
+		faults = append(faults, r)
 	}
-	if rec.Faults[0].Event != "inject" || rec.Faults[0].Target != "plane:0" || rec.Faults[0].Plane != 0 {
-		t.Errorf("inject record = %+v", rec.Faults[0])
+	if len(faults) != 2 {
+		t.Fatalf("fault records = %d, want 2", len(faults))
 	}
-	if rec.Faults[1].Event != "clear" || rec.Faults[1].TPs != int64(20*sim.Microsecond) {
-		t.Errorf("clear record = %+v", rec.Faults[1])
+	if faults[0].Event != "inject" || faults[0].Target != "plane:0" || faults[0].Plane != 0 {
+		t.Errorf("inject record = %+v", faults[0])
+	}
+	if faults[1].Event != "clear" || faults[1].TPs != int64(20*sim.Microsecond) {
+		t.Errorf("clear record = %+v", faults[1])
 	}
 	if len(seen) != 2 {
 		t.Errorf("OnEvent saw %d events, want 2", len(seen))

@@ -1,12 +1,12 @@
 package exp
 
 import (
+	"bytes"
 	"testing"
 
 	"pnet/internal/chaos"
 	"pnet/internal/obs"
 	"pnet/internal/par"
-	"pnet/internal/report"
 	"pnet/internal/sim"
 	"pnet/internal/topo"
 )
@@ -104,12 +104,16 @@ func TestFaultsChaosSpecOverride(t *testing.T) {
 // reaches the collector's sink: inject from the injector, detect/failover/
 // recover from the measurements.
 func TestFaultsRecordsTelemetry(t *testing.T) {
-	c, rec := obs.NewCollector(), &report.Stream{}
-	c.Sink = rec
+	var mbuf bytes.Buffer
+	c := obs.NewCollector()
+	c.StreamMetrics(&mbuf)
 	tp := topo.FatTreeSet(4, 2, 40).ParallelHomo
 	runFaultsWith(Params{Seed: 1, Obs: c}, tp, faultsTestCfg())
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
 	events := map[string]int{}
-	for _, f := range rec.Faults {
+	for _, f := range records[obs.FaultRecord](t, &mbuf, obs.KindFault) {
 		events[f.Event]++
 	}
 	for _, want := range []string{"inject", "detect", "failover", "recover"} {
@@ -130,8 +134,9 @@ func TestFaultNetIsEngineNet(t *testing.T) {
 	e, _ := ByID("faults")
 	for _, workers := range []int{1, 2} {
 		par.SetLimit(workers)
-		c, rec := obs.NewCollector(), &report.Stream{}
-		c.Sink = rec
+		var mbuf bytes.Buffer
+		c := obs.NewCollector()
+		c.StreamMetrics(&mbuf)
 		unrelated := sim.NewEngine()
 		c.AttachNetwork(unrelated, sim.NewNetwork(unrelated, topo.FatTreeSet(4, 1, 40).SerialLow.G, sim.Config{}))
 		e.Run(Params{Seed: 1, Obs: c})
@@ -140,14 +145,14 @@ func TestFaultNetIsEngineNet(t *testing.T) {
 			t.Fatal(err)
 		}
 		own := map[int]bool{}
-		for _, r := range rec.Engines {
+		for _, r := range records[obs.EngineRecord](t, &mbuf, obs.KindEngine) {
 			own[r.Net] = r.Net != 0
 		}
 		if len(own) != 4 {
 			t.Fatalf("workers=%d: %d engines sampled, want the unrelated one and faults' three", workers, len(own))
 		}
 		events := map[string]int{}
-		for _, r := range rec.Faults {
+		for _, r := range records[obs.FaultRecord](t, &mbuf, obs.KindFault) {
 			events[r.Event]++
 			if !own[r.Net] {
 				t.Errorf("workers=%d: %s record on net %d, which is not one of faults' engines: %+v", workers, r.Event, r.Net, r)

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"pnet/internal/obs"
-	"pnet/internal/report"
+	"pnet/internal/par"
+	"pnet/internal/sim"
+	"pnet/internal/topo"
 )
 
 // TestFig6cTelemetry is the acceptance path: running a traced fig6c
@@ -16,8 +18,7 @@ import (
 // and a metrics stream where every line is valid JSON.
 func TestFig6cTelemetry(t *testing.T) {
 	var mbuf bytes.Buffer
-	c, rec := obs.NewCollector(), &report.Stream{}
-	c.Sink = rec
+	c := obs.NewCollector()
 	c.Trace = true
 	c.StreamMetrics(&mbuf)
 
@@ -33,12 +34,19 @@ func TestFig6cTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	for _, line := range splitLines(mbuf.String()) {
+		if !json.Valid([]byte(line)) {
+			t.Fatalf("bad metrics line %q", line)
+		}
+	}
+
 	// Solver instrumentation: one record per (network, K) of the sweep,
 	// with GK phase/iteration counts and wall time.
-	if len(rec.Solvers) == 0 {
+	solvers := records[obs.SolverRecord](t, &mbuf, obs.KindSolver)
+	if len(solvers) == 0 {
 		t.Fatal("no solver records")
 	}
-	for _, r := range rec.Solvers {
+	for _, r := range solvers {
 		if r.Exp != "fig6c" || r.Solver != "gk-fixed" {
 			t.Errorf("solver record = %+v", r)
 		}
@@ -51,39 +59,63 @@ func TestFig6cTelemetry(t *testing.T) {
 	}
 
 	// Companion packet run: flows recorded with plane choices.
-	if len(rec.Flows) == 0 {
+	flows := records[obs.FlowRecord](t, &mbuf, obs.KindFlow)
+	if len(flows) == 0 {
 		t.Fatal("no flow records from the companion run")
 	}
-	for _, f := range rec.Flows {
+	for _, f := range flows {
 		if f.FCT <= 0 || f.Bytes <= 0 || len(f.Planes) == 0 {
 			t.Errorf("flow record = %+v", f)
 		}
 	}
 
-	// Packet events cover enqueue and deliver; the stream has every line
-	// valid JSON and one line per record the sink saw.
+	// Packet events cover enqueue and deliver.
 	evs := map[string]int{}
-	for _, r := range rec.Packets {
+	for _, r := range records[obs.PacketRecord](t, &mbuf, obs.KindPacket) {
 		evs[r.Ev]++
 	}
 	if evs["enqueue"] == 0 || evs["deliver"] == 0 {
 		t.Errorf("packet events = %v, want enqueue and deliver", evs)
 	}
-	solverLines, packetLines := 0, 0
-	for _, line := range splitLines(mbuf.String()) {
-		if !json.Valid([]byte(line)) {
-			t.Fatalf("bad metrics line %q", line)
-		}
-		if strings.Contains(line, `"type":"solver"`) {
-			solverLines++
-		}
-		if strings.HasPrefix(line, `{"type":"pkt"`) {
-			packetLines++
-		}
+}
+
+// TestFlowNetIsEngineNet: a flow record names the engine it ran on, by the
+// NetID its engine's other records carry, so that (net, id) names one
+// flow: fig10's four engines all number their flows from 1. An unrelated
+// network attaches first, so a flow record left at net 0 names the wrong
+// engine.
+func TestFlowNetIsEngineNet(t *testing.T) {
+	var mbuf bytes.Buffer
+	c := obs.NewCollector()
+	c.StreamMetrics(&mbuf)
+	unrelated := sim.NewEngine()
+	c.AttachNetwork(unrelated, sim.NewNetwork(unrelated, topo.FatTreeSet(4, 1, 40).SerialLow.G, sim.Config{}))
+	e, _ := ByID("fig10")
+	par.SetLimit(2)
+	e.Run(Params{Seed: 1, Obs: c})
+	par.SetLimit(0)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if solverLines != len(rec.Solvers) || packetLines != len(rec.Packets) {
-		t.Errorf("metrics stream has %d solver and %d packet lines, want %d and %d",
-			solverLines, packetLines, len(rec.Solvers), len(rec.Packets))
+	engines := map[int]bool{}
+	for _, r := range records[obs.EngineRecord](t, &mbuf, obs.KindEngine) {
+		engines[r.Net] = r.Net != 0
+	}
+	flows := map[[2]int64]bool{}
+	nets := map[int]bool{}
+	for _, r := range records[obs.FlowRecord](t, &mbuf, obs.KindFlow) {
+		if !engines[r.Net] {
+			t.Fatalf("flow %d on net %d, which is not one of fig10's engines %v", r.ID, r.Net, engines)
+		}
+		if k := [2]int64{int64(r.Net), r.ID}; flows[k] {
+			t.Fatalf("two records of flow %d on net %d", r.ID, r.Net)
+		} else {
+			flows[k] = true
+		}
+		nets[r.Net] = true
+	}
+	if len(nets) != 4 {
+		t.Errorf("flows on %d engines, want fig10's four", len(nets))
 	}
 }
 
@@ -95,6 +127,23 @@ func TestParamsWithoutObs(t *testing.T) {
 	if len(table.Rows) == 0 {
 		t.Fatal("fig6c returned no rows without a collector")
 	}
+}
+
+// records decodes the lines of one record kind in a metrics stream.
+func records[R any](t *testing.T, stream *bytes.Buffer, kind string) []R {
+	t.Helper()
+	var out []R
+	for _, line := range splitLines(stream.String()) {
+		if !strings.HasPrefix(line, `{"type":"`+kind+`"`) {
+			continue
+		}
+		var r R
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatalf("bad %s line %q: %v", kind, line, err)
+		}
+		out = append(out, r)
+	}
+	return out
 }
 
 func splitLines(s string) []string {

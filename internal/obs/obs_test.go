@@ -110,6 +110,54 @@ func TestSinkOnlyCollectorSamples(t *testing.T) {
 	}
 }
 
+// TestCheckpointsStreamBeforeClose: a fingerprinter's checkpoints reach
+// the sink as their epochs close, each naming the event that closed it,
+// so the collector holds none of them; Close adds only the engine's
+// trailing partial checkpoint.
+func TestCheckpointsStreamBeforeClose(t *testing.T) {
+	g, route, _ := twoPlane()
+	eng := sim.NewEngine()
+	net := sim.NewNetwork(eng, g, sim.Config{})
+	rec := &sliceSink{}
+	c := NewCollector()
+	c.Interval = sim.Microsecond
+	c.Sink = rec
+	c.Fingerprint = true
+	c.FingerprintEpoch = 16
+	c.AttachNetwork(eng, net)
+	for i := 0; i < 10; i++ {
+		pkt := net.NewPacket()
+		pkt.Size = 1500
+		pkt.Route = route
+		pkt.Deliver = &releaseSink{net}
+		pkt.FlowID = int64(i + 1)
+		net.Send(pkt)
+	}
+	eng.Run()
+	events := int64(eng.EventsFired())
+	full := events / 16
+	if full < 2 || events%16 == 0 {
+		t.Fatalf("%d events: the scene needs two full epochs and a partial one", events)
+	}
+	if int64(len(rec.fps)) != full {
+		t.Fatalf("%d checkpoints in the sink before Close, want the %d full epochs of %d events", len(rec.fps), full, events)
+	}
+	for i, r := range rec.fps {
+		if r.Epoch != int64(i) || r.Events != 16*int64(i+1) || r.Final || r.Kind == "" || r.EpochEvents != 16 {
+			t.Errorf("checkpoint %d before Close = %+v, want epoch %d closed by an event at %d events", i, r, i, 16*(i+1))
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(rec.fps)) != full+1 {
+		t.Fatalf("%d checkpoints after Close, want %d full and one partial", len(rec.fps), full)
+	}
+	if last := rec.fps[full]; !last.Final || last.Events != events || last.Epoch != full || last.Kind != "" {
+		t.Errorf("checkpoint Close added = %+v, want the partial epoch %d at %d events, naming no event", last, full, events)
+	}
+}
+
 // TestTraceLineMatchesPacketRecord pins the hand-built packet line of
 // MetricsWriter.Packet to the PacketRecord schema struct: decoding a line
 // into the struct and re-encoding it must agree field for field. The

@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"sync"
 	"testing"
 
@@ -115,10 +116,10 @@ func TestCollectorConcurrentStress(t *testing.T) {
 // attaches racing.
 func TestProfileNetIsEngineNet(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		rec := &report.Stream{}
+		var mbuf bytes.Buffer
 		c := obs.NewCollector()
 		c.Interval = sim.Microsecond
-		c.Sink = rec
+		c.StreamMetrics(&mbuf)
 		run := func(i int) {
 			eng, net, route := twoHosts()
 			c.AttachNetwork(eng, net)
@@ -151,11 +152,11 @@ func TestProfileNetIsEngineNet(t *testing.T) {
 		}
 
 		lastTick := map[int]int64{}
-		for _, r := range rec.Engines {
+		for _, r := range records[obs.EngineRecord](t, &mbuf, obs.KindEngine) {
 			lastTick[r.Net] = r.TPs
 		}
 		profiled := map[int]bool{}
-		for _, r := range rec.Profiles {
+		for _, r := range records[obs.ProfileRecord](t, &mbuf, obs.KindProfile) {
 			profiled[r.Net] = true
 			if at, ok := lastTick[r.Net]; !ok || r.SimPs != at {
 				t.Errorf("workers=%d: profile record net %d has sim_ps %d, but that net's engine records end at %d: %+v",
@@ -169,48 +170,19 @@ func TestProfileNetIsEngineNet(t *testing.T) {
 	}
 }
 
-// TestCheckpointsStreamBeforeClose: a fingerprinter's checkpoints reach
-// the sink as their epochs close, each naming the event that closed it,
-// so the collector holds none of them; Close adds only the engine's
-// trailing partial checkpoint.
-func TestCheckpointsStreamBeforeClose(t *testing.T) {
-	rec := &report.Stream{}
-	c := obs.NewCollector()
-	c.Interval = sim.Microsecond
-	c.Sink = rec
-	c.Fingerprint = true
-	c.FingerprintEpoch = 16
-	eng, net, route := twoHosts()
-	c.AttachNetwork(eng, net)
-	for i := 0; i < 10; i++ {
-		pkt := net.NewPacket()
-		pkt.Size = 1500
-		pkt.Route = route
-		pkt.Deliver = release{net}
-		pkt.FlowID = int64(i + 1)
-		net.Send(pkt)
-	}
-	eng.Run()
-	events := int64(eng.EventsFired())
-	full := events / 16
-	if full < 2 || events%16 == 0 {
-		t.Fatalf("%d events: the scene needs two full epochs and a partial one", events)
-	}
-	if int64(len(rec.Fingerprints)) != full {
-		t.Fatalf("%d checkpoints in the sink before Close, want the %d full epochs of %d events", len(rec.Fingerprints), full, events)
-	}
-	for i, r := range rec.Fingerprints {
-		if r.Epoch != int64(i) || r.Events != 16*int64(i+1) || r.Final || r.Kind == "" || r.EpochEvents != 16 {
-			t.Errorf("checkpoint %d before Close = %+v, want epoch %d closed by an event at %d events", i, r, i, 16*(i+1))
+// records decodes the lines of one record kind in a metrics stream.
+func records[R any](t *testing.T, stream *bytes.Buffer, kind string) []R {
+	t.Helper()
+	var out []R
+	for _, line := range bytes.Split(stream.Bytes(), []byte("\n")) {
+		if !bytes.HasPrefix(line, []byte(`{"type":"`+kind+`"`)) {
+			continue
 		}
+		var r R
+		if err := json.Unmarshal(line, &r); err != nil {
+			t.Fatalf("bad %s line %q: %v", kind, line, err)
+		}
+		out = append(out, r)
 	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(rec.Fingerprints)) != full+1 {
-		t.Fatalf("%d checkpoints after Close, want %d full and one partial", len(rec.Fingerprints), full)
-	}
-	if last := rec.Fingerprints[full]; !last.Final || last.Events != events || last.Epoch != full || last.Kind != "" {
-		t.Errorf("checkpoint Close added = %+v, want the partial epoch %d at %d events, naming no event", last, full, events)
-	}
+	return out
 }

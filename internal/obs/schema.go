@@ -67,9 +67,10 @@ type EngineRecord struct {
 	WallNano int64  `json:"wall_ns"`
 }
 
-// FlowRecord captures one completed transport flow.
+// FlowRecord captures one completed transport flow; Net and ID name it.
 type FlowRecord struct {
 	Type string `json:"type"` // "flow"
+	Net  int    `json:"net"`
 	ID   int64  `json:"id"`
 	// TPs is the sim time the flow completed, in picoseconds — with FCT
 	// it anchors the flow's interval on a timeline (export-trace).

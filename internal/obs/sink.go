@@ -8,7 +8,7 @@ package obs
 // a live consumer see the same values by construction. The records are
 // the JSONL schema's own (schema.go), Type and Net filled in. The
 // implementations are MetricsWriter (the file), report.Aggregator (the
-// summary) and report.Stream (keeps everything). One shared by several
+// summary) and report's narrow per-view readers. One shared by several
 // networks must be safe for concurrent use.
 type Sink interface {
 	Link(LinkRecord)

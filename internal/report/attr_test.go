@@ -117,7 +117,7 @@ func TestProfileSummaryFromStream(t *testing.T) {
 func TestReadStreamTruncatedSpanRecord(t *testing.T) {
 	lines := strings.SplitAfter(spanStream, "\n")
 	in := lines[0] + lines[1][:len(lines[1])-40] // cut inside flow 2's spans
-	st := &Stream{}
+	st := &recorder{}
 	err := ReadStream(strings.NewReader(in), st)
 	var pe *ParseError
 	if !errors.As(err, &pe) {
@@ -135,7 +135,7 @@ func TestReadStreamTruncatedSpanRecord(t *testing.T) {
 // not define is a typed *ParseError, not a panic and not silent skew.
 func TestReadStreamUnknownSpanComponent(t *testing.T) {
 	in := `{"type":"flow","id":1,"fct_s":0.1,"spans":[{"c":"warp_drive","plane":0,"ps":1}]}` + "\n"
-	st := &Stream{}
+	st := &recorder{}
 	err := ReadStream(strings.NewReader(in), st)
 	var pe *ParseError
 	if !errors.As(err, &pe) {
@@ -156,7 +156,7 @@ func TestReadStreamUnknownSpanComponent(t *testing.T) {
 func TestReadStreamUnknownProfileKind(t *testing.T) {
 	for _, kind := range []string{"teleport", "hostload", "subshard", "planeshard"} {
 		in := `{"type":"profile","net":0,"kind":"` + kind + `","plane":3,"events":1,"wall_ns":0,"sim_ps":5}` + "\n"
-		st := &Stream{}
+		st := &recorder{}
 		err := ReadStream(strings.NewReader(in), st)
 		var pe *ParseError
 		if !errors.As(err, &pe) {

@@ -2,6 +2,7 @@ package report
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -32,30 +33,88 @@ import (
 // identities: after a swapped pair the identities match again, but the
 // chains stay apart forever.
 
-// ExtractChains groups a stream's fingerprint records into one chain per
-// engine, its checkpoints in epoch order, and sorts the chains by their
-// hash sequences: the canonical pairing key (hashes are fixed-width, so
-// this is the order of the sequences' concatenations). It sorts
-// st.Fingerprints in place and the chains share its records: at one
-// checkpoint an event they are most of a stream's memory.
-func ExtractChains(st *Stream) [][]obs.FingerprintRecord {
-	fps := st.Fingerprints
-	slices.SortFunc(fps, func(a, b obs.FingerprintRecord) int {
-		return cmp.Or(cmp.Compare(a.Net, b.Net), cmp.Compare(a.Epoch, b.Epoch))
-	})
-	var out [][]obs.FingerprintRecord
-	for len(fps) > 0 {
-		n := 1
-		for n < len(fps) && fps[n].Net == fps[0].Net {
-			n++
-		}
-		out = append(out, fps[:n:n])
-		fps = fps[n:]
+// chain is one engine's cadence and checkpoint global hashes, by epoch.
+type chain struct {
+	net         int
+	epochEvents int64
+	hashes      []uint64
+}
+
+// chains is divergence's first pass over a stream: one chain per engine,
+// and the first checkpoint that does not extend its engine's chain.
+type chains struct {
+	discard
+	byNet map[int]*chain
+	err   error
+}
+
+func (c *chains) Fingerprint(r obs.FingerprintRecord) {
+	ch := c.byNet[r.Net]
+	if ch == nil {
+		ch = &chain{net: r.Net, epochEvents: r.EpochEvents}
+		c.byNet[r.Net] = ch
 	}
-	slices.SortStableFunc(out, func(a, b []obs.FingerprintRecord) int {
-		return slices.CompareFunc(a, b, func(x, y obs.FingerprintRecord) int { return strings.Compare(x.Hash, y.Hash) })
+	if r.Epoch != int64(len(ch.hashes)) && c.err == nil {
+		c.err = fmt.Errorf("fingerprint net %d: epoch %d after %d checkpoints", r.Net, r.Epoch, len(ch.hashes))
+	}
+	h, _ := obs.ParseHash(r.Hash) // ReadStream has validated it
+	ch.hashes = append(ch.hashes, h)
+}
+
+// readChains reads the stream at path for its chains, sorted by hash
+// sequence (as their fixed-width hex would sort), then by net.
+func readChains(path string) ([]*chain, error) {
+	c := chains{byNet: map[int]*chain{}}
+	if err := readStreamPath(path, &c); err != nil {
+		return nil, err
+	}
+	if c.err != nil {
+		return nil, fmt.Errorf("%s: %w", path, c.err)
+	}
+	out := make([]*chain, 0, len(c.byNet))
+	for _, ch := range c.byNet {
+		out = append(out, ch)
+	}
+	slices.SortFunc(out, func(a, b *chain) int {
+		return cmp.Or(slices.Compare(a.hashes, b.hashes), cmp.Compare(a.net, b.net))
 	})
-	return out
+	return out, nil
+}
+
+// side is a later pass over one diverged stream, in engine net: the
+// checkpoint of epoch at and those within [lo, hi], then the first record
+// of flow flowID (0: none) and the flight-recorder bins of planes.
+type side struct {
+	discard
+	net        int
+	at, lo, hi int64
+	flowID     int64
+	planes     []int32
+	cp         obs.FingerprintRecord
+	cps        []obs.FingerprintRecord
+	flow       obs.FlowRecord
+	bins       []obs.ProfileRecord
+}
+
+func (s *side) Fingerprint(r obs.FingerprintRecord) {
+	if r.Net == s.net && r.Epoch >= s.lo && r.Epoch <= s.hi {
+		s.cps = append(s.cps, r)
+	}
+	if r.Net == s.net && r.Epoch == s.at {
+		s.cp = r
+	}
+}
+
+func (s *side) Flow(r obs.FlowRecord) {
+	if s.flow.Type == "" && s.flowID > 0 && r.Net == s.net && r.ID == s.flowID {
+		s.flow = r
+	}
+}
+
+func (s *side) Profile(r obs.ProfileRecord) {
+	if r.Net == s.net && slices.Contains(s.planes, r.Plane) {
+		s.bins = append(s.bins, r)
+	}
 }
 
 // Divergence is the verdict of comparing two fingerprint streams.
@@ -84,38 +143,50 @@ type Divergence struct {
 	// ContextBase and ContextCur are each side's checkpoints within ±k
 	// epochs of the divergent one.
 	ContextBase, ContextCur []obs.FingerprintRecord
+	// BaseFlow and CurFlow are each side's record of the closing event's
+	// flow, in its engine (a zero Type: none); Bins the base engine's
+	// flight-recorder bins on the diverging planes.
+	BaseFlow, CurFlow obs.FlowRecord
+	Bins              []obs.ProfileRecord
 }
 
-// FindDivergence pairs the two streams' engines canonically and binary-
-// searches each pair's checkpoints for the first divergent epoch,
-// returning the earliest divergence found (by epoch, then pair index)
-// with k checkpoints of context either side.
-func FindDivergence(base, cur *Stream, k int) (*Divergence, error) {
-	bc := ExtractChains(base)
-	cc := ExtractChains(cur)
+// FindDivergence pairs the engines of the metrics streams at basePath and
+// curPath canonically and binary-searches each pair's checkpoints for the
+// first divergent epoch, returning the earliest divergence found (by
+// epoch, then pair index) with k ≥ 0 checkpoints of context either side.
+// A first pass keeps one global hash per checkpoint; only diverged runs
+// are read again, for the pair's context, then for its closing events.
+func FindDivergence(basePath, curPath string, k int) (*Divergence, error) {
+	bc, err := readChains(basePath)
+	if err != nil {
+		return nil, err
+	}
+	cc, err := readChains(curPath)
+	if err != nil {
+		return nil, err
+	}
 	if len(bc) == 0 || len(cc) == 0 {
 		return nil, fmt.Errorf("report: no fingerprint records (base %d engines, cur %d) — were the runs made with -fingerprint?", len(bc), len(cc))
 	}
-	d := &Divergence{Engines: len(bc), EpochEvents: bc[0][0].EpochEvents}
+	d := &Divergence{Engines: len(bc), EpochEvents: bc[0].epochEvents}
 	if len(bc) != len(cc) {
 		d.Note = fmt.Sprintf("engine count differs: base has %d, cur has %d — the runs did not execute the same simulations", len(bc), len(cc))
 		return d, nil
 	}
-	if be, ce := bc[0][0].EpochEvents, cc[0][0].EpochEvents; be != ce {
+	if be, ce := bc[0].epochEvents, cc[0].epochEvents; be != ce {
 		d.Note = fmt.Sprintf("checkpoint cadence differs: base epoch=%d events, cur epoch=%d — rerun with matching -fingerprint-epoch", be, ce)
 		return d, nil
 	}
-	// A chain holds epochs 0, 1, ... in order, so a position is an epoch.
 	pair, at := -1, 0
 	for i := range bc {
-		b, c := bc[i], cc[i]
+		b, c := bc[i].hashes, cc[i].hashes
 		// Chains are cumulative: equal checkpoints stay equal until the
 		// first divergence, after which every checkpoint differs. That
 		// makes "differs at epoch j" monotone in j — binary-searchable.
 		// When one run recorded more epochs and the shared prefix
 		// matches, the divergence is the first checkpoint only one side
 		// has.
-		first := sort.Search(min(len(b), len(c)), func(j int) bool { return b[j].Hash != c[j].Hash })
+		first := sort.Search(min(len(b), len(c)), func(j int) bool { return b[j] != c[j] })
 		if first == len(b) && first == len(c) {
 			continue // identical end to end
 		}
@@ -126,9 +197,14 @@ func FindDivergence(base, cur *Stream, k int) (*Divergence, error) {
 	if d.Match = pair < 0; d.Match {
 		return d, nil
 	}
-	b, c := bc[pair], cc[pair]
-	d.Pair, d.BaseNet, d.CurNet = pair, b[0].Net, c[0].Net
-	d.Base, d.Cur = recordAt(b, at), recordAt(c, at)
+	d.Pair, d.BaseNet, d.CurNet = pair, bc[pair].net, cc[pair].net
+	lo, hi := int64(at-max(k, 0)), int64(at+max(k, 0))
+	base := &side{net: d.BaseNet, at: int64(at), lo: lo, hi: hi}
+	cur := &side{net: d.CurNet, at: int64(at), lo: lo, hi: hi}
+	if err := errors.Join(readStreamPath(basePath, base), readStreamPath(curPath, cur)); err != nil {
+		return nil, err
+	}
+	d.Base, d.Cur, d.ContextBase, d.ContextCur = base.cp, cur.cp, base.cps, cur.cps
 	if d.Base.Type != "" && d.Cur.Type != "" {
 		d.Planes, d.HostDiffers = divergentPlanes(d.Base, d.Cur)
 	}
@@ -137,25 +213,16 @@ func FindDivergence(base, cur *Stream, k int) (*Divergence, error) {
 		cp = d.Cur
 	}
 	d.Epoch, d.Events = cp.Epoch, cp.Events
-	d.ContextBase, d.ContextCur = window(b, at, k), window(c, at, k)
+
+	// The closing events' flows, and the base engine's bins on the
+	// diverging planes, which suffice for orientation; no checkpoints.
+	base = &side{net: d.BaseNet, at: -1, lo: 1, hi: 0, flowID: d.Base.Flow, planes: d.Planes}
+	cur = &side{net: d.CurNet, at: -1, lo: 1, hi: 0, flowID: d.Cur.Flow}
+	if err := errors.Join(readStreamPath(basePath, base), readStreamPath(curPath, cur)); err != nil {
+		return nil, err
+	}
+	d.BaseFlow, d.CurFlow, d.Bins = base.flow, cur.flow, base.bins
 	return d, nil
-}
-
-// recordAt is cps[i], or the zero record past the end of a run.
-func recordAt(cps []obs.FingerprintRecord, i int) obs.FingerprintRecord {
-	if i < len(cps) {
-		return cps[i]
-	}
-	return obs.FingerprintRecord{}
-}
-
-// window is xs[at-k : at+k+1], clipped to xs.
-func window(xs []obs.FingerprintRecord, at, k int) []obs.FingerprintRecord {
-	lo, hi := max(at-k, 0), min(at+k+1, len(xs))
-	if lo >= hi {
-		return nil
-	}
-	return xs[lo:hi]
 }
 
 // divergentPlanes names the per-plane chains that differ at a
@@ -229,6 +296,19 @@ func (d *Divergence) String() string {
 	}
 	if d.EpochEvents != 1 {
 		b.WriteString("  (rerun both with -fingerprint-epoch 1 to name the first divergent event)\n")
+	}
+	for i, f := range []obs.FlowRecord{d.BaseFlow, d.CurFlow} {
+		if f.Type == "" {
+			continue
+		}
+		fmt.Fprintf(&b, "  flow %d (%s): %s %d bytes fct=%.3gs", f.ID, [2]string{"base", "cur"}[i], f.Transport, f.Bytes, f.FCT)
+		for _, sp := range f.Spans {
+			fmt.Fprintf(&b, " %s[p%d]=%dps", sp.Component, sp.Plane, sp.Ps)
+		}
+		b.WriteByte('\n')
+	}
+	for _, p := range d.Bins {
+		fmt.Fprintf(&b, "  flight recorder (base): plane %d %s ×%d\n", p.Plane, p.Kind, p.Events)
 	}
 	return b.String()
 }

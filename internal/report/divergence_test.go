@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -20,20 +21,51 @@ type fpEvent struct {
 	seq   int64
 }
 
-// replayStream folds events through a real Fingerprinter and packages
-// the result exactly as the collector writes it: the checkpoint records
-// of one net.
-func replayStream(events []fpEvent, epoch int64, net int) *Stream {
+// replay folds events through a real Fingerprinter and returns the
+// checkpoint records of one net, exactly as the collector emits them.
+func replay(events []fpEvent, epoch int64, net int) []obs.FingerprintRecord {
 	f := sim.NewFingerprinter(epoch)
-	st := &Stream{}
-	f.OnCheckpoint = func(cp sim.FingerprintCheckpoint) { st.Fingerprint(obs.CheckpointRecord(net, epoch, cp)) }
+	var cps []obs.FingerprintRecord
+	f.OnCheckpoint = func(cp sim.FingerprintCheckpoint) { cps = append(cps, obs.CheckpointRecord(net, epoch, cp)) }
 	for _, e := range events {
 		f.Fold(e.t, e.kind, e.plane, e.link, e.flow, e.seq, 1500)
 	}
 	if cp, ok := f.Partial(); ok {
-		st.Fingerprint(obs.CheckpointRecord(net, epoch, cp))
+		cps = append(cps, obs.CheckpointRecord(net, epoch, cp))
 	}
-	return st
+	return cps
+}
+
+// writeStream writes what emit hands its sink through the collector's
+// MetricsWriter into a metrics JSONL file, and returns the file's path.
+func writeStream(t *testing.T, emit func(obs.Sink)) string {
+	t.Helper()
+	var buf bytes.Buffer
+	w := obs.NewMetricsWriter(&buf)
+	emit(w)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.CreateTemp(t.TempDir(), "*.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	return f.Name()
+}
+
+// replayStream is the metrics file of the given engines' checkpoints.
+func replayStream(t *testing.T, engines ...[]obs.FingerprintRecord) string {
+	return writeStream(t, func(s obs.Sink) {
+		for _, cps := range engines {
+			for _, r := range cps {
+				s.Fingerprint(r)
+			}
+		}
+	})
 }
 
 // syntheticEvents builds n packet events across two planes with distinct
@@ -52,8 +84,8 @@ func syntheticEvents(n int) []fpEvent {
 
 func TestDivergenceMatch(t *testing.T) {
 	ev := syntheticEvents(200)
-	base := replayStream(ev, 32, 0)
-	cur := replayStream(ev, 32, 3) // different NetID: pairing must not care
+	base := replayStream(t, replay(ev, 32, 0))
+	cur := replayStream(t, replay(ev, 32, 3)) // different NetID: pairing must not care
 	d, err := FindDivergence(base, cur, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +112,7 @@ func TestDivergencePerturbed(t *testing.T) {
 	perturbed[100], perturbed[101] = perturbed[101], perturbed[100]
 	perturbed[100].t, perturbed[101].t = ev[100].t, ev[101].t // keep times, swap identity
 
-	d, err := FindDivergence(replayStream(ev, 1, 0), replayStream(perturbed, 1, 0), 2)
+	d, err := FindDivergence(replayStream(t, replay(ev, 1, 0)), replayStream(t, replay(perturbed, 1, 0)), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +150,7 @@ func TestDivergencePerturbed(t *testing.T) {
 	}
 
 	const epoch = 32
-	d, err = FindDivergence(replayStream(ev, epoch, 0), replayStream(perturbed, epoch, 0), 2)
+	d, err = FindDivergence(replayStream(t, replay(ev, epoch, 0)), replayStream(t, replay(perturbed, epoch, 0)), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +167,9 @@ func TestDivergencePerturbed(t *testing.T) {
 
 func TestDivergenceStructuralMismatches(t *testing.T) {
 	ev := syntheticEvents(100)
-	one := replayStream(ev, 32, 0)
+	one := replayStream(t, replay(ev, 32, 0))
 	// Engine-count mismatch: cur has two engines.
-	two := replayStream(ev, 32, 0)
-	extra := replayStream(ev[:50], 32, 1)
-	two.Fingerprints = append(two.Fingerprints, extra.Fingerprints...)
+	two := replayStream(t, replay(ev, 32, 0), replay(ev[:50], 32, 1))
 	d, err := FindDivergence(one, two, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +178,7 @@ func TestDivergenceStructuralMismatches(t *testing.T) {
 		t.Errorf("verdict = %+v", d)
 	}
 	// Cadence mismatch.
-	other := replayStream(ev, 16, 0)
+	other := replayStream(t, replay(ev, 16, 0))
 	d, err = FindDivergence(one, other, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -157,8 +187,78 @@ func TestDivergenceStructuralMismatches(t *testing.T) {
 		t.Errorf("verdict = %+v", d)
 	}
 	// No fingerprints at all.
-	if _, err := FindDivergence(&Stream{}, one, 2); err == nil {
-		t.Error("empty base stream: want error")
+	noFP := writeStream(t, func(s obs.Sink) { s.Solver(obs.SolverRecord{Type: obs.KindSolver}) })
+	if _, err := FindDivergence(noFP, one, 2); err == nil {
+		t.Error("base stream without fingerprints: want error")
+	}
+	// A checkpoint that does not extend its engine's chain is an error,
+	// not a silently shifted bisection.
+	gap := replay(ev, 32, 0)
+	if _, err := FindDivergence(replayStream(t, append(gap[:1:1], gap[2:]...)), one, 2); err == nil ||
+		!strings.Contains(err.Error(), "epoch 2 after 1 checkpoints") {
+		t.Errorf("a chain missing epoch 1: err = %v, want one naming the gap", err)
+	}
+}
+
+// TestDivergenceContextByNet: the context of a divergence comes from the
+// divergent pair's own engine on each side, which two streams number
+// differently. Both engines of each run have flows 3 and 4 and profile bins;
+// the diverging engine is net 1 in base and net 0 in cur, so every
+// checkpoint, flow and bin printed must carry that side's number. The
+// swap closes the divergent checkpoint with flow 3 in base, 4 in cur.
+func TestDivergenceContextByNet(t *testing.T) {
+	a := syntheticEvents(200)
+	b := syntheticEvents(200)
+	for i := range b {
+		b[i].t += 7 // another engine: its chain differs from the first event
+	}
+	b2 := append([]fpEvent(nil), b...)
+	b2[100], b2[101] = b[101], b[100]
+	b2[100].t, b2[101].t = b[100].t, b[101].t
+	engine := func(events []fpEvent, net int, bytes int64) func(obs.Sink) {
+		return func(s obs.Sink) {
+			for _, id := range []int64{3, 4} {
+				s.Flow(obs.FlowRecord{Type: obs.KindFlow, Net: net, ID: id, Transport: "tcp", Bytes: bytes + id, FCT: 1e-6})
+			}
+			for _, r := range replay(events, 1, net) {
+				s.Fingerprint(r)
+			}
+			for _, plane := range []int32{0, 1} {
+				s.Profile(obs.ProfileRecord{Type: obs.KindProfile, Net: net, Kind: "hop", Plane: plane, Events: bytes, SimPs: 1})
+			}
+		}
+	}
+	both := func(x, y func(obs.Sink)) func(obs.Sink) { return func(s obs.Sink) { x(s); y(s) } }
+	base := writeStream(t, both(engine(a, 0, 1000), engine(b, 1, 2000)))
+	cur := writeStream(t, both(engine(b2, 0, 2000), engine(a, 1, 1000)))
+	d, err := FindDivergence(base, cur, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Match || d.BaseNet != 1 || d.CurNet != 0 || d.Epoch != 100 {
+		t.Fatalf("verdict = match %v, base net %d, cur net %d, epoch %d; want the pair (1, 0) diverging at 100", d.Match, d.BaseNet, d.CurNet, d.Epoch)
+	}
+	for side, ctx := range map[int][]obs.FingerprintRecord{1: d.ContextBase, 0: d.ContextCur} {
+		if len(ctx) != 5 {
+			t.Errorf("net %d: %d context checkpoints, want 5", side, len(ctx))
+		}
+		for _, r := range ctx {
+			if r.Net != side {
+				t.Errorf("context of net %d holds a checkpoint of net %d: %+v", side, r.Net, r)
+			}
+		}
+	}
+	if d.BaseFlow.Net != 1 || d.BaseFlow.Bytes != 2003 || d.CurFlow.Net != 0 || d.CurFlow.Bytes != 2004 {
+		t.Errorf("flows = base %+v, cur %+v; want each side's own engine's flows 3 and 4", d.BaseFlow, d.CurFlow)
+	}
+	if len(d.Bins) != 2 || d.Bins[0].Net != 1 || d.Bins[1].Net != 1 {
+		t.Errorf("bins = %+v, want base net 1's two", d.Bins)
+	}
+	out := d.String()
+	for _, want := range []string{"flow 3 (base): tcp 2003 bytes", "flow 4 (cur): tcp 2004 bytes", "flight recorder (base): plane 1 hop ×2000"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("rendering missing %q:\n%s", want, out)
+		}
 	}
 }
 
@@ -167,8 +267,8 @@ func TestDivergenceStructuralMismatches(t *testing.T) {
 // one side has.
 func TestDivergencePrefixRun(t *testing.T) {
 	ev := syntheticEvents(200)
-	base := replayStream(ev, 32, 0)
-	cur := replayStream(ev[:100], 32, 0)
+	base := replayStream(t, replay(ev, 32, 0))
+	cur := replayStream(t, replay(ev[:100], 32, 0))
 	d, err := FindDivergence(base, cur, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -1,18 +1,26 @@
 package report
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"pnet/internal/obs"
 )
 
-// FuzzStream hammers the JSONL reader and both of its sinks with
-// corrupted input: whatever arrives, ReadStream must return nil or one of
-// its typed errors, never panic and never an anonymous error the CLI
-// can't classify, and the Aggregator must still summarize and render
-// whatever prefix it was handed (`pnetstat summary` on a damaged file).
+// FuzzStream hammers the JSONL reader and every sink pnetstat reads a
+// stream into with corrupted input: whatever arrives, ReadStream must
+// return nil or one of its typed errors, never panic and never an
+// anonymous error the CLI can't classify; the Aggregator must still
+// summarize and render whatever prefix it was handed (`pnetstat summary`
+// on a damaged file), and divergence's and export-trace's passes must take
+// it without a panic.
 func FuzzStream(f *testing.F) {
 	// A per-event journal line and a close-time metric snapshot, kinds
 	// earlier binaries wrote and this reader no longer knows: each must be
@@ -21,7 +29,7 @@ func FuzzStream(f *testing.F) {
 	const metric = `{"type":"metric","name":"flows.completed","kind":"counter","value":1}` + "\n"
 	for kind, line := range map[string]string{"fpev": fpev, "metric": metric} {
 		var uk *UnknownKindError
-		if err := ReadStream(bytes.NewReader([]byte(line)), &Stream{}); !errors.As(err, &uk) || uk.Kind != kind || uk.Line != 1 {
+		if err := ReadStream(bytes.NewReader([]byte(line)), discard{}); !errors.As(err, &uk) || uk.Kind != kind || uk.Line != 1 {
 			f.Fatalf("%s line: got %v, want an UnknownKindError for kind %q on line 1", kind, err, kind)
 		}
 	}
@@ -56,7 +64,7 @@ func FuzzStream(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		aggr := NewAggregator()
-		for _, sink := range []obs.Sink{&Stream{}, aggr} {
+		read := func(sink obs.Sink) {
 			err := ReadStream(bytes.NewReader(data), sink)
 			var pe *ParseError
 			var uk *UnknownKindError
@@ -64,7 +72,38 @@ func FuzzStream(f *testing.F) {
 				t.Fatalf("untyped error %T: %v", err, err)
 			}
 		}
+		read(aggr)
 		s := aggr.Summarize(Meta{})
+		_ = s.String() + s.AttributionString() + s.ProfileString()
+		read(&chains{byNet: map[int]*chain{}})
+		read(&side{at: 2, lo: 0, hi: 5, flowID: 3, planes: []int32{0, 1}})
+		tw := &traceWriter{pids: map[netPlane]int64{}, w: bufio.NewWriter(io.Discard)}
+		read(tw)
+		tw.close()
+	})
+}
+
+// FuzzLoadRun: whatever bytes a run file holds, LoadRun must never panic,
+// whether they read as a summary JSON or as a metrics stream; any error
+// names the file, and the summary it returns (a stream's prefix beside a
+// bad line) renders.
+func FuzzLoadRun(f *testing.F) {
+	summary, err := json.Marshal(sampleSummary())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, s := range []string{string(summary), goodStream, "", `{"schema_version":99}`, `{"schema_version":1,"fct_s":7}`, "{\n"} {
+		f.Add([]byte(s))
+	}
+	path := filepath.Join(f.TempDir(), "run")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := LoadRun(path, Meta{})
+		if err != nil && !strings.Contains(err.Error(), path) {
+			t.Fatalf("error does not name the file: %v", err)
+		}
 		_ = s.String() + s.AttributionString() + s.ProfileString()
 	})
 }

@@ -1,11 +1,10 @@
 // Package report turns the telemetry of internal/obs into decisions. Its
 // reader decodes a JSONL metrics stream line by line into an obs.Sink
-// (reader.go), the same interface the live producers write to; the
-// Aggregator is the sink that reduces a run into a RunSummary of the
-// quantities the paper's figures plot (summary.go, attr.go), and Stream
-// the one that keeps every record for the subcommands that need them
-// (divergence.go, trace.go). Diff compares two summaries with thresholded
-// per-metric deltas (diff.go). cmd/pnetstat is the CLI over all of it.
+// (reader.go), and every view of a run is a sink that keeps only what it
+// needs: the Aggregator reduces a run into a RunSummary of what the
+// paper's figures plot (summary.go, attr.go), divergence one hash per
+// checkpoint (divergence.go), the trace exporter no record (trace.go). Diff
+// compares two summaries (diff.go). cmd/pnetstat is the CLI over it all.
 package report
 
 import (
@@ -16,48 +15,22 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
 	"pnet/internal/obs"
 )
 
-// Stream is the retaining obs.Sink: it keeps every record it is handed,
-// bucketed by kind in arrival order. `pnetstat divergence` and
-// `export-trace` read files into one, since they need the records
-// themselves; memory is proportional to the file. It is safe for
-// concurrent producers, so a test can also set one as a collector's Sink
-// and read the fields once the run is over.
-type Stream struct {
-	mu       sync.Mutex
-	Links    []obs.LinkRecord
-	Planes   []obs.PlaneRecord
-	Engines  []obs.EngineRecord
-	Flows    []obs.FlowRecord
-	Solvers  []obs.SolverRecord
-	Faults   []obs.FaultRecord
-	Profiles []obs.ProfileRecord
-	// Fingerprints are determinism-chain epoch checkpoints.
-	Fingerprints []obs.FingerprintRecord
-	// Packets are packet lifecycle events (a traced run).
-	Packets []obs.PacketRecord
-}
+// discard drops every record; a narrow sink embeds it.
+type discard struct{}
 
-// keep appends r to one of s's buckets under its lock.
-func keep[R any](s *Stream, bucket *[]R, r R) {
-	s.mu.Lock()
-	*bucket = append(*bucket, r)
-	s.mu.Unlock()
-}
-
-func (s *Stream) Link(r obs.LinkRecord)               { keep(s, &s.Links, r) }
-func (s *Stream) Plane(r obs.PlaneRecord)             { keep(s, &s.Planes, r) }
-func (s *Stream) Engine(r obs.EngineRecord)           { keep(s, &s.Engines, r) }
-func (s *Stream) Flow(r obs.FlowRecord)               { keep(s, &s.Flows, r) }
-func (s *Stream) Solver(r obs.SolverRecord)           { keep(s, &s.Solvers, r) }
-func (s *Stream) Fault(r obs.FaultRecord)             { keep(s, &s.Faults, r) }
-func (s *Stream) Profile(r obs.ProfileRecord)         { keep(s, &s.Profiles, r) }
-func (s *Stream) Fingerprint(r obs.FingerprintRecord) { keep(s, &s.Fingerprints, r) }
-func (s *Stream) Packet(r obs.PacketRecord)           { keep(s, &s.Packets, r) }
+func (discard) Link(obs.LinkRecord)               {}
+func (discard) Plane(obs.PlaneRecord)             {}
+func (discard) Engine(obs.EngineRecord)           {}
+func (discard) Flow(obs.FlowRecord)               {}
+func (discard) Solver(obs.SolverRecord)           {}
+func (discard) Fault(obs.FaultRecord)             {}
+func (discard) Profile(obs.ProfileRecord)         {}
+func (discard) Fingerprint(obs.FingerprintRecord) {}
+func (discard) Packet(obs.PacketRecord)           {}
 
 // ErrEmptyStream reports a stream with no records at all — usually a
 // run that never attached telemetry, which callers should distinguish
@@ -117,7 +90,9 @@ func ReadStream(r io.Reader, sink obs.Sink) error {
 				uk.Line = line
 				return uk
 			}
-			return &ParseError{Line: line, Truncated: lastLine(sc), Err: err}
+			// A failing line at input end is the best proxy for one cut off
+			// mid-write: the scanner strips a trailing newline either way.
+			return &ParseError{Line: line, Truncated: !sc.Scan(), Err: err}
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -128,12 +103,6 @@ func ReadStream(r io.Reader, sink obs.Sink) error {
 	}
 	return nil
 }
-
-// lastLine reports whether the scanner is at input end — i.e. the
-// failing line was the final one. bufio.Scanner strips the trailing
-// newline either way, so "final line" is the best proxy for "cut off
-// mid-write" without re-reading the source.
-func lastLine(sc *bufio.Scanner) bool { return !sc.Scan() }
 
 // kindHeader decodes only the discriminator, cheap relative to a full
 // record decode.
@@ -259,16 +228,24 @@ func openRun(path string) (f *os.File, isSummary bool, err error) {
 	return f, isSummary, nil
 }
 
-// readStreamFile decodes the metrics stream f, the file at path, into
-// sink. A truncated final line is tolerated: a stream cut off mid-write
-// keeps its prefix.
-func readStreamFile(path string, f *os.File, sink obs.Sink) error {
-	err := ReadStream(f, sink)
-	var pe *ParseError
-	if err != nil && !(errors.As(err, &pe) && pe.Truncated) {
-		return fmt.Errorf("%s: %w", path, err)
+// readRun decodes the run file at path into sink when it is a metrics
+// stream, tolerating a truncated final line (a stream cut off mid-write
+// keeps its prefix), and returns its contents when it is a RunSummary
+// JSON.
+func readRun(path string, sink obs.Sink) (summary []byte, err error) {
+	f, isSummary, err := openRun(path)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	defer f.Close()
+	if isSummary {
+		return io.ReadAll(f)
+	}
+	var pe *ParseError
+	if err := ReadStream(f, sink); err != nil && !(errors.As(err, &pe) && pe.Truncated) {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return nil, nil
 }
 
 // LoadRun reads a run from disk in either accepted format: a RunSummary
@@ -279,37 +256,21 @@ func readStreamFile(path string, f *os.File, sink obs.Sink) error {
 // other malformed line the typed error is returned alongside the summary
 // of the prefix.
 func LoadRun(path string, m Meta) (RunSummary, error) {
-	f, isSummary, err := openRun(path)
-	if err != nil {
-		return RunSummary{}, err
-	}
-	defer f.Close()
-	if isSummary {
-		b, err := io.ReadAll(f)
-		if err != nil {
-			return RunSummary{}, err
-		}
+	aggr := NewAggregator()
+	b, err := readRun(path, aggr)
+	if b != nil {
 		return readSummaryJSON(path, b)
 	}
-	aggr := NewAggregator()
-	err = readStreamFile(path, f, aggr)
 	return aggr.Summarize(m), err
 }
 
-// LoadStream reads a raw metrics JSONL stream and keeps every record,
-// for subcommands that need record-level data (fingerprint checkpoints,
-// packet events) which the aggregate RunSummary does not carry.
-// A summary JSON is rejected with a pointer at the right input; a
-// truncated final line is tolerated like LoadRun.
-func LoadStream(path string) (*Stream, error) {
-	f, isSummary, err := openRun(path)
-	if err != nil {
-		return nil, err
+// readStreamPath decodes the metrics stream at path into sink, for the
+// views that need records a RunSummary does not carry: a summary JSON is
+// rejected with a pointer at the right input.
+func readStreamPath(path string, sink obs.Sink) error {
+	b, err := readRun(path, sink)
+	if b != nil {
+		return fmt.Errorf("%s: is a RunSummary JSON; this command needs the raw metrics JSONL stream (pnetbench -metrics)", path)
 	}
-	defer f.Close()
-	if isSummary {
-		return nil, fmt.Errorf("%s: is a RunSummary JSON; this command needs the raw metrics JSONL stream (pnetbench -metrics)", path)
-	}
-	st := &Stream{}
-	return st, readStreamFile(path, f, st)
+	return err
 }

@@ -16,8 +16,32 @@ const goodStream = `{"type":"engine","net":0,"t_ps":10000000,"events":100,"heap"
 {"type":"pkt","net":0,"ev":"enqueue","t_ps":1280,"link":3,"plane":0,"flow":7,"seq":41,"size":1500}
 `
 
+// recorder is a test sink that keeps every record it is handed, by kind,
+// in arrival order.
+type recorder struct {
+	Links        []obs.LinkRecord
+	Planes       []obs.PlaneRecord
+	Engines      []obs.EngineRecord
+	Flows        []obs.FlowRecord
+	Solvers      []obs.SolverRecord
+	Faults       []obs.FaultRecord
+	Profiles     []obs.ProfileRecord
+	Fingerprints []obs.FingerprintRecord
+	Packets      []obs.PacketRecord
+}
+
+func (s *recorder) Link(r obs.LinkRecord)               { s.Links = append(s.Links, r) }
+func (s *recorder) Plane(r obs.PlaneRecord)             { s.Planes = append(s.Planes, r) }
+func (s *recorder) Engine(r obs.EngineRecord)           { s.Engines = append(s.Engines, r) }
+func (s *recorder) Flow(r obs.FlowRecord)               { s.Flows = append(s.Flows, r) }
+func (s *recorder) Solver(r obs.SolverRecord)           { s.Solvers = append(s.Solvers, r) }
+func (s *recorder) Fault(r obs.FaultRecord)             { s.Faults = append(s.Faults, r) }
+func (s *recorder) Profile(r obs.ProfileRecord)         { s.Profiles = append(s.Profiles, r) }
+func (s *recorder) Fingerprint(r obs.FingerprintRecord) { s.Fingerprints = append(s.Fingerprints, r) }
+func (s *recorder) Packet(r obs.PacketRecord)           { s.Packets = append(s.Packets, r) }
+
 func TestReadStreamAllKinds(t *testing.T) {
-	s := &Stream{}
+	s := &recorder{}
 	if err := ReadStream(strings.NewReader(goodStream), s); err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +65,7 @@ func TestReadStreamAllKinds(t *testing.T) {
 // set — not a panic, not silent loss.
 func TestReadStreamTruncatedFinalLine(t *testing.T) {
 	cut := goodStream[:len(goodStream)-30] // mid final record, no newline
-	s := &Stream{}
+	s := &recorder{}
 	err := ReadStream(strings.NewReader(cut), s)
 	var pe *ParseError
 	if !errors.As(err, &pe) {
@@ -62,7 +86,7 @@ func TestReadStreamTruncatedFinalLine(t *testing.T) {
 // surface as a typed *UnknownKindError with the decoded prefix intact.
 func TestReadStreamUnknownKind(t *testing.T) {
 	in := goodStream + `{"type":"warp","coil":9}` + "\n"
-	s := &Stream{}
+	s := &recorder{}
 	err := ReadStream(strings.NewReader(in), s)
 	var uk *UnknownKindError
 	if !errors.As(err, &uk) {
@@ -78,7 +102,7 @@ func TestReadStreamUnknownKind(t *testing.T) {
 
 func TestReadStreamEmpty(t *testing.T) {
 	for _, in := range []string{"", "\n\n  \n"} {
-		if err := ReadStream(strings.NewReader(in), &Stream{}); !errors.Is(err, ErrEmptyStream) {
+		if err := ReadStream(strings.NewReader(in), &recorder{}); !errors.Is(err, ErrEmptyStream) {
 			t.Fatalf("ReadStream(%q) err = %v, want ErrEmptyStream", in, err)
 		}
 	}
@@ -90,7 +114,7 @@ func TestReadStreamEmpty(t *testing.T) {
 func TestReadStreamGarbageMidFile(t *testing.T) {
 	in := `{"type":"flow","id":1,"fct_s":0.1}` + "\n" + `not json at all` + "\n" +
 		`{"type":"flow","id":2,"fct_s":0.2}` + "\n"
-	s := &Stream{}
+	s := &recorder{}
 	err := ReadStream(strings.NewReader(in), s)
 	var pe *ParseError
 	if !errors.As(err, &pe) {
@@ -124,7 +148,7 @@ func TestRoundTripWriterReader(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := &Stream{}
+	s := &recorder{}
 	if err := ReadStream(strings.NewReader(buf.String()), s); err != nil {
 		t.Fatal(err)
 	}

@@ -1,24 +1,24 @@
 package report
 
 import (
+	"bufio"
+	"encoding/json"
 	"fmt"
-	"sort"
+	"io"
+	"slices"
 
+	"pnet/internal/obs"
 	"pnet/internal/sim"
 )
 
-// Chrome Trace Event export: convert a telemetry JSONL stream into the
-// Trace Event JSON format that Perfetto (ui.perfetto.dev) and
-// chrome://tracing load natively, so the span timelines and
-// flight-recorder data of PR 6 get a real timeline viewer instead of
-// aggregate tables.
-//
-// Mapping (the ISSUE's contract): dataplanes become processes, flows
-// become tracks (threads) under a synthetic "hosts" process, and each
-// flow's latency-attribution components become child slices inside its
-// flow slice. Plane byte counters and engine heap depth ride along as
-// counter tracks; fault lifecycle events and traced packet events become
-// instants on their plane's process.
+// Chrome Trace Event export: a telemetry JSONL stream becomes the Trace
+// Event JSON that Perfetto (ui.perfetto.dev) and chrome://tracing load, so
+// span timelines and flight-recorder bins get a timeline viewer. Each
+// engine's dataplanes become processes; its flows become tracks (threads)
+// under its "hosts" process, each flow's latency-attribution components
+// child slices of its flow slice. Plane byte counters and engine heap
+// depth ride along as counter tracks; fault lifecycle events and traced
+// packet events become instants on their plane's process.
 //
 // Timestamps: the trace format's ts/dur are microseconds (doubles), so
 // picosecond sim times divide by 1e6. displayTimeUnit "ns" makes
@@ -45,211 +45,202 @@ type TraceEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// ChromeTrace is the JSON object format of the Trace Event spec (the
-// array format is just TraceEvents without the wrapper).
-type ChromeTrace struct {
-	TraceEvents     []TraceEvent `json:"traceEvents"`
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
+// netPlane names one Perfetto process: a plane of one engine, or with
+// plane -1 (no plane) the engine's hosts, which hold its flows' tracks.
+type netPlane struct {
+	net   int
+	plane int32
 }
-
-// hostPID is the synthetic process holding per-flow tracks; plane
-// processes are assigned from planeBasePID up in (net, plane) order.
-const (
-	hostPID      = 1
-	planeBasePID = 2
-)
 
 func psToUs(ps int64) float64 { return float64(ps) / 1e6 }
 
-// ExportTrace converts a decoded telemetry stream into a Chrome trace.
-// It needs a stream with flow records (pnetbench -metrics); span-enabled
-// runs (-spans) additionally get per-component child slices, profiled
-// runs (-spans implies sampling; -metrics with profile on) get
-// flight-recorder summary slices, and packet traces (-trace) become
-// per-packet instants.
-func ExportTrace(st *Stream) (*ChromeTrace, error) {
-	if len(st.Flows) == 0 && len(st.Planes) == 0 && len(st.Packets) == 0 && len(st.Profiles) == 0 {
-		return nil, fmt.Errorf("report: stream has no flows, plane samples, packets, or profile bins to export")
+// ExportTrace converts the metrics stream at path into a Chrome trace
+// written to w, and returns the number of trace events. Span-enabled runs
+// (-spans) get per-component child slices and flight-recorder summary
+// slices, packet traces (-trace) per-packet instants. Each record's events
+// are written as it is decoded, so memory does not grow with the stream;
+// the process names follow the events. A stream with nothing to export is
+// an error that leaves w untouched; one malformed mid-file (a typed
+// ReadStream error) leaves w holding an unfinished document.
+func ExportTrace(path string, w io.Writer) (int, error) {
+	t := &traceWriter{pids: map[netPlane]int64{}, w: bufio.NewWriterSize(w, 1<<16)}
+	if err := readStreamPath(path, t); err != nil {
+		return 0, err
 	}
-	tr := &ChromeTrace{DisplayTimeUnit: "ns"}
+	if t.n == 0 {
+		return 0, fmt.Errorf("report: %s has nothing to export: no timed flows, samples, faults, packets, or profile bins", path)
+	}
+	err := t.close() // names the processes, which raises t.n
+	return t.n, err
+}
 
-	// Assign one process per (net, plane) seen anywhere in the stream,
-	// in sorted order so the export is deterministic.
-	type netPlane struct {
-		net   int
-		plane int32
+// traceWriter is the exporting sink: it encodes each record's events into
+// the traceEvents array as the record arrives, numbering processes as
+// they are first used.
+type traceWriter struct {
+	discard
+	pids map[netPlane]int64
+	w    *bufio.Writer
+	n    int // events written
+	err  error
+}
+
+// emit appends one event to the array, opening the document with the
+// first; the first error sticks.
+func (t *traceWriter) emit(ev TraceEvent) {
+	if t.err != nil {
+		return
 	}
-	planeSet := map[netPlane]bool{}
-	nets := map[int]bool{}
-	for _, r := range st.Planes {
-		planeSet[netPlane{r.Net, r.Plane}] = true
-		nets[r.Net] = true
+	b, err := json.Marshal(ev)
+	if err != nil {
+		t.err = err
+		return
 	}
-	for _, r := range st.Links {
-		planeSet[netPlane{r.Net, r.Plane}] = true
-		nets[r.Net] = true
+	if t.n == 0 {
+		t.w.WriteString(`{"traceEvents":[`)
+	} else {
+		t.w.WriteByte(',')
 	}
-	for _, r := range st.Packets {
-		if r.Plane >= 0 {
-			planeSet[netPlane{r.Net, r.Plane}] = true
-			nets[r.Net] = true
-		}
+	t.w.Write(b)
+	t.n++
+}
+
+// close names the processes, with the net when the stream has more than
+// one engine, ends the document and flushes it, returning the first error.
+func (t *traceWriter) close() error {
+	keys := make([]netPlane, len(t.pids))
+	for k, pid := range t.pids {
+		keys[pid-1] = k
 	}
-	for _, r := range st.Profiles {
-		if r.Plane >= 0 {
-			planeSet[netPlane{r.Net, r.Plane}] = true
-			nets[r.Net] = true
-		}
-	}
-	keys := make([]netPlane, 0, len(planeSet))
-	for k := range planeSet {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].net != keys[j].net {
-			return keys[i].net < keys[j].net
-		}
-		return keys[i].plane < keys[j].plane
-	})
-	pids := map[netPlane]int64{}
+	multiNet := slices.ContainsFunc(keys, func(k netPlane) bool { return k.net != keys[0].net })
 	for i, k := range keys {
-		pid := planeBasePID + int64(i)
-		pids[k] = pid
 		name := fmt.Sprintf("plane %d", k.plane)
-		if len(nets) > 1 {
-			name = fmt.Sprintf("net %d plane %d", k.net, k.plane)
+		if k.plane < 0 {
+			name = "hosts (flows)"
 		}
-		tr.TraceEvents = append(tr.TraceEvents, TraceEvent{
-			Name: "process_name", Ph: "M", Pid: pid, Args: map[string]any{"name": name},
-		})
+		if multiNet {
+			name = fmt.Sprintf("net %d %s", k.net, name)
+		}
+		t.emit(TraceEvent{Name: "process_name", Ph: "M", Pid: int64(i + 1), Args: map[string]any{"name": name}})
 	}
-	tr.TraceEvents = append(tr.TraceEvents, TraceEvent{
-		Name: "process_name", Ph: "M", Pid: hostPID, Args: map[string]any{"name": "hosts (flows)"},
+	t.w.WriteString(`],"displayTimeUnit":"ns"}` + "\n")
+	if err := t.w.Flush(); t.err == nil {
+		t.err = err
+	}
+	return t.err
+}
+
+// pid is the process of plane in engine net, or with plane -1 (none) of
+// the engine's hosts.
+func (t *traceWriter) pid(net int, plane int32) int64 {
+	k := netPlane{net, max(plane, -1)}
+	p, ok := t.pids[k]
+	if !ok {
+		p = int64(len(t.pids) + 1)
+		t.pids[k] = p
+	}
+	return p
+}
+
+// Flow: one track (tid = flow ID) per flow under its engine's hosts
+// process, an X slice spanning the flow's lifetime, and child slices for
+// its attribution components. The flow interval is anchored at its
+// completion time (t_ps); its start is completion minus the exact span
+// total when spans are present, else minus the (float) FCT.
+func (t *traceWriter) Flow(f obs.FlowRecord) {
+	if f.TPs <= 0 {
+		return // older stream without completion timestamps
+	}
+	var durPs int64
+	for _, sp := range f.Spans {
+		durPs += sp.Ps
+	}
+	if durPs == 0 {
+		durPs = int64(f.FCT * 1e12)
+	}
+	startPs := max(f.TPs-durPs, 0)
+	pid := t.pid(f.Net, -1)
+	t.emit(TraceEvent{
+		Name: "thread_name", Ph: "M", Pid: pid, Tid: f.ID,
+		Args: map[string]any{"name": fmt.Sprintf("flow %d (%s)", f.ID, f.Transport)},
 	})
-
-	// Flows: one track (tid = flow ID) per flow under the hosts process,
-	// an X slice spanning the flow's lifetime, and child slices for its
-	// attribution components. The flow interval is anchored at its
-	// completion time (t_ps); its start is completion minus the exact
-	// span total when spans are present, else minus the (float) FCT.
-	for _, f := range st.Flows {
-		if f.TPs <= 0 {
-			continue // older stream without completion timestamps
-		}
-		var spanPs int64
+	t.emit(TraceEvent{
+		Name: fmt.Sprintf("flow %d", f.ID), Ph: "X", Cat: "flow",
+		Ts: psToUs(startPs), Dur: psToUs(durPs), Pid: pid, Tid: f.ID,
+		Args: map[string]any{
+			"bytes": f.Bytes, "fct_s": f.FCT, "retransmits": f.Retransmits,
+			"src": f.Src, "dst": f.Dst, "planes": f.Planes,
+		},
+	})
+	// Components partition [start, end) in canonical order: exact
+	// durations, synthetic chronology.
+	cursor := startPs
+	for _, name := range sim.SpanComponentNames() {
 		for _, sp := range f.Spans {
-			spanPs += sp.Ps
-		}
-		durPs := spanPs
-		if durPs == 0 {
-			durPs = int64(f.FCT * 1e12)
-		}
-		startPs := f.TPs - durPs
-		if startPs < 0 {
-			startPs = 0
-		}
-		tr.TraceEvents = append(tr.TraceEvents, TraceEvent{
-			Name: "thread_name", Ph: "M", Pid: hostPID, Tid: f.ID,
-			Args: map[string]any{"name": fmt.Sprintf("flow %d (%s)", f.ID, f.Transport)},
-		})
-		tr.TraceEvents = append(tr.TraceEvents, TraceEvent{
-			Name: fmt.Sprintf("flow %d", f.ID), Ph: "X", Cat: "flow",
-			Ts: psToUs(startPs), Dur: psToUs(durPs), Pid: hostPID, Tid: f.ID,
-			Args: map[string]any{
-				"bytes": f.Bytes, "fct_s": f.FCT, "retransmits": f.Retransmits,
-				"src": f.Src, "dst": f.Dst, "planes": f.Planes,
-			},
-		})
-		// Components partition [start, end) in canonical order: exact
-		// durations, synthetic chronology.
-		cursor := startPs
-		for _, name := range sim.SpanComponentNames() {
-			for _, sp := range f.Spans {
-				if sp.Component != name || sp.Ps <= 0 {
-					continue
-				}
-				tr.TraceEvents = append(tr.TraceEvents, TraceEvent{
-					Name: sp.Component, Ph: "X", Cat: "span",
-					Ts: psToUs(cursor), Dur: psToUs(sp.Ps), Pid: hostPID, Tid: f.ID,
-					Args: map[string]any{"plane": sp.Plane, "ps": sp.Ps, "chronology": "synthetic"},
-				})
-				cursor += sp.Ps
+			if sp.Component != name || sp.Ps <= 0 {
+				continue
 			}
+			t.emit(TraceEvent{
+				Name: sp.Component, Ph: "X", Cat: "span",
+				Ts: psToUs(cursor), Dur: psToUs(sp.Ps), Pid: pid, Tid: f.ID,
+				Args: map[string]any{"plane": sp.Plane, "ps": sp.Ps, "chronology": "synthetic"},
+			})
+			cursor += sp.Ps
 		}
 	}
+}
 
-	// Plane byte counters: cumulative tx_bytes per sample.
-	for _, r := range st.Planes {
-		tr.TraceEvents = append(tr.TraceEvents, TraceEvent{
-			Name: "tx_bytes", Ph: "C", Ts: psToUs(r.TPs),
-			Pid: pids[netPlane{r.Net, r.Plane}], Tid: 0,
-			Args: map[string]any{"bytes": r.TxBytes},
-		})
-	}
-	// Engine heap depth as a counter on the hosts process.
-	for _, r := range st.Engines {
-		tr.TraceEvents = append(tr.TraceEvents, TraceEvent{
-			Name: fmt.Sprintf("event heap (net %d)", r.Net), Ph: "C",
-			Ts: psToUs(r.TPs), Pid: hostPID, Tid: 0,
-			Args: map[string]any{"pending": r.HeapLen},
-		})
-	}
+// Plane: cumulative tx_bytes per sample, a counter on the plane.
+func (t *traceWriter) Plane(r obs.PlaneRecord) {
+	t.emit(TraceEvent{
+		Name: "tx_bytes", Ph: "C", Ts: psToUs(r.TPs), Pid: t.pid(r.Net, r.Plane),
+		Args: map[string]any{"bytes": r.TxBytes},
+	})
+}
 
-	// Fault lifecycle: instants on the affected plane's process (global
-	// scope so Perfetto draws a full-height marker), host process when
-	// the fault is not plane-specific.
-	for _, r := range st.Faults {
-		pid := int64(hostPID)
-		if r.Plane >= 0 {
-			if p, ok := pids[netPlane{r.Net, r.Plane}]; ok {
-				pid = p
-			}
-		}
-		tr.TraceEvents = append(tr.TraceEvents, TraceEvent{
-			Name: fmt.Sprintf("fault %s %s", r.Event, r.Target), Ph: "i", Cat: "fault",
-			Ts: psToUs(r.TPs), Pid: pid, Tid: 0, S: "g",
-			Args: map[string]any{"latency_s": r.LatencySec, "dip_frac": r.DipFrac},
-		})
-	}
+// Engine: heap depth, a counter on the engine's hosts.
+func (t *traceWriter) Engine(r obs.EngineRecord) {
+	t.emit(TraceEvent{
+		Name: fmt.Sprintf("event heap (net %d)", r.Net), Ph: "C",
+		Ts: psToUs(r.TPs), Pid: t.pid(r.Net, -1),
+		Args: map[string]any{"pending": r.HeapLen},
+	})
+}
 
-	// Packet events: per-packet instants on the process of the link's
-	// plane in the packet's own engine, one track per link. Dense, but
-	// Perfetto handles millions of events; -trace-flow keeps exports
-	// focused.
-	for _, r := range st.Packets {
-		pid := int64(hostPID)
-		if r.Plane >= 0 {
-			if p, ok := pids[netPlane{r.Net, r.Plane}]; ok {
-				pid = p
-			}
-		}
-		tr.TraceEvents = append(tr.TraceEvents, TraceEvent{
-			Name: fmt.Sprintf("%s flow %d", r.Ev, r.Flow), Ph: "i", Cat: "pkt",
-			Ts: psToUs(r.TPs), Pid: pid, Tid: r.Link, S: "t",
-			Args: map[string]any{"seq": r.Seq, "size": r.Size},
-		})
-	}
+// Fault: an instant on the affected plane's process (global scope, so
+// Perfetto draws a full-height marker), on the hosts when the fault is
+// not plane-specific.
+func (t *traceWriter) Fault(r obs.FaultRecord) {
+	t.emit(TraceEvent{
+		Name: fmt.Sprintf("fault %s %s", r.Event, r.Target), Ph: "i", Cat: "fault",
+		Ts: psToUs(r.TPs), Pid: t.pid(r.Net, r.Plane), S: "g",
+		Args: map[string]any{"latency_s": r.LatencySec, "dip_frac": r.DipFrac},
+	})
+}
 
-	// Flight-recorder bins: one full-span slice per (net, kind, plane)
-	// summarizing how many events of that kind the plane ran — the
-	// aggregate view on the same timeline. Tid is the kind index so the
-	// four kinds stack as four rows.
-	for _, r := range st.Profiles {
-		ki, ok := sim.ParseEventKind(r.Kind)
-		if !ok || r.SimPs <= 0 {
-			continue
-		}
-		pid := int64(hostPID)
-		if r.Plane >= 0 {
-			if p, ok := pids[netPlane{r.Net, r.Plane}]; ok {
-				pid = p
-			}
-		}
-		tr.TraceEvents = append(tr.TraceEvents, TraceEvent{
-			Name: fmt.Sprintf("%s ×%d", r.Kind, r.Events), Ph: "X", Cat: "profile",
-			Ts: 0, Dur: psToUs(r.SimPs), Pid: pid, Tid: 1000 + int64(ki),
-			Args: map[string]any{"events": r.Events, "wall_ns": r.WallNano},
-		})
+// Packet: an instant on the process of the link's plane in the packet's
+// own engine, one track per link. Dense, but Perfetto handles millions of
+// events; -trace-flow keeps exports focused.
+func (t *traceWriter) Packet(r obs.PacketRecord) {
+	t.emit(TraceEvent{
+		Name: fmt.Sprintf("%s flow %d", r.Ev, r.Flow), Ph: "i", Cat: "pkt",
+		Ts: psToUs(r.TPs), Pid: t.pid(r.Net, r.Plane), Tid: r.Link, S: "t",
+		Args: map[string]any{"seq": r.Seq, "size": r.Size},
+	})
+}
+
+// Profile: one full-span slice per (net, kind, plane) flight-recorder bin
+// summarizing how many events of that kind the plane ran — the aggregate
+// view on the same timeline. Tid is the kind index so the four kinds
+// stack as four rows.
+func (t *traceWriter) Profile(r obs.ProfileRecord) {
+	ki, ok := sim.ParseEventKind(r.Kind)
+	if !ok || r.SimPs <= 0 {
+		return
 	}
-	return tr, nil
+	t.emit(TraceEvent{
+		Name: fmt.Sprintf("%s ×%d", r.Kind, r.Events), Ph: "X", Cat: "profile",
+		Dur: psToUs(r.SimPs), Pid: t.pid(r.Net, r.Plane), Tid: 1000 + int64(ki),
+		Args: map[string]any{"events": r.Events, "wall_ns": r.WallNano},
+	})
 }

@@ -1,65 +1,75 @@
 package report
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"pnet/internal/obs"
 )
 
-// traceStream builds a small synthetic stream covering every record
+// traceStream writes a small synthetic stream covering every record
 // shape the exporter consumes: span-carrying flows, plane/engine
 // samples, faults, packets, and profile bins.
-func traceStream() *Stream {
-	return &Stream{
-		Flows: []obs.FlowRecord{
-			{ID: 1, TPs: 5_000_000, Transport: "tcp", Src: 0, Dst: 1, Bytes: 30000, FCT: 3e-6,
-				Planes: []int32{0, 1},
-				Spans: []obs.SpanShare{
-					{Component: "serialize", Plane: 0, Ps: 1_000_000},
-					{Component: "queue", Plane: 1, Ps: 2_000_000},
-				}},
-			{ID: 2, TPs: 9_000_000, Transport: "tcp", Src: 1, Dst: 0, Bytes: 1500, FCT: 2e-6},
-			{ID: 3, Transport: "tcp", Bytes: 10}, // no TPs: old stream, skipped
-		},
-		Planes: []obs.PlaneRecord{
-			{Net: 0, TPs: 1_000_000, Plane: 0, TxBytes: 1000},
-			{Net: 0, TPs: 2_000_000, Plane: 1, TxBytes: 500},
-		},
-		Engines: []obs.EngineRecord{{Net: 0, TPs: 1_000_000, Events: 10, HeapLen: 3}},
-		Faults: []obs.FaultRecord{
-			{Net: 0, TPs: 4_000_000, Event: "inject", Target: "link:2", Plane: 1},
-			{Net: 0, TPs: 6_000_000, Event: "detect", Target: "plane:1", Plane: -1, LatencySec: 2e-6},
-		},
-		Packets: []obs.PacketRecord{
-			{Net: 0, Ev: "enqueue", TPs: 100_000, Link: 2, Plane: 1, Flow: 1, Seq: 0, Size: 1500},
-		},
-		Profiles: []obs.ProfileRecord{
-			{Net: 0, Kind: "hop", Plane: 0, Events: 42, WallNano: 10, SimPs: 9_000_000},
-			{Net: 0, Kind: "timer", Plane: -1, Events: 7, WallNano: 5, SimPs: 9_000_000},
-		},
+func traceStream(t *testing.T) string {
+	return writeStream(t, func(s obs.Sink) {
+		s.Flow(obs.FlowRecord{Type: obs.KindFlow, ID: 1, TPs: 5_000_000, Transport: "tcp", Src: 0, Dst: 1, Bytes: 30000, FCT: 3e-6,
+			Planes: []int32{0, 1},
+			Spans: []obs.SpanShare{
+				{Component: "serialize", Plane: 0, Ps: 1_000_000},
+				{Component: "queue", Plane: 1, Ps: 2_000_000},
+			}})
+		s.Flow(obs.FlowRecord{Type: obs.KindFlow, ID: 2, TPs: 9_000_000, Transport: "tcp", Src: 1, Dst: 0, Bytes: 1500, FCT: 2e-6})
+		s.Flow(obs.FlowRecord{Type: obs.KindFlow, ID: 3, Transport: "tcp", Bytes: 10}) // no TPs: old stream, skipped
+		s.Plane(obs.PlaneRecord{Type: obs.KindPlane, Net: 0, TPs: 1_000_000, Plane: 0, TxBytes: 1000})
+		s.Plane(obs.PlaneRecord{Type: obs.KindPlane, Net: 0, TPs: 2_000_000, Plane: 1, TxBytes: 500})
+		s.Engine(obs.EngineRecord{Type: obs.KindEngine, Net: 0, TPs: 1_000_000, Events: 10, HeapLen: 3})
+		s.Fault(obs.FaultRecord{Type: obs.KindFault, Net: 0, TPs: 4_000_000, Event: "inject", Target: "link:2", Plane: 1})
+		s.Fault(obs.FaultRecord{Type: obs.KindFault, Net: 0, TPs: 6_000_000, Event: "detect", Target: "plane:1", Plane: -1, LatencySec: 2e-6})
+		s.Packet(obs.PacketRecord{Type: obs.KindPacket, Net: 0, Ev: "enqueue", TPs: 100_000, Link: 2, Plane: 1, Flow: 1, Seq: 0, Size: 1500})
+		s.Profile(obs.ProfileRecord{Type: obs.KindProfile, Net: 0, Kind: "hop", Plane: 0, Events: 42, WallNano: 10, SimPs: 9_000_000})
+		s.Profile(obs.ProfileRecord{Type: obs.KindProfile, Net: 0, Kind: "timer", Plane: -1, Events: 7, WallNano: 5, SimPs: 9_000_000})
+	})
+}
+
+// exportTrace runs ExportTrace on the stream at path and decodes what it
+// wrote, which must be one JSON document holding as many events as it
+// reports.
+func exportTrace(t *testing.T, path string) []TraceEvent {
+	t.Helper()
+	var buf bytes.Buffer
+	n, err := ExportTrace(path, &buf)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var doc struct {
+		TraceEvents []TraceEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("export is not valid JSON: %v", err)
+	}
+	if n != len(doc.TraceEvents) {
+		t.Errorf("ExportTrace reports %d events, wrote %d", n, len(doc.TraceEvents))
+	}
+	return doc.TraceEvents
 }
 
 // TestExportTraceSchema validates the export against the Chrome Trace
 // Event format: the wrapper object, the phase set this exporter emits,
 // metadata naming, and non-negative microsecond timestamps.
 func TestExportTraceSchema(t *testing.T) {
-	tr, err := ExportTrace(traceStream())
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := json.Marshal(tr)
-	if err != nil {
+	var raw bytes.Buffer
+	if _, err := ExportTrace(traceStream(t), &raw); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
 		TraceEvents []map[string]any `json:"traceEvents"`
 		Unit        string           `json:"displayTimeUnit"`
 	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
+	if err := json.Unmarshal(raw.Bytes(), &doc); err != nil {
 		t.Fatalf("export is not valid JSON: %v", err)
 	}
 	if doc.Unit != "ns" && doc.Unit != "ms" {
@@ -109,23 +119,40 @@ func TestExportTraceSchema(t *testing.T) {
 	}
 }
 
+// TestExportTraceEveryRecord: each record the exporter maps becomes its
+// events exactly once, whatever its kind.
+func TestExportTraceEveryRecord(t *testing.T) {
+	got := map[string]int{}
+	for _, ev := range exportTrace(t, traceStream(t)) {
+		got[ev.Ph+" "+ev.Cat]++
+	}
+	want := map[string]int{
+		"M ":        3 + 2, // the hosts and two planes, the two timed flows' tracks
+		"X flow":    2,
+		"X span":    2,
+		"X profile": 2,
+		"C ":        3, // two tx_bytes samples, one heap depth
+		"i fault":   2,
+		"i pkt":     1,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("events by phase and category = %v, want %v", got, want)
+	}
+}
+
 // TestExportTraceFlows pins the flow mapping: span children partition
 // the flow slice exactly, flows without spans fall back to the FCT, and
 // flows without completion timestamps are skipped.
 func TestExportTraceFlows(t *testing.T) {
-	tr, err := ExportTrace(traceStream())
-	if err != nil {
-		t.Fatal(err)
-	}
+	evs := exportTrace(t, traceStream(t))
 	var flow1 *TraceEvent
 	var children []TraceEvent
 	flowSlices := 0
-	for i := range tr.TraceEvents {
-		ev := tr.TraceEvents[i]
+	for i, ev := range evs {
 		if ev.Cat == "flow" {
 			flowSlices++
 			if ev.Tid == 1 {
-				flow1 = &tr.TraceEvents[i]
+				flow1 = &evs[i]
 			}
 		}
 		if ev.Cat == "span" && ev.Tid == 1 {
@@ -162,9 +189,16 @@ func TestExportTraceFlows(t *testing.T) {
 	}
 }
 
+// TestExportTraceEmpty: a stream with nothing to export is an error that
+// writes nothing.
 func TestExportTraceEmpty(t *testing.T) {
-	if _, err := ExportTrace(&Stream{}); err == nil {
-		t.Error("empty stream: want error")
+	nothing := writeStream(t, func(s obs.Sink) {
+		s.Solver(obs.SolverRecord{Type: obs.KindSolver, Exp: "fig7"})
+		s.Flow(obs.FlowRecord{Type: obs.KindFlow, ID: 3, Transport: "tcp", Bytes: 10}) // no TPs: no slice
+	})
+	var buf bytes.Buffer
+	if _, err := ExportTrace(nothing, &buf); err == nil || buf.Len() != 0 {
+		t.Errorf("stream with nothing to export: err %v, %d bytes written; want an error and none", err, buf.Len())
 	}
 }
 
@@ -172,16 +206,13 @@ func TestExportTraceEmpty(t *testing.T) {
 // process of its own engine's plane. Two engines' packets on the same
 // plane number land on two processes, one per net.
 func TestExportTracePacketsOnTheirNet(t *testing.T) {
-	tr, err := ExportTrace(&Stream{Packets: []obs.PacketRecord{
-		{Type: obs.KindPacket, Net: 0, Ev: "enqueue", TPs: 100_000, Link: 2, Plane: 1, Flow: 1, Size: 1500},
-		{Type: obs.KindPacket, Net: 1, Ev: "enqueue", TPs: 100_000, Link: 2, Plane: 1, Flow: 1, Size: 1500},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	evs := exportTrace(t, writeStream(t, func(s obs.Sink) {
+		s.Packet(obs.PacketRecord{Type: obs.KindPacket, Net: 0, Ev: "enqueue", TPs: 100_000, Link: 2, Plane: 1, Flow: 1, Size: 1500})
+		s.Packet(obs.PacketRecord{Type: obs.KindPacket, Net: 1, Ev: "enqueue", TPs: 100_000, Link: 2, Plane: 1, Flow: 1, Size: 1500})
+	}))
 	names := map[int64]string{}
 	var pids []int64
-	for _, ev := range tr.TraceEvents {
+	for _, ev := range evs {
 		switch {
 		case ev.Name == "process_name":
 			names[ev.Pid] = ev.Args["name"].(string)

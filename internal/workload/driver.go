@@ -283,6 +283,7 @@ func (d *Driver) completion(paths []graph.Path, sizeBytes int64, onComplete func
 	return func(f *tcp.Flow) {
 		d.Completed++
 		d.Obs.RecordFlow(obs.FlowRecord{
+			Net:         d.NetID,
 			ID:          f.ID,
 			TPs:         int64(f.Finished),
 			Transport:   "tcp",
