@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	pnetbench -list
+//	pnetbench
 //	pnetbench -exp fig6a
 //	pnetbench -exp all -scale full -seed 7
 //	pnetbench -exp fig10 -metrics m.jsonl -trace -trace-flow 3
@@ -62,7 +62,6 @@ import (
 	"pnet/internal/obs"
 	"pnet/internal/par"
 	"pnet/internal/report"
-	"pnet/internal/sim"
 )
 
 func main() {
@@ -76,8 +75,7 @@ type options struct {
 	metrics, report                               string
 	seed, fpEpoch                                 int64
 	workers                                       int
-	sample                                        time.Duration
-	list, timing, spans, fingerprint, trace       bool
+	timing, spans, fingerprint, trace             bool
 
 	// Resolved by validate.
 	toRun      []exp.Experiment // nil when no -exp was given
@@ -88,19 +86,13 @@ type options struct {
 // validate checks every flag and flag combination and resolves -exp,
 // -scale, -chaos and -trace-flow, all before run creates a file or starts
 // a server: a rejected command line leaves nothing behind. set holds the
-// flags that appeared on the command line (a zero -sample or
-// -fingerprint-epoch is an error only when given explicitly), args what
-// followed the flags.
+// flags that appeared on the command line (a zero -fingerprint-epoch is
+// an error only when given explicitly), args what followed the flags.
 func (o *options) validate(set map[string]bool, args []string) error {
 	if len(args) > 0 {
 		// Flag parsing stops at the first argument that is not a flag, so
 		// every flag after it would be silently dropped.
 		return fmt.Errorf("unexpected argument %q: pnetbench takes flags only (and -trace no file: its records go to -metrics)", args[0])
-	}
-	if set["sample"] && o.sample <= 0 {
-		// Silently falling back to the default would make the printed series
-		// lie about their cadence.
-		return fmt.Errorf("-sample must be positive, got %v", o.sample)
 	}
 	if set["fingerprint-epoch"] && o.fpEpoch <= 0 {
 		return fmt.Errorf("-fingerprint-epoch must be positive, got %d", o.fpEpoch)
@@ -115,9 +107,9 @@ func (o *options) validate(set map[string]bool, args []string) error {
 		return errors.New("-trace adds packet records to the metrics stream: add -metrics")
 	}
 	switch o.format {
-	case "table", "csv", "json":
+	case "table", "json":
 	default:
-		return fmt.Errorf("unknown -format %q (accepted: table, csv, json)", o.format)
+		return fmt.Errorf("unknown -format %q (accepted: table, json)", o.format)
 	}
 	if o.workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", o.workers)
@@ -160,7 +152,7 @@ func (o *options) validate(set map[string]bool, args []string) error {
 	default:
 		e, ok := exp.ByID(o.expID)
 		if !ok {
-			return fmt.Errorf("unknown experiment %q (use -list)", o.expID)
+			return fmt.Errorf("unknown experiment %q (pnetbench alone lists them)", o.expID)
 		}
 		o.toRun = []exp.Experiment{e}
 	}
@@ -180,28 +172,29 @@ func (o *options) validate(set map[string]bool, args []string) error {
 func run(args []string, stdout, stderr io.Writer) int {
 	var o options
 	fs := flag.NewFlagSet("pnetbench", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs.SetOutput(io.Discard) // a parse error is reported below, in one line
 	fs.StringVar(&o.expID, "exp", "", "experiment id to run, or 'all'")
 	fs.StringVar(&o.scale, "scale", "small", "small | full")
 	fs.Int64Var(&o.seed, "seed", 1, "random seed")
-	fs.BoolVar(&o.list, "list", false, "list experiments")
 	fs.BoolVar(&o.timing, "time", true, "print wall-clock time per experiment")
-	fs.StringVar(&o.format, "format", "table", "table | csv | json")
+	fs.StringVar(&o.format, "format", "table", "table | json")
 	fs.StringVar(&o.metrics, "metrics", "", "stream telemetry records as JSONL to this file ('-' = stdout)")
 	fs.BoolVar(&o.trace, "trace", false, "add packet lifecycle events to the -metrics stream; -trace-flow narrows them to chosen flows")
 	fs.StringVar(&o.traceFlow, "trace-flow", "", "comma-separated flow IDs to trace; other flows' events are dropped before a record is built (requires -trace)")
 	fs.BoolVar(&o.spans, "spans", false, "record latency attribution spans and the event-loop profile (pnetstat attribution / profile)")
 	fs.BoolVar(&o.fingerprint, "fingerprint", false, "fold every fired event into per-plane determinism hash chains (pnetstat fingerprint / divergence); needs -metrics or -report")
 	fs.Int64Var(&o.fpEpoch, "fingerprint-epoch", 0, "events per fingerprint checkpoint (0 = default 65536; 1 lets pnetstat divergence name the first divergent event); requires -fingerprint")
-	fs.DurationVar(&o.sample, "sample", 0, "sampling interval for -metrics/-report (default 10us of sim time)")
 	fs.StringVar(&o.report, "report", "", "write a RunSummary JSON for pnetstat to this file")
 	fs.StringVar(&o.chaos, "chaos", "", "fault script for -exp faults ('help' prints the syntax)")
 	fs.StringVar(&o.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	fs.IntVar(&o.workers, "workers", 0, "max concurrent sweep cells (0 = GOMAXPROCS, 1 = serial); results are identical either way")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(stderr)
+			fs.Usage()
 			return 0
 		}
+		fmt.Fprintf(stderr, "pnetbench: %v\n", err)
 		return 2
 	}
 	set := map[string]bool{}
@@ -211,20 +204,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Before the -list/empty-exp early return, so a bare
+	// Before the no-experiment early return, so a bare
 	// `pnetbench -chaos help` prints the syntax, not the experiment list.
 	if o.chaos == "help" {
 		fmt.Fprintln(stdout, chaos.SpecSyntax)
 		return 0
 	}
-	if o.list || o.toRun == nil {
+	if o.toRun == nil {
 		fmt.Fprintln(stdout, "experiments:")
 		for _, e := range exp.All() {
 			fmt.Fprintf(stdout, "  %-8s %s\n", e.ID, e.Title)
 		}
-		if !o.list {
-			fmt.Fprintln(stdout, "\nrun one with -exp <id>, or -exp all")
-		}
+		fmt.Fprintln(stdout, "\nrun one with -exp <id>, or -exp all")
 		return 0
 	}
 
@@ -249,9 +240,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}()
 	if o.metrics != "" || o.report != "" || o.spans || o.fingerprint {
 		collector = obs.NewCollector()
-		if o.sample > 0 {
-			collector.Interval = sim.Time(o.sample.Nanoseconds()) * sim.Nanosecond
-		}
 		collector.Spans = o.spans
 		collector.Fingerprint = o.fingerprint
 		collector.FingerprintEpoch = o.fpEpoch
@@ -288,12 +276,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	effWorkers := par.Limit()
 	fmt.Fprintf(stderr, "pnetbench: exp=%s scale=%s seed=%d workers=%d gomaxprocs=%d\n",
 		o.expID, o.params.Scale, o.seed, effWorkers, runtime.GOMAXPROCS(0))
-	if collector != nil {
-		// The effective sampling cadence, so nobody has to
-		// reverse-engineer it from the t_ps deltas in the stream.
-		fmt.Fprintf(stderr, "pnetbench: telemetry sampling every %v of sim time (doubles every 4096 ticks)\n",
-			collector.EffectiveInterval())
-	}
 
 	runStart := time.Now()
 	for _, e := range o.toRun {
@@ -301,14 +283,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		table := e.Run(o.params)
 		elapsed := time.Since(start)
 		switch o.format {
-		case "csv":
-			fmt.Fprintf(stdout, "# %s: %s\n%s", table.ID, table.Title, table.CSV())
-			if o.timing {
-				// Trailing comment row keeps the CSV parseable while
-				// preserving the timing line.
-				fmt.Fprintf(stdout, "# %s in %v at scale %s\n", e.ID, elapsed.Round(time.Millisecond), o.params.Scale)
-			}
-			fmt.Fprintln(stdout)
 		case "json":
 			fmt.Fprintln(stdout, table.JSON(elapsed.Seconds()))
 		default:

@@ -76,10 +76,10 @@ func TestValidateFingerprintFlags(t *testing.T) {
 }
 
 func TestValidateFormat(t *testing.T) {
-	const accepted = "table, csv, json"
+	const accepted = "table, json"
 	checkCommandLines(t, []commandLine{
 		{name: "table", args: "-format table"},
-		{name: "csv", args: "-format csv"},
+		{name: "csv", args: "-format csv", wantErr: accepted},
 		{name: "json", args: "-format json"},
 		{name: "xml", args: "-exp table1 -format xml -metrics DIR/m.jsonl", wantErr: accepted},
 		{name: "upper case", args: "-exp table1 -format JSON -metrics DIR/m.jsonl", wantErr: accepted},
@@ -100,7 +100,8 @@ func TestValidateBeforeSideEffects(t *testing.T) {
 		{name: "bad trace-flow", args: "-exp table1 -trace-flow 1,x" + outputs, wantErr: `-trace-flow: bad flow id "x"`},
 		{name: "empty trace-flow list", args: "-exp table1 -trace-flow ,," + outputs, wantErr: "-trace-flow: no flow ids"},
 		{name: "trace-flow without trace", args: "-exp table1 -trace-flow 1 -metrics DIR/m.jsonl", wantErr: "-trace-flow requires -trace"},
-		{name: "zero sample", args: "-exp table1 -sample 0s" + outputs, wantErr: "-sample must be positive"},
+		{name: "zero sample", args: "-exp table1 -sample 0s" + outputs, wantErr: "flag provided but not defined: -sample"},
+		{name: "sample interval", args: "-sample 1us", wantErr: "flag provided but not defined: -sample"},
 		{name: "bad chaos script", args: "-exp table1 -chaos nonsense" + outputs, wantErr: "chaos"},
 		{name: "chaos recovery past sim time", args: "-exp faults -chaos link:0@2000h+2000h" + outputs, wantErr: "beyond sim time's range"},
 		{name: "chaos flap past sim time", args: "-exp faults -chaos flap:0@2000h*3/2000h" + outputs, wantErr: "beyond sim time's range"},
@@ -126,6 +127,7 @@ func TestValidateBeforeSideEffects(t *testing.T) {
 		{name: "trace file of old", args: "-trace DIR/t.jsonl -exp fig6c", wantErr: "-trace no file"},
 		{name: "trace without metrics", args: "-exp table1 -trace -report DIR/r.json", wantErr: "-trace adds packet records to the metrics stream"},
 		{name: "trace with metrics", args: "-trace -trace-flow 3 -metrics DIR/m.jsonl"},
-		{name: "unknown experiment with -list", args: "-list -exp nosuch", wantErr: "unknown experiment"},
+		{name: "unknown experiment with -list", args: "-list -exp nosuch", wantErr: "flag provided but not defined: -list"},
+		{name: "list flag", args: "-list", wantErr: "flag provided but not defined: -list"},
 	})
 }

@@ -219,7 +219,8 @@ func TestExportTraceFlowTracks(t *testing.T) {
 }
 
 // TestExportTraceNothingToExport: a stream with nothing to export is exit
-// 2, and with -o it leaves no file behind.
+// 2, and with -o it leaves no file behind and any file already there as
+// it was.
 func TestExportTraceNothingToExport(t *testing.T) {
 	dir := t.TempDir()
 	m := filepath.Join(dir, "solver.jsonl")
@@ -232,5 +233,21 @@ func TestExportTraceNothingToExport(t *testing.T) {
 	}
 	if left, _ := filepath.Glob(filepath.Join(dir, "*trace*")); len(left) != 0 {
 		t.Errorf("a failed export left %v behind", left)
+	}
+
+	// A file already at -o survives a failed export whole, and no
+	// temporary file is left beside it.
+	old := filepath.Join(dir, "old-trace.json")
+	if err := os.WriteFile(old, []byte("an earlier export\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := run2(t, []string{"export-trace", "-o", old, m}, &out, &errb); code != 2 {
+		t.Fatalf("export-trace over an existing file exited %d, want 2", code)
+	}
+	if b, err := os.ReadFile(old); err != nil || string(b) != "an earlier export\n" {
+		t.Errorf("the file at -o after a failed export: %q, %v; want it unchanged", b, err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*trace*")); len(left) != 1 {
+		t.Errorf("after a failed export over %s the directory holds %v", old, left)
 	}
 }

@@ -6,8 +6,8 @@
 // `pnetstat help` lists the subcommands and their flags.
 //
 // <run>, <base>, and <cur> accept either a RunSummary JSON (written by
-// `pnetbench -report` or by `pnetstat summary -o`) or a raw metrics
-// JSONL stream (`pnetbench -metrics`), auto-detected. Every subcommand
+// `pnetbench -report`, or `pnetstat summary -json` of a stream) or a raw
+// metrics JSONL stream (`pnetbench -metrics`), auto-detected. Every subcommand
 // decodes a stream line by line into a sink that keeps only what its view
 // needs, so memory does not grow with the file: the summary views into
 // the aggregator `-report` uses, whose summary is the one `-report` writes
@@ -22,11 +22,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -40,9 +42,9 @@ func main() {
 const usage = `usage: pnetstat <command> [flags] <file...>
 
 commands:
-  summary [-json] [-o out.json] <run>
+  summary [-json] <run>
       print a run summary (FCT percentiles, plane shares, solver/engine
-      stats); -o writes the summary JSON
+      stats); -json prints the RunSummary JSON pnetbench -report writes
   attribution [-json] <run>
       print the latency attribution tables: where every second of FCT
       went (queueing, serialization, propagation, RTO stalls, repath
@@ -104,6 +106,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 }
 
+// newFlagSet is a subcommand's flag set. It prints nothing: a bad command
+// line is reported by badUsage, in one line.
+func newFlagSet(name string) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return fs
+}
+
+// badUsage reports a bad command line in one line, the parse error (if
+// any) ahead of the subcommand's usage, and returns the usage exit code.
+func badUsage(stderr io.Writer, err error, usage string) int {
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(stderr, "pnetstat: %v; usage: %s\n", err, usage)
+	} else {
+		fmt.Fprintf(stderr, "usage: %s\n", usage)
+	}
+	return 2
+}
+
 // loadRun reads a run file, tolerating nothing the library does not;
 // errors go to stderr with exit code 2 semantics handled by callers.
 func loadRun(path string, stderr io.Writer) (report.RunSummary, bool) {
@@ -116,13 +137,10 @@ func loadRun(path string, stderr io.Writer) (report.RunSummary, bool) {
 }
 
 func runSummary(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("summary", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := newFlagSet("summary")
 	asJSON := fs.Bool("json", false, "print the summary as JSON instead of text")
-	out := fs.String("o", "", "also write the summary JSON to this file")
-	if fs.Parse(args) != nil || fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: pnetstat summary [-json] [-o out.json] <run>")
-		return 2
+	if err := fs.Parse(args); err != nil || fs.NArg() != 1 {
+		return badUsage(stderr, err, "pnetstat summary [-json] <run>")
 	}
 	s, ok := loadRun(fs.Arg(0), stderr)
 	if !ok {
@@ -130,17 +148,6 @@ func runSummary(args []string, stdout, stderr io.Writer) int {
 	}
 	if s.Created == "" {
 		s.Created = time.Now().UTC().Format(time.RFC3339)
-	}
-	if *out != "" {
-		b, err := json.MarshalIndent(s, "", "  ")
-		if err != nil {
-			fmt.Fprintf(stderr, "pnetstat: %v\n", err)
-			return 2
-		}
-		if err := os.WriteFile(*out, append(b, '\n'), 0o644); err != nil {
-			fmt.Fprintf(stderr, "pnetstat: %v\n", err)
-			return 2
-		}
 	}
 	if *asJSON {
 		b, _ := json.MarshalIndent(s, "", "  ")
@@ -155,12 +162,10 @@ func runSummary(args []string, stdout, stderr io.Writer) int {
 // with -json the JSON of its part. A view that is not ok is missing from
 // the run: a usage error naming the pnetbench flag that records it.
 func runView(name string, args []string, stdout, stderr io.Writer, view func(report.RunSummary) (part any, text string, ok bool)) int {
-	fs := flag.NewFlagSet(name, flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := newFlagSet(name)
 	asJSON := fs.Bool("json", false, "print the "+name+" summary as JSON instead of text")
-	if fs.Parse(args) != nil || fs.NArg() != 1 {
-		fmt.Fprintf(stderr, "usage: pnetstat %s [-json] <run>\n", name)
-		return 2
+	if err := fs.Parse(args); err != nil || fs.NArg() != 1 {
+		return badUsage(stderr, err, "pnetstat "+name+" [-json] <run>")
 	}
 	s, ok := loadRun(fs.Arg(0), stderr)
 	if !ok {
@@ -203,12 +208,10 @@ func fingerprintView(s report.RunSummary) (any, string, bool) {
 }
 
 func runDivergence(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("divergence", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := newFlagSet("divergence")
 	k := fs.Int("k", 5, "context window: checkpoints printed either side of the divergence")
-	if fs.Parse(args) != nil || fs.NArg() != 2 || *k < 0 {
-		fmt.Fprintln(stderr, "usage: pnetstat divergence [-k 5] <base> <cur> (k ≥ 0)")
-		return 2
+	if err := fs.Parse(args); err != nil || fs.NArg() != 2 || *k < 0 {
+		return badUsage(stderr, err, "pnetstat divergence [-k 5] <base> <cur> (k ≥ 0)")
 	}
 	d, err := report.FindDivergence(fs.Arg(0), fs.Arg(1), *k)
 	if err != nil {
@@ -223,12 +226,10 @@ func runDivergence(args []string, stdout, stderr io.Writer) int {
 }
 
 func runExportTrace(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("export-trace", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := newFlagSet("export-trace")
 	out := fs.String("o", "", "write the trace JSON to this file instead of stdout")
-	if fs.Parse(args) != nil || fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: pnetstat export-trace [-o trace.json] <metrics.jsonl>")
-		return 2
+	if err := fs.Parse(args); err != nil || fs.NArg() != 1 {
+		return badUsage(stderr, err, "pnetstat export-trace [-o trace.json] <metrics.jsonl>")
 	}
 	if *out == "" {
 		if _, err := report.ExportTrace(fs.Arg(0), stdout); err != nil {
@@ -237,17 +238,21 @@ func runExportTrace(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	f, err := os.Create(*out)
+	// The trace goes to a temporary file beside -o, renamed over it only
+	// once complete: a failed export leaves no partial file and whatever
+	// was at -o before as it was.
+	f, err := os.CreateTemp(filepath.Dir(*out), filepath.Base(*out)+".*.tmp")
 	if err != nil {
 		fmt.Fprintf(stderr, "pnetstat: %v\n", err)
 		return 2
 	}
 	n, err := report.ExportTrace(fs.Arg(0), f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	err = errors.Join(err, f.Chmod(0o644), f.Close())
+	if err == nil {
+		err = os.Rename(f.Name(), *out)
 	}
 	if err != nil {
-		os.Remove(*out) // no partial file
+		os.Remove(f.Name())
 		fmt.Fprintf(stderr, "pnetstat: %v\n", err)
 		return 2
 	}
@@ -256,12 +261,10 @@ func runExportTrace(args []string, stdout, stderr io.Writer) int {
 }
 
 func runDiff(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := newFlagSet("diff")
 	rel := fs.Float64("threshold", 0, "relative worsening allowed on gated metrics (default 0.10)")
-	if fs.Parse(args) != nil || fs.NArg() != 2 || math.IsNaN(*rel) || *rel < 0 {
-		fmt.Fprintln(stderr, "usage: pnetstat diff [-threshold 0.1] <base> <cur> (threshold ≥ 0; 0 selects 0.1)")
-		return 2
+	if err := fs.Parse(args); err != nil || fs.NArg() != 2 || math.IsNaN(*rel) || *rel < 0 {
+		return badUsage(stderr, err, "pnetstat diff [-threshold 0.1] <base> <cur> (threshold ≥ 0; 0 selects 0.1)")
 	}
 	base, ok := loadRun(fs.Arg(0), stderr)
 	if !ok {

@@ -173,16 +173,22 @@ func TestUsageErrors(t *testing.T) {
 		}
 	}
 
-	// The retired benchmark trajectory: its subcommands are unknown
-	// commands and its flags undefined, not accepted and ignored.
+	// Retired subcommands and flags (the benchmark trajectory's, summary's
+	// -o) are unknown commands and undefined flags, not accepted and
+	// ignored; an undefined flag is named in one line.
 	run := writeRun(t, t.TempDir(), "r.json", testSummary())
 	for _, args := range [][]string{
 		{"gate", run}, {"baseline", run}, {"summary", "-gobench", "x", run}, {"diff", "-gate-wall", run, run},
+		{"summary", "-o", filepath.Join(dir, "x.json"), run},
 	} {
 		errb.Reset()
-		if code := run2(t, args, &out, &errb); code != 2 ||
-			!strings.Contains(errb.String(), "unknown command") && !strings.Contains(errb.String(), "flag provided but not defined") {
-			t.Errorf("%v exited %d, stderr %q", args, code, errb.String())
+		code := run2(t, args, &out, &errb)
+		msg := errb.String()
+		if code != 2 || !strings.Contains(msg, "unknown command") && !strings.Contains(msg, "flag provided but not defined") {
+			t.Errorf("%v exited %d, stderr %q", args, code, msg)
+		}
+		if args[0] != "gate" && args[0] != "baseline" && strings.Count(msg, "\n") != 1 {
+			t.Errorf("%v: stderr %q, want one line", args, msg)
 		}
 	}
 }

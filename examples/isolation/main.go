@@ -59,6 +59,10 @@ func main() {
 		if err != nil {
 			log.Printf("%s: %v (reporting completed samples)", name, err)
 		}
+		if len(samples) == 0 {
+			fmt.Printf("%-18s stall: no RPC completed\n", name)
+			return
+		}
 		s := metrics.Summarize(samples)
 		fmt.Printf("%-18s rpc median %8.2fus   p99 %10.2fus\n",
 			name, s.Median*1e6, s.P99*1e6)

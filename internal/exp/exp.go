@@ -141,30 +141,6 @@ func (t Table) String() string {
 	return b.String()
 }
 
-// CSV renders the table as RFC-4180-ish CSV (quotes around cells that
-// contain commas or quotes), for piping into plotting tools — the role
-// the original artifact's CSV intermediates played.
-func (t Table) CSV() string {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			b.WriteString(c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Header)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	return b.String()
-}
-
 // JSON renders the table as a single JSON object, including the
 // elapsed wall-clock seconds, for machine consumers of -format json.
 func (t Table) JSON(elapsedSec float64) string {

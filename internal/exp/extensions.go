@@ -115,7 +115,7 @@ func ndpIncast(tp *topo.Topology, fanIn int, p Params) []string {
 		stalled := false
 		for _, s := range perm[1 : 1+fanIn] {
 			paths := pn.HighThroughputPaths(tp.Hosts[s], receiver, 4)
-			f, err := ndp.NewFlow(net, ndp.Config{}, paths, 256_000)
+			f, err := ndp.NewFlow(net, paths, 256_000)
 			if err != nil {
 				stalled = true
 				break
@@ -161,7 +161,7 @@ func runIsolation(p Params) Table {
 	// closed-loop 10 MB flows from a subset of hosts. Compare the RPC
 	// tail with and without plane isolation, and against an unloaded
 	// network.
-	runRPC := func(d *workload.Driver, sel workload.Selection) metrics.Summary {
+	runRPC := func(d *workload.Driver, sel workload.Selection) []float64 {
 		samples, _ := workload.RunRPC(d, workload.RPCConfig{
 			ReqBytes: 1500, RespBytes: 1500,
 			Rounds: rounds, LoopsPerHost: 1,
@@ -169,9 +169,11 @@ func runIsolation(p Params) Table {
 			Seed:     p.Seed,
 			Deadline: sim.Second,
 		})
-		return metrics.Summarize(samples)
+		return samples
 	}
-	startBulk := func(d *workload.Driver, sel workload.Selection) {
+	// startBulk starts the bulk loops; the first flow that cannot start,
+	// at once or when its loop comes round again, ends up in *bulkErr.
+	startBulk := func(d *workload.Driver, sel workload.Selection, bulkErr *error) {
 		hosts := d.PNet.Topo.Hosts
 		for h := 0; h < bulkHosts; h++ {
 			for l := 0; l < 2; l++ {
@@ -183,8 +185,8 @@ func runIsolation(p Params) Table {
 				src, dstN := hosts[h], hosts[dst]
 				loop = func() {
 					_, err := d.StartFlow(src, dstN, 10_000_000, sel, nil, func(*tcp.Flow) { loop() })
-					if err != nil {
-						panic(err)
+					if err != nil && *bulkErr == nil {
+						*bulkErr = err
 					}
 				}
 				loop()
@@ -202,33 +204,47 @@ func runIsolation(p Params) Table {
 
 	// Three independent scenario cells against the shared read-only
 	// topology; the "vs unloaded" column needs the baseline's P99, so
-	// rows are assembled after the join.
-	scenarios := make([]metrics.Summary, 3)
+	// rows are assembled after the join. A cell whose RPCs all failed, or
+	// whose bulk tenant could not start a flow, stalls (nil).
+	scenarios := make([]*metrics.Summary, 3)
 	par.Do(3, func(i int) {
+		d := p.newDriver(tp, sim.Config{}, tcp.Config{})
+		ecmp := workload.Selection{Policy: workload.ECMP}
+		var samples []float64
+		var bulkErr error
 		switch i {
 		case 0: // baseline: unloaded network
-			d := p.newDriver(tp, sim.Config{}, tcp.Config{})
-			scenarios[0] = runRPC(d, workload.Selection{Policy: workload.ECMP})
+			samples = runRPC(d, ecmp)
 		case 1: // shared: both tenants over all four planes
-			d := p.newDriver(tp, sim.Config{}, tcp.Config{})
-			startBulk(d, workload.Selection{Policy: workload.ECMP})
-			scenarios[1] = runRPC(d, workload.Selection{Policy: workload.ECMP})
+			startBulk(d, ecmp, &bulkErr)
+			samples = runRPC(d, ecmp)
 		case 2: // isolated: bulk pinned to planes {0,1}, RPCs to {2,3}
-			d := p.newDriver(tp, sim.Config{}, tcp.Config{})
 			if err := d.PNet.SetClass("bulk", []int{0, 1}); err != nil {
 				panic(err)
 			}
 			if err := d.PNet.SetClass("latency", []int{2, 3}); err != nil {
 				panic(err)
 			}
-			startBulk(d, workload.Selection{Policy: workload.ECMP, Class: "bulk"})
-			scenarios[2] = runRPC(d, workload.Selection{Policy: workload.ECMP, Class: "latency"})
+			startBulk(d, workload.Selection{Policy: workload.ECMP, Class: "bulk"}, &bulkErr)
+			samples = runRPC(d, workload.Selection{Policy: workload.ECMP, Class: "latency"})
+		}
+		if len(samples) > 0 && bulkErr == nil {
+			s := metrics.Summarize(samples)
+			scenarios[i] = &s
 		}
 	})
-	base, shared, iso := scenarios[0], scenarios[1], scenarios[2]
-	t.Rows = append(t.Rows, []string{"unloaded", secs(base.Median), secs(base.P99), f2(1.0)})
-	t.Rows = append(t.Rows, []string{"shared planes", secs(shared.Median), secs(shared.P99), f2(shared.P99 / base.P99)})
-	t.Rows = append(t.Rows, []string{"isolated planes", secs(iso.Median), secs(iso.P99), f2(iso.P99 / base.P99)})
+	base := scenarios[0]
+	for i, name := range []string{"unloaded", "shared planes", "isolated planes"} {
+		s := scenarios[i]
+		switch {
+		case s == nil:
+			t.Rows = append(t.Rows, []string{name, "stall", "", ""})
+		case base == nil:
+			t.Rows = append(t.Rows, []string{name, secs(s.Median), secs(s.P99), ""})
+		default:
+			t.Rows = append(t.Rows, []string{name, secs(s.Median), secs(s.P99), f2(s.P99 / base.P99)})
+		}
+	}
 	return t
 }
 

@@ -212,7 +212,6 @@ func runTraceFCT(id string, cdf traces.SizeCDF, speed float64, topoKind string, 
 			SizeCap:      sizeCap,
 			Sel:          n.sel,
 			Seed:         p.Seed,
-			Deadline:     300 * sim.Second,
 		})
 		if err != nil {
 			rows[i] = []string{n.name, "stall", "", "", ""}

@@ -27,7 +27,6 @@ func runFig12(p Params) Table {
 		Concurrency: 4,
 		Sel:         workload.Selection{Policy: workload.ECMP},
 		Seed:        p.Seed,
-		Deadline:    300 * sim.Second,
 	}
 	if p.Scale == ScaleFull {
 		sw, deg, hps = 64, 7, 4 // 256 hosts ≈ the paper's 250-host cluster

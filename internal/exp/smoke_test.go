@@ -1,9 +1,6 @@
 package exp
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // Smoke tests for the cheap experiments: each must produce a well-formed
 // table with the expected networks/rows. The expensive packet-simulation
@@ -50,27 +47,6 @@ func TestFig6bExperiment(t *testing.T) {
 	}
 	if par8 := tab.Rows[3][1]; par8 >= "3" {
 		t.Errorf("parallel 8x permutation = %s, want < 3 (ECMP can't exploit planes)", par8)
-	}
-}
-
-func TestCSVOutput(t *testing.T) {
-	tab := Table{
-		Header: []string{"a", "b"},
-		Rows:   [][]string{{"x,y", `q"z`}, {"plain", "2"}},
-	}
-	csv := tab.CSV()
-	lines := strings.Split(strings.TrimSpace(csv), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("csv lines = %d", len(lines))
-	}
-	if lines[0] != "a,b" {
-		t.Errorf("header = %q", lines[0])
-	}
-	if lines[1] != `"x,y","q""z"` {
-		t.Errorf("quoted row = %q", lines[1])
-	}
-	if lines[2] != "plain,2" {
-		t.Errorf("plain row = %q", lines[2])
 	}
 }
 

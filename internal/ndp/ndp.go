@@ -32,32 +32,17 @@ const (
 	// packets; NDP rarely needs it because trimming converts data loss
 	// into prompt NACKs.
 	rtxTimeout = 4 * sim.Millisecond
+	// mtu is the data packet size in bytes.
+	mtu = 1500
+	// initWindow is the unsolicited first window in packets, roughly one
+	// BDP of the paper's 100 G / few-µs fabric.
+	initWindow = 12
 )
-
-// Config holds NDP parameters. The zero value selects the defaults.
-type Config struct {
-	// MTU is the data packet size (default 1500).
-	MTU int32
-	// InitWindow is the unsolicited first window in packets (default 12,
-	// roughly one BDP of the paper's 100 G / few-µs fabric).
-	InitWindow int
-}
-
-func (c Config) withDefaults() Config {
-	if c.MTU == 0 {
-		c.MTU = 1500
-	}
-	if c.InitWindow == 0 {
-		c.InitWindow = 12
-	}
-	return c
-}
 
 // Flow is one NDP transfer: SizePkts MTU packets sprayed over the given
 // paths.
 type Flow struct {
 	net *sim.Network
-	cfg Config
 
 	// ID labels the flow in packet traces (sim.Packet.FlowID); assign
 	// before Start for per-flow telemetry.
@@ -114,8 +99,7 @@ const (
 )
 
 // NewFlow prepares an NDP transfer over the given paths.
-func NewFlow(net *sim.Network, cfg Config, paths []graph.Path, sizeBytes int64) (*Flow, error) {
-	cfg = cfg.withDefaults()
+func NewFlow(net *sim.Network, paths []graph.Path, sizeBytes int64) (*Flow, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("ndp: flow needs at least one path")
 	}
@@ -124,8 +108,7 @@ func NewFlow(net *sim.Network, cfg Config, paths []graph.Path, sizeBytes int64) 
 	}
 	f := &Flow{
 		net:      net,
-		cfg:      cfg,
-		SizePkts: (sizeBytes + int64(cfg.MTU) - 1) / int64(cfg.MTU),
+		SizePkts: (sizeBytes + mtu - 1) / mtu,
 	}
 	src, dst := paths[0].Src(net.G), paths[0].Dst(net.G)
 	for i, p := range paths {
@@ -148,7 +131,7 @@ func NewFlow(net *sim.Network, cfg Config, paths []graph.Path, sizeBytes int64) 
 // Start sprays the initial window.
 func (f *Flow) Start() {
 	f.Started = f.net.Eng.Now()
-	w := int64(f.cfg.InitWindow)
+	w := int64(initWindow)
 	if w > f.SizePkts {
 		w = f.SizePkts
 	}
@@ -178,7 +161,7 @@ func (f *Flow) sendNext() {
 		return
 	}
 	p := f.net.NewPacket()
-	p.Size = f.cfg.MTU
+	p.Size = mtu
 	p.Route = f.fwd[f.sprayRR]
 	p.Deliver = f.dataH
 	p.Seq = seq
@@ -274,7 +257,7 @@ func (f *Flow) onRTx() {
 	f.inflight = 0
 	f.rtxQueue = f.rtxQueue[:0]
 	resent := 0
-	for seq := int64(0); seq < f.nextNew && resent < f.cfg.InitWindow; seq++ {
+	for seq := int64(0); seq < f.nextNew && resent < initWindow; seq++ {
 		if !f.has(seq) {
 			f.rtxQueue = append(f.rtxQueue, seq)
 			resent++

@@ -33,11 +33,11 @@ func star(hosts int) (*graph.Graph, graph.NodeID) {
 func TestNDPValidation(t *testing.T) {
 	g, _ := star(2)
 	_, net := ndpNet(g)
-	if _, err := NewFlow(net, Config{}, nil, 1000); err == nil {
+	if _, err := NewFlow(net, nil, 1000); err == nil {
 		t.Error("no error for empty paths")
 	}
 	p, _ := graph.ShortestPath(g, 0, 1)
-	if _, err := NewFlow(net, Config{}, []graph.Path{p}, 0); err == nil {
+	if _, err := NewFlow(net, []graph.Path{p}, 0); err == nil {
 		t.Error("no error for zero size")
 	}
 }
@@ -46,7 +46,7 @@ func TestNDPSingleTransfer(t *testing.T) {
 	g, _ := star(2)
 	eng, net := ndpNet(g)
 	p, _ := graph.ShortestPath(g, 0, 1)
-	f, err := NewFlow(net, Config{}, []graph.Path{p}, 1_500_000)
+	f, err := NewFlow(net, []graph.Path{p}, 1_500_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestNDPSpraysAcrossPlanes(t *testing.T) {
 	eng := sim.NewEngine()
 	net := sim.NewNetwork(eng, tp.G, sim.Config{QueueBytes: 8 * 1500, TrimToBytes: 64})
 	paths := route.KSPPaths(tp.G, []route.Commodity{{Src: tp.Hosts[0], Dst: tp.Hosts[15], Demand: 1}}, 4)
-	f, err := NewFlow(net, Config{}, paths[0], 600_000)
+	f, err := NewFlow(net, paths[0], 600_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestNDPIncastNoTimeouts(t *testing.T) {
 	var last sim.Time
 	for i := 1; i <= fanIn; i++ {
 		p, _ := graph.ShortestPath(g, graph.NodeID(i), 0)
-		f, err := NewFlow(net, Config{}, []graph.Path{p}, 256_000)
+		f, err := NewFlow(net, []graph.Path{p}, 256_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestNDPSurvivesControlLoss(t *testing.T) {
 	eng := sim.NewEngine()
 	net := sim.NewNetwork(eng, g, sim.Config{QueueBytes: 3000, TrimToBytes: 64})
 	p, _ := graph.ShortestPath(g, 0, 1)
-	f, _ := NewFlow(net, Config{InitWindow: 32}, []graph.Path{p}, 60_000)
+	f, _ := NewFlow(net, []graph.Path{p}, 60_000)
 	f.Start()
 	eng.RunUntil(5 * sim.Second)
 	if !f.delivered {
@@ -158,7 +158,7 @@ func TestNDPBackstopRestartsAfterOutage(t *testing.T) {
 			}
 		}
 	}
-	f, err := NewFlow(net, Config{}, []graph.Path{p}, 1_500_000)
+	f, err := NewFlow(net, []graph.Path{p}, 1_500_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestNDPTrimsReported(t *testing.T) {
 	var flows []*Flow
 	for i := 1; i <= fanIn; i++ {
 		p, _ := graph.ShortestPath(g, graph.NodeID(i), 0)
-		f, _ := NewFlow(net, Config{InitWindow: 24}, []graph.Path{p}, 150_000)
+		f, _ := NewFlow(net, []graph.Path{p}, 150_000)
 		flows = append(flows, f)
 		f.Start()
 	}

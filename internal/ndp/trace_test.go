@@ -39,7 +39,7 @@ func TestTracerSeesNDPTrims(t *testing.T) {
 	net.Tracer = tr
 
 	p, _ := graph.ShortestPath(g, 0, 1)
-	f, err := NewFlow(net, Config{}, []graph.Path{p}, 1_500_000)
+	f, err := NewFlow(net, []graph.Path{p}, 1_500_000)
 	if err != nil {
 		t.Fatal(err)
 	}

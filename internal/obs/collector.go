@@ -29,8 +29,6 @@ import (
 // nondeterministic under workers > 1, but report summarization aggregates
 // commutatively, so derived results do not depend on worker count.
 type Collector struct {
-	// Interval is the sampling period in sim time; zero selects 10 µs.
-	Interval sim.Time
 	// Sink, when non-nil, receives every record as it is produced (the
 	// live aggregation path, internal/report's Aggregator). Must be set
 	// before the first record or AttachNetwork.
@@ -76,6 +74,10 @@ type attachment struct {
 	fp      *sim.Fingerprinter
 }
 
+// sampleInterval is the sim-time period of every attached network's
+// sampler (its first ticks; see Sampler for the decimation).
+const sampleInterval = 10 * sim.Microsecond
+
 // NewCollector returns a collector with no streams.
 func NewCollector() *Collector { return &Collector{} }
 
@@ -83,13 +85,6 @@ func NewCollector() *Collector { return &Collector{} }
 // records, packet events, fingerprint checkpoints and, at Close, profile
 // bins — to w as JSONL.
 func (c *Collector) StreamMetrics(w io.Writer) { c.mw = NewMetricsWriter(w) }
-
-func (c *Collector) interval() sim.Time {
-	if c.Interval > 0 {
-		return c.Interval
-	}
-	return 10 * sim.Microsecond
-}
 
 // out is the one destination of every record: the metrics stream, Sink,
 // both through a Tee (the stream first, so the file is in emission
@@ -143,7 +138,7 @@ func (c *Collector) AttachNetwork(eng *sim.Engine, net *sim.Network) int {
 		eng.Fingerprint = a.fp
 	}
 	if to != nil {
-		a.sampler = NewSampler(eng, net, c.interval(), to)
+		a.sampler = NewSampler(eng, net, sampleInterval, to)
 		a.sampler.NetID = a.id
 		a.sampler.Start()
 	}
@@ -175,14 +170,6 @@ func (t *tracer) PacketEvent(ev sim.TraceEvent, p *sim.Packet, link graph.LinkID
 		Link: int64(link), Plane: t.g.Link(link).Plane,
 		Flow: p.FlowID, Seq: p.Seq, Size: p.Size, Trimmed: p.Trimmed,
 	})
-}
-
-// EffectiveInterval reports the sampling period attached networks use.
-func (c *Collector) EffectiveInterval() sim.Time {
-	if c == nil {
-		return 0
-	}
-	return c.interval()
 }
 
 // RecordFlow passes one completed flow on to the sink.

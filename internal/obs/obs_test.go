@@ -80,7 +80,6 @@ func TestSinkOnlyCollectorSamples(t *testing.T) {
 
 	sink := &sliceSink{}
 	c := NewCollector()
-	c.Interval = sim.Microsecond
 	c.Sink = sink
 	idle := sim.NewEngine() // takes NetID 0, never runs
 	c.AttachNetwork(idle, sim.NewNetwork(idle, g, sim.Config{}))
@@ -120,7 +119,6 @@ func TestCheckpointsStreamBeforeClose(t *testing.T) {
 	net := sim.NewNetwork(eng, g, sim.Config{})
 	rec := &sliceSink{}
 	c := NewCollector()
-	c.Interval = sim.Microsecond
 	c.Sink = rec
 	c.Fingerprint = true
 	c.FingerprintEpoch = 16
@@ -255,9 +253,6 @@ func TestNilCollectorIsSafe(t *testing.T) {
 	c.RecordFlow(FlowRecord{Bytes: 1})
 	c.RecordSolver(SolverRecord{Phases: 1})
 	c.RecordFault(FaultRecord{Event: "inject"})
-	if iv := c.EffectiveInterval(); iv != 0 {
-		t.Errorf("nil collector samples every %v", iv)
-	}
 	if err := c.Close(); err != nil {
 		t.Error(err)
 	}
@@ -298,7 +293,6 @@ func TestCollectorEndToEnd(t *testing.T) {
 
 	var mbuf bytes.Buffer
 	c := NewCollector()
-	c.Interval = sim.Microsecond
 	c.Trace = true
 	c.StreamMetrics(&mbuf)
 	live := &sliceSink{}
@@ -400,7 +394,6 @@ func TestCollectorEndToEnd(t *testing.T) {
 func TestMultiNetworkTraceStaysWellFormed(t *testing.T) {
 	var mbuf bytes.Buffer
 	c := NewCollector()
-	c.Interval = sim.Millisecond
 	c.Trace = true
 	c.StreamMetrics(&mbuf)
 

@@ -42,13 +42,13 @@ func twoHosts() (*sim.Engine, *sim.Network, []graph.LinkID) {
 func TestCollectorConcurrentStress(t *testing.T) {
 	var mbuf bytes.Buffer
 	c := obs.NewCollector()
-	c.Interval = sim.Microsecond
 	c.StreamMetrics(&mbuf)
 	aggr := report.NewAggregator()
 	c.Sink = aggr
 
 	const producers = 8
 	const perProducer = 200
+	const tick = 10 * sim.Microsecond // the collector's sampling interval
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
@@ -56,6 +56,9 @@ func TestCollectorConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			eng, net, route := twoHosts()
 			c.AttachNetwork(eng, net)
+			// The sampler reschedules only while other work is pending; an
+			// event past the last iteration keeps it ticking between packets.
+			eng.At(perProducer*tick+tick/2, func() {})
 			for i := 0; i < perProducer; i++ {
 				pkt := net.NewPacket()
 				pkt.Size = 1500
@@ -63,9 +66,8 @@ func TestCollectorConcurrentStress(t *testing.T) {
 				pkt.Deliver = release{net}
 				net.Send(pkt)
 				// One sampler tick per iteration, interleaved with the record
-				// producers below. A packet takes 2.24 us, so one is always
-				// in flight and the sampler keeps rescheduling.
-				eng.RunUntil(eng.Now() + sim.Microsecond)
+				// producers below, each seeing the iteration's packet.
+				eng.RunUntil(eng.Now() + tick)
 				c.RecordFlow(obs.FlowRecord{
 					ID: int64(p*perProducer + i), Transport: "tcp",
 					Bytes: 1500, FCT: float64(i+1) * 1e-6, Planes: []int32{int32(p % 4)},
@@ -118,7 +120,6 @@ func TestProfileNetIsEngineNet(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		var mbuf bytes.Buffer
 		c := obs.NewCollector()
-		c.Interval = sim.Microsecond
 		c.StreamMetrics(&mbuf)
 		run := func(i int) {
 			eng, net, route := twoHosts()

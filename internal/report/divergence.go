@@ -81,15 +81,14 @@ func readChains(path string) ([]*chain, error) {
 	return out, nil
 }
 
-// side is a later pass over one diverged stream, in engine net: the
-// checkpoint of epoch at and those within [lo, hi], then the first record
-// of flow flowID (0: none) and the flight-recorder bins of planes.
+// side is the second pass over one diverged stream, in engine net: the
+// checkpoint of epoch at and those within [lo, hi], the record of the flow
+// whose event closed the checkpoint at when that record follows it, and
+// all the engine's flight-recorder bins (at most kinds × planes).
 type side struct {
 	discard
 	net        int
 	at, lo, hi int64
-	flowID     int64
-	planes     []int32
 	cp         obs.FingerprintRecord
 	cps        []obs.FingerprintRecord
 	flow       obs.FlowRecord
@@ -106,14 +105,40 @@ func (s *side) Fingerprint(r obs.FingerprintRecord) {
 }
 
 func (s *side) Flow(r obs.FlowRecord) {
-	if s.flow.Type == "" && s.flowID > 0 && r.Net == s.net && r.ID == s.flowID {
+	if s.flow.Type == "" && s.cp.Flow > 0 && r.Net == s.net && r.ID == s.cp.Flow {
 		s.flow = r
 	}
 }
 
 func (s *side) Profile(r obs.ProfileRecord) {
-	if r.Net == s.net && slices.Contains(s.planes, r.Plane) {
+	if r.Net == s.net {
 		s.bins = append(s.bins, r)
+	}
+}
+
+// closingFlow returns the record of the flow whose event closed s's
+// checkpoint (a zero Type: none). The second pass has it when it followed
+// the checkpoint; otherwise the stream at path is read once more for it.
+func closingFlow(path string, s *side) (obs.FlowRecord, error) {
+	if s.flow.Type != "" || s.cp.Flow <= 0 {
+		return s.flow, nil
+	}
+	f := &flowOf{net: s.net, id: s.cp.Flow}
+	err := readStreamPath(path, f)
+	return f.rec, err
+}
+
+// flowOf is a pass for the first record of flow id in engine net.
+type flowOf struct {
+	discard
+	net int
+	id  int64
+	rec obs.FlowRecord
+}
+
+func (f *flowOf) Flow(r obs.FlowRecord) {
+	if f.rec.Type == "" && r.Net == f.net && r.ID == f.id {
+		f.rec = r
 	}
 }
 
@@ -155,7 +180,9 @@ type Divergence struct {
 // first divergent epoch, returning the earliest divergence found (by
 // epoch, then pair index) with k ≥ 0 checkpoints of context either side.
 // A first pass keeps one global hash per checkpoint; only diverged runs
-// are read again, for the pair's context, then for its closing events.
+// are read again, for the pair's context, closing events and bins, and a
+// third time only for a closing event's flow whose record came before its
+// checkpoint.
 func FindDivergence(basePath, curPath string, k int) (*Divergence, error) {
 	bc, err := readChains(basePath)
 	if err != nil {
@@ -215,13 +242,14 @@ func FindDivergence(basePath, curPath string, k int) (*Divergence, error) {
 	d.Epoch, d.Events = cp.Epoch, cp.Events
 
 	// The closing events' flows, and the base engine's bins on the
-	// diverging planes, which suffice for orientation; no checkpoints.
-	base = &side{net: d.BaseNet, at: -1, lo: 1, hi: 0, flowID: d.Base.Flow, planes: d.Planes}
-	cur = &side{net: d.CurNet, at: -1, lo: 1, hi: 0, flowID: d.Cur.Flow}
-	if err := errors.Join(readStreamPath(basePath, base), readStreamPath(curPath, cur)); err != nil {
+	// diverging planes, which suffice for orientation.
+	if d.BaseFlow, err = closingFlow(basePath, base); err != nil {
 		return nil, err
 	}
-	d.BaseFlow, d.CurFlow, d.Bins = base.flow, cur.flow, base.bins
+	if d.CurFlow, err = closingFlow(curPath, cur); err != nil {
+		return nil, err
+	}
+	d.Bins = slices.DeleteFunc(base.bins, func(b obs.ProfileRecord) bool { return !slices.Contains(d.Planes, b.Plane) })
 	return d, nil
 }
 

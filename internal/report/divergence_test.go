@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -205,8 +206,16 @@ func TestDivergenceStructuralMismatches(t *testing.T) {
 // differently. Both engines of each run have flows 3 and 4 and profile bins;
 // the diverging engine is net 1 in base and net 0 in cur, so every
 // checkpoint, flow and bin printed must carry that side's number. The
-// swap closes the divergent checkpoint with flow 3 in base, 4 in cur.
+// swap closes the divergent checkpoint with flow 3 in base, 4 in cur. The
+// flow records come before the checkpoints, which takes a read of their
+// own, or after them, where the context's read picks them up.
 func TestDivergenceContextByNet(t *testing.T) {
+	for _, flowsLast := range []bool{false, true} {
+		t.Run(fmt.Sprintf("flows last %v", flowsLast), func(t *testing.T) { checkContextByNet(t, flowsLast) })
+	}
+}
+
+func checkContextByNet(t *testing.T, flowsLast bool) {
 	a := syntheticEvents(200)
 	b := syntheticEvents(200)
 	for i := range b {
@@ -217,11 +226,19 @@ func TestDivergenceContextByNet(t *testing.T) {
 	b2[100].t, b2[101].t = b[100].t, b[101].t
 	engine := func(events []fpEvent, net int, bytes int64) func(obs.Sink) {
 		return func(s obs.Sink) {
-			for _, id := range []int64{3, 4} {
-				s.Flow(obs.FlowRecord{Type: obs.KindFlow, Net: net, ID: id, Transport: "tcp", Bytes: bytes + id, FCT: 1e-6})
+			flows := func() {
+				for _, id := range []int64{3, 4} {
+					s.Flow(obs.FlowRecord{Type: obs.KindFlow, Net: net, ID: id, Transport: "tcp", Bytes: bytes + id, FCT: 1e-6})
+				}
+			}
+			if !flowsLast {
+				flows()
 			}
 			for _, r := range replay(events, 1, net) {
 				s.Fingerprint(r)
+			}
+			if flowsLast {
+				flows()
 			}
 			for _, plane := range []int32{0, 1} {
 				s.Profile(obs.ProfileRecord{Type: obs.KindProfile, Net: net, Kind: "hop", Plane: plane, Events: bytes, SimPs: 1})
@@ -293,7 +310,6 @@ func TestFingerprintSummaryRoundTrip(t *testing.T) {
 	run := func() (RunSummary, RunSummary) {
 		var buf bytes.Buffer
 		c := obs.NewCollector()
-		c.Interval = sim.Microsecond
 		c.Fingerprint = true
 		c.FingerprintEpoch = 16
 		c.StreamMetrics(&buf)

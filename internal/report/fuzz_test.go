@@ -76,7 +76,8 @@ func FuzzStream(f *testing.F) {
 		s := aggr.Summarize(Meta{})
 		_ = s.String() + s.AttributionString() + s.ProfileString()
 		read(&chains{byNet: map[int]*chain{}})
-		read(&side{at: 2, lo: 0, hi: 5, flowID: 3, planes: []int32{0, 1}})
+		read(&side{at: 2, lo: 0, hi: 5})
+		read(&flowOf{id: 3})
 		tw := &traceWriter{pids: map[netPlane]int64{}, w: bufio.NewWriter(io.Discard)}
 		read(tw)
 		tw.close()

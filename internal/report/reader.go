@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 
 	"pnet/internal/obs"
@@ -231,7 +232,7 @@ func openRun(path string) (f *os.File, isSummary bool, err error) {
 // readRun decodes the run file at path into sink when it is a metrics
 // stream, tolerating a truncated final line (a stream cut off mid-write
 // keeps its prefix), and returns its contents when it is a RunSummary
-// JSON.
+// JSON. A file that cannot be opened or read is a *fs.PathError.
 func readRun(path string, sink obs.Sink) (summary []byte, err error) {
 	f, isSummary, err := openRun(path)
 	if err != nil {
@@ -239,7 +240,10 @@ func readRun(path string, sink obs.Sink) (summary []byte, err error) {
 	}
 	defer f.Close()
 	if isSummary {
-		return io.ReadAll(f)
+		if summary, err = io.ReadAll(f); err != nil {
+			return nil, err
+		}
+		return summary, nil
 	}
 	var pe *ParseError
 	if err := ReadStream(f, sink); err != nil && !(errors.As(err, &pe) && pe.Truncated) {
@@ -249,17 +253,21 @@ func readRun(path string, sink obs.Sink) (summary []byte, err error) {
 }
 
 // LoadRun reads a run from disk in either accepted format: a RunSummary
-// JSON written by `pnetbench -report` or `pnetstat summary -o`, or a raw
-// metrics JSONL stream, auto-detected by shape. A stream is decoded
-// straight into an Aggregator, so memory does not grow with its sample
-// lines. One that ends in a truncated final line still loads; on any
-// other malformed line the typed error is returned alongside the summary
-// of the prefix.
+// JSON written by `pnetbench -report`, or a raw metrics JSONL stream,
+// auto-detected by shape. A stream is decoded straight into an
+// Aggregator, so memory does not grow with its sample lines. One that
+// ends in a truncated final line still loads; on any other malformed line
+// the typed error is returned alongside the summary of the prefix. A file
+// that cannot be opened or read returns RunSummary{} with the error.
 func LoadRun(path string, m Meta) (RunSummary, error) {
 	aggr := NewAggregator()
 	b, err := readRun(path, aggr)
-	if b != nil {
+	var pe *fs.PathError
+	switch {
+	case b != nil:
 		return readSummaryJSON(path, b)
+	case errors.As(err, &pe):
+		return RunSummary{}, err
 	}
 	return aggr.Summarize(m), err
 }

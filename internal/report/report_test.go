@@ -156,7 +156,6 @@ func twoPlaneNet() (*sim.Engine, *sim.Network, []graph.Path) {
 func TestFromStreamMatchesAggregator(t *testing.T) {
 	var buf bytes.Buffer
 	c := obs.NewCollector()
-	c.Interval = sim.Microsecond
 	c.Spans, c.Fingerprint, c.Trace = true, true, true
 	c.FingerprintEpoch = 64
 	c.StreamMetrics(&buf)
@@ -374,6 +373,12 @@ func TestLoadRunJSONLAndTruncation(t *testing.T) {
 	}
 	if _, err = LoadRun(path, Meta{}); err == nil {
 		t.Error("mid-file garbage loaded silently")
+	}
+
+	// A file that cannot be opened has no summary, not one of nothing.
+	s, err = LoadRun(filepath.Join(dir, "missing.jsonl"), Meta{Exp: "x"})
+	if err == nil || !reflect.DeepEqual(s, RunSummary{}) {
+		t.Errorf("missing file: %+v, %v; want RunSummary{} and an error", s, err)
 	}
 }
 

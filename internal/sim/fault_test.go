@@ -74,7 +74,7 @@ func TestPacketPastTheCutStillArrives(t *testing.T) {
 	// A packet that fully left the first queue before the cut is
 	// propagating on the wire: cutting the link behind it must not
 	// retroactively lose it.
-	eng, net, fwd, _ := hostPair(100, Config{PropDelay: 500 * Nanosecond})
+	eng, net, fwd, _ := hostPair(100, Config{})
 	s := &sink{eng: eng}
 	p := net.NewPacket()
 	p.Size = 1500

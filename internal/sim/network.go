@@ -56,15 +56,16 @@ type Packet struct {
 // scheduled as actor events to keep per-hop allocations at zero.
 func (p *Packet) act() { p.net.arrive(p) }
 
+// propDelay is every link's propagation delay: the paper's assumption of
+// ~200 m of fiber per switch hop (§5.2.1), which makes propagation
+// dominate serialization for small packets.
+const propDelay = Microsecond
+
 // Config sets network-wide parameters.
 type Config struct {
 	// QueueBytes is each link queue's drop-tail capacity. Zero selects
 	// 100 full-size packets (150 kB), a common htsim configuration.
 	QueueBytes int32
-	// PropDelay is the per-link propagation delay. Zero selects 1 µs —
-	// the paper's assumption of ~200 m of fiber per switch hop (§5.2.1),
-	// which makes propagation dominate serialization for small packets.
-	PropDelay Time
 	// ECNThresholdBytes enables ECN marking: a packet entering a queue
 	// whose occupancy exceeds the threshold is marked CE, as in DCTCP's
 	// instantaneous-queue marking. Zero disables marking.
@@ -83,13 +84,6 @@ func (c Config) queueBytes() int32 {
 		return 100 * 1500
 	}
 	return c.QueueBytes
-}
-
-func (c Config) propDelay() Time {
-	if c.PropDelay == 0 {
-		return Microsecond
-	}
-	return c.PropDelay
 }
 
 // TraceEvent identifies a packet lifecycle point for a Tracer.
@@ -179,7 +173,6 @@ func NewNetwork(eng *Engine, g *graph.Graph, cfg Config) *Network {
 			id:       graph.LinkID(i),
 			plane:    l.Plane,
 			psPerBit: 1000 / l.Capacity, // ps per bit at `Capacity` Gb/s
-			prop:     cfg.propDelay(),
 			capBytes: cfg.queueBytes(),
 			ecnMark:  cfg.ECNThresholdBytes,
 			trimTo:   cfg.TrimToBytes,
@@ -369,7 +362,6 @@ type queue struct {
 	id       graph.LinkID
 	plane    int32
 	psPerBit float64
-	prop     Time
 	capBytes int32
 	ecnMark  int32 // CE-mark threshold in bytes; 0 disables
 	trimTo   int32 // trim-to-header size in bytes; 0 disables
@@ -487,7 +479,7 @@ func (q *queue) startTx() {
 		// then tx, then propagation. Recording prop now is safe — if the
 		// link dies mid-flight the packet is blackholed and its span
 		// discarded with it, never attributed.
-		p.span.hop(q.plane, eng.Now()-p.span.wait, tx, q.prop)
+		p.span.hop(q.plane, eng.Now()-p.span.wait, tx, propDelay)
 	}
 	eng.scheduleAfter(tx, q)
 }
@@ -517,7 +509,7 @@ func (q *queue) act() {
 	p.next = nil
 	q.bytes -= p.Size
 
-	q.net.Eng.scheduleAfter(q.prop, p)
+	q.net.Eng.scheduleAfter(propDelay, p)
 
 	if q.head != nil {
 		q.startTx()

@@ -278,7 +278,7 @@ func mixedRateRun(t *testing.T, seed int64, heapOnly bool) (journal []packetStep
 	net.Tracer = tr
 	s := &sink{eng: eng}
 
-	classes := map[Time]bool{net.queues[0].prop: true}
+	classes := map[Time]bool{propDelay: true}
 	sizes := []int32{1500, 64}
 	for i := range net.queues {
 		for _, size := range sizes {

@@ -166,7 +166,7 @@ func runQueueModel(t *testing.T, cfg Config, seed int64) *refQueue {
 	link := fwd[0]
 	route := fwd[:1] // delivered at the switch
 	s := &seqSink{net: net}
-	ref := &refQueue{cfg: cfg, prop: cfg.propDelay()}
+	ref := &refQueue{cfg: cfg, prop: propDelay}
 
 	step := 0
 	check := func(what string) {

@@ -204,10 +204,10 @@ func hostPair(speed float64, cfg Config) (*Engine, *Network, []graph.LinkID, []g
 }
 
 func TestSerializationAndPropagation(t *testing.T) {
-	// 1500 B at 100 Gb/s = 120 ns per hop serialization; 500 ns prop.
-	// Two hops: depart host at 120, arrive switch 620, depart 740,
-	// arrive host 1240 ns.
-	eng, net, fwd, _ := hostPair(100, Config{PropDelay: 500 * Nanosecond})
+	// 1500 B at 100 Gb/s = 120 ns per hop serialization; 1 µs prop.
+	// Two hops: depart host at 120, arrive switch 1120, depart 1240,
+	// arrive host 2240 ns.
+	eng, net, fwd, _ := hostPair(100, Config{})
 	s := &sink{eng: eng}
 	p := net.NewPacket()
 	p.Size = 1500
@@ -218,14 +218,14 @@ func TestSerializationAndPropagation(t *testing.T) {
 	if len(s.times) != 1 {
 		t.Fatalf("delivered %d packets", len(s.times))
 	}
-	want := 2 * (120 + 500) * Nanosecond
+	want := 2 * (120 + 1000) * Nanosecond
 	if s.times[0] != want {
 		t.Errorf("delivery at %v, want %v", s.times[0], want)
 	}
 }
 
 func TestSerializationAt400G(t *testing.T) {
-	eng, net, fwd, _ := hostPair(400, Config{PropDelay: Nanosecond})
+	eng, net, fwd, _ := hostPair(400, Config{})
 	s := &sink{eng: eng}
 	p := net.NewPacket()
 	p.Size = 1500
@@ -233,7 +233,7 @@ func TestSerializationAt400G(t *testing.T) {
 	p.Deliver = s
 	net.Send(p)
 	eng.Run()
-	want := 2 * (30*Nanosecond + Nanosecond) // 30 ns serialization per hop
+	want := 2 * (30*Nanosecond + Microsecond) // 30 ns serialization per hop
 	if s.times[0] != want {
 		t.Errorf("delivery at %v, want %v", s.times[0], want)
 	}
@@ -286,7 +286,7 @@ func TestDropTail(t *testing.T) {
 }
 
 func TestQueueDrainsAndReuses(t *testing.T) {
-	eng, net, fwd, _ := hostPair(100, Config{PropDelay: 500 * Nanosecond})
+	eng, net, fwd, _ := hostPair(100, Config{})
 	s := &sink{eng: eng}
 	send := func() {
 		p := net.NewPacket()
@@ -307,7 +307,7 @@ func TestQueueDrainsAndReuses(t *testing.T) {
 	if len(s.times) != 2 {
 		t.Fatalf("second packet not delivered")
 	}
-	if s.times[1]-first != 620*2*Nanosecond {
+	if s.times[1]-first != 1120*2*Nanosecond {
 		t.Errorf("second delivery delta = %v", s.times[1]-first)
 	}
 }
@@ -330,7 +330,7 @@ func TestPacketFreelist(t *testing.T) {
 
 func TestBidirectionalIndependence(t *testing.T) {
 	// Opposite directions must not share a queue.
-	eng, net, fwd, rev := hostPair(100, Config{PropDelay: 500 * Nanosecond})
+	eng, net, fwd, rev := hostPair(100, Config{})
 	s1 := &sink{eng: eng}
 	s2 := &sink{eng: eng}
 	p1 := net.NewPacket()
@@ -344,7 +344,7 @@ func TestBidirectionalIndependence(t *testing.T) {
 	net.Send(p1)
 	net.Send(p2)
 	eng.Run()
-	want := 1240 * Nanosecond
+	want := 2240 * Nanosecond
 	if s1.times[0] != want || s2.times[0] != want {
 		t.Errorf("deliveries %v %v, want both %v", s1.times[0], s2.times[0], want)
 	}

@@ -42,7 +42,7 @@ func TestEventKindNames(t *testing.T) {
 // and checks the span's segments sum exactly to delivery − send: the
 // queue records wait + serialization + propagation with no gaps.
 func TestSpanJourneyContiguous(t *testing.T) {
-	eng, net, fwd, _ := hostPair(100, Config{PropDelay: 500 * Nanosecond})
+	eng, net, fwd, _ := hostPair(100, Config{})
 	net.EnableSpans()
 	var got *SpanLog
 	s := &sinkFn{fn: func(p *Packet) {
@@ -63,8 +63,8 @@ func TestSpanJourneyContiguous(t *testing.T) {
 	if got.SentAt != sent {
 		t.Errorf("SentAt = %v, want %v", got.SentAt, sent)
 	}
-	// Two hops, each serialize (120ns) + propagate (500ns), no queueing.
-	wantSer, wantProp := 2*120*Nanosecond, 2*500*Nanosecond
+	// Two hops, each serialize (120ns) + propagate (1µs), no queueing.
+	wantSer, wantProp := 2*120*Nanosecond, 2*Microsecond
 	var ser, prop, queue, total Time
 	for _, sg := range got.segs {
 		total += sg.Dur
@@ -251,7 +251,7 @@ func TestFlightRecorderCounts(t *testing.T) {
 // chains.
 func TestFlightRecorderSameResults(t *testing.T) {
 	run := func(profile bool) ([]Time, uint64, *Fingerprinter) {
-		eng, net, fwd, _ := hostPair(100, Config{PropDelay: 200 * Nanosecond})
+		eng, net, fwd, _ := hostPair(100, Config{})
 		eng.Fingerprint = NewFingerprinter(0)
 		if profile {
 			eng.Recorder = NewFlightRecorder()

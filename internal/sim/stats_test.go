@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 func TestLinkStatsCounters(t *testing.T) {
-	eng, net, fwd, _ := hostPair(100, Config{PropDelay: 500 * Nanosecond})
+	eng, net, fwd, _ := hostPair(100, Config{})
 	s := &sink{eng: eng}
 	for i := 0; i < 3; i++ {
 		p := net.NewPacket()

@@ -7,30 +7,6 @@ import (
 	"pnet/internal/sim"
 )
 
-func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.MTU != 1500 || c.InitCwnd != 10 || c.DupAckThresh != 3 {
-		t.Errorf("defaults = %+v", c)
-	}
-	// Explicit values survive.
-	c2 := Config{MTU: 9000, InitCwnd: 2}.withDefaults()
-	if c2.MTU != 9000 || c2.InitCwnd != 2 {
-		t.Errorf("overrides lost: %+v", c2)
-	}
-}
-
-func TestMTUAffectsPacketCount(t *testing.T) {
-	_, net, p := dumbbell(100, sim.Config{})
-	f, _ := NewFlow(net, Config{MTU: 9000}, []graph.Path{p}, 90_000)
-	if f.SizePkts != 10 {
-		t.Errorf("SizePkts = %d, want 10 at 9k MTU", f.SizePkts)
-	}
-	f2, _ := NewFlow(net, Config{}, []graph.Path{p}, 90_000)
-	if f2.SizePkts != 60 {
-		t.Errorf("SizePkts = %d, want 60 at default MTU", f2.SizePkts)
-	}
-}
-
 func TestRTOBackoffDoubles(t *testing.T) {
 	// Break the path mid-flow by downing the forward link; timeouts must
 	// back off exponentially (bounded), and restoring the link must let
@@ -99,20 +75,6 @@ func TestMPTCPSchedulerBalancesEqualPaths(t *testing.T) {
 	}
 }
 
-func TestDupAckThresholdConfigurable(t *testing.T) {
-	// With DupAckThresh high enough, a single loss must be repaired by
-	// RTO instead of fast retransmit.
-	eng, net, p := dumbbell(100, sim.Config{QueueBytes: 4 * 1500})
-	f, _ := NewFlow(net, Config{InitCwnd: 16, DupAckThresh: 1000}, []graph.Path{p}, 30_000)
-	fct := runFlow(t, eng, f)
-	if net.TotalDrops() == 0 {
-		t.Skip("no drop produced; nothing to verify")
-	}
-	if fct < 10*sim.Millisecond {
-		t.Errorf("FCT = %v: loss repaired without RTO despite threshold", fct)
-	}
-}
-
 func TestFlowFCTAndSubflows(t *testing.T) {
 	eng, net, paths := twoPlane(100)
 	f, _ := NewFlow(net, Config{}, paths, 1500)
@@ -126,20 +88,4 @@ func TestFlowFCTAndSubflows(t *testing.T) {
 	if f.DeliveredPkts() != f.SizePkts {
 		t.Errorf("delivered = %d of %d", f.DeliveredPkts(), f.SizePkts)
 	}
-}
-
-func TestUncoupledConfig(t *testing.T) {
-	// Uncoupled subflows in congestion avoidance grow like independent
-	// NewReno: after forcing CA (low ssthresh), each increase is 1/cwnd.
-	eng, net, paths := twoPlane(100)
-	f, _ := NewFlow(net, Config{Uncoupled: true}, paths, 1_000_000)
-	for _, sf := range f.subs {
-		sf.ssthresh = 1 // force congestion avoidance from the start
-	}
-	f.Start()
-	eng.RunUntil(sim.Second)
-	if !f.Done() {
-		t.Fatal("flow incomplete")
-	}
-	_ = f
 }

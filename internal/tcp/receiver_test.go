@@ -29,7 +29,7 @@ func receiver(t *testing.T) (*sim.Engine, *subflow) {
 // receive hands the receiver data packet seq.
 func receive(sf *subflow, seq int64) {
 	p := sf.f.net.NewPacket()
-	p.Size = sf.f.cfg.MTU
+	p.Size = mtu
 	p.Seq = seq
 	sf.onData(p)
 }

@@ -28,7 +28,7 @@ func checkConservation(t *testing.T, f *Flow) map[sim.SpanComponent]sim.Time {
 }
 
 func TestSpanConservationCleanFlow(t *testing.T) {
-	eng, net, p := dumbbell(100, sim.Config{PropDelay: 500 * sim.Nanosecond})
+	eng, net, p := dumbbell(100, sim.Config{})
 	net.EnableSpans()
 	f, err := NewFlow(net, Config{}, []graph.Path{p}, 100*1500)
 	if err != nil {
@@ -59,12 +59,12 @@ func TestSpanConservationRTO(t *testing.T) {
 }
 
 func TestSpanConservationBurstLoss(t *testing.T) {
-	// Tiny queue + big initial window: drops recovered mostly by fast
+	// Tiny queue + slow-start overshoot: drops recovered mostly by fast
 	// retransmit. Queueing dominates, and the partition stays exact even
 	// with reordered repair traffic in flight.
 	eng, net, p := dumbbell(100, sim.Config{QueueBytes: 8 * 1500})
 	net.EnableSpans()
-	f, _ := NewFlow(net, Config{InitCwnd: 64}, []graph.Path{p}, 200*1500)
+	f, _ := NewFlow(net, Config{}, []graph.Path{p}, 200*1500)
 	runFlow(t, eng, f)
 	if f.Retransmits == 0 {
 		t.Fatal("scenario produced no retransmits")
@@ -73,21 +73,28 @@ func TestSpanConservationBurstLoss(t *testing.T) {
 }
 
 func TestSpanConservationQueueing(t *testing.T) {
-	// Cross traffic: a 64-packet burst fills the shared host egress
-	// queue just before a 1-packet flow starts. The small flow's packet
-	// waits behind the burst, and that wait must surface as queue time.
+	// Cross traffic: seven flows' first windows, a 70-packet burst, fill
+	// the shared host egress queue just before a 1-packet flow starts.
+	// The small flow's packet waits behind the burst, and that wait must
+	// surface as queue time.
 	eng, net, p := dumbbell(100, sim.Config{})
 	net.EnableSpans()
-	burst, _ := NewFlow(net, Config{InitCwnd: 64}, []graph.Path{p}, 64*1500)
+	var burst []*Flow
+	for range 7 {
+		f, _ := NewFlow(net, Config{}, []graph.Path{p}, initCwnd*mtu)
+		f.Start()
+		burst = append(burst, f)
+	}
 	small, _ := NewFlow(net, Config{}, []graph.Path{p}, 1500)
-	burst.Start()
 	small.Start()
 	eng.RunUntil(20 * sim.Second)
-	if !burst.Done() || !small.Done() {
-		t.Fatal("flows did not complete")
+	for _, f := range append(burst, small) {
+		if !f.Done() {
+			t.Fatal("flows did not complete")
+		}
 	}
 	sums := checkConservation(t, small)
-	// 63 packets ahead at 120ns each ≈ 7.6us of waiting.
+	// 69 packets ahead at 120ns each ≈ 8.3us of waiting.
 	if sums[sim.SpanQueue] < 5*sim.Microsecond {
 		t.Errorf("queue = %v, want >= 5us behind the burst", sums[sim.SpanQueue])
 	}
@@ -141,7 +148,7 @@ func TestSpanConservationMPTCP(t *testing.T) {
 		t.Fatal("expected 2 disjoint paths")
 	}
 	net.EnableSpans()
-	f, _ := NewFlow(net, Config{Uncoupled: true}, paths, 2_000_000)
+	f, _ := NewFlow(net, Config{}, paths, 2_000_000)
 	runFlow(t, eng, f)
 	checkConservation(t, f)
 	planes := map[int32]sim.Time{}

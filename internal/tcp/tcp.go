@@ -28,21 +28,18 @@ const (
 	rtoMin = 10 * sim.Millisecond
 	// dctcpGain is the EWMA gain g for DCTCP's marking estimate.
 	dctcpGain = 1.0 / 16
+	// mtu is the data packet size in bytes.
+	mtu = 1500
+	// initCwnd is the initial congestion window in packets.
+	initCwnd = 10
+	// dupAckThresh is the duplicate-ACK count that triggers fast
+	// retransmit.
+	dupAckThresh = 3
 )
 
-// Config holds transport parameters. The zero value selects the defaults
-// described in the package comment.
+// Config holds the transport options callers vary. The zero value is the
+// model described in the package comment.
 type Config struct {
-	// MTU is the data packet size in bytes (default 1500).
-	MTU int32
-	// InitCwnd is the initial congestion window in packets (default 10).
-	InitCwnd float64
-	// DupAckThresh triggers fast retransmit (default 3).
-	DupAckThresh int
-	// Uncoupled disables LIA: each subflow runs an independent NewReno
-	// window. The default (false) couples subflows, which only matters
-	// for flows with more than one path.
-	Uncoupled bool
 	// NoSACK disables selective-repeat loss recovery. By default the
 	// sender repairs all holes during fast recovery, one per returning
 	// ACK (modelling SACK); without it, recovery degrades to NewReno's
@@ -60,19 +57,6 @@ type Config struct {
 	// replacement — MPTCP's re-establishment of subflows on surviving
 	// planes after a runtime fault. Zero disables repathing.
 	StallRTOs int
-}
-
-func (c Config) withDefaults() Config {
-	if c.MTU == 0 {
-		c.MTU = 1500
-	}
-	if c.InitCwnd == 0 {
-		c.InitCwnd = 10
-	}
-	if c.DupAckThresh == 0 {
-		c.DupAckThresh = 3
-	}
-	return c
 }
 
 // Flow is one (MP)TCP transfer.
@@ -131,7 +115,6 @@ type Flow struct {
 // subflow per path). Paths must share endpoints and each must have a
 // reverse twin for ACKs.
 func NewFlow(net *sim.Network, cfg Config, paths []graph.Path, sizeBytes int64) (*Flow, error) {
-	cfg = cfg.withDefaults()
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("tcp: flow needs at least one path")
 	}
@@ -152,7 +135,7 @@ func NewFlow(net *sim.Network, cfg Config, paths []graph.Path, sizeBytes int64) 
 	}
 	f.net = net
 	f.cfg = cfg
-	f.SizePkts = (sizeBytes + int64(cfg.MTU) - 1) / int64(cfg.MTU)
+	f.SizePkts = (sizeBytes + mtu - 1) / mtu
 	f.spanOn = net.SpansOn()
 	src, dst := paths[0].Src(net.G), paths[0].Dst(net.G)
 	for i, p := range paths {
@@ -171,17 +154,17 @@ func NewFlow(net *sim.Network, cfg Config, paths []graph.Path, sizeBytes int64) 
 		// subflow literal built on the stack.
 		sf.f, sf.idx = f, i
 		sf.fwd, sf.rev = p.Links, rev.Links
-		sf.cwnd, sf.ssthresh = cfg.InitCwnd, math.Inf(1)
+		sf.cwnd, sf.ssthresh = initCwnd, math.Inf(1)
 		sf.dctcpAlpha = 1 // DCTCP starts with α=1 (react strongly to the first marks).
 		f.subs = append(f.subs, sf)
 	}
 	return f, nil
 }
 
-// onePathFlow is the single allocation behind a one-path Flow: 216 + 272
-// + 8 bytes, in the 512-byte size class with 16 to spare, so a field of
-// more than that added to Flow or subflow costs every flow the next class
-// (576); TestOnePathFlowSize holds it.
+// onePathFlow is the single allocation behind a one-path Flow: 192 + 272
+// + 8 bytes, in the 480-byte size class with 8 to spare. A field of more
+// than 40 bytes added to Flow or subflow would cost every flow the class
+// past 512 (576); TestOnePathFlowSize holds it.
 type onePathFlow struct {
 	f    Flow
 	sf   subflow
@@ -377,7 +360,7 @@ func (sf *subflow) trySend() {
 func (sf *subflow) transmit(seq int64, fresh bool) {
 	net := sf.f.net
 	p := net.NewPacket()
-	p.Size = sf.f.cfg.MTU
+	p.Size = mtu
 	p.Route = sf.fwd
 	p.Deliver = dataHandler{sf}
 	p.Seq = seq
@@ -654,12 +637,12 @@ func (sf *subflow) onAck(p *sim.Packet) {
 		}
 	case ackSeq == sf.sndUna && sf.sndUna < sf.sndMax:
 		sf.dupacks++
-		if !sf.inRecovery && sf.dupacks == sf.f.cfg.DupAckThresh {
+		if !sf.inRecovery && sf.dupacks == dupAckThresh {
 			sf.inRecovery = true
 			sf.recover = sf.sndMax
 			sf.holeCursor = sf.sndUna
 			sf.ssthresh = math.Max(sf.cwnd/2, 2)
-			sf.cwnd = sf.ssthresh + float64(sf.f.cfg.DupAckThresh)
+			sf.cwnd = sf.ssthresh + dupAckThresh
 			sf.repairHole()
 		} else if sf.inRecovery {
 			sf.cwnd++ // window inflation per extra dupack
@@ -749,14 +732,14 @@ func (sf *subflow) sampleRTT(s sim.Time) {
 }
 
 // increaseCwnd applies one ACK's worth of growth: slow start doubles per
-// RTT; congestion avoidance follows NewReno (uncoupled) or LIA (coupled,
-// the MPTCP default).
+// RTT; congestion avoidance follows NewReno on a one-path flow and LIA on
+// a multipath one.
 func (sf *subflow) increaseCwnd() {
 	if sf.cwnd < sf.ssthresh {
 		sf.cwnd++
 		return
 	}
-	if sf.f.cfg.Uncoupled || len(sf.f.subs) == 1 {
+	if len(sf.f.subs) == 1 {
 		sf.cwnd += 1 / sf.cwnd
 		return
 	}

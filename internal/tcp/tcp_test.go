@@ -1,7 +1,6 @@
 package tcp
 
 import (
-	"math"
 	"testing"
 	"unsafe"
 
@@ -69,6 +68,12 @@ func TestNewFlowValidation(t *testing.T) {
 	if _, err := NewFlow(net, Config{}, []graph.Path{p, rev}, 1000); err == nil {
 		t.Error("no error for mismatched endpoints")
 	}
+	// A transfer is whole 1500 B packets, the last one partly full.
+	for size, want := range map[int64]int64{90_000: 60, 90_001: 61} {
+		if f, _ := NewFlow(net, Config{}, []graph.Path{p}, size); f.SizePkts != want {
+			t.Errorf("%d bytes: SizePkts = %d, want %d", size, f.SizePkts, want)
+		}
+	}
 }
 
 // TestOnePathFlowSize: a one-path flow's one allocation fits the 512-byte
@@ -81,7 +86,7 @@ func TestOnePathFlowSize(t *testing.T) {
 }
 
 func TestSinglePacketFlow(t *testing.T) {
-	eng, net, p := dumbbell(100, sim.Config{PropDelay: 500 * sim.Nanosecond})
+	eng, net, p := dumbbell(100, sim.Config{})
 	f, err := NewFlow(net, Config{}, []graph.Path{p}, 1000)
 	if err != nil {
 		t.Fatal(err)
@@ -90,9 +95,9 @@ func TestSinglePacketFlow(t *testing.T) {
 		t.Fatalf("SizePkts = %d", f.SizePkts)
 	}
 	fct := runFlow(t, eng, f)
-	// Data: 2 hops × (120 ns tx + 500 ns prop) = 1240 ns.
-	// ACK: 2 hops × (5.12 ns tx + 500 ns prop) ≈ 1010 ns.
-	want := 2250 * sim.Nanosecond
+	// Data: 2 hops × (120 ns tx + 1 µs prop) = 2240 ns.
+	// ACK: 2 hops × (5.12 ns tx + 1 µs prop) ≈ 2010 ns.
+	want := 4250 * sim.Nanosecond
 	if fct < want-20*sim.Nanosecond || fct > want+20*sim.Nanosecond {
 		t.Errorf("FCT = %v, want ≈%v", fct, want)
 	}
@@ -137,14 +142,15 @@ func TestBulkThroughputNearLineRate(t *testing.T) {
 }
 
 func TestSlowStartGrowth(t *testing.T) {
-	// With init cwnd 1 and no losses, cwnd doubles per RTT in slow start.
+	// With no losses, cwnd doubles per RTT (≈ 4.3 µs) in slow start.
 	eng, net, p := dumbbell(100, sim.Config{})
-	f, _ := NewFlow(net, Config{InitCwnd: 1}, []graph.Path{p}, 100*1500)
+	f, _ := NewFlow(net, Config{}, []graph.Path{p}, 1000*1500)
 	f.Start()
-	// After a few RTTs the window should have grown well past 1.
+	// After a few RTTs the window should have grown well past the
+	// initial one.
 	eng.RunUntil(20 * sim.Microsecond)
-	if f.subs[0].cwnd < 4 {
-		t.Errorf("cwnd = %v after 20us, want >= 4", f.subs[0].cwnd)
+	if f.subs[0].cwnd < 4*initCwnd {
+		t.Errorf("cwnd = %v after 20us, want >= %d", f.subs[0].cwnd, 4*initCwnd)
 	}
 	eng.RunUntil(20 * sim.Second)
 	if !f.Done() {
@@ -177,10 +183,11 @@ func TestSACKBeatsNewRenoOnBurstLoss(t *testing.T) {
 }
 
 func TestFastRetransmitRecoversLoss(t *testing.T) {
-	// A queue of 8 packets with init cwnd 64 forces drops; the flow must
-	// still complete, using fast retransmit rather than only timeouts.
+	// A queue of 8 packets makes slow start overshoot and drop; the flow
+	// must still complete, using fast retransmit rather than only
+	// timeouts.
 	eng, net, p := dumbbell(100, sim.Config{QueueBytes: 8 * 1500})
-	f, _ := NewFlow(net, Config{InitCwnd: 64}, []graph.Path{p}, 200*1500)
+	f, _ := NewFlow(net, Config{}, []graph.Path{p}, 200*1500)
 	fct := runFlow(t, eng, f)
 	if f.Retransmits == 0 {
 		t.Error("expected retransmits with a tiny queue")
@@ -217,30 +224,17 @@ func TestMPTCPUsesBothPlanes(t *testing.T) {
 	// 10 MB over two disjoint 100G paths finishes faster than a single
 	// path. Coupled (LIA) MPTCP is deliberately conservative — it grows
 	// the aggregate window like ONE TCP (the paper's §5.1.2 note that
-	// MPTCP is slow to probe at small time scales) — so only the
-	// uncoupled variant approaches the full 2x.
-	mptcpFCT := func(uncoupled bool) sim.Time {
-		eng, net, paths := twoPlane(100)
-		_ = net
-		mp, _ := NewFlow(net, Config{Uncoupled: uncoupled}, paths, 10_000_000)
-		return runFlow(t, eng, mp)
-	}
+	// MPTCP is slow to probe at small time scales) — so it falls short of
+	// the full 2x.
+	eng, net, paths := twoPlane(100)
+	mp, _ := NewFlow(net, Config{}, paths, 10_000_000)
+	mptcpFCT := runFlow(t, eng, mp)
 	eng1, net1, p := dumbbell(100, sim.Config{})
 	single, _ := NewFlow(net1, Config{}, []graph.Path{p}, 10_000_000)
 	singleFCT := runFlow(t, eng1, single)
-	_ = net1
 
-	coupled := float64(singleFCT) / float64(mptcpFCT(false))
-	uncoupled := float64(singleFCT) / float64(mptcpFCT(true))
-	if coupled < 1.25 {
-		t.Errorf("coupled MPTCP speedup = %.2f, want > 1.25", coupled)
-	}
-	if uncoupled < 1.6 {
-		t.Errorf("uncoupled MPTCP speedup = %.2f, want ~2", uncoupled)
-	}
-	if uncoupled < coupled {
-		t.Errorf("uncoupled (%.2f) should beat coupled (%.2f) on disjoint paths",
-			uncoupled, coupled)
+	if speedup := float64(singleFCT) / float64(mptcpFCT); speedup < 1.25 {
+		t.Errorf("coupled MPTCP speedup = %.2f, want > 1.25", speedup)
 	}
 }
 
@@ -263,67 +257,77 @@ func TestMPTCPSubflowsStayOnTheirPlane(t *testing.T) {
 }
 
 func TestLIAFairnessAtSharedBottleneck(t *testing.T) {
-	// An MPTCP flow with 2 subflows and a plain TCP flow share one 100G
-	// bottleneck. LIA should keep the MPTCP flow from taking much more
-	// than the single-path flow (unlike uncoupled, which behaves like 2
-	// competing TCPs).
-	build := func(uncoupled bool) (mp, single *Flow, eng *sim.Engine) {
-		g := graph.New(4)
-		g.SetTransit(0, false)
-		g.SetTransit(1, false)
-		g.SetTransit(3, false)
-		// Hosts 0,3 send to 1 through switch 2; bottleneck is 2->1.
-		g.AddDuplex(0, 2, 100, 0)
-		g.AddDuplex(3, 2, 100, 0)
-		g.AddDuplex(2, 1, 100, 0)
-		eng = sim.NewEngine()
-		net := sim.NewNetwork(eng, g, sim.Config{})
-		p0, _ := graph.ShortestPath(g, 0, 1)
-		p3, _ := graph.ShortestPath(g, 3, 1)
-		mp, _ = NewFlow(net, Config{Uncoupled: uncoupled}, []graph.Path{p0, p0}, 40_000_000)
-		single, _ = NewFlow(net, Config{}, []graph.Path{p3}, 40_000_000)
-		return mp, single, eng
-	}
-
-	mp, single, eng := build(false)
+	// LIA's goal (RFC 6356 §2): an MPTCP flow takes no more capacity on a
+	// shared bottleneck than one TCP flow would. Here its two subflows
+	// share one 10G bottleneck with a plain TCP flow for 100 ms. Two
+	// independent NewReno subflows would act as two TCP flows and take
+	// two thirds of the link; LIA keeps the MPTCP flow near half (57 %
+	// here: its subflows halve one at a time on loss).
+	g := graph.New(4)
+	g.SetTransit(0, false)
+	g.SetTransit(1, false)
+	g.SetTransit(3, false)
+	// Hosts 0,3 send to 1 through switch 2; bottleneck is 2->1.
+	g.AddDuplex(0, 2, 100, 0)
+	g.AddDuplex(3, 2, 100, 0)
+	g.AddDuplex(2, 1, 10, 0)
+	eng := sim.NewEngine()
+	net := sim.NewNetwork(eng, g, sim.Config{})
+	p0, _ := graph.ShortestPath(g, 0, 1)
+	p3, _ := graph.ShortestPath(g, 3, 1)
+	mp, _ := NewFlow(net, Config{}, []graph.Path{p0, p0}, 1<<40)
+	single, _ := NewFlow(net, Config{}, []graph.Path{p3}, 1<<40)
 	mp.Start()
 	single.Start()
-	eng.RunUntil(3 * sim.Millisecond)
-	mpRate := float64(mp.rcvd)
-	singleRate := float64(single.rcvd)
-	if singleRate == 0 {
-		t.Fatal("single flow starved")
-	}
-	ratio := mpRate / singleRate
-	if ratio > 2.0 {
-		t.Errorf("coupled MPTCP got %.1fx the single flow's share, want near 1x", ratio)
+	eng.RunUntil(100 * sim.Millisecond)
+	share := float64(mp.rcvd) / float64(mp.rcvd+single.rcvd)
+	if share > 0.6 {
+		t.Errorf("coupled MPTCP took %.0f%% of the shared bottleneck, want about half", 100*share)
 	}
 }
 
 func TestUncoupledBeatsCoupledAtSharedBottleneck(t *testing.T) {
-	// Sanity check of the coupling mechanism itself: an uncoupled
-	// 2-subflow flow should take a larger share than a coupled one.
-	share := func(uncoupled bool) float64 {
+	// Sanity check of the coupling mechanism itself: host 0's two paths
+	// share one bottleneck with host 3's plain TCP flow. Uncoupled
+	// subflows are independent NewReno flows, so two single-path flows
+	// from host 0 stand in for them; they should take a larger share than
+	// one coupled two-subflow flow.
+	share := func(coupled bool) float64 {
 		g := graph.New(4)
 		g.SetTransit(0, false)
 		g.SetTransit(1, false)
 		g.SetTransit(3, false)
 		g.AddDuplex(0, 2, 100, 0)
 		g.AddDuplex(3, 2, 100, 0)
-		g.AddDuplex(2, 1, 100, 0)
+		g.AddDuplex(2, 1, 10, 0)
 		eng := sim.NewEngine()
 		net := sim.NewNetwork(eng, g, sim.Config{})
 		p0, _ := graph.ShortestPath(g, 0, 1)
 		p3, _ := graph.ShortestPath(g, 3, 1)
-		mp, _ := NewFlow(net, Config{Uncoupled: uncoupled}, []graph.Path{p0, p0}, 40_000_000)
-		single, _ := NewFlow(net, Config{}, []graph.Path{p3}, 40_000_000)
-		mp.Start()
+		var host0 []*Flow
+		if coupled {
+			mp, _ := NewFlow(net, Config{}, []graph.Path{p0, p0}, 1<<40)
+			host0 = []*Flow{mp}
+		} else {
+			for range 2 {
+				f, _ := NewFlow(net, Config{}, []graph.Path{p0}, 1<<40)
+				host0 = append(host0, f)
+			}
+		}
+		single, _ := NewFlow(net, Config{}, []graph.Path{p3}, 1<<40)
+		for _, f := range host0 {
+			f.Start()
+		}
 		single.Start()
-		eng.RunUntil(3 * sim.Millisecond)
-		return float64(mp.rcvd) / math.Max(float64(single.rcvd), 1)
+		eng.RunUntil(100 * sim.Millisecond)
+		var rcvd int64
+		for _, f := range host0 {
+			rcvd += f.rcvd
+		}
+		return float64(rcvd) / float64(rcvd+single.rcvd)
 	}
-	coupled := share(false)
-	uncoupled := share(true)
+	coupled := share(true)
+	uncoupled := share(false)
 	if uncoupled <= coupled {
 		t.Errorf("uncoupled share %.2f <= coupled share %.2f", uncoupled, coupled)
 	}

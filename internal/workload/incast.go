@@ -23,16 +23,10 @@ type IncastConfig struct {
 	// Sel routes the responses.
 	Sel  Selection
 	Seed int64
-	// Deadline bounds the simulation; zero selects 60 s.
-	Deadline sim.Time
 }
 
-func (c IncastConfig) deadline() sim.Time {
-	if c.Deadline == 0 {
-		return 60 * sim.Second
-	}
-	return c.Deadline
-}
+// incastDeadline bounds an incast run's simulated time.
+const incastDeadline = 60 * sim.Second
 
 // IncastResult reports per-round incast completion times (time until the
 // slowest response arrives) and loss totals.
@@ -47,7 +41,8 @@ type IncastResult struct {
 
 // RunIncast executes the workload: each round picks a random receiver and
 // FanIn random senders, starts all responses at once, and waits for the
-// slowest.
+// slowest. If a response cannot start (no path from its sender), the run
+// ends and that error is returned with the rounds completed so far.
 func RunIncast(d *Driver, cfg IncastConfig) (IncastResult, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	hosts := d.PNet.Topo.Hosts
@@ -55,6 +50,7 @@ func RunIncast(d *Driver, cfg IncastConfig) (IncastResult, error) {
 		return IncastResult{}, fmt.Errorf("workload: fan-in %d >= hosts %d", cfg.FanIn, len(hosts))
 	}
 	var res IncastResult
+	var startErr error
 
 	var startRound func(round int)
 	startRound = func(round int) {
@@ -77,18 +73,21 @@ func RunIncast(d *Driver, cfg IncastConfig) (IncastResult, error) {
 					}
 				})
 			if err != nil {
-				panic(err)
+				startErr = fmt.Errorf("workload: incast response from host %d: %w", s, err)
+				return
 			}
 		}
 	}
 	startRound(0)
-	deadline := cfg.deadline()
-	for len(res.CompletionTimes) < cfg.Rounds && d.Eng.Now() < deadline {
+	for startErr == nil && len(res.CompletionTimes) < cfg.Rounds && d.Eng.Now() < incastDeadline {
 		if !d.Eng.Step() {
 			break
 		}
 	}
 	res.Drops = d.Net.TotalDrops()
+	if startErr != nil {
+		return res, startErr
+	}
 	if len(res.CompletionTimes) < cfg.Rounds {
 		return res, fmt.Errorf("workload: %d of %d incast rounds completed",
 			len(res.CompletionTimes), cfg.Rounds)

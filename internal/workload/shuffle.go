@@ -27,16 +27,10 @@ type ShuffleConfig struct {
 	// these ~100 MB flows, per the §5.1.2 policy).
 	Sel  Selection
 	Seed int64
-	// Deadline bounds the simulation; zero selects 60 s.
-	Deadline sim.Time
 }
 
-func (c ShuffleConfig) deadline() sim.Time {
-	if c.Deadline == 0 {
-		return 60 * sim.Second
-	}
-	return c.Deadline
-}
+// shuffleDeadline bounds a shuffle run's simulated time.
+const shuffleDeadline = 300 * sim.Second
 
 // StageTimes reports per-worker completion times, in seconds from the
 // stage's barrier, for the three stages (Figure 12's distributions).
@@ -47,7 +41,8 @@ type StageTimes struct {
 }
 
 // RunShuffle executes the three-stage job and returns per-worker stage
-// completion times.
+// completion times. If a transfer cannot start (no path between its
+// hosts), the run ends and that error is returned.
 func RunShuffle(d *Driver, cfg ShuffleConfig) (StageTimes, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	hosts := d.PNet.Topo.Hosts
@@ -74,6 +69,7 @@ func RunShuffle(d *Driver, cfg ShuffleConfig) (StageTimes, error) {
 	}
 
 	var times StageTimes
+	var startErr error
 
 	// runStage runs one barrier-synchronized stage: worker w must move
 	// transfers[w] flows, Concurrency at a time; flow f's source and
@@ -110,12 +106,12 @@ func RunShuffle(d *Driver, cfg ShuffleConfig) (StageTimes, error) {
 				launch()
 			}
 			launch = func() {
-				for outstanding < cfg.Concurrency && nextIdx < len(specs) {
+				for startErr == nil && outstanding < cfg.Concurrency && nextIdx < len(specs) {
 					s := specs[nextIdx]
 					nextIdx++
 					outstanding++
 					if _, err := d.StartFlow(s.src, s.dst, s.size, cfg.Sel, s.deliveredHook(onDone), s.completeHook(onDone)); err != nil {
-						panic(err)
+						startErr = fmt.Errorf("workload: shuffle transfer from node %d to node %d: %w", s.src, s.dst, err)
 					}
 				}
 			}
@@ -163,15 +159,17 @@ func RunShuffle(d *Driver, cfg ShuffleConfig) (StageTimes, error) {
 		return specs
 	}, &times.Read, stage2)
 
-	deadline := cfg.deadline()
-	for !finished && d.Eng.Now() < deadline {
+	for startErr == nil && !finished && d.Eng.Now() < shuffleDeadline {
 		if !d.Eng.Step() {
 			break
 		}
 	}
+	if startErr != nil {
+		return times, startErr
+	}
 	if !finished {
 		return times, fmt.Errorf("workload: shuffle incomplete by %v (drops=%d)",
-			cfg.deadline(), d.Net.TotalDrops())
+			shuffleDeadline, d.Net.TotalDrops())
 	}
 	return times, nil
 }

@@ -26,16 +26,10 @@ type TraceConfig struct {
 	// Sel routes every flow (paper: single-path for closed-loop traces).
 	Sel  Selection
 	Seed int64
-	// Deadline bounds the simulation; zero selects 60 s.
-	Deadline sim.Time
 }
 
-func (c TraceConfig) deadline() sim.Time {
-	if c.Deadline == 0 {
-		return 60 * sim.Second
-	}
-	return c.Deadline
-}
+// traceDeadline bounds a trace run's simulated time.
+const traceDeadline = 300 * sim.Second
 
 // TraceResult carries per-flow observations.
 type TraceResult struct {
@@ -46,16 +40,19 @@ type TraceResult struct {
 }
 
 // RunTrace executes the workload and returns per-flow completion times.
+// If a flow cannot start (no path between a client and its destination),
+// the run ends and that error is returned with the flows so far.
 func RunTrace(d *Driver, cfg TraceConfig) (TraceResult, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	hosts := d.PNet.Topo.Hosts
 	n := len(hosts)
 	var res TraceResult
+	var startErr error
 	expected := int64(n * cfg.LoopsPerHost * cfg.FlowsPerLoop)
 
 	var startFlow func(client, round int)
 	startFlow = func(client, round int) {
-		if round >= cfg.FlowsPerLoop {
+		if round >= cfg.FlowsPerLoop || startErr != nil {
 			return
 		}
 		dst := rng.Intn(n - 1)
@@ -76,7 +73,7 @@ func RunTrace(d *Driver, cfg TraceConfig) (TraceResult, error) {
 				startFlow(client, round+1)
 			})
 		if err != nil {
-			panic(err)
+			startErr = fmt.Errorf("workload: trace flow from host %d to host %d: %w", client, dst, err)
 		}
 	}
 
@@ -85,11 +82,13 @@ func RunTrace(d *Driver, cfg TraceConfig) (TraceResult, error) {
 			startFlow(h, 0)
 		}
 	}
-	deadline := cfg.deadline()
-	for int64(len(res.FCTs)) < expected && d.Eng.Now() < deadline {
+	for startErr == nil && int64(len(res.FCTs)) < expected && d.Eng.Now() < traceDeadline {
 		if !d.Eng.Step() {
 			break
 		}
+	}
+	if startErr != nil {
+		return res, startErr
 	}
 	if int64(len(res.FCTs)) < expected {
 		return res, fmt.Errorf("workload: %d of %d trace flows completed (drops=%d)",
