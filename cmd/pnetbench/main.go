@@ -25,8 +25,7 @@
 // summary/diff with no JSONL round-trip; it is the reduction of the
 // records -metrics would hold. -spans turns on latency attribution
 // (per-flow FCT decomposition into queueing/serialization/propagation/
-// stall components) and the event-loop flight recorder behind `pnetstat
-// attribution` and `pnetstat profile`. -fingerprint folds every fired
+// stall components) behind `pnetstat attribution`. -fingerprint folds every fired
 // event into rolling per-plane determinism hash chains, checkpointed
 // every -fingerprint-epoch events into the metrics stream / report; each
 // checkpoint names the event that closed it, so at -fingerprint-epoch 1
@@ -181,7 +180,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.metrics, "metrics", "", "stream telemetry records as JSONL to this file ('-' = stdout)")
 	fs.BoolVar(&o.trace, "trace", false, "add packet lifecycle events to the -metrics stream; -trace-flow narrows them to chosen flows")
 	fs.StringVar(&o.traceFlow, "trace-flow", "", "comma-separated flow IDs to trace; other flows' events are dropped before a record is built (requires -trace)")
-	fs.BoolVar(&o.spans, "spans", false, "record latency attribution spans and the event-loop profile (pnetstat attribution / profile)")
+	fs.BoolVar(&o.spans, "spans", false, "record latency attribution spans (pnetstat attribution)")
 	fs.BoolVar(&o.fingerprint, "fingerprint", false, "fold every fired event into per-plane determinism hash chains (pnetstat fingerprint / divergence); needs -metrics or -report")
 	fs.Int64Var(&o.fpEpoch, "fingerprint-epoch", 0, "events per fingerprint checkpoint (0 = default 65536; 1 lets pnetstat divergence name the first divergent event); requires -fingerprint")
 	fs.StringVar(&o.report, "report", "", "write a RunSummary JSON for pnetstat to this file")
@@ -297,7 +296,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		time.Since(runStart).Round(time.Millisecond), effWorkers, runtime.GOMAXPROCS(0))
 
 	// Close before summarizing: it is what emits the closing engine
-	// records, the profile bins and the partial fingerprint checkpoints.
+	// records and the partial fingerprint checkpoints.
 	if err := collector.Close(); err != nil {
 		fmt.Fprintf(stderr, "pnetbench: telemetry: %v\n", err)
 		return 1

@@ -20,16 +20,6 @@ func spanSummary() report.RunSummary {
 			{Component: "rto_stall", Plane: -1, Seconds: 0.5, Share: 0.25},
 		},
 	}
-	s.Profile = &report.ProfileSummary{
-		Engines: 1, Events: 1000, SimSec: 0.01,
-		Bins: []report.ProfileBinSummary{
-			{Kind: "hop", Plane: 0, Events: 900},
-			{Kind: "deliver", Plane: 0, Events: 100},
-		},
-		Planes:     []report.ProfilePlane{{Plane: 0, Events: 900, EventsPerSimSec: 9e4}},
-		HostEvents: 100,
-		HostFrac:   0.1,
-	}
 	return s
 }
 
@@ -60,42 +50,38 @@ func TestAttributionCommand(t *testing.T) {
 	}
 }
 
+// TestAttributionCommandNoSpans: a run recorded without -spans has no
+// attribution view, with or without -json: a usage error naming the
+// pnetbench flag that records it, and nothing on stdout.
 func TestAttributionCommandNoSpans(t *testing.T) {
 	dir := t.TempDir()
 	run := writeRun(t, dir, "r.json", testSummary())
-	var out, errb bytes.Buffer
-	if code := run2(t, []string{"attribution", run}, &out, &errb); code != 0 {
-		t.Fatalf("attribution exited %d on a span-less run: %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "-spans") {
-		t.Errorf("span-less output should point at pnetbench -spans:\n%s", out.String())
+	for _, args := range [][]string{{"attribution", run}, {"attribution", "-json", run}} {
+		var out, errb bytes.Buffer
+		if code := run2(t, args, &out, &errb); code != 2 {
+			t.Errorf("%v exited %d on a span-less run, want 2", args, code)
+		}
+		if msg := errb.String(); !strings.Contains(msg, "rerun with pnetbench -spans\n") || strings.Count(msg, "\n") != 1 {
+			t.Errorf("%v: stderr %q, want one line pointing at pnetbench -spans", args, msg)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v printed %q on stdout", args, out.String())
+		}
 	}
 }
 
+// TestProfileCommand: the event-loop profile is gone with its recorder;
+// `pnetstat profile` is an unknown command, -json or not.
 func TestProfileCommand(t *testing.T) {
-	dir := t.TempDir()
-	run := writeRun(t, dir, "r.json", spanSummary())
-
-	var out, errb bytes.Buffer
-	if code := run2(t, []string{"profile", run}, &out, &errb); code != 0 {
-		t.Fatalf("profile exited %d: %s", code, errb.String())
-	}
-	for _, want := range []string{"host boundary", "plane 0"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("profile output missing %q:\n%s", want, out.String())
+	run := writeRun(t, t.TempDir(), "r.json", spanSummary())
+	for _, args := range [][]string{{"profile", run}, {"profile", "-json", run}} {
+		var out, errb bytes.Buffer
+		if code := run2(t, args, &out, &errb); code != 2 || !strings.Contains(errb.String(), `unknown command "profile"`) {
+			t.Errorf("%v exited %d, stderr %q; want 2 and an unknown command", args, code, errb.String())
 		}
-	}
-
-	out.Reset()
-	if code := run2(t, []string{"profile", "-json", run}, &out, &errb); code != 0 {
-		t.Fatalf("profile -json exited %d: %s", code, errb.String())
-	}
-	var p report.ProfileSummary
-	if err := json.Unmarshal(out.Bytes(), &p); err != nil {
-		t.Fatalf("profile -json output does not decode: %v", err)
-	}
-	if p.Events != 1000 || p.HostEvents != 100 {
-		t.Errorf("decoded profile = %+v", p)
+		if out.Len() != 0 {
+			t.Errorf("%v printed %q on stdout", args, out.String())
+		}
 	}
 }
 
@@ -103,8 +89,5 @@ func TestAttributionUsageError(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run2(t, []string{"attribution"}, &out, &errb); code != 2 {
 		t.Errorf("attribution without file exited %d, want 2", code)
-	}
-	if code := run2(t, []string{"profile"}, &out, &errb); code != 2 {
-		t.Errorf("profile without file exited %d, want 2", code)
 	}
 }

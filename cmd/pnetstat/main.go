@@ -50,10 +50,6 @@ commands:
       went (queueing, serialization, propagation, RTO stalls, repath
       gaps, host waits) per plane, overall and for the p99.9 tail;
       needs a run recorded with pnetbench -spans
-  profile [-json] <run>
-      print the event-loop profile: per-(kind, plane) event counts and
-      wall time, per-plane event rates and the host-boundary fraction;
-      needs pnetbench -spans
   fingerprint [-json] <run>
       print the determinism fingerprint: the XOR-folded global, host,
       and per-plane hash chains; needs pnetbench -fingerprint
@@ -86,11 +82,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "summary":
 		return runSummary(rest, stdout, stderr)
 	case "attribution":
-		return runView(cmd, rest, stdout, stderr, attributionView)
-	case "profile":
-		return runView(cmd, rest, stdout, stderr, profileView)
+		return runView(cmd, "spans", rest, stdout, stderr, attributionView)
 	case "fingerprint":
-		return runView(cmd, rest, stdout, stderr, fingerprintView)
+		return runView(cmd, "fingerprint", rest, stdout, stderr, fingerprintView)
 	case "divergence":
 		return runDivergence(rest, stdout, stderr)
 	case "export-trace":
@@ -160,8 +154,8 @@ func runSummary(args []string, stdout, stderr io.Writer) int {
 
 // runView is a subcommand that prints one view of one run: its text, or
 // with -json the JSON of its part. A view that is not ok is missing from
-// the run: a usage error naming the pnetbench flag that records it.
-func runView(name string, args []string, stdout, stderr io.Writer, view func(report.RunSummary) (part any, text string, ok bool)) int {
+// the run: a usage error naming flagName, the pnetbench flag that records it.
+func runView(name, flagName string, args []string, stdout, stderr io.Writer, view func(report.RunSummary) (part any, text string, ok bool)) int {
 	fs := newFlagSet(name)
 	asJSON := fs.Bool("json", false, "print the "+name+" summary as JSON instead of text")
 	if err := fs.Parse(args); err != nil || fs.NArg() != 1 {
@@ -173,7 +167,7 @@ func runView(name string, args []string, stdout, stderr io.Writer, view func(rep
 	}
 	part, text, ok := view(s)
 	if !ok {
-		fmt.Fprintf(stderr, "pnetstat: %s has no %s records — rerun with pnetbench -%s\n", fs.Arg(0), name, name)
+		fmt.Fprintf(stderr, "pnetstat: %s has no %s records — rerun with pnetbench -%s\n", fs.Arg(0), name, flagName)
 		return 2
 	}
 	if *asJSON {
@@ -186,11 +180,10 @@ func runView(name string, args []string, stdout, stderr io.Writer, view func(rep
 }
 
 func attributionView(s report.RunSummary) (any, string, bool) {
+	if s.Attribution == nil {
+		return nil, "", false
+	}
 	return s.Attribution, s.AttributionString(), true
-}
-
-func profileView(s report.RunSummary) (any, string, bool) {
-	return s.Profile, s.ProfileString(), true
 }
 
 func fingerprintView(s report.RunSummary) (any, string, bool) {

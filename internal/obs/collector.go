@@ -10,9 +10,9 @@ import (
 )
 
 // Collector bundles the telemetry of one harness run: the optional JSONL
-// metrics stream and, per attached network, a sampler, packet tracer,
-// flight recorder and fingerprinter. Every method but StreamMetrics is
-// nil-safe, so instrumented code needs no guards of its own.
+// metrics stream and, per attached network, a sampler, packet tracer and
+// fingerprinter. Every method but StreamMetrics is nil-safe, so
+// instrumented code needs no guards of its own.
 //
 // Every record the run produces takes one road: the producer hands it to
 // the collector's one sink (out: the metrics stream, Sink, or a Tee of
@@ -20,8 +20,8 @@ import (
 // engine records as they tick, tracers packet records as packets move,
 // fingerprinters their checkpoints as each epoch closes; RecordFlow,
 // RecordSolver and RecordFault pass theirs on as they arrive; Close emits
-// each engine's profile bins and trailing partial checkpoint. All records
-// of one engine carry the NetID AttachNetwork gave it.
+// each engine's trailing partial checkpoint. All records of one engine
+// carry the NetID AttachNetwork gave it.
 //
 // A Collector is safe for concurrent producers: parallel experiment
 // cells attach networks and record flows/solver calls/faults against one
@@ -35,9 +35,7 @@ type Collector struct {
 	Sink Sink
 	// Spans enables latency-attribution span recording on every attached
 	// network, so completed flows carry their FCT decomposition
-	// (FlowRecord.Spans), and attaches an event-loop flight recorder to
-	// every attached engine, whose per-(kind, plane) bins Close emits as
-	// profile records. Must be set before AttachNetwork.
+	// (FlowRecord.Spans). Must be set before AttachNetwork.
 	Spans bool
 	// Fingerprint attaches a determinism fingerprinter to every attached
 	// engine; each epoch checkpoint becomes a fingerprint record as the
@@ -68,9 +66,7 @@ type Collector struct {
 // NetID that every record of that engine carries. Unused hooks are nil.
 type attachment struct {
 	id      int
-	eng     *sim.Engine
 	sampler *Sampler
-	rec     *sim.FlightRecorder
 	fp      *sim.Fingerprinter
 }
 
@@ -82,8 +78,7 @@ const sampleInterval = 10 * sim.Microsecond
 func NewCollector() *Collector { return &Collector{} }
 
 // StreamMetrics streams every record — samples, flow/solver/fault
-// records, packet events, fingerprint checkpoints and, at Close, profile
-// bins — to w as JSONL.
+// records, packet events and fingerprint checkpoints — to w as JSONL.
 func (c *Collector) StreamMetrics(w io.Writer) { c.mw = NewMetricsWriter(w) }
 
 // out is the one destination of every record: the metrics stream, Sink,
@@ -104,10 +99,9 @@ func (c *Collector) out() Sink {
 }
 
 // AttachNetwork instruments one simulation under the next NetID: spans
-// and the flight recorder are switched on as configured, and, if a
-// metrics stream or Sink is set, the packet tracer and the
-// fingerprinter's checkpoints are pointed at it and a sampler is started
-// on the engine. It returns the NetID, which records about this network
+// are switched on as configured, and, if a metrics stream or Sink is set,
+// the packet tracer and the fingerprinter's checkpoints are pointed at it
+// and a sampler is started on the engine. It returns the NetID, which records about this network
 // made elsewhere (faults) must carry; a nil collector attaches nothing and
 // returns -1.
 func (c *Collector) AttachNetwork(eng *sim.Engine, net *sim.Network) int {
@@ -115,13 +109,11 @@ func (c *Collector) AttachNetwork(eng *sim.Engine, net *sim.Network) int {
 		return -1
 	}
 	c.mu.Lock()
-	a := attachment{id: c.nextID, eng: eng}
+	a := attachment{id: c.nextID}
 	c.nextID++
 	c.mu.Unlock()
 	if c.Spans {
 		net.EnableSpans()
-		a.rec = sim.NewFlightRecorder()
-		eng.Recorder = a.rec
 	}
 	to := c.out()
 	if c.Trace && to != nil {
@@ -199,10 +191,10 @@ func (c *Collector) RecordFault(r FaultRecord) {
 
 // Close ends the run: per network, it stops the sampler (a network that
 // never reached its first tick reports its one engine record then) and
-// emits the engine's profile bins and trailing partial fingerprint
-// checkpoint to the sink; then it flushes the metrics stream and returns
-// the first error it hit. Call it once, when every engine has
-// stopped; a summary is complete only after it.
+// emits the engine's trailing partial fingerprint checkpoint to the sink;
+// then it flushes the metrics stream and returns the first error it hit.
+// Call it once, when every engine has stopped; a summary is complete only
+// after it.
 func (c *Collector) Close() error {
 	if c == nil {
 		return nil
@@ -215,21 +207,11 @@ func (c *Collector) Close() error {
 		if n.sampler != nil {
 			n.sampler.Stop()
 		}
-		if to == nil {
+		if to == nil || n.fp == nil {
 			continue
 		}
-		if n.rec != nil {
-			for _, b := range n.rec.Snapshot() {
-				to.Profile(ProfileRecord{
-					Type: KindProfile, Net: n.id, Kind: b.Kind.String(), Plane: b.Plane,
-					Events: b.Events, WallNano: b.WallNs, SimPs: int64(n.eng.Now()),
-				})
-			}
-		}
-		if n.fp != nil {
-			if cp, ok := n.fp.Partial(); ok {
-				to.Fingerprint(CheckpointRecord(n.id, n.fp.EpochEvents(), cp))
-			}
+		if cp, ok := n.fp.Partial(); ok {
+			to.Fingerprint(CheckpointRecord(n.id, n.fp.EpochEvents(), cp))
 		}
 	}
 	if c.mw != nil {

@@ -9,12 +9,12 @@ import (
 )
 
 // MetricsWriter streams records — samples, flow, solver and fault
-// records, profile bins, fingerprint checkpoints, packet events — as
-// JSONL. An internal mutex makes it safe for the producers of
-// concurrently-running networks to share one stream (individual lines
-// never interleave; line order across producers is arrival order). The
-// record shapes live in schema.go; every line carries "type", so a stream
-// mixing kinds stays self-describing.
+// records, fingerprint checkpoints, packet events — as JSONL. An internal
+// mutex makes it safe for the producers of concurrently-running networks
+// to share one stream (individual lines never interleave; line order
+// across producers is arrival order). The record shapes live in
+// schema.go; every line carries "type", so a stream mixing kinds stays
+// self-describing.
 type MetricsWriter struct {
 	mu  sync.Mutex
 	w   *bufio.Writer
@@ -44,7 +44,6 @@ func (m *MetricsWriter) Engine(r EngineRecord)           { m.write(r) }
 func (m *MetricsWriter) Flow(r FlowRecord)               { m.write(r) }
 func (m *MetricsWriter) Solver(r SolverRecord)           { m.write(r) }
 func (m *MetricsWriter) Fault(r FaultRecord)             { m.write(r) }
-func (m *MetricsWriter) Profile(r ProfileRecord)         { m.write(r) }
 func (m *MetricsWriter) Fingerprint(r FingerprintRecord) { m.write(r) }
 
 // Packet writes one packet event, htsim-log style:

@@ -48,15 +48,14 @@ func TestHistogramQuantiles(t *testing.T) {
 // records attaches, since samplers and the collector retain nothing
 // themselves. Not locked: for tests that run one engine at a time.
 type sliceSink struct {
-	links    []LinkRecord
-	planes   []PlaneRecord
-	engines  []EngineRecord
-	flows    []FlowRecord
-	solvers  []SolverRecord
-	faults   []FaultRecord
-	profiles []ProfileRecord
-	fps      []FingerprintRecord
-	packets  []PacketRecord
+	links   []LinkRecord
+	planes  []PlaneRecord
+	engines []EngineRecord
+	flows   []FlowRecord
+	solvers []SolverRecord
+	faults  []FaultRecord
+	fps     []FingerprintRecord
+	packets []PacketRecord
 }
 
 func (s *sliceSink) Link(r LinkRecord)               { s.links = append(s.links, r) }
@@ -65,7 +64,6 @@ func (s *sliceSink) Engine(r EngineRecord)           { s.engines = append(s.engi
 func (s *sliceSink) Flow(r FlowRecord)               { s.flows = append(s.flows, r) }
 func (s *sliceSink) Solver(r SolverRecord)           { s.solvers = append(s.solvers, r) }
 func (s *sliceSink) Fault(r FaultRecord)             { s.faults = append(s.faults, r) }
-func (s *sliceSink) Profile(r ProfileRecord)         { s.profiles = append(s.profiles, r) }
 func (s *sliceSink) Fingerprint(r FingerprintRecord) { s.fps = append(s.fps, r) }
 func (s *sliceSink) Packet(r PacketRecord)           { s.packets = append(s.packets, r) }
 

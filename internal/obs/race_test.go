@@ -107,16 +107,16 @@ func TestCollectorConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestProfileNetIsEngineNet pins what `net` means: every record of one
-// engine carries the NetID AttachNetwork gave it, profile bins included.
-// Network 0 attaches before profiling is switched on, so a profile record
-// numbered by anything but the network's own id (a recorder sequence of
-// its own, as there once was) names the wrong engine. Each engine runs to
-// a different sim time, and a run-to-completion ends on the sampler's last
-// tick, so an engine is recognisable in both kinds: its profile bins'
-// sim_ps is its last engine record's t_ps. Serial and with the eight
-// attaches racing.
-func TestProfileNetIsEngineNet(t *testing.T) {
+// TestFingerprintNetIsEngineNet pins what `net` means: every record of
+// one engine carries the NetID AttachNetwork gave it, fingerprint
+// checkpoints included. Network 0 attaches before fingerprinting is
+// switched on, so a checkpoint numbered by anything but the network's own
+// id names the wrong engine. Each engine runs to a different sim time,
+// and a run-to-completion ends on the sampler's last tick, which is also
+// the last event folded, so an engine is recognisable in both kinds: its
+// last checkpoint's t_ps is its last engine record's. Serial and with the
+// eight attaches racing.
+func TestFingerprintNetIsEngineNet(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		var mbuf bytes.Buffer
 		c := obs.NewCollector()
@@ -134,7 +134,7 @@ func TestProfileNetIsEngineNet(t *testing.T) {
 			eng.Run()
 		}
 		run(0)
-		c.Spans = true
+		c.Fingerprint = true
 		const engines = 8
 		var wg sync.WaitGroup
 		slots := make(chan struct{}, workers)
@@ -156,17 +156,18 @@ func TestProfileNetIsEngineNet(t *testing.T) {
 		for _, r := range records[obs.EngineRecord](t, &mbuf, obs.KindEngine) {
 			lastTick[r.Net] = r.TPs
 		}
-		profiled := map[int]bool{}
-		for _, r := range records[obs.ProfileRecord](t, &mbuf, obs.KindProfile) {
-			profiled[r.Net] = true
-			if at, ok := lastTick[r.Net]; !ok || r.SimPs != at {
-				t.Errorf("workers=%d: profile record net %d has sim_ps %d, but that net's engine records end at %d: %+v",
-					workers, r.Net, r.SimPs, at, r)
+		lastFold := map[int]int64{}
+		for _, r := range records[obs.FingerprintRecord](t, &mbuf, obs.KindFingerprint) {
+			lastFold[r.Net] = r.TPs
+		}
+		for net, at := range lastFold {
+			if tick, ok := lastTick[net]; !ok || at != tick {
+				t.Errorf("workers=%d: net %d's last checkpoint is at %d ps, but that net's engine records end at %d", workers, net, at, tick)
 			}
 		}
-		if len(lastTick) != engines+1 || len(profiled) != engines || profiled[0] {
-			t.Errorf("workers=%d: %d sampled and %d profiled networks (net 0 profiled: %v), want %d and %d, not net 0",
-				workers, len(lastTick), len(profiled), profiled[0], engines+1, engines)
+		if _, fp0 := lastFold[0]; len(lastTick) != engines+1 || len(lastFold) != engines || fp0 {
+			t.Errorf("workers=%d: %d sampled and %d fingerprinted networks (net 0 fingerprinted: %v), want %d and %d, not net 0",
+				workers, len(lastTick), len(lastFold), fp0, engines+1, engines)
 		}
 	}
 }

@@ -25,7 +25,6 @@ const (
 	KindSolver      = "solver"
 	KindPacket      = "pkt"
 	KindFault       = "fault"
-	KindProfile     = "profile"
 	KindFingerprint = "fp"
 )
 
@@ -107,22 +106,6 @@ type SpanShare struct {
 func ValidSpanComponent(name string) bool {
 	_, ok := sim.ParseSpanComponent(name)
 	return ok
-}
-
-// ProfileRecord is one (engine, event-kind, plane) bin of the event-loop
-// flight recorder, written when the collector closes. Events is exact
-// and deterministic for a fixed seed; WallNano is neither: it is this
-// run's host, estimated from the events the recorder timed.
-type ProfileRecord struct {
-	Type     string `json:"type"` // "profile"
-	Net      int    `json:"net"`
-	Kind     string `json:"kind"`  // hop | deliver | tx | timer
-	Plane    int32  `json:"plane"` // -1 for timer (no plane)
-	Events   int64  `json:"events"`
-	WallNano int64  `json:"wall_ns"`
-	// SimPs is the engine's sim time when snapshotted — the profiled
-	// duration, repeated on each of the engine's bins.
-	SimPs int64 `json:"sim_ps,omitempty"`
 }
 
 // ValidEventKind reports whether name is an event kind this schema

@@ -101,55 +101,3 @@ func (c *lineCounter) Write(b []byte) (int, error) {
 	c.lines += bytes.Count(b, []byte{'\n'})
 	return len(b), nil
 }
-
-// TestProfileRecordsOnClose checks the flight recorder's bins reach the
-// metrics stream as decodable profile records with valid event kinds.
-func TestProfileRecordsOnClose(t *testing.T) {
-	g, p0, _ := twoPlane()
-	eng := sim.NewEngine()
-	net := sim.NewNetwork(eng, g, sim.Config{})
-	var buf bytes.Buffer
-	c := NewCollector()
-	c.Spans = true
-	c.StreamMetrics(&buf)
-	c.AttachNetwork(eng, net)
-	if !net.SpansOn() {
-		t.Fatal("AttachNetwork did not enable spans")
-	}
-
-	for i := 0; i < 4; i++ {
-		sendPacket(net, p0, int64(i))
-	}
-	eng.Run()
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var profiles []ProfileRecord
-	for _, line := range nonEmptyLines(buf.String()) {
-		if !strings.Contains(line, `"type":"profile"`) {
-			continue
-		}
-		var rec ProfileRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("bad profile line %q: %v", line, err)
-		}
-		profiles = append(profiles, rec)
-	}
-	if len(profiles) == 0 {
-		t.Fatal("no profile records in the metrics stream")
-	}
-	var events int64
-	for _, rec := range profiles {
-		if !ValidEventKind(rec.Kind) {
-			t.Errorf("invalid event kind %q", rec.Kind)
-		}
-		if rec.SimPs <= 0 {
-			t.Errorf("profile record without sim time: %+v", rec)
-		}
-		events += rec.Events
-	}
-	if events == 0 {
-		t.Error("profile records carry no events")
-	}
-}

@@ -9,16 +9,10 @@ import (
 	"pnet/internal/sim"
 )
 
-// spanStream is a small run with attribution spans and profile records:
-// two flows (one slow outlier dominated by an RTO stall) plus one
-// engine's flight recording over 10ms of sim time.
+// spanStream is a small run with attribution spans: two flows, one a
+// slow outlier dominated by an RTO stall.
 const spanStream = `{"type":"flow","id":1,"transport":"tcp","bytes":1000000,"fct_s":0.001,"spans":[{"c":"queue","plane":0,"ps":200000000},{"c":"serialize","plane":0,"ps":500000000},{"c":"propagate","plane":0,"ps":300000000}]}
 {"type":"flow","id":2,"transport":"tcp","bytes":1000000,"fct_s":0.011,"spans":[{"c":"serialize","plane":1,"ps":1000000000},{"c":"rto_stall","plane":-1,"ps":10000000000}]}
-{"type":"profile","net":0,"kind":"hop","plane":0,"events":600,"wall_ns":3000,"sim_ps":10000000000}
-{"type":"profile","net":0,"kind":"tx","plane":0,"events":200,"wall_ns":1000,"sim_ps":10000000000}
-{"type":"profile","net":0,"kind":"hop","plane":1,"events":100,"wall_ns":500,"sim_ps":10000000000}
-{"type":"profile","net":0,"kind":"deliver","plane":1,"events":80,"wall_ns":400,"sim_ps":10000000000}
-{"type":"profile","net":0,"kind":"timer","plane":-1,"events":20,"wall_ns":100,"sim_ps":10000000000}
 `
 
 func loadSpanStream(t *testing.T) RunSummary {
@@ -88,29 +82,6 @@ func TestAttributionSummaryFromStream(t *testing.T) {
 	}
 }
 
-func TestProfileSummaryFromStream(t *testing.T) {
-	s := loadSpanStream(t)
-	p := s.Profile
-	if p == nil {
-		t.Fatal("no profile summary from a stream with profile records")
-	}
-	if p.Engines != 1 || p.Events != 1000 {
-		t.Errorf("engines=%d events=%d, want 1/1000", p.Engines, p.Events)
-	}
-	if p.HostEvents != 100 { // deliver 80 + timer 20
-		t.Errorf("host events = %d, want 100", p.HostEvents)
-	}
-	if math.Abs(p.HostFrac-0.1) > 1e-9 {
-		t.Errorf("host frac = %v, want 0.1", p.HostFrac)
-	}
-	out := s.ProfileString()
-	for _, needle := range []string{"host boundary", "plane 0"} {
-		if !strings.Contains(out, needle) {
-			t.Errorf("ProfileString missing %q:\n%s", needle, out)
-		}
-	}
-}
-
 // TestReadStreamTruncatedSpanRecord: a stream cut off in the middle of a
 // flow record's span list must yield the complete prefix plus a typed
 // *ParseError with Truncated set.
@@ -149,25 +120,24 @@ func TestReadStreamUnknownSpanComponent(t *testing.T) {
 	}
 }
 
-// TestReadStreamUnknownProfileKind: a profile kind this schema does not
-// define is a typed *ParseError. That covers a typo and the three
-// occupancy kinds that streams written by earlier versions carry, which
-// must not be binned as planes.
+// TestReadStreamUnknownProfileKind: the event-loop profile record is
+// gone from the schema, and a stream from an older binary that carries
+// one fails at that line with a typed *UnknownKindError, every earlier
+// record already delivered. Nothing reads the old kind back.
 func TestReadStreamUnknownProfileKind(t *testing.T) {
-	for _, kind := range []string{"teleport", "hostload", "subshard", "planeshard"} {
-		in := `{"type":"profile","net":0,"kind":"` + kind + `","plane":3,"events":1,"wall_ns":0,"sim_ps":5}` + "\n"
-		st := &recorder{}
-		err := ReadStream(strings.NewReader(in), st)
-		var pe *ParseError
-		if !errors.As(err, &pe) {
-			t.Fatalf("%s: err = %v, want *ParseError", kind, err)
-		}
-		if !strings.Contains(pe.Error(), "unknown event kind") || !strings.Contains(pe.Error(), kind) {
-			t.Errorf("%s: error does not name the bad kind: %v", kind, pe)
-		}
-		if len(st.Profiles) != 0 {
-			t.Errorf("%s: bad profile record kept: %+v", kind, st.Profiles)
-		}
+	in := spanStream + `{"type":"profile","net":0,"kind":"hop","plane":0,"events":600,"wall_ns":3000,"sim_ps":10000000000}` + "\n" +
+		`{"type":"flow","id":3,"fct_s":0.1}` + "\n"
+	st := &recorder{}
+	err := ReadStream(strings.NewReader(in), st)
+	var uk *UnknownKindError
+	if !errors.As(err, &uk) {
+		t.Fatalf("err = %v, want *UnknownKindError", err)
+	}
+	if uk.Kind != "profile" || uk.Line != 3 {
+		t.Errorf("UnknownKindError = %+v, want kind profile at line 3", uk)
+	}
+	if len(st.Flows) != 2 || st.Flows[0].ID != 1 || st.Flows[1].ID != 2 {
+		t.Errorf("records before the profile line: %+v, want flows 1 and 2", st.Flows)
 	}
 }
 
@@ -188,8 +158,6 @@ func TestDiffAddedMetrics(t *testing.T) {
 	for _, want := range []string{
 		"fct_s.p50",
 		"attribution.rto_stall.plane-1.share",
-		"profile.events",
-		"profile.host_frac",
 	} {
 		if !added[want] {
 			t.Errorf("added is missing %q; got %v", want, added)

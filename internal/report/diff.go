@@ -155,14 +155,6 @@ func Diff(base, cur RunSummary, rel float64) DiffReport {
 		}
 	}
 
-	// The event-loop profile is informational (its wall side is machine-
-	// local, its count side already gated via engine.events), but a
-	// profile appearing for the first time is worth surfacing.
-	if base.Profile == nil && cur.Profile != nil {
-		added("profile.events", float64(cur.Profile.Events))
-		added("profile.host_frac", cur.Profile.HostFrac)
-	}
-
 	// Fault metrics compare only when both runs exercised faults — a
 	// fault-free baseline says nothing about failover latency, and the
 	// base==0 "appeared from nowhere" rule would fail every first chaos

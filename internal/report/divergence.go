@@ -82,9 +82,8 @@ func readChains(path string) ([]*chain, error) {
 }
 
 // side is the second pass over one diverged stream, in engine net: the
-// checkpoint of epoch at and those within [lo, hi], the record of the flow
-// whose event closed the checkpoint at when that record follows it, and
-// all the engine's flight-recorder bins (at most kinds × planes).
+// checkpoint of epoch at and those within [lo, hi], and the record of the
+// flow whose event closed the checkpoint at when that record follows it.
 type side struct {
 	discard
 	net        int
@@ -92,7 +91,6 @@ type side struct {
 	cp         obs.FingerprintRecord
 	cps        []obs.FingerprintRecord
 	flow       obs.FlowRecord
-	bins       []obs.ProfileRecord
 }
 
 func (s *side) Fingerprint(r obs.FingerprintRecord) {
@@ -107,12 +105,6 @@ func (s *side) Fingerprint(r obs.FingerprintRecord) {
 func (s *side) Flow(r obs.FlowRecord) {
 	if s.flow.Type == "" && s.cp.Flow > 0 && r.Net == s.net && r.ID == s.cp.Flow {
 		s.flow = r
-	}
-}
-
-func (s *side) Profile(r obs.ProfileRecord) {
-	if r.Net == s.net {
-		s.bins = append(s.bins, r)
 	}
 }
 
@@ -169,10 +161,8 @@ type Divergence struct {
 	// epochs of the divergent one.
 	ContextBase, ContextCur []obs.FingerprintRecord
 	// BaseFlow and CurFlow are each side's record of the closing event's
-	// flow, in its engine (a zero Type: none); Bins the base engine's
-	// flight-recorder bins on the diverging planes.
+	// flow, in its engine (a zero Type: none).
 	BaseFlow, CurFlow obs.FlowRecord
-	Bins              []obs.ProfileRecord
 }
 
 // FindDivergence pairs the engines of the metrics streams at basePath and
@@ -180,7 +170,7 @@ type Divergence struct {
 // first divergent epoch, returning the earliest divergence found (by
 // epoch, then pair index) with k ≥ 0 checkpoints of context either side.
 // A first pass keeps one global hash per checkpoint; only diverged runs
-// are read again, for the pair's context, closing events and bins, and a
+// are read again, for the pair's context and closing events, and a
 // third time only for a closing event's flow whose record came before its
 // checkpoint.
 func FindDivergence(basePath, curPath string, k int) (*Divergence, error) {
@@ -241,15 +231,13 @@ func FindDivergence(basePath, curPath string, k int) (*Divergence, error) {
 	}
 	d.Epoch, d.Events = cp.Epoch, cp.Events
 
-	// The closing events' flows, and the base engine's bins on the
-	// diverging planes, which suffice for orientation.
+	// The closing events' flows, which suffice for orientation.
 	if d.BaseFlow, err = closingFlow(basePath, base); err != nil {
 		return nil, err
 	}
 	if d.CurFlow, err = closingFlow(curPath, cur); err != nil {
 		return nil, err
 	}
-	d.Bins = slices.DeleteFunc(base.bins, func(b obs.ProfileRecord) bool { return !slices.Contains(d.Planes, b.Plane) })
 	return d, nil
 }
 
@@ -334,9 +322,6 @@ func (d *Divergence) String() string {
 			fmt.Fprintf(&b, " %s[p%d]=%dps", sp.Component, sp.Plane, sp.Ps)
 		}
 		b.WriteByte('\n')
-	}
-	for _, p := range d.Bins {
-		fmt.Fprintf(&b, "  flight recorder (base): plane %d %s ×%d\n", p.Plane, p.Kind, p.Events)
 	}
 	return b.String()
 }

@@ -203,9 +203,9 @@ func TestDivergenceStructuralMismatches(t *testing.T) {
 
 // TestDivergenceContextByNet: the context of a divergence comes from the
 // divergent pair's own engine on each side, which two streams number
-// differently. Both engines of each run have flows 3 and 4 and profile bins;
-// the diverging engine is net 1 in base and net 0 in cur, so every
-// checkpoint, flow and bin printed must carry that side's number. The
+// differently. Both engines of each run have flows 3 and 4; the diverging
+// engine is net 1 in base and net 0 in cur, so every checkpoint and flow
+// printed must carry that side's number. The
 // swap closes the divergent checkpoint with flow 3 in base, 4 in cur. The
 // flow records come before the checkpoints, which takes a read of their
 // own, or after them, where the context's read picks them up.
@@ -240,9 +240,6 @@ func checkContextByNet(t *testing.T, flowsLast bool) {
 			if flowsLast {
 				flows()
 			}
-			for _, plane := range []int32{0, 1} {
-				s.Profile(obs.ProfileRecord{Type: obs.KindProfile, Net: net, Kind: "hop", Plane: plane, Events: bytes, SimPs: 1})
-			}
 		}
 	}
 	both := func(x, y func(obs.Sink)) func(obs.Sink) { return func(s obs.Sink) { x(s); y(s) } }
@@ -268,11 +265,8 @@ func checkContextByNet(t *testing.T, flowsLast bool) {
 	if d.BaseFlow.Net != 1 || d.BaseFlow.Bytes != 2003 || d.CurFlow.Net != 0 || d.CurFlow.Bytes != 2004 {
 		t.Errorf("flows = base %+v, cur %+v; want each side's own engine's flows 3 and 4", d.BaseFlow, d.CurFlow)
 	}
-	if len(d.Bins) != 2 || d.Bins[0].Net != 1 || d.Bins[1].Net != 1 {
-		t.Errorf("bins = %+v, want base net 1's two", d.Bins)
-	}
 	out := d.String()
-	for _, want := range []string{"flow 3 (base): tcp 2003 bytes", "flow 4 (cur): tcp 2004 bytes", "flight recorder (base): plane 1 hop ×2000"} {
+	for _, want := range []string{"flow 3 (base): tcp 2003 bytes", "flow 4 (cur): tcp 2004 bytes"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendering missing %q:\n%s", want, out)
 		}

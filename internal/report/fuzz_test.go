@@ -22,12 +22,13 @@ import (
 // on a damaged file), and divergence's and export-trace's passes must take
 // it without a panic.
 func FuzzStream(f *testing.F) {
-	// A per-event journal line and a close-time metric snapshot, kinds
-	// earlier binaries wrote and this reader no longer knows: each must be
-	// named, not skipped or misread.
+	// A per-event journal line, a close-time metric snapshot and an
+	// event-loop profile bin, kinds earlier binaries wrote and this reader
+	// no longer knows: each must be named, not skipped or misread.
 	const fpev = `{"type":"fpev","net":0,"epoch":1,"i":0,"kind":"hop","hash":"0123456789abcdef"}` + "\n"
 	const metric = `{"type":"metric","name":"flows.completed","kind":"counter","value":1}` + "\n"
-	for kind, line := range map[string]string{"fpev": fpev, "metric": metric} {
+	const profile = `{"type":"profile","net":0,"kind":"hop","plane":0,"events":1,"wall_ns":1,"sim_ps":5}` + "\n"
+	for kind, line := range map[string]string{"fpev": fpev, "metric": metric, "profile": profile} {
 		var uk *UnknownKindError
 		if err := ReadStream(bytes.NewReader([]byte(line)), discard{}); !errors.As(err, &uk) || uk.Kind != kind || uk.Line != 1 {
 			f.Fatalf("%s line: got %v, want an UnknownKindError for kind %q on line 1", kind, err, kind)
@@ -55,7 +56,7 @@ func FuzzStream(f *testing.F) {
 		// per-plane maps must take them as keys, not as slice indices.
 		`{"type":"fp","net":-3,"epoch":0,"events":64,"epoch_events":64,"hash":"0123456789abcdef","host":"0123456789abcdef","planes":[{"plane":-1,"hash":"0123456789abcdef"},{"plane":2000000000,"hash":"fedcba9876543210"}]}` + "\n" +
 			`{"type":"plane","net":-3,"t_ps":5,"plane":-7,"tx_bytes":9}` + "\n" +
-			`{"type":"profile","net":9,"kind":"hop","plane":2000000000,"events":1,"wall_ns":1,"sim_ps":5}` + "\n",
+			`{"type":"fault","net":9,"t_ps":5,"event":"inject","target":"link:2","plane":2000000000}` + "\n",
 		"\x00\x01\x02",
 		`[1,2,3]` + "\n",
 	}
@@ -74,7 +75,7 @@ func FuzzStream(f *testing.F) {
 		}
 		read(aggr)
 		s := aggr.Summarize(Meta{})
-		_ = s.String() + s.AttributionString() + s.ProfileString()
+		renderAll(s)
 		read(&chains{byNet: map[int]*chain{}})
 		read(&side{at: 2, lo: 0, hi: 5})
 		read(&flowOf{id: 3})
@@ -105,6 +106,14 @@ func FuzzLoadRun(f *testing.F) {
 		if err != nil && !strings.Contains(err.Error(), path) {
 			t.Fatalf("error does not name the file: %v", err)
 		}
-		_ = s.String() + s.AttributionString() + s.ProfileString()
+		renderAll(s)
 	})
+}
+
+// renderAll renders every view the summary holds.
+func renderAll(s RunSummary) {
+	_ = s.String()
+	if s.Attribution != nil {
+		_ = s.AttributionString()
+	}
 }

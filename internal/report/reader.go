@@ -29,7 +29,6 @@ func (discard) Engine(obs.EngineRecord)           {}
 func (discard) Flow(obs.FlowRecord)               {}
 func (discard) Solver(obs.SolverRecord)           {}
 func (discard) Fault(obs.FaultRecord)             {}
-func (discard) Profile(obs.ProfileRecord)         {}
 func (discard) Fingerprint(obs.FingerprintRecord) {}
 func (discard) Packet(obs.PacketRecord)           {}
 
@@ -146,8 +145,6 @@ func decodeLine(b []byte, sink obs.Sink) error {
 		return emit(b, nil, sink.Solver)
 	case obs.KindFault:
 		return emit(b, nil, sink.Fault)
-	case obs.KindProfile:
-		return emit(b, validProfile, sink.Profile)
 	case obs.KindFingerprint:
 		return emit(b, validFingerprint, sink.Fingerprint)
 	case obs.KindPacket:
@@ -161,13 +158,6 @@ func validFlow(r *obs.FlowRecord) error {
 		if !obs.ValidSpanComponent(sp.Component) {
 			return fmt.Errorf("flow %d: unknown span component %q", r.ID, sp.Component)
 		}
-	}
-	return nil
-}
-
-func validProfile(r *obs.ProfileRecord) error {
-	if !obs.ValidEventKind(r.Kind) {
-		return fmt.Errorf("profile net %d: unknown event kind %q", r.Net, r.Kind)
 	}
 	return nil
 }

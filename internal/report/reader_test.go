@@ -25,7 +25,6 @@ type recorder struct {
 	Flows        []obs.FlowRecord
 	Solvers      []obs.SolverRecord
 	Faults       []obs.FaultRecord
-	Profiles     []obs.ProfileRecord
 	Fingerprints []obs.FingerprintRecord
 	Packets      []obs.PacketRecord
 }
@@ -36,7 +35,6 @@ func (s *recorder) Engine(r obs.EngineRecord)           { s.Engines = append(s.E
 func (s *recorder) Flow(r obs.FlowRecord)               { s.Flows = append(s.Flows, r) }
 func (s *recorder) Solver(r obs.SolverRecord)           { s.Solvers = append(s.Solvers, r) }
 func (s *recorder) Fault(r obs.FaultRecord)             { s.Faults = append(s.Faults, r) }
-func (s *recorder) Profile(r obs.ProfileRecord)         { s.Profiles = append(s.Profiles, r) }
 func (s *recorder) Fingerprint(r obs.FingerprintRecord) { s.Fingerprints = append(s.Fingerprints, r) }
 func (s *recorder) Packet(r obs.PacketRecord)           { s.Packets = append(s.Packets, r) }
 

@@ -145,9 +145,9 @@ func twoPlaneNet() (*sim.Engine, *sim.Network, []graph.Path) {
 
 // TestFromStreamMatchesAggregator pins the one road at both ends, on
 // `pnetbench -spans -fingerprint -trace -metrics m.jsonl -report r.json`
-// in miniature. The stream must hold all nine record kinds, packet events,
-// profile bins and the partial fingerprint checkpoints included, which
-// only Close emits; and ReadStream must hand back exactly what the
+// in miniature. The stream must hold all eight record kinds, packet events
+// and the partial fingerprint checkpoints included, which only Close
+// emits; and ReadStream must hand back exactly what the
 // collector wrote: decoded into a MetricsWriter, it reproduces the file
 // byte for byte. An Aggregator fed live must summarize exactly as one fed
 // from the file does (`pnetstat summary m.jsonl`), in every field: a
@@ -206,7 +206,7 @@ func TestFromStreamMatchesAggregator(t *testing.T) {
 	// The records: every kind is there, and the file decodes to exactly
 	// what was written.
 	for _, kind := range []string{obs.KindLink, obs.KindPlane, obs.KindEngine, obs.KindFlow, obs.KindSolver,
-		obs.KindFault, obs.KindProfile, obs.KindFingerprint, obs.KindPacket} {
+		obs.KindFault, obs.KindFingerprint, obs.KindPacket} {
 		if !bytes.Contains(buf.Bytes(), []byte(`{"type":"`+kind+`"`)) {
 			t.Errorf("no %s record in the stream; the scene must produce every kind a collector emits", kind)
 		}
@@ -238,12 +238,11 @@ func TestFromStreamMatchesAggregator(t *testing.T) {
 	m := Meta{Exp: "t", Scale: "small", Seed: 1}
 	file, live := fileAggr.Summarize(m), aggr.Summarize(m)
 	if live.Flows != 2 || live.LinkUtil.Count == 0 || len(live.PlaneShares) != 2 || live.Faults == nil ||
-		live.Attribution == nil || live.Profile == nil || live.Fingerprint == nil {
+		live.Attribution == nil || live.Fingerprint == nil {
 		t.Fatalf("live summary is missing a block: %+v", live)
 	}
-	if live.Engine.Networks != 2 || live.Profile.Engines != 2 || live.Fingerprint.Engines != 2 {
-		t.Errorf("engines: %d sampled, %d profiled, %d fingerprinted, want 2 each",
-			live.Engine.Networks, live.Profile.Engines, live.Fingerprint.Engines)
+	if live.Engine.Networks != 2 || live.Fingerprint.Engines != 2 {
+		t.Errorf("engines: %d sampled, %d fingerprinted, want 2 each", live.Engine.Networks, live.Fingerprint.Engines)
 	}
 	if !reflect.DeepEqual(live, file) {
 		lb, _ := json.MarshalIndent(live, "", " ")

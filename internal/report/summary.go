@@ -125,12 +125,10 @@ type RunSummary struct {
 	Solver SolverSummary `json:"solver"`
 	Engine EngineSummary `json:"engine"`
 
-	// Attribution decomposes the run's FCTs into span components; Profile
-	// is the event-loop flight recording.
-	// Both are present only for runs that enabled them (pnetbench -spans),
-	// so baselines from span-free runs stay byte-compatible.
+	// Attribution decomposes the run's FCTs into span components. It is
+	// present only for runs that enabled spans (pnetbench -spans), so
+	// baselines from span-free runs stay byte-compatible.
 	Attribution *AttributionSummary `json:"attribution,omitempty"`
-	Profile     *ProfileSummary     `json:"profile,omitempty"`
 
 	// Faults is present only for runs with fault activity (chaos
 	// injection or blackholed packets) — absent for the fault-free runs
@@ -189,9 +187,6 @@ type Aggregator struct {
 	// plane) plus the per-flow spans retained for the tail re-aggregation.
 	spanPs    map[[2]int64]int64
 	spanFlows []spanFlow
-
-	// Flight-recorder bins per (kind, plane): [events, wallNs].
-	profBins map[[2]int64][2]int64
 }
 
 // netState is what the summary needs of one network (one engine, one
@@ -203,17 +198,14 @@ type netState struct {
 	blackholed map[int64]int64 // by link
 	planeBytes map[int32]int64 // by plane
 	sampled    bool            // an engine record named this network
-	profiled   bool            // a profile record did
-	profSimPs  int64           // profiled sim time (repeated on each bin)
 	fp         *obs.FingerprintRecord
 }
 
 // NewAggregator returns an empty aggregator.
 func NewAggregator() *Aggregator {
 	return &Aggregator{
-		nets:     map[int]*netState{},
-		spanPs:   map[[2]int64]int64{},
-		profBins: map[[2]int64][2]int64{},
+		nets:   map[int]*netState{},
+		spanPs: map[[2]int64]int64{},
 	}
 }
 
@@ -323,25 +315,6 @@ func (x *Aggregator) Fault(r obs.FaultRecord) {
 	}
 }
 
-// Profile implements obs.Sink: one (kind, plane) bin of one engine.
-func (x *Aggregator) Profile(r obs.ProfileRecord) {
-	ki, ok := sim.ParseEventKind(r.Kind)
-	if !ok {
-		return // the reader rejects these; defensive for the live path
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	k := [2]int64{int64(ki), int64(r.Plane)}
-	b := x.profBins[k]
-	b[0] += r.Events
-	b[1] += r.WallNano
-	x.profBins[k] = b
-	if n := x.net(r.Net); !n.profiled {
-		n.profiled = true
-		n.profSimPs = r.SimPs
-	}
-}
-
 // Fingerprint implements obs.Sink. Checkpoints arrive in epoch order
 // within a net, so the last one seen is the engine's final chain state.
 func (x *Aggregator) Fingerprint(r obs.FingerprintRecord) {
@@ -356,7 +329,7 @@ func (x *Aggregator) Packet(obs.PacketRecord) {}
 
 // Summarize returns the summary of everything received so far. For a live
 // run call it after obs.Collector.Close, which emits the closing engine
-// records, the profile bins and the fingerprint checkpoints.
+// records and fingerprint checkpoints.
 func (x *Aggregator) Summarize(m Meta) RunSummary {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -379,8 +352,8 @@ func (x *Aggregator) Summarize(m Meta) RunSummary {
 
 	// One pass over the networks: sums of last values, XOR folds of final
 	// chains (commutative, so attach order cannot change them).
-	var blackholed, total, profSimPs, fpEvents, fpEpoch int64
-	var sampled, profiled, fingerprinted int
+	var blackholed, total, fpEvents, fpEpoch int64
+	var sampled, fingerprinted int
 	var fpGlobal, fpHost uint64
 	fpPlanes := map[int32]uint64{}
 	perPlane := map[int32]int64{}
@@ -397,10 +370,6 @@ func (x *Aggregator) Summarize(m Meta) RunSummary {
 		}
 		if n.sampled {
 			sampled++
-		}
-		if n.profiled {
-			profiled++
-			profSimPs += n.profSimPs
 		}
 		if r := n.fp; r != nil {
 			fingerprinted++
@@ -479,7 +448,6 @@ func (x *Aggregator) Summarize(m Meta) RunSummary {
 	}
 
 	s.Attribution = x.attributionSummary(s.FCT.P999)
-	s.Profile = x.profileSummary(profiled, profSimPs)
 	return s
 }
 
@@ -571,10 +539,6 @@ func (s RunSummary) String() string {
 			}
 		}
 		fmt.Fprintf(&b, " over %d flows (pnetstat attribution for the tables)\n", a.Flows)
-	}
-	if p := s.Profile; p != nil {
-		fmt.Fprintf(&b, "profile: %d events, host boundary %.1f%% (pnetstat profile for detail)\n",
-			p.Events, p.HostFrac*100)
 	}
 	if fp := s.Fingerprint; fp != nil {
 		fmt.Fprintf(&b, "fingerprint: global=%s host=%s (%d events, %d engines, epoch %d)\n",

@@ -13,10 +13,10 @@ import (
 
 // Chrome Trace Event export: a telemetry JSONL stream becomes the Trace
 // Event JSON that Perfetto (ui.perfetto.dev) and chrome://tracing load, so
-// span timelines and flight-recorder bins get a timeline viewer. Each
-// engine's dataplanes become processes; its flows become tracks (threads)
-// under its "hosts" process, each flow's latency-attribution components
-// child slices of its flow slice. Plane byte counters and engine heap
+// span timelines get a timeline viewer. Each engine's dataplanes become
+// processes; its flows become tracks (threads) under its "hosts" process,
+// each flow's latency-attribution components child slices of its flow
+// slice. Plane byte counters and engine heap
 // depth ride along as counter tracks; fault lifecycle events and traced
 // packet events become instants on their plane's process.
 //
@@ -56,10 +56,10 @@ func psToUs(ps int64) float64 { return float64(ps) / 1e6 }
 
 // ExportTrace converts the metrics stream at path into a Chrome trace
 // written to w, and returns the number of trace events. Span-enabled runs
-// (-spans) get per-component child slices and flight-recorder summary
-// slices, packet traces (-trace) per-packet instants. Each record's events
-// are written as it is decoded, so memory does not grow with the stream;
-// the process names follow the events. A stream with nothing to export is
+// (-spans) get per-component child slices, packet traces (-trace)
+// per-packet instants. Each record's events are written as it is decoded,
+// so memory does not grow with the stream; the process names follow the
+// events. A stream with nothing to export is
 // an error that leaves w untouched; one malformed mid-file (a typed
 // ReadStream error) leaves w holding an unfinished document.
 func ExportTrace(path string, w io.Writer) (int, error) {
@@ -68,7 +68,7 @@ func ExportTrace(path string, w io.Writer) (int, error) {
 		return 0, err
 	}
 	if t.n == 0 {
-		return 0, fmt.Errorf("report: %s has nothing to export: no timed flows, samples, faults, packets, or profile bins", path)
+		return 0, fmt.Errorf("report: %s has nothing to export: no timed flows, samples, faults or packets", path)
 	}
 	err := t.close() // names the processes, which raises t.n
 	return t.n, err
@@ -226,21 +226,5 @@ func (t *traceWriter) Packet(r obs.PacketRecord) {
 		Name: fmt.Sprintf("%s flow %d", r.Ev, r.Flow), Ph: "i", Cat: "pkt",
 		Ts: psToUs(r.TPs), Pid: t.pid(r.Net, r.Plane), Tid: r.Link, S: "t",
 		Args: map[string]any{"seq": r.Seq, "size": r.Size},
-	})
-}
-
-// Profile: one full-span slice per (net, kind, plane) flight-recorder bin
-// summarizing how many events of that kind the plane ran — the aggregate
-// view on the same timeline. Tid is the kind index so the four kinds
-// stack as four rows.
-func (t *traceWriter) Profile(r obs.ProfileRecord) {
-	ki, ok := sim.ParseEventKind(r.Kind)
-	if !ok || r.SimPs <= 0 {
-		return
-	}
-	t.emit(TraceEvent{
-		Name: fmt.Sprintf("%s ×%d", r.Kind, r.Events), Ph: "X", Cat: "profile",
-		Dur: psToUs(r.SimPs), Pid: t.pid(r.Net, r.Plane), Tid: 1000 + int64(ki),
-		Args: map[string]any{"events": r.Events, "wall_ns": r.WallNano},
 	})
 }

@@ -13,7 +13,7 @@ import (
 
 // traceStream writes a small synthetic stream covering every record
 // shape the exporter consumes: span-carrying flows, plane/engine
-// samples, faults, packets, and profile bins.
+// samples, faults and packets.
 func traceStream(t *testing.T) string {
 	return writeStream(t, func(s obs.Sink) {
 		s.Flow(obs.FlowRecord{Type: obs.KindFlow, ID: 1, TPs: 5_000_000, Transport: "tcp", Src: 0, Dst: 1, Bytes: 30000, FCT: 3e-6,
@@ -30,8 +30,6 @@ func traceStream(t *testing.T) string {
 		s.Fault(obs.FaultRecord{Type: obs.KindFault, Net: 0, TPs: 4_000_000, Event: "inject", Target: "link:2", Plane: 1})
 		s.Fault(obs.FaultRecord{Type: obs.KindFault, Net: 0, TPs: 6_000_000, Event: "detect", Target: "plane:1", Plane: -1, LatencySec: 2e-6})
 		s.Packet(obs.PacketRecord{Type: obs.KindPacket, Net: 0, Ev: "enqueue", TPs: 100_000, Link: 2, Plane: 1, Flow: 1, Seq: 0, Size: 1500})
-		s.Profile(obs.ProfileRecord{Type: obs.KindProfile, Net: 0, Kind: "hop", Plane: 0, Events: 42, WallNano: 10, SimPs: 9_000_000})
-		s.Profile(obs.ProfileRecord{Type: obs.KindProfile, Net: 0, Kind: "timer", Plane: -1, Events: 7, WallNano: 5, SimPs: 9_000_000})
 	})
 }
 
@@ -127,13 +125,12 @@ func TestExportTraceEveryRecord(t *testing.T) {
 		got[ev.Ph+" "+ev.Cat]++
 	}
 	want := map[string]int{
-		"M ":        3 + 2, // the hosts and two planes, the two timed flows' tracks
-		"X flow":    2,
-		"X span":    2,
-		"X profile": 2,
-		"C ":        3, // two tx_bytes samples, one heap depth
-		"i fault":   2,
-		"i pkt":     1,
+		"M ":      3 + 2, // the hosts and two planes, the two timed flows' tracks
+		"X flow":  2,
+		"X span":  2,
+		"C ":      3, // two tx_bytes samples, one heap depth
+		"i fault": 2,
+		"i pkt":   1,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("events by phase and category = %v, want %v", got, want)

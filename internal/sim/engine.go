@@ -101,14 +101,9 @@ type Engine struct {
 	// turned away. It costs the packet path one compare per pop.
 	heap eventHeap
 
-	// Recorder, when set, counts every dispatched event by (kind, plane)
-	// and times a fixed share of them — the event-loop flight recorder
-	// behind `pnetstat profile`. Nil costs one branch per event.
-	Recorder *FlightRecorder
-
 	// Fingerprint, when set, folds every dispatched event into a rolling
 	// determinism hash chain (see fingerprint.go). Nil costs one branch
-	// per event, same as Recorder.
+	// per event.
 	Fingerprint *Fingerprinter
 }
 
@@ -189,7 +184,7 @@ func (e *Engine) laneFor(d Time) *eventRing {
 
 // fire dispatches an event taken off the queue.
 func (e *Engine) fire(at Time, who actor, fn func()) {
-	if e.Recorder != nil || e.Fingerprint != nil {
+	if e.Fingerprint != nil {
 		e.fireInstrumented(at, who, fn)
 		return
 	}

@@ -8,9 +8,9 @@ package sim
 // the first divergent epoch can be found by bisection instead of by
 // staring at report diffs; at a cadence of one event per epoch that is the
 // first divergent event. Attach one per engine (Engine.Fingerprint); a nil
-// fingerprinter costs one branch per event, same as the flight recorder.
-// A non-nil one costs every event five mix64 rounds, which is the chain's
-// definition, and a countdown to the next checkpoint; nothing divides.
+// fingerprinter costs one branch per event. A non-nil one costs every
+// event five mix64 rounds, which is the chain's definition, and a
+// countdown to the next checkpoint; nothing divides.
 //
 // The chain deliberately hashes only simulated quantities — timestamp,
 // event kind, plane, link, flow, sequence, size — never wall time or
@@ -20,6 +20,46 @@ package sim
 // final chains across engines is therefore order-free, which is what
 // makes the run-level fingerprint worker-count invariant even though
 // engines attach in completion order.
+
+// EventKind classifies a dispatched event by what it runs.
+type EventKind uint8
+
+// Event kinds.
+const (
+	// EvHop is a packet arriving at an intermediate node — work that
+	// stays inside the link's plane.
+	EvHop EventKind = iota
+	// EvDeliver is a packet arriving at its final node: the event crosses
+	// the host boundary (transport code runs).
+	EvDeliver
+	// EvTx is a queue finishing a transmission — in-plane work.
+	EvTx
+	// EvTimer is a callback event (RTO wake, sampler tick, chaos script):
+	// host-domain work with no plane.
+	EvTimer
+
+	numEventKinds
+)
+
+var eventKindNames = [numEventKinds]string{"hop", "deliver", "tx", "timer"}
+
+// String names the kind as it appears in fingerprint records.
+func (k EventKind) String() string {
+	if int(k) < len(eventKindNames) {
+		return eventKindNames[k]
+	}
+	return "unknown"
+}
+
+// ParseEventKind resolves a kind name from a fingerprint record.
+func ParseEventKind(s string) (EventKind, bool) {
+	for i, n := range eventKindNames {
+		if n == s {
+			return EventKind(i), true
+		}
+	}
+	return 0, false
+}
 
 // DefaultFingerprintEpoch is the checkpoint cadence when none is given:
 // one checkpoint per 65536 events keeps checkpoint streams small (a few
@@ -170,4 +210,21 @@ func classify(who actor) (kind EventKind, plane int32, link, flow, seq int64, si
 		return EvTx, a.plane, int64(a.id), 0, 0, 0
 	}
 	return EvTimer, -1, -1, 0, 0, 0
+}
+
+// fireInstrumented is Engine.fire with the event's classification folded
+// into the fingerprinter (simulated quantities only, no clock reads). It
+// must mirror fire exactly; the classification reads the actor before
+// dispatch because acting moves a packet to its next hop or back to the
+// freelist.
+func (e *Engine) fireInstrumented(at Time, who actor, fn func()) {
+	e.now = at
+	e.fired++
+	kind, plane, link, flow, seq, size := classify(who)
+	e.Fingerprint.Fold(at, kind, plane, link, flow, seq, size)
+	if who != nil {
+		who.act()
+		return
+	}
+	fn()
 }

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"maps"
 	"slices"
 	"testing"
+
+	"pnet/internal/graph"
 )
 
 // fpRun sends n packets end to end on a warm hostPair network with the
@@ -22,6 +25,22 @@ func fpRun(n int, f *Fingerprinter) *Fingerprinter {
 		eng.Run()
 	}
 	return f
+}
+
+// twoPlanePair is two hosts joined through one switch per plane:
+// 0 -sw(2+pl)- 1 on plane pl, with the host 0 to host 1 route of each.
+func twoPlanePair() (*Engine, *Network, [2][]graph.LinkID) {
+	g := graph.New(4)
+	g.SetTransit(0, false)
+	g.SetTransit(1, false)
+	var routes [2][]graph.LinkID
+	for pl := int32(0); pl < 2; pl++ {
+		up, _ := g.AddDuplex(0, 2+graph.NodeID(pl), 100, pl)
+		_, down := g.AddDuplex(1, 2+graph.NodeID(pl), 100, pl)
+		routes[pl] = []graph.LinkID{up, down}
+	}
+	eng := NewEngine()
+	return eng, NewNetwork(eng, g, Config{}), routes
 }
 
 // finalCheckpoint is where a run's chains ended.
@@ -267,5 +286,125 @@ func TestFingerprintEpochCountdown(t *testing.T) {
 		if last := cps[14]; !last.Partial || last.Events != 100 || last.Epoch != 14 || last.Global != (*events)[99].Global || last.Kind != 0 || last.Link != 0 {
 			t.Errorf("%s: trailing checkpoint = %+v, want a partial one at event 100 with no event identity", name, last)
 		}
+	}
+}
+
+func TestEventKindNames(t *testing.T) {
+	for i := EventKind(0); i < numEventKinds; i++ {
+		got, ok := ParseEventKind(i.String())
+		if !ok || got != i {
+			t.Errorf("ParseEventKind(%q) = %v, %v; want %v, true", i.String(), got, ok, i)
+		}
+	}
+	if _, ok := ParseEventKind("bogus"); ok {
+		t.Error("ParseEventKind accepted a bogus name")
+	}
+}
+
+// kindPlaneCounts counts a cadence-1 run's checkpoints by the (kind,
+// plane) of the event each one names: classify's verdict on every event.
+func kindPlaneCounts(cps []FingerprintCheckpoint) map[EventKind]map[int32]int64 {
+	out := map[EventKind]map[int32]int64{}
+	for _, cp := range cps {
+		if out[cp.Kind] == nil {
+			out[cp.Kind] = map[int32]int64{}
+		}
+		out[cp.Kind][cp.Plane]++
+	}
+	return out
+}
+
+// TestClassifyCounts drives packets and one timer under a fingerprinter
+// checkpointing every event and checks the kind and plane classify gives
+// each against the known path shape.
+func TestClassifyCounts(t *testing.T) {
+	eng, net, fwd, _ := hostPair(100, Config{})
+	eng.Fingerprint = NewFingerprinter(1)
+	cps := recordCheckpoints(eng.Fingerprint)
+	s := &releaseSink{net: net}
+	const n = 5
+	for i := 0; i < n; i++ {
+		p := net.NewPacket()
+		p.Size = 1500
+		p.Route = fwd
+		p.Deliver = s
+		net.Send(p)
+	}
+	eng.After(Microsecond, func() {}) // one timer event
+	eng.Run()
+
+	if int64(len(*cps)) != int64(eng.EventsFired()) {
+		t.Fatalf("%d checkpoints for %d events: the cadence-1 stream must name every event", len(*cps), eng.EventsFired())
+	}
+	// Each packet: one hop arrival at the switch, one delivery at the
+	// host, and two queue tx completions, all on plane 0; the timer has
+	// no plane.
+	got := kindPlaneCounts(*cps)
+	want := map[EventKind]map[int32]int64{
+		EvHop:     {0: n},
+		EvDeliver: {0: n},
+		EvTx:      {0: 2 * n},
+		EvTimer:   {-1: 1},
+	}
+	if !maps.EqualFunc(got, want, maps.Equal) {
+		t.Errorf("(kind, plane) counts = %v, want %v", got, want)
+	}
+}
+
+// TestClassifyPlanes checks that hop, tx and deliver events name their
+// link's plane: one packet crosses each plane of a two-plane pair.
+func TestClassifyPlanes(t *testing.T) {
+	eng, net, routes := twoPlanePair()
+	eng.Fingerprint = NewFingerprinter(1)
+	cps := recordCheckpoints(eng.Fingerprint)
+	for _, r := range routes {
+		p := net.NewPacket()
+		p.Size = 1500
+		p.Route = r
+		p.Deliver = &releaseSink{net: net}
+		net.Send(p)
+	}
+	eng.Run()
+
+	got := kindPlaneCounts(*cps)
+	want := map[EventKind]map[int32]int64{
+		EvHop:     {0: 1, 1: 1},
+		EvDeliver: {0: 1, 1: 1},
+		EvTx:      {0: 2, 1: 2},
+	}
+	if !maps.EqualFunc(got, want, maps.Equal) {
+		t.Errorf("(kind, plane) counts = %v, want %v", got, want)
+	}
+}
+
+// TestFingerprinterSameResults checks that fingerprinting does not
+// perturb the simulation: identical workloads with the fingerprinter on
+// and off deliver at identical times and fire identical event counts,
+// because fireInstrumented mirrors fire.
+func TestFingerprinterSameResults(t *testing.T) {
+	run := func(on bool) ([]Time, uint64) {
+		eng, net, fwd, _ := hostPair(100, Config{})
+		if on {
+			eng.Fingerprint = NewFingerprinter(1)
+		}
+		s := &sink{eng: eng}
+		for i := 0; i < 8; i++ {
+			p := net.NewPacket()
+			p.Size = 1500
+			p.Route = fwd
+			p.Deliver = s
+			net.Send(p)
+		}
+		eng.After(3*Microsecond, func() {})
+		eng.Run()
+		return s.times, eng.EventsFired()
+	}
+	offT, offN := run(false)
+	onT, onN := run(true)
+	if offN != onN {
+		t.Errorf("events fired: %d off, %d on", offN, onN)
+	}
+	if !slices.Equal(offT, onT) {
+		t.Errorf("delivery times: %v off, %v on", offT, onT)
 	}
 }

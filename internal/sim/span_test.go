@@ -1,11 +1,6 @@
 package sim
 
-import (
-	"slices"
-	"testing"
-
-	"pnet/internal/graph"
-)
+import "testing"
 
 func TestSpanComponentNames(t *testing.T) {
 	for i := SpanComponent(0); i < numSpanComponents; i++ {
@@ -20,21 +15,6 @@ func TestSpanComponentNames(t *testing.T) {
 	}
 	if _, ok := ParseSpanComponent("bogus"); ok {
 		t.Error("ParseSpanComponent accepted a bogus name")
-	}
-}
-
-func TestEventKindNames(t *testing.T) {
-	for i := EventKind(0); i < numEventKinds; i++ {
-		got, ok := ParseEventKind(i.String())
-		if !ok || got != i {
-			t.Errorf("ParseEventKind(%q) = %v, %v; want %v, true", i.String(), got, ok, i)
-		}
-	}
-	if !EvDeliver.HostBoundary() || !EvTimer.HostBoundary() {
-		t.Error("deliver/timer must be host-boundary kinds")
-	}
-	if EvHop.HostBoundary() || EvTx.HostBoundary() {
-		t.Error("hop/tx must be in-plane kinds")
 	}
 }
 
@@ -188,7 +168,7 @@ func TestAttributionTotalsSorted(t *testing.T) {
 }
 
 // TestSpansDisabledZeroAlloc proves the tentpole's hot-path contract:
-// with spans off and no flight recorder, the per-packet span hooks are
+// with spans off, the per-packet span hooks are
 // nil checks and the packet path still allocates nothing.
 func TestSpansDisabledZeroAlloc(t *testing.T) {
 	eng, net, fwd, _ := hostPair(100, Config{})
@@ -209,106 +189,5 @@ func TestSpansDisabledZeroAlloc(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, send); avg != 0 {
 		t.Errorf("allocs per packet with spans disabled = %v, want 0", avg)
-	}
-}
-
-// TestFlightRecorderCounts drives packets with the recorder attached and
-// checks the (kind, plane) event counts against the known path shape.
-func TestFlightRecorderCounts(t *testing.T) {
-	eng, net, fwd, _ := hostPair(100, Config{})
-	rec := NewFlightRecorder()
-	eng.Recorder = rec
-	s := &releaseSink{net: net}
-	const n = 5
-	for i := 0; i < n; i++ {
-		p := net.NewPacket()
-		p.Size = 1500
-		p.Route = fwd
-		p.Deliver = s
-		net.Send(p)
-	}
-	eng.After(Microsecond, func() {}) // one timer event
-	eng.Run()
-
-	byKind := map[EventKind]int64{}
-	for _, b := range rec.Snapshot() {
-		byKind[b.Kind] += b.Events
-		if b.Kind == EvTimer && b.Plane != -1 {
-			t.Errorf("timer bin on plane %d, want -1", b.Plane)
-		}
-	}
-	// Each packet: one hop arrival at the switch, one delivery at the
-	// host, and two queue tx completions.
-	if byKind[EvHop] != n || byKind[EvDeliver] != n || byKind[EvTx] != 2*n || byKind[EvTimer] != 1 {
-		t.Errorf("kind counts = %+v, want hop=%d deliver=%d tx=%d timer=1", byKind, n, n, 2*n)
-	}
-}
-
-// TestFlightRecorderSameResults checks that profiling does not perturb
-// the simulation: identical workloads with and without the recorder
-// deliver at identical times, fire identical event counts and, with the
-// fingerprinter riding the same instrumented dispatch, end on identical
-// chains.
-func TestFlightRecorderSameResults(t *testing.T) {
-	run := func(profile bool) ([]Time, uint64, *Fingerprinter) {
-		eng, net, fwd, _ := hostPair(100, Config{})
-		eng.Fingerprint = NewFingerprinter(0)
-		if profile {
-			eng.Recorder = NewFlightRecorder()
-		}
-		s := &sink{eng: eng}
-		for i := 0; i < 8; i++ {
-			p := net.NewPacket()
-			p.Size = 1500
-			p.Route = fwd
-			p.Deliver = s
-			net.Send(p)
-		}
-		eng.Run()
-		return s.times, eng.EventsFired(), eng.Fingerprint
-	}
-	plainT, plainN, plainFP := run(false)
-	profT, profN, profFP := run(true)
-	if plainN != profN {
-		t.Errorf("events fired: plain %d, profiled %d", plainN, profN)
-	}
-	if len(plainT) != len(profT) {
-		t.Fatalf("deliveries: plain %d, profiled %d", len(plainT), len(profT))
-	}
-	for i := range plainT {
-		if plainT[i] != profT[i] {
-			t.Errorf("delivery %d at %v profiled vs %v plain", i, profT[i], plainT[i])
-		}
-	}
-	a, b := finalCheckpoint(plainFP), finalCheckpoint(profFP)
-	if a.Global != b.Global || a.Host != b.Host || !slices.Equal(a.Planes, b.Planes) || a.Events != b.Events {
-		t.Errorf("fingerprint chains: plain %x/%x/%x after %d events, profiled %x/%x/%x after %d",
-			a.Global, a.Host, a.Planes, a.Events, b.Global, b.Host, b.Planes, b.Events)
-	}
-}
-
-// TestFlightRecorderPlanes checks plane attribution of hop/tx events on
-// a two-plane topology.
-func TestFlightRecorderPlanes(t *testing.T) {
-	g := graph.New(3)
-	g.SetTransit(0, false)
-	g.SetTransit(1, false)
-	up, _ := g.AddDuplex(0, 2, 100, 1)
-	_, down := g.AddDuplex(1, 2, 100, 1)
-	eng := NewEngine()
-	net := NewNetwork(eng, g, Config{})
-	rec := NewFlightRecorder()
-	eng.Recorder = rec
-	s := &releaseSink{net: net}
-	p := net.NewPacket()
-	p.Size = 1500
-	p.Route = []graph.LinkID{up, down}
-	p.Deliver = s
-	net.Send(p)
-	eng.Run()
-	for _, b := range rec.Snapshot() {
-		if (b.Kind == EvHop || b.Kind == EvTx || b.Kind == EvDeliver) && b.Plane != 1 {
-			t.Errorf("%v bin on plane %d, want 1", b.Kind, b.Plane)
-		}
 	}
 }

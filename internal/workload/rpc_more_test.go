@@ -139,7 +139,6 @@ func (*flowSink) Plane(obs.PlaneRecord)             {}
 func (*flowSink) Engine(obs.EngineRecord)           {}
 func (*flowSink) Solver(obs.SolverRecord)           {}
 func (*flowSink) Fault(obs.FaultRecord)             {}
-func (*flowSink) Profile(obs.ProfileRecord)         {}
 func (*flowSink) Fingerprint(obs.FingerprintRecord) {}
 func (*flowSink) Packet(obs.PacketRecord)           {}
 
