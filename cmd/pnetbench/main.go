@@ -7,7 +7,6 @@
 //	pnetbench -exp fig6a
 //	pnetbench -exp all -scale full -seed 7
 //	pnetbench -exp fig10 -metrics m.jsonl -trace -trace-flow 3
-//	pnetbench -exp faults -chaos "plane:0@10ms+20ms; poisson:mttf=50ms,mttr=5ms,until=100ms"
 //
 // Each experiment prints the rows/series of the corresponding paper
 // artifact. The default "small" scale shrinks topologies and flow sizes
@@ -29,10 +28,9 @@
 // event into rolling per-plane determinism hash chains, checkpointed
 // every -fingerprint-epoch events into the metrics stream / report; each
 // checkpoint names the event that closed it, so at -fingerprint-epoch 1
-// `pnetstat divergence` names the exact first divergent event. -chaos
-// scripts the faults experiment's outages. -pprof serves net/http/pprof
-// on the given address for live profiling of long runs. See README.md
-// "Telemetry" and "Analyzing runs" for the schemas.
+// `pnetstat divergence` names the exact first divergent event. -pprof
+// serves net/http/pprof on the given address for live profiling of long
+// runs. See README.md "Telemetry" and "Analyzing runs" for the schemas.
 //
 // Parallelism: -workers N caps how many independent sweep cells run
 // concurrently (0 = one per core, 1 = serial). Every cell owns its own
@@ -56,7 +54,6 @@ import (
 	"strings"
 	"time"
 
-	"pnet/internal/chaos"
 	"pnet/internal/exp"
 	"pnet/internal/obs"
 	"pnet/internal/par"
@@ -70,11 +67,11 @@ func main() {
 // options is the command line: the flag values as given, and what
 // validate resolved from them.
 type options struct {
-	expID, scale, format, chaos, traceFlow, pprof string
-	metrics, report                               string
-	seed, fpEpoch                                 int64
-	workers                                       int
-	timing, spans, fingerprint, trace             bool
+	expID, scale, format, traceFlow, pprof string
+	metrics, report                        string
+	seed, fpEpoch                          int64
+	workers                                int
+	timing, spans, fingerprint, trace      bool
 
 	// Resolved by validate.
 	toRun      []exp.Experiment // nil when no -exp was given
@@ -83,7 +80,7 @@ type options struct {
 }
 
 // validate checks every flag and flag combination and resolves -exp,
-// -scale, -chaos and -trace-flow, all before run creates a file or starts
+// -scale and -trace-flow, all before run creates a file or starts
 // a server: a rejected command line leaves nothing behind. set holds the
 // flags that appeared on the command line (a zero -fingerprint-epoch is
 // an error only when given explicitly), args what followed the flags.
@@ -122,13 +119,6 @@ func (o *options) validate(set map[string]bool, args []string) error {
 	default:
 		return fmt.Errorf("unknown scale %q", o.scale)
 	}
-	if o.chaos != "help" {
-		spec, err := chaos.ParseSpec(o.chaos)
-		if err != nil {
-			return err
-		}
-		o.params.Chaos = spec
-	}
 	if o.traceFlow != "" {
 		if !o.trace {
 			return errors.New("-trace-flow requires -trace")
@@ -155,16 +145,6 @@ func (o *options) validate(set map[string]bool, args []string) error {
 		}
 		o.toRun = []exp.Experiment{e}
 	}
-	if o.params.Chaos != nil {
-		// Only faults reads the script; anywhere else it would be
-		// silently ignored.
-		if o.expID != "faults" {
-			return errors.New("-chaos scripts the faults experiment: it requires -exp faults")
-		}
-		if err := exp.CheckChaos(o.params); err != nil {
-			return fmt.Errorf("-chaos: %v", err)
-		}
-	}
 	return nil
 }
 
@@ -184,7 +164,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&o.fingerprint, "fingerprint", false, "fold every fired event into per-plane determinism hash chains (pnetstat fingerprint / divergence); needs -metrics or -report")
 	fs.Int64Var(&o.fpEpoch, "fingerprint-epoch", 0, "events per fingerprint checkpoint (0 = default 65536; 1 lets pnetstat divergence name the first divergent event); requires -fingerprint")
 	fs.StringVar(&o.report, "report", "", "write a RunSummary JSON for pnetstat to this file")
-	fs.StringVar(&o.chaos, "chaos", "", "fault script for -exp faults ('help' prints the syntax)")
 	fs.StringVar(&o.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	fs.IntVar(&o.workers, "workers", 0, "max concurrent sweep cells (0 = GOMAXPROCS, 1 = serial); results are identical either way")
 	if err := fs.Parse(args); err != nil {
@@ -203,12 +182,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Before the no-experiment early return, so a bare
-	// `pnetbench -chaos help` prints the syntax, not the experiment list.
-	if o.chaos == "help" {
-		fmt.Fprintln(stdout, chaos.SpecSyntax)
-		return 0
-	}
 	if o.toRun == nil {
 		fmt.Fprintln(stdout, "experiments:")
 		for _, e := range exp.All() {

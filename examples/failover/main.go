@@ -99,11 +99,11 @@ func main() {
 	mon.Start()
 
 	var sched chaos.Schedule
-	sched.PlaneOutage(0, faultAt, 0)
+	sched.PlaneOutage(0, faultAt)
 	inj := chaos.NewInjector(d.Eng, d.Net, sched)
 	inj.OnEvent = func(e chaos.Event) {
-		fmt.Printf("  t=%-8v chaos: %v %s (%d links physically down)\n",
-			d.Eng.Now(), e.Kind, e.Target(), inj.LinksDown())
+		fmt.Printf("  t=%-8v chaos: plane-down %s (%d links physically down)\n",
+			d.Eng.Now(), e.Target(), inj.LinksDown())
 	}
 	inj.Arm()
 

@@ -26,7 +26,6 @@ import (
 	"sort"
 	"strings"
 
-	"pnet/internal/chaos"
 	"pnet/internal/mcf"
 	"pnet/internal/obs"
 	"pnet/internal/sim"
@@ -63,11 +62,6 @@ type Params struct {
 	// and LP-backed experiments record solver instrumentation. Nil (the
 	// default) costs nothing.
 	Obs *obs.Collector
-	// Chaos, when non-nil, overrides the built-in fault script of
-	// fault-aware experiments (currently "faults"): each materializes it
-	// against its own topology with Build. Parsed from pnetbench's
-	// -chaos flag; other experiments ignore it.
-	Chaos *chaos.Spec
 }
 
 // newDriver builds a workload driver, instrumented when telemetry is on.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"pnet/internal/core"
 	"pnet/internal/metrics"
 	"pnet/internal/ndp"
 	"pnet/internal/par"
@@ -95,27 +94,19 @@ func runIncast(p Params) Table {
 // ndpIncast runs the NDP variant: 8-packet queues with trimming, each
 // response sprayed over 4 cross-plane shortest paths.
 func ndpIncast(tp *topo.Topology, fanIn int, p Params) []string {
-	eng := sim.NewEngine()
-	net := sim.NewNetwork(eng, tp.G, sim.Config{
-		QueueBytes:  8 * 1500,
-		TrimToBytes: 64,
-	})
-	if p.Obs != nil {
-		p.Obs.AttachNetwork(eng, net)
-	}
-	pn := core.New(tp)
+	d := p.newDriver(tp, sim.Config{QueueBytes: 8 * 1500, TrimToBytes: 64}, tcp.Config{})
 	rng := rand.New(rand.NewSource(p.Seed))
 	var times []float64
 	const rounds = 7
 	for round := 0; round < rounds; round++ {
 		perm := rng.Perm(tp.NumHosts())
 		receiver := tp.Hosts[perm[0]]
-		t0 := eng.Now()
+		t0 := d.Eng.Now()
 		remaining := fanIn
 		stalled := false
 		for _, s := range perm[1 : 1+fanIn] {
-			paths := pn.HighThroughputPaths(tp.Hosts[s], receiver, 4)
-			f, err := ndp.NewFlow(net, paths, 256_000)
+			paths := d.PNet.HighThroughputPaths(tp.Hosts[s], receiver, 4)
+			f, err := ndp.NewFlow(d.Net, paths, 256_000)
 			if err != nil {
 				stalled = true
 				break
@@ -126,15 +117,15 @@ func ndpIncast(tp *topo.Topology, fanIn int, p Params) []string {
 		if stalled {
 			break
 		}
-		for remaining > 0 && eng.Now() < 10*sim.Second {
-			if !eng.Step() {
+		for remaining > 0 && d.Eng.Now() < 10*sim.Second {
+			if !d.Eng.Step() {
 				break
 			}
 		}
 		if remaining > 0 {
 			break
 		}
-		times = append(times, (eng.Now() - t0).Seconds())
+		times = append(times, (d.Eng.Now() - t0).Seconds())
 	}
 	if len(times) < rounds {
 		return []string{"parallel homo / NDP", fmt.Sprint(fanIn), "stall", "", "", ""}
@@ -143,7 +134,7 @@ func ndpIncast(tp *topo.Topology, fanIn int, p Params) []string {
 	return []string{
 		"parallel homo / NDP", fmt.Sprint(fanIn),
 		secs(s.Median), secs(s.P99),
-		fmt.Sprint(net.TotalDrops()), "-",
+		fmt.Sprint(d.Net.TotalDrops()), "-",
 	}
 }
 

@@ -21,7 +21,7 @@ func init() {
 // faultsCfg sizes one faults run. The registered experiment derives it
 // from the scale; tests shrink it further through runFaultsWith.
 type faultsCfg struct {
-	faultAt sim.Time // default plane-0 outage injection time
+	faultAt sim.Time // plane-0 outage injection time
 	runDur  sim.Time
 	window  sim.Time // goodput timeline bucket
 	flows   int
@@ -57,15 +57,13 @@ func (m faultsMetrics) row(name string) []string {
 	}
 }
 
-// faultsVariant is one network faults rides through the outage.
-type faultsVariant struct {
-	name string
-	tp   *topo.Topology
-}
-
-// faultsSetup sizes the faults experiment for p's scale and builds its
-// three networks: the serial baseline and the two P-Nets.
-func faultsSetup(p Params) (faultsCfg, []faultsVariant) {
+// runFaults rides the paper's network types through the same mid-run
+// dataplane outage. The serial baseline has nowhere to fail over to and
+// never recovers; the parallel P-Nets detect the outage from probe
+// silence (no oracle), repath the stalled flows onto surviving planes,
+// and return to their pre-fault goodput — the §3.4 fault tolerance
+// argument made measurable.
+func runFaults(p Params) Table {
 	cfg := faultsCfg{
 		faultAt: 6 * sim.Millisecond,
 		runDur:  30 * sim.Millisecond,
@@ -84,48 +82,20 @@ func faultsSetup(p Params) (faultsCfg, []faultsVariant) {
 	}
 	ft := topo.FatTreeSet(ftK, 2, speed)
 	jf := topo.ScaledJellyfish(jfSw, 2, speed, p.Seed)
-	return cfg, []faultsVariant{
+	variants := []struct {
+		name string
+		tp   *topo.Topology
+	}{
 		{"serial", ft.SerialLow},
 		{"parallel homogeneous", ft.ParallelHomo},
 		{"parallel heterogeneous", jf.ParallelHetero},
 	}
-}
-
-// CheckChaos reports, naming the network, the first -chaos target that
-// one of the faults experiment's networks at p's scale and seed lacks;
-// nil when p has no chaos script. It is what turns a mistyped script
-// into a usage error instead of a panic inside a run.
-func CheckChaos(p Params) error {
-	if p.Chaos == nil {
-		return nil
-	}
-	_, variants := faultsSetup(p)
-	for _, v := range variants {
-		if err := p.Chaos.Build(v.tp.G, p.Seed).Check(v.tp.G); err != nil {
-			return fmt.Errorf("faults network %q (%s): %v", v.name, v.tp.Name, err)
-		}
-	}
-	return nil
-}
-
-// runFaults rides the paper's network types through the same mid-run
-// dataplane outage. The serial baseline has nowhere to fail over to and
-// never recovers; the parallel P-Nets detect the outage from probe
-// silence (no oracle), repath the stalled flows onto surviving planes,
-// and return to their pre-fault goodput — the §3.4 fault tolerance
-// argument made measurable.
-func runFaults(p Params) Table {
-	cfg, variants := faultsSetup(p)
-	script := fmt.Sprintf("plane 0 dies at t=%s and stays down", secs(cfg.faultAt.Seconds()))
-	if p.Chaos != nil {
-		script = fmt.Sprintf("chaos script %q", p.Chaos)
-	}
 	t := Table{
 		ID:    "faults",
 		Title: "Runtime plane outage: detection, failover, recovery (extension of paper §3.4)",
-		Note: fmt.Sprintf("%s; probe-based detection, "+
+		Note: fmt.Sprintf("plane 0 dies at t=%s and stays down; probe-based detection, "+
 			"stall-driven repathing; goodput over %s windows",
-			script, secs(cfg.window.Seconds())),
+			secs(cfg.faultAt.Seconds()), secs(cfg.window.Seconds())),
 		Header: []string{"network", "pre Gbit/s", "dip", "detect", "failover", "recovery", "post", "blackholed"},
 	}
 	// The variants are independent cells: each owns a distinct topology
@@ -140,7 +110,7 @@ func runFaults(p Params) Table {
 	return t
 }
 
-// runFaultsWith runs one network through the fault script and measures
+// runFaultsWith runs one network through the plane outage and measures
 // the full lifecycle. Flows are pinned round-robin across planes at
 // start, so a plane-0 outage always hits a known share of the traffic;
 // stalled subflows re-resolve through the driver's shortest-path
@@ -148,22 +118,10 @@ func runFaults(p Params) Table {
 func runFaultsWith(p Params, tp *topo.Topology, cfg faultsCfg) faultsMetrics {
 	d := p.newDriver(tp, sim.Config{}, tcp.Config{StallRTOs: 1})
 
-	// The fault script: the -chaos flag when given, otherwise a permanent
-	// plane-0 outage at cfg.faultAt. Latency accounting is anchored at the
-	// script's first injecting event.
+	// The fault: a permanent plane-0 outage at cfg.faultAt, which anchors
+	// the latency accounting.
 	var sched chaos.Schedule
-	if p.Chaos != nil {
-		sched = p.Chaos.Build(tp.G, p.Seed)
-	} else {
-		sched.PlaneOutage(0, cfg.faultAt, 0)
-	}
-	faultAt := cfg.faultAt
-	for _, e := range sched.Events {
-		if e.Kind.Injecting() {
-			faultAt = e.At
-			break // events are time-sorted
-		}
-	}
+	sched.PlaneOutage(0, cfg.faultAt)
 	inj := chaos.NewInjector(d.Eng, d.Net, sched)
 	inj.Obs = p.Obs
 	inj.NetID = d.NetID
@@ -175,7 +133,7 @@ func runFaultsWith(p Params, tp *topo.Topology, cfg faultsCfg) faultsMetrics {
 	mon.OnChange = func(e core.PlaneEvent) {
 		if !e.Up && detectAt < 0 {
 			detectAt = e.At
-			m.detectLat = e.At - faultAt
+			m.detectLat = e.At - cfg.faultAt
 			if p.Obs != nil {
 				p.Obs.RecordFault(obs.FaultRecord{
 					Net: d.NetID, TPs: int64(e.At), Event: "detect",
@@ -290,7 +248,7 @@ func runFaultsWith(p Params, tp *topo.Topology, cfg faultsCfg) faultsMetrics {
 	// Reduce the timeline. Window indices: [0, faultIdx) are clean
 	// pre-fault windows (skip window 0, the slow-start ramp), faultIdx
 	// straddles the injection, and everything after is post-fault.
-	faultIdx := int(faultAt / cfg.window)
+	faultIdx := int(cfg.faultAt / cfg.window)
 	pktBits := 1500 * 8.0
 	toBps := pktBits / cfg.window.Seconds()
 
@@ -310,7 +268,7 @@ func runFaultsWith(p Params, tp *topo.Topology, cfg faultsCfg) faultsMetrics {
 			minWin = wins[w]
 		}
 		if m.recovery < 0 && pre > 0 && wins[w] >= 0.9*pre {
-			m.recovery = sim.Time(w+1)*cfg.window - faultAt
+			m.recovery = sim.Time(w+1)*cfg.window - cfg.faultAt
 		}
 	}
 	if pre > 0 && !math.IsInf(minWin, 1) {
@@ -329,7 +287,7 @@ func runFaultsWith(p Params, tp *topo.Topology, cfg faultsCfg) faultsMetrics {
 
 	if m.recovery >= 0 && p.Obs != nil {
 		p.Obs.RecordFault(obs.FaultRecord{
-			Net: d.NetID, TPs: int64(faultAt + m.recovery), Event: "recover",
+			Net: d.NetID, TPs: int64(cfg.faultAt + m.recovery), Event: "recover",
 			Target:     "plane:0",
 			Plane:      0,
 			LatencySec: m.recovery.Seconds(),

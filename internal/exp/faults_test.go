@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"pnet/internal/chaos"
 	"pnet/internal/obs"
 	"pnet/internal/par"
 	"pnet/internal/sim"
@@ -76,27 +75,6 @@ func TestFaultsDeterministic(t *testing.T) {
 	b := runFaultsWith(Params{Seed: 7}, topo.FatTreeSet(4, 2, 40).ParallelHomo, faultsTestCfg())
 	if a != b {
 		t.Errorf("same-seed runs differ:\n  %+v\n  %+v", a, b)
-	}
-}
-
-// TestFaultsChaosSpecOverride drives the experiment through a parsed
-// -chaos script instead of the built-in outage, including a transient
-// fault that clears mid-run.
-func TestFaultsChaosSpecOverride(t *testing.T) {
-	spec, err := chaos.ParseSpec("plane:0@4ms+10ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp := topo.FatTreeSet(4, 2, 40).ParallelHomo
-	m := runFaultsWith(Params{Seed: 1, Chaos: spec}, tp, faultsTestCfg())
-	if m.blackholed == 0 {
-		t.Error("scripted outage blackholed nothing")
-	}
-	// Latency accounting anchors at the script's injection time (4ms),
-	// not the default 6ms: detection is a few probe intervals, far less
-	// than the 2ms anchor error would be.
-	if m.detectLat <= 0 || m.detectLat > sim.Millisecond {
-		t.Errorf("detect latency = %v, want ~3 probe intervals from the 4ms injection", m.detectLat)
 	}
 }
 

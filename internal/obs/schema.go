@@ -214,10 +214,11 @@ type SolverRecord struct {
 	WallSec    float64 `json:"wall_s"`
 }
 
-// FaultRecord is one runtime-fault lifecycle event: "inject" and "clear"
-// come from the chaos injector (physical truth), "detect", "failover",
-// and "recover" from the measuring side (health monitor, transport,
-// experiment harness). The Latency/Dip fields are filled only by the
+// FaultRecord is one runtime-fault lifecycle event: "inject" comes from
+// the chaos injector (physical truth; "clear" appears only in streams
+// from binaries that could script an outage to end), "detect",
+// "failover", and "recover" from the measuring side (health monitor,
+// transport, experiment harness). The Latency/Dip fields are filled only by the
 // events that define them: detect latency on "detect", failover latency
 // on "failover", recovery time and goodput-dip depth on "recover".
 type FaultRecord struct {
@@ -225,7 +226,7 @@ type FaultRecord struct {
 	Net    int    `json:"net"`
 	TPs    int64  `json:"t_ps"`
 	Event  string `json:"event"`  // inject | clear | detect | failover | recover
-	Target string `json:"target"` // e.g. "link:12", "switch:3", "plane:1"
+	Target string `json:"target"` // e.g. "plane:1"; older streams also hold "link:12", "switch:3"
 	Plane  int32  `json:"plane"`  // affected plane, -1 if not plane-specific
 	// LatencySec is the elapsed sim time the event measures: inject→detect
 	// for "detect", detect→failover for "failover", inject→recovery for

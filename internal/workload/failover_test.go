@@ -27,7 +27,7 @@ func TestDriverFailsOverThroughMidRunOutage(t *testing.T) {
 
 	faultAt := 500 * sim.Microsecond
 	var sched chaos.Schedule
-	sched.PlaneOutage(0, faultAt, 0)
+	sched.PlaneOutage(0, faultAt)
 	inj := chaos.NewInjector(d.Eng, d.Net, sched)
 	inj.Arm()
 

@@ -123,10 +123,10 @@ func RunShuffle(d *Driver, cfg ShuffleConfig) (StageTimes, error) {
 	}
 
 	perMapper := cfg.TotalBytes / int64(cfg.Mappers)
-	readBlocks := int(max64(1, (perMapper+cfg.BlockBytes-1)/cfg.BlockBytes))
-	shuffleBytes := max64(1, cfg.TotalBytes/int64(cfg.Mappers)/int64(cfg.Reducers))
+	readBlocks := int(max(1, (perMapper+cfg.BlockBytes-1)/cfg.BlockBytes))
+	shuffleBytes := max(1, cfg.TotalBytes/int64(cfg.Mappers)/int64(cfg.Reducers))
 	perReducer := cfg.TotalBytes / int64(cfg.Reducers)
-	writeBlocks := int(max64(1, (perReducer+cfg.BlockBytes-1)/cfg.BlockBytes))
+	writeBlocks := int(max(1, (perReducer+cfg.BlockBytes-1)/cfg.BlockBytes))
 
 	finished := false
 	stage3 := func() {
@@ -195,11 +195,4 @@ func (s flowSpec) completeHook(onDone func(*tcp.Flow)) func(*tcp.Flow) {
 		return onDone
 	}
 	return nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -38,7 +38,6 @@ var testOracles = map[string]string{
 	"mcf.Pinned":                     "the exact single-path concurrent flow MaxMinPinned is held to",
 	"route.PlaneSpread":              "checks that multipath sets cover the planes they should",
 	"sim.(*Engine).Run":              "test harness: runs an engine until its heap drains",
-	"sim.(*Network).LinkUp":          "chaos tests read the runtime link state the injector set",
 	"sim.(*SpanAttribution).Total":   "with tcp.(*Flow).AttributedTime, checks that span components sum to FCT",
 	"tcp.(*Flow).AttributedTime":     "checks that a flow's span components sum to its FCT",
 	"topo.ChassisPlane":              "checks Table 1's chassis component model against the chip-level graph",
