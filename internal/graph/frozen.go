@@ -24,6 +24,13 @@ type Frozen struct {
 	inStart  []int32
 	inList   []LinkID
 
+	// The up out-links of n, as (destination, link) pairs in insertion
+	// order: upArcs[upStart[n]:upStart[n+1]]. Dijkstra and BFS walk these,
+	// so a relaxation reads one pair instead of an ID, its destination and
+	// its up state from three arrays.
+	upStart []int32
+	upArcs  []arc
+
 	// Hot per-link arrays, indexed by LinkID.
 	linkSrc []NodeID
 	linkDst []NodeID
@@ -31,6 +38,11 @@ type Frozen struct {
 	linkUp  []bool
 
 	transit []bool
+}
+
+type arc struct {
+	dst NodeID
+	id  LinkID
 }
 
 // Frozen returns the CSR snapshot of the graph, building it on first use
@@ -57,6 +69,8 @@ func (g *Graph) buildFrozen() *Frozen {
 		outList:  make([]LinkID, 0, m),
 		inStart:  make([]int32, n+1),
 		inList:   make([]LinkID, 0, m),
+		upStart:  make([]int32, n+1),
+		upArcs:   make([]arc, 0, m),
 		linkSrc:  make([]NodeID, m),
 		linkDst:  make([]NodeID, m),
 		linkCap:  make([]float64, m),
@@ -75,9 +89,16 @@ func (g *Graph) buildFrozen() *Frozen {
 		fz.outList = append(fz.outList, g.out[u]...)
 		fz.inStart[u] = int32(len(fz.inList))
 		fz.inList = append(fz.inList, g.in[u]...)
+		fz.upStart[u] = int32(len(fz.upArcs))
+		for _, id := range g.out[u] {
+			if fz.linkUp[id] {
+				fz.upArcs = append(fz.upArcs, arc{fz.linkDst[id], id})
+			}
+		}
 	}
 	fz.outStart[n] = int32(len(fz.outList))
 	fz.inStart[n] = int32(len(fz.inList))
+	fz.upStart[n] = int32(len(fz.upArcs))
 	return fz
 }
 

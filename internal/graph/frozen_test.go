@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"container/heap"
 	"math/rand"
 	"strings"
 	"sync"
@@ -206,6 +207,100 @@ func TestFrozenDijkstraMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSPHeapMatchesContainerHeap drives spHeap and a container/heap
+// queue through one random interleaving of pushes and pops with keys
+// drawn from three values, so nearly every comparison is a tie. The pop
+// sequences must agree in node as well as distance: equal-key pop order
+// is what picks Garg–Könemann's parent tree.
+func TestSPHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	keys := []float64{0.5, 1, 2}
+	for trial := 0; trial < 200; trial++ {
+		var h spHeap
+		ref := &nodeHeap{}
+		next := NodeID(0)
+		ops := 1 + rng.Intn(300)
+		for op := 0; op < ops || len(h) > 0; op++ {
+			if op < ops && (len(h) == 0 || rng.Intn(5) < 3) {
+				d := keys[rng.Intn(len(keys))]
+				h.push(spItem{dist: d, node: next})
+				heap.Push(ref, nodeItem{node: next, dist: d})
+				next++
+				continue
+			}
+			got, want := h.pop(), heap.Pop(ref).(nodeItem)
+			if got.dist != want.dist || got.node != want.node {
+				t.Fatalf("trial %d op %d: pop (%v, %d), container/heap (%v, %d)",
+					trial, op, got.dist, got.node, want.dist, want.node)
+			}
+		}
+	}
+}
+
+// FuzzDijkstraMatchesReference turns bytes into a small graph with
+// non-transit nodes, down links and tie-heavy weights, and holds
+// Frozen.Dijkstra to WeightedShortestPath from one source to every
+// other node: same reachability, path and distance, whether the search
+// stops at the destination or builds the full tree. Byte 0 is the node
+// count, byte 1 the source, byte 2 the non-transit mask; each later
+// triple (a, b, w) adds a link a→b whose weight is chosen by w's low two
+// bits, and which is down when w's bit 2 is set.
+func FuzzDijkstraMatchesReference(f *testing.F) {
+	f.Add([]byte{4, 0, 0, 0, 1, 0, 1, 2, 0, 0, 2, 0, 2, 3, 1})
+	f.Add([]byte{6, 1, 0x12, 1, 2, 1, 2, 3, 1, 1, 4, 2, 4, 3, 0, 3, 5, 4, 2, 5, 2, 0, 1, 3})
+	f.Add([]byte{8, 7, 0xff, 7, 0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 0, 4, 0, 4, 5, 1, 5, 6, 7})
+	weights := []float64{0, 0.5, 1, 1}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		n := 2 + int(data[0])%10
+		src := NodeID(int(data[1]) % n)
+		g := New(n)
+		for i := 0; i < n && i < 8; i++ {
+			if data[2]&(1<<i) != 0 {
+				g.SetTransit(NodeID(i), false)
+			}
+		}
+		var w []float64
+		for rest := data[3:]; len(rest) >= 3; rest = rest[3:] {
+			a, b := NodeID(int(rest[0])%n), NodeID(int(rest[1])%n)
+			if a == b {
+				continue
+			}
+			id := g.AddLink(a, b, 100, 0)
+			w = append(w, weights[rest[2]&3])
+			if rest[2]&4 != 0 {
+				g.SetLinkUp(id, false)
+			}
+		}
+		fz := g.Frozen()
+		s, full := NewScratch(), NewScratch()
+		fz.Dijkstra(full, src, w, -1)
+		for dst := NodeID(0); int(dst) < n; dst++ {
+			if dst == src {
+				continue
+			}
+			want, wd, wok := WeightedShortestPath(g, src, dst, w)
+			if gok := fz.Dijkstra(s, src, w, dst); gok != wok {
+				t.Fatalf("%d->%d: ok %v, reference %v", src, dst, gok, wok)
+			}
+			if full.Reached(dst) != wok {
+				t.Fatalf("%d->%d: full tree reached %v, reference %v", src, dst, full.Reached(dst), wok)
+			}
+			if !wok {
+				continue
+			}
+			if got := fz.PathTo(s, src, dst); !got.Equal(want) || s.Dist(dst) != wd {
+				t.Fatalf("%d->%d: path %v dist %v, reference %v dist %v", src, dst, got.Links, s.Dist(dst), want.Links, wd)
+			}
+			if got := fz.PathTo(full, src, dst); !got.Equal(want) || full.Dist(dst) != wd {
+				t.Fatalf("%d->%d: tree path %v dist %v, reference %v dist %v", src, dst, got.Links, full.Dist(dst), want.Links, wd)
+			}
+		}
+	})
 }
 
 // TestScratchZeroAlloc is the graph-level half of the solver's

@@ -1,6 +1,9 @@
 package graph
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
 // Scratch holds the reusable working state for repeated path searches on
 // a Frozen view: distance/parent arrays, epoch-marked visited sets, an
@@ -16,7 +19,6 @@ type Scratch struct {
 	dist    []float64
 	parent  []LinkID
 	reached []uint32 // reached[n] == epoch: dist/parent valid this search
-	settled []uint32 // settled[n] == epoch: n popped (Dijkstra) this search
 	epoch   uint32
 	heap    spHeap
 	queue   []NodeID
@@ -42,13 +44,11 @@ func (s *Scratch) begin(n int) {
 		s.dist = make([]float64, n)
 		s.parent = make([]LinkID, n)
 		s.reached = make([]uint32, n)
-		s.settled = make([]uint32, n)
 	}
 	s.epoch++
 	if s.epoch == 0 {
 		for i := range s.reached {
 			s.reached[i] = 0
-			s.settled[i] = 0
 		}
 		s.epoch = 1
 	}
@@ -63,17 +63,19 @@ func (s *Scratch) Reached(n NodeID) bool { return s.reached[n] == s.epoch }
 // when Reached(n) is true.
 func (s *Scratch) Dist(n NodeID) float64 { return s.dist[n] }
 
-// spHeap is an interface-free priority queue of (dist, node) pairs that
-// replicates container/heap's binary sift-up/sift-down mechanics — and
-// with them its pop order among equal-distance entries — exactly. The
-// arity is deliberately binary, not 4-ary like the sim engine's
-// eventHeap: Dijkstra's comparison keys tie constantly under Garg–
-// Könemann's uniform initial lengths, equal-key pop order decides which
-// of several shortest paths becomes the parent tree, and the committed
-// experiment baselines pin the trajectory the historical container/heap
-// oracle produced. Changing arity would silently reroute the solver.
-// The win over container/heap is keeping it: no interface boxing, no
-// per-push allocation, no dynamic dispatch per comparison.
+// spHeap is a binary min-heap of (dist, node) pairs whose pop order,
+// equal keys included, is container/heap's: push and pop make the same
+// comparisons, each a strict <, and reach the same layout. They move a
+// hole where container/heap swaps: push slides strictly greater parents
+// down and writes the new item once; pop takes the root, puts a +Inf
+// sentinel in the vacated last slot, and sinks the old last item from the
+// root, so the right child of a node whose left child is the last live
+// slot loses the < test to the sentinel exactly as container/heap's
+// bounds check skips it. Equal-key pop order decides which of several
+// shortest paths becomes Garg–Könemann's parent tree, and
+// bench/golden.json pins that trajectory, so arity stays binary and no
+// comparison may become <=. TestSPHeapMatchesContainerHeap holds the two
+// heaps to one pop sequence under heavy ties.
 type spHeap []spItem
 
 type spItem struct {
@@ -81,47 +83,44 @@ type spItem struct {
 	node NodeID
 }
 
-// push appends it and sifts up, mirroring container/heap.Push: the new
-// element rises only past strictly greater parents.
 func (h *spHeap) push(it spItem) {
 	*h = append(*h, it)
 	s := *h
 	j := len(s) - 1
 	for j > 0 {
 		i := (j - 1) / 2
-		if !(s[j].dist < s[i].dist) {
+		if !(it.dist < s[i].dist) {
 			break
 		}
-		s[i], s[j] = s[j], s[i]
+		s[j] = s[i]
 		j = i
 	}
+	s[j] = it
 }
 
-// pop removes and returns the minimum, mirroring container/heap.Pop:
-// swap root with last, sift down over the shrunk range, detach last.
 func (h *spHeap) pop() spItem {
 	s := *h
 	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
+	top, last := s[0], s[n]
+	s[n] = spItem{dist: math.Inf(1)}
 	i := 0
 	for {
-		j1 := 2*i + 1
-		if j1 >= n {
+		j := 2*i + 1
+		if j >= n {
 			break
 		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && s[j2].dist < s[j1].dist {
-			j = j2
+		if s[j+1].dist < s[j].dist {
+			j++
 		}
-		if !(s[j].dist < s[i].dist) {
+		if !(s[j].dist < last.dist) {
 			break
 		}
-		s[i], s[j] = s[j], s[i]
+		s[i] = s[j]
 		i = j
 	}
-	it := s[n]
+	s[i] = last
 	*h = s[:n]
-	return it
+	return top
 }
 
 // Dijkstra runs a shortest-path search from src under the given link
@@ -134,6 +133,13 @@ func (h *spHeap) pop() spItem {
 // order are bit-compatible with WeightedShortestPath, so the parent tree
 // — and any path traced from it — matches the historical per-pair oracle
 // exactly. After warm-up the search performs no allocations.
+//
+// There is no settled set. Keys pop in non-decreasing order and weights
+// are non-negative, so a settled v has dist[v] ≤ du ≤ du+w and relaxing
+// it never passes the strict < — the reference's done test on relaxation
+// never fires. A node is pushed only on a strict improvement, so exactly
+// one of its entries carries its final distance and pops first; any entry
+// with a larger key is stale.
 func (fz *Frozen) Dijkstra(s *Scratch, src NodeID, weight []float64, until NodeID) bool {
 	s.begin(fz.numNodes)
 	s.dist[src] = 0
@@ -142,26 +148,22 @@ func (fz *Frozen) Dijkstra(s *Scratch, src NodeID, weight []float64, until NodeI
 	for len(s.heap) > 0 {
 		it := s.heap.pop()
 		u := it.node
-		if s.settled[u] == s.epoch {
+		if it.dist > s.dist[u] {
 			continue
 		}
-		s.settled[u] = s.epoch
 		if u == until {
 			return true
 		}
 		if u != src && !fz.transit[u] {
 			continue
 		}
-		du := s.dist[u]
-		for _, id := range fz.outList[fz.outStart[u]:fz.outStart[u+1]] {
-			v := fz.linkDst[id]
-			if !fz.linkUp[id] || s.settled[v] == s.epoch {
-				continue
-			}
-			nd := du + weight[id]
+		du := it.dist
+		for _, a := range fz.upArcs[fz.upStart[u]:fz.upStart[u+1]] {
+			v := a.dst
+			nd := du + weight[a.id]
 			if s.reached[v] != s.epoch || nd < s.dist[v] {
 				s.dist[v] = nd
-				s.parent[v] = id
+				s.parent[v] = a.id
 				s.reached[v] = s.epoch
 				s.heap.push(spItem{dist: nd, node: v})
 			}
@@ -189,19 +191,16 @@ func (fz *Frozen) BFS(s *Scratch, src NodeID, until NodeID, bannedLinks, bannedN
 			continue
 		}
 		du := s.dist[u]
-		for _, id := range fz.outList[fz.outStart[u]:fz.outStart[u+1]] {
-			if bannedLinks != nil && bannedLinks[id] {
-				continue
-			}
-			v := fz.linkDst[id]
-			if !fz.linkUp[id] || s.reached[v] == s.epoch {
+		for _, a := range fz.upArcs[fz.upStart[u]:fz.upStart[u+1]] {
+			v := a.dst
+			if s.reached[v] == s.epoch || bannedLinks != nil && bannedLinks[a.id] {
 				continue
 			}
 			if bannedNodes != nil && bannedNodes[v] {
 				continue
 			}
 			s.dist[v] = du + 1
-			s.parent[v] = id
+			s.parent[v] = a.id
 			s.reached[v] = s.epoch
 			if v == until {
 				return true

@@ -143,7 +143,6 @@ func FixedPaths(g *graph.Graph, cs []route.Commodity, paths [][]graph.Path, opts
 // solve. Commodity j's paths are pathStart[commStart[j]:commStart[j+1]+1]
 // offsets into links.
 type fixedOracle struct {
-	paths     [][]graph.Path // originals, returned to the solver
 	commStart []int32        // len(cs)+1, indexes pathStart
 	pathStart []int32        // len(total paths)+1, indexes links
 	links     []graph.LinkID // all path links, concatenated
@@ -158,7 +157,6 @@ func newFixedOracle(paths [][]graph.Path) *fixedOracle {
 		}
 	}
 	o := &fixedOracle{
-		paths:     paths,
 		commStart: make([]int32, len(paths)+1),
 		pathStart: make([]int32, 0, np+1),
 		links:     make([]graph.LinkID, 0, nl),
@@ -187,7 +185,10 @@ func (o *fixedOracle) pick(j int, length []float64) (graph.Path, bool) {
 			best, bestLen = p, l
 		}
 	}
-	return o.paths[j][best-lo], true
+	// The winner's links are the slice the scan just read, still in
+	// cache; capped so that an append cannot run into the next path.
+	a, b := o.pathStart[best], o.pathStart[best+1]
+	return graph.Path{Links: o.links[a:b:b]}, true
 }
 
 // Free computes max concurrent flow with no path restriction ("ideal"

@@ -83,19 +83,27 @@ func TestFreeMatchesReference(t *testing.T) {
 			{"fattree", topo.FatTreeSet(4, planes, 100)},
 			{"jellyfish", topo.JellyfishSet(8, 3, 2, planes, 100, 42)},
 		} {
-			tp := tc.set.ParallelHomo
-			rng := rand.New(rand.NewSource(int64(planes)))
-			instances = append(instances, instance{
-				name: tc.name + "/perm",
-				g:    tp.G,
-				cs:   workload.PermutationCommodities(tp, 100, rng),
-			})
-			rg, rcs := workload.RackAllToAll(tp, 10)
-			instances = append(instances, instance{
-				name: tc.name + "/rack",
-				g:    rg,
-				cs:   rcs,
-			})
+			tps := []*topo.Topology{tc.set.ParallelHomo}
+			if planes > 1 && tc.set.ParallelHetero != nil {
+				// Distinct planes give unequal path lengths and so tie
+				// differently from replicas; jf_free is this case.
+				tps = append(tps, tc.set.ParallelHetero)
+			}
+			for _, tp := range tps {
+				name := tp.Name // e.g. "parallel-hetero jf8-3 4x100G"
+				rng := rand.New(rand.NewSource(int64(planes)))
+				instances = append(instances, instance{
+					name: name + "/perm",
+					g:    tp.G,
+					cs:   workload.PermutationCommodities(tp, 100, rng),
+				})
+				rg, rcs := workload.RackAllToAll(tp, 10)
+				instances = append(instances, instance{
+					name: name + "/rack",
+					g:    rg,
+					cs:   rcs,
+				})
+			}
 		}
 	}
 	for _, inst := range instances {
@@ -184,11 +192,30 @@ func TestFreeOracleZeroAlloc(t *testing.T) {
 	}
 }
 
+// refFixedPick is the nested-slice FixedPaths oracle the flat incidence
+// replaced: scan commodity j's paths in order, keep the first strictly
+// shortest, return it from the caller's [][]graph.Path.
+func refFixedPick(paths [][]graph.Path) func(int, []float64) (graph.Path, bool) {
+	return func(j int, length []float64) (graph.Path, bool) {
+		best, bestLen := -1, math.Inf(1)
+		for p, path := range paths[j] {
+			var l float64
+			for _, e := range path.Links {
+				l += length[e]
+			}
+			if l < bestLen {
+				best, bestLen = p, l
+			}
+		}
+		return paths[j][best], true
+	}
+}
+
 // TestFixedOracleMatchesScan: the flat CSR incidence must reproduce the
 // naive nested-slice scan exactly, including first-minimum tie-breaking.
 func TestFixedOracleMatchesScan(t *testing.T) {
 	g, cs, paths := randomInstance(5)
-	o := newFixedOracle(paths)
+	o, ref := newFixedOracle(paths), refFixedPick(paths)
 	length := make([]float64, g.NumLinks())
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 50; trial++ {
@@ -198,19 +225,41 @@ func TestFixedOracleMatchesScan(t *testing.T) {
 		}
 		for j := range cs {
 			got, _ := o.pick(j, length)
-			best, bestLen := -1, math.Inf(1)
-			for p, path := range paths[j] {
-				var l float64
-				for _, e := range path.Links {
-					l += length[e]
-				}
-				if l < bestLen {
-					best, bestLen = p, l
-				}
-			}
-			if !got.Equal(paths[j][best]) {
+			want, _ := ref(j, length)
+			if !got.Equal(want) {
 				t.Fatalf("trial %d commodity %d: pick chose %v, scan chose %v",
-					trial, j, got.Links, paths[j][best].Links)
+					trial, j, got.Links, want.Links)
+			}
+			// The links alias the flat incidence; an append by a caller
+			// must not be able to overwrite the next path.
+			if cap(got.Links) != len(got.Links) {
+				t.Fatalf("trial %d commodity %d: returned links have cap %d > len %d",
+					trial, j, cap(got.Links), len(got.Links))
+			}
+		}
+	}
+}
+
+// TestFixedPathsMatchesReference: FixedPaths' flat oracle must leave the
+// whole Garg–Könemann run where the nested-slice pick leaves it — λ,
+// phases, iterations and rescaling attempts bit-identical — on fat tree
+// and Jellyfish P-Nets, replicated and (Jellyfish only: replicated fat
+// trees are identical) heterogeneous planes, across path-set sizes.
+func TestFixedPathsMatchesReference(t *testing.T) {
+	const planes = 4
+	ft := topo.FatTreeSet(4, planes, 100)
+	jf := topo.JellyfishSet(8, 3, 2, planes, 100, 42)
+	for _, tp := range []*topo.Topology{ft.ParallelHomo, jf.ParallelHomo, jf.ParallelHetero} {
+		cs := workload.PermutationCommodities(tp, 100, rand.New(rand.NewSource(3)))
+		for _, k := range []int{1, 4, 8} {
+			paths := route.KSPPaths(tp.G, cs, k)
+			got := FixedPaths(tp.G, cs, paths, Options{})
+			lambda, want := adaptiveGK(tp.G.Frozen(), cs, refFixedPick(paths), Options{}.epsilon())
+			if got.Lambda != lambda || got.Stats.Phases != want.Phases ||
+				got.Stats.Iterations != want.Iterations || got.Stats.Attempts != want.Attempts {
+				t.Errorf("%s K=%d: (lambda=%v phases=%d iters=%d attempts=%d) != reference (lambda=%v phases=%d iters=%d attempts=%d)",
+					tp.Name, k, got.Lambda, got.Stats.Phases, got.Stats.Iterations, got.Stats.Attempts,
+					lambda, want.Phases, want.Iterations, want.Attempts)
 			}
 		}
 	}
