@@ -12,9 +12,6 @@
 //     (§4's N×8 rule);
 //   - per-flow ECMP hashing over planes and equal-cost paths, the naive
 //     baseline the paper shows to under-use parallel capacity;
-//   - round-robin plane rotation, the default load-balancing of §3.4;
-//   - the flow-size policy of §5.1.2: flows up to 100 MB use a single
-//     path, flows of 1 GB and beyond go multipath;
 //   - traffic classes pinned to a subset of planes (§7): the same
 //     selectors, handed only the class's plane masks;
 //   - link-status-driven failure handling: hosts detect a failed plane
@@ -31,24 +28,12 @@ import (
 	"pnet/internal/topo"
 )
 
-// Flow-size policy thresholds from §5.1.2: at or below SmallFlowMax a flow
-// gains little from MPTCP and should use a single path; at or above
-// BulkFlowMin it should multipath. Between the two, the policy defaults to
-// single-path (the paper's conservative recommendation pending tuning).
-const (
-	SmallFlowMax = 100 << 20 // 100 MB
-	BulkFlowMin  = 1 << 30   // 1 GB
-)
-
 // PNet is the end-host view of a parallel dataplane network. It caches
 // routing state (ECMP DAGs, K-shortest-path sets) and invalidates the
 // caches when a plane is marked down or up. It is not safe for concurrent
 // use.
 type PNet struct {
 	Topo *topo.Topology
-
-	planeUp []bool
-	rrNext  []uint32 // per-host round-robin plane cursor
 
 	// dags[dst] is the ECMP next-hop DAG toward dst, nil until first use.
 	dags []*graph.DAG
@@ -81,14 +66,7 @@ func (p *PNet) routeKey(src, dst graph.NodeID, code uint64) (key uint64, ok bool
 
 // New wraps a topology in the end-host control plane.
 func New(t *topo.Topology) *PNet {
-	p := &PNet{
-		Topo:    t,
-		planeUp: make([]bool, t.Planes),
-		rrNext:  make([]uint32, t.NumHosts()),
-	}
-	for i := range p.planeUp {
-		p.planeUp[i] = true
-	}
+	p := &PNet{Topo: t}
 	p.resetCaches()
 	return p
 }
@@ -159,36 +137,6 @@ func (p *PNet) ECMPPath(src, dst graph.NodeID, flowHash uint64) (graph.Path, boo
 // times as many (§4, Figures 6c and 8c).
 func SubflowsFor(planes int) int { return 8 * planes }
 
-// PathsForFlow applies the flow-size policy: small flows get the
-// low-latency single path; bulk flows get k multipath routes (k ≤ 0
-// selects SubflowsFor(planes)). The middle band defaults to single-path.
-func (p *PNet) PathsForFlow(src, dst graph.NodeID, sizeBytes int64, k int) []graph.Path {
-	if sizeBytes < BulkFlowMin {
-		if path, ok := p.LowLatencyPath(src, dst); ok {
-			return []graph.Path{path}
-		}
-		return nil
-	}
-	if k <= 0 {
-		k = SubflowsFor(p.Planes())
-	}
-	return p.HighThroughputPaths(src, dst, k)
-}
-
-// NextPlane rotates host h's round-robin cursor over usable planes — the
-// default load-balancing policy of §3.4. ok is false when every plane is
-// down.
-func (p *PNet) NextPlane(h int) (int, bool) {
-	for i := 0; i < p.Topo.Planes; i++ {
-		plane := int(p.rrNext[h]) % p.Topo.Planes
-		p.rrNext[h]++
-		if p.planeUp[plane] {
-			return plane, true
-		}
-	}
-	return 0, false
-}
-
 // MarkPlaneDown excludes a whole dataplane from selection (e.g. during a
 // one-plane-at-a-time upgrade, §6.1); host uplinks to it are downed so
 // path computation avoids it too.
@@ -205,7 +153,6 @@ func (p *PNet) setPlane(plane int, up bool) {
 	if plane < 0 || plane >= p.Topo.Planes {
 		panic(fmt.Sprintf("core: plane %d of %d", plane, p.Topo.Planes))
 	}
-	p.planeUp[plane] = up
 	for h := range p.Topo.Uplinks {
 		p.Topo.G.SetLinkUp(p.Topo.Uplinks[h][plane], up)
 		p.Topo.G.SetLinkUp(p.Topo.Downlinks[h][plane], up)

@@ -8,25 +8,6 @@ import (
 	"pnet/internal/topo"
 )
 
-func TestPathsForFlowAfterPlaneFailure(t *testing.T) {
-	set := topo.FatTreeSet(4, 2, 100)
-	p := New(set.ParallelHomo)
-	src, dst := p.Topo.Hosts[0], p.Topo.Hosts[15]
-
-	p.MarkPlaneDown(0)
-	small := p.PathsForFlow(src, dst, 1<<20, 0)
-	if len(small) != 1 || small[0].Plane(p.Topo.G) != 1 {
-		t.Errorf("small flow after failure: %d paths on plane %d",
-			len(small), small[0].Plane(p.Topo.G))
-	}
-	bulk := p.PathsForFlow(src, dst, 2<<30, 8)
-	for _, q := range bulk {
-		if q.Plane(p.Topo.G) != 1 {
-			t.Fatal("bulk flow path on downed plane")
-		}
-	}
-}
-
 func TestECMPCacheInvalidatedByFailure(t *testing.T) {
 	set := topo.FatTreeSet(4, 2, 100)
 	p := New(set.ParallelHomo)

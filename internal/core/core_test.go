@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"pnet/internal/graph"
 	"pnet/internal/route"
 	"pnet/internal/topo"
 )
@@ -20,6 +21,20 @@ func heteroPair() *topo.Topology {
 		HostPort: []int{0, 1},
 	}
 	return topo.Assemble("hetero-pair", 100, long, short)
+}
+
+// hostLinksUp counts the host uplinks and downlinks of plane that are up
+// in the hosts' graph view, the state MarkPlaneDown and MarkPlaneUp set.
+func hostLinksUp(p *PNet, plane int) int {
+	n := 0
+	for h := range p.Topo.Uplinks {
+		for _, id := range []graph.LinkID{p.Topo.Uplinks[h][plane], p.Topo.Downlinks[h][plane]} {
+			if p.Topo.G.Link(id).Up {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 func TestLowLatencyPicksShortestPlane(t *testing.T) {
@@ -81,73 +96,6 @@ func TestSubflowsFor(t *testing.T) {
 	}
 }
 
-func TestPathsForFlowPolicy(t *testing.T) {
-	set := topo.FatTreeSet(4, 2, 100)
-	p := New(set.ParallelHomo)
-	src, dst := p.Topo.Hosts[0], p.Topo.Hosts[15]
-
-	small := p.PathsForFlow(src, dst, 1<<20, 0) // 1 MB
-	if len(small) != 1 {
-		t.Errorf("small flow got %d paths, want 1", len(small))
-	}
-	mid := p.PathsForFlow(src, dst, 500<<20, 0) // 500 MB: middle band
-	if len(mid) != 1 {
-		t.Errorf("mid flow got %d paths, want 1 (conservative)", len(mid))
-	}
-	bulk := p.PathsForFlow(src, dst, 2<<30, 0) // 2 GB
-	if len(bulk) != SubflowsFor(2) {
-		t.Errorf("bulk flow got %d paths, want %d", len(bulk), SubflowsFor(2))
-	}
-	bulk4 := p.PathsForFlow(src, dst, 2<<30, 4)
-	if len(bulk4) != 4 {
-		t.Errorf("bulk flow with explicit k got %d paths", len(bulk4))
-	}
-}
-
-func TestNextPlaneRoundRobin(t *testing.T) {
-	set := topo.FatTreeSet(4, 4, 100)
-	p := New(set.ParallelHomo)
-	var got []int
-	for i := 0; i < 8; i++ {
-		pl, ok := p.NextPlane(0)
-		if !ok {
-			t.Fatal("no plane")
-		}
-		got = append(got, pl)
-	}
-	want := []int{0, 1, 2, 3, 0, 1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("rotation = %v, want %v", got, want)
-		}
-	}
-	// Hosts rotate independently.
-	pl, _ := p.NextPlane(1)
-	if pl != 0 {
-		t.Errorf("host 1 first plane = %d, want 0", pl)
-	}
-}
-
-func TestNextPlaneSkipsDownPlane(t *testing.T) {
-	set := topo.FatTreeSet(4, 2, 100)
-	p := New(set.ParallelHomo)
-	p.MarkPlaneDown(0)
-	for i := 0; i < 4; i++ {
-		pl, ok := p.NextPlane(0)
-		if !ok || pl != 1 {
-			t.Fatalf("plane = %d ok=%v, want 1", pl, ok)
-		}
-	}
-	p.MarkPlaneDown(1)
-	if _, ok := p.NextPlane(0); ok {
-		t.Error("NextPlane succeeded with all planes down")
-	}
-	p.MarkPlaneUp(0)
-	if pl, ok := p.NextPlane(0); !ok || pl != 0 {
-		t.Errorf("after restore: plane = %d ok=%v", pl, ok)
-	}
-}
-
 func TestMarkPlaneDownReroutesPaths(t *testing.T) {
 	set := topo.FatTreeSet(4, 2, 100)
 	p := New(set.ParallelHomo)
@@ -167,8 +115,11 @@ func TestMarkPlaneDownReroutesPaths(t *testing.T) {
 			t.Errorf("KSP path on downed plane")
 		}
 	}
-	if p.planeUp[0] || !p.planeUp[1] {
-		t.Error("plane status wrong")
+	if up := hostLinksUp(p, 0); up != 0 {
+		t.Errorf("%d plane-0 host links up after MarkPlaneDown(0)", up)
+	}
+	if up, all := hostLinksUp(p, 1), 2*p.Topo.NumHosts(); up != all {
+		t.Errorf("%d of %d plane-1 host links up", up, all)
 	}
 }
 
@@ -196,13 +147,10 @@ func TestMarkPlaneDownUpRoundTrip(t *testing.T) {
 	if !restored.Equal(orig) {
 		t.Errorf("restored path %v != original %v", restored, orig)
 	}
-	if !p.planeUp[0] || !p.planeUp[1] {
-		t.Error("plane status not restored")
-	}
-	// The graph view must round-trip too: every plane-0 host link back up.
-	for h := range p.Topo.Uplinks {
-		if !p.Topo.G.Link(p.Topo.Uplinks[h][0]).Up || !p.Topo.G.Link(p.Topo.Downlinks[h][0]).Up {
-			t.Fatalf("host %d plane-0 links not restored", h)
+	// The graph view must round-trip too: every host link back up.
+	for plane := range 2 {
+		if up, all := hostLinksUp(p, plane), 2*p.Topo.NumHosts(); up != all {
+			t.Errorf("%d of %d plane-%d host links up after the round trip", up, all, plane)
 		}
 	}
 }

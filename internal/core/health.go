@@ -18,6 +18,9 @@ const (
 	downAfter = 3 * probeInterval
 	// probeSize is the probe packet size in bytes.
 	probeSize = 64
+	// probeHost and probePeer are the monitoring host and the host its
+	// probes loop through, as indices into the topology's hosts.
+	probeHost, probePeer = 0, 1
 )
 
 // PlaneEvent is one observed liveness transition, stamped with the sim
@@ -69,15 +72,12 @@ type probeHandler struct {
 
 func (h *probeHandler) HandlePacket(p *sim.Packet) { h.m.echo(h.plane, p) }
 
-// NewHealthMonitor builds a monitor probing from host (an index into the
-// topology's hosts) through peer and back, once per plane, every 100 µs
-// until the sim time until (0 = probe forever — only safe with
-// Engine.RunUntil, since the monitor reschedules perpetually). It panics
-// if some plane has no in-plane loop between the two hosts.
-func NewHealthMonitor(eng *sim.Engine, net *sim.Network, p *PNet, host, peer int, until sim.Time) *HealthMonitor {
-	if host == peer {
-		panic("core: health monitor needs two distinct hosts")
-	}
+// NewHealthMonitor builds a monitor probing from host 0 through host 1
+// and back, once per plane, every 100 µs until the sim time until (0 =
+// probe forever — only safe with Engine.RunUntil, since the monitor
+// reschedules perpetually). It panics if some plane has no in-plane loop
+// between the two hosts.
+func NewHealthMonitor(eng *sim.Engine, net *sim.Network, p *PNet, until sim.Time) *HealthMonitor {
 	t := p.Topo
 	m := &HealthMonitor{
 		Eng:      eng,
@@ -98,9 +98,9 @@ func NewHealthMonitor(eng *sim.Engine, net *sim.Network, p *PNet, host, peer int
 				banned[i] = true
 			}
 		}
-		fwd := graph.KShortestPathsMasked(t.G, t.Hosts[host], t.Hosts[peer], 1, banned)
+		fwd := graph.KShortestPathsMasked(t.G, t.Hosts[probeHost], t.Hosts[probePeer], 1, banned)
 		if len(fwd) == 0 {
-			panic(fmt.Sprintf("core: no probe path in plane %d between hosts %d and %d", plane, host, peer))
+			panic(fmt.Sprintf("core: no probe path in plane %d between hosts %d and %d", plane, probeHost, probePeer))
 		}
 		rev, ok := graph.ReversePath(t.G, fwd[0])
 		if !ok {

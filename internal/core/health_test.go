@@ -16,13 +16,13 @@ func monitoredNet(until sim.Time) (*sim.Engine, *sim.Network, *PNet, *HealthMoni
 	eng := sim.NewEngine()
 	net := sim.NewNetwork(eng, tp.G, sim.Config{})
 	p := New(tp)
-	m := NewHealthMonitor(eng, net, p, 0, 1, until)
+	m := NewHealthMonitor(eng, net, p, until)
 	return eng, net, p, m
 }
 
 // setPlanePhysical flips every link of a plane in the simulated
-// dataplane only — what a chaos injector does — leaving the hosts' graph
-// view untouched.
+// dataplane only — what the faults experiment's outage does — leaving the
+// hosts' graph view untouched.
 func setPlanePhysical(net *sim.Network, plane int32, up bool) {
 	g := net.G
 	for i := 0; i < g.NumLinks(); i++ {
@@ -41,7 +41,7 @@ func TestHealthMonitorQuietOnHealthyNet(t *testing.T) {
 	if len(events) != 0 {
 		t.Fatalf("healthy network produced %d liveness events: %v", len(events), events)
 	}
-	if m.declDown[0] || m.declDown[1] || !p.planeUp[0] || !p.planeUp[1] {
+	if m.declDown[0] || m.declDown[1] || hostLinksUp(p, 0)+hostLinksUp(p, 1) != 4*p.Topo.NumHosts() {
 		t.Error("healthy plane declared down")
 	}
 }
@@ -79,8 +79,8 @@ func TestHealthMonitorDetectsAndRecovers(t *testing.T) {
 	}
 
 	// The monitor must have driven the control plane, not just reported.
-	if !p.planeUp[0] {
-		t.Error("plane 0 not restored in PNet after recovery")
+	if up, all := hostLinksUp(p, 0), 2*p.Topo.NumHosts(); up != all {
+		t.Errorf("%d of %d plane-0 host links up in PNet after recovery", up, all)
 	}
 	if m.declDown[0] {
 		t.Error("monitor verdict still down after recovery")

@@ -33,7 +33,7 @@ func runAt(t *testing.T, id string, n int) Table {
 // covers every parallelized cell shape: normalized baselines computed
 // after the join (fig6b/fig6c/fig8c), 2-D grids with index dispatch
 // (incast), name-keyed maps assembled post-join (fig10), per-variant
-// chaos cells (faults), and scenario cells sharing a baseline
+// outage cells (faults), and scenario cells sharing a baseline
 // (isolation is exercised via the cheaper fig14 path plus incast).
 func TestTablesWorkerInvariant(t *testing.T) {
 	for _, id := range []string{"fig6b", "fig6c", "fig8c", "fig10", "fig14", "incast", "faults"} {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"pnet/internal/chaos"
 	"pnet/internal/core"
 	"pnet/internal/graph"
 	"pnet/internal/obs"
@@ -99,9 +98,9 @@ func runFaults(p Params) Table {
 		Header: []string{"network", "pre Gbit/s", "dip", "detect", "failover", "recovery", "post", "blackholed"},
 	}
 	// The variants are independent cells: each owns a distinct topology
-	// (the chaos injector mutates link state, so sharing a graph across
-	// concurrent cells would race), its own engine, monitor, and
-	// injector.
+	// (the health monitor marks the dead plane down in the graph, so
+	// sharing one across concurrent cells would race), its own engine,
+	// network and monitor.
 	rows := make([][]string, len(variants))
 	par.Do(len(variants), func(i int) {
 		rows[i] = runFaultsWith(p, variants[i].tp, cfg).row(variants[i].name)
@@ -120,16 +119,19 @@ func runFaultsWith(p Params, tp *topo.Topology, cfg faultsCfg) faultsMetrics {
 
 	// The fault: a permanent plane-0 outage at cfg.faultAt, which anchors
 	// the latency accounting.
-	var sched chaos.Schedule
-	sched.PlaneOutage(0, cfg.faultAt)
-	inj := chaos.NewInjector(d.Eng, d.Net, sched)
-	inj.Obs = p.Obs
-	inj.NetID = d.NetID
-	inj.Arm()
+	d.Eng.At(cfg.faultAt, func() {
+		downPlane0(d.Net)
+		if p.Obs != nil {
+			p.Obs.RecordFault(obs.FaultRecord{
+				Net: d.NetID, TPs: int64(cfg.faultAt), Event: "inject",
+				Target: "plane:0", Plane: 0,
+			})
+		}
+	})
 
 	m := faultsMetrics{detectLat: -1, failoverLat: -1, recovery: -1}
 	var detectAt sim.Time = -1
-	mon := core.NewHealthMonitor(d.Eng, d.Net, d.PNet, 0, 1, cfg.runDur)
+	mon := core.NewHealthMonitor(d.Eng, d.Net, d.PNet, cfg.runDur)
 	mon.OnChange = func(e core.PlaneEvent) {
 		if !e.Up && detectAt < 0 {
 			detectAt = e.At
@@ -295,4 +297,15 @@ func runFaultsWith(p Params, tp *topo.Topology, cfg faultsCfg) faultsMetrics {
 		})
 	}
 	return m
+}
+
+// downPlane0 takes every link of plane 0 down in the simulated dataplane
+// only, never in the hosts' graph view: the hosts have to notice the
+// outage from probe silence before their paths react.
+func downPlane0(net *sim.Network) {
+	for id := range net.G.NumLinks() {
+		if net.G.Link(graph.LinkID(id)).Plane == 0 {
+			net.SetLinkUp(graph.LinkID(id), false)
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"pnet/internal/graph"
 	"pnet/internal/obs"
 	"pnet/internal/par"
 	"pnet/internal/sim"
@@ -47,6 +48,17 @@ func TestFaultsAcceptance(t *testing.T) {
 	if m.dipFrac < 0.25 {
 		t.Errorf("dip = %.0f%%, want a visible outage (>= 25%%)", m.dipFrac*100)
 	}
+
+	// The outage downs every link of plane 0 and no other link.
+	eng := sim.NewEngine()
+	net := sim.NewNetwork(eng, tp.G, sim.Config{})
+	downPlane0(net)
+	for id := range tp.G.NumLinks() {
+		l := tp.G.Link(graph.LinkID(id))
+		if up := net.LinkUp(graph.LinkID(id)); up == (l.Plane == 0) {
+			t.Errorf("link %d (plane %d): up=%v after the plane-0 outage", id, l.Plane, up)
+		}
+	}
 }
 
 // TestFaultsSerialNeverRecovers pins the contrast the experiment exists
@@ -79,8 +91,8 @@ func TestFaultsDeterministic(t *testing.T) {
 }
 
 // TestFaultsRecordsTelemetry checks the experiment's fault lifecycle
-// reaches the collector's sink: inject from the injector, detect/failover/
-// recover from the measurements.
+// reaches the collector's sink: inject from the outage (checked field for
+// field), detect/failover/recover from the measurements.
 func TestFaultsRecordsTelemetry(t *testing.T) {
 	var mbuf bytes.Buffer
 	c := obs.NewCollector()
@@ -91,8 +103,12 @@ func TestFaultsRecordsTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := map[string]int{}
+	inject := obs.FaultRecord{Type: obs.KindFault, TPs: int64(faultsTestCfg().faultAt), Event: "inject", Target: "plane:0"}
 	for _, f := range records[obs.FaultRecord](t, &mbuf, obs.KindFault) {
 		events[f.Event]++
+		if f.Event == "inject" && f != inject {
+			t.Errorf("inject record = %+v, want %+v", f, inject)
+		}
 	}
 	for _, want := range []string{"inject", "detect", "failover", "recover"} {
 		if events[want] == 0 {

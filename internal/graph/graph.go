@@ -129,9 +129,9 @@ func (g *Graph) NumNodes() int { return len(g.transit) }
 // NumLinks returns the number of directed links, including down links.
 func (g *Graph) NumLinks() int { return len(g.links) }
 
-// checkLink validates a link ID before indexing, so a bad ID (typically
-// from a hand-written chaos schedule) fails with a message naming the
-// culprit instead of a bare slice-bounds panic.
+// checkLink validates a link ID before indexing, so a caller's bad ID (a
+// route walked on another graph, or a -1 "no twin" left unchecked) fails
+// with a message naming the culprit instead of a bare slice-bounds panic.
 func (g *Graph) checkLink(id LinkID) {
 	if id < 0 || int(id) >= len(g.links) {
 		panic(fmt.Sprintf("graph: link %d out of range [0,%d)", id, len(g.links)))

@@ -214,11 +214,11 @@ type SolverRecord struct {
 	WallSec    float64 `json:"wall_s"`
 }
 
-// FaultRecord is one runtime-fault lifecycle event: "inject" comes from
-// the chaos injector (physical truth; "clear" appears only in streams
-// from binaries that could script an outage to end), "detect",
-// "failover", and "recover" from the measuring side (health monitor,
-// transport, experiment harness). The Latency/Dip fields are filled only by the
+// FaultRecord is one runtime-fault lifecycle event: "inject" is the
+// faults experiment's plane outage taking effect (physical truth;
+// "clear" appears only in streams from binaries that could end an
+// outage), "detect", "failover", and "recover" come from the measuring
+// side (health monitor, transport, experiment harness). The Latency/Dip fields are filled only by the
 // events that define them: detect latency on "detect", failover latency
 // on "failover", recovery time and goodput-dip depth on "recover".
 type FaultRecord struct {

@@ -157,7 +157,7 @@ func Diff(base, cur RunSummary, rel float64) DiffReport {
 
 	// Fault metrics compare only when both runs exercised faults — a
 	// fault-free baseline says nothing about failover latency, and the
-	// base==0 "appeared from nowhere" rule would fail every first chaos
+	// base==0 "appeared from nowhere" rule would fail every first faults
 	// run against an old baseline.
 	if base.Faults == nil && cur.Faults != nil {
 		added("faults.blackholed", float64(cur.Faults.Blackholed))

@@ -57,7 +57,7 @@ type EngineSummary struct {
 }
 
 // FaultSummary aggregates a run's runtime-fault lifecycle: what the
-// chaos injector did, what the hosts measured while surviving it. All
+// outage did, what the hosts measured while surviving it. All
 // latency distributions are in seconds of sim time.
 type FaultSummary struct {
 	Injected   int64 `json:"injected"`
@@ -130,8 +130,8 @@ type RunSummary struct {
 	// baselines from span-free runs stay byte-compatible.
 	Attribution *AttributionSummary `json:"attribution,omitempty"`
 
-	// Faults is present only for runs with fault activity (chaos
-	// injection or blackholed packets) — absent for the fault-free runs
+	// Faults is present only for runs with fault activity (an injected
+	// outage or blackholed packets) — absent for the fault-free runs
 	// of older baselines, which keeps the schema backward compatible.
 	Faults *FaultSummary `json:"faults,omitempty"`
 

@@ -96,7 +96,7 @@ type Engine struct {
 	lanes  [maxLanes]eventRing
 	nlanes int
 	// heap holds everything at arbitrary times: fn (At/After) events —
-	// RTO and rtx wakeups, sampler, chaos and health ticks, most of them
+	// RTO and rtx wakeups, sampler and health ticks, outages, most of them
 	// cancelled long before they are due — and the actor events the lanes
 	// turned away. It costs the packet path one compare per pop.
 	heap eventHeap

@@ -34,7 +34,7 @@ const (
 	EvDeliver
 	// EvTx is a queue finishing a transmission — in-plane work.
 	EvTx
-	// EvTimer is a callback event (RTO wake, sampler tick, chaos script):
+	// EvTimer is a callback event (RTO wake, sampler tick, plane outage):
 	// host-domain work with no plane.
 	EvTimer
 

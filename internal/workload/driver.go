@@ -224,9 +224,9 @@ func (d *Driver) Instrument(c *obs.Collector) {
 	d.NetID = c.AttachNetwork(d.Eng, d.Net)
 }
 
-// StartFlowOnPaths starts a flow over explicitly chosen paths (used by
-// the adaptive selector and custom policies). A stalled subflow re-resolves
-// to the current shortest path.
+// StartFlowOnPaths starts a flow over explicitly chosen paths (the faults
+// experiment's least-loaded placement). A stalled subflow re-resolves to
+// the current shortest path.
 func (d *Driver) StartFlowOnPaths(paths []graph.Path, sizeBytes int64,
 	onDelivered, onComplete func(*tcp.Flow)) (*tcp.Flow, error) {
 

@@ -3,15 +3,15 @@ package workload
 import (
 	"testing"
 
-	"pnet/internal/chaos"
 	"pnet/internal/core"
+	"pnet/internal/graph"
 	"pnet/internal/sim"
 	"pnet/internal/tcp"
 	"pnet/internal/topo"
 )
 
 // TestDriverFailsOverThroughMidRunOutage is the end-to-end loop the
-// chaos subsystem exists for: a physical plane outage is injected
+// faults experiment measures: a physical plane outage is injected
 // mid-flow, the health monitor detects it from probe silence, the
 // stalled subflow repaths onto the surviving plane, and the flow
 // completes — with every stage measured, none of it oracle-driven.
@@ -20,16 +20,19 @@ func TestDriverFailsOverThroughMidRunOutage(t *testing.T) {
 	tp := set.ParallelHomo
 	d := NewDriver(tp, sim.Config{}, tcp.Config{StallRTOs: 2})
 
-	mon := core.NewHealthMonitor(d.Eng, d.Net, d.PNet, 0, 1, 0)
+	mon := core.NewHealthMonitor(d.Eng, d.Net, d.PNet, 0)
 	var detected []core.PlaneEvent
 	mon.OnChange = func(e core.PlaneEvent) { detected = append(detected, e) }
 	mon.Start()
 
 	faultAt := 500 * sim.Microsecond
-	var sched chaos.Schedule
-	sched.PlaneOutage(0, faultAt)
-	inj := chaos.NewInjector(d.Eng, d.Net, sched)
-	inj.Arm()
+	d.Eng.At(faultAt, func() {
+		for id := range tp.G.NumLinks() {
+			if tp.G.Link(graph.LinkID(id)).Plane == 0 {
+				d.Net.SetLinkUp(graph.LinkID(id), false)
+			}
+		}
+	})
 
 	src, dst := tp.Hosts[2], tp.Hosts[13]
 	f, err := d.StartFlow(src, dst, 30000*1500, Selection{Policy: KSP, K: 2}, nil, nil)

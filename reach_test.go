@@ -19,8 +19,8 @@ import (
 // testOracles are the functions under internal/ that no binary links but
 // that a test uses as a reference or checker against production code.
 // Keys are symbols as `go tool nm` prints them, less "pnet/internal/".
-// Everything else under internal/ must be linked into cmd/*, examples/*
-// or the bench harness; TestEveryFunctionReachesABinary holds both.
+// Everything else under internal/ must be linked into cmd/* or the bench
+// harness; TestEveryFunctionReachesABinary holds both.
 var testOracles = map[string]string{
 	"graph.WeightedShortestPath":     "the container/heap Dijkstra that Frozen.Dijkstra and mcf's oracle test are held to",
 	"graph.nodeHeap.Len":             "WeightedShortestPath's heap.Interface",
@@ -37,9 +37,11 @@ var testOracles = map[string]string{
 	"mcf.pivot":                      "FixedPathsExact's simplex",
 	"mcf.Pinned":                     "the exact single-path concurrent flow MaxMinPinned is held to",
 	"route.PlaneSpread":              "checks that multipath sets cover the planes they should",
+	"sim.(*Network).LinkUp":          "sim's fault tests and TestFaultsAcceptance: which links an outage downed",
 	"sim.(*Engine).Run":              "test harness: runs an engine until its heap drains",
 	"sim.(*SpanAttribution).Total":   "with tcp.(*Flow).AttributedTime, checks that span components sum to FCT",
 	"tcp.(*Flow).AttributedTime":     "checks that a flow's span components sum to its FCT",
+	"tcp.(*Flow).Done":               "the completion check of the tcp, dctcp, repath, span, sampler and failover tests",
 	"topo.ChassisPlane":              "checks Table 1's chassis component model against the chip-level graph",
 	"topo.ceilDiv":                   "ChassisPlane's arithmetic",
 	"topo.PlaneSpec.Degrees":         "checks that built planes are regular",
@@ -48,8 +50,8 @@ var testOracles = map[string]string{
 	"traces.SizeCDF.CDFAt":           "checks that Quantile inverts the CDF",
 }
 
-// TestEveryFunctionReachesABinary builds every main package with inlining
-// off (so a call folded into its caller still leaves its symbol), reads
+// TestEveryFunctionReachesABinary builds every command and the bench
+// harness with inlining off (so a call folded into its caller still leaves its symbol), reads
 // the symbol tables and fails on every function declared under internal/
 // that is neither linked nor in testOracles, and on every testOracles
 // entry that is linked or no longer declared, so the list only shrinks.
@@ -58,7 +60,7 @@ func TestEveryFunctionReachesABinary(t *testing.T) {
 		t.Skip("builds every binary")
 	}
 	bin := t.TempDir()
-	goCmd(t, "build", "-gcflags=all=-l", "-o", bin+string(filepath.Separator), "./cmd/...", "./examples/...")
+	goCmd(t, "build", "-gcflags=all=-l", "-o", bin+string(filepath.Separator), "./cmd/...")
 	goCmd(t, "build", "-C", "bench", "-gcflags=all=-l", "-o", filepath.Join(bin, "bench"), ".")
 
 	linked := map[string]bool{}
