@@ -58,7 +58,7 @@ func BenchmarkAblationGKvsExact(b *testing.B) {
 	set := topo.FatTreeSet(4, 2, 100)
 	tp := set.ParallelHomo
 	cs := workload.PermutationCommodities(tp, 100, rng(5))
-	paths := route.KSPPaths(tp.G, cs, 8)
+	paths := route.AcrossPlanes(tp.G, tp.G.PlaneMasks(), cs, 8, nil)
 	exact, err := mcf.FixedPathsExact(tp.G, cs, paths)
 	if err != nil {
 		b.Fatal(err)

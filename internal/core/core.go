@@ -1,7 +1,8 @@
 // Package core implements the P-Net end-host control plane — the paper's
 // primary contribution. In a Parallel Dataplane Network the end host, not
 // the fabric, decides which dataplane(s) and path(s) every flow uses
-// (§3.4). This package exposes that decision surface:
+// (§3.4). This package exposes that decision surface, a Selector over a
+// set of planes:
 //
 //   - the "low-latency" proxy interface: a single shortest path, which in
 //     a heterogeneous P-Net automatically lands on the plane with the
@@ -13,7 +14,7 @@
 //   - per-flow ECMP hashing over planes and equal-cost paths, the naive
 //     baseline the paper shows to under-use parallel capacity;
 //   - traffic classes pinned to a subset of planes (§7): the same
-//     selectors, handed only the class's plane masks;
+//     Selector, handed only the class's plane masks;
 //   - link-status-driven failure handling: hosts detect a failed plane
 //     and exclude it, degrading gracefully (§3.4, §5.4).
 package core
@@ -28,12 +29,26 @@ import (
 	"pnet/internal/topo"
 )
 
-// PNet is the end-host view of a parallel dataplane network. It caches
-// routing state (ECMP DAGs, K-shortest-path sets) and invalidates the
-// caches when a plane is marked down or up. It is not safe for concurrent
-// use.
+// PNet is the end-host view of a parallel dataplane network: the Selector
+// over every plane, embedded so that its policies are PNet's own, and one
+// Selector per traffic class. Marking a plane down or up resets every
+// selector's caches. It is not safe for concurrent use.
 type PNet struct {
-	Topo *topo.Topology
+	*Selector
+	Topo    *topo.Topology
+	classes map[string]*Selector
+}
+
+// Selector picks paths confined to one set of planes. It caches routing
+// state (ECMP DAGs, interned routes, K-shortest-path sets), which the PNet
+// that made it resets when a plane is marked down or up.
+type Selector struct {
+	g *graph.Graph
+	// masks holds the set's per-plane banned-link masks, as
+	// graph.PlaneMasks returns them; banned is the whole set's mask, the
+	// links every one of them bans, and nil when the set is every plane.
+	masks  [][]bool
+	banned []bool
 
 	// dags[dst] is the ECMP next-hop DAG toward dst, nil until first use.
 	dags []*graph.DAG
@@ -43,10 +58,6 @@ type PNet struct {
 	routes   map[uint64][]graph.LinkID
 	walk     []graph.LinkID // ECMPPath's walk buffer
 	kspCache map[kspKey][]graph.Path
-
-	// Traffic classes (see isolation.go).
-	classes    map[string][]int
-	classMasks map[string][]bool
 }
 
 type kspKey struct {
@@ -57,8 +68,8 @@ type kspKey struct {
 // routeKey names an ECMP route exactly, by its endpoints and its choice
 // code on dags[dst] (graph.ECMPWalk) as the digits of one number: src +
 // n·dst + n²·code for n nodes. ok is false when that overflows 64 bits.
-func (p *PNet) routeKey(src, dst graph.NodeID, code uint64) (key uint64, ok bool) {
-	n := uint64(len(p.dags))
+func (s *Selector) routeKey(src, dst graph.NodeID, code uint64) (key uint64, ok bool) {
+	n := uint64(len(s.dags))
 	hi, lo := bits.Mul64(code, n*n)
 	key, carry := bits.Add64(lo, uint64(src)+n*uint64(dst), 0)
 	return key, hi == 0 && carry == 0
@@ -66,71 +77,119 @@ func (p *PNet) routeKey(src, dst graph.NodeID, code uint64) (key uint64, ok bool
 
 // New wraps a topology in the end-host control plane.
 func New(t *topo.Topology) *PNet {
-	p := &PNet{Topo: t}
-	p.resetCaches()
-	return p
+	return &PNet{Selector: newSelector(t.G, t.G.PlaneMasks(), nil), Topo: t, classes: map[string]*Selector{}}
 }
 
-func (p *PNet) resetCaches() {
-	p.dags = make([]*graph.DAG, p.Topo.G.NumNodes())
-	p.routes = make(map[uint64][]graph.LinkID)
-	p.kspCache = make(map[kspKey][]graph.Path)
+func newSelector(g *graph.Graph, masks [][]bool, banned []bool) *Selector {
+	s := &Selector{g: g, masks: masks, banned: banned}
+	s.resetCaches()
+	return s
 }
 
-// Planes returns the number of dataplanes.
-func (p *PNet) Planes() int { return p.Topo.Planes }
+func (s *Selector) resetCaches() {
+	s.dags = make([]*graph.DAG, s.g.NumNodes())
+	s.routes = make(map[uint64][]graph.LinkID)
+	s.kspCache = make(map[kspKey][]graph.Path)
+}
+
+// Planes returns the number of dataplanes the selector routes over.
+func (s *Selector) Planes() int { return len(s.masks) }
 
 // LowLatencyPath is the single-shortest-path interface: the fewest-hop
-// path to dst across all usable planes. In a heterogeneous P-Net this
-// exploits the plane with the shortest route for this particular pair —
-// the mechanism behind the paper's RPC latency wins (§5.2.1).
-func (p *PNet) LowLatencyPath(src, dst graph.NodeID) (graph.Path, bool) {
-	return graph.ShortestPath(p.Topo.G, src, dst)
+// path to dst across the selector's usable planes. In a heterogeneous
+// P-Net this exploits the plane with the shortest route for this
+// particular pair — the mechanism behind the paper's RPC latency wins
+// (§5.2.1).
+func (s *Selector) LowLatencyPath(src, dst graph.NodeID) (graph.Path, bool) {
+	ps := graph.KShortestPathsMasked(s.g, src, dst, 1, s.banned)
+	if len(ps) == 0 {
+		return graph.Path{}, false
+	}
+	return ps[0], true
 }
 
 // HighThroughputPaths is the multipath interface: up to k shortest paths
-// interleaved across planes, suitable for one MPTCP subflow each. Results
-// are cached per (src, dst, k).
-func (p *PNet) HighThroughputPaths(src, dst graph.NodeID, k int) []graph.Path {
+// interleaved across the selector's planes, suitable for one MPTCP
+// subflow each. Results are cached per (src, dst, k).
+func (s *Selector) HighThroughputPaths(src, dst graph.NodeID, k int) []graph.Path {
 	key := kspKey{src, dst, k}
-	if ps, ok := p.kspCache[key]; ok {
+	if ps, ok := s.kspCache[key]; ok {
 		return ps
 	}
-	ps := route.KSPPaths(p.Topo.G, []route.Commodity{{Src: src, Dst: dst, Demand: 1}}, k)[0]
-	p.kspCache[key] = ps
+	ps := route.AcrossPlanes(s.g, s.masks, []route.Commodity{{Src: src, Dst: dst, Demand: 1}}, k, nil)[0]
+	s.kspCache[key] = ps
 	return ps
 }
 
 // ECMPPath returns the hash-pinned single path a naive ECMP deployment
 // would give the flow: every hop (including the host's choice among plane
-// uplinks) hashes among equal-cost shortest next hops.
+// uplinks) hashes among the equal-cost shortest next hops the selector's
+// planes offer.
 //
 // Routes are interned: every flow pinned to the same route gets the same
 // Links, shared with every other holder and never written, so callers must
 // only read them. Finding the route allocates nothing once it has been
 // seen; marking a plane down or up starts a fresh table.
-func (p *PNet) ECMPPath(src, dst graph.NodeID, flowHash uint64) (graph.Path, bool) {
-	dag := p.dags[dst]
+func (s *Selector) ECMPPath(src, dst graph.NodeID, flowHash uint64) (graph.Path, bool) {
+	dag := s.dags[dst]
 	if dag == nil {
-		dag = graph.ShortestDAG(p.Topo.G, dst)
-		p.dags[dst] = dag
+		dag = graph.ShortestDAG(s.g, dst, s.banned)
+		s.dags[dst] = dag
 	}
-	links, code, exact, ok := graph.ECMPWalk(dag, src, flowHash, p.walk[:0])
-	p.walk = links
+	links, code, exact, ok := graph.ECMPWalk(dag, src, flowHash, s.walk[:0])
+	s.walk = links
 	if !ok {
 		return graph.Path{}, false
 	}
-	key, fits := p.routeKey(src, dst, code)
+	key, fits := s.routeKey(src, dst, code)
 	if !exact || !fits {
 		return graph.Path{Links: slices.Clone(links)}, true
 	}
-	route, seen := p.routes[key]
+	route, seen := s.routes[key]
 	if !seen {
 		route = slices.Clone(links)
-		p.routes[key] = route
+		s.routes[key] = route
 	}
 	return graph.Path{Links: route}, true
 }
+
+// SetClass pins a named traffic class — a tenant, or a service tier like
+// "user-facing frontend" vs "background analytics" — to a non-empty
+// subset of planes (§7, "Performance isolation"): the dataplanes share
+// nothing but the hosts, so the paths the class's Selector picks get
+// strict bandwidth isolation without any in-network scheduler. Setting a
+// name again replaces its planes; classes may overlap.
+func (p *PNet) SetClass(name string, planes []int) error {
+	if len(planes) == 0 {
+		return fmt.Errorf("core: class %q names no plane", name)
+	}
+	every := p.Topo.G.PlaneMasks()
+	planes = slices.Clone(planes)
+	slices.Sort(planes)
+	planes = slices.Compact(planes)
+	masks := make([][]bool, len(planes))
+	for i, pl := range planes {
+		if pl < 0 || pl >= len(every) {
+			return fmt.Errorf("core: class %q references plane %d of %d", name, pl, len(every))
+		}
+		masks[i] = every[pl]
+	}
+	var banned []bool
+	if len(masks) < len(every) {
+		banned = slices.Clone(masks[0])
+		for _, m := range masks[1:] {
+			for l, b := range m {
+				banned[l] = banned[l] && b
+			}
+		}
+	}
+	p.classes[name] = newSelector(p.Topo.G, masks, banned)
+	return nil
+}
+
+// Class returns the Selector confined to a class's planes, or nil if the
+// class is undefined.
+func (p *PNet) Class(name string) *Selector { return p.classes[name] }
 
 // SubflowsFor implements the paper's guidance on multipath degree: a
 // serial network saturates at 8 subflows, and an N-plane P-Net needs N
@@ -157,5 +216,8 @@ func (p *PNet) setPlane(plane int, up bool) {
 		p.Topo.G.SetLinkUp(p.Topo.Uplinks[h][plane], up)
 		p.Topo.G.SetLinkUp(p.Topo.Downlinks[h][plane], up)
 	}
-	p.resetCaches()
+	p.Selector.resetCaches()
+	for _, c := range p.classes {
+		c.resetCaches()
+	}
 }

@@ -103,7 +103,7 @@ func TestECMPPathInterned(t *testing.T) {
 	// every host pair and hash, then hands it to fn.
 	each := func(fn func(i, j, h int, got graph.Path)) {
 		for j, dst := range hosts {
-			dag := graph.ShortestDAG(g, dst)
+			dag := graph.ShortestDAG(g, dst, nil)
 			for i, src := range hosts {
 				if i == j {
 					continue

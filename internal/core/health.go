@@ -92,13 +92,7 @@ func NewHealthMonitor(eng *sim.Engine, net *sim.Network, p *PNet, until sim.Time
 	}
 	for plane := 0; plane < t.Planes; plane++ {
 		m.handler[plane] = probeHandler{m: m, plane: plane}
-		banned := make([]bool, t.G.NumLinks())
-		for i := 0; i < t.G.NumLinks(); i++ {
-			if t.G.Link(graph.LinkID(i)).Plane != int32(plane) {
-				banned[i] = true
-			}
-		}
-		fwd := graph.KShortestPathsMasked(t.G, t.Hosts[probeHost], t.Hosts[probePeer], 1, banned)
+		fwd := graph.KShortestPathsMasked(t.G, t.Hosts[probeHost], t.Hosts[probePeer], 1, t.G.PlaneMasks()[plane])
 		if len(fwd) == 0 {
 			panic(fmt.Sprintf("core: no probe path in plane %d between hosts %d and %d", plane, probeHost, probePeer))
 		}

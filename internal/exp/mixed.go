@@ -15,11 +15,11 @@ func init() {
 }
 
 // runMixed builds a 4-plane P-Net whose plane 0 is a fat tree and planes
-// 1-3 are expanders, then measures each class of traffic on each plane
-// family: small RPCs (latency-bound) and permutation bulk transfers
-// (throughput-bound). The §7 hypothesis: expanders serve latency traffic
-// better (shorter paths), while the fat tree plane serves dense bulk
-// traffic without expander path collisions.
+// 1-3 are expanders, then measures small RPCs and a bulk permutation on
+// each plane family, pinned there by a traffic class under per-hop ECMP.
+// §7 proposes expanders for latency traffic, and their shorter paths do
+// give shorter RPCs; at small scale their three planes also finish the
+// bulk permutation sooner than the fat tree's one (EXPERIMENTS.md).
 func runMixed(p Params) Table {
 	k := 8
 	if p.Scale == ScaleFull {

@@ -165,7 +165,7 @@ func nextHops(d *DAG, u NodeID) []LinkID { return d.links[d.off[u]:d.off[u+1]] }
 
 func TestShortestDAGDiamond(t *testing.T) {
 	g := diamond()
-	dag := ShortestDAG(g, 3)
+	dag := ShortestDAG(g, 3, nil)
 	if len(nextHops(dag, 0)) != 2 {
 		t.Errorf("node 0 next hops = %d, want 2 (via 1 and 2)", len(nextHops(dag, 0)))
 	}
@@ -184,7 +184,7 @@ func TestShortestDAGDiamond(t *testing.T) {
 
 func TestECMPPathDeterministic(t *testing.T) {
 	g := diamond()
-	dag := ShortestDAG(g, 3)
+	dag := ShortestDAG(g, 3, nil)
 	p1, ok1 := ECMPPath(dag, 0, 12345)
 	p2, ok2 := ECMPPath(dag, 0, 12345)
 	if !ok1 || !ok2 {
@@ -203,7 +203,7 @@ func TestECMPPathDeterministic(t *testing.T) {
 
 func TestECMPPathSpreads(t *testing.T) {
 	g := diamond()
-	dag := ShortestDAG(g, 3)
+	dag := ShortestDAG(g, 3, nil)
 	used := map[NodeID]bool{}
 	for h := uint64(0); h < 64; h++ {
 		p, ok := ECMPPath(dag, 0, h)
@@ -421,7 +421,7 @@ func fanChain(fans []int) (*Graph, NodeID, NodeID) {
 // overflows 64 bits, which the walk reports.
 func TestECMPWalkCode(t *testing.T) {
 	g, src, dst := fanChain([]int{3, 2, 4, 1, 5})
-	dag := ShortestDAG(g, dst)
+	dag := ShortestDAG(g, dst, nil)
 	codes := map[uint64]string{}
 	routes := map[string]bool{}
 	var buf []LinkID
@@ -462,7 +462,7 @@ func TestECMPWalkCode(t *testing.T) {
 		fans[i] = 2
 	}
 	g, src, dst = fanChain(fans)
-	if _, _, exact, ok := ECMPWalk(ShortestDAG(g, dst), src, 1, nil); !ok || exact {
+	if _, _, exact, ok := ECMPWalk(ShortestDAG(g, dst, nil), src, 1, nil); !ok || exact {
 		t.Errorf("2^65 routes: ok %v exact %v, want a route without an exact code", ok, exact)
 	}
 }

@@ -64,9 +64,11 @@ type DAG struct {
 	to    []NodeID
 }
 
-// ShortestDAG returns the shortest-path DAG toward dst.
-func ShortestDAG(g *Graph, dst NodeID) *DAG {
+// ShortestDAG returns the shortest-path DAG toward dst over the links
+// where banned[link] is false (banned may be nil).
+func ShortestDAG(g *Graph, dst NodeID, banned []bool) *DAG {
 	fz := g.Frozen()
+	usable := func(id LinkID) bool { return fz.linkUp[id] && (banned == nil || !banned[id]) }
 	// BFS backwards from dst over in-links.
 	dist := make([]int, fz.NumNodes())
 	for i := range dist {
@@ -78,7 +80,7 @@ func ShortestDAG(g *Graph, dst NodeID) *DAG {
 		u := queue[0]
 		queue = queue[1:]
 		for _, id := range fz.InLinks(u) {
-			if !fz.linkUp[id] {
+			if !usable(id) {
 				continue
 			}
 			// l.Src forwards into u; l.Src must be allowed to forward
@@ -95,7 +97,7 @@ func ShortestDAG(g *Graph, dst NodeID) *DAG {
 		}
 	}
 	onDAG := func(u int, id LinkID) bool {
-		if !fz.linkUp[id] {
+		if !usable(id) {
 			return false
 		}
 		v := fz.linkDst[id]

@@ -20,7 +20,7 @@ func twoPathNet() (*graph.Graph, []route.Commodity, [][]graph.Path) {
 	g.AddDuplex(0, 2, 10, 0)
 	g.AddDuplex(2, 3, 10, 0)
 	cs := []route.Commodity{{Src: 0, Dst: 3, Demand: 10}}
-	paths := route.KSPPaths(g, cs, 4)
+	paths := route.AcrossPlanes(g, g.PlaneMasks(), cs, 4, nil)
 	return g, cs, paths
 }
 
@@ -97,7 +97,7 @@ func TestGKMatchesSimplexOnFatTree(t *testing.T) {
 				Src: tp.Hosts[perm[i]], Dst: tp.Hosts[perm[i+1]], Demand: 100,
 			})
 		}
-		paths := route.KSPPaths(tp.G, cs, 8)
+		paths := route.AcrossPlanes(tp.G, tp.G.PlaneMasks(), cs, 8, nil)
 		exact, err := FixedPathsExact(tp.G, cs, paths)
 		if err != nil {
 			t.Fatalf("%s: %v", tp.Name, err)
@@ -120,7 +120,7 @@ func TestFixedPathsParallelDoublesSerial(t *testing.T) {
 		for _, p := range perm {
 			cs = append(cs, route.Commodity{Src: tp.Hosts[p[0]], Dst: tp.Hosts[p[1]], Demand: 100})
 		}
-		paths := route.KSPPaths(tp.G, cs, 16)
+		paths := route.AcrossPlanes(tp.G, tp.G.PlaneMasks(), cs, 16, nil)
 		return FixedPaths(tp.G, cs, paths, Options{Epsilon: 0.05})
 	}
 	serial := mk(set.SerialLow)
@@ -155,7 +155,7 @@ func TestFreeNoWorseThanFixed(t *testing.T) {
 		{Src: tp.Hosts[0], Dst: tp.Hosts[15], Demand: 100},
 		{Src: tp.Hosts[15], Dst: tp.Hosts[0], Demand: 100},
 	}
-	fixed := FixedPaths(tp.G, cs, route.KSPPaths(tp.G, cs, 8), Options{Epsilon: 0.05})
+	fixed := FixedPaths(tp.G, cs, route.AcrossPlanes(tp.G, tp.G.PlaneMasks(), cs, 8, nil), Options{Epsilon: 0.05})
 	free := Free(tp.G, cs, Options{Epsilon: 0.05})
 	if free.Lambda < fixed.Lambda*0.9 {
 		t.Errorf("free λ=%v below fixed λ=%v", free.Lambda, fixed.Lambda)

@@ -252,7 +252,7 @@ func TestFixedPathsMatchesReference(t *testing.T) {
 	for _, tp := range []*topo.Topology{ft.ParallelHomo, jf.ParallelHomo, jf.ParallelHetero} {
 		cs := workload.PermutationCommodities(tp, 100, rand.New(rand.NewSource(3)))
 		for _, k := range []int{1, 4, 8} {
-			paths := route.KSPPaths(tp.G, cs, k)
+			paths := route.AcrossPlanes(tp.G, tp.G.PlaneMasks(), cs, k, nil)
 			got := FixedPaths(tp.G, cs, paths, Options{})
 			lambda, want := adaptiveGK(tp.G.Frozen(), cs, refFixedPick(paths), Options{}.epsilon())
 			if got.Lambda != lambda || got.Stats.Phases != want.Phases ||

@@ -18,7 +18,7 @@ func randomInstance(seed int64) (*graph.Graph, []route.Commodity, [][]graph.Path
 	tp := set.ParallelHomo
 	rng := rand.New(rand.NewSource(seed))
 	cs := workload.PermutationCommodities(tp, 100, rng)
-	paths := route.KSPPaths(tp.G, cs, 4)
+	paths := route.AcrossPlanes(tp.G, tp.G.PlaneMasks(), cs, 4, nil)
 	return tp.G, cs, paths
 }
 

@@ -68,7 +68,7 @@ func TestNDPSpraysAcrossPlanes(t *testing.T) {
 	tp := set.ParallelHomo
 	eng := sim.NewEngine()
 	net := sim.NewNetwork(eng, tp.G, sim.Config{QueueBytes: 8 * 1500, TrimToBytes: 64})
-	paths := route.KSPPaths(tp.G, []route.Commodity{{Src: tp.Hosts[0], Dst: tp.Hosts[15], Demand: 1}}, 4)
+	paths := route.AcrossPlanes(tp.G, tp.G.PlaneMasks(), []route.Commodity{{Src: tp.Hosts[0], Dst: tp.Hosts[15], Demand: 1}}, 4, nil)
 	f, err := NewFlow(net, paths[0], 600_000)
 	if err != nil {
 		t.Fatal(err)

@@ -180,8 +180,8 @@ func (c *Collector) RecordSolver(r SolverRecord) {
 	}
 }
 
-// RecordFault passes one fault lifecycle event (injection, clearance,
-// detection, failover, recovery) on to the sink.
+// RecordFault passes one fault lifecycle event (injection, detection,
+// failover, recovery) on to the sink.
 func (c *Collector) RecordFault(r FaultRecord) {
 	if to := c.out(); to != nil {
 		r.Type = KindFault

@@ -146,7 +146,7 @@ func TestSamplerMatchesEveryLinkWalk(t *testing.T) {
 				cs = append(cs, route.Commodity{Src: tp.Hosts[1+i%4*4], Dst: tp.Hosts[0]})
 			}
 			flows := make([]*tcp.Flow, len(cs))
-			for i, paths := range route.KSPPaths(tp.G, cs, 2) {
+			for i, paths := range route.AcrossPlanes(tp.G, tp.G.PlaneMasks(), cs, 2, nil) {
 				f, err := tcp.NewFlow(net, tcp.Config{}, paths, 150_000)
 				if err != nil {
 					t.Fatal(err)

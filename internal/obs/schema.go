@@ -74,7 +74,7 @@ type FlowRecord struct {
 	// TPs is the sim time the flow completed, in picoseconds — with FCT
 	// it anchors the flow's interval on a timeline (export-trace).
 	TPs         int64   `json:"t_ps,omitempty"`
-	Transport   string  `json:"transport"` // "tcp" | "ndp"
+	Transport   string  `json:"transport"` // only "tcp" is written: NDP flows emit no record
 	Src         int64   `json:"src"`
 	Dst         int64   `json:"dst"`
 	Bytes       int64   `json:"bytes"`
@@ -215,18 +215,18 @@ type SolverRecord struct {
 }
 
 // FaultRecord is one runtime-fault lifecycle event: "inject" is the
-// faults experiment's plane outage taking effect (physical truth;
-// "clear" appears only in streams from binaries that could end an
-// outage), "detect", "failover", and "recover" come from the measuring
-// side (health monitor, transport, experiment harness). The Latency/Dip fields are filled only by the
-// events that define them: detect latency on "detect", failover latency
-// on "failover", recovery time and goodput-dip depth on "recover".
+// faults experiment's plane outage taking effect (physical truth);
+// "detect", "failover", and "recover" come from the measuring side
+// (health monitor, transport, experiment harness). The Latency/Dip
+// fields are filled only by the events that define them: detect latency
+// on "detect", failover latency on "failover", recovery time and
+// goodput-dip depth on "recover".
 type FaultRecord struct {
 	Type   string `json:"type"` // "fault"
 	Net    int    `json:"net"`
 	TPs    int64  `json:"t_ps"`
-	Event  string `json:"event"`  // inject | clear | detect | failover | recover
-	Target string `json:"target"` // e.g. "plane:1"; older streams also hold "link:12", "switch:3"
+	Event  string `json:"event"`  // inject | detect | failover | recover
+	Target string `json:"target"` // the failed plane, e.g. "plane:1"
 	Plane  int32  `json:"plane"`  // affected plane, -1 if not plane-specific
 	// LatencySec is the elapsed sim time the event measures: inject→detect
 	// for "detect", detect→failover for "failover", inject→recovery for

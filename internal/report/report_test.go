@@ -197,7 +197,7 @@ func TestFromStreamMatchesAggregator(t *testing.T) {
 	}
 
 	c.RecordSolver(obs.SolverRecord{Exp: "t", Solver: "gk-fixed", Phases: 2, Iterations: 9, Attempts: 1, WallSec: 0.01})
-	c.RecordFault(obs.FaultRecord{Net: 0, TPs: 1e6, Event: "inject", Target: "link:7", Plane: 1})
+	c.RecordFault(obs.FaultRecord{Net: 0, TPs: 1e6, Event: "inject", Target: "plane:1", Plane: 1})
 	c.RecordFault(obs.FaultRecord{Net: 0, TPs: 2e6, Event: "detect", Target: "plane:1", Plane: 1, LatencySec: 5e-4})
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -388,7 +388,6 @@ func faultySummary() RunSummary {
 	a.Fault(obs.FaultRecord{Event: "detect", Target: "plane:0", Plane: 0, TPs: 2e9, LatencySec: 3e-4})
 	a.Fault(obs.FaultRecord{Event: "failover", Target: "plane:0", Plane: 0, TPs: 3e9, LatencySec: 2e-2})
 	a.Fault(obs.FaultRecord{Event: "recover", Target: "plane:0", Plane: 0, TPs: 5e9, LatencySec: 4e-2, DipFrac: 0.8})
-	a.Fault(obs.FaultRecord{Event: "clear", Target: "plane:0", Plane: 0, TPs: 9e9})
 	// Cumulative blackhole counters per (net, link): last value wins.
 	a.Link(obs.LinkRecord{Net: 0, TPs: 2e9, Link: 3, Blackholed: 10})
 	a.Link(obs.LinkRecord{Net: 0, TPs: 3e9, Link: 3, Blackholed: 25})
@@ -408,7 +407,7 @@ func TestFaultSummaryAggregation(t *testing.T) {
 	if f == nil {
 		t.Fatal("faulty run has no Faults block")
 	}
-	if f.Injected != 1 || f.Cleared != 1 || f.Detected != 1 {
+	if f.Injected != 1 || f.Detected != 1 {
 		t.Errorf("counts = %+v", f)
 	}
 	if f.Blackholed != 30 {
@@ -435,7 +434,7 @@ func TestFaultRecordsRoundTripThroughJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	c := obs.NewCollector()
 	c.StreamMetrics(&buf)
-	c.RecordFault(obs.FaultRecord{Net: 0, TPs: 1e9, Event: "inject", Target: "link:7", Plane: 1})
+	c.RecordFault(obs.FaultRecord{Net: 0, TPs: 1e9, Event: "inject", Target: "plane:1", Plane: 1})
 	c.RecordFault(obs.FaultRecord{Net: 0, TPs: 2e9, Event: "detect", Target: "plane:1", Plane: 1, LatencySec: 5e-4})
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -444,7 +443,7 @@ func TestFaultRecordsRoundTripThroughJSONL(t *testing.T) {
 	if err := ReadStream(&buf, obs.Tee(st, aggr)); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Faults) != 2 || st.Faults[0].Target != "link:7" || st.Faults[1].LatencySec != 5e-4 {
+	if len(st.Faults) != 2 || st.Faults[0].Target != "plane:1" || st.Faults[1].LatencySec != 5e-4 {
 		t.Fatalf("decoded faults = %+v", st.Faults)
 	}
 	f := aggr.Summarize(Meta{Exp: "t"}).Faults

@@ -61,7 +61,6 @@ type EngineSummary struct {
 // latency distributions are in seconds of sim time.
 type FaultSummary struct {
 	Injected   int64 `json:"injected"`
-	Cleared    int64 `json:"cleared"`
 	Detected   int64 `json:"detected"`
 	Blackholed int64 `json:"blackholed"` // packets lost to down links
 	// DetectLatency is injection→detection (the health monitor's lag);
@@ -180,8 +179,8 @@ type Aggregator struct {
 	simPs   int64
 	solver  SolverSummary
 
-	faultInjected, faultCleared, faultDetected int64
-	detectLat, failoverLat, recovery, dipFrac  []float64
+	faultInjected, faultDetected              int64
+	detectLat, failoverLat, recovery, dipFrac []float64
 
 	// Latency attribution: exact integer-picosecond sums per (component,
 	// plane) plus the per-flow spans retained for the tail re-aggregation.
@@ -294,8 +293,6 @@ func (x *Aggregator) Fault(r obs.FaultRecord) {
 	switch r.Event {
 	case "inject":
 		x.faultInjected++
-	case "clear":
-		x.faultCleared++
 	case "detect":
 		x.faultDetected++
 		if r.LatencySec > 0 {
@@ -391,7 +388,6 @@ func (x *Aggregator) Summarize(m Meta) RunSummary {
 	if x.faultInjected > 0 || x.faultDetected > 0 || blackholed > 0 {
 		s.Faults = &FaultSummary{
 			Injected:        x.faultInjected,
-			Cleared:         x.faultCleared,
 			Detected:        x.faultDetected,
 			Blackholed:      blackholed,
 			DetectLatency:   distFromSamples(x.detectLat),
@@ -545,8 +541,8 @@ func (s RunSummary) String() string {
 			fp.Global, fp.Host, fp.Events, fp.Engines, fp.EpochEvents)
 	}
 	if f := s.Faults; f != nil {
-		fmt.Fprintf(&b, "faults: %d injected, %d cleared, %d detected; %d blackholed",
-			f.Injected, f.Cleared, f.Detected, f.Blackholed)
+		fmt.Fprintf(&b, "faults: %d injected, %d detected; %d blackholed",
+			f.Injected, f.Detected, f.Blackholed)
 		if f.DetectLatency.Count > 0 {
 			fmt.Fprintf(&b, "; detect p50=%s max=%s", secs(f.DetectLatency.P50), secs(f.DetectLatency.Max))
 		}

@@ -42,7 +42,7 @@ func TestRoutingWorkerInvariant(t *testing.T) {
 		par.SetLimit(workers)
 		defer par.SetLimit(0)
 		ecmp = ECMPPaths(tp.G, cs, 7)
-		ksp = KSPPaths(tp.G, cs, 8)
+		ksp = AcrossPlanes(tp.G, tp.G.PlaneMasks(), cs, 8, nil)
 		seeded = KSPPathsSeeded(tp.G, cs, 8, 42)
 		return
 	}

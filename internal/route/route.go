@@ -1,13 +1,13 @@
 // Package route computes the path selections studied in the paper:
 // per-flow ECMP (ECMPPaths: a single hash-pinned shortest path, possibly
-// choosing a dataplane at the host) and K shortest paths across all
-// dataplanes (AcrossPlanes: the bounded multipath sets fed to MPTCP, with
-// KSPPaths and KSPPathsSeeded as its two usual spellings). AcrossPlanes is
-// the only implementation of the cross-plane rule; core's class-confined
-// selector and the fig8a/8b experiments call it with their own masks and
-// tie seeds. Both selectors operate on a Topology's combined multi-plane
-// graph, where plane disjointness guarantees every path stays within one
-// plane.
+// choosing a dataplane at the host) and K shortest paths across
+// dataplanes (AcrossPlanes: the bounded multipath sets fed to MPTCP).
+// AcrossPlanes is the only implementation of the cross-plane rule: called
+// with graph.PlaneMasks it routes over every plane, KSPPathsSeeded adds
+// per-commodity tie seeds, and core's Selector and the fig8a/8b
+// experiments pass their own masks and seeds. Both selectors operate on a
+// Topology's combined multi-plane graph, where plane disjointness
+// guarantees every path stays within one plane.
 package route
 
 import (
@@ -47,7 +47,7 @@ func ECMPPaths(g *graph.Graph, cs []Commodity, seed uint64) [][]graph.Path {
 		}
 	}
 	dags := par.Map(len(dsts), func(i int) *graph.DAG {
-		return graph.ShortestDAG(g, dsts[i])
+		return graph.ShortestDAG(g, dsts[i], nil)
 	})
 	out := make([][]graph.Path, len(cs))
 	par.Do(len(cs), func(i int) {
@@ -60,15 +60,10 @@ func ECMPPaths(g *graph.Graph, cs []Commodity, seed uint64) [][]graph.Path {
 	return out
 }
 
-// KSPPaths computes up to k shortest paths per commodity across all
-// dataplanes, ties in Yen's deterministic order (see AcrossPlanes).
-func KSPPaths(g *graph.Graph, cs []Commodity, k int) [][]graph.Path {
-	return AcrossPlanes(g, g.PlaneMasks(), cs, k, nil)
-}
-
-// KSPPathsSeeded is KSPPaths with per-commodity randomized tie-breaking.
-// Commodity i derives its randomness from seed+i, so runs are
-// reproducible.
+// KSPPathsSeeded computes up to k shortest paths per commodity across all
+// dataplanes with per-commodity randomized tie-breaking (see
+// AcrossPlanes). Commodity i derives its randomness from seed+i, so runs
+// are reproducible.
 func KSPPathsSeeded(g *graph.Graph, cs []Commodity, k int, seed int64) [][]graph.Path {
 	return AcrossPlanes(g, g.PlaneMasks(), cs, k, func(i int) int64 { return seed + int64(i)*0x9e3779b9 })
 }

@@ -69,7 +69,7 @@ func TestKSPPathsCrossPlanes(t *testing.T) {
 	set := topo.FatTreeSet(4, 2, 100)
 	tp := set.ParallelHomo
 	cs := commoditiesAmong(tp.Hosts, [][2]int{{0, 15}})
-	paths := KSPPaths(tp.G, cs, 8)[0]
+	paths := AcrossPlanes(tp.G, tp.G.PlaneMasks(), cs, 8, nil)[0]
 	if len(paths) != 8 {
 		t.Fatalf("got %d paths, want 8", len(paths))
 	}
@@ -94,7 +94,7 @@ func TestKSPInterleavingAlternatesPlanes(t *testing.T) {
 	set := topo.FatTreeSet(4, 4, 100)
 	tp := set.ParallelHomo
 	cs := commoditiesAmong(tp.Hosts, [][2]int{{0, 15}})
-	paths := KSPPaths(tp.G, cs, 8)[0]
+	paths := AcrossPlanes(tp.G, tp.G.PlaneMasks(), cs, 8, nil)[0]
 	if len(paths) < 8 {
 		t.Fatalf("got %d paths", len(paths))
 	}
@@ -112,7 +112,7 @@ func TestInterleavePlanesPreservesLengthOrder(t *testing.T) {
 	set := topo.JellyfishSet(12, 4, 2, 4, 100, 5)
 	tp := set.ParallelHetero
 	cs := commoditiesAmong(tp.Hosts, [][2]int{{0, 23}})
-	paths := KSPPaths(tp.G, cs, 12)[0]
+	paths := AcrossPlanes(tp.G, tp.G.PlaneMasks(), cs, 12, nil)[0]
 	for i := 1; i < len(paths); i++ {
 		if paths[i].Len() < paths[i-1].Len() {
 			t.Fatalf("interleaving broke length order at %d", i)
@@ -124,7 +124,7 @@ func TestPlaneSpread(t *testing.T) {
 	set := topo.FatTreeSet(4, 2, 100)
 	tp := set.SerialLow
 	cs := commoditiesAmong(tp.Hosts, [][2]int{{0, 15}})
-	paths := KSPPaths(tp.G, cs, 4)[0]
+	paths := AcrossPlanes(tp.G, tp.G.PlaneMasks(), cs, 4, nil)[0]
 	if got := PlaneSpread(tp.G, paths); got != 1 {
 		t.Errorf("serial network plane spread = %d, want 1", got)
 	}

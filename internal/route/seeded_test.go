@@ -72,7 +72,7 @@ func TestShuffleTiesPreservesGroups(t *testing.T) {
 	set := topo.FatTreeSet(4, 2, 100)
 	tp := set.ParallelHomo
 	cs := commoditiesAmong(tp.Hosts, [][2]int{{0, 15}})
-	paths := KSPPaths(tp.G, cs, 8)[0]
+	paths := AcrossPlanes(tp.G, tp.G.PlaneMasks(), cs, 8, nil)[0]
 	lens := make([]int, len(paths))
 	for i, p := range paths {
 		lens[i] = p.Len()

@@ -12,8 +12,8 @@ import (
 
 // The selector's contract (§3.4) and the exactness of its host-edge
 // splice, over every topology family the experiments route on, healthy
-// and with a link down. An external test package so that the
-// class-confined selector, which lives above route in core, rides along.
+// and with a link down. An external test package so that a traffic
+// class's core.Selector, which lives above route, rides along.
 
 type selectorNet struct {
 	name   string
@@ -93,7 +93,7 @@ func TestSelectorContract(t *testing.T) {
 				}
 				confined := make([][]graph.Path, len(cs))
 				for i, c := range cs {
-					confined[i] = pn.ClassPaths("odd", c.Src, c.Dst, k)
+					confined[i] = pn.Class("odd").HighThroughputPaths(c.Src, c.Dst, k)
 				}
 
 				every := make([]int, net.planes)
@@ -105,9 +105,9 @@ func TestSelectorContract(t *testing.T) {
 					planes []int
 					paths  [][]graph.Path
 				}{
-					{"KSPPaths", every, route.KSPPaths(tp.G, cs, k)},
+					{"AcrossPlanes", every, route.AcrossPlanes(tp.G, tp.G.PlaneMasks(), cs, k, nil)},
 					{"KSPPathsSeeded", every, route.KSPPathsSeeded(tp.G, cs, k, 7)},
-					{"ClassPaths", classPlanes, confined},
+					{"class Selector", classPlanes, confined},
 				} {
 					for i, c := range cs {
 						checkPathSet(t, fmt.Sprintf("%s %d->%d", sel.name, c.Src, c.Dst), tp.G, c, sel.paths[i], k, sel.planes)
@@ -231,7 +231,7 @@ func TestSpliceMatchesDirect(t *testing.T) {
 				cs = append(cs, route.Commodity{Src: graph.NodeID(src), Dst: graph.NodeID(dst), Demand: 1})
 			}
 		}
-		got := route.KSPPaths(g, cs, k)
+		got := route.AcrossPlanes(g, g.PlaneMasks(), cs, k, nil)
 		for i, c := range cs {
 			equalPaths(t, fmt.Sprintf("%d->%d", c.Src, c.Dst), got[i], graph.KShortestPathsMasked(g, c.Src, c.Dst, k, nil))
 		}

@@ -143,7 +143,7 @@ func TestSpanConservationMPTCP(t *testing.T) {
 	g.AddDuplex(3, 1, 40, 1)
 	eng := sim.NewEngine()
 	net := sim.NewNetwork(eng, g, sim.Config{})
-	paths := route.KSPPaths(g, []route.Commodity{{Src: 0, Dst: 1, Demand: 1}}, 2)[0]
+	paths := route.AcrossPlanes(g, g.PlaneMasks(), []route.Commodity{{Src: 0, Dst: 1, Demand: 1}}, 2, nil)[0]
 	if len(paths) != 2 {
 		t.Fatal("expected 2 disjoint paths")
 	}

@@ -278,7 +278,7 @@ type subflow struct {
 	f   *Flow
 	idx int
 	// fwd is the caller's path, which other flows may share (the ECMP
-	// routes core.PNet interns), so it is only ever read.
+	// routes a core.Selector interns), so it is only ever read.
 	fwd, rev []graph.LinkID
 
 	// Sender.

@@ -38,7 +38,7 @@ func twoPlane(speed float64) (*sim.Engine, *sim.Network, []graph.Path) {
 	g.AddDuplex(3, 1, speed, 1)
 	eng := sim.NewEngine()
 	net := sim.NewNetwork(eng, g, sim.Config{})
-	paths := route.KSPPaths(g, []route.Commodity{{Src: 0, Dst: 1, Demand: 1}}, 2)[0]
+	paths := route.AcrossPlanes(g, g.PlaneMasks(), []route.Commodity{{Src: 0, Dst: 1, Demand: 1}}, 2, nil)[0]
 	if len(paths) != 2 {
 		panic("expected 2 paths")
 	}
@@ -341,7 +341,7 @@ func TestFlowOnFatTree(t *testing.T) {
 	eng := sim.NewEngine()
 	net := sim.NewNetwork(eng, tp.G, sim.Config{})
 	cs := []route.Commodity{{Src: tp.Hosts[0], Dst: tp.Hosts[15], Demand: 1}}
-	paths := route.KSPPaths(tp.G, cs, 4)[0]
+	paths := route.AcrossPlanes(tp.G, tp.G.PlaneMasks(), cs, 4, nil)[0]
 	f, err := NewFlow(net, Config{}, paths, 1_000_000)
 	if err != nil {
 		t.Fatal(err)

@@ -53,7 +53,7 @@ func TestSimMatchesLPOnPermutation(t *testing.T) {
 			// 9–11: 0.915, 0.935, 0.943 (2788/3047, 2863/3062, 2884/3059).
 			name: "mptcp-ksp",
 			route: func(tp *topo.Topology, cs []route.Commodity) [][]graph.Path {
-				return route.KSPPaths(tp.G, cs, 8)
+				return route.AcrossPlanes(tp.G, tp.G.PlaneMasks(), cs, 8, nil)
 			},
 			optimum: func(tp *topo.Topology, cs []route.Commodity, paths [][]graph.Path) float64 {
 				return mcf.FixedPaths(tp.G, cs, paths, mcf.Options{Epsilon: 0.05}).TotalThroughput

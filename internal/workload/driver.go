@@ -96,8 +96,9 @@ func NewDriver(t *topo.Topology, simCfg sim.Config, tcpCfg tcp.Config) *Driver {
 	return d
 }
 
-// PathsFor resolves a Selection into concrete paths for a flow. The paths'
-// Links may be shared with core.PNet's route caches and must only be read.
+// PathsFor resolves a Selection into concrete paths for a flow. The
+// paths' Links may be shared with a core.Selector's route caches and must
+// only be read.
 func (d *Driver) PathsFor(src, dst graph.NodeID, sel Selection) ([]graph.Path, error) {
 	one, many, err := d.resolve(src, dst, sel)
 	if many == nil && err == nil {
@@ -107,69 +108,40 @@ func (d *Driver) PathsFor(src, dst graph.NodeID, sel Selection) ([]graph.Path, e
 }
 
 // resolve is PathsFor without the slice for a single path: the
-// single-path policies return one, KSP returns many.
-func (d *Driver) resolve(src, dst graph.NodeID, sel Selection) (graph.Path, []graph.Path, error) {
+// single-path policies return one, KSP returns many. A Selection with a
+// Class is resolved by that class's Selector, any other by the PNet's.
+func (d *Driver) resolve(src, dst graph.NodeID, sel Selection) (one graph.Path, many []graph.Path, err error) {
+	s := d.PNet.Selector
 	if sel.Class != "" {
-		return d.classResolve(src, dst, sel)
+		if s = d.PNet.Class(sel.Class); s == nil {
+			return graph.Path{}, nil, fmt.Errorf("workload: undefined class %q", sel.Class)
+		}
 	}
+	var ok bool
 	switch sel.Policy {
 	case Shortest:
-		p, ok := d.PNet.LowLatencyPath(src, dst)
-		if !ok {
-			return graph.Path{}, nil, fmt.Errorf("workload: no path %d->%d", src, dst)
-		}
-		return p, nil, nil
+		one, ok = s.LowLatencyPath(src, dst)
 	case ECMP:
 		d.hashCtr++
-		p, ok := d.PNet.ECMPPath(src, dst, d.hashCtr*0x9e3779b97f4a7c15)
-		if !ok {
-			return graph.Path{}, nil, fmt.Errorf("workload: no ECMP path %d->%d", src, dst)
-		}
-		return p, nil, nil
+		one, ok = s.ECMPPath(src, dst, d.hashCtr*0x9e3779b97f4a7c15)
 	case KSP:
 		k := sel.K
 		if k <= 0 {
-			k = core.SubflowsFor(d.PNet.Planes())
+			k = core.SubflowsFor(s.Planes())
 		}
-		ps := d.PNet.HighThroughputPaths(src, dst, k)
-		if len(ps) == 0 {
-			return graph.Path{}, nil, fmt.Errorf("workload: no KSP paths %d->%d", src, dst)
-		}
-		return graph.Path{}, ps, nil
+		many = s.HighThroughputPaths(src, dst, k)
+		ok = len(many) > 0
 	default:
 		return graph.Path{}, nil, fmt.Errorf("workload: unknown policy %d", sel.Policy)
 	}
-}
-
-// classResolve resolves a class-confined Selection.
-func (d *Driver) classResolve(src, dst graph.NodeID, sel Selection) (graph.Path, []graph.Path, error) {
-	switch sel.Policy {
-	case Shortest:
-		p, ok := d.PNet.ClassLowLatencyPath(sel.Class, src, dst)
-		if !ok {
-			return graph.Path{}, nil, fmt.Errorf("workload: class %q: no path %d->%d", sel.Class, src, dst)
+	if !ok {
+		what := [...]string{Shortest: "path", ECMP: "ECMP path", KSP: "KSP paths"}[sel.Policy]
+		if sel.Class != "" {
+			return graph.Path{}, nil, fmt.Errorf("workload: class %q: no %s %d->%d", sel.Class, what, src, dst)
 		}
-		return p, nil, nil
-	case ECMP:
-		d.hashCtr++
-		p, ok := d.PNet.ClassPath(sel.Class, src, dst, d.hashCtr*0x9e3779b97f4a7c15)
-		if !ok {
-			return graph.Path{}, nil, fmt.Errorf("workload: class %q: no ECMP path %d->%d", sel.Class, src, dst)
-		}
-		return p, nil, nil
-	case KSP:
-		k := sel.K
-		if k <= 0 {
-			k = core.SubflowsFor(len(d.PNet.Class(sel.Class)))
-		}
-		ps := d.PNet.ClassPaths(sel.Class, src, dst, k)
-		if len(ps) == 0 {
-			return graph.Path{}, nil, fmt.Errorf("workload: class %q: no KSP paths %d->%d", sel.Class, src, dst)
-		}
-		return graph.Path{}, ps, nil
-	default:
-		return graph.Path{}, nil, fmt.Errorf("workload: unknown policy %d", sel.Policy)
+		return graph.Path{}, nil, fmt.Errorf("workload: no %s %d->%d", what, src, dst)
 	}
+	return one, many, nil
 }
 
 // StartFlow creates and starts a flow of sizeBytes from src to dst.
