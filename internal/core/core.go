@@ -31,7 +31,7 @@ import (
 
 // PNet is the end-host view of a parallel dataplane network: the Selector
 // over every plane, embedded so that its policies are PNet's own, and one
-// Selector per traffic class. Marking a plane down or up resets every
+// Selector per traffic class. Marking a plane down resets every
 // selector's caches. It is not safe for concurrent use.
 type PNet struct {
 	*Selector
@@ -41,7 +41,7 @@ type PNet struct {
 
 // Selector picks paths confined to one set of planes. It caches routing
 // state (ECMP DAGs, interned routes, K-shortest-path sets), which the PNet
-// that made it resets when a plane is marked down or up.
+// that made it resets when a plane is marked down.
 type Selector struct {
 	g *graph.Graph
 	// masks holds the set's per-plane banned-link masks, as
@@ -129,7 +129,7 @@ func (s *Selector) HighThroughputPaths(src, dst graph.NodeID, k int) []graph.Pat
 // Routes are interned: every flow pinned to the same route gets the same
 // Links, shared with every other holder and never written, so callers must
 // only read them. Finding the route allocates nothing once it has been
-// seen; marking a plane down or up starts a fresh table.
+// seen; marking a plane down starts a fresh table.
 func (s *Selector) ECMPPath(src, dst graph.NodeID, flowHash uint64) (graph.Path, bool) {
 	dag := s.dags[dst]
 	if dag == nil {
@@ -198,23 +198,14 @@ func SubflowsFor(planes int) int { return 8 * planes }
 
 // MarkPlaneDown excludes a whole dataplane from selection (e.g. during a
 // one-plane-at-a-time upgrade, §6.1); host uplinks to it are downed so
-// path computation avoids it too.
+// path computation avoids it too. A downed plane stays down.
 func (p *PNet) MarkPlaneDown(plane int) {
-	p.setPlane(plane, false)
-}
-
-// MarkPlaneUp returns a dataplane to service.
-func (p *PNet) MarkPlaneUp(plane int) {
-	p.setPlane(plane, true)
-}
-
-func (p *PNet) setPlane(plane int, up bool) {
 	if plane < 0 || plane >= p.Topo.Planes {
 		panic(fmt.Sprintf("core: plane %d of %d", plane, p.Topo.Planes))
 	}
 	for h := range p.Topo.Uplinks {
-		p.Topo.G.SetLinkUp(p.Topo.Uplinks[h][plane], up)
-		p.Topo.G.SetLinkUp(p.Topo.Downlinks[h][plane], up)
+		p.Topo.G.SetLinkUp(p.Topo.Uplinks[h][plane], false)
+		p.Topo.G.SetLinkUp(p.Topo.Downlinks[h][plane], false)
 	}
 	p.Selector.resetCaches()
 	for _, c := range p.classes {

@@ -66,10 +66,6 @@ func TestLowLatencyUnreachable(t *testing.T) {
 	if _, ok := p.LowLatencyPath(p.Topo.Hosts[0], p.Topo.Hosts[15]); ok {
 		t.Error("found path with all planes down")
 	}
-	p.MarkPlaneUp(0)
-	if _, ok := p.LowLatencyPath(p.Topo.Hosts[0], p.Topo.Hosts[15]); !ok {
-		t.Error("no path after restoring a plane")
-	}
 }
 
 func TestSetPlaneOutOfRangePanics(t *testing.T) {
@@ -92,8 +88,7 @@ func TestPlanesAccessor(t *testing.T) {
 
 // TestECMPPathInterned: the interned routes are the routes a fresh walk on
 // a fresh DAG gives, link for link; equal routes share one backing array;
-// a plane marked down leaves every route, and marked up, brings the
-// original routes back.
+// a plane marked down leaves every route.
 func TestECMPPathInterned(t *testing.T) {
 	p := New(topo.ScaledJellyfish(8, 2, 100, 3).ParallelHetero)
 	g, hosts := p.Topo.G, p.Topo.Hosts
@@ -122,10 +117,8 @@ func TestECMPPathInterned(t *testing.T) {
 	}
 
 	n := len(hosts)
-	orig := make([]graph.Path, n*n*hashes)
 	backing := map[string]*graph.LinkID{}
 	each(func(i, j, h int, got graph.Path) {
-		orig[(i*n+j)*hashes+h] = got
 		key := fmt.Sprint(got.Links)
 		if first, ok := backing[key]; !ok {
 			backing[key] = &got.Links[0]
@@ -133,8 +126,8 @@ func TestECMPPathInterned(t *testing.T) {
 			t.Fatalf("host %d -> %d, hash %d: route %s has a second backing array", i, j, h, key)
 		}
 	})
-	if len(backing) >= len(orig)/2 {
-		t.Fatalf("%d distinct routes for %d flows: too few repeats to test sharing", len(backing), len(orig))
+	if flows := n * (n - 1) * hashes; len(backing) >= flows/2 {
+		t.Fatalf("%d distinct routes for %d flows: too few repeats to test sharing", len(backing), flows)
 	}
 
 	p.MarkPlaneDown(0)
@@ -143,14 +136,6 @@ func TestECMPPathInterned(t *testing.T) {
 			if g.Link(l).Plane == 0 {
 				t.Fatalf("host %d -> %d, hash %d: route %v crosses downed plane 0", i, j, h, got.Links)
 			}
-		}
-	})
-
-	p.MarkPlaneUp(0)
-	each(func(i, j, h int, got graph.Path) {
-		if !got.Equal(orig[(i*n+j)*hashes+h]) {
-			t.Fatalf("host %d -> %d, hash %d: after plane 0 came back, route %v, was %v",
-				i, j, h, got.Links, orig[(i*n+j)*hashes+h].Links)
 		}
 	})
 }

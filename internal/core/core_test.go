@@ -24,7 +24,7 @@ func heteroPair() *topo.Topology {
 }
 
 // hostLinksUp counts the host uplinks and downlinks of plane that are up
-// in the hosts' graph view, the state MarkPlaneDown and MarkPlaneUp set.
+// in the hosts' graph view, the state MarkPlaneDown sets.
 func hostLinksUp(p *PNet, plane int) int {
 	n := 0
 	for h := range p.Topo.Uplinks {
@@ -123,34 +123,42 @@ func TestMarkPlaneDownReroutesPaths(t *testing.T) {
 	}
 }
 
-func TestMarkPlaneDownUpRoundTrip(t *testing.T) {
-	// Re-upping a plane must restore the exact pre-fault selection, not
-	// just some path: caches and link states have to round-trip cleanly.
+// TestMarkPlaneDownKeepsSurvivingPaths: downing a plane resets the
+// caches without disturbing the survivor: the surviving plane's
+// multipath choices are the ones it offered before the fault, in order.
+func TestMarkPlaneDownKeepsSurvivingPaths(t *testing.T) {
 	set := topo.FatTreeSet(4, 2, 100)
 	p := New(set.ParallelHomo)
-	src, dst := p.Topo.Hosts[0], p.Topo.Hosts[15]
-
-	orig, ok := p.LowLatencyPath(src, dst)
-	if !ok {
-		t.Fatal("no path before fault")
+	g, hosts := p.Topo.G, p.Topo.Hosts
+	const k = 8
+	var before [][]graph.Path
+	for _, dst := range hosts[1:] {
+		var onPlane1 []graph.Path
+		for _, q := range p.HighThroughputPaths(hosts[0], dst, k) {
+			if q.Plane(g) == 1 {
+				onPlane1 = append(onPlane1, q)
+			}
+		}
+		if len(onPlane1) == 0 {
+			t.Fatalf("host 0 -> %d: no plane-1 path among %d", dst, k)
+		}
+		before = append(before, onPlane1)
 	}
 	p.MarkPlaneDown(0)
-	during, ok := p.LowLatencyPath(src, dst)
-	if !ok || during.Plane(p.Topo.G) != 1 {
-		t.Fatalf("path during outage = %v ok=%v, want plane 1", during, ok)
-	}
-	p.MarkPlaneUp(0)
-	restored, ok := p.LowLatencyPath(src, dst)
-	if !ok {
-		t.Fatal("no path after re-up")
-	}
-	if !restored.Equal(orig) {
-		t.Errorf("restored path %v != original %v", restored, orig)
-	}
-	// The graph view must round-trip too: every host link back up.
-	for plane := range 2 {
-		if up, all := hostLinksUp(p, plane), 2*p.Topo.NumHosts(); up != all {
-			t.Errorf("%d of %d plane-%d host links up after the round trip", up, all, plane)
+	for i, dst := range hosts[1:] {
+		after := p.HighThroughputPaths(hosts[0], dst, k)
+		if len(after) < len(before[i]) {
+			t.Fatalf("host 0 -> %d: %d paths after the fault, %d on plane 1 before", dst, len(after), len(before[i]))
+		}
+		for j, q := range before[i] {
+			if !after[j].Equal(q) {
+				t.Errorf("host 0 -> %d: path %d = %v after the fault, was %v", dst, j, after[j].Links, q.Links)
+			}
+		}
+		for _, q := range after {
+			if q.Plane(g) != 1 {
+				t.Errorf("host 0 -> %d: path %v on downed plane %d", dst, q.Links, q.Plane(g))
+			}
 		}
 	}
 }

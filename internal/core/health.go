@@ -23,23 +23,20 @@ const (
 	probeHost, probePeer = 0, 1
 )
 
-// PlaneEvent is one observed liveness transition, stamped with the sim
-// time the monitor made the call — the host's (late) view of a physical
-// fault, whose lag behind the injection time IS the detection latency.
+// PlaneEvent is one plane declared down, stamped with the sim time the
+// monitor made the call — the host's (late) view of a physical fault,
+// whose lag behind the injection time IS the detection latency.
 type PlaneEvent struct {
 	Plane int
-	Up    bool
 	At    sim.Time
 }
 
 // HealthMonitor is the non-oracle fault detector of §3.4: an end host
 // that continuously probes every dataplane and drives the PNet failover
-// policies (MarkPlaneDown / MarkPlaneUp) from what the probes report,
-// never from the simulator's physical state. Each round it loops one
-// small probe per plane through the fabric (host → peer → host, pinned
-// inside the plane); a plane whose echoes stop for downAfter is declared
-// down, and a declared-down plane whose fresh probes come back is
-// declared up again.
+// policy (MarkPlaneDown) from what the probes report, never from the
+// simulator's physical state. Each round it loops one small probe per
+// plane through the fabric (host → peer → host, pinned inside the plane);
+// a plane whose echoes stop for downAfter is declared down, for good.
 //
 // Probe routes are computed once at construction, while the graph is
 // pristine — a real deployment would pin its liveness probes the same
@@ -50,15 +47,14 @@ type HealthMonitor struct {
 	Net *sim.Network
 	P   *PNet
 
-	// OnChange, when set, observes every declared transition.
+	// OnChange, when set, observes every plane declared down.
 	OnChange func(PlaneEvent)
 
 	until    sim.Time
 	routes   [][]graph.LinkID // per plane: host→peer→host loop
 	handler  []probeHandler   // per plane, fixed Deliver targets
-	lastEcho []sim.Time       // latest fresh echo per plane
-	declDown []bool           // monitor's current verdict per plane
-	reupSeq  []int64          // echoes older than this do not count toward re-up
+	lastEcho []sim.Time       // latest echo per plane
+	declDown []bool           // monitor's verdict per plane
 	seq      int64
 }
 
@@ -73,10 +69,8 @@ type probeHandler struct {
 func (h *probeHandler) HandlePacket(p *sim.Packet) { h.m.echo(h.plane, p) }
 
 // NewHealthMonitor builds a monitor probing from host 0 through host 1
-// and back, once per plane, every 100 µs until the sim time until (0 =
-// probe forever — only safe with Engine.RunUntil, since the monitor
-// reschedules perpetually). It panics if some plane has no in-plane loop
-// between the two hosts.
+// and back, once per plane, every 100 µs until the sim time until. It
+// panics if some plane has no in-plane loop between the two hosts.
 func NewHealthMonitor(eng *sim.Engine, net *sim.Network, p *PNet, until sim.Time) *HealthMonitor {
 	t := p.Topo
 	m := &HealthMonitor{
@@ -88,7 +82,6 @@ func NewHealthMonitor(eng *sim.Engine, net *sim.Network, p *PNet, until sim.Time
 		handler:  make([]probeHandler, t.Planes),
 		lastEcho: make([]sim.Time, t.Planes),
 		declDown: make([]bool, t.Planes),
-		reupSeq:  make([]int64, t.Planes),
 	}
 	for plane := 0; plane < t.Planes; plane++ {
 		m.handler[plane] = probeHandler{m: m, plane: plane}
@@ -120,23 +113,21 @@ func (m *HealthMonitor) tick() {
 	for plane := range m.routes {
 		if !m.declDown[plane] && now-m.lastEcho[plane] > downAfter {
 			m.declDown[plane] = true
-			// Echoes already in flight were sent over a plane we just
-			// condemned; only probes from here on can rehabilitate it.
-			m.reupSeq[plane] = m.seq
 			m.P.MarkPlaneDown(plane)
 			if m.OnChange != nil {
-				m.OnChange(PlaneEvent{Plane: plane, Up: false, At: now})
+				m.OnChange(PlaneEvent{Plane: plane, At: now})
 			}
 		}
 		m.probe(plane)
 	}
-	if m.until == 0 || now+probeInterval <= m.until {
+	if now+probeInterval <= m.until {
 		m.Eng.After(probeInterval, m.tick)
 	}
 }
 
-// probe loops one packet through the plane; declared-down planes keep
-// being probed — that is how recovery is noticed.
+// probe loops one packet through the plane. Declared-down planes keep
+// being probed, so every round sends the same packets whatever the
+// verdicts.
 func (m *HealthMonitor) probe(plane int) {
 	p := m.Net.NewPacket()
 	p.Size = probeSize
@@ -149,17 +140,6 @@ func (m *HealthMonitor) probe(plane int) {
 }
 
 func (m *HealthMonitor) echo(plane int, p *sim.Packet) {
-	seq := p.Seq
 	m.Net.Release(p)
-	if m.declDown[plane] && seq < m.reupSeq[plane] {
-		return // stale echo from before the down verdict
-	}
 	m.lastEcho[plane] = m.Eng.Now()
-	if m.declDown[plane] {
-		m.declDown[plane] = false
-		m.P.MarkPlaneUp(plane)
-		if m.OnChange != nil {
-			m.OnChange(PlaneEvent{Plane: plane, Up: true, At: m.Eng.Now()})
-		}
-	}
 }

@@ -112,10 +112,10 @@ func runFaults(p Params) Table {
 // runFaultsWith runs one network through the plane outage and measures
 // the full lifecycle. Flows are pinned round-robin across planes at
 // start, so a plane-0 outage always hits a known share of the traffic;
-// stalled subflows re-resolve through the driver's shortest-path
-// default, which by then reflects the monitor's verdict.
+// a subflow stalled for one RTO repaths through the same least-loaded
+// pick over the paths that survive the monitor's verdict.
 func runFaultsWith(p Params, tp *topo.Topology, cfg faultsCfg) faultsMetrics {
-	d := p.newDriver(tp, sim.Config{}, tcp.Config{StallRTOs: 1})
+	d := p.newDriver(tp, sim.Config{}, tcp.Config{})
 
 	// The fault: a permanent plane-0 outage at cfg.faultAt, which anchors
 	// the latency accounting.
@@ -133,7 +133,7 @@ func runFaultsWith(p Params, tp *topo.Topology, cfg faultsCfg) faultsMetrics {
 	var detectAt sim.Time = -1
 	mon := core.NewHealthMonitor(d.Eng, d.Net, d.PNet, cfg.runDur)
 	mon.OnChange = func(e core.PlaneEvent) {
-		if !e.Up && detectAt < 0 {
+		if detectAt < 0 {
 			detectAt = e.At
 			m.detectLat = e.At - cfg.faultAt
 			if p.Obs != nil {
@@ -149,7 +149,7 @@ func runFaultsWith(p Params, tp *topo.Topology, cfg faultsCfg) faultsMetrics {
 	mon.Start()
 
 	var firstRepath sim.Time = -1
-	d.OnRepath = func(f *tcp.Flow, i int, to graph.Path) {
+	onRepath := func(f *tcp.Flow, i int, to graph.Path) {
 		if firstRepath >= 0 {
 			return
 		}
@@ -227,6 +227,7 @@ func runFaultsWith(p Params, tp *topo.Topology, cfg faultsCfg) faultsMetrics {
 			}
 			return pick(cand), true
 		}
+		f.OnRepath = onRepath
 		flows = append(flows, f)
 	}
 

@@ -75,6 +75,9 @@ func TestFaultsSerialNeverRecovers(t *testing.T) {
 	if m.detectLat <= 0 {
 		t.Error("even a serial network should detect the outage")
 	}
+	if m.failoverLat >= 0 {
+		t.Errorf("serial network failed over in %v with no surviving plane", m.failoverLat)
+	}
 }
 
 // TestFaultsDeterministic runs the same configuration twice: every
@@ -92,7 +95,8 @@ func TestFaultsDeterministic(t *testing.T) {
 
 // TestFaultsRecordsTelemetry checks the experiment's fault lifecycle
 // reaches the collector's sink: inject from the outage (checked field for
-// field), detect/failover/recover from the measurements.
+// field), detect/failover/recover from the measurements, and failover
+// onto plane 1, the one plane that survives.
 func TestFaultsRecordsTelemetry(t *testing.T) {
 	var mbuf bytes.Buffer
 	c := obs.NewCollector()
@@ -108,6 +112,9 @@ func TestFaultsRecordsTelemetry(t *testing.T) {
 		events[f.Event]++
 		if f.Event == "inject" && f != inject {
 			t.Errorf("inject record = %+v, want %+v", f, inject)
+		}
+		if f.Event == "failover" && (f.Target != "plane:1" || f.Plane != 1 || f.LatencySec <= 0) {
+			t.Errorf("failover record = %+v, want plane 1 and a positive latency", f)
 		}
 	}
 	for _, want := range []string{"inject", "detect", "failover", "recover"} {

@@ -19,8 +19,7 @@ func cutPath(net *sim.Network, p graph.Path, up bool) {
 
 func TestRepathMovesStalledSubflow(t *testing.T) {
 	eng, net, paths := twoPlane(100)
-	cfg := Config{StallRTOs: 2}
-	f, err := NewFlow(net, cfg, paths[:1], 3000*1500) // single-path flow on plane 0
+	f, err := NewFlow(net, Config{}, paths[:1], 3000*1500) // single-path flow on plane 0
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,16 +44,16 @@ func TestRepathMovesStalledSubflow(t *testing.T) {
 	if net.TotalBlackholed() == 0 {
 		t.Error("no packets blackholed by the cut")
 	}
-	// Two stall timeouts before the swap: 10ms + 20ms (backed off) ≈ 31ms.
-	if fct := f.FCT(); fct < 30*sim.Millisecond || fct > 100*sim.Millisecond {
-		t.Errorf("FCT = %v, want ~31ms (stall + recovery)", fct)
+	// One stall timeout before the swap: rtoMin (10ms) plus the catch-up
+	// on plane 1 ≈ 10.4ms. A second, backed-off timeout would add 20ms.
+	if fct := f.FCT(); fct < rtoMin || fct > 2*rtoMin {
+		t.Errorf("FCT = %v, want ~10.4ms (one stall + recovery)", fct)
 	}
 }
 
 func TestRepathRejectsSamePath(t *testing.T) {
 	eng, net, paths := twoPlane(100)
-	cfg := Config{StallRTOs: 1}
-	f, err := NewFlow(net, cfg, paths[:1], 1000*1500)
+	f, err := NewFlow(net, Config{}, paths[:1], 1000*1500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,20 +78,43 @@ func TestRepathRejectsSamePath(t *testing.T) {
 	}
 }
 
+// TestRepathDisabledByDefault: a flow without a Repath hook stays on its
+// dead path, however many timeouts it takes.
 func TestRepathDisabledByDefault(t *testing.T) {
 	eng, net, paths := twoPlane(100)
 	f, err := NewFlow(net, Config{}, paths[:1], 1000*1500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Repath = func(fl *Flow, i int) (graph.Path, bool) {
-		t.Error("Repath consulted with StallRTOs = 0")
-		return graph.Path{}, false
-	}
 	eng.At(50*sim.Microsecond, func() { cutPath(net, paths[0], false) })
 	f.Start()
 	eng.RunUntil(200 * sim.Millisecond)
 	if f.Done() {
 		t.Error("flow finished across a dead link without repathing")
+	}
+	if f.Repaths != 0 || !f.SubflowPath(0).Equal(paths[0]) {
+		t.Errorf("hookless flow repathed %d times, now on %v", f.Repaths, f.SubflowPath(0))
+	}
+}
+
+// TestRepathNoOpOnHealthyPath: a hooked flow whose paths never stall
+// completes without consulting its hook. The flow is short enough that
+// slow start overflows no queue, so no retransmission timer fires.
+func TestRepathNoOpOnHealthyPath(t *testing.T) {
+	eng, net, paths := twoPlane(100)
+	f, err := NewFlow(net, Config{}, paths, 300*1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Repath = func(fl *Flow, i int) (graph.Path, bool) {
+		t.Errorf("Repath consulted for subflow %d on a healthy network", i)
+		return graph.Path{}, false
+	}
+	runFlow(t, eng, f)
+	if drops := net.TotalDrops(); drops != 0 {
+		t.Fatalf("%d drops on the healthy path", drops)
+	}
+	if f.Repaths != 0 {
+		t.Errorf("Repaths = %d on a healthy network", f.Repaths)
 	}
 }

@@ -105,7 +105,7 @@ func TestSpanConservationRepath(t *testing.T) {
 	// and finishes. The detection window is charged to repath_gap.
 	eng, net, paths := twoPlane(100)
 	net.EnableSpans()
-	f, err := NewFlow(net, Config{StallRTOs: 2}, paths[:1], 3000*1500)
+	f, err := NewFlow(net, Config{}, paths[:1], 3000*1500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,14 +116,13 @@ func TestSpanConservationRepath(t *testing.T) {
 		t.Fatalf("Repaths = %d, want 1", f.Repaths)
 	}
 	sums := checkConservation(t, f)
-	// Stall detection takes two backed-off RTOs (~30ms); the first shows
-	// up as rto_stall, the post-swap catch-up as repath_gap.
+	// Stall detection takes one RTO (rtoMin, 10ms), charged with the
+	// post-swap catch-up to repath_gap.
 	if sums[sim.SpanRepathGap] == 0 {
 		t.Errorf("repath flow charged no repath_gap: %v", sums)
 	}
-	if sums[sim.SpanRTOStall]+sums[sim.SpanRepathGap] < 20*sim.Millisecond {
-		t.Errorf("stall components sum to %v, want most of the ~31ms outage",
-			sums[sim.SpanRTOStall]+sums[sim.SpanRepathGap])
+	if stall := sums[sim.SpanRTOStall] + sums[sim.SpanRepathGap]; stall < rtoMin || stall > f.FCT() {
+		t.Errorf("stall components sum to %v, want the ~10ms outage of a %v flow", stall, f.FCT())
 	}
 }
 

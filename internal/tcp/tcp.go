@@ -35,28 +35,20 @@ const (
 	// dupAckThresh is the duplicate-ACK count that triggers fast
 	// retransmit.
 	dupAckThresh = 3
+	// stallRTOs is the consecutive-timeout count on one subflow that
+	// marks its path stalled and consults Flow.Repath for a replacement.
+	stallRTOs = 1
 )
 
 // Config holds the transport options callers vary. The zero value is the
 // model described in the package comment.
 type Config struct {
-	// NoSACK disables selective-repeat loss recovery. By default the
-	// sender repairs all holes during fast recovery, one per returning
-	// ACK (modelling SACK); without it, recovery degrades to NewReno's
-	// one-hole-per-RTT partial-ack repair, which badly inflates FCTs
-	// after the burst losses of slow-start overshoot.
-	NoSACK bool
 	// DCTCP enables ECN-reaction congestion control [Alizadeh et al.,
 	// SIGCOMM 2010], the paper's suggested direction for incast traffic
 	// (§6.5): receivers echo CE marks, and once per window the sender
 	// scales cwnd by the EWMA marking fraction. Requires the network to
 	// be built with a nonzero sim.Config.ECNThresholdBytes.
 	DCTCP bool
-	// StallRTOs, when positive, treats that many consecutive timeouts on
-	// one subflow as a stalled path and consults Flow.Repath for a
-	// replacement — MPTCP's re-establishment of subflows on surviving
-	// planes after a runtime fault. Zero disables repathing.
-	StallRTOs int
 }
 
 // Flow is one (MP)TCP transfer.
@@ -89,11 +81,12 @@ type Flow struct {
 	// Retransmits counts data packets sent more than once.
 	Retransmits int64
 
-	// Repath, consulted when Config.StallRTOs consecutive timeouts hit
-	// one subflow, may return a replacement path (same endpoints). The
-	// subflow keeps its sequence space and receiver state — only the
-	// route changes, like an MPTCP subflow re-established on a surviving
-	// plane. Returning ok=false, the current path, or a path without a
+	// Repath, consulted when a subflow's retransmission timer fires
+	// stallRTOs times in a row, may return a replacement path (same
+	// endpoints). The subflow keeps its sequence space and receiver state
+	// — only the route changes, like an MPTCP subflow re-established on a
+	// surviving plane after a runtime fault. A flow without the hook never
+	// repaths. Returning ok=false, the current path, or a path without a
 	// reverse twin leaves the subflow where it is.
 	Repath func(f *Flow, subflow int) (graph.Path, bool)
 	// OnRepath observes every successful path swap.
@@ -161,9 +154,9 @@ func NewFlow(net *sim.Network, cfg Config, paths []graph.Path, sizeBytes int64) 
 	return f, nil
 }
 
-// onePathFlow is the single allocation behind a one-path Flow: 192 + 272
-// + 8 bytes, in the 480-byte size class with 8 to spare. A field of more
-// than 40 bytes added to Flow or subflow would cost every flow the class
+// onePathFlow is the single allocation behind a one-path Flow: 184 + 272
+// + 8 bytes, in the 480-byte size class with 16 to spare. A field of more
+// than 48 bytes added to Flow or subflow would cost every flow the class
 // past 512 (576); TestOnePathFlowSize holds it.
 type onePathFlow struct {
 	f    Flow
@@ -436,11 +429,11 @@ func (sf *subflow) onRTO() {
 // meaningless RTT estimate) change.
 func (sf *subflow) maybeRepath() bool {
 	f := sf.f
-	if f.cfg.StallRTOs <= 0 || sf.consecRTOs < f.cfg.StallRTOs || f.Repath == nil {
+	if f.Repath == nil || sf.consecRTOs < stallRTOs {
 		return false
 	}
 	// Spend the budget either way; a fruitless query waits another
-	// StallRTOs timeouts before asking again.
+	// stallRTOs timeouts before asking again.
 	sf.consecRTOs = 0
 	path, ok := f.Repath(f, sf.idx)
 	if !ok || len(path.Links) == 0 || samePath(path.Links, sf.fwd) {
@@ -646,27 +639,19 @@ func (sf *subflow) onAck(p *sim.Packet) {
 			sf.repairHole()
 		} else if sf.inRecovery {
 			sf.cwnd++ // window inflation per extra dupack
-			if !sf.f.cfg.NoSACK {
-				// Each returning ACK clocks out one more hole repair.
-				sf.repairHole()
-			}
+			// Each returning ACK clocks out one more hole repair.
+			sf.repairHole()
 			sf.trySend()
 		}
 	}
 	sf.f.net.FreeSpan(span)
 }
 
-// repairHole retransmits the next lost packet. With SACK (the default),
-// the sender walks forward from the cumulative ack, skipping sequences
-// the receiver already holds out of order — repairing one hole per
-// returning ACK, as a SACK scoreboard would. Without SACK it can only
-// resend the first unacked packet (NewReno).
+// repairHole retransmits the next lost packet: the sender walks forward
+// from the cumulative ack, skipping sequences the receiver already holds
+// out of order — repairing one hole per returning ACK, as a SACK
+// scoreboard would, where NewReno repairs one hole per RTT.
 func (sf *subflow) repairHole() {
-	if sf.f.cfg.NoSACK {
-		sf.f.Retransmits++
-		sf.transmit(sf.sndUna, false)
-		return
-	}
 	if sf.holeCursor < sf.sndUna {
 		sf.holeCursor = sf.sndUna
 	}

@@ -55,31 +55,15 @@ type Driver struct {
 	// under, which every record about it must carry.
 	NetID int
 
-	// OnRepath, when set, observes every subflow path swap (see Repaths).
-	OnRepath func(f *tcp.Flow, subflow int, to graph.Path)
-
 	hashCtr uint64
 	// Flows counts flows started; Completed counts OnComplete callbacks.
 	Flows, Completed int64
-	// Repaths counts subflow path swaps across all flows — nonzero only
-	// when TCP.StallRTOs enables stall-driven repathing and a fault
-	// actually pushed flows off their original routes.
-	Repaths int64
 
-	// The callbacks flows share, bound once so that starting a flow builds
-	// no closure: flowDone is d.countCompletion, flowRepathed is
-	// d.countRepath, and repaths holds one resolver per Selection seen.
-	flowDone     func(*tcp.Flow)
-	flowRepathed func(*tcp.Flow, int, graph.Path)
-	repaths      []selectionRepath
+	// flowDone is d.countCompletion, bound once so that starting a flow
+	// with nothing more to do builds no closure.
+	flowDone func(*tcp.Flow)
 	// one holds StartFlow's single path, which tcp.NewFlow does not keep.
 	one [1]graph.Path
-}
-
-// selectionRepath is the stall-repath resolver of one Selection.
-type selectionRepath struct {
-	sel    Selection
-	repath func(*tcp.Flow, int) (graph.Path, bool)
 }
 
 // NewDriver builds the simulation environment for a topology.
@@ -92,24 +76,14 @@ func NewDriver(t *topo.Topology, simCfg sim.Config, tcpCfg tcp.Config) *Driver {
 		TCP:  tcpCfg,
 	}
 	d.flowDone = d.countCompletion
-	d.flowRepathed = d.countRepath
 	return d
 }
 
-// PathsFor resolves a Selection into concrete paths for a flow. The
-// paths' Links may be shared with a core.Selector's route caches and must
-// only be read.
-func (d *Driver) PathsFor(src, dst graph.NodeID, sel Selection) ([]graph.Path, error) {
-	one, many, err := d.resolve(src, dst, sel)
-	if many == nil && err == nil {
-		many = []graph.Path{one}
-	}
-	return many, err
-}
-
-// resolve is PathsFor without the slice for a single path: the
+// resolve turns a Selection into concrete paths for a flow: the
 // single-path policies return one, KSP returns many. A Selection with a
 // Class is resolved by that class's Selector, any other by the PNet's.
+// The paths' Links may be shared with the Selector's route caches and
+// must only be read.
 func (d *Driver) resolve(src, dst graph.NodeID, sel Selection) (one graph.Path, many []graph.Path, err error) {
 	s := d.PNet.Selector
 	if sel.Class != "" {
@@ -158,34 +132,7 @@ func (d *Driver) StartFlow(src, dst graph.NodeID, sizeBytes int64, sel Selection
 		d.one[0] = one
 		paths = d.one[:]
 	}
-	// Stalled subflows re-resolve through the same selection, which by
-	// then reflects what the health monitor has learned — the end-host
-	// failover loop of §3.4.
-	return d.startFlow(paths, sel, sizeBytes, onDelivered, onComplete)
-}
-
-// repathFor returns the stall-repath resolver for a selection, built the
-// first time the selection is seen: re-run the policy against the current
-// (post-detection) routing state and give subflow i the i-th resulting
-// path. On a serial network, or before the monitor has condemned the
-// broken plane, this naturally returns the same path and the subflow stays
-// put.
-func (d *Driver) repathFor(sel Selection) func(*tcp.Flow, int) (graph.Path, bool) {
-	for _, r := range d.repaths {
-		if r.sel == sel {
-			return r.repath
-		}
-	}
-	repath := func(f *tcp.Flow, i int) (graph.Path, bool) {
-		cur := f.SubflowPath(i)
-		paths, err := d.PathsFor(cur.Src(d.Net.G), cur.Dst(d.Net.G), sel)
-		if err != nil || len(paths) == 0 {
-			return graph.Path{}, false
-		}
-		return paths[i%len(paths)], true
-	}
-	d.repaths = append(d.repaths, selectionRepath{sel, repath})
-	return repath
+	return d.StartFlowOnPaths(paths, sizeBytes, onDelivered, onComplete)
 }
 
 // Instrument attaches a telemetry collector: the network's tracer and
@@ -197,17 +144,9 @@ func (d *Driver) Instrument(c *obs.Collector) {
 }
 
 // StartFlowOnPaths starts a flow over explicitly chosen paths (the faults
-// experiment's least-loaded placement). A stalled subflow re-resolves to
-// the current shortest path.
+// experiment's least-loaded placement, which also sets the flow's Repath
+// hook).
 func (d *Driver) StartFlowOnPaths(paths []graph.Path, sizeBytes int64,
-	onDelivered, onComplete func(*tcp.Flow)) (*tcp.Flow, error) {
-
-	return d.startFlow(paths, Selection{Policy: Shortest}, sizeBytes, onDelivered, onComplete)
-}
-
-// startFlow starts a flow on paths whose stalled subflows re-resolve
-// through repath.
-func (d *Driver) startFlow(paths []graph.Path, repath Selection, sizeBytes int64,
 	onDelivered, onComplete func(*tcp.Flow)) (*tcp.Flow, error) {
 
 	f, err := tcp.NewFlow(d.Net, d.TCP, paths, sizeBytes)
@@ -217,19 +156,9 @@ func (d *Driver) startFlow(paths []graph.Path, repath Selection, sizeBytes int64
 	f.OnDelivered = onDelivered
 	d.Flows++
 	f.ID = d.Flows
-	f.Repath = d.repathFor(repath)
-	f.OnRepath = d.flowRepathed
 	f.OnComplete = d.completion(paths, sizeBytes, onComplete)
 	f.Start()
 	return f, nil
-}
-
-// countRepath is every flow's OnRepath.
-func (d *Driver) countRepath(f *tcp.Flow, i int, to graph.Path) {
-	d.Repaths++
-	if d.OnRepath != nil {
-		d.OnRepath(f, i, to)
-	}
 }
 
 // countCompletion is the OnComplete of a flow with nothing more to do.

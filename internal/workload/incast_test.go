@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"pnet/internal/graph"
 	"pnet/internal/sim"
 	"pnet/internal/tcp"
 	"pnet/internal/topo"
@@ -74,9 +75,12 @@ func TestClassSelectionInDriver(t *testing.T) {
 		{Policy: ECMP, Class: "x"},
 		{Policy: KSP, K: 4, Class: "x"},
 	} {
-		paths, err := d.PathsFor(tp.Hosts[0], tp.Hosts[20], sel)
+		one, paths, err := d.resolve(tp.Hosts[0], tp.Hosts[20], sel)
 		if err != nil {
 			t.Fatalf("%v: %v", sel, err)
+		}
+		if paths == nil {
+			paths = []graph.Path{one}
 		}
 		for _, p := range paths {
 			if pl := p.Plane(tp.G); pl != 1 && pl != 3 {
@@ -85,7 +89,7 @@ func TestClassSelectionInDriver(t *testing.T) {
 		}
 	}
 	// Undefined class errors.
-	if _, err := d.PathsFor(tp.Hosts[0], tp.Hosts[20], Selection{Policy: Shortest, Class: "nope"}); err == nil {
+	if _, _, err := d.resolve(tp.Hosts[0], tp.Hosts[20], Selection{Policy: Shortest, Class: "nope"}); err == nil {
 		t.Error("no error for undefined class")
 	}
 }

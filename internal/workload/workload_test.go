@@ -106,19 +106,19 @@ func TestDriverPathsForPolicies(t *testing.T) {
 	d := newTestDriver(t, set.ParallelHomo)
 	src, dst := set.ParallelHomo.Hosts[0], set.ParallelHomo.Hosts[15]
 
-	single, err := d.PathsFor(src, dst, Selection{Policy: Shortest})
-	if err != nil || len(single) != 1 {
-		t.Fatalf("shortest: %v %d", err, len(single))
+	single, many, err := d.resolve(src, dst, Selection{Policy: Shortest})
+	if err != nil || len(single.Links) == 0 || many != nil {
+		t.Fatalf("shortest: %v %v %d", err, single, len(many))
 	}
-	ecmp1, err := d.PathsFor(src, dst, Selection{Policy: ECMP})
-	if err != nil || len(ecmp1) != 1 {
-		t.Fatalf("ecmp: %v", err)
+	ecmp1, many, err := d.resolve(src, dst, Selection{Policy: ECMP})
+	if err != nil || len(ecmp1.Links) == 0 || many != nil {
+		t.Fatalf("ecmp: %v %v %d", err, ecmp1, len(many))
 	}
-	ksp, err := d.PathsFor(src, dst, Selection{Policy: KSP, K: 6})
+	_, ksp, err := d.resolve(src, dst, Selection{Policy: KSP, K: 6})
 	if err != nil || len(ksp) != 6 {
 		t.Fatalf("ksp: %v %d", err, len(ksp))
 	}
-	kspDefault, err := d.PathsFor(src, dst, Selection{Policy: KSP})
+	_, kspDefault, err := d.resolve(src, dst, Selection{Policy: KSP})
 	if err != nil || len(kspDefault) != 16 { // 8 × 2 planes
 		t.Fatalf("ksp default: %v %d", err, len(kspDefault))
 	}
@@ -130,11 +130,11 @@ func TestDriverECMPVariesAcrossFlows(t *testing.T) {
 	src, dst := set.ParallelHomo.Hosts[0], set.ParallelHomo.Hosts[15]
 	planes := map[int32]bool{}
 	for i := 0; i < 32; i++ {
-		ps, err := d.PathsFor(src, dst, Selection{Policy: ECMP})
+		p, _, err := d.resolve(src, dst, Selection{Policy: ECMP})
 		if err != nil {
 			t.Fatal(err)
 		}
-		planes[ps[0].Plane(d.PNet.Topo.G)] = true
+		planes[p.Plane(d.PNet.Topo.G)] = true
 	}
 	if len(planes) < 3 {
 		t.Errorf("32 ECMP flows covered %d planes, want most of 4", len(planes))

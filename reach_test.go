@@ -41,7 +41,7 @@ var testOracles = map[string]string{
 	"sim.(*Engine).Run":              "test harness: runs an engine until its heap drains",
 	"sim.(*SpanAttribution).Total":   "with tcp.(*Flow).AttributedTime, checks that span components sum to FCT",
 	"tcp.(*Flow).AttributedTime":     "checks that a flow's span components sum to its FCT",
-	"tcp.(*Flow).Done":               "the completion check of the tcp, dctcp, repath, span, sampler and failover tests",
+	"tcp.(*Flow).Done":               "the completion check of the tcp, dctcp, repath, span and sampler tests",
 	"topo.ChassisPlane":              "checks Table 1's chassis component model against the chip-level graph",
 	"topo.ceilDiv":                   "ChassisPlane's arithmetic",
 	"topo.PlaneSpec.Degrees":         "checks that built planes are regular",
