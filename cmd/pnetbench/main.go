@@ -25,7 +25,7 @@
 // records -metrics would hold. -spans turns on latency attribution
 // (per-flow FCT decomposition into queueing/serialization/propagation/
 // stall components) behind `pnetstat attribution`. -fingerprint folds every fired
-// event into rolling per-plane determinism hash chains, checkpointed
+// event into its engine's rolling determinism hash chain, checkpointed
 // every -fingerprint-epoch events into the metrics stream / report; each
 // checkpoint names the event that closed it, so at -fingerprint-epoch 1
 // `pnetstat divergence` names the exact first divergent event. -pprof
@@ -161,7 +161,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&o.trace, "trace", false, "add packet lifecycle events to the -metrics stream; -trace-flow narrows them to chosen flows")
 	fs.StringVar(&o.traceFlow, "trace-flow", "", "comma-separated flow IDs to trace; other flows' events are dropped before a record is built (requires -trace)")
 	fs.BoolVar(&o.spans, "spans", false, "record latency attribution spans (pnetstat attribution)")
-	fs.BoolVar(&o.fingerprint, "fingerprint", false, "fold every fired event into per-plane determinism hash chains (pnetstat fingerprint / divergence); needs -metrics or -report")
+	fs.BoolVar(&o.fingerprint, "fingerprint", false, "fold every fired event into its engine's determinism hash chain (pnetstat fingerprint / divergence); needs -metrics or -report")
 	fs.Int64Var(&o.fpEpoch, "fingerprint-epoch", 0, "events per fingerprint checkpoint (0 = default 65536; 1 lets pnetstat divergence name the first divergent event); requires -fingerprint")
 	fs.StringVar(&o.report, "report", "", "write a RunSummary JSON for pnetstat to this file")
 	fs.StringVar(&o.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")

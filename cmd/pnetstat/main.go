@@ -51,13 +51,13 @@ commands:
       gaps, host waits) per plane, overall and for the p99.9 tail;
       needs a run recorded with pnetbench -spans
   fingerprint [-json] <run>
-      print the determinism fingerprint: the XOR-folded global, host,
-      and per-plane hash chains; needs pnetbench -fingerprint
+      print the determinism fingerprint: the XOR fold of every engine's
+      hash chain; needs pnetbench -fingerprint
   divergence [-k 5] <base> <cur>
       compare two runs' fingerprint checkpoint streams (metrics JSONL),
       binary-search to the first divergent epoch, and print the event
-      that closed it on each side with ±k checkpoints of context and
-      per-plane attribution; streams made with -fingerprint-epoch 1 name
+      that closed it on each side with ±k checkpoints of context;
+      streams made with -fingerprint-epoch 1 name
       the first divergent event itself; exit 0 match, 1 diverged, 2 error
   export-trace [-o trace.json] <metrics.jsonl>
       convert a metrics stream into Chrome Trace Event JSON viewable in
@@ -154,7 +154,9 @@ func runSummary(args []string, stdout, stderr io.Writer) int {
 
 // runView is a subcommand that prints one view of one run: its text, or
 // with -json the JSON of its part. A view that is not ok is missing from
-// the run: a usage error naming flagName, the pnetbench flag that records it.
+// the run: a usage error naming both causes, a run made without flagName
+// (the pnetbench flag that records it) or one that ran nothing making
+// such records.
 func runView(name, flagName string, args []string, stdout, stderr io.Writer, view func(report.RunSummary) (part any, text string, ok bool)) int {
 	fs := newFlagSet(name)
 	asJSON := fs.Bool("json", false, "print the "+name+" summary as JSON instead of text")
@@ -167,7 +169,7 @@ func runView(name, flagName string, args []string, stdout, stderr io.Writer, vie
 	}
 	part, text, ok := view(s)
 	if !ok {
-		fmt.Fprintf(stderr, "pnetstat: %s has no %s records — rerun with pnetbench -%s\n", fs.Arg(0), name, flagName)
+		fmt.Fprintf(stderr, "pnetstat: %s has no %s records: the run was made without pnetbench -%s, or it ran nothing that makes them\n", fs.Arg(0), name, flagName)
 		return 2
 	}
 	if *asJSON {
@@ -193,10 +195,7 @@ func fingerprintView(s report.RunSummary) (any, string, bool) {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "fingerprint: %d engine(s), %d events, epoch %d\n", fp.Engines, fp.Events, fp.EpochEvents)
-	fmt.Fprintf(&b, "global %s\nhost   %s\n", fp.Global, fp.Host)
-	for _, p := range fp.Planes {
-		fmt.Fprintf(&b, "plane %d %s\n", p.Plane, p.Hash)
-	}
+	fmt.Fprintf(&b, "global %s\n", fp.Global)
 	return fp, b.String(), true
 }
 

@@ -46,37 +46,48 @@ func TestTablesWorkerInvariant(t *testing.T) {
 	}
 }
 
-// TestSummaryWorkerInvariant runs fig6c — solver records, a packet-level
-// companion run, link/plane/engine sampling — through the streaming
-// Aggregator at both widths and requires every deterministic RunSummary
-// field to match. Wall-clock fields are the only legitimate difference,
-// so they are zeroed before comparing.
-func TestSummaryWorkerInvariant(t *testing.T) {
-	run := func(n int) report.RunSummary {
-		par.SetLimit(n)
-		defer par.SetLimit(0)
-		c := obs.NewCollector()
-		aggr := report.NewAggregator()
-		c.Sink = aggr
-		e, _ := ByID("fig6c")
+// observedRun runs fig6c and then fig10 at width n into one collector,
+// set up by configure, and returns the stream's summary with wall time,
+// the one quantity allowed to move with scheduling, zeroed. Together the
+// two give solver records and four engines running at once.
+func observedRun(t *testing.T, n int, configure func(*obs.Collector)) report.RunSummary {
+	t.Helper()
+	par.SetLimit(n)
+	defer par.SetLimit(0)
+	c := obs.NewCollector()
+	configure(c)
+	aggr := report.NewAggregator()
+	c.Sink = aggr
+	for _, id := range []string{"fig6c", "fig10"} {
+		e, _ := ByID(id)
 		e.Run(Params{Seed: 1, Obs: c})
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
-		s := aggr.Summarize(report.Meta{Exp: "fig6c", Scale: "small", Seed: 1})
-		// Wall time is the one quantity allowed to move with scheduling.
-		s.Solver.WallSec = 0
-		s.Engine.WallSec = 0
-		s.Engine.EventsPerSec = 0
-		return s
 	}
-	serial := run(1)
-	wide := run(8)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s := aggr.Summarize(report.Meta{Scale: "small", Seed: 1})
+	s.Solver.WallSec = 0
+	s.Engine.WallSec = 0
+	s.Engine.EventsPerSec = 0
+	return s
+}
+
+// plainSummary prints a summary's fields rather than its String.
+type plainSummary report.RunSummary
+
+// TestSummaryWorkerInvariant runs fig6c and fig10 — solver records,
+// link/plane/engine sampling and flows of four concurrent engines —
+// through the streaming Aggregator at both widths and requires every
+// deterministic RunSummary field to match, link_util.mean included:
+// float sums depend on the order of their terms.
+func TestSummaryWorkerInvariant(t *testing.T) {
+	serial := observedRun(t, 1, func(*obs.Collector) {})
+	wide := observedRun(t, 8, func(*obs.Collector) {})
 	if !reflect.DeepEqual(serial, wide) {
-		t.Errorf("RunSummary differs between workers=1 and workers=8:\nserial: %+v\nwide:   %+v", serial, wide)
+		t.Errorf("RunSummary differs between workers=1 and workers=8:\nserial: %+v\nwide:   %+v", plainSummary(serial), plainSummary(wide))
 	}
-	if serial.Flows == 0 || serial.Solver.Calls == 0 {
-		t.Fatalf("summary is empty — the comparison proved nothing: %+v", serial)
+	if serial.Flows == 0 || serial.Solver.Calls == 0 || serial.Engine.Networks != 4 || serial.LinkUtil.Count == 0 {
+		t.Fatalf("summary is not of solver records and four engines — the comparison proved less: %+v", plainSummary(serial))
 	}
 }
 
@@ -84,26 +95,9 @@ func TestSummaryWorkerInvariant(t *testing.T) {
 // attribution spans enabled. The attribution tables are integer-summed
 // picoseconds, so they must be byte-identical at any worker count.
 func TestSpansSummaryWorkerInvariant(t *testing.T) {
-	run := func(n int) report.RunSummary {
-		par.SetLimit(n)
-		defer par.SetLimit(0)
-		c := obs.NewCollector()
-		c.Spans = true
-		aggr := report.NewAggregator()
-		c.Sink = aggr
-		e, _ := ByID("fig6c")
-		e.Run(Params{Seed: 1, Obs: c})
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
-		s := aggr.Summarize(report.Meta{Exp: "fig6c", Scale: "small", Seed: 1})
-		s.Solver.WallSec = 0
-		s.Engine.WallSec = 0
-		s.Engine.EventsPerSec = 0
-		return s
-	}
-	serial := run(1)
-	wide := run(8)
+	spans := func(c *obs.Collector) { c.Spans = true }
+	serial := observedRun(t, 1, spans)
+	wide := observedRun(t, 8, spans)
 	if serial.Attribution == nil {
 		t.Fatalf("spans run produced no attribution: %+v", serial)
 	}
@@ -111,41 +105,27 @@ func TestSpansSummaryWorkerInvariant(t *testing.T) {
 		t.Errorf("attribution tables differ between workers=1 and workers=8:\n--- serial ---\n%s\n--- workers=8 ---\n%s", want, got)
 	}
 	if !reflect.DeepEqual(serial, wide) {
-		t.Errorf("spans RunSummary differs between workers=1 and workers=8:\nserial: %+v\nwide:   %+v", serial, wide)
+		t.Errorf("spans RunSummary differs between workers=1 and workers=8:\nserial: %+v\nwide:   %+v", plainSummary(serial), plainSummary(wide))
 	}
 }
 
 // TestFingerprintWorkerInvariant pins the determinism-fingerprint
-// contract: the rolling hash chains folded over every fired event —
-// global, host (timers), and per-plane — are identical at workers=1 and
-// workers=8. The chains are order-sensitive within an engine, so this
-// only holds because each sweep cell owns its engine; across engines the
-// summary XOR-folds, which no attach order can disturb.
+// contract: the rolling hash chain folded over every fired event is
+// identical at workers=1 and workers=8. The chain is order-sensitive
+// within an engine, so this only holds because each sweep cell owns its
+// engine; across engines the summary XOR-folds, which no attach order can
+// disturb.
 func TestFingerprintWorkerInvariant(t *testing.T) {
-	run := func(n int) *report.FingerprintSummary {
-		par.SetLimit(n)
-		defer par.SetLimit(0)
-		c := obs.NewCollector()
-		c.Fingerprint = true
-		aggr := report.NewAggregator()
-		c.Sink = aggr
-		e, _ := ByID("fig6c")
-		e.Run(Params{Seed: 1, Obs: c})
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
-		s := aggr.Summarize(report.Meta{Exp: "fig6c", Scale: "small", Seed: 1})
-		if s.Fingerprint == nil {
-			t.Fatalf("workers=%d: summary has no fingerprint", n)
-		}
-		return s.Fingerprint
+	fingerprint := func(c *obs.Collector) { c.Fingerprint = true }
+	serial := observedRun(t, 1, fingerprint).Fingerprint
+	wide := observedRun(t, 8, fingerprint).Fingerprint
+	if serial == nil || wide == nil {
+		t.Fatalf("summary has no fingerprint: serial %+v, wide %+v", serial, wide)
 	}
-	serial := run(1)
-	wide := run(8)
-	if !reflect.DeepEqual(serial, wide) {
+	if *serial != *wide {
 		t.Errorf("fingerprints differ between workers=1 and workers=8:\nserial: %+v\nwide:   %+v", serial, wide)
 	}
-	if serial.Events == 0 || serial.Global == "0000000000000000" {
-		t.Fatalf("fingerprint is empty — the comparison proved nothing: %+v", serial)
+	if serial.Engines != 4 || serial.Events == 0 || serial.Global == "0000000000000000" {
+		t.Fatalf("fingerprint is not of fig10's four engines — the comparison proved less: %+v", serial)
 	}
 }

@@ -12,14 +12,13 @@ import (
 	"pnet/internal/topo"
 )
 
-// TestFig6cTelemetry is the acceptance path: running a traced fig6c
-// with a collector must yield Garg–Könemann solver records, packet
-// events of the packet-level companion run covering enqueue and deliver,
-// and a metrics stream where every line is valid JSON.
+// TestFig6cTelemetry: observing an LP figure adds no simulation. fig6c
+// run with every observer on streams Garg–Könemann solver records, each
+// line valid JSON, and nothing an engine would write.
 func TestFig6cTelemetry(t *testing.T) {
 	var mbuf bytes.Buffer
 	c := obs.NewCollector()
-	c.Trace = true
+	c.Trace, c.Spans, c.Fingerprint = true, true, true
 	c.StreamMetrics(&mbuf)
 
 	e, ok := ByID("fig6c")
@@ -58,10 +57,30 @@ func TestFig6cTelemetry(t *testing.T) {
 		}
 	}
 
-	// Companion packet run: flows recorded with plane choices.
+	for _, kind := range []string{obs.KindLink, obs.KindPlane, obs.KindEngine, obs.KindFlow, obs.KindPacket, obs.KindFingerprint} {
+		if n := len(records[json.RawMessage](t, &mbuf, kind)); n != 0 {
+			t.Errorf("%d %s records: observing fig6c simulated packets", n, kind)
+		}
+	}
+}
+
+// TestFig10Telemetry: a traced fig10 streams flow records with their
+// plane choices and packet events covering enqueue and deliver.
+func TestFig10Telemetry(t *testing.T) {
+	var mbuf bytes.Buffer
+	c := obs.NewCollector()
+	c.Trace = true
+	c.TraceFlows = []int64{3}
+	c.StreamMetrics(&mbuf)
+	e, _ := ByID("fig10")
+	e.Run(Params{Seed: 1, Obs: c})
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
 	flows := records[obs.FlowRecord](t, &mbuf, obs.KindFlow)
 	if len(flows) == 0 {
-		t.Fatal("no flow records from the companion run")
+		t.Fatal("no flow records")
 	}
 	for _, f := range flows {
 		if f.FCT <= 0 || f.Bytes <= 0 || len(f.Planes) == 0 {
@@ -69,9 +88,11 @@ func TestFig6cTelemetry(t *testing.T) {
 		}
 	}
 
-	// Packet events cover enqueue and deliver.
 	evs := map[string]int{}
 	for _, r := range records[obs.PacketRecord](t, &mbuf, obs.KindPacket) {
+		if r.Flow != 3 {
+			t.Errorf("packet record of flow %d, tracing flow 3 only: %+v", r.Flow, r)
+		}
 		evs[r.Ev]++
 	}
 	if evs["enqueue"] == 0 || evs["deliver"] == 0 {

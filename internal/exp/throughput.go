@@ -8,8 +8,6 @@ import (
 	"pnet/internal/mcf"
 	"pnet/internal/par"
 	"pnet/internal/route"
-	"pnet/internal/sim"
-	"pnet/internal/tcp"
 	"pnet/internal/topo"
 	"pnet/internal/workload"
 )
@@ -251,34 +249,12 @@ func runFig6c(p Params) Table {
 			p.recordSolver("fig6c", "gk-fixed", k, r)
 		})
 	})
-	companionFig6c(p)
 	return kSweepTable(Table{
 		ID:    "fig6c",
 		Title: "Single-path vs multi-path permutation throughput (paper Fig. 6c)",
 		Note: fmt.Sprintf("k=%d fat tree, MPTCP+KSP; normalized to saturated serial low-bw; "+
 			"circled point = first K reaching 95%% of the plane count", k),
 	}, ks, nets, allVals)
-}
-
-// companionFig6c runs a small packet-level permutation alongside the
-// LP sweep when telemetry is enabled, so `-trace`/`-metrics` capture a
-// real packet lifecycle (queue depths, enqueue/deliver events, per-flow
-// FCTs) for this figure. The LP itself never moves packets.
-func companionFig6c(p Params) {
-	if p.Obs == nil {
-		return
-	}
-	tp := topo.FatTreeSet(4, 2, 100).ParallelHomo // 16 hosts, 2 planes: cheap
-	d := p.newDriver(tp, sim.Config{}, tcp.Config{})
-	rng := rand.New(rand.NewSource(p.Seed))
-	cs := workload.PermutationCommodities(tp, 1, rng)
-	sel := workload.Selection{Policy: workload.KSP, K: 4}
-	for _, c := range cs {
-		if _, err := d.StartFlow(c.Src, c.Dst, 1_000_000, sel, nil, nil); err != nil {
-			return
-		}
-	}
-	_ = d.MustRunUntil(10*sim.Second, int64(len(cs)))
 }
 
 func runFig7(p Params) Table {

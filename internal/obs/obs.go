@@ -39,12 +39,13 @@ const histBuckets = 128
 // most 2x regardless of scale — the right trade for latency-style
 // distributions that span many decades. Safe for concurrent use; because
 // every update is commutative, the final contents are independent of
-// observation order and hence of worker count.
+// observation order and hence of worker count. It keeps no sum: a float
+// sum depends on the order of its terms, so a mean is the caller's to
+// take in an order it controls.
 type Histogram struct {
 	mu       sync.Mutex
 	buckets  [histBuckets]int64
 	count    int64
-	sum      float64
 	min, max float64
 }
 
@@ -68,7 +69,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Lock()
 	h.buckets[bucketOf(v)]++
 	h.count++
-	h.sum += v
 	if h.count == 1 || v < h.min {
 		h.min = v
 	}
@@ -83,16 +83,6 @@ func (h *Histogram) Count() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.count
-}
-
-// Mean returns the exact mean (the sum is tracked outside the buckets).
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
 }
 
 // Min and Max return the exact extremes.

@@ -18,16 +18,11 @@ func TestHistogramQuantiles(t *testing.T) {
 	var h Histogram
 	// Values spanning decades, like FCTs in seconds.
 	vals := []float64{1e-6, 2e-6, 5e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10}
-	var sum float64
 	for _, v := range vals {
 		h.Observe(v)
-		sum += v
 	}
 	if h.Count() != int64(len(vals)) {
 		t.Errorf("count = %d", h.Count())
-	}
-	if math.Abs(h.Mean()-sum/float64(len(vals))) > 1e-12 {
-		t.Errorf("mean = %v", h.Mean())
 	}
 	if h.Min() != 1e-6 || h.Max() != 10 {
 		t.Errorf("min/max = %v/%v", h.Min(), h.Max())

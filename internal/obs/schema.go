@@ -132,10 +132,8 @@ type FingerprintRecord struct {
 	TPs    int64  `json:"t_ps"`   // sim time of the last folded event
 	// EpochEvents is the checkpoint cadence, repeated on every record so
 	// a reader can validate two streams used the same cadence.
-	EpochEvents int64       `json:"epoch_events"`
-	Hash        string      `json:"hash"` // global chain, %016x
-	Host        string      `json:"host"` // plane-less (timer) chain
-	Planes      []PlaneHash `json:"planes,omitempty"`
+	EpochEvents int64  `json:"epoch_events"`
+	Hash        string `json:"hash"` // the engine's chain, %016x
 	// Final marks the trailing partial checkpoint of an epoch still in
 	// progress when the run ended.
 	Final bool `json:"final,omitempty"`
@@ -157,10 +155,7 @@ func CheckpointRecord(net int, epochEvents int64, cp sim.FingerprintCheckpoint) 
 	r := FingerprintRecord{
 		Type: KindFingerprint, Net: net, Epoch: cp.Epoch, Events: cp.Events,
 		TPs: int64(cp.T), EpochEvents: epochEvents,
-		Hash: FormatHash(cp.Global), Host: FormatHash(cp.Host), Final: cp.Partial,
-	}
-	for pl, h := range cp.Planes {
-		r.Planes = append(r.Planes, PlaneHash{Plane: int32(pl), Hash: FormatHash(h)})
+		Hash: FormatHash(cp.Global), Final: cp.Partial,
 	}
 	if !cp.Partial {
 		r.Kind, r.Plane, r.Link = cp.Kind.String(), cp.Plane, cp.Link
@@ -169,15 +164,9 @@ func CheckpointRecord(net int, epochEvents int64, cp sim.FingerprintCheckpoint) 
 	return r
 }
 
-// PlaneHash is one dataplane's chain value within a checkpoint.
-type PlaneHash struct {
-	Plane int32  `json:"plane"`
-	Hash  string `json:"hash"`
-}
-
 // FormatHash renders a chain value as the fixed-width hex string the
 // fingerprint records carry, %016x without fmt: at -fingerprint-epoch 1 it
-// runs for every chain of every event.
+// runs for every event.
 func FormatHash(h uint64) string {
 	var b [16]byte
 	for i := len(b) - 1; i >= 0; i-- {

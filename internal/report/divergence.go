@@ -150,13 +150,10 @@ type Divergence struct {
 	BaseNet, CurNet int   // the pair's NetIDs in each stream
 	Epoch           int64 // first divergent epoch
 	Events          int64 // cumulative events at that checkpoint
-	// Base and Cur are each side's checkpoint at that epoch; a zero Type
-	// marks a side whose run ended before it.
+	// Base and Cur are each side's checkpoint at that epoch, each naming
+	// the event that closed it and that event's plane; a zero Type marks
+	// a side whose run ended before it.
 	Base, Cur obs.FingerprintRecord
-	// Planes lists the planes whose chains differ at the divergent
-	// checkpoint; HostDiffers marks the plane-less (timer) chain.
-	Planes      []int32
-	HostDiffers bool
 	// ContextBase and ContextCur are each side's checkpoints within ±k
 	// epochs of the divergent one.
 	ContextBase, ContextCur []obs.FingerprintRecord
@@ -222,9 +219,6 @@ func FindDivergence(basePath, curPath string, k int) (*Divergence, error) {
 		return nil, err
 	}
 	d.Base, d.Cur, d.ContextBase, d.ContextCur = base.cp, cur.cp, base.cps, cur.cps
-	if d.Base.Type != "" && d.Cur.Type != "" {
-		d.Planes, d.HostDiffers = divergentPlanes(d.Base, d.Cur)
-	}
 	cp := d.Base
 	if cp.Type == "" {
 		cp = d.Cur
@@ -239,27 +233,6 @@ func FindDivergence(basePath, curPath string, k int) (*Divergence, error) {
 		return nil, err
 	}
 	return d, nil
-}
-
-// divergentPlanes names the per-plane chains that differ at a
-// checkpoint — the attribution that tells a debugger which plane's event
-// order broke first.
-func divergentPlanes(b, c obs.FingerprintRecord) (planes []int32, host bool) {
-	hashes := map[int32][2]string{} // by plane: base's, cur's
-	for side, r := range []obs.FingerprintRecord{b, c} {
-		for _, p := range r.Planes {
-			h := hashes[p.Plane]
-			h[side] = p.Hash
-			hashes[p.Plane] = h
-		}
-	}
-	for pl, h := range hashes {
-		if h[0] != h[1] {
-			planes = append(planes, pl)
-		}
-	}
-	slices.Sort(planes)
-	return planes, b.Host != c.Host
 }
 
 // String renders the divergence verdict for humans — the output of
@@ -277,16 +250,6 @@ func (d *Divergence) String() string {
 	fmt.Fprintf(&b, "DIVERGED: engine pair %d (base net %d, cur net %d) at epoch %d (≤ %d events)\n",
 		d.Pair, d.BaseNet, d.CurNet, d.Epoch, d.Events)
 	fmt.Fprintf(&b, "  global chain: base %s != cur %s\n", hashOr(d.Base), hashOr(d.Cur))
-	if len(d.Planes) > 0 || d.HostDiffers {
-		b.WriteString("  diverging chains:")
-		for _, p := range d.Planes {
-			fmt.Fprintf(&b, " plane %d", p)
-		}
-		if d.HostDiffers {
-			b.WriteString(" host(timers)")
-		}
-		b.WriteByte('\n')
-	}
 	if d.EpochEvents == 1 {
 		fmt.Fprintf(&b, "  first divergent event: epoch %d\n", d.Epoch)
 	} else {

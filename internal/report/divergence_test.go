@@ -129,13 +129,10 @@ func TestDivergencePerturbed(t *testing.T) {
 	if d.Base.Seq != 100 || d.Cur.Seq != 101 || d.Base.Kind != "hop" {
 		t.Errorf("events = base %+v cur %+v, want seq 100 and 101, hops", d.Base, d.Cur)
 	}
-	// Both swapped events are on distinct planes (planes 0 and 1), so
-	// both plane chains diverge.
-	if len(d.Planes) != 2 || d.Planes[0] != 0 || d.Planes[1] != 1 {
-		t.Errorf("diverging planes = %v, want [0 1]", d.Planes)
-	}
-	if d.HostDiffers {
-		t.Error("host chain flagged, but no timer events were perturbed")
+	// The swapped events are on planes 0 and 1; each closing event names
+	// its own.
+	if d.Base.Plane != ev[100].plane || d.Cur.Plane != ev[101].plane {
+		t.Errorf("event planes = base %d cur %d, want %d and %d", d.Base.Plane, d.Cur.Plane, ev[100].plane, ev[101].plane)
 	}
 	if len(d.ContextBase) != 5 || len(d.ContextCur) != 5 || d.ContextBase[2].Epoch != 100 { // ±2 around the event
 		t.Errorf("context windows = %d and %d records, want 5 centred on epoch 100", len(d.ContextBase), len(d.ContextCur))
@@ -344,7 +341,7 @@ func TestFingerprintSummaryRoundTrip(t *testing.T) {
 			t.Fatalf("fingerprint summary missing/empty: %+v", s.Fingerprint)
 		}
 	}
-	if *sumFP(t, mem1) != *sumFP(t, jsonl1) {
+	if *mem1.Fingerprint != *jsonl1.Fingerprint {
 		t.Errorf("stream path disagrees with the live Aggregator:\nmem:   %+v\njsonl: %+v", mem1.Fingerprint, jsonl1.Fingerprint)
 	}
 	if mem1.Fingerprint.Global != mem2.Fingerprint.Global {
@@ -364,26 +361,4 @@ func TestFingerprintSummaryRoundTrip(t *testing.T) {
 	if !strings.Contains(mem1.String(), "fingerprint: global=") {
 		t.Errorf("summary rendering lacks fingerprint line:\n%s", mem1.String())
 	}
-}
-
-// sumFP flattens the plane slice so the struct is comparable with ==.
-func sumFP(t *testing.T, s RunSummary) *struct {
-	Engines int
-	Events  int64
-	Global  string
-	Host    string
-	Planes  string
-} {
-	t.Helper()
-	var planes strings.Builder
-	for _, p := range s.Fingerprint.Planes {
-		planes.WriteString(p.Hash)
-	}
-	return &struct {
-		Engines int
-		Events  int64
-		Global  string
-		Host    string
-		Planes  string
-	}{s.Fingerprint.Engines, s.Fingerprint.Events, s.Fingerprint.Global, s.Fingerprint.Host, planes.String()}
 }

@@ -52,8 +52,9 @@ func FuzzStream(f *testing.F) {
 		metric,
 		// Mixed: valid records, then a schema the reader predates.
 		goodStream + `{"type":"fp","net":0,"epoch":0,"events":64,"epoch_events":64,"hash":"0123456789abcdef","host":"0123456789abcdef"}` + "\n" + `{"type":"from_the_future","v":2}` + "\n",
-		// Plane ids no engine would write: the fingerprint fold and the
-		// per-plane maps must take them as keys, not as slice indices.
+		// Plane ids no engine would write: the per-plane maps must take
+		// them as keys, not as slice indices. The fingerprint record
+		// carries the host and planes keys of older streams.
 		`{"type":"fp","net":-3,"epoch":0,"events":64,"epoch_events":64,"hash":"0123456789abcdef","host":"0123456789abcdef","planes":[{"plane":-1,"hash":"0123456789abcdef"},{"plane":2000000000,"hash":"fedcba9876543210"}]}` + "\n" +
 			`{"type":"plane","net":-3,"t_ps":5,"plane":-7,"tx_bytes":9}` + "\n" +
 			`{"type":"fault","net":9,"t_ps":5,"event":"inject","target":"link:2","plane":2000000000}` + "\n",

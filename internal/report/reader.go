@@ -166,14 +166,6 @@ func validFingerprint(r *obs.FingerprintRecord) error {
 	if _, err := obs.ParseHash(r.Hash); err != nil {
 		return fmt.Errorf("fingerprint net %d epoch %d: %v", r.Net, r.Epoch, err)
 	}
-	if _, err := obs.ParseHash(r.Host); err != nil {
-		return fmt.Errorf("fingerprint net %d epoch %d: %v", r.Net, r.Epoch, err)
-	}
-	for _, p := range r.Planes {
-		if _, err := obs.ParseHash(p.Hash); err != nil {
-			return fmt.Errorf("fingerprint net %d epoch %d plane %d: %v", r.Net, r.Epoch, p.Plane, err)
-		}
-	}
 	if r.EpochEvents <= 0 {
 		return fmt.Errorf("fingerprint net %d epoch %d: epoch_events %d, want > 0", r.Net, r.Epoch, r.EpochEvents)
 	}

@@ -80,6 +80,21 @@ func TestReadStreamTruncatedFinalLine(t *testing.T) {
 	}
 }
 
+// TestReadStreamOldFingerprintKeys: a checkpoint written while engines
+// kept a host chain and per-plane chains beside the global one still
+// loads, its extra keys ignored, and folds into the summary by its hash.
+func TestReadStreamOldFingerprintKeys(t *testing.T) {
+	in := `{"type":"fp","net":0,"epoch":0,"events":64,"t_ps":9,"epoch_events":64,"hash":"0123456789abcdef","host":"fedcba9876543210","planes":[{"plane":0,"hash":"00000000000000ff"}],"kind":"hop","link":3,"flow":2,"seq":5,"size":1500}` + "\n"
+	aggr := NewAggregator()
+	if err := ReadStream(strings.NewReader(in), aggr); err != nil {
+		t.Fatal(err)
+	}
+	want := FingerprintSummary{Engines: 1, EpochEvents: 64, Events: 64, Global: "0123456789abcdef"}
+	if fp := aggr.Summarize(Meta{}).Fingerprint; fp == nil || *fp != want {
+		t.Errorf("fingerprint summary = %+v, want %+v", fp, want)
+	}
+}
+
 // TestReadStreamUnknownKind: a record kind from a future writer must
 // surface as a typed *UnknownKindError with the decoded prefix intact.
 func TestReadStreamUnknownKind(t *testing.T) {

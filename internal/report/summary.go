@@ -73,21 +73,18 @@ type FaultSummary struct {
 	DipFrac         Dist `json:"dip_frac"`
 }
 
-// FingerprintSummary folds the per-engine determinism chains into
-// run-level invariants. Global, Host, and Planes are XOR folds of each
-// engine's final chain value — XOR is commutative, so the fold is
-// independent of engine attach order and therefore of worker count,
-// even though the engines' NetIDs are not. Two runs of the same
-// experiment at the same seed must match on every field.
+// FingerprintSummary folds the per-engine determinism chains into a
+// run-level invariant. Global is the XOR fold of each engine's final
+// chain value — XOR is commutative, so the fold is independent of engine
+// attach order and therefore of worker count, even though the engines'
+// NetIDs are not. Two runs of the same experiment at the same seed must
+// match on every field.
 type FingerprintSummary struct {
 	Engines     int   `json:"engines"`
 	EpochEvents int64 `json:"epoch_events"`
 	Events      int64 `json:"events"` // total events folded, all engines
-	// Global/Host and the plane hashes are 16-digit hex (see
-	// obs.FormatHash).
-	Global string          `json:"global"`
-	Host   string          `json:"host"`
-	Planes []obs.PlaneHash `json:"planes,omitempty"`
+	// Global is 16-digit hex (see obs.FormatHash).
+	Global string `json:"global"`
 }
 
 // RunSummary is one run of the experiment harness reduced to the
@@ -161,11 +158,13 @@ type Meta struct {
 // decodes a metrics file into one.
 //
 // An Aggregator accepts records from concurrently-running networks:
-// every reduction it performs (sums, per-net last-value maps, histogram
-// buckets, max sim time, XOR folds) is commutative across networks, so
-// the summary is independent of arrival order and therefore of worker
-// count. Within one network records must arrive in emission order, as
-// they do from an engine and from a file.
+// every reduction it performs (integer sums, per-net last-value maps,
+// histogram buckets, max sim time, XOR folds) is commutative across
+// networks, so the summary is independent of arrival order and therefore
+// of worker count. A float sum depends on the order of its terms, so link
+// utilization is summed per network and the networks' sums are added in
+// sorted order. Within one network records must arrive in emission order,
+// as they do from an engine and from a file.
 type Aggregator struct {
 	mu      sync.Mutex
 	fcts    []float64
@@ -173,6 +172,7 @@ type Aggregator struct {
 	retrans int64
 	util    obs.Histogram
 	queue   obs.Histogram
+	queued  int64 // sum of sampled queue bytes
 	nets    map[int]*netState
 	events  uint64
 	wallNs  int64
@@ -196,6 +196,7 @@ type netState struct {
 	drops      map[int64]int64 // by link
 	blackholed map[int64]int64 // by link
 	planeBytes map[int32]int64 // by plane
+	utilSum    float64         // sum of sampled link utilizations
 	sampled    bool            // an engine record named this network
 	fp         *obs.FingerprintRecord
 }
@@ -224,7 +225,9 @@ func (x *Aggregator) Link(r obs.LinkRecord) {
 	x.queue.Observe(float64(r.QueueBytes))
 	x.mu.Lock()
 	defer x.mu.Unlock()
+	x.queued += int64(r.QueueBytes)
 	n := x.net(r.Net)
+	n.utilSum += r.Util
 	n.drops[r.Link] = r.Drops
 	if r.Blackholed > 0 {
 		n.blackholed[r.Link] = r.Blackholed
@@ -342,8 +345,7 @@ func (x *Aggregator) Summarize(m Meta) RunSummary {
 		FlowBytes:     x.bytes,
 		Retransmits:   x.retrans,
 		FCT:           distFromSamples(x.fcts),
-		LinkUtil:      distFromHist(&x.util),
-		QueueBytes:    distFromHist(&x.queue),
+		QueueBytes:    distFromHist(&x.queue, float64(x.queued)),
 		Solver:        x.solver,
 	}
 
@@ -351,10 +353,11 @@ func (x *Aggregator) Summarize(m Meta) RunSummary {
 	// chains (commutative, so attach order cannot change them).
 	var blackholed, total, fpEvents, fpEpoch int64
 	var sampled, fingerprinted int
-	var fpGlobal, fpHost uint64
-	fpPlanes := map[int32]uint64{}
+	var fpGlobal uint64
 	perPlane := map[int32]int64{}
+	utilSums := make([]float64, 0, len(x.nets))
 	for _, n := range x.nets {
+		utilSums = append(utilSums, n.utilSum)
 		for _, d := range n.drops {
 			s.Drops += d
 		}
@@ -374,16 +377,16 @@ func (x *Aggregator) Summarize(m Meta) RunSummary {
 			if r.EpochEvents > fpEpoch {
 				fpEpoch = r.EpochEvents
 			}
-			g, _ := obs.ParseHash(r.Hash) // the reader validated these
-			h, _ := obs.ParseHash(r.Host)
+			g, _ := obs.ParseHash(r.Hash) // the reader validated it
 			fpGlobal ^= g
-			fpHost ^= h
-			for _, p := range r.Planes {
-				v, _ := obs.ParseHash(p.Hash)
-				fpPlanes[p.Plane] ^= v
-			}
 		}
 	}
+	sort.Float64s(utilSums)
+	var utilSum float64
+	for _, u := range utilSums {
+		utilSum += u
+	}
+	s.LinkUtil = distFromHist(&x.util, utilSum)
 
 	if x.faultInjected > 0 || x.faultDetected > 0 || blackholed > 0 {
 		s.Faults = &FaultSummary{
@@ -430,17 +433,12 @@ func (x *Aggregator) Summarize(m Meta) RunSummary {
 	}
 
 	if fingerprinted > 0 {
-		fp := &FingerprintSummary{
+		s.Fingerprint = &FingerprintSummary{
 			Engines:     fingerprinted,
 			EpochEvents: fpEpoch,
 			Events:      fpEvents,
 			Global:      obs.FormatHash(fpGlobal),
-			Host:        obs.FormatHash(fpHost),
 		}
-		for _, pl := range sortedPlanes(fpPlanes) {
-			fp.Planes = append(fp.Planes, obs.PlaneHash{Plane: pl, Hash: obs.FormatHash(fpPlanes[pl])})
-		}
-		s.Fingerprint = fp
 	}
 
 	s.Attribution = x.attributionSummary(s.FCT.P999)
@@ -474,13 +472,15 @@ func distFromSamples(xs []float64) Dist {
 	}
 }
 
-func distFromHist(h *obs.Histogram) Dist {
+// distFromHist is the bucketed path; sum is the observations' total,
+// which h does not keep.
+func distFromHist(h *obs.Histogram, sum float64) Dist {
 	if h.Count() == 0 {
 		return Dist{}
 	}
 	return Dist{
 		Count: h.Count(),
-		Mean:  h.Mean(),
+		Mean:  sum / float64(h.Count()),
 		Min:   h.Min(),
 		P50:   h.Quantile(0.50),
 		P99:   h.Quantile(0.99),
@@ -537,8 +537,8 @@ func (s RunSummary) String() string {
 		fmt.Fprintf(&b, " over %d flows (pnetstat attribution for the tables)\n", a.Flows)
 	}
 	if fp := s.Fingerprint; fp != nil {
-		fmt.Fprintf(&b, "fingerprint: global=%s host=%s (%d events, %d engines, epoch %d)\n",
-			fp.Global, fp.Host, fp.Events, fp.Engines, fp.EpochEvents)
+		fmt.Fprintf(&b, "fingerprint: global=%s (%d events, %d engines, epoch %d)\n",
+			fp.Global, fp.Events, fp.Engines, fp.EpochEvents)
 	}
 	if f := s.Faults; f != nil {
 		fmt.Fprintf(&b, "faults: %d injected, %d detected; %d blackholed",

@@ -1,41 +1,39 @@
 package sim
 
 // Determinism fingerprints: a rolling 64-bit hash chain over every event
-// the engine fires, folded per dataplane and globally, with a checkpoint
-// every epoch (N events). The chain is the determinism contract of
+// the engine fires, one chain per engine, with a checkpoint every epoch
+// (N events). The chain is the determinism contract of
 // ROADMAP item 1 made checkable: two runs that fired the same events in
 // the same order at the same simulated times carry identical chains, and
 // the first divergent epoch can be found by bisection instead of by
 // staring at report diffs; at a cadence of one event per epoch that is the
 // first divergent event. Attach one per engine (Engine.Fingerprint); a nil
 // fingerprinter costs one branch per event. A non-nil one costs every
-// event five mix64 rounds, which is the chain's definition, and a
+// event four mix64 rounds, which is the chain's definition, and a
 // countdown to the next checkpoint; nothing divides.
 //
 // The chain deliberately hashes only simulated quantities — timestamp,
 // event kind, plane, link, flow, sequence, size — never wall time or
 // heap addresses, so it is invariant across worker counts, machines, and
-// runs of the same binary. Plane chains fold only that plane's events;
-// events with no plane (timers) fold into the host chain. XOR-folding
-// final chains across engines is therefore order-free, which is what
-// makes the run-level fingerprint worker-count invariant even though
-// engines attach in completion order.
+// runs of the same binary. XOR-folding final chains across engines is
+// order-free, which is what makes the run-level fingerprint worker-count
+// invariant even though engines attach in completion order.
 
 // EventKind classifies a dispatched event by what it runs.
 type EventKind uint8
 
 // Event kinds.
 const (
-	// EvHop is a packet arriving at an intermediate node — work that
-	// stays inside the link's plane.
+	// EvHop is a packet arriving at an intermediate node, which forwards
+	// it onto its next link.
 	EvHop EventKind = iota
-	// EvDeliver is a packet arriving at its final node: the event crosses
-	// the host boundary (transport code runs).
+	// EvDeliver is a packet arriving at its final node, whose transport
+	// code runs.
 	EvDeliver
-	// EvTx is a queue finishing a transmission — in-plane work.
+	// EvTx is a queue finishing a transmission.
 	EvTx
-	// EvTimer is a callback event (RTO wake, sampler tick, plane outage):
-	// host-domain work with no plane.
+	// EvTimer is a callback event (RTO wake, sampler tick, plane outage);
+	// it names no plane.
 	EvTimer
 
 	numEventKinds
@@ -87,11 +85,8 @@ type FingerprintCheckpoint struct {
 	Events int64
 	// T is the simulated time of the last folded event.
 	T Time
-	// Global, Host, and Planes are the cumulative chains: every event,
-	// plane-less (timer) events, and per-plane events respectively.
+	// Global is the cumulative chain over every event.
 	Global uint64
-	Host   uint64
-	Planes []uint64
 	// Partial marks a trailing checkpoint taken at the end of a run for an
 	// epoch still in progress (Events is not a multiple of the cadence).
 	Partial bool
@@ -105,19 +100,16 @@ type FingerprintCheckpoint struct {
 	Size  int32
 }
 
-// Fingerprinter folds fired events into the hash chains. It belongs to
+// Fingerprinter folds fired events into the hash chain. It belongs to
 // exactly one engine (single-threaded, no atomics); run-level folds
 // happen in internal/report. It keeps no checkpoint: each is handed to
-// OnCheckpoint as its epoch closes. The hot path is allocation-free once
-// the plane slice is warm; a checkpoint allocates its copy of the plane
-// chains.
+// OnCheckpoint as its epoch closes. Neither a fold nor a checkpoint
+// allocates.
 type Fingerprinter struct {
 	epoch  int64 // events per checkpoint
 	left   int64 // events until the next one: a countdown, not events % epoch
 	events int64
 	global uint64
-	host   uint64
-	planes []uint64
 	lastT  Time
 
 	// OnCheckpoint, when non-nil, receives each epoch's checkpoint inside
@@ -138,7 +130,7 @@ func NewFingerprinter(epochEvents int64) *Fingerprinter {
 func (f *Fingerprinter) EpochEvents() int64 { return f.epoch }
 
 // Fold mixes one fired event, described by its simulated identity, into
-// the chains: the engine's dispatch path calls it with its
+// the chain: the engine's dispatch path calls it with its
 // classification, replay tooling with its own. Plane is -1 for plane-less
 // events, link -1 for non-packet events. Only simulated quantities enter
 // the hash; see the package comment for why.
@@ -147,14 +139,6 @@ func (f *Fingerprinter) Fold(t Time, kind EventKind, plane int32, link, flow, se
 	v = mix64(v ^ uint64(link)<<32 ^ uint64(uint32(size)))
 	v = mix64(v ^ uint64(flow)<<16 ^ uint64(seq))
 	f.global = mix64(f.global ^ v)
-	if plane < 0 {
-		f.host = mix64(f.host ^ v)
-	} else {
-		for int(plane) >= len(f.planes) {
-			f.planes = append(f.planes, 0)
-		}
-		f.planes[plane] = mix64(f.planes[plane] ^ v)
-	}
 	f.lastT = t
 	f.events++
 	if f.left--; f.left == 0 {
@@ -173,8 +157,6 @@ func (f *Fingerprinter) checkpoint(partial bool) FingerprintCheckpoint {
 		Events:  f.events,
 		T:       f.lastT,
 		Global:  f.global,
-		Host:    f.host,
-		Planes:  append([]uint64(nil), f.planes...),
 		Partial: partial,
 	}
 }

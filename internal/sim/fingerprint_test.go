@@ -43,9 +43,9 @@ func twoPlanePair() (*Engine, *Network, [2][]graph.LinkID) {
 	return eng, NewNetwork(eng, g, Config{}), routes
 }
 
-// finalCheckpoint is where a run's chains ended.
+// finalCheckpoint is where a run's chain ended.
 func finalCheckpoint(f *Fingerprinter) FingerprintCheckpoint {
-	return FingerprintCheckpoint{Events: f.events, Global: f.global, Host: f.host, Planes: f.planes}
+	return FingerprintCheckpoint{Events: f.events, Global: f.global}
 }
 
 // recordCheckpoints points f's checkpoints at a slice, as a collector
@@ -66,20 +66,12 @@ func allCheckpoints(f *Fingerprinter, streamed []FingerprintCheckpoint) []Finger
 }
 
 // TestFingerprintDeterministic: identical runs produce identical chains;
-// a run with different content diverges in every chain it touches.
+// a run with different content diverges.
 func TestFingerprintDeterministic(t *testing.T) {
 	a := finalCheckpoint(fpRun(50, NewFingerprinter(16)))
 	b := finalCheckpoint(fpRun(50, NewFingerprinter(16)))
-	if a.Global != b.Global || a.Host != b.Host {
-		t.Fatalf("identical runs diverged: global %016x vs %016x, host %016x vs %016x", a.Global, b.Global, a.Host, b.Host)
-	}
-	if len(a.Planes) != len(b.Planes) {
-		t.Fatalf("plane chain counts differ: %d vs %d", len(a.Planes), len(b.Planes))
-	}
-	for i := range a.Planes {
-		if a.Planes[i] != b.Planes[i] {
-			t.Errorf("plane %d chains diverged: %016x vs %016x", i, a.Planes[i], b.Planes[i])
-		}
+	if a.Global != b.Global {
+		t.Fatalf("identical runs diverged: global %016x vs %016x", a.Global, b.Global)
 	}
 	if a.Events != b.Events || a.Events == 0 {
 		t.Fatalf("event counts %d vs %d — comparison proved nothing", a.Events, b.Events)
@@ -125,8 +117,8 @@ func TestFingerprintCheckpoints(t *testing.T) {
 		}
 	}
 	final := cps[len(cps)-1]
-	if final.Events != total || final.Global != f.global || final.Host != f.host || !slices.Equal(final.Planes, f.planes) {
-		t.Errorf("final checkpoint %+v does not match live chains (events=%d global=%016x host=%016x planes=%016x)", final, total, f.global, f.host, f.planes)
+	if final.Events != total || final.Global != f.global {
+		t.Errorf("final checkpoint %+v does not match the live chain (events=%d global=%016x)", final, total, f.global)
 	}
 	if again, ok := f.Partial(); !ok || again.Global != final.Global || again.Events != final.Events {
 		t.Errorf("Partial not idempotent: %+v then %+v", final, again)
@@ -185,12 +177,13 @@ func TestFingerprintOrderSensitive(t *testing.T) {
 }
 
 // TestPacketPathZeroAllocFingerprint extends the zero-alloc guard to the
-// fingerprint-enabled path: once the plane slice is warm and no epoch
-// boundary lands inside the measured window, folding costs nothing. The
-// epoch is set high enough that no checkpoint append happens mid-run.
+// fingerprint-enabled path: neither folding nor checkpointing costs an
+// allocation, even at a cadence of one checkpoint per event.
 func TestPacketPathZeroAllocFingerprint(t *testing.T) {
 	eng, net, fwd, _ := hostPair(100, Config{})
-	eng.Fingerprint = NewFingerprinter(1 << 40)
+	eng.Fingerprint = NewFingerprinter(1)
+	var checkpoints int
+	eng.Fingerprint.OnCheckpoint = func(FingerprintCheckpoint) { checkpoints++ }
 	s := &releaseSink{net: net}
 	send := func() {
 		p := net.NewPacket()
@@ -202,17 +195,20 @@ func TestPacketPathZeroAllocFingerprint(t *testing.T) {
 		eng.Run()
 	}
 	for i := 0; i < 64; i++ {
-		send() // warm pools and the per-plane chain slice
+		send() // warm pools
 	}
 	if avg := testing.AllocsPerRun(100, send); avg != 0 {
 		t.Errorf("allocs per packet with fingerprinting = %v, want 0", avg)
+	}
+	if checkpoints == 0 {
+		t.Error("no checkpoint was handed over")
 	}
 }
 
 // TestFingerprintPinnedChain holds the chain's definition still across
 // commits: a scripted run on two planes (timers, hops, delivers and
 // transmissions, flows, sequence numbers and sizes all varying) must end
-// on the chains and the event count recorded when the test was written,
+// on the chain and the event count recorded when the test was written,
 // at the parent of the commit that rewrote classify and Fold. The other
 // fingerprint tests compare two runs of one binary and so pass whatever
 // the classification says, as long as it says it twice.
@@ -238,13 +234,11 @@ func TestFingerprintPinnedChain(t *testing.T) {
 	const (
 		wantEvents = 186
 		wantGlobal = 0x4c77329163e61fb1
-		wantHost   = 0xe3aee07ed0ed8cc9
 	)
-	wantPlanes := []uint64{0xce29e285ff10c348, 0x937e16062e7b8ff3}
 	cp := finalCheckpoint(f)
-	if cp.Events != wantEvents || cp.Global != wantGlobal || cp.Host != wantHost || !slices.Equal(cp.Planes, wantPlanes) {
-		t.Errorf("after %d events: global %#016x, host %#016x, planes %#016x;\nwant %d events: global %#016x, host %#016x, planes %#016x",
-			cp.Events, cp.Global, cp.Host, cp.Planes, wantEvents, uint64(wantGlobal), uint64(wantHost), wantPlanes)
+	if cp.Events != wantEvents || cp.Global != wantGlobal {
+		t.Errorf("after %d events: global %#016x; want %d events: global %#016x",
+			cp.Events, cp.Global, wantEvents, uint64(wantGlobal))
 	}
 }
 
