@@ -2,8 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"testing"
 )
 
@@ -12,23 +10,6 @@ import (
 // back, and a class pinned to the expander planes gets shorter RPCs than
 // one pinned to the fat tree.
 
-// cellSecs reads back a duration cell written by secs.
-func cellSecs(t *testing.T, cell string) float64 {
-	t.Helper()
-	for _, u := range []struct {
-		suffix string
-		scale  float64
-	}{{"ns", 1e-9}, {"us", 1e-6}, {"ms", 1e-3}, {"s", 1}} {
-		if num, ok := strings.CutSuffix(cell, u.suffix); ok {
-			if v, err := strconv.ParseFloat(num, 64); err == nil {
-				return v * u.scale
-			}
-		}
-	}
-	t.Fatalf("cell %q is not a duration", cell)
-	return 0
-}
-
 func TestIsolationShape(t *testing.T) {
 	e, _ := ByID("isolation")
 	for seed := int64(1); seed <= 3; seed++ {
@@ -36,7 +17,7 @@ func TestIsolationShape(t *testing.T) {
 			tab := e.Run(Params{Seed: seed})
 			p99 := map[string]float64{}
 			for _, r := range tab.Rows {
-				p99[r[0]] = cellSecs(t, r[2])
+				p99[r[0].String()] = r[2].V
 			}
 			base := p99["unloaded"]
 			t.Logf("p99: unloaded %s, shared %.0fx, isolated %.2fx", secs(base), p99["shared planes"]/base, p99["isolated planes"]/base)
@@ -56,8 +37,8 @@ func TestMixedShape(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			median := map[string]float64{}
 			for _, r := range e.Run(Params{Seed: seed}).Rows {
-				if r[0] == "1500B RPC" {
-					median[r[1]] = cellSecs(t, r[2])
+				if r[0].String() == "1500B RPC" {
+					median[r[1].String()] = r[2].V
 				}
 			}
 			ft, ex := median["fattree"], median["expander"]

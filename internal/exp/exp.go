@@ -98,7 +98,82 @@ type Table struct {
 	Title  string
 	Note   string
 	Header []string
-	Rows   [][]string
+	Rows   [][]Cell
+}
+
+// Cell is one table entry: a value and the format that prints it. A
+// number holds what it shows (a percent cell holds percent), a duration
+// seconds and a size bytes, whatever unit they print in; a label holds 0.
+type Cell struct {
+	V     float64
+	text  string // a label's text
+	verb  string // a number's printf verb
+	units []unit // a duration's or a size's units
+	star  bool   // a * after the value: kSweepTable's first saturating K
+}
+
+// String is the one place a cell's number becomes text.
+func (c Cell) String() string {
+	s := c.text
+	if c.units != nil {
+		s = scaled(c.V, c.units)
+	} else if c.verb != "" {
+		s = fmt.Sprintf(c.verb, c.V)
+	}
+	if c.star {
+		s += "*"
+	}
+	return s
+}
+
+func label(s string) Cell             { return Cell{text: s} }
+func num(v float64, verb string) Cell { return Cell{V: v, verb: verb} }
+func f2(v float64) Cell               { return num(v, "%.2f") }
+func f3(v float64) Cell               { return num(v, "%.3f") }
+func count[T ~int | ~int64](n T) Cell { return num(float64(n), "%.0f") }
+func secs(seconds float64) Cell       { return Cell{V: seconds, units: secondUnits} }
+func bytesCell(bytes float64) Cell    { return Cell{V: bytes, units: byteUnits} }
+
+// stall is the row of a run that did not finish: the cells that name it,
+// "stall", then blanks up to width cells.
+func stall(width int, lead ...Cell) []Cell {
+	row := make([]Cell, width)
+	copy(row, append(lead, label("stall")))
+	return row
+}
+
+// A unit prints values from min up as verb of the value times scale, then
+// suffix. Unit lists run from the largest down.
+type unit struct {
+	min, scale   float64
+	verb, suffix string
+}
+
+var (
+	secondUnits = []unit{{1, 1, "%.3g", "s"}, {1e-3, 1e3, "%.3g", "ms"}, {1e-6, 1e6, "%.3g", "us"}, {math.Inf(-1), 1e9, "%.0f", "ns"}}
+	byteUnits   = []unit{{1e9, 1e-9, "%.1f", "GB"}, {1e6, 1e-6, "%.1f", "MB"}, {1e3, 1e-3, "%.1f", "kB"}, {math.Inf(-1), 1, "%.0f", "B"}}
+)
+
+// scaled prints v in the largest of units that v reaches.
+func scaled(v float64, units []unit) string {
+	i := 0
+	for i < len(units)-1 && !(v >= units[i].min) {
+		i++
+	}
+	return fmt.Sprintf(units[i].verb, v*units[i].scale) + units[i].suffix
+}
+
+// cellText renders every cell: the rows as printed, and as -format json
+// carries them.
+func (t Table) cellText() [][]string {
+	rows := make([][]string, len(t.Rows))
+	for i, row := range t.Rows {
+		rows[i] = make([]string, len(row))
+		for j, c := range row {
+			rows[i][j] = c.String()
+		}
+	}
+	return rows
 }
 
 // String renders the table with aligned columns.
@@ -108,19 +183,17 @@ func (t Table) String() string {
 	if t.Note != "" {
 		fmt.Fprintf(&b, "%s\n", t.Note)
 	}
+	rows := append([][]string{t.Header}, t.cellText()...)
 	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.Rows {
+	for _, row := range rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if i < len(widths) {
+				widths[i] = max(widths[i], len(c))
 			}
 		}
 	}
-	line := func(cells []string) {
-		for i, c := range cells {
+	for _, row := range rows {
+		for i, c := range row {
 			if i > 0 {
 				b.WriteString("  ")
 			}
@@ -128,20 +201,13 @@ func (t Table) String() string {
 		}
 		b.WriteByte('\n')
 	}
-	line(t.Header)
-	for _, row := range t.Rows {
-		line(row)
-	}
 	return b.String()
 }
 
 // JSON renders the table as a single JSON object, including the
 // elapsed wall-clock seconds, for machine consumers of -format json.
+// Rows hold the cells' printed text.
 func (t Table) JSON(elapsedSec float64) string {
-	rows := t.Rows
-	if rows == nil {
-		rows = [][]string{}
-	}
 	b, err := json.Marshal(struct {
 		ID      string     `json:"id"`
 		Title   string     `json:"title"`
@@ -149,7 +215,7 @@ func (t Table) JSON(elapsedSec float64) string {
 		Header  []string   `json:"header"`
 		Rows    [][]string `json:"rows"`
 		Elapsed float64    `json:"elapsed_s"`
-	}{t.ID, t.Title, t.Note, t.Header, rows, elapsedSec})
+	}{t.ID, t.Title, t.Note, t.Header, t.cellText(), elapsedSec})
 	if err != nil {
 		panic(err) // strings-only struct: cannot fail
 	}
@@ -184,24 +250,6 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// f2 formats a float with two decimals; f3 with three.
-func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
-func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
-
-// secs formats seconds with engineering-friendly precision.
-func secs(v float64) string {
-	switch {
-	case v >= 1:
-		return fmt.Sprintf("%.3gs", v)
-	case v >= 1e-3:
-		return fmt.Sprintf("%.3gms", v*1e3)
-	case v >= 1e-6:
-		return fmt.Sprintf("%.3gus", v*1e6)
-	default:
-		return fmt.Sprintf("%.0fns", v*1e9)
-	}
 }
 
 // meanStd returns mean and population standard deviation.

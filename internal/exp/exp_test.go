@@ -38,7 +38,7 @@ func TestTableString(t *testing.T) {
 	tab := Table{
 		ID: "x", Title: "test", Note: "a note",
 		Header: []string{"col", "value"},
-		Rows:   [][]string{{"row1", "1.0"}, {"longer-row", "2.0"}},
+		Rows:   [][]Cell{{label("row1"), num(1, "%.1f")}, {label("longer-row"), num(2, "%.1f")}},
 	}
 	s := tab.String()
 	for _, want := range []string{"== x: test ==", "a note", "col", "longer-row"} {
@@ -55,7 +55,7 @@ func TestTable1Experiment(t *testing.T) {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	// Spot-check the paper's numbers.
-	if tab.Rows[0][3] != "3584" || tab.Rows[2][3] != "1536" {
+	if tab.Rows[0][3].V != 3584 || tab.Rows[2][3].V != 1536 {
 		t.Errorf("chip counts wrong: %v", tab.Rows)
 	}
 }
@@ -79,10 +79,10 @@ func TestByteLabels(t *testing.T) {
 			t.Errorf("byteLabel(%d) = %q, want %q", b, got, want)
 		}
 	}
-	if got := byteLabelF(1.5e3); got != "1.5kB" {
-		t.Errorf("byteLabelF = %q", got)
+	if got := bytesCell(1.5e3).String(); got != "1.5kB" {
+		t.Errorf("bytesCell = %q", got)
 	}
-	if got := secs(0.000_002); got != "2us" {
+	if got := secs(0.000_002).String(); got != "2us" {
 		t.Errorf("secs = %q", got)
 	}
 }

@@ -56,17 +56,16 @@ func runIncast(p Params) Table {
 			"NDP sprays per-packet with trimming", sw*hps),
 		Header: []string{"variant", "fan-in", "median ICT", "p99 ICT", "drops", "retransmits"},
 	}
-	// One cell per (variant, fan-in) plus one NDP cell per fan-in; the
+	// One cell per (variant, fan-in), then one NDP cell per fan-in; the
 	// variants share read-only topologies, every cell owns its engine.
-	tcpRows := make([][]string, len(variants)*len(fanIns))
-	ndpRows := make([][]string, len(fanIns))
-	par.Do(len(tcpRows)+len(ndpRows), func(idx int) {
-		if idx >= len(tcpRows) {
-			fan := fanIns[idx-len(tcpRows)]
-			ndpRows[idx-len(tcpRows)] = ndpIncast(set.ParallelHomo, fan, p)
+	rows := make([][]Cell, (len(variants)+1)*len(fanIns))
+	par.Do(len(rows), func(idx int) {
+		fan := fanIns[idx%len(fanIns)]
+		if idx >= len(variants)*len(fanIns) {
+			rows[idx] = ndpIncast(set.ParallelHomo, fan, p)
 			return
 		}
-		v, fan := variants[idx/len(fanIns)], fanIns[idx%len(fanIns)]
+		v := variants[idx/len(fanIns)]
 		d := p.newDriver(v.tp, v.simCfg, v.tcpCfg)
 		res, err := workload.RunIncast(d, workload.IncastConfig{
 			FanIn:      fan,
@@ -76,46 +75,41 @@ func runIncast(p Params) Table {
 			Seed:       p.Seed,
 		})
 		if err != nil {
-			tcpRows[idx] = []string{v.name, fmt.Sprint(fan), "stall", "", "", ""}
+			rows[idx] = stall(6, label(v.name), count(fan))
 			return
 		}
 		s := metrics.Summarize(res.CompletionTimes)
-		tcpRows[idx] = []string{
-			v.name, fmt.Sprint(fan),
+		rows[idx] = []Cell{
+			label(v.name), count(fan),
 			secs(s.Median), secs(s.P99),
-			fmt.Sprint(res.Drops), fmt.Sprint(res.Retransmits),
+			count(res.Drops), count(res.Retransmits),
 		}
 	})
-	t.Rows = append(t.Rows, tcpRows...)
-	t.Rows = append(t.Rows, ndpRows...)
+	t.Rows = rows
 	return t
 }
 
 // ndpIncast runs the NDP variant: 8-packet queues with trimming, each
 // response sprayed over 4 cross-plane shortest paths.
-func ndpIncast(tp *topo.Topology, fanIn int, p Params) []string {
+func ndpIncast(tp *topo.Topology, fanIn int, p Params) []Cell {
 	d := p.newDriver(tp, sim.Config{QueueBytes: 8 * 1500, TrimToBytes: 64}, tcp.Config{})
 	rng := rand.New(rand.NewSource(p.Seed))
 	var times []float64
 	const rounds = 7
+run:
 	for round := 0; round < rounds; round++ {
 		perm := rng.Perm(tp.NumHosts())
 		receiver := tp.Hosts[perm[0]]
 		t0 := d.Eng.Now()
 		remaining := fanIn
-		stalled := false
 		for _, s := range perm[1 : 1+fanIn] {
 			paths := d.PNet.HighThroughputPaths(tp.Hosts[s], receiver, 4)
 			f, err := ndp.NewFlow(d.Net, paths, 256_000)
 			if err != nil {
-				stalled = true
-				break
+				break run
 			}
 			f.OnComplete = func(*ndp.Flow) { remaining-- }
 			f.Start()
-		}
-		if stalled {
-			break
 		}
 		for remaining > 0 && d.Eng.Now() < 10*sim.Second {
 			if !d.Eng.Step() {
@@ -128,13 +122,13 @@ func ndpIncast(tp *topo.Topology, fanIn int, p Params) []string {
 		times = append(times, (d.Eng.Now() - t0).Seconds())
 	}
 	if len(times) < rounds {
-		return []string{"parallel homo / NDP", fmt.Sprint(fanIn), "stall", "", "", ""}
+		return stall(6, label("parallel homo / NDP"), count(fanIn))
 	}
 	s := metrics.Summarize(times)
-	return []string{
-		"parallel homo / NDP", fmt.Sprint(fanIn),
+	return []Cell{
+		label("parallel homo / NDP"), count(fanIn),
 		secs(s.Median), secs(s.P99),
-		fmt.Sprint(d.Net.TotalDrops()), "-",
+		count(d.Net.TotalDrops()), label("-"),
 	}
 }
 
@@ -229,11 +223,11 @@ func runIsolation(p Params) Table {
 		s := scenarios[i]
 		switch {
 		case s == nil:
-			t.Rows = append(t.Rows, []string{name, "stall", "", ""})
+			t.Rows = append(t.Rows, stall(4, label(name)))
 		case base == nil:
-			t.Rows = append(t.Rows, []string{name, secs(s.Median), secs(s.P99), ""})
+			t.Rows = append(t.Rows, []Cell{label(name), secs(s.Median), secs(s.P99), {}})
 		default:
-			t.Rows = append(t.Rows, []string{name, secs(s.Median), secs(s.P99), f2(s.P99 / base.P99)})
+			t.Rows = append(t.Rows, []Cell{label(name), secs(s.Median), secs(s.P99), f2(s.P99 / base.P99)})
 		}
 	}
 	return t
@@ -241,9 +235,8 @@ func runIsolation(p Params) Table {
 
 func runDeploy(p Params) Table {
 	sw, deg, hps := jfSize(p.Scale)
-	planes := 4
-	homo := topo.JellyfishSet(sw, deg, hps, planes, 100, p.Seed).ParallelHomo
-	hetero := topo.JellyfishSet(sw, deg, hps, planes, 100, p.Seed).ParallelHetero
+	set := topo.JellyfishSet(sw, deg, hps, 4, 100, p.Seed)
+	homo, hetero := set.ParallelHomo, set.ParallelHetero
 
 	t := Table{
 		ID:    "deploy",
@@ -252,13 +245,13 @@ func runDeploy(p Params) Table {
 		Header: []string{"network", "options", "host cables", "core cables",
 			"panel ports", "boxes", "transceivers"},
 	}
-	add := func(name string, tp *topo.Topology, opts topo.DeployOptions, label string) {
+	add := func(name string, tp *topo.Topology, opts topo.DeployOptions, optsName string) {
 		d := topo.PlanDeployment(tp, opts)
-		t.Rows = append(t.Rows, []string{
-			name, label,
-			fmt.Sprint(d.HostCables), fmt.Sprint(d.CoreCables),
-			fmt.Sprint(d.PatchPanelPorts), fmt.Sprint(d.SwitchBoxes),
-			fmt.Sprint(d.Transceivers),
+		t.Rows = append(t.Rows, []Cell{
+			label(name), label(optsName),
+			count(d.HostCables), count(d.CoreCables),
+			count(d.PatchPanelPorts), count(d.SwitchBoxes),
+			count(d.Transceivers),
 		})
 	}
 	add("homogeneous", homo, topo.DeployOptions{}, "naive")

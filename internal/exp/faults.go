@@ -37,23 +37,25 @@ type faultsMetrics struct {
 	blackholed  int64
 }
 
-func (m faultsMetrics) row(name string) []string {
-	lat := func(t sim.Time) string {
-		if t < 0 {
-			return "-"
-		}
-		return secs(t.Seconds())
-	}
-	return []string{
-		name,
-		fmt.Sprintf("%.1f", m.preBps/1e9),
-		fmt.Sprintf("%.0f%%", m.dipFrac*100),
+func (m faultsMetrics) row(name string) []Cell {
+	return []Cell{
+		label(name),
+		num(m.preBps/1e9, "%.1f"),
+		num(m.dipFrac*100, "%.0f%%"),
 		lat(m.detectLat),
 		lat(m.failoverLat),
 		lat(m.recovery),
-		fmt.Sprintf("%.0f%%", m.postFrac*100),
-		fmt.Sprintf("%d", m.blackholed),
+		num(m.postFrac*100, "%.0f%%"),
+		count(m.blackholed),
 	}
+}
+
+// lat is a latency cell, "-" for a phase that never came.
+func lat(t sim.Time) Cell {
+	if t < 0 {
+		return label("-")
+	}
+	return secs(t.Seconds())
 }
 
 // runFaults rides the paper's network types through the same mid-run
@@ -101,7 +103,7 @@ func runFaults(p Params) Table {
 	// (the health monitor marks the dead plane down in the graph, so
 	// sharing one across concurrent cells would race), its own engine,
 	// network and monitor.
-	rows := make([][]string, len(variants))
+	rows := make([][]Cell, len(variants))
 	par.Do(len(variants), func(i int) {
 		rows[i] = runFaultsWith(p, variants[i].tp, cfg).row(variants[i].name)
 	})

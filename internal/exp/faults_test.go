@@ -187,7 +187,7 @@ func TestFaultsTable(t *testing.T) {
 	}
 	names := map[string]bool{}
 	for _, r := range tab.Rows {
-		names[r[0]] = true
+		names[r[0].String()] = true
 	}
 	for _, want := range []string{"serial", "parallel homogeneous", "parallel heterogeneous"} {
 		if !names[want] {

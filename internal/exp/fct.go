@@ -97,29 +97,26 @@ func runFig9(p Params) Table {
 		Title: "Small flow FCT with varying flow sizes (paper Fig. 9)",
 		Note: fmt.Sprintf("%d-host 4-plane Jellyfish, permutation; serial=single path, parallel=4-way KSP; mean FCT",
 			sw*hps),
-		Header: append([]string{"network"}, func() []string {
-			h := make([]string, len(sizes))
-			for i, s := range sizes {
-				h[i] = byteLabel(s)
-			}
-			return h
-		}()...),
+		Header: []string{"network"},
+	}
+	for _, s := range sizes {
+		t.Header = append(t.Header, byteLabel(s))
 	}
 	// The (network, size) grid is fully independent: every cell builds
 	// its own driver and RNG from p.Seed, so all cells run concurrently
 	// into per-index slots.
-	vals := make([]string, len(nets)*len(sizes))
+	vals := make([]Cell, len(nets)*len(sizes))
 	par.Do(len(vals), func(idx int) {
 		n, size := nets[idx/len(sizes)], sizes[idx%len(sizes)]
 		m, err := permutationFCT(n.tp, n.sel, size, p)
 		if err != nil {
-			vals[idx] = "stall"
+			vals[idx] = label("stall")
 			return
 		}
 		vals[idx] = secs(m)
 	})
 	for ni, n := range nets {
-		row := append([]string{n.name}, vals[ni*len(sizes):(ni+1)*len(sizes)]...)
+		row := append([]Cell{label(n.name)}, vals[ni*len(sizes):(ni+1)*len(sizes)]...)
 		t.Rows = append(t.Rows, row)
 	}
 	return t
@@ -144,27 +141,14 @@ func runFig13a(Params) Table {
 		Header: []string{"trace", "P10", "P50", "P90", "P99", "mean"},
 	}
 	for _, c := range traces.All() {
-		t.Rows = append(t.Rows, []string{
-			c.Name,
-			byteLabelF(c.Quantile(0.10)), byteLabelF(c.Quantile(0.50)),
-			byteLabelF(c.Quantile(0.90)), byteLabelF(c.Quantile(0.99)),
-			byteLabelF(c.MeanBytes()),
+		t.Rows = append(t.Rows, []Cell{
+			label(c.Name),
+			bytesCell(c.Quantile(0.10)), bytesCell(c.Quantile(0.50)),
+			bytesCell(c.Quantile(0.90)), bytesCell(c.Quantile(0.99)),
+			bytesCell(c.MeanBytes()),
 		})
 	}
 	return t
-}
-
-func byteLabelF(b float64) string {
-	switch {
-	case b >= 1e9:
-		return fmt.Sprintf("%.1fGB", b/1e9)
-	case b >= 1e6:
-		return fmt.Sprintf("%.1fMB", b/1e6)
-	case b >= 1e3:
-		return fmt.Sprintf("%.1fkB", b/1e3)
-	default:
-		return fmt.Sprintf("%.0fB", b)
-	}
 }
 
 // runTraceFCT implements fig13b/c and the appendix cells: closed-loop
@@ -173,11 +157,11 @@ func byteLabelF(b float64) string {
 func runTraceFCT(id string, cdf traces.SizeCDF, speed float64, topoKind string, p Params) Table {
 	sw, deg, hps := 16, 4, 4
 	flowsPerLoop := 4
-	sizeCap := int64(20_000_000)
+	sizeCap, capNote := int64(20_000_000), " (sizes capped at 20MB)"
 	if p.Scale == ScaleFull {
 		sw, deg, hps = 98, 7, 7
 		flowsPerLoop = 10
-		sizeCap = 0
+		sizeCap, capNote = 0, ""
 	}
 
 	var nets []netUnderTest
@@ -196,12 +180,12 @@ func runTraceFCT(id string, cdf traces.SizeCDF, speed float64, topoKind string, 
 		ID:    id,
 		Title: fmt.Sprintf("%s trace FCTs at %d/%dG on %s (paper Fig. 13/16-20)", cdf.Name, int(speed), int(speed)*4, topoKind),
 		Note: fmt.Sprintf("closed loop, 4 flows/host, single-path routing, sizes from %s%s",
-			cdf.Name, capNote(sizeCap)),
+			cdf.Name, capNote),
 		Header: []string{"network", "median", "p90", "p99", "mean"},
 	}
 	// One cell per network: each owns a driver and a trace workload
 	// seeded from p.Seed, so the four networks simulate concurrently.
-	rows := make([][]string, len(nets))
+	rows := make([][]Cell, len(nets))
 	par.Do(len(nets), func(i int) {
 		n := nets[i]
 		d := p.newDriver(n.tp, sim.Config{}, tcp.Config{})
@@ -214,21 +198,14 @@ func runTraceFCT(id string, cdf traces.SizeCDF, speed float64, topoKind string, 
 			Seed:         p.Seed,
 		})
 		if err != nil {
-			rows[i] = []string{n.name, "stall", "", "", ""}
+			rows[i] = stall(5, label(n.name))
 			return
 		}
 		s := metrics.Summarize(res.FCTs)
-		rows[i] = []string{n.name, secs(s.Median), secs(s.P90), secs(s.P99), secs(s.Mean)}
+		rows[i] = []Cell{label(n.name), secs(s.Median), secs(s.P90), secs(s.P99), secs(s.Mean)}
 	})
 	t.Rows = append(t.Rows, rows...)
 	return t
-}
-
-func capNote(cap int64) string {
-	if cap == 0 {
-		return ""
-	}
-	return fmt.Sprintf(" (sizes capped at %s)", byteLabel(cap))
 }
 
 func runFigAppendix(p Params) Table {
@@ -257,12 +234,10 @@ func runFigAppendix(p Params) Table {
 			for _, tk := range topos {
 				sub := runTraceFCT("cell", cdf, sp, tk, p)
 				for _, row := range sub.Rows {
-					median, p99 := "stall", ""
-					if len(row) >= 4 && row[1] != "stall" {
-						median, p99 = row[1], row[3]
-					}
-					out.Rows = append(out.Rows, []string{
-						cdf.Name, fmt.Sprintf("%d/%dG", int(sp), int(sp)*4), tk, row[0], median, p99,
+					// A stalled row is "stall" and blanks, so it copies too.
+					out.Rows = append(out.Rows, []Cell{
+						label(cdf.Name), label(fmt.Sprintf("%d/%dG", int(sp), int(sp)*4)), label(tk),
+						row[0], row[1], row[3],
 					})
 				}
 			}

@@ -34,12 +34,12 @@ func runFig14(p Params) Table {
 		pts := topo.HopCountSweep(n.tp, fractions, pairs, trials, p.Seed)
 		base := pts[0].AvgHops
 		for _, pt := range pts {
-			t.Rows = append(t.Rows, []string{
-				n.name,
-				fmt.Sprintf("%.0f", pt.Fraction*100),
+			t.Rows = append(t.Rows, []Cell{
+				label(n.name),
+				num(pt.Fraction*100, "%.0f"),
 				f3(pt.AvgHops),
-				fmt.Sprintf("%+.1f", (pt.AvgHops/base-1)*100),
-				fmt.Sprintf("%.2f", pt.Unreachable*100),
+				num((pt.AvgHops/base-1)*100, "%+.1f"),
+				num(pt.Unreachable*100, "%.2f"),
 			})
 		}
 	}

@@ -56,11 +56,11 @@ func runMixed(p Params) Table {
 			Seed: p.Seed,
 		})
 		if err != nil {
-			t.Rows = append(t.Rows, []string{"1500B RPC", class, "stall", ""})
+			t.Rows = append(t.Rows, stall(4, label("1500B RPC"), label(class)))
 			continue
 		}
 		s := metrics.Summarize(samples)
-		t.Rows = append(t.Rows, []string{"1500B RPC", class, secs(s.Median), secs(s.P99)})
+		t.Rows = append(t.Rows, []Cell{label("1500B RPC"), label(class), secs(s.Median), secs(s.P99)})
 	}
 
 	// Bulk permutation per family: one 10 MB flow per host.
@@ -81,11 +81,11 @@ func runMixed(p Params) Table {
 			}
 		}
 		if err := d.MustRunUntil(60*sim.Second, int64(len(hosts))); err != nil {
-			t.Rows = append(t.Rows, []string{"10MB bulk", class, "stall", ""})
+			t.Rows = append(t.Rows, stall(4, label("10MB bulk"), label(class)))
 			continue
 		}
 		s := metrics.Summarize(fcts)
-		t.Rows = append(t.Rows, []string{"10MB bulk", class, secs(s.Median), secs(s.P99)})
+		t.Rows = append(t.Rows, []Cell{label("10MB bulk"), label(class), secs(s.Median), secs(s.P99)})
 	}
 	return t
 }

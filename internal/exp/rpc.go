@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"pnet/internal/metrics"
 	"pnet/internal/par"
 	"pnet/internal/sim"
@@ -28,58 +26,48 @@ func rpcNets(p Params) []netUnderTest {
 	return jellyfishNUT(sw, deg, hps, 4, 100, p.Seed, sel, sel)
 }
 
-// rpcSamples measures request completion times for every network, one
-// concurrent cell per network; the name-keyed map is assembled after
-// the join so cell completion order never shows.
-func rpcSamples(p Params, reqBytes, respBytes int64, loops, rounds int) map[string][]float64 {
+// rpcSamples measures 1500B ping-pong RPC completion times on every
+// rpcNets network, one concurrent cell per network, into per-network
+// slots so cell completion order never shows.
+func rpcSamples(p Params) ([]netUnderTest, [][]float64) {
+	rounds := 50
+	if p.Scale == ScaleFull {
+		rounds = 1000 // the paper's 1000 rounds
+	}
 	nets := rpcNets(p)
-	all := make([][]float64, len(nets))
+	samples := make([][]float64, len(nets))
 	par.Do(len(nets), func(i int) {
-		n := nets[i]
-		d := p.newDriver(n.tp, sim.Config{}, tcp.Config{})
+		d := p.newDriver(nets[i].tp, sim.Config{}, tcp.Config{})
 		// On error, keep what completed; the table will show the shortfall.
-		samples, _ := workload.RunRPC(d, workload.RPCConfig{
-			ReqBytes:     reqBytes,
-			RespBytes:    respBytes,
+		samples[i], _ = workload.RunRPC(d, workload.RPCConfig{
+			ReqBytes:     1500,
+			RespBytes:    1500,
 			Rounds:       rounds,
-			LoopsPerHost: loops,
-			Sel:          n.sel,
+			LoopsPerHost: 1,
+			Sel:          nets[i].sel,
 			Seed:         p.Seed,
 			Deadline:     120 * sim.Second,
 		})
-		all[i] = samples
 	})
-	out := make(map[string][]float64)
-	for i, n := range nets {
-		out[n.name] = all[i]
-	}
-	return out
-}
-
-func rpcRounds(p Params) int {
-	if p.Scale == ScaleFull {
-		return 1000 // the paper's 1000 rounds
-	}
-	return 50
+	return nets, samples
 }
 
 func runFig10(p Params) Table {
-	samples := rpcSamples(p, 1500, 1500, 1, rpcRounds(p))
+	nets, samples := rpcSamples(p)
 	t := Table{
 		ID:     "fig10",
 		Title:  "1500B RPC request completion time (paper Fig. 10)",
 		Note:   "ping-pong RPC on 4-plane Jellyfish, single-path routing; CDF probe points",
 		Header: []string{"network", "p10", "p25", "median", "p75", "p90", "p99"},
 	}
-	for _, n := range rpcNets(p) {
-		xs := samples[n.name]
-		if len(xs) == 0 {
-			t.Rows = append(t.Rows, []string{n.name, "stall"})
+	for i, n := range nets {
+		if len(samples[i]) == 0 {
+			t.Rows = append(t.Rows, stall(2, label(n.name)))
 			continue
 		}
-		c := metrics.NewCDF(xs)
-		t.Rows = append(t.Rows, []string{
-			n.name,
+		c := metrics.NewCDF(samples[i])
+		t.Rows = append(t.Rows, []Cell{
+			label(n.name),
 			secs(c.Quantile(0.10)), secs(c.Quantile(0.25)), secs(c.Quantile(0.50)),
 			secs(c.Quantile(0.75)), secs(c.Quantile(0.90)), secs(c.Quantile(0.99)),
 		})
@@ -88,26 +76,23 @@ func runFig10(p Params) Table {
 }
 
 func runTable2(p Params) Table {
-	samples := rpcSamples(p, 1500, 1500, 1, rpcRounds(p))
+	nets, samples := rpcSamples(p)
 	t := Table{
 		ID:     "table2",
 		Title:  "1500B RPC completion statistics vs serial low-bw (paper Table 2)",
 		Header: []string{"network", "median", "average", "99%-tile"},
 	}
-	base, ok := samples["serial low-bw"]
-	if !ok || len(base) == 0 {
-		t.Rows = append(t.Rows, []string{"serial low-bw stalled", "", "", ""})
+	if len(samples[0]) == 0 { // nets[0] is serial low-bw
+		t.Rows = append(t.Rows, []Cell{label("serial low-bw stalled"), {}, {}, {}})
 		return t
 	}
-	bs := metrics.Summarize(base)
-	pct := func(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
-	for _, n := range rpcNets(p) {
-		xs := samples[n.name]
-		if len(xs) == 0 {
+	base := metrics.Summarize(samples[0])
+	for i, n := range nets {
+		if len(samples[i]) == 0 {
 			continue
 		}
-		r := metrics.Summarize(xs).Relative(bs)
-		t.Rows = append(t.Rows, []string{n.name, pct(r.Median), pct(r.Mean), pct(r.P99)})
+		r := metrics.Summarize(samples[i]).Relative(base)
+		t.Rows = append(t.Rows, []Cell{label(n.name), num(r.Median*100, "%.1f%%"), num(r.Mean*100, "%.1f%%"), num(r.P99*100, "%.1f%%")})
 	}
 	return t
 }
@@ -128,7 +113,7 @@ func runFig11(p Params) Table {
 	// The (network, concurrency) grid is independent — each cell owns a
 	// driver, so the whole grid runs concurrently into per-index rows.
 	nets := rpcNets(p)
-	rows := make([][]string, len(nets)*len(concurrencies))
+	rows := make([][]Cell, len(nets)*len(concurrencies))
 	par.Do(len(rows), func(idx int) {
 		n, conc := nets[idx/len(concurrencies)], concurrencies[idx%len(concurrencies)]
 		d := p.newDriver(n.tp, sim.Config{}, tcp.Config{})
@@ -142,14 +127,14 @@ func runFig11(p Params) Table {
 			Deadline:     120 * sim.Second,
 		})
 		if err != nil || len(samples) == 0 {
-			rows[idx] = []string{n.name, fmt.Sprint(conc), "stall", "", "", ""}
+			rows[idx] = stall(6, label(n.name), count(conc))
 			return
 		}
 		s := metrics.Summarize(samples)
-		rows[idx] = []string{
-			n.name, fmt.Sprint(conc),
+		rows[idx] = []Cell{
+			label(n.name), count(conc),
 			secs(s.Median), secs(s.P90), secs(s.P99),
-			fmt.Sprint(d.Net.TotalDrops()),
+			count(d.Net.TotalDrops()),
 		}
 	})
 	t.Rows = append(t.Rows, rows...)

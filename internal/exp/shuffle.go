@@ -49,7 +49,7 @@ func runFig12(p Params) Table {
 		d := p.newDriver(n.tp, sim.Config{}, tcp.Config{})
 		times, err := workload.RunShuffle(d, cfg)
 		if err != nil {
-			t.Rows = append(t.Rows, []string{n.name, "stall", "", "", ""})
+			t.Rows = append(t.Rows, stall(5, label(n.name)))
 			continue
 		}
 		for _, st := range []struct {
@@ -61,7 +61,7 @@ func runFig12(p Params) Table {
 			{"3 write output", times.Write},
 		} {
 			s := metrics.Summarize(st.xs)
-			t.Rows = append(t.Rows, []string{n.name, st.name, secs(s.Median), secs(s.P90), secs(s.Max)})
+			t.Rows = append(t.Rows, []Cell{label(n.name), label(st.name), secs(s.Median), secs(s.P90), secs(s.Max)})
 		}
 	}
 	return t

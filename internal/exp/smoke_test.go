@@ -13,8 +13,8 @@ func TestDeployExperiment(t *testing.T) {
 		t.Fatalf("rows = %d, want 5", len(tab.Rows))
 	}
 	// Homogeneous bundling divides host cables by the plane count.
-	if tab.Rows[0][2] == tab.Rows[1][2] {
-		t.Error("bundling did not change host cable count")
+	if naive, bundled := tab.Rows[0][2].V, tab.Rows[1][2].V; naive != 4*bundled || bundled != 96 {
+		t.Errorf("homogeneous host cables: naive %v, bundled %v; want 4x96 and 96", naive, bundled)
 	}
 }
 
@@ -26,7 +26,7 @@ func TestFig14Experiment(t *testing.T) {
 	}
 	nets := map[string]bool{}
 	for _, r := range tab.Rows {
-		nets[r[0]] = true
+		nets[r[0].String()] = true
 	}
 	for _, want := range []string{"serial", "parallel homogeneous", "parallel heterogeneous"} {
 		if !nets[want] {
@@ -42,11 +42,11 @@ func TestFig6bExperiment(t *testing.T) {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	// The headline shape: serial high-bw reaches ~8x, parallel stays low.
-	if lastCell := tab.Rows[4][1]; lastCell < "7" {
-		t.Errorf("serial high-bw normalized throughput = %s, want ~8", lastCell)
+	if high := tab.Rows[4][1].V; high < 7 {
+		t.Errorf("serial high-bw normalized throughput = %v, want ~8", high)
 	}
-	if par8 := tab.Rows[3][1]; par8 >= "3" {
-		t.Errorf("parallel 8x permutation = %s, want < 3 (ECMP can't exploit planes)", par8)
+	if par8 := tab.Rows[3][1].V; par8 >= 3 {
+		t.Errorf("parallel 8x permutation = %v, want < 3 (ECMP can't exploit planes)", par8)
 	}
 }
 

@@ -32,10 +32,10 @@ func runTable1(Params) Table {
 	}
 	names := []string{"Serial (scale-out)", "Serial chassis", "Parallel 8x"}
 	for i, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			names[i],
-			fmt.Sprint(r.Tiers), fmt.Sprint(r.Hops), fmt.Sprint(r.Chips),
-			fmt.Sprint(r.Boxes), fmt.Sprintf("%.1fk", float64(r.Links)/1000),
+		t.Rows = append(t.Rows, []Cell{
+			label(names[i]),
+			count(r.Tiers), count(r.Hops), count(r.Chips),
+			count(r.Boxes), num(float64(r.Links)/1000, "%.1fk"),
 		})
 	}
 	return t
@@ -77,15 +77,11 @@ func runECMPFigure(id, title string, p Params, pattern func(*topo.Topology, *ran
 	k := ftArity(p.Scale)
 	planeCounts := []int{2, 4, 8}
 
-	measure := func(tp *topo.Topology, trial int64) float64 {
-		rng := rand.New(rand.NewSource(p.Seed + trial))
-		cs := pattern(tp, rng)
-		return ecmpThroughput(tp, cs, uint64(p.Seed+trial*7919))
-	}
 	trials := func(tp *topo.Topology) (mean, std float64) {
 		var vals []float64
 		for trial := int64(0); trial < trialCount; trial++ {
-			vals = append(vals, measure(tp, trial))
+			cs := pattern(tp, rand.New(rand.NewSource(p.Seed+trial)))
+			vals = append(vals, ecmpThroughput(tp, cs, uint64(p.Seed+trial*7919)))
 		}
 		return meanStd(vals)
 	}
@@ -124,9 +120,9 @@ func runECMPFigure(id, title string, p Params, pattern func(*topo.Topology, *ran
 		Note:   fmt.Sprintf("k=%d fat tree (%d hosts), ECMP single path per flow; normalized to serial low-bw", k, k*k*k/4),
 		Header: []string{"network", "throughput(norm)", "stddev"},
 	}
-	t.Rows = append(t.Rows, []string{cells[0].name, f2(1.0), f2(0)})
+	t.Rows = append(t.Rows, []Cell{label(cells[0].name), f2(1.0), f2(0)})
 	for i := 1; i < len(cells); i++ {
-		t.Rows = append(t.Rows, []string{cells[i].name, f2(stats[i].mean / base), f2(stats[i].std / base)})
+		t.Rows = append(t.Rows, []Cell{label(cells[i].name), f2(stats[i].mean / base), f2(stats[i].std / base)})
 	}
 	return t
 }
@@ -188,29 +184,22 @@ func (n sweepNet) pick(s topo.NetworkSet) *topo.Topology {
 }
 
 // kSweepTable lays out a K-sweep figure: one row per network, one column
-// per K, normalized to the saturated (largest K) serial low-bandwidth
-// value, with a * on the first K reaching 95% of the row's plane count.
+// per K, normalized to the saturated (largest K) value of nets[0], the
+// serial low-bandwidth network, with a * on the first K reaching 95% of
+// the row's plane count.
 func kSweepTable(t Table, ks []int, nets []sweepNet, vals [][]float64) Table {
 	t.Header = []string{"network"}
 	for _, k := range ks {
 		t.Header = append(t.Header, fmt.Sprintf("K=%d", k))
 	}
-	var base float64
+	base := vals[0][len(vals[0])-1]
 	for i, net := range nets {
-		if net.planes == 1 {
-			base = vals[i][len(vals[i])-1]
-		}
-	}
-	for i, net := range nets {
-		row := []string{net.name}
+		row := []Cell{label(net.name)}
 		circled := false
 		for _, v := range vals[i] {
-			norm := v / base
-			cell := f2(norm)
-			if !circled && norm >= 0.95*float64(net.planes) {
-				cell += "*"
-				circled = true
-			}
+			cell := f2(v / base)
+			cell.star = !circled && cell.V >= 0.95*float64(net.planes)
+			circled = circled || cell.star
 			row = append(row, cell)
 		}
 		t.Rows = append(t.Rows, row)
@@ -288,11 +277,11 @@ func runFig7(p Params) Table {
 			"normalized to serial low-bw", sw, deg),
 		Header: []string{"network", "planes", "throughput(norm)", "vs serial high"},
 	}
-	t.Rows = append(t.Rows, []string{"serial low-bw", "1", f2(1.0), ""})
+	t.Rows = append(t.Rows, []Cell{label("serial low-bw"), count(1), f2(1.0), {}})
 	for i, n := range planeCounts {
 		high, het := vals[1+2*i], vals[2+2*i]
-		t.Rows = append(t.Rows, []string{"serial high-bw", fmt.Sprintf("(%dx speed)", n), f2(high / base), f2(1.0)})
-		t.Rows = append(t.Rows, []string{"parallel heterogeneous", fmt.Sprint(n), f2(het / base), f2(het / high)})
+		t.Rows = append(t.Rows, []Cell{label("serial high-bw"), num(float64(n), "(%.0fx speed)"), f2(high / base), f2(1.0)})
+		t.Rows = append(t.Rows, []Cell{label("parallel heterogeneous"), count(n), f2(het / base), f2(het / high)})
 	}
 	return t
 }
@@ -339,13 +328,13 @@ func runJellyfishKSP(id, title string, p Params, allToAll bool) Table {
 			sw, hps, deg, kWays),
 		Header: []string{"network", "planes", "throughput(norm)"},
 	}
-	t.Rows = append(t.Rows, []string{"serial low-bw", "1", f2(1.0)})
+	t.Rows = append(t.Rows, []Cell{label("serial low-bw"), count(1), f2(1.0)})
 	for i, n := range planeCounts {
 		homo, het := vals[1+2*i], vals[2+2*i]
-		t.Rows = append(t.Rows, []string{"parallel homogeneous", fmt.Sprint(n), f2(homo / base)})
-		t.Rows = append(t.Rows, []string{"parallel heterogeneous", fmt.Sprint(n), f2(het / base)})
+		t.Rows = append(t.Rows, []Cell{label("parallel homogeneous"), count(n), f2(homo / base)})
+		t.Rows = append(t.Rows, []Cell{label("parallel heterogeneous"), count(n), f2(het / base)})
 	}
-	t.Rows = append(t.Rows, []string{"serial high-bw", "(2x speed)", f2(vals[len(vals)-1] / base)})
+	t.Rows = append(t.Rows, []Cell{label("serial high-bw"), num(2, "(%.0fx speed)"), f2(vals[len(vals)-1] / base)})
 	return t
 }
 
