@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"pnet/internal/mcf"
@@ -142,25 +143,29 @@ func stall(width int, lead ...Cell) []Cell {
 	return row
 }
 
-// A unit prints values from min up as verb of the value times scale, then
-// suffix. Unit lists run from the largest down.
+// A unit prints a value as verb of the value times scale, then suffix.
+// Unit lists run from the smallest up.
 type unit struct {
-	min, scale   float64
+	scale        float64
 	verb, suffix string
 }
 
 var (
-	secondUnits = []unit{{1, 1, "%.3g", "s"}, {1e-3, 1e3, "%.3g", "ms"}, {1e-6, 1e6, "%.3g", "us"}, {math.Inf(-1), 1e9, "%.0f", "ns"}}
-	byteUnits   = []unit{{1e9, 1e-9, "%.1f", "GB"}, {1e6, 1e-6, "%.1f", "MB"}, {1e3, 1e-3, "%.1f", "kB"}, {math.Inf(-1), 1, "%.0f", "B"}}
+	secondUnits = []unit{{1e9, "%.0f", "ns"}, {1e6, "%.3g", "us"}, {1e3, "%.3g", "ms"}, {1, "%.3g", "s"}}
+	byteUnits   = []unit{{1, "%.0f", "B"}, {1e-3, "%.1f", "kB"}, {1e-6, "%.1f", "MB"}, {1e-9, "%.1f", "GB"}}
 )
 
-// scaled prints v in the largest of units that v reaches.
+// scaled prints v in the first of units in which it prints below 1000,
+// or else in the last. The unit is chosen after rounding, so a value
+// just under a unit's boundary reads 1.0kB, not 1000B.
 func scaled(v float64, units []unit) string {
-	i := 0
-	for i < len(units)-1 && !(v >= units[i].min) {
-		i++
+	for i, u := range units {
+		s := fmt.Sprintf(u.verb, v*u.scale)
+		if r, _ := strconv.ParseFloat(s, 64); !(r >= 1000) || i == len(units)-1 {
+			return s + u.suffix
+		}
 	}
-	return fmt.Sprintf(units[i].verb, v*units[i].scale) + units[i].suffix
+	panic("exp: no units")
 }
 
 // cellText renders every cell: the rows as printed, and as -format json

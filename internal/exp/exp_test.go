@@ -68,22 +68,52 @@ func TestFig13aExperiment(t *testing.T) {
 	}
 }
 
-func TestByteLabels(t *testing.T) {
-	cases := map[int64]string{
-		100_000:       "100kB",
-		10_000_000:    "10MB",
-		1_000_000_000: "1GB",
+// TestCellFormats pins every cell format, the unit boundaries of
+// durations and sizes among them: the unit is chosen after rounding.
+func TestCellFormats(t *testing.T) {
+	starred := f2(1)
+	starred.star = true
+	for _, c := range []struct {
+		cell Cell
+		want string
+	}{
+		{label("stall"), "stall"},
+		{Cell{}, ""},
+		{f2(5.2249), "5.22"},
+		{starred, "1.00*"},
+		{f3(2.5), "2.500"},
+		{count(3584), "3584"},
+		{num(12288.0/1000, "%.1fk"), "12.3k"},
+		{num(4.14, "%+.1f"), "+4.1"},
+		{num(-0.04, "%+.1f"), "-0.0"},
+		{num(0.756*100, "%.1f%%"), "75.6%"},
+		{secs(0), "0ns"},
+		{secs(999.4e-9), "999ns"},
+		{secs(999.6e-9), "1us"},
+		{secs(2e-6), "2us"},
+		{secs(999.4e-6), "999us"},
+		{secs(999.6e-6), "1ms"},
+		{secs(12.34e-3), "12.3ms"},
+		{secs(0.9996), "1s"},
+		{secs(1.5), "1.5s"},
+		{bytesCell(157), "157B"},
+		{bytesCell(999.4), "999B"},
+		{bytesCell(999.6), "1.0kB"},
+		{bytesCell(1.5e3), "1.5kB"},
+		{bytesCell(999_940), "999.9kB"},
+		{bytesCell(999_960), "1.0MB"},
+		{bytesCell(46.4e6), "46.4MB"},
+		{bytesCell(999.96e6), "1.0GB"},
+		{bytesCell(2.5e9), "2.5GB"},
+	} {
+		if got := c.cell.String(); got != c.want {
+			t.Errorf("cell %+v prints %q, want %q", c.cell, got, c.want)
+		}
 	}
-	for b, want := range cases {
+	for b, want := range map[int64]string{100_000: "100kB", 10_000_000: "10MB", 1_000_000_000: "1GB"} {
 		if got := byteLabel(b); got != want {
 			t.Errorf("byteLabel(%d) = %q, want %q", b, got, want)
 		}
-	}
-	if got := bytesCell(1.5e3).String(); got != "1.5kB" {
-		t.Errorf("bytesCell = %q", got)
-	}
-	if got := secs(0.000_002).String(); got != "2us" {
-		t.Errorf("secs = %q", got)
 	}
 }
 
