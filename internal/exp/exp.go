@@ -130,7 +130,6 @@ func (c Cell) String() string {
 func label(s string) Cell             { return Cell{text: s} }
 func num(v float64, verb string) Cell { return Cell{V: v, verb: verb} }
 func f2(v float64) Cell               { return num(v, "%.2f") }
-func f3(v float64) Cell               { return num(v, "%.3f") }
 func count[T ~int | ~int64](n T) Cell { return num(float64(n), "%.0f") }
 func secs(seconds float64) Cell       { return Cell{V: seconds, units: secondUnits} }
 func bytesCell(bytes float64) Cell    { return Cell{V: bytes, units: byteUnits} }
@@ -192,9 +191,7 @@ func (t Table) String() string {
 	widths := make([]int, len(t.Header))
 	for _, row := range rows {
 		for i, c := range row {
-			if i < len(widths) {
-				widths[i] = max(widths[i], len(c))
-			}
+			widths[i] = max(widths[i], len(c))
 		}
 	}
 	for _, row := range rows {

@@ -81,7 +81,7 @@ func TestCellFormats(t *testing.T) {
 		{Cell{}, ""},
 		{f2(5.2249), "5.22"},
 		{starred, "1.00*"},
-		{f3(2.5), "2.500"},
+		{num(2.5, "%.3f"), "2.500"},
 		{count(3584), "3584"},
 		{num(12288.0/1000, "%.1fk"), "12.3k"},
 		{num(4.14, "%+.1f"), "+4.1"},

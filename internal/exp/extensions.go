@@ -235,8 +235,9 @@ func runIsolation(p Params) Table {
 
 func runDeploy(p Params) Table {
 	sw, deg, hps := jfSize(p.Scale)
-	set := topo.JellyfishSet(sw, deg, hps, 4, 100, p.Seed)
-	homo, hetero := set.ParallelHomo, set.ParallelHetero
+	planes := 4
+	homo := topo.JellyfishSet(sw, deg, hps, planes, 100, p.Seed).ParallelHomo
+	hetero := topo.JellyfishSet(sw, deg, hps, planes, 100, p.Seed).ParallelHetero
 
 	t := Table{
 		ID:    "deploy",

@@ -37,7 +37,7 @@ func runFig14(p Params) Table {
 			t.Rows = append(t.Rows, []Cell{
 				label(n.name),
 				num(pt.Fraction*100, "%.0f"),
-				f3(pt.AvgHops),
+				num(pt.AvgHops, "%.3f"),
 				num((pt.AvgHops/base-1)*100, "%+.1f"),
 				num(pt.Unreachable*100, "%.2f"),
 			})

@@ -77,11 +77,15 @@ func runECMPFigure(id, title string, p Params, pattern func(*topo.Topology, *ran
 	k := ftArity(p.Scale)
 	planeCounts := []int{2, 4, 8}
 
+	measure := func(tp *topo.Topology, trial int64) float64 {
+		rng := rand.New(rand.NewSource(p.Seed + trial))
+		cs := pattern(tp, rng)
+		return ecmpThroughput(tp, cs, uint64(p.Seed+trial*7919))
+	}
 	trials := func(tp *topo.Topology) (mean, std float64) {
 		var vals []float64
 		for trial := int64(0); trial < trialCount; trial++ {
-			cs := pattern(tp, rand.New(rand.NewSource(p.Seed+trial)))
-			vals = append(vals, ecmpThroughput(tp, cs, uint64(p.Seed+trial*7919)))
+			vals = append(vals, measure(tp, trial))
 		}
 		return meanStd(vals)
 	}
