@@ -110,17 +110,17 @@ func BenchmarkAblationLowestHopPlane(b *testing.B) {
 	tp := set.ParallelHetero
 	var best, p0 float64
 	for i := 0; i < b.N; i++ {
-		pairs := workload.RandomPairs(tp, 500, rng(3))
+		cs := workload.PermutationCommodities(tp, 1, rng(3))
 		bestSum, p0Sum := 0.0, 0.0
 		mask := tp.G.PlaneMasks()[0]
-		for _, pr := range pairs {
-			bp, _ := graph.ShortestPath(tp.G, pr[0], pr[1])
+		for _, c := range cs {
+			bp := graph.KShortestPathsMasked(tp.G, c.Src, c.Dst, 1, nil)[0]
 			bestSum += float64(bp.Len())
-			zp := graph.KShortestPathsMasked(tp.G, pr[0], pr[1], 1, mask)
-			p0Sum += float64(zp[0].Len())
+			zp := graph.KShortestPathsMasked(tp.G, c.Src, c.Dst, 1, mask)[0]
+			p0Sum += float64(zp.Len())
 		}
-		best = bestSum / float64(len(pairs))
-		p0 = p0Sum / float64(len(pairs))
+		best = bestSum / float64(len(cs))
+		p0 = p0Sum / float64(len(cs))
 	}
 	b.ReportMetric(best, "hops-best-plane")
 	b.ReportMetric(p0, "hops-plane0")

@@ -22,7 +22,7 @@ func Example() {
 	set := topo.FatTreeSet(4, 2, 100) // k=4 (16 hosts), 2 planes, 100 Gb/s links
 	pn := set.ParallelHomo
 	fmt.Printf("network %q: %d hosts, %d planes, %.0f Gb/s per host total\n",
-		pn.Name, pn.NumHosts(), pn.Planes, pn.HostBandwidth())
+		pn.Name, pn.NumHosts(), pn.Planes, float64(pn.Planes)*pn.LinkSpeed)
 
 	// 2. The end-host control plane: P-Net hosts pick dataplanes and
 	// paths themselves.

@@ -17,7 +17,8 @@ func WeightedShortestPath(g *Graph, src, dst NodeID, weight []float64) (p Path, 
 	if src == dst {
 		return Path{}, 0, false
 	}
-	n := g.NumNodes()
+	fz := g.Frozen()
+	n := fz.NumNodes()
 	d := make([]float64, n)
 	parent := make([]LinkID, n)
 	done := make([]bool, n)
@@ -37,19 +38,19 @@ func WeightedShortestPath(g *Graph, src, dst NodeID, weight []float64) (p Path, 
 		if u == dst {
 			return tracePath(g, parent, src, dst), d[u], true
 		}
-		if u != src && !g.Transit(u) {
+		if u != src && !fz.Transit(u) {
 			continue
 		}
-		for _, id := range g.OutLinks(u) {
-			l := g.Link(id)
-			if !l.Up || done[l.Dst] {
+		for _, id := range fz.OutLinks(u) {
+			v := fz.LinkDst(id)
+			if !fz.LinkUp(id) || done[v] {
 				continue
 			}
 			nd := d[u] + weight[id]
-			if d[l.Dst] < 0 || nd < d[l.Dst] {
-				d[l.Dst] = nd
-				parent[l.Dst] = id
-				heap.Push(pq, nodeItem{node: l.Dst, dist: nd})
+			if d[v] < 0 || nd < d[v] {
+				d[v] = nd
+				parent[v] = id
+				heap.Push(pq, nodeItem{node: v, dist: nd})
 			}
 		}
 	}

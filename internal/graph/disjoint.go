@@ -9,10 +9,11 @@ func EdgeDisjointPaths(g *Graph, src, dst NodeID, limit int) int {
 	if src == dst {
 		return 0
 	}
-	used := make([]bool, g.NumLinks()) // forward flow on link
+	fz := g.Frozen()
+	used := make([]bool, fz.NumLinks()) // forward flow on link
 	count := 0
 	for limit <= 0 || count < limit {
-		if !augment(g, src, dst, used) {
+		if !augment(fz, src, dst, used) {
 			break
 		}
 		count++
@@ -23,39 +24,39 @@ func EdgeDisjointPaths(g *Graph, src, dst NodeID, limit int) int {
 // augment finds one augmenting path in the unit-capacity residual graph
 // and flips its links. Residual arcs: unused forward links, plus reverse
 // traversal of used links (cancelling flow).
-func augment(g *Graph, src, dst NodeID, used []bool) bool {
+func augment(fz *Frozen, src, dst NodeID, used []bool) bool {
 	type step struct {
 		link    LinkID
 		forward bool
 	}
 	parent := make(map[NodeID]step, 64)
-	visited := make([]bool, g.NumNodes())
+	visited := make([]bool, fz.NumNodes())
 	visited[src] = true
 	queue := []NodeID{src}
 
 	for len(queue) > 0 && !visited[dst] {
 		u := queue[0]
 		queue = queue[1:]
-		if u != src && !g.Transit(u) && u != dst {
+		if u != src && !fz.Transit(u) && u != dst {
 			continue
 		}
-		for _, id := range g.OutLinks(u) {
-			l := g.Link(id)
-			if !l.Up || used[id] || visited[l.Dst] {
+		for _, id := range fz.OutLinks(u) {
+			v := fz.LinkDst(id)
+			if !fz.LinkUp(id) || used[id] || visited[v] {
 				continue
 			}
-			visited[l.Dst] = true
-			parent[l.Dst] = step{link: id, forward: true}
-			queue = append(queue, l.Dst)
+			visited[v] = true
+			parent[v] = step{link: id, forward: true}
+			queue = append(queue, v)
 		}
-		for _, id := range g.InLinks(u) {
-			l := g.Link(id)
-			if !l.Up || !used[id] || visited[l.Src] {
+		for _, id := range fz.InLinks(u) {
+			v := fz.LinkSrc(id)
+			if !fz.LinkUp(id) || !used[id] || visited[v] {
 				continue
 			}
-			visited[l.Src] = true
-			parent[l.Src] = step{link: id, forward: false}
-			queue = append(queue, l.Src)
+			visited[v] = true
+			parent[v] = step{link: id, forward: false}
+			queue = append(queue, v)
 		}
 	}
 	if !visited[dst] {
@@ -65,10 +66,10 @@ func augment(g *Graph, src, dst NodeID, used []bool) bool {
 		s := parent[n]
 		if s.forward {
 			used[s.link] = true
-			n = g.Link(s.link).Src
+			n = fz.LinkSrc(s.link)
 		} else {
 			used[s.link] = false
-			n = g.Link(s.link).Dst
+			n = fz.LinkDst(s.link)
 		}
 	}
 	return true

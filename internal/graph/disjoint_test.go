@@ -37,7 +37,7 @@ func TestEdgeDisjointDisconnected(t *testing.T) {
 func TestEdgeDisjointRespectsDownLinks(t *testing.T) {
 	g := diamond()
 	// Down the 0->1 link: only two routes remain.
-	for _, id := range g.OutLinks(0) {
+	for _, id := range g.Frozen().OutLinks(0) {
 		if g.Link(id).Dst == 1 {
 			g.SetLinkUp(id, false)
 		}

@@ -1,25 +1,22 @@
 package graph
 
-// Frozen is a compact, read-only adjacency snapshot of a Graph in CSR
+// Frozen is a Graph's adjacency: a compact, read-only snapshot in CSR
 // (compressed sparse row) form, built for the solver and routing hot
-// paths. Out- and in-edges live in two flat arrays indexed by per-node
-// offsets, and the per-link fields the inner loops touch (destination,
-// capacity, up state) are split into parallel arrays, so edge relaxation
-// is a cache-linear scan instead of a pointer chase through slice-of-
-// slices adjacency with a bounds-checked Link struct copy per edge.
+// paths. The Graph itself keeps only its node flags and link list. Out-
+// and in-edges live in two flat arrays indexed by per-node offsets, and
+// the per-link fields the inner loops touch (destination, capacity, up
+// state) are split into parallel arrays, so edge relaxation is a
+// cache-linear scan with no Link struct copy per edge.
 //
-// Edge order within a node is the Graph's insertion order, so every
-// algorithm ported to the frozen view visits links in exactly the order
-// the *Graph-based implementations do — deterministic tie-breaking, and
-// therefore results, are preserved bit for bit.
+// Edge order within a node is link ID order, which is insertion order,
+// so ties between equal paths break the same way in every search and
+// results are reproducible for a fixed topology.
 //
 // A Frozen is immutable. Obtain one with Graph.Frozen(), which caches
 // the snapshot and rebuilds it only after the graph mutates. All methods
 // are safe for concurrent use.
 type Frozen struct {
-	numNodes int
-
-	outStart []int32 // len numNodes+1; out-links of n are outList[outStart[n]:outStart[n+1]]
+	outStart []int32 // len NumNodes()+1; out-links of n are outList[outStart[n]:outStart[n+1]]
 	outList  []LinkID
 	inStart  []int32
 	inList   []LinkID
@@ -61,16 +58,18 @@ func (g *Graph) Frozen() *Frozen {
 	return g.frozen
 }
 
+// buildFrozen lays the links out by a counting sort on their endpoints:
+// each node's degrees, their prefix sums as the start offsets, then every
+// link dropped into its nodes' next free slots. Links are placed in ID
+// order, which is each node's insertion order.
 func (g *Graph) buildFrozen() *Frozen {
 	n, m := len(g.transit), len(g.links)
 	fz := &Frozen{
-		numNodes: n,
 		outStart: make([]int32, n+1),
-		outList:  make([]LinkID, 0, m),
+		outList:  make([]LinkID, m),
 		inStart:  make([]int32, n+1),
-		inList:   make([]LinkID, 0, m),
+		inList:   make([]LinkID, m),
 		upStart:  make([]int32, n+1),
-		upArcs:   make([]arc, 0, m),
 		linkSrc:  make([]NodeID, m),
 		linkDst:  make([]NodeID, m),
 		linkCap:  make([]float64, m),
@@ -83,27 +82,40 @@ func (g *Graph) buildFrozen() *Frozen {
 		fz.linkDst[i] = l.Dst
 		fz.linkCap[i] = l.Capacity
 		fz.linkUp[i] = l.Up
-	}
-	for u := 0; u < n; u++ {
-		fz.outStart[u] = int32(len(fz.outList))
-		fz.outList = append(fz.outList, g.out[u]...)
-		fz.inStart[u] = int32(len(fz.inList))
-		fz.inList = append(fz.inList, g.in[u]...)
-		fz.upStart[u] = int32(len(fz.upArcs))
-		for _, id := range g.out[u] {
-			if fz.linkUp[id] {
-				fz.upArcs = append(fz.upArcs, arc{fz.linkDst[id], id})
-			}
+		fz.outStart[l.Src+1]++
+		fz.inStart[l.Dst+1]++
+		if l.Up {
+			fz.upStart[l.Src+1]++
 		}
 	}
-	fz.outStart[n] = int32(len(fz.outList))
-	fz.inStart[n] = int32(len(fz.inList))
-	fz.upStart[n] = int32(len(fz.upArcs))
+	for u := 1; u <= n; u++ {
+		fz.outStart[u] += fz.outStart[u-1]
+		fz.inStart[u] += fz.inStart[u-1]
+		fz.upStart[u] += fz.upStart[u-1]
+	}
+	fz.upArcs = make([]arc, fz.upStart[n])
+	next := make([]int32, 3*n) // the next free out, in and up slot of each node
+	copy(next, fz.outStart[:n])
+	copy(next[n:], fz.inStart[:n])
+	copy(next[2*n:], fz.upStart[:n])
+	outNext, inNext, upNext := next[:n], next[n:2*n], next[2*n:]
+	for i := range g.links {
+		l := &g.links[i]
+		id := LinkID(i)
+		fz.outList[outNext[l.Src]] = id
+		outNext[l.Src]++
+		fz.inList[inNext[l.Dst]] = id
+		inNext[l.Dst]++
+		if l.Up {
+			fz.upArcs[upNext[l.Src]] = arc{l.Dst, id}
+			upNext[l.Src]++
+		}
+	}
 	return fz
 }
 
 // NumNodes returns the number of nodes in the snapshot.
-func (fz *Frozen) NumNodes() int { return fz.numNodes }
+func (fz *Frozen) NumNodes() int { return len(fz.transit) }
 
 // NumLinks returns the number of directed links, including down links.
 func (fz *Frozen) NumLinks() int { return len(fz.linkSrc) }

@@ -3,6 +3,7 @@ package graph
 import (
 	"container/heap"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -31,44 +32,91 @@ func randomGraph(rng *rand.Rand, n int) *Graph {
 	return g
 }
 
+// fatTree returns a k-ary fat tree: the k³/4 hosts first, non-transit,
+// then per pod k/2 edge and k/2 aggregation switches, then the core.
+func fatTree(k int) *Graph {
+	half, hosts := k/2, k*k*k/4
+	g := New(hosts + k*k + half*half)
+	sw := func(i int) NodeID { return NodeID(hosts + i) }
+	for e := 0; e < k*half; e++ { // edge switch e of pod e/half
+		pod := e / half
+		for i := 0; i < half; i++ {
+			g.SetTransit(NodeID(e*half+i), false)
+			g.AddDuplex(NodeID(e*half+i), sw(pod*k+e%half), 100, 0)
+		}
+		for a := 0; a < half; a++ {
+			g.AddDuplex(sw(pod*k+e%half), sw(pod*k+half+a), 100, 0)
+			g.AddDuplex(sw(pod*k+half+a), sw(k*k+a*half+e%half), 100, 0)
+		}
+	}
+	return g
+}
+
+// jellyfish returns switches joined at random by pairing shuffled free
+// ports, degree a switch, with one non-transit host on each; hosts first.
+func jellyfish(rng *rand.Rand, switches, degree int) *Graph {
+	g := New(2 * switches)
+	ports := rng.Perm(switches * degree)
+	for h := 0; h < switches; h++ {
+		g.SetTransit(NodeID(h), false)
+		g.AddDuplex(NodeID(h), NodeID(switches+h), 100, 0)
+	}
+	for i := 0; i+1 < len(ports); i += 2 {
+		if a, b := ports[i]%switches, ports[i+1]%switches; a != b {
+			g.AddDuplex(NodeID(switches+a), NodeID(switches+b), 100, 0)
+		}
+	}
+	return g
+}
+
+// TestFrozenMirrorsGraph holds every CSR list of the snapshot to a
+// scan of the links in ID order: a node's out-list is the links it is
+// the source of, its in-list the links it is the destination of, and its
+// up-arc list its up out-links with their far ends. Per-link arrays and
+// transit flags must copy the graph's.
 func TestFrozenMirrorsGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	g := randomGraph(rng, 40)
-	fz := g.Frozen()
-	if fz.NumNodes() != g.NumNodes() || fz.NumLinks() != g.NumLinks() {
-		t.Fatalf("size mismatch: %d/%d nodes, %d/%d links",
-			fz.NumNodes(), g.NumNodes(), fz.NumLinks(), g.NumLinks())
-	}
-	for n := 0; n < g.NumNodes(); n++ {
-		id := NodeID(n)
-		if fz.Transit(id) != g.Transit(id) {
-			t.Fatalf("node %d transit mismatch", n)
+	for name, g := range map[string]*Graph{
+		"fat tree k=4":           fatTree(4),
+		"jellyfish 12x3":         jellyfish(rng, 12, 3),
+		"random with down links": randomGraph(rng, 40),
+	} {
+		fz := g.Frozen()
+		if fz.NumNodes() != g.NumNodes() || fz.NumLinks() != g.NumLinks() {
+			t.Fatalf("%s: %d/%d nodes, %d/%d links", name, fz.NumNodes(), g.NumNodes(), fz.NumLinks(), g.NumLinks())
 		}
-		out, fout := g.OutLinks(id), fz.OutLinks(id)
-		if len(out) != len(fout) {
-			t.Fatalf("node %d out-degree mismatch", n)
-		}
-		for i := range out {
-			if out[i] != fout[i] {
-				t.Fatalf("node %d out-link order mismatch at %d", n, i)
+		for n := 0; n < g.NumNodes(); n++ {
+			u := NodeID(n)
+			var out, in []LinkID
+			var up []arc
+			for _, l := range g.links {
+				if l.Src == u {
+					out = append(out, l.ID)
+					if l.Up {
+						up = append(up, arc{l.Dst, l.ID})
+					}
+				}
+				if l.Dst == u {
+					in = append(in, l.ID)
+				}
+			}
+			if got := fz.OutLinks(u); !slices.Equal(got, out) {
+				t.Fatalf("%s: node %d out-list %v, scan %v", name, n, got, out)
+			}
+			if got := fz.InLinks(u); !slices.Equal(got, in) {
+				t.Fatalf("%s: node %d in-list %v, scan %v", name, n, got, in)
+			}
+			if got := fz.upArcs[fz.upStart[u]:fz.upStart[u+1]]; !slices.Equal(got, up) {
+				t.Fatalf("%s: node %d up arcs %v, scan %v", name, n, got, up)
+			}
+			if fz.Transit(u) != g.transit[n] {
+				t.Fatalf("%s: node %d transit mismatch", name, n)
 			}
 		}
-		in, fin := g.InLinks(id), fz.InLinks(id)
-		if len(in) != len(fin) {
-			t.Fatalf("node %d in-degree mismatch", n)
-		}
-		for i := range in {
-			if in[i] != fin[i] {
-				t.Fatalf("node %d in-link order mismatch at %d", n, i)
+		for _, l := range g.links {
+			if id := l.ID; fz.LinkSrc(id) != l.Src || fz.LinkDst(id) != l.Dst || fz.LinkCap(id) != l.Capacity || fz.LinkUp(id) != l.Up {
+				t.Fatalf("%s: link %d field mismatch", name, id)
 			}
-		}
-	}
-	for i := 0; i < g.NumLinks(); i++ {
-		id := LinkID(i)
-		l := g.Link(id)
-		if fz.LinkSrc(id) != l.Src || fz.LinkDst(id) != l.Dst ||
-			fz.LinkCap(id) != l.Capacity || fz.LinkUp(id) != l.Up {
-			t.Fatalf("link %d field mismatch", i)
 		}
 	}
 }
@@ -103,9 +151,9 @@ func TestFrozenCachesAndInvalidates(t *testing.T) {
 	}
 }
 
-// referenceBFS is a copy of the historical queue-based BFS that
-// ShortestPath used before the CSR port, kept as an independent check of
-// discovery order and parent choice.
+// referenceBFS is a copy of the historical queue-based BFS that the
+// single shortest path used before the CSR port, kept as an independent
+// check of discovery order and parent choice.
 func referenceBFS(g *Graph, src, dst NodeID) (Path, bool) {
 	if src == dst {
 		return Path{}, false
@@ -116,14 +164,15 @@ func referenceBFS(g *Graph, src, dst NodeID) (Path, bool) {
 	}
 	visited := make([]bool, g.NumNodes())
 	visited[src] = true
+	fz := g.Frozen()
 	queue := []NodeID{src}
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		if u != src && !g.Transit(u) {
+		if u != src && !fz.Transit(u) {
 			continue
 		}
-		for _, id := range g.OutLinks(u) {
+		for _, id := range fz.OutLinks(u) {
 			l := g.Link(id)
 			if !l.Up || visited[l.Dst] {
 				continue
@@ -147,12 +196,12 @@ func TestFrozenBFSMatchesReference(t *testing.T) {
 			src := NodeID(rng.Intn(g.NumNodes()))
 			dst := NodeID(rng.Intn(g.NumNodes()))
 			want, wok := referenceBFS(g, src, dst)
-			got, gok := ShortestPath(g, src, dst)
-			if wok != gok {
-				t.Fatalf("trial %d %d->%d: ok %v vs reference %v", trial, src, dst, gok, wok)
+			got := KShortestPathsMasked(g, src, dst, 1, nil)
+			if wok != (len(got) > 0) {
+				t.Fatalf("trial %d %d->%d: %d paths vs reference ok %v", trial, src, dst, len(got), wok)
 			}
-			if wok && !got.Equal(want) {
-				t.Fatalf("trial %d %d->%d: path %v vs reference %v", trial, src, dst, got.Links, want.Links)
+			if wok && !got[0].Equal(want) {
+				t.Fatalf("trial %d %d->%d: path %v vs reference %v", trial, src, dst, got[0].Links, want.Links)
 			}
 		}
 	}
@@ -353,7 +402,7 @@ func TestScratchEpochWraparound(t *testing.T) {
 // referenceReverseLink is the historical O(out-degree) scan.
 func referenceReverseLink(g *Graph, id LinkID) (LinkID, bool) {
 	l := g.Link(id)
-	for _, rid := range g.OutLinks(l.Dst) {
+	for _, rid := range g.Frozen().OutLinks(l.Dst) {
 		r := g.Link(rid)
 		if r.Dst == l.Src && r.Plane == l.Plane {
 			return rid, true

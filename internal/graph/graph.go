@@ -46,8 +46,6 @@ type Link struct {
 type Graph struct {
 	transit []bool
 	links   []Link
-	out     [][]LinkID
-	in      [][]LinkID
 
 	// version counts mutations (node/link growth, up/capacity/transit
 	// changes). Derived snapshots cache against it; a stale version
@@ -77,27 +75,17 @@ type Graph struct {
 
 // New returns an empty graph with n nodes, all transit-capable.
 func New(n int) *Graph {
-	return &Graph{
-		transit: newBools(n, true),
-		out:     make([][]LinkID, n),
-		in:      make([][]LinkID, n),
+	g := &Graph{transit: make([]bool, n)}
+	for i := range g.transit {
+		g.transit[i] = true
 	}
-}
-
-func newBools(n int, v bool) []bool {
-	b := make([]bool, n)
-	for i := range b {
-		b[i] = v
-	}
-	return b
+	return g
 }
 
 // AddNode appends a node and returns its ID.
 func (g *Graph) AddNode(transit bool) NodeID {
 	g.version++
 	g.transit = append(g.transit, transit)
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
 	return NodeID(len(g.transit) - 1)
 }
 
@@ -112,8 +100,6 @@ func (g *Graph) AddLink(src, dst NodeID, capacity float64, plane int32) LinkID {
 	g.links = append(g.links, Link{
 		ID: id, Src: src, Dst: dst, Capacity: capacity, Plane: plane, Up: true,
 	})
-	g.out[src] = append(g.out[src], id)
-	g.in[dst] = append(g.in[dst], id)
 	return id
 }
 
@@ -144,15 +130,6 @@ func (g *Graph) Link(id LinkID) Link {
 	return g.links[id]
 }
 
-// OutLinks returns the IDs of links leaving node n, including down links.
-func (g *Graph) OutLinks(n NodeID) []LinkID { return g.out[n] }
-
-// InLinks returns the IDs of links entering node n, including down links.
-func (g *Graph) InLinks(n NodeID) []LinkID { return g.in[n] }
-
-// Transit reports whether node n may forward traffic (false for end hosts).
-func (g *Graph) Transit(n NodeID) bool { return g.transit[n] }
-
 // SetTransit sets the transit capability of node n.
 func (g *Graph) SetTransit(n NodeID, transit bool) {
 	g.version++
@@ -177,19 +154,10 @@ func (g *Graph) SetCapacity(id LinkID, capacity float64) {
 // Clone returns a deep copy of the graph. Failure experiments clone a
 // topology before tearing links down.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
+	return &Graph{
 		transit: append([]bool(nil), g.transit...),
 		links:   append([]Link(nil), g.links...),
-		out:     make([][]LinkID, len(g.out)),
-		in:      make([][]LinkID, len(g.in)),
 	}
-	for i := range g.out {
-		c.out[i] = append([]LinkID(nil), g.out[i]...)
-	}
-	for i := range g.in {
-		c.in[i] = append([]LinkID(nil), g.in[i]...)
-	}
-	return c
 }
 
 // PlaneMasks returns, in increasing plane order, the banned-link masks
@@ -237,9 +205,9 @@ func (g *Graph) PlaneMasks() [][]bool {
 // ReverseLink returns the link running opposite to id (same endpoints and
 // plane, reversed direction). ok is false if none exists. Topologies built
 // with AddDuplex always have one. The twin table is precomputed: the first
-// call builds it in one O(links) pass and later calls are a lock plus an
-// array load; ReversePath, which transports call for every ACK route,
-// takes the lock once per path. The cache is invalidated when links are
+// call builds it in one pass over the links and their destinations'
+// out-links, and later calls are a lock plus an array load; ReversePath,
+// which transports call for every ACK route, takes the lock once per path. The cache is invalidated when links are
 // added (twins depend only on endpoints and plane tags, which never change
 // after AddLink) and is safe to build and read concurrently, like
 // PlaneMasks.
@@ -250,36 +218,25 @@ func (g *Graph) ReverseLink(id LinkID) (LinkID, bool) {
 }
 
 // twins returns the cached reverse-twin table, building it if stale.
-// twin[l] is the lowest-numbered link with reversed endpoints and the
-// same plane as l, or -1 — "lowest-numbered" matches the historical
-// linear scan, which walked the out-links of l's destination in link
-// insertion order. A built table is never written again, so the returned
-// slice may be read after the lock is released.
+// twin[l] is the first out-link of l's destination, in ID order, that
+// leads back to l's source in l's plane, or -1. A built table is never
+// written again, so the returned slice may be read after the lock is
+// released.
 func (g *Graph) twins() []LinkID {
 	g.twinMu.Lock()
 	defer g.twinMu.Unlock()
 	if g.twin != nil && g.twinLinks == len(g.links) {
 		return g.twin
 	}
-	type key struct {
-		src, dst NodeID
-		plane    int32
-	}
-	first := make(map[key]LinkID, len(g.links))
-	for i := range g.links {
-		l := &g.links[i]
-		k := key{l.Src, l.Dst, l.Plane}
-		if _, ok := first[k]; !ok {
-			first[k] = LinkID(i)
-		}
-	}
+	fz := g.Frozen()
 	twin := make([]LinkID, len(g.links))
-	for i := range g.links {
-		l := &g.links[i]
-		if rid, ok := first[key{l.Dst, l.Src, l.Plane}]; ok {
-			twin[i] = rid
-		} else {
-			twin[i] = -1
+	for i, l := range g.links {
+		twin[i] = -1
+		for _, rid := range fz.OutLinks(l.Dst) {
+			if r := &g.links[rid]; r.Dst == l.Src && r.Plane == l.Plane {
+				twin[i] = rid
+				break
+			}
 		}
 	}
 	g.twin = twin

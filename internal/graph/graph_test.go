@@ -40,8 +40,8 @@ func TestAddLinkBookkeeping(t *testing.T) {
 	if got := g.Link(ba); got.Src != 1 || got.Dst != 0 {
 		t.Errorf("link ba = %+v", got)
 	}
-	if len(g.OutLinks(0)) != 1 || len(g.InLinks(0)) != 1 {
-		t.Errorf("adjacency of node 0 = out %v in %v", g.OutLinks(0), g.InLinks(0))
+	if len(g.Frozen().OutLinks(0)) != 1 || len(g.Frozen().InLinks(0)) != 1 {
+		t.Errorf("adjacency of node 0 = out %v in %v", g.Frozen().OutLinks(0), g.Frozen().InLinks(0))
 	}
 }
 
@@ -76,7 +76,7 @@ func TestHopDistancesUnreachable(t *testing.T) {
 func TestHopDistancesRespectsDownLinks(t *testing.T) {
 	g := line(3)
 	// Take down both directions of the 1-2 hop.
-	for _, id := range g.OutLinks(1) {
+	for _, id := range g.Frozen().OutLinks(1) {
 		if g.Link(id).Dst == 2 {
 			g.SetLinkUp(id, false)
 		}
@@ -94,8 +94,8 @@ func TestNoTransitThroughHosts(t *testing.T) {
 	if d := HopDistances(g, 0); d[2] != -1 {
 		t.Errorf("dist through host = %d, want -1", d[2])
 	}
-	if _, ok := ShortestPath(g, 0, 2); ok {
-		t.Error("ShortestPath found a path through a host")
+	if ps := KShortestPathsMasked(g, 0, 2, 1, nil); len(ps) != 0 {
+		t.Error("found a path through a host")
 	}
 	// But the host itself remains reachable.
 	if d := HopDistances(g, 0); d[1] != 1 {
@@ -105,10 +105,11 @@ func TestNoTransitThroughHosts(t *testing.T) {
 
 func TestShortestPathDiamond(t *testing.T) {
 	g := diamond()
-	p, ok := ShortestPath(g, 0, 3)
-	if !ok {
+	ps := KShortestPathsMasked(g, 0, 3, 1, nil)
+	if len(ps) == 0 {
 		t.Fatal("no path found")
 	}
+	p := ps[0]
 	if p.Len() != 2 {
 		t.Errorf("path length = %d, want 2", p.Len())
 	}
@@ -122,14 +123,14 @@ func TestShortestPathDiamond(t *testing.T) {
 
 func TestShortestPathSameNode(t *testing.T) {
 	g := line(2)
-	if _, ok := ShortestPath(g, 0, 0); ok {
+	if ps := KShortestPathsMasked(g, 0, 0, 1, nil); len(ps) != 0 {
 		t.Error("found path from node to itself")
 	}
 }
 
 func TestPathNodes(t *testing.T) {
 	g := line(4)
-	p, _ := ShortestPath(g, 0, 3)
+	p := KShortestPathsMasked(g, 0, 3, 1, nil)[0]
 	nodes := p.Nodes(g)
 	want := []NodeID{0, 1, 2, 3}
 	if len(nodes) != len(want) {
@@ -144,7 +145,7 @@ func TestPathNodes(t *testing.T) {
 
 func TestPathValidRejectsBroken(t *testing.T) {
 	g := diamond()
-	p, _ := ShortestPath(g, 0, 3)
+	p := KShortestPathsMasked(g, 0, 3, 1, nil)[0]
 	// Non-contiguous: duplicate the first link.
 	bad := Path{Links: []LinkID{p.Links[0], p.Links[0]}}
 	if bad.Valid(g) {
@@ -262,9 +263,9 @@ func TestKShortestPathsK1MatchesShortest(t *testing.T) {
 	if len(paths) != 1 {
 		t.Fatalf("got %d paths", len(paths))
 	}
-	sp, _ := ShortestPath(g, 0, 3)
-	if paths[0].Len() != sp.Len() {
-		t.Errorf("KSP[0] length %d != shortest %d", paths[0].Len(), sp.Len())
+	sp, _ := referenceBFS(g, 0, 3)
+	if !paths[0].Equal(sp) {
+		t.Errorf("KSP[0] %v != BFS shortest %v", paths[0].Links, sp.Links)
 	}
 }
 
@@ -352,7 +353,7 @@ func TestCloneIndependence(t *testing.T) {
 		t.Error("mutating clone affected original")
 	}
 	c.SetTransit(1, false)
-	if !g.Transit(1) {
+	if !g.Frozen().Transit(1) {
 		t.Error("clone shares transit slice")
 	}
 }

@@ -56,6 +56,7 @@ func (p Path) Valid(g *Graph) bool {
 	if len(p.Links) == 0 {
 		return false
 	}
+	fz := g.Frozen()
 	seen := map[NodeID]bool{g.Link(p.Links[0]).Src: true}
 	for i, id := range p.Links {
 		l := g.Link(id)
@@ -63,11 +64,7 @@ func (p Path) Valid(g *Graph) bool {
 			return false
 		}
 		if i > 0 {
-			prev := g.Link(p.Links[i-1])
-			if prev.Dst != l.Src {
-				return false
-			}
-			if !g.Transit(l.Src) {
+			if fz.LinkDst(p.Links[i-1]) != l.Src || !fz.Transit(l.Src) {
 				return false
 			}
 		}

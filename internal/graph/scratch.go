@@ -141,7 +141,7 @@ func (h *spHeap) pop() spItem {
 // one of its entries carries its final distance and pops first; any entry
 // with a larger key is stale.
 func (fz *Frozen) Dijkstra(s *Scratch, src NodeID, weight []float64, until NodeID) bool {
-	s.begin(fz.numNodes)
+	s.begin(fz.NumNodes())
 	s.dist[src] = 0
 	s.reached[src] = s.epoch
 	s.heap.push(spItem{dist: 0, node: src})
@@ -181,7 +181,7 @@ func (fz *Frozen) Dijkstra(s *Scratch, src NodeID, weight []float64, until NodeI
 // identical. Distances are hop counts in Dist. Allocation-free after
 // warm-up.
 func (fz *Frozen) BFS(s *Scratch, src NodeID, until NodeID, bannedLinks, bannedNodes []bool) bool {
-	s.begin(fz.numNodes)
+	s.begin(fz.NumNodes())
 	s.dist[src] = 0
 	s.reached[src] = s.epoch
 	s.queue = append(s.queue, src)

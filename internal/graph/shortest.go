@@ -21,21 +21,6 @@ func HopDistances(g *Graph, src NodeID) []int {
 	return dist
 }
 
-// ShortestPath returns one shortest path from src to dst by BFS, breaking
-// ties by link insertion order. ok is false when dst is unreachable.
-func ShortestPath(g *Graph, src, dst NodeID) (p Path, ok bool) {
-	if src == dst {
-		return Path{}, false
-	}
-	fz := g.Frozen()
-	s := GetScratch()
-	defer PutScratch(s)
-	if !fz.BFS(s, src, dst, nil, nil) {
-		return Path{}, false
-	}
-	return fz.PathTo(s, src, dst), true
-}
-
 // tracePath rebuilds a path from a parent-link array filled by a
 // *Graph-based search.
 func tracePath(g *Graph, parent []LinkID, src, dst NodeID) Path {

@@ -17,7 +17,7 @@ func TestMaxMinSharedLink(t *testing.T) {
 	g.SetTransit(2, false)
 	g.AddDuplex(0, 1, 10, 0)
 	g.AddDuplex(1, 2, 10, 0)
-	p, _ := graph.ShortestPath(g, 0, 2)
+	p := graph.KShortestPathsMasked(g, 0, 2, 1, nil)[0]
 	cs := []route.Commodity{{Src: 0, Dst: 2}, {Src: 0, Dst: 2}}
 	r := MaxMinPinned(g, cs, [][]graph.Path{{p}, {p}})
 	almost(t, "total", r.Total, 10, 1e-9)
@@ -37,9 +37,9 @@ func TestMaxMinWaterFilling(t *testing.T) {
 	g.AddDuplex(0, 2, 30, 0) // x uplink
 	g.AddDuplex(1, 2, 30, 0) // y uplink
 	g.AddDuplex(2, 3, 10, 0) // z downlink (bottleneck)
-	pa, _ := graph.ShortestPath(g, 0, 3)
-	pb, _ := graph.ShortestPath(g, 1, 3)
-	pc, _ := graph.ShortestPath(g, 0, 1)
+	pa := graph.KShortestPathsMasked(g, 0, 3, 1, nil)[0]
+	pb := graph.KShortestPathsMasked(g, 1, 3, 1, nil)[0]
+	pc := graph.KShortestPathsMasked(g, 0, 1, 1, nil)[0]
 	cs := []route.Commodity{{Src: 0, Dst: 3}, {Src: 1, Dst: 3}, {Src: 0, Dst: 1}}
 	r := MaxMinPinned(g, cs, [][]graph.Path{{pa}, {pb}, {pc}})
 	almost(t, "A", r.Rates[0], 5, 1e-9)
@@ -54,7 +54,7 @@ func TestMaxMinDemandCap(t *testing.T) {
 	g.SetTransit(2, false)
 	g.AddDuplex(0, 1, 10, 0)
 	g.AddDuplex(1, 2, 10, 0)
-	p, _ := graph.ShortestPath(g, 0, 2)
+	p := graph.KShortestPathsMasked(g, 0, 2, 1, nil)[0]
 	// Demand 3 caps the first flow; the second takes the rest.
 	cs := []route.Commodity{{Src: 0, Dst: 2, Demand: 3}, {Src: 0, Dst: 2}}
 	r := MaxMinPinned(g, cs, [][]graph.Path{{p}, {p}})
@@ -79,7 +79,7 @@ func TestMaxMinMatchesConcurrentOnSymmetricCase(t *testing.T) {
 	g.SetTransit(2, false)
 	g.AddDuplex(0, 1, 12, 0)
 	g.AddDuplex(1, 2, 12, 0)
-	p, _ := graph.ShortestPath(g, 0, 2)
+	p := graph.KShortestPathsMasked(g, 0, 2, 1, nil)[0]
 	cs := []route.Commodity{
 		{Src: 0, Dst: 2, Demand: 100},
 		{Src: 0, Dst: 2, Demand: 100},

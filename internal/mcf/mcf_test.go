@@ -51,7 +51,7 @@ func TestPinnedSharedBottleneck(t *testing.T) {
 	g.SetTransit(2, false)
 	g.AddDuplex(0, 1, 10, 0)
 	g.AddDuplex(1, 2, 10, 0)
-	p, _ := graph.ShortestPath(g, 0, 2)
+	p := graph.KShortestPathsMasked(g, 0, 2, 1, nil)[0]
 	cs := []route.Commodity{
 		{Src: 0, Dst: 2, Demand: 10},
 		{Src: 0, Dst: 2, Demand: 10},

@@ -46,8 +46,7 @@ func freeReference(g *graph.Graph, cs []route.Commodity, opts Options) Result {
 	}
 	unrouted := 0
 	for _, ok := range par.Map(len(cs), func(j int) bool {
-		_, ok := graph.ShortestPath(g, cs[j].Src, cs[j].Dst)
-		return ok
+		return len(graph.KShortestPathsMasked(g, cs[j].Src, cs[j].Dst, 1, nil)) > 0
 	}) {
 		if !ok {
 			unrouted++

@@ -10,8 +10,8 @@ import (
 func TestNDPEndpointMismatch(t *testing.T) {
 	g, _ := star(3)
 	_, net := ndpNet(g)
-	p1, _ := graph.ShortestPath(g, 0, 1)
-	p2, _ := graph.ShortestPath(g, 0, 2)
+	p1 := graph.KShortestPathsMasked(g, 0, 1, 1, nil)[0]
+	p2 := graph.KShortestPathsMasked(g, 0, 2, 1, nil)[0]
 	if _, err := NewFlow(net, []graph.Path{p1, p2}, 1000); err == nil {
 		t.Error("no error for mismatched path endpoints")
 	}
@@ -20,7 +20,7 @@ func TestNDPEndpointMismatch(t *testing.T) {
 func TestNDPSmallFlowSinglePacket(t *testing.T) {
 	g, _ := star(2)
 	eng, net := ndpNet(g)
-	p, _ := graph.ShortestPath(g, 0, 1)
+	p := graph.KShortestPathsMasked(g, 0, 1, 1, nil)[0]
 	f, _ := NewFlow(net, []graph.Path{p}, 100)
 	if f.SizePkts != 1 {
 		t.Fatalf("SizePkts = %d", f.SizePkts)
@@ -42,7 +42,7 @@ func TestNDPSmallFlowSinglePacket(t *testing.T) {
 func TestNDPBitsetBookkeeping(t *testing.T) {
 	g, _ := star(2)
 	_, net := ndpNet(g)
-	p, _ := graph.ShortestPath(g, 0, 1)
+	p := graph.KShortestPathsMasked(g, 0, 1, 1, nil)[0]
 	f, _ := NewFlow(net, []graph.Path{p}, 130*1500)
 	if got := len(f.got); got != 3 { // ceil(130/64) words
 		t.Errorf("bitset words = %d, want 3", got)

@@ -36,7 +36,7 @@ func TestNDPValidation(t *testing.T) {
 	if _, err := NewFlow(net, nil, 1000); err == nil {
 		t.Error("no error for empty paths")
 	}
-	p, _ := graph.ShortestPath(g, 0, 1)
+	p := graph.KShortestPathsMasked(g, 0, 1, 1, nil)[0]
 	if _, err := NewFlow(net, []graph.Path{p}, 0); err == nil {
 		t.Error("no error for zero size")
 	}
@@ -45,7 +45,7 @@ func TestNDPValidation(t *testing.T) {
 func TestNDPSingleTransfer(t *testing.T) {
 	g, _ := star(2)
 	eng, net := ndpNet(g)
-	p, _ := graph.ShortestPath(g, 0, 1)
+	p := graph.KShortestPathsMasked(g, 0, 1, 1, nil)[0]
 	f, err := NewFlow(net, []graph.Path{p}, 1_500_000)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestNDPIncastNoTimeouts(t *testing.T) {
 	done := 0
 	var last sim.Time
 	for i := 1; i <= fanIn; i++ {
-		p, _ := graph.ShortestPath(g, graph.NodeID(i), 0)
+		p := graph.KShortestPathsMasked(g, graph.NodeID(i), 0, 1, nil)[0]
 		f, err := NewFlow(net, []graph.Path{p}, 256_000)
 		if err != nil {
 			t.Fatal(err)
@@ -134,7 +134,7 @@ func TestNDPSurvivesControlLoss(t *testing.T) {
 	g, _ := star(2)
 	eng := sim.NewEngine()
 	net := sim.NewNetwork(eng, g, sim.Config{QueueBytes: 3000, TrimToBytes: 64})
-	p, _ := graph.ShortestPath(g, 0, 1)
+	p := graph.KShortestPathsMasked(g, 0, 1, 1, nil)[0]
 	f, _ := NewFlow(net, []graph.Path{p}, 60_000)
 	f.Start()
 	eng.RunUntil(5 * sim.Second)
@@ -149,7 +149,7 @@ func TestNDPBackstopRestartsAfterOutage(t *testing.T) {
 	// the link heals at 10ms.
 	g, _ := star(2)
 	eng, net := ndpNet(g)
-	p, _ := graph.ShortestPath(g, 0, 1)
+	p := graph.KShortestPathsMasked(g, 0, 1, 1, nil)[0]
 	setPath := func(up bool) {
 		for _, id := range p.Links {
 			net.SetLinkUp(id, up)
@@ -180,7 +180,7 @@ func TestNDPTrimsReported(t *testing.T) {
 	eng, net := ndpNet(g)
 	var flows []*Flow
 	for i := 1; i <= fanIn; i++ {
-		p, _ := graph.ShortestPath(g, graph.NodeID(i), 0)
+		p := graph.KShortestPathsMasked(g, graph.NodeID(i), 0, 1, nil)[0]
 		f, _ := NewFlow(net, []graph.Path{p}, 150_000)
 		flows = append(flows, f)
 		f.Start()

@@ -38,7 +38,7 @@ func TestTracerSeesNDPTrims(t *testing.T) {
 	tr := &trimTracer{}
 	net.Tracer = tr
 
-	p, _ := graph.ShortestPath(g, 0, 1)
+	p := graph.KShortestPathsMasked(g, 0, 1, 1, nil)[0]
 	f, err := NewFlow(net, []graph.Path{p}, 1_500_000)
 	if err != nil {
 		t.Fatal(err)

@@ -224,7 +224,7 @@ func TestSpliceMatchesDirect(t *testing.T) {
 		} {
 			g.AddDuplex(l[0], l[1], 100, -1)
 		}
-		g.SetLinkUp(g.OutLinks(e)[0], false)
+		g.SetLinkUp(g.Frozen().OutLinks(e)[0], false)
 		var cs []route.Commodity
 		for src := 0; src < g.NumNodes(); src++ {
 			for dst := 0; dst < g.NumNodes(); dst++ {

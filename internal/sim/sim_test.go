@@ -199,7 +199,7 @@ func hostPair(speed float64, cfg Config) (*Engine, *Network, []graph.LinkID, []g
 	eng := NewEngine()
 	net := NewNetwork(eng, g, cfg)
 	fwd := []graph.LinkID{up0, down1}
-	p2, _ := graph.ShortestPath(g, 1, 0)
+	p2 := graph.KShortestPathsMasked(g, 1, 0, 1, nil)[0]
 	return eng, net, fwd, p2.Links
 }
 

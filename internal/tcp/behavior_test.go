@@ -18,7 +18,7 @@ func TestRTOBackoffDoubles(t *testing.T) {
 	g.AddDuplex(1, 2, 100, 0)
 	eng := sim.NewEngine()
 	net := sim.NewNetwork(eng, g, sim.Config{})
-	p, _ := graph.ShortestPath(g, 0, 1)
+	p := graph.KShortestPathsMasked(g, 0, 1, 1, nil)[0]
 	f, _ := NewFlow(net, Config{}, []graph.Path{p}, 30_000)
 	f.Start()
 

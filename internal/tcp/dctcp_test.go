@@ -20,7 +20,7 @@ func dumbbellCfg(cfg sim.Config) (*sim.Engine, *sim.Network, graph.Path) {
 	g.AddDuplex(1, 2, 100, 0)
 	eng := sim.NewEngine()
 	net := sim.NewNetwork(eng, g, cfg)
-	p, _ := graph.ShortestPath(g, 0, 1)
+	p := graph.KShortestPathsMasked(g, 0, 1, 1, nil)[0]
 	return eng, net, p
 }
 
@@ -107,7 +107,7 @@ func TestDCTCPIncastBeatsTCP(t *testing.T) {
 		done := 0
 		var last sim.Time
 		for i := 1; i <= 8; i++ {
-			p, _ := graph.ShortestPath(g, graph.NodeID(i), 0)
+			p := graph.KShortestPathsMasked(g, graph.NodeID(i), 0, 1, nil)[0]
 			f, _ := NewFlow(net, Config{DCTCP: dctcp}, []graph.Path{p}, 256_000)
 			f.OnComplete = func(*Flow) {
 				done++

@@ -20,11 +20,7 @@ func dumbbell(speed float64, cfg sim.Config) (*sim.Engine, *sim.Network, graph.P
 	g.AddDuplex(1, 2, speed, 0)
 	eng := sim.NewEngine()
 	net := sim.NewNetwork(eng, g, cfg)
-	p, ok := graph.ShortestPath(g, 0, 1)
-	if !ok {
-		panic("no path")
-	}
-	return eng, net, p
+	return eng, net, graph.KShortestPathsMasked(g, 0, 1, 1, nil)[0]
 }
 
 // twoPlane returns a 2-host network with two disjoint single-switch paths.
@@ -268,8 +264,8 @@ func TestLIAFairnessAtSharedBottleneck(t *testing.T) {
 	g.AddDuplex(2, 1, 10, 0)
 	eng := sim.NewEngine()
 	net := sim.NewNetwork(eng, g, sim.Config{})
-	p0, _ := graph.ShortestPath(g, 0, 1)
-	p3, _ := graph.ShortestPath(g, 3, 1)
+	p0 := graph.KShortestPathsMasked(g, 0, 1, 1, nil)[0]
+	p3 := graph.KShortestPathsMasked(g, 3, 1, 1, nil)[0]
 	mp, _ := NewFlow(net, Config{}, []graph.Path{p0, p0}, 1<<40)
 	single, _ := NewFlow(net, Config{}, []graph.Path{p3}, 1<<40)
 	mp.Start()
@@ -297,8 +293,8 @@ func TestUncoupledBeatsCoupledAtSharedBottleneck(t *testing.T) {
 		g.AddDuplex(2, 1, 10, 0)
 		eng := sim.NewEngine()
 		net := sim.NewNetwork(eng, g, sim.Config{})
-		p0, _ := graph.ShortestPath(g, 0, 1)
-		p3, _ := graph.ShortestPath(g, 3, 1)
+		p0 := graph.KShortestPathsMasked(g, 0, 1, 1, nil)[0]
+		p3 := graph.KShortestPathsMasked(g, 3, 1, 1, nil)[0]
 		var host0 []*Flow
 		if coupled {
 			mp, _ := NewFlow(net, Config{}, []graph.Path{p0, p0}, 1<<40)

@@ -19,11 +19,11 @@ func TestChassisSevenChipHops(t *testing.T) {
 	// chassis in order, `half` per chassis.
 	h0 := tp.Hosts[0]
 	hLast := tp.Hosts[tp.NumHosts()-1]
-	path, ok := graph.ShortestPath(tp.G, h0, hLast)
-	if !ok {
+	paths := graph.KShortestPathsMasked(tp.G, h0, hLast, 1, nil)
+	if len(paths) == 0 {
 		t.Fatal("no path between hosts on different chassis")
 	}
-	nodes := path.Nodes(tp.G)
+	nodes := paths[0].Nodes(tp.G)
 	chips := len(nodes) - 2
 	if chips != 7 {
 		t.Errorf("chip hops = %d, want 7 (2+3+2)", chips)
@@ -35,11 +35,11 @@ func TestChassisSameChassisShortPath(t *testing.T) {
 	tp := Assemble("chassis", 100, p)
 	// Hosts 0 and 1 share the first aggregation chassis; their path
 	// stays inside it (1 or 3 chips, never 7).
-	path, ok := graph.ShortestPath(tp.G, tp.Hosts[0], tp.Hosts[1])
-	if !ok {
+	paths := graph.KShortestPathsMasked(tp.G, tp.Hosts[0], tp.Hosts[1], 1, nil)
+	if len(paths) == 0 {
 		t.Fatal("no intra-chassis path")
 	}
-	if chips := len(path.Nodes(tp.G)) - 2; chips > 3 {
+	if chips := len(paths[0].Nodes(tp.G)) - 2; chips > 3 {
 		t.Errorf("intra-chassis chip hops = %d, want <= 3", chips)
 	}
 }

@@ -2,12 +2,11 @@ package topo
 
 import "fmt"
 
-// CheckFatTree reports why FatTreeSet(k, planes, ·) cannot be built, or
-// nil. The Check functions are the one statement of each builder's
-// preconditions: a caller whose arguments come from outside the program
-// (cmd/pnettopo) checks first and reports the error; the builders call
-// them too and panic with it, a bad argument from inside being a bug.
-func CheckFatTree(k, planes int) error {
+// checkFatTree reports why FatTreeSet(k, planes, ·) cannot be built, or
+// nil. It and checkJellyfish state the builders' preconditions once: a
+// builder calls its check first and panics with the error, a bad
+// argument being a bug in the caller.
+func checkFatTree(k, planes int) error {
 	if k < 4 || k%2 != 0 {
 		return fmt.Errorf("topo: fat tree arity k=%d: must be even and >= 4", k)
 	}
@@ -23,7 +22,7 @@ func CheckFatTree(k, planes int) error {
 // (p*k + 0..k/2-1) then aggregation switches (p*k + k/2..k-1); core
 // switches follow all pods.
 func FatTreePlane(k int) PlaneSpec {
-	if err := CheckFatTree(k, 1); err != nil {
+	if err := checkFatTree(k, 1); err != nil {
 		panic(err)
 	}
 	half := k / 2

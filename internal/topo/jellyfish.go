@@ -5,9 +5,9 @@ import (
 	"math/rand"
 )
 
-// CheckJellyfish reports why JellyfishSet(switches, netDegree,
-// hostsPerSwitch, planes, ·, ·) cannot be built, or nil (see CheckFatTree).
-func CheckJellyfish(switches, netDegree, hostsPerSwitch, planes int) error {
+// checkJellyfish reports why JellyfishSet(switches, netDegree,
+// hostsPerSwitch, planes, ·, ·) cannot be built, or nil (see checkFatTree).
+func checkJellyfish(switches, netDegree, hostsPerSwitch, planes int) error {
 	switch {
 	case switches < 2:
 		return fmt.Errorf("topo: jellyfish switches=%d: need at least 2", switches)
@@ -29,7 +29,7 @@ func CheckJellyfish(switches, netDegree, hostsPerSwitch, planes int) error {
 // perform the paper's edge-swap fixup. The result is deterministic for a
 // given seed — heterogeneous P-Nets are built from different seeds.
 func JellyfishPlane(switches, netDegree, hostsPerSwitch int, seed int64) PlaneSpec {
-	if err := CheckJellyfish(switches, netDegree, hostsPerSwitch, 1); err != nil {
+	if err := checkJellyfish(switches, netDegree, hostsPerSwitch, 1); err != nil {
 		panic(err)
 	}
 	rng := rand.New(rand.NewSource(seed))

@@ -29,43 +29,11 @@ func TestMixedPNetStructure(t *testing.T) {
 func TestMixedPNetConnectivityPerPlane(t *testing.T) {
 	tp := MixedPNet(4, 3, 100, 7)
 	// Every host pair must be reachable within every plane alone.
-	for plane := 0; plane < tp.Planes; plane++ {
-		mask := make([]bool, tp.G.NumLinks())
-		for i := 0; i < tp.G.NumLinks(); i++ {
-			if pl := tp.G.Link(graph.LinkID(i)).Plane; pl >= 0 && pl != int32(plane) {
-				mask[i] = true
-			}
-		}
+	for plane, mask := range tp.G.PlaneMasks() {
 		for _, dst := range []graph.NodeID{tp.Hosts[5], tp.Hosts[15]} {
 			if ps := graph.KShortestPathsMasked(tp.G, tp.Hosts[0], dst, 1, mask); len(ps) == 0 {
 				t.Errorf("plane %d cannot reach host %d", plane, dst)
 			}
 		}
 	}
-}
-
-func TestMixedPNetDisjointRedundancy(t *testing.T) {
-	// A P-Net host pair has exactly one link-disjoint path per plane
-	// (each host has one uplink per plane) — the §5.4 redundancy claim.
-	for _, planes := range []int{2, 3} {
-		tp := MixedPNet(4, planes, 100, 7)
-		got := graph.EdgeDisjointPaths(tp.G, tp.Hosts[0], tp.Hosts[15], 0)
-		if got != planes {
-			t.Errorf("planes=%d: disjoint paths = %d", planes, got)
-		}
-	}
-	// Serial fat tree: single uplink, single disjoint path.
-	serial := FatTreeSet(4, 1, 100).SerialLow
-	if got := graph.EdgeDisjointPaths(serial.G, serial.Hosts[0], serial.Hosts[15], 0); got != 1 {
-		t.Errorf("serial disjoint paths = %d, want 1", got)
-	}
-}
-
-func TestMixedPNetNeedsTwoPlanes(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MixedPNet(planes=1) did not panic")
-		}
-	}()
-	MixedPNet(4, 1, 100, 7)
 }

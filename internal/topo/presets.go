@@ -19,7 +19,7 @@ type NetworkSet struct {
 // no heterogeneous fat-tree variant — replicated fat trees are identical by
 // construction, which is exactly the paper's observation.
 func FatTreeSet(k, planes int, speed float64) NetworkSet {
-	if err := CheckFatTree(k, planes); err != nil {
+	if err := checkFatTree(k, planes); err != nil {
 		panic(err)
 	}
 	plane := FatTreePlane(k)
@@ -41,7 +41,7 @@ func FatTreeSet(k, planes int, speed float64) NetworkSet {
 // (seed, seed+1, ...), giving different random graphs — the source of the
 // shorter-path advantage the paper exploits.
 func JellyfishSet(switches, netDegree, hostsPerSwitch, planes int, speed float64, seed int64) NetworkSet {
-	if err := CheckJellyfish(switches, netDegree, hostsPerSwitch, planes); err != nil {
+	if err := checkJellyfish(switches, netDegree, hostsPerSwitch, planes); err != nil {
 		panic(err)
 	}
 	base := JellyfishPlane(switches, netDegree, hostsPerSwitch, seed)
@@ -73,19 +73,6 @@ func ScaledJellyfish(switches, planes int, speed float64, seed int64) NetworkSet
 	return JellyfishSet(switches, 4, 4, planes, speed, seed)
 }
 
-// CheckMixed reports why MixedPNet(k, planes, ·, ·) cannot be built, or
-// nil (see CheckFatTree). The expander planes' shape follows from k, so
-// the fat tree's rule covers them.
-func CheckMixed(k, planes int) error {
-	if err := CheckFatTree(k, planes); err != nil {
-		return err
-	}
-	if planes < 2 {
-		return fmt.Errorf("topo: mixed P-Net planes=%d: need at least 2, a fat tree and an expander", planes)
-	}
-	return nil
-}
-
 // MixedPNet builds the §7 "different topology types" P-Net: plane 0 is a
 // k-ary fat tree and planes 1..planes-1 are distinct Jellyfish expanders
 // over the same hosts, built from the same k-port switch chips (k/2
@@ -93,8 +80,11 @@ func CheckMixed(k, planes int) error {
 // throughput-oriented traffic to the fat tree plane and latency-critical
 // traffic to the expander planes (shorter average paths).
 func MixedPNet(k, planes int, speed float64, seed int64) *Topology {
-	if err := CheckMixed(k, planes); err != nil {
-		panic(err)
+	if err := checkFatTree(k, planes); err != nil {
+		panic(err) // the expander planes' shape follows from k
+	}
+	if planes < 2 {
+		panic(fmt.Errorf("topo: mixed P-Net planes=%d: need at least 2, a fat tree and an expander", planes))
 	}
 	specs := make([]PlaneSpec, planes)
 	specs[0] = FatTreePlane(k)

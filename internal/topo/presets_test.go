@@ -1,8 +1,11 @@
 package topo
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
+
+	"pnet/internal/graph"
 )
 
 // TestNetworkSetAll checks which members each set builds: a fat-tree
@@ -77,6 +80,8 @@ func TestPlaneSpecDegrees(t *testing.T) {
 	}
 }
 
+// TestHostBandwidthScalesWithPlanes: a host's uplinks add up to planes ×
+// the link speed, the N-fold host bandwidth a P-Net buys.
 func TestHostBandwidthScalesWithPlanes(t *testing.T) {
 	for _, planes := range []int{1, 2, 8} {
 		set := FatTreeSet(4, planes, 25)
@@ -86,9 +91,96 @@ func TestHostBandwidthScalesWithPlanes(t *testing.T) {
 		} else {
 			tp = set.ParallelHomo
 		}
-		if got := tp.HostBandwidth(); got != float64(planes)*25 {
-			t.Errorf("planes=%d bandwidth = %v", planes, got)
+		for h, ups := range tp.Uplinks {
+			sum := 0.0
+			for _, id := range ups {
+				sum += tp.G.Link(id).Capacity
+			}
+			if sum != float64(planes)*25 {
+				t.Fatalf("planes=%d: host %d uplink bandwidth = %v", planes, h, sum)
+			}
 		}
+	}
+}
+
+// TestPNetHostRedundancy is the §5.4 fault-tolerance claim: a host pair
+// has one link-disjoint path per plane its hosts attach to, since a host
+// has one uplink per plane and planes share no link, so a serial network
+// has one. Every builder, N ∈ {1, 2, 4, 8} where it allows, on sampled
+// host pairs.
+func TestPNetHostRedundancy(t *testing.T) {
+	var nets []*Topology
+	for _, n := range []int{1, 2, 4, 8} {
+		ft := FatTreeSet(4, n, 100)
+		jf := JellyfishSet(16, 4, 2, n, 100, 1)
+		nets = append(nets, ft.SerialLow, ft.ParallelHomo, ft.SerialHigh,
+			jf.SerialLow, jf.ParallelHomo, jf.ParallelHetero, jf.SerialHigh)
+		if n >= 2 {
+			// k=8, as -exp mixed builds it: at k=4 an expander plane has
+			// degree 2, a union of cycles that can leave hosts apart.
+			nets = append(nets, MixedPNet(8, n, 100, 7))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, tp := range nets {
+		fz := tp.G.Frozen()
+		for i := 0; i < 8; i++ {
+			a := rng.Intn(tp.NumHosts())
+			b := rng.Intn(tp.NumHosts() - 1)
+			if b >= a {
+				b++
+			}
+			src, dst := tp.Hosts[a], tp.Hosts[b]
+			attached := map[int32]bool{}
+			for _, id := range fz.OutLinks(src) {
+				attached[tp.G.Link(id).Plane] = true
+			}
+			if len(attached) != tp.Planes {
+				t.Fatalf("%s: host %d attaches to %d planes, want %d", tp.Name, src, len(attached), tp.Planes)
+			}
+			if got := graph.EdgeDisjointPaths(tp.G, src, dst, 0); got != len(attached) {
+				t.Errorf("%s: hosts %d->%d: %d link-disjoint paths, want %d", tp.Name, src, dst, got, len(attached))
+			}
+		}
+	}
+}
+
+// TestBuilderPreconditions: a builder given arguments it cannot build
+// from panics with an error naming the offending value and the rule.
+func TestBuilderPreconditions(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		build func()
+		want  []string
+	}{
+		{"FatTreeSet k=3", func() { FatTreeSet(3, 2, 100) }, []string{"k=3", "even and >= 4"}},
+		{"FatTreeSet planes=0", func() { FatTreeSet(8, 0, 100) }, []string{"planes=0", "at least 1"}},
+		{"FatTreePlane k=2", func() { FatTreePlane(2) }, []string{"k=2", "even and >= 4"}},
+		{"FatTreePlane k=5", func() { FatTreePlane(5) }, []string{"k=5", "even and >= 4"}},
+		{"FatTreePlane k=0", func() { FatTreePlane(0) }, []string{"k=0", "even and >= 4"}},
+		{"JellyfishSet degree=7", func() { JellyfishSet(4, 7, 4, 4, 100, 1) }, []string{"degree=7", "[1, switches-1 = 3]"}},
+		{"JellyfishSet hostsper=0", func() { JellyfishSet(24, 4, 0, 4, 100, 1) }, []string{"hostsper=0", "at least 1"}},
+		{"JellyfishPlane switches=1", func() { JellyfishPlane(1, 1, 1, 1) }, []string{"switches=1", "at least 2"}},
+		{"JellyfishPlane degree=0", func() { JellyfishPlane(10, 0, 1, 1) }, []string{"degree=0", "[1, switches-1 = 9]"}},
+		{"JellyfishPlane degree=10", func() { JellyfishPlane(10, 10, 1, 1) }, []string{"degree=10", "[1, switches-1 = 9]"}},
+		{"JellyfishPlane odd ports", func() { JellyfishPlane(9, 3, 1, 1) }, []string{"switches=9 x degree=3", "must be even"}},
+		{"MixedPNet planes=1", func() { MixedPNet(4, 1, 100, 7) }, []string{"planes=1", "at least 2"}},
+	} {
+		func() {
+			defer func() {
+				err, ok := recover().(error)
+				if !ok {
+					t.Errorf("%s: no panic with an error", c.name)
+					return
+				}
+				for _, w := range c.want {
+					if !strings.Contains(err.Error(), w) {
+						t.Errorf("%s: %q does not mention %q", c.name, err, w)
+					}
+				}
+			}()
+			c.build()
+		}()
 	}
 }
 
@@ -113,24 +205,5 @@ func TestScaledJellyfishShape(t *testing.T) {
 	}
 	if set.SerialLow.NumRacks != 16 {
 		t.Errorf("racks = %d", set.SerialLow.NumRacks)
-	}
-}
-
-func TestJellyfishPanicsOnBadConfig(t *testing.T) {
-	cases := []struct{ sw, deg, hps int }{
-		{1, 1, 1},   // too few switches
-		{10, 0, 1},  // zero degree
-		{10, 10, 1}, // degree >= switches
-		{9, 3, 1},   // odd switch-degree product
-	}
-	for _, c := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("JellyfishPlane(%d,%d,%d) did not panic", c.sw, c.deg, c.hps)
-				}
-			}()
-			JellyfishPlane(c.sw, c.deg, c.hps, 1)
-		}()
 	}
 }

@@ -147,10 +147,6 @@ func Assemble(name string, speed float64, planes ...PlaneSpec) *Topology {
 // NumHosts returns the number of end hosts.
 func (t *Topology) NumHosts() int { return len(t.Hosts) }
 
-// HostBandwidth returns the total uplink capacity of one host in Gb/s
-// (planes × link speed).
-func (t *Topology) HostBandwidth() float64 { return float64(t.Planes) * t.LinkSpeed }
-
 // PlaneOfSwitch returns which plane the switch node n belongs to, or -1 if
 // n is a host.
 func (t *Topology) PlaneOfSwitch(n graph.NodeID) int {

@@ -71,7 +71,7 @@ func TestSimMatchesLPOnPermutation(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/seed=%d", row.name, seed), func(t *testing.T) {
 				// Every host offers its whole uplink bandwidth, so no
 				// demand binds before the network does.
-				cs := PermutationCommodities(tp, tp.HostBandwidth(), rand.New(rand.NewSource(seed)))
+				cs := PermutationCommodities(tp, float64(tp.Planes)*tp.LinkSpeed, rand.New(rand.NewSource(seed)))
 				paths := row.route(tp, cs)
 				predicted := row.optimum(tp, cs, paths)
 

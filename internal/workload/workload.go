@@ -99,18 +99,3 @@ func RackAllToAll(t *topo.Topology, demandPerPair float64) (*graph.Graph, []rout
 	}
 	return g, cs
 }
-
-// RandomPairs samples n random (src, dst) host pairs with src ≠ dst,
-// allowing repeats; useful for latency sampling on large topologies.
-func RandomPairs(t *topo.Topology, n int, rng *rand.Rand) [][2]graph.NodeID {
-	pairs := make([][2]graph.NodeID, n)
-	for i := range pairs {
-		a := rng.Intn(t.NumHosts())
-		b := rng.Intn(t.NumHosts() - 1)
-		if b >= a {
-			b++
-		}
-		pairs[i] = [2]graph.NodeID{t.Hosts[a], t.Hosts[b]}
-	}
-	return pairs
-}

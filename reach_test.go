@@ -29,6 +29,8 @@ var testOracles = map[string]string{
 	"graph.(*nodeHeap).Push":         "WeightedShortestPath's heap.Interface",
 	"graph.(*nodeHeap).Pop":          "WeightedShortestPath's heap.Interface",
 	"graph.tracePath":                "rebuilds WeightedShortestPath's and the frozen tests' reference paths",
+	"graph.EdgeDisjointPaths":        "counts link-disjoint host paths for TestPNetHostRedundancy, the §5.4 one-path-per-plane claim",
+	"graph.augment":                  "EdgeDisjointPaths's max-flow augmentation",
 	"graph.(*Graph).SetCapacity":     "test harness: uneven capacities in graph and sim tests, snapshot invalidation",
 	"graph.Path.Valid":               "checks that every selector's paths are contiguous, loop-free and up",
 	"graph.Path.Equal":               "checks path identity against reference searches and across runs",
