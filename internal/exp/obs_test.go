@@ -3,7 +3,9 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
+	"sync"
 	"testing"
 
 	"pnet/internal/obs"
@@ -137,6 +139,45 @@ func TestFlowNetIsEngineNet(t *testing.T) {
 	}
 	if len(nets) != 4 {
 		t.Errorf("flows on %d engines, want fig10's four", len(nets))
+	}
+}
+
+// busiest is a sink that keeps the link record of highest utilization
+// and hands every other record to a discarded stream.
+type busiest struct {
+	*obs.MetricsWriter
+	mu  sync.Mutex
+	max obs.LinkRecord
+}
+
+func (b *busiest) Link(r obs.LinkRecord) {
+	b.mu.Lock()
+	if r.Util > b.max.Util {
+		b.max = r
+	}
+	b.mu.Unlock()
+}
+
+// TestLinkUtilAtMostOne: a link is busy for at most the whole of a
+// sampling interval, so no link record of fig11 or faults reads
+// utilization above 1. A transmission that straddles a tick counts in
+// each interval by the part of it that falls there.
+func TestLinkUtilAtMostOne(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs fig11 and faults observed, about 4 s")
+	}
+	for _, id := range []string{"fig11", "faults"} {
+		b := &busiest{MetricsWriter: obs.NewMetricsWriter(io.Discard)}
+		c := obs.NewCollector()
+		c.Sink = b
+		e, _ := ByID(id)
+		e.Run(Params{Seed: 1, Obs: c})
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if b.max.Util <= 0 || b.max.Util > 1 {
+			t.Errorf("%s: busiest link record %+v, want util in (0, 1]", id, b.max)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -176,16 +177,17 @@ func TestSamplerMatchesEveryLinkWalk(t *testing.T) {
 	t.Run("attached after traffic started", fatTree(30*sim.Microsecond))
 
 	// One MTU takes 12 µs at 1 Gb/s. Sent at 9 µs it is news at the 10 µs
-	// tick; at the 20 µs tick no counter has moved since, and the link is
-	// worth its record for the queue depth alone.
+	// tick, busy for 1 µs of the interval; at the 20 µs tick no counter
+	// has moved since, the link was busy throughout, and it is worth its
+	// record for the queue depth alone.
 	t.Run("transmission longer than the interval", func(t *testing.T) {
 		eng, net, ab := oneLink(sim.Config{})
 		r := referee(eng, net, 10*sim.Microsecond)
 		eng.At(9*sim.Microsecond, func() { send(net, ab, 1500, &releaseSink{net: net}) })
 		eng.Run()
 		r.check(t, 2)
-		if len(r.links) != 2 || r.links[1].TPs != int64(20*sim.Microsecond) || r.links[1].QueueBytes != 1500 || r.links[1].Util != 0 {
-			t.Errorf("link records %+v, want one at 10 µs and one at 20 µs with 1500 B queued and nothing sent since", r.links)
+		if len(r.links) != 2 || math.Abs(r.links[0].Util-0.1) > 1e-12 || r.links[1].TPs != int64(20*sim.Microsecond) || r.links[1].QueueBytes != 1500 || r.links[1].Util != 1 {
+			t.Errorf("link records %+v, want one at 10 µs at util 0.1 and one at 20 µs at util 1 with 1500 B queued and nothing sent since", r.links)
 		}
 	})
 

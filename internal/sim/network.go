@@ -192,7 +192,9 @@ type LinkStats struct {
 	Trims     int64 // NDP payload trims applied
 	// Blackholed counts packets lost because the link was down.
 	Blackholed int64
-	// Busy is cumulative transmission time; Busy/elapsed is utilization.
+	// Busy is cumulative transmission time up to now, a transmission in
+	// progress counting as far as it has gone; Busy/elapsed is
+	// utilization.
 	Busy Time
 }
 
@@ -206,7 +208,7 @@ func (n *Network) Stats(id graph.LinkID) LinkStats {
 		Marks:      q.marks,
 		Trims:      q.trims,
 		Blackholed: n.Blackholed[id],
-		Busy:       q.busyTime,
+		Busy:       q.busyTime - max(q.txEnd-n.Eng.Now(), 0),
 	}
 }
 
@@ -381,7 +383,8 @@ type queue struct {
 	txPkts, txBytes int64
 	marks           int64
 	trims           int64
-	busyTime        Time
+	busyTime        Time // the tx time of every transmission started
+	txEnd           Time // when the last one started ends
 }
 
 // touch is called wherever a sampled counter moves: the first time since
@@ -471,6 +474,7 @@ func (q *queue) startTx() {
 	eng := q.net.Eng
 	tx := q.txTime(p.Size)
 	q.busyTime += tx
+	q.txEnd = eng.Now() + tx
 	q.txPkts++
 	q.txBytes += int64(p.Size)
 	q.touch()

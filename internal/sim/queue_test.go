@@ -65,6 +65,16 @@ func (r *refQueue) start(at Time) {
 	r.txEnd = at + tx
 }
 
+// stats is st as Stats reads it at now: the transmission in progress is
+// busy time only as far as it has gone.
+func (r *refQueue) stats(now Time) LinkStats {
+	st := r.st
+	if r.busy && r.txEnd > now {
+		st.Busy -= r.txEnd - now
+	}
+	return st
+}
+
 func (r *refQueue) enqueue(seq int64, size int32, now Time) {
 	if r.down {
 		r.st.Blackholed++
@@ -172,10 +182,10 @@ func runQueueModel(t *testing.T, cfg Config, seed int64) *refQueue {
 	check := func(what string) {
 		t.Helper()
 		step++
-		got := net.Stats(link)
-		if !slices.Equal(s.seqs, ref.delivered) || got != ref.st || net.QueueDepth(link) != ref.bytes {
+		got, want := net.Stats(link), ref.stats(eng.Now())
+		if !slices.Equal(s.seqs, ref.delivered) || got != want || net.QueueDepth(link) != ref.bytes {
 			t.Fatalf("%+v seed %d step %d (%s at %v):\n delivered %v\n     want %v\n stats %+v\n  want %+v\n depth %d, want %d",
-				cfg, seed, step, what, eng.Now(), s.seqs, ref.delivered, got, ref.st, net.QueueDepth(link), ref.bytes)
+				cfg, seed, step, what, eng.Now(), s.seqs, ref.delivered, got, want, net.QueueDepth(link), ref.bytes)
 		}
 	}
 	send := func(seq int64, size int32) func() {
