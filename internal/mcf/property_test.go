@@ -3,7 +3,6 @@ package mcf
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"pnet/internal/graph"
 	"pnet/internal/route"
@@ -22,31 +21,23 @@ func randomInstance(seed int64) (*graph.Graph, []route.Commodity, [][]graph.Path
 	return tp.G, cs, paths
 }
 
-// TestGKNeverExceedsExact: the approximation must lower-bound the exact
-// LP (within numerical slack) and stay within its guarantee.
+// TestGKNeverExceedsExact: on every one of the 64 random instances the
+// approximation stays within 5 % below the exact LP and never above it
+// by more than its own slack: GK's flow is scaled by log_{1+ε}(1/δ), one
+// phase short of the bound that makes it feasible, which can overshoot
+// by about 5e-4 on these instances. The exact solver erring is a failure.
 func TestGKNeverExceedsExact(t *testing.T) {
-	prop := func(seed int64) bool {
-		if seed < 0 {
-			seed = -seed
-		}
-		g, cs, paths := randomInstance(seed%64 + 1)
+	for seed := int64(1); seed <= 64; seed++ {
+		g, cs, paths := randomInstance(seed)
 		exact, err := FixedPathsExact(g, cs, paths)
 		if err != nil {
-			return true // skip pathological simplex cases
+			t.Errorf("seed %d: exact LP: %v", seed, err)
+			continue
 		}
 		approx := FixedPaths(g, cs, paths, Options{Epsilon: 0.05})
-		if approx.Lambda > exact.Lambda*1.002 {
-			t.Logf("seed %d: GK %v > exact %v", seed, approx.Lambda, exact.Lambda)
-			return false
+		if r := approx.Lambda / exact.Lambda; r < 0.95 || r > 1.001 {
+			t.Errorf("seed %d: GK %v / exact %v = %.4f, want in [0.95, 1.001]", seed, approx.Lambda, exact.Lambda, r)
 		}
-		if approx.Lambda < exact.Lambda*0.80 {
-			t.Logf("seed %d: GK %v too far below exact %v", seed, approx.Lambda, exact.Lambda)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 15}); err != nil {
-		t.Error(err)
 	}
 }
 
