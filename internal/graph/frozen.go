@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // Frozen is a Graph's adjacency: a compact, read-only snapshot in CSR
 // (compressed sparse row) form, built for the solver and routing hot
 // paths. The Graph itself keeps only its node flags and link list. Out-
@@ -94,11 +96,9 @@ func (g *Graph) buildFrozen() *Frozen {
 		fz.upStart[u] += fz.upStart[u-1]
 	}
 	fz.upArcs = make([]arc, fz.upStart[n])
-	next := make([]int32, 3*n) // the next free out, in and up slot of each node
-	copy(next, fz.outStart[:n])
-	copy(next[n:], fz.inStart[:n])
-	copy(next[2*n:], fz.upStart[:n])
-	outNext, inNext, upNext := next[:n], next[n:2*n], next[2*n:]
+	outNext := slices.Clone(fz.outStart[:n]) // each node's next free slot
+	inNext := slices.Clone(fz.inStart[:n])
+	upNext := slices.Clone(fz.upStart[:n])
 	for i := range g.links {
 		l := &g.links[i]
 		id := LinkID(i)
