@@ -40,8 +40,8 @@ func TestAddLinkBookkeeping(t *testing.T) {
 	if got := g.Link(ba); got.Src != 1 || got.Dst != 0 {
 		t.Errorf("link ba = %+v", got)
 	}
-	if len(g.Frozen().OutLinks(0)) != 1 || len(g.Frozen().InLinks(0)) != 1 {
-		t.Errorf("adjacency of node 0 = out %v in %v", g.Frozen().OutLinks(0), g.Frozen().InLinks(0))
+	if fz := g.Frozen(); len(fz.OutLinks(0)) != 1 || len(fz.InLinks(0)) != 1 {
+		t.Errorf("adjacency of node 0 = out %v in %v", fz.OutLinks(0), fz.InLinks(0))
 	}
 }
 

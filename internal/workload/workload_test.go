@@ -54,7 +54,7 @@ func TestRackAllToAllCoreOnly(t *testing.T) {
 	}
 	// Rack nodes must be non-transit and reachable from each other.
 	for _, c := range cs[:5] {
-		if g.Frozen().Transit(c.Src) || g.Frozen().Transit(c.Dst) {
+		if fz := g.Frozen(); fz.Transit(c.Src) || fz.Transit(c.Dst) {
 			t.Fatal("rack node is transit")
 		}
 		if ps := graph.KShortestPathsMasked(g, c.Src, c.Dst, 1, nil); len(ps) == 0 {
