@@ -37,3 +37,9 @@ func TestMixedPNetConnectivityPerPlane(t *testing.T) {
 		}
 	}
 }
+
+func TestMixedPNetNeedsTwoPlanes(t *testing.T) {
+	checkPreconditions(t, []preconditionCase{
+		{"MixedPNet planes=1", func() { MixedPNet(4, 1, 100, 7) }, []string{"planes=1", "at least 2"}},
+	})
+}

@@ -145,27 +145,20 @@ func TestPNetHostRedundancy(t *testing.T) {
 	}
 }
 
-// TestBuilderPreconditions: a builder given arguments it cannot build
-// from panics with an error naming the offending value and the rule.
-func TestBuilderPreconditions(t *testing.T) {
-	for _, c := range []struct {
-		name  string
-		build func()
-		want  []string
-	}{
-		{"FatTreeSet k=3", func() { FatTreeSet(3, 2, 100) }, []string{"k=3", "even and >= 4"}},
-		{"FatTreeSet planes=0", func() { FatTreeSet(8, 0, 100) }, []string{"planes=0", "at least 1"}},
-		{"FatTreePlane k=2", func() { FatTreePlane(2) }, []string{"k=2", "even and >= 4"}},
-		{"FatTreePlane k=5", func() { FatTreePlane(5) }, []string{"k=5", "even and >= 4"}},
-		{"FatTreePlane k=0", func() { FatTreePlane(0) }, []string{"k=0", "even and >= 4"}},
-		{"JellyfishSet degree=7", func() { JellyfishSet(4, 7, 4, 4, 100, 1) }, []string{"degree=7", "[1, switches-1 = 3]"}},
-		{"JellyfishSet hostsper=0", func() { JellyfishSet(24, 4, 0, 4, 100, 1) }, []string{"hostsper=0", "at least 1"}},
-		{"JellyfishPlane switches=1", func() { JellyfishPlane(1, 1, 1, 1) }, []string{"switches=1", "at least 2"}},
-		{"JellyfishPlane degree=0", func() { JellyfishPlane(10, 0, 1, 1) }, []string{"degree=0", "[1, switches-1 = 9]"}},
-		{"JellyfishPlane degree=10", func() { JellyfishPlane(10, 10, 1, 1) }, []string{"degree=10", "[1, switches-1 = 9]"}},
-		{"JellyfishPlane odd ports", func() { JellyfishPlane(9, 3, 1, 1) }, []string{"switches=9 x degree=3", "must be even"}},
-		{"MixedPNet planes=1", func() { MixedPNet(4, 1, 100, 7) }, []string{"planes=1", "at least 2"}},
-	} {
+// preconditionCase is a builder call that must panic with an error
+// whose text contains every string in want: the offending value and
+// the rule it breaks.
+type preconditionCase struct {
+	name  string
+	build func()
+	want  []string
+}
+
+// checkPreconditions runs each case, recovers its panic as an error and
+// checks the error's text.
+func checkPreconditions(t *testing.T, cases []preconditionCase) {
+	t.Helper()
+	for _, c := range cases {
 		func() {
 			defer func() {
 				err, ok := recover().(error)
@@ -182,6 +175,29 @@ func TestBuilderPreconditions(t *testing.T) {
 			c.build()
 		}()
 	}
+}
+
+// TestBuilderPreconditions: a network-set builder given arguments it
+// cannot build from panics with an error naming the offending value and
+// the rule. The single-plane and mixed builders' cases are in
+// TestFatTreePlaneInvalidArity, TestJellyfishPanicsOnBadConfig and
+// TestMixedPNetNeedsTwoPlanes.
+func TestBuilderPreconditions(t *testing.T) {
+	checkPreconditions(t, []preconditionCase{
+		{"FatTreeSet k=3", func() { FatTreeSet(3, 2, 100) }, []string{"k=3", "even and >= 4"}},
+		{"FatTreeSet planes=0", func() { FatTreeSet(8, 0, 100) }, []string{"planes=0", "at least 1"}},
+		{"JellyfishSet degree=7", func() { JellyfishSet(4, 7, 4, 4, 100, 1) }, []string{"degree=7", "[1, switches-1 = 3]"}},
+		{"JellyfishSet hostsper=0", func() { JellyfishSet(24, 4, 0, 4, 100, 1) }, []string{"hostsper=0", "at least 1"}},
+	})
+}
+
+func TestJellyfishPanicsOnBadConfig(t *testing.T) {
+	checkPreconditions(t, []preconditionCase{
+		{"JellyfishPlane switches=1", func() { JellyfishPlane(1, 1, 1, 1) }, []string{"switches=1", "at least 2"}},
+		{"JellyfishPlane degree=0", func() { JellyfishPlane(10, 0, 1, 1) }, []string{"degree=0", "[1, switches-1 = 9]"}},
+		{"JellyfishPlane degree=10", func() { JellyfishPlane(10, 10, 1, 1) }, []string{"degree=10", "[1, switches-1 = 9]"}},
+		{"JellyfishPlane odd ports", func() { JellyfishPlane(9, 3, 1, 1) }, []string{"switches=9 x degree=3", "must be even"}},
+	})
 }
 
 func TestPlaneOfSwitch(t *testing.T) {

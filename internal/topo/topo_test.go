@@ -44,6 +44,14 @@ func TestFatTreePlanePortBudget(t *testing.T) {
 	}
 }
 
+func TestFatTreePlaneInvalidArity(t *testing.T) {
+	checkPreconditions(t, []preconditionCase{
+		{"FatTreePlane k=2", func() { FatTreePlane(2) }, []string{"k=2", "even and >= 4"}},
+		{"FatTreePlane k=5", func() { FatTreePlane(5) }, []string{"k=5", "even and >= 4"}},
+		{"FatTreePlane k=0", func() { FatTreePlane(0) }, []string{"k=0", "even and >= 4"}},
+	})
+}
+
 func TestAssembleSerialFatTreeConnectivity(t *testing.T) {
 	tp := Assemble("ft4", 100, FatTreePlane(4))
 	if tp.NumHosts() != 16 {
