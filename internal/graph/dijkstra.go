@@ -9,10 +9,13 @@ import "container/heap"
 //
 // This is the reference implementation of the Garg–Könemann oracle's
 // shortest-path search. The solver hot path uses Frozen.Dijkstra, which
-// is bit-compatible with this function (same relaxation order, same
-// equal-distance pop order) but allocation-free; the equivalence is
-// enforced by tests in internal/graph and internal/mcf. Keep the two in
-// lockstep when touching either.
+// returns this function's path and distance bit for bit but allocates
+// nothing. It certifies that per search: a search that skips the
+// non-transit leaves is kept only when no equal-distance choice touched
+// its path, and every other search repeats this function's relaxation
+// order and equal-distance pop order. Tests in internal/graph and
+// internal/mcf enforce the equivalence. Keep the two in lockstep when
+// touching either.
 func WeightedShortestPath(g *Graph, src, dst NodeID, weight []float64) (p Path, dist float64, ok bool) {
 	if src == dst {
 		return Path{}, 0, false

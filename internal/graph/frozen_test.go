@@ -295,11 +295,21 @@ func TestSPHeapMatchesContainerHeap(t *testing.T) {
 // stops at the destination or builds the full tree. Byte 0 is the node
 // count, byte 1 the source, byte 2 the non-transit mask; each later
 // triple (a, b, w) adds a link a→b whose weight is chosen by w's low two
-// bits, and which is down when w's bit 2 is set.
+// bits, or is 1e-300 when w's bit 3 is set, and which is down when w's
+// bit 2 is set. 1e-300 vanishes when added to 0.5 or 1, as GK's lengths
+// on huge-capacity links vanish beside a switch's distance, so a node
+// can tie the node it is reached from.
 func FuzzDijkstraMatchesReference(f *testing.F) {
 	f.Add([]byte{4, 0, 0, 0, 1, 0, 1, 2, 0, 0, 2, 0, 2, 3, 1})
 	f.Add([]byte{6, 1, 0x12, 1, 2, 1, 2, 3, 1, 1, 4, 2, 4, 3, 0, 3, 5, 4, 2, 5, 2, 0, 1, 3})
 	f.Add([]byte{8, 7, 0xff, 7, 0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 0, 4, 0, 4, 5, 1, 5, 6, 7})
+	// Every weight is 0. Without leaf 5's heap entry node 2 pops before
+	// node 0, and node 4 pops while node 0, which the full search expands
+	// first and which becomes 4's parent there, still waits at distance 0.
+	f.Add([]byte{5, 6, 32, 6, 5, 0, 2, 4, 0, 6, 2, 0, 6, 0, 0, 6, 1, 0, 0, 4, 0})
+	// Nodes 9 and 2 both offer node 10 distance 0.5, the 1e-300s before
+	// them absorbed, and leaf 4's heap entry decides which pops first.
+	f.Add([]byte{9, 8, 16, 9, 10, 1, 8, 7, 0, 8, 0, 8, 2, 10, 1, 0, 9, 8, 3, 4, 0, 8, 3, 8, 0, 2, 8})
 	weights := []float64{0, 0.5, 1, 1}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
@@ -320,7 +330,11 @@ func FuzzDijkstraMatchesReference(f *testing.F) {
 				continue
 			}
 			id := g.AddLink(a, b, 100, 0)
-			w = append(w, weights[rest[2]&3])
+			wt := weights[rest[2]&3]
+			if rest[2]&8 != 0 {
+				wt = 1e-300
+			}
+			w = append(w, wt)
 			if rest[2]&4 != 0 {
 				g.SetLinkUp(id, false)
 			}
@@ -350,6 +364,93 @@ func FuzzDijkstraMatchesReference(f *testing.F) {
 			}
 		}
 	})
+}
+
+// rackedPlanes is workload.RackAllToAll's graph in miniature: planes
+// copies of one random switch graph; per rack a non-transit host on its
+// switch in every plane, and a non-transit rack node joined to that
+// switch in every plane by a 1e9 link. It returns the rack nodes.
+func rackedPlanes(rng *rand.Rand, racks, degree, planes int) (*Graph, []NodeID) {
+	g := New((planes + 2) * racks)
+	sw := func(p, r int) NodeID { return NodeID(p*racks + r) }
+	ports := rng.Perm(racks * degree)
+	rack := make([]NodeID, racks)
+	for p := 0; p < planes; p++ {
+		for i := 0; i+1 < len(ports); i += 2 {
+			if a, b := ports[i]%racks, ports[i+1]%racks; a != b {
+				g.AddDuplex(sw(p, a), sw(p, b), 100, int32(p))
+			}
+		}
+	}
+	for r := 0; r < racks; r++ {
+		host, rn := NodeID(planes*racks+r), NodeID((planes+1)*racks+r)
+		g.SetTransit(host, false)
+		g.SetTransit(rn, false)
+		rack[r] = rn
+		for p := 0; p < planes; p++ {
+			g.AddDuplex(host, sw(p, r), 100, int32(p))
+			g.AddDuplex(rn, sw(p, r), 1e9, int32(p))
+		}
+	}
+	return g, rack
+}
+
+// TestLeafSearchCertificate runs Garg–Könemann-like length updates on
+// rack-shaped graphs and checks every leaf search against the reference.
+// Lengths start at δ/capacity, so identical planes tie exactly; grown,
+// a rack link's length vanishes beside its switch's distance, so a rack
+// node ties its ToR. Each search is certified or not; both must happen,
+// for both reasons, and a certified path and distance must be the
+// reference's.
+func TestLeafSearchCertificate(t *testing.T) {
+	var certified, atKey, onPath int
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, grown := range []float64{1, 1e36} {
+			rng := rand.New(rand.NewSource(seed))
+			g, rack := rackedPlanes(rng, 8, 3, 1+int(seed)%4)
+			fz := g.Frozen()
+			w := make([]float64, g.NumLinks())
+			for id := range w {
+				w[id] = 1e-38 / fz.LinkCap(LinkID(id))
+				if fz.LinkCap(LinkID(id)) < 1e9 {
+					w[id] *= grown
+				}
+			}
+			s := NewScratch()
+			for round := 0; round < 10; round++ {
+				for _, src := range rack {
+					for _, dst := range rack {
+						if src == dst {
+							continue
+						}
+						want, wd, wok := WeightedShortestPath(g, src, dst, w)
+						ok, cert := fz.leafSearch(s, src, w, dst)
+						if ok != wok {
+							t.Fatalf("seed %d %d->%d: reached %v, reference %v", seed, src, dst, ok, wok)
+						}
+						switch {
+						case cert:
+							certified++
+							if got := fz.PathTo(s, src, dst); !got.Equal(want) || s.Dist(dst) != wd {
+								t.Fatalf("seed %d grown %g round %d %d->%d: certified path %v dist %v, reference %v dist %v",
+									seed, grown, round, src, dst, got.Links, s.Dist(dst), want.Links, wd)
+							}
+						case len(s.heap) > 0 && s.heap[0].dist == s.Dist(dst):
+							atKey++
+						default:
+							onPath++
+						}
+						for _, id := range want.Links {
+							w[id] *= 1 + 0.08*100/fz.LinkCap(id)
+						}
+					}
+				}
+			}
+		}
+	}
+	if certified == 0 || atKey == 0 || onPath == 0 {
+		t.Fatalf("want every outcome: %d certified, %d with a rival at the key, %d tied on the path", certified, atKey, onPath)
+	}
 }
 
 // TestScratchZeroAlloc is the graph-level half of the solver's
@@ -396,6 +497,36 @@ func TestScratchEpochWraparound(t *testing.T) {
 	}
 	if got := s.Dist(0); got != 5 {
 		t.Fatalf("dist after wraparound = %v, want 5", got)
+	}
+
+	// The leaf search across a wraparound, after a search that left a tie
+	// mark: unit lengths on two identical planes tie the rack node. The
+	// mark must not outlive its search and refuse one with no ties.
+	rng := rand.New(rand.NewSource(2))
+	g, rack := rackedPlanes(rng, 8, 3, 2)
+	fz = g.Frozen()
+	src, dst := rack[0], rack[1]
+	w := make([]float64, g.NumLinks())
+	for i := range w {
+		w[i] = 1
+	}
+	s = NewScratch()
+	if _, cert := fz.leafSearch(s, src, w, dst); cert {
+		t.Fatal("tied planes gave a certified search")
+	}
+	for i := range w {
+		w[i] = 1 + rng.Float64()
+	}
+	fresh := NewScratch()
+	fz.Dijkstra(fresh, src, w, dst)
+	s.epoch = ^uint32(0)
+	if ok, cert := fz.leafSearch(s, src, w, dst); !ok || !cert || s.epoch != 1 {
+		t.Fatalf("leaf search after wraparound: reached %v certified %v epoch %d", ok, cert, s.epoch)
+	}
+	s.epoch = ^uint32(0)
+	fz.Dijkstra(s, src, w, dst)
+	if got, want := fz.PathTo(s, src, dst), fz.PathTo(fresh, src, dst); !got.Equal(want) || s.Dist(dst) != fresh.Dist(dst) {
+		t.Fatalf("Dijkstra after wraparound: path %v dist %v, fresh scratch %v dist %v", got.Links, s.Dist(dst), want.Links, fresh.Dist(dst))
 	}
 }
 

@@ -19,6 +19,7 @@ type Scratch struct {
 	dist    []float64
 	parent  []LinkID
 	reached []uint32 // reached[n] == epoch: dist/parent valid this search
+	tied    []bool   // tied[n]: a second node offered n its dist (leaf search only)
 	epoch   uint32
 	heap    spHeap
 	queue   []NodeID
@@ -129,10 +130,24 @@ func (h *spHeap) pop() spItem {
 // stops as soon as until settles and reports whether it was reached;
 // until < 0 computes the full shortest-path tree and always reports true.
 //
-// The relaxation order, strict-improvement rule, and equal-distance pop
-// order are bit-compatible with WeightedShortestPath, so the parent tree
-// — and any path traced from it — matches the historical per-pair oracle
-// exactly. After warm-up the search performs no allocations.
+// The path traced to until, and its distance, equal WeightedShortestPath's
+// bit for bit; the equivalence is certified per search, not by one pop
+// order. A search to until first runs leafSearch, which skips the
+// non-transit leaves, and keeps its result only when it is certified.
+// Otherwise, and for until < 0, it runs fullSearch, whose relaxation
+// order, strict-improvement rule and equal-distance pop order are the
+// reference's, so its whole parent tree is the reference's too. After
+// warm-up the search performs no allocations.
+func (fz *Frozen) Dijkstra(s *Scratch, src NodeID, weight []float64, until NodeID) bool {
+	if until >= 0 {
+		if ok, certified := fz.leafSearch(s, src, weight, until); certified {
+			return ok
+		}
+	}
+	return fz.fullSearch(s, src, weight, until)
+}
+
+// fullSearch is the reference's search, node for node and pop for pop.
 //
 // There is no settled set. Keys pop in non-decreasing order and weights
 // are non-negative, so a settled v has dist[v] ≤ du ≤ du+w and relaxing
@@ -140,7 +155,7 @@ func (h *spHeap) pop() spItem {
 // never fires. A node is pushed only on a strict improvement, so exactly
 // one of its entries carries its final distance and pops first; any entry
 // with a larger key is stale.
-func (fz *Frozen) Dijkstra(s *Scratch, src NodeID, weight []float64, until NodeID) bool {
+func (fz *Frozen) fullSearch(s *Scratch, src NodeID, weight []float64, until NodeID) bool {
 	s.begin(fz.NumNodes())
 	s.dist[src] = 0
 	s.reached[src] = s.epoch
@@ -170,6 +185,79 @@ func (fz *Frozen) Dijkstra(s *Scratch, src NodeID, weight []float64, until NodeI
 		}
 	}
 	return until < 0
+}
+
+// leafSearch is fullSearch to until without the non-transit leaves: an
+// arc is relaxed only into a transit node or into until. A leaf is never
+// expanded, so every distance fullSearch settles by the time until pops
+// is the same here. Parents are not: a leaf's heap entry moves the
+// layout, and with it which of two equal keys pops first, and the node
+// that pops first sets the parent of any node both offer the same
+// distance. certified reports that no such choice touched the path:
+//
+//   - (a) the heap holds no key equal to dist[until]. No key is below it,
+//     so every transit node at most that far has then popped and relaxed
+//     here: one not yet popped would wait at that key, or a node on its
+//     shortest path would. fullSearch may stop before some of them; it
+//     sees a subset of these relaxations. A weight may vanish in the
+//     addition (du + w == du), so until can pop while a rival with its
+//     key still waits.
+//   - (b) no node on the path from until back to src is tied: no node
+//     other than its parent's source offered it its distance. Then
+//     fullSearch's first relaxation to reach that distance comes from the
+//     same node over the same arc.
+//
+// When until is unreachable, leaves do not change that, and the false
+// result is certified. A node's first relaxation in a search resets its
+// tie mark, so marks need no epoch: every node on the path was reached
+// in this search. tied is grown here only, so BFS users of a pooled
+// Scratch never carry it.
+func (fz *Frozen) leafSearch(s *Scratch, src NodeID, weight []float64, until NodeID) (ok, certified bool) {
+	n := fz.NumNodes()
+	s.begin(n)
+	if len(s.tied) < n {
+		s.tied = make([]bool, n)
+	}
+	s.dist[src] = 0
+	s.reached[src] = s.epoch
+	s.heap.push(spItem{dist: 0, node: src})
+	for len(s.heap) > 0 {
+		it := s.heap.pop()
+		u := it.node
+		if it.dist > s.dist[u] {
+			continue
+		}
+		if u == until {
+			if len(s.heap) > 0 && s.heap[0].dist == it.dist {
+				return true, false
+			}
+			for v := until; v != src; v = fz.linkSrc[s.parent[v]] {
+				if s.tied[v] {
+					return true, false
+				}
+			}
+			return true, true
+		}
+		du := it.dist
+		for _, a := range fz.upArcs[fz.upStart[u]:fz.upStart[u+1]] {
+			v := a.dst
+			if v != until && !fz.transit[v] {
+				continue
+			}
+			nd := du + weight[a.id]
+			if s.reached[v] != s.epoch || nd < s.dist[v] {
+				s.dist[v] = nd
+				s.parent[v] = a.id
+				s.reached[v] = s.epoch
+				s.tied[v] = false
+				s.heap.push(spItem{dist: nd, node: v})
+			} else if nd == s.dist[v] && v != src && fz.linkSrc[s.parent[v]] != u {
+				// src has no parent; a parallel arc from u is no rival.
+				s.tied[v] = true
+			}
+		}
+	}
+	return false, true
 }
 
 // BFS runs an unweighted (hop count) search from src, honoring down

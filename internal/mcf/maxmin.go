@@ -56,6 +56,15 @@ func MaxMinPinned(g *graph.Graph, cs []route.Commodity, paths [][]graph.Path) Ma
 		}
 	}
 
+	// Only a commodity with a positive demand can freeze on reaching it;
+	// the rounds scan these, in index order, and skip the unbounded rest.
+	var bounded []int32
+	for i, c := range cs {
+		if c.Demand > 0 {
+			bounded = append(bounded, int32(i))
+		}
+	}
+
 	freeze := func(f int32, level float64) {
 		if !active[f] {
 			return
@@ -79,8 +88,8 @@ func MaxMinPinned(g *graph.Graph, cs []route.Commodity, paths [][]graph.Path) Ma
 				}
 			}
 		}
-		for i := range cs {
-			if active[i] && cs[i].Demand > 0 {
+		for _, i := range bounded {
+			if active[i] {
 				if room := cs[i].Demand - level; room < inc {
 					inc = room
 				}
@@ -117,9 +126,9 @@ func MaxMinPinned(g *graph.Graph, cs []route.Commodity, paths [][]graph.Path) Ma
 				}
 			}
 		}
-		for i := range cs {
-			if active[i] && cs[i].Demand > 0 && level >= cs[i].Demand-tol {
-				freeze(int32(i), level)
+		for _, i := range bounded {
+			if active[i] && level >= cs[i].Demand-tol {
+				freeze(i, level)
 				progressed = true
 			}
 		}

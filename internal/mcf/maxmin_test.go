@@ -1,6 +1,7 @@
 package mcf
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -118,5 +119,179 @@ func TestMaxMinDeterministic(t *testing.T) {
 	b := MaxMinPinned(tp.G, cs, paths)
 	if a.Total != b.Total {
 		t.Error("MaxMinPinned not deterministic")
+	}
+}
+
+// maxMinReference is MaxMinPinned as it was before it listed the
+// demand-bounded commodities: every round scans all commodities for a
+// positive demand. TestMaxMinMatchesReference holds the two to one
+// allocation.
+func maxMinReference(g *graph.Graph, cs []route.Commodity, paths [][]graph.Path) MaxMinResult {
+	if len(paths) != len(cs) {
+		panic("mcf: paths/commodities length mismatch")
+	}
+	n := len(cs)
+	res := MaxMinResult{Rates: make([]float64, n)}
+
+	remaining := make([]float64, g.NumLinks())
+	for i := range remaining {
+		remaining[i] = g.Link(graph.LinkID(i)).Capacity
+	}
+	flowsOn := make([][]int32, g.NumLinks())
+	activeOn := make([]int, g.NumLinks())
+	active := make([]bool, n)
+	activeCount := 0
+	for i, ps := range paths {
+		if len(ps) == 0 {
+			res.Unrouted++
+			continue
+		}
+		active[i] = true
+		activeCount++
+		for _, e := range ps[0].Links {
+			flowsOn[e] = append(flowsOn[e], int32(i))
+			activeOn[e]++
+		}
+	}
+
+	freeze := func(f int32, level float64) {
+		if !active[f] {
+			return
+		}
+		active[f] = false
+		activeCount--
+		res.Rates[f] = level
+		for _, e := range paths[f][0].Links {
+			activeOn[e]--
+		}
+	}
+
+	level := 0.0
+	for activeCount > 0 {
+		// Next event: a link saturates or a flow reaches its demand.
+		inc := math.Inf(1)
+		for e := range activeOn {
+			if activeOn[e] > 0 {
+				if share := remaining[e] / float64(activeOn[e]); share < inc {
+					inc = share
+				}
+			}
+		}
+		for i := range cs {
+			if active[i] && cs[i].Demand > 0 {
+				if room := cs[i].Demand - level; room < inc {
+					inc = room
+				}
+			}
+		}
+		if math.IsInf(inc, 1) {
+			// Active flows with neither a constraining link nor a demand.
+			for i := range cs {
+				if active[i] {
+					freeze(int32(i), level)
+				}
+			}
+			break
+		}
+		if inc < 0 {
+			inc = 0
+		}
+
+		level += inc
+		for e := range activeOn {
+			if activeOn[e] > 0 {
+				remaining[e] -= inc * float64(activeOn[e])
+			}
+		}
+		const tol = 1e-9
+		progressed := false
+		for e := range activeOn {
+			if activeOn[e] > 0 && remaining[e] <= tol*g.Link(graph.LinkID(e)).Capacity {
+				for _, f := range flowsOn[e] {
+					if active[f] {
+						freeze(f, level)
+						progressed = true
+					}
+				}
+			}
+		}
+		for i := range cs {
+			if active[i] && cs[i].Demand > 0 && level >= cs[i].Demand-tol {
+				freeze(int32(i), level)
+				progressed = true
+			}
+		}
+		if !progressed {
+			// Numerical corner: force progress rather than spin.
+			for i := range cs {
+				if active[i] {
+					freeze(int32(i), level)
+				}
+			}
+		}
+	}
+
+	res.MinRate = math.Inf(1)
+	for i, r := range res.Rates {
+		res.Total += r
+		if len(paths[i]) > 0 && r < res.MinRate {
+			res.MinRate = r
+		}
+	}
+	if math.IsInf(res.MinRate, 1) {
+		res.MinRate = 0
+	}
+	return res
+}
+
+// TestMaxMinMatchesReference: scanning only the commodities with a
+// positive demand freezes the same flows in the same rounds at the same
+// levels, so every rate, the total and the minimum are bit-identical to
+// the reference. The instances are fig6a's shape (all-to-all, no
+// demands), a permutation whose every flow is demand-bounded, and an
+// all-to-all mixing unbounded flows with demands spread across the link
+// freezes, so demand and link freezes interleave.
+func TestMaxMinMatchesReference(t *testing.T) {
+	tp := topo.FatTreeSet(4, 2, 100).ParallelHomo
+	rng := rand.New(rand.NewSource(9))
+	mixed := workload.AllToAllCommodities(tp, 0)
+	demands := []float64{0, 0, 0.5, 1.25, 2, 3.5, 5, 8, 40}
+	for i := range mixed {
+		mixed[i].Demand = demands[rng.Intn(len(demands))]
+	}
+	for _, c := range []struct {
+		name    string
+		cs      []route.Commodity
+		bounded bool // some flows freeze at their demand, some on a link
+	}{
+		{"all-to-all, no demands", workload.AllToAllCommodities(tp, 0), false},
+		{"permutation, demand 60", workload.PermutationCommodities(tp, 60, rng), true},
+		{"all-to-all, mixed demands", mixed, true},
+	} {
+		paths := route.ECMPPaths(tp.G, c.cs, 5)
+		got := MaxMinPinned(tp.G, c.cs, paths)
+		want := maxMinReference(tp.G, c.cs, paths)
+		for i := range want.Rates {
+			if math.Float64bits(got.Rates[i]) != math.Float64bits(want.Rates[i]) {
+				t.Fatalf("%s: rate %d = %v, reference %v", c.name, i, got.Rates[i], want.Rates[i])
+			}
+		}
+		if math.Float64bits(got.Total) != math.Float64bits(want.Total) || math.Float64bits(got.MinRate) != math.Float64bits(want.MinRate) || got.Unrouted != want.Unrouted {
+			t.Fatalf("%s: total %v min %v unrouted %d, reference %v %v %d",
+				c.name, got.Total, got.MinRate, got.Unrouted, want.Total, want.MinRate, want.Unrouted)
+		}
+		atDemand, belowDemand := 0, 0
+		for i, r := range want.Rates {
+			switch d := c.cs[i].Demand; {
+			case d > 0 && r >= d-1e-9:
+				atDemand++
+			case d > 0:
+				belowDemand++
+			}
+		}
+		if c.bounded && (atDemand == 0 || belowDemand == 0) {
+			t.Fatalf("%s: %d flows frozen at their demand, %d bounded flows frozen by a link; want both",
+				c.name, atDemand, belowDemand)
+		}
 	}
 }
