@@ -2,15 +2,15 @@ package sim
 
 // Determinism fingerprints: a rolling 64-bit hash chain over every event
 // the engine fires, one chain per engine, with a checkpoint every epoch
-// (N events). The chain is the determinism contract of
-// ROADMAP item 1 made checkable: two runs that fired the same events in
-// the same order at the same simulated times carry identical chains, and
-// the first divergent epoch can be found by bisection instead of by
-// staring at report diffs; at a cadence of one event per epoch that is the
-// first divergent event. Attach one per engine (Engine.Fingerprint); a nil
-// fingerprinter costs one branch per event. A non-nil one costs every
-// event four mix64 rounds, which is the chain's definition, and a
-// countdown to the next checkpoint; nothing divides.
+// (N events). The same events in the same order at the same simulated
+// times give the same chain, so two runs whose chains differ did not fire
+// the same events, and the first divergent epoch can be found by
+// bisection instead of by staring at report diffs; at a cadence of one
+// event per epoch that is the first divergent event. Attach one per
+// engine (Engine.Fingerprint); a nil fingerprinter costs one branch per
+// event. A non-nil one costs every event four mix64 rounds, which is the
+// chain's definition, and a countdown to the next checkpoint; nothing
+// divides.
 //
 // The chain deliberately hashes only simulated quantities — timestamp,
 // event kind, plane, link, flow, sequence, size — never wall time or

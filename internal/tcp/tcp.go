@@ -14,6 +14,7 @@ package tcp
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"pnet/internal/graph"
 	"pnet/internal/sim"
@@ -72,6 +73,10 @@ type Flow struct {
 	Started, Finished sim.Time
 	done              bool
 	started           bool
+	// released is set by Release; live counts the flow's packets sent and
+	// not yet handled. They sit in the padding after done and started.
+	released bool
+	live     int32
 
 	// OnComplete fires at the sender when every packet is acked.
 	OnComplete func(*Flow)
@@ -106,7 +111,8 @@ type Flow struct {
 
 // NewFlow prepares a transfer of sizeBytes over the given paths (one
 // subflow per path). Paths must share endpoints and each must have a
-// reverse twin for ACKs.
+// reverse twin for ACKs. A one-path flow's block comes from the blocks
+// that released flows left behind (Release), zeroed, when there is one.
 func NewFlow(net *sim.Network, cfg Config, paths []graph.Path, sizeBytes int64) (*Flow, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("tcp: flow needs at least one path")
@@ -115,13 +121,21 @@ func NewFlow(net *sim.Network, cfg Config, paths []graph.Path, sizeBytes int64) 
 		return nil, fmt.Errorf("tcp: flow size %d", sizeBytes)
 	}
 	// A one-path flow, almost every flow, is one heap object: the Flow,
-	// its subflow and the subs array in one block.
+	// its subflow and the subs array in one block. A recycled block is
+	// reached through its Flow: subs[:1] is the block's own array, and
+	// its one entry the block's subflow.
 	var f *Flow
 	var one *subflow
 	if len(paths) == 1 {
-		b := new(onePathFlow)
-		f, one = &b.f, &b.sf
-		f.subs = b.subs[:0]
+		if r, _ := onePathPool.Get().(*Flow); r != nil {
+			f, one = r, r.subs[:1][0]
+			*f = Flow{subs: f.subs[:0]}
+			*one = subflow{}
+		} else {
+			b := new(onePathFlow)
+			f, one = &b.f, &b.sf
+			f.subs = b.subs[:0]
+		}
 	} else {
 		f = new(Flow)
 		f.subs = make([]*subflow, 0, len(paths))
@@ -162,6 +176,29 @@ type onePathFlow struct {
 	f    Flow
 	sf   subflow
 	subs [1]*subflow
+}
+
+// onePathPool holds the Flows of released, quiescent one-path flows, each
+// the head of its onePathFlow block. Engines on different goroutines share
+// it; a block belongs to one flow, on one engine, between Get and Put.
+var onePathPool sync.Pool
+
+// Release tells the flow that its caller will not touch f again, as
+// sim.Network.Release does for a packet. Once the flow is done and every
+// packet it sent has been handled, a one-path flow's block serves a later
+// NewFlow. A packet of it that is dropped never comes home, and that flow
+// is left to the collector. Release is typically called from OnComplete.
+func (f *Flow) Release() { f.released = true }
+
+// recycle puts a released one-path flow's block back once the flow is
+// quiescent: done, so its RTO event is cancelled and has dropped its
+// closure, and with no packet in flight that could reach a handler. Every
+// data arrival sends an ACK, so the last packet a quiescent flow handles
+// is an ACK: onAck calls this last, after its final touch of the flow.
+func (f *Flow) recycle() {
+	if f.done && f.released && f.live == 0 && len(f.subs) == 1 {
+		onePathPool.Put(f)
+	}
 }
 
 // Subflows returns the number of subflows.
@@ -361,6 +398,7 @@ func (sf *subflow) transmit(seq int64, fresh bool) {
 	if sf.f.spanOn {
 		p.AttachSpan(net.NewSpan(sf.spanCause, net.Eng.Now()))
 	}
+	sf.f.live++
 	net.Send(p)
 	if fresh && !sf.timing {
 		sf.timing = true
@@ -525,6 +563,7 @@ func (o *oooWindow) take(rcvNxt int64) bool {
 
 // onData runs at the receiver.
 func (sf *subflow) onData(p *sim.Packet) {
+	sf.f.live--
 	seq := p.Seq
 	ce := p.CE
 	// The data packet's span continues onto its ACK: delivery, ACK send,
@@ -565,17 +604,20 @@ func (sf *subflow) onData(p *sim.Packet) {
 	if span != nil {
 		ack.AttachSpan(span)
 	}
+	sf.f.live++
 	sf.f.net.Send(ack)
 }
 
 // onAck runs at the sender.
 func (sf *subflow) onAck(p *sim.Packet) {
+	sf.f.live--
 	ackSeq := p.AckSeq
 	ece := p.ECE
 	span := p.TakeSpan()
 	sf.f.net.Release(p)
 	if sf.f.done {
 		sf.f.net.FreeSpan(span)
+		sf.f.recycle()
 		return
 	}
 	if sf.f.cfg.DCTCP {
@@ -645,6 +687,7 @@ func (sf *subflow) onAck(p *sim.Packet) {
 		}
 	}
 	sf.f.net.FreeSpan(span)
+	sf.f.recycle()
 }
 
 // repairHole retransmits the next lost packet: the sender walks forward

@@ -358,3 +358,75 @@ func TestStartTwicePanics(t *testing.T) {
 	f.Start()
 	_ = eng
 }
+
+// TestFlowReleaseWaitsForStragglers: a released flow's block serves a
+// later flow only once every packet the flow sent has been handled. On
+// 1 Mb/s links a data packet takes 12 ms a hop, so a one-packet flow's
+// 10 ms RTO resends it spuriously and the flow completes with that copy
+// still on its way. A flow started then must not get the block, where the
+// copy and its ACK would land; a flow started once they are home gets it
+// back, zeroed, and runs as a flow on fresh memory does.
+func TestFlowReleaseWaitsForStragglers(t *testing.T) {
+	type run struct {
+		fct    [3]sim.Time
+		retx   [3]int64
+		events uint64
+	}
+	// scenario completes flow a with its resent copy in flight, starts
+	// the three-packet flow b at that instant and, once the network is
+	// idle, the one-packet flow c.
+	scenario := func(release bool) (r run, reused bool) {
+		eng, net, p := dumbbell(0.001, sim.Config{})
+		start := func(size int64) *Flow {
+			f, err := NewFlow(net, Config{}, []graph.Path{p}, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Start()
+			return f
+		}
+		a := start(1500)
+		if release {
+			a.OnComplete = (*Flow).Release
+		}
+		for !a.Done() && eng.Step() {
+		}
+		if !a.Done() || a.Retransmits != 1 || a.live == 0 {
+			t.Fatalf("flow a: done %v, retransmits %d, %d packets in flight; want it done with its resent copy in flight",
+				a.Done(), a.Retransmits, a.live)
+		}
+		b := start(3 * 1500)
+		if b == a {
+			t.Fatal("flow b was built on flow a's block while a's resent copy was in flight")
+		}
+		eng.Run()
+		c := start(1500)
+		reused = c == a
+		eng.Run()
+		for i, f := range []*Flow{a, b, c} {
+			if !f.Done() {
+				t.Fatalf("flow %d did not complete", i)
+			}
+			r.fct[i], r.retx[i] = f.FCT(), f.Retransmits
+		}
+		r.events = eng.EventsFired()
+		return r, reused
+	}
+	fresh, _ := scenario(false)
+	// The pool may drop a block (it does so at random under -race), so
+	// the block must come back in some round, not in every one.
+	reuses := 0
+	for round := 0; round < 8; round++ {
+		got, reused := scenario(true)
+		if got != fresh {
+			t.Fatalf("round %d: FCTs %v, retransmits %v, %d events; on fresh blocks %v, %v, %d",
+				round, got.fct, got.retx, got.events, fresh.fct, fresh.retx, fresh.events)
+		}
+		if reused {
+			reuses++
+		}
+	}
+	if reuses == 0 {
+		t.Error("flow a's block never served flow c, started after a was quiescent")
+	}
+}

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"pnet/internal/topo"
@@ -38,5 +40,43 @@ func TestStartFlowAllocBudget(t *testing.T) {
 	}
 	if d.Completed != d.Flows {
 		t.Errorf("%d of %d flows completed", d.Completed, d.Flows)
+	}
+}
+
+// TestRPCFlowAllocBudget: on a warm RunRPC loop a flow costs at most 192
+// bytes of heap, counted over whole runs, so the run's own setup is
+// included. RunRPC releases its flows, so a flow's 480-byte block is one
+// a finished flow left behind; what is left is its reverse path, its RTO
+// event and callback, and its share of the samples. Bytes, not objects:
+// a block allocated fresh would still be one object.
+func TestRPCFlowAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates, and drops pooled blocks at random")
+	}
+	tp := topo.ScaledJellyfish(8, 2, 100, 3).ParallelHomo
+	d := newTestDriver(t, tp)
+	cfg := RPCConfig{ReqBytes: 1500, RespBytes: 1500, Rounds: 50, LoopsPerHost: 1, Sel: Selection{Policy: ECMP}, Seed: 1}
+	run := func() {
+		if _, err := RunRPC(d, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm: the pairs' routes interned, packet pool and event heap grown,
+	// and blocks released.
+	run()
+	// A collection empties the pool; the budget holds for a run between
+	// two of them.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	flows := d.Flows
+	run()
+	runtime.ReadMemStats(&after)
+	flows = d.Flows - flows
+	perFlow := float64(after.TotalAlloc-before.TotalAlloc) / float64(flows)
+	t.Logf("%d flows, %.1f bytes and %.2f objects per flow", flows, perFlow,
+		float64(after.Mallocs-before.Mallocs)/float64(flows))
+	if perFlow > 192 {
+		t.Errorf("a warm RPC flow costs %.1f bytes of heap, want at most 192", perFlow)
 	}
 }

@@ -59,9 +59,10 @@ type Driver struct {
 	// Flows counts flows started; Completed counts OnComplete callbacks.
 	Flows, Completed int64
 
-	// flowDone is d.countCompletion, bound once so that starting a flow
-	// with nothing more to do builds no closure.
-	flowDone func(*tcp.Flow)
+	// flowDone and flowRelease are d.countCompletion and d.countRelease,
+	// bound once so that starting a flow with nothing more to do builds
+	// no closure.
+	flowDone, flowRelease func(*tcp.Flow)
 	// one holds StartFlow's single path, which tcp.NewFlow does not keep.
 	one [1]graph.Path
 }
@@ -76,6 +77,7 @@ func NewDriver(t *topo.Topology, simCfg sim.Config, tcpCfg tcp.Config) *Driver {
 		TCP:  tcpCfg,
 	}
 	d.flowDone = d.countCompletion
+	d.flowRelease = d.countRelease
 	return d
 }
 
@@ -124,6 +126,21 @@ func (d *Driver) resolve(src, dst graph.NodeID, sel Selection) (one graph.Path, 
 func (d *Driver) StartFlow(src, dst graph.NodeID, sizeBytes int64, sel Selection,
 	onDelivered, onComplete func(*tcp.Flow)) (*tcp.Flow, error) {
 
+	return d.startFlow(src, dst, sizeBytes, sel, onDelivered, onComplete, false)
+}
+
+// startRPCFlow starts one of RunRPC's requests or responses, a flow its
+// caller never sees: once completion has counted it (and recorded it,
+// under Obs), the flow is released, and its block serves a later flow
+// when its last packet is home (tcp.Flow.Release).
+func (d *Driver) startRPCFlow(src, dst graph.NodeID, sizeBytes int64, sel Selection, onDelivered func(*tcp.Flow)) error {
+	_, err := d.startFlow(src, dst, sizeBytes, sel, onDelivered, nil, true)
+	return err
+}
+
+func (d *Driver) startFlow(src, dst graph.NodeID, sizeBytes int64, sel Selection,
+	onDelivered, onComplete func(*tcp.Flow), release bool) (*tcp.Flow, error) {
+
 	one, paths, err := d.resolve(src, dst, sel)
 	if err != nil {
 		return nil, err
@@ -132,7 +149,7 @@ func (d *Driver) StartFlow(src, dst graph.NodeID, sizeBytes int64, sel Selection
 		d.one[0] = one
 		paths = d.one[:]
 	}
-	return d.StartFlowOnPaths(paths, sizeBytes, onDelivered, onComplete)
+	return d.startOnPaths(paths, sizeBytes, onDelivered, onComplete, release)
 }
 
 // Instrument attaches a telemetry collector: the network's tracer and
@@ -149,6 +166,12 @@ func (d *Driver) Instrument(c *obs.Collector) {
 func (d *Driver) StartFlowOnPaths(paths []graph.Path, sizeBytes int64,
 	onDelivered, onComplete func(*tcp.Flow)) (*tcp.Flow, error) {
 
+	return d.startOnPaths(paths, sizeBytes, onDelivered, onComplete, false)
+}
+
+func (d *Driver) startOnPaths(paths []graph.Path, sizeBytes int64,
+	onDelivered, onComplete func(*tcp.Flow), release bool) (*tcp.Flow, error) {
+
 	f, err := tcp.NewFlow(d.Net, d.TCP, paths, sizeBytes)
 	if err != nil {
 		return nil, err
@@ -156,26 +179,39 @@ func (d *Driver) StartFlowOnPaths(paths []graph.Path, sizeBytes int64,
 	f.OnDelivered = onDelivered
 	d.Flows++
 	f.ID = d.Flows
-	f.OnComplete = d.completion(paths, sizeBytes, onComplete)
+	f.OnComplete = d.completion(paths, sizeBytes, onComplete, release)
 	f.Start()
 	return f, nil
 }
 
-// countCompletion is the OnComplete of a flow with nothing more to do.
+// countCompletion is the OnComplete of a flow with nothing more to do;
+// countRelease that of one nobody will touch again.
 func (d *Driver) countCompletion(*tcp.Flow) { d.Completed++ }
 
-// completion builds a flow's OnComplete. Only a flow with a record to
-// write or a caller's callback to run needs a closure of its own. The
-// record names the endpoints and planes of the paths the flow started on,
-// read now because paths may be StartFlow's scratch.
-func (d *Driver) completion(paths []graph.Path, sizeBytes int64, onComplete func(*tcp.Flow)) func(*tcp.Flow) {
+func (d *Driver) countRelease(f *tcp.Flow) {
+	d.Completed++
+	f.Release()
+}
+
+// completion builds a flow's OnComplete, which releases the flow last if
+// release is set. Only a flow with a record to write or a caller's
+// callback to run needs a closure of its own. The record names the
+// endpoints and planes of the paths the flow started on, read now because
+// paths may be StartFlow's scratch.
+func (d *Driver) completion(paths []graph.Path, sizeBytes int64, onComplete func(*tcp.Flow), release bool) func(*tcp.Flow) {
 	if d.Obs == nil {
-		if onComplete == nil {
+		switch {
+		case onComplete == nil && release:
+			return d.flowRelease
+		case onComplete == nil:
 			return d.flowDone
 		}
 		return func(f *tcp.Flow) {
 			d.Completed++
 			onComplete(f)
+			if release {
+				f.Release()
+			}
 		}
 	}
 	g := d.Net.G
@@ -199,6 +235,9 @@ func (d *Driver) completion(paths []graph.Path, sizeBytes int64, onComplete func
 		})
 		if onComplete != nil {
 			onComplete(f)
+		}
+		if release {
+			f.Release()
 		}
 	}
 }

@@ -43,9 +43,11 @@ func (c RPCConfig) deadline() sim.Time {
 // and its server), that loop stops, the run ends, and the first such error
 // is returned with the samples so far.
 func RunRPC(d *Driver, cfg RPCConfig) ([]float64, error) {
-	r := &rpcRun{d: d, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), hosts: d.PNet.Topo.Hosts}
-	n := len(r.hosts)
+	hosts := d.PNet.Topo.Hosts
+	n := len(hosts)
 	expected := int64(n * cfg.LoopsPerHost * cfg.Rounds)
+	r := &rpcRun{d: d, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), hosts: hosts,
+		samples: make([]float64, 0, expected)}
 
 	for h := 0; h < n; h++ {
 		for l := 0; l < cfg.LoopsPerHost; l++ {
@@ -106,7 +108,7 @@ func (l *rpcLoop) request() {
 		l.server++
 	}
 	l.t0 = r.d.Eng.Now()
-	if _, err := r.d.StartFlow(r.hosts[l.client], r.hosts[l.server], r.cfg.ReqBytes, r.cfg.Sel, l.requested, nil); err != nil {
+	if err := r.d.startRPCFlow(r.hosts[l.client], r.hosts[l.server], r.cfg.ReqBytes, r.cfg.Sel, l.requested); err != nil {
 		r.fail(fmt.Errorf("workload: RPC request from host %d to host %d: %w", l.client, l.server, err))
 	}
 }
@@ -114,7 +116,7 @@ func (l *rpcLoop) request() {
 // respond runs when the server has the whole request.
 func (l *rpcLoop) respond(*tcp.Flow) {
 	r := l.run
-	if _, err := r.d.StartFlow(r.hosts[l.server], r.hosts[l.client], r.cfg.RespBytes, r.cfg.Sel, l.answered, nil); err != nil {
+	if err := r.d.startRPCFlow(r.hosts[l.server], r.hosts[l.client], r.cfg.RespBytes, r.cfg.Sel, l.answered); err != nil {
 		r.fail(fmt.Errorf("workload: RPC response from host %d to host %d: %w", l.server, l.client, err))
 	}
 }
