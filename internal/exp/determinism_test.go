@@ -32,13 +32,13 @@ func runAt(t *testing.T, id string, n int) Table {
 // TestTablesWorkerInvariant renders each (cheap) experiment's table
 // serially and at width 8 and requires the bytes, and every cell's value
 // bit for bit, to match. The set covers every parallelized cell shape:
-// normalized baselines computed after the join (fig6b/fig6c/fig8c), 2-D
-// grids with index dispatch (incast), name-keyed maps assembled
-// post-join (fig10), per-variant outage cells (faults), and scenario
-// cells sharing a baseline (isolation is exercised via the cheaper fig14
-// path plus incast).
+// normalized baselines computed after the join (fig6b/fig6c/fig8c), KSP
+// ties seeded per host pair (fig8b), 2-D grids with index dispatch
+// (incast), name-keyed maps assembled post-join (fig10), per-variant
+// outage cells (faults), and scenario cells sharing a baseline
+// (isolation is exercised via the cheaper fig14 path plus incast).
 func TestTablesWorkerInvariant(t *testing.T) {
-	for _, id := range []string{"fig6b", "fig6c", "fig8c", "fig10", "fig14", "incast", "faults"} {
+	for _, id := range []string{"fig6b", "fig6c", "fig8b", "fig8c", "fig10", "fig14", "incast", "faults"} {
 		serial, wide := runAt(t, id, 1), runAt(t, id, 8)
 		if s, w := serial.String(), wide.String(); s != w {
 			t.Errorf("%s: table differs between -workers=1 and -workers=8\n--- serial ---\n%s\n--- workers=8 ---\n%s",

@@ -26,6 +26,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"pnet/internal/mcf"
 	"pnet/internal/obs"
@@ -76,8 +77,9 @@ func (p Params) newDriver(tp *topo.Topology, simCfg sim.Config, tcpCfg tcp.Confi
 	return d
 }
 
-// recordSolver forwards one LP/flow-solver result to the collector.
-func (p Params) recordSolver(expID, solver string, k int, r mcf.Result) {
+// recordSolver forwards one LP solve, and the wall time it took, to the
+// collector.
+func (p Params) recordSolver(expID, solver string, k int, r mcf.Result, wall time.Duration) {
 	if p.Obs == nil {
 		return
 	}
@@ -89,7 +91,7 @@ func (p Params) recordSolver(expID, solver string, k int, r mcf.Result) {
 		Phases:     r.Stats.Phases,
 		Iterations: r.Stats.Iterations,
 		Attempts:   r.Stats.Attempts,
-		WallSec:    r.Stats.Wall.Seconds(),
+		WallSec:    wall.Seconds(),
 	})
 }
 
@@ -110,7 +112,7 @@ type Cell struct {
 	text  string // a label's text
 	verb  string // a number's printf verb
 	units []unit // a duration's or a size's units
-	star  bool   // a * after the value: kSweepTable's first saturating K
+	star  bool   // a * after the value: a K sweep's first saturating K
 }
 
 // String is the one place a cell's number becomes text.

@@ -66,6 +66,41 @@ func TestFig6cTelemetry(t *testing.T) {
 	}
 }
 
+// TestEveryLPSolveRecorded: every LP solve of a throughput figure writes
+// one solver record with its wall time, whichever solver ran it: fig6b's
+// five networks × three ECMP trials are 15 max-min solves, fig8b's eight
+// networks are 8 Garg–Könemann solves over 8-way KSP.
+func TestEveryLPSolveRecorded(t *testing.T) {
+	for _, tc := range []struct {
+		id, solver string
+		calls, k   int
+	}{
+		{"fig6b", "maxmin", 15, 0},
+		{"fig8b", "gk-fixed", 8, 8},
+	} {
+		var mbuf bytes.Buffer
+		c := obs.NewCollector()
+		c.StreamMetrics(&mbuf)
+		e, _ := ByID(tc.id)
+		e.Run(Params{Seed: 1, Obs: c})
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		solvers := records[obs.SolverRecord](t, &mbuf, obs.KindSolver)
+		if len(solvers) != tc.calls {
+			t.Errorf("%s: %d solver records, want %d", tc.id, len(solvers), tc.calls)
+		}
+		for _, r := range solvers {
+			if r.Exp != tc.id || r.Solver != tc.solver || r.K != tc.k || r.WallSec <= 0 {
+				t.Errorf("%s: solver record %+v, want solver %s, K %d and wall time", tc.id, r, tc.solver, tc.k)
+			}
+			if tc.solver != "maxmin" && (r.Phases <= 0 || r.Iterations <= 0 || r.Attempts <= 0) {
+				t.Errorf("%s: empty GK stats: %+v", tc.id, r)
+			}
+		}
+	}
+}
+
 // TestFig10Telemetry: a traced fig10 streams flow records with their
 // plane choices and packet events covering enqueue and deliver.
 func TestFig10Telemetry(t *testing.T) {

@@ -3,6 +3,8 @@ package exp
 import (
 	"fmt"
 	"math/rand"
+	"sync"
+	"time"
 
 	"pnet/internal/graph"
 	"pnet/internal/mcf"
@@ -62,147 +64,188 @@ func jfSize(s Scale) (sw, deg, hps int) {
 
 const trialCount = 3 // the paper repeats each experiment >= 5 times; we default to 3
 
-// ecmpThroughput measures the achieved total throughput under per-flow
-// ECMP: every commodity is pinned to its hash-selected path and rates are
-// allocated max-min fairly (what a fair transport converges to on fixed
-// routes). Commodities carry zero demand, i.e. rates are network-limited.
-func ecmpThroughput(tp *topo.Topology, cs []route.Commodity, seed uint64) float64 {
-	paths := route.ECMPPaths(tp.G, cs, seed)
-	return mcf.MaxMinPinned(tp.G, cs, paths).Total
+// An lpCell is one LP solve of a throughput figure. It names what the
+// paper's method (§5) fixes: a network, the traffic on it, the rule that
+// gives each commodity its paths, and the solver that rates the result.
+type lpCell struct {
+	net     func() *topo.Topology
+	traffic func(*topo.Topology) (*graph.Graph, []route.Commodity)
+	paths   func(*graph.Graph, []route.Commodity) [][]graph.Path // nil for gk-free, which routes itself
+	solver  string                                               // "maxmin", "gk-fixed" or "gk-free"
+	k       int                                                  // the solver record's K
 }
 
-// runECMPFigure runs fig6a/fig6b: a traffic pattern under ECMP across
-// plane counts, normalized to the serial low-bandwidth network.
-func runECMPFigure(id, title string, p Params, pattern func(*topo.Topology, *rand.Rand) []route.Commodity) Table {
+// solve runs one cell and puts its solve on the record. Its clock, around
+// the solver call alone, is the one timer of every LP solve. It returns
+// what the figure normalizes: λ, or a maxmin cell's total rate.
+func (p Params) solve(expID string, c lpCell) float64 {
+	g, cs := c.traffic(c.net())
+	var paths [][]graph.Path
+	if c.paths != nil {
+		paths = c.paths(g, cs)
+	}
+	opts := mcf.Options{Epsilon: 0.08} // every figure's Garg–Könemann accuracy
+	var r mcf.Result
+	start := time.Now()
+	switch c.solver {
+	case "maxmin":
+		r.Lambda = mcf.MaxMinPinned(g, cs, paths).Total
+	case "gk-fixed":
+		r = mcf.FixedPaths(g, cs, paths, opts)
+	case "gk-free":
+		r = mcf.Free(g, cs, opts)
+	default:
+		panic("exp: no solver " + c.solver)
+	}
+	p.recordSolver(expID, c.solver, c.k, r, time.Since(start))
+	return r.Lambda
+}
+
+// solveAll runs a figure's cells as wide as the par limit. Cells share
+// nothing writable, so the values are bit-identical at any width.
+func (p Params) solveAll(expID string, cells []lpCell) []float64 {
+	vals := make([]float64, len(cells))
+	par.Do(len(cells), func(i int) { vals[i] = p.solve(expID, cells[i]) })
+	return vals
+}
+
+// fatTree builds one fat-tree evaluation network at p's scale, as
+// topo.FatTreeSet does: planes identical trees of speed-Gb/s links.
+func (p Params) fatTree(planes int, speed float64) func() *topo.Topology {
 	k := ftArity(p.Scale)
-	planeCounts := []int{2, 4, 8}
-
-	measure := func(tp *topo.Topology, trial int64) float64 {
-		rng := rand.New(rand.NewSource(p.Seed + trial))
-		cs := pattern(tp, rng)
-		return ecmpThroughput(tp, cs, uint64(p.Seed+trial*7919))
-	}
-	trials := func(tp *topo.Topology) (mean, std float64) {
-		var vals []float64
-		for trial := int64(0); trial < trialCount; trial++ {
-			vals = append(vals, measure(tp, trial))
+	return func() *topo.Topology {
+		specs := make([]topo.PlaneSpec, planes)
+		plane := topo.FatTreePlane(k)
+		for i := range specs {
+			specs[i] = plane
 		}
-		return meanStd(vals)
+		return topo.Assemble(fmt.Sprintf("ft%d %dx%.0fG", k, planes, speed), speed, specs...)
 	}
+}
 
-	// Every network is an independent cell: it builds its own topology
-	// and derives all randomness from (p.Seed, trial), so the cells can
-	// run concurrently and the stats land in per-cell slots.
-	type cell struct {
-		name  string
-		build func() *topo.Topology
+// jellyfish builds one Jellyfish evaluation network at p's scale, as
+// topo.JellyfishSet does: planes copies of the plane drawn from p.Seed,
+// or, heterogeneous, plane i drawn from p.Seed+i.
+func (p Params) jellyfish(planes int, speed float64, hetero bool) func() *topo.Topology {
+	sw, deg, hps := jfSize(p.Scale)
+	return func() *topo.Topology {
+		specs := make([]topo.PlaneSpec, planes)
+		specs[0] = topo.JellyfishPlane(sw, deg, hps, p.Seed)
+		for i := 1; i < planes; i++ {
+			specs[i] = specs[0]
+			if hetero {
+				specs[i] = topo.JellyfishPlane(sw, deg, hps, p.Seed+int64(i))
+			}
+		}
+		return topo.Assemble(fmt.Sprintf("jf%d-%d %dx%.0fG hetero=%t", sw, deg, planes, speed, hetero), speed, specs...)
 	}
-	cells := []cell{
-		{"serial low-bw (1x100G)", func() *topo.Topology { return topo.FatTreeSet(k, 8, 100).SerialLow }},
-	}
-	for _, n := range planeCounts {
-		cells = append(cells, cell{
-			fmt.Sprintf("parallel %dx100G", n),
-			func() *topo.Topology { return topo.FatTreeSet(k, n, 100).ParallelHomo },
-		})
-	}
-	cells = append(cells, cell{
-		"serial high-bw (1x800G)",
-		func() *topo.Topology { return topo.FatTreeSet(k, 8, 100).SerialHigh },
-	})
+}
 
-	type stat struct{ mean, std float64 }
-	stats := make([]stat, len(cells))
-	par.Do(len(cells), func(i int) {
-		m, s := trials(cells[i].build())
-		stats[i] = stat{m, s}
-	})
-	base := stats[0].mean
+// ecmpFigure runs fig6a/fig6b: a traffic pattern under per-flow ECMP, its
+// max-min fair total over trialCount trials per network, normalized to
+// the serial low-bw network. Trial t draws its pattern from Seed+t and
+// hashes its flows from Seed+t·7919.
+func ecmpFigure(id, title string, p Params, pattern func(*topo.Topology, *rand.Rand) []route.Commodity) Table {
+	k := ftArity(p.Scale)
+	names := []string{"serial low-bw (1x100G)", "parallel 2x100G", "parallel 4x100G", "parallel 8x100G", "serial high-bw (1x800G)"}
+	nets := []func() *topo.Topology{p.fatTree(1, 100), p.fatTree(2, 100), p.fatTree(4, 100), p.fatTree(8, 100), p.fatTree(1, 800)}
+	var cells []lpCell
+	for _, net := range nets {
+		for trial := int64(0); trial < trialCount; trial++ {
+			cells = append(cells, lpCell{
+				net: net,
+				traffic: func(tp *topo.Topology) (*graph.Graph, []route.Commodity) {
+					return tp.G, pattern(tp, rand.New(rand.NewSource(p.Seed+trial)))
+				},
+				paths: func(g *graph.Graph, cs []route.Commodity) [][]graph.Path {
+					return route.ECMPPaths(g, cs, uint64(p.Seed+trial*7919))
+				},
+				solver: "maxmin",
+			})
+		}
+	}
+	vals := p.solveAll(id, cells)
+	base, _ := meanStd(vals[:trialCount])
 
 	t := Table{
 		ID: id, Title: title,
 		Note:   fmt.Sprintf("k=%d fat tree (%d hosts), ECMP single path per flow; normalized to serial low-bw", k, k*k*k/4),
 		Header: []string{"network", "throughput(norm)", "stddev"},
 	}
-	t.Rows = append(t.Rows, []Cell{label(cells[0].name), f2(1.0), f2(0)})
-	for i := 1; i < len(cells); i++ {
-		t.Rows = append(t.Rows, []Cell{label(cells[i].name), f2(stats[i].mean / base), f2(stats[i].std / base)})
+	t.Rows = append(t.Rows, []Cell{label(names[0]), f2(1.0), f2(0)})
+	for i := 1; i < len(nets); i++ {
+		mean, std := meanStd(vals[i*trialCount : (i+1)*trialCount])
+		t.Rows = append(t.Rows, []Cell{label(names[i]), f2(mean / base), f2(std / base)})
 	}
 	return t
 }
 
 func runFig6a(p Params) Table {
-	return runECMPFigure("fig6a", "All-to-all throughput, ECMP (paper Fig. 6a)", p,
+	return ecmpFigure("fig6a", "All-to-all throughput, ECMP (paper Fig. 6a)", p,
 		func(tp *topo.Topology, _ *rand.Rand) []route.Commodity {
 			return workload.AllToAllCommodities(tp, 0) // network-limited rates
 		})
 }
 
 func runFig6b(p Params) Table {
-	return runECMPFigure("fig6b", "Permutation throughput, ECMP (paper Fig. 6b)", p,
+	return ecmpFigure("fig6b", "Permutation throughput, ECMP (paper Fig. 6b)", p,
 		func(tp *topo.Topology, rng *rand.Rand) []route.Commodity {
 			return workload.PermutationCommodities(tp, 0, rng) // network-limited
 		})
-}
-
-// kspSweep measures permutation throughput across multipath degrees. The
-// K-path sets are prefixes of the K=maxK set, so Yen runs once per pair.
-// rec, when non-nil, observes every solver result (for telemetry).
-func kspSweep(tp *topo.Topology, cs []route.Commodity, ks []int, eps float64, seed int64, rec func(k int, r mcf.Result)) []float64 {
-	maxK := ks[len(ks)-1]
-	full := route.KSPPathsSeeded(tp.G, cs, maxK, seed)
-	out := make([]float64, len(ks))
-	for i, k := range ks {
-		paths := make([][]graph.Path, len(full))
-		for j, ps := range full {
-			if len(ps) > k {
-				ps = ps[:k]
-			}
-			paths[j] = ps
-		}
-		r := mcf.FixedPaths(tp.G, cs, paths, mcf.Options{Epsilon: eps})
-		if rec != nil {
-			rec(k, r)
-		}
-		out[i] = r.Lambda
-	}
-	return out
 }
 
 // sweepNet is one row of a K-sweep figure (fig6c, fig8c).
 type sweepNet struct {
 	name   string
 	planes int
-	hetero bool
+	net    func() *topo.Topology
 }
 
-// pick returns the row's network from a set built with its plane count.
-func (n sweepNet) pick(s topo.NetworkSet) *topo.Topology {
-	switch {
-	case n.planes == 1:
-		return s.SerialLow
-	case n.hetero:
-		return s.ParallelHetero
+// kSweep runs a K-sweep figure: per network, pattern's commodities over
+// the first K of each commodity's K-shortest paths, for each K in ks.
+// pattern runs serially in network order. A network's cells share one
+// Yen run to the largest K, made by whichever of them runs first.
+//
+// The table has one row per network and one column per K, normalized to
+// the saturated (largest K) value of nets[0], the serial low-bandwidth
+// network, with a * on the first K reaching 95% of the row's plane count.
+func (p Params) kSweep(t Table, ks []int, nets []sweepNet, pattern func(*topo.Topology) []route.Commodity) Table {
+	var cells []lpCell
+	for _, n := range nets {
+		tp := n.net()
+		cs := pattern(tp)
+		yen := sync.OnceValue(func() [][]graph.Path {
+			return route.KSPPathsSeeded(tp.G, cs, ks[len(ks)-1], p.Seed)
+		})
+		for _, k := range ks {
+			cells = append(cells, lpCell{
+				net:     func() *topo.Topology { return tp },
+				traffic: func(tp *topo.Topology) (*graph.Graph, []route.Commodity) { return tp.G, cs },
+				paths: func(*graph.Graph, []route.Commodity) [][]graph.Path {
+					paths := make([][]graph.Path, len(cs))
+					for j, ps := range yen() {
+						paths[j] = ps[:min(k, len(ps))]
+					}
+					return paths
+				},
+				solver: "gk-fixed",
+				k:      k,
+			})
+		}
 	}
-	return s.ParallelHomo
-}
+	vals := p.solveAll(t.ID, cells)
 
-// kSweepTable lays out a K-sweep figure: one row per network, one column
-// per K, normalized to the saturated (largest K) value of nets[0], the
-// serial low-bandwidth network, with a * on the first K reaching 95% of
-// the row's plane count.
-func kSweepTable(t Table, ks []int, nets []sweepNet, vals [][]float64) Table {
 	t.Header = []string{"network"}
 	for _, k := range ks {
 		t.Header = append(t.Header, fmt.Sprintf("K=%d", k))
 	}
-	base := vals[0][len(vals[0])-1]
-	for i, net := range nets {
-		row := []Cell{label(net.name)}
+	base := vals[len(ks)-1]
+	for i, n := range nets {
+		row := []Cell{label(n.name)}
 		circled := false
-		for _, v := range vals[i] {
+		for _, v := range vals[i*len(ks) : (i+1)*len(ks)] {
 			cell := f2(v / base)
-			cell.star = !circled && cell.V >= 0.95*float64(net.planes)
+			cell.star = !circled && cell.V >= 0.95*float64(n.planes)
 			circled = circled || cell.star
 			row = append(row, cell)
 		}
@@ -213,65 +256,39 @@ func kSweepTable(t Table, ks []int, nets []sweepNet, vals [][]float64) Table {
 
 func runFig6c(p Params) Table {
 	k := ftArity(p.Scale)
-	ks := []int{1, 2, 4, 8, 16, 32}
 	nets := []sweepNet{
-		{name: "serial low-bw", planes: 1},
-		{name: "parallel 2x", planes: 2},
-		{name: "parallel 4x", planes: 4},
+		{"serial low-bw", 1, p.fatTree(1, 100)},
+		{"parallel 2x", 2, p.fatTree(2, 100)},
+		{"parallel 4x", 4, p.fatTree(4, 100)},
 	}
 	if p.Scale == ScaleFull {
-		nets = append(nets, sweepNet{name: "parallel 8x", planes: 8})
+		nets = append(nets, sweepNet{"parallel 8x", 8, p.fatTree(8, 100)})
 	}
-
-	// The permutation RNG is shared across networks, so commodity
-	// generation must stay in serial net order; the expensive KSP+LP
-	// sweeps are then independent per network and fan out.
+	// One permutation RNG, drawn from in network order.
 	rng := rand.New(rand.NewSource(p.Seed))
-	type prep struct {
-		tp *topo.Topology
-		cs []route.Commodity
-	}
-	preps := make([]prep, len(nets))
-	for i, net := range nets {
-		tp := net.pick(topo.FatTreeSet(k, net.planes, 100))
-		preps[i] = prep{tp, workload.PermutationCommodities(tp, 100, rng)}
-	}
-	allVals := make([][]float64, len(nets))
-	par.Do(len(nets), func(i int) {
-		allVals[i] = kspSweep(preps[i].tp, preps[i].cs, ks, 0.08, p.Seed, func(k int, r mcf.Result) {
-			p.recordSolver("fig6c", "gk-fixed", k, r)
-		})
-	})
-	return kSweepTable(Table{
+	return p.kSweep(Table{
 		ID:    "fig6c",
 		Title: "Single-path vs multi-path permutation throughput (paper Fig. 6c)",
 		Note: fmt.Sprintf("k=%d fat tree, MPTCP+KSP; normalized to saturated serial low-bw; "+
 			"circled point = first K reaching 95%% of the plane count", k),
-	}, ks, nets, allVals)
+	}, []int{1, 2, 4, 8, 16, 32}, nets, func(tp *topo.Topology) []route.Commodity {
+		return workload.PermutationCommodities(tp, 100, rng)
+	})
 }
 
 func runFig7(p Params) Table {
-	sw, deg, hps := jfSize(p.Scale)
+	sw, deg, _ := jfSize(p.Scale)
 	planeCounts := []int{2, 4, 8}
-	eps := 0.08
-
-	ideal := func(tp *topo.Topology) float64 {
-		g, cs := workload.RackAllToAll(tp, 10)
-		r := mcf.Free(g, cs, mcf.Options{Epsilon: eps})
-		p.recordSolver("fig7", "gk-free", 0, r)
-		return r.Lambda
+	cell := func(net func() *topo.Topology) lpCell {
+		return lpCell{net: net, traffic: func(tp *topo.Topology) (*graph.Graph, []route.Commodity) {
+			return workload.RackAllToAll(tp, 10)
+		}, solver: "gk-free"}
 	}
-
-	// Topology construction is cheap and shares the seed, so it stays
-	// serial; the GK solves — one per network — fan out as cells.
-	baseSet := topo.JellyfishSet(sw, deg, hps, 2, 100, p.Seed)
-	tops := []*topo.Topology{baseSet.SerialLow}
+	cells := []lpCell{cell(p.jellyfish(1, 100, false))}
 	for _, n := range planeCounts {
-		set := topo.JellyfishSet(sw, deg, hps, n, 100, p.Seed)
-		tops = append(tops, set.SerialHigh, set.ParallelHetero)
+		cells = append(cells, cell(p.jellyfish(1, float64(n)*100, false)), cell(p.jellyfish(n, 100, true)))
 	}
-	vals := make([]float64, len(tops))
-	par.Do(len(tops), func(i int) { vals[i] = ideal(tops[i]) })
+	vals := p.solveAll("fig7", cells)
 	base := vals[0]
 
 	t := Table{
@@ -290,40 +307,31 @@ func runFig7(p Params) Table {
 	return t
 }
 
-// runJellyfishKSP runs fig8a/fig8b: a pattern routed over 8-way KSP.
-func runJellyfishKSP(id, title string, p Params, allToAll bool) Table {
+// jellyfishKSP runs fig8a/fig8b: a pattern routed over 8-way KSP.
+func jellyfishKSP(id, title string, p Params, pattern func(*topo.Topology) []route.Commodity) Table {
 	sw, deg, hps := jfSize(p.Scale)
 	const kWays = 8
 	planeCounts := []int{2, 4, 8}
-	eps := 0.08
-
-	measure := func(tp *topo.Topology) float64 {
-		var cs []route.Commodity
-		if allToAll {
-			cs = workload.AllToAllCommodities(tp, 100.0/float64(tp.NumHosts()-1))
-		} else {
-			rng := rand.New(rand.NewSource(p.Seed))
-			cs = workload.PermutationCommodities(tp, 100, rng)
+	cell := func(net func() *topo.Topology) lpCell {
+		return lpCell{
+			net:     net,
+			traffic: func(tp *topo.Topology) (*graph.Graph, []route.Commodity) { return tp.G, pattern(tp) },
+			// Ties are seeded per host pair, not per commodity index as
+			// route.KSPPathsSeeded does: the published fig8b cells rest on it.
+			paths: func(g *graph.Graph, cs []route.Commodity) [][]graph.Path {
+				return route.AcrossPlanes(g, g.PlaneMasks(), cs, kWays, func(i int) int64 {
+					return p.Seed + int64(cs[i].Src)*1_000_003 + int64(cs[i].Dst)
+				})
+			},
+			solver: "gk-fixed",
+			k:      kWays,
 		}
-		// Ties are seeded per host pair, not per commodity index as
-		// route.KSPPathsSeeded does: the published fig8b cells rest on it.
-		paths := route.AcrossPlanes(tp.G, tp.G.PlaneMasks(), cs, kWays, func(i int) int64 {
-			return p.Seed + int64(cs[i].Src)*1_000_003 + int64(cs[i].Dst)
-		})
-		return mcf.FixedPaths(tp.G, cs, paths, mcf.Options{Epsilon: eps}).Lambda
 	}
-
-	// Each measure() cell builds its own RNG, path sets and solver
-	// state against a read-only topology, so all networks run at once.
-	baseSet := topo.JellyfishSet(sw, deg, hps, 2, 100, p.Seed)
-	tops := []*topo.Topology{baseSet.SerialLow}
+	cells := []lpCell{cell(p.jellyfish(1, 100, false))}
 	for _, n := range planeCounts {
-		set := topo.JellyfishSet(sw, deg, hps, n, 100, p.Seed)
-		tops = append(tops, set.ParallelHomo, set.ParallelHetero)
+		cells = append(cells, cell(p.jellyfish(n, 100, false)), cell(p.jellyfish(n, 100, true)))
 	}
-	tops = append(tops, baseSet.SerialHigh)
-	vals := make([]float64, len(tops))
-	par.Do(len(tops), func(i int) { vals[i] = measure(tops[i]) })
+	vals := p.solveAll(id, append(cells, cell(p.jellyfish(1, 200, false))))
 	base := vals[0]
 
 	t := Table{
@@ -343,39 +351,29 @@ func runJellyfishKSP(id, title string, p Params, allToAll bool) Table {
 }
 
 func runFig8a(p Params) Table {
-	return runJellyfishKSP("fig8a", "All-to-all throughput, 8-way KSP (paper Fig. 8a)", p, true)
+	return jellyfishKSP("fig8a", "All-to-all throughput, 8-way KSP (paper Fig. 8a)", p, func(tp *topo.Topology) []route.Commodity {
+		return workload.AllToAllCommodities(tp, 100.0/float64(tp.NumHosts()-1))
+	})
 }
 
 func runFig8b(p Params) Table {
-	return runJellyfishKSP("fig8b", "Permutation throughput, 8-way KSP (paper Fig. 8b)", p, false)
+	return jellyfishKSP("fig8b", "Permutation throughput, 8-way KSP (paper Fig. 8b)", p, func(tp *topo.Topology) []route.Commodity {
+		return workload.PermutationCommodities(tp, 100, rand.New(rand.NewSource(p.Seed)))
+	})
 }
 
 func runFig8c(p Params) Table {
-	sw, deg, hps := jfSize(p.Scale)
-	ks := []int{1, 2, 4, 8, 16, 32}
-	nets := []sweepNet{
-		{name: "serial low-bw", planes: 1},
-		{name: "parallel homo 2x", planes: 2},
-		{name: "parallel homo 4x", planes: 4},
-		{name: "parallel hetero 4x", planes: 4, hetero: true},
-	}
-
-	// Unlike fig6c, each network cell seeds its own permutation RNG from
-	// p.Seed, so the whole cell — topology, commodities, sweep — is
-	// self-contained and cells run concurrently.
-	allVals := make([][]float64, len(nets))
-	par.Do(len(nets), func(i int) {
-		net := nets[i]
-		tp := net.pick(topo.JellyfishSet(sw, deg, hps, max(net.planes, 2), 100, p.Seed))
-		rng := rand.New(rand.NewSource(p.Seed))
-		cs := workload.PermutationCommodities(tp, 100, rng)
-		allVals[i] = kspSweep(tp, cs, ks, 0.08, p.Seed, func(k int, r mcf.Result) {
-			p.recordSolver("fig8c", "gk-fixed", k, r)
-		})
-	})
-	return kSweepTable(Table{
+	return p.kSweep(Table{
 		ID:    "fig8c",
 		Title: "Multipath performance scaling on Jellyfish (paper Fig. 8c)",
 		Note:  "permutation traffic; normalized to saturated serial low-bw; * = first K at 95% of plane count",
-	}, ks, nets, allVals)
+	}, []int{1, 2, 4, 8, 16, 32}, []sweepNet{
+		{"serial low-bw", 1, p.jellyfish(1, 100, false)},
+		{"parallel homo 2x", 2, p.jellyfish(2, 100, false)},
+		{"parallel homo 4x", 4, p.jellyfish(4, 100, false)},
+		{"parallel hetero 4x", 4, p.jellyfish(4, 100, true)},
+	}, func(tp *topo.Topology) []route.Commodity {
+		// Each network draws its permutation from its own Seed RNG.
+		return workload.PermutationCommodities(tp, 100, rand.New(rand.NewSource(p.Seed)))
+	})
 }

@@ -18,7 +18,6 @@ package mcf
 
 import (
 	"math"
-	"time"
 
 	"pnet/internal/graph"
 	"pnet/internal/par"
@@ -40,8 +39,8 @@ func (o Options) epsilon() float64 {
 }
 
 // SolverStats instruments an approximation-solver run: how much work the
-// Garg–Könemann iteration did and how long it took in wall time. The
-// telemetry layer (internal/obs) exports these per invocation.
+// Garg–Könemann iteration did. The telemetry layer (internal/obs) exports
+// these per invocation, with the wall time its caller measured.
 type SolverStats struct {
 	// Phases counts completed GK phases, summed over rescaling attempts.
 	Phases int
@@ -50,8 +49,6 @@ type SolverStats struct {
 	Iterations int64
 	// Attempts counts adaptive demand-rescaling runs of the core solver.
 	Attempts int
-	// Wall is the measured wall-clock time of the whole solve.
-	Wall time.Duration
 }
 
 // Result reports a max-concurrent-flow computation.
@@ -309,7 +306,6 @@ func (o *freeOracle) paths(j int, length []float64) (graph.Path, bool) {
 // sweep-cell worker — builds its own oracle, so no scratch is ever
 // shared across workers.
 func adaptiveGK(fz *graph.Frozen, cs []route.Commodity, oracle func(int, []float64) (graph.Path, bool), eps float64) (float64, SolverStats) {
-	start := time.Now()
 	var stats SolverStats
 	// Upper bound: commodity j cannot exceed capOut(src)/demand.
 	ub := math.Inf(1)
@@ -325,7 +321,6 @@ func adaptiveGK(fz *graph.Frozen, cs []route.Commodity, oracle func(int, []float
 		}
 	}
 	if math.IsInf(ub, 1) || ub <= 0 {
-		stats.Wall = time.Since(start)
 		return 0, stats
 	}
 	scale := ub
@@ -356,7 +351,6 @@ func adaptiveGK(fz *graph.Frozen, cs []route.Commodity, oracle func(int, []float
 		// scale on the estimate so the next run completes ~T phases.
 		scale = lambda
 	}
-	stats.Wall = time.Since(start)
 	return lambda, stats
 }
 

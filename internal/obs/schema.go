@@ -188,13 +188,15 @@ func ParseHash(s string) (uint64, error) {
 	return v, nil
 }
 
-// SolverRecord captures one LP/flow-solver invocation: which experiment
-// asked, which solver ran, and the Garg–Könemann phase/iteration counts
-// and wall time from internal/mcf.
+// SolverRecord captures one LP solve of a throughput figure: which
+// experiment asked, which solver ran, the Garg–Könemann phase, iteration
+// and attempt counts from internal/mcf, and the solve's wall time. A
+// maxmin record's Lambda is the allocation's total rate, and its phases,
+// iterations and attempts are zero.
 type SolverRecord struct {
 	Type       string  `json:"type"` // "solver"
 	Exp        string  `json:"exp"`
-	Solver     string  `json:"solver"` // "gk-fixed" | "gk-free" | "maxmin" | "simplex"
+	Solver     string  `json:"solver"` // "gk-fixed" | "gk-free" | "maxmin"
 	K          int     `json:"k,omitempty"`
 	Lambda     float64 `json:"lambda"`
 	Phases     int     `json:"phases"`
