@@ -21,7 +21,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"pnet/internal/graph"
@@ -40,8 +39,8 @@ type PNet struct {
 }
 
 // Selector picks paths confined to one set of planes. It caches routing
-// state (ECMP DAGs, interned routes, K-shortest-path sets), which the PNet
-// that made it resets when a plane is marked down.
+// state (ECMP DAGs, K-shortest-path sets), which the PNet that made it
+// resets when a plane is marked down.
 type Selector struct {
 	g *graph.Graph
 	// masks holds the set's per-plane banned-link masks, as
@@ -51,28 +50,14 @@ type Selector struct {
 	banned []bool
 
 	// dags[dst] is the ECMP next-hop DAG toward dst, nil until first use.
-	dags []*graph.DAG
-	// routes interns ECMP routes walked on dags: one shared link slice
-	// per route, under its routeKey. A key is only meaningful on the DAG
-	// it was walked on, so resetCaches clears the two together.
-	routes   map[uint64][]graph.LinkID
-	walk     []graph.LinkID // ECMPPath's walk buffer
+	dags     []*graph.DAG
+	walk     []graph.LinkID // ECMPPath's walk buffer, which it returns
 	kspCache map[kspKey][]graph.Path
 }
 
 type kspKey struct {
 	src, dst graph.NodeID
 	k        int
-}
-
-// routeKey names an ECMP route exactly, by its endpoints and its choice
-// code on dags[dst] (graph.ECMPWalk) as the digits of one number: src +
-// n·dst + n²·code for n nodes. ok is false when that overflows 64 bits.
-func (s *Selector) routeKey(src, dst graph.NodeID, code uint64) (key uint64, ok bool) {
-	n := uint64(len(s.dags))
-	hi, lo := bits.Mul64(code, n*n)
-	key, carry := bits.Add64(lo, uint64(src)+n*uint64(dst), 0)
-	return key, hi == 0 && carry == 0
 }
 
 // New wraps a topology in the end-host control plane.
@@ -88,7 +73,6 @@ func newSelector(g *graph.Graph, masks [][]bool, banned []bool) *Selector {
 
 func (s *Selector) resetCaches() {
 	s.dags = make([]*graph.DAG, s.g.NumNodes())
-	s.routes = make(map[uint64][]graph.LinkID)
 	s.kspCache = make(map[kspKey][]graph.Path)
 }
 
@@ -126,31 +110,22 @@ func (s *Selector) HighThroughputPaths(src, dst graph.NodeID, k int) []graph.Pat
 // uplinks) hashes among the equal-cost shortest next hops the selector's
 // planes offer.
 //
-// Routes are interned: every flow pinned to the same route gets the same
-// Links, shared with every other holder and never written, so callers must
-// only read them. Finding the route allocates nothing once it has been
-// seen; marking a plane down starts a fresh table.
+// The route is walked into the selector's one buffer, so its Links are
+// valid only until the selector's next ECMPPath: a caller that keeps the
+// route copies it (tcp.NewFlow does, into the flow's own block). Once the
+// DAG toward dst is built, finding a route allocates nothing.
 func (s *Selector) ECMPPath(src, dst graph.NodeID, flowHash uint64) (graph.Path, bool) {
 	dag := s.dags[dst]
 	if dag == nil {
 		dag = graph.ShortestDAG(s.g, dst, s.banned)
 		s.dags[dst] = dag
 	}
-	links, code, exact, ok := graph.ECMPWalk(dag, src, flowHash, s.walk[:0])
+	links, ok := graph.ECMPWalk(dag, src, flowHash, s.walk[:0])
 	s.walk = links
 	if !ok {
 		return graph.Path{}, false
 	}
-	key, fits := s.routeKey(src, dst, code)
-	if !exact || !fits {
-		return graph.Path{Links: slices.Clone(links)}, true
-	}
-	route, seen := s.routes[key]
-	if !seen {
-		route = slices.Clone(links)
-		s.routes[key] = route
-	}
-	return graph.Path{Links: route}, true
+	return graph.Path{Links: links}, true
 }
 
 // SetClass pins a named traffic class — a tenant, or a service tier like

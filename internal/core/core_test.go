@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"pnet/internal/graph"
@@ -74,6 +75,7 @@ func TestECMPPathDeterministicPerHash(t *testing.T) {
 	p := New(set.ParallelHomo)
 	src, dst := p.Topo.Hosts[0], p.Topo.Hosts[15]
 	a, ok1 := p.ECMPPath(src, dst, 7)
+	a.Links = slices.Clone(a.Links) // the next call reuses the buffer
 	b, ok2 := p.ECMPPath(src, dst, 7)
 	if !ok1 || !ok2 || !a.Equal(b) {
 		t.Error("ECMP path not deterministic")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"pnet/internal/graph"
 	"pnet/internal/sim"
@@ -89,11 +90,11 @@ func NewHealthMonitor(eng *sim.Engine, net *sim.Network, p *PNet, until sim.Time
 		if len(fwd) == 0 {
 			panic(fmt.Sprintf("core: no probe path in plane %d between hosts %d and %d", plane, probeHost, probePeer))
 		}
-		rev, ok := graph.ReversePath(t.G, fwd[0])
+		route, ok := graph.AppendReverse(slices.Clone(fwd[0].Links), t.G, fwd[0])
 		if !ok {
 			panic(fmt.Sprintf("core: probe path in plane %d has no reverse", plane))
 		}
-		m.routes[plane] = append(append([]graph.LinkID(nil), fwd[0].Links...), rev.Links...)
+		m.routes[plane] = route
 	}
 	return m
 }

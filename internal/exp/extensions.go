@@ -234,10 +234,9 @@ func runIsolation(p Params) Table {
 }
 
 func runDeploy(p Params) Table {
-	sw, deg, hps := jfSize(p.Scale)
-	planes := 4
-	homo := topo.JellyfishSet(sw, deg, hps, planes, 100, p.Seed).ParallelHomo
-	hetero := topo.JellyfishSet(sw, deg, hps, planes, 100, p.Seed).ParallelHetero
+	sw, _, hps := jfSize(p.Scale)
+	homo := p.jellyfish(4, 100, false)()
+	hetero := p.jellyfish(4, 100, true)()
 
 	t := Table{
 		ID:    "deploy",

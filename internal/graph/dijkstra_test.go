@@ -112,19 +112,28 @@ func TestReverseLinkMatchesPlane(t *testing.T) {
 func TestReversePathRoundTrip(t *testing.T) {
 	g := diamond()
 	p := KShortestPathsMasked(g, 0, 3, 1, nil)[0]
-	rev, ok := ReversePath(g, p)
+	links, ok := AppendReverse(nil, g, p)
 	if !ok {
 		t.Fatal("no reverse path")
 	}
+	rev := Path{Links: links}
 	if rev.Src(g) != 3 || rev.Dst(g) != 0 {
 		t.Errorf("reverse endpoints %d -> %d", rev.Src(g), rev.Dst(g))
 	}
 	if !rev.Valid(g) {
 		t.Error("reverse path invalid")
 	}
-	back, _ := ReversePath(g, rev)
-	if !back.Equal(p) {
+	// Appended after a prefix, which it leaves alone.
+	back, _ := AppendReverse(links[:1:1], g, rev)
+	if !(Path{Links: back[1:]}).Equal(p) || back[0] != links[0] {
 		t.Error("double reverse != original")
+	}
+	// A one-way link has no twin: no reverse, and the buffer comes back
+	// as it was.
+	h := New(0)
+	id := h.AddLink(h.AddNode(true), h.AddNode(true), 1, 0)
+	if got, ok := AppendReverse([]LinkID{7}, h, Path{Links: []LinkID{id}}); ok || len(got) != 1 || got[0] != 7 {
+		t.Errorf("one-way link: reverse %v, ok %v; want [7], false", got, ok)
 	}
 }
 

@@ -17,6 +17,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -206,11 +207,11 @@ func (g *Graph) PlaneMasks() [][]bool {
 // plane, reversed direction). ok is false if none exists. Topologies built
 // with AddDuplex always have one. The twin table is precomputed: the first
 // call builds it in one pass over the links and their destinations'
-// out-links, and later calls are a lock plus an array load; ReversePath,
-// which transports call for every ACK route, takes the lock once per path. The cache is invalidated when links are
-// added (twins depend only on endpoints and plane tags, which never change
-// after AddLink) and is safe to build and read concurrently, like
-// PlaneMasks.
+// out-links, and later calls are a lock plus an array load; AppendReverse,
+// which transports call for every ACK route, takes the lock once per path.
+// The cache is invalidated when links are added (twins depend only on
+// endpoints and plane tags, which never change after AddLink) and is safe
+// to build and read concurrently, like PlaneMasks.
 func (g *Graph) ReverseLink(id LinkID) (LinkID, bool) {
 	g.checkLink(id)
 	rid := g.twins()[id]
@@ -244,18 +245,22 @@ func (g *Graph) twins() []LinkID {
 	return twin
 }
 
-// ReversePath returns the hop-by-hop reverse of p. ok is false if any link
-// lacks a reverse twin.
-func ReversePath(g *Graph, p Path) (Path, bool) {
+// AppendReverse appends the hop-by-hop reverse of p to dst and returns
+// the extended slice, as strconv.AppendInt does: a caller with room in
+// dst allocates nothing. ok is false, and dst is returned as it was, if
+// any link lacks a reverse twin.
+func AppendReverse(dst []LinkID, g *Graph, p Path) ([]LinkID, bool) {
 	twin := g.twins()
-	links := make([]LinkID, len(p.Links))
+	n := len(dst)
+	dst = slices.Grow(dst, len(p.Links))[:n+len(p.Links)]
+	last := len(dst) - 1
 	for i, id := range p.Links {
 		g.checkLink(id)
 		rid := twin[id]
 		if rid < 0 {
-			return Path{}, false
+			return dst[:n], false
 		}
-		links[len(p.Links)-1-i] = rid
+		dst[last-i] = rid
 	}
-	return Path{Links: links}, true
+	return dst, true
 }

@@ -1,7 +1,5 @@
 package graph
 
-import "math/bits"
-
 // HopDistances returns the hop count of a shortest path from src to every
 // node, or -1 where no path exists. Non-transit nodes other than src are
 // never expanded, so distances "through" a host are not reported.
@@ -131,7 +129,7 @@ func ShortestDAG(g *Graph, dst NodeID, banned []bool) *DAG {
 // to one deterministic path. ok is false when the destination is
 // unreachable from src.
 func ECMPPath(dag *DAG, src NodeID, flowHash uint64) (Path, bool) {
-	links, _, _, ok := ECMPWalk(dag, src, flowHash, nil)
+	links, ok := ECMPWalk(dag, src, flowHash, nil)
 	if !ok {
 		return Path{}, false
 	}
@@ -140,27 +138,19 @@ func ECMPPath(dag *DAG, src NodeID, flowHash uint64) (Path, bool) {
 
 // ECMPWalk is ECMPPath into a caller's buffer: it appends the route's links
 // to buf, and returns the grown buffer even when ok is false so that it can
-// be reused. It also names the route by its choice code: the index taken
-// among the equal-cost next hops at each hop, as a mixed-radix number
-// whose digit at each hop has that hop's fan-out as its base, least
-// significant digit first. Given the dag and src the code decodes hop by
-// hop, so two routes from src are equal exactly when their codes are,
-// provided the product of the fan-outs fits in 64 bits; exact reports that
-// it did.
-func ECMPWalk(dag *DAG, src NodeID, flowHash uint64, buf []LinkID) (links []LinkID, code uint64, exact, ok bool) {
+// be reused.
+func ECMPWalk(dag *DAG, src NodeID, flowHash uint64, buf []LinkID) (links []LinkID, ok bool) {
 	links = buf
 	if src == dag.dst {
-		return links, 0, false, false
+		return links, false
 	}
 	u := src
 	h := flowHash
-	weight := uint64(1) // the product of the fan-outs of the hops so far
-	exact = true
 	for u != dag.dst {
 		first := dag.off[u]
 		n := uint64(dag.off[u+1] - first)
 		if n == 0 {
-			return links, 0, false, false
+			return links, false
 		}
 		h = splitmix64(h)
 		// A power-of-two fan-out (a host's planes, a fat tree's uplinks)
@@ -171,13 +161,9 @@ func ECMPWalk(dag *DAG, src NodeID, flowHash uint64, buf []LinkID) (links []Link
 		}
 		k := uint64(first) + i
 		links = append(links, dag.links[k])
-		code += i * weight
-		hi, lo := bits.Mul64(weight, n)
-		exact = exact && hi == 0
-		weight = lo
 		u = dag.to[k]
 	}
-	return links, code, exact, true
+	return links, true
 }
 
 // splitmix64 is the SplitMix64 mixing function, used to derive per-hop

@@ -115,12 +115,12 @@ func NewFlow(net *sim.Network, paths []graph.Path, sizeBytes int64) (*Flow, erro
 		if p.Src(net.G) != src || p.Dst(net.G) != dst {
 			return nil, fmt.Errorf("ndp: path %d endpoints differ", i)
 		}
-		rev, ok := graph.ReversePath(net.G, p)
+		rev, ok := graph.AppendReverse(nil, net.G, p)
 		if !ok {
 			return nil, fmt.Errorf("ndp: path %d has no reverse", i)
 		}
 		f.fwd = append(f.fwd, p.Links)
-		f.rev = append(f.rev, rev.Links)
+		f.rev = append(f.rev, rev)
 	}
 	f.got = make([]uint64, (f.SizePkts+63)/64)
 	f.dataH = dataHandler{f}

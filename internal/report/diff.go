@@ -213,20 +213,21 @@ func Diff(base, cur RunSummary, rel float64) DiffReport {
 // relWorsening returns the signed relative change in the "worse"
 // direction: +0.25 means 25% worse, -0.10 means 10% better. A metric
 // appearing out of nowhere (base 0, cur > 0, higher = worse) counts as
-// 100% worse so it trips any sane threshold.
+// 100% worse so it trips any sane threshold. No change is 0, never -0,
+// which would print as -0.00%.
 func relWorsening(base, cur float64, dir direction) float64 {
 	delta := cur - base
-	if dir == lowerWorse {
+	switch {
+	case delta == 0:
+		return 0
+	case dir == lowerWorse:
 		delta = -delta
 	}
 	if base == 0 {
 		if delta > 0 {
 			return 1
 		}
-		if delta < 0 {
-			return -1
-		}
-		return 0
+		return -1
 	}
 	return delta / abs(base)
 }

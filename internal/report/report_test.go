@@ -307,6 +307,29 @@ func TestDiffPassAndFail(t *testing.T) {
 	}
 }
 
+// TestSelfDiffPrintsNoNegativeZero: a summary diffed against itself reads
+// +0.00% on every row, the lower-is-worse ones (flows, flow_bytes,
+// goodput_bps) included, whose negated zero delta once printed -0.00%.
+func TestSelfDiffPrintsNoNegativeZero(t *testing.T) {
+	d := Diff(sampleSummary(), sampleSummary(), 0)
+	lowerWorse := 0
+	for _, dl := range d.Deltas {
+		if math.Signbit(dl.Rel) || dl.Rel != 0 {
+			t.Errorf("%s: self-diff delta %v, want +0", dl.Metric, dl.Rel)
+		}
+		switch dl.Metric {
+		case "flows", "flow_bytes", "goodput_bps":
+			lowerWorse++
+		}
+	}
+	if lowerWorse != 3 {
+		t.Errorf("%d of the 3 lower-is-worse rows compared", lowerWorse)
+	}
+	if out := d.String(); strings.Contains(out, "-0.00%") {
+		t.Errorf("self-diff prints -0.00%%:\n%s", out)
+	}
+}
+
 func TestDiffWallMetricsInformational(t *testing.T) {
 	base := sampleSummary()
 	noisy := sampleSummary()

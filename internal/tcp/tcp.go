@@ -55,7 +55,8 @@ type Config struct {
 // Flow is one (MP)TCP transfer.
 type Flow struct {
 	net *sim.Network
-	cfg Config
+	// block is the one-path flow's own block, nil on a multipath flow.
+	block *onePathFlow
 
 	// ID labels the flow in packet traces (sim.Packet.FlowID). Callers
 	// that want per-flow telemetry assign it before Start; the workload
@@ -74,8 +75,10 @@ type Flow struct {
 	done              bool
 	started           bool
 	// released is set by Release; live counts the flow's packets sent and
-	// not yet handled. They sit in the padding after done and started.
+	// not yet handled. They and cfg sit in the padding after done and
+	// started.
 	released bool
+	cfg      Config
 	live     int32
 
 	// OnComplete fires at the sender when every packet is acked.
@@ -111,8 +114,11 @@ type Flow struct {
 
 // NewFlow prepares a transfer of sizeBytes over the given paths (one
 // subflow per path). Paths must share endpoints and each must have a
-// reverse twin for ACKs. A one-path flow's block comes from the blocks
-// that released flows left behind (Release), zeroed, when there is one.
+// reverse twin for ACKs. A one-path flow copies its route into its own
+// block, so the caller may reuse the path's links once NewFlow returns;
+// the block comes from the blocks that released flows left behind
+// (Release), zeroed, when there is one. A multipath flow keeps its
+// paths' links, which the caller must not change.
 func NewFlow(net *sim.Network, cfg Config, paths []graph.Path, sizeBytes int64) (*Flow, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("tcp: flow needs at least one path")
@@ -120,68 +126,94 @@ func NewFlow(net *sim.Network, cfg Config, paths []graph.Path, sizeBytes int64) 
 	if sizeBytes <= 0 {
 		return nil, fmt.Errorf("tcp: flow size %d", sizeBytes)
 	}
-	// A one-path flow, almost every flow, is one heap object: the Flow,
-	// its subflow and the subs array in one block. A recycled block is
-	// reached through its Flow: subs[:1] is the block's own array, and
-	// its one entry the block's subflow.
 	var f *Flow
-	var one *subflow
 	if len(paths) == 1 {
-		if r, _ := onePathPool.Get().(*Flow); r != nil {
-			f, one = r, r.subs[:1][0]
-			*f = Flow{subs: f.subs[:0]}
-			*one = subflow{}
-		} else {
-			b := new(onePathFlow)
-			f, one = &b.f, &b.sf
-			f.subs = b.subs[:0]
+		// A one-path flow, almost every flow, is one heap object: the
+		// Flow, its subflow, the subs array and the route and its
+		// reverse, back to back in the block's route array. A route too
+		// long for the array takes one allocation for both.
+		b := takeBlock()
+		f = &b.f
+		p := paths[0]
+		n := len(p.Links)
+		buf := b.route[:0]
+		if 2*n > len(b.route) {
+			buf = make([]graph.LinkID, 0, 2*n)
 		}
+		route, ok := graph.AppendReverse(append(buf, p.Links...), net.G, p)
+		if !ok {
+			return nil, fmt.Errorf("tcp: path 0 has no reverse")
+		}
+		f.addSubflow(&b.sf, route[:n:n], route[n:])
 	} else {
-		f = new(Flow)
-		f.subs = make([]*subflow, 0, len(paths))
+		f = &Flow{subs: make([]*subflow, 0, len(paths))}
+		src, dst := paths[0].Src(net.G), paths[0].Dst(net.G)
+		for i, p := range paths {
+			if i > 0 && (p.Src(net.G) != src || p.Dst(net.G) != dst) {
+				return nil, fmt.Errorf("tcp: path %d endpoints differ from path 0", i)
+			}
+			rev, ok := graph.AppendReverse(nil, net.G, p)
+			if !ok {
+				return nil, fmt.Errorf("tcp: path %d has no reverse", i)
+			}
+			f.addSubflow(new(subflow), p.Links, rev)
+		}
 	}
 	f.net = net
 	f.cfg = cfg
 	f.SizePkts = (sizeBytes + mtu - 1) / mtu
 	f.spanOn = net.SpansOn()
-	src, dst := paths[0].Src(net.G), paths[0].Dst(net.G)
-	for i, p := range paths {
-		if i > 0 && (p.Src(net.G) != src || p.Dst(net.G) != dst) {
-			return nil, fmt.Errorf("tcp: path %d endpoints differ from path 0", i)
-		}
-		rev, ok := graph.ReversePath(net.G, p)
-		if !ok {
-			return nil, fmt.Errorf("tcp: path %d has no reverse", i)
-		}
-		sf := one
-		if sf == nil {
-			sf = new(subflow)
-		}
-		// sf is zeroed memory: set the fields rather than copy in a
-		// subflow literal built on the stack.
-		sf.f, sf.idx = f, i
-		sf.fwd, sf.rev = p.Links, rev.Links
-		sf.cwnd, sf.ssthresh = initCwnd, math.Inf(1)
-		sf.dctcpAlpha = 1 // DCTCP starts with α=1 (react strongly to the first marks).
-		f.subs = append(f.subs, sf)
-	}
 	return f, nil
 }
 
-// onePathFlow is the single allocation behind a one-path Flow: 184 + 272
-// + 8 bytes, in the 480-byte size class with 16 to spare. A field of more
-// than 48 bytes added to Flow or subflow would cost every flow the class
-// past 512 (576); TestOnePathFlowSize holds it.
-type onePathFlow struct {
-	f    Flow
-	sf   subflow
-	subs [1]*subflow
+// addSubflow makes sf, zeroed memory but for a block's bound wake, the
+// flow's next subflow on the route fwd with its ACKs on rev. It sets the
+// fields rather than copy in a subflow literal built on the stack.
+func (f *Flow) addSubflow(sf *subflow, fwd, rev []graph.LinkID) {
+	sf.f, sf.idx = f, int32(len(f.subs))
+	sf.fwd, sf.rev = fwd, rev
+	sf.cwnd, sf.ssthresh = initCwnd, math.Inf(1)
+	sf.dctcpAlpha = 1 // DCTCP starts with α=1 (react strongly to the first marks).
+	if sf.wake == nil {
+		sf.wake = sf.rtoWake
+	}
+	f.subs = append(f.subs, sf)
 }
 
-// onePathPool holds the Flows of released, quiescent one-path flows, each
-// the head of its onePathFlow block. Engines on different goroutines share
-// it; a block belongs to one flow, on one engine, between Get and Put.
+// onePathFlow is the single allocation behind a one-path Flow: 184 + 272
+// + 8 + 48 bytes, the whole of the 512-byte size class. route holds a
+// route of up to six links and its reverse. A field added to Flow or
+// subflow would cost every flow the next class (576), unless it fits
+// the padding of a word that holds narrower fields; TestOnePathFlowSize
+// holds it.
+type onePathFlow struct {
+	f     Flow
+	sf    subflow
+	subs  [1]*subflow
+	route [12]graph.LinkID
+}
+
+// onePathPool holds the blocks of released, quiescent one-path flows.
+// Engines on different goroutines share it; a block belongs to one flow,
+// on one engine, between Get and Put.
 var onePathPool sync.Pool
+
+// takeBlock returns a zeroed block for a one-path flow: one that a
+// released flow left behind when there is one, its subflow's bound wake
+// kept, or else a new one.
+func takeBlock() *onePathFlow {
+	b, _ := onePathPool.Get().(*onePathFlow)
+	if b == nil {
+		b = new(onePathFlow)
+	} else {
+		wake := b.sf.wake
+		*b = onePathFlow{}
+		b.sf.wake = wake
+	}
+	b.f.block = b
+	b.f.subs = b.subs[:0]
+	return b
+}
 
 // Release tells the flow that its caller will not touch f again, as
 // sim.Network.Release does for a packet. Once the flow is done and every
@@ -196,8 +228,8 @@ func (f *Flow) Release() { f.released = true }
 // data arrival sends an ACK, so the last packet a quiescent flow handles
 // is an ACK: onAck calls this last, after its final touch of the flow.
 func (f *Flow) recycle() {
-	if f.done && f.released && f.live == 0 && len(f.subs) == 1 {
-		onePathPool.Put(f)
+	if f.done && f.released && f.live == 0 && f.block != nil {
+		onePathPool.Put(f.block)
 	}
 }
 
@@ -305,11 +337,15 @@ func (f *Flow) liaAlpha() float64 {
 
 // subflow carries one path's sender and receiver state.
 type subflow struct {
-	f   *Flow
-	idx int
-	// fwd is the caller's path, which other flows may share (the ECMP
-	// routes a core.Selector interns), so it is only ever read.
+	f *Flow
+	// fwd and rev are the data and ACK routes, only ever read: a one-path
+	// flow's copies in its block, a multipath flow's fwd the caller's
+	// path, and after a repath the Repath hook's.
 	fwd, rev []graph.LinkID
+	// wake is rtoWake bound once, when the subflow's memory is first
+	// used, so that arming the timer builds no closure; a recycled block
+	// keeps it.
+	wake func()
 
 	// Sender.
 	cwnd, ssthresh float64
@@ -335,7 +371,7 @@ type subflow struct {
 	consecRTOs  int // timeouts since the last ACK progress; repath trigger
 	timedSeq    int64
 	timedAt     sim.Time
-	// The one-byte fields sit together: padding each to a word would
+	// The narrow fields share one word: padding each to a word would
 	// take a one-path flow past its 512-byte block (onePathFlow).
 	inRecovery bool
 	timing     bool
@@ -343,6 +379,7 @@ type subflow struct {
 	// fresh (window-clocked), RTO retransmission, or first send after a
 	// repath. Reset to fresh on ACK progress.
 	spanCause sim.SpanCause
+	idx       int32 // the subflow's index in its flow's subs
 
 	// Receiver.
 	rcvNxt int64
@@ -423,7 +460,7 @@ func (sf *subflow) armRTO() {
 	eng := sf.f.net.Eng
 	sf.rtoDeadline = eng.Now() + (sf.rto() << sf.backoff)
 	if sf.rtoEv == nil || !sf.rtoEv.Pending() {
-		sf.rtoEv = eng.At(sf.rtoDeadline, sf.rtoWake)
+		sf.rtoEv = eng.At(sf.rtoDeadline, sf.wake)
 	}
 }
 
@@ -435,7 +472,7 @@ func (sf *subflow) rtoWake() {
 	}
 	eng := sf.f.net.Eng
 	if eng.Now() < sf.rtoDeadline {
-		sf.rtoEv = eng.At(sf.rtoDeadline, sf.rtoWake)
+		sf.rtoEv = eng.At(sf.rtoDeadline, sf.wake)
 		return
 	}
 	sf.onRTO()
@@ -473,7 +510,7 @@ func (sf *subflow) maybeRepath() bool {
 	// Spend the budget either way; a fruitless query waits another
 	// stallRTOs timeouts before asking again.
 	sf.consecRTOs = 0
-	path, ok := f.Repath(f, sf.idx)
+	path, ok := f.Repath(f, int(sf.idx))
 	if !ok || len(path.Links) == 0 || samePath(path.Links, sf.fwd) {
 		return false
 	}
@@ -481,16 +518,16 @@ func (sf *subflow) maybeRepath() bool {
 	if path.Src(g) != g.Link(sf.fwd[0]).Src || path.Dst(g) != g.Link(sf.fwd[len(sf.fwd)-1]).Dst {
 		return false // replacement must connect the same endpoints
 	}
-	rev, ok := graph.ReversePath(g, path)
+	rev, ok := graph.AppendReverse(nil, g, path)
 	if !ok {
 		return false
 	}
 	sf.fwd = path.Links
-	sf.rev = rev.Links
+	sf.rev = rev
 	sf.srtt, sf.rttvar = 0, 0
 	f.Repaths++
 	if f.OnRepath != nil {
-		f.OnRepath(f, sf.idx, path)
+		f.OnRepath(f, int(sf.idx), path)
 	}
 	return true
 }

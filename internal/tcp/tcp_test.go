@@ -60,8 +60,8 @@ func TestNewFlowValidation(t *testing.T) {
 	if _, err := NewFlow(net, Config{}, []graph.Path{p}, 0); err == nil {
 		t.Error("no error for zero size")
 	}
-	rev, _ := graph.ReversePath(net.G, p)
-	if _, err := NewFlow(net, Config{}, []graph.Path{p, rev}, 1000); err == nil {
+	rev, _ := graph.AppendReverse(nil, net.G, p)
+	if _, err := NewFlow(net, Config{}, []graph.Path{p, {Links: rev}}, 1000); err == nil {
 		t.Error("no error for mismatched endpoints")
 	}
 	// A transfer is whole 1500 B packets, the last one partly full.

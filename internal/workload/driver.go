@@ -84,8 +84,9 @@ func NewDriver(t *topo.Topology, simCfg sim.Config, tcpCfg tcp.Config) *Driver {
 // resolve turns a Selection into concrete paths for a flow: the
 // single-path policies return one, KSP returns many. A Selection with a
 // Class is resolved by that class's Selector, any other by the PNet's.
-// The paths' Links may be shared with the Selector's route caches and
-// must only be read.
+// The paths' Links may be the Selector's caches and must only be read;
+// an ECMP path is the Selector's walk buffer, valid only until the next
+// resolve (tcp.NewFlow copies a one-path flow's route before that).
 func (d *Driver) resolve(src, dst graph.NodeID, sel Selection) (one graph.Path, many []graph.Path, err error) {
 	s := d.PNet.Selector
 	if sel.Class != "" {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"pnet/internal/graph"
@@ -264,3 +265,93 @@ func TestRunTraceClosedLoop(t *testing.T) {
 }
 
 var _ = route.Commodity{} // keep import for doc references
+
+// routeChecker is a sim.Tracer that fails the test on a delivered packet
+// whose route is not one contiguous path. An ACK route built in the wrong
+// order still gets its packet home, one unrelated hop at a time, so only
+// the route itself shows it.
+type routeChecker struct {
+	t *testing.T
+	g *graph.Graph
+}
+
+func (c routeChecker) PacketEvent(ev sim.TraceEvent, p *sim.Packet, _ graph.LinkID) {
+	if ev == sim.TraceDeliver && !(graph.Path{Links: p.Route}).Valid(c.g) {
+		c.t.Fatalf("flow %d: packet delivered over %v, which is not a path", p.FlowID, p.Route)
+	}
+}
+
+// TestOnePathFlowOwnsItsRoute: a one-path flow holds its own copy of its
+// ECMP route, with the reverse built from it, on a fresh block and on one
+// that a released flow of another route left behind. Each round starts a
+// flow between every ordered host pair before the engine runs, so every
+// walk reuses the Selector's buffer while the flows before it hold their
+// routes. The sparse expander gives routes of 3 to 8 links, the longest
+// too long for a block's own array.
+func TestOnePathFlowOwnsItsRoute(t *testing.T) {
+	tp := topo.JellyfishSet(32, 3, 1, 2, 100, 3).ParallelHomo
+	d := newTestDriver(t, tp)
+	g := tp.G
+	d.Net.Tracer = routeChecker{t, g}
+	// A collection would empty the pool of released blocks.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	dags := map[graph.NodeID]*graph.DAG{}
+	released := map[*tcp.Flow]bool{}
+	// round checks every flow's route against a fresh walk for its hash
+	// once all have started, and again once all are done unless they were
+	// released. It returns how many flows got a released flow's block.
+	round := func(release bool) (reused int) {
+		type started struct {
+			f    *tcp.Flow
+			want graph.Path
+		}
+		var flows []started
+		var onComplete func(*tcp.Flow)
+		if release {
+			onComplete = func(f *tcp.Flow) {
+				released[f] = true
+				f.Release()
+			}
+		}
+		for _, src := range tp.Hosts {
+			for _, dst := range tp.Hosts {
+				if src == dst {
+					continue
+				}
+				f, err := d.StartFlow(src, dst, 3*1500, Selection{Policy: ECMP}, nil, onComplete)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if dags[dst] == nil {
+					dags[dst] = graph.ShortestDAG(g, dst, nil)
+				}
+				want, _ := graph.ECMPPath(dags[dst], src, d.hashCtr*0x9e3779b97f4a7c15)
+				flows = append(flows, started{f, want})
+				if released[f] {
+					reused++
+				}
+			}
+		}
+		check := func(when string) {
+			for i, s := range flows {
+				if got := s.f.SubflowPath(0); !got.Equal(s.want) {
+					t.Fatalf("%s: flow %d of the round runs on %v, its hash walks %v", when, i, got.Links, s.want.Links)
+				}
+			}
+		}
+		check("started")
+		completed := d.Completed
+		d.Eng.Run()
+		if n := d.Completed - completed; n != int64(len(flows)) {
+			t.Fatalf("%d of %d flows completed", n, len(flows))
+		}
+		if !release {
+			check("done")
+		}
+		return reused
+	}
+	round(true)
+	if reused := round(false); reused == 0 {
+		t.Error("no flow of the second round got a block the first round released")
+	}
+}
