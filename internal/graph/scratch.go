@@ -110,9 +110,10 @@ func (h *spHeap) pop() spItem {
 		if j >= n {
 			break
 		}
-		if s[j+1].dist < s[j].dist {
-			j++
-		}
+		// The smaller child by the same strict <, added rather than
+		// branched on: the compiler emits a SETcc, and which child wins
+		// is a coin flip the branch predictor would miss half the time.
+		j += b2i(s[j+1].dist < s[j].dist)
 		if !(s[j].dist < last.dist) {
 			break
 		}
@@ -122,6 +123,14 @@ func (h *spHeap) pop() spItem {
 	s[i] = last
 	*h = s[:n]
 	return top
+}
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Dijkstra runs a shortest-path search from src under the given link

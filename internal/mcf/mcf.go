@@ -173,14 +173,38 @@ func newFixedOracle(paths [][]graph.Path) *fixedOracle {
 func (o *fixedOracle) pick(j int, length []float64) (graph.Path, bool) {
 	lo, hi := o.commStart[j], o.commStart[j+1]
 	best, bestLen := int32(-1), math.Inf(1)
-	for p := lo; p < hi; p++ {
+	for p := lo; p < hi; {
+		a, b := o.pathStart[p], o.pathStart[p+1]
+		if p+1 < hi {
+			if c := o.pathStart[p+2]; c-b == b-a {
+				// Two paths of one length share a loop: two independent
+				// add chains, each in its own path's link order, so each
+				// sum is the plain loop's bit for bit.
+				x, y := o.links[a:b], o.links[b:c]
+				y = y[:len(x)] // drops y's bounds check in the loop
+				var lx, ly float64
+				for i, e := range x {
+					lx += length[e]
+					ly += length[y[i]]
+				}
+				if lx < bestLen {
+					best, bestLen = p, lx
+				}
+				if ly < bestLen {
+					best, bestLen = p+1, ly
+				}
+				p += 2
+				continue
+			}
+		}
 		var l float64
-		for _, e := range o.links[o.pathStart[p]:o.pathStart[p+1]] {
+		for _, e := range o.links[a:b] {
 			l += length[e]
 		}
 		if l < bestLen {
 			best, bestLen = p, l
 		}
+		p++
 	}
 	// The winner's links are the slice the scan just read, still in
 	// cache; capped so that an append cannot run into the next path.

@@ -243,7 +243,11 @@ func TestFixedOracleMatchesScan(t *testing.T) {
 // whole Garg–Könemann run where the nested-slice pick leaves it — λ,
 // phases, iterations and rescaling attempts bit-identical — on fat tree
 // and Jellyfish P-Nets, replicated and (Jellyfish only: replicated fat
-// trees are identical) heterogeneous planes, across path-set sizes.
+// trees are identical) heterogeneous planes, across path-set sizes. With
+// equal capacities, a tie between two equal-length paths broken the
+// other way ships the same flow and adds the same length to the dual,
+// so those four numbers can agree after different picks: the run's
+// sequence of picked paths must agree too.
 func TestFixedPathsMatchesReference(t *testing.T) {
 	const planes = 4
 	ft := topo.FatTreeSet(4, planes, 100)
@@ -260,8 +264,30 @@ func TestFixedPathsMatchesReference(t *testing.T) {
 					tp.Name, k, got.Lambda, got.Stats.Phases, got.Stats.Iterations, got.Stats.Attempts,
 					lambda, want.Phases, want.Iterations, want.Attempts)
 			}
+			gotPicks := pickTrace(tp.G, cs, newFixedOracle(paths).pick)
+			wantPicks := pickTrace(tp.G, cs, refFixedPick(paths))
+			if len(gotPicks) != len(wantPicks) {
+				t.Fatalf("%s K=%d: %d picks, reference %d", tp.Name, k, len(gotPicks), len(wantPicks))
+			}
+			for i := range gotPicks {
+				if !gotPicks[i].Equal(wantPicks[i]) {
+					t.Fatalf("%s K=%d: pick %d is %v, reference %v", tp.Name, k, i, gotPicks[i].Links, wantPicks[i].Links)
+				}
+			}
 		}
 	}
+}
+
+// pickTrace runs Garg–Könemann with oracle and returns every path it
+// picked, in order.
+func pickTrace(g *graph.Graph, cs []route.Commodity, oracle func(int, []float64) (graph.Path, bool)) []graph.Path {
+	var picks []graph.Path
+	adaptiveGK(g.Frozen(), cs, func(j int, length []float64) (graph.Path, bool) {
+		p, ok := oracle(j, length)
+		picks = append(picks, p)
+		return p, ok
+	}, Options{}.epsilon())
+	return picks
 }
 
 // TestFixedOracleZeroAlloc: a warm FixedPaths oracle call is a pure scan

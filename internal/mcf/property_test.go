@@ -10,14 +10,20 @@ import (
 	"pnet/internal/workload"
 )
 
-// randomInstance builds a small random Jellyfish with a random
-// permutation and KSP path sets.
+// randomInstance builds a small random heterogeneous Jellyfish P-Net with
+// a random permutation and KSP path sets. Commodity j keeps its first
+// 1+j%5 paths, so path counts are odd and even, and the lists hold
+// equal-length pairs as well as pairs of unequal length: the fixed
+// oracle sums two paths at once only when their lengths match.
 func randomInstance(seed int64) (*graph.Graph, []route.Commodity, [][]graph.Path) {
 	set := topo.JellyfishSet(8, 3, 2, 2, 100, seed)
-	tp := set.ParallelHomo
+	tp := set.ParallelHetero
 	rng := rand.New(rand.NewSource(seed))
 	cs := workload.PermutationCommodities(tp, 100, rng)
-	paths := route.AcrossPlanes(tp.G, tp.G.PlaneMasks(), cs, 4, nil)
+	paths := route.AcrossPlanes(tp.G, tp.G.PlaneMasks(), cs, 5, nil)
+	for j, ps := range paths {
+		paths[j] = ps[:min(len(ps), 1+j%5)]
+	}
 	return tp.G, cs, paths
 }
 

@@ -48,6 +48,13 @@ func (d DiffReport) Regressions() []Delta {
 // current-run-only metrics prefixed with '+'.
 func (d DiffReport) String() string {
 	var b strings.Builder
+	w := 28 // the name column, widened to the longest name
+	for _, dl := range d.Deltas {
+		w = max(w, len(dl.Metric))
+	}
+	for _, dl := range d.Added {
+		w = max(w, len(dl.Metric))
+	}
 	for _, dl := range d.Deltas {
 		mark := " "
 		if dl.Exceeded {
@@ -55,10 +62,10 @@ func (d DiffReport) String() string {
 		} else if !dl.Gated {
 			mark = "·"
 		}
-		fmt.Fprintf(&b, "%s %-28s %14.6g -> %14.6g  %+7.2f%%\n", mark, dl.Metric, dl.Base, dl.Cur, dl.Rel*100)
+		fmt.Fprintf(&b, "%s %-*s %14.6g -> %14.6g  %+7.2f%%\n", mark, w, dl.Metric, dl.Base, dl.Cur, dl.Rel*100)
 	}
 	for _, dl := range d.Added {
-		fmt.Fprintf(&b, "+ %-28s %14s -> %14.6g  (new in current run)\n", dl.Metric, "-", dl.Cur)
+		fmt.Fprintf(&b, "+ %-*s %14s -> %14.6g  (new in current run)\n", w, dl.Metric, "-", dl.Cur)
 	}
 	if d.Pass {
 		b.WriteString("PASS\n")
@@ -78,7 +85,8 @@ const (
 
 // Diff compares cur against base metric by metric. Deterministic
 // simulation metrics (FCT percentiles, goodput, plane imbalance, drops,
-// solver phases/iterations, engine event counts) are gated: worsening
+// solver phases/iterations, in total and per (experiment, solver, K),
+// engine event counts) are gated: worsening
 // beyond rel fails the report (zero selects DefaultRelThreshold).
 // Wall-clock metrics ride along informationally: they are not
 // deterministic for a fixed seed, and one run a side cannot resolve them;
@@ -131,6 +139,21 @@ func Diff(base, cur RunSummary, rel float64) DiffReport {
 	add("solver.phases", float64(base.Solver.Phases), float64(cur.Solver.Phases), higherWorse, true)
 	add("solver.iterations", float64(base.Solver.Iterations), float64(cur.Solver.Iterations), higherWorse, true)
 	add("solver.wall_s", base.Solver.WallSec, cur.Solver.WallSec, higherWorse, false)
+	baseSolves := map[string]SolveTotals{}
+	for _, t := range base.Solver.Solves {
+		baseSolves[t.name()] = t
+	}
+	for _, c := range cur.Solver.Solves {
+		name := c.name()
+		b, ok := baseSolves[name]
+		if !ok {
+			added(name+".phases", float64(c.Phases))
+			added(name+".iterations", float64(c.Iterations))
+			continue
+		}
+		add(name+".phases", float64(b.Phases), float64(c.Phases), higherWorse, true)
+		add(name+".iterations", float64(b.Iterations), float64(c.Iterations), higherWorse, true)
+	}
 	add("engine.events", float64(base.Engine.Events), float64(cur.Engine.Events), higherWorse, true)
 	add("engine.wall_s", base.Engine.WallSec, cur.Engine.WallSec, higherWorse, false)
 	add("engine.events_per_sec", base.Engine.EventsPerSec, cur.Engine.EventsPerSec, lowerWorse, false)

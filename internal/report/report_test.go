@@ -330,6 +330,55 @@ func TestSelfDiffPrintsNoNegativeZero(t *testing.T) {
 	}
 }
 
+// TestDiffGatesEachSolve: suite totals cannot tell more solves from
+// costlier ones. Two runs with equal totals, iterations moved from one
+// (experiment, solver, K) to another, must fail the diff on the solve
+// that grew, and a solve only the current run made is listed, not gated.
+func TestDiffGatesEachSolve(t *testing.T) {
+	run := func(recs ...obs.SolverRecord) RunSummary {
+		a := NewAggregator()
+		for _, r := range recs {
+			a.Solver(r)
+		}
+		return a.Summarize(Meta{})
+	}
+	base := run(
+		obs.SolverRecord{Exp: "fig7", Solver: "gk-free", Phases: 40, Iterations: 1000},
+		obs.SolverRecord{Exp: "fig8a", Solver: "gk-fixed", K: 8, Phases: 40, Iterations: 1000},
+		obs.SolverRecord{Exp: "fig8a", Solver: "gk-fixed", K: 8, Phases: 40, Iterations: 1000})
+	cur := run(
+		obs.SolverRecord{Exp: "fig7", Solver: "gk-free", Phases: 40, Iterations: 1500},
+		obs.SolverRecord{Exp: "fig8a", Solver: "gk-fixed", K: 8, Phases: 40, Iterations: 750},
+		obs.SolverRecord{Exp: "fig8a", Solver: "gk-fixed", K: 8, Phases: 40, Iterations: 750})
+	if base.Solver.Iterations != cur.Solver.Iterations || base.Solver.Phases != cur.Solver.Phases {
+		t.Fatalf("totals differ: %+v vs %+v", base.Solver, cur.Solver)
+	}
+	want := []SolveTotals{
+		{Exp: "fig7", Solver: "gk-free", Calls: 1, Phases: 40, Iterations: 1500},
+		{Exp: "fig8a", Solver: "gk-fixed", K: 8, Calls: 2, Phases: 80, Iterations: 1500},
+	}
+	if !reflect.DeepEqual(cur.Solver.Solves, want) {
+		t.Errorf("solves = %+v, want %+v", cur.Solver.Solves, want)
+	}
+	d := Diff(base, cur, 0)
+	regs := d.Regressions()
+	if d.Pass || len(regs) != 1 || regs[0].Metric != "solver.fig7.gk-free.k0.iterations" {
+		t.Errorf("moved iterations: regressions %+v, want solver.fig7.gk-free.k0.iterations alone:\n%s", regs, d)
+	}
+	if regs := Diff(cur, base, 0).Regressions(); len(regs) != 1 || regs[0].Metric != "solver.fig8a.gk-fixed.k8.iterations" {
+		t.Errorf("the reverse move: regressions %+v, want solver.fig8a.gk-fixed.k8.iterations alone", regs)
+	}
+
+	more := run(append([]obs.SolverRecord{{Exp: "fig6c", Solver: "maxmin", Phases: 1, Iterations: 9}},
+		obs.SolverRecord{Exp: "fig7", Solver: "gk-free", Phases: 40, Iterations: 1000},
+		obs.SolverRecord{Exp: "fig8a", Solver: "gk-fixed", K: 8, Phases: 40, Iterations: 1000},
+		obs.SolverRecord{Exp: "fig8a", Solver: "gk-fixed", K: 8, Phases: 40, Iterations: 1000})...)
+	d = Diff(base, more, 1)
+	if !d.Pass || len(d.Added) != 2 || d.Added[0].Metric != "solver.fig6c.maxmin.k0.phases" {
+		t.Errorf("a new solve: pass=%v added=%+v, want pass with its two rows added", d.Pass, d.Added)
+	}
+}
+
 func TestDiffWallMetricsInformational(t *testing.T) {
 	base := sampleSummary()
 	noisy := sampleSummary()

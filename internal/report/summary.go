@@ -1,7 +1,9 @@
 package report
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -45,6 +47,24 @@ type SolverSummary struct {
 	Iterations int64   `json:"iterations"`
 	Attempts   int64   `json:"attempts"`
 	WallSec    float64 `json:"wall_s"` // total wall time of all solves
+	// Solves splits the work by (experiment, solver, K), sorted by those
+	// keys, so that a diff can tell more solves from costlier ones.
+	Solves []SolveTotals `json:"solves,omitempty"`
+}
+
+// SolveTotals sums the solver records of one (experiment, solver, K).
+type SolveTotals struct {
+	Exp        string `json:"exp"`
+	Solver     string `json:"solver"`
+	K          int    `json:"k,omitempty"`
+	Calls      int    `json:"calls"`
+	Phases     int64  `json:"phases"`
+	Iterations int64  `json:"iterations"`
+}
+
+// name is the solve's row prefix in a diff.
+func (t SolveTotals) name() string {
+	return fmt.Sprintf("solver.%s.%s.k%d", t.Exp, t.Solver, t.K)
 }
 
 // EngineSummary aggregates the event-engine samples of a run.
@@ -178,6 +198,7 @@ type Aggregator struct {
 	wallNs  int64
 	simPs   int64
 	solver  SolverSummary
+	solves  map[solveKey]*SolveTotals
 
 	faultInjected, faultDetected              int64
 	detectLat, failoverLat, recovery, dipFrac []float64
@@ -186,6 +207,11 @@ type Aggregator struct {
 	// plane) plus the per-flow spans retained for the tail re-aggregation.
 	spanPs    map[[2]int64]int64
 	spanFlows []spanFlow
+}
+
+type solveKey struct {
+	exp, solver string
+	k           int
 }
 
 // netState is what the summary needs of one network (one engine, one
@@ -205,6 +231,7 @@ type netState struct {
 func NewAggregator() *Aggregator {
 	return &Aggregator{
 		nets:   map[int]*netState{},
+		solves: map[solveKey]*SolveTotals{},
 		spanPs: map[[2]int64]int64{},
 	}
 }
@@ -287,6 +314,15 @@ func (x *Aggregator) Solver(r obs.SolverRecord) {
 	x.solver.Iterations += r.Iterations
 	x.solver.Attempts += int64(r.Attempts)
 	x.solver.WallSec += r.WallSec
+	k := solveKey{r.Exp, r.Solver, r.K}
+	t := x.solves[k]
+	if t == nil {
+		t = &SolveTotals{Exp: r.Exp, Solver: r.Solver, K: r.K}
+		x.solves[k] = t
+	}
+	t.Calls++
+	t.Phases += int64(r.Phases)
+	t.Iterations += r.Iterations
 }
 
 // Fault implements obs.Sink.
@@ -348,6 +384,12 @@ func (x *Aggregator) Summarize(m Meta) RunSummary {
 		QueueBytes:    distFromHist(&x.queue, float64(x.queued)),
 		Solver:        x.solver,
 	}
+	for _, t := range x.solves {
+		s.Solver.Solves = append(s.Solver.Solves, *t)
+	}
+	slices.SortFunc(s.Solver.Solves, func(a, b SolveTotals) int {
+		return cmp.Or(strings.Compare(a.Exp, b.Exp), strings.Compare(a.Solver, b.Solver), cmp.Compare(a.K, b.K))
+	})
 
 	// One pass over the networks: sums of last values, XOR folds of final
 	// chains (commutative, so attach order cannot change them).

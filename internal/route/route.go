@@ -11,8 +11,10 @@
 package route
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
+	"sync"
 
 	"pnet/internal/graph"
 	"pnet/internal/par"
@@ -108,12 +110,6 @@ func AcrossPlanes(g *graph.Graph, masks [][]bool, cs []Commodity, k int, tie fun
 		first, last graph.NodeID
 		plane       int
 	}
-	// leg is one commodity's share of one plane: a search result with the
-	// commodity's own forced links (-1 for none) around it.
-	type leg struct {
-		search   int
-		up, down graph.LinkID
-	}
 	fz := g.Frozen()
 	var uniq []search
 	idx := map[search]int{}
@@ -149,23 +145,150 @@ func AcrossPlanes(g *graph.Graph, masks [][]bool, cs []Commodity, k int, tie fun
 	})
 
 	par.Do(len(cs), func(i int) {
-		var all []graph.Path
-		for _, lg := range legs[i] {
-			for _, mid := range found[lg.search] {
-				all = append(all, splice(lg.up, mid, lg.down))
-			}
-		}
-		sort.SliceStable(all, func(a, b int) bool { return all[a].Len() < all[b].Len() })
+		m := mergers.Get().(*merger)
+		var rng *rand.Rand
 		if tie != nil {
-			shuffleTies(all, rand.New(rand.NewSource(tie(i))))
+			m.rng.Seed(tie(i))
+			rng = m.rng
 		}
-		all = interleavePlanes(g, all)
-		if len(all) > k {
-			all = all[:k]
-		}
-		out[i] = all
+		out[i] = m.merge(g, legs[i], found, k, rng)
+		mergers.Put(m)
 	})
 	return out
+}
+
+// leg is one commodity's share of one plane: a search result with the
+// commodity's own forced links (-1 for none) around it.
+type leg struct {
+	search   int
+	up, down graph.LinkID
+}
+
+// extra is how many forced links the leg adds to each of its paths.
+func (lg leg) extra() int {
+	n := 0
+	if lg.up >= 0 {
+		n++
+	}
+	if lg.down >= 0 {
+		n++
+	}
+	return n
+}
+
+// merger is one worker's scratch for merging a commodity's legs; the
+// pool hands each worker its own, rng included.
+type merger struct {
+	rng   *rand.Rand
+	next  []int  // per leg, its first path not yet merged
+	picks []pick // merged so far, in output order
+	seen  []pick // per plane in the current group, its latest round
+}
+
+// pick is one merged path: position mid in leg's search result. round
+// and plane are the interleave's sort key.
+type pick struct {
+	leg, mid     int32
+	round, plane int32
+}
+
+var mergers = sync.Pool{New: func() any { return &merger{rng: rand.New(rand.NewSource(0))} }}
+
+// merge returns up to k of a commodity's paths in increasing length.
+// Every leg's search result is sorted by length and its forced links
+// lengthen all its paths alike, so taking the least length left across
+// the legs, earlier leg first on ties, is a stable sort of their
+// concatenation. Each group of equal-length paths is shuffled by rng
+// (when non-nil) and then interleaved round-robin across planes in
+// ascending plane order. The groups are walked in increasing length and
+// the walk stops after the group that brings the list to k: a later
+// group's shuffle draws random numbers no earlier group sees, so
+// stopping changes nothing. Only the returned paths are spliced, into
+// one backing array.
+func (m *merger) merge(g *graph.Graph, legs []leg, found [][]graph.Path, k int, rng *rand.Rand) []graph.Path {
+	m.next = slices.Grow(m.next[:0], len(legs))[:len(legs)]
+	clear(m.next)
+	m.picks = m.picks[:0]
+	for len(m.picks) < k {
+		n := -1
+		for l, lg := range legs {
+			if ps := found[lg.search]; m.next[l] < len(ps) {
+				if d := ps[m.next[l]].Len() + lg.extra(); n < 0 || d < n {
+					n = d
+				}
+			}
+		}
+		if n < 0 {
+			break
+		}
+		lo := len(m.picks)
+		for l, lg := range legs {
+			ps, e := found[lg.search], lg.extra()
+			for ; m.next[l] < len(ps) && ps[m.next[l]].Len()+e == n; m.next[l]++ {
+				m.picks = append(m.picks, pick{leg: int32(l), mid: int32(m.next[l]), plane: lg.plane(g, ps[m.next[l]])})
+			}
+		}
+		group := m.picks[lo:]
+		if rng != nil {
+			rng.Shuffle(len(group), func(i, j int) { group[i], group[j] = group[j], group[i] })
+		}
+		m.interleave(group)
+	}
+	picks := m.picks[:min(k, len(m.picks))]
+	total := 0
+	for _, pk := range picks {
+		total += found[legs[pk.leg].search][pk.mid].Len() + legs[pk.leg].extra()
+	}
+	links := make([]graph.LinkID, 0, total)
+	out := make([]graph.Path, len(picks))
+	for i, pk := range picks {
+		lg := legs[pk.leg]
+		lo := len(links)
+		if lg.up >= 0 {
+			links = append(links, lg.up)
+		}
+		links = append(links, found[lg.search][pk.mid].Links...)
+		if lg.down >= 0 {
+			links = append(links, lg.down)
+		}
+		out[i] = graph.Path{Links: links[lo:len(links):len(links)]}
+	}
+	return out
+}
+
+// plane is the plane of mid spliced into the leg: its first link's.
+func (lg leg) plane(g *graph.Graph, mid graph.Path) int32 {
+	switch {
+	case lg.up >= 0:
+		return g.Link(lg.up).Plane
+	case mid.Len() > 0:
+		return g.Link(mid.Links[0]).Plane
+	case lg.down >= 0:
+		return g.Link(lg.down).Plane
+	}
+	return -1
+}
+
+// interleave reorders a group of equal-length paths so that planes take
+// turns in ascending order, each plane's paths keeping their order: the
+// i-th path of a plane goes in round i, and a round is sorted by plane.
+func (m *merger) interleave(group []pick) {
+	if len(group) <= 1 {
+		return
+	}
+	m.seen = m.seen[:0]
+	for i := range group {
+		j := slices.IndexFunc(m.seen, func(s pick) bool { return s.plane == group[i].plane })
+		if j < 0 {
+			j = len(m.seen)
+			m.seen = append(m.seen, pick{plane: group[i].plane, round: -1})
+		}
+		m.seen[j].round++
+		group[i].round = m.seen[j].round
+	}
+	slices.SortFunc(group, func(a, b pick) int {
+		return cmp.Or(cmp.Compare(a.round, b.round), cmp.Compare(a.plane, b.plane))
+	})
 }
 
 // forcedHop steps over endpoint n when a search confined by mask has no
@@ -189,76 +312,6 @@ func forcedHop(fz *graph.Frozen, n graph.NodeID, links []graph.LinkID, far func(
 		return far(only), only, true
 	}
 	return n, -1, usable > 0
-}
-
-// splice puts a commodity's forced links back around a search result.
-func splice(up graph.LinkID, mid graph.Path, down graph.LinkID) graph.Path {
-	links := make([]graph.LinkID, 0, len(mid.Links)+2)
-	if up >= 0 {
-		links = append(links, up)
-	}
-	links = append(links, mid.Links...)
-	if down >= 0 {
-		links = append(links, down)
-	}
-	return graph.Path{Links: links}
-}
-
-// shuffleTies randomly permutes paths within each run of equal lengths,
-// preserving the overall by-length ordering. Paths must be sorted by
-// length.
-func shuffleTies(paths []graph.Path, rng *rand.Rand) {
-	for lo := 0; lo < len(paths); {
-		hi := lo + 1
-		for hi < len(paths) && paths[hi].Len() == paths[lo].Len() {
-			hi++
-		}
-		group := paths[lo:hi]
-		rng.Shuffle(len(group), func(i, j int) { group[i], group[j] = group[j], group[i] })
-		lo = hi
-	}
-}
-
-// interleavePlanes stably reorders paths so that, within each group of
-// equal-length paths, planes alternate (plane 0, 1, 2, ..., 0, 1, ...).
-// Paths are assumed sorted by length, as AcrossPlanes merges them.
-func interleavePlanes(g *graph.Graph, paths []graph.Path) []graph.Path {
-	out := make([]graph.Path, 0, len(paths))
-	for lo := 0; lo < len(paths); {
-		hi := lo + 1
-		for hi < len(paths) && paths[hi].Len() == paths[lo].Len() {
-			hi++
-		}
-		out = append(out, interleaveGroup(g, paths[lo:hi])...)
-		lo = hi
-	}
-	return out
-}
-
-func interleaveGroup(g *graph.Graph, group []graph.Path) []graph.Path {
-	if len(group) <= 1 {
-		return group
-	}
-	byPlane := map[int32][]graph.Path{}
-	var planes []int32
-	for _, p := range group {
-		pl := p.Plane(g)
-		if _, ok := byPlane[pl]; !ok {
-			planes = append(planes, pl)
-		}
-		byPlane[pl] = append(byPlane[pl], p)
-	}
-	sort.Slice(planes, func(i, j int) bool { return planes[i] < planes[j] })
-	out := make([]graph.Path, 0, len(group))
-	for len(out) < len(group) {
-		for _, pl := range planes {
-			if ps := byPlane[pl]; len(ps) > 0 {
-				out = append(out, ps[0])
-				byPlane[pl] = ps[1:]
-			}
-		}
-	}
-	return out
 }
 
 // PlaneSpread counts, for a path list, how many distinct planes it covers.

@@ -1,10 +1,8 @@
 package route
 
 import (
-	"math/rand"
 	"testing"
 
-	"pnet/internal/graph"
 	"pnet/internal/topo"
 )
 
@@ -66,37 +64,4 @@ func TestKSPPathsSeededStillSorted(t *testing.T) {
 			t.Fatal("invalid seeded path")
 		}
 	}
-}
-
-func TestShuffleTiesPreservesGroups(t *testing.T) {
-	set := topo.FatTreeSet(4, 2, 100)
-	tp := set.ParallelHomo
-	cs := commoditiesAmong(tp.Hosts, [][2]int{{0, 15}})
-	paths := AcrossPlanes(tp.G, tp.G.PlaneMasks(), cs, 8, nil)[0]
-	lens := make([]int, len(paths))
-	for i, p := range paths {
-		lens[i] = p.Len()
-	}
-	shuffleTies(paths, rand.New(rand.NewSource(2)))
-	for i, p := range paths {
-		if p.Len() != lens[i] {
-			t.Fatalf("shuffle moved a path across length groups at %d", i)
-		}
-	}
-	// All paths still present (by key set).
-	seen := map[string]bool{}
-	for _, p := range paths {
-		seen[pathKey(p)] = true
-	}
-	if len(seen) != len(paths) {
-		t.Error("shuffle lost or duplicated paths")
-	}
-}
-
-func pathKey(p graph.Path) string {
-	b := make([]byte, 0, 4*len(p.Links))
-	for _, l := range p.Links {
-		b = append(b, byte(l), byte(l>>8), byte(l>>16), byte(l>>24))
-	}
-	return string(b)
 }
