@@ -102,18 +102,12 @@ func interleaveGroup(g *graph.Graph, group []graph.Path) []graph.Path {
 	return out
 }
 
-// TestAcrossPlanesMatchesReference holds AcrossPlanes's merge, which
-// walks the legs' sorted lists and stops at k, to the sort-shuffle-
-// interleave-truncate pipeline, path for path. It covers fat trees and
-// Jellyfish networks, serial, homogeneous and heterogeneous; K from 1
-// to 32; tie seeds on and off; and per-plane masks, the planes in
-// reverse (so that leg order is not plane order), and no masks (one
-// search whose paths span every plane). Every host is a source; one
-// endpoint pair repeats, so a tie RNG carried over from one commodity to
-// the next shows; and one commodity is a host to itself. The reference's shuffle is
-// checked first: it moves paths only within their length group and
-// neither loses nor duplicates one.
-func TestAcrossPlanesMatchesReference(t *testing.T) {
+// TestShuffleTiesPreservesGroups checks the reference's shuffle, which
+// TestAcrossPlanesMatchesReference holds the merge to: on a
+// heterogeneous Jellyfish network's length-sorted candidates it moves
+// paths only within their length group and neither loses nor
+// duplicates one.
+func TestShuffleTiesPreservesGroups(t *testing.T) {
 	jf := topo.JellyfishSet(10, 3, 2, 2, 100, 5).ParallelHetero
 	var all []graph.Path
 	for _, mask := range jf.G.PlaneMasks() {
@@ -135,7 +129,19 @@ func TestAcrossPlanesMatchesReference(t *testing.T) {
 			t.Fatalf("shuffle lost or duplicated path %s", k)
 		}
 	}
+}
 
+// TestAcrossPlanesMatchesReference holds AcrossPlanes's merge, which
+// walks the legs' sorted lists and stops at k, to the sort-shuffle-
+// interleave-truncate pipeline, path for path. It covers fat trees and
+// Jellyfish networks, serial, homogeneous and heterogeneous; K from 1
+// to 32; tie seeds on and off; and per-plane masks, the planes in
+// reverse (so that leg order is not plane order), and no masks (one
+// search whose paths span every plane). Every host is a source; one
+// endpoint pair repeats, so a tie RNG carried over from one commodity to
+// the next shows; and one commodity is a host to itself. Every list is
+// also checked for length order.
+func TestAcrossPlanesMatchesReference(t *testing.T) {
 	type net struct {
 		name string
 		tp   *topo.Topology

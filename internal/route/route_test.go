@@ -108,6 +108,18 @@ func TestKSPInterleavingAlternatesPlanes(t *testing.T) {
 	}
 }
 
+func TestInterleavePlanesPreservesLengthOrder(t *testing.T) {
+	set := topo.JellyfishSet(12, 4, 2, 4, 100, 5)
+	tp := set.ParallelHetero
+	cs := commoditiesAmong(tp.Hosts, [][2]int{{0, 23}})
+	paths := AcrossPlanes(tp.G, tp.G.PlaneMasks(), cs, 12, nil)[0]
+	for i := 1; i < len(paths); i++ {
+		if paths[i].Len() < paths[i-1].Len() {
+			t.Fatalf("interleaving broke length order at %d", i)
+		}
+	}
+}
+
 func TestPlaneSpread(t *testing.T) {
 	set := topo.FatTreeSet(4, 2, 100)
 	tp := set.SerialLow
