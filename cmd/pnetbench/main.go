@@ -34,9 +34,10 @@
 //
 // Parallelism: -workers N caps how many independent sweep cells run
 // concurrently (0 = one per core, 1 = serial). Every cell owns its own
-// engine and RNG, so tables are byte-identical at any worker count; the
-// run header and footer on stderr record the effective width and total
-// wall time. See DESIGN.md "Parallel execution".
+// engine and RNG, so tables are byte-identical at any worker count. Wall
+// times go to stderr, beside the run header and footer that record the
+// effective width: one line per experiment and the total, so stdout holds
+// the tables alone. See DESIGN.md "Parallel execution".
 package main
 
 import (
@@ -71,7 +72,7 @@ type options struct {
 	metrics, report                        string
 	seed, fpEpoch                          int64
 	workers                                int
-	timing, spans, fingerprint, trace      bool
+	spans, fingerprint, trace              bool
 
 	// Resolved by validate.
 	toRun      []exp.Experiment // nil when no -exp was given
@@ -155,7 +156,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.expID, "exp", "", "experiment id to run, or 'all'")
 	fs.StringVar(&o.scale, "scale", "small", "small | full")
 	fs.Int64Var(&o.seed, "seed", 1, "random seed")
-	fs.BoolVar(&o.timing, "time", true, "print wall-clock time per experiment")
 	fs.StringVar(&o.format, "format", "table", "table | json")
 	fs.StringVar(&o.metrics, "metrics", "", "stream telemetry records as JSONL to this file ('-' = stdout)")
 	fs.BoolVar(&o.trace, "trace", false, "add packet lifecycle events to the -metrics stream; -trace-flow narrows them to chosen flows")
@@ -254,15 +254,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		start := time.Now()
 		table := e.Run(o.params)
 		elapsed := time.Since(start)
-		switch o.format {
-		case "json":
+		if o.format == "json" {
 			fmt.Fprintln(stdout, table.JSON(elapsed.Seconds()))
-		default:
+		} else {
 			fmt.Fprintln(stdout, table.String())
-			if o.timing {
-				fmt.Fprintf(stdout, "(%s in %v at scale %s)\n\n", e.ID, elapsed.Round(time.Millisecond), o.params.Scale)
-			}
 		}
+		fmt.Fprintf(stderr, "pnetbench: %s in %v\n", e.ID, elapsed.Round(time.Millisecond))
 	}
 
 	fmt.Fprintf(stderr, "pnetbench: total wall time %v (workers=%d gomaxprocs=%d)\n",

@@ -5,6 +5,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"pnet/internal/exp"
 )
 
 // commandLine is one row of the tables below: arguments for run, and the
@@ -118,5 +120,25 @@ func TestValidateBeforeSideEffects(t *testing.T) {
 		{name: "trace with metrics", args: "-trace -trace-flow 3 -metrics DIR/m.jsonl"},
 		{name: "unknown experiment with -list", args: "-list -exp nosuch", wantErr: "flag provided but not defined: -list"},
 		{name: "list flag", args: "-list", wantErr: "flag provided but not defined: -list"},
+	})
+}
+
+// TestStdoutHoldsTablesAlone: a table-format run prints the table and
+// nothing else on stdout; its wall time goes to stderr, and the -time
+// knob that once kept it off stdout is gone.
+func TestStdoutHoldsTablesAlone(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-exp", "fig13a"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr.String())
+	}
+	e, _ := exp.ByID("fig13a")
+	if want := e.Run(exp.Params{Scale: exp.ScaleSmall, Seed: 1}).String() + "\n"; stdout.String() != want {
+		t.Errorf("stdout is not the table alone:\n%s\nwant:\n%s", stdout.String(), want)
+	}
+	if !strings.Contains(stderr.String(), "pnetbench: fig13a in ") {
+		t.Errorf("stderr %q does not give fig13a's wall time", stderr.String())
+	}
+	checkCommandLines(t, []commandLine{
+		{name: "time flag", args: "-exp table1 -time=false", wantErr: "flag provided but not defined: -time"},
 	})
 }

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"slices"
+
 	"pnet/internal/metrics"
 	"pnet/internal/par"
 	"pnet/internal/sim"
@@ -65,12 +67,13 @@ func runFig10(p Params) Table {
 			t.Rows = append(t.Rows, stall(2, label(n.name)))
 			continue
 		}
-		c := metrics.NewCDF(samples[i])
-		t.Rows = append(t.Rows, []Cell{
-			label(n.name),
-			secs(c.Quantile(0.10)), secs(c.Quantile(0.25)), secs(c.Quantile(0.50)),
-			secs(c.Quantile(0.75)), secs(c.Quantile(0.90)), secs(c.Quantile(0.99)),
-		})
+		s := slices.Clone(samples[i])
+		slices.Sort(s)
+		row := []Cell{label(n.name)}
+		for _, pct := range []float64{10, 25, 50, 75, 90, 99} {
+			row = append(row, secs(metrics.Percentile(s, pct)))
+		}
+		t.Rows = append(t.Rows, row)
 	}
 	return t
 }

@@ -9,8 +9,9 @@ import (
 )
 
 // transcript is the stdout of `pnetbench -exp all -scale small -seed 1
-// -time=false -workers 1`, committed at the repository root. A change
-// that moves a cell regenerates it, so the change's diff shows the cell.
+// -workers 1` (the tables alone; wall times go to stderr), committed at
+// the repository root. A change that moves a cell regenerates it, so the
+// change's diff shows the cell.
 const transcript = "../../testdata/small-seed1.txt"
 
 // transcriptTables splits the transcript into each table's String, keyed

@@ -1,6 +1,8 @@
 // Package metrics provides the summary statistics the paper reports:
-// means, medians, tail percentiles, empirical CDFs, and normalization
-// helpers for "relative to serial low-bandwidth" plots.
+// means, medians, tail percentiles, and normalization helpers for
+// "relative to serial low-bandwidth" plots. Every percentile in the repo
+// is taken by one rule, linear interpolation between closest ranks, over
+// raw samples (Percentile) or over counted values (PercentileOfCounts).
 package metrics
 
 import (
@@ -8,23 +10,48 @@ import (
 	"sort"
 )
 
-// percentileSorted returns the p-th percentile (0 ≤ p ≤ 100) of the
-// sorted, non-empty s using linear interpolation between closest ranks.
-func percentileSorted(s []float64, p float64) float64 {
+// percentile returns the p-th percentile (0 ≤ p ≤ 100) of a non-empty
+// sample of n values whose i-th smallest is at(i), interpolating linearly
+// between the closest ranks.
+func percentile(n int, at func(i int) float64, p float64) float64 {
 	if p <= 0 {
-		return s[0]
+		return at(0)
 	}
 	if p >= 100 {
-		return s[len(s)-1]
+		return at(n - 1)
 	}
-	rank := p / 100 * float64(len(s)-1)
+	rank := p / 100 * float64(n-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return s[lo]
+		return at(lo)
 	}
 	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return at(lo)*(1-frac) + at(hi)*frac
+}
+
+// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of the sorted,
+// non-empty s.
+func Percentile(s []float64, p float64) float64 {
+	return percentile(len(s), func(i int) float64 { return s[i] }, p)
+}
+
+// PercentileOfCounts returns the p-th percentile (0 ≤ p ≤ 100) of the
+// sample that holds values[j] counts[j] times: values ascending and
+// distinct, counts positive, at least one value. It equals Percentile of
+// that sample written out in full.
+func PercentileOfCounts(values []float64, counts []int64, p float64) float64 {
+	cum := make([]int64, len(counts))
+	var n int64
+	for j, c := range counts {
+		n += c
+		cum[j] = n
+	}
+	// The value of rank i is the first whose cumulative count passes i.
+	at := func(i int) float64 {
+		return values[sort.Search(len(cum), func(j int) bool { return cum[j] > int64(i) })]
+	}
+	return percentile(int(n), at, p)
 }
 
 // Mean returns the arithmetic mean; it panics on an empty slice.
@@ -62,10 +89,10 @@ func Summarize(xs []float64) Summary {
 	return Summary{
 		N:      len(s),
 		Mean:   sum / float64(len(s)),
-		Median: percentileSorted(s, 50),
-		P90:    percentileSorted(s, 90),
-		P99:    percentileSorted(s, 99),
-		P999:   percentileSorted(s, 99.9),
+		Median: Percentile(s, 50),
+		P90:    Percentile(s, 90),
+		P99:    Percentile(s, 99),
+		P999:   Percentile(s, 99.9),
 		Min:    s[0],
 		Max:    s[len(s)-1],
 	}
@@ -90,31 +117,4 @@ func (s Summary) Relative(base Summary) Summary {
 		Min:    div(s.Min, base.Min),
 		Max:    div(s.Max, base.Max),
 	}
-}
-
-// CDF is an empirical cumulative distribution.
-type CDF struct {
-	xs []float64 // sorted
-}
-
-// NewCDF builds an empirical CDF from samples.
-func NewCDF(samples []float64) CDF {
-	xs := append([]float64(nil), samples...)
-	sort.Float64s(xs)
-	return CDF{xs: xs}
-}
-
-// Quantile returns the smallest sample x with P(X ≤ x) ≥ p (0 < p ≤ 1).
-func (c CDF) Quantile(p float64) float64 {
-	if len(c.xs) == 0 {
-		panic("metrics: quantile of empty CDF")
-	}
-	i := int(math.Ceil(p*float64(len(c.xs)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(c.xs) {
-		i = len(c.xs) - 1
-	}
-	return c.xs[i]
 }

@@ -2,9 +2,7 @@ package metrics
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestPercentileBasics(t *testing.T) {
@@ -13,7 +11,7 @@ func TestPercentileBasics(t *testing.T) {
 		{0, 1}, {50, 3}, {100, 5}, {25, 2}, {75, 4},
 	}
 	for _, c := range cases {
-		if got := percentileSorted(xs, c.p); got != c.want {
+		if got := Percentile(xs, c.p); got != c.want {
 			t.Errorf("P%v = %v, want %v", c.p, got, c.want)
 		}
 	}
@@ -21,7 +19,7 @@ func TestPercentileBasics(t *testing.T) {
 
 func TestPercentileInterpolates(t *testing.T) {
 	xs := []float64{0, 10}
-	if got := percentileSorted(xs, 50); got != 5 {
+	if got := Percentile(xs, 50); got != 5 {
 		t.Errorf("P50 = %v, want 5", got)
 	}
 }
@@ -75,57 +73,5 @@ func TestRelative(t *testing.T) {
 	}
 	if !math.IsNaN(a.Relative(Summary{}).Mean) {
 		t.Error("division by zero base not NaN")
-	}
-}
-
-func TestCDFAtAndQuantile(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4})
-	if got := c.Quantile(0.25); got != 1 {
-		t.Errorf("Quantile(0.25) = %v", got)
-	}
-	if got := c.Quantile(0.3); got != 2 {
-		t.Errorf("Quantile(0.3) = %v", got)
-	}
-	if got := c.Quantile(0.5); got != 2 {
-		t.Errorf("Quantile(0.5) = %v", got)
-	}
-	if got := c.Quantile(1); got != 4 {
-		t.Errorf("Quantile(1) = %v", got)
-	}
-}
-
-func TestCDFQuantileAtInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		xs := make([]float64, 50+r.Intn(50))
-		for i := range xs {
-			xs[i] = rng.NormFloat64()
-		}
-		c := NewCDF(xs)
-		// Quantile(p) is the smallest sample x with P(X ≤ x) ≥ p, for p
-		// in (0,1]: at least p of the samples lie at or below it, fewer
-		// than p strictly below it.
-		for i := 0; i < 10; i++ {
-			p := (float64(i) + 1) / 10
-			q := c.Quantile(p)
-			atOrBelow, below := 0, 0
-			for _, x := range xs {
-				if x <= q {
-					atOrBelow++
-				}
-				if x < q {
-					below++
-				}
-			}
-			n := float64(len(xs))
-			if float64(atOrBelow)/n < p-1e-12 || float64(below)/n >= p+1e-12 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
 	}
 }

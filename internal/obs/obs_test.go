@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -13,31 +12,6 @@ import (
 	"pnet/internal/graph"
 	"pnet/internal/sim"
 )
-
-func TestHistogramQuantiles(t *testing.T) {
-	var h Histogram
-	// Values spanning decades, like FCTs in seconds.
-	vals := []float64{1e-6, 2e-6, 5e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10}
-	for _, v := range vals {
-		h.Observe(v)
-	}
-	if h.Count() != int64(len(vals)) {
-		t.Errorf("count = %d", h.Count())
-	}
-	if h.Min() != 1e-6 || h.Max() != 10 {
-		t.Errorf("min/max = %v/%v", h.Min(), h.Max())
-	}
-	// Log buckets guarantee 2x relative accuracy.
-	if q := h.Quantile(0.5); q < 1e-4/2 || q > 1e-4*2 {
-		t.Errorf("p50 = %v, want within 2x of 1e-4", q)
-	}
-	if q := h.Quantile(1); q != 10 {
-		t.Errorf("p100 = %v, want max", q)
-	}
-	if q := h.Quantile(0.01); q < 1e-6 {
-		t.Errorf("p1 = %v below min", q)
-	}
-}
 
 // sliceSink keeps every record it is handed: what a test that wants the
 // records attaches, since samplers and the collector retain nothing
@@ -220,19 +194,6 @@ func TestTraceLineMatchesPacketRecord(t *testing.T) {
 				t.Errorf("field %q: line %v vs schema %v", k, v, bv)
 			}
 		}
-	}
-}
-
-func TestHistogramEdgeValues(t *testing.T) {
-	var h Histogram
-	h.Observe(0) // lands in bucket 0, no panic
-	h.Observe(-1)
-	h.Observe(math.MaxFloat64) // clamps to last bucket
-	if h.Count() != 3 {
-		t.Errorf("count = %d", h.Count())
-	}
-	if q := h.Quantile(0.99); math.IsNaN(q) || math.IsInf(q, 0) {
-		t.Errorf("quantile = %v", q)
 	}
 }
 

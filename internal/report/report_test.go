@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"pnet/internal/graph"
+	"pnet/internal/metrics"
 	"pnet/internal/obs"
 	"pnet/internal/sim"
 	"pnet/internal/tcp"
@@ -566,5 +568,59 @@ func TestDiffFaultMetrics(t *testing.T) {
 	noisier.Faults.Blackholed *= 100
 	if d := Diff(base, noisier, 0); !d.Pass {
 		t.Errorf("blackhole count gated:\n%s", d)
+	}
+}
+
+// TestLinkPercentilesFromCounts: link utilization's percentiles lie
+// within its 0.001 step of the exact ones over the raw values, queue
+// depth's equal them, and 100 000 utilizations in [0, 1] hold at most
+// 1 001 distinct keys.
+func TestLinkPercentilesFromCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	a := NewAggregator()
+	var utils, queues []float64
+	for i := range 100_000 {
+		// Idle links are common and saturated ones rare; the rest spread
+		// out.
+		u := rng.Float64()
+		switch r := rng.Intn(200); {
+		case r < 60:
+			u = 0
+		case r == 60:
+			u = 1
+		}
+		q := int32(rng.Intn(40)*1500 + rng.Intn(2)*64)
+		a.Link(obs.LinkRecord{Net: i % 4, TPs: int64(i), Link: int64(i % 64), Util: u, QueueBytes: q})
+		utils = append(utils, u)
+		queues = append(queues, float64(q))
+	}
+	s := a.Summarize(Meta{})
+	sort.Float64s(utils)
+	sort.Float64s(queues)
+	for _, c := range []struct {
+		name   string
+		got    Dist
+		sorted []float64
+		within float64
+	}{
+		{"link_util", s.LinkUtil, utils, 0.001},
+		{"queue_bytes", s.QueueBytes, queues, 0},
+	} {
+		n := len(c.sorted)
+		if c.got.Count != int64(n) || c.got.Min != c.sorted[0] || c.got.Max != c.sorted[n-1] {
+			t.Errorf("%s: count/min/max = %d/%v/%v, want %d/%v/%v", c.name,
+				c.got.Count, c.got.Min, c.got.Max, n, c.sorted[0], c.sorted[n-1])
+		}
+		for _, q := range []struct {
+			p   float64
+			got float64
+		}{{50, c.got.P50}, {99, c.got.P99}, {99.9, c.got.P999}} {
+			if want := metrics.Percentile(c.sorted, q.p); math.Abs(q.got-want) > c.within {
+				t.Errorf("%s p%v = %v, want %v within %v", c.name, q.p, q.got, want, c.within)
+			}
+		}
+	}
+	if keys := len(a.util.n); keys > 1001 {
+		t.Errorf("%d util keys held, want at most 1001", keys)
 	}
 }

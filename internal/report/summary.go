@@ -3,6 +3,7 @@ package report
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -19,10 +20,10 @@ import (
 // it does not know.
 const SchemaVersion = 1
 
-// Dist summarizes one distribution. FCT distributions are computed
-// exactly from the raw samples; link-level distributions come from
-// log-bucketed histograms (2x worst-case quantile error, like
-// obs.Histogram).
+// Dist summarizes one distribution. Its percentiles interpolate between
+// closest ranks (metrics.Percentile). FCT and fault distributions are
+// taken from the raw samples; link utilization and queue depth, too many
+// to keep, from counts of values rounded to 0.001 and to 1 byte.
 type Dist struct {
 	Count int64   `json:"count"`
 	Mean  float64 `json:"mean"`
@@ -179,7 +180,7 @@ type Meta struct {
 //
 // An Aggregator accepts records from concurrently-running networks:
 // every reduction it performs (integer sums, per-net last-value maps,
-// histogram buckets, max sim time, XOR folds) is commutative across
+// value counts, max sim time, XOR folds) is commutative across
 // networks, so the summary is independent of arrival order and therefore
 // of worker count. A float sum depends on the order of its terms, so link
 // utilization is summed per network and the networks' sums are added in
@@ -190,9 +191,9 @@ type Aggregator struct {
 	fcts    []float64
 	bytes   int64
 	retrans int64
-	util    obs.Histogram
-	queue   obs.Histogram
-	queued  int64 // sum of sampled queue bytes
+	util    counts // link utilization, to 0.001
+	queue   counts // link queue depth, in bytes
+	queued  int64  // sum of sampled queue bytes
 	nets    map[int]*netState
 	events  uint64
 	wallNs  int64
@@ -230,9 +231,64 @@ type netState struct {
 // NewAggregator returns an empty aggregator.
 func NewAggregator() *Aggregator {
 	return &Aggregator{
+		util:   counts{per: 1000, n: map[int64]int64{}},
+		queue:  counts{per: 1, n: map[int64]int64{}},
 		nets:   map[int]*netState{},
 		solves: map[solveKey]*SolveTotals{},
 		spanPs: map[[2]int64]int64{},
+	}
+}
+
+// counts holds a sample as how often each value occurs, every value
+// rounded to the nearest multiple of 1/per, so it grows with the number
+// of distinct rounded values and not with the number of observations.
+// Count, min and max are exact.
+type counts struct {
+	per      float64         // steps per unit
+	n        map[int64]int64 // occurrences by value in steps
+	count    int64
+	min, max float64
+}
+
+func (c *counts) add(v float64) {
+	c.n[int64(math.Round(v*c.per))]++
+	if c.count == 0 || v < c.min {
+		c.min = v
+	}
+	if c.count == 0 || v > c.max {
+		c.max = v
+	}
+	c.count++
+}
+
+// dist summarizes the sample, its percentiles clamped to the exact
+// [min, max]; sum is the observations' total, which c does not keep.
+func (c *counts) dist(sum float64) Dist {
+	if c.count == 0 {
+		return Dist{}
+	}
+	steps := make([]int64, 0, len(c.n))
+	for k := range c.n {
+		steps = append(steps, k)
+	}
+	slices.Sort(steps)
+	values := make([]float64, len(steps))
+	occurs := make([]int64, len(steps))
+	for i, k := range steps {
+		values[i] = float64(k) / c.per
+		occurs[i] = c.n[k]
+	}
+	at := func(p float64) float64 {
+		return min(max(metrics.PercentileOfCounts(values, occurs, p), c.min), c.max)
+	}
+	return Dist{
+		Count: c.count,
+		Mean:  sum / float64(c.count),
+		Min:   c.min,
+		P50:   at(50),
+		P99:   at(99),
+		P999:  at(99.9),
+		Max:   c.max,
 	}
 }
 
@@ -248,10 +304,10 @@ func (x *Aggregator) net(id int) *netState {
 
 // Link implements obs.Sink.
 func (x *Aggregator) Link(r obs.LinkRecord) {
-	x.util.Observe(r.Util)
-	x.queue.Observe(float64(r.QueueBytes))
 	x.mu.Lock()
 	defer x.mu.Unlock()
+	x.util.add(r.Util)
+	x.queue.add(float64(r.QueueBytes))
 	x.queued += int64(r.QueueBytes)
 	n := x.net(r.Net)
 	n.utilSum += r.Util
@@ -381,7 +437,7 @@ func (x *Aggregator) Summarize(m Meta) RunSummary {
 		FlowBytes:     x.bytes,
 		Retransmits:   x.retrans,
 		FCT:           distFromSamples(x.fcts),
-		QueueBytes:    distFromHist(&x.queue, float64(x.queued)),
+		QueueBytes:    x.queue.dist(float64(x.queued)),
 		Solver:        x.solver,
 	}
 	for _, t := range x.solves {
@@ -428,7 +484,7 @@ func (x *Aggregator) Summarize(m Meta) RunSummary {
 	for _, u := range utilSums {
 		utilSum += u
 	}
-	s.LinkUtil = distFromHist(&x.util, utilSum)
+	s.LinkUtil = x.util.dist(utilSum)
 
 	if x.faultInjected > 0 || x.faultDetected > 0 || blackholed > 0 {
 		s.Faults = &FaultSummary{
@@ -511,23 +567,6 @@ func distFromSamples(xs []float64) Dist {
 		P99:   m.P99,
 		P999:  m.P999,
 		Max:   m.Max,
-	}
-}
-
-// distFromHist is the bucketed path; sum is the observations' total,
-// which h does not keep.
-func distFromHist(h *obs.Histogram, sum float64) Dist {
-	if h.Count() == 0 {
-		return Dist{}
-	}
-	return Dist{
-		Count: h.Count(),
-		Mean:  sum / float64(h.Count()),
-		Min:   h.Min(),
-		P50:   h.Quantile(0.50),
-		P99:   h.Quantile(0.99),
-		P999:  h.Quantile(0.999),
-		Max:   h.Max(),
 	}
 }
 
