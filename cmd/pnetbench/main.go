@@ -6,7 +6,7 @@
 //	pnetbench
 //	pnetbench -exp fig6a
 //	pnetbench -exp all -scale full -seed 7
-//	pnetbench -exp fig10 -metrics m.jsonl -trace -trace-flow 3
+//	pnetbench -exp fig10 -metrics m.jsonl -fingerprint -fingerprint-epoch 1
 //
 // Each experiment prints the rows/series of the corresponding paper
 // artifact. The default "small" scale shrinks topologies and flow sizes
@@ -17,20 +17,21 @@
 // Telemetry: -metrics streams JSONL records (link queue depth and
 // utilization, per-plane bytes, engine event rate, flow, solver and fault
 // records) to a file path or "-" for stdout; every record names the
-// engine that made it. -trace adds per-packet lifecycle events
-// (enqueue/drop/trim/deliver) to that stream, optionally narrowed to
-// specific flows with -trace-flow. -report writes a RunSummary JSON (FCT
+// engine that made it. -report writes a RunSummary JSON (FCT
 // percentiles, plane shares, solver/engine aggregates) for pnetstat
 // summary/diff with no JSONL round-trip; it is the reduction of the
 // records -metrics would hold. -spans turns on latency attribution
 // (per-flow FCT decomposition into queueing/serialization/propagation/
-// stall components) behind `pnetstat attribution`. -fingerprint folds every fired
-// event into its engine's rolling determinism hash chain, checkpointed
-// every -fingerprint-epoch events into the metrics stream / report; each
-// checkpoint names the event that closed it, so at -fingerprint-epoch 1
-// `pnetstat divergence` names the exact first divergent event. -pprof
-// serves net/http/pprof on the given address for live profiling of long
-// runs. See README.md "Telemetry" and "Analyzing runs" for the schemas.
+// stall components) behind `pnetstat attribution`. -fingerprint folds
+// every fired event into its engine's rolling determinism hash chain,
+// checkpointed every -fingerprint-epoch events into the metrics stream /
+// report; each checkpoint names the event that closed it, so at
+// -fingerprint-epoch 1 the stream holds one record per fired event (its
+// time, kind, plane, link, flow, seq and size: the per-event trace, which
+// `pnetstat export-trace` draws) and `pnetstat divergence` names the
+// exact first divergent event. -pprof serves net/http/pprof on the given
+// address for live profiling of long runs. See README.md "Telemetry" and
+// "Analyzing runs" for the schemas.
 //
 // Parallelism: -workers N caps how many independent sweep cells run
 // concurrently (0 = one per core, 1 = serial). Every cell owns its own
@@ -51,8 +52,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"pnet/internal/exp"
@@ -68,28 +67,27 @@ func main() {
 // options is the command line: the flag values as given, and what
 // validate resolved from them.
 type options struct {
-	expID, scale, format, traceFlow, pprof string
-	metrics, report                        string
-	seed, fpEpoch                          int64
-	workers                                int
-	spans, fingerprint, trace              bool
+	expID, scale, format, pprof string
+	metrics, report             string
+	seed, fpEpoch               int64
+	workers                     int
+	spans, fingerprint          bool
 
 	// Resolved by validate.
-	toRun      []exp.Experiment // nil when no -exp was given
-	params     exp.Params
-	traceFlows []int64
+	toRun  []exp.Experiment // nil when no -exp was given
+	params exp.Params
 }
 
-// validate checks every flag and flag combination and resolves -exp,
-// -scale and -trace-flow, all before run creates a file or starts
-// a server: a rejected command line leaves nothing behind. set holds the
-// flags that appeared on the command line (a zero -fingerprint-epoch is
-// an error only when given explicitly), args what followed the flags.
+// validate checks every flag and flag combination and resolves -exp and
+// -scale, all before run creates a file or starts a server: a rejected
+// command line leaves nothing behind. set holds the flags that appeared
+// on the command line (a zero -fingerprint-epoch is an error only when
+// given explicitly), args what followed the flags.
 func (o *options) validate(set map[string]bool, args []string) error {
 	if len(args) > 0 {
 		// Flag parsing stops at the first argument that is not a flag, so
 		// every flag after it would be silently dropped.
-		return fmt.Errorf("unexpected argument %q: pnetbench takes flags only (and -trace no file: its records go to -metrics)", args[0])
+		return fmt.Errorf("unexpected argument %q: pnetbench takes flags only", args[0])
 	}
 	if set["fingerprint-epoch"] && o.fpEpoch <= 0 {
 		return fmt.Errorf("-fingerprint-epoch must be positive, got %d", o.fpEpoch)
@@ -99,9 +97,6 @@ func (o *options) validate(set map[string]bool, args []string) error {
 	}
 	if o.fingerprint && o.metrics == "" && o.report == "" {
 		return errors.New("-fingerprint needs a sink for the checkpoints: add -metrics or -report")
-	}
-	if o.trace && o.metrics == "" {
-		return errors.New("-trace adds packet records to the metrics stream: add -metrics")
 	}
 	switch o.format {
 	case "table", "json":
@@ -119,16 +114,6 @@ func (o *options) validate(set map[string]bool, args []string) error {
 		o.params.Scale = exp.ScaleFull
 	default:
 		return fmt.Errorf("unknown scale %q", o.scale)
-	}
-	if o.traceFlow != "" {
-		if !o.trace {
-			return errors.New("-trace-flow requires -trace")
-		}
-		ids, err := parseFlowIDs(o.traceFlow)
-		if err != nil {
-			return fmt.Errorf("-trace-flow: %v", err)
-		}
-		o.traceFlows = ids
 	}
 	// Each output is opened on its own, so two flags naming one file would
 	// silently overwrite each other.
@@ -158,11 +143,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Int64Var(&o.seed, "seed", 1, "random seed")
 	fs.StringVar(&o.format, "format", "table", "table | json")
 	fs.StringVar(&o.metrics, "metrics", "", "stream telemetry records as JSONL to this file ('-' = stdout)")
-	fs.BoolVar(&o.trace, "trace", false, "add packet lifecycle events to the -metrics stream; -trace-flow narrows them to chosen flows")
-	fs.StringVar(&o.traceFlow, "trace-flow", "", "comma-separated flow IDs to trace; other flows' events are dropped before a record is built (requires -trace)")
 	fs.BoolVar(&o.spans, "spans", false, "record latency attribution spans (pnetstat attribution)")
 	fs.BoolVar(&o.fingerprint, "fingerprint", false, "fold every fired event into its engine's determinism hash chain (pnetstat fingerprint / divergence); needs -metrics or -report")
-	fs.Int64Var(&o.fpEpoch, "fingerprint-epoch", 0, "events per fingerprint checkpoint (0 = default 65536; 1 lets pnetstat divergence name the first divergent event); requires -fingerprint")
+	fs.Int64Var(&o.fpEpoch, "fingerprint-epoch", 0, "events per fingerprint checkpoint (0 = default 65536; 1 writes one record per event, the per-event trace pnetstat divergence and export-trace read); requires -fingerprint")
 	fs.StringVar(&o.report, "report", "", "write a RunSummary JSON for pnetstat to this file")
 	fs.StringVar(&o.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	fs.IntVar(&o.workers, "workers", 0, "max concurrent sweep cells (0 = GOMAXPROCS, 1 = serial); results are identical either way")
@@ -215,8 +198,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		collector.Spans = o.spans
 		collector.Fingerprint = o.fingerprint
 		collector.FingerprintEpoch = o.fpEpoch
-		collector.Trace = o.trace
-		collector.TraceFlows = o.traceFlows
 		if o.report != "" {
 			// Samples reduce into the summary as they are taken, so -exp all
 			// stays memory-bounded.
@@ -296,24 +277,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
-}
-
-// parseFlowIDs parses the -trace-flow comma list.
-func parseFlowIDs(s string) ([]int64, error) {
-	var out []int64
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		id, err := strconv.ParseInt(part, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad flow id %q", part)
-		}
-		out = append(out, id)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no flow ids in %q", s)
-	}
-	return out, nil
 }

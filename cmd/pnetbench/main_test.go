@@ -90,34 +90,35 @@ func TestValidateFormat(t *testing.T) {
 }
 
 // TestValidateBeforeSideEffects: the rejections that used to come after
-// the output files were created (or never came at all). The three lines
-// that once gave -trace a file of its own are still rejected: -trace takes
-// no value now, so the file name is a stray argument.
+// the output files were created (or never came at all). The lines that
+// once gave -trace a file of its own, or the -trace switch its packet
+// records, are still rejected: -trace and -trace-flow are gone, so they
+// are unknown flags.
 func TestValidateBeforeSideEffects(t *testing.T) {
-	const outputs = " -metrics DIR/m.jsonl -trace -fingerprint -report DIR/r.json"
+	const outputs = " -metrics DIR/m.jsonl -fingerprint -report DIR/r.json"
 	checkCommandLines(t, []commandLine{
 		{name: "unknown experiment", args: "-exp nosuch" + outputs, wantErr: `unknown experiment "nosuch"`},
 		{name: "unknown scale", args: "-exp table1 -scale huge" + outputs, wantErr: `unknown scale "huge"`},
 		{name: "negative workers", args: "-exp table1 -workers -1" + outputs, wantErr: "-workers must be >= 0"},
-		{name: "bad trace-flow", args: "-exp table1 -trace-flow 1,x" + outputs, wantErr: `-trace-flow: bad flow id "x"`},
-		{name: "empty trace-flow list", args: "-exp table1 -trace-flow ,," + outputs, wantErr: "-trace-flow: no flow ids"},
-		{name: "trace-flow without trace", args: "-exp table1 -trace-flow 1 -metrics DIR/m.jsonl", wantErr: "-trace-flow requires -trace"},
+		{name: "bad trace-flow", args: "-exp table1 -trace-flow 1,x" + outputs, wantErr: "flag provided but not defined: -trace-flow"},
+		{name: "empty trace-flow list", args: "-exp table1 -trace-flow ,," + outputs, wantErr: "flag provided but not defined: -trace-flow"},
+		{name: "trace-flow without trace", args: "-exp table1 -trace-flow 1 -metrics DIR/m.jsonl", wantErr: "flag provided but not defined: -trace-flow"},
 		{name: "zero sample", args: "-exp table1 -sample 0s" + outputs, wantErr: "flag provided but not defined: -sample"},
 		{name: "sample interval", args: "-sample 1us", wantErr: "flag provided but not defined: -sample"},
 		{name: "chaos script", args: "-exp faults -chaos plane:0@10ms" + outputs, wantErr: "flag provided but not defined: -chaos"},
 		{name: "chaos help", args: "-chaos help", wantErr: "flag provided but not defined: -chaos"},
 		{name: "metrics and trace share a file", args: "-exp table1 -metrics DIR/x.jsonl -trace DIR/x.jsonl",
-			wantErr: "unexpected argument"},
+			wantErr: "flag provided but not defined: -trace"},
 		{name: "metrics and report share a file", args: "-exp table1 -metrics DIR/x -report DIR/./x",
 			wantErr: "-metrics and -report both write to"},
 		{name: "trace and report share a file", args: "-exp table1 -report DIR/x -trace DIR/x",
-			wantErr: "unexpected argument"},
+			wantErr: "flag provided but not defined: -trace"},
 		{name: "two streams on stdout", args: "-exp table1 -metrics - -trace -",
-			wantErr: `unexpected argument "-"`},
+			wantErr: "flag provided but not defined: -trace"},
 		{name: "stray argument", args: "stray -exp table1", wantErr: `unexpected argument "stray"`},
-		{name: "trace file of old", args: "-trace DIR/t.jsonl -exp fig6c", wantErr: "-trace no file"},
-		{name: "trace without metrics", args: "-exp table1 -trace -report DIR/r.json", wantErr: "-trace adds packet records to the metrics stream"},
-		{name: "trace with metrics", args: "-trace -trace-flow 3 -metrics DIR/m.jsonl"},
+		{name: "trace file of old", args: "-trace DIR/t.jsonl -exp fig6c", wantErr: "flag provided but not defined: -trace"},
+		{name: "trace without metrics", args: "-exp table1 -trace -report DIR/r.json", wantErr: "flag provided but not defined: -trace"},
+		{name: "trace with metrics", args: "-trace -trace-flow 3 -metrics DIR/m.jsonl", wantErr: "flag provided but not defined: -trace"},
 		{name: "unknown experiment with -list", args: "-list -exp nosuch", wantErr: "flag provided but not defined: -list"},
 		{name: "list flag", args: "-list", wantErr: "flag provided but not defined: -list"},
 	})

@@ -62,8 +62,9 @@ commands:
   export-trace [-o trace.json] <metrics.jsonl>
       convert a metrics stream into Chrome Trace Event JSON viewable in
       Perfetto (ui.perfetto.dev): each engine's planes as processes,
-      flows as tracks, span components as slices, faults and packets
-      (pnetbench -trace) as instants on their engine's plane
+      flows as tracks, span components as slices, faults and the events
+      fingerprint checkpoints name (every event at pnetbench
+      -fingerprint-epoch 1) as instants on their engine's plane
   diff [-threshold 0.1] <base> <cur>
       per-metric deltas between two runs of the same experiment, scale
       and seed; exit 1 if a gated (simulation-deterministic) metric
@@ -80,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	switch cmd, rest := args[0], args[1:]; cmd {
 	case "summary":
-		return runSummary(rest, stdout, stderr)
+		return runView(cmd, "", rest, stdout, stderr, summaryView)
 	case "attribution":
 		return runView(cmd, "spans", rest, stdout, stderr, attributionView)
 	case "fingerprint":
@@ -130,33 +131,11 @@ func loadRun(path string, stderr io.Writer) (report.RunSummary, bool) {
 	return s, true
 }
 
-func runSummary(args []string, stdout, stderr io.Writer) int {
-	fs := newFlagSet("summary")
-	asJSON := fs.Bool("json", false, "print the summary as JSON instead of text")
-	if err := fs.Parse(args); err != nil || fs.NArg() != 1 {
-		return badUsage(stderr, err, "pnetstat summary [-json] <run>")
-	}
-	s, ok := loadRun(fs.Arg(0), stderr)
-	if !ok {
-		return 2
-	}
-	if s.Created == "" {
-		s.Created = time.Now().UTC().Format(time.RFC3339)
-	}
-	if *asJSON {
-		b, _ := json.MarshalIndent(s, "", "  ")
-		fmt.Fprintln(stdout, string(b))
-	} else {
-		fmt.Fprint(stdout, s.String())
-	}
-	return 0
-}
-
 // runView is a subcommand that prints one view of one run: its text, or
 // with -json the JSON of its part. A view that is not ok is missing from
 // the run: a usage error naming both causes, a run made without flagName
 // (the pnetbench flag that records it) or one that ran nothing making
-// such records.
+// such records. The summary is in every run and has no flagName.
 func runView(name, flagName string, args []string, stdout, stderr io.Writer, view func(report.RunSummary) (part any, text string, ok bool)) int {
 	fs := newFlagSet(name)
 	asJSON := fs.Bool("json", false, "print the "+name+" summary as JSON instead of text")
@@ -179,6 +158,15 @@ func runView(name, flagName string, args []string, stdout, stderr io.Writer, vie
 		fmt.Fprint(stdout, text)
 	}
 	return 0
+}
+
+// summaryView is the whole summary, present in every run; one loaded from
+// a stream is stamped with the time it was made.
+func summaryView(s report.RunSummary) (any, string, bool) {
+	if s.Created == "" {
+		s.Created = time.Now().UTC().Format(time.RFC3339)
+	}
+	return s, s.String(), true
 }
 
 func attributionView(s report.RunSummary) (any, string, bool) {

@@ -3,6 +3,8 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -20,7 +22,7 @@ import (
 func TestFig6cTelemetry(t *testing.T) {
 	var mbuf bytes.Buffer
 	c := obs.NewCollector()
-	c.Trace, c.Spans, c.Fingerprint = true, true, true
+	c.Spans, c.Fingerprint, c.FingerprintEpoch = true, true, 1
 	c.StreamMetrics(&mbuf)
 
 	e, ok := ByID("fig6c")
@@ -59,7 +61,7 @@ func TestFig6cTelemetry(t *testing.T) {
 		}
 	}
 
-	for _, kind := range []string{obs.KindLink, obs.KindPlane, obs.KindEngine, obs.KindFlow, obs.KindPacket, obs.KindFingerprint} {
+	for _, kind := range []string{obs.KindLink, obs.KindPlane, obs.KindEngine, obs.KindFlow, obs.KindFingerprint} {
 		if n := len(records[json.RawMessage](t, &mbuf, kind)); n != 0 {
 			t.Errorf("%d %s records: observing fig6c simulated packets", n, kind)
 		}
@@ -101,40 +103,88 @@ func TestEveryLPSolveRecorded(t *testing.T) {
 	}
 }
 
-// TestFig10Telemetry: a traced fig10 streams flow records with their
-// plane choices and packet events covering enqueue and deliver.
+// TestFig10Telemetry: fig10 observed at one fingerprint checkpoint per
+// event, its four engines running at once, streams flow records with
+// their plane choices, and every record names its own engine: each net's
+// checkpoints count that engine's events one by one in sim time order,
+// the nets that checkpoint are the nets that sample, and every flow
+// record names one of them.
 func TestFig10Telemetry(t *testing.T) {
 	var mbuf bytes.Buffer
+	perEvent := &eventChecker{MetricsWriter: obs.NewMetricsWriter(&mbuf), nets: map[int]*netEvents{}}
 	c := obs.NewCollector()
-	c.Trace = true
-	c.TraceFlows = []int64{3}
-	c.StreamMetrics(&mbuf)
+	c.Fingerprint, c.FingerprintEpoch = true, 1
+	c.Sink = perEvent
 	e, _ := ByID("fig10")
+	par.SetLimit(2)
 	e.Run(Params{Seed: 1, Obs: c})
-	if err := c.Close(); err != nil {
+	par.SetLimit(0)
+	if err := errors.Join(c.Close(), perEvent.Flush()); err != nil {
 		t.Fatal(err)
 	}
+	if perEvent.bad != "" {
+		t.Fatal(perEvent.bad)
+	}
+	if len(perEvent.nets) != 4 {
+		t.Errorf("checkpoints of %d engines, want fig10's four", len(perEvent.nets))
+	}
+	for net, n := range perEvent.nets {
+		for _, kind := range []string{"hop", "deliver", "tx", "timer"} {
+			if n.kinds[kind] == 0 {
+				t.Errorf("net %d: no %s event among its %d checkpoints", net, kind, n.events)
+			}
+		}
+	}
 
+	sampled := map[int]bool{}
+	for _, r := range records[obs.EngineRecord](t, &mbuf, obs.KindEngine) {
+		sampled[r.Net] = true
+		if perEvent.nets[r.Net] == nil {
+			t.Errorf("engine record of net %d, which made no checkpoint", r.Net)
+		}
+	}
+	if len(sampled) != len(perEvent.nets) {
+		t.Errorf("%d nets sampled, %d checkpointed", len(sampled), len(perEvent.nets))
+	}
 	flows := records[obs.FlowRecord](t, &mbuf, obs.KindFlow)
 	if len(flows) == 0 {
 		t.Fatal("no flow records")
 	}
 	for _, f := range flows {
-		if f.FCT <= 0 || f.Bytes <= 0 || len(f.Planes) == 0 {
+		if f.FCT <= 0 || f.Bytes <= 0 || len(f.Planes) == 0 || perEvent.nets[f.Net] == nil {
 			t.Errorf("flow record = %+v", f)
 		}
 	}
+}
 
-	evs := map[string]int{}
-	for _, r := range records[obs.PacketRecord](t, &mbuf, obs.KindPacket) {
-		if r.Flow != 3 {
-			t.Errorf("packet record of flow %d, tracing flow 3 only: %+v", r.Flow, r)
-		}
-		evs[r.Ev]++
+// eventChecker checks per-event checkpoints as they arrive, per net: each
+// must follow the net's previous one by one event, never earlier in sim
+// time. It hands every other record to a stream.
+type eventChecker struct {
+	*obs.MetricsWriter
+	mu   sync.Mutex
+	nets map[int]*netEvents
+	bad  string // the first checkpoint out of line
+}
+
+type netEvents struct {
+	events, tPs int64
+	kinds       map[string]int
+}
+
+func (e *eventChecker) Fingerprint(r obs.FingerprintRecord) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	n := e.nets[r.Net]
+	if n == nil {
+		n = &netEvents{kinds: map[string]int{}}
+		e.nets[r.Net] = n
 	}
-	if evs["enqueue"] == 0 || evs["deliver"] == 0 {
-		t.Errorf("packet events = %v, want enqueue and deliver", evs)
+	if (r.Events != n.events+1 || r.TPs < n.tPs) && e.bad == "" {
+		e.bad = fmt.Sprintf("net %d: checkpoint %+v after %d events at %d ps", r.Net, r, n.events, n.tPs)
 	}
+	n.events, n.tPs = r.Events, r.TPs
+	n.kinds[r.Kind]++
 }
 
 // TestFlowNetIsEngineNet: a flow record names the engine it ran on, by the

@@ -2,26 +2,23 @@ package obs
 
 import (
 	"io"
-	"slices"
 	"sync"
 
-	"pnet/internal/graph"
 	"pnet/internal/sim"
 )
 
 // Collector bundles the telemetry of one harness run: the optional JSONL
-// metrics stream and, per attached network, a sampler, packet tracer and
+// metrics stream and, per attached network, a sampler and a
 // fingerprinter. Every method but StreamMetrics is nil-safe, so
 // instrumented code needs no guards of its own.
 //
 // Every record the run produces takes one road: the producer hands it to
 // the collector's one sink (out: the metrics stream, Sink, or a Tee of
 // the two) and the collector keeps nothing. Samplers emit link, plane and
-// engine records as they tick, tracers packet records as packets move,
-// fingerprinters their checkpoints as each epoch closes; RecordFlow,
-// RecordSolver and RecordFault pass theirs on as they arrive; Close emits
-// each engine's trailing partial checkpoint. All records of one engine
-// carry the NetID AttachNetwork gave it.
+// engine records as they tick, fingerprinters their checkpoints as each
+// epoch closes; RecordFlow, RecordSolver and RecordFault pass theirs on
+// as they arrive; Close emits each engine's trailing partial checkpoint.
+// All records of one engine carry the NetID AttachNetwork gave it.
 //
 // A Collector is safe for concurrent producers: parallel experiment
 // cells attach networks and record flows/solver calls/faults against one
@@ -45,14 +42,6 @@ type Collector struct {
 	// selects sim.DefaultFingerprintEpoch. Must be set before
 	// AttachNetwork.
 	FingerprintEpoch int64
-	// Trace attaches a packet tracer to every attached network: each
-	// packet lifecycle event (enqueue, drop, trim, deliver, blackhole)
-	// becomes a packet record. Must be set before AttachNetwork.
-	Trace bool
-	// TraceFlows, when non-empty, restricts the packet records to the
-	// listed flow IDs. Events for other flows return before a record is
-	// built — filtered tracing stays allocation-free.
-	TraceFlows []int64
 
 	mu      sync.Mutex // guards nets and nextID
 	mw      *MetricsWriter
@@ -78,7 +67,7 @@ const sampleInterval = 10 * sim.Microsecond
 func NewCollector() *Collector { return &Collector{} }
 
 // StreamMetrics streams every record — samples, flow/solver/fault
-// records, packet events and fingerprint checkpoints — to w as JSONL.
+// records and fingerprint checkpoints — to w as JSONL.
 func (c *Collector) StreamMetrics(w io.Writer) { c.mw = NewMetricsWriter(w) }
 
 // out is the one destination of every record: the metrics stream, Sink,
@@ -100,10 +89,10 @@ func (c *Collector) out() Sink {
 
 // AttachNetwork instruments one simulation under the next NetID: spans
 // are switched on as configured, and, if a metrics stream or Sink is set,
-// the packet tracer and the fingerprinter's checkpoints are pointed at it
-// and a sampler is started on the engine. It returns the NetID, which records about this network
-// made elsewhere (faults) must carry; a nil collector attaches nothing and
-// returns -1.
+// the fingerprinter's checkpoints are pointed at it and a sampler is
+// started on the engine. It returns the NetID, which records about this
+// network made elsewhere (faults) must carry; a nil collector attaches
+// nothing and returns -1.
 func (c *Collector) AttachNetwork(eng *sim.Engine, net *sim.Network) int {
 	if c == nil {
 		return -1
@@ -116,9 +105,6 @@ func (c *Collector) AttachNetwork(eng *sim.Engine, net *sim.Network) int {
 		net.EnableSpans()
 	}
 	to := c.out()
-	if c.Trace && to != nil {
-		net.Tracer = &tracer{net: a.id, eng: eng, g: net.G, only: c.TraceFlows, to: to}
-	}
 	if c.Fingerprint {
 		a.fp = sim.NewFingerprinter(c.FingerprintEpoch)
 		if to != nil {
@@ -138,30 +124,6 @@ func (c *Collector) AttachNetwork(eng *sim.Engine, net *sim.Network) int {
 	c.nets = append(c.nets, a)
 	c.mu.Unlock()
 	return a.id
-}
-
-// tracer is the sim.Tracer of one attached network: each packet event
-// becomes a PacketRecord under the network's NetID, handed to the
-// collector's sink. Events of flows outside only return before a record
-// is built (a linear scan — the list is a handful of hand-picked flows).
-type tracer struct {
-	net  int
-	eng  *sim.Engine
-	g    *graph.Graph
-	only []int64
-	to   Sink
-}
-
-// PacketEvent implements sim.Tracer.
-func (t *tracer) PacketEvent(ev sim.TraceEvent, p *sim.Packet, link graph.LinkID) {
-	if len(t.only) > 0 && !slices.Contains(t.only, p.FlowID) {
-		return
-	}
-	t.to.Packet(PacketRecord{
-		Type: KindPacket, Net: t.net, Ev: ev.String(), TPs: int64(t.eng.Now()),
-		Link: int64(link), Plane: t.g.Link(link).Plane,
-		Flow: p.FlowID, Seq: p.Seq, Size: p.Size, Trimmed: p.Trimmed,
-	})
 }
 
 // RecordFlow passes one completed flow on to the sink.

@@ -3,12 +3,14 @@
 // handed to and nothing else (sink.go); a periodic Sampler that reads
 // per-link, per-plane and engine state from a running simulation
 // (sampler.go); the JSONL metrics writer, itself a Sink and the one
-// writer of every kind, packet events included (jsonl.go); the record
-// shapes both ends share (schema.go); and a Collector that bundles them
-// for the experiment harness, installs a packet tracer per network when
-// asked and retains no record (collector.go). The consuming half,
-// internal/report, decodes a file back into a Sink and reduces records
-// into summaries.
+// writer of every kind (jsonl.go); the record shapes both ends share
+// (schema.go); and a Collector that bundles them for the experiment
+// harness, attaches a sampler and a fingerprinter per network and retains
+// no record (collector.go). The per-event view of a run is the
+// fingerprint at -fingerprint-epoch 1: one checkpoint per fired event,
+// naming its time, kind, plane, link, flow, seq and size. The consuming
+// half, internal/report, decodes a file back into a Sink and reduces
+// records into summaries.
 //
 // The paper's §7 treats per-plane monitoring as a first-class concern of
 // P-Nets, and every figure in its evaluation is a time series or a

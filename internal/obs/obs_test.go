@@ -24,7 +24,6 @@ type sliceSink struct {
 	solvers []SolverRecord
 	faults  []FaultRecord
 	fps     []FingerprintRecord
-	packets []PacketRecord
 }
 
 func (s *sliceSink) Link(r LinkRecord)               { s.links = append(s.links, r) }
@@ -34,7 +33,6 @@ func (s *sliceSink) Flow(r FlowRecord)               { s.flows = append(s.flows,
 func (s *sliceSink) Solver(r SolverRecord)           { s.solvers = append(s.solvers, r) }
 func (s *sliceSink) Fault(r FaultRecord)             { s.faults = append(s.faults, r) }
 func (s *sliceSink) Fingerprint(r FingerprintRecord) { s.fps = append(s.fps, r) }
-func (s *sliceSink) Packet(r PacketRecord)           { s.packets = append(s.packets, r) }
 
 // TestSinkOnlyCollectorSamples: a collector with a Sink and no metrics
 // stream still starts a sampler, and records reach the sink as the
@@ -123,80 +121,6 @@ func TestCheckpointsStreamBeforeClose(t *testing.T) {
 	}
 }
 
-// TestTraceLineMatchesPacketRecord pins the hand-built packet line of
-// MetricsWriter.Packet to the PacketRecord schema struct: decoding a line
-// into the struct and re-encoding it must agree field for field. The
-// traced network attaches second, so its records must name net 1.
-func TestTraceLineMatchesPacketRecord(t *testing.T) {
-	g, p0, _ := twoPlane()
-	var buf bytes.Buffer
-	c := NewCollector()
-	c.Trace = true
-	c.StreamMetrics(&buf)
-	idle := sim.NewEngine() // takes NetID 0, never runs
-	c.AttachNetwork(idle, sim.NewNetwork(idle, g, sim.Config{}))
-	eng := sim.NewEngine()
-	net := sim.NewNetwork(eng, g, sim.Config{})
-	c.AttachNetwork(eng, net)
-
-	rs := &releaseSink{net: net}
-	p := net.NewPacket()
-	p.Size = 1500
-	p.Route = p0
-	p.Deliver = rs
-	p.FlowID = 42
-	p.Seq = 7
-	net.Send(p)
-	eng.Run()
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var lines []string
-	for _, line := range nonEmptyLines(buf.String()) {
-		if strings.HasPrefix(line, `{"type":"pkt"`) {
-			lines = append(lines, line)
-		}
-	}
-	if len(lines) == 0 {
-		t.Fatal("no packet lines")
-	}
-	for _, line := range lines {
-		var rec PacketRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("packet line does not decode into PacketRecord: %q: %v", line, err)
-		}
-		if rec.Type != KindPacket || rec.Ev == "" || rec.Net != 1 {
-			t.Errorf("decoded record = %+v, want a packet event of net 1", rec)
-		}
-		if rec.Flow != 42 || rec.Seq != 7 || rec.Size != 1500 {
-			t.Errorf("field mismatch: %+v from %q", rec, line)
-		}
-		// Re-encode and decode again: generic maps of both forms must
-		// be identical, so the hand-built line carries exactly the
-		// schema's fields.
-		reenc, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var a, b map[string]any
-		if err := json.Unmarshal([]byte(line), &a); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(reenc, &b); err != nil {
-			t.Fatal(err)
-		}
-		if len(a) != len(b) {
-			t.Errorf("hand-built line has fields the schema lacks (or vice versa):\n%q\n%q", line, reenc)
-		}
-		for k, v := range a {
-			if bv, ok := b[k]; !ok || bv != v {
-				t.Errorf("field %q: line %v vs schema %v", k, v, bv)
-			}
-		}
-	}
-}
-
 // TestNilCollectorIsSafe calls every method instrumented code calls
 // unguarded (all but StreamMetrics) on a nil collector.
 func TestNilCollectorIsSafe(t *testing.T) {
@@ -235,11 +159,12 @@ func twoPlane() (*graph.Graph, []graph.LinkID, []graph.LinkID) {
 	return g, []graph.LinkID{a0, d0}, []graph.LinkID{a1, d1}
 }
 
-// TestCollectorEndToEnd drives packets over a traced two-plane network
-// and checks the JSONL stream: every line parses; packet events cover
-// enqueue and deliver with sim timestamps and plane ids; link, plane,
-// engine, flow and solver records are there too; and a Sink set beside
-// the stream is handed as many records of each kind as the file holds.
+// TestCollectorEndToEnd drives packets over a two-plane network
+// fingerprinted at one event per checkpoint and checks the JSONL stream:
+// every line parses; the checkpoints name hop, deliver and tx events on
+// both planes, in sim time order; link, plane, engine, flow and solver
+// records are there too; and a Sink set beside the stream is handed as
+// many records of each kind as the file holds.
 func TestCollectorEndToEnd(t *testing.T) {
 	g, p0, p1 := twoPlane()
 	eng := sim.NewEngine()
@@ -247,7 +172,8 @@ func TestCollectorEndToEnd(t *testing.T) {
 
 	var mbuf bytes.Buffer
 	c := NewCollector()
-	c.Trace = true
+	c.Fingerprint = true
+	c.FingerprintEpoch = 1
 	c.StreamMetrics(&mbuf)
 	live := &sliceSink{}
 	c.Sink = live
@@ -274,10 +200,10 @@ func TestCollectorEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every line parses; packet events cover enqueue and deliver on both
-	// planes, with timestamps in sim picoseconds (monotone from 0); link,
-	// plane, engine, flow and solver records all appear; link samples
-	// carry link/plane ids.
+	// Every line parses; the checkpoints name hop, deliver and tx events
+	// on both planes, with timestamps in sim picoseconds (monotone from
+	// 0); link, plane, engine, flow and solver records all appear; link
+	// samples carry link/plane ids.
 	kinds := map[string]int{}
 	evs := map[string]int{}
 	planes := map[float64]bool{}
@@ -290,12 +216,13 @@ func TestCollectorEndToEnd(t *testing.T) {
 		k := rec["type"].(string)
 		kinds[k]++
 		switch k {
-		case KindPacket:
-			evs[rec["ev"].(string)]++
-			planes[rec["plane"].(float64)] = true
+		case KindFingerprint:
+			evs[rec["kind"].(string)]++
+			plane, _ := rec["plane"].(float64) // plane 0 is omitted
+			planes[plane] = true
 			tPs := rec["t_ps"].(float64)
 			if tPs < lastT {
-				t.Fatalf("packet timestamps not monotone: %v after %v", tPs, lastT)
+				t.Fatalf("checkpoint timestamps not monotone: %v after %v", tPs, lastT)
 			}
 			lastT = tPs
 		case KindLink:
@@ -310,13 +237,13 @@ func TestCollectorEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	if evs["enqueue"] == 0 || evs["deliver"] == 0 {
-		t.Errorf("packet events = %v, want enqueue and deliver", evs)
+	if evs["hop"] == 0 || evs["deliver"] == 0 || evs["tx"] == 0 {
+		t.Errorf("checkpoint events = %v, want hop, deliver and tx", evs)
 	}
 	if !planes[0] || !planes[1] {
 		t.Errorf("planes seen = %v, want both", planes)
 	}
-	for _, want := range []string{"pkt", "link", "plane", "engine", "flow", "solver"} {
+	for _, want := range []string{KindFingerprint, KindLink, KindPlane, KindEngine, KindFlow, KindSolver} {
 		if kinds[want] == 0 {
 			t.Errorf("metrics stream has no %q records (got %v)", want, kinds)
 		}
@@ -330,25 +257,27 @@ func TestCollectorEndToEnd(t *testing.T) {
 		t.Errorf("records = %+v, %+v", live.flows[0], live.solvers[0])
 	}
 	if len(live.links) != kinds["link"] || len(live.planes) != kinds["plane"] || len(live.engines) != kinds["engine"] ||
-		len(live.packets) != kinds["pkt"] {
-		t.Errorf("sink saw %d/%d/%d/%d link/plane/engine/pkt records, the file holds %d/%d/%d/%d",
-			len(live.links), len(live.planes), len(live.engines), len(live.packets),
-			kinds["link"], kinds["plane"], kinds["engine"], kinds["pkt"])
+		len(live.fps) != kinds["fp"] {
+		t.Errorf("sink saw %d/%d/%d/%d link/plane/engine/fp records, the file holds %d/%d/%d/%d",
+			len(live.links), len(live.planes), len(live.engines), len(live.fps),
+			kinds["link"], kinds["plane"], kinds["engine"], kinds["fp"])
 	}
 }
 
-// TestMultiNetworkTraceStaysWellFormed traces three networks into one
-// stream at once, as parallel sweep cells do, with enough events to
-// cross the writer's buffer many times. Every line must parse, every
-// packet record must name its own engine's net (each network's packets
-// carry that network's NetID as their flow ID), and time must never run
-// backwards within a net. (Regressions: per-network buffered writers
-// once interleaved lines mid-write, and packet lines once carried no net,
+// TestMultiNetworkTraceStaysWellFormed streams three networks' per-event
+// checkpoints (-fingerprint-epoch 1) into one stream at once, as parallel
+// sweep cells do, with enough events to cross the writer's buffer many
+// times. Every line must parse, every checkpoint must name its own
+// engine's net (each network's packets carry that network's NetID as
+// their flow ID, and each net's checkpoints count its events one by one,
+// in sim time order). (Regressions: per-network buffered writers once
+// interleaved lines mid-write, and per-event lines once carried no net,
 // so the engines of one run read as one engine whose clock jumps back.)
 func TestMultiNetworkTraceStaysWellFormed(t *testing.T) {
 	var mbuf bytes.Buffer
 	c := NewCollector()
-	c.Trace = true
+	c.Fingerprint = true
+	c.FingerprintEpoch = 1
 	c.StreamMetrics(&mbuf)
 
 	var wg sync.WaitGroup
@@ -360,8 +289,13 @@ func TestMultiNetworkTraceStaysWellFormed(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 500; i++ { // ~3 events x ~100 B each, > 64 kB total
-				sendPacket(net, p0, id)
+			for i := 0; i < 500; i++ { // ~4 events x ~150 B each, > 128 kB total
+				p := net.NewPacket()
+				p.Size = 1500
+				p.Route = p0
+				p.Deliver = &releaseSink{net: net}
+				p.FlowID = id
+				net.Send(p)
 			}
 			eng.Run()
 		}()
@@ -373,28 +307,33 @@ func TestMultiNetworkTraceStaysWellFormed(t *testing.T) {
 	if mbuf.Len() < 2<<16 {
 		t.Fatalf("only %d stream bytes; test no longer exceeds the 64 kB writer buffer", mbuf.Len())
 	}
-	last := map[int]int64{}
+	type seen struct{ events, tPs int64 }
+	last := map[int]seen{}
 	for _, line := range nonEmptyLines(mbuf.String()) {
 		if !json.Valid([]byte(line)) {
 			t.Fatalf("malformed line: %q", line)
 		}
-		if !strings.HasPrefix(line, `{"type":"pkt"`) {
+		if !strings.HasPrefix(line, `{"type":"fp"`) {
 			continue
 		}
-		var r PacketRecord
+		var r FingerprintRecord
 		if err := json.Unmarshal([]byte(line), &r); err != nil {
 			t.Fatal(err)
 		}
-		if int64(r.Net) != r.Flow {
+		if (r.Kind == "hop" || r.Kind == "deliver") && int64(r.Net) != r.Flow {
 			t.Fatalf("a packet of net %d's engine names net %d: %q", r.Flow, r.Net, line)
 		}
-		if at, ok := last[r.Net]; ok && r.TPs < at {
-			t.Fatalf("net %d: time runs backwards, %d after %d", r.Net, r.TPs, at)
+		at := last[r.Net]
+		if r.Events != at.events+1 {
+			t.Fatalf("net %d: checkpoint at %d events after one at %d", r.Net, r.Events, at.events)
 		}
-		last[r.Net] = r.TPs
+		if r.TPs < at.tPs {
+			t.Fatalf("net %d: time runs backwards, %d after %d", r.Net, r.TPs, at.tPs)
+		}
+		last[r.Net] = seen{r.Events, r.TPs}
 	}
 	if len(last) != 3 {
-		t.Errorf("packet records of %d nets, want 3", len(last))
+		t.Errorf("checkpoints of %d nets, want 3", len(last))
 	}
 }
 

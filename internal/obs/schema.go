@@ -23,7 +23,6 @@ const (
 	KindEngine      = "engine"
 	KindFlow        = "flow"
 	KindSolver      = "solver"
-	KindPacket      = "pkt"
 	KindFault       = "fault"
 	KindFingerprint = "fp"
 )
@@ -98,21 +97,6 @@ type SpanShare struct {
 	Component string `json:"c"`
 	Plane     int32  `json:"plane"`
 	Ps        int64  `json:"ps"`
-}
-
-// ValidSpanComponent reports whether name is a span component this
-// schema version emits — the reader's defense against typo'd or
-// future-version streams.
-func ValidSpanComponent(name string) bool {
-	_, ok := sim.ParseSpanComponent(name)
-	return ok
-}
-
-// ValidEventKind reports whether name is an event kind this schema
-// version emits.
-func ValidEventKind(name string) bool {
-	_, ok := sim.ParseEventKind(name)
-	return ok
 }
 
 // FingerprintRecord is one epoch checkpoint of an engine's determinism
@@ -226,21 +210,4 @@ type FaultRecord struct {
 	// DipFrac is the goodput dip depth in [0,1] (1 = total stall),
 	// reported on "recover".
 	DipFrac float64 `json:"dip_frac,omitempty"`
-}
-
-// PacketRecord is one packet lifecycle event of a traced engine
-// (Collector.Trace). MetricsWriter.Packet hand-builds these lines without
-// going through encoding/json; TestTraceLineMatchesPacketRecord pins the
-// two representations together.
-type PacketRecord struct {
-	Type    string `json:"type"` // "pkt"
-	Net     int    `json:"net"`
-	Ev      string `json:"ev"` // enqueue | drop | trim | deliver | blackhole
-	TPs     int64  `json:"t_ps"`
-	Link    int64  `json:"link"`
-	Plane   int32  `json:"plane"`
-	Flow    int64  `json:"flow"`
-	Seq     int64  `json:"seq"`
-	Size    int32  `json:"size"`
-	Trimmed bool   `json:"trimmed,omitempty"`
 }

@@ -1,12 +1,11 @@
 package obs
 
 // Sink is where records go: one typed method per record kind the
-// collector emits. Every producer (the samplers, the packet tracers,
-// RecordFlow/Solver/Fault, the fingerprinters) hands its records to the
-// collector's one sink, and internal/report's reader decodes a file back
-// into one, so the stream and a live consumer see the same values by
-// construction. The records are
-// the JSONL schema's own (schema.go), Type and Net filled in. The
+// collector emits. Every producer (the samplers, RecordFlow/Solver/Fault,
+// the fingerprinters) hands its records to the collector's one sink, and
+// internal/report's reader decodes a file back into one, so the stream
+// and a live consumer see the same values by construction. The records
+// are the JSONL schema's own (schema.go), Type and Net filled in. The
 // implementations are MetricsWriter (the file), report.Aggregator (the
 // summary) and report's narrow per-view readers. One shared by several
 // networks must be safe for concurrent use.
@@ -18,7 +17,6 @@ type Sink interface {
 	Solver(SolverRecord)
 	Fault(FaultRecord)
 	Fingerprint(FingerprintRecord)
-	Packet(PacketRecord)
 }
 
 // Tee returns a sink that hands every record to a, then to b.
@@ -33,4 +31,3 @@ func (t tee) Flow(r FlowRecord)               { t.a.Flow(r); t.b.Flow(r) }
 func (t tee) Solver(r SolverRecord)           { t.a.Solver(r); t.b.Solver(r) }
 func (t tee) Fault(r FaultRecord)             { t.a.Fault(r); t.b.Fault(r) }
 func (t tee) Fingerprint(r FingerprintRecord) { t.a.Fingerprint(r); t.b.Fingerprint(r) }
-func (t tee) Packet(r PacketRecord)           { t.a.Packet(r); t.b.Packet(r) }

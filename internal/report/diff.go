@@ -2,6 +2,7 @@ package report
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -253,12 +254,5 @@ func relWorsening(base, cur float64, dir direction) float64 {
 		}
 		return -1
 	}
-	return delta / abs(base)
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
+	return delta / math.Abs(base)
 }

@@ -22,13 +22,15 @@ import (
 // on a damaged file), and divergence's and export-trace's passes must take
 // it without a panic.
 func FuzzStream(f *testing.F) {
-	// A per-event journal line, a close-time metric snapshot and an
-	// event-loop profile bin, kinds earlier binaries wrote and this reader
-	// no longer knows: each must be named, not skipped or misread.
+	// A per-event journal line, a packet event, a close-time metric
+	// snapshot and an event-loop profile bin, kinds earlier binaries wrote
+	// and this reader no longer knows: each must be named, not skipped or
+	// misread.
 	const fpev = `{"type":"fpev","net":0,"epoch":1,"i":0,"kind":"hop","hash":"0123456789abcdef"}` + "\n"
+	const pkt = `{"type":"pkt","net":0,"ev":"enqueue","t_ps":1280,"link":3,"plane":0,"flow":7,"seq":41,"size":1500}` + "\n"
 	const metric = `{"type":"metric","name":"flows.completed","kind":"counter","value":1}` + "\n"
 	const profile = `{"type":"profile","net":0,"kind":"hop","plane":0,"events":1,"wall_ns":1,"sim_ps":5}` + "\n"
-	for kind, line := range map[string]string{"fpev": fpev, "metric": metric, "profile": profile} {
+	for kind, line := range map[string]string{"fpev": fpev, "pkt": pkt, "metric": metric, "profile": profile} {
 		var uk *UnknownKindError
 		if err := ReadStream(bytes.NewReader([]byte(line)), discard{}); !errors.As(err, &uk) || uk.Kind != kind || uk.Line != 1 {
 			f.Fatalf("%s line: got %v, want an UnknownKindError for kind %q on line 1", kind, err, kind)
@@ -45,7 +47,7 @@ func FuzzStream(f *testing.F) {
 		`{"type":""}` + "\n",
 		`{"no_type_at_all":true}` + "\n",
 		`{"type":"flow","id":"seven"}` + "\n", // wrong field type
-		`{"type":"pkt","ev":"warp","t_ps":-1}` + "\n",
+		pkt,
 		`{"type":"fp","net":0,"epoch":1,"events":32,"epoch_events":32,"hash":"zz"}` + "\n",
 		`{"type":"fp","net":0,"epoch":1,"events":32,"epoch_events":0,"hash":"0123456789abcdef","host":"0123456789abcdef"}` + "\n",
 		fpev,

@@ -18,6 +18,7 @@ import (
 	"os"
 
 	"pnet/internal/obs"
+	"pnet/internal/sim"
 )
 
 // discard drops every record; a narrow sink embeds it.
@@ -30,7 +31,6 @@ func (discard) Flow(obs.FlowRecord)               {}
 func (discard) Solver(obs.SolverRecord)           {}
 func (discard) Fault(obs.FaultRecord)             {}
 func (discard) Fingerprint(obs.FingerprintRecord) {}
-func (discard) Packet(obs.PacketRecord)           {}
 
 // ErrEmptyStream reports a stream with no records at all — usually a
 // run that never attached telemetry, which callers should distinguish
@@ -147,15 +147,13 @@ func decodeLine(b []byte, sink obs.Sink) error {
 		return emit(b, nil, sink.Fault)
 	case obs.KindFingerprint:
 		return emit(b, validFingerprint, sink.Fingerprint)
-	case obs.KindPacket:
-		return emit(b, nil, sink.Packet)
 	}
 	return &UnknownKindError{Kind: h.Type}
 }
 
 func validFlow(r *obs.FlowRecord) error {
 	for _, sp := range r.Spans {
-		if !obs.ValidSpanComponent(sp.Component) {
+		if _, ok := sim.ParseSpanComponent(sp.Component); !ok {
 			return fmt.Errorf("flow %d: unknown span component %q", r.ID, sp.Component)
 		}
 	}
@@ -169,7 +167,7 @@ func validFingerprint(r *obs.FingerprintRecord) error {
 	if r.EpochEvents <= 0 {
 		return fmt.Errorf("fingerprint net %d epoch %d: epoch_events %d, want > 0", r.Net, r.Epoch, r.EpochEvents)
 	}
-	if r.Kind != "" && !obs.ValidEventKind(r.Kind) {
+	if _, ok := sim.ParseEventKind(r.Kind); r.Kind != "" && !ok {
 		return fmt.Errorf("fingerprint net %d epoch %d: unknown event kind %q", r.Net, r.Epoch, r.Kind)
 	}
 	return nil

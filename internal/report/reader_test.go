@@ -13,7 +13,7 @@ const goodStream = `{"type":"engine","net":0,"t_ps":10000000,"events":100,"heap"
 {"type":"plane","net":0,"t_ps":10000000,"plane":1,"tx_bytes":150000}
 {"type":"flow","id":7,"transport":"tcp","src":1,"dst":2,"bytes":1000000,"fct_s":0.002,"retransmits":1,"subflows":4,"planes":[0,1]}
 {"type":"solver","exp":"fig6c","solver":"gk-fixed","k":8,"lambda":0.9,"phases":12,"iterations":400,"attempts":2,"wall_s":0.05}
-{"type":"pkt","net":0,"ev":"enqueue","t_ps":1280,"link":3,"plane":0,"flow":7,"seq":41,"size":1500}
+{"type":"fp","net":0,"epoch":41,"events":42,"t_ps":1280,"epoch_events":1,"hash":"0123456789abcdef","kind":"hop","link":3,"flow":7,"seq":41,"size":1500}
 `
 
 // recorder is a test sink that keeps every record it is handed, by kind,
@@ -26,7 +26,6 @@ type recorder struct {
 	Solvers      []obs.SolverRecord
 	Faults       []obs.FaultRecord
 	Fingerprints []obs.FingerprintRecord
-	Packets      []obs.PacketRecord
 }
 
 func (s *recorder) Link(r obs.LinkRecord)               { s.Links = append(s.Links, r) }
@@ -36,7 +35,6 @@ func (s *recorder) Flow(r obs.FlowRecord)               { s.Flows = append(s.Flo
 func (s *recorder) Solver(r obs.SolverRecord)           { s.Solvers = append(s.Solvers, r) }
 func (s *recorder) Fault(r obs.FaultRecord)             { s.Faults = append(s.Faults, r) }
 func (s *recorder) Fingerprint(r obs.FingerprintRecord) { s.Fingerprints = append(s.Fingerprints, r) }
-func (s *recorder) Packet(r obs.PacketRecord)           { s.Packets = append(s.Packets, r) }
 
 func TestReadStreamAllKinds(t *testing.T) {
 	s := &recorder{}
@@ -44,7 +42,7 @@ func TestReadStreamAllKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(s.Engines) != 1 || len(s.Links) != 1 || len(s.Planes) != 1 ||
-		len(s.Flows) != 1 || len(s.Solvers) != 1 || len(s.Packets) != 1 {
+		len(s.Flows) != 1 || len(s.Solvers) != 1 || len(s.Fingerprints) != 1 {
 		t.Fatalf("bucket counts = %+v", s)
 	}
 	if s.Flows[0].FCT != 0.002 || s.Flows[0].Planes[1] != 1 {
@@ -53,8 +51,8 @@ func TestReadStreamAllKinds(t *testing.T) {
 	if s.Links[0].Util != 0.5 || s.Links[0].Plane != 1 {
 		t.Errorf("link = %+v", s.Links[0])
 	}
-	if s.Packets[0].Ev != "enqueue" || s.Packets[0].Size != 1500 {
-		t.Errorf("packet = %+v", s.Packets[0])
+	if fp := s.Fingerprints[0]; fp.Kind != "hop" || fp.Plane != 0 || fp.Link != 3 || fp.Size != 1500 || fp.EpochEvents != 1 {
+		t.Errorf("fingerprint = %+v", fp)
 	}
 }
 
@@ -75,7 +73,7 @@ func TestReadStreamTruncatedFinalLine(t *testing.T) {
 	if pe.Line != 6 {
 		t.Errorf("ParseError.Line = %d, want 6", pe.Line)
 	}
-	if len(s.Flows) != 1 || len(s.Solvers) != 1 || len(s.Engines) != 1 || len(s.Links) != 1 || len(s.Planes) != 1 || len(s.Packets) != 0 {
+	if len(s.Flows) != 1 || len(s.Solvers) != 1 || len(s.Engines) != 1 || len(s.Links) != 1 || len(s.Planes) != 1 || len(s.Fingerprints) != 0 {
 		t.Errorf("partial stream lost records: %+v", s)
 	}
 }
@@ -108,7 +106,7 @@ func TestReadStreamUnknownKind(t *testing.T) {
 	if uk.Kind != "warp" || uk.Line != 7 {
 		t.Errorf("UnknownKindError = %+v", uk)
 	}
-	if len(s.Packets) != 1 {
+	if len(s.Fingerprints) != 1 {
 		t.Errorf("partial stream lost the record before the unknown one: %+v", s)
 	}
 }

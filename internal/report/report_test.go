@@ -146,19 +146,18 @@ func twoPlaneNet() (*sim.Engine, *sim.Network, []graph.Path) {
 }
 
 // TestFromStreamMatchesAggregator pins the one road at both ends, on
-// `pnetbench -spans -fingerprint -trace -metrics m.jsonl -report r.json`
-// in miniature. The stream must hold all eight record kinds, packet events
-// and the partial fingerprint checkpoints included, which only Close
-// emits; and ReadStream must hand back exactly what the
-// collector wrote: decoded into a MetricsWriter, it reproduces the file
-// byte for byte. An Aggregator fed live must summarize exactly as one fed
+// `pnetbench -spans -fingerprint -metrics m.jsonl -report r.json` in
+// miniature. The stream must hold all seven record kinds, the partial
+// fingerprint checkpoints included, which only Close emits; and
+// ReadStream must hand back exactly what the collector wrote: decoded
+// into a MetricsWriter, it reproduces the file byte for byte. An Aggregator fed live must summarize exactly as one fed
 // from the file does (`pnetstat summary m.jsonl`), in every field: a
 // report holds nothing its stream does not. One of the two networks stops
 // before its first sampler tick: it is still an engine in both.
 func TestFromStreamMatchesAggregator(t *testing.T) {
 	var buf bytes.Buffer
 	c := obs.NewCollector()
-	c.Spans, c.Fingerprint, c.Trace = true, true, true
+	c.Spans, c.Fingerprint = true, true
 	c.FingerprintEpoch = 64
 	c.StreamMetrics(&buf)
 	aggr := NewAggregator()
@@ -208,7 +207,7 @@ func TestFromStreamMatchesAggregator(t *testing.T) {
 	// The records: every kind is there, and the file decodes to exactly
 	// what was written.
 	for _, kind := range []string{obs.KindLink, obs.KindPlane, obs.KindEngine, obs.KindFlow, obs.KindSolver,
-		obs.KindFault, obs.KindFingerprint, obs.KindPacket} {
+		obs.KindFault, obs.KindFingerprint} {
 		if !bytes.Contains(buf.Bytes(), []byte(`{"type":"`+kind+`"`)) {
 			t.Errorf("no %s record in the stream; the scene must produce every kind a collector emits", kind)
 		}

@@ -415,10 +415,6 @@ func (x *Aggregator) Fingerprint(r obs.FingerprintRecord) {
 	x.net(r.Net).fp = &r
 }
 
-// Packet implements obs.Sink: no summary value is taken from packet
-// events, which the link and flow records already count.
-func (x *Aggregator) Packet(obs.PacketRecord) {}
-
 // Summarize returns the summary of everything received so far. For a live
 // run call it after obs.Collector.Close, which emits the closing engine
 // records and fingerprint checkpoints.

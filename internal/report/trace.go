@@ -16,9 +16,9 @@ import (
 // span timelines get a timeline viewer. Each engine's dataplanes become
 // processes; its flows become tracks (threads) under its "hosts" process,
 // each flow's latency-attribution components child slices of its flow
-// slice. Plane byte counters and engine heap
-// depth ride along as counter tracks; fault lifecycle events and traced
-// packet events become instants on their plane's process.
+// slice. Plane byte counters and engine heap depth ride along as counter
+// tracks; fault lifecycle events and the events that fingerprint
+// checkpoints name become instants on their plane's process.
 //
 // Timestamps: the trace format's ts/dur are microseconds (doubles), so
 // picosecond sim times divide by 1e6. displayTimeUnit "ns" makes
@@ -56,19 +56,20 @@ func psToUs(ps int64) float64 { return float64(ps) / 1e6 }
 
 // ExportTrace converts the metrics stream at path into a Chrome trace
 // written to w, and returns the number of trace events. Span-enabled runs
-// (-spans) get per-component child slices, packet traces (-trace)
-// per-packet instants. Each record's events are written as it is decoded,
-// so memory does not grow with the stream; the process names follow the
-// events. A stream with nothing to export is
-// an error that leaves w untouched; one malformed mid-file (a typed
-// ReadStream error) leaves w holding an unfinished document.
+// (-spans) get per-component child slices, fingerprinted ones
+// (-fingerprint) an instant per checkpoint: one per event at
+// -fingerprint-epoch 1. Each record's events are written as it is
+// decoded, so memory does not grow with the stream; the process names
+// follow the events. A stream with nothing to export is an error that
+// leaves w untouched; one malformed mid-file (a typed ReadStream error)
+// leaves w holding an unfinished document.
 func ExportTrace(path string, w io.Writer) (int, error) {
 	t := &traceWriter{pids: map[netPlane]int64{}, w: bufio.NewWriterSize(w, 1<<16)}
 	if err := readStreamPath(path, t); err != nil {
 		return 0, err
 	}
 	if t.n == 0 {
-		return 0, fmt.Errorf("report: %s has nothing to export: no timed flows, samples, faults or packets", path)
+		return 0, fmt.Errorf("report: %s has nothing to export: no timed flows, samples, faults or fingerprint events", path)
 	}
 	err := t.close() // names the processes, which raises t.n
 	return t.n, err
@@ -218,13 +219,18 @@ func (t *traceWriter) Fault(r obs.FaultRecord) {
 	})
 }
 
-// Packet: an instant on the process of the link's plane in the packet's
-// own engine, one track per link. Dense, but Perfetto handles millions of
-// events; -trace-flow keeps exports focused.
-func (t *traceWriter) Packet(r obs.PacketRecord) {
+// Fingerprint: a checkpoint that names the event closing its epoch (every
+// one but the final partial one) is an instant at that event: on the
+// process of its plane in its own engine, one track per link, or for a
+// timer on the engine's hosts. At -fingerprint-epoch 1 that is every event
+// of the run; Perfetto handles millions.
+func (t *traceWriter) Fingerprint(r obs.FingerprintRecord) {
+	if r.Final {
+		return
+	}
 	t.emit(TraceEvent{
-		Name: fmt.Sprintf("%s flow %d", r.Ev, r.Flow), Ph: "i", Cat: "pkt",
+		Name: fmt.Sprintf("%s flow %d", r.Kind, r.Flow), Ph: "i", Cat: "fp",
 		Ts: psToUs(r.TPs), Pid: t.pid(r.Net, r.Plane), Tid: r.Link, S: "t",
-		Args: map[string]any{"seq": r.Seq, "size": r.Size},
+		Args: map[string]any{"events": r.Events, "seq": r.Seq, "size": r.Size},
 	})
 }

@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pnet/internal/obs"
@@ -13,7 +16,8 @@ import (
 
 // traceStream writes a small synthetic stream covering every record
 // shape the exporter consumes: span-carrying flows, plane/engine
-// samples, faults and packets.
+// samples, faults, and fingerprint checkpoints that name a packet event,
+// a timer and (the final one) none.
 func traceStream(t *testing.T) string {
 	return writeStream(t, func(s obs.Sink) {
 		s.Flow(obs.FlowRecord{Type: obs.KindFlow, ID: 1, TPs: 5_000_000, Transport: "tcp", Src: 0, Dst: 1, Bytes: 30000, FCT: 3e-6,
@@ -29,7 +33,14 @@ func traceStream(t *testing.T) string {
 		s.Engine(obs.EngineRecord{Type: obs.KindEngine, Net: 0, TPs: 1_000_000, Events: 10, HeapLen: 3})
 		s.Fault(obs.FaultRecord{Type: obs.KindFault, Net: 0, TPs: 4_000_000, Event: "inject", Target: "link:2", Plane: 1})
 		s.Fault(obs.FaultRecord{Type: obs.KindFault, Net: 0, TPs: 6_000_000, Event: "detect", Target: "plane:1", Plane: -1, LatencySec: 2e-6})
-		s.Packet(obs.PacketRecord{Type: obs.KindPacket, Net: 0, Ev: "enqueue", TPs: 100_000, Link: 2, Plane: 1, Flow: 1, Seq: 0, Size: 1500})
+		fp := obs.FingerprintRecord{Type: obs.KindFingerprint, EpochEvents: 1, Hash: obs.FormatHash(1)}
+		hop, timer, final := fp, fp, fp
+		hop.Events, hop.TPs, hop.Kind, hop.Plane, hop.Link, hop.Flow, hop.Size = 1, 100_000, "hop", 1, 2, 1, 1500
+		timer.Epoch, timer.Events, timer.TPs, timer.Kind, timer.Plane, timer.Link = 1, 2, 200_000, "timer", -1, -1
+		final.Epoch, final.Events, final.TPs, final.Final = 2, 2, 200_000, true
+		s.Fingerprint(hop)
+		s.Fingerprint(timer)
+		s.Fingerprint(final)
 	})
 }
 
@@ -130,7 +141,7 @@ func TestExportTraceEveryRecord(t *testing.T) {
 		"X span":  2,
 		"C ":      3, // two tx_bytes samples, one heap depth
 		"i fault": 2,
-		"i pkt":   1,
+		"i fp":    2, // the hop and the timer; the final checkpoint names no event
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("events by phase and category = %v, want %v", got, want)
@@ -199,30 +210,89 @@ func TestExportTraceEmpty(t *testing.T) {
 	}
 }
 
-// TestExportTracePacketsOnTheirNet: a packet event is an instant on the
-// process of its own engine's plane. Two engines' packets on the same
-// plane number land on two processes, one per net.
-func TestExportTracePacketsOnTheirNet(t *testing.T) {
-	evs := exportTrace(t, writeStream(t, func(s obs.Sink) {
-		s.Packet(obs.PacketRecord{Type: obs.KindPacket, Net: 0, Ev: "enqueue", TPs: 100_000, Link: 2, Plane: 1, Flow: 1, Size: 1500})
-		s.Packet(obs.PacketRecord{Type: obs.KindPacket, Net: 1, Ev: "enqueue", TPs: 100_000, Link: 2, Plane: 1, Flow: 1, Size: 1500})
-	}))
+// TestExportTraceEventsOnTheirNet: on a two-engine stream fingerprinted
+// at one event per checkpoint, every checkpoint that names an event (all
+// but a final one) is one instant, in stream order, at the event's time,
+// on the process of the event's own engine and plane, or of its engine's
+// hosts for a timer. Both engines carry packets on both planes, so an
+// instant drawn on the wrong net or plane lands on a process of the wrong
+// name.
+func TestExportTraceEventsOnTheirNet(t *testing.T) {
+	var buf bytes.Buffer
+	c := obs.NewCollector()
+	c.Fingerprint, c.FingerprintEpoch = true, 1
+	c.StreamMetrics(&buf)
+	for range 2 {
+		eng, net, paths := twoPlaneNet()
+		c.AttachNetwork(eng, net)
+		for i := range 6 {
+			p := net.NewPacket()
+			p.Size = 1500
+			p.Route = paths[i%2].Links
+			p.Deliver = releaseSink{net}
+			net.Send(p)
+		}
+		eng.Run()
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "m.jsonl")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	type instant struct {
+		process string
+		ts      float64
+	}
+	var want []instant
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if !strings.HasPrefix(line, `{"type":"fp"`) {
+			continue
+		}
+		var r obs.FingerprintRecord
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Final {
+			continue
+		}
+		process := fmt.Sprintf("net %d plane %d", r.Net, r.Plane)
+		if r.Kind == "timer" {
+			process = fmt.Sprintf("net %d hosts (flows)", r.Net)
+		}
+		want = append(want, instant{process, float64(r.TPs) / 1e6})
+	}
+	processes := map[string]bool{}
+	for _, w := range want {
+		processes[w.process] = true
+	}
+	if len(processes) != 6 {
+		t.Fatalf("checkpoints name events on %d processes %v; the scene needs both planes and the hosts of two nets", len(processes), processes)
+	}
+
 	names := map[int64]string{}
 	var pids []int64
-	for _, ev := range evs {
+	var got []instant
+	for _, ev := range exportTrace(t, path) {
 		switch {
 		case ev.Name == "process_name":
 			names[ev.Pid] = ev.Args["name"].(string)
-		case ev.Cat == "pkt":
+		case ev.Cat == "fp":
 			pids = append(pids, ev.Pid)
+			got = append(got, instant{ts: ev.Ts})
 		}
 	}
-	if len(pids) != 2 || pids[0] == pids[1] {
-		t.Fatalf("packet instants on processes %v, want two distinct ones", pids)
+	for i := range got {
+		got[i].process = names[pids[i]]
 	}
-	for i, pid := range pids {
-		if want := fmt.Sprintf("net %d plane 1", i); names[pid] != want {
-			t.Errorf("packet of net %d on process %d named %q, want %q", i, pid, names[pid], want)
+	if len(got) != len(want) {
+		t.Fatalf("%d fp instants, want one per event-naming checkpoint: %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("instant %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }

@@ -98,23 +98,6 @@ const (
 	TraceBlackhole                   // packet lost to a down link (runtime fault)
 )
 
-// String names the event kind for logs and traces.
-func (e TraceEvent) String() string {
-	switch e {
-	case TraceEnqueue:
-		return "enqueue"
-	case TraceDrop:
-		return "drop"
-	case TraceTrim:
-		return "trim"
-	case TraceDeliver:
-		return "deliver"
-	case TraceBlackhole:
-		return "blackhole"
-	}
-	return "unknown"
-}
-
 // Tracer observes packet events, htsim-log style. Tracing is optional;
 // a nil tracer costs one branch per event.
 type Tracer interface {

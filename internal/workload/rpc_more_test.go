@@ -140,7 +140,6 @@ func (*flowSink) Engine(obs.EngineRecord)           {}
 func (*flowSink) Solver(obs.SolverRecord)           {}
 func (*flowSink) Fault(obs.FaultRecord)             {}
 func (*flowSink) Fingerprint(obs.FingerprintRecord) {}
-func (*flowSink) Packet(obs.PacketRecord)           {}
 
 // TestRPCResponseReturnsToClient: every round is a request from the
 // client to its server and a response from that server back, as the
