@@ -144,7 +144,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.format, "format", "table", "table | json")
 	fs.StringVar(&o.metrics, "metrics", "", "stream telemetry records as JSONL to this file ('-' = stdout)")
 	fs.BoolVar(&o.spans, "spans", false, "record latency attribution spans (pnetstat attribution)")
-	fs.BoolVar(&o.fingerprint, "fingerprint", false, "fold every fired event into its engine's determinism hash chain (pnetstat fingerprint / divergence); needs -metrics or -report")
+	fs.BoolVar(&o.fingerprint, "fingerprint", false, "fold every fired event into its engine's determinism hash chain (pnetstat summary / divergence); needs -metrics or -report")
 	fs.Int64Var(&o.fpEpoch, "fingerprint-epoch", 0, "events per fingerprint checkpoint (0 = default 65536; 1 writes one record per event, the per-event trace pnetstat divergence and export-trace read); requires -fingerprint")
 	fs.StringVar(&o.report, "report", "", "write a RunSummary JSON for pnetstat to this file")
 	fs.StringVar(&o.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")

@@ -53,31 +53,20 @@ func TestAttributionCommand(t *testing.T) {
 // TestAttributionCommandNoSpans: a run with no records for a view, with
 // or without -json, is a usage error naming both causes: the pnetbench
 // flag that records them was off, or nothing the run did makes them. A
-// span-less run has no attribution view; an LP-only report, as fig6c
-// writes with -fingerprint on, has no fingerprint view.
+// span-less run has no attribution view.
 func TestAttributionCommandNoSpans(t *testing.T) {
-	dir := t.TempDir()
-	lpOnly := report.RunSummary{
-		SchemaVersion: report.SchemaVersion, Exp: "fig6c", Scale: "small", Seed: 1,
-		Solver: report.SolverSummary{Calls: 6, Phases: 60, Iterations: 1800, WallSec: 0.5},
-	}
-	for _, c := range []struct {
-		view, flag string
-		run        report.RunSummary
-	}{{"attribution", "spans", testSummary()}, {"fingerprint", "fingerprint", lpOnly}} {
-		run := writeRun(t, dir, c.view+".json", c.run)
-		want := "pnetstat: " + run + " has no " + c.view + " records: the run was made without pnetbench -" + c.flag + ", or it ran nothing that makes them\n"
-		for _, args := range [][]string{{c.view, run}, {c.view, "-json", run}} {
-			var out, errb bytes.Buffer
-			if code := run2(t, args, &out, &errb); code != 2 {
-				t.Errorf("%v exited %d, want 2", args, code)
-			}
-			if msg := errb.String(); msg != want {
-				t.Errorf("%v: stderr %q, want %q", args, msg, want)
-			}
-			if out.Len() != 0 {
-				t.Errorf("%v printed %q on stdout", args, out.String())
-			}
+	run := writeRun(t, t.TempDir(), "attribution.json", testSummary())
+	want := "pnetstat: " + run + " has no attribution records: the run was made without pnetbench -spans, or it ran nothing that makes them\n"
+	for _, args := range [][]string{{"attribution", run}, {"attribution", "-json", run}} {
+		var out, errb bytes.Buffer
+		if code := run2(t, args, &out, &errb); code != 2 {
+			t.Errorf("%v exited %d, want 2", args, code)
+		}
+		if msg := errb.String(); msg != want {
+			t.Errorf("%v: stderr %q, want %q", args, msg, want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v printed %q on stdout", args, out.String())
 		}
 	}
 }

@@ -63,26 +63,30 @@ func replayJSONL(t *testing.T, dir, name string, n int, epoch int64, swaps ...in
 	return path
 }
 
+// TestFingerprintCommand: the fingerprint is one line of the summary, and
+// "fingerprint" is no subcommand of its own.
 func TestFingerprintCommand(t *testing.T) {
 	dir := t.TempDir()
 	m := replayJSONL(t, dir, "a", 100, 32, -1)
 	var out, errb bytes.Buffer
-	if code := run2(t, []string{"fingerprint", m}, &out, &errb); code != 0 {
-		t.Fatalf("fingerprint exited %d: %s", code, errb.String())
+	if code := run2(t, []string{"fingerprint", m}, &out, &errb); code != 2 || !strings.Contains(errb.String(), `unknown command "fingerprint"`) {
+		t.Errorf("fingerprint exited %d, want 2 as an unknown command: %s", code, errb.String())
 	}
-	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
-	if len(lines) != 2 || lines[0] != "fingerprint: 1 engine(s), 100 events, epoch 32" || !strings.HasPrefix(lines[1], "global ") || len(lines[1]) != len("global ")+16 {
-		t.Errorf("output = %q, want the engine/event/epoch line and the global chain", out.String())
+	f := sim.NewFingerprinter(32)
+	for i := 0; i < 100; i++ {
+		f.Fold(sim.Time(1000*(i+1)), sim.EvHop, int32(i%2), int64(i%5), int64(i%7+1), int64(i), 1500)
 	}
-	// A run without fingerprints is a usage error with a pointer.
-	noFP := writeRun(t, dir, "plain.json", testSummary())
+	cp, _ := f.Partial()
+	want := "fingerprint: global=" + obs.FormatHash(cp.Global) + " (100 events, 1 engines, epoch 32)\n"
 	out.Reset()
 	errb.Reset()
-	if code := run2(t, []string{"fingerprint", noFP}, &out, &errb); code != 2 {
-		t.Fatalf("fingerprint on fp-free run exited %d, want 2", code)
+	if code := run2(t, []string{"summary", m}, &out, &errb); code != 0 || !strings.Contains(out.String(), want) {
+		t.Errorf("summary exited %d, want 0 with the line %q:\n%s%s", code, want, out.String(), errb.String())
 	}
-	if !strings.Contains(errb.String(), "-fingerprint") {
-		t.Errorf("error lacks remediation: %s", errb.String())
+	// A run without fingerprints has no such line.
+	out.Reset()
+	if code := run2(t, []string{"summary", writeRun(t, dir, "plain.json", testSummary())}, &out, &errb); code != 0 || strings.Contains(out.String(), "fingerprint") {
+		t.Errorf("summary of a fingerprint-free run exited %d:\n%s", code, out.String())
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"pnet/internal/report"
@@ -50,9 +49,6 @@ commands:
       went (queueing, serialization, propagation, RTO stalls, repath
       gaps, host waits) per plane, overall and for the p99.9 tail;
       needs a run recorded with pnetbench -spans
-  fingerprint [-json] <run>
-      print the determinism fingerprint: the XOR fold of every engine's
-      hash chain; needs pnetbench -fingerprint
   divergence [-k 5] <base> <cur>
       compare two runs' fingerprint checkpoint streams (metrics JSONL),
       binary-search to the first divergent epoch, and print the event
@@ -68,7 +64,8 @@ commands:
   diff [-threshold 0.1] <base> <cur>
       per-metric deltas between two runs of the same experiment, scale
       and seed; exit 1 if a gated (simulation-deterministic) metric
-      worsens beyond the threshold, wall-clock rows are informational
+      worsens beyond the threshold (at 0, worsens at all), wall-clock
+      rows are informational
 
 runs are RunSummary JSON (pnetbench -report) or metrics JSONL
 (pnetbench -metrics), auto-detected.
@@ -84,8 +81,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runView(cmd, "", rest, stdout, stderr, summaryView)
 	case "attribution":
 		return runView(cmd, "spans", rest, stdout, stderr, attributionView)
-	case "fingerprint":
-		return runView(cmd, "fingerprint", rest, stdout, stderr, fingerprintView)
 	case "divergence":
 		return runDivergence(rest, stdout, stderr)
 	case "export-trace":
@@ -176,17 +171,6 @@ func attributionView(s report.RunSummary) (any, string, bool) {
 	return s.Attribution, s.AttributionString(), true
 }
 
-func fingerprintView(s report.RunSummary) (any, string, bool) {
-	fp := s.Fingerprint
-	if fp == nil {
-		return nil, "", false
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "fingerprint: %d engine(s), %d events, epoch %d\n", fp.Engines, fp.Events, fp.EpochEvents)
-	fmt.Fprintf(&b, "global %s\n", fp.Global)
-	return fp, b.String(), true
-}
-
 func runDivergence(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("divergence")
 	k := fs.Int("k", 5, "context window: checkpoints printed either side of the divergence")
@@ -242,9 +226,9 @@ func runExportTrace(args []string, stdout, stderr io.Writer) int {
 
 func runDiff(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("diff")
-	rel := fs.Float64("threshold", 0, "relative worsening allowed on gated metrics (default 0.10)")
+	rel := fs.Float64("threshold", report.DefaultRelThreshold, "relative worsening allowed on gated metrics")
 	if err := fs.Parse(args); err != nil || fs.NArg() != 2 || math.IsNaN(*rel) || *rel < 0 {
-		return badUsage(stderr, err, "pnetstat diff [-threshold 0.1] <base> <cur> (threshold ≥ 0; 0 selects 0.1)")
+		return badUsage(stderr, err, "pnetstat diff [-threshold 0.1] <base> <cur> (threshold ≥ 0; 0 allows no worsening)")
 	}
 	base, ok := loadRun(fs.Arg(0), stderr)
 	if !ok {

@@ -112,9 +112,20 @@ func TestDiffCommand(t *testing.T) {
 	if code := run2(t, []string{"diff", "-threshold", "0.5", a, badPath}, &out, &errb); code != 0 {
 		t.Fatalf("diff with 50%% threshold exited %d", code)
 	}
-	// 0 selects the 10 % default, as an omitted flag does.
+	// 0 allows no worsening at all: a p99 5 % worse passes the 10 %
+	// default and fails at 0.
 	if code := run2(t, []string{"diff", "-threshold", "0", a, badPath}, &out, &errb); code != 1 {
 		t.Fatalf("diff with threshold 0 on a 25%% worse p99 exited %d, want 1", code)
+	}
+	slight := testSummary()
+	slight.FCT.P99 *= 1.05
+	slightPath := writeRun(t, dir, "slight.json", slight)
+	if code := run2(t, []string{"diff", a, slightPath}, &out, &errb); code != 0 {
+		t.Fatalf("diff at the default threshold on a 5%% worse p99 exited %d, want 0", code)
+	}
+	out.Reset()
+	if code := run2(t, []string{"diff", "-threshold", "0", a, slightPath}, &out, &errb); code != 1 || !strings.Contains(out.String(), "fct_s.p99") {
+		t.Fatalf("diff with threshold 0 on a 5%% worse p99 exited %d, want 1 naming fct_s.p99:\n%s", code, out.String())
 	}
 
 	// Runs of different experiments, scales or seeds are not a regression
@@ -158,8 +169,8 @@ func TestUsageErrors(t *testing.T) {
 	}
 
 	// Flag values no run could mean: a NaN threshold passes every gate, a
-	// negative one would quietly become the default, a negative -k prints
-	// no context.
+	// negative one fails a run against itself, a negative -k prints no
+	// context.
 	dir := t.TempDir()
 	a := writeRun(t, dir, "a.json", testSummary())
 	m := replayJSONL(t, dir, "m", 10, 1, -1)

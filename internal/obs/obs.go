@@ -23,6 +23,7 @@
 // producers: the collector's attach bookkeeping and the metrics writer
 // each carry a mutex. All hooks are nil-safe: a nil *Collector
 // accepts records and does nothing (StreamMetrics aside), and an
-// unattached network pays sim.Network's nil-Tracer branch plus
-// queue.touch's moved-flag test on every transmission, drop and blackhole.
+// unattached network pays the engine's nil-Fingerprint branch on every
+// event plus queue.touch's moved-flag test on every transmission, drop
+// and blackhole.
 package obs

@@ -185,7 +185,7 @@ func TestDiffAttributionGated(t *testing.T) {
 			c.Share *= 1.5
 		}
 	}
-	d := Diff(base, cur, 0)
+	d := Diff(base, cur, DefaultRelThreshold)
 	if d.Pass {
 		t.Fatal("50% more rto_stall share passed the gate")
 	}

@@ -89,16 +89,13 @@ const (
 // simulation metrics (FCT percentiles, goodput, plane imbalance, drops,
 // solver phases/iterations, in total and per (experiment, solver, K),
 // engine event counts) are gated: worsening
-// beyond rel fails the report (zero selects DefaultRelThreshold).
+// beyond rel fails the report; at zero any worsening does.
 // Wall-clock metrics ride along informationally: they are not
 // deterministic for a fixed seed, and one run a side cannot resolve them;
 // the benchmark's -compare, with its repeated passes, judges wall time.
 // Metrics absent from either run (zero observations) are skipped rather
 // than compared against zero.
 func Diff(base, cur RunSummary, rel float64) DiffReport {
-	if rel <= 0 {
-		rel = DefaultRelThreshold
-	}
 	var d DiffReport
 	add := func(name string, b, c float64, dir direction, gated bool) {
 		if b == 0 && c == 0 {

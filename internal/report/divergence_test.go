@@ -355,7 +355,7 @@ func TestFingerprintSummaryRoundTrip(t *testing.T) {
 	fp := *mem2.Fingerprint
 	fp.Global = obs.FormatHash(0xdeadbeef)
 	bad.Fingerprint = &fp
-	if d := Diff(mem1, bad, 0); d.Pass {
+	if d := Diff(mem1, bad, DefaultRelThreshold); d.Pass {
 		t.Errorf("fingerprint mismatch passed the diff:\n%s", d)
 	}
 	if !strings.Contains(mem1.String(), "fingerprint: global=") {

@@ -47,6 +47,8 @@ func FuzzStream(f *testing.F) {
 		`{"type":""}` + "\n",
 		`{"no_type_at_all":true}` + "\n",
 		`{"type":"flow","id":"seven"}` + "\n", // wrong field type
+		`{"id":7,"fct_s":0.002,"type":"flow"}` + "\n",    // type key not first
+		`{"type":"link","link":3,"type":"fault"}` + "\n", // type key repeated: the last counts
 		pkt,
 		`{"type":"fp","net":0,"epoch":1,"events":32,"epoch_events":32,"hash":"zz"}` + "\n",
 		`{"type":"fp","net":0,"epoch":1,"events":32,"epoch_events":0,"hash":"0123456789abcdef","host":"0123456789abcdef"}` + "\n",

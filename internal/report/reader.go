@@ -16,6 +16,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"reflect"
 
 	"pnet/internal/obs"
 	"pnet/internal/sim"
@@ -104,18 +105,35 @@ func ReadStream(r io.Reader, sink obs.Sink) error {
 	return nil
 }
 
-// kindHeader decodes only the discriminator, cheap relative to a full
-// record decode.
+// kindHeader decodes only the discriminator, for a line that does not
+// name its kind up front.
 type kindHeader struct {
 	Type string `json:"type"`
 }
 
-// emit decodes b as one record of kind R, checks it with valid (nil:
-// nothing to check beyond the JSON), and hands it to the sink method to.
-func emit[R any](b []byte, valid func(*R) error, to func(R)) error {
+// leadingKind returns the kind a line names in the {"type":"<kind>" prefix
+// that MetricsWriter starts every line with, and false for a line that
+// does not start so.
+func leadingKind(b []byte) (string, bool) {
+	rest, ok := bytes.CutPrefix(b, []byte(`{"type":"`))
+	kind, _, found := bytes.Cut(rest, []byte(`"`))
+	return string(kind), ok && found
+}
+
+// errOtherKind is a record whose own "type" is not the kind it was decoded
+// as: its line repeats the key, and JSON's last one wins.
+var errOtherKind = errors.New("report: record of another kind")
+
+// emit decodes b as one record of kind R, checks that it is of kind and
+// with valid (nil: nothing to check beyond the JSON), and hands it to the
+// sink method to. Every record's Type field holds its "type".
+func emit[R any](b []byte, kind string, valid func(*R) error, to func(R)) error {
 	var r R
 	if err := json.Unmarshal(b, &r); err != nil {
 		return err
+	}
+	if reflect.ValueOf(&r).Elem().FieldByName("Type").String() != kind {
+		return errOtherKind
 	}
 	if valid != nil {
 		if err := valid(&r); err != nil {
@@ -127,28 +145,41 @@ func emit[R any](b []byte, valid func(*R) error, to func(R)) error {
 }
 
 // decodeLine decodes and validates one line and hands the record to sink.
+// A line that starts with the kind it holds, as every line MetricsWriter
+// writes does, is decoded once. Any other (no such prefix, an unknown
+// kind, a repeated "type" key, a bad record) is decoded for its "type"
+// first and then as that kind, so its record or error does not depend on
+// the path it took.
 func decodeLine(b []byte, sink obs.Sink) error {
+	if kind, ok := leadingKind(b); ok && decodeKind(kind, b, sink) == nil {
+		return nil
+	}
 	var h kindHeader
 	if err := json.Unmarshal(b, &h); err != nil {
 		return err
 	}
-	switch h.Type {
+	return decodeKind(h.Type, b, sink)
+}
+
+// decodeKind decodes b as a record of kind and hands it to sink.
+func decodeKind(kind string, b []byte, sink obs.Sink) error {
+	switch kind {
 	case obs.KindLink:
-		return emit(b, nil, sink.Link)
+		return emit(b, kind, nil, sink.Link)
 	case obs.KindPlane:
-		return emit(b, nil, sink.Plane)
+		return emit(b, kind, nil, sink.Plane)
 	case obs.KindEngine:
-		return emit(b, nil, sink.Engine)
+		return emit(b, kind, nil, sink.Engine)
 	case obs.KindFlow:
-		return emit(b, validFlow, sink.Flow)
+		return emit(b, kind, validFlow, sink.Flow)
 	case obs.KindSolver:
-		return emit(b, nil, sink.Solver)
+		return emit(b, kind, nil, sink.Solver)
 	case obs.KindFault:
-		return emit(b, nil, sink.Fault)
+		return emit(b, kind, nil, sink.Fault)
 	case obs.KindFingerprint:
-		return emit(b, validFingerprint, sink.Fingerprint)
+		return emit(b, kind, validFingerprint, sink.Fingerprint)
 	}
-	return &UnknownKindError{Kind: h.Type}
+	return &UnknownKindError{Kind: kind}
 }
 
 func validFlow(r *obs.FlowRecord) error {

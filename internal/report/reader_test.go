@@ -111,6 +111,29 @@ func TestReadStreamUnknownKind(t *testing.T) {
 	}
 }
 
+// TestReadStreamTypeKeyAnywhere: a line is read by its "type" wherever
+// the key stands, and where a line repeats it the last one counts, as in
+// any JSON decode of the line; a line that starts with a kind it does not
+// hold is neither misread nor dropped.
+func TestReadStreamTypeKeyAnywhere(t *testing.T) {
+	s := &recorder{}
+	in := `{"id":7,"type":"flow","fct_s":0.002}` + "\n" +
+		`{"type":"flow","net":1,"t_ps":5,"plane":2,"tx_bytes":9,"type":"plane"}` + "\n"
+	if err := ReadStream(strings.NewReader(in), s); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Flows) != 1 || s.Flows[0].ID != 7 || s.Flows[0].FCT != 0.002 {
+		t.Errorf("flows = %+v, want flow 7", s.Flows)
+	}
+	if len(s.Planes) != 1 || s.Planes[0].Plane != 2 || s.Planes[0].TxBytes != 9 {
+		t.Errorf("planes = %+v, want plane 2's record", s.Planes)
+	}
+	var uk *UnknownKindError
+	if err := ReadStream(strings.NewReader(`{"type":"fp","type":"warp"}`+"\n"), s); !errors.As(err, &uk) || uk.Kind != "warp" || uk.Line != 1 {
+		t.Errorf("err = %v, want an UnknownKindError for kind \"warp\" on line 1", err)
+	}
+}
+
 func TestReadStreamEmpty(t *testing.T) {
 	for _, in := range []string{"", "\n\n  \n"} {
 		if err := ReadStream(strings.NewReader(in), &recorder{}); !errors.Is(err, ErrEmptyStream) {

@@ -269,7 +269,7 @@ func TestDiffPassAndFail(t *testing.T) {
 	// gate — the acceptance scenario.
 	bad := sampleSummary()
 	bad.FCT.P99 *= 1.2
-	d = Diff(base, bad, 0)
+	d = Diff(base, bad, DefaultRelThreshold)
 	if d.Pass {
 		t.Fatalf("inflated p99 passed:\n%s", d)
 	}
@@ -302,7 +302,7 @@ func TestDiffPassAndFail(t *testing.T) {
 	// Goodput is lower-is-worse.
 	slower := sampleSummary()
 	slower.GoodputBps *= 0.5
-	d = Diff(base, slower, 0)
+	d = Diff(base, slower, DefaultRelThreshold)
 	if d.Pass {
 		t.Error("halved goodput passed the gate")
 	}
@@ -361,12 +361,12 @@ func TestDiffGatesEachSolve(t *testing.T) {
 	if !reflect.DeepEqual(cur.Solver.Solves, want) {
 		t.Errorf("solves = %+v, want %+v", cur.Solver.Solves, want)
 	}
-	d := Diff(base, cur, 0)
+	d := Diff(base, cur, DefaultRelThreshold)
 	regs := d.Regressions()
 	if d.Pass || len(regs) != 1 || regs[0].Metric != "solver.fig7.gk-free.k0.iterations" {
 		t.Errorf("moved iterations: regressions %+v, want solver.fig7.gk-free.k0.iterations alone:\n%s", regs, d)
 	}
-	if regs := Diff(cur, base, 0).Regressions(); len(regs) != 1 || regs[0].Metric != "solver.fig8a.gk-fixed.k8.iterations" {
+	if regs := Diff(cur, base, DefaultRelThreshold).Regressions(); len(regs) != 1 || regs[0].Metric != "solver.fig8a.gk-fixed.k8.iterations" {
 		t.Errorf("the reverse move: regressions %+v, want solver.fig8a.gk-fixed.k8.iterations alone", regs)
 	}
 
@@ -547,7 +547,7 @@ func TestDiffFaultMetrics(t *testing.T) {
 	worse := faultySummary()
 	worse.Faults.DetectLatency.P50 *= 1.5
 	worse.Faults.DetectLatency.Max *= 1.5
-	d = Diff(base, worse, 0)
+	d = Diff(base, worse, DefaultRelThreshold)
 	if d.Pass {
 		t.Fatalf("slower detection passed:\n%s", d)
 	}

@@ -11,8 +11,9 @@ func (r *releaseSink) HandlePacket(p *Packet) { r.net.Release(p) }
 // TestPacketPathZeroAlloc guards the simulator's allocation-free packet
 // path: once the freelist, queue buffers, and lane rings are warm,
 // sending a packet end to end (two hops + delivery) must not allocate.
-// Telemetry hooks (nil Tracer, FlowID stamp) ride the same path, so this
-// also proves instrumentation is free when disabled.
+// Telemetry hooks (the engine's nil-Fingerprint branch, the nil-span
+// tests, the FlowID stamp) ride the same path, so this also proves
+// instrumentation is free when disabled.
 func TestPacketPathZeroAlloc(t *testing.T) {
 	eng, net, fwd, _ := hostPair(100, Config{})
 	s := &releaseSink{net: net}

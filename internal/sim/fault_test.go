@@ -7,8 +7,6 @@ import (
 func TestDownLinkBlackholesArrivals(t *testing.T) {
 	eng, net, fwd, _ := hostPair(100, Config{})
 	s := &sink{eng: eng}
-	tr := &countingTracer{}
-	net.Tracer = tr
 
 	net.SetLinkUp(fwd[0], false)
 	if net.LinkUp(fwd[0]) {
@@ -29,11 +27,8 @@ func TestDownLinkBlackholesArrivals(t *testing.T) {
 	if got := net.TotalBlackholed(); got != 3 {
 		t.Errorf("blackholed = %d, want 3", got)
 	}
-	if net.Blackholed[fwd[0]] != 3 {
-		t.Errorf("blackholed on first link = %d, want 3", net.Blackholed[fwd[0]])
-	}
-	if tr.counts[TraceBlackhole] != 3 {
-		t.Errorf("blackhole trace events = %d, want 3", tr.counts[TraceBlackhole])
+	if net.blackholed[fwd[0]] != 3 {
+		t.Errorf("blackholed on first link = %d, want 3", net.blackholed[fwd[0]])
 	}
 	if net.TotalDrops() != 0 {
 		t.Errorf("congestion drops = %d, want 0 (faults are not drops)", net.TotalDrops())

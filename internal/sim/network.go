@@ -86,24 +86,6 @@ func (c Config) queueBytes() int32 {
 	return c.QueueBytes
 }
 
-// TraceEvent identifies a packet lifecycle point for a Tracer.
-type TraceEvent int
-
-// Trace event kinds.
-const (
-	TraceEnqueue   TraceEvent = iota // packet accepted by a queue
-	TraceDrop                        // packet lost to a full queue
-	TraceTrim                        // packet payload trimmed (NDP)
-	TraceDeliver                     // packet handed to its Deliver handler
-	TraceBlackhole                   // packet lost to a down link (runtime fault)
-)
-
-// Tracer observes packet events, htsim-log style. Tracing is optional;
-// a nil tracer costs one branch per event.
-type Tracer interface {
-	PacketEvent(ev TraceEvent, p *Packet, link graph.LinkID)
-}
-
 // Network instantiates queues for every link of a graph and forwards
 // source-routed packets between them.
 //
@@ -124,15 +106,12 @@ type Network struct {
 	spansOn   bool
 	freeSpans *SpanLog
 
-	// Drops counts packets lost to full queues, by link.
-	Drops []int64
-	// Blackholed counts packets lost to administratively-down links, by
+	// drops counts packets lost to full queues, by link; Stats reads it.
+	drops []int64
+	// blackholed counts packets lost to administratively-down links, by
 	// link — the signature of a runtime fault, kept separate from
 	// congestion drops so fault experiments can tell the two apart.
-	Blackholed []int64
-
-	// Tracer, when set, observes every packet event.
-	Tracer Tracer
+	blackholed []int64
 }
 
 // NewNetwork builds a Network over g. Link rates come from the graph's
@@ -143,8 +122,8 @@ func NewNetwork(eng *Engine, g *graph.Graph, cfg Config) *Network {
 		G:          g,
 		queues:     make([]queue, g.NumLinks()),
 		moved:      make([]graph.LinkID, 0, g.NumLinks()),
-		Drops:      make([]int64, g.NumLinks()),
-		Blackholed: make([]int64, g.NumLinks()),
+		drops:      make([]int64, g.NumLinks()),
+		blackholed: make([]int64, g.NumLinks()),
 	}
 	for i := range n.queues {
 		l := g.Link(graph.LinkID(i))
@@ -187,10 +166,10 @@ func (n *Network) Stats(id graph.LinkID) LinkStats {
 	return LinkStats{
 		TxPackets:  q.txPkts,
 		TxBytes:    q.txBytes,
-		Drops:      n.Drops[id],
+		Drops:      n.drops[id],
 		Marks:      q.marks,
 		Trims:      q.trims,
-		Blackholed: n.Blackholed[id],
+		Blackholed: n.blackholed[id],
 		Busy:       q.busyTime - max(q.txEnd-n.Eng.Now(), 0),
 	}
 }
@@ -264,7 +243,7 @@ func (n *Network) LinkUp(id graph.LinkID) bool { return !n.queues[id].down }
 // TotalBlackholed sums blackholed packets over all links.
 func (n *Network) TotalBlackholed() int64 {
 	var total int64
-	for _, b := range n.Blackholed {
+	for _, b := range n.blackholed {
 		total += b
 	}
 	return total
@@ -273,11 +252,8 @@ func (n *Network) TotalBlackholed() int64 {
 // blackhole counts and releases a packet lost to a down link.
 func (q *queue) blackhole(p *Packet) {
 	n := q.net
-	n.Blackholed[q.id]++
+	n.blackholed[q.id]++
 	q.touch()
-	if n.Tracer != nil {
-		n.Tracer.PacketEvent(TraceBlackhole, p, q.id)
-	}
 	n.Release(p)
 }
 
@@ -321,7 +297,7 @@ func (n *Network) QueueDepth(id graph.LinkID) int32 { return n.queues[id].bytes 
 // TotalDrops sums packet drops over all links.
 func (n *Network) TotalDrops() int64 {
 	var total int64
-	for _, d := range n.Drops {
+	for _, d := range n.drops {
 		total += d
 	}
 	return total
@@ -331,9 +307,6 @@ func (n *Network) TotalDrops() int64 {
 // Route[Hop]: it either forwards to the next queue or delivers.
 func (n *Network) arrive(p *Packet) {
 	if int(p.Hop) == len(p.Route)-1 {
-		if n.Tracer != nil {
-			n.Tracer.PacketEvent(TraceDeliver, p, p.Route[p.Hop])
-		}
 		p.Deliver.HandlePacket(p)
 		return
 	}
@@ -416,15 +389,9 @@ func (q *queue) enqueue(p *Packet) {
 			p.Size = q.trimTo
 			p.Trimmed = true
 			q.trims++
-			if q.net.Tracer != nil {
-				q.net.Tracer.PacketEvent(TraceTrim, p, q.id)
-			}
 		} else {
-			q.net.Drops[q.id]++
+			q.net.drops[q.id]++
 			q.touch()
-			if q.net.Tracer != nil {
-				q.net.Tracer.PacketEvent(TraceDrop, p, q.id)
-			}
 			q.net.Release(p)
 			return
 		}
@@ -432,9 +399,6 @@ func (q *queue) enqueue(p *Packet) {
 	if q.ecnMark > 0 && q.bytes > q.ecnMark {
 		p.CE = true
 		q.marks++
-	}
-	if q.net.Tracer != nil {
-		q.net.Tracer.PacketEvent(TraceEnqueue, p, q.id)
 	}
 	if p.span != nil {
 		p.span.wait = q.net.Eng.Now()

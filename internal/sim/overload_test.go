@@ -4,7 +4,7 @@ import "testing"
 
 // TestStatsUnderOverload drives a burst far past a tiny queue's capacity
 // and checks the monitoring counters stay consistent with each other:
-// every packet either transmits or drops, Stats mirrors the Drops array,
+// every packet either transmits or drops, Stats mirrors the drops array,
 // and utilization (Busy over elapsed time) stays in (0, 1] while the
 // bottleneck is saturated.
 func TestStatsUnderOverload(t *testing.T) {
@@ -26,8 +26,8 @@ func TestStatsUnderOverload(t *testing.T) {
 	if st.Drops == 0 {
 		t.Fatal("overload produced no drops")
 	}
-	if st.Drops != net.Drops[fwd[0]] {
-		t.Errorf("Stats.Drops = %d, Drops[link] = %d", st.Drops, net.Drops[fwd[0]])
+	if st.Drops != net.drops[fwd[0]] {
+		t.Errorf("Stats.Drops = %d, drops[link] = %d", st.Drops, net.drops[fwd[0]])
 	}
 	if net.TotalDrops() != st.Drops {
 		t.Errorf("TotalDrops = %d, want %d (all drops at the first hop)", net.TotalDrops(), st.Drops)

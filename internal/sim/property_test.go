@@ -227,25 +227,6 @@ func TestLaneRingsReused(t *testing.T) {
 	}
 }
 
-// packetStep is one packet event as a journalTracer saw it.
-type packetStep struct {
-	at   Time
-	ev   TraceEvent
-	seq  int64
-	link graph.LinkID
-}
-
-// journalTracer logs every packet event in the order the engine produced
-// it.
-type journalTracer struct {
-	eng *Engine
-	log []packetStep
-}
-
-func (j *journalTracer) PacketEvent(ev TraceEvent, p *Packet, link graph.LinkID) {
-	j.log = append(j.log, packetStep{j.eng.Now(), ev, p.Seq, link})
-}
-
 // mixedRatePackets is how many packets one mixedRateRun sends.
 const mixedRatePackets = 3000
 
@@ -254,7 +235,7 @@ const mixedRatePackets = 3000
 // into queues small enough to drop. heapOnly takes every lane away first,
 // which makes the engine the single heap the lanes must be
 // indistinguishable from.
-func mixedRateRun(t *testing.T, seed int64, heapOnly bool) (journal []packetStep, delivered, dropped int64) {
+func mixedRateRun(t *testing.T, seed int64, heapOnly bool) (journal []FingerprintCheckpoint, delivered, dropped int64) {
 	speeds := []float64{10, 25, 40, 50, 100, 200}
 	hub := graph.NodeID(len(speeds))
 	g := graph.New(len(speeds) + 1)
@@ -274,8 +255,7 @@ func mixedRateRun(t *testing.T, seed int64, heapOnly bool) (journal []packetStep
 		eng.nlanes = maxLanes
 	}
 	net := NewNetwork(eng, g, Config{QueueBytes: 6000})
-	tr := &journalTracer{eng: eng}
-	net.Tracer = tr
+	log := recordEvents(eng)
 	s := &sink{eng: eng}
 
 	classes := map[Time]bool{propDelay: true}
@@ -309,23 +289,24 @@ func mixedRateRun(t *testing.T, seed int64, heapOnly bool) (journal []packetStep
 	if !heapOnly && eng.nlanes != maxLanes {
 		t.Errorf("seed %d: %d of %d lanes keyed by %d delay classes", seed, eng.nlanes, maxLanes, len(classes))
 	}
-	return tr.log, int64(len(s.pkts)), net.TotalDrops()
+	return *log, int64(len(s.pkts)), net.TotalDrops()
 }
 
 // TestMixedRateOrderAndConservation: on a network with more delay classes
 // than lanes, where part of the packet path falls back to the heap, events
-// still fire in the one (at, seq) order — the packet journal equals a
-// single heap's, step for step — and every packet sent is delivered or
-// dropped.
+// still fire in the one (at, seq) order — the per-event trace (a
+// checkpoint per fired event: timers, transmissions, hops and deliveries)
+// equals a single heap's, checkpoint for checkpoint — and every packet sent
+// is delivered or dropped.
 func TestMixedRateOrderAndConservation(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		got, delivered, dropped := mixedRateRun(t, seed, false)
 		want, _, _ := mixedRateRun(t, seed, true)
 		if !slices.Equal(got, want) {
-			t.Errorf("seed %d: packet journal differs from the single-heap engine's (%d vs %d steps)", seed, len(got), len(want))
+			t.Errorf("seed %d: event trace differs from the single-heap engine's (%d vs %d events)", seed, len(got), len(want))
 		}
-		if !slices.IsSortedFunc(got, func(a, b packetStep) int { return cmp.Compare(a.at, b.at) }) {
-			t.Errorf("seed %d: simulated time went backwards in the packet journal", seed)
+		if !slices.IsSortedFunc(got, func(a, b FingerprintCheckpoint) int { return cmp.Compare(a.T, b.T) }) {
+			t.Errorf("seed %d: simulated time went backwards in the event trace", seed)
 		}
 		if dropped == 0 || delivered == 0 {
 			t.Errorf("seed %d: delivered %d, dropped %d: the test needs both", seed, delivered, dropped)

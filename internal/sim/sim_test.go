@@ -280,8 +280,8 @@ func TestDropTail(t *testing.T) {
 	if net.TotalDrops() != 3 {
 		t.Errorf("drops = %d, want 3", net.TotalDrops())
 	}
-	if net.Drops[fwd[0]] != 3 {
-		t.Errorf("drops on first link = %d", net.Drops[fwd[0]])
+	if st := net.Stats(fwd[0]); st.Drops != 3 {
+		t.Errorf("drops on first link = %d", st.Drops)
 	}
 }
 

@@ -1,29 +1,26 @@
 package sim
 
 import (
+	"maps"
 	"testing"
-
-	"pnet/internal/graph"
 )
 
-type countingTracer struct {
-	counts map[TraceEvent]int
-	links  map[graph.LinkID]bool
+// recordEvents attaches a fingerprinter at a cadence of one event, the
+// per-event trace, and returns the list its checkpoints go to: one per
+// fired event, naming its kind, plane, link, flow, seq and size.
+func recordEvents(eng *Engine) *[]FingerprintCheckpoint {
+	var log []FingerprintCheckpoint
+	eng.Fingerprint = NewFingerprinter(1)
+	eng.Fingerprint.OnCheckpoint = func(cp FingerprintCheckpoint) { log = append(log, cp) }
+	return &log
 }
 
-func (c *countingTracer) PacketEvent(ev TraceEvent, p *Packet, link graph.LinkID) {
-	if c.counts == nil {
-		c.counts = map[TraceEvent]int{}
-		c.links = map[graph.LinkID]bool{}
-	}
-	c.counts[ev]++
-	c.links[link] = true
-}
-
-func TestTracerSeesLifecycle(t *testing.T) {
+// TestCheckpointsSeeLifecycle: three packets over two links fire, per
+// packet, a transmission on each link, a hop at the switch and a delivery
+// at the far host, each checkpoint naming the link it happened on.
+func TestCheckpointsSeeLifecycle(t *testing.T) {
 	eng, net, fwd, _ := hostPair(100, Config{})
-	tr := &countingTracer{}
-	net.Tracer = tr
+	log := recordEvents(eng)
 	s := &sink{eng: eng}
 	for i := 0; i < 3; i++ {
 		p := net.NewPacket()
@@ -33,71 +30,48 @@ func TestTracerSeesLifecycle(t *testing.T) {
 		net.Send(p)
 	}
 	eng.Run()
-	// Each packet: 2 enqueues (one per hop) + 1 delivery.
-	if tr.counts[TraceEnqueue] != 6 {
-		t.Errorf("enqueues = %d, want 6", tr.counts[TraceEnqueue])
+	type at struct {
+		kind EventKind
+		link int64
 	}
-	if tr.counts[TraceDeliver] != 3 {
-		t.Errorf("delivers = %d, want 3", tr.counts[TraceDeliver])
+	counts := map[at]int{}
+	for _, cp := range *log {
+		counts[at{cp.Kind, cp.Link}]++
 	}
-	if tr.counts[TraceDrop] != 0 || tr.counts[TraceTrim] != 0 {
-		t.Errorf("unexpected drop/trim events: %v", tr.counts)
+	want := map[at]int{
+		{EvTx, int64(fwd[0])}: 3, {EvTx, int64(fwd[1])}: 3,
+		{EvHop, int64(fwd[0])}: 3, {EvDeliver, int64(fwd[1])}: 3,
 	}
-	if len(tr.links) != 2 {
-		t.Errorf("links seen = %d, want 2", len(tr.links))
+	if !maps.Equal(counts, want) {
+		t.Errorf("events by (kind, link) = %v, want %v", counts, want)
 	}
-}
-
-func TestTracerSeesDropsAndTrims(t *testing.T) {
-	// Tiny queue without trimming: drops traced.
-	eng, net, fwd, _ := hostPair(100, Config{QueueBytes: 1500})
-	tr := &countingTracer{}
-	net.Tracer = tr
-	s := &sink{eng: eng}
-	for i := 0; i < 4; i++ {
-		p := net.NewPacket()
-		p.Size = 1500
-		p.Route = fwd
-		p.Deliver = s
-		net.Send(p)
-	}
-	eng.Run()
-	if tr.counts[TraceDrop] != 3 {
-		t.Errorf("drops traced = %d, want 3", tr.counts[TraceDrop])
-	}
-
-	// Same with trimming: trims traced instead.
-	eng2, net2, fwd2, _ := hostPair(100, Config{QueueBytes: 1500, TrimToBytes: 64})
-	tr2 := &countingTracer{}
-	net2.Tracer = tr2
-	s2 := &sink{eng: eng2}
-	for i := 0; i < 4; i++ {
-		p := net2.NewPacket()
-		p.Size = 1500
-		p.Route = fwd2
-		p.Deliver = s2
-		net2.Send(p)
-	}
-	eng2.Run()
-	if tr2.counts[TraceTrim] != 3 {
-		t.Errorf("trims traced = %d, want 3", tr2.counts[TraceTrim])
-	}
-	if tr2.counts[TraceDrop] != 0 {
-		t.Errorf("drops traced = %d with trimming on", tr2.counts[TraceDrop])
+	for _, l := range fwd {
+		if st := net.Stats(l); st.TxPackets != 3 || st.Drops != 0 || st.Trims != 0 {
+			t.Errorf("link %d: %+v, want 3 packets sent, none dropped or trimmed", l, st)
+		}
 	}
 }
 
-func TestNilTracerIsFree(t *testing.T) {
-	// Just exercises the nil-check path.
-	eng, net, fwd, _ := hostPair(100, Config{})
-	s := &sink{eng: eng}
-	p := net.NewPacket()
-	p.Size = 1500
-	p.Route = fwd
-	p.Deliver = s
-	net.Send(p)
-	eng.Run()
-	if len(s.times) != 1 {
-		t.Fatal("delivery failed without tracer")
+// TestStatsCountDropsAndTrims: four packets into a one-packet queue drop
+// three, and with trimming on the same three are trimmed and none drops.
+func TestStatsCountDropsAndTrims(t *testing.T) {
+	burst := func(cfg Config) LinkStats {
+		eng, net, fwd, _ := hostPair(100, cfg)
+		s := &sink{eng: eng}
+		for i := 0; i < 4; i++ {
+			p := net.NewPacket()
+			p.Size = 1500
+			p.Route = fwd
+			p.Deliver = s
+			net.Send(p)
+		}
+		eng.Run()
+		return net.Stats(fwd[0])
+	}
+	if st := burst(Config{QueueBytes: 1500}); st.Drops != 3 || st.Trims != 0 {
+		t.Errorf("tiny queue: %d drops, %d trims; want 3 and 0", st.Drops, st.Trims)
+	}
+	if st := burst(Config{QueueBytes: 1500, TrimToBytes: 64}); st.Trims != 3 || st.Drops != 0 {
+		t.Errorf("tiny trimming queue: %d trims, %d drops; want 3 and 0", st.Trims, st.Drops)
 	}
 }

@@ -266,18 +266,44 @@ func TestRunTraceClosedLoop(t *testing.T) {
 
 var _ = route.Commodity{} // keep import for doc references
 
-// routeChecker is a sim.Tracer that fails the test on a delivered packet
-// whose route is not one contiguous path. An ACK route built in the wrong
-// order still gets its packet home, one unrelated hop at a time, so only
-// the route itself shows it.
+// routeChecker reads the per-event trace (a fingerprinter at a cadence of
+// one event) and fails the test on a delivered packet whose links are not
+// one contiguous path. An ACK route built in the wrong order still gets its
+// packet home, one unrelated hop at a time, so only the links it took show
+// it. A packet is named by its checkpoints' (flow, seq, size) — one packet
+// a name while no flow retransmits — except that a flow's ACKs carry no
+// seq and share one. They leave on one route in order and FIFO queues keep
+// them so, which makes the k-th checkpoint on a link under a name the k-th
+// packet's.
 type routeChecker struct {
-	t *testing.T
-	g *graph.Graph
+	t       *testing.T
+	g       *graph.Graph
+	nth     map[[4]int64]int64          // checkpoints so far by (flow, seq, size, link)
+	carried map[[4]int64][]graph.LinkID // links so far by (flow, seq, size, k) of each packet not yet delivered
 }
 
-func (c routeChecker) PacketEvent(ev sim.TraceEvent, p *sim.Packet, _ graph.LinkID) {
-	if ev == sim.TraceDeliver && !(graph.Path{Links: p.Route}).Valid(c.g) {
-		c.t.Fatalf("flow %d: packet delivered over %v, which is not a path", p.FlowID, p.Route)
+func newRouteChecker(t *testing.T, g *graph.Graph, eng *sim.Engine) *routeChecker {
+	c := &routeChecker{t, g, map[[4]int64]int64{}, map[[4]int64][]graph.LinkID{}}
+	eng.Fingerprint = sim.NewFingerprinter(1)
+	eng.Fingerprint.OnCheckpoint = c.event
+	return c
+}
+
+func (c *routeChecker) event(cp sim.FingerprintCheckpoint) {
+	if cp.Kind != sim.EvHop && cp.Kind != sim.EvDeliver {
+		return
+	}
+	leg := [4]int64{cp.Flow, cp.Seq, int64(cp.Size), cp.Link}
+	p := [4]int64{cp.Flow, cp.Seq, int64(cp.Size), c.nth[leg]}
+	c.nth[leg]++
+	links := append(c.carried[p], graph.LinkID(cp.Link))
+	if cp.Kind == sim.EvHop {
+		c.carried[p] = links
+		return
+	}
+	delete(c.carried, p)
+	if !(graph.Path{Links: links}).Valid(c.g) {
+		c.t.Fatalf("flow %d: packet delivered over %v, which is not a path", cp.Flow, links)
 	}
 }
 
@@ -292,7 +318,7 @@ func TestOnePathFlowOwnsItsRoute(t *testing.T) {
 	tp := topo.JellyfishSet(32, 3, 1, 2, 100, 3).ParallelHomo
 	d := newTestDriver(t, tp)
 	g := tp.G
-	d.Net.Tracer = routeChecker{t, g}
+	routes := newRouteChecker(t, g, d.Eng)
 	// A collection would empty the pool of released blocks.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	dags := map[graph.NodeID]*graph.DAG{}
@@ -306,9 +332,10 @@ func TestOnePathFlowOwnsItsRoute(t *testing.T) {
 			want graph.Path
 		}
 		var flows []started
-		var onComplete func(*tcp.Flow)
-		if release {
-			onComplete = func(f *tcp.Flow) {
+		var retransmits int64
+		onComplete := func(f *tcp.Flow) {
+			retransmits += f.Retransmits
+			if release {
 				released[f] = true
 				f.Release()
 			}
@@ -344,6 +371,9 @@ func TestOnePathFlowOwnsItsRoute(t *testing.T) {
 		d.Eng.Run()
 		if n := d.Completed - completed; n != int64(len(flows)) {
 			t.Fatalf("%d of %d flows completed", n, len(flows))
+		}
+		if retransmits != 0 || len(routes.carried) != 0 {
+			t.Fatalf("%d retransmits, %d packets never delivered: a checkpoint name is no longer one packet", retransmits, len(routes.carried))
 		}
 		if !release {
 			check("done")
